@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"ifdk/internal/bench"
+	"ifdk/internal/ct/kernels"
 	"ifdk/internal/gpusim"
 	"ifdk/internal/perfmodel"
 )
@@ -49,6 +50,7 @@ func run(cmd string, samples, fig7Scale, ablNx, ablNp int) error {
 	dev := gpusim.TeslaV100()
 	all := cmd == "all"
 	ran := false
+	fmt.Printf("ifdk-bench: kernels=%s isa=%s\n\n", kernels.Mode(), kernels.ISA())
 
 	if all || cmd == "table3" {
 		fmt.Println(bench.RenderTable3())

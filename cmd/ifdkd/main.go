@@ -156,7 +156,7 @@ func run(addr, debugAddr string, opt service.Options, drain time.Duration, logge
 			"addr", addr, "workers", opt.Workers, "queue", opt.QueueCap,
 			"budget_sec", opt.MaxQueuedSec, "budget_mib", opt.MaxInflightBytes>>20,
 			"quota_rps", opt.QuotaRPS, "aging", agingDesc,
-			"filter_batch", opt.FilterBatchWindow.String(), "kernels", kernels.Mode())
+			"filter_batch", opt.FilterBatchWindow.String(), "kernels", kernels.Mode(), "isa", kernels.ISA())
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errc <- err
 		}

@@ -17,6 +17,7 @@ import (
 
 	"ifdk/internal/ct/filter"
 	"ifdk/internal/ct/geometry"
+	"ifdk/internal/ct/kernels"
 	"ifdk/internal/gpusim"
 	"ifdk/internal/hpc/mpi"
 	"ifdk/internal/hpc/pfs"
@@ -36,7 +37,7 @@ func main() {
 }
 
 func run(nu, reps, ranks int) error {
-	fmt.Println("iFDK micro-benchmarks (Sec. 4.2.1 analogs)")
+	fmt.Printf("iFDK micro-benchmarks (Sec. 4.2.1 analogs) — kernels=%s isa=%s\n", kernels.Mode(), kernels.ISA())
 
 	// --- PFS (IOR analog): simulated bandwidths by construction.
 	store := pfs.New(pfs.ABCIConfig())

@@ -1,6 +1,10 @@
 package kernels
 
-import "ifdk/internal/ct/interp"
+import (
+	"math"
+
+	"ifdk/internal/ct/interp"
+)
 
 // Back-projection kernels for the proposed algorithm (Alg. 4) on transposed
 // projections. The surrounding loop structure lives in internal/ct/backproject;
@@ -14,10 +18,12 @@ import "ifdk/internal/ct/interp"
 // AccumLinePair is where the transpose pays off: for a fixed projection t
 // the detector row index is floor(u) — constant along the voxel line — so
 // the fast path hoists the two detector rows once and walks them stride-1
-// as v advances, with no per-sample bounds checks. Samples whose v lands on
-// the detector border (or is NaN/Inf) are delegated to interp.Bilinear, the
-// reference sampler, so edge and non-finite semantics are exactly those of
-// the reference kernel.
+// as v advances, with no per-sample bounds checks — eight voxels at a time
+// in AVX2 assembly where the host has it (accum_amd64.s), one at a time in
+// portable Go otherwise and for any 8-block the assembly declines. Samples
+// whose v lands on the detector border (or is NaN/Inf) are delegated to
+// interp.Bilinear, the reference sampler, so edge and non-finite semantics
+// are exactly those of the reference kernel.
 
 // ColumnGeom fills the per-projection column registers (Listing 1's U, Z and
 // W_dis registers) for voxel column (fi, fj): for each projection t,
@@ -123,6 +129,40 @@ func accumLinePairFast(sum, sym, proj []float32, rw, rh int, u, f, wdis, yb, ry2
 	row0 := proj[nu*rw : (nu+1)*rw : (nu+1)*rw]
 	row1 := proj[(nu+1)*rw : (nu+2)*rw : (nu+2)*rw]
 	vMax := float32(rw - 1)
+	n := len(sum)
+	sym = sym[:n]
+	// The vector tier needs a row it can address, a row length float32
+	// holds exactly (its range test against vMax is its bounds check) and
+	// lane numbers that fit int32; anything else is one pass of the portable
+	// loop.
+	if !useAVX2 || rw < 2 || rw > 1<<24 || k0 < 0 || k0+n > math.MaxInt32 {
+		accumLinePairGo(sum, sym, proj, row0, row1, rw, rh, u, du, f, wdis, yb, ry2, ry3, vm1, vMax, k0)
+		return
+	}
+	// The assembly consumes whole 8-k blocks while every lane is interior and
+	// stops in front of the first block that is not (or the sub-8 tail). The
+	// portable loop finishes that block and the assembly is re-entered, so no
+	// monotonicity of v in k is assumed.
+	for kk := 0; kk < n; {
+		if n-kk >= 8 {
+			kk += accumBlocksAVX2(&sum[kk], &sym[kk], n-kk, &row0[0], &row1[0],
+				vMax, du, f, wdis, yb, ry2, ry3, vm1, k0+kk)
+			if kk == n {
+				break
+			}
+		}
+		end := min(kk+8, n)
+		accumLinePairGo(sum[kk:end], sym[kk:end], proj, row0, row1, rw, rh, u, du, f, wdis, yb, ry2, ry3, vm1, vMax, k0+kk)
+		kk = end
+	}
+}
+
+// accumLinePairGo is the portable fast loop over one line (or one block of
+// it): row0 and row1 are the hoisted detector rows floor(u) and floor(u)+1,
+// du the fraction of u, vMax = float32(rw-1).
+//
+//ifdk:hotpath
+func accumLinePairGo(sum, sym, proj, row0, row1 []float32, rw, rh int, u, du, f, wdis, yb, ry2, ry3, vm1, vMax float32, k0 int) {
 	sym = sym[:len(sum)]
 	for kk := range sum {
 		fk := float32(k0 + kk)

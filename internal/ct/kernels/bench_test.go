@@ -1,6 +1,7 @@
 package kernels_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -137,20 +138,37 @@ func BenchmarkKernelsRealUnpack(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelsAccumLinePair times the line kernel the way the
+// volume_heavy benchmark workload drives it, so its ns/op predicts
+// core.backproject_s: one op is one voxel column against a batch of 32
+// transposed 256² projections, nk = 32 (a slab pair at Nz=128, R=2) or 64
+// (fdk.Reconstruct's half line), v advancing 2 detector px per k from one
+// detector edge to the middle while its mirror walks in from the other, and
+// u landing on a different row pair for every projection. The spread
+// matters: a line whose samples all sit in one detector cell fetches from a
+// single cache line, which flatters a gather ~2×.
 func BenchmarkKernelsAccumLinePair(b *testing.B) {
-	const rw, rh, nk = 512, 512, 256
+	const rw, rh, batch = 256, 256, 32
 	rng := rand.New(rand.NewSource(5))
-	proj := randF32(rng, rw*rh)
-	sum, sym := make([]float32, nk), make([]float32, nk)
-	for _, mode := range []string{"ref", "fast"} {
-		b.Run(mode, func(b *testing.B) {
-			withMode(b, mode, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					kernels.AccumLinePair(sum, sym, proj, rw, rh,
-						200.25, 0.002, 4e-6, 30, 0.45, 1.5, rw-1, 0)
-				}
-				record(b, 2*4*nk)
+	projs := make([][]float32, batch)
+	for t := range projs {
+		projs[t] = randF32(rng, rw*rh)
+	}
+	for _, nk := range []int{32, 64} {
+		sum, sym := make([]float32, nk), make([]float32, nk)
+		for _, mode := range []string{"ref", "fast"} {
+			b.Run(fmt.Sprintf("nk=%d/%s", nk, mode), func(b *testing.B) {
+				withMode(b, mode, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						for t, proj := range projs {
+							// v = (150 + 1000·k)·0.002 = 0.3 + 2k.
+							kernels.AccumLinePair(sum, sym, proj, rw, rh,
+								3.25+7.8*float32(t), 0.002, 4e-6, 150, 1000, 0, rw-1, 0)
+						}
+					}
+					record(b, int64(2*4*nk*batch))
+				})
 			})
-		})
+		}
 	}
 }

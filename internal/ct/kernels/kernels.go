@@ -5,22 +5,28 @@
 //
 //   - a scalar *reference* implementation (the exact loops the pipeline ran
 //     before this package existed), and
-//   - a *fast* implementation restructured so the Go compiler can keep the
-//     inner loop free of bounds checks and function calls: slice windows are
-//     hoisted once per loop (eliminating per-element bounds checks), access
-//     is stride-1, and bodies are 4×-unrolled to expose independent
-//     operations to the scheduler. No assembly and no GOEXPERIMENT flags:
-//     plain Go that vectorizes/pipelines well on any GOARCH.
+//   - a *fast* implementation. For every kernel that is portable Go
+//     restructured to keep the inner loop free of bounds checks and function
+//     calls: slice windows are hoisted once per loop, access is stride-1, and
+//     bodies are 4×-unrolled to expose independent operations to the
+//     scheduler. The Go compiler does not auto-vectorize, so the one loop
+//     that dominates a job — the interior of AccumLinePair — additionally
+//     has a hand-written AVX2 tier (accum_amd64.s) that the portable loop
+//     hands whole 8-voxel blocks to when the CPU and OS support it (ISA
+//     reports which is live). Other hosts run the portable loop alone.
 //
 // Every fast kernel performs the same floating-point operations in the same
-// order as its reference, so the two are bit-identical (property tests
+// order as its reference — the AVX2 tier included: separate multiplies and
+// adds, no FMA — so CosineWeight, SpectralMul, ColumnGeom and AccumLinePair
+// are bit-identical across reference, portable and AVX2 (property tests
 // assert exact equality, far inside the required ≤1e-5 parity bound). Border
 // and non-finite coordinates in the back-projection kernel fall back to the
 // reference formula per sample, so NaN/Inf propagate identically.
 //
-// Selection is a process-wide runtime switch (SetMode, default "fast") so a
-// deployment can pin the reference paths with -kernels=ref without
-// rebuilding.
+// Selection between reference and fast is a process-wide runtime switch
+// (SetMode, default "fast") so a deployment can pin the reference paths with
+// -kernels=ref without rebuilding. Within "fast" the instruction tier is
+// probed once at init and is not configurable.
 package kernels
 
 import (
@@ -34,10 +40,23 @@ var fastEnabled atomic.Bool
 
 func init() { fastEnabled.Store(true) }
 
+// useAVX2 routes the interior of accumLinePairFast through the assembly
+// tier. It is written once, here, from CPUID/XGETBV; only tests flip it.
+var useAVX2 = hasAVX2()
+
+// ISA reports the instruction tier the fast back-projection kernel runs on
+// this host: "avx2" or "go" (the portable loop).
+func ISA() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
+
 // SetMode selects the kernel implementations process-wide: "fast" (the
 // default) or "ref" for the retained scalar reference paths. "auto" is an
-// alias for "fast" (selection needs no CPU-feature probe: the fast paths are
-// portable Go).
+// alias for "fast"; which instruction tier "fast" runs on is decided by the
+// CPU probe at init (see ISA), not here.
 func SetMode(mode string) error {
 	switch mode {
 	case "fast", "auto":

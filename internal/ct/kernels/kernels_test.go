@@ -232,44 +232,162 @@ func TestRealUnpackRepackParity(t *testing.T) {
 	}
 }
 
-func TestAccumLinePairParity(t *testing.T) {
+// lineCase is one AccumLinePair call: a detector, a line geometry and the
+// accumulators' prior contents.
+type lineCase struct {
+	proj                          []float32
+	rw, rh, k0                    int
+	u, f, wdis, yb, ry2, ry3, vm1 float32
+	sum, sym                      []float32
+}
+
+// borderLanes reports, as a bit per lane kk%8, where along the line a sample
+// or its mirror leaves [0, rw-1) — the samples the vector tier must hand
+// back to the scalar code.
+func (c lineCase) borderLanes() (lanes uint8, interior int) {
+	vMax := float32(c.rw - 1)
+	for kk := range c.sum {
+		v := (c.yb + c.ry2*float32(c.k0+kk) + c.ry3) * c.f
+		vSym := c.vm1 - v
+		if v >= 0 && v < vMax && vSym >= 0 && vSym < vMax {
+			interior++
+		} else {
+			lanes |= 1 << (kk % 8)
+		}
+	}
+	return lanes, interior
+}
+
+// accumLineCases builds the parity corpus: lines of 0…300 k at random k0
+// over odd, tiny and realistic detectors; random geometries; geometries
+// aimed so the line enters and leaves the detector in every lane of an
+// 8-block; NaN/±Inf in f, ry2, u and the pixels; and a vm1 that disagrees
+// with the row length (the range test must not trust it).
+func accumLineCases(t *testing.T) []lineCase {
 	rng := rand.New(rand.NewSource(6))
-	dims := []struct{ rw, rh int }{{3, 3}, {5, 8}, {8, 5}, {17, 33}, {64, 64}, {33, 100}}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	dims := []struct{ rw, rh int }{{1, 4}, {2, 5}, {3, 3}, {5, 8}, {8, 5}, {17, 33}, {64, 64}, {33, 100}, {256, 40}}
+	var cases []lineCase
+	var crossed uint8
 	for _, d := range dims {
-		proj := randRow(rng, d.rw*d.rh, false)
-		// Sprinkle non-finite detector values too.
-		proj[rng.Intn(len(proj))] = float32(math.NaN())
-		proj[rng.Intn(len(proj))] = float32(math.Inf(1))
-		for trial := 0; trial < 60; trial++ {
-			nk := rng.Intn(9) // includes 0-length lines
-			sumR, symR := randRow(rng, nk, false), randRow(rng, nk, false)
-			sumF := append([]float32(nil), sumR...)
-			symF := append([]float32(nil), symR...)
-			// u sweeps the interior, both borders, fully outside, and NaN/Inf.
-			us := []float32{
-				float32(rng.Float64()) * float32(d.rh),
-				-0.5, -1.5, float32(d.rh) - 1, float32(d.rh) - 0.5, float32(d.rh) + 2,
-				float32(math.NaN()), float32(math.Inf(1)),
+		clean := randRow(rng, d.rw*d.rh, false)
+		dirty := append([]float32(nil), clean...)
+		for _, bad := range []float32{nan, inf, -inf} {
+			dirty[rng.Intn(len(dirty))] = bad
+		}
+		for trial := 0; trial < 160; trial++ {
+			nk := rng.Intn(301)
+			c := lineCase{
+				proj: clean, rw: d.rw, rh: d.rh, k0: rng.Intn(1000),
+				vm1: float32(d.rw - 1),
+				sum: randRow(rng, nk, false), sym: randRow(rng, nk, false),
 			}
-			u := us[trial%len(us)]
-			f := float32(rng.NormFloat64())
-			wdis := f * f
-			yb := float32(rng.NormFloat64()) * 10
-			ry2 := float32(rng.NormFloat64())
-			ry3 := float32(rng.NormFloat64())
-			if trial%11 == 0 {
-				ry2 = float32(math.NaN()) // poisons v for every k
+			if trial%4 == 0 {
+				c.proj = dirty
 			}
-			vm1 := float32(d.rw - 1)
-			k0 := rng.Intn(16)
-			AccumLinePairRef(sumR, symR, proj, d.rw, d.rh, u, f, wdis, yb, ry2, ry3, vm1, k0)
-			accumLinePairFast(sumF, symF, proj, d.rw, d.rh, u, f, wdis, yb, ry2, ry3, vm1, k0)
-			for i := 0; i < nk; i++ {
-				if !eqBits(sumR[i], sumF[i]) || !eqBits(symR[i], symF[i]) {
-					t.Fatalf("rw=%d rh=%d u=%v k=%d: ref=(%v,%v) fast=(%v,%v)",
-						d.rw, d.rh, u, i, sumR[i], symR[i], sumF[i], symF[i])
+			// u is interior four times in eleven; otherwise it sweeps both
+			// borders, fully outside, and NaN/Inf.
+			c.u = float32(rng.Float64()) * float32(d.rh-1)
+			if n := trial % 11; n >= 4 {
+				c.u = []float32{-0.5, -1.5, float32(d.rh) - 1, float32(d.rh) - 0.5, float32(d.rh) + 2, nan, inf}[n-4]
+			}
+			c.f = float32(rng.NormFloat64())
+			c.wdis = c.f * c.f
+			if trial%2 == 0 {
+				// Arbitrary line: mostly off the detector.
+				c.yb = float32(rng.NormFloat64()) * 10
+				c.ry2 = float32(rng.NormFloat64())
+				c.ry3 = float32(rng.NormFloat64())
+			} else {
+				// Aimed line: v advances `step` px per k and crosses v = 0 (or
+				// leaves through the far edge) at k index `cross`, which walks
+				// every lane of every early block.
+				step := float32(0.05 + 2.5*rng.Float64())
+				if trial%3 == 0 {
+					step = -step
+				}
+				cross := trial / 2 % 40
+				c.ry2 = step / c.f
+				c.ry3 = float32(rng.Float64()) / c.f
+				c.yb = -c.ry2 * float32(c.k0+cross)
+			}
+			switch trial % 23 {
+			case 5:
+				c.ry2 = nan // poisons v for every k
+			case 11:
+				c.f = inf
+			case 17:
+				c.f = nan
+			case 19:
+				c.ry2 = -inf
+			case 21:
+				c.vm1 = float32(d.rw + 7) // mirror lands past the row end
+			}
+			if lanes, interior := c.borderLanes(); interior >= 8 {
+				crossed |= lanes
+			}
+			cases = append(cases, c)
+		}
+	}
+	if crossed != 0xFF {
+		t.Fatalf("corpus puts a border sample in lanes %08b of a line with interior blocks, want all 8", crossed)
+	}
+	return cases
+}
+
+// TestAccumLinePairParity asserts three-way bit equality: the reference, the
+// portable fast loop and (where the CPU has it) the AVX2 tier.
+func TestAccumLinePairParity(t *testing.T) {
+	cases := accumLineCases(t)
+	for _, tier := range []struct {
+		name string
+		avx2 bool
+	}{{"go", false}, {"avx2", true}} {
+		t.Run(tier.name, func(t *testing.T) {
+			if tier.avx2 && !hasAVX2() {
+				t.Skip("CPU or OS without AVX2")
+			}
+			defer SetAVX2(tier.avx2)()
+			for n, c := range cases {
+				sumR := append([]float32(nil), c.sum...)
+				symR := append([]float32(nil), c.sym...)
+				sumF := append([]float32(nil), c.sum...)
+				symF := append([]float32(nil), c.sym...)
+				AccumLinePairRef(sumR, symR, c.proj, c.rw, c.rh, c.u, c.f, c.wdis, c.yb, c.ry2, c.ry3, c.vm1, c.k0)
+				accumLinePairFast(sumF, symF, c.proj, c.rw, c.rh, c.u, c.f, c.wdis, c.yb, c.ry2, c.ry3, c.vm1, c.k0)
+				for i := range sumR {
+					if !eqBits(sumR[i], sumF[i]) || !eqBits(symR[i], symF[i]) {
+						t.Fatalf("case %d rw=%d rh=%d nk=%d k0=%d u=%v f=%v ry2=%v k=%d: ref=(%v,%v) fast=(%v,%v)",
+							n, c.rw, c.rh, len(c.sum), c.k0, c.u, c.f, c.ry2, i, sumR[i], symR[i], sumF[i], symF[i])
+					}
 				}
 			}
+		})
+	}
+}
+
+// TestAccumBlocksAVX2Stops pins the assembly's contract with its caller: it
+// consumes whole interior blocks only, and stops in front of the block that
+// holds the first border lane, whichever lane that is.
+func TestAccumBlocksAVX2Stops(t *testing.T) {
+	if !hasAVX2() {
+		t.Skip("CPU or OS without AVX2")
+	}
+	const rw, nk = 400, 300
+	rng := rand.New(rand.NewSource(7))
+	row0, row1 := randRow(rng, rw, false), randRow(rng, rw, false)
+	sum, sym := make([]float32, nk), make([]float32, nk)
+	// v = yb - kk (and its mirror rw-1-v) is interior exactly while kk < yb.
+	call := func(yb float32) int {
+		return accumBlocksAVX2(&sum[0], &sym[0], nk, &row0[0], &row1[0],
+			rw-1, 0.25, 1, 1, yb, -1, 0, rw-1, 0)
+	}
+	if got := call(nk + 0.5); got != nk&^7 {
+		t.Fatalf("interior line: consumed %d of %d, want %d", got, nk, nk&^7)
+	}
+	for kk := 0; kk < 64; kk++ {
+		if got := call(float32(kk) - 0.5); got != kk&^7 {
+			t.Fatalf("first border sample at k=%d: consumed %d, want %d", kk, got, kk&^7)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,17 +139,24 @@ func openStream(t *testing.T, ctx context.Context, url string) (<-chan slicePart
 	return parts, views
 }
 
-// sliceGate blocks the reconstruction epilogue inside the first slice
-// callback until released, so tests can observe the service in the state
-// "first slice durably published, job provably still running".
+// sliceGate blocks the reconstruction epilogue inside a slice callback (the
+// first, unless parkAt says otherwise) until released, so tests can observe
+// the service in the state "slice durably published, job provably still
+// running". core serialises the callbacks, so parking one parks them all.
 type sliceGate struct {
 	release chan struct{}
 	once    sync.Once
+	calls   atomic.Int32
+	parkAt  int32 // 1-based callback from which hook blocks
 }
 
-func newSliceGate() *sliceGate { return &sliceGate{release: make(chan struct{})} }
+func newSliceGate() *sliceGate { return &sliceGate{release: make(chan struct{}), parkAt: 1} }
 
-func (g *sliceGate) hook(string, int) { <-g.release }
+func (g *sliceGate) hook(string, int) {
+	if g.calls.Add(1) >= g.parkAt {
+		<-g.release
+	}
+}
 
 func (g *sliceGate) open() { g.once.Do(func() { close(g.release) }) }
 
@@ -158,7 +166,12 @@ func (g *sliceGate) open() { g.once.Do(func() { close(g.release) }) }
 // the job's result — which matches a direct serial fdk.Reconstruct of the
 // same scan voxel-for-voxel within 1e-5.
 func TestE2EStreamingGolden(t *testing.T) {
+	// A multipart part is complete on the wire only once the next boundary
+	// is written, and the stream reader hands out whole parts. Parking at the
+	// second callback lets the server open part two — which terminates part
+	// one — while the epilogue still cannot finish.
 	gate := newSliceGate()
+	gate.parkAt = 2
 	defer gate.open()
 	opt := Options{Workers: 2}
 	opt.testOnSlice = gate.hook
@@ -176,8 +189,8 @@ func TestE2EStreamingGolden(t *testing.T) {
 	events := openSSE(t, ctx, ts.URL+"/v1/jobs/"+id+"/events", 0)
 	parts, views := openStream(t, ctx, ts.URL+"/v1/jobs/"+id+"/stream")
 
-	// Phase 1 — the epilogue is parked inside the first slice callback:
-	// the first slice event and the first streamed slice bytes must reach
+	// Phase 1 — the epilogue is parked inside the second slice callback:
+	// the first slice event and the first streamed slice part must reach
 	// this client while the job is verifiably still running.
 	var received []Event
 	firstSlice := -1

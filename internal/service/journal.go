@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -394,7 +395,8 @@ func idSeq(id string) int64 {
 
 // stagesToTimes inverts stagesOf for replayed terminal views.
 func stagesToTimes(s api.Stages) core.StageTimes {
-	d := func(sec float64) time.Duration { return time.Duration(sec * float64(time.Second)) }
+	// Round, not truncate: n/1e9·1e9 can land a hair under the integer n.
+	d := func(sec float64) time.Duration { return time.Duration(math.Round(sec * float64(time.Second))) }
 	return core.StageTimes{
 		Load: d(s.Load), Filter: d(s.Filter), AllGather: d(s.AllGather),
 		Backproject: d(s.Backproject), Compute: d(s.Compute),
