@@ -25,7 +25,7 @@ import (
 	"ifdk/internal/gpusim"
 	"ifdk/internal/hpc/pfs"
 	"ifdk/internal/perfmodel"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 func quickEst() gpusim.EstimateConfig {

@@ -64,8 +64,6 @@ func main() {
 	cacheMB := flag.Int64("cache-mb", 1024, "result cache budget in MiB (<= 0 disables)")
 	kernelMode := flag.String("kernels", "auto",
 		"row-kernel implementation: fast (vectorizable), ref (scalar reference escape hatch), auto (= fast)")
-	filterBatch := flag.Duration("filter-batch", 200*time.Microsecond,
-		"coalescing window for cross-job shared filter sweeps (0 disables batching)")
 	previewWorkers := flag.Int("preview-workers", 0,
 		"concurrent workers per preview-tier build (0 = default; previews of progressive jobs run before the full pass)")
 	eventLog := flag.Int("event-log", 0,
@@ -94,17 +92,16 @@ func main() {
 	}
 
 	opt := service.Options{
-		Workers:           *workers,
-		QueueCap:          *queueCap,
-		MaxQueuedSec:      *maxQueuedSec,
-		MaxInflightBytes:  *maxInflightMB << 20,
-		QuotaRPS:          *quotaRPS,
-		EventLogCap:       *eventLog,
-		NodeID:            *node,
-		JournalDir:        *journalDir,
-		Logger:            logger,
-		FilterBatchWindow: *filterBatch,
-		PreviewWorkers:    *previewWorkers,
+		Workers:          *workers,
+		QueueCap:         *queueCap,
+		MaxQueuedSec:     *maxQueuedSec,
+		MaxInflightBytes: *maxInflightMB << 20,
+		QuotaRPS:         *quotaRPS,
+		EventLogCap:      *eventLog,
+		NodeID:           *node,
+		JournalDir:       *journalDir,
+		Logger:           logger,
+		PreviewWorkers:   *previewWorkers,
 	}
 	if *aging <= 0 {
 		opt.Aging = -1 // disabled (0 in Options means "default")
@@ -156,7 +153,7 @@ func run(addr, debugAddr string, opt service.Options, drain time.Duration, logge
 			"addr", addr, "workers", opt.Workers, "queue", opt.QueueCap,
 			"budget_sec", opt.MaxQueuedSec, "budget_mib", opt.MaxInflightBytes>>20,
 			"quota_rps", opt.QuotaRPS, "aging", agingDesc,
-			"filter_batch", opt.FilterBatchWindow.String(), "kernels", kernels.Mode(), "isa", kernels.ISA())
+			"kernels", kernels.Mode(), "isa", kernels.ISA())
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errc <- err
 		}

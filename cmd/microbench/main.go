@@ -22,7 +22,7 @@ import (
 	"ifdk/internal/hpc/mpi"
 	"ifdk/internal/hpc/pfs"
 	"ifdk/internal/perfmodel"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 func main() {

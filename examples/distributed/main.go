@@ -16,7 +16,7 @@ import (
 	"ifdk/internal/ct/phantom"
 	"ifdk/internal/ct/projector"
 	"ifdk/internal/hpc/pfs"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 func main() {

@@ -18,7 +18,7 @@ import (
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/phantom"
 	"ifdk/internal/ct/projector"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 func main() {

@@ -25,7 +25,7 @@ func Rel(importPath string) string {
 
 // InScope reports whether the package with the given import path falls
 // under any of the module-relative scope prefixes ("internal/service"
-// covers internal/service and internal/service/batcher).
+// covers internal/service and internal/service/progressive).
 func InScope(importPath string, scopes []string) bool {
 	rel := Rel(importPath)
 	for _, s := range scopes {

@@ -122,8 +122,7 @@ func (w *walker) freshCall(call *ast.CallExpr) bool {
 	if fn == nil || (fn.Name() != "NewImage" && fn.Name() != "New") {
 		return false
 	}
-	rel := analysis.Rel(analysis.PkgPathOf(fn))
-	return rel == "pkg/volume" || rel == "internal/volume"
+	return analysis.Rel(analysis.PkgPathOf(fn)) == "pkg/volume"
 }
 
 // releaseTarget returns the expression whose buffer a call releases:

@@ -8,7 +8,7 @@ import (
 	"errors"
 
 	"ifdk/internal/engine"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 var (

@@ -7,7 +7,7 @@ import (
 
 	"ifdk/internal/ct/backproject"
 	"ifdk/internal/ct/geometry"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // AblationRow measures one back-projection variant on the real CPU — the

@@ -14,7 +14,7 @@ import (
 	"ifdk/internal/hpc/pfs"
 	"ifdk/internal/perfmodel"
 	"ifdk/internal/simcluster"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // Fig7Result is the volume-reduction demo of Fig. 7: a real (scaled-down)

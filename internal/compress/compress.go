@@ -16,7 +16,7 @@ import (
 	"io"
 	"math"
 
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 const magic = 0x69464456 // "iFDV"

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 func smoothVolume(n int, seed int64) *volume.Volume {

@@ -5,7 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // A slice-like blob (smooth float32 raster) must round-trip bit-exactly and

@@ -1,34 +1,13 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"ifdk/internal/ct/filter"
 	"ifdk/internal/ct/geometry"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
-
-// RowFilter is the filtering implementation a rank's filter thread runs one
-// projection at a time. Filter processes img in place and reports how many
-// co-scheduled projections the call was coalesced with (1 when unbatched) —
-// the batch size recorded into RoundTrace. Close releases the rank's seat;
-// it must not be called with a Filter still in flight.
-type RowFilter interface {
-	Filter(ctx context.Context, img *volume.Image) (batch int, err error)
-	Close()
-}
-
-// directFilter is the default RowFilter: the memoized per-plan Filterer
-// applied inline, exactly the pre-batching behaviour.
-type directFilter struct{ f *filter.Filterer }
-
-func (d directFilter) Filter(_ context.Context, img *volume.Image) (int, error) {
-	return 1, d.f.ApplyInto(img, img)
-}
-
-func (d directFilter) Close() {}
 
 // Config describes one distributed reconstruction.
 type Config struct {
@@ -61,16 +40,6 @@ type Config struct {
 	// stays allocation-free. Excluded from serialization: observability
 	// settings must not perturb content-addressed cache keys.
 	CollectRounds bool `json:"-"`
-
-	// NewRowFilter, when non-nil, supplies the filtering implementation for
-	// every rank's filter thread — the hook the service layer uses to route
-	// co-resident jobs sharing a (geometry, window) plan through one
-	// coalesced row sweep (internal/service/batcher). Each rank calls it
-	// once at pipeline start and Closes the returned RowFilter when its
-	// quota is filtered (or the pipeline unwinds). nil selects the direct
-	// per-rank path. Excluded from serialization so Config stays hashable
-	// for caching.
-	NewRowFilter func(g geometry.Params, win filter.Window) (RowFilter, error) `json:"-"`
 
 	// SliceWritten, when non-nil and OutputPrefix != "", is invoked after
 	// each output z-slice has been durably written to the PFS by its row
@@ -112,19 +81,6 @@ func (c Config) workers() int {
 		return 1
 	}
 	return c.Workers
-}
-
-// rowFilter resolves the filter thread's implementation: the configured
-// factory, or the direct memoized-Filterer path.
-func (c Config) rowFilter() (RowFilter, error) {
-	if c.NewRowFilter != nil {
-		return c.NewRowFilter(c.Geometry, c.Window)
-	}
-	f, err := filter.Cached(c.Geometry, c.Window)
-	if err != nil {
-		return nil, err
-	}
-	return directFilter{f: f}, nil
 }
 
 func (c Config) queueDepth() int {
@@ -187,7 +143,6 @@ type RoundTrace struct {
 	Round     int           // round index r in [0, quota)
 	FilterOff time.Duration // offset of the load+filter of this round's projection
 	FilterDur time.Duration // load+filter busy time for that projection
-	BatchSize int           // co-scheduled projections in the round's filter sweep (1 = unbatched)
 	GatherOff time.Duration // offset of the round's AllGather
 	GatherDur time.Duration // AllGather busy time
 }

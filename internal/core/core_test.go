@@ -10,7 +10,7 @@ import (
 	"ifdk/internal/ct/phantom"
 	"ifdk/internal/ct/projector"
 	"ifdk/internal/hpc/pfs"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // testSetup stages a small analytic dataset and returns its geometry,

@@ -8,12 +8,13 @@ import (
 	"time"
 
 	"ifdk/internal/ct/backproject"
+	"ifdk/internal/ct/filter"
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/engine"
 	"ifdk/internal/hpc/mpi"
 	"ifdk/internal/hpc/pfs"
 	"ifdk/internal/hpc/ringbuf"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // tag used by row roots to ship reduced sub-volumes to rank 0 for assembly.
@@ -155,11 +156,10 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 	go func() {
 		filterErr <- func() error {
 			defer ringA.Close()
-			flt, err := cfg.rowFilter()
+			flt, err := filter.Cached(g, cfg.Window)
 			if err != nil {
 				return err
 			}
-			defer flt.Close()
 			for s := myLo; s < myHi; s++ {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -173,8 +173,7 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 				}
 				t.Load += time.Since(loadStart)
 				fltStart := time.Now()
-				batch, err := flt.Filter(ctx, img)
-				if err != nil {
+				if err := flt.ApplyInto(img, img); err != nil {
 					engine.Images.Release(img)
 					return err
 				}
@@ -182,7 +181,6 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 				if rounds != nil {
 					rounds[s-myLo].FilterOff = roundOff
 					rounds[s-myLo].FilterDur = time.Since(start) - roundOff
-					rounds[s-myLo].BatchSize = batch
 				}
 				if !ringA.Put(projItem{s: s, img: img}) {
 					engine.Images.Release(img)

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"ifdk/internal/hpc/pfs"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // StageProjections writes a projection set to the PFS under the dataset

@@ -26,7 +26,7 @@ import (
 	"ifdk/internal/ct/interp"
 	"ifdk/internal/ct/kernels"
 	"ifdk/internal/engine"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // Pooled per-batch and per-worker scratch. Parallel sections run on the

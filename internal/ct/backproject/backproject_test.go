@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"ifdk/internal/ct/geometry"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // randomTask builds projection matrices from a real geometry and fills the

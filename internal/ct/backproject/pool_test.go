@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"ifdk/internal/race"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // Back-projection with warm (dirty) engine pools must be bit-identical to a

@@ -5,7 +5,7 @@ import (
 
 	"ifdk/internal/ct/kernels"
 	"ifdk/internal/engine"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // ProposedSlabPair runs the proposed algorithm (Alg. 4) restricted to one

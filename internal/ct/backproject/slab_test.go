@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"ifdk/internal/ct/geometry"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // Slab pairs over all rows must tile the full volume and reproduce the

@@ -11,7 +11,7 @@ import (
 	"ifdk/internal/ct/filter"
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/engine"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // Algorithm selects the back-projection implementation.

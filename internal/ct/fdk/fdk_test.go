@@ -8,7 +8,7 @@ import (
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/phantom"
 	"ifdk/internal/ct/projector"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // reconstructionCase runs the full pipeline on an analytic phantom.

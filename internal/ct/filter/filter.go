@@ -30,7 +30,7 @@ import (
 	"ifdk/internal/ct/kernels"
 	"ifdk/internal/engine"
 	"ifdk/internal/fft"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // Shared scratch pools for row filtering: one padded real row and one half
@@ -295,9 +295,8 @@ func (f *Filterer) filterRow(in, cos, out []float32, buf []complex128) {
 // Sweep filters every projection of ins into the matching entry of outs in
 // one shared pass: all rows of all projections form a single flat index
 // space scheduled as one engine.ParallelRange, so N co-scheduled projections
-// (from one job's batch or from several co-resident jobs sharing this
-// memoized plan) cost one sweep over the cosine table and ramp spectrum
-// instead of N. workers 0 means GOMAXPROCS. outs[i] may be ins[i] (rows are
+// cost one sweep over the cosine table and ramp spectrum instead of N.
+// workers 0 means GOMAXPROCS. outs[i] may be ins[i] (rows are
 // staged through pooled scratch, as in ApplyInto). Dimensions are validated
 // up front; nothing is written when an error is returned. Steady state
 // allocates nothing beyond the scheduler's pooled job descriptors.

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"ifdk/internal/ct/geometry"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 func testGeom() geometry.Params {

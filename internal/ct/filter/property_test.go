@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 
 	"ifdk/internal/ct/geometry"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // Property: the filtering stage is linear — Apply(a·X + Y) equals

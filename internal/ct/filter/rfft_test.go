@@ -7,7 +7,7 @@ import (
 
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/race"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // The RFFT hot path must reproduce the complex128 reference within

@@ -8,7 +8,7 @@ import (
 	"ifdk/internal/ct/backproject"
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/kernels"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // TestBackprojectBitIdenticalAcrossTiers runs both consumers of the

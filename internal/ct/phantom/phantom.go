@@ -10,7 +10,7 @@ import (
 	"math"
 
 	"ifdk/internal/ct/geometry"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // Ellipsoid is an axis-scaled, Z-rotated, translated unit sphere with an

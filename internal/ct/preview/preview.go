@@ -35,7 +35,7 @@ import (
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/kernels"
 	"ifdk/internal/engine"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // MaxFactor is the largest decimation factor PlanFor considers. Beyond 4 the
@@ -151,11 +151,6 @@ type Options struct {
 	// Window is the ramp apodization, matching the full-resolution job so
 	// the preview previews the same filter.
 	Window filter.Window
-	// Filter, when non-nil, replaces the local filtering stage — the hook
-	// the service uses to ride previews through the cross-job batcher. It
-	// must filter the coarse projection in place. When nil, Reconstruct
-	// filters locally with the cached coarse Filterer.
-	Filter func(ctx context.Context, img *volume.Image) error
 }
 
 // Reconstruct builds the preview volume for the plan. read fills dst (a
@@ -195,20 +190,12 @@ func (p Plan) Reconstruct(ctx context.Context, read func(dst *volume.Image, s in
 	}
 
 	t0 := time.Now()
-	if opt.Filter != nil {
-		for _, img := range imgs {
-			if err := opt.Filter(ctx, img); err != nil {
-				return nil, tm, fmt.Errorf("preview: filter: %w", err)
-			}
-		}
-	} else {
-		flt, err := filter.Cached(cg, opt.Window)
-		if err != nil {
-			return nil, tm, err
-		}
-		if err := flt.Sweep(imgs, imgs, opt.Workers); err != nil {
-			return nil, tm, err
-		}
+	flt, err := filter.Cached(cg, opt.Window)
+	if err != nil {
+		return nil, tm, err
+	}
+	if err := flt.Sweep(imgs, imgs, opt.Workers); err != nil {
+		return nil, tm, err
 	}
 	t1 := time.Now()
 	tm.Filter = t1.Sub(t0).Seconds()

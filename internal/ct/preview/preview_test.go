@@ -12,7 +12,7 @@ import (
 	"ifdk/internal/ct/phantom"
 	"ifdk/internal/ct/projector"
 	"ifdk/internal/engine"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 func TestDecimatedGeometry(t *testing.T) {

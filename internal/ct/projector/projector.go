@@ -20,7 +20,7 @@ import (
 
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/phantom"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // Analytic renders the projection at angle index s by evaluating exact

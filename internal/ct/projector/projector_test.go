@@ -9,7 +9,7 @@ import (
 
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/phantom"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 func testGeom() geometry.Params {

@@ -4,7 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // Buffer pools for the compute plane.

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"ifdk/internal/race"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 func TestImagePoolShapeAndReuse(t *testing.T) {

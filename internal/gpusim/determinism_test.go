@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"ifdk/internal/ct/geometry"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 func newKVol(g geometry.Params) *volume.Volume {

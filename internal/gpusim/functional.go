@@ -5,7 +5,7 @@ import (
 
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/interp"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // Run executes the kernel functionally on the simulated device, exactly

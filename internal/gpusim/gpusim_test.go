@@ -7,7 +7,7 @@ import (
 
 	"ifdk/internal/ct/backproject"
 	"ifdk/internal/ct/geometry"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 func testGeom() geometry.Params {

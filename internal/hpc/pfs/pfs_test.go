@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 func testCfg() Config {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // Projection and volume naming conventions shared by the writer (projection

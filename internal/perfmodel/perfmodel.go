@@ -6,13 +6,10 @@
 //
 // Billing note: the service's cost-aware admission estimates each job
 // independently from this model and calibrates against each job's own
-// observed stage clock. Cross-job shared filter sweeps
-// (internal/service/batcher) do not change that accounting — every job's
-// filter time is measured around its own rank's Filter calls (including any
-// coalescing wait), so a batched round's cost lands on the jobs that rode
-// it, never on a bystander. Batching can only lower a job's observed filter
-// time relative to this model's THFlt term, which the calibration EWMA
-// absorbs the same way it absorbs any other machine-speed delta.
+// observed stage clock: every job's filter time is measured around its own
+// ranks' filter calls, so no job is billed for a bystander's work, and the
+// calibration EWMA absorbs any machine-speed delta from this model's THFlt
+// term.
 package perfmodel
 
 import (

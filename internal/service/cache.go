@@ -10,7 +10,7 @@ import (
 
 	"ifdk/internal/core"
 	"ifdk/internal/hpc/pfs"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // Entry is one cached reconstruction result: the assembled volume plus the
@@ -47,7 +47,6 @@ func CacheKey(cfg core.Config) string {
 	// zero them anyway: no accidental representation of a per-job field may
 	// ever reach the hash.
 	cfg.Progress = nil
-	cfg.NewRowFilter = nil
 	cfg.SliceWritten = nil
 	blob, err := json.Marshal(cfg)
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 
 	"ifdk/internal/core"
 	"ifdk/internal/ct/geometry"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 func testCfg(nx int) core.Config {

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // The tentpole end-to-end: kill -9 a daemon with one job mid-run and more

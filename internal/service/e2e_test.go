@@ -18,7 +18,7 @@ import (
 	"ifdk/internal/compress"
 	"ifdk/internal/ct/fdk"
 	"ifdk/internal/ct/projector"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // openSSE attaches to a job's /events stream and decodes it into a channel,

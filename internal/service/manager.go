@@ -13,17 +13,14 @@ import (
 
 	"ifdk/internal/core"
 	"ifdk/internal/ct/fdk"
-	"ifdk/internal/ct/filter"
-	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/projector"
 	"ifdk/internal/engine"
 	"ifdk/internal/hpc/pfs"
 	"ifdk/internal/obs"
 	"ifdk/internal/perfmodel"
-	"ifdk/internal/service/batcher"
 	"ifdk/internal/service/progressive"
-	"ifdk/internal/volume"
 	"ifdk/pkg/api"
+	"ifdk/pkg/volume"
 )
 
 // ErrQuota is returned by Submit when the client's token bucket is empty —
@@ -78,15 +75,6 @@ type Options struct {
 	Aging      time.Duration
 	QuotaRPS   float64
 	QuotaBurst float64
-
-	// FilterBatchWindow enables cross-job shared filter sweeps: ranks of
-	// co-resident jobs with the same (geometry, window) plan coalesce their
-	// per-round filtering into one engine sweep, waiting up to this window
-	// for stragglers (a full round flushes immediately). 0 disables
-	// batching — every rank filters independently, the pre-batching
-	// behaviour. A few hundred microseconds is a good starting point; see
-	// ifdkd's -filter-batch flag.
-	FilterBatchWindow time.Duration
 
 	// EventLogCap bounds the per-job event log backing /events and
 	// /stream: it is the replay window for late subscribers and
@@ -208,10 +196,6 @@ type Manager struct {
 	met    *metricsSet
 	tracer *obs.Tracer
 	log    *slog.Logger
-
-	// batch, when non-nil, coalesces co-resident jobs' filtering into
-	// shared sweeps (Options.FilterBatchWindow > 0).
-	batch *batcher.Pool
 }
 
 type stageState struct {
@@ -262,16 +246,6 @@ func OpenManager(opt Options) (*Manager, error) {
 		m.log = obs.NopLogger()
 	}
 	m.met = newMetricsSet(m)
-	if opt.FilterBatchWindow > 0 {
-		m.batch = batcher.New(batcher.Options{
-			Window: opt.FilterBatchWindow,
-			OnSweep: func(batch int) {
-				m.met.filterSweeps.Inc()
-				m.met.filterBatchedProj.Add(int64(batch))
-				m.met.filterBatchSize.Observe(float64(batch))
-			},
-		})
-	}
 	m.cache.enableSpill(m.store)
 	if opt.JournalDir != "" {
 		jn, recovered, maxSeq, err := openJournal(opt.JournalDir)
@@ -1019,15 +993,6 @@ func (m *Manager) execute(ctx context.Context, j *Job) (*Entry, error) {
 	}
 	cfg := j.cfg
 	cfg.OutputPrefix = j.outPrefix()
-	// Route every rank's filter thread through the shared-sweep batcher when
-	// cross-job coalescing is on: co-resident jobs (and this job's own ranks)
-	// with the same plan filter in joint engine sweeps.
-	if m.batch != nil {
-		pool := m.batch
-		cfg.NewRowFilter = func(g geometry.Params, win filter.Window) (core.RowFilter, error) {
-			return pool.Join(g, win)
-		}
-	}
 	// Per-round filter/AllGather timings feed the job's trace spans; the
 	// buffers are pre-sized per rank, so the compute plane stays
 	// allocation-free in steady state.

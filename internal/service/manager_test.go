@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ifdk/internal/engine"
 	"ifdk/internal/hpc/pfs"
 )
 
@@ -268,6 +269,44 @@ func TestCancelMidRun(t *testing.T) {
 	}
 	shutdown(t, m)
 	waitGoroutines(t, baseline)
+}
+
+// Cancelling one of two co-resident same-plan jobs mid-run must tear down
+// cleanly: the other job finishes, nothing deadlocks, and every pooled
+// buffer of both jobs is back in the engine pools.
+func TestCancelOneOfTwoCoResidentJobs(t *testing.T) {
+	m := NewManager(Options{Workers: 2, PFS: pfsThrottled()})
+
+	victim := testSpec()
+	victim.NP = 64
+	survivorSpec := testSpec()
+	survivorSpec.NP = 68
+	v1, err := m.Submit(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := m.Submit(survivorSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Give both jobs time to enter the pipeline, then cancel one.
+	time.Sleep(50 * time.Millisecond)
+	if err := m.Cancel(v1.ID); err != nil {
+		t.Fatal(err)
+	}
+	got := waitState(t, m, v1.ID, 60*time.Second)
+	if got.State != StateCancelled && got.State != StateDone {
+		t.Fatalf("victim settled %s: %s", got.State, got.Error)
+	}
+	sv := waitState(t, m, v2.ID, 60*time.Second)
+	if sv.State != StateDone {
+		t.Fatalf("survivor settled %s: %s", sv.State, sv.Error)
+	}
+	// Shutdown waits for the cancelled job's ranks to finish unwinding.
+	shutdown(t, m)
+	if n := engine.InUseBytes(); n != 0 {
+		t.Errorf("engine pools hold %d bytes after both jobs settled", n)
+	}
 }
 
 // Cancelling a queued job withdraws it before it ever runs.

@@ -12,7 +12,7 @@ import (
 	"ifdk/internal/core"
 	"ifdk/internal/ct/preview"
 	"ifdk/internal/service/progressive"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // previewStageTimes maps a preview build's segment clock onto the wire's
@@ -32,8 +32,7 @@ func previewStageTimes(tm preview.Timings) core.StageTimes {
 // buildPreview resolves the job's preview tier: from the result cache when
 // an identical preview already exists (falling through to the PFS spill
 // tier), otherwise by reconstructing the decimated problem from the staged
-// dataset — through the cross-job batcher under the preview class when
-// batching is on. The entry lands in the cache under the preview key and on
+// dataset. The entry lands in the cache under the preview key and on
 // the job record, and its availability is announced with EventPreview —
 // for a progressive job, before any full-resolution round has run.
 func (m *Manager) buildPreview(ctx context.Context, j *Job) (*Entry, error) {
@@ -42,7 +41,7 @@ func (m *Manager) buildPreview(ctx context.Context, j *Job) (*Entry, error) {
 	if hit {
 		m.met.previewHits.Inc()
 	} else {
-		run := &progressive.Runner{Store: m.store, Batch: m.batch, Workers: m.opt.PreviewWorkers}
+		run := &progressive.Runner{Store: m.store, Workers: m.opt.PreviewWorkers}
 		vol, tm, err := run.Build(ctx, j.plan, j.cfg.InputPrefix, j.cfg.Window)
 		if err != nil {
 			return nil, err
@@ -84,10 +83,10 @@ func (m *Manager) previewFor(j *Job) *Entry {
 }
 
 // verifyPreview is the coarse analogue of verifyAgainstSerial: it rebuilds
-// the preview through the local (unbatched) filter path and compares. The
-// preview contract is determinism — the served coarse volume must be the
-// exact function of the staged dataset that journal replay reproduces — so
-// the check proves the batcher-riding build matches an independent one.
+// the preview from the staged dataset and compares. The preview contract is
+// determinism — the served coarse volume must be the exact function of the
+// staged dataset that journal replay reproduces — so the check is a pure
+// re-run: a second build must match the served one.
 func (m *Manager) verifyPreview(ctx context.Context, j *Job, e *Entry) error {
 	run := &progressive.Runner{Store: m.store, Workers: m.opt.PreviewWorkers}
 	ref, _, err := run.Build(ctx, j.plan, j.cfg.InputPrefix, j.cfg.Window)

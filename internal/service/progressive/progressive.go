@@ -2,7 +2,7 @@
 // knob: parsing and semantics of the v1 Spec's quality field, the cache-key
 // derivation that keeps preview results from ever aliasing full-resolution
 // entries, and the runner that executes the preview tier (internal/ct/preview)
-// against the service's staged PFS datasets and cross-job filter batcher.
+// against the service's staged PFS datasets.
 package progressive
 
 import (
@@ -13,9 +13,8 @@ import (
 	"ifdk/internal/ct/filter"
 	"ifdk/internal/ct/preview"
 	"ifdk/internal/hpc/pfs"
-	"ifdk/internal/service/batcher"
-	"ifdk/internal/volume"
 	"ifdk/pkg/api"
+	"ifdk/pkg/volume"
 )
 
 // Quality is the resolved tier of a Spec's quality knob.
@@ -78,19 +77,10 @@ func PreviewKey(fullKey string, factor int) string {
 	return fullKey + ".p" + strconv.Itoa(factor)
 }
 
-// BatchClass names the batcher coalescing class of preview sweeps at one
-// decimation factor, keeping coarse rounds out of full-resolution sweeps
-// (and vice versa) even when their filter plans coincide.
-func BatchClass(factor int) string {
-	return "preview/" + strconv.Itoa(factor)
-}
-
 // Runner executes preview builds for the service: projections come from the
-// staged dataset on the PFS, and filtering rides the cross-job batcher when
-// one is attached.
+// staged dataset on the PFS.
 type Runner struct {
 	Store   *pfs.PFS
-	Batch   *batcher.Pool // optional: coalesce preview filter sweeps across jobs
 	Workers int
 }
 
@@ -99,20 +89,8 @@ type Runner struct {
 // always the block-mean decimation of the staged full-resolution
 // projections, so crash-replayed jobs rebuild byte-identical previews.
 func (r *Runner) Build(ctx context.Context, plan preview.Plan, inputPrefix string, win filter.Window) (*volume.Volume, preview.Timings, error) {
-	opt := preview.Options{Workers: r.Workers, Window: win}
-	if r.Batch != nil {
-		m, err := r.Batch.JoinClass(plan.Coarse, win, BatchClass(plan.Factor))
-		if err != nil {
-			return nil, preview.Timings{}, err
-		}
-		defer m.Close()
-		opt.Filter = func(ctx context.Context, img *volume.Image) error {
-			_, err := m.Filter(ctx, img)
-			return err
-		}
-	}
 	return plan.Reconstruct(ctx, func(dst *volume.Image, s int) error {
 		_, err := r.Store.ReadProjectionInto(dst, inputPrefix, s)
 		return err
-	}, opt)
+	}, preview.Options{Workers: r.Workers, Window: win})
 }

@@ -61,7 +61,4 @@ func TestPreviewKeyShape(t *testing.T) {
 	if PreviewKey(full, 2) == k {
 		t.Fatal("factor does not separate preview keys")
 	}
-	if BatchClass(3) != "preview/3" {
-		t.Fatalf("BatchClass(3) = %q", BatchClass(3))
-	}
 }

@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"ifdk/internal/compress"
-	"ifdk/internal/volume"
 	"ifdk/pkg/api"
+	"ifdk/pkg/volume"
 )
 
 // progSpec is the shared scan of these tests: NX=16 defaults to a

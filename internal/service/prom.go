@@ -31,11 +31,6 @@ type metricsSet struct {
 	stageSeconds *obs.HistogramVec // per pipeline stage, observed at job success
 	queueWait    *obs.HistogramVec // per priority class, observed at job start
 
-	// shared filter sweeps (Options.FilterBatchWindow > 0)
-	filterSweeps      *obs.Counter   // coalesced rounds flushed
-	filterBatchedProj *obs.Counter   // projections filtered through shared sweeps
-	filterBatchSize   *obs.Histogram // per-sweep batch size
-
 	// write-ahead journal (Options.JournalDir != "")
 	journalRecords *obs.CounterVec // appended records by type
 	journalErrors  *obs.Counter    // failed appends / unrecoverable replayed jobs
@@ -70,14 +65,6 @@ func newMetricsSet(m *Manager) *metricsSet {
 		"Per-stage pipeline latency (max over ranks), observed per completed job.", nil, "stage")
 	s.queueWait = r.HistogramVec("ifdk_queue_wait_seconds",
 		"Queue wait from admission to worker pickup, by priority class.", nil, "class")
-
-	s.filterSweeps = r.Counter("ifdk_filter_sweeps_total",
-		"Shared filter sweeps flushed by the cross-job batcher.")
-	s.filterBatchedProj = r.Counter("ifdk_filter_batched_projections_total",
-		"Projections filtered through shared sweeps.")
-	s.filterBatchSize = r.Histogram("ifdk_filter_batch_size",
-		"Projections coalesced per shared filter sweep.",
-		[]float64{1, 2, 4, 8, 16, 32})
 
 	s.journalRecords = r.CounterVec("ifdk_journal_records_total",
 		"Write-ahead journal records appended and fsynced, by type.", "type")

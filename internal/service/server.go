@@ -7,8 +7,8 @@ import (
 	"strconv"
 
 	"ifdk/internal/hpc/pfs"
-	"ifdk/internal/volume"
 	"ifdk/pkg/api"
+	"ifdk/pkg/volume"
 )
 
 // Server is the HTTP front of a Manager, speaking API version api.Version.

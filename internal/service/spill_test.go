@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"ifdk/internal/hpc/pfs"
-	"ifdk/internal/volume"
+	"ifdk/pkg/volume"
 )
 
 // spillCache builds a cache with the given byte budget backed by a fresh

@@ -12,8 +12,8 @@ import (
 	"ifdk/internal/compress"
 	"ifdk/internal/hpc/pfs"
 	"ifdk/internal/service/progressive"
-	"ifdk/internal/volume"
 	"ifdk/pkg/api"
+	"ifdk/pkg/volume"
 )
 
 // events serves GET /v1/jobs/{id}/events: the job's lifecycle as

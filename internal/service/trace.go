@@ -129,18 +129,12 @@ func (m *Manager) assembleSpans(j *Job) []obs.Span {
 				break
 			}
 			attr := []obs.Attr{{Key: "round", Value: strconv.Itoa(rt.Round)}}
-			fattr := attr
-			if rt.BatchSize > 0 {
-				// Coalesced rounds record how many co-resident projections
-				// shared the sweep (1 = the round ran unbatched).
-				fattr = append(fattr[:1:1], obs.Attr{Key: "batch_size", Value: strconv.Itoa(rt.BatchSize)})
-			}
 			spans = append(spans,
 				obs.Span{
 					SpanID: sid(fmt.Sprintf("filter.round.%d", rt.Round)), Parent: compute.SpanID,
 					Name:  "filter.round",
 					Start: ts.tRun0.Add(rt.FilterOff), End: ts.tRun0.Add(rt.FilterOff + rt.FilterDur),
-					Attrs: fattr,
+					Attrs: attr,
 				},
 				obs.Span{
 					SpanID: sid(fmt.Sprintf("allgather.round.%d", rt.Round)), Parent: compute.SpanID,
