@@ -1,6 +1,6 @@
 // Command ifdk-bench regenerates every table and figure of the paper's
-// evaluation section from the simulated substrates (see DESIGN.md for the
-// per-experiment index):
+// evaluation section from the simulated substrates (paper Tables 3–5 and
+// Figs. 5–7):
 //
 //	ifdk-bench table3          kernel characteristics (Table 3)
 //	ifdk-bench table4          back-projection kernel GUPS (Table 4)
@@ -50,7 +50,7 @@ func run(cmd string, samples, fig7Scale, ablNx, ablNp int) error {
 	dev := gpusim.TeslaV100()
 	all := cmd == "all"
 	ran := false
-	fmt.Printf("ifdk-bench: kernels=%s isa=%s\n\n", kernels.Mode(), kernels.ISA())
+	fmt.Printf("ifdk-bench: isa=%s\n\n", kernels.ISA())
 
 	if all || cmd == "table3" {
 		fmt.Println(bench.RenderTable3())

@@ -62,8 +62,6 @@ func main() {
 	aging := flag.Duration("aging", 15*time.Second,
 		"queued-job priority aging: wait per one-class priority boost (0 disables)")
 	cacheMB := flag.Int64("cache-mb", 1024, "result cache budget in MiB (<= 0 disables)")
-	kernelMode := flag.String("kernels", "auto",
-		"row-kernel implementation: fast (vectorizable), ref (scalar reference escape hatch), auto (= fast)")
 	previewWorkers := flag.Int("preview-workers", 0,
 		"concurrent workers per preview-tier build (0 = default; previews of progressive jobs run before the full pass)")
 	eventLog := flag.Int("event-log", 0,
@@ -85,11 +83,6 @@ func main() {
 		os.Exit(2)
 	}
 	logger := obs.NewLogger(os.Stderr, obs.NewLoggerOptions{JSON: *logJSON, Level: level}, "ifdkd", *node)
-
-	if err := kernels.SetMode(*kernelMode); err != nil {
-		fmt.Fprintf(os.Stderr, "ifdkd: bad -kernels %q (want fast, ref or auto)\n", *kernelMode)
-		os.Exit(2)
-	}
 
 	opt := service.Options{
 		Workers:          *workers,
@@ -153,7 +146,7 @@ func run(addr, debugAddr string, opt service.Options, drain time.Duration, logge
 			"addr", addr, "workers", opt.Workers, "queue", opt.QueueCap,
 			"budget_sec", opt.MaxQueuedSec, "budget_mib", opt.MaxInflightBytes>>20,
 			"quota_rps", opt.QuotaRPS, "aging", agingDesc,
-			"kernels", kernels.Mode(), "isa", kernels.ISA())
+			"isa", kernels.ISA())
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errc <- err
 		}

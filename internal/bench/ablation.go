@@ -11,7 +11,7 @@ import (
 )
 
 // AblationRow measures one back-projection variant on the real CPU — the
-// design-choice ablation called out in DESIGN.md: how much of Alg. 4's win
+// CPU analogue of Table 4's kernel comparison: how much of Alg. 4's win
 // comes from the Theorem-1 symmetry, the Theorem-2/3 reuse and the
 // transposed layout, respectively.
 type AblationRow struct {

@@ -88,7 +88,7 @@ func (o Options) batch() int {
 }
 
 // Variant toggles the individual optimizations of the proposed algorithm
-// for ablation studies (DESIGN.md E2/E3 ablations). The zero Variant is the
+// for ablation studies (the CPU analogue of Table 4). The zero Variant is the
 // fully naive per-voxel scheme on a k-major volume; Proposed uses all three.
 type Variant struct {
 	Symmetry  bool // exploit Theorem 1: process k and Nz-1-k together

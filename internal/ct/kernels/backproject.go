@@ -36,7 +36,7 @@ import (
 //
 //ifdk:hotpath
 func ColumnGeom(us, fs, ws []float32, rows [][3][4]float32, fi, fj float32) {
-	if fastEnabled.Load() {
+	if useFast {
 		columnGeomFast(us, fs, ws, rows, fi, fj)
 		return
 	}
@@ -92,7 +92,7 @@ func columnGeomFast(us, fs, ws []float32, rows [][3][4]float32, fi, fj float32) 
 //
 //ifdk:hotpath
 func AccumLinePair(sum, sym, proj []float32, rw, rh int, u, f, wdis, yb, ry2, ry3, vm1 float32, k0 int) {
-	if fastEnabled.Load() {
+	if useFast {
 		accumLinePairFast(sum, sym, proj, rw, rh, u, f, wdis, yb, ry2, ry3, vm1, k0)
 		return
 	}

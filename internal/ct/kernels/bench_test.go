@@ -6,24 +6,15 @@ import (
 	"math/rand"
 	"testing"
 
-	"ifdk/internal/bench"
 	"ifdk/internal/ct/kernels"
 )
 
 // Benchmarks for every fast/ref kernel pair at the shapes the pipeline
 // actually runs (Nu = 512 geometry: 1024-point padded rows, 512-point
-// half transforms, 512² transposed projections). Results are appended to
-// $IFDK_BENCH_OUT as JSON lines via bench.Record so CI accumulates a
-// cross-PR regression trajectory.
-
-func record(b *testing.B, bytesPerOp int64) {
-	b.SetBytes(bytesPerOp)
-	nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	bench.Record(b.Name(), map[string]float64{
-		"ns_per_op": nsPerOp,
-		"mb_per_s":  float64(bytesPerOp) / nsPerOp * 1e9 / 1e6,
-	})
-}
+// half transforms, 512² transposed projections). The `ref` leg calls the
+// exported reference, the `fast` leg the dispatching entry point. These are
+// working micro-benchmarks for `go test -bench`; the numbers the repo
+// commits to come from benchmark/'s fft.* / filter.* / backproject.* rows.
 
 func randF32(rng *rand.Rand, n int) []float32 {
 	out := make([]float32, n)
@@ -41,27 +32,19 @@ func randC64(rng *rand.Rand, n int) []complex64 {
 	return out
 }
 
-// withMode runs the body with the process-wide kernel mode pinned.
-func withMode(b *testing.B, mode string, body func(*testing.B)) {
-	if err := kernels.SetMode(mode); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { kernels.SetMode("fast") })
-	body(b)
-}
-
 func BenchmarkKernelsCosineWeight(b *testing.B) {
 	const n = 1024
 	rng := rand.New(rand.NewSource(1))
 	src, cos, dst := randF32(rng, n), randF32(rng, n), make([]float32, n)
-	for _, mode := range []string{"ref", "fast"} {
-		b.Run(mode, func(b *testing.B) {
-			withMode(b, mode, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					kernels.CosineWeight(dst, src, cos)
-				}
-				record(b, 4*n)
-			})
+	for _, leg := range []struct {
+		name string
+		fn   func(dst, src, cos []float32)
+	}{{"ref", kernels.CosineWeightRef}, {"fast", kernels.CosineWeight}} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.SetBytes(4 * n)
+			for i := 0; i < b.N; i++ {
+				leg.fn(dst, src, cos)
+			}
 		})
 	}
 }
@@ -76,14 +59,15 @@ func BenchmarkKernelsSpectralMul(b *testing.B) {
 		gain[i] = float32(1 - 2*rng.Intn(2))
 	}
 	spec := randC64(rng, n)
-	for _, mode := range []string{"ref", "fast"} {
-		b.Run(mode, func(b *testing.B) {
-			withMode(b, mode, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					kernels.SpectralMul(spec, gain)
-				}
-				record(b, 8*n)
-			})
+	for _, leg := range []struct {
+		name string
+		fn   func(spec []complex64, gain []float32)
+	}{{"ref", kernels.SpectralMulRef}, {"fast", kernels.SpectralMul}} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				leg.fn(spec, gain)
+			}
 		})
 	}
 }
@@ -98,20 +82,21 @@ func BenchmarkKernelsButterfly(b *testing.B) {
 	}
 	x0 := randC64(rng, n)
 	x := make([]complex64, n)
-	for _, mode := range []string{"ref", "fast"} {
-		b.Run(mode, func(b *testing.B) {
-			withMode(b, mode, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					// Reset from a pristine copy: a full stage sweep grows
-					// magnitudes ~n×, which would hit Inf within a few
-					// iterations. One full sweep = the butterflies of one FFT.
-					copy(x, x0)
-					for size := 2; size <= n; size <<= 1 {
-						kernels.ButterflyStage(x, tw, size, n/size)
-					}
+	for _, leg := range []struct {
+		name string
+		fn   func(x, tw []complex64, size, step int)
+	}{{"ref", kernels.ButterflyStageRef}, {"fast", kernels.ButterflyStage}} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				// Reset from a pristine copy: a full stage sweep grows
+				// magnitudes ~n×, which would hit Inf within a few
+				// iterations. One full sweep = the butterflies of one FFT.
+				copy(x, x0)
+				for size := 2; size <= n; size <<= 1 {
+					leg.fn(x, tw, size, n/size)
 				}
-				record(b, 8*n)
-			})
+			}
 		})
 	}
 }
@@ -125,15 +110,16 @@ func BenchmarkKernelsRealUnpack(b *testing.B) {
 		w[k] = complex(float32(math.Cos(angle)), float32(math.Sin(angle)))
 	}
 	spec := randC64(rng, m+1)
-	for _, mode := range []string{"ref", "fast"} {
-		b.Run(mode, func(b *testing.B) {
-			withMode(b, mode, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					kernels.RealUnpack(spec, w, m)
-					kernels.RealRepack(spec, w, m)
-				}
-				record(b, 2*8*m)
-			})
+	for _, leg := range []struct {
+		name           string
+		unpack, repack func(spec, w []complex64, m int)
+	}{{"ref", kernels.RealUnpackRef, kernels.RealRepackRef}, {"fast", kernels.RealUnpack, kernels.RealRepack}} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.SetBytes(2 * 8 * m)
+			for i := 0; i < b.N; i++ {
+				leg.unpack(spec, w, m)
+				leg.repack(spec, w, m)
+			}
 		})
 	}
 }
@@ -156,18 +142,19 @@ func BenchmarkKernelsAccumLinePair(b *testing.B) {
 	}
 	for _, nk := range []int{32, 64} {
 		sum, sym := make([]float32, nk), make([]float32, nk)
-		for _, mode := range []string{"ref", "fast"} {
-			b.Run(fmt.Sprintf("nk=%d/%s", nk, mode), func(b *testing.B) {
-				withMode(b, mode, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						for t, proj := range projs {
-							// v = (150 + 1000·k)·0.002 = 0.3 + 2k.
-							kernels.AccumLinePair(sum, sym, proj, rw, rh,
-								3.25+7.8*float32(t), 0.002, 4e-6, 150, 1000, 0, rw-1, 0)
-						}
+		for _, leg := range []struct {
+			name string
+			fn   func(sum, sym, proj []float32, rw, rh int, u, f, wdis, yb, ry2, ry3, vm1 float32, k0 int)
+		}{{"ref", kernels.AccumLinePairRef}, {"fast", kernels.AccumLinePair}} {
+			b.Run(fmt.Sprintf("nk=%d/%s", nk, leg.name), func(b *testing.B) {
+				b.SetBytes(int64(2 * 4 * nk * batch))
+				for i := 0; i < b.N; i++ {
+					for t, proj := range projs {
+						// v = (150 + 1000·k)·0.002 = 0.3 + 2k.
+						leg.fn(sum, sym, proj, rw, rh,
+							3.25+7.8*float32(t), 0.002, 4e-6, 150, 1000, 0, rw-1, 0)
 					}
-					record(b, int64(2*4*nk*batch))
-				})
+				}
 			})
 		}
 	}

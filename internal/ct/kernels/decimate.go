@@ -12,7 +12,7 @@ package kernels
 //
 //ifdk:hotpath
 func AccRow(acc, src []float32) {
-	if fastEnabled.Load() {
+	if useFast {
 		accRowFast(acc, src)
 		return
 	}
@@ -56,7 +56,7 @@ func accRowFast(acc, src []float32) {
 //
 //ifdk:hotpath
 func BlockMean(dst, acc []float32, d int, scale float32) {
-	if fastEnabled.Load() {
+	if useFast {
 		blockMeanFast(dst, acc, d, scale)
 		return
 	}

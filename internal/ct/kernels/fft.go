@@ -18,7 +18,7 @@ package kernels
 //
 //ifdk:hotpath
 func ButterflyStage(x, tw []complex64, size, step int) {
-	if fastEnabled.Load() {
+	if useFast {
 		butterflyStageFast(x, tw, size, step)
 		return
 	}
@@ -111,7 +111,7 @@ func butterflyStageFast(x, tw []complex64, size, step int) {
 //
 //ifdk:hotpath
 func RealUnpack(dst, w []complex64, m int) {
-	if fastEnabled.Load() {
+	if useFast {
 		realUnpackFast(dst, w, m)
 		return
 	}
@@ -168,7 +168,7 @@ func realUnpackFast(dst, w []complex64, m int) {
 //
 //ifdk:hotpath
 func RealRepack(spec, w []complex64, m int) {
-	if fastEnabled.Load() {
+	if useFast {
 		realRepackFast(spec, w, m)
 		return
 	}

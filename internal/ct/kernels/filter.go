@@ -9,7 +9,7 @@ package kernels
 //
 //ifdk:hotpath
 func CosineWeight(dst, src, cos []float32) {
-	if fastEnabled.Load() {
+	if useFast {
 		cosineWeightFast(dst, src, cos)
 		return
 	}
@@ -54,7 +54,7 @@ func cosineWeightFast(dst, src, cos []float32) {
 //
 //ifdk:hotpath
 func SpectralMul(spec []complex64, gain []float32) {
-	if fastEnabled.Load() {
+	if useFast {
 		spectralMulFast(spec, gain)
 		return
 	}

@@ -23,22 +23,15 @@
 // and non-finite coordinates in the back-projection kernel fall back to the
 // reference formula per sample, so NaN/Inf propagate identically.
 //
-// Selection between reference and fast is a process-wide runtime switch
-// (SetMode, default "fast") so a deployment can pin the reference paths with
-// -kernels=ref without rebuilding. Within "fast" the instruction tier is
-// probed once at init and is not configurable.
+// Production code always runs the fast kernels; the references stay as the
+// ground truth the parity tests diff against and the `ref` leg of this
+// package's benchmarks. Within the fast set the instruction tier is probed
+// once at init and is not configurable.
 package kernels
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// fastEnabled selects the fast implementations when true. It is read with a
-// single atomic load per kernel call (outside the hot loops).
-var fastEnabled atomic.Bool
-
-func init() { fastEnabled.Store(true) }
+// useFast routes every dispatching kernel to its fast implementation. Only
+// tests clear it (export_test.go), to run whole pipelines on the references.
+var useFast = true
 
 // useAVX2 routes the interior of accumLinePairFast through the assembly
 // tier. It is written once, here, from CPUID/XGETBV; only tests flip it.
@@ -51,28 +44,4 @@ func ISA() string {
 		return "avx2"
 	}
 	return "go"
-}
-
-// SetMode selects the kernel implementations process-wide: "fast" (the
-// default) or "ref" for the retained scalar reference paths. "auto" is an
-// alias for "fast"; which instruction tier "fast" runs on is decided by the
-// CPU probe at init (see ISA), not here.
-func SetMode(mode string) error {
-	switch mode {
-	case "fast", "auto":
-		fastEnabled.Store(true)
-	case "ref":
-		fastEnabled.Store(false)
-	default:
-		return fmt.Errorf("kernels: unknown mode %q (want ref or fast)", mode)
-	}
-	return nil
-}
-
-// Mode reports the active implementation set: "fast" or "ref".
-func Mode() string {
-	if fastEnabled.Load() {
-		return "fast"
-	}
-	return "ref"
 }

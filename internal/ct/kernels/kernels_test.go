@@ -391,18 +391,3 @@ func TestAccumBlocksAVX2Stops(t *testing.T) {
 		}
 	}
 }
-
-func TestSetMode(t *testing.T) {
-	t.Cleanup(func() { fastEnabled.Store(true) })
-	if err := SetMode("ref"); err != nil || Mode() != "ref" {
-		t.Fatalf("SetMode(ref): err=%v mode=%q", err, Mode())
-	}
-	for _, m := range []string{"fast", "auto"} {
-		if err := SetMode(m); err != nil || Mode() != "fast" {
-			t.Fatalf("SetMode(%s): err=%v mode=%q", m, err, Mode())
-		}
-	}
-	if err := SetMode("avx512"); err == nil {
-		t.Fatal("SetMode accepted an unknown mode")
-	}
-}

@@ -45,14 +45,10 @@ func TestBackprojectBitIdenticalAcrossTiers(t *testing.T) {
 		return full, slab
 	}
 
-	if err := kernels.SetMode("ref"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { kernels.SetMode("fast") })
-	refFull, refSlab := run()
-	if err := kernels.SetMode("fast"); err != nil {
-		t.Fatal(err)
-	}
+	refFull, refSlab := func() (full, slab *volume.Volume) {
+		defer kernels.UseRef()()
+		return run()
+	}()
 
 	same := func(name string, want, got *volume.Volume) {
 		t.Helper()

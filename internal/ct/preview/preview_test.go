@@ -2,11 +2,9 @@ package preview
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"testing"
 
-	"ifdk/internal/bench"
 	"ifdk/internal/ct/fdk"
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/phantom"
@@ -259,12 +257,6 @@ func BenchmarkPreviewDecimate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	pixPerSec := float64(len(src.Data)) * float64(b.N) / b.Elapsed().Seconds()
-	bench.Record("preview_decimate", map[string]float64{
-		"pixels_per_sec": pixPerSec,
-		"ns_per_op":      float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-	})
 }
 
 func BenchmarkPreviewReconstruct(b *testing.B) {
@@ -279,10 +271,4 @@ func BenchmarkPreviewReconstruct(b *testing.B) {
 		}
 		_ = vol
 	}
-	b.StopTimer()
-	sec := b.Elapsed().Seconds() / float64(b.N)
-	bench.Record(fmt.Sprintf("preview_reconstruct_f%d", plan.Factor), map[string]float64{
-		"seconds_per_preview": sec,
-		"factor":              float64(plan.Factor),
-	})
 }

@@ -1,6 +1,6 @@
 // Package gpusim simulates the GPU back-projection kernels of the paper's
 // Sec. 3.3 and Table 3 on a modelled NVIDIA Tesla V100. Go has no CUDA, so
-// this package substitutes the real GPU (see DESIGN.md) with:
+// this package substitutes the real GPU with:
 //
 //   - a functional warp-level executor (Run) that evaluates the kernels
 //     lane-by-lane with true shuffle semantics, producing real voxel values
