@@ -1,3 +1,9 @@
+// Package compress carries opaque wire blobs — the slice parts of
+// GET /v1/jobs/{id}/stream and /preview — under per-part Content-Encoding:
+// gzip. Slice payloads are smooth float32 rasters whose byte planes repeat
+// heavily, so DEFLATE recovers a sizeable fraction without quantization —
+// and stays bit-exact, which the streaming contract requires (a reassembled
+// volume must equal the job's result).
 package compress
 
 import (
@@ -6,14 +12,6 @@ import (
 	"fmt"
 	"io"
 )
-
-// Gzip and Gunzip are the lossless byte-stream half of this package, next
-// to the lossy quantized volume codec: they carry opaque wire blobs (the
-// slice parts of GET /v1/jobs/{id}/stream) under per-part Content-Encoding:
-// gzip. Slice payloads are smooth float32 rasters whose byte planes repeat
-// heavily, so DEFLATE recovers a sizeable fraction even without
-// quantization — and stays bit-exact, which the streaming contract
-// requires (a reassembled volume must equal the job's result).
 
 // Gzip compresses data with DEFLATE at the default level.
 func Gzip(data []byte) ([]byte, error) {

@@ -2,7 +2,7 @@
 // semantics: ranks execute as goroutines, exchange copied messages through
 // matched (source, tag) mailboxes, and synchronize through collectives
 // implemented on top of point-to-point transfers (ring AllGather, binomial
-// Reduce/Bcast), so their cost structure matches the models in the paper's
+// Reduce), so their cost structure matches the models in the paper's
 // Sec. 4.2.
 //
 // The paper drives iFDK with Intel MPI over InfiniBand; this package is the
@@ -402,87 +402,9 @@ func (c *Comm) Barrier() error {
 }
 
 const (
-	tagBcast  = -2
-	tagGather = -3
 	tagAllG   = -4
 	tagReduce = -5
 )
-
-// Bcast distributes root's data to every rank: root passes the payload and
-// receives a copy of it; other ranks pass nil. A binomial tree is used, so
-// the critical path is log2(size) messages.
-func (c *Comm) Bcast(root int, data []float32) ([]float32, error) {
-	size := c.Size()
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("mpi: bcast root %d out of range", root)
-	}
-	// Rotate ranks so the root is virtual rank 0.
-	vr := (c.rank - root + size) % size
-	var buf []float32
-	if vr == 0 {
-		buf = make([]float32, len(data))
-		copy(buf, data)
-	} else {
-		// Receive from the parent in the binomial tree.
-		mask := 1
-		for mask < size {
-			if vr&mask != 0 {
-				parent := (vr - mask + root) % size
-				got, err := c.recv(parent, tagBcast)
-				if err != nil {
-					return nil, err
-				}
-				buf = got
-				break
-			}
-			mask <<= 1
-		}
-	}
-	// Forward to children.
-	mask := 1
-	for mask < size {
-		if vr&mask != 0 {
-			break
-		}
-		mask <<= 1
-	}
-	for m := mask >> 1; m > 0; m >>= 1 {
-		child := vr | m
-		if child < size && child != vr {
-			if err := c.send((child+root)%size, tagBcast, buf); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return buf, nil
-}
-
-// Gather collects each rank's data at root. Root receives size slices in
-// rank order; other ranks receive nil.
-func (c *Comm) Gather(root int, data []float32) ([][]float32, error) {
-	size := c.Size()
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("mpi: gather root %d out of range", root)
-	}
-	if c.rank != root {
-		return nil, c.send(root, tagGather, data)
-	}
-	out := make([][]float32, size)
-	own := make([]float32, len(data))
-	copy(own, data)
-	out[root] = own
-	for r := 0; r < size; r++ {
-		if r == root {
-			continue
-		}
-		got, err := c.recv(r, tagGather)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = got
-	}
-	return out, nil
-}
 
 // AllGather gathers every rank's payload on every rank (rank order
 // preserved) with the ring algorithm: size-1 steps, each transferring one
@@ -662,76 +584,6 @@ func (c *Comm) ReduceBufs(root int, data []float32, op ReduceOp) (*engine.Buf[fl
 		}
 	}
 	return acc, nil
-}
-
-// BcastBufs is Bcast with every payload block drawn from the shared pool:
-// each rank owns the returned block and must Release it. Root passes the
-// payload; other ranks pass nil.
-func (c *Comm) BcastBufs(root int, data []float32) (*engine.Buf[float32], error) {
-	size := c.Size()
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("mpi: bcast root %d out of range", root)
-	}
-	vr := (c.rank - root + size) % size
-	var buf *engine.Buf[float32]
-	if vr == 0 {
-		buf = blockPool.Acquire(len(data))
-		copy(buf.Data, data)
-	} else {
-		mask := 1
-		for mask < size {
-			if vr&mask != 0 {
-				parent := (vr - mask + root) % size
-				got, err := c.recvPooled(parent, tagBcast)
-				if err != nil {
-					return nil, err
-				}
-				buf = got
-				break
-			}
-			mask <<= 1
-		}
-	}
-	mask := 1
-	for mask < size {
-		if vr&mask != 0 {
-			break
-		}
-		mask <<= 1
-	}
-	for m := mask >> 1; m > 0; m >>= 1 {
-		child := vr | m
-		if child < size && child != vr {
-			if err := c.sendPooled((child+root)%size, tagBcast, buf.Data); err != nil {
-				buf.Release()
-				return nil, err
-			}
-		}
-	}
-	return buf, nil
-}
-
-// AllReduce combines payloads on every rank (Reduce to rank 0 + Bcast). The
-// tree transfers ride pooled blocks; only the returned slice is heap-owned
-// by the caller.
-func (c *Comm) AllReduce(data []float32, op ReduceOp) ([]float32, error) {
-	acc, err := c.ReduceBufs(0, data, op)
-	if err != nil {
-		return nil, err
-	}
-	var payload []float32
-	if acc != nil {
-		payload = acc.Data
-	}
-	got, err := c.BcastBufs(0, payload)
-	acc.Release() // nil-safe; root's accumulator is copied into the bcast block
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, len(got.Data))
-	copy(out, got.Data)
-	got.Release()
-	return out, nil
 }
 
 // Split partitions the communicator: ranks passing the same color form a

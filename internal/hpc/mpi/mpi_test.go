@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -183,53 +184,6 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	for _, root := range []int{0, 2, 6} {
-		err := Run(7, func(c *Comm) error {
-			var payload []float32
-			if c.Rank() == root {
-				payload = []float32{3, 1, 4, 1, 5}
-			}
-			got, err := c.Bcast(root, payload)
-			if err != nil {
-				return err
-			}
-			if len(got) != 5 || got[0] != 3 || got[4] != 5 {
-				return fmt.Errorf("rank %d got %v", c.Rank(), got)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("root %d: %v", root, err)
-		}
-	}
-}
-
-func TestGather(t *testing.T) {
-	err := Run(5, func(c *Comm) error {
-		data := []float32{float32(c.Rank() * 10)}
-		got, err := c.Gather(2, data)
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 2 {
-			if got != nil {
-				return errors.New("non-root received data")
-			}
-			return nil
-		}
-		for r := 0; r < 5; r++ {
-			if got[r][0] != float32(r*10) {
-				return fmt.Errorf("slot %d = %v", r, got[r])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllGather(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 8} {
 		err := Run(size, func(c *Comm) error {
@@ -298,22 +252,6 @@ func TestReduceMaxMinNonZeroRoot(t *testing.T) {
 			if gotMin[0] != 0 || gotMin[1] != -5 {
 				return fmt.Errorf("min = %v", gotMin)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllReduce(t *testing.T) {
-	err := Run(4, func(c *Comm) error {
-		got, err := c.AllReduce([]float32{1}, OpSum)
-		if err != nil {
-			return err
-		}
-		if got[0] != 4 {
-			return fmt.Errorf("allreduce = %v", got)
 		}
 		return nil
 	})
@@ -476,31 +414,25 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// Property: AllGather + local flatten equals Gather at root + Bcast for
-// random payload sizes and world sizes.
+// Property: AllGather hands every rank the rank-ordered concatenation of
+// all payloads, for random payload sizes and world sizes.
 func TestAllGatherGatherEquivalenceProperty(t *testing.T) {
 	f := func(sizeSeed, lenSeed uint8) bool {
 		size := int(sizeSeed%6) + 1
 		payloadLen := int(lenSeed % 17)
+		var want []float32
+		for r := 0; r < size; r++ {
+			for i := 0; i < payloadLen; i++ {
+				want = append(want, float32(r*100+i))
+			}
+		}
 		ok := true
 		err := Run(size, func(c *Comm) error {
-			data := make([]float32, payloadLen)
-			for i := range data {
-				data[i] = float32(c.Rank()*100 + i)
-			}
-			ag, err := c.AllGather(data)
+			ag, err := c.AllGather(want[c.Rank()*payloadLen : (c.Rank()+1)*payloadLen])
 			if err != nil {
 				return err
 			}
-			g, err := c.Gather(0, data)
-			if err != nil {
-				return err
-			}
-			bGot, err := c.Bcast(0, flatten(g))
-			if err != nil {
-				return err
-			}
-			if !equalFlat(flatten(ag), bGot) {
+			if !slices.Equal(slices.Concat(ag...), want) {
 				ok = false
 			}
 			return nil
@@ -510,26 +442,6 @@ func TestAllGatherGatherEquivalenceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
-}
-
-func flatten(blocks [][]float32) []float32 {
-	var out []float32
-	for _, b := range blocks {
-		out = append(out, b...)
-	}
-	return out
-}
-
-func equalFlat(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func BenchmarkAllGather8(b *testing.B) {

@@ -1,18 +1,11 @@
 package router
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
-	"net/textproto"
 	"strconv"
-	"strings"
 	"time"
 
 	"ifdk/pkg/api"
@@ -45,78 +38,50 @@ var (
 	errBackendDown = errors.New("router: job's backend is down")
 )
 
-// dialJob opens a streaming GET against the job's *current* backend (the
-// route table moves under failover, so every reattach re-resolves). A non-OK
-// backend response comes back as *rawResponse; transport failures count
+// dialJob opens a streaming GET against the job's *current* backend. A
+// refusal comes back as the backend's *api.Error; transport failures count
 // against the backend's health.
 func (rt *Router) dialJob(ctx context.Context, id, sub string, hdr map[string]string) (*http.Response, string, error) {
-	route, ok := rt.resolve(ctx, id)
-	if !ok {
-		return nil, "", errNoRoute
-	}
-	b, errCode := rt.routeTarget(route)
-	if errCode != "" {
-		return nil, route.backend, errBackendDown
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/v1/jobs/"+route.backendID+sub, nil)
+	route, b, err := rt.locate(ctx, id)
 	if err != nil {
 		return nil, route.backend, err
 	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-	resp, err := rt.streamClient.Do(req)
-	if err != nil {
-		rt.markFailure(ctx, route.backend)
-		return nil, route.backend, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-		return nil, route.backend, &rawResponse{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), body: body}
-	}
-	return resp, route.backend, nil
+	resp, err := b.stream.Open(ctx, http.MethodGet, "/v1/jobs/"+route.backendID+sub, hdr, nil)
+	rt.markFailure(ctx, route.backend, err)
+	return resp, route.backend, err
 }
 
-// fetchView reads the job's current view through the route table (public ID
-// rewritten), folding the observed state in. It is the relay's tie-breaker
-// when a backend stream ends without a terminal frame: if the fleet already
-// knows the outcome, the relay can settle the client instead of waiting.
-func (rt *Router) fetchView(ctx context.Context, id string) (api.View, bool) {
-	route, ok := rt.resolve(ctx, id)
-	if !ok {
-		return api.View{}, false
+// redial decides what a relay does after a failed dial. It reports true when
+// the relay is over — the backend's own verdict (not_found, terminal, bad
+// request) relayed verbatim, the client settled from the job's view, or the
+// failover wait exhausted; the response, where one was still possible, has
+// been written — and otherwise returns false after one reattach poll period.
+func (rt *Router) redial(w http.ResponseWriter, r *http.Request, err error, headersSent bool, deadline time.Time, settle func() bool) bool {
+	id := r.PathValue("id")
+	var verdict *api.Error
+	if errors.As(err, &verdict) && !headersSent {
+		relayErr(w, verdict)
+		return true
 	}
-	b, errCode := rt.routeTarget(route)
-	if errCode != "" {
-		return api.View{}, false
+	if settle() {
+		return true
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/v1/jobs/"+route.backendID, nil)
-	if err != nil {
-		return api.View{}, false
+	if errors.Is(err, errNoRoute) && !headersSent {
+		writeErr(w, api.CodeNotFound, "no such job %q in the fleet", id)
+		return true
 	}
-	resp, err := rt.opt.Client.Do(req)
-	if err != nil {
-		rt.markFailure(ctx, route.backend)
-		return api.View{}, false
+	if time.Now().After(deadline) {
+		if !headersSent {
+			writeErr(w, api.CodeUnavailable, "job %s: no live backend within the failover wait", id)
+		}
+		return true
 	}
-	defer resp.Body.Close()
-	var v api.View
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&v) != nil {
-		return api.View{}, false
+	select {
+	case <-time.After(relayPoll):
+		return false
+	case <-r.Context().Done():
+		return true
 	}
-	rt.noteState(id, v.ID, v.State)
-	v.ID = id
-	return v, true
-}
-
-// noteState folds a state observed for a public job into its route.
-func (rt *Router) noteState(id, backendID string, st api.State) {
-	rt.mu.Lock()
-	if cur, ok := rt.jobs[id]; ok && cur.backendID == backendID {
-		cur.setState(st)
-	}
-	rt.mu.Unlock()
 }
 
 // terminalEventType maps a terminal state to its stream-ending event type.
@@ -142,18 +107,10 @@ func terminalEventType(st api.State) api.EventType {
 // relay synthesizes the closing frame at cursor+1 from the job's view.
 func (rt *Router) relayEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	cursor := int64(0)
-	lastID := r.Header.Get("Last-Event-ID")
-	if lastID == "" {
-		lastID = r.URL.Query().Get("after")
-	}
-	if lastID != "" {
-		n, err := strconv.ParseInt(lastID, 10, 64)
-		if err != nil || n < 0 {
-			writeErr(w, api.CodeBadRequest, "Last-Event-ID must be a non-negative integer")
-			return
-		}
-		cursor = n
+	cursor, err := api.ResumeCursor(r)
+	if err != nil {
+		writeErr(w, api.CodeBadRequest, "%v", err)
+		return
 	}
 
 	// A relay that ends without delivering a terminal frame (client gave up
@@ -180,18 +137,16 @@ func (rt *Router) relayEvents(w http.ResponseWriter, r *http.Request) {
 		return rc.Flush()
 	}
 	emit := func(e api.Event) error {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data); err != nil {
+		if err := api.WriteEvent(w, e); err != nil {
 			return err
 		}
 		return rc.Flush()
 	}
-	settle := func() bool { // close out from the view when the stream cannot
-		v, ok := rt.fetchView(r.Context(), id)
-		if !ok || !v.State.Terminal() {
+	// settle is the tie-breaker when the stream cannot deliver a terminal
+	// frame: if the fleet already knows the outcome, close out from the view.
+	settle := func() bool {
+		v, _, err := rt.view(r.Context(), id)
+		if err != nil || !v.State.Terminal() {
 			return false
 		}
 		terminalSeen = true
@@ -215,27 +170,7 @@ func (rt *Router) relayEvents(w http.ResponseWriter, r *http.Request) {
 		resp, backend, err := rt.dialJob(r.Context(), id, "/events?after="+strconv.FormatInt(cursor, 10),
 			map[string]string{"Accept": "text/event-stream"})
 		if err != nil {
-			var raw *rawResponse
-			if asRaw(err, &raw) && !headersSent {
-				raw.write(w) // the backend's verdict (not_found, bad request) relays verbatim
-				return
-			}
-			if settle() {
-				return
-			}
-			if errors.Is(err, errNoRoute) && !headersSent {
-				writeErr(w, api.CodeNotFound, "no such job %q in the fleet", id)
-				return
-			}
-			if time.Now().After(deadline) {
-				if !headersSent {
-					writeErr(w, api.CodeUnavailable, "job %s: no live backend within the failover wait", id)
-				}
-				return
-			}
-			select {
-			case <-time.After(relayPoll):
-			case <-r.Context().Done():
+			if rt.redial(w, r, err, headersSent, deadline, settle) {
 				return
 			}
 			continue
@@ -258,9 +193,7 @@ func (rt *Router) relayEvents(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			return // the client went away, not the backend
 		}
-		if pumpErr != nil {
-			rt.markFailure(r.Context(), backend)
-		}
+		rt.markFailure(r.Context(), backend, pumpErr)
 		// The backend stream ended without a terminal frame: the backend died
 		// mid-stream, or the takeover settled below the cursor. Try the view,
 		// then loop to reattach.
@@ -275,32 +208,23 @@ func (rt *Router) relayEvents(w http.ResponseWriter, r *http.Request) {
 // cursor (replay overlap, or a re-execution's already-delivered prefix).
 // It returns the terminal state once a terminal frame has been forwarded.
 func (rt *Router) pumpEvents(body io.Reader, id string, cursor *int64, emit func(api.Event) error) (api.State, error) {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var e api.Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &e); err != nil {
+	for e, err := range api.ReadEvents(body) {
+		if err != nil {
 			return "", err
 		}
 		if e.Seq <= *cursor {
 			continue
 		}
-		backendJob := e.Job
-		e.Job = id
+		rt.adopt(id, &e.Job, e.State)
 		if err := emit(e); err != nil {
 			return "", err
 		}
 		*cursor = e.Seq
 		if e.Type.Terminal() {
-			rt.noteState(id, backendJob, e.State)
 			return e.State, nil
 		}
 	}
-	return "", sc.Err()
+	return "", nil
 }
 
 // relayStream serves GET /v1/jobs/{id}/stream by re-terminating the owning
@@ -331,22 +255,32 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	rc := http.NewResponseController(w)
-	var mw *multipart.Writer
+	var sw api.SliceWriter
 	headersSent := false
-	seen := map[string]bool{}
-	sendTerminalView := func(v api.View) {
+	seen := map[[2]int]bool{}
+	// end closes the client's stream with the job's terminal view, under the
+	// public job ID whichever execution finished the job.
+	end := func(v api.View) error {
 		terminalSeen = true
-		phdr := textproto.MIMEHeader{}
-		phdr.Set("Content-Type", "application/json")
-		phdr.Set(api.HeaderStreamEnd, string(v.State))
-		part, err := mw.CreatePart(phdr)
-		if err != nil {
-			return
+		rt.adopt(id, &v.ID, v.State)
+		if err := sw.WriteEnd(v); err != nil {
+			return err
 		}
-		if json.NewEncoder(part).Encode(v) == nil {
-			_ = mw.Close()
-			_ = rc.Flush()
+		_ = sw.Close()
+		return rc.Flush()
+	}
+	// A refusal mid-relay (e.g. the re-execution was cancelled on the
+	// survivor: terminal, no slices) settles with the view.
+	settle := func() bool {
+		if !headersSent {
+			return false
 		}
+		v, _, err := rt.view(r.Context(), id)
+		if err != nil || !v.State.Terminal() {
+			return false
+		}
+		_ = end(v)
+		return true
 	}
 
 	deadline := time.Now().Add(rt.opt.FailoverWait)
@@ -357,32 +291,7 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request) {
 		}
 		resp, backend, err := rt.dialJob(r.Context(), id, "/stream", hdr)
 		if err != nil {
-			var raw *rawResponse
-			if asRaw(err, &raw) && !headersSent {
-				raw.write(w)
-				return
-			}
-			if headersSent {
-				// Mid-relay refusal (e.g. the re-execution was cancelled on
-				// the survivor: terminal, no slices): settle with the view.
-				if v, ok := rt.fetchView(r.Context(), id); ok && v.State.Terminal() {
-					sendTerminalView(v)
-					return
-				}
-			}
-			if errors.Is(err, errNoRoute) && !headersSent {
-				writeErr(w, api.CodeNotFound, "no such job %q in the fleet", id)
-				return
-			}
-			if time.Now().After(deadline) {
-				if !headersSent {
-					writeErr(w, api.CodeUnavailable, "job %s: no live backend within the failover wait", id)
-				}
-				return
-			}
-			select {
-			case <-time.After(relayPoll):
-			case <-r.Context().Done():
+			if rt.redial(w, r, err, headersSent, deadline, settle) {
 				return
 			}
 			continue
@@ -392,8 +301,8 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request) {
 		}
 		attached = true
 		if !headersSent {
-			mw = multipart.NewWriter(w)
-			w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
+			sw = api.NewSliceWriter(w)
+			w.Header().Set("Content-Type", sw.ContentType())
 			w.Header().Set("X-Accel-Buffering", "no")
 			w.WriteHeader(http.StatusOK)
 			headersSent = true
@@ -403,7 +312,7 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		deadline = time.Now().Add(rt.opt.FailoverWait)
-		done, pumpErr := rt.pumpStream(resp, id, seen, mw, rc)
+		done, pumpErr := pumpStream(resp, seen, sw, rc, end)
 		resp.Body.Close()
 		if done {
 			terminalSeen = true
@@ -412,67 +321,30 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			return
 		}
-		if pumpErr != nil {
-			rt.markFailure(r.Context(), backend)
-		}
+		rt.markFailure(r.Context(), backend, pumpErr)
 		// Backend died mid-stream: loop to reattach after the failover.
 	}
 }
 
 // pumpStream copies one backend multipart connection into the relay's
 // writer, skipping slices already forwarded. It reports done once the
-// terminal JSON part has been relayed (with the public job ID restored).
-// The dedup key includes the part's preview factor: a progressive stream
-// carries a coarse slice z and a full-resolution slice z as distinct parts,
-// and keying on the bare index would silently drop the refinement.
-func (rt *Router) pumpStream(resp *http.Response, id string, seen map[string]bool, mw *multipart.Writer, rc *http.ResponseController) (bool, error) {
-	_, params, err := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if err != nil || params["boundary"] == "" {
-		return false, fmt.Errorf("backend stream Content-Type %q has no boundary", resp.Header.Get("Content-Type"))
-	}
-	mr := multipart.NewReader(resp.Body, params["boundary"])
-	for {
-		part, err := mr.NextPart()
+// closing part has been relayed or the client stopped taking writes. The
+// dedup key includes the part's preview factor: a progressive stream carries
+// a coarse slice z and a full-resolution slice z as distinct parts, and
+// keying on the bare index would silently drop the refinement.
+func pumpStream(resp *http.Response, seen map[[2]int]bool, sw api.SliceWriter, rc *http.ResponseController, end func(api.View) error) (bool, error) {
+	for p, err := range api.ReadSlices(resp.Header.Get("Content-Type"), resp.Body) {
 		if err != nil {
-			return false, err // EOF mid-stream: the backend died; the caller reattaches
+			return false, err // cut mid-stream: the backend died, nothing partial was forwarded; the caller reattaches
 		}
-		if part.Header.Get("Content-Type") == "application/json" {
-			var v api.View
-			if err := json.NewDecoder(part).Decode(&v); err != nil {
-				return false, err
-			}
-			rt.noteState(id, v.ID, v.State)
-			v.ID = id // public identity survives failover
-			phdr := textproto.MIMEHeader{}
-			phdr.Set("Content-Type", "application/json")
-			phdr.Set(api.HeaderStreamEnd, string(v.State))
-			out, err := mw.CreatePart(phdr)
-			if err != nil {
-				return true, err
-			}
-			if err := json.NewEncoder(out).Encode(v); err != nil {
-				return true, err
-			}
-			_ = mw.Close()
-			return true, rc.Flush()
+		if p.End != nil {
+			return true, end(*p.End)
 		}
-		z, err := strconv.Atoi(part.Header.Get(api.HeaderSliceZ))
-		if err != nil {
-			return false, fmt.Errorf("backend slice part without a %s header", api.HeaderSliceZ)
-		}
-		key := part.Header.Get(api.HeaderPreviewFactor) + "/" + strconv.Itoa(z)
+		key := [2]int{p.Factor, p.Z}
 		if seen[key] {
-			continue // replayed duplicate after a takeover; NextPart discards it
+			continue // replayed duplicate after a takeover
 		}
-		blob, err := io.ReadAll(part)
-		if err != nil {
-			return false, err // truncated part: nothing was forwarded, safe to retry
-		}
-		out, err := mw.CreatePart(part.Header)
-		if err != nil {
-			return true, err
-		}
-		if _, err := out.Write(blob); err != nil {
+		if err := sw.WriteSlice(p); err != nil {
 			return true, err
 		}
 		seen[key] = true
@@ -480,4 +352,5 @@ func (rt *Router) pumpStream(resp *http.Response, id string, seen map[string]boo
 			return true, err
 		}
 	}
+	return false, nil
 }

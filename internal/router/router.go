@@ -32,17 +32,19 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,6 +52,7 @@ import (
 	"ifdk/internal/obs"
 	"ifdk/internal/service"
 	"ifdk/pkg/api"
+	"ifdk/pkg/client"
 )
 
 // Backend names one ifdkd instance behind the router.
@@ -99,9 +102,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// backendState is one backend plus its health bookkeeping.
+// backendState is one backend plus its health bookkeeping. The router is an
+// SDK client of its backends: every JSON call goes through client (over
+// Options.Client), the long-lived /events and /stream dials through stream
+// (no overall timeout — streams legitimately live for minutes; cancellation
+// rides on each inbound request's context). Both are fixed at New.
 type backendState struct {
 	Backend
+	client        *client.Client
+	stream        *client.Client
 	proxy         *httputil.ReverseProxy
 	alive         bool
 	fails         int           // consecutive failed probes
@@ -150,11 +159,9 @@ type Router struct {
 	mux *http.ServeMux
 	log *slog.Logger
 	met *routerMetrics
-	// streamClient carries the relayed /events and /stream connections: no
-	// overall timeout (streams legitimately live for minutes), cancellation
-	// rides on each inbound request's context instead.
-	streamClient *http.Client
 
+	// backends' key set is fixed at New and so are each entry's Backend and
+	// clients; only the entries' health fields change, under mu.
 	mu       sync.Mutex
 	backends map[string]*backendState
 	names    []string // stable iteration order
@@ -178,14 +185,14 @@ func New(opt Options) (*Router, error) {
 		return nil, fmt.Errorf("router: no backends configured")
 	}
 	rt := &Router{
-		opt:          opt,
-		mux:          http.NewServeMux(),
-		log:          opt.Logger,
-		streamClient: &http.Client{},
-		backends:     make(map[string]*backendState),
-		jobs:         make(map[string]*jobRoute),
-		stop:         make(chan struct{}),
+		opt:      opt,
+		mux:      http.NewServeMux(),
+		log:      opt.Logger,
+		backends: make(map[string]*backendState),
+		jobs:     make(map[string]*jobRoute),
+		stop:     make(chan struct{}),
 	}
+	streamHTTP := &http.Client{}
 	for _, b := range opt.Backends {
 		if b.Name == "" || b.URL == "" {
 			return nil, fmt.Errorf("router: backend needs both name and URL (%+v)", b)
@@ -202,7 +209,11 @@ func New(opt Options) (*Router, error) {
 		proxy.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
 			writeErr(w, api.CodeUnavailable, "backend %s: %v", b.Name, err)
 		}
-		rt.backends[b.Name] = &backendState{Backend: b, proxy: proxy, alive: true}
+		rt.backends[b.Name] = &backendState{Backend: b, proxy: proxy, alive: true,
+			// One attempt per call: retrying is the caller's decision (the SDK
+			// in front of the router, or failover), never stacked in the hop.
+			client: client.New(b.URL, client.WithHTTPClient(opt.Client), client.WithRetry(client.Retry{Max: 1})),
+			stream: client.New(b.URL, client.WithHTTPClient(streamHTTP), client.WithRetry(client.Retry{Max: 1}))}
 		rt.names = append(rt.names, b.Name)
 	}
 	sort.Strings(rt.names)
@@ -257,6 +268,33 @@ func writeJSON(w http.ResponseWriter, code int, v any) { api.WriteJSON(w, code, 
 
 func writeErr(w http.ResponseWriter, code string, format string, args ...any) {
 	api.WriteError(w, code, format, args...)
+}
+
+// relayErr re-emits a backend's own verdict unchanged: the status (recorded
+// by the SDK's decoder) and Retry-After it arrived with, also for a code
+// this router build does not know.
+func relayErr(w http.ResponseWriter, e *api.Error) {
+	if e.RetryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(e.RetryAfter))))
+	}
+	writeJSON(w, e.Status, e)
+}
+
+// fail answers a request that could not be served off the job's backend:
+// the fleet does not know the job, its backend is down, the backend refused
+// (its verdict relays verbatim), or the call itself failed in transport.
+func fail(w http.ResponseWriter, r *http.Request, route jobRoute, err error) {
+	var verdict *api.Error
+	switch {
+	case errors.Is(err, errNoRoute):
+		writeErr(w, api.CodeNotFound, "no such job %q in the fleet", r.PathValue("id"))
+	case errors.Is(err, errBackendDown):
+		writeErr(w, api.CodeUnavailable, "backend %s for job %s is down", route.backend, r.PathValue("id"))
+	case errors.As(err, &verdict):
+		relayErr(w, verdict)
+	default:
+		writeErr(w, api.CodeUnavailable, "backend %s: %v", route.backend, err)
+	}
 }
 
 // rendezvous picks the backend owning key among candidates by
@@ -358,16 +396,17 @@ func (rt *Router) aliveNames() []string {
 	return out
 }
 
-// markFailure records a request-path transport failure against a backend,
-// counting it like a failed health probe so a hard-down node is retired
-// without waiting a full probe period.
-// Request-path failures only count against a backend's health when the
-// *backend* failed, not when the inbound client gave up: a cancelled or
-// timed-out client request says nothing about the node, and counting it
-// would let an impatient client (or two) declare healthy backends dead and
-// trigger failover that runs queued jobs twice.
-func (rt *Router) markFailure(ctx context.Context, name string) {
-	if ctx != nil && ctx.Err() != nil {
+// markFailure records a failed backend call against the backend's health,
+// counting a transport failure like a failed health probe so a hard-down
+// node is retired without waiting a full probe period. An *api.Error is not
+// a failure of the node — the backend answered — and neither is an inbound
+// client that gave up: a cancelled or timed-out client request says nothing
+// about the node, and counting it would let an impatient client (or two)
+// declare healthy backends dead and trigger failover that runs queued jobs
+// twice.
+func (rt *Router) markFailure(ctx context.Context, name string, err error) {
+	var verdict *api.Error
+	if err == nil || errors.As(err, &verdict) || ctx.Err() != nil {
 		return
 	}
 	rt.met.backendErrors.With(name).Inc()
@@ -455,24 +494,19 @@ func (rt *Router) healthLoop() {
 			probeTimeout = 2 * time.Second
 		}
 		for _, name := range rt.names {
-			rt.mu.Lock()
 			b := rt.backends[name]
-			rt.mu.Unlock()
 			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/healthz", nil)
-			ok := false
 			var node struct {
 				Node string `json:"node"`
 			}
 			probe0 := time.Now()
+			resp, err := b.client.Open(ctx, http.MethodGet, "/healthz", nil, nil)
 			if err == nil {
-				if resp, rerr := rt.opt.Client.Do(req); rerr == nil {
-					_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<12)).Decode(&node)
-					_, _ = io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					ok = resp.StatusCode == http.StatusOK
-				}
+				_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<12)).Decode(&node)
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
 			}
+			ok := err == nil
 			probeDur := time.Since(probe0)
 			cancel()
 			rt.met.probeSeconds.With(name).Observe(probeDur.Seconds())
@@ -538,9 +572,9 @@ func (rt *Router) failover(dead string) {
 			continue // cannot happen: the spec was admitted once already
 		}
 		target := rendezvous(key, alive)
-		v, status, err := rt.postSpec(context.Background(), target, mv.spec, mv.traceparent)
-		if err != nil || status < 200 || status > 299 {
-			rt.log.Warn("reroute failed", "job_id", mv.id, "target", target, "status", status, "err", err)
+		v, _, err := rt.postSpec(context.Background(), target, mv.spec, mv.traceparent)
+		if err != nil {
+			rt.log.Warn("reroute failed", "job_id", mv.id, "target", target, "err", err)
 			continue
 		}
 		rt.mu.Lock()
@@ -558,61 +592,25 @@ func (rt *Router) failover(dead string) {
 	}
 }
 
-// postSpec submits a spec to one backend and decodes the view, forwarding
-// the (already router-stamped) traceparent when one is set.
+// postSpec submits a spec to one backend, forwarding the (already
+// router-stamped) traceparent when one is set, and returns the view with the
+// backend's own status (200 cache hit, 202 accepted).
 func (rt *Router) postSpec(ctx context.Context, name string, spec api.Spec, traceparent string) (api.View, int, error) {
-	rt.mu.Lock()
-	b := rt.backends[name]
-	rt.mu.Unlock()
-	blob, err := json.Marshal(spec)
-	if err != nil {
-		return api.View{}, 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.URL+"/v1/jobs", bytes.NewReader(blob))
-	if err != nil {
-		return api.View{}, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
+	var hdr map[string]string
 	if traceparent != "" {
-		req.Header.Set(api.TraceParentHeader, traceparent)
-	}
-	resp, err := rt.opt.Client.Do(req)
-	if err != nil {
-		rt.markFailure(ctx, name)
-		return api.View{}, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return api.View{}, resp.StatusCode, err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return api.View{}, resp.StatusCode, &rawResponse{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), body: body}
+		hdr = map[string]string{api.TraceParentHeader: traceparent}
 	}
 	var v api.View
-	if err := json.Unmarshal(body, &v); err != nil {
-		return api.View{}, resp.StatusCode, err
+	resp, err := rt.backends[name].client.Open(ctx, http.MethodPost, "/v1/jobs", hdr, spec)
+	if err == nil {
+		err = json.NewDecoder(resp.Body).Decode(&v)
+		resp.Body.Close()
+	}
+	if err != nil {
+		rt.markFailure(ctx, name, err)
+		return api.View{}, 0, err
 	}
 	return v, resp.StatusCode, nil
-}
-
-// rawResponse carries a backend's non-2xx response verbatim so the router
-// can relay envelope and status untouched.
-type rawResponse struct {
-	status     int
-	retryAfter string
-	body       []byte
-}
-
-func (r *rawResponse) Error() string { return fmt.Sprintf("backend HTTP %d", r.status) }
-
-func (r *rawResponse) write(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	if r.retryAfter != "" {
-		w.Header().Set("Retry-After", r.retryAfter)
-	}
-	w.WriteHeader(r.status)
-	_, _ = w.Write(r.body)
 }
 
 // submit routes POST /v1/jobs by the spec's content cache key.
@@ -651,9 +649,9 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 		target := rendezvous(key, alive)
 		v, status, err := rt.postSpec(r.Context(), target, spec, traceparent)
 		if err != nil {
-			var raw *rawResponse
-			if asRaw(err, &raw) {
-				raw.write(w)
+			var verdict *api.Error
+			if errors.As(err, &verdict) {
+				relayErr(w, verdict)
 				return
 			}
 			continue // transport failure: target was marked, re-pick
@@ -670,14 +668,6 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeErr(w, api.CodeUnavailable, "no backend accepted the job")
-}
-
-func asRaw(err error, out **rawResponse) bool {
-	r, ok := err.(*rawResponse)
-	if ok {
-		*out = r
-	}
-	return ok
 }
 
 // resolve finds the route for a public job ID, probing live backends for
@@ -699,108 +689,108 @@ func (rt *Router) resolve(ctx context.Context, id string) (jobRoute, bool) {
 	if ok {
 		return snap, true
 	}
-	alive := rt.aliveNames()
-	if len(alive) == 0 {
-		return jobRoute{}, false
-	}
 	probeCtx, cancel := context.WithTimeout(ctx, 3*time.Second)
 	defer cancel()
 	type hit struct {
 		name string
 		view api.View
 	}
-	results := make(chan *hit, len(alive))
-	for _, name := range alive {
-		go func(name string) {
-			rt.mu.Lock()
-			b := rt.backends[name]
-			rt.mu.Unlock()
-			req, err := http.NewRequestWithContext(probeCtx, http.MethodGet, b.URL+"/v1/jobs/"+id, nil)
-			if err != nil {
-				results <- nil
-				return
-			}
-			resp, err := rt.opt.Client.Do(req)
-			if err != nil {
-				rt.markFailure(probeCtx, name)
-				results <- nil
-				return
-			}
-			var v api.View
-			decodeErr := json.NewDecoder(resp.Body).Decode(&v)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK && decodeErr == nil && v.ID == id {
-				results <- &hit{name: name, view: v}
-				return
-			}
-			results <- nil
-		}(name)
-	}
-	for range alive {
-		if h := <-results; h != nil {
-			route := jobRoute{backend: h.name, backendID: id, spec: h.view.Spec, state: h.view.State}
-			rt.recordRoute(id, &route)
-			return route, true
+	for h := range fanOut(probeCtx, rt, func(b *backendState) (hit, error) {
+		v, err := b.client.Get(probeCtx, id)
+		return hit{b.Name, v}, err
+	}) {
+		if h.view.ID != id {
+			continue
 		}
+		route := jobRoute{backend: h.name, backendID: id, spec: h.view.Spec, state: h.view.State}
+		rt.recordRoute(id, &route)
+		return route, true
 	}
 	return jobRoute{}, false
 }
 
-// routeTarget returns the live backend for a route, or an error code.
-func (rt *Router) routeTarget(route jobRoute) (*backendState, string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	b := rt.backends[route.backend]
-	if b == nil || !b.alive {
-		return nil, api.CodeUnavailable
+// fanOut calls fn on every live backend concurrently and delivers the
+// successful results on the returned channel, which closes once every
+// backend has answered. A failed call is dropped, after counting against
+// the backend's health when it was a transport failure.
+func fanOut[T any](ctx context.Context, rt *Router, fn func(*backendState) (T, error)) <-chan T {
+	alive := rt.aliveNames()
+	out := make(chan T, len(alive)) // one slot per call: a reader that returns early strands nobody
+	var wg sync.WaitGroup
+	for _, name := range alive {
+		wg.Add(1)
+		go func(b *backendState) {
+			defer wg.Done()
+			v, err := fn(b)
+			if err != nil {
+				rt.markFailure(ctx, b.Name, err)
+				return
+			}
+			out <- v
+		}(rt.backends[name])
 	}
-	return b, ""
+	go func() {
+		wg.Wait()
+		close(out)
+	}()
+	return out
 }
 
-// get proxies GET /v1/jobs/{id}, rewriting the backend's job ID back to the
-// public one for failed-over jobs and tracking the observed state (the
-// failover predicate: non-terminal routes are rerouted off a dead backend,
-// terminal ones are not).
-func (rt *Router) get(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	route, ok := rt.resolve(r.Context(), id)
+// locate resolves a public job ID to its route and the live backend holding
+// it. The route table moves under failover, so every use re-resolves.
+func (rt *Router) locate(ctx context.Context, id string) (jobRoute, *backendState, error) {
+	route, ok := rt.resolve(ctx, id)
 	if !ok {
-		writeErr(w, api.CodeNotFound, "no such job %q in the fleet", id)
-		return
-	}
-	b, errCode := rt.routeTarget(route)
-	if errCode != "" {
-		writeErr(w, errCode, "backend %s for job %s is down", route.backend, id)
-		return
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.URL+"/v1/jobs/"+route.backendID, nil)
-	if err != nil {
-		writeErr(w, api.CodeInternal, "%v", err)
-		return
-	}
-	resp, err := rt.opt.Client.Do(req)
-	if err != nil {
-		rt.markFailure(r.Context(), route.backend)
-		writeErr(w, api.CodeUnavailable, "backend %s: %v", route.backend, err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		(&rawResponse{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), body: body}).write(w)
-		return
-	}
-	var v api.View
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		writeErr(w, api.CodeInternal, "backend %s sent a bad view: %v", route.backend, err)
-		return
+		return route, nil, errNoRoute
 	}
 	rt.mu.Lock()
-	if cur, ok := rt.jobs[id]; ok && cur.backendID == v.ID { // still the same underlying job
-		cur.setState(v.State)
+	defer rt.mu.Unlock()
+	if b := rt.backends[route.backend]; b != nil && b.alive {
+		return route, b, nil
 	}
-	rt.mu.Unlock()
-	v.ID = id // public identity survives failover
+	return route, nil, errBackendDown
+}
+
+// adopt is the one place a backend-side job identity becomes the public
+// one: it folds the state the backend reported (if any) into the route —
+// the failover predicate: non-terminal routes are rerouted off a dead
+// backend, terminal ones are not — provided the route still points at that
+// underlying job, and rewrites *backendID to the public id, which after a
+// failover is not what the backend calls the job.
+func (rt *Router) adopt(id string, backendID *string, st api.State) {
+	if st != "" {
+		rt.mu.Lock()
+		if cur, ok := rt.jobs[id]; ok && cur.backendID == *backendID {
+			cur.setState(st)
+		}
+		rt.mu.Unlock()
+	}
+	*backendID = id
+}
+
+// view reads a job's current view through the route table, under its public
+// identity and with the observed state folded in; a transport failure
+// counts against the backend.
+func (rt *Router) view(ctx context.Context, id string) (api.View, jobRoute, error) {
+	route, b, err := rt.locate(ctx, id)
+	if err != nil {
+		return api.View{}, route, err
+	}
+	v, err := b.client.Get(ctx, route.backendID)
+	rt.markFailure(ctx, route.backend, err)
+	if err == nil {
+		rt.adopt(id, &v.ID, v.State)
+	}
+	return v, route, err
+}
+
+// get proxies GET /v1/jobs/{id}.
+func (rt *Router) get(w http.ResponseWriter, r *http.Request) {
+	v, route, err := rt.view(r.Context(), r.PathValue("id"))
+	if err != nil {
+		fail(w, r, route, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, v)
 }
 
@@ -811,36 +801,14 @@ func (rt *Router) get(w http.ResponseWriter, r *http.Request) {
 // submitted (discovered by probing) relay the backend's trace untouched.
 func (rt *Router) trace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	route, ok := rt.resolve(r.Context(), id)
-	if !ok {
-		writeErr(w, api.CodeNotFound, "no such job %q in the fleet", id)
-		return
-	}
-	b, errCode := rt.routeTarget(route)
-	if errCode != "" {
-		writeErr(w, errCode, "backend %s for job %s is down", route.backend, id)
-		return
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.URL+"/v1/jobs/"+route.backendID+"/trace", nil)
-	if err != nil {
-		writeErr(w, api.CodeInternal, "%v", err)
-		return
-	}
-	resp, err := rt.opt.Client.Do(req)
-	if err != nil {
-		rt.markFailure(r.Context(), route.backend)
-		writeErr(w, api.CodeUnavailable, "backend %s: %v", route.backend, err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		(&rawResponse{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), body: body}).write(w)
-		return
-	}
+	route, b, err := rt.locate(r.Context(), id)
 	var t api.Trace
-	if err := json.NewDecoder(resp.Body).Decode(&t); err != nil {
-		writeErr(w, api.CodeInternal, "backend %s sent a bad trace: %v", route.backend, err)
+	if err == nil {
+		t, err = b.client.Trace(r.Context(), route.backendID)
+		rt.markFailure(r.Context(), route.backend, err)
+	}
+	if err != nil {
+		fail(w, r, route, err)
 		return
 	}
 	t.Job = id // public identity survives failover
@@ -859,29 +827,19 @@ func (rt *Router) trace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, t)
 }
 
-// remove proxies DELETE /v1/jobs/{id} and forgets the route once the
-// record is gone (204).
+// remove proxies DELETE /v1/jobs/{id}: it forgets the route once the record
+// is gone (204), and relays a cancellation (202) under the public ID — the
+// backend's acknowledgement names the job by the ID it was reissued under.
 func (rt *Router) remove(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	route, ok := rt.resolve(r.Context(), id)
-	if !ok {
-		writeErr(w, api.CodeNotFound, "no such job %q in the fleet", id)
-		return
+	route, b, err := rt.locate(r.Context(), id)
+	var resp *http.Response
+	if err == nil {
+		resp, err = b.client.Open(r.Context(), http.MethodDelete, "/v1/jobs/"+route.backendID, nil, nil)
+		rt.markFailure(r.Context(), route.backend, err)
 	}
-	b, errCode := rt.routeTarget(route)
-	if errCode != "" {
-		writeErr(w, errCode, "backend %s for job %s is down", route.backend, id)
-		return
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodDelete, b.URL+"/v1/jobs/"+route.backendID, nil)
 	if err != nil {
-		writeErr(w, api.CodeInternal, "%v", err)
-		return
-	}
-	resp, err := rt.opt.Client.Do(req)
-	if err != nil {
-		rt.markFailure(r.Context(), route.backend)
-		writeErr(w, api.CodeUnavailable, "backend %s: %v", route.backend, err)
+		fail(w, r, route, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -892,10 +850,15 @@ func (rt *Router) remove(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(body)
+	var ack map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		fail(w, r, route, err)
+		return
+	}
+	backendID := ack["id"]
+	rt.adopt(id, &backendID, api.StateCancelled)
+	ack["id"] = backendID
+	writeJSON(w, resp.StatusCode, ack)
 }
 
 // proxyStream hands a one-shot streaming endpoint (slice PNGs) to the
@@ -903,15 +866,9 @@ func (rt *Router) remove(w http.ResponseWriter, r *http.Request) {
 // streams — /events and /stream — do not come through here: they are
 // relayed (relay.go) so subscribers survive a backend death mid-stream.
 func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, sub string) {
-	id := r.PathValue("id")
-	route, ok := rt.resolve(r.Context(), id)
-	if !ok {
-		writeErr(w, api.CodeNotFound, "no such job %q in the fleet", id)
-		return
-	}
-	b, errCode := rt.routeTarget(route)
-	if errCode != "" {
-		writeErr(w, errCode, "backend %s for job %s is down", route.backend, id)
+	route, b, err := rt.locate(r.Context(), r.PathValue("id"))
+	if err != nil {
+		fail(w, r, route, err)
 		return
 	}
 	r2 := r.Clone(r.Context())
@@ -922,82 +879,19 @@ func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, sub string
 // refreshState re-reads a job's state from its backend and folds it into
 // the route table (the failover predicate).
 func (rt *Router) refreshState(id string) {
-	rt.mu.Lock()
-	route, ok := rt.jobs[id]
-	var backendID, baseURL string
-	alive := false
-	if ok {
-		backendID = route.backendID
-		if b := rt.backends[route.backend]; b != nil && b.alive {
-			alive, baseURL = true, b.URL
-		}
-	}
-	rt.mu.Unlock()
-	if !ok || !alive {
-		return
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/jobs/"+backendID, nil)
-	if err != nil {
-		return
-	}
-	resp, err := rt.opt.Client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	var v api.View
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&v) != nil {
-		return
-	}
-	rt.mu.Lock()
-	if cur, ok := rt.jobs[id]; ok && cur.backendID == v.ID {
-		cur.setState(v.State)
-	}
-	rt.mu.Unlock()
+	_, _, _ = rt.view(ctx, id)
 }
 
 // list fans GET /v1/jobs out to all live backends and merges the views in
 // submission-time order.
 func (rt *Router) list(w http.ResponseWriter, r *http.Request) {
-	type result struct {
-		views []api.View
-		err   error
-	}
-	alive := rt.aliveNames()
-	results := make(chan result, len(alive))
-	for _, name := range alive {
-		go func(name string) {
-			rt.mu.Lock()
-			b := rt.backends[name]
-			rt.mu.Unlock()
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.URL+"/v1/jobs", nil)
-			if err != nil {
-				results <- result{err: err}
-				return
-			}
-			resp, err := rt.opt.Client.Do(req)
-			if err != nil {
-				rt.markFailure(r.Context(), name)
-				results <- result{err: err}
-				return
-			}
-			defer resp.Body.Close()
-			var vs []api.View
-			if err := json.NewDecoder(resp.Body).Decode(&vs); err != nil {
-				results <- result{err: err}
-				return
-			}
-			results <- result{views: vs}
-		}(name)
-	}
 	var merged []api.View
-	for range alive {
-		res := <-results
-		if res.err == nil {
-			merged = append(merged, res.views...)
-		}
+	for vs := range fanOut(r.Context(), rt, func(b *backendState) ([]api.View, error) {
+		return b.client.List(r.Context())
+	}) {
+		merged = append(merged, vs...)
 	}
 	// Failed-over jobs keep their public identity in the fleet listing
 	// (the backends know them by their reissued IDs), and every listed
@@ -1009,19 +903,14 @@ func (rt *Router) list(w http.ResponseWriter, r *http.Request) {
 			alias[route.backendID] = id
 		}
 	}
-	for i := range merged {
-		backendID := merged[i].ID
-		pub, aliased := alias[backendID]
-		if aliased {
-			merged[i].ID = pub
-		} else {
-			pub = backendID
-		}
-		if cur, ok := rt.jobs[pub]; ok && cur.backendID == backendID {
-			cur.setState(merged[i].State)
-		}
-	}
 	rt.mu.Unlock()
+	for i := range merged {
+		pub, aliased := alias[merged[i].ID]
+		if !aliased {
+			pub = merged[i].ID
+		}
+		rt.adopt(pub, &merged[i].ID, merged[i].State)
+	}
 	sort.Slice(merged, func(i, j int) bool {
 		if merged[i].Submitted != merged[j].Submitted {
 			return merged[i].Submitted < merged[j].Submitted
@@ -1039,46 +928,18 @@ func (rt *Router) list(w http.ResponseWriter, r *http.Request) {
 // cost_scale averages, and wait percentiles take the per-class worst (a
 // conservative merge — exact percentiles do not compose).
 func (rt *Router) metrics(w http.ResponseWriter, r *http.Request) {
-	alive := rt.aliveNames()
 	type scrape struct {
 		name string
-		m    *api.Metrics
+		m    api.Metrics
 		dur  time.Duration
-	}
-	results := make(chan scrape, len(alive))
-	for _, name := range alive {
-		go func(name string) {
-			rt.mu.Lock()
-			b := rt.backends[name]
-			rt.mu.Unlock()
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.URL+"/v1/metrics", nil)
-			if err != nil {
-				results <- scrape{name: name}
-				return
-			}
-			t0 := time.Now()
-			resp, err := rt.opt.Client.Do(req)
-			if err != nil {
-				rt.markFailure(r.Context(), name)
-				results <- scrape{name: name}
-				return
-			}
-			defer resp.Body.Close()
-			var m api.Metrics
-			if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-				results <- scrape{name: name}
-				return
-			}
-			results <- scrape{name: name, m: &m, dur: time.Since(t0)}
-		}(name)
 	}
 	agg := api.Metrics{Jobs: map[string]int{}, WaitSec: map[string]api.WaitStats{}}
 	n := 0
-	for range alive {
-		res := <-results
-		if res.m == nil {
-			continue
-		}
+	for res := range fanOut(r.Context(), rt, func(b *backendState) (scrape, error) {
+		t0 := time.Now()
+		m, err := b.client.Metrics(r.Context())
+		return scrape{b.Name, m, time.Since(t0)}, err
+	}) {
 		rt.met.scrapeSeconds.With(res.name).Observe(res.dur.Seconds())
 		rt.mu.Lock()
 		if b := rt.backends[res.name]; b != nil {

@@ -1,11 +1,11 @@
 package router
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"iter"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -312,19 +312,13 @@ func TestStreamThroughRouterBitExact(t *testing.T) {
 // firstSSEEvent decodes the first data frame of an SSE body.
 func firstSSEEvent(t *testing.T, body io.Reader) (api.Event, bool) {
 	t.Helper()
-	sc := bufio.NewScanner(body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var e api.Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &e); err != nil {
-			t.Fatalf("bad SSE payload: %v", err)
-		}
-		return e, true
+	next, stop := iter.Pull2(api.ReadEvents(body))
+	defer stop()
+	e, err, ok := next()
+	if err != nil {
+		t.Fatalf("bad SSE payload: %v", err)
 	}
-	return api.Event{}, false
+	return e, ok
 }
 
 // The route table is bounded: terminal routes are pruned oldest-first once
@@ -476,6 +470,39 @@ func TestFailoverPendingJobsOnBackendDeath(t *testing.T) {
 	f.backends[victimIdx].CloseClientConnections()
 	f.backends[victimIdx].Close()
 
+	// Public identity survives failover on every verb, DELETE included:
+	// cancelling the last queued job once it has been reissued on a survivor
+	// must acknowledge under the public ID (the backend's acknowledgement
+	// names the reissued one) and fold the cancellation into the route.
+	cancelID := queuedIDs[len(queuedIDs)-1]
+	queuedIDs = queuedIDs[:len(queuedIDs)-1]
+	routeOf := func(id string) jobRoute {
+		f.router.mu.Lock()
+		defer f.router.mu.Unlock()
+		return *f.router.jobs[id]
+	}
+	for deadline := time.Now().Add(30 * time.Second); routeOf(cancelID).backendID == cancelID; {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never failed over", cancelID)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	req, _ := http.NewRequestWithContext(ctx, http.MethodDelete, f.routerTS.URL+"/v1/jobs/"+cancelID, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack map[string]string
+	err = json.NewDecoder(dresp.Body).Decode(&ack)
+	dresp.Body.Close()
+	if err != nil || dresp.StatusCode != http.StatusAccepted || ack["id"] != cancelID || ack["action"] != "cancelled" {
+		t.Fatalf("DELETE of rerouted job %s (reissued as %s): HTTP %d %v (%v), want 202 under the public ID",
+			cancelID, routeOf(cancelID).backendID, dresp.StatusCode, ack, err)
+	}
+	if st := routeOf(cancelID).state; st != api.StateCancelled {
+		t.Errorf("route state after the cancel = %q, want cancelled", st)
+	}
+
 	// The router's health loop must mark it dead and reroute every
 	// non-terminal job — the queued ones and the one caught running; their
 	// public IDs keep working through the router and complete on a
@@ -492,8 +519,8 @@ func TestFailoverPendingJobsOnBackendDeath(t *testing.T) {
 			t.Fatalf("public ID changed across failover: %s -> %s", id, final.ID)
 		}
 	}
-	if got := f.router.Reroutes(); got < int64(len(queuedIDs)+1) {
-		t.Errorf("router rerouted %d jobs, want >= %d", got, len(queuedIDs)+1)
+	if got := f.router.Reroutes(); got < int64(len(queuedIDs)+2) {
+		t.Errorf("router rerouted %d jobs, want >= %d", got, len(queuedIDs)+2)
 	}
 
 	// The dead backend is reported in the health listing.
@@ -761,5 +788,107 @@ func TestProgressiveStreamThroughRouter(t *testing.T) {
 	}
 	if pk1 == fk {
 		t.Fatal("preview and full specs share a routing key")
+	}
+}
+
+// The router's error contract: whatever a daemon would have answered —
+// status, code, Retry-After header, retry_after_sec — is what the caller
+// gets through the router, whether the router relays a backend's refusal or
+// refuses on the backend's behalf, and also for a code this router build has
+// never heard of.
+func TestErrorRelayIsVerbatim(t *testing.T) {
+	// One quota-limited backend with slow reads: a job stays live long
+	// enough to be cancelled, and a third submission per client is refused.
+	f := startFleet(t, 1, func(int) service.Options {
+		return service.Options{Workers: 1, QuotaRPS: 0.01, QuotaBurst: 2,
+			PFS: pfs.Config{ReadBW: 1e6, Targets: 1, Throttle: true}}
+	})
+	ctx := testCtx(t)
+	c := client.New(f.routerTS.URL)
+	cancelled, err := c.Submit(ctx, api.Spec{Phantom: "sphere", NX: 16, NP: 64, Client: "setup"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Cancel(ctx, cancelled.ID); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := c.Await(ctx, cancelled.ID, 5*time.Millisecond); err != nil || v.State != api.StateCancelled {
+		t.Fatalf("setup job: %+v, %v; want cancelled", v, err)
+	}
+
+	// A backend from the future: every submission is refused with a status
+	// and a code that are in no table of this build.
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		w.Header().Set("Retry-After", "3")
+		api.WriteJSON(w, http.StatusTeapot, map[string]any{"code": "teapot", "message": "short and stout", "retry_after_sec": 3})
+	}))
+	defer stub.Close()
+	stubRT, err := New(Options{Backends: []Backend{{Name: "s0", URL: stub.URL}}, HealthEvery: time.Second, Logger: testLogger(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stubRT.Close()
+	stubFront := httptest.NewServer(stubRT)
+	defer stubFront.Close()
+
+	type answer struct {
+		status     int
+		code       string
+		retryAfter string  // the header
+		retrySec   float64 // the envelope field
+	}
+	// ask sends the request `times` times and reports the last answer; CLIENT
+	// in the body becomes a per-side client id, so each side drains its own
+	// quota bucket.
+	ask := func(base, side, method, path, body string, times int) answer {
+		t.Helper()
+		var a answer
+		for i := 0; i < times; i++ {
+			req, err := http.NewRequestWithContext(ctx, method, base+path, strings.NewReader(strings.ReplaceAll(body, "CLIENT", side)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e api.Error
+			_ = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			a = answer{resp.StatusCode, e.Code, resp.Header.Get("Retry-After"), e.RetryAfter}
+		}
+		return a
+	}
+	daemon := f.backends[0].URL
+	rows := []struct {
+		name, method, path, body string
+		times                    int
+		router, direct           string
+		want                     answer
+	}{
+		{"invalid spec", "POST", "/v1/jobs", `{"phantom":"no-such-phantom","nx":16}`, 1, f.routerTS.URL, daemon, answer{400, api.CodeInvalidSpec, "", 0}},
+		{"malformed JSON", "POST", "/v1/jobs", `{"phantom":`, 1, f.routerTS.URL, daemon, answer{400, api.CodeBadRequest, "", 0}},
+		{"get unknown", "GET", "/v1/jobs/nope", "", 1, f.routerTS.URL, daemon, answer{404, api.CodeNotFound, "", 0}},
+		{"delete unknown", "DELETE", "/v1/jobs/nope", "", 1, f.routerTS.URL, daemon, answer{404, api.CodeNotFound, "", 0}},
+		{"trace unknown", "GET", "/v1/jobs/nope/trace", "", 1, f.routerTS.URL, daemon, answer{404, api.CodeNotFound, "", 0}},
+		{"events unknown", "GET", "/v1/jobs/nope/events", "", 1, f.routerTS.URL, daemon, answer{404, api.CodeNotFound, "", 0}},
+		{"stream unknown", "GET", "/v1/jobs/nope/stream", "", 1, f.routerTS.URL, daemon, answer{404, api.CodeNotFound, "", 0}},
+		{"over quota", "POST", "/v1/jobs", `{"phantom":"sphere","nx":16,"np":96,"client":"CLIENT"}`, 3, f.routerTS.URL, daemon, answer{429, api.CodeQuotaExhausted, "1", 1}},
+		{"stream of a cancelled job", "GET", "/v1/jobs/" + cancelled.ID + "/stream", "", 1, f.routerTS.URL, daemon, answer{409, api.CodeTerminal, "", 0}},
+		{"unknown code and status", "POST", "/v1/jobs", `{"phantom":"sphere","nx":16}`, 1, stubFront.URL, stub.URL, answer{418, "teapot", "3", 3}},
+	}
+	for _, row := range rows {
+		direct := ask(row.direct, "direct", row.method, row.path, row.body, row.times)
+		routed := ask(row.router, "routed", row.method, row.path, row.body, row.times)
+		if direct != row.want {
+			t.Errorf("%s: daemon answered %+v, want %+v", row.name, direct, row.want)
+		}
+		if routed != direct {
+			t.Errorf("%s: through the router %+v, straight to the daemon %+v", row.name, routed, direct)
+		}
 	}
 }

@@ -1,15 +1,9 @@
 package service
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,19 +12,19 @@ import (
 	"ifdk/internal/compress"
 	"ifdk/internal/ct/fdk"
 	"ifdk/internal/ct/projector"
+	"ifdk/pkg/api"
 	"ifdk/pkg/volume"
 )
 
-// openSSE attaches to a job's /events stream and decodes it into a channel,
-// closed when the server ends the stream (terminal event) or ctx does.
-func openSSE(t *testing.T, ctx context.Context, url string, lastEventID int64) <-chan Event {
+// mustGet opens a streaming GET and fails the test unless it answers 200.
+func mustGet(t *testing.T, ctx context.Context, url string, hdr map[string]string) *http.Response {
 	t.Helper()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lastEventID > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatInt(lastEventID, 10))
+	for k, v := range hdr {
+		req.Header.Set(k, v)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -38,8 +32,16 @@ func openSSE(t *testing.T, ctx context.Context, url string, lastEventID int64) <
 	}
 	if resp.StatusCode != http.StatusOK {
 		resp.Body.Close()
-		t.Fatalf("events: HTTP %d", resp.StatusCode)
+		t.Fatalf("GET %s: HTTP %d", url, resp.StatusCode)
 	}
+	return resp
+}
+
+// openSSE attaches to a job's /events stream and decodes it into a channel,
+// closed when the server ends the stream (terminal event) or ctx does.
+func openSSE(t *testing.T, ctx context.Context, url string, lastEventID int64) <-chan Event {
+	t.Helper()
+	resp := mustGet(t, ctx, url, map[string]string{"Last-Event-ID": strconv.FormatInt(lastEventID, 10)})
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("events: Content-Type %q", ct)
 	}
@@ -47,93 +49,63 @@ func openSSE(t *testing.T, ctx context.Context, url string, lastEventID int64) <
 	go func() {
 		defer close(ch)
 		defer resp.Body.Close()
-		sc := bufio.NewScanner(resp.Body)
-		var data string
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case strings.HasPrefix(line, "data: "):
-				data = strings.TrimPrefix(line, "data: ")
-			case line == "" && data != "":
-				var e Event
-				if json.Unmarshal([]byte(data), &e) == nil {
-					ch <- e
-				}
-				data = ""
+		for e, err := range api.ReadEvents(resp.Body) {
+			if err != nil {
+				return // teardown mid-frame
 			}
+			ch <- e
 		}
 	}()
 	return ch
 }
 
-// slicePart is one decoded part of a /stream response.
+// slicePart is one decoded part of a /stream or /preview response; factor is
+// 0 on full-resolution parts.
 type slicePart struct {
-	z   int
-	img *volume.Image
+	z, total, factor int
+	img              *volume.Image
+}
+
+// decodeSlice undoes a part's content coding and image framing. Go's
+// transport advertises Accept-Encoding: gzip on our behalf, so the server is
+// entitled to gzip each part; a contract-compliant consumer decodes per-part
+// Content-Encoding.
+func decodeSlice(p api.SlicePart) (slicePart, error) {
+	blob := p.Payload
+	if p.Encoding == api.EncodingGzip {
+		var err error
+		if blob, err = compress.Gunzip(blob); err != nil {
+			return slicePart{}, err
+		}
+	}
+	img, err := volume.ImageFromBytes(blob)
+	return slicePart{z: p.Z, total: p.Total, factor: p.Factor, img: img}, err
 }
 
 // openStream attaches to a job's /stream multipart response. Slice parts
-// arrive on the first channel as they are flushed; the terminal JSON view
-// arrives on the second. Both close when the response body ends.
+// arrive on the first channel, in arrival order, as they are flushed; the
+// terminal JSON view arrives on the second. Both close when the response
+// body ends.
 func openStream(t *testing.T, ctx context.Context, url string) (<-chan slicePart, <-chan View) {
 	t.Helper()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		t.Fatalf("stream: HTTP %d", resp.StatusCode)
-	}
-	mediaType, params, err := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if err != nil || mediaType != "multipart/mixed" || params["boundary"] == "" {
-		resp.Body.Close()
-		t.Fatalf("stream: Content-Type %q (%v)", resp.Header.Get("Content-Type"), err)
-	}
+	resp := mustGet(t, ctx, url, nil)
 	parts := make(chan slicePart, 1024)
 	views := make(chan View, 1)
 	go func() {
 		defer close(parts)
 		defer close(views)
 		defer resp.Body.Close()
-		mr := multipart.NewReader(resp.Body, params["boundary"])
-		for {
-			p, err := mr.NextPart()
+		for p, err := range api.ReadSlices(resp.Header.Get("Content-Type"), resp.Body) {
 			if err != nil {
-				return // io.EOF on a clean close, anything else on teardown
+				return // teardown mid-part
 			}
-			if p.Header.Get("Content-Type") == "application/json" {
-				var v View
-				if json.NewDecoder(p).Decode(&v) == nil {
-					views <- v
-				}
+			if p.End != nil {
+				views <- *p.End
 				continue
 			}
-			z, err := strconv.Atoi(p.Header.Get("X-Slice-Z"))
-			if err != nil {
-				continue
+			if part, err := decodeSlice(p); err == nil {
+				parts <- part
 			}
-			blob, err := io.ReadAll(p)
-			if err != nil {
-				return
-			}
-			// Go's transport advertises Accept-Encoding: gzip on our
-			// behalf, so the server is entitled to gzip each part; a
-			// contract-compliant consumer decodes per-part Content-Encoding.
-			if p.Header.Get("Content-Encoding") == "gzip" {
-				if blob, err = compress.Gunzip(blob); err != nil {
-					continue
-				}
-			}
-			img, err := volume.ImageFromBytes(blob)
-			if err != nil {
-				continue
-			}
-			parts <- slicePart{z: z, img: img}
 		}
 	}()
 	return parts, views

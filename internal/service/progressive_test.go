@@ -4,15 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
-	"strconv"
 	"testing"
 	"time"
 
-	"ifdk/internal/compress"
 	"ifdk/pkg/api"
 	"ifdk/pkg/volume"
 )
@@ -22,83 +17,6 @@ import (
 // 16×16×16 → 8³ problem.
 func progSpec(quality string) Spec {
 	return Spec{Phantom: "shepplogan", NX: 16, R: 2, C: 2, Quality: quality}
-}
-
-// prevPart is one decoded part of a /stream or /preview multipart response,
-// preview-factor aware.
-type prevPart struct {
-	z, total, factor int // factor 0 on full-resolution parts
-	img              *volume.Image
-}
-
-// openStreamPrev attaches to a multipart stream URL and decodes every slice
-// part with its preview factor, in arrival order.
-func openStreamPrev(t *testing.T, ctx context.Context, url string) (<-chan prevPart, <-chan View) {
-	t.Helper()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		t.Fatalf("stream: HTTP %d", resp.StatusCode)
-	}
-	_, params, err := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if err != nil || params["boundary"] == "" {
-		resp.Body.Close()
-		t.Fatalf("stream: Content-Type %q (%v)", resp.Header.Get("Content-Type"), err)
-	}
-	parts := make(chan prevPart, 1024)
-	views := make(chan View, 1)
-	go func() {
-		defer close(parts)
-		defer close(views)
-		defer resp.Body.Close()
-		mr := multipart.NewReader(resp.Body, params["boundary"])
-		for {
-			p, err := mr.NextPart()
-			if err != nil {
-				return
-			}
-			if p.Header.Get("Content-Type") == "application/json" {
-				var v View
-				if json.NewDecoder(p).Decode(&v) == nil {
-					views <- v
-				}
-				continue
-			}
-			z, err := strconv.Atoi(p.Header.Get(api.HeaderSliceZ))
-			if err != nil {
-				continue
-			}
-			total, _ := strconv.Atoi(p.Header.Get(api.HeaderSliceTotal))
-			factor := 0
-			if pf := p.Header.Get(api.HeaderPreviewFactor); pf != "" {
-				if factor, err = strconv.Atoi(pf); err != nil {
-					continue
-				}
-			}
-			blob, err := io.ReadAll(p)
-			if err != nil {
-				return
-			}
-			if p.Header.Get("Content-Encoding") == "gzip" {
-				if blob, err = compress.Gunzip(blob); err != nil {
-					continue
-				}
-			}
-			img, err := volume.ImageFromBytes(blob)
-			if err != nil {
-				continue
-			}
-			parts <- prevPart{z: z, total: total, factor: factor, img: img}
-		}
-	}()
-	return parts, views
 }
 
 // The progressive tentpole: a client on /v1/jobs/{id}/stream receives the
@@ -126,7 +44,7 @@ func TestE2EProgressiveCoarseToFine(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	parts, views := openStreamPrev(t, ctx, ts.URL+"/v1/jobs/"+id+"/stream")
+	parts, views := openStream(t, ctx, ts.URL+"/v1/jobs/"+id+"/stream")
 
 	// Phase 1 — with the epilogue parked inside the first slice callback,
 	// the whole coarse tier must arrive. 16³ decimated by 2 is 8 slices.
@@ -246,7 +164,7 @@ func TestPreviewQualityServing(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	parts, views := openStreamPrev(t, ctx, ts.URL+"/v1/jobs/"+v.ID+"/stream")
+	parts, views := openStream(t, ctx, ts.URL+"/v1/jobs/"+v.ID+"/stream")
 	count := 0
 	for p := range parts {
 		if p.factor != 0 {
@@ -349,30 +267,15 @@ func TestPreviewEndpoint(t *testing.T) {
 	if f := resp.Header.Get(api.HeaderPreviewFactor); f != "2" {
 		t.Fatalf("top-level %s = %q, want 2", api.HeaderPreviewFactor, f)
 	}
-	_, params, err := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if err != nil || params["boundary"] == "" {
-		t.Fatalf("preview Content-Type %q (%v)", resp.Header.Get("Content-Type"), err)
-	}
-	mr := multipart.NewReader(resp.Body, params["boundary"])
 	count := 0
-	for {
-		p, err := mr.NextPart()
+	for p, err := range api.ReadSlices(resp.Header.Get("Content-Type"), resp.Body) {
 		if err != nil {
-			break
+			t.Fatalf("part %d: %v", count, err)
 		}
-		if p.Header.Get(api.HeaderPreviewFactor) != "2" {
+		if p.Factor != 2 {
 			t.Fatalf("part %d missing the preview factor header", count)
 		}
-		blob, err := io.ReadAll(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Header.Get("Content-Encoding") == "gzip" {
-			if blob, err = compress.Gunzip(blob); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := volume.ImageFromBytes(blob); err != nil {
+		if _, err := decodeSlice(p); err != nil {
 			t.Fatalf("part %d payload: %v", count, err)
 		}
 		count++

@@ -1,11 +1,7 @@
 package service
 
 import (
-	"encoding/json"
-	"fmt"
-	"mime/multipart"
 	"net/http"
-	"net/textproto"
 	"strconv"
 	"strings"
 
@@ -29,18 +25,10 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.CodeNotFound, "no such job %q", id)
 		return
 	}
-	after := int64(0)
-	lastID := r.Header.Get("Last-Event-ID")
-	if lastID == "" {
-		lastID = r.URL.Query().Get("after")
-	}
-	if lastID != "" {
-		n, err := strconv.ParseInt(lastID, 10, 64)
-		if err != nil || n < 0 {
-			writeErr(w, api.CodeBadRequest, "Last-Event-ID must be a non-negative integer")
-			return
-		}
-		after = n
+	after, err := api.ResumeCursor(r)
+	if err != nil {
+		writeErr(w, api.CodeBadRequest, "%v", err)
+		return
 	}
 	sub, err := s.m.subscribe(id, after)
 	if err != nil {
@@ -62,11 +50,7 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	for {
 		batch, ok := sub.Next(r.Context())
 		for _, e := range batch {
-			data, err := json.Marshal(e)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data); err != nil {
+			if err := api.WriteEvent(w, e); err != nil {
 				return // client went away
 			}
 		}
@@ -127,35 +111,31 @@ func (s *Server) preview(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.CodeNotYetWritten, "preview of job %s not built yet (state %s)", id, j.State())
 		return
 	}
-	gzipParts := acceptsGzip(r)
-	mw := multipart.NewWriter(w)
-	defer mw.Close()
-	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
+	sw, gz := api.NewSliceWriter(w), acceptsGzip(r)
+	defer sw.Close()
+	w.Header().Set("Content-Type", sw.ContentType())
 	w.Header().Set(api.HeaderPreviewFactor, strconv.Itoa(j.plan.Factor))
 	w.WriteHeader(http.StatusOK)
 	for z := 0; z < e.Volume.Nz; z++ {
-		hdr := textproto.MIMEHeader{}
-		hdr.Set("Content-Type", api.ContentTypeSlice)
-		hdr.Set(api.HeaderSliceZ, strconv.Itoa(z))
-		hdr.Set(api.HeaderSliceTotal, strconv.Itoa(e.Volume.Nz))
-		hdr.Set(api.HeaderPreviewFactor, strconv.Itoa(j.plan.Factor))
-		blob := volume.ImageToBytes(e.Volume.SliceZ(z))
-		if gzipParts {
-			gz, err := compress.Gzip(blob)
-			if err != nil {
-				return
-			}
-			hdr.Set("Content-Encoding", api.EncodingGzip)
-			blob = gz
-		}
-		part, err := mw.CreatePart(hdr)
-		if err != nil {
-			return
-		}
-		if _, err := part.Write(blob); err != nil {
+		if sendSlice(sw, gz, z, e.Volume.Nz, j.plan.Factor, volume.ImageToBytes(e.Volume.SliceZ(z))) != nil {
 			return
 		}
 	}
+}
+
+// sendSlice frames slice z of total through the shared codec (factor > 0
+// marks a preview-tier part), gzip-encoding the payload when the request
+// negotiated it.
+func sendSlice(sw api.SliceWriter, gz bool, z, total, factor int, blob []byte) error {
+	p := api.SlicePart{Z: z, Total: total, Factor: factor, Payload: blob}
+	if gz {
+		var err error
+		if p.Payload, err = compress.Gzip(blob); err != nil {
+			return err
+		}
+		p.Encoding = api.EncodingGzip
+	}
+	return sw.WriteSlice(p)
 }
 
 // stream serves GET /v1/jobs/{id}/stream: the job's output slices as a
@@ -200,11 +180,9 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.CodeTerminal, "job %s is %s: no slice stream", id, st)
 		return
 	}
-	gzipParts := acceptsGzip(r)
-
-	mw := multipart.NewWriter(w)
-	defer mw.Close()
-	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
+	sw, gz := api.NewSliceWriter(w), acceptsGzip(r)
+	defer sw.Close()
+	w.Header().Set("Content-Type", sw.ContentType())
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
@@ -213,31 +191,12 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sent := make([]bool, nz)
-	writePart := func(hdr textproto.MIMEHeader, blob []byte) error {
-		if gzipParts {
-			gz, err := compress.Gzip(blob)
-			if err != nil {
-				return err
-			}
-			hdr.Set("Content-Encoding", api.EncodingGzip)
-			blob = gz
-		}
-		part, err := mw.CreatePart(hdr)
-		if err != nil {
-			return err
-		}
-		if _, err := part.Write(blob); err != nil {
+	sendBlob := func(z int, blob []byte) error {
+		sent[z] = true
+		if err := sendSlice(sw, gz, z, nz, 0, blob); err != nil {
 			return err
 		}
 		return rc.Flush()
-	}
-	sendBlob := func(z int, blob []byte) error {
-		hdr := textproto.MIMEHeader{}
-		hdr.Set("Content-Type", api.ContentTypeSlice)
-		hdr.Set(api.HeaderSliceZ, strconv.Itoa(z))
-		hdr.Set(api.HeaderSliceTotal, strconv.Itoa(nz))
-		sent[z] = true
-		return writePart(hdr, blob)
 	}
 	// sendPreview emits a progressive job's coarse tier — every preview
 	// slice, marked with the decimation factor and indexed on the coarse
@@ -255,14 +214,11 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 		previewSent = true
-		cnz := e.Volume.Nz
-		for z := 0; z < cnz; z++ {
-			hdr := textproto.MIMEHeader{}
-			hdr.Set("Content-Type", api.ContentTypeSlice)
-			hdr.Set(api.HeaderSliceZ, strconv.Itoa(z))
-			hdr.Set(api.HeaderSliceTotal, strconv.Itoa(cnz))
-			hdr.Set(api.HeaderPreviewFactor, strconv.Itoa(j.plan.Factor))
-			if err := writePart(hdr, volume.ImageToBytes(e.Volume.SliceZ(z))); err != nil {
+		for z := 0; z < e.Volume.Nz; z++ {
+			if err := sendSlice(sw, gz, z, e.Volume.Nz, j.plan.Factor, volume.ImageToBytes(e.Volume.SliceZ(z))); err != nil {
+				return err
+			}
+			if err := rc.Flush(); err != nil {
 				return err
 			}
 		}
@@ -300,16 +256,9 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		hdr := textproto.MIMEHeader{}
-		hdr.Set("Content-Type", "application/json")
-		v := j.snapshot()
-		hdr.Set(api.HeaderStreamEnd, string(v.State))
-		part, err := mw.CreatePart(hdr)
-		if err != nil {
-			return
+		if sw.WriteEnd(j.snapshot()) == nil {
+			_ = rc.Flush()
 		}
-		_ = json.NewEncoder(part).Encode(v)
-		_ = rc.Flush()
 	}
 
 	// Replay the preview tier first if it already exists, then slices

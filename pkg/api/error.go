@@ -56,6 +56,10 @@ type Error struct {
 	Code       string  `json:"code"`
 	Message    string  `json:"message"`
 	RetryAfter float64 `json:"retry_after_sec,omitempty"` // hint, seconds; 0 = none
+	// Status is the HTTP status the envelope arrived with (0 when built
+	// locally); never on the wire. A relay re-emits it, so a code this build
+	// does not know keeps the status its sender chose.
+	Status int `json:"-"`
 }
 
 // Error implements the error interface.

@@ -1,5 +1,17 @@
 package api
 
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"iter"
+	"net/http"
+	"strconv"
+)
+
 // EventType labels one job lifecycle event on the wire.
 type EventType string
 
@@ -48,4 +60,59 @@ type Event struct {
 
 	// trace availability (Type == EventTrace)
 	TraceID string `json:"trace_id,omitempty"`
+}
+
+// WriteEvent frames e as one Server-Sent Event: Seq as the SSE id (the value
+// Last-Event-ID resumes from), Type as the SSE event name, the JSON encoding
+// as the data line. Every emitter of /events — the daemon and the router's
+// relay — frames through here.
+func WriteEvent(w io.Writer, e Event) error {
+	data, err := json.Marshal(e)
+	if err == nil {
+		_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data)
+	}
+	return err
+}
+
+// ReadEvents decodes an /events body frame by frame — the one SSE parser of
+// the SDK, the router's relay and the tests. The sequence ends with the body;
+// a malformed payload or a line over 1 MiB is yielded as its last element.
+// Only data lines are decoded: id and event repeat what the payload carries.
+func ReadEvents(r io.Reader) iter.Seq2[Event, error] {
+	return func(yield func(Event, error) bool) {
+		sc := bufio.NewScanner(r)
+		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+		for sc.Scan() {
+			data, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: "))
+			if !ok {
+				continue
+			}
+			var e Event
+			if err := json.Unmarshal(data, &e); err != nil {
+				yield(Event{}, fmt.Errorf("api: bad event payload: %w", err))
+				return
+			}
+			if !yield(e, nil) {
+				return
+			}
+		}
+		if err := sc.Err(); err != nil {
+			yield(Event{}, fmt.Errorf("api: event stream: %w", err))
+		}
+	}
+}
+
+// ResumeCursor reads the sequence number an /events request resumes after:
+// the standard Last-Event-ID header, else the ?after= query parameter, else 0
+// (replay from the start).
+func ResumeCursor(r *http.Request) (int64, error) {
+	s := r.Header.Get("Last-Event-ID")
+	if s == "" {
+		s = r.URL.Query().Get("after")
+	}
+	n, err := strconv.ParseInt(s, 10, 64)
+	if s != "" && (err != nil || n < 0) {
+		return 0, errors.New("Last-Event-ID must be a non-negative integer")
+	}
+	return n, nil
 }

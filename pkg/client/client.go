@@ -30,6 +30,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -118,47 +119,53 @@ func (c *Client) backoff(attempt int, hint float64) time.Duration {
 	return d
 }
 
-// decodeError turns a non-2xx response into an error, preferring the
-// api.Error envelope and falling back to a synthesized one for non-JSON
-// bodies (old servers, intermediaries).
+// decodeError turns a non-2xx response into an *api.Error carrying its HTTP
+// status, preferring the api.Error envelope and falling back to a
+// synthesized one for non-JSON bodies (old servers, intermediaries). A
+// Retry-After header stands in for an absent retry_after_sec.
 func decodeError(resp *http.Response) error {
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var e api.Error
-	if err := json.Unmarshal(body, &e); err == nil && e.Code != "" {
-		return &e
+	e := &api.Error{}
+	if err := json.Unmarshal(body, e); err != nil || e.Code == "" {
+		code, status := api.CodeInternal, resp.StatusCode
+		if status == http.StatusBadGateway {
+			status = http.StatusServiceUnavailable // an intermediary's word for the same thing
+		}
+		for _, c := range []string{api.CodeNotFound, api.CodeBadRequest, api.CodeTerminal, api.CodeQuotaExhausted, api.CodeUnavailable} {
+			if api.HTTPStatus(c) == status {
+				code = c
+			}
+		}
+		e = &api.Error{Code: code, Message: fmt.Sprintf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))}
 	}
-	code := api.CodeInternal
-	switch resp.StatusCode {
-	case http.StatusNotFound:
-		code = api.CodeNotFound
-	case http.StatusBadRequest:
-		code = api.CodeBadRequest
-	case http.StatusConflict:
-		code = api.CodeTerminal
-	case http.StatusServiceUnavailable, http.StatusBadGateway:
-		code = api.CodeUnavailable
-	case http.StatusTooManyRequests:
-		code = api.CodeQuotaExhausted
+	e.Status = resp.StatusCode
+	if sec, err := strconv.ParseFloat(resp.Header.Get("Retry-After"), 64); err == nil && e.RetryAfter == 0 {
+		e.RetryAfter = sec
 	}
-	return &api.Error{Code: code, Message: fmt.Sprintf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))}
+	return e
 }
 
-// doJSON performs one request and decodes a 2xx JSON body into out (when
-// non-nil). Extra request headers come from hdr (may be nil). Non-2xx
-// responses become errors via decodeError.
-func (c *Client) doJSON(ctx context.Context, method, path string, hdr map[string]string, in, out any) error {
+// Open performs one request against the service — path under the base URL,
+// extra headers from hdr (may be nil), in marshalled as the JSON body when
+// non-nil — and returns the 2xx response, body unread, for the caller to
+// close. A non-2xx answer comes back as the *api.Error it carried (Status
+// set), so any other error is a transport failure. It is the one request
+// path under every SDK call, exported for what the typed calls drop: the
+// fleet router relays a backend's own status (200 cache hit vs 202 accepted,
+// 202 cancelled vs 204 deleted) and dials the long-lived streams through it.
+func (c *Client) Open(ctx context.Context, method, path string, hdr map[string]string, in any) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
 		blob, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(blob)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -168,10 +175,20 @@ func (c *Client) doJSON(ctx context.Context, method, path string, hdr map[string
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return decodeError(resp)
+		return nil, decodeError(resp)
+	}
+	return resp, nil
+}
+
+// doJSON is Open for the typed calls: it decodes the 2xx JSON body into out
+// (when non-nil).
+func (c *Client) doJSON(ctx context.Context, method, path string, hdr map[string]string, in, out any) error {
+	resp, err := c.Open(ctx, method, path, hdr, in)
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
 	if out == nil {

@@ -303,6 +303,42 @@ func TestWatchNotFound(t *testing.T) {
 	}
 }
 
+// A non-2xx answer always surfaces as an *api.Error that remembers the HTTP
+// status and the Retry-After hint it arrived with: the envelope where the
+// body holds one (whatever its code), a code inferred from the status where
+// an old server or an intermediary answered without one.
+func TestErrorDecoding(t *testing.T) {
+	for _, tc := range []struct {
+		status            int
+		retryAfter, body  string
+		wantCode          string
+		wantRetryAfterSec float64
+	}{
+		{http.StatusTeapot, "3", `{"code":"teapot","message":"short and stout"}`, "teapot", 3},
+		{http.StatusServiceUnavailable, "9", `{"code":"queue_full","message":"m","retry_after_sec":1}`, api.CodeQueueFull, 1},
+		{http.StatusBadGateway, "7", "<html>bad gateway</html>", api.CodeUnavailable, 7},
+		{http.StatusNotFound, "", "404 page not found", api.CodeNotFound, 0},
+		{http.StatusConflict, "", "", api.CodeTerminal, 0},
+		{http.StatusTooManyRequests, "", "slow down", api.CodeQuotaExhausted, 0},
+		{http.StatusBadRequest, "", "{}", api.CodeBadRequest, 0},
+		{http.StatusForbidden, "", "no", api.CodeInternal, 0},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			if tc.retryAfter != "" {
+				w.Header().Set("Retry-After", tc.retryAfter)
+			}
+			w.WriteHeader(tc.status)
+			_, _ = w.Write([]byte(tc.body))
+		}))
+		_, err := New(ts.URL).Get(testCtx(t), "j1")
+		ts.Close()
+		var e *api.Error
+		if !errors.As(err, &e) || e.Code != tc.wantCode || e.Status != tc.status || e.RetryAfter != tc.wantRetryAfterSec {
+			t.Errorf("HTTP %d %q: got %+v (%v), want code %s, retry-after %g", tc.status, tc.body, e, err, tc.wantCode, tc.wantRetryAfterSec)
+		}
+	}
+}
+
 // A late-attached Stream must reassemble the volume bit-exactly from the
 // result, with exactly-once slice accounting — plain and gzip.
 func TestStreamLateAttachBitExact(t *testing.T) {

@@ -4,13 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
-	"strconv"
 
-	"ifdk/internal/compress"
 	"ifdk/pkg/api"
 	"ifdk/pkg/volume"
 )
@@ -21,89 +16,31 @@ import (
 // not_yet_written (retryable *api.Error) while the preview phase is still
 // running; WatchPreview waits for the preview event instead of polling.
 func (c *Client) Preview(ctx context.Context, id string) (*volume.Volume, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/preview", nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	if c.gzip {
-		req.Header.Set("Accept-Encoding", "gzip")
-	} else {
-		req.Header.Set("Accept-Encoding", "identity")
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.Open(ctx, http.MethodGet, "/v1/jobs/"+id+"/preview", c.acceptEncoding(), nil)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, decodeError(resp)
-	}
-	factor, err := strconv.Atoi(resp.Header.Get(api.HeaderPreviewFactor))
-	if err != nil || factor < 1 {
-		return nil, 0, fmt.Errorf("client: preview response with bad %s header %q",
-			api.HeaderPreviewFactor, resp.Header.Get(api.HeaderPreviewFactor))
-	}
-	_, params, err := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if err != nil || params["boundary"] == "" {
-		return nil, 0, fmt.Errorf("client: preview Content-Type %q has no boundary", resp.Header.Get("Content-Type"))
-	}
 
-	var vol *volume.Volume
-	var seen []bool
-	got := 0
-	mr := multipart.NewReader(resp.Body, params["boundary"])
-	for {
-		part, err := mr.NextPart()
-		if err == io.EOF {
-			break
-		}
+	t := tier{name: "preview slice"}
+	for p, err := range api.ReadSlices(resp.Header.Get("Content-Type"), resp.Body) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("client: preview of %s: %w", id, err)
 		}
-		blob, err := io.ReadAll(part)
-		if err != nil {
-			return nil, 0, fmt.Errorf("client: reading preview part: %w", err)
+		if p.Factor < 1 {
+			return nil, 0, fmt.Errorf("client: preview of %s: part without a %s header", id, api.HeaderPreviewFactor)
 		}
-		if part.Header.Get("Content-Encoding") == api.EncodingGzip {
-			if blob, err = compress.Gunzip(blob); err != nil {
-				return nil, 0, fmt.Errorf("client: preview part: %w", err)
-			}
-		}
-		z, err := strconv.Atoi(part.Header.Get(api.HeaderSliceZ))
-		if err != nil {
-			return nil, 0, fmt.Errorf("client: preview part without a %s header", api.HeaderSliceZ)
-		}
-		total, err := strconv.Atoi(part.Header.Get(api.HeaderSliceTotal))
-		if err != nil || total <= 0 {
-			return nil, 0, fmt.Errorf("client: preview part without a %s header", api.HeaderSliceTotal)
-		}
-		img, err := volume.ImageFromBytes(blob)
-		if err != nil {
-			return nil, 0, fmt.Errorf("client: preview slice %d payload: %w", z, err)
-		}
-		if vol == nil {
-			vol = volume.New(img.W, img.H, total, volume.IMajor)
-			seen = make([]bool, total)
-		}
-		if z < 0 || z >= len(seen) {
-			return nil, 0, fmt.Errorf("client: preview slice index %d out of range [0,%d)", z, len(seen))
-		}
-		if seen[z] {
-			return nil, 0, fmt.Errorf("client: preview slice %d delivered twice", z)
-		}
-		seen[z] = true
-		if err := vol.SetSliceZ(z, img); err != nil {
+		if err := t.add(p); err != nil {
 			return nil, 0, err
 		}
-		got++
 	}
-	if vol == nil {
+	if t.vol == nil {
 		return nil, 0, fmt.Errorf("client: preview of %s carried no slices", id)
 	}
-	if got != vol.Nz {
-		return nil, 0, fmt.Errorf("client: preview of %s truncated: %d/%d slices", id, got, vol.Nz)
+	if t.got != t.vol.Nz {
+		return nil, 0, fmt.Errorf("client: preview of %s truncated: %d/%d slices", id, t.got, t.vol.Nz)
 	}
-	return vol, factor, nil
+	return t.vol, t.factor, nil
 }
 
 // errPreviewReady aborts the event watch once the preview event arrives.

@@ -2,13 +2,8 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
-	"strconv"
 
 	"ifdk/internal/compress"
 	"ifdk/pkg/api"
@@ -67,114 +62,46 @@ func (c *Client) Stream(ctx context.Context, id string, onSlice func(z, total in
 // the first full-resolution part, so OnPreview marks time-to-first-volume
 // long before the stream completes.
 func (c *Client) StreamProgressive(ctx context.Context, id string, hooks StreamHooks) (*StreamResult, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/stream", nil)
+	resp, err := c.Open(ctx, http.MethodGet, "/v1/jobs/"+id+"/stream", c.acceptEncoding(), nil)
 	if err != nil {
 		return nil, err
-	}
-	// Explicit either way: left unset, Go's transport would advertise gzip
-	// on its own and the stream's per-part encoding would stop being the
-	// caller's choice.
-	if c.gzip {
-		req.Header.Set("Accept-Encoding", "gzip")
-	} else {
-		req.Header.Set("Accept-Encoding", "identity")
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
 	}
 	defer resp.Body.Close()
-	_, params, err := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if err != nil || params["boundary"] == "" {
-		return nil, fmt.Errorf("client: stream Content-Type %q has no boundary", resp.Header.Get("Content-Type"))
-	}
 
-	res := &StreamResult{}
-	var seen, seenPrev []bool
-	mr := multipart.NewReader(resp.Body, params["boundary"])
-	for {
-		part, err := mr.NextPart()
+	full, prev := tier{name: "slice"}, tier{name: "preview slice"}
+	var final *api.View
+	for p, err := range api.ReadSlices(resp.Header.Get("Content-Type"), resp.Body) {
 		if err != nil {
-			return nil, fmt.Errorf("client: stream for %s ended without a terminal part: %w", id, err)
+			return nil, fmt.Errorf("client: stream for %s: %w", id, err)
 		}
-		if part.Header.Get("Content-Type") == "application/json" {
-			if err := json.NewDecoder(part).Decode(&res.Final); err != nil {
-				return nil, fmt.Errorf("client: bad terminal part: %w", err)
-			}
+		if p.End != nil {
+			final = p.End
 			break
 		}
-		blob, err := io.ReadAll(part)
-		if err != nil {
-			return nil, fmt.Errorf("client: reading slice part: %w", err)
-		}
-		res.WireBytes += int64(len(blob))
-		if part.Header.Get("Content-Encoding") == api.EncodingGzip {
-			if blob, err = compress.Gunzip(blob); err != nil {
-				return nil, fmt.Errorf("client: slice part: %w", err)
-			}
-		}
-		res.RawBytes += int64(len(blob))
-		z, err := strconv.Atoi(part.Header.Get(api.HeaderSliceZ))
-		if err != nil {
-			return nil, fmt.Errorf("client: slice part without a %s header", api.HeaderSliceZ)
-		}
-		total, err := strconv.Atoi(part.Header.Get(api.HeaderSliceTotal))
-		if err != nil || total <= 0 {
-			return nil, fmt.Errorf("client: slice part without a %s header", api.HeaderSliceTotal)
-		}
-		img, err := volume.ImageFromBytes(blob)
-		if err != nil {
-			return nil, fmt.Errorf("client: slice %d payload: %w", z, err)
-		}
-		if pf := part.Header.Get(api.HeaderPreviewFactor); pf != "" {
-			factor, err := strconv.Atoi(pf)
-			if err != nil || factor < 1 {
-				return nil, fmt.Errorf("client: preview part with bad %s header %q", api.HeaderPreviewFactor, pf)
-			}
-			if res.Preview == nil {
-				res.Preview = volume.New(img.W, img.H, total, volume.IMajor)
-				res.PreviewFactor = factor
-				seenPrev = make([]bool, total)
-			}
-			if z < 0 || z >= len(seenPrev) {
-				return nil, fmt.Errorf("client: preview slice index %d out of range [0,%d)", z, len(seenPrev))
-			}
-			if seenPrev[z] {
-				return nil, fmt.Errorf("client: preview slice %d delivered twice", z)
-			}
-			seenPrev[z] = true
-			if err := res.Preview.SetSliceZ(z, img); err != nil {
+		if p.Factor > 0 {
+			if err := prev.add(p); err != nil {
 				return nil, err
 			}
-			res.PreviewSlices++
 			if hooks.OnPreview != nil {
-				hooks.OnPreview(z, total, factor)
+				hooks.OnPreview(p.Z, p.Total, p.Factor)
 			}
 			continue
 		}
-		if res.Volume == nil {
-			res.Volume = volume.New(img.W, img.H, total, volume.IMajor)
-			seen = make([]bool, total)
-		}
-		if z < 0 || z >= len(seen) {
-			return nil, fmt.Errorf("client: slice index %d out of range [0,%d)", z, len(seen))
-		}
-		if seen[z] {
-			return nil, fmt.Errorf("client: slice %d delivered twice", z)
-		}
-		seen[z] = true
-		if err := res.Volume.SetSliceZ(z, img); err != nil {
+		if err := full.add(p); err != nil {
 			return nil, err
 		}
-		res.Slices++
 		if hooks.OnSlice != nil {
-			hooks.OnSlice(z, total)
+			hooks.OnSlice(p.Z, p.Total)
 		}
 	}
-
+	if final == nil {
+		return nil, fmt.Errorf("client: stream for %s ended without a terminal part", id)
+	}
+	res := &StreamResult{
+		Volume: full.vol, Final: *final, Slices: full.got,
+		WireBytes: full.wire + prev.wire, RawBytes: full.raw + prev.raw,
+		Preview: prev.vol, PreviewFactor: prev.factor, PreviewSlices: prev.got,
+	}
 	if res.Final.State == api.StateDone {
 		if res.Volume == nil {
 			return nil, fmt.Errorf("client: job %s done but stream carried no slices", id)
@@ -184,4 +111,61 @@ func (c *Client) StreamProgressive(ctx context.Context, id string, hooks StreamH
 		}
 	}
 	return res, nil
+}
+
+// acceptEncoding is the slice endpoints' content-coding request header.
+// Explicit either way: left unset, Go's transport would advertise gzip on
+// its own and the per-part encoding would stop being the caller's choice.
+func (c *Client) acceptEncoding() map[string]string {
+	if c.gzip {
+		return map[string]string{"Accept-Encoding": api.EncodingGzip}
+	}
+	return map[string]string{"Accept-Encoding": "identity"}
+}
+
+// tier reassembles the parts of one resolution tier (full or preview) into a
+// volume with exactly-once accounting — the one assembler under Stream,
+// StreamProgressive and Preview. A duplicated, out-of-range or undecodable
+// part fails the stream rather than silently overwriting.
+type tier struct {
+	name      string // "slice" | "preview slice", for error text
+	vol       *volume.Volume
+	seen      []bool
+	got       int   // distinct parts placed
+	factor    int   // decimation factor of the first part (0: full resolution)
+	wire, raw int64 // payload bytes as received / after content decoding
+}
+
+func (t *tier) add(p api.SlicePart) error {
+	blob := p.Payload
+	switch p.Encoding {
+	case "":
+	case api.EncodingGzip:
+		var err error
+		if blob, err = compress.Gunzip(blob); err != nil {
+			return fmt.Errorf("client: %s %d: %w", t.name, p.Z, err)
+		}
+	default:
+		return fmt.Errorf("client: %s %d: unknown Content-Encoding %q", t.name, p.Z, p.Encoding)
+	}
+	img, err := volume.ImageFromBytes(blob)
+	if err != nil {
+		return fmt.Errorf("client: %s %d payload: %w", t.name, p.Z, err)
+	}
+	if t.vol == nil {
+		t.vol = volume.New(img.W, img.H, p.Total, volume.IMajor)
+		t.seen = make([]bool, p.Total)
+		t.factor = p.Factor
+	}
+	if p.Z >= len(t.seen) {
+		return fmt.Errorf("client: %s index %d out of range [0,%d)", t.name, p.Z, len(t.seen))
+	}
+	if t.seen[p.Z] {
+		return fmt.Errorf("client: %s %d delivered twice", t.name, p.Z)
+	}
+	t.seen[p.Z] = true
+	t.got++
+	t.wire += int64(len(p.Payload))
+	t.raw += int64(len(blob))
+	return t.vol.SetSliceZ(p.Z, img)
 }

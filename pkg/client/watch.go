@@ -1,14 +1,11 @@
 package client
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"ifdk/pkg/api"
@@ -82,34 +79,19 @@ func (e *callbackError) Error() string { return e.err.Error() }
 // the terminal state if the stream completed, or the highest delivered seq
 // plus the reason it ended early.
 func (c *Client) watchOnce(ctx context.Context, id string, lastSeq int64, fn func(api.Event) error) (api.State, int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return "", lastSeq, err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	req.Header.Set("Cache-Control", "no-cache")
+	hdr := map[string]string{"Accept": "text/event-stream", "Cache-Control": "no-cache"}
 	if lastSeq > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatInt(lastSeq, 10))
+		hdr["Last-Event-ID"] = strconv.FormatInt(lastSeq, 10)
 	}
-	resp, err := c.http.Do(req)
+	resp, err := c.Open(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", hdr, nil)
 	if err != nil {
 		return "", lastSeq, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", lastSeq, decodeError(resp)
 	}
 	defer resp.Body.Close()
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var e api.Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &e); err != nil {
-			return "", lastSeq, fmt.Errorf("client: bad event payload: %w", err)
+	for e, err := range api.ReadEvents(resp.Body) {
+		if err != nil {
+			return "", lastSeq, fmt.Errorf("client: %w", err)
 		}
 		if e.Seq <= lastSeq {
 			continue // replay overlap after a reconnect; already delivered
@@ -123,9 +105,6 @@ func (c *Client) watchOnce(ctx context.Context, id string, lastSeq int64, fn fun
 		if e.Type.Terminal() {
 			return e.State, lastSeq, nil
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", lastSeq, err
 	}
 	// EOF without a terminal event: the connection was dropped mid-stream.
 	return "", lastSeq, fmt.Errorf("client: event stream for %s ended without a terminal event", id)
