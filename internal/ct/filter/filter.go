@@ -4,16 +4,21 @@
 // Theorem path of Sec. 2.2.3).
 //
 // The paper runs this stage on the CPUs with multi-threading and SIMD; here
-// the multi-threading maps to the shared engine scheduler (ApplyBatch) and
-// the FFT primitive is internal/fft.
+// the multi-threading maps to the shared engine scheduler (Sweep) and the
+// FFT primitives are the radix-4 passes of internal/ct/kernels.
 //
-// Hot path. Detector rows are real float32, so the production path
-// (Apply/ApplyInto) transforms each row with a half-spectrum real FFT and
-// multiplies by a precomputed float32 ramp spectrum — no complex128 round
-// trip, no per-row allocation (scratch comes from engine buffer pools, and
-// ApplyInto may filter a projection in place). The original complex128 path
-// is kept as ApplyRef: it is the high-precision reference that parity tests
-// and benchmarks compare against.
+// Hot path. Detector rows are real float32 and the ramp spectrum is real and
+// even, so the production path (Apply/ApplyInto/Sweep) filters two rows per
+// complex FFT: rows 2k and 2k+1 of a projection are cosine-weighted into the
+// real and imaginary parts of one zero-padded complex64 row, transformed by
+// decimation in frequency (natural in, bit-reversed out), multiplied by the
+// ramp gain — stored once in bit-reversed order with 1/L folded in — and
+// transformed back by decimation in time (bit-reversed in, natural out). A
+// real gain never mixes the two parts, so they come back as the two
+// filtered rows: no permutation, no half-spectrum unpack, no scaling pass,
+// no per-row allocation (the one scratch row comes from an engine buffer
+// pool, and ApplyInto may filter a projection in place). The complex128
+// row-at-a-time path the parity tests compare against lives in ref_test.go.
 //
 // Scaling. The filtered projections are pre-multiplied by the FDK constants
 // θ·d²·τ/2 (angular step × distance-weight numerator × effective detector
@@ -25,6 +30,7 @@ package filter
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/kernels"
@@ -33,14 +39,11 @@ import (
 	"ifdk/pkg/volume"
 )
 
-// Shared scratch pools for row filtering: one padded real row and one half
-// spectrum per in-flight ApplyInto call, reused across rows, projections and
-// Filterers (pools key by length, and all Filterers of one geometry share
-// lengths).
-var (
-	rowPool  engine.BufPool[float32]
-	specPool engine.BufPool[complex64]
-)
+// pairPool holds the scratch of the row-pair path: one padded complex row
+// per in-flight ApplyInto call or Sweep chunk, reused across pairs,
+// projections and Filterers (the pool keys by length, and all Filterers of
+// one geometry share it).
+var pairPool engine.BufPool[complex64]
 
 // Window selects the apodization applied to the ramp filter's frequency
 // response. The paper notes the ramp shape affects image quality but not
@@ -136,17 +139,24 @@ func CosineTable(g geometry.Params) *volume.Image {
 // Filterer applies the filtering stage to projections of a fixed geometry.
 // It precomputes the cosine table and the windowed ramp spectrum once; a
 // Filterer is safe for concurrent use by multiple goroutines.
+//
+// Containment. Rows are filtered in fixed pairs — always (2k, 2k+1) of the
+// same projection, an odd last row paired with zeros — so the result does
+// not depend on how rows are scheduled: ApplyInto, Sweep at any worker count
+// and ApplyBatch are bit-identical. The two rows of a pair share one complex
+// transform, so each sees the other's rounding error (within the same 1e-6
+// of the pair's peak as the transform itself), and a NaN or ±Inf in one row
+// poisons its pair partner as well as its own row. It never reaches another
+// pair.
 type Filterer struct {
 	g      geometry.Params
 	win    Window
 	cosTab *volume.Image
 	l      int
-	// Hot path: half-spectrum real FFT over float32.
-	rplan  *fft.RealPlan
-	spec32 []float32 // scaled, windowed ramp spectrum, bins 0..L/2 (real-valued)
-	// Reference path: the original complex128 round trip (ApplyRef).
-	plan *fft.Plan
-	spec []complex128 // scaled, windowed ramp spectrum (length L)
+	fwd    []complex64 // kernels.FFTTwiddles(l), forward
+	inv    []complex64 // … and inverse
+	gain   []float32   // scaled, windowed ramp spectrum / l, in bit-reversed bin order
+	zero   []float32   // the partner of an odd last row
 }
 
 // New builds a Filterer for the geometry and window.
@@ -155,6 +165,30 @@ func New(g geometry.Params, win Window) (*Filterer, error) {
 		return nil, err
 	}
 	l := fft.NextPow2(2 * g.Nu)
+	spec, err := rampSpectrum(g, win, l)
+	if err != nil {
+		return nil, err
+	}
+	// The spectrum is real and even, so it narrows to a float32 gain per
+	// bin, computed in float64 and rounded once. It is stored where the
+	// forward transform leaves each bin and carries the inverse's 1/l.
+	gain := make([]float32, l)
+	shift := 32 - bits.TrailingZeros(uint(l))
+	for i := range gain {
+		k := int(uint64(bits.Reverse32(uint32(i))) >> shift)
+		gain[i] = float32(real(spec[k]) / float64(l))
+	}
+	return &Filterer{
+		g: g, win: win, cosTab: CosineTable(g), l: l,
+		fwd: kernels.FFTTwiddles(l, false), inv: kernels.FFTTwiddles(l, true),
+		gain: gain, zero: make([]float32, g.Nu),
+	}, nil
+}
+
+// rampSpectrum returns the length-l spectrum of the windowed ramp filter
+// with the FDK constants folded in. The taps are arranged symmetrically
+// (offset k at k and l-k), so it is real and even.
+func rampSpectrum(g geometry.Params, win Window, l int) ([]complex128, error) {
 	plan, err := fft.NewPlan(l)
 	if err != nil {
 		return nil, err
@@ -183,22 +217,7 @@ func New(g geometry.Params, win Window) (*Filterer, error) {
 		f /= float64(l / 2) // fraction of Nyquist
 		buf[k] *= complex(scale*win.gain(f), 0)
 	}
-	// The circular arrangement is symmetric (taps[k] at k and L-k), so the
-	// spectrum is real and even: the half spectrum narrows to a float32
-	// gain per bin, computed in float64 above and rounded once.
-	rplan, err := fft.NewRealPlan(l)
-	if err != nil {
-		return nil, err
-	}
-	spec32 := make([]float32, l/2+1)
-	for k := range spec32 {
-		spec32[k] = float32(real(buf[k]))
-	}
-	return &Filterer{
-		g: g, win: win, cosTab: CosineTable(g), l: l,
-		rplan: rplan, spec32: spec32,
-		plan: plan, spec: buf,
-	}, nil
+	return buf, nil
 }
 
 // Geometry returns the geometry this Filterer was built for.
@@ -219,10 +238,10 @@ func (f *Filterer) Apply(e *volume.Image) (*volume.Image, error) {
 }
 
 // ApplyInto filters e into q, which must both match the geometry. q may be
-// e itself: rows are fully read into pooled scratch before being written
-// back, so in-place filtering is safe — the pipeline filters each loaded
-// projection in place and never allocates a second image. Steady state
-// performs zero heap allocations.
+// e itself: both rows of a pair are fully read into pooled scratch before
+// either is written back, so in-place filtering is safe — the pipeline
+// filters each loaded projection in place and never allocates a second
+// image. Steady state performs zero heap allocations.
 //
 //ifdk:hotpath
 func (f *Filterer) ApplyInto(e, q *volume.Image) error {
@@ -234,72 +253,53 @@ func (f *Filterer) ApplyInto(e, q *volume.Image) error {
 		return fmt.Errorf("filter: output %dx%d does not match projection %dx%d",
 			q.W, q.H, e.W, e.H)
 	}
-	row := rowPool.Acquire(f.l)
-	spec := specPool.Acquire(f.l/2 + 1)
-	for v := 0; v < e.H; v++ {
-		f.filterRowRFFT(e.Row(v), f.cosTab.Row(v), q.Row(v), row.Data, spec.Data)
+	buf := pairPool.Acquire(f.l)
+	for v := 0; v < e.H; v += 2 {
+		f.filterPair(e, q, v, buf.Data)
 	}
-	spec.Release()
-	row.Release()
+	buf.Release()
 	return nil
 }
 
-// filterRowRFFT is the hot path: cosine-weight the row, transform with the
-// half-spectrum real plan, scale each bin by the real ramp gain, transform
-// back. All arithmetic is float32; the O(Nu) loops are kernels calls.
+// filterPair is the hot path: rows v and v+1 of e (v even) through one
+// forward and one inverse complex transform into the same rows of q. All
+// arithmetic is float32; the O(Nu) and O(L log L) loops are kernels calls.
 //
 //ifdk:hotpath
-func (f *Filterer) filterRowRFFT(in, cos, out, row []float32, spec []complex64) {
-	kernels.CosineWeight(row, in, cos) // point-wise ·F_cos
-	clear(row[len(in):])
-	f.rplan.Forward(spec, row)
-	kernels.SpectralMul(spec, f.spec32)
-	f.rplan.Inverse(row, spec)
-	copy(out, row[:len(out)])
-}
-
-// ApplyRef filters one projection through the original complex128 path. It
-// is the high-precision reference implementation: parity tests pin the RFFT
-// hot path to it, and BenchmarkFilterRFFT measures the gap. Not used by the
-// pipeline.
-func (f *Filterer) ApplyRef(e *volume.Image) (*volume.Image, error) {
-	if e.W != f.g.Nu || e.H != f.g.Nv {
-		return nil, fmt.Errorf("filter: projection %dx%d does not match geometry %dx%d",
-			e.W, e.H, f.g.Nu, f.g.Nv)
+func (f *Filterer) filterPair(e, q *volume.Image, v int, buf []complex64) {
+	paired := v+1 < e.H
+	if paired {
+		kernels.CosineWeightPair(buf, e.Row(v), f.cosTab.Row(v), e.Row(v+1), f.cosTab.Row(v+1))
+	} else {
+		kernels.CosineWeightPair(buf, e.Row(v), f.cosTab.Row(v), f.zero, f.zero)
 	}
-	q := volume.NewImage(e.W, e.H)
-	buf := make([]complex128, f.l)
-	for v := 0; v < e.H; v++ {
-		f.filterRow(e.Row(v), f.cosTab.Row(v), q.Row(v), buf)
+	clear(buf[e.W:])
+	kernels.DIF(buf, f.fwd)
+	kernels.SpectralMul(buf, f.gain)
+	kernels.DIT(buf, f.inv)
+	out := q.Row(v)
+	if !paired {
+		for u := range out {
+			out[u] = real(buf[u])
+		}
+		return
 	}
-	return q, nil
-}
-
-func (f *Filterer) filterRow(in, cos, out []float32, buf []complex128) {
-	for u := range buf {
-		buf[u] = 0
-	}
-	for u := range in {
-		buf[u] = complex(float64(in[u])*float64(cos[u]), 0) // point-wise ·F_cos
-	}
-	f.plan.Forward(buf)
-	for k := range buf {
-		buf[k] *= f.spec[k]
-	}
-	f.plan.Inverse(buf)
+	out1 := q.Row(v + 1)[:len(out)]
+	buf = buf[:len(out)]
 	for u := range out {
-		out[u] = float32(real(buf[u]))
+		out[u], out1[u] = real(buf[u]), imag(buf[u])
 	}
 }
 
 // Sweep filters every projection of ins into the matching entry of outs in
-// one shared pass: all rows of all projections form a single flat index
+// one shared pass: all row pairs of all projections form a single flat index
 // space scheduled as one engine.ParallelRange, so N co-scheduled projections
-// cost one sweep over the cosine table and ramp spectrum instead of N.
-// workers 0 means GOMAXPROCS. outs[i] may be ins[i] (rows are
-// staged through pooled scratch, as in ApplyInto). Dimensions are validated
-// up front; nothing is written when an error is returned. Steady state
-// allocates nothing beyond the scheduler's pooled job descriptors.
+// cost one sweep over the cosine table and ramp gain instead of N.
+// workers 0 means GOMAXPROCS; the result does not depend on it. outs[i] may
+// be ins[i] (pairs are staged through pooled scratch, as in ApplyInto).
+// Dimensions are validated up front; nothing is written when an error is
+// returned. Steady state allocates nothing per pair or per projection: one
+// closure per sweep, retained by the scheduler's pooled job descriptor.
 //
 //ifdk:hotpath
 func (f *Filterer) Sweep(ins, outs []*volume.Image, workers int) error {
@@ -316,16 +316,13 @@ func (f *Filterer) Sweep(ins, outs []*volume.Image, workers int) error {
 				n, q.W, q.H, e.W, e.H)
 		}
 	}
-	nv := f.g.Nv
-	engine.ParallelRange(len(ins)*nv, workers, func(lo, hi int) {
-		row := rowPool.Acquire(f.l)
-		spec := specPool.Acquire(f.l/2 + 1)
+	pairs := (f.g.Nv + 1) / 2
+	engine.ParallelRange(len(ins)*pairs, workers, func(lo, hi int) {
+		buf := pairPool.Acquire(f.l)
 		for idx := lo; idx < hi; idx++ {
-			e, q, v := ins[idx/nv], outs[idx/nv], idx%nv
-			f.filterRowRFFT(e.Row(v), f.cosTab.Row(v), q.Row(v), row.Data, spec.Data)
+			f.filterPair(ins[idx/pairs], outs[idx/pairs], 2*(idx%pairs), buf.Data)
 		}
-		spec.Release()
-		row.Release()
+		buf.Release()
 	})
 	return nil
 }

@@ -153,4 +153,24 @@ func TestApplyIntoSteadyStateAllocs(t *testing.T) {
 	if avg > 0.5 {
 		t.Errorf("ApplyInto allocates %.2f objects/projection in steady state", avg)
 	}
+	// The shared sweep, serial and fanned out: nothing per row pair or per
+	// projection. The one object a sweep may allocate is the closure it
+	// hands engine.ParallelRange, which the scheduler's job descriptor
+	// retains (the pattern hotpathcheck allows).
+	ins, outs := []*volume.Image{e, e}, []*volume.Image{q, volume.NewImage(g.Nu, g.Nv)}
+	for _, workers := range []int{1, 2} {
+		for i := 0; i < 10; i++ {
+			if err := f.Sweep(ins, outs, workers); err != nil {
+				t.Fatal(err)
+			}
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			if err := f.Sweep(ins, outs, workers); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > 1 {
+			t.Errorf("Sweep(workers=%d) allocates %.2f objects/sweep in steady state, want ≤ 1", workers, avg)
+		}
+	}
 }

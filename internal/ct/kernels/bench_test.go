@@ -10,8 +10,8 @@ import (
 )
 
 // Benchmarks for every fast/ref kernel pair at the shapes the pipeline
-// actually runs (Nu = 512 geometry: 1024-point padded rows, 512-point
-// half transforms, 512² transposed projections). The `ref` leg calls the
+// actually runs (Nu = 512 geometry: 1024-point padded row pairs, 512²
+// transposed projections). The `ref` leg calls the
 // exported reference, the `fast` leg the dispatching entry point. These are
 // working micro-benchmarks for `go test -bench`; the numbers the repo
 // commits to come from benchmark/'s fft.* / filter.* / backproject.* rows.
@@ -33,24 +33,25 @@ func randC64(rng *rand.Rand, n int) []complex64 {
 }
 
 func BenchmarkKernelsCosineWeight(b *testing.B) {
-	const n = 1024
+	const n = 512
 	rng := rand.New(rand.NewSource(1))
-	src, cos, dst := randF32(rng, n), randF32(rng, n), make([]float32, n)
+	src0, cos0, src1, cos1 := randF32(rng, n), randF32(rng, n), randF32(rng, n), randF32(rng, n)
+	dst := make([]complex64, n)
 	for _, leg := range []struct {
 		name string
-		fn   func(dst, src, cos []float32)
-	}{{"ref", kernels.CosineWeightRef}, {"fast", kernels.CosineWeight}} {
+		fn   func(dst []complex64, src0, cos0, src1, cos1 []float32)
+	}{{"ref", kernels.CosineWeightPairRef}, {"fast", kernels.CosineWeightPair}} {
 		b.Run(leg.name, func(b *testing.B) {
-			b.SetBytes(4 * n)
+			b.SetBytes(2 * 4 * n)
 			for i := 0; i < b.N; i++ {
-				leg.fn(dst, src, cos)
+				leg.fn(dst, src0, cos0, src1, cos1)
 			}
 		})
 	}
 }
 
 func BenchmarkKernelsSpectralMul(b *testing.B) {
-	const n = 513 // half spectrum of a 1024-point row
+	const n = 1024 // full spectrum of a 1024-point row pair
 	rng := rand.New(rand.NewSource(2))
 	// Unit-magnitude gains keep the repeatedly rescaled spectrum out of the
 	// denormal range, which would distort the timing.
@@ -72,30 +73,25 @@ func BenchmarkKernelsSpectralMul(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelsButterfly(b *testing.B) {
-	const n = 512 // the half transform behind a 1024-point padded row
+// BenchmarkKernelsRadix4 times one 1024-point transform — the padded row
+// pair of an Nu = 512 detector — in each order.
+func BenchmarkKernelsRadix4(b *testing.B) {
+	const n = 1024
 	rng := rand.New(rand.NewSource(3))
-	tw := make([]complex64, n/2)
-	for k := range tw {
-		angle := -2 * math.Pi * float64(k) / float64(n)
-		tw[k] = complex(float32(math.Cos(angle)), float32(math.Sin(angle)))
-	}
+	tw := kernels.FFTTwiddles(n, false)
 	x0 := randC64(rng, n)
 	x := make([]complex64, n)
 	for _, leg := range []struct {
 		name string
-		fn   func(x, tw []complex64, size, step int)
-	}{{"ref", kernels.ButterflyStageRef}, {"fast", kernels.ButterflyStage}} {
+		fn   func(x, tw []complex64)
+	}{{"dif/ref", kernels.DIFRef}, {"dif/fast", kernels.DIF}, {"dit/ref", kernels.DITRef}, {"dit/fast", kernels.DIT}} {
 		b.Run(leg.name, func(b *testing.B) {
 			b.SetBytes(8 * n)
 			for i := 0; i < b.N; i++ {
-				// Reset from a pristine copy: a full stage sweep grows
-				// magnitudes ~n×, which would hit Inf within a few
-				// iterations. One full sweep = the butterflies of one FFT.
+				// Reset from a pristine copy: a transform grows magnitudes
+				// ~n×, which would hit Inf within a few iterations.
 				copy(x, x0)
-				for size := 2; size <= n; size <<= 1 {
-					leg.fn(x, tw, size, n/size)
-				}
+				leg.fn(x, tw)
 			}
 		})
 	}

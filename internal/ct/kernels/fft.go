@@ -1,105 +1,268 @@
 package kernels
 
-// FFT butterfly kernel: one radix-2 pass of the iterative Cooley-Tukey
-// transform over complex64. The direction is encoded entirely in the twiddle
-// table (callers pass conjugated twiddles for the inverse transform), so the
-// per-butterfly direction branch of the pre-kernel implementation is gone
-// from the hot loop in both variants.
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
-// ButterflyStage applies the radix-2 butterflies of one transform stage in
-// place: for every aligned block of `size` elements of x and every
-// k < size/2,
+// FFT kernels: whole power-of-two complex64 transforms as radix-4 passes
+// (two radix-2 stages fused: 3 complex multiplies per 4 points, half the
+// loads and stores), in the two orders that need no permutation between
+// them — DIF takes natural order in and leaves bit-reversed order out, DIT
+// takes bit-reversed order in and leaves natural order out. The ramp filter
+// runs DIF → multiply by a gain stored bit-reversed → DIT and never
+// reorders a row; fft.Plan32 puts one permutation in front of DIT. When
+// log₂n is odd, one radix-2 pass over adjacent pairs makes up the
+// difference; that pass, or else the radix-4 pass over adjacent quads, has
+// unit twiddles and multiplies nothing.
 //
-//	a, b := x[s+k], x[s+k+size/2]·tw[k·step]
-//	x[s+k], x[s+k+size/2] = a+b, a-b
-//
-// len(x) must be a multiple of size; size must be a power of two ≥ 2; tw
-// must hold at least (size/2-1)·step+1 twiddles.
+// The direction is encoded entirely in the table FFTTwiddles builds, so a
+// table cannot be run the wrong way round: tw[0] is the quarter turn
+// exp(∓2πi/4) = ∓i, followed, per radix-4 pass of block size S = 4q from the
+// smallest up, by three contiguous runs of q twiddles exp(∓2πi·m·k/S), k < q,
+// for m = 1, 2, 3. Contiguous runs keep every load in the pass stride-1.
+
+// FFTTwiddles builds the table DIF and DIT need for an n-point transform (n
+// a power of two ≥ 1), forward or inverse. Twiddles are evaluated in float64
+// and rounded once, so the only single-precision error is in the
+// butterflies themselves.
+func FFTTwiddles(n int, inverse bool) []complex64 {
+	if n < 1 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("kernels: transform length %d is not a power of two", n))
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1
+	}
+	tw := make([]complex64, 1, n+1)
+	tw[0] = complex(0, float32(sign))
+	for size := firstRadix4(n); size <= n; size <<= 2 {
+		for m := 1; m <= 3; m++ {
+			for k := 0; k < size/4; k++ {
+				angle := sign * 2 * math.Pi * float64(m*k) / float64(size)
+				tw = append(tw, complex(float32(math.Cos(angle)), float32(math.Sin(angle))))
+			}
+		}
+	}
+	return tw
+}
+
+// firstRadix4 returns the block size of the smallest radix-4 pass of an
+// n-point transform: 4, or 8 when log₂n is odd and a radix-2 pass has taken
+// the adjacent pairs.
+func firstRadix4(n int) int {
+	return 4 << (bits.TrailingZeros(uint(n)) & 1)
+}
+
+// addSubPairs is the radix-2 pass over adjacent pairs that all four
+// transforms run when log₂n is odd. Unit twiddles: nothing to decompose.
 //
 //ifdk:hotpath
-func ButterflyStage(x, tw []complex64, size, step int) {
+func addSubPairs(x []complex64) {
+	for i := 0; i+2 <= len(x); i += 2 {
+		a, b := x[i], x[i+1]
+		x[i], x[i+1] = a+b, a-b
+	}
+}
+
+// DIF transforms x in place by decimation in frequency: natural order in,
+// bit-reversed order out, unscaled. tw must be FFTTwiddles(len(x), ·).
+//
+//ifdk:hotpath
+func DIF(x, tw []complex64) {
 	if useFast {
-		butterflyStageFast(x, tw, size, step)
+		difFast(x, tw)
 		return
 	}
-	ButterflyStageRef(x, tw, size, step)
+	DIFRef(x, tw)
 }
 
-// ButterflyStageRef is the scalar reference for ButterflyStage.
+// DIT transforms x in place by decimation in time: bit-reversed order in,
+// natural order out, unscaled. tw must be FFTTwiddles(len(x), ·), so
+// DIT(DIF(x, forward), inverse) is len(x)·x.
 //
 //ifdk:hotpath
-func ButterflyStageRef(x, tw []complex64, size, step int) {
-	half := size >> 1
-	for start := 0; start+size <= len(x); start += size {
-		for k := 0; k < half; k++ {
-			w := tw[k*step]
-			a := x[start+k]
-			b := x[start+k+half] * w
-			x[start+k] = a + b
-			x[start+k+half] = a - b
+func DIT(x, tw []complex64) {
+	if useFast {
+		ditFast(x, tw)
+		return
+	}
+	DITRef(x, tw)
+}
+
+// DIFRef is the scalar reference for DIF. Per block of S = 4q elements and
+// k < q, with a0..a3 = x[k], x[k+q], x[k+2q], x[k+3q], j the quarter turn
+// and w1, w2, w3 the pass's twiddle runs:
+//
+//	x[k]    = (a0+a2) + (a1+a3)
+//	x[k+q]  = ((a0+a2) - (a1+a3))·w2[k]
+//	x[k+2q] = ((a0-a2) + j·(a1-a3))·w1[k]
+//	x[k+3q] = ((a0-a2) - j·(a1-a3))·w3[k]
+//
+//ifdk:hotpath
+func DIFRef(x, tw []complex64) {
+	n := len(x)
+	s := imag(tw[0])
+	first := firstRadix4(n)
+	for size, end := n, len(tw); size >= first; size >>= 2 {
+		q := size >> 2
+		w := tw[end-3*q : end]
+		end -= 3 * q
+		for start := 0; start < n; start += size {
+			for k := 0; k < q; k++ {
+				i0, i1, i2, i3 := start+k, start+k+q, start+k+2*q, start+k+3*q
+				u0, u1 := x[i0]+x[i2], x[i1]+x[i3]
+				v0, v1 := x[i0]-x[i2], x[i1]-x[i3]
+				jv := complex(-s*imag(v1), s*real(v1))
+				x[i0] = u0 + u1
+				x[i1] = (u0 - u1) * w[q+k]
+				x[i2] = (v0 + jv) * w[k]
+				x[i3] = (v0 - jv) * w[2*q+k]
+			}
 		}
+	}
+	if first == 8 {
+		addSubPairs(x)
+	}
+}
+
+// DITRef is the scalar reference for DIT, the transpose of DIFRef: with
+// t1, t2, t3 = a1·w2[k], a2·w1[k], a3·w3[k],
+//
+//	x[k]    = (a0+t1) + (t2+t3)
+//	x[k+q]  = (a0-t1) + j·(t2-t3)
+//	x[k+2q] = (a0+t1) - (t2+t3)
+//	x[k+3q] = (a0-t1) - j·(t2-t3)
+//
+//ifdk:hotpath
+func DITRef(x, tw []complex64) {
+	n := len(x)
+	s := imag(tw[0])
+	first := firstRadix4(n)
+	if first == 8 {
+		addSubPairs(x)
+	}
+	w := tw[1:]
+	for size := first; size <= n; size <<= 2 {
+		q := size >> 2
+		for start := 0; start < n; start += size {
+			for k := 0; k < q; k++ {
+				i0, i1, i2, i3 := start+k, start+k+q, start+k+2*q, start+k+3*q
+				t1, t2, t3 := x[i1]*w[q+k], x[i2]*w[k], x[i3]*w[2*q+k]
+				u0, u1 := x[i0]+t1, t2+t3
+				v0, v1 := x[i0]-t1, t2-t3
+				jv := complex(-s*imag(v1), s*real(v1))
+				x[i0] = u0 + u1
+				x[i1] = v0 + jv
+				x[i2] = u0 - u1
+				x[i3] = v0 - jv
+			}
+		}
+		w = w[3*q:]
 	}
 }
 
 //ifdk:hotpath
-func butterflyStageFast(x, tw []complex64, size, step int) {
-	half := size >> 1
-	if half == 1 {
-		// First stage: w = tw[0] = 1, adjacent pairs, pure adds.
-		for i := 0; i+2 <= len(x); i += 2 {
-			a, b := x[i], x[i+1]
-			x[i] = a + b
-			x[i+1] = a - b
+func difFast(x, tw []complex64) {
+	n := len(x)
+	s := imag(tw[0])
+	end := len(tw)
+	// Every pass but the one over adjacent quads, which has unit twiddles.
+	for size := n; size >= 8; size >>= 2 {
+		q := size >> 2
+		w1, w2, w3 := tw[end-3*q:end-2*q], tw[end-2*q:end-q], tw[end-q:end]
+		end -= 3 * q
+		for start := 0; start < n; start += size {
+			// Four capped windows over the block's quarters, all resliced to
+			// one length: one bounds check each here buys check-free stride-1
+			// indexing below. Complex multiplies are decomposed into explicit
+			// float32 arithmetic — the complex64 operator would round-trip
+			// through float64.
+			xa := x[start : start+q : start+q]
+			xb := x[start+q : start+2*q : start+2*q][:len(xa)]
+			xc := x[start+2*q : start+3*q : start+3*q][:len(xa)]
+			xd := x[start+3*q : start+size : start+size][:len(xa)]
+			w1, w2, w3 := w1[:len(xa)], w2[:len(xa)], w3[:len(xa)]
+			for k := range xa {
+				a0, a1, a2, a3 := xa[k], xb[k], xc[k], xd[k]
+				u0r, u0i := real(a0)+real(a2), imag(a0)+imag(a2)
+				u1r, u1i := real(a1)+real(a3), imag(a1)+imag(a3)
+				v0r, v0i := real(a0)-real(a2), imag(a0)-imag(a2)
+				jvr, jvi := -s*(imag(a1)-imag(a3)), s*(real(a1)-real(a3))
+				xa[k] = complex(u0r+u1r, u0i+u1i)
+				br, bi := u0r-u1r, u0i-u1i
+				cr, ci := v0r+jvr, v0i+jvi
+				dr, di := v0r-jvr, v0i-jvi
+				w := w2[k]
+				xb[k] = complex(br*real(w)-bi*imag(w), br*imag(w)+bi*real(w))
+				w = w1[k]
+				xc[k] = complex(cr*real(w)-ci*imag(w), cr*imag(w)+ci*real(w))
+				w = w3[k]
+				xd[k] = complex(dr*real(w)-di*imag(w), dr*imag(w)+di*real(w))
+			}
 		}
+	}
+	if firstRadix4(n) == 8 {
+		addSubPairs(x)
 		return
 	}
-	if half == 2 {
-		// Second stage: w0 = 1 and w1 = tw[step] ≈ ∓i (the float32 twiddle
-		// may carry a ~1e-17 real part from rounding cos(π/2), which the
-		// shortcut drops — far below the kernel parity bound).
-		s := imag(tw[step])
-		for i := 0; i+4 <= len(x); i += 4 {
-			a0, a1 := x[i], x[i+1]
-			b0 := x[i+2]
-			b1v := x[i+3]
-			b1 := complex(-s*imag(b1v), s*real(b1v))
-			x[i] = a0 + b0
-			x[i+1] = a1 + b1
-			x[i+2] = a0 - b0
-			x[i+3] = a1 - b1
-		}
-		return
+	for i := 0; i+4 <= n; i += 4 {
+		y := x[i : i+4 : i+4]
+		a0, a1, a2, a3 := y[0], y[1], y[2], y[3]
+		u0, u1, v0 := a0+a2, a1+a3, a0-a2
+		jv := complex(-s*(imag(a1)-imag(a3)), s*(real(a1)-real(a3)))
+		y[0], y[1], y[2], y[3] = u0+u1, u0-u1, v0+jv, v0-jv
 	}
-	step2, step3 := 2*step, 3*step
-	for start := 0; start+size <= len(x); start += size {
-		// Full-width capped windows over the block's two halves: one bounds
-		// check each here buys check-free stride-1 indexing below. The
-		// twiddle multiply is decomposed into explicit float32 arithmetic —
-		// the complex64 operator would round-trip through float64 — so the
-		// loop is pure float32 mul/add the compiler can pipeline.
-		xa := x[start : start+half : start+half]
-		xb := x[start+half : start+size : start+size]
-		k, ti := 0, 0
-		for ; k+4 <= half; k, ti = k+4, ti+4*step {
-			b0 := cmul(xb[k], tw[ti])
-			b1 := cmul(xb[k+1], tw[ti+step])
-			b2 := cmul(xb[k+2], tw[ti+step2])
-			b3 := cmul(xb[k+3], tw[ti+step3])
-			a0, a1, a2, a3 := xa[k], xa[k+1], xa[k+2], xa[k+3]
-			xa[k] = a0 + b0
-			xa[k+1] = a1 + b1
-			xa[k+2] = a2 + b2
-			xa[k+3] = a3 + b3
-			xb[k] = a0 - b0
-			xb[k+1] = a1 - b1
-			xb[k+2] = a2 - b2
-			xb[k+3] = a3 - b3
+}
+
+//ifdk:hotpath
+func ditFast(x, tw []complex64) {
+	n := len(x)
+	s := imag(tw[0])
+	first := firstRadix4(n)
+	w := tw[1:]
+	if first == 8 {
+		addSubPairs(x)
+	} else if n >= 4 {
+		for i := 0; i+4 <= n; i += 4 {
+			y := x[i : i+4 : i+4]
+			a0, a1, a2, a3 := y[0], y[1], y[2], y[3]
+			u0, u1, v0 := a0+a1, a2+a3, a0-a1
+			jv := complex(-s*(imag(a2)-imag(a3)), s*(real(a2)-real(a3)))
+			y[0], y[1], y[2], y[3] = u0+u1, v0+jv, u0-u1, v0-jv
 		}
-		for ; k < half; k, ti = k+1, ti+step {
-			a := xa[k]
-			b := cmul(xb[k], tw[ti])
-			xa[k] = a + b
-			xb[k] = a - b
+		first, w = 16, w[3:]
+	}
+	for size := first; size <= n; size <<= 2 {
+		q := size >> 2
+		w1, w2, w3 := w[:q], w[q:2*q], w[2*q:3*q]
+		w = w[3*q:]
+		for start := 0; start < n; start += size {
+			// Same windows and float32 decomposition as difFast.
+			xa := x[start : start+q : start+q]
+			xb := x[start+q : start+2*q : start+2*q][:len(xa)]
+			xc := x[start+2*q : start+3*q : start+3*q][:len(xa)]
+			xd := x[start+3*q : start+size : start+size][:len(xa)]
+			w1, w2, w3 := w1[:len(xa)], w2[:len(xa)], w3[:len(xa)]
+			for k := range xa {
+				a0, a1, a2, a3 := xa[k], xb[k], xc[k], xd[k]
+				wa, wb, wc := w2[k], w1[k], w3[k]
+				t1r := real(a1)*real(wa) - imag(a1)*imag(wa)
+				t1i := real(a1)*imag(wa) + imag(a1)*real(wa)
+				t2r := real(a2)*real(wb) - imag(a2)*imag(wb)
+				t2i := real(a2)*imag(wb) + imag(a2)*real(wb)
+				t3r := real(a3)*real(wc) - imag(a3)*imag(wc)
+				t3i := real(a3)*imag(wc) + imag(a3)*real(wc)
+				u0r, u0i := real(a0)+t1r, imag(a0)+t1i
+				v0r, v0i := real(a0)-t1r, imag(a0)-t1i
+				u1r, u1i := t2r+t3r, t2i+t3i
+				jvr, jvi := -s*(t2i-t3i), s*(t2r-t3r)
+				xa[k] = complex(u0r+u1r, u0i+u1i)
+				xb[k] = complex(v0r+jvr, v0i+jvi)
+				xc[k] = complex(u0r-u1r, u0i-u1i)
+				xd[k] = complex(v0r-jvr, v0i-jvi)
+			}
 		}
 	}
 }
@@ -215,17 +378,4 @@ func realRepackFast(spec, w []complex64, m int) {
 		spec[k] = complex(er-oi, ei+or)
 		spec[m-k] = complex(er+oi, or-ei)
 	}
-}
-
-// cmul multiplies two complex64 values in single precision. The builtin
-// complex64 product promotes through float64 and rounds back; keeping every
-// operation in float32 differs from it by at most one rounding step per
-// component (double rounding of a·c-b·d), far inside the kernel parity
-// bound, and roughly halves the cost of the butterfly.
-//
-//ifdk:hotpath
-func cmul(a, w complex64) complex64 {
-	ar, ai := real(a), imag(a)
-	wr, wi := real(w), imag(w)
-	return complex(ar*wr-ai*wi, ar*wi+ai*wr)
 }

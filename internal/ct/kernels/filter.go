@@ -1,50 +1,51 @@
 package kernels
 
-// Filtering-stage kernels: the two O(Nu) loops executed once per detector
-// row (Alg. 1) — point-wise cosine weighting and the half-spectrum ramp
-// multiply.
+// Filtering-stage kernels: the two O(Nu) loops executed once per pair of
+// detector rows (Alg. 1) — point-wise cosine weighting into one complex row
+// and the ramp multiply of its spectrum.
 
-// CosineWeight computes dst[i] = src[i]·cos[i] for i < len(src). dst and
-// cos must be at least len(src) long; dst may alias src.
+// CosineWeightPair cosine-weights two detector rows straight into the real
+// and imaginary parts of one complex row:
+// dst[i] = complex(src0[i]·cos0[i], src1[i]·cos1[i]) for i < len(src0). The
+// other four operands must be at least len(src0) long.
 //
 //ifdk:hotpath
-func CosineWeight(dst, src, cos []float32) {
+func CosineWeightPair(dst []complex64, src0, cos0, src1, cos1 []float32) {
 	if useFast {
-		cosineWeightFast(dst, src, cos)
+		cosineWeightPairFast(dst, src0, cos0, src1, cos1)
 		return
 	}
-	CosineWeightRef(dst, src, cos)
+	CosineWeightPairRef(dst, src0, cos0, src1, cos1)
 }
 
-// CosineWeightRef is the scalar reference for CosineWeight.
+// CosineWeightPairRef is the scalar reference for CosineWeightPair.
 //
 //ifdk:hotpath
-func CosineWeightRef(dst, src, cos []float32) {
-	for u := range src {
-		dst[u] = src[u] * cos[u]
+func CosineWeightPairRef(dst []complex64, src0, cos0, src1, cos1 []float32) {
+	for u := range src0 {
+		dst[u] = complex(src0[u]*cos0[u], src1[u]*cos1[u])
 	}
 }
 
 //ifdk:hotpath
-func cosineWeightFast(dst, src, cos []float32) {
-	n := len(src)
-	// Reslicing all three operands to the common length lets the compiler
-	// drop the bounds checks inside the unrolled loop.
-	dst = dst[:n]
-	cos = cos[:n]
+func cosineWeightPairFast(dst []complex64, src0, cos0, src1, cos1 []float32) {
+	n := len(src0)
+	// Reslicing every operand to the common length lets the compiler drop
+	// the bounds checks inside the unrolled loop.
+	dst, cos0, src1, cos1 = dst[:n], cos0[:n], src1[:n], cos1[:n]
 	u := 0
 	for ; u+4 <= n; u += 4 {
-		d0 := src[u] * cos[u]
-		d1 := src[u+1] * cos[u+1]
-		d2 := src[u+2] * cos[u+2]
-		d3 := src[u+3] * cos[u+3]
+		d0 := complex(src0[u]*cos0[u], src1[u]*cos1[u])
+		d1 := complex(src0[u+1]*cos0[u+1], src1[u+1]*cos1[u+1])
+		d2 := complex(src0[u+2]*cos0[u+2], src1[u+2]*cos1[u+2])
+		d3 := complex(src0[u+3]*cos0[u+3], src1[u+3]*cos1[u+3])
 		dst[u] = d0
 		dst[u+1] = d1
 		dst[u+2] = d2
 		dst[u+3] = d3
 	}
 	for ; u < n; u++ {
-		dst[u] = src[u] * cos[u]
+		dst[u] = complex(src0[u]*cos0[u], src1[u]*cos1[u])
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package kernels holds the innermost loops of the reconstruction pipeline
-// — cosine weighting, the spectral ramp multiply, the FFT butterfly passes,
+// — cosine weighting, the spectral ramp multiply, the radix-4 FFT passes,
 // and the back-projection per-voxel inner product — in two interchangeable
 // forms:
 //
@@ -17,9 +17,10 @@
 //
 // Every fast kernel performs the same floating-point operations in the same
 // order as its reference — the AVX2 tier included: separate multiplies and
-// adds, no FMA — so CosineWeight, SpectralMul, ColumnGeom and AccumLinePair
-// are bit-identical across reference, portable and AVX2 (property tests
-// assert exact equality, far inside the required ≤1e-5 parity bound). Border
+// adds, no FMA — so CosineWeightPair, SpectralMul, ColumnGeom and
+// AccumLinePair are bit-identical across reference, portable and AVX2
+// (property tests assert exact equality, far inside the required ≤1e-5
+// parity bound). Border
 // and non-finite coordinates in the back-projection kernel fall back to the
 // reference formula per sample, so NaN/Inf propagate identically.
 //

@@ -1,17 +1,19 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
 
 // Parity policy, asserted by these tests:
 //
-//   - CosineWeight, SpectralMul, ColumnGeom and AccumLinePair perform the
+//   - CosineWeightPair, SpectralMul, ColumnGeom and AccumLinePair perform the
 //     same float32 operations in the same order in both variants, so fast
 //     and ref are BIT-identical — including NaN/Inf propagation.
-//   - ButterflyStage, RealUnpack and RealRepack decompose the complex64
+//   - DIF, DIT, RealUnpack and RealRepack decompose the complex64
 //     multiply into explicit float32 arithmetic in the fast variant (the
 //     builtin rounds through float64), so they differ by ~1 ulp per
 //     operation: parity is checked to 1e-6 relative — 10× tighter than the
@@ -80,23 +82,18 @@ func TestCosineWeightParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range widths {
 		for trial := 0; trial < 20; trial++ {
-			src := randRow(rng, n, trial%3 == 0)
-			cos := randRow(rng, n, trial%5 == 0)
-			ref := make([]float32, n)
-			fast := make([]float32, n)
-			CosineWeightRef(ref, src, cos)
-			cosineWeightFast(fast, src, cos)
+			src0, src1 := randRow(rng, n, trial%3 == 0), randRow(rng, n, trial%4 == 0)
+			cos0, cos1 := randRow(rng, n, trial%5 == 0), randRow(rng, n, false)
+			ref := make([]complex64, n)
+			fast := make([]complex64, n)
+			CosineWeightPairRef(ref, src0, cos0, src1, cos1)
+			cosineWeightPairFast(fast, src0, cos0, src1, cos1)
 			for i := range ref {
-				if !eqBits(ref[i], fast[i]) {
+				if !eqBits(real(ref[i]), real(fast[i])) || !eqBits(imag(ref[i]), imag(fast[i])) {
 					t.Fatalf("n=%d: dst[%d] ref=%v fast=%v", n, i, ref[i], fast[i])
 				}
-			}
-			// In-place aliasing (dst == src), as used by the filter.
-			inPlace := append([]float32(nil), src...)
-			cosineWeightFast(inPlace, inPlace, cos)
-			for i := range ref {
-				if !eqBits(ref[i], inPlace[i]) {
-					t.Fatalf("n=%d: aliased dst[%d] ref=%v fast=%v", n, i, ref[i], inPlace[i])
+				if !eqBits(real(ref[i]), src0[i]*cos0[i]) || !eqBits(imag(ref[i]), src1[i]*cos1[i]) {
+					t.Fatalf("n=%d: dst[%d] = %v, want (%v, %v)", n, i, ref[i], src0[i]*cos0[i], src1[i]*cos1[i])
 				}
 			}
 		}
@@ -155,47 +152,116 @@ func TestColumnGeomParity(t *testing.T) {
 	}
 }
 
-// twiddles builds the forward (or conjugated inverse) twiddle table for an
-// n-point transform, mirroring fft.NewPlan32.
-func twiddles(n int, inverse bool) []complex64 {
-	tw := make([]complex64, n/2)
-	for k := range tw {
-		angle := -2 * math.Pi * float64(k) / float64(n)
-		if inverse {
-			angle = -angle
-		}
-		tw[k] = complex(float32(math.Cos(angle)), float32(math.Sin(angle)))
+func randComplex(rng *rand.Rand, n int, poison bool) []complex64 {
+	re, im := randRow(rng, n, poison), randRow(rng, n, poison)
+	x := make([]complex64, n)
+	for i := range x {
+		x[i] = complex(re[i], im[i])
 	}
-	return tw
+	return x
 }
 
-func TestButterflyStageParity(t *testing.T) {
+// bitReverse returns x permuted so out[i] = x[rev(i)] over log₂len(x) bits.
+func bitReverse(x []complex64) []complex64 {
+	out := make([]complex64, len(x))
+	shift := 32 - bits.TrailingZeros(uint(len(x)))
+	for i := range x {
+		out[i] = x[int(uint64(bits.Reverse32(uint32(i)))>>shift)]
+	}
+	return out
+}
+
+// fftLengths covers n < 4 (no radix-4 pass), both parities of log₂n and the
+// pipeline's 1024- and 2048-point rows.
+var fftLengths = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 2048}
+
+// Fast and reference transforms must agree to 1e-6 of the peak in both
+// orders and both directions, and a NaN or ±Inf must poison the same
+// elements in both.
+func TestRadix4Parity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{2, 4, 8, 16, 64, 256, 1024} {
+	for _, n := range fftLengths {
 		for _, inverse := range []bool{false, true} {
-			tw := twiddles(n, inverse)
+			tw := FFTTwiddles(n, inverse)
 			for trial := 0; trial < 10; trial++ {
-				poison := trial >= 7
-				re := randRow(rng, n, poison)
-				im := randRow(rng, n, poison)
-				ref := make([]complex64, n)
-				fast := make([]complex64, n)
-				for i := range ref {
-					ref[i] = complex(re[i], im[i])
-					fast[i] = ref[i]
-				}
-				// Run every stage of the transform so each (size, step)
-				// combination — and the size-2/4 special cases — is hit.
-				for size := 2; size <= n; size <<= 1 {
-					ButterflyStageRef(ref, tw, size, n/size)
-					butterflyStageFast(fast, tw, size, n/size)
-					checkComplexParity(t, "butterfly", ref, fast, 1e-6)
-					// Re-sync so per-stage differences do not compound into
-					// the next stage's comparison.
-					copy(fast, ref)
+				x := randComplex(rng, n, trial >= 7)
+				for _, leg := range []struct {
+					name      string
+					ref, fast func(x, tw []complex64)
+				}{{"dif", DIFRef, difFast}, {"dit", DITRef, ditFast}} {
+					ref := append([]complex64(nil), x...)
+					fast := append([]complex64(nil), x...)
+					leg.ref(ref, tw)
+					leg.fast(fast, tw)
+					checkComplexParity(t, fmt.Sprintf("%s n=%d inverse=%v", leg.name, n, inverse), ref, fast, 1e-6)
 				}
 			}
 		}
+	}
+}
+
+// DIF must leave the DFT in bit-reversed order and DIT must compute the DFT
+// of a bit-reversed input, against a naive float64 DFT; and an inverse DIT
+// straight after a forward DIF — no permutation between them — must return
+// n·x, which is what the ramp filter relies on.
+func TestRadix4MatchesDFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range fftLengths {
+		if n > 256 {
+			continue // the naive DFT is O(n²)
+		}
+		x := randComplex(rng, n, false)
+		for _, inverse := range []bool{false, true} {
+			sign := -1.0
+			if inverse {
+				sign = 1
+			}
+			want := make([]complex64, n)
+			for k := range want {
+				var acc complex128
+				for j, v := range x {
+					sin, cos := math.Sincos(sign * 2 * math.Pi * float64(j*k%n) / float64(n))
+					acc += complex128(v) * complex(cos, sin)
+				}
+				want[k] = complex64(acc)
+			}
+			tw := FFTTwiddles(n, inverse)
+			for _, ref := range []bool{false, true} {
+				dif, dit := difFast, ditFast
+				if ref {
+					dif, dit = DIFRef, DITRef
+				}
+				got := append([]complex64(nil), x...)
+				dif(got, tw)
+				checkComplexParity(t, fmt.Sprintf("dif n=%d inverse=%v ref=%v", n, inverse, ref), bitReverse(want), got, 1e-6)
+				got = bitReverse(x)
+				dit(got, tw)
+				checkComplexParity(t, fmt.Sprintf("dit n=%d inverse=%v ref=%v", n, inverse, ref), want, got, 1e-6)
+			}
+		}
+	}
+	for _, n := range fftLengths {
+		x := randComplex(rng, n, false)
+		got := append([]complex64(nil), x...)
+		difFast(got, FFTTwiddles(n, false))
+		ditFast(got, FFTTwiddles(n, true))
+		for i := range got {
+			got[i] = complex(real(got[i])/float32(n), imag(got[i])/float32(n))
+		}
+		checkComplexParity(t, fmt.Sprintf("dit(dif) n=%d", n), x, got, 1e-6)
+	}
+}
+
+func TestFFTTwiddlesRejectsNonPow2(t *testing.T) {
+	for _, n := range []int{0, 3, 12, -8} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FFTTwiddles(%d) should panic", n)
+				}
+			}()
+			FFTTwiddles(n, false)
+		}()
 	}
 }
 

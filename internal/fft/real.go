@@ -1,14 +1,9 @@
 package fft
 
-// Single-precision transforms for the filtering hot path.
+// Single-precision transforms over complex64 and real float32 signals:
 //
-// The ramp-filter convolution operates on real float32 detector rows, yet
-// the original pipeline widened every row to complex128, transformed, and
-// narrowed back — 4× the memory traffic the data requires. This file
-// provides the two primitives that remove that round trip:
-//
-//   - Plan32, an iterative radix-2 transform over complex64 (same butterfly
-//     structure as Plan, single precision), and
+//   - Plan32, an in-place complex transform (a bit-reversal permutation,
+//     then the radix-4 kernels.DIT passes), and
 //   - RealPlan, a half-spectrum real FFT: an n-point real transform computed
 //     as an n/2-point complex transform of packed even/odd samples plus an
 //     O(n) unpack (the classic "realft" split). Only the n/2+1 independent
@@ -25,37 +20,26 @@ import (
 	"ifdk/internal/ct/kernels"
 )
 
-// Plan32 caches twiddle factors and the bit-reversal permutation for a
+// Plan32 caches the bit-reversal permutation and the twiddle tables for a
 // fixed power-of-two complex64 transform length.
 type Plan32 struct {
-	n       int
-	perm    []int32
-	twiddle []complex64 // forward twiddles: exp(-2πi k / n), k < n/2
-	invTw   []complex64 // conjugated twiddles for the inverse transform
+	n    int
+	perm []int32
+	fwd  []complex64 // kernels.FFTTwiddles, forward
+	inv  []complex64 // the same table conjugated, for the inverse transform
 }
 
 // NewPlan32 builds a single-precision plan for length n (a power of two
-// ≥ 1). Twiddles are evaluated in float64 and rounded once, so the only
-// single-precision error is in the butterflies themselves. The inverse
-// twiddles are precomputed conjugates, keeping the direction branch out of
-// the butterfly kernel.
+// ≥ 1).
 func NewPlan32(n int) (*Plan32, error) {
 	if n < 1 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("fft: plan length %d is not a power of two", n)
 	}
 	logN := bits.TrailingZeros(uint(n))
-	p := &Plan32{n: n}
+	p := &Plan32{n: n, fwd: kernels.FFTTwiddles(n, false), inv: kernels.FFTTwiddles(n, true)}
 	p.perm = make([]int32, n)
 	for i := 0; i < n; i++ {
 		p.perm[i] = int32(bits.Reverse32(uint32(i)) >> (32 - logN))
-	}
-	p.twiddle = make([]complex64, n/2)
-	p.invTw = make([]complex64, n/2)
-	for k := range p.twiddle {
-		angle := -2 * math.Pi * float64(k) / float64(n)
-		w := complex(float32(math.Cos(angle)), float32(math.Sin(angle)))
-		p.twiddle[k] = w
-		p.invTw[k] = complex(real(w), -imag(w))
 	}
 	return p, nil
 }
@@ -65,18 +49,20 @@ func (p *Plan32) N() int { return p.n }
 
 // Forward computes the in-place DFT of x (len(x) must equal the plan
 // length).
-func (p *Plan32) Forward(x []complex64) { p.transform(x, false) }
+func (p *Plan32) Forward(x []complex64) { p.transform(x, p.fwd) }
 
 // Inverse computes the in-place inverse DFT including the 1/n scaling.
 func (p *Plan32) Inverse(x []complex64) {
-	p.transform(x, true)
-	inv := float32(1) / float32(p.n)
+	p.transform(x, p.inv)
+	scale := float32(1) / float32(p.n)
 	for i := range x {
-		x[i] = complex(real(x[i])*inv, imag(x[i])*inv)
+		x[i] = complex(real(x[i])*scale, imag(x[i])*scale)
 	}
 }
 
-func (p *Plan32) transform(x []complex64, inverse bool) {
+// transform permutes x into bit-reversed order and runs the decimation-in-
+// time kernel, which leaves natural order.
+func (p *Plan32) transform(x, tw []complex64) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: input length %d does not match plan length %d", len(x), p.n))
 	}
@@ -85,19 +71,21 @@ func (p *Plan32) transform(x []complex64, inverse bool) {
 			x[i], x[int(j)] = x[int(j)], x[i]
 		}
 	}
-	tw := p.twiddle
-	if inverse {
-		tw = p.invTw
-	}
-	for size := 2; size <= p.n; size <<= 1 {
-		kernels.ButterflyStage(x, tw, size, p.n/size)
-	}
+	kernels.DIT(x, tw)
 }
 
 // RealPlan computes forward and inverse DFTs of real float32 signals of a
 // fixed power-of-two length n ≥ 2, producing/consuming only the half
 // spectrum X[0..n/2] (n/2+1 complex64 bins; the remaining bins are the
 // conjugate mirror X[n-k] = conj(X[k]) and are never materialized).
+//
+// Nothing in the pipeline uses a RealPlan: the filter transforms two rows
+// per complex FFT on kernels.DIF / DIT. It stays, with NewRealPlan /
+// HalfLen / Forward / Inverse and NextPow2 at these exact signatures,
+// because benchmark/layers.go measures fft.real_row_ns through them and a
+// change that claims a gain may not edit benchmark/. A benchmark change can
+// re-point that row at kernels.DIF / DIT and retire this type together with
+// kernels.RealUnpack / RealRepack.
 type RealPlan struct {
 	n    int
 	half *Plan32     // n/2-point complex transform of packed samples

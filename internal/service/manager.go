@@ -903,6 +903,11 @@ func (m *Manager) runJob(j *Job) {
 	m.busy.Add(1)
 	entry, err := m.execute(ctx, j)
 	m.busy.Add(-1)
+	if err == nil {
+		// Before the state flip: whoever observes done — by polling or from
+		// the terminal event — and resubmits must hit the cache.
+		m.cache.Put(j.cacheKey, entry)
+	}
 
 	j.mu.Lock()
 	j.finished = time.Now()
@@ -949,7 +954,6 @@ func (m *Manager) runJob(j *Job) {
 		// so folding either into the EWMA would inflate every later
 		// estimate and shed work the budget actually had room for.
 		m.observeRuntime(j.estModelSec, entry.Times.Total.Seconds())
-		m.cache.Put(j.cacheKey, entry)
 	}
 }
 

@@ -152,6 +152,42 @@ func TestCacheHitOnResubmit(t *testing.T) {
 	shutdown(t, m)
 }
 
+// A resubmission made the instant the terminal event arrives must hit the
+// cache: runJob stores the entry before it flips the job to done. (It used
+// to store it after publishing done, and TestCacheHitOnResubmit's poll lost
+// that race 2–3 runs in 400.)
+func TestCacheHitFromTerminalEventSubscriber(t *testing.T) {
+	m := NewManager(Options{Workers: 1})
+	defer shutdown(t, m)
+	first, err := m.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := m.subscribe(first.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for {
+		batch, open := sub.Next(ctx)
+		if n := len(batch); n > 0 && batch[n-1].Type == EventDone {
+			break
+		}
+		if !open {
+			t.Fatalf("event stream ended without a done event: %+v", batch)
+		}
+	}
+	second, err := m.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.State != StateDone || !second.CacheHit {
+		t.Fatalf("resubmission from the done event not served from cache: %+v", second)
+	}
+}
+
 // A verify request must not be satisfied by an unverified cached entry.
 func TestVerifyBypassesUnverifiedCacheEntry(t *testing.T) {
 	m := NewManager(Options{Workers: 1})

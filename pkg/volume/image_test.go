@@ -3,6 +3,7 @@ package volume
 import (
 	"bytes"
 	"image/png"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -43,6 +44,31 @@ func TestTranspose(t *testing.T) {
 			if m.At(u, v) != tr.At(v, u) {
 				t.Fatalf("transpose mismatch at (%d,%d)", u, v)
 			}
+		}
+	}
+}
+
+// TransposeInto walks 8×16 tiles; it must equal the naive double loop
+// bit for bit on sizes that are not tile multiples, overwrite every pixel of
+// a dirty destination, and allocate nothing.
+func TestTransposeIntoMatchesNaive(t *testing.T) {
+	for _, sz := range [][2]int{{1, 1}, {3, 5}, {5, 3}, {17, 33}, {33, 17}, {512, 512}} {
+		m := NewImage(sz[0], sz[1])
+		fillRandom(m.Data, int64(sz[0]*1000+sz[1]))
+		dst := NewImage(m.H, m.W)
+		for n := range dst.Data {
+			dst.Data[n] = float32(math.NaN())
+		}
+		m.TransposeInto(dst)
+		for v := 0; v < m.H; v++ {
+			for u := 0; u < m.W; u++ {
+				if got, want := dst.Data[u*m.H+v], m.Data[v*m.W+u]; got != want {
+					t.Fatalf("%dx%d: transposed (%d,%d) = %g, want %g", m.W, m.H, u, v, got, want)
+				}
+			}
+		}
+		if avg := testing.AllocsPerRun(10, func() { m.TransposeInto(dst) }); avg != 0 {
+			t.Errorf("%dx%d: TransposeInto allocates %.1f objects/op", m.W, m.H, avg)
 		}
 	}
 }
