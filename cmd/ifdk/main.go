@@ -89,7 +89,7 @@ func run(nx, nu, np, r, c int, phantomName, windowName, out string, verify bool)
 	pr := geometry.Problem{Nu: g.Nu, Nv: g.Nv, Np: g.Np, Nx: g.Nx, Ny: g.Ny, Nz: g.Nz}
 	fmt.Printf("%.2fs (%.3f GUPS)\n", elapsed.Seconds(), pr.GUPS(elapsed.Seconds()))
 	m := res.Max
-	fmt.Printf("stages (max over ranks): load %.3fs filter %.3fs allgather %.3fs bp %.3fs "+
+	fmt.Printf("stages (worst rank; compute to store: the last rank to finish): load %.3fs filter %.3fs allgather %.3fs bp %.3fs "+
 		"compute %.3fs reduce %.3fs store %.3fs  δ=%.2f\n",
 		m.Load.Seconds(), m.Filter.Seconds(), m.AllGather.Seconds(), m.Backproject.Seconds(),
 		m.Compute.Seconds(), m.Reduce.Seconds(), m.Store.Seconds(), m.Delta())

@@ -113,24 +113,23 @@ func (s StageTimes) Delta() float64 {
 	return float64(s.Filter+s.AllGather+s.Backproject) / float64(s.Compute)
 }
 
-// maxTimes folds per-rank stage times element-wise.
-func maxTimes(a, b StageTimes) StageTimes {
-	m := func(x, y time.Duration) time.Duration {
-		if x > y {
-			return x
-		}
-		return y
+// foldTimes folds one more rank's clock into the job's. The four stages that
+// overlap inside Compute are busy times and fold element-wise: each is the
+// worst rank's. Compute, Reduce, Store and Total are consecutive wall
+// intervals of one rank and are taken together, from the rank that finished
+// last, so that they still add up to Total. An element-wise maximum counts
+// the skew between two ranks of a row twice — as the slower rank's Compute
+// and as the faster rank's wait inside Reduce — which does not shrink with
+// the job and so grows as a share of it whenever a stage gets faster.
+func foldTimes(job, rank StageTimes) StageTimes {
+	job.Load = max(job.Load, rank.Load)
+	job.Filter = max(job.Filter, rank.Filter)
+	job.AllGather = max(job.AllGather, rank.AllGather)
+	job.Backproject = max(job.Backproject, rank.Backproject)
+	if rank.Total > job.Total {
+		job.Compute, job.Reduce, job.Store, job.Total = rank.Compute, rank.Reduce, rank.Store, rank.Total
 	}
-	return StageTimes{
-		Load:        m(a.Load, b.Load),
-		Filter:      m(a.Filter, b.Filter),
-		AllGather:   m(a.AllGather, b.AllGather),
-		Backproject: m(a.Backproject, b.Backproject),
-		Compute:     m(a.Compute, b.Compute),
-		Reduce:      m(a.Reduce, b.Reduce),
-		Store:       m(a.Store, b.Store),
-		Total:       m(a.Total, b.Total),
-	}
+	return job
 }
 
 // RoundTrace records one AllGather round's stage timing on one rank, as
@@ -152,6 +151,6 @@ type Result struct {
 	Volume    *volume.Volume // full volume at rank 0 (nil unless AssembleVolume)
 	PerRank   []StageTimes
 	Rounds    [][]RoundTrace // per-rank per-round stage timings (nil when CollectRounds is off)
-	Max       StageTimes     // element-wise max over ranks
+	Max       StageTimes     // the job's clock: PerRank folded by foldTimes
 	BytesSent int64          // total MPI payload bytes
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"ifdk/internal/ct/fdk"
 	"ifdk/internal/ct/geometry"
@@ -120,6 +121,30 @@ func TestTimingsPopulated(t *testing.T) {
 	}
 	if res.BytesSent <= 0 {
 		t.Error("BytesSent not recorded")
+	}
+	// The wall intervals are one rank's, so they cannot exceed its total
+	// however the ranks of a row were skewed.
+	if gap := m.Total - m.Compute - m.Reduce - m.Store; gap < 0 {
+		t.Errorf("compute %v + reduce %v + store %v exceed total %v by %v", m.Compute, m.Reduce, m.Store, m.Total, -gap)
+	}
+}
+
+// A row root that finishes its share early waits for its peer inside
+// Reduce. The job's clock must count that skew once: busy stages from the
+// worst rank, the wall intervals together from the rank that finished last.
+func TestFoldTimesAddsUp(t *testing.T) {
+	const ms = time.Millisecond
+	root := StageTimes{Filter: 90 * ms, Backproject: 200 * ms, Compute: 400 * ms, Reduce: 35 * ms, Store: 10 * ms, Total: 445 * ms}
+	peer := StageTimes{Filter: 120 * ms, Backproject: 180 * ms, Compute: 430 * ms, Reduce: 2 * ms, Total: 432 * ms}
+	for _, order := range [][]StageTimes{{root, peer}, {peer, root}} {
+		var job StageTimes
+		for _, rank := range order {
+			job = foldTimes(job, rank)
+		}
+		want := StageTimes{Filter: 120 * ms, Backproject: 200 * ms, Compute: 400 * ms, Reduce: 35 * ms, Store: 10 * ms, Total: 445 * ms}
+		if job != want {
+			t.Errorf("folded clock %+v, want %+v", job, want)
+		}
 	}
 }
 

@@ -103,7 +103,7 @@ func RunContext(ctx context.Context, cfg Config, store *pfs.PFS) (*Result, error
 		return nil, err
 	}
 	for _, t := range res.PerRank {
-		res.Max = maxTimes(res.Max, t)
+		res.Max = foldTimes(res.Max, t)
 	}
 	res.Volume = assembled.Load()
 	res.BytesSent = bytesSent.Load()

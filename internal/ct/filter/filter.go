@@ -4,8 +4,9 @@
 // Theorem path of Sec. 2.2.3).
 //
 // The paper runs this stage on the CPUs with multi-threading and SIMD; here
-// the multi-threading maps to the shared engine scheduler (Sweep) and the
-// FFT primitives are the radix-4 passes of internal/ct/kernels.
+// the multi-threading maps to the shared engine scheduler (Sweep), the FFT
+// primitives are the radix-4 passes of internal/ct/kernels, and the SIMD is
+// their AVX2 tier, bit-identical to the portable passes.
 //
 // Hot path. Detector rows are real float32 and the ramp spectrum is real and
 // even, so the production path (Apply/ApplyInto/Sweep) filters two rows per

@@ -228,21 +228,3 @@ func TestWindowReducesRinging(t *testing.T) {
 		t.Error("Hann peak should be below Ram-Lak peak")
 	}
 }
-
-func BenchmarkApply512(b *testing.B) {
-	g := geometry.Default(512, 8, 90, 32, 32, 32)
-	f, err := New(g, RamLak)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := volume.NewImage(g.Nu, g.Nv)
-	for n := range e.Data {
-		e.Data[n] = float32(n % 13)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.Apply(e); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -6,15 +6,43 @@ import (
 	"math/rand"
 	"testing"
 
+	"ifdk/internal/ct/filter"
+	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/kernels"
+	"ifdk/pkg/volume"
 )
 
 // Benchmarks for every fast/ref kernel pair at the shapes the pipeline
 // actually runs (Nu = 512 geometry: 1024-point padded row pairs, 512²
 // transposed projections). The `ref` leg calls the
-// exported reference, the `fast` leg the dispatching entry point. These are
+// exported reference, the `fast` leg the dispatching entry point; the two
+// kernels with an assembly tier run `ref`, `go` and `avx2` legs through the
+// dispatching entry point. These are
 // working micro-benchmarks for `go test -bench`; the numbers the repo
 // commits to come from benchmark/'s fft.* / filter.* / backproject.* rows.
+
+// tiers are the legs of a benchmark over a kernel with an assembly tier: the
+// scalar reference, the portable fast loop, and the AVX2 tier.
+var tiers = []tier{{name: "ref", ref: true}, {name: "go"}, {name: "avx2", avx2: true}}
+
+type tier struct {
+	name      string
+	ref, avx2 bool
+}
+
+// use pins every dispatching kernel to the tier for the rest of the
+// benchmark, and skips it where the host cannot run it.
+func (t tier) use(b *testing.B) (restore func()) {
+	if t.avx2 && !kernels.HasAVX2() {
+		b.Skip("CPU or OS without AVX2")
+	}
+	restoreISA := kernels.SetAVX2(t.avx2)
+	if !t.ref {
+		return restoreISA
+	}
+	restoreRef := kernels.UseRef()
+	return func() { restoreRef(); restoreISA() }
+}
 
 func randF32(rng *rand.Rand, n int) []float32 {
 	out := make([]float32, n)
@@ -81,17 +109,51 @@ func BenchmarkKernelsRadix4(b *testing.B) {
 	tw := kernels.FFTTwiddles(n, false)
 	x0 := randC64(rng, n)
 	x := make([]complex64, n)
-	for _, leg := range []struct {
+	for _, dir := range []struct {
 		name string
 		fn   func(x, tw []complex64)
-	}{{"dif/ref", kernels.DIFRef}, {"dif/fast", kernels.DIF}, {"dit/ref", kernels.DITRef}, {"dit/fast", kernels.DIT}} {
-		b.Run(leg.name, func(b *testing.B) {
-			b.SetBytes(8 * n)
+	}{{"dif", kernels.DIF}, {"dit", kernels.DIT}} {
+		for _, tier := range tiers {
+			b.Run(dir.name+"/"+tier.name, func(b *testing.B) {
+				defer tier.use(b)()
+				b.SetBytes(8 * n)
+				for i := 0; i < b.N; i++ {
+					// Reset from a pristine copy: a transform grows magnitudes
+					// ~n×, which would hit Inf within a few iterations.
+					copy(x, x0)
+					dir.fn(x, tw)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkApply512 times the whole filter on the row pairs Radix4 times
+// the transforms of: one Nu = 512, Nv = 8 projection, four pairs, L = 1024.
+// BenchmarkApply256 is the odd-log₂L shape of the Nu = 256 workloads
+// (L = 512), whose small end runs different passes. They live here rather
+// than in package filter because only this directory's tests can reach the
+// tier switch.
+func BenchmarkApply512(b *testing.B) { benchApply(b, 512) }
+func BenchmarkApply256(b *testing.B) { benchApply(b, 256) }
+
+func benchApply(b *testing.B, nu int) {
+	g := geometry.Default(nu, 8, 90, 32, 32, 32)
+	f, err := filter.New(g, filter.RamLak)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := volume.NewImage(g.Nu, g.Nv)
+	for n := range e.Data {
+		e.Data[n] = float32(n % 13)
+	}
+	for _, tier := range tiers {
+		b.Run(tier.name, func(b *testing.B) {
+			defer tier.use(b)()
 			for i := 0; i < b.N; i++ {
-				// Reset from a pristine copy: a transform grows magnitudes
-				// ~n×, which would hit Inf within a few iterations.
-				copy(x, x0)
-				leg.fn(x, tw)
+				if _, err := f.Apply(e); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

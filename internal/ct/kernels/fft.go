@@ -28,14 +28,12 @@ import (
 // and rounded once, so the only single-precision error is in the
 // butterflies themselves.
 func FFTTwiddles(n int, inverse bool) []complex64 {
-	if n < 1 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("kernels: transform length %d is not a power of two", n))
-	}
+	checkPow2(n)
 	sign := -1.0
 	if inverse {
 		sign = 1
 	}
-	tw := make([]complex64, 1, n+1)
+	tw := make([]complex64, 1, twiddleLen(n))
 	tw[0] = complex(0, float32(sign))
 	for size := firstRadix4(n); size <= n; size <<= 2 {
 		for m := 1; m <= 3; m++ {
@@ -55,6 +53,30 @@ func firstRadix4(n int) int {
 	return 4 << (bits.TrailingZeros(uint(n)) & 1)
 }
 
+// twiddleLen is the length of FFTTwiddles(n, ·): the quarter turn plus three
+// runs per radix-4 pass, whose q sum to (n − q_first)/3.
+func twiddleLen(n int) int {
+	return 1 + n - firstRadix4(n)/4
+}
+
+func checkPow2(n int) {
+	if n < 1 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("kernels: transform length %d is not a power of two", n))
+	}
+}
+
+// checkTransform panics unless x is a power-of-two row and tw a table of
+// the length FFTTwiddles builds for it. Past this point every pass, portable
+// or assembly, indexes inside x and tw.
+func checkTransform(x, tw []complex64) {
+	n := len(x)
+	checkPow2(n)
+	if len(tw) != twiddleLen(n) {
+		panic(fmt.Sprintf("kernels: twiddle table of length %d, a %d-point transform needs the %d of FFTTwiddles(%d, ·)",
+			len(tw), n, twiddleLen(n), n))
+	}
+}
+
 // addSubPairs is the radix-2 pass over adjacent pairs that all four
 // transforms run when log₂n is odd. Unit twiddles: nothing to decompose.
 //
@@ -67,10 +89,12 @@ func addSubPairs(x []complex64) {
 }
 
 // DIF transforms x in place by decimation in frequency: natural order in,
-// bit-reversed order out, unscaled. tw must be FFTTwiddles(len(x), ·).
+// bit-reversed order out, unscaled. tw must be FFTTwiddles(len(x), ·); a
+// row that is not a power of two or a table of another length panics.
 //
 //ifdk:hotpath
 func DIF(x, tw []complex64) {
+	checkTransform(x, tw)
 	if useFast {
 		difFast(x, tw)
 		return
@@ -84,6 +108,7 @@ func DIF(x, tw []complex64) {
 //
 //ifdk:hotpath
 func DIT(x, tw []complex64) {
+	checkTransform(x, tw)
 	if useFast {
 		ditFast(x, tw)
 		return
@@ -163,6 +188,11 @@ func DITRef(x, tw []complex64) {
 	}
 }
 
+// difFast and ditFast run each pass on the AVX2 tier (fft_amd64.s) when the
+// host has one — a whole pass per call, the two smallest fused into one —
+// and otherwise as the loops below, which the assembly matches operation
+// for operation.
+//
 //ifdk:hotpath
 func difFast(x, tw []complex64) {
 	n := len(x)
@@ -171,8 +201,21 @@ func difFast(x, tw []complex64) {
 	// Every pass but the one over adjacent quads, which has unit twiddles.
 	for size := n; size >= 8; size >>= 2 {
 		q := size >> 2
-		w1, w2, w3 := tw[end-3*q:end-2*q], tw[end-2*q:end-q], tw[end-q:end]
+		w := tw[end-3*q : end]
 		end -= 3 * q
+		if useAVX2 {
+			switch q {
+			case 2:
+				difTail8AVX2(x, w, s) // this pass and addSubPairs
+				return
+			case 4:
+				difTail16AVX2(x, w, s) // this pass and the one over adjacent quads
+				return
+			}
+			difPassAVX2(x, w, q, s)
+			continue
+		}
+		w1, w2, w3 := w[:q], w[q:2*q], w[2*q:]
 		for start := 0; start < n; start += size {
 			// Four capped windows over the block's quarters, all resliced to
 			// one length: one bounds check each here buys check-free stride-1
@@ -222,9 +265,16 @@ func ditFast(x, tw []complex64) {
 	s := imag(tw[0])
 	first := firstRadix4(n)
 	w := tw[1:]
-	if first == 8 {
+	switch {
+	case useAVX2 && first == 4 && n >= 16:
+		ditHead16AVX2(x, w[3:15], s) // the pass over adjacent quads and the next
+		first, w = 64, w[15:]
+	case useAVX2 && first == 8 && n >= 8:
+		ditHead8AVX2(x, w[:6], s) // addSubPairs and the next pass
+		first, w = 32, w[6:]
+	case first == 8:
 		addSubPairs(x)
-	} else if n >= 4 {
+	case n >= 4:
 		for i := 0; i+4 <= n; i += 4 {
 			y := x[i : i+4 : i+4]
 			a0, a1, a2, a3 := y[0], y[1], y[2], y[3]
@@ -236,8 +286,13 @@ func ditFast(x, tw []complex64) {
 	}
 	for size := first; size <= n; size <<= 2 {
 		q := size >> 2
-		w1, w2, w3 := w[:q], w[q:2*q], w[2*q:3*q]
+		wp := w[:3*q]
 		w = w[3*q:]
+		if useAVX2 { // q ≥ 8: a head above has taken the two smaller passes
+			ditPassAVX2(x, wp, q, s)
+			continue
+		}
+		w1, w2, w3 := wp[:q], wp[q:2*q], wp[2*q:]
 		for start := 0; start < n; start += size {
 			// Same windows and float32 decomposition as difFast.
 			xa := x[start : start+q : start+q]

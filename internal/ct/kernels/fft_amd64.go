@@ -1,0 +1,32 @@
+package kernels
+
+// difPassAVX2 and ditPassAVX2 are the vector forms of one radix-4 pass of
+// difFast and ditFast over all of x: block size 4q, w the pass's three
+// q-long twiddle runs w1 | w2 | w3, s the sign of the quarter turn. They
+// touch x[:len(x)] and w[:3q] and nothing else, so the caller must pass
+// len(w) == 3q, q a multiple of 4 and len(x) a multiple of 4q.
+//
+//go:noescape
+func difPassAVX2(x, w []complex64, q int, s float32)
+
+//go:noescape
+func ditPassAVX2(x, w []complex64, q int, s float32)
+
+// difTail16AVX2 is difFast's last two passes of an even-log₂n transform in
+// one — block size 16 with the twiddle runs w, then adjacent quads — and
+// ditHead16AVX2 ditFast's first two. difTail8AVX2 and ditHead8AVX2 are the
+// same for odd log₂n: block size 8 with w, and adjacent pairs. They touch
+// x[:len(x)] and w[:12] or w[:6]; len(x) must be a multiple of the block
+// size.
+//
+//go:noescape
+func difTail16AVX2(x, w []complex64, s float32)
+
+//go:noescape
+func ditHead16AVX2(x, w []complex64, s float32)
+
+//go:noescape
+func difTail8AVX2(x, w []complex64, s float32)
+
+//go:noescape
+func ditHead8AVX2(x, w []complex64, s float32)

@@ -1,0 +1,17 @@
+//go:build !amd64
+
+package kernels
+
+// difPassAVX2 and ditPassAVX2 are never reached off amd64 (useAVX2 stays
+// false); they exist so difFast and ditFast compile on every GOARCH.
+func difPassAVX2(x, w []complex64, q int, s float32) {}
+
+func ditPassAVX2(x, w []complex64, q int, s float32) {}
+
+func difTail16AVX2(x, w []complex64, s float32) {}
+
+func ditHead16AVX2(x, w []complex64, s float32) {}
+
+func difTail8AVX2(x, w []complex64, s float32) {}
+
+func ditHead8AVX2(x, w []complex64, s float32) {}

@@ -9,20 +9,25 @@
 //     restructured to keep the inner loop free of bounds checks and function
 //     calls: slice windows are hoisted once per loop, access is stride-1, and
 //     bodies are 4×-unrolled to expose independent operations to the
-//     scheduler. The Go compiler does not auto-vectorize, so the one loop
-//     that dominates a job — the interior of AccumLinePair — additionally
-//     has a hand-written AVX2 tier (accum_amd64.s) that the portable loop
-//     hands whole 8-voxel blocks to when the CPU and OS support it (ISA
-//     reports which is live). Other hosts run the portable loop alone.
+//     scheduler. The Go compiler does not auto-vectorize, so the two loops
+//     that dominate a job each have a hand-written AVX2 tier the portable
+//     loop hands work to when the CPU and OS support it (ISA reports which
+//     is live): the interior of AccumLinePair, in whole 8-voxel blocks
+//     (accum_amd64.s), and the radix-4 passes of DIF and DIT, four complex64
+//     per register (fft_amd64.s). Other hosts run the portable loops alone.
 //
 // Every fast kernel performs the same floating-point operations in the same
-// order as its reference — the AVX2 tier included: separate multiplies and
+// order as its reference — the AVX2 tiers included: separate multiplies and
 // adds, no FMA — so CosineWeightPair, SpectralMul, ColumnGeom and
-// AccumLinePair are bit-identical across reference, portable and AVX2
-// (property tests assert exact equality, far inside the required ≤1e-5
-// parity bound). Border
-// and non-finite coordinates in the back-projection kernel fall back to the
-// reference formula per sample, so NaN/Inf propagate identically.
+// AccumLinePair are bit-identical across reference, portable and AVX2, and
+// DIF and DIT across portable and AVX2 (tests assert exact equality, far
+// inside the required ≤1e-5 parity bound): which tier a host runs never
+// shows in a volume. Border and non-finite coordinates in the
+// back-projection kernel fall back to the reference formula per sample, so
+// NaN/Inf propagate identically. The one pair that is not bit-identical is
+// reference ↔ fast for DIF, DIT, RealUnpack and RealRepack: the reference
+// multiplies with the complex64 operator, which rounds through float64, the
+// fast form in explicit float32, so they agree to 1e-6 of the peak.
 //
 // Production code always runs the fast kernels; the references stay as the
 // ground truth the parity tests diff against and the `ref` leg of this
@@ -34,12 +39,13 @@ package kernels
 // tests clear it (export_test.go), to run whole pipelines on the references.
 var useFast = true
 
-// useAVX2 routes the interior of accumLinePairFast through the assembly
-// tier. It is written once, here, from CPUID/XGETBV; only tests flip it.
+// useAVX2 routes the interior of accumLinePairFast and the passes of difFast
+// and ditFast through the assembly tier. It is written once, here, from
+// CPUID/XGETBV; only tests flip it.
 var useAVX2 = hasAVX2()
 
-// ISA reports the instruction tier the fast back-projection kernel runs on
-// this host: "avx2" or "go" (the portable loop).
+// ISA reports the instruction tier the fast back-projection and FFT kernels
+// run on this host: "avx2" or "go" (the portable loops).
 func ISA() string {
 	if useAVX2 {
 		return "avx2"

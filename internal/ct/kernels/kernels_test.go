@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -18,7 +19,8 @@ import (
 //     builtin rounds through float64), so they differ by ~1 ulp per
 //     operation: parity is checked to 1e-6 relative — 10× tighter than the
 //     required ≤1e-5 bound — and non-finite inputs must poison exactly the
-//     same elements in both variants.
+//     same elements in both variants. Within the fast variant the portable
+//     passes and the AVX2 tier are BIT-identical (tier_test.go).
 
 func eqBits(a, b float32) bool {
 	return a == b || (math.IsNaN(float64(a)) && math.IsNaN(float64(b)))
@@ -262,6 +264,50 @@ func TestFFTTwiddlesRejectsNonPow2(t *testing.T) {
 			}()
 			FFTTwiddles(n, false)
 		}()
+	}
+}
+
+// The capacity FFTTwiddles reserves is the length it fills: twiddleLen is
+// what DIF and DIT hold a table to.
+func TestTwiddleLen(t *testing.T) {
+	for n := 1; n <= 4096; n <<= 1 {
+		if tw := FFTTwiddles(n, false); len(tw) != twiddleLen(n) || cap(tw) != len(tw) {
+			t.Errorf("FFTTwiddles(%d): len %d cap %d, twiddleLen %d", n, len(tw), cap(tw), twiddleLen(n))
+		}
+	}
+}
+
+// DIF and DIT must refuse, before touching x, a row that is not a power of
+// two and a table built for another length — on the references too, which
+// used to index out of range or return garbage.
+func TestTransformRejectsBadLengths(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n, ntw int // ntw: the length the table was built for
+		want   string
+	}{
+		{"empty row", 0, 1, "not a power of two"},
+		{"row of 12", 12, 16, "not a power of two"},
+		{"row of 1000", 1000, 1024, "not a power of two"},
+		{"table for 4n", 16, 64, "twiddle table of length 64"},
+		{"table for n/2", 32, 16, "twiddle table of length 16"},
+		{"odd-log table for even-log row", 16, 8, "twiddle table of length 7"},
+	} {
+		for _, ref := range []bool{false, true} {
+			for name, transform := range map[string]func(x, tw []complex64){"DIF": DIF, "DIT": DIT} {
+				func() {
+					useFast = !ref
+					defer func() {
+						useFast = true
+						if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+							t.Errorf("%s %s ref=%v: panic %q, want one naming %q", name, tc.name, ref, msg, tc.want)
+						}
+					}()
+					x := make([]complex64, tc.n)
+					transform(x, FFTTwiddles(tc.ntw, false))
+				}()
+			}
+		}
 	}
 }
 

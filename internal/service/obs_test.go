@@ -3,14 +3,17 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"ifdk/internal/ct/kernels"
 	"ifdk/pkg/api"
 )
 
@@ -158,6 +161,8 @@ func TestExpositionEndpoint(t *testing.T) {
 		`ifdk_stage_seconds_count{stage="backproject"} 1`,
 		`ifdk_queue_wait_seconds_count{class="normal"} 1`,
 		"ifdk_event_drops_total 0",
+		fmt.Sprintf("ifdk_build_info{isa=%q,goversion=%q,gomaxprocs=\"%d\"} 1",
+			kernels.ISA(), runtime.Version(), runtime.GOMAXPROCS(0)),
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)

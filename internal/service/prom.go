@@ -1,8 +1,11 @@
 package service
 
 import (
+	"runtime"
+	"strconv"
 	"time"
 
+	"ifdk/internal/ct/kernels"
 	"ifdk/internal/engine"
 	"ifdk/internal/obs"
 )
@@ -62,7 +65,7 @@ func newMetricsSet(m *Manager) *metricsSet {
 	s.rejectedQuota = adm.With("rejected_quota")
 
 	s.stageSeconds = r.HistogramVec("ifdk_stage_seconds",
-		"Per-stage pipeline latency (max over ranks), observed per completed job.", nil, "stage")
+		"Per-stage pipeline latency, observed per completed job: load to backproject on the worst rank; compute, reduce, store and total on the rank that finished last, so they add up.", nil, "stage")
 	s.queueWait = r.HistogramVec("ifdk_queue_wait_seconds",
 		"Queue wait from admission to worker pickup, by priority class.", nil, "class")
 
@@ -83,6 +86,10 @@ func newMetricsSet(m *Manager) *metricsSet {
 		"Preview-phase latency from worker pickup to the preview event.",
 		[]float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5})
 
+	r.GaugeVec("ifdk_build_info",
+		"Always 1; the labels name what this process runs on: the kernels' instruction tier, the Go release, GOMAXPROCS.",
+		"isa", "goversion", "gomaxprocs").
+		With(kernels.ISA(), runtime.Version(), strconv.Itoa(runtime.GOMAXPROCS(0))).Set(1)
 	r.GaugeFunc("ifdk_uptime_seconds", "Seconds since the manager started.",
 		func() float64 { return time.Since(m.started).Seconds() })
 	r.GaugeFunc("ifdk_workers", "Configured worker pool size.",
