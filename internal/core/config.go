@@ -95,9 +95,9 @@ func (c Config) queueDepth() int {
 // (Eq. 17); Reduce and Store follow it (Eq. 19).
 type StageTimes struct {
 	Load        time.Duration // reading projections from the PFS
-	Filter      time.Duration // cosine + ramp filtering
+	Filter      time.Duration // cosine + ramp filtering, ending with the one transpose
 	AllGather   time.Duration // column-group collective
-	Backproject time.Duration // kernel time
+	Backproject time.Duration // kernel time (reads the transposed blocks as they are)
 	Compute     time.Duration // wall time of the overlapped phase
 	Reduce      time.Duration // row-group volume reduction
 	Store       time.Duration // writing output slices
@@ -134,14 +134,14 @@ func foldTimes(job, rank StageTimes) StageTimes {
 
 // RoundTrace records one AllGather round's stage timing on one rank, as
 // offsets from the rank's pipeline start: when the round's own projection
-// was loaded+filtered by the filtering thread, and when the column
-// collective exchanged it. The per-rank slices are pre-sized before the
+// was loaded, filtered and transposed by the filtering thread, and when the
+// column collective exchanged it. The per-rank slices are pre-sized before the
 // pipeline starts, so recording is allocation-free in steady state; the
 // service layer turns them into trace spans once, at job end.
 type RoundTrace struct {
 	Round     int           // round index r in [0, quota)
-	FilterOff time.Duration // offset of the load+filter of this round's projection
-	FilterDur time.Duration // load+filter busy time for that projection
+	FilterOff time.Duration // offset of the load+filter+transpose of this round's projection
+	FilterDur time.Duration // load+filter+transpose busy time for that projection
 	GatherOff time.Duration // offset of the round's AllGather
 	GatherDur time.Duration // AllGather busy time
 }

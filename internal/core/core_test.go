@@ -18,7 +18,12 @@ import (
 // the store and the serial reference reconstruction.
 func testSetup(t *testing.T) (geometry.Params, *pfs.PFS, *volume.Volume) {
 	t.Helper()
-	g := geometry.Default(48, 48, 16, 16, 16, 16)
+	return setupGeom(t, geometry.Default(48, 48, 16, 16, 16, 16))
+}
+
+// setupGeom is testSetup for a given geometry.
+func setupGeom(t *testing.T, g geometry.Params) (geometry.Params, *pfs.PFS, *volume.Volume) {
+	t.Helper()
 	ph := phantom.SheppLogan3D(g.FOVRadius() * 0.9)
 	proj := projector.AnalyticAll(ph, g, 0)
 	store := pfs.New(pfs.Config{})
@@ -47,25 +52,30 @@ func relVolRMSE(t *testing.T, a, b *volume.Volume) float64 {
 }
 
 // E10/E11: the distributed framework must reproduce the serial pipeline for
-// every grid shape (within float reassociation tolerance).
+// every grid shape (within float reassociation tolerance), on a square
+// detector and a non-square one — the producer hands column peers
+// transposed Nv×Nu blocks, and only Nu ≠ Nv shows a W/H swap in that
+// hand-off.
 func TestDistributedMatchesSerial(t *testing.T) {
-	g, store, ref := testSetup(t)
-	for _, grid := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {4, 2}, {2, 4}} {
-		cfg := Config{
-			R: grid[0], C: grid[1],
-			Geometry:       g,
-			InputPrefix:    "in",
-			AssembleVolume: true,
-		}
-		res, err := Run(cfg, store)
-		if err != nil {
-			t.Fatalf("grid %v: %v", grid, err)
-		}
-		if res.Volume == nil {
-			t.Fatalf("grid %v: no assembled volume", grid)
-		}
-		if r := relVolRMSE(t, ref, res.Volume); r > 1e-5 {
-			t.Errorf("grid %v: relative RMSE vs serial = %g, want < 1e-5", grid, r)
+	for _, det := range [][2]int{{48, 48}, {40, 24}} {
+		g, store, ref := setupGeom(t, geometry.Default(det[0], det[1], 16, 16, 16, 16))
+		for _, grid := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {4, 2}, {2, 4}} {
+			cfg := Config{
+				R: grid[0], C: grid[1],
+				Geometry:       g,
+				InputPrefix:    "in",
+				AssembleVolume: true,
+			}
+			res, err := Run(cfg, store)
+			if err != nil {
+				t.Fatalf("detector %v grid %v: %v", det, grid, err)
+			}
+			if res.Volume == nil {
+				t.Fatalf("detector %v grid %v: no assembled volume", det, grid)
+			}
+			if r := relVolRMSE(t, ref, res.Volume); r > 1e-5 {
+				t.Errorf("detector %v grid %v: relative RMSE vs serial = %g, want < 1e-5", det, grid, r)
+			}
 		}
 	}
 }

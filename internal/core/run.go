@@ -20,14 +20,13 @@ import (
 // tag used by row roots to ship reduced sub-volumes to rank 0 for assembly.
 const tagAssemble = 100
 
-// projItem flows through the pipeline ring buffers: a filtered projection
-// with its global index. Items from the filtering stage carry a pooled
-// engine.Images image (buf == nil); items fanned out of the AllGather carry
-// a pooled collective block (buf != nil) wrapped in a throwaway Image
-// header — whoever consumes the item releases exactly its pooled backing.
+// projItem flows through the pipeline ring buffers: one filtered,
+// transposed projection (Nv×Nu, V fast — Alg. 4 line 3) in a pooled
+// engine.Blocks block, with its global index. Its producer transposed it
+// once; after the AllGather every rank of the column holds the same block,
+// read-only, and whoever consumes an item releases its hold exactly once.
 type projItem struct {
 	s   int
-	img *volume.Image
 	buf *engine.Buf[float32]
 }
 
@@ -147,10 +146,11 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 
 	// --- Filtering thread (Fig. 4a, left): load + filter own projections
 	// in round order and feed the Main thread through a circular buffer.
-	// Each projection lives in one pooled image for its whole life on this
-	// rank: decoded into it straight off the PFS, filtered in place, handed
-	// through the ring, and released after the AllGather copies it out —
-	// zero per-projection heap allocations in steady state.
+	// Each projection is decoded straight off the PFS into a pooled image,
+	// filtered in place, and transposed once into a pooled block (Alg. 4
+	// line 3) — the block every column peer back-projects, so nobody
+	// transposes it again. The filter stage's clock stops after the
+	// transpose. Zero per-projection heap allocations in steady state.
 	ringA := ringbuf.New[projItem](cfg.queueDepth())
 	filterErr := make(chan error, 1)
 	go func() {
@@ -160,6 +160,7 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 			if err != nil {
 				return err
 			}
+			tp := volume.Image{W: g.Nv, H: g.Nu} // header over each block
 			for s := myLo; s < myHi; s++ {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -177,13 +178,17 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 					engine.Images.Release(img)
 					return err
 				}
+				blk := engine.Blocks.Acquire(g.Nu * g.Nv)
+				tp.Data = blk.Data
+				img.TransposeInto(&tp)
+				engine.Images.Release(img)
 				t.Filter += time.Since(fltStart)
 				if rounds != nil {
 					rounds[s-myLo].FilterOff = roundOff
 					rounds[s-myLo].FilterDur = time.Since(start) - roundOff
 				}
-				if !ringA.Put(projItem{s: s, img: img}) {
-					engine.Images.Release(img)
+				if !ringA.Put(projItem{s: s, buf: blk}) {
+					blk.Release()
 					return nil // pipeline shut down
 				}
 			}
@@ -192,7 +197,8 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 	}()
 
 	// --- Back-projection thread (Fig. 4a, right): batch incoming filtered
-	// projections and accumulate them into the rank's slab-pair volume.
+	// projections and accumulate them into the rank's slab-pair volume,
+	// reading the shared transposed blocks in place.
 	ringB := ringbuf.New[projItem](cfg.queueDepth() * max(1, cfg.R))
 	local := engine.Volumes.Acquire(g.Nx, g.Ny, 2*h, volume.KMajor)
 	bpErr := make(chan error, 1)
@@ -205,6 +211,7 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 			var imgs []*volume.Image
 			var mats []geometry.ProjMat
 			var bufs []*engine.Buf[float32]
+			hdrs := make([]volume.Image, batchSize) // Nv×Nu views of bufs
 			releaseBufs := func() {
 				for _, b := range bufs {
 					b.Release()
@@ -216,11 +223,11 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 					return nil
 				}
 				bpStart := time.Now()
-				task := backproject.Task{Mats: mats, Proj: imgs}
+				task := backproject.Task{Mats: mats, Proj: imgs, Transposed: true}
 				opt := backproject.Options{Workers: cfg.workers(), Batch: batchSize}
 				err := backproject.ProposedSlabPair(task, local, opt, g.Nz, z0, z1)
-				// The batch is consumed (or abandoned) either way: its
-				// pooled AllGather blocks go back for the next round.
+				// The batch is consumed (or abandoned) either way: this
+				// rank's holds on its shared blocks are released.
 				releaseBufs()
 				if err != nil {
 					return err
@@ -234,7 +241,8 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 				if !ok {
 					return flush()
 				}
-				imgs = append(imgs, it.img)
+				hdrs[len(imgs)] = volume.Image{W: g.Nv, H: g.Nu, Data: it.buf.Data}
+				imgs = append(imgs, &hdrs[len(imgs)])
 				bufs = append(bufs, it.buf)
 				mats = append(mats, geometry.ProjectionMatrix(g, g.Beta(it.s)))
 				if len(imgs) == batchSize {
@@ -260,15 +268,14 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 				return fmt.Errorf("rank %d: filtering ended early at round %d", c.Rank(), r)
 			}
 			if it.s != myLo+r {
-				engine.Images.Release(it.img)
+				it.buf.Release()
 				return fmt.Errorf("rank %d: projection %d out of order (want %d)", c.Rank(), it.s, myLo+r)
 			}
 			agOff := time.Since(start)
 			agStart := time.Now()
-			blocks, err := colComm.AllGatherBufs(it.img.Data)
-			// The AllGather copies the payload into its own pooled blocks,
-			// so the pooled projection can be recycled immediately.
-			engine.Images.Release(it.img)
+			// The block goes round the column by reference: every peer
+			// ends up holding it (and this rank every peer's), no copies.
+			blocks, err := colComm.AllGatherShared(it.buf)
 			if err != nil {
 				return err
 			}
@@ -279,7 +286,7 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 			}
 			for i, blk := range blocks {
 				s := colLo + i*quota + r
-				if !ringB.Put(projItem{s: s, img: &volume.Image{W: g.Nu, H: g.Nv, Data: blk.Data}, buf: blk}) {
+				if !ringB.Put(projItem{s: s, buf: blk}) {
 					for _, rest := range blocks[i:] {
 						rest.Release() // never enqueued: back to the pool here
 					}
@@ -291,25 +298,19 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 		return nil
 	}()
 	// abandon unwinds an aborted pipeline without leaking pooled buffers:
-	// filtered projections stranded in ringA, AllGather blocks stranded in
-	// ringB and the rank's slab-pair volume go back to their pools (the
-	// engine's in-use gauges feed admission metrics, so cancelled jobs must
-	// balance their books too). Both rings are closed by then, so Get
-	// drains the leftovers and reports !ok.
+	// holds on blocks stranded in either ring and the rank's slab-pair
+	// volume go back (the engine's in-use gauges feed admission metrics, so
+	// cancelled jobs must balance their books too). Both rings are closed
+	// by then, so Get drains the leftovers and reports !ok.
 	abandon := func() {
-		for {
-			it, ok := ringA.Get()
-			if !ok {
-				break
+		for _, ring := range []*ringbuf.Ring[projItem]{ringA, ringB} {
+			for {
+				it, ok := ring.Get()
+				if !ok {
+					break
+				}
+				it.buf.Release()
 			}
-			engine.Images.Release(it.img)
-		}
-		for {
-			it, ok := ringB.Get()
-			if !ok {
-				break
-			}
-			it.buf.Release() // the wrapped Image header is throwaway
 		}
 		engine.Volumes.Release(local)
 	}

@@ -50,6 +50,12 @@ const DefaultBatch = 32
 type Task struct {
 	Mats []geometry.ProjMat
 	Proj []*volume.Image // filtered projections Q_i, each Nu×Nv
+	// Transposed says the projections are already transposed (Alg. 4
+	// line 3): each image is Nv×Nu, V the fast axis. The distributed
+	// pipeline transposes once on the producer and shares the result;
+	// ProposedSlabPair reads such a task as it is instead of transposing
+	// it per batch, and the other entry points reject it.
+	Transposed bool
 }
 
 // Validate reports structural problems with the task.
@@ -112,6 +118,9 @@ func Standard(task Task, vol *volume.Volume, opt Options) error {
 	if vol.Layout != volume.IMajor {
 		return fmt.Errorf("backproject: Standard requires an i-major volume, got %v", vol.Layout)
 	}
+	if task.Transposed {
+		return fmt.Errorf("backproject: Standard requires untransposed projections")
+	}
 	nx, ny, nz := vol.Nx, vol.Ny, vol.Nz
 	w, h := task.Proj[0].W, task.Proj[0].H
 	batch := opt.batch()
@@ -168,6 +177,9 @@ func Ablate(task Task, vol *volume.Volume, opt Options, va Variant) error {
 	if vol.Layout != volume.KMajor {
 		return fmt.Errorf("backproject: Proposed requires a k-major volume, got %v", vol.Layout)
 	}
+	if task.Transposed {
+		return fmt.Errorf("backproject: Proposed requires untransposed projections")
+	}
 	if va == ProposedVariant {
 		return proposedColumns(task, vol, opt)
 	}
@@ -176,9 +188,8 @@ func Ablate(task Task, vol *volume.Volume, opt Options, va Variant) error {
 	batch := opt.batch()
 	for s0 := 0; s0 < len(task.Proj); s0 += batch {
 		s1 := min(s0+batch, len(task.Proj))
-		// Transpose the batch once (Alg. 4 line 3); its cost is a small
-		// fraction of the back-projection (Sec. 3.2.3). Transpose buffers
-		// come from the shared image pool and return after the batch.
+		// Transpose the batch once (Alg. 4 line 3). Transpose buffers come
+		// from the shared image pool and return after the batch.
 		bufs := acquireBatch(task.Mats[s0:s1], task.Proj[s0:s1], va.Transpose)
 		rows, data := bufs.rows.Data, bufs.data.Data
 		var tw, th int

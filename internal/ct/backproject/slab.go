@@ -37,12 +37,17 @@ func ProposedSlabPair(task Task, vol *volume.Volume, opt Options, nzFull, z0, z1
 		return fmt.Errorf("backproject: local volume depth %d, want %d", vol.Nz, 2*h)
 	}
 	nx, ny := vol.Nx, vol.Ny
-	w, ht := task.Proj[0].W, task.Proj[0].H
+	w, ht := task.Proj[0].W, task.Proj[0].H // detector Nu, Nv
+	if task.Transposed {
+		w, ht = ht, w
+	}
 	vm1 := float32(ht - 1)
 	batch := opt.batch()
 	for s0 := 0; s0 < len(task.Proj); s0 += batch {
 		s1 := min(s0+batch, len(task.Proj))
-		bufs := acquireBatch(task.Mats[s0:s1], task.Proj[s0:s1], true)
+		// A Transposed task is read in place; otherwise each batch is
+		// transposed into pooled images first (Alg. 4 line 3).
+		bufs := acquireBatch(task.Mats[s0:s1], task.Proj[s0:s1], !task.Transposed)
 		rows, data := bufs.rows.Data, bufs.data.Data
 		nb := s1 - s0
 		engine.ParallelRange(ny, opt.Workers, func(j0, j1 int) {

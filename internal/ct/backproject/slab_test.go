@@ -75,3 +75,47 @@ func TestSlabPlanes(t *testing.T) {
 		}
 	}
 }
+
+// transposedTask is task with every projection transposed once up front —
+// what the distributed pipeline's producers hand back-projection.
+func transposedTask(task Task) Task {
+	out := Task{Mats: task.Mats, Transposed: true}
+	for _, p := range task.Proj {
+		out.Proj = append(out.Proj, p.Transpose())
+	}
+	return out
+}
+
+// A pre-transposed task must back-project bit for bit like the detector-
+// layout task it came from, on a non-square detector with odd Nv (so a
+// W/H swap anywhere in the hand-off shows) and a batch that does not
+// divide Np.
+func TestTransposedTaskBitIdentical(t *testing.T) {
+	g := geometry.Default(40, 23, 20, 16, 16, 16)
+	task := randomTask(g, 41)
+	tt := transposedTask(task)
+	opt := Options{Workers: 3, Batch: 7}
+	for _, zs := range [][2]int{{0, 8}, {3, 5}} {
+		z0, z1 := zs[0], zs[1]
+		want := volume.New(g.Nx, g.Ny, 2*(z1-z0), volume.KMajor)
+		got := volume.New(g.Nx, g.Ny, 2*(z1-z0), volume.KMajor)
+		if err := ProposedSlabPair(task, want, opt, g.Nz, z0, z1); err != nil {
+			t.Fatal(err)
+		}
+		if err := ProposedSlabPair(tt, got, opt, g.Nz, z0, z1); err != nil {
+			t.Fatal(err)
+		}
+		for n := range want.Data {
+			if got.Data[n] != want.Data[n] {
+				t.Fatalf("slab [%d,%d): transposed task differs at voxel %d: %g vs %g", z0, z1, n, got.Data[n], want.Data[n])
+			}
+		}
+	}
+	// The other entry points read the detector layout and refuse it.
+	if err := Standard(tt, volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor), opt); err == nil {
+		t.Error("Standard accepted a transposed task")
+	}
+	if err := Proposed(tt, volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor), opt); err == nil {
+		t.Error("Proposed accepted a transposed task")
+	}
+}

@@ -3,6 +3,7 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"ifdk/pkg/volume"
 )
@@ -19,6 +20,14 @@ import (
 //     hands it to the next pipeline stage, which then owns it. Exactly one
 //     owner releases; double release is a caller bug (it would alias two
 //     future acquisitions).
+//   - A Buf may be shared by several holders (the column AllGather hands
+//     every peer the same filtered projection). A holder that gives the
+//     buffer to one more holder calls Retain(1) first — once per extra
+//     holder, before the hand-off. Once shared, its contents are read-only
+//     for everyone. Every holder releases exactly once; the last Release
+//     returns the buffer to its pool (and takes it off the in-use gauge).
+//     poolcheck tracks handles, not counts: a shared handle is checked like
+//     any other, one Release per holder.
 //   - Release is optional for correctness — a buffer that escapes (e.g. a
 //     volume stored in the result cache and handed to HTTP clients) is
 //     simply never released and becomes ordinary garbage. Only buffers that
@@ -42,8 +51,8 @@ type ImagePool struct {
 	inUse atomic.Int64 // bytes currently acquired and not yet released
 }
 
-// Images is the shared pool for projection-sized images: filter outputs,
-// transpose buffers and pipeline staging all draw from here.
+// Images is the shared pool for projection-sized images: PFS decode,
+// in-place filtering and transpose buffers all draw from here.
 var Images ImagePool
 
 func (p *ImagePool) pool(w, h int) *sync.Pool {
@@ -136,54 +145,83 @@ func (p *VolumePool) Release(v *volume.Volume) {
 // see ImagePool.InUseBytes.
 func (p *VolumePool) InUseBytes() int64 { return p.inUse.Load() }
 
-// InUseBytes sums the bytes currently checked out of the shared image and
-// volume pools — the live working set of every in-flight reconstruction.
-// The service exposes it via /v1/metrics next to the *estimated* in-flight
-// bytes its admission accounting carries, so the two can be compared.
-func InUseBytes() int64 { return Images.InUseBytes() + Volumes.InUseBytes() }
+// InUseBytes sums the bytes currently checked out of the shared image,
+// volume and block pools — the live working set of every in-flight
+// reconstruction. The service exposes it via /v1/metrics next to the
+// *estimated* in-flight bytes its admission accounting carries, so the two
+// can be compared.
+func InUseBytes() int64 {
+	return Images.InUseBytes() + Volumes.InUseBytes() + Blocks.InUseBytes()
+}
+
+// Blocks is the shared pool for float32 payload blocks that move between
+// ranks: filtered projections on their way through the column AllGather
+// (shared by reference, see Buf.Retain) and the row Reduce's accumulators.
+var Blocks BufPool[float32]
 
 // Buf is a pooled fixed-length slice. It is returned by pointer so that
 // putting it back into the underlying sync.Pool does not allocate a box for
 // the slice header (the cost this package exists to eliminate).
 type Buf[T any] struct {
 	Data []T
-	home *sync.Pool
+	home *bufHome
+	refs atomic.Int32 // holders beyond the first (see Retain)
 }
 
-// Release returns the buffer to its pool. The caller must not touch Data
-// again.
+// bufHome is one length class of a BufPool: the sync.Pool that recycles its
+// buffers, and the owning pool's in-use gauge.
+type bufHome struct {
+	sync.Pool
+	inUse *atomic.Int64
+	bytes int64 // payload bytes of one buffer of this class
+}
+
+// Retain registers n more holders of a shared buffer. Only a current
+// holder may call it, before handing the buffer on; each new holder then
+// owes one Release.
+func (b *Buf[T]) Retain(n int) { b.refs.Add(int32(n)) }
+
+// Release drops the caller's hold; the last holder's Release returns the
+// buffer to its pool. The caller must not touch Data again.
 func (b *Buf[T]) Release() {
-	if b != nil {
-		b.home.Put(b)
+	if b == nil || b.refs.Add(-1) >= 0 {
+		return
 	}
+	b.refs.Store(0)
+	b.home.inUse.Add(-b.home.bytes)
+	b.home.Put(b)
 }
 
-// BufPool pools fixed-length []T scratch buffers by exact length: FFT
-// scratch rows, per-worker register files, per-batch matrix tables. The
-// zero value is ready to use.
+// BufPool pools fixed-length []T buffers by exact length: FFT scratch rows,
+// per-worker register files, per-batch matrix tables, inter-rank blocks.
+// The zero value is ready to use.
 type BufPool[T any] struct {
 	mu    sync.Mutex
-	byLen map[int]*sync.Pool
+	byLen map[int]*bufHome
+	inUse atomic.Int64 // bytes currently acquired and not yet released
 }
 
-func (p *BufPool[T]) pool(n int) *sync.Pool {
+func (p *BufPool[T]) pool(n int) *bufHome {
 	p.mu.Lock()
-	sp, ok := p.byLen[n]
+	h, ok := p.byLen[n]
 	if !ok {
 		if p.byLen == nil {
-			p.byLen = make(map[int]*sync.Pool)
+			p.byLen = make(map[int]*bufHome)
 		}
-		sp = new(sync.Pool)
-		sp.New = func() any { return &Buf[T]{Data: make([]T, n), home: sp} }
-		p.byLen[n] = sp
+		var zero T
+		h = &bufHome{inUse: &p.inUse, bytes: int64(n) * int64(unsafe.Sizeof(zero))}
+		h.New = func() any { return &Buf[T]{Data: make([]T, n), home: h} }
+		p.byLen[n] = h
 	}
 	p.mu.Unlock()
-	return sp
+	return h
 }
 
 // Acquire returns a length-n buffer with undefined contents.
 func (p *BufPool[T]) Acquire(n int) *Buf[T] {
-	return p.pool(n).Get().(*Buf[T])
+	h := p.pool(n)
+	p.inUse.Add(h.bytes)
+	return h.Get().(*Buf[T])
 }
 
 // AcquireZeroed returns a length-n buffer with every element zeroed, for
@@ -193,3 +231,7 @@ func (p *BufPool[T]) AcquireZeroed(n int) *Buf[T] {
 	clear(b.Data)
 	return b
 }
+
+// InUseBytes returns the payload bytes currently checked out of the pool; a
+// shared buffer counts once, until its last holder releases it.
+func (p *BufPool[T]) InUseBytes() int64 { return p.inUse.Load() }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync"
 	"testing"
 
 	"ifdk/internal/race"
@@ -79,6 +80,50 @@ func TestBufPoolLengthsAndRelease(t *testing.T) {
 		t.Fatalf("acquired %d complex64, want 5", len(z.Data))
 	}
 	z.Release()
+}
+
+// A buffer shared by n+1 holders (Retain(n)) goes back to its pool exactly
+// once, on the last of n+1 concurrent Releases: the pool's gauge holds the
+// buffer's bytes while any holder remains and drops to zero — not below —
+// after the last, and the buffer comes out of the pool unshared.
+func TestBufRetainReleasesOnceAfterLastHolder(t *testing.T) {
+	var p BufPool[float32]
+	const bytes = 4 * 16
+	releaseConcurrently := func(b *Buf[float32], k int) {
+		var wg sync.WaitGroup
+		for range k {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				b.Release()
+			}()
+		}
+		wg.Wait()
+	}
+	for _, n := range []int{0, 1, 2, 7, 31} {
+		// All but one holder let go concurrently: the buffer stays out.
+		b := p.Acquire(16)
+		b.Retain(n)
+		releaseConcurrently(b, n)
+		if got := p.InUseBytes(); got != bytes {
+			t.Fatalf("n=%d: in-use %d B with one holder left, want %d", n, got, bytes)
+		}
+		b.Release()
+		if got := p.InUseBytes(); got != 0 {
+			t.Fatalf("n=%d: in-use %d B after the last Release, want 0", n, got)
+		}
+		if got := b.refs.Load(); got != 0 {
+			t.Fatalf("n=%d: buffer went home with refs %d, want 0", n, got)
+		}
+
+		// All n+1 holders racing: it goes home once (twice would read -bytes).
+		b = p.Acquire(16)
+		b.Retain(n)
+		releaseConcurrently(b, n+1)
+		if got := p.InUseBytes(); got != 0 {
+			t.Fatalf("n=%d: in-use %d B after n+1 racing Releases, want 0", n, got)
+		}
+	}
 }
 
 // Steady-state acquire/release cycles must not allocate — this is the

@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"ifdk/internal/engine"
 	"ifdk/internal/race"
 )
 
@@ -56,7 +57,7 @@ func TestReduceBufsMatchesReduce(t *testing.T) {
 func TestSendBufRecvBuf(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			buf := blockPool.Acquire(8)
+			buf := engine.Blocks.Acquire(8)
 			for i := range buf.Data {
 				buf.Data[i] = float32(i) * 2
 			}
@@ -64,11 +65,11 @@ func TestSendBufRecvBuf(t *testing.T) {
 				return err
 			}
 			// Invalid destination: SendBuf still consumes the block.
-			bad := blockPool.Acquire(4)
+			bad := engine.Blocks.Acquire(4)
 			if err := c.SendBuf(99, 7, bad); err == nil {
 				t.Error("SendBuf to invalid rank succeeded")
 			}
-			bad = blockPool.Acquire(4)
+			bad = engine.Blocks.Acquire(4)
 			if err := c.SendBuf(1, -1, bad); err == nil {
 				t.Error("SendBuf with negative tag succeeded")
 			}

@@ -1,9 +1,11 @@
 // Package mpi provides an in-process message-passing runtime with MPI-like
-// semantics: ranks execute as goroutines, exchange copied messages through
-// matched (source, tag) mailboxes, and synchronize through collectives
-// implemented on top of point-to-point transfers (ring AllGather, binomial
-// Reduce), so their cost structure matches the models in the paper's
-// Sec. 4.2.
+// semantics: ranks execute as goroutines, exchange messages through matched
+// (source, tag) mailboxes, and synchronize through collectives implemented
+// on top of point-to-point transfers (ring AllGather, binomial Reduce), so
+// their message counts and payload bytes match the models in the paper's
+// Sec. 4.2. Send copies its payload; pooled blocks (SendBuf, the *Bufs and
+// *Shared collectives) move by handle, and AllGatherShared hands every rank
+// of the ring the same read-only block instead of a copy each.
 //
 // The paper drives iFDK with Intel MPI over InfiniBand; this package is the
 // substitution that lets the full framework — the 2-D rank grid, the column
@@ -36,12 +38,6 @@ type envelope struct {
 	data []float32
 	buf  *engine.Buf[float32] // non-nil when data rides a pooled block
 }
-
-// blockPool recycles collective payload blocks across rounds. The paper's
-// pipeline performs one AllGather per projection round (Sec. 4.1.3), so an
-// unpooled implementation allocates size×block bytes per rank per round —
-// the last steady-state allocation left in the compute plane after PR 2.
-var blockPool engine.BufPool[float32]
 
 // mailbox holds undelivered messages for one global rank.
 type mailbox struct {
@@ -246,36 +242,14 @@ func (c *Comm) send(dst, tag int, data []float32) error {
 	}
 	cp := make([]float32, len(data))
 	copy(cp, data)
-	c.enqueue(dst, tag, envelope{data: cp})
-	return nil
+	return c.enqueue(dst, tag, envelope{data: cp})
 }
 
-// sendPooled is send with the payload copy drawn from the shared block
-// pool instead of the heap; the receiving end recovers the pooled handle
-// through recvPooled and owns its release.
-//
-//ifdk:hotpath
-func (c *Comm) sendPooled(dst, tag int, data []float32) error {
-	if dst < 0 || dst >= c.Size() {
-		return fmt.Errorf("mpi: send to invalid rank %d (size %d)", dst, c.Size())
-	}
-	if c.shared.w.aborted.Load() {
-		// An aborted world delivers nothing: drop before acquiring, or the
-		// block would strand in a mailbox no one will ever drain.
-		return ErrAborted
-	}
-	buf := blockPool.Acquire(len(data))
-	copy(buf.Data, data)
-	c.enqueue(dst, tag, envelope{data: buf.Data, buf: buf})
-	return nil
-}
-
-// sendBuf delivers an already-pooled block to dst, transferring ownership
-// into the mailbox without a copy — the zero-copy counterpart of sendPooled
-// for payloads that already live in pooled blocks (e.g. a ReduceBufs
-// accumulator moving up the tree). Ownership ALWAYS transfers: on any error
-// the block is released here, so the caller must not touch it afterwards
-// regardless of outcome.
+// sendBuf delivers a pooled block to dst without a copy, handing the
+// caller's hold on it to the mailbox (a ReduceBufs accumulator moving up the
+// tree, a shared AllGather block moving round the ring). The hold ALWAYS
+// transfers: on any error it is released here, so the caller must not touch
+// the handle afterwards regardless of outcome.
 //
 //ifdk:hotpath
 func (c *Comm) sendBuf(dst, tag int, buf *engine.Buf[float32]) error {
@@ -283,12 +257,7 @@ func (c *Comm) sendBuf(dst, tag int, buf *engine.Buf[float32]) error {
 		buf.Release()
 		return fmt.Errorf("mpi: send to invalid rank %d (size %d)", dst, c.Size())
 	}
-	if c.shared.w.aborted.Load() {
-		buf.Release()
-		return ErrAborted
-	}
-	c.enqueue(dst, tag, envelope{data: buf.Data, buf: buf})
-	return nil
+	return c.enqueue(dst, tag, envelope{data: buf.Data, buf: buf})
 }
 
 // SendBuf is Send for pooled blocks: the payload moves to dst without a
@@ -311,15 +280,26 @@ func (c *Comm) RecvBuf(src, tag int) (*engine.Buf[float32], error) {
 	return c.recvPooled(src, tag)
 }
 
-func (c *Comm) enqueue(dst, tag int, env envelope) {
+// enqueue delivers env to dst's mailbox. An aborted world delivers nothing:
+// the envelope's pooled hold is released here. The check runs under the
+// mailbox lock and abort sets the flag before it drains any mailbox, so
+// every hold is released exactly once — by the receiver, by abort's drain,
+// or here.
+func (c *Comm) enqueue(dst, tag int, env envelope) error {
 	env.ctx, env.src, env.tag = c.shared.ctx, c.rank, tag
 	box := c.shared.w.boxes[c.shared.global[dst]]
 	box.mu.Lock()
+	if c.shared.w.aborted.Load() {
+		box.mu.Unlock()
+		env.buf.Release() // nil-safe
+		return ErrAborted
+	}
 	box.queue = append(box.queue, env)
 	box.cond.Broadcast()
 	box.mu.Unlock()
 	c.shared.w.bytesSent.Add(int64(4 * len(env.data)))
 	c.shared.w.msgsSent.Add(1)
+	return nil
 }
 
 // Recv blocks until a message from src with the given tag arrives and
@@ -350,7 +330,7 @@ func (c *Comm) recvPooled(src, tag int) (*engine.Buf[float32], error) {
 	if env.buf != nil {
 		return env.buf, nil
 	}
-	buf := blockPool.Acquire(len(env.data))
+	buf := engine.Blocks.Acquire(len(env.data))
 	copy(buf.Data, env.data)
 	return buf, nil
 }
@@ -435,23 +415,18 @@ func (c *Comm) AllGather(data []float32) ([][]float32, error) {
 	return out, nil
 }
 
-// AllGatherBufs is AllGather with every block — the rank's own copy and
-// each received one — drawn from a shared pool instead of the heap. The
-// caller owns all size returned blocks and must Release each when done;
-// out[i].Data is rank i's payload. This is the allocation-free path the
-// per-round pipeline uses: the ring exchanges the same block sizes every
-// round, so steady state recycles instead of allocating (see the
-// AllGather-block item on the ROADMAP, closed by this method).
-func (c *Comm) AllGatherBufs(data []float32) ([]*engine.Buf[float32], error) {
+// AllGatherShared is AllGather by reference, the path the per-round
+// pipeline uses: own is this rank's payload block (its hold passes to the
+// call) and the ring forwards block handles, not copies. Before forwarding a
+// block — its own, or one it received — a rank Retains it once for the
+// neighbour, so at the end all size ranks hold the same size blocks
+// (out[i] is rank i's), the contents are read-only for all of them, and each
+// owes one Release per block. Message and byte counts are AllGather's: the
+// counters measure logical payload, not copies. On error every hold this
+// rank has, own included, is released.
+func (c *Comm) AllGatherShared(own *engine.Buf[float32]) ([]*engine.Buf[float32], error) {
 	size := c.Size()
 	out := make([]*engine.Buf[float32], size)
-	release := func() {
-		for _, b := range out {
-			b.Release() // nil-safe
-		}
-	}
-	own := blockPool.Acquire(len(data))
-	copy(own.Data, data)
 	out[c.rank] = own
 	if size == 1 {
 		return out, nil
@@ -459,19 +434,37 @@ func (c *Comm) AllGatherBufs(data []float32) ([]*engine.Buf[float32], error) {
 	right := (c.rank + 1) % size
 	left := (c.rank - 1 + size) % size
 	for step := 0; step < size-1; step++ {
-		sendIdx := (c.rank - step + size) % size
-		if err := c.sendPooled(right, tagAllG, out[sendIdx].Data); err != nil {
-			release()
+		blk := out[(c.rank-step+size)%size]
+		blk.Retain(1) // the right neighbour becomes a holder
+		if err := c.sendBuf(right, tagAllG, blk); err != nil {
+			releaseAll(out)
 			return nil, err
 		}
 		got, err := c.recvPooled(left, tagAllG)
 		if err != nil {
-			release()
+			releaseAll(out)
 			return nil, err
 		}
 		out[(c.rank-step-1+size)%size] = got
 	}
 	return out, nil
+}
+
+// AllGatherBufs is AllGatherShared for a payload that is not in a pooled
+// block yet: data is copied once into one, which then goes round the ring
+// by reference. The returned blocks are shared with the peers — read-only —
+// and the caller must Release each.
+func (c *Comm) AllGatherBufs(data []float32) ([]*engine.Buf[float32], error) {
+	own := engine.Blocks.Acquire(len(data))
+	copy(own.Data, data)
+	return c.AllGatherShared(own)
+}
+
+// releaseAll drops this rank's hold on every gathered block (nil-safe).
+func releaseAll(bufs []*engine.Buf[float32]) {
+	for _, b := range bufs {
+		b.Release()
+	}
 }
 
 // ReduceOp is a binary element-wise reduction operator.
@@ -560,7 +553,7 @@ func (c *Comm) ReduceBufs(root int, data []float32, op ReduceOp) (*engine.Buf[fl
 		return nil, fmt.Errorf("mpi: reduce root %d out of range", root)
 	}
 	vr := (c.rank - root + size) % size
-	acc := blockPool.Acquire(len(data))
+	acc := engine.Blocks.Acquire(len(data))
 	copy(acc.Data, data)
 	for mask := 1; mask < size; mask <<= 1 {
 		if vr&mask != 0 {

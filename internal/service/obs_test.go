@@ -260,6 +260,9 @@ func TestTraceEndToEnd(t *testing.T) {
 			t.Errorf("round span parent = %q, want compute %q", s.ParentSpanID, compute.SpanID)
 		}
 	}
+	if c := byName["filter.round"][0].Attrs["covers"]; c != "load+filter+transpose" {
+		t.Errorf("filter.round covers %q, want the stage to end with the transpose", c)
+	}
 	// Durations agree with the stage clock the View reports.
 	const eps = 1e-6
 	if d := byName["backproject"][0].DurationSec; math.Abs(d-final.Stages.Backproject) > eps {

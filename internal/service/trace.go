@@ -130,11 +130,13 @@ func (m *Manager) assembleSpans(j *Job) []obs.Span {
 			}
 			attr := []obs.Attr{{Key: "round", Value: strconv.Itoa(rt.Round)}}
 			spans = append(spans,
+				// The filter stage ends with the transposed block the
+				// column shares; back-projection does not transpose.
 				obs.Span{
 					SpanID: sid(fmt.Sprintf("filter.round.%d", rt.Round)), Parent: compute.SpanID,
 					Name:  "filter.round",
 					Start: ts.tRun0.Add(rt.FilterOff), End: ts.tRun0.Add(rt.FilterOff + rt.FilterDur),
-					Attrs: attr,
+					Attrs: []obs.Attr{attr[0], {Key: "covers", Value: "load+filter+transpose"}},
 				},
 				obs.Span{
 					SpanID: sid(fmt.Sprintf("allgather.round.%d", rt.Round)), Parent: compute.SpanID,
