@@ -18,7 +18,7 @@ type Config struct {
 
 	Workers    int // worker goroutines per rank inside stages (default 1)
 	Batch      int // projections per back-projection pass (default 32)
-	QueueDepth int // circular-buffer capacity between pipeline threads (default 8)
+	QueueDepth int // channel capacity between pipeline threads, in rounds (default 8)
 
 	InputPrefix  string // PFS prefix holding the Np input projections
 	OutputPrefix string // PFS prefix for the output slices ("" = skip store)

@@ -66,8 +66,6 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	if err := StageProjections(store, "in", proj); err != nil {
 		t.Fatal(err)
 	}
-	baseline := runtime.NumGoroutine()
-	poolBaseline := engine.InUseBytes()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := Config{
@@ -82,26 +80,36 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		},
 	}
 	start := time.Now()
-	res, err := RunContext(ctx, cfg, store)
-	if err == nil {
-		t.Fatal("cancelled run returned no error")
-	}
+	err := failedRun(t, ctx, cfg, store)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled in the chain", err)
-	}
-	if res != nil {
-		t.Error("cancelled run returned a result")
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("cancellation took %v", d)
 	}
-	waitGoroutines(t, baseline)
-	// An aborted pipeline must balance its pool books: slab volumes and
-	// filtered projections stranded mid-flight go back, so the engine's
-	// in-use gauge (which feeds /v1/metrics) does not drift per cancel.
-	if got := engine.InUseBytes(); got != poolBaseline {
-		t.Errorf("pool in-use bytes drifted across a cancelled run: %d -> %d", poolBaseline, got)
+}
+
+// failedRun runs cfg, requires the run to fail, and checks that it left
+// nothing behind: every pipeline goroutine has exited, and the slab volumes
+// and filtered projections stranded mid-flight went back to their pools, so
+// the engine's in-use gauge (which feeds /v1/metrics) does not drift per
+// failed or cancelled job. It returns the run's error.
+func failedRun(t *testing.T, ctx context.Context, cfg Config, store *pfs.PFS) error {
+	t.Helper()
+	baseline := runtime.NumGoroutine()
+	poolBaseline := engine.InUseBytes()
+	res, err := RunContext(ctx, cfg, store)
+	if err == nil {
+		t.Fatal("run did not fail")
 	}
+	if res != nil {
+		t.Error("failed run returned a result")
+	}
+	waitGoroutines(t, baseline)
+	if got := engine.InUseBytes(); got != poolBaseline {
+		t.Errorf("pool in-use bytes drifted across a failed run: %d -> %d", poolBaseline, got)
+	}
+	return err
 }
 
 // A pre-cancelled context fails immediately without leaking.

@@ -253,28 +253,6 @@ func TestSlabPartition(t *testing.T) {
 	}
 }
 
-// Sec. 4.1.5: the paper uses R=32 for 4096³ and R=256 for 8192³ with 8 GB
-// sub-volumes on 16 GB GPUs.
-func TestChooseRMatchesPaper(t *testing.T) {
-	dev := int64(16) << 30
-	r4k, err := ChooseR(geometry.Problem{Nu: 2048, Nv: 2048, Np: 4096, Nx: 4096, Ny: 4096, Nz: 4096}, dev, 0)
-	if err != nil || r4k != 32 {
-		t.Errorf("4K: R = %d (%v), want 32", r4k, err)
-	}
-	r8k, err := ChooseR(geometry.Problem{Nu: 2048, Nv: 2048, Np: 4096, Nx: 8192, Ny: 8192, Nz: 8192}, dev, 0)
-	if err != nil || r8k != 256 {
-		t.Errorf("8K: R = %d (%v), want 256", r8k, err)
-	}
-	rSmall, err := ChooseR(geometry.Problem{Nu: 512, Nv: 512, Np: 512, Nx: 256, Ny: 256, Nz: 256}, dev, 0)
-	if err != nil || rSmall != 1 {
-		t.Errorf("small: R = %d (%v), want 1", rSmall, err)
-	}
-	// A tiny device cannot host the sub-volume plus a projection batch.
-	if _, err := ChooseR(geometry.Problem{Nu: 2048, Nv: 2048, Np: 4096, Nx: 4096, Ny: 4096, Nz: 4096}, 1<<30, 8<<30); err == nil {
-		t.Error("impossible device accepted")
-	}
-}
-
 func TestStageProjectionsValidation(t *testing.T) {
 	store := pfs.New(pfs.Config{})
 	if err := StageProjections(store, "", nil); err == nil {

@@ -10,16 +10,9 @@
 //     its per-column partial volumes with a single Reduce (Fig. 3b, right).
 //
 // Inside every rank three goroutines — Filtering, Main and Back-projection,
-// connected by circular buffers — overlap I/O, filtering, communication and
-// back-projection exactly as in Fig. 4.
+// connected by two buffered channels, the paper's queue-buffers — overlap
+// I/O, filtering, communication and back-projection exactly as in Fig. 4.
 package core
-
-import (
-	"fmt"
-	"math/bits"
-
-	"ifdk/internal/ct/geometry"
-)
 
 // RankRow returns the grid row of a rank; ranks are numbered column-major
 // (Fig. 3a: column C0 holds ranks 0..R-1).
@@ -52,35 +45,4 @@ func RankProjRange(row, col, np, r, c int) (lo, hi int) {
 func RowSlab(row, nz, r int) (z0, z1 int) {
 	h := nz / (2 * r)
 	return row * h, (row + 1) * h
-}
-
-// DefaultSubVolBytes is the per-GPU sub-volume size the paper adopts for
-// high-resolution problems on 16 GB devices (Sec. 4.1.5): 8 GB.
-const DefaultSubVolBytes = int64(8) << 30
-
-// ChooseR selects the number of grid rows per Sec. 4.1.5: the smallest
-// power of two R such that the per-rank sub-volume
-// 4·Nx·Ny·Nz/R fits within subVolBytes, while the sub-volume plus a
-// 32-projection batch stays inside device memory. R is minimized (and C
-// maximized) because larger sub-volumes keep the back-projection kernel in
-// its efficient low-α regime and shorter column tasks scale with C.
-func ChooseR(pr geometry.Problem, devMemBytes, subVolBytes int64) (int, error) {
-	if subVolBytes <= 0 {
-		subVolBytes = DefaultSubVolBytes
-	}
-	out := pr.OutputBytes()
-	r := int((out + subVolBytes - 1) / subVolBytes)
-	if r < 1 {
-		r = 1
-	}
-	r = 1 << bits.Len(uint(r-1)) // next power of two
-	if r > pr.Nz/2 && pr.Nz >= 2 {
-		r = pr.Nz / 2
-	}
-	projBatch := 4 * int64(pr.Nu) * int64(pr.Nv) * 32
-	if devMemBytes > 0 && out/int64(r)+projBatch > devMemBytes {
-		return 0, fmt.Errorf("core: sub-volume %d + projection batch %d exceed device memory %d",
-			out/int64(r), projBatch, devMemBytes)
-	}
-	return r, nil
 }

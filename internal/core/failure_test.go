@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -24,12 +26,21 @@ func TestStoreFailurePropagates(t *testing.T) {
 	// Allow the input staging reads; fail a write during the output store.
 	store.FailAfterWrites(4)
 	cfg := Config{R: 2, C: 2, Geometry: g, InputPrefix: "in", OutputPrefix: "out"}
-	_, err := Run(cfg, store)
-	if err == nil {
-		t.Fatal("injected store failure did not propagate")
-	}
+	err := failedRun(t, context.Background(), cfg, store)
 	if !strings.Contains(err.Error(), "injected write failure") {
 		t.Errorf("unexpected error: %v", err)
+	}
+}
+
+// requireStageError checks that a failed run reports the failing stage's
+// own error, not the cancellation that unwound the other stages.
+func requireStageError(t *testing.T, err error, want string) {
+	t.Helper()
+	if errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want the stage's error, not context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to carry %q", err, want)
 	}
 }
 
@@ -48,9 +59,8 @@ func TestCorruptProjectionAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{R: 2, C: 2, Geometry: g, InputPrefix: "in"}
-	if _, err := Run(cfg, store); err == nil {
-		t.Fatal("corrupt projection did not propagate")
-	}
+	err := failedRun(t, context.Background(), cfg, store)
+	requireStageError(t, err, "image blob too short")
 }
 
 // A wrongly sized projection (valid blob, wrong detector) must be rejected
@@ -68,7 +78,6 @@ func TestWrongSizeProjectionAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{R: 4, C: 1, Geometry: g, InputPrefix: "in"}
-	if _, err := Run(cfg, store); err == nil {
-		t.Fatal("wrong-size projection did not propagate")
-	}
+	err := failedRun(t, context.Background(), cfg, store)
+	requireStageError(t, err, "image blob is 16x16, destination is 48x48")
 }

@@ -13,14 +13,13 @@ import (
 	"ifdk/internal/engine"
 	"ifdk/internal/hpc/mpi"
 	"ifdk/internal/hpc/pfs"
-	"ifdk/internal/hpc/ringbuf"
 	"ifdk/pkg/volume"
 )
 
 // tag used by row roots to ship reduced sub-volumes to rank 0 for assembly.
 const tagAssemble = 100
 
-// projItem flows through the pipeline ring buffers: one filtered,
+// projItem flows through the pipeline channels: one filtered,
 // transposed projection (Nv×Nu, V fast — Alg. 4 line 3) in a pooled
 // engine.Blocks block, with its global index. Its producer transposed it
 // once; after the AllGather every rank of the column holds the same block,
@@ -40,7 +39,8 @@ func Run(cfg Config, store *pfs.PFS) (*Result, error) {
 // RunContext is Run with cancellation: when ctx is cancelled the MPI world
 // aborts, the three pipeline goroutines of every rank drain and exit, and
 // the call returns ctx's error. This is the teardown path the service layer
-// uses to cancel an in-flight job without leaking goroutines.
+// uses to cancel an in-flight job without leaking goroutines. A failing
+// stage unwinds the same way and the call returns that stage's error.
 func RunContext(ctx context.Context, cfg Config, store *pfs.PFS) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -144,25 +144,41 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 	z0, z1 := RowSlab(row, g.Nz, cfg.R)
 	h := z1 - z0
 
+	// The first stage to fail cancels the rank's context with its error;
+	// every channel send selects on it, so the other two stages unwind too,
+	// and the rank reports that first error (an external cancel reports
+	// ctx's own).
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	fail := func(err error) {
+		if err != nil {
+			cancel(err)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+
 	// --- Filtering thread (Fig. 4a, left): load + filter own projections
-	// in round order and feed the Main thread through a circular buffer.
+	// in round order and feed the Main thread through chA, which it owns.
 	// Each projection is decoded straight off the PFS into a pooled image,
 	// filtered in place, and transposed once into a pooled block (Alg. 4
 	// line 3) — the block every column peer back-projects, so nobody
 	// transposes it again. The filter stage's clock stops after the
 	// transpose. Zero per-projection heap allocations in steady state.
-	ringA := ringbuf.New[projItem](cfg.queueDepth())
-	filterErr := make(chan error, 1)
+	// chA's capacity (QueueDepth) lets filtering run that many rounds ahead
+	// of the AllGather.
+	chA := make(chan projItem, cfg.queueDepth())
 	go func() {
-		filterErr <- func() error {
-			defer ringA.Close()
+		defer wg.Done()
+		defer close(chA)
+		fail(func() error {
 			flt, err := filter.Cached(g, cfg.Window)
 			if err != nil {
 				return err
 			}
 			tp := volume.Image{W: g.Nv, H: g.Nu} // header over each block
 			for s := myLo; s < myHi; s++ {
-				if err := ctx.Err(); err != nil {
+				if err := context.Cause(ctx); err != nil {
 					return err
 				}
 				roundOff := time.Since(start)
@@ -187,23 +203,26 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 					rounds[s-myLo].FilterOff = roundOff
 					rounds[s-myLo].FilterDur = time.Since(start) - roundOff
 				}
-				if !ringA.Put(projItem{s: s, buf: blk}) {
+				select {
+				case chA <- projItem{s: s, buf: blk}:
+				case <-ctx.Done():
 					blk.Release()
-					return nil // pipeline shut down
+					return context.Cause(ctx)
 				}
 			}
 			return nil
-		}()
+		}())
 	}()
 
 	// --- Back-projection thread (Fig. 4a, right): batch incoming filtered
 	// projections and accumulate them into the rank's slab-pair volume,
-	// reading the shared transposed blocks in place.
-	ringB := ringbuf.New[projItem](cfg.queueDepth() * max(1, cfg.R))
+	// reading the shared transposed blocks in place. chB holds QueueDepth
+	// rounds of R blocks each, the same look-ahead as chA.
+	chB := make(chan projItem, cfg.queueDepth()*max(1, cfg.R))
 	local := engine.Volumes.Acquire(g.Nx, g.Ny, 2*h, volume.KMajor)
-	bpErr := make(chan error, 1)
 	go func() {
-		bpErr <- func() error {
+		defer wg.Done()
+		fail(func() error {
 			batchSize := cfg.Batch
 			if batchSize <= 0 {
 				batchSize = backproject.DefaultBatch
@@ -237,7 +256,14 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 				return nil
 			}
 			for {
-				it, ok := ringB.Get()
+				var it projItem
+				var ok bool
+				select {
+				case it, ok = <-chB:
+				case <-ctx.Done():
+					releaseBufs()
+					return context.Cause(ctx)
+				}
 				if !ok {
 					return flush()
 				}
@@ -251,19 +277,19 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 					}
 				}
 			}
-		}()
+		}())
 	}()
 
 	// --- Main thread: one AllGather per projection round (Sec. 4.1.3);
 	// round r exchanges each column rank's r-th filtered projection, whose
 	// global index is colLo + i·quota + r for the rank at column position i.
-	mainErr := func() error {
-		defer ringB.Close()
+	// It owns chB and closes it once its own error, if any, is recorded.
+	fail(func() error {
 		for r := 0; r < quota; r++ {
-			if err := ctx.Err(); err != nil {
+			if err := context.Cause(ctx); err != nil {
 				return err
 			}
-			it, ok := ringA.Get()
+			it, ok := <-chA
 			if !ok {
 				return fmt.Errorf("rank %d: filtering ended early at round %d", c.Rank(), r)
 			}
@@ -286,50 +312,33 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 			}
 			for i, blk := range blocks {
 				s := colLo + i*quota + r
-				if !ringB.Put(projItem{s: s, buf: blk}) {
+				select {
+				case chB <- projItem{s: s, buf: blk}:
+				case <-ctx.Done():
 					for _, rest := range blocks[i:] {
-						rest.Release() // never enqueued: back to the pool here
+						rest.Release() // never sent: back to the pool here
 					}
-					return fmt.Errorf("rank %d: back-projection ended early", c.Rank())
+					return context.Cause(ctx)
 				}
 			}
 			tick()
 		}
 		return nil
-	}()
-	// abandon unwinds an aborted pipeline without leaking pooled buffers:
-	// holds on blocks stranded in either ring and the rank's slab-pair
-	// volume go back (the engine's in-use gauges feed admission metrics, so
-	// cancelled jobs must balance their books too). Both rings are closed
-	// by then, so Get drains the leftovers and reports !ok.
-	abandon := func() {
-		for _, ring := range []*ringbuf.Ring[projItem]{ringA, ringB} {
-			for {
-				it, ok := ring.Get()
-				if !ok {
-					break
-				}
+	}())
+	close(chB)
+	wg.Wait()
+	if err := context.Cause(ctx); err != nil {
+		// Unwind without leaking pooled buffers: holds on blocks stranded in
+		// either channel (both closed by their owners by now) and the rank's
+		// slab-pair volume go back — the engine's in-use gauges feed
+		// admission metrics, so failed and cancelled jobs must balance their
+		// books too.
+		for _, ch := range []chan projItem{chA, chB} {
+			for it := range ch {
 				it.buf.Release()
 			}
 		}
 		engine.Volumes.Release(local)
-	}
-	if mainErr != nil {
-		ringA.Close()
-		ringB.Close()
-		<-filterErr
-		<-bpErr
-		abandon()
-		return t, nil, nil, mainErr
-	}
-	if err := <-filterErr; err != nil {
-		ringB.Close()
-		<-bpErr
-		abandon()
-		return t, nil, nil, err
-	}
-	if err := <-bpErr; err != nil {
-		abandon()
 		return t, nil, nil, err
 	}
 	t.Compute = time.Since(start)

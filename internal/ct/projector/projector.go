@@ -14,7 +14,6 @@ package projector
 import (
 	"context"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 
@@ -166,23 +165,6 @@ func sampleTrilinear(vol *volume.Volume, g geometry.Params, p geometry.Vec3) flo
 		}
 	}
 	return sum
-}
-
-// AddPoissonNoise perturbs a projection with the photon statistics of a
-// transmission measurement: the ideal intensity I = I0·exp(-p) receives
-// Gaussian-approximated Poisson noise, and the projection becomes
-// -ln(I/I0). Larger i0 (photons per detector pixel) means less noise.
-// The image is modified in place; rng may be shared across calls but not
-// across goroutines.
-func AddPoissonNoise(img *volume.Image, i0 float64, rng *rand.Rand) {
-	for n, p := range img.Data {
-		ideal := i0 * math.Exp(-float64(p))
-		noisy := ideal + rng.NormFloat64()*math.Sqrt(ideal)
-		if noisy < 1 {
-			noisy = 1
-		}
-		img.Data[n] = float32(math.Log(i0 / noisy))
-	}
 }
 
 // parallelFor runs body(i) for i in [0, n) on the given number of workers.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 
 	"ifdk/internal/ct/geometry"
@@ -100,29 +99,6 @@ func TestRaycastEmptyVolume(t *testing.T) {
 	s := img.Summarize()
 	if s.Min != 0 || s.Max != 0 {
 		t.Errorf("projection of empty volume has range [%g, %g]", s.Min, s.Max)
-	}
-}
-
-func TestAddPoissonNoise(t *testing.T) {
-	g := geometry.Default(64, 64, 4, 16, 16, 16)
-	ph := phantom.UniformSphere(g.FOVRadius()*0.6, 0.02)
-	img := Analytic(ph, g, 0)
-	clean := img.Clone()
-	rng := rand.New(rand.NewSource(1))
-	AddPoissonNoise(img, 1e5, rng)
-	r, _ := volume.ImageRMSE(clean, img)
-	if r == 0 {
-		t.Error("noise did not change the image")
-	}
-	if r > 0.1 {
-		t.Errorf("noise RMSE %g too large for I0=1e5", r)
-	}
-	// More photons → less noise.
-	img2 := clean.Clone()
-	AddPoissonNoise(img2, 1e7, rng)
-	r2, _ := volume.ImageRMSE(clean, img2)
-	if r2 >= r {
-		t.Errorf("noise did not decrease with more photons: %g vs %g", r2, r)
 	}
 }
 

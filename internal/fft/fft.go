@@ -1,16 +1,13 @@
-// Package fft implements the fast Fourier transforms needed by the iFDK
+// Package fft implements the fast Fourier transforms behind the iFDK
 // filtering stage (Alg. 1 of the paper). The paper uses vendor FFT
 // primitives (Intel IPP on the CPU); the Go standard library has none, so
-// this package provides:
+// this package provides reusable plans for power-of-two lengths (ramp-filter
+// convolution rows are zero-padded to one, NextPow2):
 //
-//   - an iterative radix-2 Cooley–Tukey transform with reusable plans for
-//     power-of-two lengths (the hot path: ramp-filter convolution rows are
-//     zero-padded to a power of two), and
-//   - a Bluestein chirp-z fallback for arbitrary lengths.
-//
-// Convolution helpers implement the Convolution Theorem path referenced in
-// Sec. 2.2.3: convolution in the spatial domain equals point-wise product in
-// the frequency domain.
+//   - Plan, an iterative radix-2 Cooley–Tukey complex128 transform — the
+//     filter builds its ramp spectrum with Forward, and its test-only
+//     reference row filter runs Forward then Inverse — and
+//   - the single-precision Plan32 and RealPlan (real.go).
 package fft
 
 import (
@@ -94,88 +91,6 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 			}
 		}
 	}
-	if p.n == 1 {
-		return
-	}
-}
-
-// FFT computes the DFT of x, returning a new slice. Arbitrary lengths are
-// supported: powers of two use the radix-2 path, others use Bluestein.
-func FFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	transformAny(out, false)
-	return out
-}
-
-// IFFT computes the inverse DFT (with 1/n scaling), returning a new slice.
-func IFFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	transformAny(out, true)
-	return out
-}
-
-func transformAny(x []complex128, inverse bool) {
-	n := len(x)
-	if n == 0 {
-		return
-	}
-	if n&(n-1) == 0 {
-		p, _ := NewPlan(n)
-		if inverse {
-			p.Inverse(x)
-		} else {
-			p.Forward(x)
-		}
-		return
-	}
-	bluestein(x, inverse)
-}
-
-// bluestein computes an arbitrary-length DFT via the chirp-z transform,
-// expressed as a circular convolution of power-of-two length ≥ 2n-1.
-func bluestein(x []complex128, inverse bool) {
-	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// chirp[k] = exp(sign * πi k²/n)
-	chirp := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		// k² mod 2n avoids precision loss for large k.
-		kk := (int64(k) * int64(k)) % int64(2*n)
-		angle := sign * math.Pi * float64(kk) / float64(n)
-		chirp[k] = cmplx.Rect(1, angle)
-	}
-	m := NextPow2(2*n - 1)
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * chirp[k]
-		c := cmplx.Conj(chirp[k])
-		b[k] = c
-		if k > 0 {
-			b[m-k] = c
-		}
-	}
-	p, _ := NewPlan(m)
-	p.Forward(a)
-	p.Forward(b)
-	for i := range a {
-		a[i] *= b[i]
-	}
-	p.Inverse(a)
-	for k := 0; k < n; k++ {
-		x[k] = a[k] * chirp[k]
-	}
-	if inverse {
-		invN := complex(1/float64(n), 0)
-		for k := range x {
-			x[k] *= invN
-		}
-	}
 }
 
 // NextPow2 returns the smallest power of two ≥ n (and ≥ 1).
@@ -184,46 +99,4 @@ func NextPow2(n int) int {
 		return 1
 	}
 	return 1 << bits.Len(uint(n-1))
-}
-
-// Convolve computes the full linear convolution of a and b
-// (len = len(a)+len(b)-1) using zero-padded FFTs.
-func Convolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	outLen := len(a) + len(b) - 1
-	m := NextPow2(outLen)
-	fa := make([]complex128, m)
-	fb := make([]complex128, m)
-	for i, v := range a {
-		fa[i] = complex(v, 0)
-	}
-	for i, v := range b {
-		fb[i] = complex(v, 0)
-	}
-	p, _ := NewPlan(m)
-	p.Forward(fa)
-	p.Forward(fb)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	p.Inverse(fa)
-	out := make([]float64, outLen)
-	for i := range out {
-		out[i] = real(fa[i])
-	}
-	return out
-}
-
-// RealSpectrum transforms a real kernel of length n (zero-padded to the plan
-// length) and returns its complex spectrum. Used to precompute the ramp
-// filter response once per detector width.
-func RealSpectrum(kernel []float64, p *Plan) []complex128 {
-	buf := make([]complex128, p.N())
-	for i, v := range kernel {
-		buf[i] = complex(v, 0)
-	}
-	p.Forward(buf)
-	return buf
 }

@@ -4,26 +4,19 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// naiveDFT is the O(n²) reference implementation.
-func naiveDFT(x []complex128, inverse bool) []complex128 {
+// naiveDFT is the O(n²) reference forward transform.
+func naiveDFT(x []complex128) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
 	for k := 0; k < n; k++ {
 		var sum complex128
 		for j := 0; j < n; j++ {
-			angle := sign * 2 * math.Pi * float64(j*k) / float64(n)
-			sum += x[j] * cmplx.Rect(1, angle)
-		}
-		if inverse {
-			sum /= complex(float64(n), 0)
+			sum += x[j] * cmplx.Rect(1, -2*math.Pi*float64(j*k)/float64(n))
 		}
 		out[k] = sum
 	}
@@ -49,6 +42,22 @@ func maxErr(a, b []complex128) float64 {
 	return worst
 }
 
+// transform returns Forward (or Inverse) of a copy of x, whose length must
+// be a power of two.
+func transform(x []complex128, inverse bool) []complex128 {
+	p, err := NewPlan(len(x))
+	if err != nil {
+		panic(err)
+	}
+	out := slices.Clone(x)
+	if inverse {
+		p.Inverse(out)
+	} else {
+		p.Forward(out)
+	}
+	return out
+}
+
 func TestNewPlanRejectsNonPow2(t *testing.T) {
 	for _, n := range []int{0, -1, 3, 6, 100} {
 		if _, err := NewPlan(n); err == nil {
@@ -65,7 +74,7 @@ func TestNewPlanRejectsNonPow2(t *testing.T) {
 func TestForwardMatchesNaive(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 256} {
 		x := randComplex(n, int64(n))
-		want := naiveDFT(x, false)
+		want := naiveDFT(x)
 		p, err := NewPlan(n)
 		if err != nil {
 			t.Fatal(err)
@@ -93,27 +102,12 @@ func TestInverseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBluesteinMatchesNaive(t *testing.T) {
-	for _, n := range []int{3, 5, 7, 12, 17, 31, 100} {
-		x := randComplex(n, int64(n)+7)
-		want := naiveDFT(x, false)
-		got := FFT(x)
-		if e := maxErr(got, want); e > 1e-8 {
-			t.Errorf("n=%d: max error %g", n, e)
-		}
-		back := IFFT(got)
-		if e := maxErr(back, x); e > 1e-8 {
-			t.Errorf("n=%d: ifft round-trip error %g", n, e)
-		}
-	}
-}
-
 func TestImpulseResponse(t *testing.T) {
 	// DFT of a unit impulse is all-ones.
 	n := 16
 	x := make([]complex128, n)
 	x[0] = 1
-	got := FFT(x)
+	got := transform(x, false)
 	for k := range got {
 		if cmplx.Abs(got[k]-1) > 1e-12 {
 			t.Fatalf("impulse spectrum at %d = %v", k, got[k])
@@ -128,7 +122,7 @@ func TestDCComponent(t *testing.T) {
 	for i := range x {
 		x[i] = 2
 	}
-	got := FFT(x)
+	got := transform(x, false)
 	if cmplx.Abs(got[0]-complex(float64(2*n), 0)) > 1e-9 {
 		t.Errorf("DC bin = %v", got[0])
 	}
@@ -142,7 +136,7 @@ func TestDCComponent(t *testing.T) {
 func TestParseval(t *testing.T) {
 	// Energy in time domain equals energy in frequency domain / n.
 	x := randComplex(256, 99)
-	spec := FFT(x)
+	spec := transform(x, false)
 	var et, ef float64
 	for i := range x {
 		et += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
@@ -153,12 +147,11 @@ func TestParseval(t *testing.T) {
 	}
 }
 
-// Property: IFFT(FFT(x)) == x for random lengths (both code paths).
+// Property: Inverse(Forward(x)) == x for random power-of-two lengths.
 func TestRoundTripProperty(t *testing.T) {
-	f := func(n uint8, seed int64) bool {
-		length := int(n%200) + 1
-		x := randComplex(length, seed)
-		back := IFFT(FFT(x))
+	f := func(logN uint8, seed int64) bool {
+		x := randComplex(1<<(logN%11), seed)
+		back := transform(transform(x, false), true)
 		return maxErr(back, x) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -166,7 +159,7 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: linearity FFT(a*x + y) == a*FFT(x) + FFT(y).
+// Property: linearity Forward(a*x + y) == a*Forward(x) + Forward(y).
 func TestLinearityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		const n = 64
@@ -177,8 +170,8 @@ func TestLinearityProperty(t *testing.T) {
 		for i := range mix {
 			mix[i] = a*x[i] + y[i]
 		}
-		lhs := FFT(mix)
-		fx, fy := FFT(x), FFT(y)
+		lhs := transform(mix, false)
+		fx, fy := transform(x, false), transform(y, false)
 		rhs := make([]complex128, n)
 		for i := range rhs {
 			rhs[i] = a*fx[i] + fy[i]
@@ -190,60 +183,12 @@ func TestLinearityProperty(t *testing.T) {
 	}
 }
 
-func naiveConvolve(a, b []float64) []float64 {
-	out := make([]float64, len(a)+len(b)-1)
-	for i := range a {
-		for j := range b {
-			out[i+j] += a[i] * b[j]
-		}
-	}
-	return out
-}
-
-func TestConvolveMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, sizes := range [][2]int{{1, 1}, {4, 4}, {7, 13}, {64, 33}, {100, 1}} {
-		a := make([]float64, sizes[0])
-		b := make([]float64, sizes[1])
-		for i := range a {
-			a[i] = rng.Float64()*2 - 1
-		}
-		for i := range b {
-			b[i] = rng.Float64()*2 - 1
-		}
-		got := Convolve(a, b)
-		want := naiveConvolve(a, b)
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				t.Fatalf("sizes %v: conv[%d] = %g want %g", sizes, i, got[i], want[i])
-			}
-		}
-	}
-	if Convolve(nil, []float64{1}) != nil {
-		t.Error("Convolve with empty input should return nil")
-	}
-}
-
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{-3: 1, 0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024, 1025: 2048}
 	for in, want := range cases {
 		if got := NextPow2(in); got != want {
 			t.Errorf("NextPow2(%d) = %d, want %d", in, got, want)
 		}
-	}
-}
-
-func TestRealSpectrum(t *testing.T) {
-	p, _ := NewPlan(8)
-	kernel := []float64{1, 2, 3}
-	spec := RealSpectrum(kernel, p)
-	x := make([]complex128, 8)
-	for i, v := range kernel {
-		x[i] = complex(v, 0)
-	}
-	want := naiveDFT(x, false)
-	if e := maxErr(spec, want); e > 1e-10 {
-		t.Errorf("RealSpectrum error %g", e)
 	}
 }
 

@@ -19,7 +19,7 @@ func TestRunContextCancelUnblocksRecv(t *testing.T) {
 	go func() {
 		done <- RunContext(ctx, 2, func(c *Comm) error {
 			if c.Rank() == 0 {
-				_, err := c.Recv(1, 7) // rank 1 never sends
+				_, err := c.RecvBuf(1, 7) // rank 1 never sends
 				return err
 			}
 			<-ctx.Done()
@@ -48,7 +48,8 @@ func TestRunContextCancelUnblocksCollective(t *testing.T) {
 			<-ctx.Done() // skip the collective: peers must still unblock
 			return nil
 		}
-		_, err := c.AllGather([]float32{float32(c.Rank())})
+		blocks, err := c.AllGatherBufs([]float32{float32(c.Rank())})
+		releaseAll(blocks)
 		return err
 	})
 	if !errors.Is(err, ErrAborted) {
@@ -59,7 +60,7 @@ func TestRunContextCancelUnblocksCollective(t *testing.T) {
 // A context that is never cancelled must not perturb a normal run.
 func TestRunContextNormalCompletion(t *testing.T) {
 	err := RunContext(context.Background(), 4, func(c *Comm) error {
-		got, err := c.AllGather([]float32{float32(c.Rank())})
+		got, err := gatherVals(c, []float32{float32(c.Rank())})
 		if err != nil {
 			return err
 		}

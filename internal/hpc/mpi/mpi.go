@@ -3,9 +3,9 @@
 // (source, tag) mailboxes, and synchronize through collectives implemented
 // on top of point-to-point transfers (ring AllGather, binomial Reduce), so
 // their message counts and payload bytes match the models in the paper's
-// Sec. 4.2. Send copies its payload; pooled blocks (SendBuf, the *Bufs and
-// *Shared collectives) move by handle, and AllGatherShared hands every rank
-// of the ring the same read-only block instead of a copy each.
+// Sec. 4.2. Every payload rides a pooled engine.Blocks block and moves by
+// handle, never by copy: SendBuf hands its block to the receiver, and
+// AllGatherShared hands every rank of the ring the same read-only block.
 //
 // The paper drives iFDK with Intel MPI over InfiniBand; this package is the
 // substitution that lets the full framework — the 2-D rank grid, the column
@@ -32,11 +32,10 @@ var ErrAborted = errors.New("mpi: world aborted")
 
 // envelope is an in-flight message.
 type envelope struct {
-	ctx  int64 // communicator context id
-	src  int   // global source rank
-	tag  int
-	data []float32
-	buf  *engine.Buf[float32] // non-nil when data rides a pooled block
+	ctx int64 // communicator context id
+	src int   // global source rank
+	tag int
+	buf *engine.Buf[float32]
 }
 
 // mailbox holds undelivered messages for one global rank.
@@ -132,7 +131,7 @@ func (w *world) abort() {
 		// ErrAborted without dequeuing); recycle their pooled blocks
 		// instead of stranding them until GC.
 		for i := range b.queue {
-			b.queue[i].buf.Release() // nil-safe
+			b.queue[i].buf.Release()
 		}
 		b.queue = nil
 		b.cond.Broadcast()
@@ -224,27 +223,6 @@ func (c *Comm) BytesSent() int64 { return c.shared.w.bytesSent.Load() }
 // MessagesSent returns the total number of messages sent across the world.
 func (c *Comm) MessagesSent() int64 { return c.shared.w.msgsSent.Load() }
 
-// Send delivers a copy of data to dst (a rank of this communicator) with
-// the given non-negative tag. Sends are buffered and never block.
-func (c *Comm) Send(dst, tag int, data []float32) error {
-	if tag < 0 {
-		return fmt.Errorf("mpi: negative tags are reserved")
-	}
-	return c.send(dst, tag, data)
-}
-
-func (c *Comm) send(dst, tag int, data []float32) error {
-	if dst < 0 || dst >= c.Size() {
-		return fmt.Errorf("mpi: send to invalid rank %d (size %d)", dst, c.Size())
-	}
-	if c.shared.w.aborted.Load() {
-		return ErrAborted
-	}
-	cp := make([]float32, len(data))
-	copy(cp, data)
-	return c.enqueue(dst, tag, envelope{data: cp})
-}
-
 // sendBuf delivers a pooled block to dst without a copy, handing the
 // caller's hold on it to the mailbox (a ReduceBufs accumulator moving up the
 // tree, a shared AllGather block moving round the ring). The hold ALWAYS
@@ -257,12 +235,13 @@ func (c *Comm) sendBuf(dst, tag int, buf *engine.Buf[float32]) error {
 		buf.Release()
 		return fmt.Errorf("mpi: send to invalid rank %d (size %d)", dst, c.Size())
 	}
-	return c.enqueue(dst, tag, envelope{data: buf.Data, buf: buf})
+	return c.enqueue(dst, tag, envelope{buf: buf})
 }
 
-// SendBuf is Send for pooled blocks: the payload moves to dst without a
-// copy, and ownership of buf always transfers (released internally on
-// error). Pair with RecvBuf on the receiving side.
+// SendBuf delivers a pooled block to dst (a rank of this communicator)
+// with the given non-negative tag. Sends are buffered and never block. The
+// payload moves without a copy, and ownership of buf always transfers
+// (released internally on error). Pair with RecvBuf on the receiving side.
 func (c *Comm) SendBuf(dst, tag int, buf *engine.Buf[float32]) error {
 	if tag < 0 {
 		buf.Release()
@@ -271,13 +250,13 @@ func (c *Comm) SendBuf(dst, tag int, buf *engine.Buf[float32]) error {
 	return c.sendBuf(dst, tag, buf)
 }
 
-// RecvBuf is Recv returning the pooled block handle; the caller owns the
-// release.
+// RecvBuf blocks until a message from src with the given tag arrives and
+// returns its pooled block; the caller owns the release.
 func (c *Comm) RecvBuf(src, tag int) (*engine.Buf[float32], error) {
 	if tag < 0 {
 		return nil, fmt.Errorf("mpi: negative tags are reserved")
 	}
-	return c.recvPooled(src, tag)
+	return c.recv(src, tag)
 }
 
 // enqueue delivers env to dst's mailbox. An aborted world delivers nothing:
@@ -291,53 +270,22 @@ func (c *Comm) enqueue(dst, tag int, env envelope) error {
 	box.mu.Lock()
 	if c.shared.w.aborted.Load() {
 		box.mu.Unlock()
-		env.buf.Release() // nil-safe
+		env.buf.Release()
 		return ErrAborted
 	}
 	box.queue = append(box.queue, env)
 	box.cond.Broadcast()
 	box.mu.Unlock()
-	c.shared.w.bytesSent.Add(int64(4 * len(env.data)))
+	c.shared.w.bytesSent.Add(int64(4 * len(env.buf.Data)))
 	c.shared.w.msgsSent.Add(1)
 	return nil
 }
 
-// Recv blocks until a message from src with the given tag arrives and
-// returns its payload.
-func (c *Comm) Recv(src, tag int) ([]float32, error) {
-	if tag < 0 {
-		return nil, fmt.Errorf("mpi: negative tags are reserved")
-	}
-	return c.recv(src, tag)
-}
-
-func (c *Comm) recv(src, tag int) ([]float32, error) {
-	env, err := c.recvEnvelope(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	return env.data, nil
-}
-
-// recvPooled is recv returning the pooled block handle; the caller owns the
-// release. A payload that arrived unpooled is copied into a pooled block so
-// the ownership contract is uniform.
-func (c *Comm) recvPooled(src, tag int) (*engine.Buf[float32], error) {
-	env, err := c.recvEnvelope(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	if env.buf != nil {
-		return env.buf, nil
-	}
-	buf := engine.Blocks.Acquire(len(env.data))
-	copy(buf.Data, env.data)
-	return buf, nil
-}
-
-func (c *Comm) recvEnvelope(src, tag int) (envelope, error) {
+// recv dequeues the first message from src with the given tag on this
+// communicator, blocking until one arrives or the world aborts.
+func (c *Comm) recv(src, tag int) (*engine.Buf[float32], error) {
 	if src < 0 || src >= c.Size() {
-		return envelope{}, fmt.Errorf("mpi: recv from invalid rank %d (size %d)", src, c.Size())
+		return nil, fmt.Errorf("mpi: recv from invalid rank %d (size %d)", src, c.Size())
 	}
 	box := c.shared.w.boxes[c.GlobalRank()]
 	box.mu.Lock()
@@ -346,11 +294,11 @@ func (c *Comm) recvEnvelope(src, tag int) (envelope, error) {
 		for i, env := range box.queue {
 			if env.ctx == c.shared.ctx && env.src == src && env.tag == tag {
 				box.queue = append(box.queue[:i], box.queue[i+1:]...)
-				return env, nil
+				return env.buf, nil
 			}
 		}
 		if box.aborted {
-			return envelope{}, ErrAborted
+			return nil, ErrAborted
 		}
 		box.cond.Wait()
 	}
@@ -386,44 +334,17 @@ const (
 	tagReduce = -5
 )
 
-// AllGather gathers every rank's payload on every rank (rank order
-// preserved) with the ring algorithm: size-1 steps, each transferring one
-// block to the right neighbour. This is the collective used to share
-// filtered projections within a column group (Fig. 3b).
-func (c *Comm) AllGather(data []float32) ([][]float32, error) {
-	size := c.Size()
-	out := make([][]float32, size)
-	own := make([]float32, len(data))
-	copy(own, data)
-	out[c.rank] = own
-	if size == 1 {
-		return out, nil
-	}
-	right := (c.rank + 1) % size
-	left := (c.rank - 1 + size) % size
-	for step := 0; step < size-1; step++ {
-		sendIdx := (c.rank - step + size) % size
-		if err := c.send(right, tagAllG, out[sendIdx]); err != nil {
-			return nil, err
-		}
-		got, err := c.recv(left, tagAllG)
-		if err != nil {
-			return nil, err
-		}
-		out[(c.rank-step-1+size)%size] = got
-	}
-	return out, nil
-}
-
-// AllGatherShared is AllGather by reference, the path the per-round
-// pipeline uses: own is this rank's payload block (its hold passes to the
-// call) and the ring forwards block handles, not copies. Before forwarding a
-// block — its own, or one it received — a rank Retains it once for the
-// neighbour, so at the end all size ranks hold the same size blocks
-// (out[i] is rank i's), the contents are read-only for all of them, and each
-// owes one Release per block. Message and byte counts are AllGather's: the
-// counters measure logical payload, not copies. On error every hold this
-// rank has, own included, is released.
+// AllGatherShared gathers every rank's block on every rank (rank order
+// preserved) with the ring algorithm: size-1 steps, each passing one block
+// to the right neighbour. This is the collective used to share filtered
+// projections within a column group (Fig. 3b). own is this rank's payload
+// block (its hold passes to the call) and the ring forwards block handles,
+// not copies. Before forwarding a block — its own, or one it received — a
+// rank Retains it once for the neighbour, so at the end all size ranks hold
+// the same size blocks (out[i] is rank i's), the contents are read-only for
+// all of them, and each owes one Release per block. Message and byte counts
+// are those of a copying ring: the counters measure logical payload, not
+// copies. On error every hold this rank has, own included, is released.
 func (c *Comm) AllGatherShared(own *engine.Buf[float32]) ([]*engine.Buf[float32], error) {
 	size := c.Size()
 	out := make([]*engine.Buf[float32], size)
@@ -440,7 +361,7 @@ func (c *Comm) AllGatherShared(own *engine.Buf[float32]) ([]*engine.Buf[float32]
 			releaseAll(out)
 			return nil, err
 		}
-		got, err := c.recvPooled(left, tagAllG)
+		got, err := c.recv(left, tagAllG)
 		if err != nil {
 			releaseAll(out)
 			return nil, err
@@ -470,83 +391,29 @@ func releaseAll(bufs []*engine.Buf[float32]) {
 // ReduceOp is a binary element-wise reduction operator.
 type ReduceOp int
 
-const (
-	// OpSum adds elements (the volume reduction of Fig. 4b).
-	OpSum ReduceOp = iota
-	// OpMax keeps the per-element maximum.
-	OpMax
-	// OpMin keeps the per-element minimum.
-	OpMin
-)
+// OpSum adds elements (the volume reduction of Fig. 4b).
+const OpSum ReduceOp = 0
 
 func (op ReduceOp) apply(acc, in []float32) error {
+	if op != OpSum {
+		return fmt.Errorf("mpi: unknown reduce op %d", op)
+	}
 	if len(acc) != len(in) {
 		return fmt.Errorf("mpi: reduce length mismatch %d vs %d", len(acc), len(in))
 	}
-	switch op {
-	case OpSum:
-		for i := range acc {
-			acc[i] += in[i]
-		}
-	case OpMax:
-		for i := range acc {
-			if in[i] > acc[i] {
-				acc[i] = in[i]
-			}
-		}
-	case OpMin:
-		for i := range acc {
-			if in[i] < acc[i] {
-				acc[i] = in[i]
-			}
-		}
-	default:
-		return fmt.Errorf("mpi: unknown reduce op %d", op)
+	for i := range acc {
+		acc[i] += in[i]
 	}
 	return nil
 }
 
-// Reduce combines all ranks' equally sized payloads element-wise at root
-// using a binomial tree (log2(size) combining steps on the critical path,
-// matching the cost model of Eq. 15). Root receives the result; other ranks
-// receive nil. The combine order is fixed by the tree, so results are
-// deterministic.
-func (c *Comm) Reduce(root int, data []float32, op ReduceOp) ([]float32, error) {
-	size := c.Size()
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("mpi: reduce root %d out of range", root)
-	}
-	vr := (c.rank - root + size) % size
-	acc := make([]float32, len(data))
-	copy(acc, data)
-	for mask := 1; mask < size; mask <<= 1 {
-		if vr&mask != 0 {
-			parent := (vr - mask + root) % size
-			return nil, c.send(parent, tagReduce, acc)
-		}
-		peer := vr | mask
-		if peer < size {
-			got, err := c.recv((peer+root)%size, tagReduce)
-			if err != nil {
-				return nil, err
-			}
-			if err := op.apply(acc, got); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if vr == 0 {
-		return acc, nil
-	}
-	return nil, nil
-}
-
-// ReduceBufs is Reduce with the accumulator and every tree transfer drawn
-// from the shared block pool — the allocation-free path the per-job epilogue
-// uses once per reconstruction (the last unpooled per-round payloads after
-// the AllGather blocks were pooled). The combine order matches Reduce
-// exactly, so results stay deterministic. Root owns the returned block and
-// must Release it; other ranks receive nil.
+// ReduceBufs combines all ranks' equally sized payloads element-wise at
+// root using a binomial tree (log2(size) combining steps on the critical
+// path, matching the cost model of Eq. 15). The accumulator and every tree
+// transfer are drawn from the shared block pool, so the per-job epilogue
+// allocates nothing. The combine order is fixed by the tree, so results are
+// deterministic. Root owns the returned block and must Release it; other
+// ranks receive nil.
 func (c *Comm) ReduceBufs(root int, data []float32, op ReduceOp) (*engine.Buf[float32], error) {
 	size := c.Size()
 	if root < 0 || root >= size {
@@ -563,7 +430,7 @@ func (c *Comm) ReduceBufs(root int, data []float32, op ReduceOp) (*engine.Buf[fl
 		}
 		peer := vr | mask
 		if peer < size {
-			got, err := c.recvPooled((peer+root)%size, tagReduce)
+			got, err := c.recv((peer+root)%size, tagReduce)
 			if err != nil {
 				acc.Release()
 				return nil, err

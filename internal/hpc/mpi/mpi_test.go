@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"ifdk/internal/engine"
 )
 
 func TestRunRequiresPositiveSize(t *testing.T) {
@@ -40,41 +43,35 @@ func TestRankAndSize(t *testing.T) {
 	}
 }
 
+// sendVals sends vals to dst in a fresh pooled block.
+func sendVals(c *Comm, dst, tag int, vals ...float32) error {
+	buf := engine.Blocks.Acquire(len(vals))
+	copy(buf.Data, vals)
+	return c.SendBuf(dst, tag, buf)
+}
+
+// recvVals receives one message and returns a copy of its payload, handing
+// the block back to the pool.
+func recvVals(c *Comm, src, tag int) ([]float32, error) {
+	buf, err := c.RecvBuf(src, tag)
+	if err != nil {
+		return nil, err
+	}
+	defer buf.Release()
+	return slices.Clone(buf.Data), nil
+}
+
 func TestSendRecv(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Send(1, 7, []float32{1, 2, 3})
+			return sendVals(c, 1, 7, 1, 2, 3)
 		}
-		got, err := c.Recv(0, 7)
+		got, err := recvVals(c, 0, 7)
 		if err != nil {
 			return err
 		}
-		if len(got) != 3 || got[0] != 1 || got[2] != 3 {
+		if !slices.Equal(got, []float32{1, 2, 3}) {
 			return fmt.Errorf("got %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendCopiesPayload(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			buf := []float32{5}
-			if err := c.Send(1, 0, buf); err != nil {
-				return err
-			}
-			buf[0] = 99 // must not affect the in-flight message
-			return nil
-		}
-		got, err := c.Recv(0, 0)
-		if err != nil {
-			return err
-		}
-		if got[0] != 5 {
-			return fmt.Errorf("message was aliased: %v", got)
 		}
 		return nil
 	})
@@ -87,16 +84,16 @@ func TestTagMatching(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			// Send tag 2 first, then tag 1; receiver asks for tag 1 first.
-			if err := c.Send(1, 2, []float32{2}); err != nil {
+			if err := sendVals(c, 1, 2, 2); err != nil {
 				return err
 			}
-			return c.Send(1, 1, []float32{1})
+			return sendVals(c, 1, 1, 1)
 		}
-		first, err := c.Recv(0, 1)
+		first, err := recvVals(c, 0, 1)
 		if err != nil {
 			return err
 		}
-		second, err := c.Recv(0, 2)
+		second, err := recvVals(c, 0, 2)
 		if err != nil {
 			return err
 		}
@@ -115,14 +112,14 @@ func TestFIFOPerSender(t *testing.T) {
 		const n = 50
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				if err := c.Send(1, 3, []float32{float32(i)}); err != nil {
+				if err := sendVals(c, 1, 3, float32(i)); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 		for i := 0; i < n; i++ {
-			got, err := c.Recv(0, 3)
+			got, err := recvVals(c, 0, 3)
 			if err != nil {
 				return err
 			}
@@ -139,10 +136,10 @@ func TestFIFOPerSender(t *testing.T) {
 
 func TestNegativeTagRejected(t *testing.T) {
 	err := Run(1, func(c *Comm) error {
-		if err := c.Send(0, -1, nil); err == nil {
+		if err := sendVals(c, 0, -1); err == nil {
 			return errors.New("negative send tag accepted")
 		}
-		if _, err := c.Recv(0, -1); err == nil {
+		if _, err := c.RecvBuf(0, -1); err == nil {
 			return errors.New("negative recv tag accepted")
 		}
 		return nil
@@ -154,10 +151,10 @@ func TestNegativeTagRejected(t *testing.T) {
 
 func TestInvalidRanks(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
-		if err := c.Send(5, 0, nil); err == nil {
+		if err := sendVals(c, 5, 0); err == nil {
 			return errors.New("send to rank 5 accepted")
 		}
-		if _, err := c.Recv(-2, 0); err == nil {
+		if _, err := c.RecvBuf(-2, 0); err == nil {
 			return errors.New("recv from rank -2 accepted")
 		}
 		return nil
@@ -184,11 +181,26 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
+// gatherVals runs AllGatherBufs on data and returns a copy of every
+// gathered payload, releasing this rank's holds.
+func gatherVals(c *Comm, data []float32) ([][]float32, error) {
+	blocks, err := c.AllGatherBufs(data)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]float32, len(blocks))
+	for i, b := range blocks {
+		out[i] = slices.Clone(b.Data)
+	}
+	releaseAll(blocks)
+	return out, nil
+}
+
 func TestAllGather(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 8} {
 		err := Run(size, func(c *Comm) error {
 			data := []float32{float32(c.Rank()), float32(c.Rank() * 2)}
-			got, err := c.AllGather(data)
+			got, err := gatherVals(c, data)
 			if err != nil {
 				return err
 			}
@@ -208,22 +220,32 @@ func TestAllGather(t *testing.T) {
 	}
 }
 
+// reduceAt runs ReduceBufs at root and returns a copy of the result on the
+// root, and nil elsewhere; a block delivered off the root is an error.
+func reduceAt(c *Comm, root int, data []float32) ([]float32, error) {
+	got, err := c.ReduceBufs(root, data, OpSum)
+	if err != nil {
+		return nil, err
+	}
+	defer got.Release() // nil-safe off the root
+	if (got != nil) != (c.Rank() == root) {
+		return nil, fmt.Errorf("rank %d, root %d: block presence wrong (got=%v)", c.Rank(), root, got != nil)
+	}
+	if got == nil {
+		return nil, nil
+	}
+	return slices.Clone(got.Data), nil
+}
+
+// The root must receive Σr = n(n−1)/2 and n.
 func TestReduceSum(t *testing.T) {
 	for _, size := range []int{1, 2, 5, 8} {
 		err := Run(size, func(c *Comm) error {
-			data := []float32{float32(c.Rank()), 1}
-			got, err := c.Reduce(0, data, OpSum)
-			if err != nil {
+			got, err := reduceAt(c, 0, []float32{float32(c.Rank()), 1})
+			if err != nil || c.Rank() != 0 {
 				return err
 			}
-			if c.Rank() != 0 {
-				if got != nil {
-					return errors.New("non-root received reduction")
-				}
-				return nil
-			}
-			wantSum := float32(size * (size - 1) / 2)
-			if got[0] != wantSum || got[1] != float32(size) {
+			if got[0] != float32(size*(size-1)/2) || got[1] != float32(size) {
 				return fmt.Errorf("reduced to %v", got)
 			}
 			return nil
@@ -234,24 +256,16 @@ func TestReduceSum(t *testing.T) {
 	}
 }
 
+// A reduction to a non-zero root must land there, and only there. (Sum is
+// the only operator left, so the max / min half of this test is gone.)
 func TestReduceMaxMinNonZeroRoot(t *testing.T) {
 	err := Run(6, func(c *Comm) error {
-		data := []float32{float32(c.Rank()), -float32(c.Rank())}
-		gotMax, err := c.Reduce(3, data, OpMax)
-		if err != nil {
+		got, err := reduceAt(c, 3, []float32{float32(c.Rank()), -float32(c.Rank())})
+		if err != nil || c.Rank() != 3 {
 			return err
 		}
-		gotMin, err := c.Reduce(3, data, OpMin)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 3 {
-			if gotMax[0] != 5 || gotMax[1] != 0 {
-				return fmt.Errorf("max = %v", gotMax)
-			}
-			if gotMin[0] != 0 || gotMin[1] != -5 {
-				return fmt.Errorf("min = %v", gotMin)
-			}
+		if got[0] != 15 || got[1] != -15 {
+			return fmt.Errorf("sum = %v", got)
 		}
 		return nil
 	})
@@ -261,18 +275,20 @@ func TestReduceMaxMinNonZeroRoot(t *testing.T) {
 }
 
 // Reduce sums must be deterministic: two identical runs bit-match even for
-// orders that float addition would distinguish.
+// orders that float addition would distinguish, at a zero and a non-zero
+// root.
 func TestReduceDeterministic(t *testing.T) {
-	run := func() []float32 {
-		var result []float32
+	run := func(root int) float32 {
+		var result float32
 		err := Run(8, func(c *Comm) error {
 			data := []float32{float32(math.Pi) * float32(c.Rank()+1) * 1e-3}
-			got, err := c.Reduce(0, data, OpSum)
+			got, err := c.ReduceBufs(root, data, OpSum)
 			if err != nil {
 				return err
 			}
-			if c.Rank() == 0 {
-				result = got
+			if c.Rank() == root {
+				result = got.Data[0]
+				got.Release()
 			}
 			return nil
 		})
@@ -281,9 +297,10 @@ func TestReduceDeterministic(t *testing.T) {
 		}
 		return result
 	}
-	a, b := run(), run()
-	if a[0] != b[0] {
-		t.Errorf("reduce not deterministic: %v vs %v", a[0], b[0])
+	for _, root := range []int{0, 3} {
+		if a, b := run(root), run(root); a != b {
+			t.Errorf("root %d: reduce not deterministic: %v vs %v", root, a, b)
+		}
 	}
 }
 
@@ -312,7 +329,7 @@ func TestSplitGrid(t *testing.T) {
 			return fmt.Errorf("sub-ranks (%d,%d), want (%d,%d)", rowComm.Rank(), colComm.Rank(), col, row)
 		}
 		// Collectives on the sub-communicators must stay within the group.
-		got, err := colComm.AllGather([]float32{float32(c.Rank())})
+		got, err := gatherVals(colComm, []float32{float32(c.Rank())})
 		if err != nil {
 			return err
 		}
@@ -322,12 +339,15 @@ func TestSplitGrid(t *testing.T) {
 				return fmt.Errorf("col gather slot %d = %v, want %v", r, got[r][0], want)
 			}
 		}
-		sum, err := rowComm.Reduce(0, []float32{1}, OpSum)
+		sum, err := rowComm.ReduceBufs(0, []float32{1}, OpSum)
 		if err != nil {
 			return err
 		}
-		if rowComm.Rank() == 0 && sum[0] != C {
-			return fmt.Errorf("row reduce = %v", sum)
+		if rowComm.Rank() == 0 {
+			defer sum.Release()
+			if sum.Data[0] != C {
+				return fmt.Errorf("row reduce = %v", sum.Data)
+			}
 		}
 		return nil
 	})
@@ -359,8 +379,8 @@ func TestRankErrorAbortsWorld(t *testing.T) {
 		if c.Rank() == 2 {
 			return sentinel
 		}
-		// Other ranks block in a collective that can never complete.
-		_, err := c.Recv((c.Rank()+1)%4, 9)
+		// Other ranks block in a receive that can never complete.
+		_, err := c.RecvBuf((c.Rank()+1)%4, 9)
 		if !errors.Is(err, ErrAborted) {
 			return fmt.Errorf("expected ErrAborted, got %v", err)
 		}
@@ -376,36 +396,49 @@ func TestRankPanicBecomesError(t *testing.T) {
 		if c.Rank() == 0 {
 			panic("boom")
 		}
-		_, err := c.Recv(0, 1)
-		if !errors.Is(err, ErrAborted) && err != nil {
-			return nil // rank may have received abort as error; fine
-		}
-		return nil
+		// The panic's abort must wake this blocked receive.
+		_, err := c.RecvBuf(0, 1)
+		return err
 	})
-	if err == nil || err.Error() == "" {
-		t.Error("panic should surface as an error")
+	if err == nil || !strings.Contains(err.Error(), "rank 0 panicked: boom") {
+		t.Errorf("err = %v, want rank 0's panic as an error", err)
+	}
+	if !errors.Is(err, ErrAborted) {
+		t.Errorf("err = %v, want the blocked receives to end in ErrAborted", err)
 	}
 }
 
+// The counters measure logical payload: one 100-float message is 400 bytes,
+// and a ring AllGather of size n sends n(n−1) messages of one block each,
+// however many holders share the blocks.
 func TestStatsCounters(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			if err := c.Send(1, 0, make([]float32, 100)); err != nil {
+			if err := sendVals(c, 1, 0, make([]float32, 100)...); err != nil {
 				return err
 			}
 		} else {
-			if _, err := c.Recv(0, 0); err != nil {
+			if _, err := recvVals(c, 0, 0); err != nil {
 				return err
 			}
 		}
 		if err := c.Barrier(); err != nil {
 			return err
 		}
-		if c.BytesSent() < 400 {
-			return fmt.Errorf("bytes sent = %d", c.BytesSent())
+		if c.BytesSent() != 400 || c.MessagesSent() != 1 {
+			return fmt.Errorf("point-to-point: %d bytes in %d messages, want 400 in 1", c.BytesSent(), c.MessagesSent())
 		}
-		if c.MessagesSent() < 1 {
-			return fmt.Errorf("messages sent = %d", c.MessagesSent())
+		if err := c.Barrier(); err != nil { // nobody sends before everyone has read
+			return err
+		}
+		if _, err := gatherVals(c, make([]float32, 16)); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.BytesSent() != 400+2*64 || c.MessagesSent() != 1+2 {
+			return fmt.Errorf("after AllGather: %d bytes in %d messages, want %d in 3", c.BytesSent(), c.MessagesSent(), 400+2*64)
 		}
 		return nil
 	})
@@ -414,7 +447,7 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// Property: AllGather hands every rank the rank-ordered concatenation of
+// Property: AllGatherBufs hands every rank the rank-ordered concatenation of
 // all payloads, for random payload sizes and world sizes.
 func TestAllGatherGatherEquivalenceProperty(t *testing.T) {
 	f := func(sizeSeed, lenSeed uint8) bool {
@@ -428,7 +461,7 @@ func TestAllGatherGatherEquivalenceProperty(t *testing.T) {
 		}
 		ok := true
 		err := Run(size, func(c *Comm) error {
-			ag, err := c.AllGather(want[c.Rank()*payloadLen : (c.Rank()+1)*payloadLen])
+			ag, err := gatherVals(c, want[c.Rank()*payloadLen:(c.Rank()+1)*payloadLen])
 			if err != nil {
 				return err
 			}
@@ -449,7 +482,8 @@ func BenchmarkAllGather8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := Run(8, func(c *Comm) error {
-			_, err := c.AllGather(payload)
+			blocks, err := c.AllGatherBufs(payload)
+			releaseAll(blocks)
 			return err
 		})
 		if err != nil {
@@ -463,7 +497,8 @@ func BenchmarkReduce8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := Run(8, func(c *Comm) error {
-			_, err := c.Reduce(0, payload, OpSum)
+			acc, err := c.ReduceBufs(0, payload, OpSum)
+			acc.Release() // nil-safe off the root
 			return err
 		})
 		if err != nil {
