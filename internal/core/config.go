@@ -33,14 +33,6 @@ type Config struct {
 	// from serialization so Config stays hashable for caching.
 	Progress func(done, total int) `json:"-"`
 
-	// CollectRounds, when set, records every AllGather round's filter and
-	// collective timing into pre-sized per-rank buffers (Result.Rounds) —
-	// the raw material for per-round trace spans. The buffers are sized
-	// once before the pipeline starts, so the steady-state compute path
-	// stays allocation-free. Excluded from serialization: observability
-	// settings must not perturb content-addressed cache keys.
-	CollectRounds bool `json:"-"`
-
 	// SliceWritten, when non-nil and OutputPrefix != "", is invoked after
 	// each output z-slice has been durably written to the PFS by its row
 	// root during the epilogue — mid-run, long before the full volume is
@@ -116,17 +108,19 @@ func (s StageTimes) Delta() float64 {
 // foldTimes folds one more rank's clock into the job's. The four stages that
 // overlap inside Compute are busy times and fold element-wise: each is the
 // worst rank's. Compute, Reduce, Store and Total are consecutive wall
-// intervals of one rank and are taken together, from the rank that finished
-// last, so that they still add up to Total. An element-wise maximum counts
-// the skew between two ranks of a row twice — as the slower rank's Compute
-// and as the faster rank's wait inside Reduce — which does not shrink with
-// the job and so grows as a share of it whenever a stage gets faster.
-func foldTimes(job, rank StageTimes) StageTimes {
+// intervals of one rank and are taken together, from the row root (grid
+// column 0, the only rank that stores) that finished last, so that they
+// still add up to Total and Store is never a non-root's zero. An
+// element-wise maximum counts the skew between two ranks of a row twice —
+// as the slower rank's Compute and as the faster rank's wait inside Reduce —
+// which does not shrink with the job and so grows as a share of it whenever
+// a stage gets faster.
+func foldTimes(job, rank StageTimes, rowRoot bool) StageTimes {
 	job.Load = max(job.Load, rank.Load)
 	job.Filter = max(job.Filter, rank.Filter)
 	job.AllGather = max(job.AllGather, rank.AllGather)
 	job.Backproject = max(job.Backproject, rank.Backproject)
-	if rank.Total > job.Total {
+	if rowRoot && rank.Total > job.Total {
 		job.Compute, job.Reduce, job.Store, job.Total = rank.Compute, rank.Reduce, rank.Store, rank.Total
 	}
 	return job
@@ -150,7 +144,7 @@ type RoundTrace struct {
 type Result struct {
 	Volume    *volume.Volume // full volume at rank 0 (nil unless AssembleVolume)
 	PerRank   []StageTimes
-	Rounds    [][]RoundTrace // per-rank per-round stage timings (nil when CollectRounds is off)
+	Rounds    [][]RoundTrace // per-rank per-round stage timings
 	Max       StageTimes     // the job's clock: PerRank folded by foldTimes
 	BytesSent int64          // total MPI payload bytes
 }

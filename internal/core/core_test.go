@@ -141,19 +141,28 @@ func TestTimingsPopulated(t *testing.T) {
 
 // A row root that finishes its share early waits for its peer inside
 // Reduce. The job's clock must count that skew once: busy stages from the
-// worst rank, the wall intervals together from the rank that finished last.
+// worst rank, the wall intervals together from the row root that finished
+// last — even when a peer, which stores nothing, finished later still.
 func TestFoldTimesAddsUp(t *testing.T) {
 	const ms = time.Millisecond
 	root := StageTimes{Filter: 90 * ms, Backproject: 200 * ms, Compute: 400 * ms, Reduce: 35 * ms, Store: 10 * ms, Total: 445 * ms}
-	peer := StageTimes{Filter: 120 * ms, Backproject: 180 * ms, Compute: 430 * ms, Reduce: 2 * ms, Total: 432 * ms}
-	for _, order := range [][]StageTimes{{root, peer}, {peer, root}} {
-		var job StageTimes
-		for _, rank := range order {
-			job = foldTimes(job, rank)
+	for _, peer := range []StageTimes{
+		{Filter: 120 * ms, Backproject: 180 * ms, Compute: 430 * ms, Reduce: 2 * ms, Total: 432 * ms},
+		{Filter: 120 * ms, Backproject: 180 * ms, Compute: 450 * ms, Reduce: 2 * ms, Total: 452 * ms},
+	} {
+		type rank struct {
+			t    StageTimes
+			root bool
 		}
-		want := StageTimes{Filter: 120 * ms, Backproject: 200 * ms, Compute: 400 * ms, Reduce: 35 * ms, Store: 10 * ms, Total: 445 * ms}
-		if job != want {
-			t.Errorf("folded clock %+v, want %+v", job, want)
+		for _, order := range [][]rank{{{root, true}, {peer, false}}, {{peer, false}, {root, true}}} {
+			var job StageTimes
+			for _, r := range order {
+				job = foldTimes(job, r.t, r.root)
+			}
+			want := StageTimes{Filter: 120 * ms, Backproject: 200 * ms, Compute: 400 * ms, Reduce: 35 * ms, Store: 10 * ms, Total: 445 * ms}
+			if job != want {
+				t.Errorf("peer total %v: folded clock %+v, want %+v", peer.Total, job, want)
+			}
 		}
 	}
 }
@@ -263,8 +272,8 @@ func TestStageProjectionsValidation(t *testing.T) {
 	}
 }
 
-// CollectRounds must populate per-rank, per-round filter/AllGather timings
-// without perturbing the reconstruction, and leave Rounds nil when off.
+// Every run populates per-rank, per-round filter/AllGather timings without
+// perturbing the reconstruction.
 func TestCollectRounds(t *testing.T) {
 	g, store, ref := testSetup(t)
 	cfg := Config{
@@ -272,7 +281,6 @@ func TestCollectRounds(t *testing.T) {
 		Geometry:       g,
 		InputPrefix:    "in",
 		AssembleVolume: true,
-		CollectRounds:  true,
 	}
 	res, err := Run(cfg, store)
 	if err != nil {
@@ -301,14 +309,5 @@ func TestCollectRounds(t *testing.T) {
 					rank, i, rt.GatherOff, rt.FilterOff)
 			}
 		}
-	}
-
-	cfg.CollectRounds = false
-	res, err = Run(cfg, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != nil {
-		t.Error("Rounds populated with CollectRounds off")
 	}
 }

@@ -46,10 +46,7 @@ func RunContext(ctx context.Context, cfg Config, store *pfs.PFS) (*Result, error
 		return nil, err
 	}
 	n := cfg.R * cfg.C
-	res := &Result{PerRank: make([]StageTimes, n)}
-	if cfg.CollectRounds {
-		res.Rounds = make([][]RoundTrace, n)
-	}
+	res := &Result{PerRank: make([]StageTimes, n), Rounds: make([][]RoundTrace, n)}
 	var assembled atomic.Pointer[volume.Volume]
 	var bytesSent atomic.Int64
 
@@ -84,9 +81,7 @@ func RunContext(ctx context.Context, cfg Config, store *pfs.PFS) (*Result, error
 			return err
 		}
 		res.PerRank[c.Rank()] = t
-		if res.Rounds != nil {
-			res.Rounds[c.Rank()] = rounds
-		}
+		res.Rounds[c.Rank()] = rounds
 		if c.Rank() == 0 {
 			bytesSent.Store(c.BytesSent())
 			if vol != nil {
@@ -101,8 +96,8 @@ func RunContext(ctx context.Context, cfg Config, store *pfs.PFS) (*Result, error
 		}
 		return nil, err
 	}
-	for _, t := range res.PerRank {
-		res.Max = foldTimes(res.Max, t)
+	for rank, t := range res.PerRank {
+		res.Max = foldTimes(res.Max, t, RankCol(rank, cfg.R) == 0)
 	}
 	res.Volume = assembled.Load()
 	res.BytesSent = bytesSent.Load()
@@ -132,12 +127,9 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 	// Pre-sized per-rank round-trace buffer: the filter thread writes the
 	// Filter* fields of entry s-myLo, the main thread the Gather* fields of
 	// entry r — disjoint fields, fixed capacity, zero steady-state allocs.
-	var rounds []RoundTrace
-	if cfg.CollectRounds {
-		rounds = make([]RoundTrace, quota)
-		for i := range rounds {
-			rounds[i].Round = i
-		}
+	rounds := make([]RoundTrace, quota)
+	for i := range rounds {
+		rounds[i].Round = i
 	}
 	colLo, _ := ColProjRange(col, g.Np, cfg.C)
 	myLo, myHi := RankProjRange(row, col, g.Np, cfg.R, cfg.C)
@@ -199,10 +191,8 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 				img.TransposeInto(&tp)
 				engine.Images.Release(img)
 				t.Filter += time.Since(fltStart)
-				if rounds != nil {
-					rounds[s-myLo].FilterOff = roundOff
-					rounds[s-myLo].FilterDur = time.Since(start) - roundOff
-				}
+				rounds[s-myLo].FilterOff = roundOff
+				rounds[s-myLo].FilterDur = time.Since(start) - roundOff
 				select {
 				case chA <- projItem{s: s, buf: blk}:
 				case <-ctx.Done():
@@ -306,10 +296,8 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 				return err
 			}
 			t.AllGather += time.Since(agStart)
-			if rounds != nil {
-				rounds[r].GatherOff = agOff
-				rounds[r].GatherDur = time.Since(agStart)
-			}
+			rounds[r].GatherOff = agOff
+			rounds[r].GatherDur = time.Since(agStart)
 			for i, blk := range blocks {
 				s := colLo + i*quota + r
 				select {

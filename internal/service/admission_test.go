@@ -12,13 +12,11 @@ import (
 // estOf evaluates the submit-time cost model exactly as Submit does.
 func estOf(t *testing.T, s Spec) perfmodel.Cost {
 	t.Helper()
-	_, cfg, err := compileSpec(s)
+	rs, err := resolveSpec(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.InputPrefix = datasetPrefix(specWithDefaults(s), cfg)
-	cfg.AssembleVolume = true
-	est, err := perfmodel.Estimate(cfg)
+	est, err := perfmodel.Estimate(rs.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +114,6 @@ func TestCostBudgetShedsBigAdmitsSmall(t *testing.T) {
 		Workers:      1,
 		QueueCap:     16,
 		MaxQueuedSec: 1.5 * costBig, // one big job fits; two do not; big+small does
-		CostScale:    1,             // no calibration surprises: charged = model cost
 		PFS:          pfs.Config{ReadBW: 2e5, Targets: 1, Throttle: true},
 	})
 	blocker := testSpec()

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 
 	"ifdk/internal/core"
@@ -22,6 +23,23 @@ type Entry struct {
 	BytesSent int64
 	RelRMSE   float64 // serial-reference error, when the producing job verified
 	Verified  bool
+}
+
+// verify marks the entry verified against ref, recording the RMSE of its
+// volume relative to ref's peak magnitude.
+func (e *Entry) verify(ref *volume.Volume) error {
+	rmse, err := volume.RMSE(ref, e.Volume)
+	if err != nil {
+		return err
+	}
+	s := ref.Summarize()
+	scale := math.Max(math.Abs(float64(s.Min)), math.Abs(float64(s.Max)))
+	if scale > 0 {
+		rmse /= scale
+	}
+	e.RelRMSE = rmse
+	e.Verified = true
+	return nil
 }
 
 // CacheKey content-addresses a reconstruction: the SHA-256 of the canonical

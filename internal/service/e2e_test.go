@@ -242,12 +242,12 @@ func TestE2EStreamingGolden(t *testing.T) {
 	}
 	// …and matches a direct serial reconstruction of the same scan
 	// voxel-for-voxel within 1e-5.
-	ph, cfg, err := compileSpec(spec)
+	rs, err := resolveSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj := projector.AnalyticAll(ph, cfg.Geometry, 0)
-	ref, err := fdk.Reconstruct(cfg.Geometry, proj, fdk.Config{Window: cfg.Window})
+	proj := projector.AnalyticAll(rs.ph, rs.cfg.Geometry, 0)
+	ref, err := fdk.Reconstruct(rs.cfg.Geometry, proj, fdk.Config{Window: rs.cfg.Window})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,44 +105,6 @@ const (
 	maxRanks = 64
 )
 
-// compileSpec resolves a Spec into the pieces the worker needs: the phantom,
-// the geometry, and a core.Config without I/O prefixes (the manager fills
-// those per job).
-func compileSpec(s Spec) (phantom.Phantom, core.Config, error) {
-	s = specWithDefaults(s)
-	if s.NX > maxNX || s.NU > maxNU || s.NP > maxNP {
-		return phantom.Phantom{}, core.Config{}, fmt.Errorf(
-			"service: problem size nx=%d nu=%d np=%d exceeds limits (%d, %d, %d)",
-			s.NX, s.NU, s.NP, maxNX, maxNU, maxNP)
-	}
-	if s.R*s.C > maxRanks {
-		return phantom.Phantom{}, core.Config{}, fmt.Errorf(
-			"service: grid %dx%d = %d ranks exceeds limit %d", s.R, s.C, s.R*s.C, maxRanks)
-	}
-	g := geometry.Default(s.NU, s.NU, s.NP, s.NX, s.NX, s.NX)
-	ph, err := pickPhantom(s.Phantom, g)
-	if err != nil {
-		return phantom.Phantom{}, core.Config{}, err
-	}
-	win, err := pickWindow(s.Window)
-	if err != nil {
-		return phantom.Phantom{}, core.Config{}, err
-	}
-	if _, err := ParsePriority(s.Priority); err != nil {
-		return phantom.Phantom{}, core.Config{}, err
-	}
-	if _, err := progressive.ParseQuality(s.Quality); err != nil {
-		return phantom.Phantom{}, core.Config{}, fmt.Errorf("service: %w", err)
-	}
-	cfg := core.Config{R: s.R, C: s.C, Geometry: g, Window: win}
-	probe := cfg
-	probe.InputPrefix = "probe" // satisfy Validate; real prefix set at run time
-	if err := probe.Validate(); err != nil {
-		return phantom.Phantom{}, core.Config{}, err
-	}
-	return ph, cfg, nil
-}
-
 // resolvedSpec is a Spec compiled all the way to its identity: the defaulted
 // spec, the worker-side pieces, the quality tier with its preview plan, and
 // the cache keys. Submit, journal replay and SpecKey all derive identity
@@ -166,20 +128,44 @@ type resolvedSpec struct {
 	key     string
 }
 
+// resolveSpec defaults and validates a Spec — admission limits first, so no
+// request can allocate unbounded memory — and derives its identity.
 func resolveSpec(s Spec) (resolvedSpec, error) {
-	ph, cfg, err := compileSpec(s)
+	s = specWithDefaults(s)
+	if s.NX > maxNX || s.NU > maxNU || s.NP > maxNP {
+		return resolvedSpec{}, fmt.Errorf(
+			"service: problem size nx=%d nu=%d np=%d exceeds limits (%d, %d, %d)",
+			s.NX, s.NU, s.NP, maxNX, maxNU, maxNP)
+	}
+	if s.R*s.C > maxRanks {
+		return resolvedSpec{}, fmt.Errorf(
+			"service: grid %dx%d = %d ranks exceeds limit %d", s.R, s.C, s.R*s.C, maxRanks)
+	}
+	r := resolvedSpec{spec: s}
+	g := geometry.Default(s.NU, s.NU, s.NP, s.NX, s.NX, s.NX)
+	var err error
+	if r.ph, err = pickPhantom(s.Phantom, g); err != nil {
+		return resolvedSpec{}, err
+	}
+	win, err := pickWindow(s.Window)
 	if err != nil {
 		return resolvedSpec{}, err
 	}
-	spec := specWithDefaults(s)
-	cfg.InputPrefix = datasetPrefix(spec, cfg)
-	cfg.AssembleVolume = true
-	r := resolvedSpec{spec: spec, ph: ph, cfg: cfg, fullKey: CacheKey(cfg)}
-	r.prio, _ = ParsePriority(spec.Priority)           // validated by compileSpec
-	r.qual, _ = progressive.ParseQuality(spec.Quality) // validated by compileSpec
+	if r.prio, err = ParsePriority(s.Priority); err != nil {
+		return resolvedSpec{}, err
+	}
+	if r.qual, err = progressive.ParseQuality(s.Quality); err != nil {
+		return resolvedSpec{}, fmt.Errorf("service: %w", err)
+	}
+	r.cfg = core.Config{R: s.R, C: s.C, Geometry: g, Window: win, AssembleVolume: true}
+	r.cfg.InputPrefix = datasetPrefix(s, r.cfg)
+	if err := r.cfg.Validate(); err != nil {
+		return resolvedSpec{}, err
+	}
+	r.fullKey = CacheKey(r.cfg)
 	r.key = r.fullKey
 	if r.qual.WantsPreview() {
-		plan, err := preview.PlanFor(cfg.Geometry, 0)
+		plan, err := preview.PlanFor(r.cfg.Geometry, 0)
 		if err != nil {
 			return resolvedSpec{}, err
 		}
@@ -240,7 +226,7 @@ type Job struct {
 	Priority Priority
 
 	mu        sync.Mutex
-	state     State
+	state     State // written only by Manager.apply (lifecycle.go)
 	err       string
 	done      int // completed AllGather rounds
 	total     int // Np rounds in total
@@ -261,9 +247,8 @@ type Job struct {
 	// pre-sized buffer.
 	traceID    string
 	parentSpan string
-	tStage0    time.Time // dataset staging window
-	tStage1    time.Time
-	tRun0      time.Time // distributed pipeline start
+	tStage0    time.Time // dataset staging start
+	tRun0      time.Time // staging end, where the pipeline starts
 	rounds     []core.RoundTrace
 	tVerify0   time.Time // serial-reference verification window
 	tVerify1   time.Time
@@ -294,8 +279,6 @@ type Job struct {
 	estModelSec float64
 	estCost     float64 // calibrated seconds; what Queue.Push charges
 	estBytes    int64
-	charged     bool // held admission budget (byte accounting) until settled
-	settled     bool // guarded by mu; true once the admission charge is released
 }
 
 func stagesOf(t core.StageTimes) Stages {
@@ -380,24 +363,9 @@ func (j *Job) resultNz() int {
 	return j.cfg.Geometry.Nz
 }
 
-// Preview returns the job's built preview entry (nil until the preview tier
-// finished; always nil for full-quality jobs).
-func (j *Job) Preview() *Entry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.preview
-}
-
 // State returns the job's current lifecycle state.
 func (j *Job) State() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
-}
-
-// Result returns the terminal result entry (nil unless state == done).
-func (j *Job) Result() *Entry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
 }

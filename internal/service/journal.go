@@ -155,24 +155,14 @@ func readJournal(path string) ([]journalRecord, error) {
 	return out, nil
 }
 
-// recoveredJob is one job's merged journal state, ready for readmission.
+// recoveredJob is one job's merged journal records, ready for readmission.
 type recoveredJob struct {
-	ID         string
-	Spec       api.Spec
-	TraceID    string
-	ParentSpan string
-	Submitted  time.Time
-	Started    time.Time
-	Finished   time.Time
-	State      api.State
-	Error      string
-	CacheHit   bool
-	Verified   bool
-	RelRMSE    float64
-	Stages     api.Stages
-
-	hasSubmit bool
-	deleted   bool
+	ID      string
+	State   api.State      // queued, unless the job's terminal record says otherwise
+	submit  journalRecord  // its submit record (the last one carrying a spec)
+	started string         // its start record's timestamp, if any
+	term    *journalRecord // its terminal record; nil unless State is terminal
+	deleted bool
 }
 
 // mergeRecords folds the raw record stream into per-job recovery state,
@@ -202,21 +192,12 @@ func mergeRecords(recs []journalRecord) ([]recoveredJob, int64) {
 		switch rec.T {
 		case recSubmit:
 			if rec.Spec != nil {
-				r.Spec = *rec.Spec
-				r.hasSubmit = true
+				r.submit = rec
 			}
-			r.TraceID, r.ParentSpan = rec.TraceID, rec.ParentSpan
-			r.Submitted = parseJTime(rec.Submitted)
 		case recStart:
-			r.Started = parseJTime(rec.Started)
+			r.started = rec.Started
 		case recTerminal:
-			r.State = api.State(rec.State)
-			r.Error = rec.Error
-			r.Finished = parseJTime(rec.Finished)
-			r.CacheHit, r.Verified, r.RelRMSE = rec.CacheHit, rec.Verified, rec.RelRMSE
-			if rec.Stages != nil {
-				r.Stages = *rec.Stages
-			}
+			r.term = &rec
 		case recDelete:
 			r.deleted = true
 		}
@@ -224,11 +205,13 @@ func mergeRecords(recs []journalRecord) ([]recoveredJob, int64) {
 	out := make([]recoveredJob, 0, len(order))
 	for _, id := range order {
 		r := byID[id]
-		if r.deleted || !r.hasSubmit {
+		if r.deleted || r.submit.Spec == nil {
 			continue
 		}
-		if !r.State.Terminal() {
-			r.State = api.StateQueued // queued or mid-run at the crash: re-enter admission
+		if r.term != nil && api.State(r.term.State).Terminal() {
+			r.State = api.State(r.term.State)
+		} else {
+			r.term = nil // queued or mid-run at the crash: re-enter admission
 		}
 		out = append(out, *r)
 	}
@@ -279,21 +262,10 @@ func compactJournal(dir, path string, jobs []recoveredJob, maxSeq int64) error {
 // compactRecords is the minimal record set reproducing one job's merged
 // state on the next replay.
 func compactRecords(r *recoveredJob) []journalRecord {
-	spec := r.Spec
-	recs := []journalRecord{{
-		T: recSubmit, ID: r.ID, Spec: &spec,
-		TraceID: r.TraceID, ParentSpan: r.ParentSpan,
-		Submitted: fmtTime(r.Submitted),
-	}}
-	if r.State.Terminal() {
-		st := r.Stages
-		recs = append(recs, journalRecord{
-			T: recTerminal, ID: r.ID, State: string(r.State), Error: r.Error,
-			Finished: fmtTime(r.Finished), CacheHit: r.CacheHit,
-			Verified: r.Verified, RelRMSE: r.RelRMSE, Stages: &st,
-		})
+	if r.term == nil {
+		return []journalRecord{r.submit}
 	}
-	return recs
+	return []journalRecord{r.submit, *r.term}
 }
 
 // append writes one record and fsyncs it before returning — the
@@ -323,8 +295,12 @@ func (w *journal) append(rec journalRecord) error {
 
 // close stops the journal; later appends report errJournalClosed. Used by
 // Shutdown and by Crash, where closing first is the simulated kill point:
-// nothing a still-unwinding worker does afterwards can reach the file.
+// nothing a still-unwinding worker does afterwards can reach the file. A
+// nil journal (journaling off) has nothing to close.
 func (w *journal) close() {
+	if w == nil {
+		return
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -334,30 +310,22 @@ func (w *journal) close() {
 	_ = w.f.Close()
 }
 
-// submitRecord builds a job's submit journal record. ID, Spec, trace
-// identity and the submitted timestamp are immutable once the job is
-// visible, so no lock is needed.
-func (j *Job) submitRecord() journalRecord {
-	spec := j.Spec
-	return journalRecord{
-		T: recSubmit, ID: j.ID, Spec: &spec,
-		TraceID: j.traceID, ParentSpan: j.parentSpan,
-		Submitted: fmtTime(j.submitted),
+// record builds the job's journal record of type t (recSubmit, recStart or
+// recTerminal) from its current state.
+func (j *Job) record(t string) journalRecord {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	switch t {
+	case recSubmit:
+		spec := j.Spec
+		return journalRecord{
+			T: recSubmit, ID: j.ID, Spec: &spec,
+			TraceID: j.traceID, ParentSpan: j.parentSpan,
+			Submitted: fmtTime(j.submitted),
+		}
+	case recStart:
+		return journalRecord{T: recStart, ID: j.ID, Started: fmtTime(j.started)}
 	}
-}
-
-// startRecord builds a job's start journal record.
-func (j *Job) startRecord() journalRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return journalRecord{T: recStart, ID: j.ID, Started: fmtTime(j.started)}
-}
-
-// terminalRecord builds a job's terminal journal record from its settled
-// state.
-func (j *Job) terminalRecord() journalRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	st := stagesOf(j.times)
 	return journalRecord{
 		T: recTerminal, ID: j.ID, State: string(j.state), Error: j.err,
@@ -366,15 +334,10 @@ func (j *Job) terminalRecord() journalRecord {
 	}
 }
 
-// parseJTime decodes fmtTime's RFC3339Nano output (zero time on "").
+// parseJTime decodes fmtTime's RFC3339Nano output; "" or a malformed stamp
+// decodes to the zero time, which is what time.Parse returns on error.
 func parseJTime(s string) time.Time {
-	if s == "" {
-		return time.Time{}
-	}
-	t, err := time.Parse(time.RFC3339Nano, s)
-	if err != nil {
-		return time.Time{}
-	}
+	t, _ := time.Parse(time.RFC3339Nano, s)
 	return t
 }
 
@@ -393,8 +356,12 @@ func idSeq(id string) int64 {
 	return n
 }
 
-// stagesToTimes inverts stagesOf for replayed terminal views.
-func stagesToTimes(s api.Stages) core.StageTimes {
+// stagesToTimes inverts stagesOf for replayed terminal views (nil: none
+// recorded).
+func stagesToTimes(s *api.Stages) core.StageTimes {
+	if s == nil {
+		return core.StageTimes{}
+	}
 	// Round, not truncate: n/1e9·1e9 can land a hair under the integer n.
 	d := func(sec float64) time.Duration { return time.Duration(math.Round(sec * float64(time.Second))) }
 	return core.StageTimes{

@@ -34,13 +34,13 @@ func TestMergeRecordsOrderTolerant(t *testing.T) {
 			t.Fatalf("order %d: %d jobs recovered, want 1", i, len(jobs))
 		}
 		j := jobs[0]
-		if j.State != api.StateDone || !j.Verified || j.RelRMSE != 0.01 {
+		if j.State != api.StateDone || !j.term.Verified || j.term.RelRMSE != 0.01 {
 			t.Fatalf("order %d: terminal state lost: %+v", i, j)
 		}
-		if j.Spec.NX != 16 || j.TraceID != "t1" {
+		if j.submit.Spec.NX != 16 || j.submit.TraceID != "t1" {
 			t.Fatalf("order %d: submit fields lost: %+v", i, j)
 		}
-		if j.Started.IsZero() || j.Finished.IsZero() {
+		if j.started == "" || j.term.Finished == "" {
 			t.Fatalf("order %d: timestamps lost: %+v", i, j)
 		}
 		if maxSeq != 3 {

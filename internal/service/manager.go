@@ -1,11 +1,13 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -66,7 +68,6 @@ type Options struct {
 	// (perfmodel.Estimate) and calibrated against observed runtimes.
 	MaxQueuedSec     float64 // max estimated seconds of queued work (0 = unlimited)
 	MaxInflightBytes int64   // max estimated bytes of in-flight working set (0 = unlimited)
-	CostScale        float64 // initial model→wall-clock calibration factor (default 1)
 
 	// Fairness. Aging is the wait after which a queued job's effective
 	// priority rises one class (0 = default 15s, < 0 disables aging).
@@ -85,10 +86,6 @@ type Options struct {
 	// admitted / started / settled, each with job_id and trace_id fields).
 	// nil discards them — library default, daemons wire obs.NewLogger.
 	Logger *slog.Logger
-
-	// TraceCap bounds the in-memory ring of finished job traces backing
-	// GET /v1/jobs/{id}/trace (0 = default 256 traces of 512 spans).
-	TraceCap int
 
 	// PreviewWorkers bounds the goroutines a preview build may use
 	// (0 = GOMAXPROCS). Previews are the cheap interactive tier; capping
@@ -123,9 +120,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxJobs < 1 {
 		o.MaxJobs = 1024
-	}
-	if o.CostScale <= 0 {
-		o.CostScale = 1
 	}
 	switch {
 	case o.Aging == 0:
@@ -164,7 +158,7 @@ type Manager struct {
 	chargedJobs   int   // jobs currently holding an admission charge
 
 	costMu    sync.Mutex
-	costScale float64 // EWMA of observed wall seconds per model second
+	costScale float64 // EWMA of observed wall seconds per model second, from 1
 
 	quotaMu sync.Mutex
 	quota   map[string]*tokenBucket
@@ -233,13 +227,13 @@ func OpenManager(opt Options) (*Manager, error) {
 		cache:       NewCache(opt.CacheBytes),
 		events:      NewBus(opt.EventLogCap),
 		jobs:        make(map[string]*Job),
-		costScale:   opt.CostScale,
+		costScale:   1,
 		quota:       make(map[string]*tokenBucket),
 		waitSamples: 512,
 		staged:      make(map[string]*stageState),
 		open:        true,
 		started:     time.Now(),
-		tracer:      obs.NewTracer(opt.TraceCap, 0),
+		tracer:      obs.NewTracer(0, 0), // 256 traces of 512 spans
 		log:         opt.Logger,
 	}
 	if m.log == nil {
@@ -300,7 +294,8 @@ func (m *Manager) recoverJobs(jobs []recoveredJob) {
 }
 
 func (m *Manager) recoverJob(r *recoveredJob) error {
-	rs, err := resolveSpec(r.Spec)
+	sub := r.submit
+	rs, err := resolveSpec(*sub.Spec)
 	if err != nil {
 		return err
 	}
@@ -308,12 +303,37 @@ func (m *Manager) recoverJob(r *recoveredJob) error {
 	if err != nil {
 		return err
 	}
-	j := &Job{
-		ID:          r.ID,
+	submitted := cmp.Or(parseJTime(sub.Submitted), time.Now())
+	j := m.newJob(r.ID, rs, est, submitted, cmp.Or(sub.TraceID, obs.NewTraceID()), sub.ParentSpan)
+	j.recovered = true
+	if t := r.term; t != nil {
+		return m.apply(j, stateNew, replayEvent[r.State], nil, func() {
+			j.err, j.cacheHit, j.verified, j.relRMSE = t.Error, t.CacheHit, t.Verified, t.RelRMSE
+			j.times = stagesToTimes(t.Stages)
+			j.started, j.finished = parseJTime(r.started), cmp.Or(parseJTime(t.Finished), j.submitted)
+		})
+	}
+	if err := m.apply(j, stateNew, evRecover, nil, nil); err != nil {
+		return err
+	}
+	// Re-enter admission under the original ID, bypassing the capacity and
+	// cost budgets: this job was admitted once already and must not be lost
+	// to a transiently smaller or busier queue.
+	m.mu.Lock()
+	m.chargeLocked(j, 1)
+	m.mu.Unlock()
+	m.queue.forcePush(j)
+	return nil
+}
+
+// newJob builds a job record in stateNew from its resolved spec and cost
+// estimate. Its first transition gives it a state.
+func (m *Manager) newJob(id string, rs resolvedSpec, est perfmodel.Cost, submitted time.Time, traceID, parentSpan string) *Job {
+	return &Job{
+		ID:          id,
 		Spec:        rs.spec,
 		Priority:    rs.prio,
-		state:       StateQueued,
-		submitted:   r.Submitted,
+		submitted:   submitted,
 		ph:          rs.ph,
 		cfg:         rs.cfg,
 		cacheKey:    rs.key,
@@ -323,64 +343,8 @@ func (m *Manager) recoverJob(r *recoveredJob) error {
 		estModelSec: est.RunSec,
 		estCost:     est.RunSec * m.scaleNow(),
 		estBytes:    est.WorkingSetBytes,
-		traceID:     r.TraceID,
-		parentSpan:  r.ParentSpan,
-		recovered:   true,
-	}
-	if j.submitted.IsZero() {
-		j.submitted = time.Now()
-	}
-	if j.traceID == "" {
-		j.traceID = obs.NewTraceID()
-	}
-	m.mu.Lock()
-	m.jobs[j.ID] = j
-	m.order = append(m.order, j.ID)
-	m.mu.Unlock()
-	if r.State.Terminal() {
-		j.mu.Lock()
-		j.state = r.State
-		j.err = r.Error
-		j.cacheHit = r.CacheHit
-		j.verified = r.Verified
-		j.relRMSE = r.RelRMSE
-		j.times = stagesToTimes(r.Stages)
-		j.started = r.Started
-		j.finished = r.Finished
-		if j.finished.IsZero() {
-			j.finished = j.submitted
-		}
-		j.mu.Unlock()
-		m.events.Publish(j.ID, Event{Type: EventQueued, State: StateQueued})
-		m.publishTerminal(j.ID, terminalEvent(r.State, r.Error))
-		m.met.recovered.With("terminal").Inc()
-		return nil
-	}
-	// Re-enter admission under the original ID, bypassing the capacity and
-	// cost budgets: this job was admitted once already and must not be lost
-	// to a transiently smaller or busier queue.
-	j.charged = true
-	m.mu.Lock()
-	m.inflightBytes += j.estBytes
-	m.chargedJobs++
-	m.mu.Unlock()
-	m.events.Publish(j.ID, Event{Type: EventQueued, State: StateQueued})
-	m.queue.forcePush(j)
-	m.met.recovered.With("requeued").Inc()
-	m.log.Info("job recovered from journal", "job_id", j.ID, "trace_id", j.traceID,
-		"priority", rs.prio.String(), "quality", rs.qual.String())
-	return nil
-}
-
-// terminalEvent maps a terminal state to its bus event.
-func terminalEvent(st State, errStr string) Event {
-	switch st {
-	case StateFailed:
-		return Event{Type: EventFailed, State: StateFailed, Error: errStr}
-	case StateCancelled:
-		return Event{Type: EventCancelled, State: StateCancelled, Error: errStr}
-	default:
-		return Event{Type: EventDone, State: StateDone}
+		traceID:     traceID,
+		parentSpan:  parentSpan,
 	}
 }
 
@@ -415,18 +379,6 @@ func (m *Manager) subscribe(id string, after int64) (*Subscription, error) {
 		return nil, fmt.Errorf("job %q: %w", id, ErrNotFound)
 	}
 	return sub, nil
-}
-
-// publishTerminal publishes an event for a job that is (or just became)
-// terminal. Terminal jobs are deletable, and a concurrent Delete's
-// Bus.Drop could interleave with this publish and have the topic silently
-// recreated; re-checking the job table afterwards closes that window so
-// deleted jobs never leak topics.
-func (m *Manager) publishTerminal(id string, e Event) {
-	m.events.Publish(id, e)
-	if _, ok := m.job(id); !ok {
-		m.events.Drop(id)
-	}
 }
 
 // datasetPrefix content-addresses the staged scan of a spec: jobs with the
@@ -522,23 +474,15 @@ func (m *Manager) recordWait(p Priority, d time.Duration) {
 	m.waitCounts[p]++
 }
 
-// settle releases a job's admission charge (working-set bytes) exactly
-// once, when the job reaches a terminal state.
-func (m *Manager) settle(j *Job) {
-	j.mu.Lock()
-	release := j.charged && !j.settled
-	j.settled = true
-	j.mu.Unlock()
-	if !release {
-		return
-	}
-	m.mu.Lock()
-	m.inflightBytes -= j.estBytes
-	m.chargedJobs--
+// chargeLocked takes (n = 1) or returns (n = -1) a job's admission charge
+// of working-set bytes; callers hold m.mu. A job holds it exactly while
+// queued or running.
+func (m *Manager) chargeLocked(j *Job, n int) {
+	m.inflightBytes += int64(n) * j.estBytes
+	m.chargedJobs += n
 	if m.chargedJobs == 0 {
 		m.inflightBytes = 0 // clamp drift
 	}
-	m.mu.Unlock()
 }
 
 // Submit validates and admits a job. A result-cache hit completes the job
@@ -584,24 +528,7 @@ func (m *Manager) SubmitWithTrace(spec Spec, traceparent string) (View, error) {
 	if m.opt.NodeID != "" {
 		id = m.opt.NodeID + "-" + id
 	}
-	j := &Job{
-		ID:          id,
-		Spec:        spec,
-		Priority:    rs.prio,
-		state:       StateQueued,
-		submitted:   time.Now(),
-		ph:          rs.ph,
-		cfg:         rs.cfg,
-		cacheKey:    rs.key,
-		qual:        rs.qual,
-		plan:        rs.plan,
-		previewKey:  rs.prevKey,
-		estModelSec: est.RunSec,
-		estCost:     est.RunSec * m.scaleNow(),
-		estBytes:    est.WorkingSetBytes,
-		traceID:     traceID,
-		parentSpan:  parentSpan,
-	}
+	j := m.newJob(id, rs, est, time.Now(), traceID, parentSpan)
 	// A cached entry only satisfies a verify request if the run that
 	// produced it was itself verified; otherwise the job runs (and its
 	// verified entry replaces the cached one). The lookup key is quality-
@@ -609,31 +536,13 @@ func (m *Manager) SubmitWithTrace(spec Spec, traceparent string) (View, error) {
 	// progressive job hitting its full-resolution entry completes outright —
 	// the refined volume already exists, so no preview tier is owed.
 	if e, ok := m.cache.Get(rs.key); ok && (!spec.Verify || e.Verified) {
-		j.state = StateDone
-		j.cacheHit = true
-		j.finished = j.submitted
-		j.times = e.Times
-		j.relRMSE = e.RelRMSE
-		j.verified = e.Verified
-		j.result = e
-		m.jobs[j.ID] = j
-		m.order = append(m.order, j.ID)
-		m.met.cacheHits.Inc()
-		pruned := m.pruneLocked()
 		m.mu.Unlock()
 		// A cache hit still gets a (degenerate) event stream and trace, so
 		// streaming clients see a uniform lifecycle regardless of where the
-		// volume came from.
-		m.events.Publish(j.ID, Event{Type: EventQueued, State: StateQueued})
-		m.publishTrace(j)
-		m.publishTerminal(j.ID, Event{Type: EventDone, State: StateDone})
-		m.scrub(pruned)
-		// Journal the hit as an already-terminal job (best-effort: the view
-		// below hands the client everything; durability only affects whether
-		// a restarted daemon still shows this ID).
-		_ = m.jAppend(j.submitRecord())
-		_ = m.jAppend(j.terminalRecord())
-		m.log.Info("job served from cache", "job_id", j.ID, "trace_id", traceID, "client", spec.Client)
+		// volume came from. Its journal records are best-effort: the view
+		// hands the client everything, and durability only decides whether a
+		// restarted daemon still shows this ID. A new job is never refused.
+		_ = m.apply(j, stateNew, evCacheHit, e, func() { j.cacheHit, j.finished = true, j.submitted })
 		return j.snapshot(), nil
 	}
 	if m.opt.MaxInflightBytes > 0 && m.chargedJobs > 0 &&
@@ -645,15 +554,13 @@ func (m *Manager) SubmitWithTrace(spec Spec, traceparent string) (View, error) {
 		return View{}, fmt.Errorf("job needs ~%d MiB against %d MiB in flight: %w",
 			j.estBytes>>20, m.opt.MaxInflightBytes>>20, ErrWorkingSet)
 	}
-	// Publish the queued event BEFORE Push makes the job poppable: a worker
-	// can pick it up instantly, and its started event must sequence after
-	// queued. Mark the charge first for the same reason: once the job is in
-	// the queue a worker can pop, finish and settle it, and settle must find
-	// charged == true or the byte accounting leaks for good.
-	m.events.Publish(j.ID, Event{Type: EventQueued, State: StateQueued})
-	j.charged = true
+	// Admit BEFORE Push makes the job poppable: a worker can pick it up
+	// instantly, its start needs the job queued, and its started event must
+	// sequence after the opening one. The charge is taken before m.mu is
+	// released, so a worker that finishes the job meanwhile waits for it
+	// before giving it back. A new job is never refused.
+	_ = m.apply(j, stateNew, evAdmit, nil, nil)
 	if err := m.queue.Push(j); err != nil {
-		j.charged = false
 		m.mu.Unlock()
 		m.events.Drop(j.ID) // never admitted: no stream to replay
 		reason := "queue_full"
@@ -667,8 +574,7 @@ func (m *Manager) SubmitWithTrace(spec Spec, traceparent string) (View, error) {
 		m.log.Warn("job rejected", "reason", reason, "trace_id", traceID)
 		return View{}, err
 	}
-	m.inflightBytes += j.estBytes
-	m.chargedJobs++
+	m.chargeLocked(j, 1)
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
 	m.met.admitted.Inc()
@@ -681,7 +587,7 @@ func (m *Manager) SubmitWithTrace(spec Spec, traceparent string) (View, error) {
 	// client gets an error to retry — an unjournaled accepted job would be
 	// silently lost by the next restart, which is the one lie the journal
 	// exists to prevent.
-	if err := m.jAppend(j.submitRecord()); err != nil {
+	if err := m.jAppend(j.record(recSubmit)); err != nil {
 		_ = m.Cancel(j.ID)
 		return View{}, fmt.Errorf("service: job not durable: %w", err)
 	}
@@ -727,9 +633,7 @@ func (m *Manager) scrub(ids []string) {
 
 // Get returns a job's current view.
 func (m *Manager) Get(id string) (View, bool) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
+	j, ok := m.job(id)
 	if !ok {
 		return View{}, false
 	}
@@ -741,23 +645,19 @@ func (m *Manager) Get(id string) (View, bool) {
 // not hold one itself (a done job readmitted from spill, or one whose
 // entry another path dropped). nil when no result is reachable.
 func (m *Manager) resultFor(j *Job) *Entry {
-	if e := j.Result(); e != nil {
+	j.mu.Lock()
+	e, st := j.result, j.state
+	j.mu.Unlock()
+	if e != nil || st != StateDone {
 		return e
 	}
-	if j.State() != StateDone {
-		return nil
-	}
-	if e, ok := m.cache.Get(j.cacheKey); ok {
-		return e
-	}
-	return nil
+	e, _ = m.cache.Get(j.cacheKey) // nil on a miss
+	return e
 }
 
 // Volume returns a done job's reconstructed volume.
 func (m *Manager) Volume(id string) (*volume.Volume, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
+	j, ok := m.job(id)
 	if !ok {
 		return nil, fmt.Errorf("job %q: %w", id, ErrNotFound)
 	}
@@ -791,37 +691,26 @@ func (m *Manager) List() []View {
 // Cancelling a job that already reached a terminal state reports
 // ErrAlreadyTerminal.
 func (m *Manager) Cancel(id string) error {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
+	j, ok := m.job(id)
 	if !ok {
 		return fmt.Errorf("job %q: %w", id, ErrNotFound)
 	}
-	j.mu.Lock()
-	switch j.state {
-	case StateQueued:
-		j.state = StateCancelled
-		j.finished = time.Now()
+	for {
+		j.mu.Lock()
+		st, stop := j.state, j.cancel
 		j.mu.Unlock()
-		m.queue.Remove(id) // best-effort: a worker may have popped it already
-		m.met.cancelled.Inc()
-		m.publishTrace(j)
-		m.publishTerminal(id, Event{Type: EventCancelled, State: StateCancelled, Error: "cancelled while queued"})
-		m.settle(j)
-		_ = m.jAppend(j.terminalRecord())
-		m.log.Info("job cancelled while queued", "job_id", id, "trace_id", j.traceID)
-		return nil
-	case StateRunning:
-		cancel := j.cancel
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
+		switch {
+		case st == StateRunning:
+			stop() // the run unwinds, and runJob applies the cancel
+			return nil
+		case st.Terminal():
+			return fmt.Errorf("job %s is %s: %w", id, st, ErrAlreadyTerminal)
 		}
-		return nil
-	default:
-		st := j.state
-		j.mu.Unlock()
-		return fmt.Errorf("job %s is %s: %w", id, st, ErrAlreadyTerminal)
+		if m.apply(j, StateQueued, evCancel, nil, nil) == nil {
+			m.queue.Remove(id) // best-effort: a worker may have popped it already
+			return nil
+		}
+		// A worker started the job in between: look again.
 	}
 }
 
@@ -836,23 +725,13 @@ func (m *Manager) Delete(id string) error {
 	}
 	if ok {
 		delete(m.jobs, id)
-		for i, oid := range m.order {
-			if oid == id {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
-		}
+		m.order = slices.DeleteFunc(m.order, func(o string) bool { return o == id })
 	}
 	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("job %q: %w", id, ErrNotFound)
 	}
-	m.events.Drop(id)
-	m.tracer.Drop(id)
-	for _, path := range m.store.List("jobs/" + id + "/") {
-		m.store.Delete(path)
-	}
-	_ = m.jAppend(journalRecord{T: recDelete, ID: id})
+	m.scrub([]string{id})
 	return nil
 }
 
@@ -865,18 +744,9 @@ func (m *Manager) worker() {
 		if !ok {
 			return
 		}
-		if m.crashed.Load() {
-			continue // simulated kill -9: abandon the pop, run nothing
+		if !m.crashed.Load() { // a simulated kill -9 abandons the pop
+			m.runJob(j)
 		}
-		// Re-check terminal state after the pop: Cancel's queue.Remove is
-		// best-effort and loses the race against a concurrent Pop, so a job
-		// the client was just told is cancelled can surface here. runJob
-		// re-checks under j.mu too; this early skip keeps the worker from
-		// even charging the busy gauge for a corpse.
-		if j.State().Terminal() {
-			continue
-		}
-		m.runJob(j)
 	}
 }
 
@@ -884,77 +754,24 @@ func (m *Manager) worker() {
 func (m *Manager) runJob(j *Job) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	j.mu.Lock()
-	if j.state != StateQueued { // cancelled between Pop and here
-		j.mu.Unlock()
+	// Cancel's queue.Remove is best-effort and loses the race against a
+	// concurrent Pop, so a job the client was just told is cancelled can
+	// surface here: the start is refused, and the job never runs.
+	if m.apply(j, StateQueued, evStart, nil, func() { j.cancel = cancel }) != nil {
 		return
 	}
-	j.state = StateRunning
-	j.started = time.Now()
-	j.cancel = cancel
-	waited := j.started.Sub(j.submitted)
-	j.mu.Unlock()
-	m.recordWait(j.Priority, waited)
-	m.events.Publish(j.ID, Event{Type: EventStarted, State: StateRunning})
-	_ = m.jAppend(j.startRecord())
-	m.log.Info("job started", "job_id", j.ID, "trace_id", j.traceID,
-		"wait_sec", waited.Seconds())
-
 	m.busy.Add(1)
 	entry, err := m.execute(ctx, j)
 	m.busy.Add(-1)
-	if err == nil {
-		// Before the state flip: whoever observes done — by polling or from
-		// the terminal event — and resubmits must hit the cache.
-		m.cache.Put(j.cacheKey, entry)
+	var set func()
+	ev := evSucceed
+	if err != nil {
+		ev, set = evFail, func() { j.err = err.Error() }
+		if ctx.Err() != nil {
+			ev = evCancel
+		}
 	}
-
-	j.mu.Lock()
-	j.finished = time.Now()
-	j.cancel = nil
-	terminal := Event{Type: EventDone, State: StateDone}
-	switch {
-	case err == nil:
-		j.state = StateDone
-		j.result = entry
-		j.times = entry.Times
-		j.relRMSE = entry.RelRMSE
-		j.verified = entry.Verified
-		m.met.completed.Inc()
-	case ctx.Err() != nil:
-		j.state = StateCancelled
-		j.err = err.Error()
-		m.met.cancelled.Inc()
-		terminal = Event{Type: EventCancelled, State: StateCancelled, Error: j.err}
-	default:
-		j.state = StateFailed
-		j.err = err.Error()
-		m.met.failed.Inc()
-		terminal = Event{Type: EventFailed, State: StateFailed, Error: j.err}
-	}
-	state, runSec := j.state, j.finished.Sub(j.started).Seconds()
-	j.mu.Unlock()
-	m.publishTrace(j)
-	m.publishTerminal(j.ID, terminal)
-	m.settle(j)
-	_ = m.jAppend(j.terminalRecord())
-	switch {
-	case err == nil:
-		m.met.observeStages(stagesOf(entry.Times))
-		m.log.Info("job finished", "job_id", j.ID, "trace_id", j.traceID,
-			"state", string(state), "run_sec", runSec)
-	default:
-		m.log.Error("job settled with error", "job_id", j.ID, "trace_id", j.traceID,
-			"state", string(state), "run_sec", runSec, "err", err.Error())
-	}
-	if err == nil {
-		// Calibrate against the pipeline's own stage clock (max over
-		// ranks), not submit-to-finish wall time: staging is paid only by
-		// the first job per dataset and verification doubles the compute,
-		// so folding either into the EWMA would inflate every later
-		// estimate and shed work the budget actually had room for.
-		m.observeRuntime(j.estModelSec, entry.Times.Total.Seconds())
-	}
+	_ = m.apply(j, StateRunning, ev, entry, set) // only this worker moves a running job
 }
 
 // execute stages the dataset (once per content hash), runs the distributed
@@ -967,9 +784,8 @@ func (m *Manager) execute(ctx context.Context, j *Job) (*Entry, error) {
 	if err := m.stageDataset(ctx, j); err != nil {
 		return nil, err
 	}
-	now := time.Now()
 	j.mu.Lock()
-	j.tStage1, j.tRun0 = now, now
+	j.tRun0 = time.Now()
 	j.mu.Unlock()
 	// The preview tier runs first, from the same staged dataset the full
 	// pipeline will read: for preview-quality jobs it IS the job; for
@@ -997,10 +813,6 @@ func (m *Manager) execute(ctx context.Context, j *Job) (*Entry, error) {
 	}
 	cfg := j.cfg
 	cfg.OutputPrefix = j.outPrefix()
-	// Per-round filter/AllGather timings feed the job's trace spans; the
-	// buffers are pre-sized per rank, so the compute plane stays
-	// allocation-free in steady state.
-	cfg.CollectRounds = true
 	cfg.Progress = func(done, total int) {
 		j.mu.Lock()
 		j.done, j.total = done, total
@@ -1020,11 +832,9 @@ func (m *Manager) execute(ctx context.Context, j *Job) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(res.Rounds) > 0 {
-		j.mu.Lock()
-		j.rounds = res.Rounds[0] // rank 0's clock stands in for the grid
-		j.mu.Unlock()
-	}
+	j.mu.Lock()
+	j.rounds = res.Rounds[0] // rank 0's clock stands in for the grid
+	j.mu.Unlock()
 	entry := &Entry{Volume: res.Volume, Times: res.Max, BytesSent: res.BytesSent}
 	if j.Spec.Verify {
 		j.mu.Lock()
@@ -1127,18 +937,7 @@ func (m *Manager) verifyAgainstSerial(ctx context.Context, j *Job, e *Entry) err
 	if err != nil {
 		return err
 	}
-	rmse, err := volume.RMSE(ref, e.Volume)
-	if err != nil {
-		return err
-	}
-	s := ref.Summarize()
-	scale := math.Max(math.Abs(float64(s.Min)), math.Abs(float64(s.Max)))
-	if scale > 0 {
-		rmse /= scale
-	}
-	e.RelRMSE = rmse
-	e.Verified = true
-	return nil
+	return e.verify(ref)
 }
 
 // The Metrics, AdmissionStats and WaitStats wire types live in pkg/api (see
@@ -1214,33 +1013,33 @@ func (m *Manager) Metrics() Metrics {
 // When ctx expires first, all remaining jobs are cancelled and Shutdown
 // waits for the pool to unwind before returning ctx's error.
 func (m *Manager) Shutdown(ctx context.Context) error {
-	m.mu.Lock()
-	m.open = false
-	m.mu.Unlock()
-	m.queue.Close()
+	m.stopAdmission()
 	done := make(chan struct{})
 	go func() {
 		m.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		if m.journal != nil {
-			m.journal.close()
-		}
-		return nil
 	case <-ctx.Done():
+		err = ctx.Err()
 		for _, v := range m.List() {
-			if !v.State.Terminal() {
-				_ = m.Cancel(v.ID)
-			}
+			_ = m.Cancel(v.ID) // a terminal job reports ErrAlreadyTerminal and stays
 		}
 		<-done
-		if m.journal != nil {
-			m.journal.close()
-		}
-		return ctx.Err()
 	}
+	m.journal.close()
+	return err
+}
+
+// stopAdmission refuses further submissions and closes the queue, so the
+// workers exit once it is drained.
+func (m *Manager) stopAdmission() {
+	m.mu.Lock()
+	m.open = false
+	m.mu.Unlock()
+	m.queue.Close()
 }
 
 // Crash simulates a kill -9 for the crash/restart tests. The journal is
@@ -1253,14 +1052,9 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 //
 //ifdk:noctx test support: simulated kill, bounded by running-job cancellation
 func (m *Manager) Crash() {
-	if m.journal != nil {
-		m.journal.close()
-	}
+	m.journal.close()
 	m.crashed.Store(true)
-	m.mu.Lock()
-	m.open = false
-	m.mu.Unlock()
-	m.queue.Close()
+	m.stopAdmission()
 	for _, v := range m.List() {
 		if v.State == StateRunning {
 			_ = m.Cancel(v.ID)

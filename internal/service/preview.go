@@ -6,13 +6,11 @@ package service
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"ifdk/internal/core"
 	"ifdk/internal/ct/preview"
 	"ifdk/internal/service/progressive"
-	"ifdk/pkg/volume"
 )
 
 // previewStageTimes maps a preview build's segment clock onto the wire's
@@ -73,13 +71,14 @@ func (m *Manager) previewFor(j *Job) *Entry {
 	if !j.qual.WantsPreview() {
 		return nil
 	}
-	if e := j.Preview(); e != nil {
+	j.mu.Lock()
+	e := j.preview
+	j.mu.Unlock()
+	if e != nil {
 		return e
 	}
-	if e, ok := m.cache.Get(j.previewKey); ok {
-		return e
-	}
-	return nil
+	e, _ = m.cache.Get(j.previewKey) // nil on a miss
+	return e
 }
 
 // verifyPreview is the coarse analogue of verifyAgainstSerial: it rebuilds
@@ -93,16 +92,5 @@ func (m *Manager) verifyPreview(ctx context.Context, j *Job, e *Entry) error {
 	if err != nil {
 		return err
 	}
-	rmse, err := volume.RMSE(ref, e.Volume)
-	if err != nil {
-		return err
-	}
-	s := ref.Summarize()
-	scale := math.Max(math.Abs(float64(s.Min)), math.Abs(float64(s.Max)))
-	if scale > 0 {
-		rmse /= scale
-	}
-	e.RelRMSE = rmse
-	e.Verified = true
-	return nil
+	return e.verify(ref)
 }

@@ -65,7 +65,7 @@ func newMetricsSet(m *Manager) *metricsSet {
 	s.rejectedQuota = adm.With("rejected_quota")
 
 	s.stageSeconds = r.HistogramVec("ifdk_stage_seconds",
-		"Per-stage pipeline latency, observed per completed job: load to backproject on the worst rank; compute, reduce, store and total on the rank that finished last, so they add up.", nil, "stage")
+		"Per-stage pipeline latency, observed per completed job: load to backproject on the worst rank; compute, reduce, store and total on the row root that finished last, so they add up.", nil, "stage")
 	s.queueWait = r.HistogramVec("ifdk_queue_wait_seconds",
 		"Queue wait from admission to worker pickup, by priority class.", nil, "class")
 
@@ -172,6 +172,24 @@ func newMetricsSet(m *Manager) *metricsSet {
 		func() float64 { return float64(m.tracer.Evicted()) })
 
 	return s
+}
+
+// count bumps the lifecycle counter a transition names.
+func (s *metricsSet) count(c counter) {
+	switch c {
+	case countCompleted:
+		s.completed.Inc()
+	case countFailed:
+		s.failed.Inc()
+	case countCancelled:
+		s.cancelled.Inc()
+	case countCacheHit:
+		s.cacheHits.Inc()
+	case countRequeued:
+		s.recovered.With("requeued").Inc()
+	case countRestored:
+		s.recovered.With("terminal").Inc()
+	}
 }
 
 // observeStages feeds one completed job's stage clock into the per-stage

@@ -159,32 +159,19 @@ func (s *Server) slice(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// remove cancels a live job (202) or deletes a terminal one (204). The
-// snapshot from Get is advisory only: a job can reach a terminal state
-// between Get and Cancel, so a Cancel that reports ErrAlreadyTerminal falls
-// through to delete instead of surfacing a spurious conflict — the verb is
-// race-free regardless of when the job settles.
+// remove cancels a live job (202) or deletes a terminal one (204). Cancel
+// decides which under the job's lock and reports ErrAlreadyTerminal for a
+// job that has settled — perhaps just now — so the verb deletes it instead
+// of surfacing a spurious conflict, whenever the job settles.
 func (s *Server) remove(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	v, ok := s.m.Get(id)
-	if !ok {
+	switch err := s.m.Cancel(id); {
+	case err == nil:
+		writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "action": "cancelled"})
+		return
+	case errors.Is(err, ErrNotFound):
 		writeErr(w, api.CodeNotFound, "no such job %q", id)
 		return
-	}
-	if !v.State.Terminal() {
-		switch err := s.m.Cancel(id); {
-		case err == nil:
-			writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "action": "cancelled"})
-			return
-		case errors.Is(err, ErrAlreadyTerminal):
-			// Raced to terminal between Get and Cancel: delete below.
-		case errors.Is(err, ErrNotFound):
-			writeErr(w, api.CodeNotFound, "%v", err)
-			return
-		default:
-			writeErr(w, api.CodeNotTerminal, "%v", err)
-			return
-		}
 	}
 	switch err := s.m.Delete(id); {
 	case err == nil:

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"ifdk/internal/core"
 	"ifdk/internal/obs"
 	"ifdk/pkg/api"
 )
@@ -21,110 +20,68 @@ import (
 // rounds_omitted attribute on the compute span.
 const maxRoundSpans = 96
 
-// traceState is the under-mutex copy of everything span assembly needs.
-type traceState struct {
-	traceID    string
-	parentSpan string
-	state      State
-	errStr     string
-	cacheHit   bool
-	priority   string
-	submitted  time.Time
-	started    time.Time
-	finished   time.Time
-	times      core.StageTimes
-	tStage0    time.Time
-	tStage1    time.Time
-	tRun0      time.Time
-	rounds     []core.RoundTrace
-	tVerify0   time.Time
-	tVerify1   time.Time
-}
-
-func (j *Job) traceState() traceState {
+// assembleSpans builds the job's span tree from its current state, under
+// j.mu. It works on live jobs too: spans whose operation has not ended yet
+// carry a zero End and report zero duration.
+func (m *Manager) assembleSpans(j *Job) []obs.Span {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return traceState{
-		traceID:    j.traceID,
-		parentSpan: j.parentSpan,
-		state:      j.state,
-		errStr:     j.err,
-		cacheHit:   j.cacheHit,
-		priority:   j.Priority.String(),
-		submitted:  j.submitted,
-		started:    j.started,
-		finished:   j.finished,
-		times:      j.times,
-		tStage0:    j.tStage0,
-		tStage1:    j.tStage1,
-		tRun0:      j.tRun0,
-		rounds:     j.rounds,
-		tVerify0:   j.tVerify0,
-		tVerify1:   j.tVerify1,
-	}
-}
-
-// assembleSpans builds the job's span tree from its current state. It works
-// on live jobs too: spans whose operation has not ended yet carry a zero
-// End and report zero duration.
-func (m *Manager) assembleSpans(j *Job) []obs.Span {
-	ts := j.traceState()
-	sid := func(name string) string { return obs.DeriveSpanID(ts.traceID, name) }
+	sid := func(name string) string { return obs.DeriveSpanID(j.traceID, name) }
 
 	root := obs.Span{
 		SpanID: sid("job"),
-		Parent: ts.parentSpan,
+		Parent: j.parentSpan,
 		Name:   "job",
-		Start:  ts.submitted,
-		End:    ts.finished,
+		Start:  j.submitted,
+		End:    j.finished,
 		Attrs: []obs.Attr{
 			{Key: "job_id", Value: j.ID},
 			{Key: "node", Value: m.opt.NodeID},
-			{Key: "state", Value: string(ts.state)},
-			{Key: "priority", Value: ts.priority},
-			{Key: "cache_hit", Value: strconv.FormatBool(ts.cacheHit)},
+			{Key: "state", Value: string(j.state)},
+			{Key: "priority", Value: j.Priority.String()},
+			{Key: "cache_hit", Value: strconv.FormatBool(j.cacheHit)},
 		},
 	}
 	if j.recovered {
 		root.Attrs = append(root.Attrs, obs.Attr{Key: "recovered", Value: "true"})
 	}
-	if ts.errStr != "" {
-		root.Attrs = append(root.Attrs, obs.Attr{Key: "error", Value: ts.errStr})
+	if j.err != "" {
+		root.Attrs = append(root.Attrs, obs.Attr{Key: "error", Value: j.err})
 	}
 	spans := []obs.Span{root}
 
-	if ts.cacheHit {
+	if j.cacheHit {
 		spans = append(spans, obs.Span{
 			SpanID: sid("cache.hit"), Parent: root.SpanID, Name: "cache.hit",
-			Start: ts.submitted, End: ts.finished,
+			Start: j.submitted, End: j.finished,
 		})
 		return spans
 	}
 
 	spans = append(spans, obs.Span{
 		SpanID: sid("queue.wait"), Parent: root.SpanID, Name: "queue.wait",
-		Start: ts.submitted, End: ts.started,
+		Start: j.submitted, End: j.started,
 	})
-	if !ts.tStage0.IsZero() {
+	if !j.tStage0.IsZero() {
 		spans = append(spans, obs.Span{
 			SpanID: sid("stage.dataset"), Parent: root.SpanID, Name: "stage.dataset",
-			Start: ts.tStage0, End: ts.tStage1,
+			Start: j.tStage0, End: j.tRun0,
 		})
 	}
-	if !ts.tRun0.IsZero() {
+	if !j.tRun0.IsZero() {
 		compute := obs.Span{
 			SpanID: sid("compute"), Parent: root.SpanID, Name: "compute",
-			Start: ts.tRun0,
+			Start: j.tRun0,
 		}
-		if ts.times.Compute > 0 {
-			compute.End = ts.tRun0.Add(ts.times.Compute)
+		if j.times.Compute > 0 {
+			compute.End = j.tRun0.Add(j.times.Compute)
 		}
-		if omitted := len(ts.rounds) - maxRoundSpans; omitted > 0 {
+		if omitted := len(j.rounds) - maxRoundSpans; omitted > 0 {
 			compute.Attrs = append(compute.Attrs,
 				obs.Attr{Key: "rounds_omitted", Value: strconv.Itoa(omitted)})
 		}
 		spans = append(spans, compute)
-		for r, rt := range ts.rounds {
+		for r, rt := range j.rounds {
 			if r >= maxRoundSpans {
 				break
 			}
@@ -135,45 +92,45 @@ func (m *Manager) assembleSpans(j *Job) []obs.Span {
 				obs.Span{
 					SpanID: sid(fmt.Sprintf("filter.round.%d", rt.Round)), Parent: compute.SpanID,
 					Name:  "filter.round",
-					Start: ts.tRun0.Add(rt.FilterOff), End: ts.tRun0.Add(rt.FilterOff + rt.FilterDur),
+					Start: j.tRun0.Add(rt.FilterOff), End: j.tRun0.Add(rt.FilterOff + rt.FilterDur),
 					Attrs: []obs.Attr{attr[0], {Key: "covers", Value: "load+filter+transpose"}},
 				},
 				obs.Span{
 					SpanID: sid(fmt.Sprintf("allgather.round.%d", rt.Round)), Parent: compute.SpanID,
 					Name:  "allgather.round",
-					Start: ts.tRun0.Add(rt.GatherOff), End: ts.tRun0.Add(rt.GatherOff + rt.GatherDur),
+					Start: j.tRun0.Add(rt.GatherOff), End: j.tRun0.Add(rt.GatherOff + rt.GatherDur),
 					Attrs: attr,
 				})
 		}
-		if ts.times.Backproject > 0 {
+		if j.times.Backproject > 0 {
 			// Back-projection overlaps the filter/AllGather rounds inside
 			// the compute phase; its span records accumulated busy time
 			// (== StageTimes.Backproject), anchored at the phase start.
 			spans = append(spans, obs.Span{
 				SpanID: sid("backproject"), Parent: compute.SpanID, Name: "backproject",
-				Start: ts.tRun0, End: ts.tRun0.Add(ts.times.Backproject),
+				Start: j.tRun0, End: j.tRun0.Add(j.times.Backproject),
 				Attrs: []obs.Attr{{Key: "kind", Value: "busy"}},
 			})
 		}
-		if ts.times.Compute > 0 && ts.times.Reduce > 0 {
-			t0 := ts.tRun0.Add(ts.times.Compute)
+		if j.times.Compute > 0 && j.times.Reduce > 0 {
+			t0 := j.tRun0.Add(j.times.Compute)
 			spans = append(spans, obs.Span{
 				SpanID: sid("reduce"), Parent: root.SpanID, Name: "reduce",
-				Start: t0, End: t0.Add(ts.times.Reduce),
+				Start: t0, End: t0.Add(j.times.Reduce),
 			})
-			if ts.times.Store > 0 {
-				t1 := t0.Add(ts.times.Reduce)
+			if j.times.Store > 0 {
+				t1 := t0.Add(j.times.Reduce)
 				spans = append(spans, obs.Span{
 					SpanID: sid("store"), Parent: root.SpanID, Name: "store",
-					Start: t1, End: t1.Add(ts.times.Store),
+					Start: t1, End: t1.Add(j.times.Store),
 				})
 			}
 		}
 	}
-	if !ts.tVerify0.IsZero() {
+	if !j.tVerify0.IsZero() {
 		spans = append(spans, obs.Span{
 			SpanID: sid("verify"), Parent: root.SpanID, Name: "verify",
-			Start: ts.tVerify0, End: ts.tVerify1,
+			Start: j.tVerify0, End: j.tVerify1,
 		})
 	}
 	return spans
@@ -227,9 +184,8 @@ func (m *Manager) TraceFor(id string) (api.Trace, error) {
 			Spans: toAPISpans(t.ID(), "ifdkd", t.Snapshot()),
 		}, nil
 	}
-	ts := j.traceState()
 	return api.Trace{
-		TraceID: ts.traceID, Job: id, Complete: false,
-		Spans: toAPISpans(ts.traceID, "ifdkd", m.assembleSpans(j)),
+		TraceID: j.traceID, Job: id, Complete: false,
+		Spans: toAPISpans(j.traceID, "ifdkd", m.assembleSpans(j)),
 	}, nil
 }
