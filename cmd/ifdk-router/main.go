@@ -69,8 +69,7 @@ func main() {
 		"comma-separated backends, name=url pairs (bare urls get b0,b1,... names matching each ifdkd's -node)")
 	healthEvery := flag.Duration("health-every", 500*time.Millisecond, "backend health probe period")
 	deadAfter := flag.Int("dead-after", 2, "consecutive failed probes before a backend is dead")
-	terminalTTL := flag.Duration("terminal-ttl", 10*time.Minute,
-		"forget terminal job routes after this long (negative = only under route-table pressure)")
+	terminalTTL := flag.Duration("terminal-ttl", 10*time.Minute, "forget terminal job routes after this long")
 	failoverWait := flag.Duration("failover-wait", 30*time.Second,
 		"how long relayed event/slice streams wait for a dead route to fail over before giving up")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON records instead of text")

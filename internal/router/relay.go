@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -51,39 +50,6 @@ func (rt *Router) dialJob(ctx context.Context, id, sub string, hdr map[string]st
 	return resp, route.backend, err
 }
 
-// redial decides what a relay does after a failed dial. It reports true when
-// the relay is over — the backend's own verdict (not_found, terminal, bad
-// request) relayed verbatim, the client settled from the job's view, or the
-// failover wait exhausted; the response, where one was still possible, has
-// been written — and otherwise returns false after one reattach poll period.
-func (rt *Router) redial(w http.ResponseWriter, r *http.Request, err error, headersSent bool, deadline time.Time, settle func() bool) bool {
-	id := r.PathValue("id")
-	var verdict *api.Error
-	if errors.As(err, &verdict) && !headersSent {
-		relayErr(w, verdict)
-		return true
-	}
-	if settle() {
-		return true
-	}
-	if errors.Is(err, errNoRoute) && !headersSent {
-		writeErr(w, api.CodeNotFound, "no such job %q in the fleet", id)
-		return true
-	}
-	if time.Now().After(deadline) {
-		if !headersSent {
-			writeErr(w, api.CodeUnavailable, "job %s: no live backend within the failover wait", id)
-		}
-		return true
-	}
-	select {
-	case <-time.After(relayPoll):
-		return false
-	case <-r.Context().Done():
-		return true
-	}
-}
-
 // terminalEventType maps a terminal state to its stream-ending event type.
 func terminalEventType(st api.State) api.EventType {
 	switch st {
@@ -93,6 +59,131 @@ func terminalEventType(st api.State) api.EventType {
 		return api.EventCancelled
 	default:
 		return api.EventDone
+	}
+}
+
+// passEncoding forwards the client's content-coding choice: slice parts
+// are forwarded byte for byte, so whatever per-part encoding the backend
+// negotiates is exactly what the client asked for.
+func passEncoding(r *http.Request) map[string]string {
+	if ae := r.Header.Get("Accept-Encoding"); ae != "" {
+		return map[string]string{"Accept-Encoding": ae}
+	}
+	return nil
+}
+
+// endpoint is what differs between the two relayed streams.
+type endpoint struct {
+	path   func() string                      // dialled under the job, afresh on every attach
+	req    map[string]string                  // request headers for the backend
+	head   map[string]string                  // response headers, sent before the first frame
+	pump   func(*http.Response) (bool, error) // forwards one backend connection; true once the stream is over
+	finish func(api.View) error               // ends the stream from the job's terminal view
+	// eager endpoints settle from the view before their headers are out and
+	// after a pump that ended short; /stream does neither, because the
+	// survivor's /stream replays the slices the client missed.
+	eager bool
+}
+
+// relay serves one long-lived stream of the job in r's path across backend
+// deaths: it forwards the stream of the job's current backend and, when
+// that breaks off, waits for the failover and reattaches to the survivor.
+func (rt *Router) relay(w http.ResponseWriter, r *http.Request, ep endpoint) {
+	id := r.PathValue("id")
+	// A relay that ends without delivering the stream's end (client gave up
+	// mid-run) leaves the route's observed state stale — refresh it so the
+	// failover predicate and the terminal TTL stay truthful.
+	over := false
+	defer func() {
+		if !over {
+			go rt.refreshState(id)
+		}
+	}()
+
+	rc := http.NewResponseController(w)
+	headersSent := false
+	sendHeaders := func() error {
+		if headersSent {
+			return nil
+		}
+		for k, v := range ep.head {
+			w.Header().Set(k, v)
+		}
+		w.WriteHeader(http.StatusOK)
+		headersSent = true
+		return rc.Flush()
+	}
+	// settle is the tie-breaker when the stream cannot deliver its end: if
+	// the fleet already knows the outcome, close out from the view.
+	settle := func() bool {
+		if !headersSent && !ep.eager {
+			return false
+		}
+		v, _, err := rt.view(r.Context(), id)
+		if err != nil || !v.State.Terminal() {
+			return false
+		}
+		over = true
+		if sendHeaders() == nil {
+			_ = ep.finish(v)
+		}
+		return true
+	}
+
+	deadline := time.Now().Add(rt.opt.FailoverWait)
+	attached := false
+	for r.Context().Err() == nil {
+		resp, backend, err := rt.dialJob(r.Context(), id, ep.path(), ep.req)
+		// A failed dial: before the first byte, the backend's verdict
+		// (not_found, terminal, bad request) or the fleet's not-found is
+		// final; otherwise settle from the view, or poll for the takeover
+		// until the failover wait runs out.
+		var verdict *api.Error
+		switch {
+		case err == nil:
+		case !headersSent && (errors.As(err, &verdict) || errors.Is(err, errNoRoute)):
+			fail(w, r, backend, err)
+			return
+		case settle():
+			return
+		case time.Now().After(deadline):
+			if !headersSent {
+				api.WriteError(w, api.CodeUnavailable, "job %s: no live backend within the failover wait", id)
+			}
+			return
+		default:
+			select {
+			case <-time.After(relayPoll):
+				continue
+			case <-r.Context().Done():
+				return
+			}
+		}
+		if attached {
+			rt.relayTakeovers.Add(1)
+		}
+		attached = true
+		if sendHeaders() != nil {
+			resp.Body.Close()
+			return
+		}
+		deadline = time.Now().Add(rt.opt.FailoverWait)
+		done, err := ep.pump(resp)
+		resp.Body.Close()
+		if done {
+			over = true
+			return
+		}
+		if r.Context().Err() != nil {
+			return // the client went away, not the backend
+		}
+		rt.markFailure(r.Context(), backend, err)
+		// The backend stream ended short: the backend died mid-stream, or the
+		// takeover settled below the events cursor. Try the view, then loop
+		// to reattach.
+		if ep.eager && settle() {
+			return
+		}
 	}
 }
 
@@ -109,122 +200,52 @@ func (rt *Router) relayEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	cursor, err := api.ResumeCursor(r)
 	if err != nil {
-		writeErr(w, api.CodeBadRequest, "%v", err)
+		api.WriteError(w, api.CodeBadRequest, "%v", err)
 		return
 	}
-
-	// A relay that ends without delivering a terminal frame (client gave up
-	// mid-run) leaves the route's observed state stale — refresh it so the
-	// failover predicate and the terminal TTL stay truthful.
-	terminalSeen := false
-	defer func() {
-		if !terminalSeen {
-			go rt.refreshState(id)
-		}
-	}()
-
 	rc := http.NewResponseController(w)
-	headersSent := false
-	sendHeaders := func() error {
-		if headersSent {
-			return nil
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-		w.Header().Set("X-Accel-Buffering", "no")
-		w.WriteHeader(http.StatusOK)
-		headersSent = true
-		return rc.Flush()
-	}
 	emit := func(e api.Event) error {
 		if err := api.WriteEvent(w, e); err != nil {
 			return err
 		}
 		return rc.Flush()
 	}
-	// settle is the tie-breaker when the stream cannot deliver a terminal
-	// frame: if the fleet already knows the outcome, close out from the view.
-	settle := func() bool {
-		v, _, err := rt.view(r.Context(), id)
-		if err != nil || !v.State.Terminal() {
-			return false
-		}
-		terminalSeen = true
-		if sendHeaders() != nil {
-			return true
-		}
-		_ = emit(api.Event{
-			Seq: cursor + 1, Job: id, Type: terminalEventType(v.State),
-			Time:  time.Now().UTC().Format(time.RFC3339Nano),
-			State: v.State, Error: v.Error,
-		})
-		return true
-	}
-
-	deadline := time.Now().Add(rt.opt.FailoverWait)
-	attached := false
-	for {
-		if r.Context().Err() != nil {
-			return
-		}
-		resp, backend, err := rt.dialJob(r.Context(), id, "/events?after="+strconv.FormatInt(cursor, 10),
-			map[string]string{"Accept": "text/event-stream"})
-		if err != nil {
-			if rt.redial(w, r, err, headersSent, deadline, settle) {
-				return
+	rt.relay(w, r, endpoint{
+		path: func() string { return "/events?after=" + strconv.FormatInt(cursor, 10) },
+		req:  map[string]string{"Accept": "text/event-stream"},
+		head: map[string]string{"Content-Type": "text/event-stream", "Cache-Control": "no-cache", "X-Accel-Buffering": "no"},
+		// Each event's job ID becomes the public one, and frames at or below
+		// the cursor (replay overlap, or a re-execution's already-delivered
+		// prefix) are dropped; a terminal frame ends the stream.
+		pump: func(resp *http.Response) (bool, error) {
+			for e, err := range api.ReadEvents(resp.Body) {
+				if err != nil {
+					return false, err
+				}
+				if e.Seq <= cursor {
+					continue
+				}
+				rt.observe(id, e.Job, e.State)
+				e.Job = id
+				if err := emit(e); err != nil {
+					return false, err
+				}
+				cursor = e.Seq
+				if e.Type.Terminal() {
+					return true, nil
+				}
 			}
-			continue
-		}
-		if attached {
-			rt.relayTakeovers.Add(1)
-		}
-		attached = true
-		if sendHeaders() != nil {
-			resp.Body.Close()
-			return
-		}
-		deadline = time.Now().Add(rt.opt.FailoverWait)
-		terminal, pumpErr := rt.pumpEvents(resp.Body, id, &cursor, emit)
-		resp.Body.Close()
-		if terminal != "" {
-			terminalSeen = true
-			return
-		}
-		if r.Context().Err() != nil {
-			return // the client went away, not the backend
-		}
-		rt.markFailure(r.Context(), backend, pumpErr)
-		// The backend stream ended without a terminal frame: the backend died
-		// mid-stream, or the takeover settled below the cursor. Try the view,
-		// then loop to reattach.
-		if settle() {
-			return
-		}
-	}
-}
-
-// pumpEvents copies one backend SSE connection to the client, rewriting each
-// event's job ID to the public one and dropping frames at or below the
-// cursor (replay overlap, or a re-execution's already-delivered prefix).
-// It returns the terminal state once a terminal frame has been forwarded.
-func (rt *Router) pumpEvents(body io.Reader, id string, cursor *int64, emit func(api.Event) error) (api.State, error) {
-	for e, err := range api.ReadEvents(body) {
-		if err != nil {
-			return "", err
-		}
-		if e.Seq <= *cursor {
-			continue
-		}
-		rt.adopt(id, &e.Job, e.State)
-		if err := emit(e); err != nil {
-			return "", err
-		}
-		*cursor = e.Seq
-		if e.Type.Terminal() {
-			return e.State, nil
-		}
-	}
-	return "", nil
+			return false, nil
+		},
+		finish: func(v api.View) error {
+			return emit(api.Event{
+				Seq: cursor + 1, Job: id, Type: terminalEventType(v.State),
+				Time:  time.Now().UTC().Format(time.RFC3339Nano),
+				State: v.State, Error: v.Error,
+			})
+		},
+		eager: true,
+	})
 }
 
 // relayStream serves GET /v1/jobs/{id}/stream by re-terminating the owning
@@ -239,118 +260,49 @@ func (rt *Router) pumpEvents(body io.Reader, id string, cursor *int64, emit func
 // execution finished the job.
 func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	hdr := map[string]string{}
-	// The client's content-coding choice passes through untouched: slice
-	// parts are forwarded byte-for-byte, so whatever per-part encoding the
-	// backend negotiates is exactly what the client asked for.
-	if ae := r.Header.Get("Accept-Encoding"); ae != "" {
-		hdr["Accept-Encoding"] = ae
-	}
-
-	terminalSeen := false
-	defer func() {
-		if !terminalSeen {
-			go rt.refreshState(id)
-		}
-	}()
-
 	rc := http.NewResponseController(w)
-	var sw api.SliceWriter
-	headersSent := false
+	sw := api.NewSliceWriter(w)
 	seen := map[[2]int]bool{}
-	// end closes the client's stream with the job's terminal view, under the
-	// public job ID whichever execution finished the job.
 	end := func(v api.View) error {
-		terminalSeen = true
-		rt.adopt(id, &v.ID, v.State)
+		rt.observe(id, v.ID, v.State)
+		v.ID = id
 		if err := sw.WriteEnd(v); err != nil {
 			return err
 		}
 		_ = sw.Close()
 		return rc.Flush()
 	}
-	// A refusal mid-relay (e.g. the re-execution was cancelled on the
-	// survivor: terminal, no slices) settles with the view.
-	settle := func() bool {
-		if !headersSent {
-			return false
-		}
-		v, _, err := rt.view(r.Context(), id)
-		if err != nil || !v.State.Terminal() {
-			return false
-		}
-		_ = end(v)
-		return true
-	}
-
-	deadline := time.Now().Add(rt.opt.FailoverWait)
-	attached := false
-	for {
-		if r.Context().Err() != nil {
-			return
-		}
-		resp, backend, err := rt.dialJob(r.Context(), id, "/stream", hdr)
-		if err != nil {
-			if rt.redial(w, r, err, headersSent, deadline, settle) {
-				return
+	rt.relay(w, r, endpoint{
+		path: func() string { return "/stream" },
+		req:  passEncoding(r),
+		head: map[string]string{"Content-Type": sw.ContentType(), "X-Accel-Buffering": "no"},
+		// The stream is over once the closing part is out or the client
+		// stopped taking writes. The dedup key includes the part's preview
+		// factor: a progressive stream carries a coarse slice z and a
+		// full-resolution slice z as distinct parts, and keying on the bare
+		// index would silently drop the refinement.
+		pump: func(resp *http.Response) (bool, error) {
+			for p, err := range api.ReadSlices(resp.Header.Get("Content-Type"), resp.Body) {
+				if err != nil {
+					return false, err // cut mid-part: nothing partial was forwarded
+				}
+				if p.End != nil {
+					return true, end(*p.End)
+				}
+				key := [2]int{p.Factor, p.Z}
+				if seen[key] {
+					continue // replayed duplicate after a takeover
+				}
+				if err := sw.WriteSlice(p); err != nil {
+					return true, err
+				}
+				seen[key] = true
+				if err := rc.Flush(); err != nil {
+					return true, err
+				}
 			}
-			continue
-		}
-		if attached {
-			rt.relayTakeovers.Add(1)
-		}
-		attached = true
-		if !headersSent {
-			sw = api.NewSliceWriter(w)
-			w.Header().Set("Content-Type", sw.ContentType())
-			w.Header().Set("X-Accel-Buffering", "no")
-			w.WriteHeader(http.StatusOK)
-			headersSent = true
-			if rc.Flush() != nil {
-				resp.Body.Close()
-				return
-			}
-		}
-		deadline = time.Now().Add(rt.opt.FailoverWait)
-		done, pumpErr := pumpStream(resp, seen, sw, rc, end)
-		resp.Body.Close()
-		if done {
-			terminalSeen = true
-			return
-		}
-		if r.Context().Err() != nil {
-			return
-		}
-		rt.markFailure(r.Context(), backend, pumpErr)
-		// Backend died mid-stream: loop to reattach after the failover.
-	}
-}
-
-// pumpStream copies one backend multipart connection into the relay's
-// writer, skipping slices already forwarded. It reports done once the
-// closing part has been relayed or the client stopped taking writes. The
-// dedup key includes the part's preview factor: a progressive stream carries
-// a coarse slice z and a full-resolution slice z as distinct parts, and
-// keying on the bare index would silently drop the refinement.
-func pumpStream(resp *http.Response, seen map[[2]int]bool, sw api.SliceWriter, rc *http.ResponseController, end func(api.View) error) (bool, error) {
-	for p, err := range api.ReadSlices(resp.Header.Get("Content-Type"), resp.Body) {
-		if err != nil {
-			return false, err // cut mid-stream: the backend died, nothing partial was forwarded; the caller reattaches
-		}
-		if p.End != nil {
-			return true, end(*p.End)
-		}
-		key := [2]int{p.Factor, p.Z}
-		if seen[key] {
-			continue // replayed duplicate after a takeover
-		}
-		if err := sw.WriteSlice(p); err != nil {
-			return true, err
-		}
-		seen[key] = true
-		if err := rc.Flush(); err != nil {
-			return true, err
-		}
-	}
-	return false, nil
+			return false, nil
+		},
+		finish: end,
+	})
 }

@@ -41,7 +41,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"net/http/httputil"
 	"net/url"
 	"sort"
 	"strconv"
@@ -66,16 +65,21 @@ type Options struct {
 	Backends    []Backend
 	HealthEvery time.Duration // health probe period (default 500ms)
 	DeadAfter   int           // consecutive probe failures before a backend is dead (default 2)
-	MaxRoutes   int           // retained job routes; terminal ones are pruned first (default 8192)
-	TerminalTTL time.Duration // terminal routes expire after this (0 = default 10m, < 0 = only under MaxRoutes pressure)
+	TerminalTTL time.Duration // terminal routes expire after this (default 10m; negative is refused)
 	// FailoverWait bounds how long a relayed event/slice stream waits for a
 	// dead route to fail over to a survivor before giving up on the client
 	// connection (default 30s). It must comfortably cover death detection
 	// (HealthEvery × DeadAfter) plus the resubmission round trip.
 	FailoverWait time.Duration
-	Client       *http.Client // JSON/health transport (default: 15s timeout)
 	Logger       *slog.Logger // structured event log (default: discard)
 }
+
+const (
+	// callTimeout bounds every JSON and health call to a backend.
+	callTimeout = 15 * time.Second
+	// maxRoutes bounds the route table; terminal routes are evicted first.
+	maxRoutes = 8192
+)
 
 func (o Options) withDefaults() Options {
 	if o.HealthEvery <= 0 {
@@ -84,17 +88,11 @@ func (o Options) withDefaults() Options {
 	if o.DeadAfter <= 0 {
 		o.DeadAfter = 2
 	}
-	if o.MaxRoutes <= 0 {
-		o.MaxRoutes = 8192
-	}
 	if o.TerminalTTL == 0 {
 		o.TerminalTTL = 10 * time.Minute
 	}
 	if o.FailoverWait <= 0 {
 		o.FailoverWait = 30 * time.Second
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 15 * time.Second}
 	}
 	if o.Logger == nil {
 		o.Logger = obs.NopLogger()
@@ -103,20 +101,21 @@ func (o Options) withDefaults() Options {
 }
 
 // backendState is one backend plus its health bookkeeping. The router is an
-// SDK client of its backends: every JSON call goes through client (over
-// Options.Client), the long-lived /events and /stream dials through stream
-// (no overall timeout — streams legitimately live for minutes; cancellation
-// rides on each inbound request's context). Both are fixed at New.
+// SDK client of its backends: every JSON call goes through client (bounded
+// by callTimeout), every streamed body — /events, /stream, /slice/{z},
+// /preview — through stream (no overall timeout — streams legitimately live
+// for minutes; cancellation rides on each inbound request's context). Both
+// are fixed at New.
 type backendState struct {
 	Backend
 	client        *client.Client
 	stream        *client.Client
-	proxy         *httputil.ReverseProxy
 	alive         bool
 	fails         int           // consecutive failed probes
 	probeLatency  time.Duration // last health probe round trip
 	scrapeLatency time.Duration // last /v1/metrics scrape round trip
 	nodeWarned    bool          // one-shot warning about a missing/mismatched -node id
+	stranded      bool          // "no live backend" logged and no survivor since (health loop only)
 }
 
 // jobRoute records where a public job ID lives. backendID differs from the
@@ -125,32 +124,21 @@ type backendState struct {
 // span (empty when the caller sent no traceparent), routerSpan is the proxy
 // span the router interposed — the backend's job span parents under it.
 // Routes discovered by probing (resolve) have no trace fields; their traces
-// relay without a router span.
+// relay without a router span. Router.apply (routes.go) writes the
+// placement, state, terminalAt and seq.
 type jobRoute struct {
 	backend    string
 	backendID  string
 	spec       api.Spec
 	state      api.State // last state the router observed for the job
 	terminalAt time.Time // when the router first observed a terminal state (zero while live)
+	seq        uint64    // insertion order, for eviction
 
 	traceID    string
 	clientSpan string
 	routerSpan string
 	proxyStart time.Time
 	proxyDur   time.Duration
-}
-
-// setState folds a freshly observed job state into the route, stamping (or
-// clearing) the terminal timestamp that drives TTL expiry. Callers hold rt.mu.
-func (route *jobRoute) setState(st api.State) {
-	if st.Terminal() {
-		if route.terminalAt.IsZero() || !route.state.Terminal() {
-			route.terminalAt = time.Now()
-		}
-	} else {
-		route.terminalAt = time.Time{}
-	}
-	route.state = st
 }
 
 // Router is an http.Handler fronting a fleet of ifdkd backends.
@@ -162,11 +150,12 @@ type Router struct {
 
 	// backends' key set is fixed at New and so are each entry's Backend and
 	// clients; only the entries' health fields change, under mu.
-	mu       sync.Mutex
-	backends map[string]*backendState
-	names    []string // stable iteration order
-	jobs     map[string]*jobRoute
-	order    []string // route insertion order, for bounded pruning
+	mu        sync.Mutex
+	backends  map[string]*backendState
+	names     []string // stable iteration order
+	jobs      map[string]*jobRoute
+	seq       uint64 // last route insertion number
+	maxRoutes int
 
 	reroutes        atomic.Int64 // jobs failed over after backend death
 	reroutesRunning atomic.Int64 // of those, jobs last observed running (re-executed from scratch)
@@ -180,19 +169,23 @@ type Router struct {
 // New builds a router over the given backends and starts its health loop.
 // Call Close to stop it.
 func New(opt Options) (*Router, error) {
+	if opt.TerminalTTL < 0 {
+		return nil, fmt.Errorf("router: negative terminal TTL %v", opt.TerminalTTL)
+	}
 	opt = opt.withDefaults()
 	if len(opt.Backends) == 0 {
 		return nil, fmt.Errorf("router: no backends configured")
 	}
 	rt := &Router{
-		opt:      opt,
-		mux:      http.NewServeMux(),
-		log:      opt.Logger,
-		backends: make(map[string]*backendState),
-		jobs:     make(map[string]*jobRoute),
-		stop:     make(chan struct{}),
+		opt:       opt,
+		mux:       http.NewServeMux(),
+		log:       opt.Logger,
+		backends:  make(map[string]*backendState),
+		jobs:      make(map[string]*jobRoute),
+		maxRoutes: maxRoutes,
+		stop:      make(chan struct{}),
 	}
-	streamHTTP := &http.Client{}
+	callHTTP, streamHTTP := &http.Client{Timeout: callTimeout}, &http.Client{}
 	for _, b := range opt.Backends {
 		if b.Name == "" || b.URL == "" {
 			return nil, fmt.Errorf("router: backend needs both name and URL (%+v)", b)
@@ -200,19 +193,13 @@ func New(opt Options) (*Router, error) {
 		if _, dup := rt.backends[b.Name]; dup {
 			return nil, fmt.Errorf("router: duplicate backend name %q", b.Name)
 		}
-		u, err := url.Parse(b.URL)
-		if err != nil {
+		if _, err := url.Parse(b.URL); err != nil {
 			return nil, fmt.Errorf("router: backend %s: %w", b.Name, err)
 		}
-		proxy := httputil.NewSingleHostReverseProxy(u)
-		proxy.FlushInterval = -1 // SSE and mid-run multipart must not buffer
-		proxy.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-			writeErr(w, api.CodeUnavailable, "backend %s: %v", b.Name, err)
-		}
-		rt.backends[b.Name] = &backendState{Backend: b, proxy: proxy, alive: true,
+		rt.backends[b.Name] = &backendState{Backend: b, alive: true,
 			// One attempt per call: retrying is the caller's decision (the SDK
 			// in front of the router, or failover), never stacked in the hop.
-			client: client.New(b.URL, client.WithHTTPClient(opt.Client), client.WithRetry(client.Retry{Max: 1})),
+			client: client.New(b.URL, client.WithHTTPClient(callHTTP), client.WithRetry(client.Retry{Max: 1})),
 			stream: client.New(b.URL, client.WithHTTPClient(streamHTTP), client.WithRetry(client.Retry{Max: 1}))}
 		rt.names = append(rt.names, b.Name)
 	}
@@ -234,9 +221,11 @@ func New(opt Options) (*Router, error) {
 	rt.mux.HandleFunc("GET /v1/jobs/{id}/trace", rt.trace)
 	rt.mux.HandleFunc("GET /v1/metrics", rt.metrics)
 	rt.mux.Handle("GET /metrics", rt.met.reg.Handler())
-	rt.mux.HandleFunc("GET /v1/backends", rt.backendsHandler)
+	rt.mux.HandleFunc("GET /v1/backends", func(w http.ResponseWriter, _ *http.Request) {
+		api.WriteJSON(w, http.StatusOK, rt.backendHealth())
+	})
 	rt.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": "router"})
+		api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": "router"})
 	})
 
 	rt.healthWG.Add(1)
@@ -258,18 +247,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.Ser
 // Reroutes returns how many pending jobs have been failed over so far.
 func (rt *Router) Reroutes() int64 { return rt.reroutes.Load() }
 
-// Registry exposes the router's own metric registry (the ifdk_router_*
-// families served at GET /metrics) for embedding and tests.
-func (rt *Router) Registry() *obs.Registry { return rt.met.reg }
-
-// writeJSON and writeErr delegate to the contract package so the router
-// and the daemon emit byte-identical envelopes.
-func writeJSON(w http.ResponseWriter, code int, v any) { api.WriteJSON(w, code, v) }
-
-func writeErr(w http.ResponseWriter, code string, format string, args ...any) {
-	api.WriteError(w, code, format, args...)
-}
-
 // relayErr re-emits a backend's own verdict unchanged: the status (recorded
 // by the SDK's decoder) and Retry-After it arrived with, also for a code
 // this router build does not know.
@@ -277,23 +254,23 @@ func relayErr(w http.ResponseWriter, e *api.Error) {
 	if e.RetryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(e.RetryAfter))))
 	}
-	writeJSON(w, e.Status, e)
+	api.WriteJSON(w, e.Status, e)
 }
 
 // fail answers a request that could not be served off the job's backend:
 // the fleet does not know the job, its backend is down, the backend refused
 // (its verdict relays verbatim), or the call itself failed in transport.
-func fail(w http.ResponseWriter, r *http.Request, route jobRoute, err error) {
+func fail(w http.ResponseWriter, r *http.Request, backend string, err error) {
 	var verdict *api.Error
 	switch {
 	case errors.Is(err, errNoRoute):
-		writeErr(w, api.CodeNotFound, "no such job %q in the fleet", r.PathValue("id"))
+		api.WriteError(w, api.CodeNotFound, "no such job %q in the fleet", r.PathValue("id"))
 	case errors.Is(err, errBackendDown):
-		writeErr(w, api.CodeUnavailable, "backend %s for job %s is down", route.backend, r.PathValue("id"))
+		api.WriteError(w, api.CodeUnavailable, "backend %s for job %s is down", backend, r.PathValue("id"))
 	case errors.As(err, &verdict):
 		relayErr(w, verdict)
 	default:
-		writeErr(w, api.CodeUnavailable, "backend %s: %v", route.backend, err)
+		api.WriteError(w, api.CodeUnavailable, "backend %s: %v", backend, err)
 	}
 }
 
@@ -313,74 +290,6 @@ func rendezvous(key string, candidates []string) string {
 		}
 	}
 	return best
-}
-
-// recordRoute remembers where a public job ID lives, keeping the table
-// bounded: backends prune their own terminal records (Options.MaxJobs), so
-// a router that never forgot would leak one route (with its Spec) per
-// submission forever. Terminal routes older than TerminalTTL expire
-// outright; beyond MaxRoutes the remaining terminal routes are dropped
-// oldest-first, and if the table is somehow all-live, the oldest route goes
-// regardless — its job is rediscoverable through resolve's backend probe.
-func (rt *Router) recordRoute(id string, route *jobRoute) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	route.setState(route.state) // stamp terminalAt for routes born terminal (cache hits)
-	if _, exists := rt.jobs[id]; !exists {
-		rt.order = append(rt.order, id)
-	}
-	rt.jobs[id] = route
-	rt.pruneExpiredLocked()
-	if len(rt.jobs) <= rt.opt.MaxRoutes {
-		return
-	}
-	keep := rt.order[:0]
-	for _, oid := range rt.order {
-		r, ok := rt.jobs[oid]
-		if !ok {
-			continue // deleted via DELETE; drop the stale order entry
-		}
-		if len(rt.jobs) > rt.opt.MaxRoutes && r.state.Terminal() {
-			delete(rt.jobs, oid)
-			continue
-		}
-		keep = append(keep, oid)
-	}
-	rt.order = keep
-	for len(rt.jobs) > rt.opt.MaxRoutes && len(rt.order) > 0 {
-		delete(rt.jobs, rt.order[0])
-		rt.order = rt.order[1:]
-	}
-}
-
-// pruneExpiredLocked drops terminal routes whose TerminalTTL has elapsed.
-// Before the TTL existed the table only shrank under MaxRoutes pressure, so
-// a quiet router hoarded every finished job's Spec for the lifetime of the
-// process; expired jobs stay reachable through resolve's backend probe for
-// as long as their backend retains the record. Callers hold rt.mu.
-func (rt *Router) pruneExpiredLocked() {
-	if rt.opt.TerminalTTL < 0 {
-		return
-	}
-	cutoff := time.Now().Add(-rt.opt.TerminalTTL)
-	expired := 0
-	for id, route := range rt.jobs {
-		if !route.terminalAt.IsZero() && route.terminalAt.Before(cutoff) {
-			delete(rt.jobs, id)
-			expired++
-		}
-	}
-	if expired == 0 {
-		return
-	}
-	rt.routesExpired.Add(int64(expired))
-	keep := rt.order[:0]
-	for _, oid := range rt.order {
-		if _, ok := rt.jobs[oid]; ok {
-			keep = append(keep, oid)
-		}
-	}
-	rt.order = keep
 }
 
 // aliveNames snapshots the currently-live backend names in stable order.
@@ -413,8 +322,8 @@ func (rt *Router) markFailure(ctx context.Context, name string, err error) {
 	rt.observeHealth(name, false)
 }
 
-// observeHealth folds one probe result into a backend's state, firing
-// failover on the alive→dead transition.
+// observeHealth folds one probe result into a backend's state; failover
+// follows on the probe tick.
 func (rt *Router) observeHealth(name string, ok bool) {
 	rt.mu.Lock()
 	b := rt.backends[name]
@@ -446,7 +355,6 @@ func (rt *Router) observeHealth(name string, ok bool) {
 	if died {
 		rt.log.Warn("backend dead; rerouting pending jobs",
 			"backend", name, "fails", fails, "dead_after", rt.opt.DeadAfter)
-		rt.failover(name)
 	}
 }
 
@@ -518,10 +426,15 @@ func (rt *Router) healthLoop() {
 			}
 			rt.observeHealth(name, ok)
 		}
-		// Terminal-route expiry rides the probe tick so a quiet router (no
-		// submissions, no lookups) still forgets finished jobs on time.
+		// Failover and terminal-route expiry ride the probe tick: a route
+		// whose resubmission failed, or that had no survivor to go to, is
+		// tried again on the next tick, and a quiet router (no submissions,
+		// no lookups) still forgets finished jobs on time.
+		for _, name := range rt.names {
+			rt.failover(name)
+		}
 		rt.mu.Lock()
-		rt.pruneExpiredLocked()
+		rt.pruneLocked()
 		rt.mu.Unlock()
 	}
 }
@@ -536,19 +449,26 @@ func (rt *Router) healthLoop() {
 // PFS would be the exact-resume alternative). Jobs observed terminal keep
 // their dead route and surface "unavailable" until expiry: their result
 // died with the node, and silently recomputing a job the client already saw
-// finish would be a new execution, not a recovery.
+// finish would be a new execution, not a recovery. It runs on every probe
+// tick and does nothing while the backend is alive, so a route whose
+// resubmission failed is tried again on the next tick; the move guard
+// makes a repeated attempt harmless.
 func (rt *Router) failover(dead string) {
-	rt.mu.Lock()
 	type pending struct {
 		id          string
 		spec        api.Spec
-		state       api.State
 		traceparent string
+	}
+	rt.mu.Lock()
+	b := rt.backends[dead]
+	if b.alive {
+		rt.mu.Unlock()
+		return
 	}
 	var moves []pending
 	for id, route := range rt.jobs {
 		if route.backend == dead && !route.state.Terminal() {
-			mv := pending{id: id, spec: route.spec, state: route.state}
+			mv := pending{id: id, spec: route.spec}
 			// Re-forward the same trace context the original submission
 			// carried: the resubmitted job keeps its trace ID, and its job
 			// span still parents under the router's proxy span.
@@ -564,9 +484,13 @@ func (rt *Router) failover(dead string) {
 	for _, mv := range moves {
 		alive := rt.aliveNames()
 		if len(alive) == 0 {
-			rt.log.Warn("no live backend to reroute job", "job_id", mv.id)
+			if !b.stranded {
+				rt.log.Warn("no live backend to reroute jobs", "backend", dead, "jobs", len(moves))
+			}
+			b.stranded = true
 			return
 		}
+		b.stranded = false
 		key, err := service.SpecKey(mv.spec)
 		if err != nil {
 			continue // cannot happen: the spec was admitted once already
@@ -578,17 +502,8 @@ func (rt *Router) failover(dead string) {
 			continue
 		}
 		rt.mu.Lock()
-		if route, ok := rt.jobs[mv.id]; ok && route.backend == dead {
-			route.backend, route.backendID = target, v.ID
-			route.setState(v.State)
-		}
+		rt.apply(mv.id, evMove, dead, jobRoute{backend: target, backendID: v.ID, state: v.State})
 		rt.mu.Unlock()
-		rt.reroutes.Add(1)
-		if mv.state == api.StateRunning {
-			rt.reroutesRunning.Add(1)
-		}
-		rt.log.Info("rerouted job", "job_id", mv.id, "target", target,
-			"backend_id", v.ID, "was", string(mv.state))
 	}
 }
 
@@ -618,12 +533,12 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 	proxy0 := time.Now()
 	var spec api.Spec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeErr(w, api.CodeBadRequest, "bad spec: %v", err)
+		api.WriteError(w, api.CodeBadRequest, "bad spec: %v", err)
 		return
 	}
 	key, err := service.SpecKey(spec)
 	if err != nil {
-		writeErr(w, api.CodeInvalidSpec, "%v", err)
+		api.WriteError(w, api.CodeInvalidSpec, "%v", err)
 		return
 	}
 	// Trace context: inherit the caller's traceparent (or mint a fresh trace
@@ -643,7 +558,7 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 	for attempt := 0; attempt < len(rt.names)+1; attempt++ {
 		alive := rt.aliveNames()
 		if len(alive) == 0 {
-			writeErr(w, api.CodeUnavailable, "no live backend")
+			api.WriteError(w, api.CodeUnavailable, "no live backend")
 			return
 		}
 		target := rendezvous(key, alive)
@@ -656,7 +571,7 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 			}
 			continue // transport failure: target was marked, re-pick
 		}
-		rt.recordRoute(v.ID, &jobRoute{
+		rt.record(v.ID, evSubmit, jobRoute{
 			backend: target, backendID: v.ID, spec: spec, state: v.State,
 			traceID: traceID, clientSpan: clientSpan, routerSpan: routerSpan,
 			proxyStart: proxy0, proxyDur: time.Since(proxy0),
@@ -664,10 +579,10 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 		rt.log.Info("job routed",
 			"job_id", v.ID, "backend", target, "trace_id", traceID,
 			"cache_hit", v.CacheHit, "state", string(v.State))
-		writeJSON(w, status, v)
+		api.WriteJSON(w, status, v)
 		return
 	}
-	writeErr(w, api.CodeUnavailable, "no backend accepted the job")
+	api.WriteError(w, api.CodeUnavailable, "no backend accepted the job")
 }
 
 // resolve finds the route for a public job ID, probing live backends for
@@ -703,8 +618,7 @@ func (rt *Router) resolve(ctx context.Context, id string) (jobRoute, bool) {
 			continue
 		}
 		route := jobRoute{backend: h.name, backendID: id, spec: h.view.Spec, state: h.view.State}
-		rt.recordRoute(id, &route)
-		return route, true
+		return rt.record(id, evDiscover, route), true
 	}
 	return jobRoute{}, false
 }
@@ -751,23 +665,6 @@ func (rt *Router) locate(ctx context.Context, id string) (jobRoute, *backendStat
 	return route, nil, errBackendDown
 }
 
-// adopt is the one place a backend-side job identity becomes the public
-// one: it folds the state the backend reported (if any) into the route —
-// the failover predicate: non-terminal routes are rerouted off a dead
-// backend, terminal ones are not — provided the route still points at that
-// underlying job, and rewrites *backendID to the public id, which after a
-// failover is not what the backend calls the job.
-func (rt *Router) adopt(id string, backendID *string, st api.State) {
-	if st != "" {
-		rt.mu.Lock()
-		if cur, ok := rt.jobs[id]; ok && cur.backendID == *backendID {
-			cur.setState(st)
-		}
-		rt.mu.Unlock()
-	}
-	*backendID = id
-}
-
 // view reads a job's current view through the route table, under its public
 // identity and with the observed state folded in; a transport failure
 // counts against the backend.
@@ -779,7 +676,8 @@ func (rt *Router) view(ctx context.Context, id string) (api.View, jobRoute, erro
 	v, err := b.client.Get(ctx, route.backendID)
 	rt.markFailure(ctx, route.backend, err)
 	if err == nil {
-		rt.adopt(id, &v.ID, v.State)
+		rt.observe(id, v.ID, v.State)
+		v.ID = id
 	}
 	return v, route, err
 }
@@ -788,10 +686,10 @@ func (rt *Router) view(ctx context.Context, id string) (api.View, jobRoute, erro
 func (rt *Router) get(w http.ResponseWriter, r *http.Request) {
 	v, route, err := rt.view(r.Context(), r.PathValue("id"))
 	if err != nil {
-		fail(w, r, route, err)
+		fail(w, r, route.backend, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	api.WriteJSON(w, http.StatusOK, v)
 }
 
 // trace proxies GET /v1/jobs/{id}/trace from the owning backend, rewrites
@@ -808,7 +706,7 @@ func (rt *Router) trace(w http.ResponseWriter, r *http.Request) {
 		rt.markFailure(r.Context(), route.backend, err)
 	}
 	if err != nil {
-		fail(w, r, route, err)
+		fail(w, r, route.backend, err)
 		return
 	}
 	t.Job = id // public identity survives failover
@@ -824,7 +722,7 @@ func (rt *Router) trace(w http.ResponseWriter, r *http.Request) {
 			Attrs:        map[string]string{"backend": route.backend, "job_id": id},
 		})
 	}
-	writeJSON(w, http.StatusOK, t)
+	api.WriteJSON(w, http.StatusOK, t)
 }
 
 // remove proxies DELETE /v1/jobs/{id}: it forgets the route once the record
@@ -839,41 +737,63 @@ func (rt *Router) remove(w http.ResponseWriter, r *http.Request) {
 		rt.markFailure(r.Context(), route.backend, err)
 	}
 	if err != nil {
-		fail(w, r, route, err)
+		fail(w, r, route.backend, err)
 		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNoContent {
 		rt.mu.Lock()
-		delete(rt.jobs, id)
+		rt.apply(id, evRemove, "", jobRoute{})
 		rt.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
 	var ack map[string]string
 	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		fail(w, r, route, err)
+		fail(w, r, route.backend, err)
 		return
 	}
-	backendID := ack["id"]
-	rt.adopt(id, &backendID, api.StateCancelled)
-	ack["id"] = backendID
-	writeJSON(w, resp.StatusCode, ack)
+	rt.observe(id, ack["id"], api.StateCancelled)
+	ack["id"] = id
+	api.WriteJSON(w, resp.StatusCode, ack)
 }
 
-// proxyStream hands a one-shot streaming endpoint (slice PNGs) to the
-// backend's reverse proxy, which flushes every write. The long-lived
-// streams — /events and /stream — do not come through here: they are
-// relayed (relay.go) so subscribers survive a backend death mid-stream.
+// proxyStream serves a one-shot body (/slice/{z}, /preview) off the job's
+// backend through its stream client, copying the headers a client reads and
+// flushing as the body arrives. A refusal relays verbatim, and a transport
+// failure counts against the backend as on every other backend call. The
+// long-lived streams — /events and /stream — do not come through here:
+// they are relayed (relay.go) so subscribers survive a backend death
+// mid-stream.
 func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, sub string) {
-	route, b, err := rt.locate(r.Context(), r.PathValue("id"))
+	resp, backend, err := rt.dialJob(r.Context(), r.PathValue("id"), sub, passEncoding(r))
 	if err != nil {
-		fail(w, r, route, err)
+		fail(w, r, backend, err)
 		return
 	}
-	r2 := r.Clone(r.Context())
-	r2.URL.Path = "/v1/jobs/" + route.backendID + sub
-	b.proxy.ServeHTTP(w, r2)
+	defer resp.Body.Close()
+	for _, k := range []string{"Content-Type", "Content-Length", api.HeaderPreviewFactor} {
+		if v := resp.Header.Get(k); v != "" {
+			w.Header().Set(k, v)
+		}
+	}
+	w.WriteHeader(resp.StatusCode)
+	rc := http.NewResponseController(w)
+	buf := make([]byte, 32<<10)
+	for {
+		n, err := resp.Body.Read(buf)
+		if n > 0 {
+			if _, werr := w.Write(buf[:n]); werr != nil || rc.Flush() != nil {
+				return // the client went away
+			}
+		}
+		if err != nil {
+			if err != io.EOF {
+				rt.markFailure(r.Context(), backend, err)
+			}
+			return
+		}
+	}
 }
 
 // refreshState re-reads a job's state from its backend and folds it into
@@ -909,7 +829,8 @@ func (rt *Router) list(w http.ResponseWriter, r *http.Request) {
 		if !aliased {
 			pub = merged[i].ID
 		}
-		rt.adopt(pub, &merged[i].ID, merged[i].State)
+		rt.observe(pub, merged[i].ID, merged[i].State)
+		merged[i].ID = pub
 	}
 	sort.Slice(merged, func(i, j int) bool {
 		if merged[i].Submitted != merged[j].Submitted {
@@ -920,7 +841,7 @@ func (rt *Router) list(w http.ResponseWriter, r *http.Request) {
 	if merged == nil {
 		merged = []api.View{}
 	}
-	writeJSON(w, http.StatusOK, merged)
+	api.WriteJSON(w, http.StatusOK, merged)
 }
 
 // metrics fans /v1/metrics in from all live backends as one fleet
@@ -1006,11 +927,5 @@ func (rt *Router) metrics(w http.ResponseWriter, r *http.Request) {
 	// Per-backend health rides along: scrape latency above was just
 	// refreshed, so the Backends view reflects this very fan-in.
 	agg.Backends = rt.backendHealth()
-	writeJSON(w, http.StatusOK, agg)
-}
-
-// backendsHandler reports per-backend health, probe/scrape latencies and
-// route counts.
-func (rt *Router) backendsHandler(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, rt.backendHealth())
+	api.WriteJSON(w, http.StatusOK, agg)
 }

@@ -9,7 +9,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,6 +43,11 @@ type fleet struct {
 	backends []*httptest.Server
 	managers []*service.Manager
 	names    []string
+	// dropSubmits, per backend: while set, the backend loses the connection
+	// of every POST /v1/jobs, a transport failure to the router. dropped
+	// counts the connections lost.
+	dropSubmits []*atomic.Bool
+	dropped     atomic.Int64
 }
 
 func startFleet(t *testing.T, n int, optFor func(i int) service.Options) *fleet {
@@ -54,7 +61,15 @@ func startFleet(t *testing.T, n int, optFor func(i int) service.Options) *fleet 
 		}
 		opt.NodeID = fmt.Sprintf("b%d", i)
 		m := service.NewManager(opt)
-		ts := httptest.NewServer(service.NewServer(m))
+		srv, drop := service.NewServer(m), new(atomic.Bool)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if drop.Load() && r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+				f.dropped.Add(1)
+				panic(http.ErrAbortHandler)
+			}
+			srv.ServeHTTP(w, r)
+		}))
+		f.dropSubmits = append(f.dropSubmits, drop)
 		f.managers = append(f.managers, m)
 		f.backends = append(f.backends, ts)
 		f.names = append(f.names, opt.NodeID)
@@ -322,11 +337,13 @@ func firstSSEEvent(t *testing.T, body io.Reader) (api.Event, bool) {
 }
 
 // The route table is bounded: terminal routes are pruned oldest-first once
-// MaxRoutes is exceeded, and pruned jobs remain reachable through the
+// the bound is exceeded, and pruned jobs remain reachable through the
 // backend probe.
 func TestRouteTableBounded(t *testing.T) {
 	f := startFleet(t, 2, nil)
-	f.router.opt.MaxRoutes = 4 // shrink the bound before any submissions
+	f.router.mu.Lock()
+	f.router.maxRoutes = 4 // shrink the bound before any submissions
+	f.router.mu.Unlock()
 	c := client.New(f.routerTS.URL)
 	ctx := testCtx(t)
 	var ids []string
@@ -541,6 +558,69 @@ func TestFailoverPendingJobsOnBackendDeath(t *testing.T) {
 	}
 }
 
+// A route whose failover resubmission fails is tried again on the next
+// probe tick. The survivor loses the connection of every submission while
+// the dead backend's queued job is first rerouted; once it takes
+// submissions again, the job completes under its public ID.
+func TestStrandedRouteFailsOverAgain(t *testing.T) {
+	f := startFleet(t, 2, func(int) service.Options {
+		return service.Options{Workers: 1, CacheBytes: -1,
+			PFS: pfs.Config{ReadBW: 1e6, Targets: 1, Throttle: true}}
+	})
+	c := client.New(f.routerTS.URL)
+	ctx := testCtx(t)
+
+	// Submit until one backend holds two jobs: one running, one queued
+	// behind its single worker.
+	owners := map[string][]string{}
+	var victim string
+	for i := 0; i < 16 && victim == ""; i++ {
+		v, err := c.Submit(ctx, api.Spec{Phantom: "sphere", NX: 16, NP: 64 + 32*i})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		b := backendOf(t, v.ID)
+		owners[b] = append(owners[b], v.ID)
+		if len(owners[b]) == 2 {
+			victim = b
+		}
+	}
+	if victim == "" {
+		t.Fatalf("no backend accumulated 2 jobs: %v", owners)
+	}
+	queued := owners[victim][1]
+	v, err := c.Get(ctx, queued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.State.Terminal() {
+		t.Skipf("queued job finished before the kill (%s); environment too fast for this scenario", v.State)
+	}
+
+	victimIdx := slices.Index(f.names, victim)
+	survivorDrops := f.dropSubmits[1-victimIdx]
+	survivorDrops.Store(true)
+	f.backends[victimIdx].CloseClientConnections()
+	f.backends[victimIdx].Close()
+	for deadline := time.Now().Add(30 * time.Second); f.dropped.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("failover never tried the survivor")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	survivorDrops.Store(false)
+
+	awaitCtx, cancel := context.WithTimeout(ctx, 20*time.Second)
+	defer cancel()
+	final, err := c.Await(awaitCtx, queued, 10*time.Millisecond)
+	if err != nil {
+		t.Fatalf("stranded job %s: %v", queued, err)
+	}
+	if final.State != api.StateDone || final.ID != queued {
+		t.Fatalf("stranded job %s ended %s as %s, want done under its public ID", queued, final.State, final.ID)
+	}
+}
+
 // The relay tentpole: a client watching AND streaming a job through the
 // router survives the owning backend's death mid-run. The relays hold the
 // client connections open across the takeover, the job re-executes on a
@@ -683,7 +763,7 @@ func TestRelaySurvivesBackendKillMidRun(t *testing.T) {
 	}
 }
 
-// Terminal routes expire after TerminalTTL without MaxRoutes pressure; the
+// Terminal routes expire after TerminalTTL without route-bound pressure; the
 // job stays reachable because resolve falls back to probing the backends.
 func TestTerminalRouteTTLExpiry(t *testing.T) {
 	f := startFleet(t, 2, nil)
@@ -879,6 +959,9 @@ func TestErrorRelayIsVerbatim(t *testing.T) {
 		{"stream unknown", "GET", "/v1/jobs/nope/stream", "", 1, f.routerTS.URL, daemon, answer{404, api.CodeNotFound, "", 0}},
 		{"over quota", "POST", "/v1/jobs", `{"phantom":"sphere","nx":16,"np":96,"client":"CLIENT"}`, 3, f.routerTS.URL, daemon, answer{429, api.CodeQuotaExhausted, "1", 1}},
 		{"stream of a cancelled job", "GET", "/v1/jobs/" + cancelled.ID + "/stream", "", 1, f.routerTS.URL, daemon, answer{409, api.CodeTerminal, "", 0}},
+		{"slice of an unknown job", "GET", "/v1/jobs/nope/slice/0", "", 1, f.routerTS.URL, daemon, answer{404, api.CodeNotFound, "", 0}},
+		{"slice out of range", "GET", "/v1/jobs/" + cancelled.ID + "/slice/999", "", 1, f.routerTS.URL, daemon, answer{400, api.CodeBadRequest, "", 0}},
+		{"preview of a full-quality job", "GET", "/v1/jobs/" + cancelled.ID + "/preview", "", 1, f.routerTS.URL, daemon, answer{400, api.CodeBadRequest, "", 0}},
 		{"unknown code and status", "POST", "/v1/jobs", `{"phantom":"sphere","nx":16}`, 1, stubFront.URL, stub.URL, answer{418, "teapot", "3", 3}},
 	}
 	for _, row := range rows {
