@@ -62,8 +62,6 @@ func main() {
 	aging := flag.Duration("aging", 15*time.Second,
 		"queued-job priority aging: wait per one-class priority boost (0 disables)")
 	cacheMB := flag.Int64("cache-mb", 1024, "result cache budget in MiB (<= 0 disables)")
-	previewWorkers := flag.Int("preview-workers", 0,
-		"concurrent workers per preview-tier build (0 = default; previews of progressive jobs run before the full pass)")
 	eventLog := flag.Int("event-log", 0,
 		"retained events per job for /events resume and /stream replay (0 = default 1024)")
 	node := flag.String("node", "",
@@ -94,7 +92,6 @@ func main() {
 		NodeID:           *node,
 		JournalDir:       *journalDir,
 		Logger:           logger,
-		PreviewWorkers:   *previewWorkers,
 	}
 	if *aging <= 0 {
 		opt.Aging = -1 // disabled (0 in Options means "default")

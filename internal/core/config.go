@@ -9,16 +9,19 @@ import (
 	"ifdk/pkg/volume"
 )
 
-// Config describes one distributed reconstruction.
+// QueueDepth is the capacity of the channels between a rank's pipeline
+// threads, in AllGather rounds: how far filtering may run ahead of the
+// exchange, and the exchange ahead of back-projection.
+const QueueDepth = 8
+
+// Config describes one distributed reconstruction. Inside a rank each stage
+// is single-threaded (the rank grid is the parallelism), and
+// back-projection accumulates backproject.DefaultBatch projections per pass.
 type Config struct {
 	R, C int // grid shape; Nranks = R·C, one rank per (simulated) GPU
 
 	Geometry geometry.Params
 	Window   filter.Window
-
-	Workers    int // worker goroutines per rank inside stages (default 1)
-	Batch      int // projections per back-projection pass (default 32)
-	QueueDepth int // channel capacity between pipeline threads, in rounds (default 8)
 
 	InputPrefix  string // PFS prefix holding the Np input projections
 	OutputPrefix string // PFS prefix for the output slices ("" = skip store)
@@ -66,20 +69,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: InputPrefix is required")
 	}
 	return nil
-}
-
-func (c Config) workers() int {
-	if c.Workers <= 0 {
-		return 1
-	}
-	return c.Workers
-}
-
-func (c Config) queueDepth() int {
-	if c.QueueDepth <= 0 {
-		return 8
-	}
-	return c.QueueDepth
 }
 
 // StageTimes records one rank's busy time per pipeline stage plus derived

@@ -159,7 +159,7 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 	// transpose. Zero per-projection heap allocations in steady state.
 	// chA's capacity (QueueDepth) lets filtering run that many rounds ahead
 	// of the AllGather.
-	chA := make(chan projItem, cfg.queueDepth())
+	chA := make(chan projItem, QueueDepth)
 	go func() {
 		defer wg.Done()
 		defer close(chA)
@@ -208,19 +208,15 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 	// projections and accumulate them into the rank's slab-pair volume,
 	// reading the shared transposed blocks in place. chB holds QueueDepth
 	// rounds of R blocks each, the same look-ahead as chA.
-	chB := make(chan projItem, cfg.queueDepth()*max(1, cfg.R))
+	chB := make(chan projItem, QueueDepth*max(1, cfg.R))
 	local := engine.Volumes.Acquire(g.Nx, g.Ny, 2*h, volume.KMajor)
 	go func() {
 		defer wg.Done()
 		fail(func() error {
-			batchSize := cfg.Batch
-			if batchSize <= 0 {
-				batchSize = backproject.DefaultBatch
-			}
 			var imgs []*volume.Image
 			var mats []geometry.ProjMat
 			var bufs []*engine.Buf[float32]
-			hdrs := make([]volume.Image, batchSize) // Nv×Nu views of bufs
+			hdrs := make([]volume.Image, backproject.DefaultBatch) // Nv×Nu views of bufs
 			releaseBufs := func() {
 				for _, b := range bufs {
 					b.Release()
@@ -233,8 +229,7 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 				}
 				bpStart := time.Now()
 				task := backproject.Task{Mats: mats, Proj: imgs, Transposed: true}
-				opt := backproject.Options{Workers: cfg.workers(), Batch: batchSize}
-				err := backproject.ProposedSlabPair(task, local, opt, g.Nz, z0, z1)
+				err := backproject.ProposedSlabPair(task, local, backproject.Options{Workers: 1}, g.Nz, z0, z1)
 				// The batch is consumed (or abandoned) either way: this
 				// rank's holds on its shared blocks are released.
 				releaseBufs()
@@ -261,7 +256,7 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 				imgs = append(imgs, &hdrs[len(imgs)])
 				bufs = append(bufs, it.buf)
 				mats = append(mats, geometry.ProjectionMatrix(g, g.Beta(it.s)))
-				if len(imgs) == batchSize {
+				if len(imgs) == backproject.DefaultBatch {
 					if err := flush(); err != nil {
 						return err
 					}

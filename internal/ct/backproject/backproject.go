@@ -24,7 +24,6 @@ import (
 
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/interp"
-	"ifdk/internal/ct/kernels"
 	"ifdk/internal/engine"
 	"ifdk/pkg/volume"
 )
@@ -80,17 +79,10 @@ func (t Task) Validate() error {
 	return nil
 }
 
-// Options controls parallelism and batching.
+// Options controls parallelism. Every entry point accumulates DefaultBatch
+// projections per volume pass.
 type Options struct {
 	Workers int // worker goroutines; 0 means GOMAXPROCS
-	Batch   int // projections per volume pass; 0 means DefaultBatch
-}
-
-func (o Options) batch() int {
-	if o.Batch <= 0 {
-		return DefaultBatch
-	}
-	return o.Batch
 }
 
 // Variant toggles the individual optimizations of the proposed algorithm
@@ -123,9 +115,8 @@ func Standard(task Task, vol *volume.Volume, opt Options) error {
 	}
 	nx, ny, nz := vol.Nx, vol.Ny, vol.Nz
 	w, h := task.Proj[0].W, task.Proj[0].H
-	batch := opt.batch()
-	for s0 := 0; s0 < len(task.Proj); s0 += batch {
-		s1 := min(s0+batch, len(task.Proj))
+	for s0 := 0; s0 < len(task.Proj); s0 += DefaultBatch {
+		s1 := min(s0+DefaultBatch, len(task.Proj))
 		bufs := acquireBatch(task.Mats[s0:s1], task.Proj[s0:s1], false)
 		rows, data := bufs.rows.Data, bufs.data.Data
 		engine.ParallelRange(nz, opt.Workers, func(k0, k1 int) {
@@ -159,7 +150,9 @@ func Standard(task Task, vol *volume.Volume, opt Options) error {
 	return nil
 }
 
-// Proposed back-projects the task into a k-major volume following Alg. 4.
+// Proposed back-projects the task into a k-major volume following Alg. 4:
+// the whole volume is the one-row slab pair [0, Nz/2), plus the unpaired
+// centre plane when Nz is odd.
 func Proposed(task Task, vol *volume.Volume, opt Options) error {
 	return Ablate(task, vol, opt, ProposedVariant)
 }
@@ -167,9 +160,9 @@ func Proposed(task Task, vol *volume.Volume, opt Options) error {
 // Ablate runs the proposed algorithm with individual optimizations toggled
 // by the variant. All variants compute the same volume (within float32
 // rounding); only the operation count and access pattern change. The full
-// ProposedVariant takes the kernels column path, which performs the exact
-// same floating-point operations in the same order — ablation variants keep
-// the original voxel-at-a-time loop.
+// ProposedVariant takes the slab-pair driver, which performs the exact same
+// floating-point operations in the same order — ablation variants keep the
+// original voxel-at-a-time loop.
 func Ablate(task Task, vol *volume.Volume, opt Options, va Variant) error {
 	if err := task.Validate(); err != nil {
 		return err
@@ -181,13 +174,13 @@ func Ablate(task Task, vol *volume.Volume, opt Options, va Variant) error {
 		return fmt.Errorf("backproject: Proposed requires untransposed projections")
 	}
 	if va == ProposedVariant {
-		return proposedColumns(task, vol, opt)
+		slabPair(task, vol, opt, 0, vol.Nz/2)
+		return nil
 	}
 	nx, ny, nz := vol.Nx, vol.Ny, vol.Nz
 	w, h := task.Proj[0].W, task.Proj[0].H
-	batch := opt.batch()
-	for s0 := 0; s0 < len(task.Proj); s0 += batch {
-		s1 := min(s0+batch, len(task.Proj))
+	for s0 := 0; s0 < len(task.Proj); s0 += DefaultBatch {
+		s1 := min(s0+DefaultBatch, len(task.Proj))
 		// Transpose the batch once (Alg. 4 line 3). Transpose buffers come
 		// from the shared image pool and return after the batch.
 		bufs := acquireBatch(task.Mats[s0:s1], task.Proj[s0:s1], va.Transpose)
@@ -275,74 +268,6 @@ func Ablate(task Task, vol *volume.Volume, opt Options, va Variant) error {
 					}
 				}
 			}
-			regs.Release()
-		})
-		bufs.release()
-	}
-	return nil
-}
-
-// proposedColumns is Alg. 4 with all three optimizations, restructured for
-// the kernels layer: instead of walking voxels k-innermost and projections
-// t-innermost, each (i, j) column accumulates one projection at a time into
-// a pooled pair of line buffers (the lower half-line and its Theorem-1
-// mirror), then scatters the two lines into the volume. The per-voxel
-// accumulation order over t is unchanged, so the result is bit-identical to
-// the voxel-at-a-time loop — but the inner walk is now stride-1 along both
-// the transposed detector rows and the line buffers, which is what
-// kernels.AccumLinePair vectorizes.
-//
-//ifdk:hotpath
-func proposedColumns(task Task, vol *volume.Volume, opt Options) error {
-	nx, ny, nz := vol.Nx, vol.Ny, vol.Nz
-	w, h := task.Proj[0].W, task.Proj[0].H
-	tw, th := h, w // transposed: V is the fast axis
-	vm1 := float32(h - 1)
-	batch := opt.batch()
-	for s0 := 0; s0 < len(task.Proj); s0 += batch {
-		s1 := min(s0+batch, len(task.Proj))
-		bufs := acquireBatch(task.Mats[s0:s1], task.Proj[s0:s1], true)
-		rows, data := bufs.rows.Data, bufs.data.Data
-		nb := s1 - s0
-		kHalf := nz / 2
-		engine.ParallelRange(ny, opt.Workers, func(j0, j1 int) {
-			regs, us, fs, ws := acquireRegs(nb)
-			lines := colPool.Acquire(2 * kHalf)
-			sum, sym := lines.Data[:kHalf], lines.Data[kHalf:]
-			for j := j0; j < j1; j++ {
-				fj := float32(j)
-				for i := 0; i < nx; i++ {
-					fi := float32(i)
-					kernels.ColumnGeom(us, fs, ws, rows, fi, fj)
-					clear(sum)
-					clear(sym)
-					for t := range rows {
-						r := &rows[t]
-						yb := r[1][0]*fi + r[1][1]*fj
-						kernels.AccumLinePair(sum, sym, data[t], tw, th,
-							us[t], fs[t], ws[t], yb, r[1][2], r[1][3], vm1, 0)
-					}
-					base := (i*ny + j) * nz
-					for k := 0; k < kHalf; k++ {
-						vol.Data[base+k] += sum[k]
-						vol.Data[base+nz-1-k] += sym[k]
-					}
-					if nz%2 == 1 {
-						// Odd Nz: the central plane has no mirror partner.
-						k := nz / 2
-						fk := float32(k)
-						var csum float32
-						for t := range rows {
-							r := &rows[t]
-							u, f, wdis := us[t], fs[t], ws[t]
-							y := r[1][0]*fi + r[1][1]*fj + r[1][2]*fk + r[1][3]
-							csum += wdis * sampleProj(data[t], tw, th, u, y*f, true)
-						}
-						vol.Data[base+k] += csum
-					}
-				}
-			}
-			lines.Release()
 			regs.Release()
 		})
 		bufs.release()

@@ -125,24 +125,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestBatchSizeNearInvariance(t *testing.T) {
-	// Different batch sizes reassociate the per-voxel sum, so results agree
-	// only within float32 rounding.
-	g := smallGeom()
-	task := randomTask(g, 5)
-	a := volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
-	b := volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
-	if err := Proposed(task, a, Options{Batch: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := Proposed(task, b, Options{Batch: 32}); err != nil {
-		t.Fatal(err)
-	}
-	if r := relRMSE(t, a, b); r > 1e-6 {
-		t.Errorf("batch-size relative RMSE = %g", r)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	g := smallGeom()
 	task := randomTask(g, 6)

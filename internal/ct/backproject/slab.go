@@ -36,15 +36,35 @@ func ProposedSlabPair(task Task, vol *volume.Volume, opt Options, nzFull, z0, z1
 	if vol.Nz != 2*h {
 		return fmt.Errorf("backproject: local volume depth %d, want %d", vol.Nz, 2*h)
 	}
-	nx, ny := vol.Nx, vol.Ny
+	slabPair(task, vol, opt, z0, z1)
+	return nil
+}
+
+// slabPair is the one Alg. 4 driver, behind both Proposed (a whole volume
+// is the pair [0, Nz/2)) and ProposedSlabPair (one rank row's pair). It
+// back-projects the voxels with z ∈ [z0, z1) and their Theorem-1 mirrors
+// into vol, whose plane kk holds the lower slab's plane z0+kk and whose
+// plane vol.Nz-1-kk holds its mirror.
+//
+// Instead of walking voxels k-innermost and projections t-innermost, each
+// (i, j) column accumulates one projection at a time into a pooled pair of
+// line buffers (the lower half-line and its mirror), then scatters the two
+// lines into the volume. The per-voxel accumulation order over t is that of
+// the voxel-at-a-time loop, so the result is bit-identical to it, but the
+// inner walk is stride-1 along both the transposed detector rows and the
+// line buffers, which is what kernels.AccumLinePair vectorizes.
+//
+//ifdk:hotpath
+func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
+	nx, ny, nz := vol.Nx, vol.Ny, vol.Nz
 	w, ht := task.Proj[0].W, task.Proj[0].H // detector Nu, Nv
 	if task.Transposed {
 		w, ht = ht, w
 	}
 	vm1 := float32(ht - 1)
-	batch := opt.batch()
-	for s0 := 0; s0 < len(task.Proj); s0 += batch {
-		s1 := min(s0+batch, len(task.Proj))
+	h := z1 - z0
+	for s0 := 0; s0 < len(task.Proj); s0 += DefaultBatch {
+		s1 := min(s0+DefaultBatch, len(task.Proj))
 		// A Transposed task is read in place; otherwise each batch is
 		// transposed into pooled images first (Alg. 4 line 3).
 		bufs := acquireBatch(task.Mats[s0:s1], task.Proj[s0:s1], !task.Transposed)
@@ -67,13 +87,24 @@ func ProposedSlabPair(task Task, vol *volume.Volume, opt Options, nzFull, z0, z1
 						kernels.AccumLinePair(sum, sym, data[t], ht, w,
 							us[t], fs[t], ws[t], yb, r[1][2], r[1][3], vm1, z0)
 					}
-					base := (i*ny + j) * vol.Nz
+					base := (i*ny + j) * nz
 					for kk := 0; kk < h; kk++ {
-						// Lower slab: local plane k-z0 = kk. Upper slab
-						// ascending: global Nz-1-k is local
-						// h + (Nz-1-k - (Nz-z1)) = h + z1-1-k = 2h-1-kk.
 						vol.Data[base+kk] += sum[kk]
-						vol.Data[base+2*h-1-kk] += sym[kk]
+						vol.Data[base+nz-1-kk] += sym[kk]
+					}
+					if nz%2 == 1 {
+						// Odd Nz: the centre plane has no mirror partner.
+						// Only a whole volume can be odd, so z0 = 0 and
+						// local plane h is global plane Nz/2.
+						fk := float32(h)
+						var csum float32
+						for t := range rows {
+							r := &rows[t]
+							u, f, wdis := us[t], fs[t], ws[t]
+							y := r[1][0]*fi + r[1][1]*fj + r[1][2]*fk + r[1][3]
+							csum += wdis * sampleProj(data[t], ht, w, u, y*f, true)
+						}
+						vol.Data[base+h] += csum
 					}
 				}
 			}
@@ -82,7 +113,6 @@ func ProposedSlabPair(task Task, vol *volume.Volume, opt Options, nzFull, z0, z1
 		})
 		bufs.release()
 	}
-	return nil
 }
 
 // SlabPairToGlobal copies a slab-pair local volume into the right planes of

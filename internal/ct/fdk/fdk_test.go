@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"ifdk/internal/ct/backproject"
 	"ifdk/internal/ct/filter"
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/phantom"
@@ -41,18 +42,31 @@ func TestSphereReconstructsDensity(t *testing.T) {
 	}
 }
 
-// E11: the standard and proposed pipelines agree within the paper's RMSE
-// bound on a real reconstruction.
+// E11: the pipeline (Alg. 4) agrees with the same filtered projections
+// back-projected by the standard Alg. 2 within the paper's RMSE bound on a
+// real reconstruction.
 func TestPipelinesAgree(t *testing.T) {
 	g := geometry.Default(48, 48, 36, 24, 24, 24)
 	ph := phantom.SheppLogan3D(g.FOVRadius() * 0.9)
 	proj := projector.AnalyticAll(ph, g, 0)
-	std, err := Reconstruct(g, proj, Config{Algorithm: AlgStandard})
+	prop, err := Reconstruct(g, proj, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prop, err := Reconstruct(g, proj, Config{Algorithm: AlgProposed})
+	flt, err := filter.New(g, filter.RamLak)
 	if err != nil {
+		t.Fatal(err)
+	}
+	task := backproject.Task{Mats: geometry.ProjectionMatrices(g)}
+	for _, p := range proj {
+		q, err := flt.Apply(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		task.Proj = append(task.Proj, q)
+	}
+	std := volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor)
+	if err := backproject.Standard(task, std, backproject.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := volume.RMSE(std, prop)
@@ -126,31 +140,17 @@ func TestReconstructValidatesInput(t *testing.T) {
 	if _, err := Reconstruct(g, nil, Config{}); err == nil {
 		t.Error("Reconstruct with no projections should fail")
 	}
-	if _, err := BackprojectFiltered(g, make([]*volume.Image, g.Np), Config{Algorithm: Algorithm(99)}); err == nil {
-		t.Error("unknown algorithm should fail")
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	if AlgProposed.String() != "proposed" || AlgStandard.String() != "standard" {
-		t.Error("Algorithm.String mismatch")
-	}
-	if Algorithm(9).String() == "" {
-		t.Error("unknown algorithm should format")
-	}
 }
 
 func TestOutputLayoutIsIMajor(t *testing.T) {
 	g := geometry.Default(32, 32, 8, 8, 8, 8)
 	ph := phantom.UniformSphere(g.FOVRadius()*0.5, 1)
 	proj := projector.AnalyticAll(ph, g, 0)
-	for _, alg := range []Algorithm{AlgStandard, AlgProposed} {
-		vol, err := Reconstruct(g, proj, Config{Algorithm: alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vol.Layout != volume.IMajor {
-			t.Errorf("%v: output layout = %v", alg, vol.Layout)
-		}
+	vol, err := Reconstruct(g, proj, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vol.Layout != volume.IMajor {
+		t.Errorf("output layout = %v", vol.Layout)
 	}
 }

@@ -143,8 +143,8 @@ func CosineTable(g geometry.Params) *volume.Image {
 //
 // Containment. Rows are filtered in fixed pairs — always (2k, 2k+1) of the
 // same projection, an odd last row paired with zeros — so the result does
-// not depend on how rows are scheduled: ApplyInto, Sweep at any worker count
-// and ApplyBatch are bit-identical. The two rows of a pair share one complex
+// not depend on how rows are scheduled: ApplyInto and Sweep at any worker
+// count are bit-identical. The two rows of a pair share one complex
 // transform, so each sees the other's rounding error (within the same 1e-6
 // of the pair's peak as the transform itself), and a NaN or ±Inf in one row
 // poisons its pair partner as well as its own row. It never reaches another
@@ -326,26 +326,4 @@ func (f *Filterer) Sweep(ins, outs []*volume.Image, workers int) error {
 		buf.Release()
 	})
 	return nil
-}
-
-// ApplyBatch filters a batch of projections with the given number of worker
-// goroutines (0 means GOMAXPROCS), mirroring the OpenMP parallel filtering
-// inside each rank's Filtering-thread (Sec. 4.1.3). It is Sweep with
-// pool-acquired outputs: scheduling is the shared row sweep and the result
-// order matches the input order. The outputs are acquired from
-// engine.Images: callers that are done with them may hand them back via
-// engine.Images.Release (optional — an output that escapes simply becomes
-// ordinary garbage).
-func (f *Filterer) ApplyBatch(imgs []*volume.Image, workers int) ([]*volume.Image, error) {
-	out := make([]*volume.Image, len(imgs))
-	for i := range out {
-		out[i] = engine.Images.Acquire(f.g.Nu, f.g.Nv)
-	}
-	if err := f.Sweep(imgs, out, workers); err != nil {
-		for _, q := range out {
-			engine.Images.Release(q)
-		}
-		return nil, err
-	}
-	return out, nil
 }

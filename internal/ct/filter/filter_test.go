@@ -177,21 +177,22 @@ func TestImpulseResponseMatchesKernel(t *testing.T) {
 	}
 }
 
-func TestApplyBatchMatchesSequential(t *testing.T) {
+func TestSweepMatchesSequential(t *testing.T) {
 	g := testGeom()
 	f, err := New(g, Hamming)
 	if err != nil {
 		t.Fatal(err)
 	}
 	imgs := make([]*volume.Image, 7)
+	batch := make([]*volume.Image, len(imgs))
 	for n := range imgs {
 		imgs[n] = volume.NewImage(g.Nu, g.Nv)
 		for m := range imgs[n].Data {
 			imgs[n].Data[m] = float32((n*31+m*7)%17) / 17
 		}
+		batch[n] = volume.NewImage(g.Nu, g.Nv)
 	}
-	batch, err := f.ApplyBatch(imgs, 4)
-	if err != nil {
+	if err := f.Sweep(imgs, batch, 4); err != nil {
 		t.Fatal(err)
 	}
 	for n := range imgs {
@@ -206,12 +207,13 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestApplyBatchPropagatesError(t *testing.T) {
+func TestSweepPropagatesError(t *testing.T) {
 	g := testGeom()
 	f, _ := New(g, RamLak)
 	imgs := []*volume.Image{volume.NewImage(g.Nu, g.Nv), volume.NewImage(2, 2)}
-	if _, err := f.ApplyBatch(imgs, 2); err == nil {
-		t.Error("batch with a bad image should fail")
+	outs := []*volume.Image{volume.NewImage(g.Nu, g.Nv), volume.NewImage(g.Nu, g.Nv)}
+	if err := f.Sweep(imgs, outs, 2); err == nil {
+		t.Error("sweep over a bad image should fail")
 	}
 }
 

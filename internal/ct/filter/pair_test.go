@@ -74,9 +74,9 @@ func TestPairMatchesComplex128(t *testing.T) {
 	t.Logf("worst deviation %.2g of the peak", worst)
 }
 
-// The pairing is fixed, so scheduling cannot change a bit: ApplyInto, Sweep
-// at any worker count (in place and out of place) and ApplyBatch agree
-// bitwise, on an odd row count too.
+// The pairing is fixed, so scheduling cannot change a bit: ApplyInto and
+// Sweep at any worker count (in place and out of place) agree bitwise, on
+// an odd row count too.
 func TestSweepBitIdenticalToApplyInto(t *testing.T) {
 	for _, nv := range []int{8, 9} {
 		g := geometry.Default(64, nv, 90, 32, 32, 32)
@@ -106,15 +106,10 @@ func TestSweepBitIdenticalToApplyInto(t *testing.T) {
 			if err := f.Sweep(inPlace, inPlace, workers); err != nil {
 				t.Fatal(err)
 			}
-			batch, err := f.ApplyBatch(ins, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for n := range ins {
 				name := fmt.Sprintf("nv=%d workers=%d projection %d", nv, workers, n)
 				sameBits(t, "Sweep "+name, outs[n], want[n])
 				sameBits(t, "in-place Sweep "+name, inPlace[n], want[n])
-				sameBits(t, "ApplyBatch "+name, batch[n], want[n])
 			}
 		}
 	}

@@ -13,13 +13,16 @@ import (
 	"ifdk/pkg/volume"
 )
 
-// TestBackprojectBitIdenticalAcrossTiers runs both consumers of the
-// AccumLinePair seam — backproject.Proposed (fdk.Reconstruct, preview,
-// verification) and backproject.ProposedSlabPair (the distributed pipeline)
-// — at nx = 64 on the reference kernels, the portable fast loop and the AVX2
-// tier, and requires the three volumes to agree bit for bit. It lives here
-// rather than in package backproject because only this directory's tests
-// can reach the unexported tier switch.
+// TestBackprojectBitIdenticalAcrossTiers runs the one Alg. 4 driver behind
+// the AccumLinePair seam through all three of its callers' shapes — a whole
+// even volume and a whole odd one through backproject.Proposed
+// (fdk.Reconstruct, preview, verification; the odd one adds the unpaired
+// centre plane) and an off-edge slab pair through
+// backproject.ProposedSlabPair (the distributed pipeline) — at nx = 64 on
+// the reference kernels, the portable fast loop and the AVX2 tier, and
+// requires the three tiers to agree bit for bit. It lives here rather than
+// in package backproject because only this directory's tests can reach the
+// unexported tier switch.
 func TestBackprojectBitIdenticalAcrossTiers(t *testing.T) {
 	// 40 projections: one full batch of 32 and a short one. The volume's
 	// top and bottom planes project past the detector for near-source
@@ -34,20 +37,27 @@ func TestBackprojectBitIdenticalAcrossTiers(t *testing.T) {
 		}
 		task.Proj = append(task.Proj, img)
 	}
+	odd := g
+	odd.Nz = 15
+	oddTask := backproject.Task{Mats: geometry.ProjectionMatrices(odd), Proj: task.Proj}
 	const z0, z1 = 8, 24 // a slab pair off the volume edge: k0 ≠ 0
-	run := func() (full, slab *volume.Volume) {
+	run := func() (full, oddFull, slab *volume.Volume) {
 		full = volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
 		if err := backproject.Proposed(task, full, backproject.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		oddFull = volume.New(odd.Nx, odd.Ny, odd.Nz, volume.KMajor)
+		if err := backproject.Proposed(oddTask, oddFull, backproject.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		slab = volume.New(g.Nx, g.Ny, 2*(z1-z0), volume.KMajor)
 		if err := backproject.ProposedSlabPair(task, slab, backproject.Options{}, g.Nz, z0, z1); err != nil {
 			t.Fatal(err)
 		}
-		return full, slab
+		return full, oddFull, slab
 	}
 
-	refFull, refSlab := func() (full, slab *volume.Volume) {
+	refFull, refOdd, refSlab := func() (full, oddFull, slab *volume.Volume) {
 		defer kernels.UseRef()()
 		return run()
 	}()
@@ -69,8 +79,9 @@ func TestBackprojectBitIdenticalAcrossTiers(t *testing.T) {
 				t.Skip("CPU or OS without AVX2")
 			}
 			defer kernels.SetAVX2(tier.avx2)()
-			full, slab := run()
+			full, oddFull, slab := run()
 			same("Proposed", refFull, full)
+			same("Proposed, odd Nz", refOdd, oddFull)
 			same("ProposedSlabPair", refSlab, slab)
 		})
 	}

@@ -143,11 +143,9 @@ type Timings struct {
 	Load, Decimate, Filter, Backproject, Total float64
 }
 
-// Options tunes one Reconstruct call.
+// Options tunes one Reconstruct call. Its filter and back-projection stages
+// run on GOMAXPROCS workers.
 type Options struct {
-	// Workers bounds the goroutines of the filter and back-projection
-	// stages (0 = GOMAXPROCS).
-	Workers int
 	// Window is the ramp apodization, matching the full-resolution job so
 	// the preview previews the same filter.
 	Window filter.Window
@@ -194,13 +192,13 @@ func (p Plan) Reconstruct(ctx context.Context, read func(dst *volume.Image, s in
 	if err != nil {
 		return nil, tm, err
 	}
-	if err := flt.Sweep(imgs, imgs, opt.Workers); err != nil {
+	if err := flt.Sweep(imgs, imgs, 0); err != nil {
 		return nil, tm, err
 	}
 	t1 := time.Now()
 	tm.Filter = t1.Sub(t0).Seconds()
 
-	vol, err := fdk.BackprojectFiltered(cg, imgs, fdk.Config{Workers: opt.Workers})
+	vol, err := fdk.BackprojectFiltered(cg, imgs, fdk.Config{})
 	if err != nil {
 		return nil, tm, err
 	}

@@ -8,12 +8,12 @@
 // observation that the stages must be engineered around memory traffic to be
 // "instant". This package centralizes the two shared resources:
 //
-//   - Scheduling. ParallelRange and ParallelEach run loop bodies on one
-//     process-wide pool of worker goroutines (one goroutine per CPU, started
-//     lazily). Callers always participate in their own work, so nested
-//     parallel sections and a saturated pool degrade to sequential execution
-//     instead of deadlocking, and steady-state dispatch performs no heap
-//     allocations (job descriptors are pooled).
+//   - Scheduling. ParallelRange runs loop bodies on one process-wide pool
+//     of worker goroutines (one goroutine per CPU, started lazily). Callers
+//     always participate in their own work, so nested parallel sections and
+//     a saturated pool degrade to sequential execution instead of
+//     deadlocking, and steady-state dispatch performs no heap allocations
+//     (job descriptors are pooled).
 //
 //   - Memory. ImagePool, VolumePool and BufPool hand out reusable buffers
 //     keyed by shape. See pool.go for the acquire/release contract that the
@@ -111,20 +111,17 @@ func normalize(workers int) int {
 	return workers
 }
 
-// dispatch splits [0, n) into chunks and executes them on up to `para`
-// concurrent goroutines (the caller plus para-1 pool helpers). The caller
-// always works too and returns only after every chunk has completed.
-func dispatch(n, chunks, para int, body func(lo, hi int)) {
+// ParallelRange splits [0, n) into one contiguous chunk per worker and runs
+// body(lo, hi) concurrently on the shared pool (workers ≤ 0 means the pool
+// size): the caller plus up to workers-1 pool helpers. It replaces the
+// per-package goroutine loops the compute stages used to carry. The caller
+// always works too, and the call returns after all chunks complete.
+func ParallelRange(n, workers int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if chunks > n {
-		chunks = n
-	}
-	if para > chunks {
-		para = chunks
-	}
-	if chunks <= 1 || para <= 1 {
+	chunks := min(normalize(workers), n)
+	if chunks <= 1 {
 		body(0, n)
 		return
 	}
@@ -133,7 +130,7 @@ func dispatch(n, chunks, para int, body func(lo, hi int)) {
 	j.body, j.n, j.chunks = body, n, chunks
 	j.next.Store(0)
 	j.wg.Add(chunks)
-	helpers := para - 1
+	helpers := chunks - 1
 	j.refs.Store(int64(helpers) + 1)
 	enq := 0
 	for ; enq < helpers; enq++ {
@@ -150,26 +147,4 @@ work:
 	j.run()
 	j.wg.Wait()
 	j.release()
-}
-
-// ParallelRange splits [0, n) into one contiguous chunk per worker and runs
-// body(lo, hi) concurrently on the shared pool (workers ≤ 0 means the pool
-// size). It replaces the per-package goroutine loops the compute stages used
-// to carry. The call returns after all chunks complete.
-func ParallelRange(n, workers int, body func(lo, hi int)) {
-	w := normalize(workers)
-	dispatch(n, w, w, body)
-}
-
-// ParallelEach runs body(i) for every i in [0, n) with dynamic load
-// balancing: each index is claimed individually, so expensive items do not
-// serialize behind a static split. Used by batch filtering, where row counts
-// are equal but cache behaviour is not.
-func ParallelEach(n, workers int, body func(i int)) {
-	w := normalize(workers)
-	dispatch(n, n, w, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
 }

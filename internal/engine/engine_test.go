@@ -62,24 +62,13 @@ func TestNestedParallelSections(t *testing.T) {
 	var total atomic.Int64
 	ParallelRange(8, 8, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ParallelEach(50, 4, func(j int) {
-				total.Add(1)
+			ParallelRange(50, 4, func(lo, hi int) {
+				total.Add(int64(hi - lo))
 			})
 		}
 	})
 	if got := total.Load(); got != 8*50 {
 		t.Fatalf("nested total = %d, want %d", got, 8*50)
-	}
-}
-
-func TestParallelEachCoversExactlyOnce(t *testing.T) {
-	const n = 257
-	counts := make([]int32, n)
-	ParallelEach(n, 0, func(i int) { atomic.AddInt32(&counts[i], 1) })
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("index %d visited %d times", i, c)
-		}
 	}
 }
 

@@ -4,14 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Span is one timed operation inside a trace. IDs are opaque hex strings
 // (W3C trace-context sized: 16-byte trace IDs, 8-byte span IDs); Parent
-// links the span into the tree, and a parent ID that no retained span
+// links the span into the tree, and a parent ID that no span of the trace
 // carries marks a root (e.g. a client-side span the fleet never saw).
 type Span struct {
 	SpanID string
@@ -35,147 +34,10 @@ func (s Span) Duration() time.Duration {
 	return s.End.Sub(s.Start)
 }
 
-// Trace is one request's assembled span set, bounded in size: spans beyond
-// the cap are counted but not retained, so a pathological job (thousands
-// of rounds) cannot balloon the daemon's memory.
-type Trace struct {
-	mu      sync.Mutex
-	id      string
-	spans   []Span
-	cap     int
-	dropped int64
-	done    bool
-}
-
-// ID returns the trace ID.
-func (t *Trace) ID() string { return t.id }
-
-// Add appends spans to the trace, up to the retention cap; overflow is
-// counted in Dropped. Adding to a finished trace is a no-op.
-func (t *Trace) Add(spans ...Span) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.done {
-		return
-	}
-	for _, s := range spans {
-		if len(t.spans) >= t.cap {
-			t.dropped++
-			continue
-		}
-		t.spans = append(t.spans, s)
-	}
-}
-
-// Finish marks the trace complete; further Adds are ignored.
-func (t *Trace) Finish() {
-	t.mu.Lock()
-	t.done = true
-	t.mu.Unlock()
-}
-
-// Done reports whether the trace has been finished.
-func (t *Trace) Done() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.done
-}
-
-// Dropped returns the number of spans lost to the retention cap.
-func (t *Trace) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Snapshot returns a copy of the retained spans.
-func (t *Trace) Snapshot() []Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
-}
-
-// Tracer retains finished traces keyed by an owner (a job ID) in a bounded
-// in-memory ring: when the ring is full the oldest trace is evicted. It is
-// the storage behind GET /v1/jobs/{id}/trace.
-type Tracer struct {
-	mu       sync.Mutex
-	traces   map[string]*Trace
-	order    []string
-	capKeys  int
-	capSpans int
-	evicted  atomic.Int64
-}
-
-// NewTracer creates a tracer retaining up to capTraces traces of up to
-// capSpans spans each (<= 0 pick defaults of 256 traces x 512 spans).
-func NewTracer(capTraces, capSpans int) *Tracer {
-	if capTraces <= 0 {
-		capTraces = 256
-	}
-	if capSpans <= 0 {
-		capSpans = 512
-	}
-	return &Tracer{traces: make(map[string]*Trace), capKeys: capTraces, capSpans: capSpans}
-}
-
-// Start creates (or returns) the trace for key with the given trace ID,
-// evicting the oldest retained trace when the ring is full.
-func (tr *Tracer) Start(key, traceID string) *Trace {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if t, ok := tr.traces[key]; ok {
-		return t
-	}
-	t := &Trace{id: traceID, cap: tr.capSpans}
-	tr.traces[key] = t
-	tr.order = append(tr.order, key)
-	for len(tr.order) > tr.capKeys {
-		delete(tr.traces, tr.order[0])
-		tr.order = tr.order[1:]
-		tr.evicted.Add(1)
-	}
-	return t
-}
-
-// Get returns the retained trace for key.
-func (tr *Tracer) Get(key string) (*Trace, bool) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	t, ok := tr.traces[key]
-	return t, ok
-}
-
-// Drop discards the trace for key (the job was deleted or pruned).
-func (tr *Tracer) Drop(key string) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if _, ok := tr.traces[key]; !ok {
-		return
-	}
-	delete(tr.traces, key)
-	for i, k := range tr.order {
-		if k == key {
-			tr.order = append(tr.order[:i], tr.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// Len returns the number of retained traces.
-func (tr *Tracer) Len() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return len(tr.traces)
-}
-
-// Evicted returns how many traces the ring has evicted to stay bounded.
-func (tr *Tracer) Evicted() int64 { return tr.evicted.Load() }
-
 // DeriveSpanID returns a deterministic 8-byte hex span ID for a named
 // operation inside a trace. Deterministic derivation keeps span IDs stable
-// across repeated assemblies of the same trace (a mid-run GET and the
-// final publication agree), without storing ID state per span.
+// across repeated assemblies of the same trace (a mid-run GET and one after
+// the job settles agree), without storing ID state per span.
 func DeriveSpanID(traceID, name string) string {
 	sum := sha256.Sum256([]byte(traceID + "\x00" + name))
 	return hex.EncodeToString(sum[:8])

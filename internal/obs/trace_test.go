@@ -6,66 +6,6 @@ import (
 	"time"
 )
 
-func TestTracerRingRetention(t *testing.T) {
-	tr := NewTracer(3, 8)
-	for _, k := range []string{"j1", "j2", "j3", "j4"} {
-		tr.Start(k, NewTraceID()).Add(Span{Name: "root", Start: time.Now()})
-	}
-	if tr.Len() != 3 {
-		t.Fatalf("retained %d traces, want 3", tr.Len())
-	}
-	if _, ok := tr.Get("j1"); ok {
-		t.Error("oldest trace j1 should have been evicted")
-	}
-	if _, ok := tr.Get("j4"); !ok {
-		t.Error("newest trace j4 missing")
-	}
-	if tr.Evicted() != 1 {
-		t.Errorf("evicted = %d, want 1", tr.Evicted())
-	}
-	tr.Drop("j3")
-	if _, ok := tr.Get("j3"); ok {
-		t.Error("dropped trace j3 still retained")
-	}
-	if tr.Len() != 2 {
-		t.Errorf("after drop: %d traces, want 2", tr.Len())
-	}
-}
-
-func TestTraceSpanCap(t *testing.T) {
-	tr := NewTracer(4, 2)
-	trace := tr.Start("j", "tid")
-	for i := 0; i < 5; i++ {
-		trace.Add(Span{Name: "s", Start: time.Now()})
-	}
-	if n := len(trace.Snapshot()); n != 2 {
-		t.Fatalf("retained %d spans, want 2 (cap)", n)
-	}
-	if trace.Dropped() != 3 {
-		t.Errorf("dropped = %d, want 3", trace.Dropped())
-	}
-	trace.Finish()
-	trace.Add(Span{Name: "late"})
-	if n := len(trace.Snapshot()); n != 2 {
-		t.Errorf("add after Finish retained a span (%d)", n)
-	}
-	if !trace.Done() {
-		t.Error("trace not done after Finish")
-	}
-}
-
-func TestStartIsIdempotent(t *testing.T) {
-	tr := NewTracer(4, 8)
-	a := tr.Start("j", "tid-a")
-	b := tr.Start("j", "tid-b")
-	if a != b {
-		t.Fatal("Start for the same key returned distinct traces")
-	}
-	if a.ID() != "tid-a" {
-		t.Errorf("trace ID = %q, want the first Start's ID", a.ID())
-	}
-}
-
 func TestIDs(t *testing.T) {
 	hex16 := regexp.MustCompile(`^[0-9a-f]{32}$`)
 	hex8 := regexp.MustCompile(`^[0-9a-f]{16}$`)

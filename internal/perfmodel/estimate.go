@@ -31,11 +31,6 @@ type Cost struct {
 	WorkingSetBytes int64
 }
 
-// pipelineDepth mirrors core.Config's default inter-stage ring-buffer
-// capacity: each rank keeps up to this many decoded/filtered projection
-// images in flight between its pipeline threads.
-const pipelineDepth = 8
-
 // Estimate evaluates the closed-form performance model for one service job
 // described by cfg, using the paper's ABCI constants. Absolute times are
 // therefore "model seconds" on the paper's testbed; admission calibrates
@@ -69,7 +64,9 @@ func EstimateWith(cfg core.Config, mb MicroBench) (Cost, error) {
 	}
 	in, out := pr.InputBytes(), pr.OutputBytes()
 	projBytes := 4 * int64(pr.Nu) * int64(pr.Nv)
-	scratch := int64(pipelineDepth) * int64(cfg.R) * int64(cfg.C) * projBytes
+	// Each rank keeps up to core.QueueDepth filtered projections in flight
+	// between its pipeline threads.
+	scratch := int64(core.QueueDepth) * int64(cfg.R) * int64(cfg.C) * projBytes
 	return Cost{
 		Times:           t,
 		RunSec:          t.Runtime,

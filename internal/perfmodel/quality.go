@@ -62,7 +62,7 @@ func EstimatePreview(cfg core.Config, coarse geometry.Params, factor int) (Cost,
 	// staging image the decimator reuses across reads.
 	coarseProj := 4 * int64(pr.Nu) * int64(pr.Nv)
 	fullProj := 4 * int64(full.Nu) * int64(full.Nv)
-	scratch := int64(pipelineDepth)*coarseProj + fullProj
+	scratch := int64(core.QueueDepth)*coarseProj + fullProj
 	return Cost{
 		Times:           t,
 		RunSec:          t.Runtime,

@@ -64,7 +64,7 @@ type effects struct {
 	count     counter   // lifecycle metric bumped
 	wait      bool      // record the queue wait
 	opened    bool      // publish EventQueued, which opens every job's stream
-	trace     bool      // assemble and publish the job's trace
+	trace     bool      // announce that the job's trace is final
 	bus       EventType // lifecycle event published after the trace ("" = none)
 	busErr    string    // its Error when the job records none
 	release   bool      // return the admission charge, held exactly while queued or running

@@ -87,13 +87,6 @@ type Options struct {
 	// nil discards them — library default, daemons wire obs.NewLogger.
 	Logger *slog.Logger
 
-	// PreviewWorkers bounds the goroutines a preview build may use
-	// (0 = GOMAXPROCS). Previews are the cheap interactive tier; capping
-	// their parallelism keeps a burst of them from starving the engine
-	// slots full-resolution rounds are running on. See ifdkd's
-	// -preview-workers flag.
-	PreviewWorkers int
-
 	// testOnSlice, when non-nil, runs synchronously on the publishing
 	// row-root goroutine after each slice event, while the job is still
 	// mid-epilogue. Tests block here to observe the service with a slice
@@ -184,12 +177,11 @@ type Manager struct {
 
 	// Observability plane: the counters the hot paths bump live inside the
 	// metrics registry (met), so the JSON /v1/metrics snapshot and the
-	// Prometheus exposition at GET /metrics read the same cells; tracer
-	// retains finished job traces and log carries structured lifecycle
-	// records.
-	met    *metricsSet
-	tracer *obs.Tracer
-	log    *slog.Logger
+	// Prometheus exposition at GET /metrics read the same cells; log carries
+	// structured lifecycle records. Traces are assembled from the job record
+	// on request (trace.go).
+	met *metricsSet
+	log *slog.Logger
 }
 
 type stageState struct {
@@ -233,7 +225,6 @@ func OpenManager(opt Options) (*Manager, error) {
 		staged:      make(map[string]*stageState),
 		open:        true,
 		started:     time.Now(),
-		tracer:      obs.NewTracer(0, 0), // 256 traces of 512 spans
 		log:         opt.Logger,
 	}
 	if m.log == nil {
@@ -617,13 +608,11 @@ func (m *Manager) pruneLocked() []string {
 }
 
 // scrub deletes pruned jobs' output namespaces from the PFS, their event
-// streams from the bus, their traces from the ring and their journal
-// presence (a delete record now, physically dropped at the next boot
-// compaction).
+// streams from the bus and their journal presence (a delete record now,
+// physically dropped at the next boot compaction).
 func (m *Manager) scrub(ids []string) {
 	for _, id := range ids {
 		m.events.Drop(id)
-		m.tracer.Drop(id)
 		for _, path := range m.store.List("jobs/" + id + "/") {
 			m.store.Delete(path)
 		}

@@ -365,6 +365,52 @@ func TestTracePartialWhileQueued(t *testing.T) {
 	waitState(t, m, v2.ID, 30*time.Second)
 }
 
+// TestTraceCompleteWhileJobRetained: a settled job's trace stays complete,
+// and unchanged, for as long as the job record does (MaxJobs), however many
+// newer jobs settle after it — here 300 cache-hit resubmissions, more than
+// any trace store smaller than the job table would keep.
+func TestTraceCompleteWhileJobRetained(t *testing.T) {
+	m := NewManager(Options{Workers: 1})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = m.Shutdown(ctx)
+	}()
+	v, err := m.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitState(t, m, v.ID, 30*time.Second); final.State != StateDone {
+		t.Fatalf("job ended %s: %s", final.State, final.Error)
+	}
+	first, err := m.TraceFor(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.Complete {
+		t.Fatal("settled job's trace is not complete")
+	}
+	for i := 0; i < 300; i++ {
+		hit, err := m.Submit(testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.CacheHit {
+			t.Fatalf("resubmission %d missed the cache", i)
+		}
+	}
+	later, err := m.TraceFor(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !later.Complete {
+		t.Fatal("done job's trace turned incomplete after 300 newer jobs settled")
+	}
+	if !reflect.DeepEqual(later, first) {
+		t.Errorf("trace changed after newer jobs settled:\n got %+v\nwant %+v", later, first)
+	}
+}
+
 // TestEventDropsSurface: overflowing a tiny per-job log shows up in both
 // metric surfaces.
 func TestEventDropsSurface(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 
 	"ifdk/internal/core"
 	"ifdk/internal/ct/preview"
-	"ifdk/internal/service/progressive"
+	"ifdk/pkg/volume"
 )
 
 // previewStageTimes maps a preview build's segment clock onto the wire's
@@ -39,8 +39,7 @@ func (m *Manager) buildPreview(ctx context.Context, j *Job) (*Entry, error) {
 	if hit {
 		m.met.previewHits.Inc()
 	} else {
-		run := &progressive.Runner{Store: m.store, Workers: m.opt.PreviewWorkers}
-		vol, tm, err := run.Build(ctx, j.plan, j.cfg.InputPrefix, j.cfg.Window)
+		vol, tm, err := m.reconstructPreview(ctx, j)
 		if err != nil {
 			return nil, err
 		}
@@ -87,10 +86,20 @@ func (m *Manager) previewFor(j *Job) *Entry {
 // staged dataset that journal replay reproduces — so the check is a pure
 // re-run: a second build must match the served one.
 func (m *Manager) verifyPreview(ctx context.Context, j *Job, e *Entry) error {
-	run := &progressive.Runner{Store: m.store, Workers: m.opt.PreviewWorkers}
-	ref, _, err := run.Build(ctx, j.plan, j.cfg.InputPrefix, j.cfg.Window)
+	ref, _, err := m.reconstructPreview(ctx, j)
 	if err != nil {
 		return err
 	}
 	return e.verify(ref)
+}
+
+// reconstructPreview builds the job's preview volume from its staged
+// dataset. It is deterministic for a given (plan, dataset, window): always
+// the block-mean decimation of the staged full-resolution projections, so
+// crash-replayed jobs rebuild byte-identical previews.
+func (m *Manager) reconstructPreview(ctx context.Context, j *Job) (*volume.Volume, preview.Timings, error) {
+	return j.plan.Reconstruct(ctx, func(dst *volume.Image, s int) error {
+		_, err := m.store.ReadProjectionInto(dst, j.cfg.InputPrefix, s)
+		return err
+	}, preview.Options{Window: j.cfg.Window})
 }

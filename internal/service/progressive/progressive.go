@@ -1,20 +1,15 @@
 // Package progressive is the service-side home of the coarse-to-fine quality
-// knob: parsing and semantics of the v1 Spec's quality field, the cache-key
-// derivation that keeps preview results from ever aliasing full-resolution
-// entries, and the runner that executes the preview tier (internal/ct/preview)
-// against the service's staged PFS datasets.
+// knob: parsing and semantics of the v1 Spec's quality field, and the
+// cache-key derivation that keeps preview results from ever aliasing
+// full-resolution entries. The service's Manager runs the preview tier
+// itself (internal/ct/preview) against its staged PFS datasets.
 package progressive
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 
-	"ifdk/internal/ct/filter"
-	"ifdk/internal/ct/preview"
-	"ifdk/internal/hpc/pfs"
 	"ifdk/pkg/api"
-	"ifdk/pkg/volume"
 )
 
 // Quality is the resolved tier of a Spec's quality knob.
@@ -75,22 +70,4 @@ func (q Quality) WantsFull() bool { return q == Full || q == Progressive }
 // of (full key, factor), so journal replay re-derives it bit-identically.
 func PreviewKey(fullKey string, factor int) string {
 	return fullKey + ".p" + strconv.Itoa(factor)
-}
-
-// Runner executes preview builds for the service: projections come from the
-// staged dataset on the PFS.
-type Runner struct {
-	Store   *pfs.PFS
-	Workers int
-}
-
-// Build reconstructs the plan's preview volume from the staged dataset at
-// inputPrefix. It is deterministic for a given (plan, dataset, window):
-// always the block-mean decimation of the staged full-resolution
-// projections, so crash-replayed jobs rebuild byte-identical previews.
-func (r *Runner) Build(ctx context.Context, plan preview.Plan, inputPrefix string, win filter.Window) (*volume.Volume, preview.Timings, error) {
-	return plan.Reconstruct(ctx, func(dst *volume.Image, s int) error {
-		_, err := r.Store.ReadProjectionInto(dst, inputPrefix, s)
-		return err
-	}, preview.Options{Workers: r.Workers, Window: win})
 }

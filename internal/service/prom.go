@@ -46,8 +46,8 @@ type metricsSet struct {
 }
 
 // newMetricsSet registers the service's metric families against m's
-// subsystems. Call after the Manager's queue, cache, bus, store and tracer
-// are in place.
+// subsystems. Call after the Manager's queue, cache, bus and store are in
+// place.
 func newMetricsSet(m *Manager) *metricsSet {
 	r := obs.NewRegistry()
 	s := &metricsSet{reg: r}
@@ -166,10 +166,6 @@ func newMetricsSet(m *Manager) *metricsSet {
 
 	r.CounterFunc("ifdk_event_drops_total", "Events discarded by bounded per-job logs.",
 		func() float64 { return float64(m.events.Drops()) })
-	r.GaugeFunc("ifdk_traces_retained", "Job traces held in the bounded in-memory ring.",
-		func() float64 { return float64(m.tracer.Len()) })
-	r.CounterFunc("ifdk_traces_evicted_total", "Job traces evicted from the ring to stay bounded.",
-		func() float64 { return float64(m.tracer.Evicted()) })
 
 	return s
 }

@@ -9,11 +9,12 @@ import (
 	"ifdk/pkg/api"
 )
 
-// Span assembly: one trace per job, spans derived once from the job record
-// and the compute plane's pre-sized per-round buffers — the pipeline itself
-// never allocates or records spans mid-run. Span IDs are derived
-// deterministically from (trace ID, span name), so a mid-run GET and the
-// final publication agree on every ID.
+// Span assembly: one trace per job, spans derived on each request from the
+// job record and the compute plane's pre-sized per-round buffers — the
+// pipeline itself never allocates or records spans mid-run, and nothing
+// retains a trace apart from its job. Span IDs are derived
+// deterministically from (trace ID, span name), so a mid-run GET and one
+// after the job settles agree on every ID.
 
 // maxRoundSpans bounds the per-round children of the compute span so a
 // many-round job cannot balloon the trace; the omission is recorded as a
@@ -136,17 +137,14 @@ func (m *Manager) assembleSpans(j *Job) []obs.Span {
 	return spans
 }
 
-// publishTrace assembles a job's final span set, retains it in the bounded
-// tracer ring and announces its availability on the event bus. Called once,
-// just before the terminal event, on whichever goroutine settles the job.
+// publishTrace announces on the event bus that a job's trace is final.
+// Called once, just before the terminal event, on whichever goroutine
+// settles the job.
 func (m *Manager) publishTrace(j *Job) {
-	t := m.tracer.Start(j.ID, j.traceID)
-	t.Add(m.assembleSpans(j)...)
-	t.Finish()
 	m.events.Publish(j.ID, Event{Type: EventTrace, TraceID: j.traceID})
 }
 
-// toAPISpans converts retained spans to the wire form.
+// toAPISpans converts assembled spans to the wire form.
 func toAPISpans(traceID, service string, spans []obs.Span) []api.Span {
 	out := make([]api.Span, len(spans))
 	for i, s := range spans {
@@ -170,22 +168,16 @@ func toAPISpans(traceID, service string, spans []obs.Span) []api.Span {
 	return out
 }
 
-// TraceFor returns the assembled trace of a job: the published span set for
-// a settled job (Complete), or a partial assembly from the live record for
-// one still in flight.
+// TraceFor assembles a job's trace from its record: Complete once the job
+// is terminal, a partial tree while it is still in flight. A trace lives
+// exactly as long as its job record, so it is bounded by MaxJobs.
 func (m *Manager) TraceFor(id string) (api.Trace, error) {
 	j, ok := m.job(id)
 	if !ok {
 		return api.Trace{}, fmt.Errorf("job %q: %w", id, ErrNotFound)
 	}
-	if t, found := m.tracer.Get(id); found && t.Done() {
-		return api.Trace{
-			TraceID: t.ID(), Job: id, Complete: true,
-			Spans: toAPISpans(t.ID(), "ifdkd", t.Snapshot()),
-		}, nil
-	}
 	return api.Trace{
-		TraceID: j.traceID, Job: id, Complete: false,
+		TraceID: j.traceID, Job: id, Complete: j.State().Terminal(),
 		Spans: toAPISpans(j.traceID, "ifdkd", m.assembleSpans(j)),
 	}, nil
 }

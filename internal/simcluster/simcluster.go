@@ -25,24 +25,17 @@ type Config struct {
 	Problem geometry.Problem
 	R, C    int
 	MB      perfmodel.MicroBench
-	// Overhead inflates simulated stage times relative to the ideal
-	// micro-benchmark rates, representing thread data exchange, buffer
-	// management and first-call collective costs (the paper achieves ≈76%
-	// of its model peak, Sec. 5.3.3). Default 1.25.
-	Overhead float64
-	// Batch is the back-projection batch size (default 32).
-	Batch int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Overhead <= 0 {
-		c.Overhead = 1.25
-	}
-	if c.Batch <= 0 {
-		c.Batch = 32
-	}
-	return c
-}
+// overhead inflates simulated stage times relative to the ideal
+// micro-benchmark rates, representing thread data exchange, buffer
+// management and first-call collective costs (the paper achieves ≈76% of
+// its model peak, Sec. 5.3.3).
+const overhead = 1.25
+
+// batch is the back-projection kernel's batch size, N_batch = 32
+// (Listing 1).
+const batch = 32
 
 // Result combines the closed-form model with the simulated pipeline.
 type Result struct {
@@ -67,7 +60,6 @@ type Result struct {
 
 // Simulate runs the discrete-event pipeline for the configuration.
 func Simulate(cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
 	pr := cfg.Problem
 	if cfg.R < 1 || cfg.C < 1 {
 		return Result{}, fmt.Errorf("simcluster: invalid grid %dx%d", cfg.R, cfg.C)
@@ -81,7 +73,6 @@ func Simulate(cfg Config) (Result, error) {
 	}
 	res := Result{Problem: pr, R: cfg.R, C: cfg.C, NGpus: cfg.R * cfg.C, Model: model}
 	mb := cfg.MB
-	oh := cfg.Overhead
 
 	// Per-round stage durations for one (symmetric) rank.
 	quota := pr.Np / (cfg.R * cfg.C) // AllGather rounds per rank
@@ -92,19 +83,19 @@ func Simulate(cfg Config) (Result, error) {
 	// Load+filter one projection (the Filtering thread's unit of work).
 	// PFS load bandwidth is shared by all loading ranks.
 	nRanks := float64(cfg.R * cfg.C)
-	loadOne := projBytes / (mb.BWLoad / nRanks) * oh
-	fltOne := float64(mb.NGpuPerNode) / mb.THFlt * oh
+	loadOne := projBytes / (mb.BWLoad / nRanks) * overhead
+	fltOne := float64(mb.NGpuPerNode) / mb.THFlt * overhead
 	filterRound := loadOne + fltOne
 
 	// One AllGather round: R ranks exchange one projection each (the
 	// model's Eq. 10 total split evenly over the rounds).
-	agRound := model.AllGather / float64(quota) * oh
+	agRound := model.AllGather / float64(quota) * overhead
 
 	// Back-projecting one projection into the sub-volume, including its
 	// share of the H2D copy.
 	h2dOne := projBytes * float64(mb.NGpuPerNode) /
-		(mb.BWPCIe * float64(mb.NPCIe) * mb.PCIeContention) * oh
-	bpOne := 1/mb.THBpProj(voxPerSub)*oh + h2dOne
+		(mb.BWPCIe * float64(mb.NPCIe) * mb.PCIeContention) * overhead
+	bpOne := 1/mb.THBpProj(voxPerSub)*overhead + h2dOne
 
 	// --- Event simulation over rounds.
 	var tFilter, tAG, tBp float64 // completion clocks per pipeline thread
@@ -122,11 +113,11 @@ func Simulate(cfg Config) (Result, error) {
 		// The round delivers R projections to the Bp thread; the kernel
 		// launches on full batches (or at the end).
 		batchAcc += projPerRound
-		for batchAcc >= cfg.Batch {
-			work := float64(cfg.Batch) * bpOne
+		for batchAcc >= batch {
+			work := batch * bpOne
 			tBp = math.Max(tBp, tAG) + work
 			busyBp += work
-			batchAcc -= cfg.Batch
+			batchAcc -= batch
 		}
 	}
 	if batchAcc > 0 {
@@ -144,9 +135,9 @@ func Simulate(cfg Config) (Result, error) {
 
 	// --- Post phase (sequential, Eq. 18/19): transpose + D2H + Reduce +
 	// Store, each inflated by the overhead factor.
-	res.SimD2H = (model.Trans + model.D2H) * oh
-	res.SimReduce = model.Reduce * oh
-	res.SimStore = model.Store * oh
+	res.SimD2H = (model.Trans + model.D2H) * overhead
+	res.SimReduce = model.Reduce * overhead
+	res.SimStore = model.Store * overhead
 	res.SimTotal = res.SimCompute + res.SimD2H + res.SimReduce + res.SimStore
 	res.GUPS = pr.GUPS(res.SimTotal)
 	return res, nil
