@@ -31,7 +31,8 @@ import (
 // Pooled per-batch and per-worker scratch. Parallel sections run on the
 // shared engine scheduler, and every buffer whose lifetime is one batch (the
 // narrowed matrices, the projection-data table, the transposed projections)
-// or one worker chunk (the per-column register files of Listing 1) is
+// or one worker chunk (the column register files of Listing 1 and the tile
+// accumulator) is
 // acquired from an engine pool, so steady-state back-projection performs no
 // per-projection heap allocations.
 var (

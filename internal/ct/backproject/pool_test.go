@@ -59,30 +59,45 @@ func TestPooledSlabPairBitIdentical(t *testing.T) {
 }
 
 // Steady-state back-projection must not allocate per projection: all batch
-// and worker scratch comes from engine pools. A handful of allocations per
-// *call* (scheduler bookkeeping under contention) is tolerated; anything
-// scaling with the projection count is a regression.
+// and worker scratch — the tile accumulator included — comes from engine
+// pools. A handful of allocations per *call* (scheduler bookkeeping under
+// contention) is tolerated; anything scaling with the projection count is a
+// regression. Both entry points are gated: Proposed on a detector-layout
+// task, and ProposedSlabPair on a pre-transposed one, the distributed
+// pipeline's call. The slab leg runs eight workers over the nine tiles of a
+// 20×20 volume, so one unpooled tile accumulator per worker chunk would
+// cost 8 allocations per 24 projections and fail the bound.
 func TestBackprojectSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
 	g := smallGeom() // 24 projections per call
 	task := randomTask(g, 3)
+	tt := transposedTask(task)
 	vol := volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
-	opt := Options{Workers: 2}
-	for i := 0; i < 5; i++ { // warm the pools
-		if err := Proposed(task, vol, opt); err != nil {
-			t.Fatal(err)
+	const z0, z1 = 2, 7
+	slab := volume.New(g.Nx, g.Ny, 2*(z1-z0), volume.KMajor)
+	for _, leg := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Proposed", func() error { return Proposed(task, vol, Options{Workers: 2}) }},
+		{"ProposedSlabPair, transposed", func() error { return ProposedSlabPair(tt, slab, Options{Workers: 8}, g.Nz, z0, z1) }},
+	} {
+		for i := 0; i < 5; i++ { // warm the pools
+			if err := leg.run(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	avg := testing.AllocsPerRun(20, func() {
-		if err := Proposed(task, vol, opt); err != nil {
-			t.Fatal(err)
+		avg := testing.AllocsPerRun(20, func() {
+			if err := leg.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perProj := avg / float64(g.Np)
+		if perProj > 0.25 {
+			t.Errorf("%s allocates %.2f objects/call (%.3f per projection) in steady state",
+				leg.name, avg, perProj)
 		}
-	})
-	perProj := avg / float64(g.Np)
-	if perProj > 0.25 {
-		t.Errorf("back-projection allocates %.2f objects/call (%.3f per projection) in steady state",
-			avg, perProj)
 	}
 }

@@ -40,19 +40,30 @@ func ProposedSlabPair(task Task, vol *volume.Volume, opt Options, nzFull, z0, z1
 	return nil
 }
 
+// colTile is the side of the square tiles of (i, j) voxel columns that
+// slabPair back-projects together. A tile's accumulators must stay in L1
+// for a whole batch: 8×8 = 64 columns × 2h floats is 16 KiB at h = 32 (an
+// Nz = 128 volume split over R = 2 rank rows).
+const colTile = 8
+
 // slabPair is the one Alg. 4 driver, behind both Proposed (a whole volume
 // is the pair [0, Nz/2)) and ProposedSlabPair (one rank row's pair). It
 // back-projects the voxels with z ∈ [z0, z1) and their Theorem-1 mirrors
 // into vol, whose plane kk holds the lower slab's plane z0+kk and whose
 // plane vol.Nz-1-kk holds its mirror.
 //
-// Instead of walking voxels k-innermost and projections t-innermost, each
-// (i, j) column accumulates one projection at a time into a pooled pair of
-// line buffers (the lower half-line and its mirror), then scatters the two
-// lines into the volume. The per-voxel accumulation order over t is that of
-// the voxel-at-a-time loop, so the result is bit-identical to it, but the
-// inner walk is stride-1 along both the transposed detector rows and the
-// line buffers, which is what kernels.AccumLinePair vectorizes.
+// Workers take colTile×colTile tiles of (i, j) columns. Every column of a
+// tile owns a line pair (the lower half-line and its mirror, plus the
+// centre plane when Nz is odd) in one pooled tile accumulator. For each
+// projection of the batch in ascending order, the driver visits every column
+// of the tile and kernels.AccumLinePair adds that projection along the
+// column's line pair, walking the transposed detector rows and the lines
+// stride-1. After the batch the tile is added into the volume. Neighbouring
+// columns project onto neighbouring detector rows, so the rows one
+// projection's visit reads are fetched once per tile, not once per column.
+// Every voxel still starts from 0, adds the projections in ascending order
+// and is added to the volume once per batch, so the volume is bit-identical
+// to the voxel-at-a-time loop at any tile shape and worker count.
 //
 //ifdk:hotpath
 func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
@@ -63,52 +74,69 @@ func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
 	}
 	vm1 := float32(ht - 1)
 	h := z1 - z0
+	// Odd Nz: the centre plane has no mirror partner. Only a whole volume
+	// can be odd, so z0 = 0 and local plane h is global plane Nz/2; its sum
+	// sits after the column's line pair.
+	odd := nz%2 == 1
+	stride := 2*h + nz%2
+	tilesJ := (ny + colTile - 1) / colTile
+	tiles := (nx + colTile - 1) / colTile * tilesJ
 	for s0 := 0; s0 < len(task.Proj); s0 += DefaultBatch {
 		s1 := min(s0+DefaultBatch, len(task.Proj))
 		// A Transposed task is read in place; otherwise each batch is
 		// transposed into pooled images first (Alg. 4 line 3).
 		bufs := acquireBatch(task.Mats[s0:s1], task.Proj[s0:s1], !task.Transposed)
 		rows, data := bufs.rows.Data, bufs.data.Data
-		nb := s1 - s0
-		engine.ParallelRange(ny, opt.Workers, func(j0, j1 int) {
-			regs, us, fs, ws := acquireRegs(nb)
-			lines := colPool.Acquire(2 * h)
-			sum, sym := lines.Data[:h], lines.Data[h:]
-			for j := j0; j < j1; j++ {
-				fj := float32(j)
-				for i := 0; i < nx; i++ {
-					fi := float32(i)
-					kernels.ColumnGeom(us, fs, ws, rows, fi, fj)
-					clear(sum)
-					clear(sym)
-					for t := range rows {
-						r := &rows[t]
-						yb := r[1][0]*fi + r[1][1]*fj
-						kernels.AccumLinePair(sum, sym, data[t], ht, w,
-							us[t], fs[t], ws[t], yb, r[1][2], r[1][3], vm1, z0)
-					}
-					base := (i*ny + j) * nz
-					for kk := 0; kk < h; kk++ {
-						vol.Data[base+kk] += sum[kk]
-						vol.Data[base+nz-1-kk] += sym[kk]
-					}
-					if nz%2 == 1 {
-						// Odd Nz: the centre plane has no mirror partner.
-						// Only a whole volume can be odd, so z0 = 0 and
-						// local plane h is global plane Nz/2.
-						fk := float32(h)
-						var csum float32
-						for t := range rows {
-							r := &rows[t]
-							u, f, wdis := us[t], fs[t], ws[t]
-							y := r[1][0]*fi + r[1][1]*fj + r[1][2]*fk + r[1][3]
-							csum += wdis * sampleProj(data[t], ht, w, u, y*f, true)
+		engine.ParallelRange(tiles, opt.Workers, func(n0, n1 int) {
+			regs, us, fs, ws := acquireRegs(colTile)
+			acc := colPool.Acquire(colTile * colTile * stride)
+			for n := n0; n < n1; n++ {
+				i0, j0 := n/tilesJ*colTile, n%tilesJ*colTile
+				i1, j1 := min(i0+colTile, nx), min(j0+colTile, ny)
+				tj := j1 - j0
+				// Column (i, j)'s line pair is the (i-i0)·tj + (j-j0)-th
+				// run of stride floats; both sweeps below visit them in
+				// that order.
+				lines := acc.Data[:(i1-i0)*tj*stride]
+				clear(lines)
+				for t := range rows {
+					r := &rows[t]
+					col := 0
+					for i := i0; i < i1; i++ {
+						fi := float32(i)
+						kernels.ColumnGeom(us[:tj], fs, ws, r, i, j0)
+						for c := range tj {
+							fj := float32(j0 + c)
+							line := lines[col : col+stride]
+							col += stride
+							yb := r[1][0]*fi + r[1][1]*fj
+							kernels.AccumLinePair(line[:h], line[h:2*h], data[t], ht, w,
+								us[c], fs[c], ws[c], yb, r[1][2], r[1][3], vm1, z0)
+							if odd {
+								fk := float32(h)
+								y := r[1][0]*fi + r[1][1]*fj + r[1][2]*fk + r[1][3]
+								line[2*h] += ws[c] * sampleProj(data[t], ht, w, us[c], y*fs[c], true)
+							}
 						}
-						vol.Data[base+h] += csum
+					}
+				}
+				col := 0
+				for i := i0; i < i1; i++ {
+					for j := j0; j < j1; j++ {
+						line := lines[col : col+stride]
+						col += stride
+						base := (i*ny + j) * nz
+						for kk := 0; kk < h; kk++ {
+							vol.Data[base+kk] += line[kk]
+							vol.Data[base+nz-1-kk] += line[h+kk]
+						}
+						if odd {
+							vol.Data[base+h] += line[2*h]
+						}
 					}
 				}
 			}
-			lines.Release()
+			acc.Release()
 			regs.Release()
 		})
 		bufs.release()

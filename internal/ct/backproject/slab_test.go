@@ -2,9 +2,12 @@ package backproject
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"ifdk/internal/ct/geometry"
+	"ifdk/internal/ct/kernels"
+	"ifdk/internal/engine"
 	"ifdk/pkg/volume"
 )
 
@@ -74,6 +77,145 @@ func TestSlabPlanes(t *testing.T) {
 			t.Errorf("plane %d = %d, want %d", n, got[n], want[n])
 		}
 	}
+}
+
+// slabPairColumnOrder is slabPair as it was before tiling, kept as the
+// reference the tile order must reproduce bit for bit: workers take whole
+// j-rows of columns, and each column runs the batch's projections in turn
+// into its own line pair, with the column geometry spelled out inline.
+func slabPairColumnOrder(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
+	nx, ny, nz := vol.Nx, vol.Ny, vol.Nz
+	w, ht := task.Proj[0].W, task.Proj[0].H
+	if task.Transposed {
+		w, ht = ht, w
+	}
+	vm1 := float32(ht - 1)
+	h := z1 - z0
+	for s0 := 0; s0 < len(task.Proj); s0 += DefaultBatch {
+		s1 := min(s0+DefaultBatch, len(task.Proj))
+		bufs := acquireBatch(task.Mats[s0:s1], task.Proj[s0:s1], !task.Transposed)
+		rows, data := bufs.rows.Data, bufs.data.Data
+		engine.ParallelRange(ny, opt.Workers, func(j0, j1 int) {
+			nb := len(rows)
+			us, fs, ws := make([]float32, nb), make([]float32, nb), make([]float32, nb)
+			sum, sym := make([]float32, h), make([]float32, h)
+			for j := j0; j < j1; j++ {
+				fj := float32(j)
+				for i := 0; i < nx; i++ {
+					fi := float32(i)
+					for t := range rows {
+						r := &rows[t]
+						x := r[0][0]*fi + r[0][1]*fj + r[0][3]
+						z := r[2][0]*fi + r[2][1]*fj + r[2][3]
+						f := 1 / z
+						us[t], fs[t], ws[t] = x*f, f, f*f
+					}
+					clear(sum)
+					clear(sym)
+					for t := range rows {
+						r := &rows[t]
+						yb := r[1][0]*fi + r[1][1]*fj
+						kernels.AccumLinePair(sum, sym, data[t], ht, w,
+							us[t], fs[t], ws[t], yb, r[1][2], r[1][3], vm1, z0)
+					}
+					base := (i*ny + j) * nz
+					for kk := 0; kk < h; kk++ {
+						vol.Data[base+kk] += sum[kk]
+						vol.Data[base+nz-1-kk] += sym[kk]
+					}
+					if nz%2 == 1 {
+						fk := float32(h)
+						var csum float32
+						for t := range rows {
+							r := &rows[t]
+							y := r[1][0]*fi + r[1][1]*fj + r[1][2]*fk + r[1][3]
+							csum += ws[t] * sampleProj(data[t], ht, w, us[t], y*fs[t], true)
+						}
+						vol.Data[base+h] += csum
+					}
+				}
+			}
+		})
+		bufs.release()
+	}
+}
+
+// The tiled driver must give the column-order loop's volume bit for bit:
+// column counts that leave ragged tiles on both axes, exactly one tile and a
+// single column; even-Nz slab pairs at R = 1, 2, 4 and an odd-Nz whole
+// volume; 40 projections (a full batch, then a short one); 1 and 3
+// workers; detector-layout and pre-transposed tasks. Both volumes start
+// from the same non-zero contents, so the once-per-batch add shows too.
+func TestSlabPairTileOrderBitIdentical(t *testing.T) {
+	for _, xy := range [][2]int{{13, 21}, {8, 8}, {1, 1}} {
+		for _, nz := range []int{16, 15} {
+			g := geometry.Default(40, 23, 40, xy[0], xy[1], nz)
+			task := randomTask(g, int64(xy[0]*100+nz))
+			var pairs [][2]int
+			if nz%2 == 1 {
+				pairs = [][2]int{{0, nz / 2}}
+			} else {
+				for _, r := range []int{1, 2, 4} {
+					h := nz / (2 * r)
+					for row := 0; row < r; row++ {
+						pairs = append(pairs, [2]int{row * h, (row + 1) * h})
+					}
+				}
+			}
+			for _, tk := range []Task{task, transposedTask(task)} {
+				for _, workers := range []int{1, 3} {
+					for _, zs := range pairs {
+						z0, z1 := zs[0], zs[1]
+						want := volume.New(g.Nx, g.Ny, 2*(z1-z0)+nz%2, volume.KMajor)
+						rng := rand.New(rand.NewSource(int64(z0)))
+						for n := range want.Data {
+							want.Data[n] = rng.Float32()
+						}
+						got := want.Clone()
+						opt := Options{Workers: workers}
+						slabPairColumnOrder(tk, want, opt, z0, z1)
+						slabPair(tk, got, opt, z0, z1)
+						for n := range want.Data {
+							if math.Float32bits(got.Data[n]) != math.Float32bits(want.Data[n]) {
+								t.Fatalf("%dx%dx%d slab [%d,%d) transposed=%v workers=%d: voxel %d = %v, column order gives %v",
+									g.Nx, g.Ny, nz, z0, z1, tk.Transposed, workers, n, got.Data[n], want.Data[n])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSlabPair times one rank's back-projection pass at the
+// volume_heavy shape (128³ from 256² × 320 on a 2×2 grid): one op is a
+// batch of 32 pre-transposed projections into a rank row's slab pair
+// (h = 32, a 128×128×64 local volume) on one worker, as the pipeline calls
+// it. Unlike BenchmarkKernelsAccumLinePair it includes the detector-row
+// reuse between neighbouring columns that the tile order exists for.
+func BenchmarkSlabPair(b *testing.B) {
+	g := geometry.Default(256, 256, 320, 128, 128, 128)
+	const z0, z1 = 32, 64
+	rng := rand.New(rand.NewSource(34))
+	task := Task{Mats: geometry.ProjectionMatrices(g)[:DefaultBatch], Transposed: true}
+	for range task.Mats {
+		img := volume.NewImage(g.Nv, g.Nu)
+		for n := range img.Data {
+			img.Data[n] = rng.Float32()
+		}
+		task.Proj = append(task.Proj, img)
+	}
+	vol := volume.New(g.Nx, g.Ny, 2*(z1-z0), volume.KMajor)
+	opt := Options{Workers: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ProposedSlabPair(task, vol, opt, g.Nz, z0, z1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	updates := float64(vol.NumVoxels()) * float64(len(task.Proj)) * float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/updates, "ns/update")
 }
 
 // transposedTask is task with every projection transposed once up front —

@@ -10,8 +10,9 @@ import (
 // projections. The surrounding loop structure lives in internal/ct/backproject;
 // what lives here is the per-(i,j)-column work:
 //
-//   - ColumnGeom: the two inner products per projection that are independent
-//     of k (Theorems 2+3 — u, 1/z and the distance weight),
+//   - ColumnGeom: the two inner products per column that are independent of
+//     k (Theorems 2+3 — u, 1/z and the distance weight), for one projection
+//     over a run of columns,
 //   - AccumLinePair: the per-voxel inner product and bilinear fetch for one
 //     projection along a full vertical voxel line and its Theorem-1 mirror.
 //
@@ -25,53 +26,57 @@ import (
 // interp.Bilinear, the reference sampler, so edge and non-finite semantics
 // are exactly those of the reference kernel.
 
-// ColumnGeom fills the per-projection column registers (Listing 1's U, Z and
-// W_dis registers) for voxel column (fi, fj): for each projection t,
+// ColumnGeom fills projection r's column registers (Listing 1's U, Z and
+// W_dis registers) for the run of voxel columns (i, j0), (i, j0+1), …,
+// (i, j0+len(us)-1): for each c, with fi = float32(i), fj = float32(j0+c),
 //
 //	x := r[0][0]·fi + r[0][1]·fj + r[0][3]
 //	z := r[2][0]·fi + r[2][1]·fj + r[2][3]
-//	us[t], fs[t], ws[t] = x/z, 1/z, 1/z²
+//	us[c], fs[c], ws[c] = x/z, 1/z, 1/z²
 //
-// us, fs and ws must be at least len(rows) long.
+// fs and ws must be at least len(us) long.
 //
 //ifdk:hotpath
-func ColumnGeom(us, fs, ws []float32, rows [][3][4]float32, fi, fj float32) {
+func ColumnGeom(us, fs, ws []float32, r *[3][4]float32, i, j0 int) {
 	if useFast {
-		columnGeomFast(us, fs, ws, rows, fi, fj)
+		columnGeomFast(us, fs, ws, r, i, j0)
 		return
 	}
-	ColumnGeomRef(us, fs, ws, rows, fi, fj)
+	ColumnGeomRef(us, fs, ws, r, i, j0)
 }
 
 // ColumnGeomRef is the scalar reference for ColumnGeom.
 //
 //ifdk:hotpath
-func ColumnGeomRef(us, fs, ws []float32, rows [][3][4]float32, fi, fj float32) {
-	for t := range rows {
-		r := &rows[t]
+func ColumnGeomRef(us, fs, ws []float32, r *[3][4]float32, i, j0 int) {
+	fi := float32(i)
+	for c := range us {
+		fj := float32(j0 + c)
 		x := r[0][0]*fi + r[0][1]*fj + r[0][3]
 		z := r[2][0]*fi + r[2][1]*fj + r[2][3]
 		f := 1 / z
-		us[t] = x * f
-		fs[t] = f
-		ws[t] = f * f
+		us[c] = x * f
+		fs[c] = f
+		ws[c] = f * f
 	}
 }
 
 //ifdk:hotpath
-func columnGeomFast(us, fs, ws []float32, rows [][3][4]float32, fi, fj float32) {
-	n := len(rows)
-	us = us[:n]
+func columnGeomFast(us, fs, ws []float32, r *[3][4]float32, i, j0 int) {
+	n := len(us)
 	fs = fs[:n]
 	ws = ws[:n]
-	for t := range rows {
-		r := &rows[t]
-		x := r[0][0]*fi + r[0][1]*fj + r[0][3]
-		z := r[2][0]*fi + r[2][1]*fj + r[2][3]
+	fi := float32(i)
+	x0, x1, x3 := r[0][0], r[0][1], r[0][3]
+	z0, z1, z3 := r[2][0], r[2][1], r[2][3]
+	for c := range us {
+		fj := float32(j0 + c)
+		x := x0*fi + x1*fj + x3
+		z := z0*fi + z1*fj + z3
 		f := 1 / z
-		us[t] = x * f
-		fs[t] = f
-		ws[t] = f * f
+		us[c] = x * f
+		fs[c] = f
+		ws[c] = f * f
 	}
 }
 

@@ -182,15 +182,18 @@ func BenchmarkKernelsRealUnpack(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelsAccumLinePair times the line kernel the way the
-// volume_heavy benchmark workload drives it, so its ns/op predicts
-// core.backproject_s: one op is one voxel column against a batch of 32
-// transposed 256² projections, nk = 32 (a slab pair at Nz=128, R=2) or 64
+// BenchmarkKernelsAccumLinePair times the line kernel on the volume_heavy
+// line shape: one op is one voxel column against a batch of 32 transposed
+// 256² projections, nk = 32 (a slab pair at Nz=128, R=2) or 64
 // (fdk.Reconstruct's half line), v advancing 2 detector px per k from one
 // detector edge to the middle while its mirror walks in from the other, and
 // u landing on a different row pair for every projection. The spread
 // matters: a line whose samples all sit in one detector cell fetches from a
-// single cache line, which flatters a gather ~2×.
+// single cache line, which flatters a gather ~2×. Every op repeats the same
+// column, so this is the kernel's cost on detector rows left warm by the
+// previous op; it says nothing about how often a driver's loop order
+// refetches rows, and does not predict core.backproject_s. backproject's
+// BenchmarkSlabPair times the driver, tile order and row reuse included.
 func BenchmarkKernelsAccumLinePair(b *testing.B) {
 	const rw, rh, batch = 256, 256, 32
 	rng := rand.New(rand.NewSource(5))

@@ -126,29 +126,39 @@ func TestSpectralMulParity(t *testing.T) {
 	}
 }
 
+// ColumnGeom over a run of columns must give, bit for bit in both variants,
+// what the formula gives column by column — including a singular projection
+// (z = 0 divides to ±Inf, which must flow through identically).
 func TestColumnGeomParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, nb := range []int{1, 2, 3, 5, 8, 31, 32} {
-		rows := make([][3][4]float32, nb)
-		for tr := range rows {
-			for r := 0; r < 3; r++ {
-				for c := 0; c < 4; c++ {
-					rows[tr][r][c] = float32(rng.NormFloat64())
+	for _, n := range []int{0, 1, 2, 3, 5, 8, 31, 32} {
+		for trial := 0; trial < 8; trial++ {
+			var r [3][4]float32
+			for row := range r {
+				for c := range r[row] {
+					r[row][c] = float32(rng.NormFloat64())
 				}
 			}
-		}
-		// One singular projection: z = 0 divides to ±Inf, which must flow
-		// through identically.
-		rows[0][2] = [4]float32{}
-		usR, fsR, wsR := make([]float32, nb), make([]float32, nb), make([]float32, nb)
-		usF, fsF, wsF := make([]float32, nb), make([]float32, nb), make([]float32, nb)
-		fi, fj := float32(rng.Intn(512)), float32(rng.Intn(512))
-		ColumnGeomRef(usR, fsR, wsR, rows, fi, fj)
-		columnGeomFast(usF, fsF, wsF, rows, fi, fj)
-		for i := 0; i < nb; i++ {
-			if !eqBits(usR[i], usF[i]) || !eqBits(fsR[i], fsF[i]) || !eqBits(wsR[i], wsF[i]) {
-				t.Fatalf("nb=%d t=%d: ref=(%v,%v,%v) fast=(%v,%v,%v)",
-					nb, i, usR[i], fsR[i], wsR[i], usF[i], fsF[i], wsF[i])
+			if trial == 0 {
+				r[2] = [4]float32{}
+			}
+			i, j0 := rng.Intn(512), rng.Intn(512)
+			usR, fsR, wsR := make([]float32, n), make([]float32, n), make([]float32, n)
+			usF, fsF, wsF := make([]float32, n), make([]float32, n), make([]float32, n)
+			ColumnGeomRef(usR, fsR, wsR, &r, i, j0)
+			columnGeomFast(usF, fsF, wsF, &r, i, j0)
+			for c := 0; c < n; c++ {
+				fi, fj := float32(i), float32(j0+c)
+				f := 1 / (r[2][0]*fi + r[2][1]*fj + r[2][3])
+				u := (r[0][0]*fi + r[0][1]*fj + r[0][3]) * f
+				if !eqBits(usR[c], u) || !eqBits(fsR[c], f) || !eqBits(wsR[c], f*f) {
+					t.Fatalf("n=%d column %d: ref=(%v,%v,%v), formula (%v,%v,%v)",
+						n, c, usR[c], fsR[c], wsR[c], u, f, f*f)
+				}
+				if !eqBits(usR[c], usF[c]) || !eqBits(fsR[c], fsF[c]) || !eqBits(wsR[c], wsF[c]) {
+					t.Fatalf("n=%d column %d: ref=(%v,%v,%v) fast=(%v,%v,%v)",
+						n, c, usR[c], fsR[c], wsR[c], usF[c], fsF[c], wsF[c])
+				}
 			}
 		}
 	}
