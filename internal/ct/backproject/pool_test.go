@@ -64,9 +64,10 @@ func TestPooledSlabPairBitIdentical(t *testing.T) {
 // contention) is tolerated; anything scaling with the projection count is a
 // regression. Both entry points are gated: Proposed on a detector-layout
 // task, and ProposedSlabPair on a pre-transposed one, the distributed
-// pipeline's call. The slab leg runs eight workers over the nine tiles of a
-// 20×20 volume, so one unpooled tile accumulator per worker chunk would
-// cost 8 allocations per 24 projections and fail the bound.
+// pipeline's call, at h = 5 and at h = 2 (a fleet_mixed depth). The slab
+// legs run eight workers over the nine tiles of a 20×20 volume, so one
+// unpooled tile accumulator per worker chunk would cost 8 allocations per
+// 24 projections and fail the bound.
 func TestBackprojectSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -75,14 +76,17 @@ func TestBackprojectSteadyStateAllocs(t *testing.T) {
 	task := randomTask(g, 3)
 	tt := transposedTask(task)
 	vol := volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
-	const z0, z1 = 2, 7
-	slab := volume.New(g.Nx, g.Ny, 2*(z1-z0), volume.KMajor)
+	slab := func(z0, z1 int) func() error {
+		local := volume.New(g.Nx, g.Ny, 2*(z1-z0), volume.KMajor)
+		return func() error { return ProposedSlabPair(tt, local, Options{Workers: 8}, g.Nz, z0, z1) }
+	}
 	for _, leg := range []struct {
 		name string
 		run  func() error
 	}{
 		{"Proposed", func() error { return Proposed(task, vol, Options{Workers: 2}) }},
-		{"ProposedSlabPair, transposed", func() error { return ProposedSlabPair(tt, slab, Options{Workers: 8}, g.Nz, z0, z1) }},
+		{"ProposedSlabPair, transposed, h=5", slab(2, 7)},
+		{"ProposedSlabPair, transposed, h=2", slab(8, 10)},
 	} {
 		for i := 0; i < 5; i++ { // warm the pools
 			if err := leg.run(); err != nil {

@@ -41,10 +41,11 @@ func ProposedSlabPair(task Task, vol *volume.Volume, opt Options, nzFull, z0, z1
 }
 
 // colTile is the side of the square tiles of (i, j) voxel columns that
-// slabPair back-projects together. A tile's accumulators must stay in L1
-// for a whole batch: 8×8 = 64 columns × 2h floats is 16 KiB at h = 32 (an
-// Nz = 128 volume split over R = 2 rank rows).
-const colTile = 8
+// slabPair back-projects together; a tile row is one kernels.AccumColumns
+// call, so it is as wide as the kernel's lanes. A tile's accumulators must
+// stay in L1 for a whole batch: 8×8 = 64 columns × 2h floats is 16 KiB at
+// h = 32 (an Nz = 128 volume split over R = 2 rank rows).
+const colTile = kernels.Lanes
 
 // slabPair is the one Alg. 4 driver, behind both Proposed (a whole volume
 // is the pair [0, Nz/2)) and ProposedSlabPair (one rank row's pair). It
@@ -52,18 +53,20 @@ const colTile = 8
 // into vol, whose plane kk holds the lower slab's plane z0+kk and whose
 // plane vol.Nz-1-kk holds its mirror.
 //
-// Workers take colTile×colTile tiles of (i, j) columns. Every column of a
-// tile owns a line pair (the lower half-line and its mirror, plus the
-// centre plane when Nz is odd) in one pooled tile accumulator. For each
-// projection of the batch in ascending order, the driver visits every column
-// of the tile and kernels.AccumLinePair adds that projection along the
-// column's line pair, walking the transposed detector rows and the lines
-// stride-1. After the batch the tile is added into the volume. Neighbouring
-// columns project onto neighbouring detector rows, so the rows one
-// projection's visit reads are fetched once per tile, not once per column.
-// Every voxel still starts from 0, adds the projections in ascending order
-// and is added to the volume once per batch, so the volume is bit-identical
-// to the voxel-at-a-time loop at any tile shape and worker count.
+// Workers take colTile×colTile tiles of (i, j) columns, held in one pooled
+// tile accumulator. Each tile row i has its own depth-major block with
+// colTile lanes per depth, lane c for column j0+c: acc[kk·colTile+c] is the
+// lower slab's depth kk, acc[(h+kk)·colTile+c] its mirror, and when Nz is
+// odd the centre plane follows at acc[2h·colTile+c]. For each projection of
+// the batch in ascending order, kernels.AccumColumns adds that projection
+// down the whole depth of every tile row, the row's columns side by side
+// (the centre plane takes kernels.ColumnGeom and one sample per column).
+// After the batch the tile is added into the volume. Neighbouring columns
+// project onto neighbouring detector rows, so the rows one projection's
+// visit reads are fetched once per tile, not once per column. Every voxel
+// still starts from 0, adds the projections in ascending order and is added
+// to the volume once per batch, so the volume is bit-identical to the
+// voxel-at-a-time loop at any tile shape and worker count.
 //
 //ifdk:hotpath
 func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
@@ -75,10 +78,9 @@ func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
 	vm1 := float32(ht - 1)
 	h := z1 - z0
 	// Odd Nz: the centre plane has no mirror partner. Only a whole volume
-	// can be odd, so z0 = 0 and local plane h is global plane Nz/2; its sum
-	// sits after the column's line pair.
+	// can be odd, so z0 = 0 and local plane h is global plane Nz/2.
 	odd := nz%2 == 1
-	stride := 2*h + nz%2
+	rowLen := (2*h + nz%2) * colTile
 	tilesJ := (ny + colTile - 1) / colTile
 	tiles := (nx + colTile - 1) / colTile * tilesJ
 	for s0 := 0; s0 < len(task.Proj); s0 += DefaultBatch {
@@ -89,49 +91,40 @@ func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
 		rows, data := bufs.rows.Data, bufs.data.Data
 		engine.ParallelRange(tiles, opt.Workers, func(n0, n1 int) {
 			regs, us, fs, ws := acquireRegs(colTile)
-			acc := colPool.Acquire(colTile * colTile * stride)
+			acc := colPool.Acquire(colTile * rowLen)
 			for n := n0; n < n1; n++ {
 				i0, j0 := n/tilesJ*colTile, n%tilesJ*colTile
 				i1, j1 := min(i0+colTile, nx), min(j0+colTile, ny)
 				tj := j1 - j0
-				// Column (i, j)'s line pair is the (i-i0)·tj + (j-j0)-th
-				// run of stride floats; both sweeps below visit them in
-				// that order.
-				lines := acc.Data[:(i1-i0)*tj*stride]
-				clear(lines)
+				tile := acc.Data[:(i1-i0)*rowLen]
+				clear(tile)
 				for t := range rows {
 					r := &rows[t]
-					col := 0
 					for i := i0; i < i1; i++ {
-						fi := float32(i)
-						kernels.ColumnGeom(us[:tj], fs, ws, r, i, j0)
-						for c := range tj {
-							fj := float32(j0 + c)
-							line := lines[col : col+stride]
-							col += stride
-							yb := r[1][0]*fi + r[1][1]*fj
-							kernels.AccumLinePair(line[:h], line[h:2*h], data[t], ht, w,
-								us[c], fs[c], ws[c], yb, r[1][2], r[1][3], vm1, z0)
-							if odd {
-								fk := float32(h)
+						row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
+						kernels.AccumColumns(row, data[t], ht, w, r, i, j0, tj, z0, h, vm1)
+						if odd {
+							kernels.ColumnGeom(us[:tj], fs, ws, r, i, j0)
+							fi, fk := float32(i), float32(h)
+							centre := row[2*h*colTile:]
+							for c := range tj {
+								fj := float32(j0 + c)
 								y := r[1][0]*fi + r[1][1]*fj + r[1][2]*fk + r[1][3]
-								line[2*h] += ws[c] * sampleProj(data[t], ht, w, us[c], y*fs[c], true)
+								centre[c] += ws[c] * sampleProj(data[t], ht, w, us[c], y*fs[c], true)
 							}
 						}
 					}
 				}
-				col := 0
 				for i := i0; i < i1; i++ {
-					for j := j0; j < j1; j++ {
-						line := lines[col : col+stride]
-						col += stride
-						base := (i*ny + j) * nz
+					row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
+					for c := range tj {
+						base := (i*ny + j0 + c) * nz
 						for kk := 0; kk < h; kk++ {
-							vol.Data[base+kk] += line[kk]
-							vol.Data[base+nz-1-kk] += line[h+kk]
+							vol.Data[base+kk] += row[kk*colTile+c]
+							vol.Data[base+nz-1-kk] += row[(h+kk)*colTile+c]
 						}
 						if odd {
-							vol.Data[base+h] += line[2*h]
+							vol.Data[base+h] += row[2*h*colTile+c]
 						}
 					}
 				}

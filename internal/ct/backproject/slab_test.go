@@ -1,12 +1,12 @@
 package backproject
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"ifdk/internal/ct/geometry"
-	"ifdk/internal/ct/kernels"
 	"ifdk/internal/engine"
 	"ifdk/pkg/volume"
 )
@@ -82,7 +82,8 @@ func TestSlabPlanes(t *testing.T) {
 // slabPairColumnOrder is slabPair as it was before tiling, kept as the
 // reference the tile order must reproduce bit for bit: workers take whole
 // j-rows of columns, and each column runs the batch's projections in turn
-// into its own line pair, with the column geometry spelled out inline.
+// into its own line pair, with the column geometry and the per-voxel
+// inner product and bilinear fetch spelled out inline.
 func slabPairColumnOrder(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
 	nx, ny, nz := vol.Nx, vol.Ny, vol.Nz
 	w, ht := task.Proj[0].W, task.Proj[0].H
@@ -115,8 +116,12 @@ func slabPairColumnOrder(task Task, vol *volume.Volume, opt Options, z0, z1 int)
 					for t := range rows {
 						r := &rows[t]
 						yb := r[1][0]*fi + r[1][1]*fj
-						kernels.AccumLinePair(sum, sym, data[t], ht, w,
-							us[t], fs[t], ws[t], yb, r[1][2], r[1][3], vm1, z0)
+						for kk := range sum {
+							fk := float32(z0 + kk)
+							v := (yb + r[1][2]*fk + r[1][3]) * fs[t]
+							sum[kk] += ws[t] * sampleProj(data[t], ht, w, us[t], v, true)
+							sym[kk] += ws[t] * sampleProj(data[t], ht, w, us[t], vm1-v, true)
+						}
 					}
 					base := (i*ny + j) * nz
 					for kk := 0; kk < h; kk++ {
@@ -141,21 +146,24 @@ func slabPairColumnOrder(task Task, vol *volume.Volume, opt Options, z0, z1 int)
 }
 
 // The tiled driver must give the column-order loop's volume bit for bit:
-// column counts that leave ragged tiles on both axes, exactly one tile and a
-// single column; even-Nz slab pairs at R = 1, 2, 4 and an odd-Nz whole
-// volume; 40 projections (a full batch, then a short one); 1 and 3
-// workers; detector-layout and pre-transposed tasks. Both volumes start
-// from the same non-zero contents, so the once-per-batch add shows too.
+// column counts that leave ragged tiles on both axes (13×21, and 16×21: a
+// fleet_mixed nx with a ragged Ny), exactly one tile and a single column;
+// even-Nz slab pairs at R = 1, 2, 4 and 8 — Nz 16 and 32, so slab depths
+// h = 1, 2, 4 and 8, the ones fleet_mixed runs (nx 16 and 32 at R = 2, 4
+// and 8), and 16 — and odd-Nz whole volumes; 40 projections (a full batch,
+// then a short one); 1 and 3 workers; detector-layout and pre-transposed
+// tasks. Both volumes start from the same non-zero contents, so the
+// once-per-batch add shows too.
 func TestSlabPairTileOrderBitIdentical(t *testing.T) {
-	for _, xy := range [][2]int{{13, 21}, {8, 8}, {1, 1}} {
-		for _, nz := range []int{16, 15} {
+	for _, xy := range [][2]int{{13, 21}, {16, 21}, {8, 8}, {1, 1}} {
+		for _, nz := range []int{16, 32, 15} {
 			g := geometry.Default(40, 23, 40, xy[0], xy[1], nz)
 			task := randomTask(g, int64(xy[0]*100+nz))
 			var pairs [][2]int
 			if nz%2 == 1 {
 				pairs = [][2]int{{0, nz / 2}}
 			} else {
-				for _, r := range []int{1, 2, 4} {
+				for _, r := range []int{1, 2, 4, 8} {
 					h := nz / (2 * r)
 					for row := 0; row < r; row++ {
 						pairs = append(pairs, [2]int{row * h, (row + 1) * h})
@@ -188,34 +196,41 @@ func TestSlabPairTileOrderBitIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkSlabPair times one rank's back-projection pass at the
-// volume_heavy shape (128³ from 256² × 320 on a 2×2 grid): one op is a
-// batch of 32 pre-transposed projections into a rank row's slab pair
-// (h = 32, a 128×128×64 local volume) on one worker, as the pipeline calls
-// it. Unlike BenchmarkKernelsAccumLinePair it includes the detector-row
-// reuse between neighbouring columns that the tile order exists for.
+// BenchmarkSlabPair times one rank's back-projection pass: one op is a
+// batch of 32 pre-transposed projections into a rank row's slab pair (the
+// second row's) on one worker, as the pipeline calls it, reported per voxel
+// update. The shapes are the slab depths the benchmark workloads run:
+// h = 2, 4 and 8 are fleet_mixed's (nx 16 at R = 4 and 2, nx 32 at R = 2;
+// detector 2·nx), h = 32 is volume_heavy's (128³ from 256² on a 2×2 grid).
+// Unlike BenchmarkKernelsAccumColumns it includes the detector-row reuse
+// between neighbouring columns that the tile order exists for.
 func BenchmarkSlabPair(b *testing.B) {
-	g := geometry.Default(256, 256, 320, 128, 128, 128)
-	const z0, z1 = 32, 64
-	rng := rand.New(rand.NewSource(34))
-	task := Task{Mats: geometry.ProjectionMatrices(g)[:DefaultBatch], Transposed: true}
-	for range task.Mats {
-		img := volume.NewImage(g.Nv, g.Nu)
-		for n := range img.Data {
-			img.Data[n] = rng.Float32()
-		}
-		task.Proj = append(task.Proj, img)
+	for _, shape := range []struct{ nx, r int }{{16, 4}, {16, 2}, {32, 2}, {128, 2}} {
+		g := geometry.Default(2*shape.nx, 2*shape.nx, 320, shape.nx, shape.nx, shape.nx)
+		h := g.Nz / (2 * shape.r)
+		z0, z1 := h, 2*h
+		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(34))
+			task := Task{Mats: geometry.ProjectionMatrices(g)[:DefaultBatch], Transposed: true}
+			for range task.Mats {
+				img := volume.NewImage(g.Nv, g.Nu)
+				for n := range img.Data {
+					img.Data[n] = rng.Float32()
+				}
+				task.Proj = append(task.Proj, img)
+			}
+			vol := volume.New(g.Nx, g.Ny, 2*h, volume.KMajor)
+			opt := Options{Workers: 1}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ProposedSlabPair(task, vol, opt, g.Nz, z0, z1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			updates := float64(vol.NumVoxels()) * float64(len(task.Proj)) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/updates, "ns/update")
+		})
 	}
-	vol := volume.New(g.Nx, g.Ny, 2*(z1-z0), volume.KMajor)
-	opt := Options{Workers: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ProposedSlabPair(task, vol, opt, g.Nz, z0, z1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	updates := float64(vol.NumVoxels()) * float64(len(task.Proj)) * float64(b.N)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/updates, "ns/update")
 }
 
 // transposedTask is task with every projection transposed once up front —

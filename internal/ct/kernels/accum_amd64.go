@@ -27,14 +27,24 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // OSXSAVE.
 func xgetbv() (eax, edx uint32)
 
-// accumBlocksAVX2 is the vector interior of accumLinePairFast. It processes
-// whole blocks of 8 consecutive k, starting at sum[0]/sym[0] with
-// fk = float32(k0), and returns the number of k consumed (a multiple of 8,
-// at most n&^7). It stops in front of the first block in which any lane's v
-// or vSym is outside [0, vmax) or non-finite, leaving that block untouched.
-// row0 and row1 point at two detector rows of at least int(vmax)+2 samples;
-// the range test against vmax is therefore also the bounds check for the
-// gathers. k0+n must fit in an int32.
+// columnLanesAVX2 fills every lane of regs for the columns (i, j0+c),
+// c < n, 1 ≤ n ≤ Lanes, fi = float32(i), on a detector of rows of rw
+// samples, and reports whether every u is interior, 0 ≤ u < umax =
+// float32(rh-1). j0+Lanes and, for an interior u, int(u)·rw must fit an
+// int32.
 //
 //go:noescape
-func accumBlocksAVX2(sum, sym *float32, n int, row0, row1 *float32, vmax, du, f, wdis, yb, ry2, ry3, vm1 float32, k0 int) int
+func columnLanesAVX2(regs *lanes, r *[3][4]float32, fi, umax float32, j0, n, rw int) bool
+
+// accumColumnsAVX2 is the vector interior of accumColumnsFast: all Lanes
+// lanes of regs, one depth per iteration, starting at acc[0]/sym[0] with
+// fk = float32(k), for at most n depths. It returns the number of depths
+// consumed, stopping in front of the first depth at which any lane's v or
+// vSym is outside [0, vmax) or non-finite and leaving that depth untouched.
+// Lane c gathers at row0[off+nv] and row1[off+nv] (and nv+1), off =
+// regs.off[c], so every off+rw must fit an int32, and row0+off and row1+off
+// must each start a detector row of rw samples, vmax = float32(rw-1): the
+// range test against vmax is then also the bounds check for the gathers.
+//
+//go:noescape
+func accumColumnsAVX2(acc, sym *float32, n int, row0, row1 *float32, regs *lanes, vmax, ry2, ry3, vm1 float32, k int) int

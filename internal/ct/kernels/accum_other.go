@@ -4,8 +4,13 @@ package kernels
 
 func hasAVX2() bool { return false }
 
-// accumBlocksAVX2 is never reached off amd64 (useAVX2 stays false); it
-// exists so accumLinePairFast compiles on every GOARCH.
-func accumBlocksAVX2(sum, sym *float32, n int, row0, row1 *float32, vmax, du, f, wdis, yb, ry2, ry3, vm1 float32, k0 int) int {
+// columnLanesAVX2 and accumColumnsAVX2 are never reached off amd64
+// (useAVX2 stays false); they exist so accumColumnsFast compiles on every
+// GOARCH.
+func columnLanesAVX2(regs *lanes, r *[3][4]float32, fi, umax float32, j0, n, rw int) bool {
+	return false
+}
+
+func accumColumnsAVX2(acc, sym *float32, n int, row0, row1 *float32, regs *lanes, vmax, ry2, ry3, vm1 float32, k int) int {
 	return 0
 }

@@ -182,40 +182,37 @@ func BenchmarkKernelsRealUnpack(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelsAccumLinePair times the line kernel on the volume_heavy
-// line shape: one op is one voxel column against a batch of 32 transposed
-// 256² projections, nk = 32 (a slab pair at Nz=128, R=2) or 64
-// (fdk.Reconstruct's half line), v advancing 2 detector px per k from one
-// detector edge to the middle while its mirror walks in from the other, and
-// u landing on a different row pair for every projection. The spread
-// matters: a line whose samples all sit in one detector cell fetches from a
-// single cache line, which flatters a gather ~2×. Every op repeats the same
-// column, so this is the kernel's cost on detector rows left warm by the
-// previous op; it says nothing about how often a driver's loop order
-// refetches rows, and does not predict core.backproject_s. backproject's
+// BenchmarkKernelsAccumColumns times the column kernel on one tile row of
+// the volume_heavy volume (128³ from 256² × 320): one op is the 8 columns
+// (64, 64…71) against a batch of 32 transposed projections with their real
+// matrices, down a slab of h = 2, 4, 8 (the fleet_mixed depths) or 32 (the
+// volume_heavy rank's) ending at the volume's centre plane, reported per
+// voxel update. Every op repeats the same tile row, so this is the kernel's
+// cost on detector rows left warm by the previous op; backproject's
 // BenchmarkSlabPair times the driver, tile order and row reuse included.
-func BenchmarkKernelsAccumLinePair(b *testing.B) {
-	const rw, rh, batch = 256, 256, 32
+func BenchmarkKernelsAccumColumns(b *testing.B) {
+	g := geometry.Default(256, 256, 320, 128, 128, 128)
+	const batch, i, j0 = 32, 64, 64
 	rng := rand.New(rand.NewSource(5))
+	mats := geometry.ProjectionMatrices(g)[:batch]
+	rows := make([][3][4]float32, batch)
 	projs := make([][]float32, batch)
 	for t := range projs {
-		projs[t] = randF32(rng, rw*rh)
+		rows[t] = mats[t].Rows32()
+		projs[t] = randF32(rng, g.Nu*g.Nv)
 	}
-	for _, nk := range []int{32, 64} {
-		sum, sym := make([]float32, nk), make([]float32, nk)
-		for _, leg := range []struct {
-			name string
-			fn   func(sum, sym, proj []float32, rw, rh int, u, f, wdis, yb, ry2, ry3, vm1 float32, k0 int)
-		}{{"ref", kernels.AccumLinePairRef}, {"fast", kernels.AccumLinePair}} {
-			b.Run(fmt.Sprintf("nk=%d/%s", nk, leg.name), func(b *testing.B) {
-				b.SetBytes(int64(2 * 4 * nk * batch))
-				for i := 0; i < b.N; i++ {
+	for _, h := range []int{2, 4, 8, 32} {
+		acc := make([]float32, 2*h*kernels.Lanes)
+		for _, tier := range tiers {
+			b.Run(fmt.Sprintf("h=%d/%s", h, tier.name), func(b *testing.B) {
+				defer tier.use(b)()
+				for n := 0; n < b.N; n++ {
 					for t, proj := range projs {
-						// v = (150 + 1000·k)·0.002 = 0.3 + 2k.
-						leg.fn(sum, sym, proj, rw, rh,
-							3.25+7.8*float32(t), 0.002, 4e-6, 150, 1000, 0, rw-1, 0)
+						kernels.AccumColumns(acc, proj, g.Nv, g.Nu, &rows[t], i, j0, kernels.Lanes, g.Nz/2-h, h, float32(g.Nv-1))
 					}
 				}
+				updates := float64(b.N) * batch * kernels.Lanes * float64(2*h)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/updates, "ns/update")
 			})
 		}
 	}

@@ -125,3 +125,177 @@ func tableFor(n int, inverse bool, wrong uint8) []complex64 {
 	}
 	return tw
 }
+
+// FuzzAccumColumnsTiers drives AccumColumns, the wrapper that hands a tile
+// row to assembly, with shapes it must refuse as well as ones it must
+// accumulate, on the reference, the portable tier and AVX2:
+//
+//   - h is the slab depth 0…40, cols the run length 0…9 (9 is one column
+//     too many), rw × rh the detector 0…299 × 0…39, and i, j0, k0 any
+//     int16;
+//   - mode bit 0 cuts the accumulator one float short, bit 1 the
+//     projection; bit 2 aims the tile row at the detector (u interior, v
+//     crossing it from a fuzzed start at a fuzzed slope), otherwise the
+//     matrix is raw; bit 3 moves an aimed row's mirror pivot vm1 up to half
+//     a row either side of the row end, so mirrors leave the detector
+//     where their v does not, and the other way round;
+//   - geom is float32 bit patterns (NaN, ±Inf and denormals included),
+//     repeated to fill the matrix, vm1 and the pixels.
+//
+// A call must panic on go and avx2 with the same message or on neither; the
+// run's lanes must be bit-identical on all three tiers (any NaN for a NaN);
+// and the canaries either side of the accumulator and the projection must
+// survive.
+func FuzzAccumColumnsTiers(f *testing.F) {
+	const shortAcc, shortProj, aim, pivot = 0x01, 0x02, 0x04, 0x08
+	nan, inf, denormal := []byte{0, 0, 0xC0, 0x7F}, []byte{0, 0, 0x80, 0xFF}, []byte{1, 0, 0, 0}
+	ramp := []byte{0x10, 0x32, 0x54, 0x76, 0x98, 0xBA, 0xDC, 0xFE, 0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF}
+	for _, h := range []uint8{1, 2, 4, 8, 32, 40} {
+		for cols := uint8(1); cols <= 8; cols++ {
+			f.Add(h, cols, uint16(64), uint16(64), int16(3), int16(8*cols), int16(h), uint8(aim), ramp)
+		}
+		f.Add(h, uint8(8), uint16(33), uint16(17), int16(-5), int16(100), int16(-h), uint8(aim), append(append([]byte(nil), ramp...), nan...))
+		f.Add(h, uint8(5), uint16(256), uint16(39), int16(200), int16(-7), int16(1000), uint8(aim), append(append([]byte(nil), inf...), ramp...))
+		f.Add(h, uint8(8), uint16(64), uint16(64), int16(1), int16(2), int16(3), uint8(0), ramp)
+		// u across the detector's middle and v from inside the detector at
+		// ∓0.8 px per depth, with the pivot 26 px past the row end or inside
+		// it: each crossing that only one range test sees — v or its mirror
+		// past the end or below 0 with the other interior — comes some
+		// depths down.
+		for _, v := range [][2]float64{{0.3, 0.6}, {0.3, 0.3}, {0.7, 0.6}, {0.7, 0.47}} {
+			for _, pv := range []float64{0.1, 0.9} {
+				f.Add(h, uint8(8), uint16(64), uint16(64), int16(1), int16(2), int16(3), uint8(aim|pivot), units(0.5, 0.5, 0.5, 0.55, v[0], v[1], pv))
+			}
+		}
+		f.Add(h, uint8(8), uint16(64), uint16(64), int16(1), int16(2), int16(3), uint8(aim), units(0.5, 0.5, 0.5, 0.55, 0.45, 0.5))
+	}
+	for _, dim := range [][2]uint16{{0, 0}, {0, 5}, {5, 0}, {1, 1}, {1, 8}, {2, 2}, {2, 3}, {299, 39}} {
+		f.Add(uint8(4), uint8(8), dim[0], dim[1], int16(0), int16(0), int16(0), uint8(aim), ramp)
+		f.Add(uint8(3), uint8(3), dim[0], dim[1], int16(9), int16(1), int16(5), uint8(0), append(append([]byte(nil), denormal...), ramp...))
+	}
+	for _, mode := range []uint8{shortAcc, shortProj, shortAcc | shortProj} {
+		f.Add(uint8(8), uint8(8), uint16(64), uint16(64), int16(3), int16(8), int16(8), mode|aim, ramp)
+		f.Add(uint8(0), uint8(8), uint16(64), uint16(64), int16(3), int16(8), int16(8), mode|aim, ramp)
+	}
+	f.Add(uint8(4), uint8(9), uint16(64), uint16(64), int16(3), int16(8), int16(8), uint8(aim), ramp)
+	f.Add(uint8(4), uint8(0), uint16(64), uint16(64), int16(3), int16(8), int16(8), uint8(aim), ramp)
+	f.Add(uint8(4), uint8(8), uint16(64), uint16(64), int16(3), int16(8), int16(8), uint8(aim), []byte(nil))
+
+	f.Fuzz(func(t *testing.T, h, cols uint8, rw, rh uint16, i, j0, k0 int16, mode uint8, geom []byte) {
+		if !kernels.HasAVX2() {
+			t.Skip("CPU or OS without AVX2: there is one fast tier here, nothing to compare")
+		}
+		depth, n := int(h)%41, int(cols)%10
+		w, ht := int(rw)%300, int(rh)%40
+		word := func(k int) float32 {
+			if len(geom) < 4 {
+				return 0
+			}
+			return math.Float32frombits(binary.LittleEndian.Uint32(geom[4*(k%(len(geom)/4)):]))
+		}
+		unit := func(k int) float32 { // [0, 1) from a word's top 24 bits
+			return float32(math.Float32bits(word(k))>>8) / (1 << 24)
+		}
+		var r [3][4]float32
+		vm1 := float32(w - 1)
+		if mode&aim != 0 {
+			fi, fj0, fk0 := float32(i), float32(j0), float32(k0)
+			z0 := 0.8 + 0.4*unit(0)
+			r[2] = [4]float32{0, 0, 0, z0}
+			r[0][1] = 0.05 * unit(1) * z0
+			r[0][3] = unit(2)*0.8*float32(ht-1)*z0 - r[0][1]*fj0
+			r[1][1] = (unit(3) - 0.5) * z0
+			r[1][2] = (unit(4) - 0.5) * 4 * z0
+			r[1][3] = unit(5)*float32(w-1)*z0 - r[1][2]*fk0 - r[1][1]*fj0 - r[1][0]*fi
+			if mode&pivot != 0 {
+				vm1 += (unit(6) - 0.5) * float32(w)
+			}
+		} else {
+			for k := range 12 {
+				r[k/4][k%4] = word(k)
+			}
+			vm1 = word(12)
+		}
+
+		const pad = 64
+		accCanary, projCanary := math.Float32frombits(0xCAFEF00D), float32(1e30)
+		accLen, projLen := 2*depth*kernels.Lanes, w*ht
+		if mode&shortAcc != 0 && accLen > 0 {
+			accLen--
+		}
+		if mode&shortProj != 0 && projLen > 0 {
+			projLen--
+		}
+		proj := make([]float32, pad+projLen+pad)
+		for p := range proj {
+			proj[p] = projCanary
+			if p >= pad && p < pad+projLen {
+				proj[p] = word(13 + p)
+			}
+		}
+		prior := make([]float32, pad+accLen+pad)
+		for p := range prior {
+			prior[p] = accCanary
+			if p >= pad && p < pad+accLen {
+				prior[p] = float32(p % 7)
+			}
+		}
+		run := func(ref, avx2 bool) (acc []float32, panicked any) {
+			defer kernels.SetAVX2(avx2)()
+			if ref {
+				defer kernels.UseRef()()
+			}
+			acc = append([]float32(nil), prior...)
+			defer func() { panicked = recover() }()
+			kernels.AccumColumns(acc[pad:pad+accLen:pad+accLen], proj[pad:pad+projLen:pad+projLen],
+				w, ht, &r, int(i), int(j0), n, int(k0), depth, vm1)
+			return acc, nil
+		}
+		portable, portablePanic := run(false, false)
+		vector, vectorPanic := run(false, true)
+
+		name := fmt.Sprintf("h=%d n=%d %dx%d mode=%#x", depth, n, w, ht, mode)
+		if fmt.Sprint(portablePanic) != fmt.Sprint(vectorPanic) {
+			t.Fatalf("%s: go panics with %v, avx2 with %v", name, portablePanic, vectorPanic)
+		}
+		wantPanic := n > kernels.Lanes || mode&shortProj != 0 && w*ht > 0 || mode&shortAcc != 0 && depth > 0
+		if (portablePanic != nil) != wantPanic {
+			t.Fatalf("%s: panic %v, want one: %v", name, portablePanic, wantPanic)
+		}
+		for _, backing := range [][]float32{portable, vector} {
+			for p, x := range backing {
+				if (p < pad || p >= pad+accLen) && math.Float32bits(x) != math.Float32bits(accCanary) {
+					t.Fatalf("%s: canary %d (acc is [%d, %d)) overwritten with %v", name, p, pad, pad+accLen, x)
+				}
+			}
+		}
+		for p, x := range proj {
+			if (p < pad || p >= pad+projLen) && x != projCanary {
+				t.Fatalf("%s: projection canary %d overwritten with %v", name, p, x)
+			}
+		}
+		if wantPanic {
+			return
+		}
+		reference, _ := run(true, false)
+		same := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b) }
+		for kk := 0; kk < 2*depth; kk++ {
+			for c := range n {
+				x := pad + kk*kernels.Lanes + c
+				if !same(portable[x], vector[x]) || !same(portable[x], reference[x]) {
+					t.Fatalf("%s: depth %d lane %d = %v on go, %v on avx2, %v on ref", name, kk, c, portable[x], vector[x], reference[x])
+				}
+			}
+		}
+	})
+}
+
+// units encodes fractions in [0, 1) as the geometry words whose top 24
+// bits FuzzAccumColumnsTiers reads back as those fractions.
+func units(us ...float64) []byte {
+	out := make([]byte, 0, 4*len(us))
+	for _, u := range us {
+		out = binary.LittleEndian.AppendUint32(out, uint32(u*(1<<24))<<8)
+	}
+	return out
+}

@@ -12,14 +12,15 @@
 //     scheduler. The Go compiler does not auto-vectorize, so the two loops
 //     that dominate a job each have a hand-written AVX2 tier the portable
 //     loop hands work to when the CPU and OS support it (ISA reports which
-//     is live): the interior of AccumLinePair, in whole 8-voxel blocks
-//     (accum_amd64.s), and the radix-4 passes of DIF and DIT, four complex64
-//     per register (fft_amd64.s). Other hosts run the portable loops alone.
+//     is live): the interior of AccumColumns, eight voxel columns per
+//     register walking the slab depth (accum_amd64.s), and the radix-4
+//     passes of DIF and DIT, four complex64 per register (fft_amd64.s).
+//     Other hosts run the portable loops alone.
 //
 // Every fast kernel performs the same floating-point operations in the same
 // order as its reference — the AVX2 tiers included: separate multiplies and
 // adds, no FMA — so CosineWeightPair, SpectralMul, ColumnGeom and
-// AccumLinePair are bit-identical across reference, portable and AVX2, and
+// AccumColumns are bit-identical across reference, portable and AVX2, and
 // DIF and DIT across portable and AVX2 (tests assert exact equality, far
 // inside the required ≤1e-5 parity bound): which tier a host runs never
 // shows in a volume. Border and non-finite coordinates in the
@@ -39,7 +40,7 @@ package kernels
 // tests clear it (export_test.go), to run whole pipelines on the references.
 var useFast = true
 
-// useAVX2 routes the interior of accumLinePairFast and the passes of difFast
+// useAVX2 routes the interior of accumColumnsFast and the passes of difFast
 // and ditFast through the assembly tier. It is written once, here, from
 // CPUID/XGETBV; only tests flip it.
 var useAVX2 = hasAVX2()

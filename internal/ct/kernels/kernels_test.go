@@ -11,7 +11,7 @@ import (
 
 // Parity policy, asserted by these tests:
 //
-//   - CosineWeightPair, SpectralMul, ColumnGeom and AccumLinePair perform the
+//   - CosineWeightPair, SpectralMul, ColumnGeom and AccumColumns perform the
 //     same float32 operations in the same order in both variants, so fast
 //     and ref are BIT-identical — including NaN/Inf propagation.
 //   - DIF, DIT, RealUnpack and RealRepack decompose the complex64
@@ -126,12 +126,13 @@ func TestSpectralMulParity(t *testing.T) {
 	}
 }
 
-// ColumnGeom over a run of columns must give, bit for bit in both variants,
-// what the formula gives column by column — including a singular projection
-// (z = 0 divides to ±Inf, which must flow through identically).
+// ColumnGeom over a run of columns must give, bit for bit in both variants
+// and in AccumColumns' AVX2 lanes, what the formula gives column by column —
+// including a singular projection (z = 0 divides to ±Inf, which must flow
+// through identically).
 func TestColumnGeomParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 2, 3, 5, 8, 31, 32} {
+	for _, n := range []int{0, 1, 2, 3, 5, 7, 8, 31, 32} {
 		for trial := 0; trial < 8; trial++ {
 			var r [3][4]float32
 			for row := range r {
@@ -160,7 +161,42 @@ func TestColumnGeomParity(t *testing.T) {
 						n, c, usR[c], fsR[c], wsR[c], usF[c], fsF[c], wsF[c])
 				}
 			}
+			if n >= 1 && n <= Lanes && hasAVX2() {
+				checkColumnLanes(t, &r, i, j0, usR, fsR, wsR)
+			}
 		}
+	}
+}
+
+// checkColumnLanes holds columnLanesAVX2 to the reference column registers
+// us, fs, ws of the run (i, j0…j0+len(us)-1): every lane bit for bit, the
+// lanes past the run repeating its last column, yb by the formula, and on a
+// 5-sample-wide detector whose rows leave u interior wherever u ≥ 0, the
+// interior flag, the row offset and the fraction of u.
+func checkColumnLanes(t *testing.T, r *[3][4]float32, i, j0 int, us, fs, ws []float32) {
+	t.Helper()
+	const rw, rh = 5, 1 << 20
+	var g lanes
+	interior := columnLanesAVX2(&g, r, float32(i), rh-1, j0, len(us), rw)
+	want := true
+	for c := range Lanes {
+		s := min(c, len(us)-1)
+		yb := r[1][0]*float32(i) + r[1][1]*float32(j0+s)
+		if !eqBits(g.u[c], us[s]) || !eqBits(g.f[c], fs[s]) || !eqBits(g.w[c], ws[s]) || !eqBits(g.yb[c], yb) {
+			t.Fatalf("n=%d lane %d: avx2=(%v,%v,%v,%v), ref=(%v,%v,%v,%v)",
+				len(us), c, g.u[c], g.f[c], g.w[c], g.yb[c], us[s], fs[s], ws[s], yb)
+		}
+		u := us[s]
+		if !(u >= 0 && u < rh-1) {
+			want = false
+			continue
+		}
+		if nu := int(u); g.off[c] != int32(nu*rw) || g.du[c] != u-float32(nu) {
+			t.Fatalf("n=%d lane %d: u=%v gives off %d du %v, want %d %v", len(us), c, u, g.off[c], g.du[c], nu*rw, u-float32(nu))
+		}
+	}
+	if interior != want {
+		t.Fatalf("n=%d: interior %v, want %v (us=%v)", len(us), interior, want, us)
 	}
 }
 
@@ -354,113 +390,191 @@ func TestRealUnpackRepackParity(t *testing.T) {
 	}
 }
 
-// lineCase is one AccumLinePair call: a detector, a line geometry and the
-// accumulators' prior contents.
-type lineCase struct {
-	proj                          []float32
-	rw, rh, k0                    int
-	u, f, wdis, yb, ry2, ry3, vm1 float32
-	sum, sym                      []float32
+// columnsCase is one AccumColumns call: a detector, a tile row's geometry
+// and the accumulator's prior contents.
+type columnsCase struct {
+	proj         []float32
+	rw, rh       int
+	r            [3][4]float32
+	i, j0, n, k0 int
+	h            int
+	vm1          float32
+	acc          []float32 // 2h·Lanes
 }
 
-// borderLanes reports, as a bit per lane kk%8, where along the line a sample
-// or its mirror leaves [0, rw-1) — the samples the vector tier must hand
-// back to the scalar code.
-func (c lineCase) borderLanes() (lanes uint8, interior int) {
+func (c *columnsCase) call(acc []float32, fn func(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32)) {
+	fn(acc, c.proj, c.rw, c.rh, &c.r, c.i, c.j0, c.n, c.k0, c.h, c.vm1)
+}
+
+// firstBorder reports the first depth at which a column's sample or its
+// mirror leaves [0, rw-1) — where the assembly must stop — and a bit per
+// column that does so there; h and 0 when every depth is interior.
+func (c *columnsCase) firstBorder() (depth int, lanes uint8) {
+	us, fs, ws := make([]float32, c.n), make([]float32, c.n), make([]float32, c.n)
+	ColumnGeomRef(us, fs, ws, &c.r, c.i, c.j0)
 	vMax := float32(c.rw - 1)
-	for kk := range c.sum {
-		v := (c.yb + c.ry2*float32(c.k0+kk) + c.ry3) * c.f
-		vSym := c.vm1 - v
-		if v >= 0 && v < vMax && vSym >= 0 && vSym < vMax {
-			interior++
-		} else {
-			lanes |= 1 << (kk % 8)
+	for kk := 0; kk < c.h; kk++ {
+		for lane, f := range fs {
+			yb := c.r[1][0]*float32(c.i) + c.r[1][1]*float32(c.j0+lane)
+			v := (yb + c.r[1][2]*float32(c.k0+kk) + c.r[1][3]) * f
+			vSym := c.vm1 - v
+			if !(v >= 0 && v < vMax && vSym >= 0 && vSym < vMax) {
+				lanes |= 1 << lane
+			}
+		}
+		if lanes != 0 {
+			return kk, lanes
 		}
 	}
-	return lanes, interior
+	return c.h, 0
 }
 
-// accumLineCases builds the parity corpus: lines of 0…300 k at random k0
-// over odd, tiny and realistic detectors; random geometries; geometries
-// aimed so the line enters and leaves the detector in every lane of an
-// 8-block; NaN/±Inf in f, ry2, u and the pixels; and a vm1 that disagrees
-// with the row length (the range test must not trust it).
-func accumLineCases(t *testing.T) []lineCase {
+// nonInterior is a bit per column whose u has no two detector rows.
+func (c *columnsCase) nonInterior() (lanes uint8) {
+	us, fs, ws := make([]float32, c.n), make([]float32, c.n), make([]float32, c.n)
+	ColumnGeomRef(us, fs, ws, &c.r, c.i, c.j0)
+	for lane, u := range us {
+		if !(u >= 0 && u < float32(c.rh-1)) {
+			lanes |= 1 << lane
+		}
+	}
+	return lanes
+}
+
+// accumColumnsCases builds the parity corpus: runs of 1–8 columns, slab
+// depths 1–40 at k0 ≠ 0, over odd, tiny and realistic detectors; random
+// geometries, mostly off the detector; geometries aimed so that the run's
+// last column, its first, or all of it leaves the detector first at a chosen
+// depth; u crossing a detector edge at a chosen column; NaN/±Inf in f, ry2,
+// u and the pixels; and a vm1 that disagrees with the row length (the range
+// test must not trust it). It fails unless the corpus puts the first border
+// sample of a tile row with interior u in every lane at every depth below
+// 40, and a non-interior u in every lane.
+func accumColumnsCases(t *testing.T) []columnsCase {
+	const maxDepth = 40
 	rng := rand.New(rand.NewSource(6))
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	uniform := func(lo, hi float64) float32 { return float32(lo + (hi-lo)*rng.Float64()) }
 	dims := []struct{ rw, rh int }{{1, 4}, {2, 5}, {3, 3}, {5, 8}, {8, 5}, {17, 33}, {64, 64}, {33, 100}, {256, 40}}
-	var cases []lineCase
-	var crossed uint8
+	var cases []columnsCase
+	var stops [maxDepth]uint8 // stops[d]: lanes seen holding the first border sample at depth d
+	var outside uint8         // lanes seen with a non-interior u
+	var depths [maxDepth + 1]bool
+	aimed := 0
 	for _, d := range dims {
 		clean := randRow(rng, d.rw*d.rh, false)
 		dirty := append([]float32(nil), clean...)
 		for _, bad := range []float32{nan, inf, -inf} {
 			dirty[rng.Intn(len(dirty))] = bad
 		}
-		for trial := 0; trial < 160; trial++ {
-			nk := rng.Intn(301)
-			c := lineCase{
-				proj: clean, rw: d.rw, rh: d.rh, k0: rng.Intn(1000),
-				vm1: float32(d.rw - 1),
-				sum: randRow(rng, nk, false), sym: randRow(rng, nk, false),
+		vMax := float32(d.rw - 1)
+		for trial := 0; trial < 400; trial++ {
+			c := columnsCase{
+				proj: clean, rw: d.rw, rh: d.rh,
+				i: rng.Intn(512), j0: rng.Intn(512), n: 1 + trial%Lanes, k0: 1 + rng.Intn(1000),
+				vm1: vMax,
 			}
 			if trial%4 == 0 {
 				c.proj = dirty
 			}
-			// u is interior four times in eleven; otherwise it sweeps both
-			// borders, fully outside, and NaN/Inf.
-			c.u = float32(rng.Float64()) * float32(d.rh-1)
-			if n := trial % 11; n >= 4 {
-				c.u = []float32{-0.5, -1.5, float32(d.rh) - 1, float32(d.rh) - 0.5, float32(d.rh) + 2, nan, inf}[n-4]
-			}
-			c.f = float32(rng.NormFloat64())
-			c.wdis = c.f * c.f
-			if trial%2 == 0 {
-				// Arbitrary line: mostly off the detector.
-				c.yb = float32(rng.NormFloat64()) * 10
-				c.ry2 = float32(rng.NormFloat64())
-				c.ry3 = float32(rng.NormFloat64())
-			} else {
-				// Aimed line: v advances `step` px per k and crosses v = 0 (or
-				// leaves through the far edge) at k index `cross`, which walks
-				// every lane of every early block.
-				step := float32(0.05 + 2.5*rng.Float64())
-				if trial%3 == 0 {
-					step = -step
+			for row := range c.r {
+				for col := range c.r[row] {
+					c.r[row][col] = float32(rng.NormFloat64())
 				}
-				cross := trial / 2 % 40
-				c.ry2 = step / c.f
-				c.ry3 = float32(rng.Float64()) / c.f
-				c.yb = -c.ry2 * float32(c.k0+cross)
+			}
+			fi, fj0 := float32(c.i), float32(c.j0)
+			// z and so f are the same in every column of an aimed or
+			// edge-crossing row: z0 = r[2][3].
+			z0 := uniform(0.8, 1.25)
+			if trial%2 == 0 {
+				// Arbitrary tile row: mostly off the detector.
+				c.h = 1 + trial/2%maxDepth
+				c.r[1][0] *= 10
+				c.r[1][1] *= 10
+			} else {
+				// Aimed tile row: u interior; v rises sp px per depth and
+				// steps gp px per column, so the highest column — the last,
+				// or with the step negated the first, or with gp = 0 all of
+				// them — reaches vMax + sp/2 at depth `depth`, leaving through
+				// the far edge (and its mirror through 0) first.
+				target, depth := aimed%Lanes, aimed/Lanes%maxDepth
+				aimed++
+				c.h = depth + 1 + rng.Intn(maxDepth-depth)
+				c.r[2] = [4]float32{0, 0, c.r[2][2], z0}
+				f := 1 / z0
+				uc := uniform(0.1, 0.55) * float32(d.rh-1)
+				c.r[0] = [4]float32{0, z0 * uniform(0, 0.05), c.r[0][2], 0}
+				c.r[0][3] = z0*uc - c.r[0][1]*fj0
+				sp := min(vMax/float32(depth+Lanes)*uniform(0.3, 0.9), 0.2*vMax)
+				gp := sp * uniform(0.6, 1)
+				top := target
+				switch {
+				case aimed%4 == 0:
+					c.n, gp = Lanes, 0
+				case target > 0:
+					c.n = target + 1
+				default:
+					c.n, gp = 1+rng.Intn(Lanes), -gp // column 0 is highest
+				}
+				c.r[1][1] = gp / f
+				c.r[1][2] = sp / f
+				yb := c.r[1][0]*fi + c.r[1][1]*float32(c.j0+top)
+				c.r[1][3] = (vMax+sp/2)/f - c.r[1][2]*float32(c.k0+depth) - yb
+			}
+			// u crosses an edge at column `edge` in five trials of eleven,
+			// the column sitting on -0.5, -1.5, rh-1, rh-0.5, rh+2, NaN or
+			// Inf.
+			if k := trial % 11; k >= 6 {
+				edge := trial % c.n
+				u := []float32{-0.5, -1.5, float32(d.rh) - 1, float32(d.rh) - 0.5, float32(d.rh) + 2, nan, inf}[trial/11%7]
+				step := uniform(-0.3, 0.3)
+				c.r[2] = [4]float32{0, 0, c.r[2][2], z0}
+				c.r[0] = [4]float32{0, step * z0, c.r[0][2], (u - step*float32(c.j0+edge)) * z0}
 			}
 			switch trial % 23 {
 			case 5:
-				c.ry2 = nan // poisons v for every k
+				c.r[1][2] = nan // poisons v for every depth
 			case 11:
-				c.f = inf
+				c.r[2] = [4]float32{} // z = 0: f = +Inf
 			case 17:
-				c.f = nan
+				c.r[2][3] = nan // f = NaN
 			case 19:
-				c.ry2 = -inf
+				c.r[1][2] = -inf
 			case 21:
 				c.vm1 = float32(d.rw + 7) // mirror lands past the row end
 			}
-			if lanes, interior := c.borderLanes(); interior >= 8 {
-				crossed |= lanes
+			c.acc = randRow(rng, 2*c.h*Lanes, false)
+			depths[c.h] = true
+			outside |= c.nonInterior()
+			if c.nonInterior() == 0 {
+				if depth, lanes := c.firstBorder(); depth < c.h {
+					stops[depth] |= lanes
+				}
 			}
 			cases = append(cases, c)
 		}
 	}
-	if crossed != 0xFF {
-		t.Fatalf("corpus puts a border sample in lanes %08b of a line with interior blocks, want all 8", crossed)
+	for d, lanes := range stops {
+		if lanes != 0xFF {
+			t.Fatalf("corpus puts the first border sample at depth %d in lanes %08b, want all 8", d, lanes)
+		}
+	}
+	if outside != 0xFF {
+		t.Fatalf("corpus puts a non-interior u in lanes %08b, want all 8", outside)
+	}
+	for h := 1; h <= maxDepth; h++ {
+		if !depths[h] {
+			t.Fatalf("corpus has no tile row of depth %d", h)
+		}
 	}
 	return cases
 }
 
-// TestAccumLinePairParity asserts three-way bit equality: the reference, the
-// portable fast loop and (where the CPU has it) the AVX2 tier.
-func TestAccumLinePairParity(t *testing.T) {
-	cases := accumLineCases(t)
+// TestAccumColumnsParity asserts three-way bit equality on the corpus: the
+// reference, the portable fast loop and (where the CPU has it) the AVX2
+// tier, on the lanes of the run — the lanes past it are scratch.
+func TestAccumColumnsParity(t *testing.T) {
+	cases := accumColumnsCases(t)
 	for _, tier := range []struct {
 		name string
 		avx2 bool
@@ -471,16 +585,16 @@ func TestAccumLinePairParity(t *testing.T) {
 			}
 			defer SetAVX2(tier.avx2)()
 			for n, c := range cases {
-				sumR := append([]float32(nil), c.sum...)
-				symR := append([]float32(nil), c.sym...)
-				sumF := append([]float32(nil), c.sum...)
-				symF := append([]float32(nil), c.sym...)
-				AccumLinePairRef(sumR, symR, c.proj, c.rw, c.rh, c.u, c.f, c.wdis, c.yb, c.ry2, c.ry3, c.vm1, c.k0)
-				accumLinePairFast(sumF, symF, c.proj, c.rw, c.rh, c.u, c.f, c.wdis, c.yb, c.ry2, c.ry3, c.vm1, c.k0)
-				for i := range sumR {
-					if !eqBits(sumR[i], sumF[i]) || !eqBits(symR[i], symF[i]) {
-						t.Fatalf("case %d rw=%d rh=%d nk=%d k0=%d u=%v f=%v ry2=%v k=%d: ref=(%v,%v) fast=(%v,%v)",
-							n, c.rw, c.rh, len(c.sum), c.k0, c.u, c.f, c.ry2, i, sumR[i], symR[i], sumF[i], symF[i])
+				ref := append([]float32(nil), c.acc...)
+				fast := append([]float32(nil), c.acc...)
+				c.call(ref, AccumColumnsRef)
+				c.call(fast, accumColumnsFast)
+				for kk := 0; kk < 2*c.h; kk++ {
+					for lane := range c.n {
+						if x := kk*Lanes + lane; !eqBits(ref[x], fast[x]) {
+							t.Fatalf("case %d rw=%d rh=%d n=%d h=%d k0=%d r=%v: depth %d lane %d: ref=%v fast=%v",
+								n, c.rw, c.rh, c.n, c.h, c.k0, c.r, kk, lane, ref[x], fast[x])
+						}
 					}
 				}
 			}
@@ -488,28 +602,101 @@ func TestAccumLinePairParity(t *testing.T) {
 	}
 }
 
-// TestAccumBlocksAVX2Stops pins the assembly's contract with its caller: it
-// consumes whole interior blocks only, and stops in front of the block that
-// holds the first border lane, whichever lane that is.
-func TestAccumBlocksAVX2Stops(t *testing.T) {
+// TestAccumColumnsAVX2Stops pins the assembly's contract with its caller:
+// it consumes exactly the depths in front of the first depth that holds a
+// border sample, whichever lane holds it and whichever edge it crosses, and
+// leaves that depth and everything past it untouched. It checks one lane at
+// every depth of a 64-deep slab, a NaN lane, and every tile row of the
+// parity corpus whose u are all interior.
+func TestAccumColumnsAVX2Stops(t *testing.T) {
 	if !hasAVX2() {
 		t.Skip("CPU or OS without AVX2")
 	}
-	const rw, nk = 400, 300
 	rng := rand.New(rand.NewSource(7))
-	row0, row1 := randRow(rng, rw, false), randRow(rng, rw, false)
-	sum, sym := make([]float32, nk), make([]float32, nk)
-	// v = yb - kk (and its mirror rw-1-v) is interior exactly while kk < yb.
-	call := func(yb float32) int {
-		return accumBlocksAVX2(&sum[0], &sym[0], nk, &row0[0], &row1[0],
-			rw-1, 0.25, 1, 1, yb, -1, 0, rw-1, 0)
-	}
-	if got := call(nk + 0.5); got != nk&^7 {
-		t.Fatalf("interior line: consumed %d of %d, want %d", got, nk, nk&^7)
-	}
-	for kk := 0; kk < 64; kk++ {
-		if got := call(float32(kk) - 0.5); got != kk&^7 {
-			t.Fatalf("first border sample at k=%d: consumed %d, want %d", kk, got, kk&^7)
+	// consumed runs the assembly over h depths from k and checks that it
+	// wrote no depth past the ones it reports.
+	consumed := func(t *testing.T, g *lanes, proj []float32, rw, h int, ry2, ry3, vm1 float32, k int) int {
+		t.Helper()
+		prior := randRow(rng, 2*h*Lanes, false)
+		acc := append([]float32(nil), prior...)
+		n := accumColumnsAVX2(&acc[0], &acc[h*Lanes], h, &proj[0], &proj[rw], g, float32(rw-1), ry2, ry3, vm1, k)
+		for kk := n; kk < h; kk++ {
+			for _, x := range []int{kk, h + kk} {
+				for lane := range Lanes {
+					if i := x*Lanes + lane; math.Float32bits(acc[i]) != math.Float32bits(prior[i]) {
+						t.Fatalf("consumed %d depths but wrote depth %d", n, x)
+					}
+				}
+			}
 		}
+		return n
+	}
+
+	// Lane L's y is d - 0.5 - k (falling) or vMax - d + 0.5 + k (rising),
+	// so its v leaves [0, vMax) at exactly k = d through 0 or the far edge,
+	// and its mirror through the other. Lane c's y is lane L's + 65·(c-L),
+	// and its f keeps it interior up to d: falling, f = -1 below L and 1
+	// above; rising, 1 below and 1/2 above.
+	const rw, rh, h, step = 1000, 4, 64, 65
+	proj := randRow(rng, rw*rh, false)
+	line := func(lane, d int, ry2 float32) *lanes {
+		y0 := float32(d) - 0.5
+		if ry2 > 0 {
+			y0 = rw - 1 - float32(d) + 0.5
+		}
+		g := new(lanes)
+		for c := range Lanes {
+			u := float32(c%3) + 0.25
+			g.u[c], g.du[c], g.off[c] = u, 0.25, int32(c%3*rw)
+			g.yb[c] = y0 + step*float32(c-lane)
+			g.f[c], g.w[c] = 1, 1
+			switch {
+			case ry2 < 0 && c < lane:
+				g.f[c] = -1
+			case ry2 > 0 && c > lane:
+				g.f[c] = 0.5
+			}
+		}
+		return g
+	}
+	for _, ry2 := range []float32{-1, 1} {
+		for lane := range Lanes {
+			for d := 0; d <= h; d++ {
+				g := line(lane, d, ry2)
+				for kk := 0; kk <= min(d, h-1); kk++ {
+					for col := range Lanes {
+						v := (g.yb[col] + ry2*float32(kk)) * g.f[col]
+						border := !(v >= 0 && v < rw-1 && rw-1-v >= 0 && rw-1-v < rw-1)
+						if border != (kk == d && col == lane) {
+							t.Fatalf("test geometry: lane %d depth %d border=%v, want the first border in lane %d at depth %d", col, kk, border, lane, d)
+						}
+					}
+				}
+				if got := consumed(t, g, proj, rw, h, ry2, 0, rw-1, 0); got != d {
+					t.Fatalf("ry2=%v first border sample at depth %d, lane %d: consumed %d", ry2, d, lane, got)
+				}
+			}
+		}
+	}
+	g := line(3, h, 1)
+	g.f[3] = float32(math.NaN())
+	if got := consumed(t, g, proj, rw, h, 1, 0, rw-1, 0); got != 0 {
+		t.Fatalf("NaN lane: consumed %d depths, want 0", got)
+	}
+
+	checked := 0
+	for _, c := range accumColumnsCases(t) {
+		var g lanes
+		if c.rw < 2 || !columnLanesAVX2(&g, &c.r, float32(c.i), float32(c.rh-1), c.j0, c.n, c.rw) {
+			continue
+		}
+		want, _ := c.firstBorder()
+		if got := consumed(t, &g, c.proj, c.rw, c.h, c.r[1][2], c.r[1][3], c.vm1, c.k0); got != want {
+			t.Fatalf("rw=%d rh=%d n=%d h=%d: consumed %d depths, first border at %d", c.rw, c.rh, c.n, c.h, got, want)
+		}
+		checked++
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d corpus tile rows have all u interior", checked)
 	}
 }

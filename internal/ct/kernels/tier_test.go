@@ -14,62 +14,89 @@ import (
 )
 
 // TestBackprojectBitIdenticalAcrossTiers runs the one Alg. 4 driver behind
-// the AccumLinePair seam through all three of its callers' shapes — a whole
-// even volume and a whole odd one through backproject.Proposed
-// (fdk.Reconstruct, preview, verification; the odd one adds the unpaired
-// centre plane) and an off-edge slab pair through
-// backproject.ProposedSlabPair (the distributed pipeline) — at nx = 64 on
-// the reference kernels, the portable fast loop and the AVX2 tier, and
-// requires the three tiers to agree bit for bit. It lives here rather than
-// in package backproject because only this directory's tests can reach the
-// unexported tier switch.
+// the AccumColumns seam through all three of its callers' shapes — whole
+// even volumes and whole odd ones through backproject.Proposed
+// (fdk.Reconstruct, preview, verification; the odd ones add the unpaired
+// centre plane) and slab pairs through backproject.ProposedSlabPair (the
+// distributed pipeline) — on the reference kernels, the portable fast loop
+// and the AVX2 tier, and requires the three tiers to agree bit for bit. The
+// shapes are nx = 64 with an off-edge slab pair, and the fleet_mixed ones:
+// nx 16 and 32 split over R = 2, 4 and 8 rank rows, slab depths h = 1, 2,
+// 4 and 8 with every row's pair, with a ragged Ny (nx+5 columns: tile rows
+// shorter than the kernel's lanes). It lives here rather than in package
+// backproject because only this directory's tests can reach the unexported
+// tier switch.
 func TestBackprojectBitIdenticalAcrossTiers(t *testing.T) {
+	type leg struct {
+		name string
+		run  func() *volume.Volume
+	}
+	var legs []leg
 	// 40 projections: one full batch of 32 and a short one. The volume's
 	// top and bottom planes project past the detector for near-source
-	// columns, so lines mix interior blocks with border lanes.
-	g := geometry.Default(96, 96, 40, 64, 64, 64)
-	rng := rand.New(rand.NewSource(14))
-	task := backproject.Task{Mats: geometry.ProjectionMatrices(g)}
-	for range task.Mats {
-		img := volume.NewImage(g.Nu, g.Nv)
-		for n := range img.Data {
-			img.Data[n] = rng.Float32()
+	// columns, so tile rows mix interior depths with border lanes.
+	task := func(g geometry.Params, seed int64) backproject.Task {
+		rng := rand.New(rand.NewSource(seed))
+		task := backproject.Task{Mats: geometry.ProjectionMatrices(g)}
+		for range task.Mats {
+			img := volume.NewImage(g.Nu, g.Nv)
+			for n := range img.Data {
+				img.Data[n] = rng.Float32()
+			}
+			task.Proj = append(task.Proj, img)
 		}
-		task.Proj = append(task.Proj, img)
+		return task
 	}
-	odd := g
-	odd.Nz = 15
-	oddTask := backproject.Task{Mats: geometry.ProjectionMatrices(odd), Proj: task.Proj}
-	const z0, z1 = 8, 24 // a slab pair off the volume edge: k0 ≠ 0
-	run := func() (full, oddFull, slab *volume.Volume) {
-		full = volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
-		if err := backproject.Proposed(task, full, backproject.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		oddFull = volume.New(odd.Nx, odd.Ny, odd.Nz, volume.KMajor)
-		if err := backproject.Proposed(oddTask, oddFull, backproject.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		slab = volume.New(g.Nx, g.Ny, 2*(z1-z0), volume.KMajor)
-		if err := backproject.ProposedSlabPair(task, slab, backproject.Options{}, g.Nz, z0, z1); err != nil {
-			t.Fatal(err)
-		}
-		return full, oddFull, slab
+	whole := func(name string, g geometry.Params, tk backproject.Task) {
+		legs = append(legs, leg{name, func() *volume.Volume {
+			vol := volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
+			if err := backproject.Proposed(tk, vol, backproject.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			return vol
+		}})
+	}
+	slab := func(name string, g geometry.Params, tk backproject.Task, z0, z1 int) {
+		legs = append(legs, leg{name, func() *volume.Volume {
+			vol := volume.New(g.Nx, g.Ny, 2*(z1-z0), volume.KMajor)
+			if err := backproject.ProposedSlabPair(tk, vol, backproject.Options{}, g.Nz, z0, z1); err != nil {
+				t.Fatal(err)
+			}
+			return vol
+		}})
 	}
 
-	refFull, refOdd, refSlab := func() (full, oddFull, slab *volume.Volume) {
+	g := geometry.Default(96, 96, 40, 64, 64, 64)
+	big := task(g, 14)
+	whole("Proposed nx=64", g, big)
+	odd := g
+	odd.Nz = 15
+	whole("Proposed nx=64 Nz=15", odd, backproject.Task{Mats: geometry.ProjectionMatrices(odd), Proj: big.Proj})
+	slab("ProposedSlabPair nx=64 [8,24)", g, big, 8, 24) // off the volume edge: k0 ≠ 0
+	for _, nx := range []int{16, 32} {
+		g := geometry.Default(2*nx, 2*nx, 40, nx, nx+5, nx)
+		tk := task(g, int64(nx))
+		for _, r := range []int{2, 4, 8} {
+			h := nx / (2 * r)
+			for row := range r {
+				slab(fmt.Sprintf("ProposedSlabPair nx=%d R=%d h=%d row %d", nx, r, h, row), g, tk, row*h, (row+1)*h)
+			}
+		}
+		odd := g
+		odd.Nz = nx - 1
+		whole(fmt.Sprintf("Proposed nx=%d Ny=%d Nz=%d", nx, g.Ny, odd.Nz), odd, backproject.Task{Mats: geometry.ProjectionMatrices(odd), Proj: tk.Proj})
+	}
+
+	run := func() (vols []*volume.Volume) {
+		for _, l := range legs {
+			vols = append(vols, l.run())
+		}
+		return vols
+	}
+	ref := func() []*volume.Volume {
 		defer kernels.UseRef()()
 		return run()
 	}()
-
-	same := func(name string, want, got *volume.Volume) {
-		t.Helper()
-		for n := range want.Data {
-			if math.Float32bits(want.Data[n]) != math.Float32bits(got.Data[n]) {
-				t.Fatalf("%s: voxel %d = %v, reference kernels give %v", name, n, got.Data[n], want.Data[n])
-			}
-		}
-	}
 	for _, tier := range []struct {
 		name string
 		avx2 bool
@@ -79,10 +106,14 @@ func TestBackprojectBitIdenticalAcrossTiers(t *testing.T) {
 				t.Skip("CPU or OS without AVX2")
 			}
 			defer kernels.SetAVX2(tier.avx2)()
-			full, oddFull, slab := run()
-			same("Proposed", refFull, full)
-			same("Proposed, odd Nz", refOdd, oddFull)
-			same("ProposedSlabPair", refSlab, slab)
+			for l, got := range run() {
+				want := ref[l]
+				for n := range want.Data {
+					if math.Float32bits(want.Data[n]) != math.Float32bits(got.Data[n]) {
+						t.Fatalf("%s: voxel %d = %v, reference kernels give %v", legs[l].name, n, got.Data[n], want.Data[n])
+					}
+				}
+			}
 		})
 	}
 }
