@@ -21,8 +21,8 @@ const tagAssemble = 100
 
 // projItem flows through the pipeline channels: one filtered,
 // transposed projection (Nv×Nu, V fast — Alg. 4 line 3) in a pooled
-// engine.Blocks block, with its global index. Its producer transposed it
-// once; after the AllGather every rank of the column holds the same block,
+// engine.Blocks block, with its global index. Its producer filtered it
+// straight into that layout; after the AllGather every rank of the column holds the same block,
 // read-only, and whoever consumes an item releases its hold exactly once.
 type projItem struct {
 	s   int
@@ -152,13 +152,14 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 
 	// --- Filtering thread (Fig. 4a, left): load + filter own projections
 	// in round order and feed the Main thread through chA, which it owns.
-	// Each projection is decoded straight off the PFS into a pooled image,
-	// filtered in place, and transposed once into a pooled block (Alg. 4
-	// line 3) — the block every column peer back-projects, so nobody
-	// transposes it again. The filter stage's clock stops after the
-	// transpose. Zero per-projection heap allocations in steady state.
-	// chA's capacity (QueueDepth) lets filtering run that many rounds ahead
-	// of the AllGather.
+	// Each projection's staged bytes are looked up on the PFS without a
+	// copy (the load stage) and filtered straight into a pooled transposed
+	// block (Alg. 4 line 3) by ApplyEncoded, which checks and reads the
+	// encoding itself: decoding is part of the filter stage, and there is
+	// no decoded or filtered image. The block is what every column peer
+	// back-projects, so nobody transposes it again. Zero per-projection
+	// heap allocations in the filter. chA's capacity (QueueDepth) lets
+	// filtering run that many rounds ahead of the AllGather.
 	chA := make(chan projItem, QueueDepth)
 	go func() {
 		defer wg.Done()
@@ -168,28 +169,23 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 			if err != nil {
 				return err
 			}
-			tp := volume.Image{W: g.Nv, H: g.Nu} // header over each block
 			for s := myLo; s < myHi; s++ {
 				if err := context.Cause(ctx); err != nil {
 					return err
 				}
 				roundOff := time.Since(start)
 				loadStart := time.Now()
-				img := engine.Images.Acquire(g.Nu, g.Nv)
-				if _, err := store.ReadProjectionInto(img, cfg.InputPrefix, s); err != nil {
-					engine.Images.Release(img)
+				blob, _, err := store.Peek(pfs.ProjectionPath(cfg.InputPrefix, s))
+				if err != nil {
 					return fmt.Errorf("rank %d: %w", c.Rank(), err)
 				}
 				t.Load += time.Since(loadStart)
 				fltStart := time.Now()
-				if err := flt.ApplyInto(img, img); err != nil {
-					engine.Images.Release(img)
-					return err
-				}
 				blk := engine.Blocks.Acquire(g.Nu * g.Nv)
-				tp.Data = blk.Data
-				img.TransposeInto(&tp)
-				engine.Images.Release(img)
+				if err := flt.ApplyEncoded(blob, blk.Data); err != nil {
+					blk.Release()
+					return fmt.Errorf("rank %d: projection %d: %w", c.Rank(), s, err)
+				}
 				t.Filter += time.Since(fltStart)
 				rounds[s-myLo].FilterOff = roundOff
 				rounds[s-myLo].FilterDur = time.Since(start) - roundOff

@@ -9,17 +9,27 @@
 // their AVX2 tier, bit-identical to the portable passes.
 //
 // Hot path. Detector rows are real float32 and the ramp spectrum is real and
-// even, so the production path (Apply/ApplyInto/Sweep) filters two rows per
-// complex FFT: rows 2k and 2k+1 of a projection are cosine-weighted into the
-// real and imaginary parts of one zero-padded complex64 row, transformed by
-// decimation in frequency (natural in, bit-reversed out), multiplied by the
-// ramp gain — stored once in bit-reversed order with 1/L folded in — and
-// transformed back by decimation in time (bit-reversed in, natural out). A
+// even, so the filter works on two rows per complex FFT: rows 2k and 2k+1
+// of a projection are cosine-weighted into the real and imaginary parts of
+// one zero-padded complex64 row, and one core (convolve → kernels.Convolve)
+// transforms it by decimation in frequency (natural in, bit-reversed out),
+// multiplies it by the ramp gain — stored once in bit-reversed order with
+// 1/L folded in — and transforms it back by decimation in time
+// (bit-reversed in, natural out); on AVX2 the two smallest passes of each
+// transform and the gain run as one loop over blocks held in registers. A
 // real gain never mixes the two parts, so they come back as the two
-// filtered rows: no permutation, no half-spectrum unpack, no scaling pass,
-// no per-row allocation (the one scratch row comes from an engine buffer
-// pool, and ApplyInto may filter a projection in place). The complex128
-// row-at-a-time path the parity tests compare against lives in ref_test.go.
+// filtered rows: no permutation, no half-spectrum unpack, no scaling pass.
+//
+// The core has two ends. ApplyEncoded, the pipeline's, weights each pair
+// straight from a staged projection's little-endian payload bytes and
+// stores the filtered pairs into the transposed block back-projection
+// reads, eight pairs at a time so that each detector column receives one
+// 64-byte run: no decoded image, no filtered image, no separate transpose.
+// Apply, ApplyInto and Sweep, for fdk, preview and verification, read and
+// write images (ApplyInto may filter in place). Scratch comes from an
+// engine buffer pool, so neither end allocates per row or per projection.
+// The complex128 row-at-a-time path the parity tests compare against lives
+// in ref_test.go.
 //
 // Scaling. The filtered projections are pre-multiplied by the FDK constants
 // θ·d²·τ/2 (angular step × distance-weight numerator × effective detector
@@ -41,9 +51,9 @@ import (
 )
 
 // pairPool holds the scratch of the row-pair path: one padded complex row
-// per in-flight ApplyInto call or Sweep chunk, reused across pairs,
-// projections and Filterers (the pool keys by length, and all Filterers of
-// one geometry share it).
+// per in-flight ApplyInto call or Sweep chunk, kernels.LinePairs of them per
+// ApplyEncoded call, reused across pairs, projections and Filterers (the
+// pool keys by length, and all Filterers of one geometry share it).
 var pairPool engine.BufPool[complex64]
 
 // Window selects the apodization applied to the ramp filter's frequency
@@ -157,7 +167,8 @@ type Filterer struct {
 	fwd    []complex64 // kernels.FFTTwiddles(l), forward
 	inv    []complex64 // … and inverse
 	gain   []float32   // scaled, windowed ramp spectrum / l, in bit-reversed bin order
-	zero   []float32   // the partner of an odd last row
+	zero   []float32   // the partner of an odd last row, and its cosines
+	zeroLE []byte      // … as encoded payload bytes
 }
 
 // New builds a Filterer for the geometry and window.
@@ -182,7 +193,7 @@ func New(g geometry.Params, win Window) (*Filterer, error) {
 	return &Filterer{
 		g: g, win: win, cosTab: CosineTable(g), l: l,
 		fwd: kernels.FFTTwiddles(l, false), inv: kernels.FFTTwiddles(l, true),
-		gain: gain, zero: make([]float32, g.Nu),
+		gain: gain, zero: make([]float32, g.Nu), zeroLE: make([]byte, 4*g.Nu),
 	}, nil
 }
 
@@ -262,9 +273,49 @@ func (f *Filterer) ApplyInto(e, q *volume.Image) error {
 	return nil
 }
 
-// filterPair is the hot path: rows v and v+1 of e (v even) through one
-// forward and one inverse complex transform into the same rows of q. All
-// arithmetic is float32; the O(Nu) and O(L log L) loops are kernels calls.
+// ApplyEncoded filters one staged projection straight from its encoded
+// bytes (the volume.ImageToBytes format) into block, the Nu×Nv transposed
+// layout Alg. 4 line 3 back-projects (V fast: block[u·Nv+v]). It equals
+// decoding the blob, ApplyInto and a transpose, bit for bit, without any
+// of the three: each row pair is cosine-weighted from the payload bytes
+// and goes through the same core as ApplyInto's pairs, and every
+// kernels.LinePairs filtered pairs are stored into the block a whole
+// column run at a time. The header is checked as volume.ImageFromBytesInto
+// checks it, and block must hold Nu·Nv values; nothing is written when an
+// error is returned. Steady state performs zero heap allocations.
+//
+//ifdk:hotpath
+func (f *Filterer) ApplyEncoded(blob []byte, block []float32) error {
+	nu, nv := f.g.Nu, f.g.Nv
+	payload, err := volume.ImagePayload(blob, nu, nv)
+	if err != nil {
+		return err
+	}
+	if len(block) != nu*nv {
+		return fmt.Errorf("filter: transposed block of %d values for a %dx%d projection", len(block), nu, nv)
+	}
+	row := 4 * nu // payload bytes per detector row
+	stash := pairPool.Acquire(kernels.LinePairs * f.l)
+	for v0 := 0; v0 < nv; v0 += 2 * kernels.LinePairs {
+		rows := min(2*kernels.LinePairs, nv-v0)
+		for p := 0; 2*p < rows; p++ {
+			v := v0 + 2*p
+			buf := stash.Data[p*f.l : (p+1)*f.l]
+			src1, cos1 := f.zeroLE, f.zero
+			if v+1 < nv {
+				src1, cos1 = payload[(v+1)*row:(v+2)*row], f.cosTab.Row(v+1)
+			}
+			kernels.CosineWeightPairLE(buf, payload[v*row:(v+1)*row], f.cosTab.Row(v), src1, cos1)
+			f.convolve(buf)
+		}
+		kernels.TransposePairs(block[v0:], nv, stash.Data, f.l, nu, rows)
+	}
+	stash.Release()
+	return nil
+}
+
+// filterPair is the image end of the filter: rows v and v+1 of e (v even)
+// through the core into the same rows of q.
 //
 //ifdk:hotpath
 func (f *Filterer) filterPair(e, q *volume.Image, v int, buf []complex64) {
@@ -274,10 +325,7 @@ func (f *Filterer) filterPair(e, q *volume.Image, v int, buf []complex64) {
 	} else {
 		kernels.CosineWeightPair(buf, e.Row(v), f.cosTab.Row(v), f.zero, f.zero)
 	}
-	clear(buf[e.W:])
-	kernels.DIF(buf, f.fwd)
-	kernels.SpectralMul(buf, f.gain)
-	kernels.DIT(buf, f.inv)
+	f.convolve(buf)
 	out := q.Row(v)
 	if !paired {
 		for u := range out {
@@ -290,6 +338,16 @@ func (f *Filterer) filterPair(e, q *volume.Image, v int, buf []complex64) {
 	for u := range out {
 		out[u], out1[u] = real(buf[u]), imag(buf[u])
 	}
+}
+
+// convolve is the one filter core both ends share: a cosine-weighted row
+// pair in buf[:Nu], zero-padded to L, forward transform, ramp gain and
+// inverse transform in one kernel call. All arithmetic is float32.
+//
+//ifdk:hotpath
+func (f *Filterer) convolve(buf []complex64) {
+	clear(buf[f.g.Nu:])
+	kernels.Convolve(buf, f.fwd, f.gain, f.inv)
 }
 
 // Sweep filters every projection of ins into the matching entry of outs in

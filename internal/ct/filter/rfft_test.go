@@ -124,8 +124,8 @@ func TestPooledRunsBitIdentical(t *testing.T) {
 	}
 }
 
-// Steady-state ApplyInto must not allocate: the zero-per-projection
-// guarantee of the filtering stage.
+// Steady-state ApplyInto, Sweep and ApplyEncoded must not allocate: the
+// zero-per-projection guarantee of the filtering stage.
 func TestApplyIntoSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -152,6 +152,31 @@ func TestApplyIntoSteadyStateAllocs(t *testing.T) {
 	})
 	if avg > 0.5 {
 		t.Errorf("ApplyInto allocates %.2f objects/projection in steady state", avg)
+	}
+	// The pipeline's entry, from the staged bytes into the transposed block:
+	// its stash and an odd last row's zero partner are not per-call either.
+	for _, nv := range []int{g.Nv, g.Nv + 1} {
+		g := g
+		g.Nv = nv
+		f, err := New(g, RamLak)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob := volume.ImageToBytes(randImage(g, 4))
+		block := make([]float32, g.Nu*g.Nv)
+		for i := 0; i < 10; i++ {
+			if err := f.ApplyEncoded(blob, block); err != nil {
+				t.Fatal(err)
+			}
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			if err := f.ApplyEncoded(blob, block); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > 0.5 {
+			t.Errorf("ApplyEncoded (Nv %d) allocates %.2f objects/projection in steady state", nv, avg)
+		}
 	}
 	// The shared sweep, serial and fanned out: nothing per row pair or per
 	// projection. The one object a sweep may allocate is the closure it

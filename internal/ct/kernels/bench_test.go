@@ -159,6 +159,62 @@ func benchApply(b *testing.B, nu int) {
 	}
 }
 
+// BenchmarkFilterProjection times the pipeline's per-projection filter step
+// on a whole 256² and 512² projection (L 512 and 1024, the two parities of
+// the fused small end), from the staged bytes to the transposed block, on
+// the portable tier and on AVX2: `chain` is the step before ApplyEncoded
+// (ImageFromBytesInto into a pooled image, ApplyInto in place,
+// TransposeInto), `encoded` is ApplyEncoded. One op is one projection
+// (ns/op is ns per projection), and every op writes a block that is not
+// cache-resident, as in the pipeline, by cycling through more blocks than
+// the last-level cache holds.
+func BenchmarkFilterProjection(b *testing.B) {
+	for _, n := range []int{256, 512} {
+		g := geometry.Default(n, n, 90, 32, 32, 32)
+		f, err := filter.New(g, filter.RamLak)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := volume.NewImage(g.Nu, g.Nv)
+		for i := range e.Data {
+			e.Data[i] = float32(i % 13)
+		}
+		blob := volume.ImageToBytes(e)
+		blocks := make([][]float32, (64<<20)/(4*n*n))
+		for i := range blocks {
+			blocks[i] = make([]float32, n*n)
+		}
+		img := volume.NewImage(g.Nu, g.Nv)
+		for _, leg := range []struct {
+			name string
+			run  func(block []float32) error
+		}{
+			{"chain", func(block []float32) error {
+				if err := volume.ImageFromBytesInto(img, blob); err != nil {
+					return err
+				}
+				if err := f.ApplyInto(img, img); err != nil {
+					return err
+				}
+				img.TransposeInto(&volume.Image{W: g.Nv, H: g.Nu, Data: block})
+				return nil
+			}},
+			{"encoded", func(block []float32) error { return f.ApplyEncoded(blob, block) }},
+		} {
+			for _, tier := range tiers[1:] {
+				b.Run(fmt.Sprintf("%d/%s/%s", n, leg.name, tier.name), func(b *testing.B) {
+					defer tier.use(b)()
+					for i := 0; i < b.N; i++ {
+						if err := leg.run(blocks[i%len(blocks)]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 func BenchmarkKernelsRealUnpack(b *testing.B) {
 	const m = 512
 	rng := rand.New(rand.NewSource(4))

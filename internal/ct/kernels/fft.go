@@ -197,24 +197,20 @@ func DITRef(x, tw []complex64) {
 func difFast(x, tw []complex64) {
 	n := len(x)
 	s := imag(tw[0])
+	if useAVX2 && n >= 8 {
+		if w := difLargeAVX2(x, tw, s); len(w) == 12 {
+			difTail16AVX2(x, w, s) // block size 16 and the pass over adjacent quads
+		} else {
+			difTail8AVX2(x, w, s) // block size 8 and addSubPairs
+		}
+		return
+	}
 	end := len(tw)
 	// Every pass but the one over adjacent quads, which has unit twiddles.
 	for size := n; size >= 8; size >>= 2 {
 		q := size >> 2
 		w := tw[end-3*q : end]
 		end -= 3 * q
-		if useAVX2 {
-			switch q {
-			case 2:
-				difTail8AVX2(x, w, s) // this pass and addSubPairs
-				return
-			case 4:
-				difTail16AVX2(x, w, s) // this pass and the one over adjacent quads
-				return
-			}
-			difPassAVX2(x, w, q, s)
-			continue
-		}
 		w1, w2, w3 := w[:q], w[q:2*q], w[2*q:]
 		for start := 0; start < n; start += size {
 			// Four capped windows over the block's quarters, all resliced to
@@ -265,13 +261,17 @@ func ditFast(x, tw []complex64) {
 	s := imag(tw[0])
 	first := firstRadix4(n)
 	w := tw[1:]
+	if useAVX2 && n >= 8 {
+		if first == 4 {
+			ditHead16AVX2(x, w[3:15], s) // the pass over adjacent quads and the next
+			ditLargeAVX2(x, w[15:], 16, s)
+		} else {
+			ditHead8AVX2(x, w[:6], s) // addSubPairs and the next pass
+			ditLargeAVX2(x, w[6:], 8, s)
+		}
+		return
+	}
 	switch {
-	case useAVX2 && first == 4 && n >= 16:
-		ditHead16AVX2(x, w[3:15], s) // the pass over adjacent quads and the next
-		first, w = 64, w[15:]
-	case useAVX2 && first == 8 && n >= 8:
-		ditHead8AVX2(x, w[:6], s) // addSubPairs and the next pass
-		first, w = 32, w[6:]
 	case first == 8:
 		addSubPairs(x)
 	case n >= 4:
@@ -288,10 +288,6 @@ func ditFast(x, tw []complex64) {
 		q := size >> 2
 		wp := w[:3*q]
 		w = w[3*q:]
-		if useAVX2 { // q ≥ 8: a head above has taken the two smaller passes
-			ditPassAVX2(x, wp, q, s)
-			continue
-		}
 		w1, w2, w3 := wp[:q], wp[q:2*q], wp[2*q:]
 		for start := 0; start < n; start += size {
 			// Same windows and float32 decomposition as difFast.
@@ -319,6 +315,78 @@ func ditFast(x, tw []complex64) {
 				xd[k] = complex(v0r-jvr, v0i-jvi)
 			}
 		}
+	}
+}
+
+// difLargeAVX2 runs difFast's AVX2 passes down to the small end — all but
+// the two smallest passes — and returns the small end's twiddle runs: 12
+// (block size 16, even log₂n) or 6 (block size 8, odd). len(x) ≥ 8.
+//
+//ifdk:hotpath
+func difLargeAVX2(x, tw []complex64, s float32) []complex64 {
+	end := len(tw)
+	for q := len(x) >> 2; ; q >>= 2 {
+		w := tw[end-3*q : end]
+		if q <= 4 {
+			return w
+		}
+		difPassAVX2(x, w, q, s)
+		end -= 3 * q
+	}
+}
+
+// ditLargeAVX2 runs ditFast's AVX2 passes above the small end, block sizes
+// 4q, 16q, … up to len(x), w their twiddle runs in order.
+//
+//ifdk:hotpath
+func ditLargeAVX2(x, w []complex64, q int, s float32) {
+	for ; 4*q <= len(x); q <<= 2 {
+		ditPassAVX2(x, w[:3*q], q, s)
+		w = w[3*q:]
+	}
+}
+
+// Convolve runs the ramp filter's spectrum path over x in place: DIF with
+// fwd, every bin times its real gain (stored in DIF's bit-reversed bin
+// order), DIT with inv. It is DIF, SpectralMul and DIT called in turn, bit
+// for bit on every tier. On AVX2 the two smallest DIF passes, the gain and
+// the two smallest DIT passes act on the same 16 elements (even log₂n) or 8
+// (odd), so they run as one loop over blocks held in registers — the
+// spectrum is never stored between the transforms. fwd and inv must be
+// FFTTwiddles(len(x), ·) and gain len(x) long.
+//
+//ifdk:hotpath
+func Convolve(x, fwd []complex64, gain []float32, inv []complex64) {
+	checkTransform(x, fwd)
+	checkTransform(x, inv)
+	if len(gain) != len(x) {
+		panic(fmt.Sprintf("kernels: %d gains for a %d-point spectrum", len(gain), len(x)))
+	}
+	if useFast {
+		convolveFast(x, fwd, gain, inv)
+		return
+	}
+	DIFRef(x, fwd)
+	SpectralMulRef(x, gain)
+	DITRef(x, inv)
+}
+
+//ifdk:hotpath
+func convolveFast(x, fwd []complex64, gain []float32, inv []complex64) {
+	if !useAVX2 || len(x) < 8 {
+		difFast(x, fwd)
+		spectralMulFast(x, gain)
+		ditFast(x, inv)
+		return
+	}
+	s, si := imag(fwd[0]), imag(inv[0])
+	wi := inv[1:]
+	if w := difLargeAVX2(x, fwd, s); len(w) == 12 {
+		convolveSmall16AVX2(x, w, gain, wi[3:15], s, si)
+		ditLargeAVX2(x, wi[15:], 16, si)
+	} else {
+		convolveSmall8AVX2(x, w, gain, wi[:6], s, si)
+		ditLargeAVX2(x, wi[6:], 8, si)
 	}
 }
 

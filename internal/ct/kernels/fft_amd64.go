@@ -30,3 +30,16 @@ func difTail8AVX2(x, w []complex64, s float32)
 
 //go:noescape
 func ditHead8AVX2(x, w []complex64, s float32)
+
+// convolveSmall16AVX2 is difTail16AVX2, SpectralMul and ditHead16AVX2 in
+// one loop over 16-element blocks: w and s are the DIF end's twiddles and
+// sign, wi and si the DIT end's, gain one real per element of x.
+// convolveSmall8AVX2 is the same for odd log₂n (difTail8AVX2,
+// ditHead8AVX2). They touch x[:len(x)], gain[:len(x)] and w, wi[:12] or
+// [:6]; len(x) must be a multiple of the block size.
+//
+//go:noescape
+func convolveSmall16AVX2(x, w []complex64, gain []float32, wi []complex64, s, si float32)
+
+//go:noescape
+func convolveSmall8AVX2(x, w []complex64, gain []float32, wi []complex64, s, si float32)

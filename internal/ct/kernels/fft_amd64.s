@@ -239,25 +239,98 @@ ditdone:
 	CMPQ AX, DI; \
 	JHI  done
 
-// SPLIT12 loads the 12 twiddles w1 | w2 | w3 of a q = 4 pass into Y8–Y13.
-#define SPLIT12 \
-	VMOVSLDUP (DX), Y8; \
-	VMOVSHDUP (DX), Y9; \
-	VMOVSLDUP 32(DX), Y10; \
-	VMOVSHDUP 32(DX), Y11; \
-	VMOVSLDUP 64(DX), Y12; \
-	VMOVSHDUP 64(DX), Y13
+// SPLIT12(W) loads the 12 twiddles w1 | w2 | w3 of a q = 4 pass at W into
+// Y8–Y13.
+#define SPLIT12(W) \
+	VMOVSLDUP (W), Y8; \
+	VMOVSHDUP (W), Y9; \
+	VMOVSLDUP 32(W), Y10; \
+	VMOVSHDUP 32(W), Y11; \
+	VMOVSLDUP 64(W), Y12; \
+	VMOVSHDUP 64(W), Y13
 
-// SPLIT6 loads the 6 twiddles w1 | w2 | w3 of a q = 2 pass as the partners of
-// P and Q: (· | w2) into Y8, Y9 and (w1 | w3) into Y10, Y11.
-#define SPLIT6 \
-	VMOVUPS    (DX), Y12; \
-	VMOVUPS    16(DX), Y13; \
+// SPLIT6(W) loads the 6 twiddles w1 | w2 | w3 of a q = 2 pass at W as the
+// partners of P and Q: (· | w2) into Y8, Y9 and (w1 | w3) into Y10, Y11.
+#define SPLIT6(W) \
+	VMOVUPS    (W), Y12; \
+	VMOVUPS    16(W), Y13; \
 	VPERM2F128 $0x30, Y13, Y12, Y13; \
 	VMOVSLDUP  Y12, Y8; \
 	VMOVSHDUP  Y12, Y9; \
 	VMOVSLDUP  Y13, Y10; \
 	VMOVSHDUP  Y13, Y11
+
+// SIGN(S) sets Y15 to (−s, s, …) from the float32 argument S.
+#define SIGN(S) \
+	VBROADCASTSS S, Y15; \
+	VXORPS       negeven<>(SB), Y15, Y15
+
+// The four small-end butterflies, on a block already in registers. Even
+// log₂n: DIF16 and DIT16 transform the 16 elements in Y0–Y3 in place, with
+// the twiddles in Y8–Y13. Odd log₂n: DIF8 and DIT8 transform the 8
+// elements in Y0, Y1 into Y2, Y3, with the twiddles in Y8–Y11. Y15 holds
+// (−s, s, …).
+#define DIF16 \
+	VADDPS  Y2, Y0, Y4; \
+	VADDPS  Y3, Y1, Y5; \
+	VSUBPS  Y2, Y0, Y6; \
+	VSUBPS  Y3, Y1, Y7; \
+	QUARTERTURN(Y7); \
+	VADDPS  Y5, Y4, Y0; \
+	VSUBPS  Y5, Y4, Y1; \
+	VADDPS  Y7, Y6, Y2; \
+	VSUBPS  Y7, Y6, Y3; \
+	CMULR(Y1, Y10, Y11); \
+	CMULR(Y2, Y8, Y9); \
+	CMULR(Y3, Y12, Y13); \
+	QUADDIF(Y0); \
+	QUADDIF(Y1); \
+	QUADDIF(Y2); \
+	QUADDIF(Y3)
+
+#define DIT16 \
+	QUADDIT(Y0); \
+	QUADDIT(Y1); \
+	QUADDIT(Y2); \
+	QUADDIT(Y3); \
+	CMULR(Y1, Y10, Y11); \
+	CMULR(Y2, Y8, Y9); \
+	CMULR(Y3, Y12, Y13); \
+	VADDPS  Y1, Y0, Y4; \
+	VSUBPS  Y1, Y0, Y5; \
+	VADDPS  Y3, Y2, Y6; \
+	VSUBPS  Y3, Y2, Y7; \
+	QUARTERTURN(Y7); \
+	VADDPS  Y6, Y4, Y0; \
+	VADDPS  Y7, Y5, Y1; \
+	VSUBPS  Y6, Y4, Y2; \
+	VSUBPS  Y7, Y5, Y3
+
+// DIF8: (u0 | u1) and (v0 | a1 − a3); the quarter turn makes the second
+// (v0 | jv); HALVES gives (u0 + u1 | u0 − u1) and (v0 + jv | v0 − jv).
+#define DIF8 \
+	VADDPS  Y1, Y0, Y2; \
+	VSUBPS  Y1, Y0, Y3; \
+	TURN(Y3, $0xF0); \
+	HALVES(Y2); \
+	HALVES(Y3); \
+	CMULHIGH(Y2); \
+	CMULR(Y3, Y10, Y11); \
+	PAIRS(Y2); \
+	PAIRS(Y3)
+
+// DIT8: after PAIRS and the twiddles, (a0 | t1) and (t2 | t3); HALVES gives
+// (u0 | v0) and (u1 | t2 − t3), the quarter turn (u1 | jv).
+#define DIT8 \
+	PAIRS(Y0); \
+	PAIRS(Y1); \
+	CMULHIGH(Y0); \
+	CMULR(Y1, Y10, Y11); \
+	HALVES(Y0); \
+	HALVES(Y1); \
+	TURN(Y1, $0xF0); \
+	VADDPS  Y1, Y0, Y2; \
+	VSUBPS  Y1, Y0, Y3
 
 // CMULHIGH(X) multiplies the upper half of X by w2 and leaves the lower
 // half, which has no twiddle, as it is.
@@ -269,31 +342,15 @@ ditdone:
 // func difTail16AVX2(x, w []complex64, s float32)
 TEXT ·difTail16AVX2(SB), NOSPLIT, $0-52
 	SMALLEND(128, diftail16done)
-	VBROADCASTSS s+48(FP), Y15
-	VXORPS       negeven<>(SB), Y15, Y15
-	SPLIT12
+	SIGN(s+48(FP))
+	SPLIT12(DX)
 
 diftail16:
 	VMOVUPS (SI), Y0
 	VMOVUPS 32(SI), Y1
 	VMOVUPS 64(SI), Y2
 	VMOVUPS 96(SI), Y3
-	VADDPS  Y2, Y0, Y4
-	VADDPS  Y3, Y1, Y5
-	VSUBPS  Y2, Y0, Y6
-	VSUBPS  Y3, Y1, Y7
-	QUARTERTURN(Y7)
-	VADDPS  Y5, Y4, Y0
-	VSUBPS  Y5, Y4, Y1
-	VADDPS  Y7, Y6, Y2
-	VSUBPS  Y7, Y6, Y3
-	CMULR(Y1, Y10, Y11)
-	CMULR(Y2, Y8, Y9)
-	CMULR(Y3, Y12, Y13)
-	QUADDIF(Y0)
-	QUADDIF(Y1)
-	QUADDIF(Y2)
-	QUADDIF(Y3)
+	DIF16
 	VMOVUPS Y0, (SI)
 	VMOVUPS Y1, 32(SI)
 	VMOVUPS Y2, 64(SI)
@@ -310,31 +367,15 @@ diftail16done:
 // func ditHead16AVX2(x, w []complex64, s float32)
 TEXT ·ditHead16AVX2(SB), NOSPLIT, $0-52
 	SMALLEND(128, dithead16done)
-	VBROADCASTSS s+48(FP), Y15
-	VXORPS       negeven<>(SB), Y15, Y15
-	SPLIT12
+	SIGN(s+48(FP))
+	SPLIT12(DX)
 
 dithead16:
 	VMOVUPS (SI), Y0
 	VMOVUPS 32(SI), Y1
 	VMOVUPS 64(SI), Y2
 	VMOVUPS 96(SI), Y3
-	QUADDIT(Y0)
-	QUADDIT(Y1)
-	QUADDIT(Y2)
-	QUADDIT(Y3)
-	CMULR(Y1, Y10, Y11)
-	CMULR(Y2, Y8, Y9)
-	CMULR(Y3, Y12, Y13)
-	VADDPS  Y1, Y0, Y4
-	VSUBPS  Y1, Y0, Y5
-	VADDPS  Y3, Y2, Y6
-	VSUBPS  Y3, Y2, Y7
-	QUARTERTURN(Y7)
-	VADDPS  Y6, Y4, Y0
-	VADDPS  Y7, Y5, Y1
-	VSUBPS  Y6, Y4, Y2
-	VSUBPS  Y7, Y5, Y3
+	DIT16
 	VMOVUPS Y0, (SI)
 	VMOVUPS Y1, 32(SI)
 	VMOVUPS Y2, 64(SI)
@@ -351,22 +392,13 @@ dithead16done:
 // func difTail8AVX2(x, w []complex64, s float32)
 TEXT ·difTail8AVX2(SB), NOSPLIT, $0-52
 	SMALLEND(64, diftail8done)
-	VBROADCASTSS s+48(FP), Y15
-	VXORPS       negeven<>(SB), Y15, Y15
-	SPLIT6
+	SIGN(s+48(FP))
+	SPLIT6(DX)
 
 diftail8:
 	VMOVUPS (SI), Y0
 	VMOVUPS 32(SI), Y1
-	VADDPS  Y1, Y0, Y2 // (u0 | u1)
-	VSUBPS  Y1, Y0, Y3 // (v0 | a1 − a3)
-	TURN(Y3, $0xF0)    // (v0 | jv)
-	HALVES(Y2)         // (u0 + u1 | u0 − u1)
-	HALVES(Y3)         // (v0 + jv | v0 − jv)
-	CMULHIGH(Y2)
-	CMULR(Y3, Y10, Y11)
-	PAIRS(Y2)
-	PAIRS(Y3)
+	DIF8
 	VMOVUPS Y2, (SI)
 	VMOVUPS Y3, 32(SI)
 	ADDQ    $64, SI
@@ -381,22 +413,13 @@ diftail8done:
 // func ditHead8AVX2(x, w []complex64, s float32)
 TEXT ·ditHead8AVX2(SB), NOSPLIT, $0-52
 	SMALLEND(64, dithead8done)
-	VBROADCASTSS s+48(FP), Y15
-	VXORPS       negeven<>(SB), Y15, Y15
-	SPLIT6
+	SIGN(s+48(FP))
+	SPLIT6(DX)
 
 dithead8:
 	VMOVUPS (SI), Y0
 	VMOVUPS 32(SI), Y1
-	PAIRS(Y0)
-	PAIRS(Y1)
-	CMULHIGH(Y0)        // (a0 | t1)
-	CMULR(Y1, Y10, Y11) // (t2 | t3)
-	HALVES(Y0)          // (u0 | v0)
-	HALVES(Y1)          // (u1 | t2 − t3)
-	TURN(Y1, $0xF0)     // (u1 | jv)
-	VADDPS  Y1, Y0, Y2  // (u0 + u1 | v0 + jv)
-	VSUBPS  Y1, Y0, Y3  // (u0 − u1 | v0 − jv)
+	DIT8
 	VMOVUPS Y2, (SI)
 	VMOVUPS Y3, 32(SI)
 	ADDQ    $64, SI
@@ -406,4 +429,96 @@ dithead8:
 	VZEROUPPER
 
 dithead8done:
+	RET
+
+// The ramp filter's small end: each block goes through the two smallest
+// DIF passes, its gains and the two smallest DIT passes between one load
+// and one store. The twiddles and the sign vector of each transform are
+// reloaded per block (pure loads for the even size), since both sets do
+// not fit the registers at once. The gains arrive one per element and are
+// duplicated into (g, g) pairs in register:
+//
+//	BX  the block's gains    CX  inverse twiddles    Y14  dupidx
+//
+// GAIN(X, DST, OFF) sets DST to X times the four gains at OFF(BX), as
+// SpectralMul spells it: (xr·g, xi·g).
+DATA dupidx<>+0(SB)/4, $0
+DATA dupidx<>+4(SB)/4, $0
+DATA dupidx<>+8(SB)/4, $1
+DATA dupidx<>+12(SB)/4, $1
+DATA dupidx<>+16(SB)/4, $2
+DATA dupidx<>+20(SB)/4, $2
+DATA dupidx<>+24(SB)/4, $3
+DATA dupidx<>+28(SB)/4, $3
+GLOBL dupidx<>(SB), RODATA|NOPTR, $32
+
+#define GAIN(X, DST, OFF) \
+	VMOVUPS OFF(BX), X4; \
+	VPERMPS Y4, Y14, Y4; \
+	VMULPS  Y4, X, DST
+
+// func convolveSmall16AVX2(x, w []complex64, gain []float32, wi []complex64, s, si float32)
+TEXT ·convolveSmall16AVX2(SB), NOSPLIT, $0-104
+	SMALLEND(128, convolve16done)
+	MOVQ gain_base+48(FP), BX
+	MOVQ wi_base+72(FP), CX
+
+convolve16:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	SIGN(s+96(FP))
+	SPLIT12(DX)
+	DIF16
+	VMOVUPS dupidx<>(SB), Y14
+	GAIN(Y0, Y0, 0)
+	GAIN(Y1, Y1, 16)
+	GAIN(Y2, Y2, 32)
+	GAIN(Y3, Y3, 48)
+	SIGN(si+100(FP))
+	SPLIT12(CX)
+	DIT16
+	VMOVUPS Y0, (SI)
+	VMOVUPS Y1, 32(SI)
+	VMOVUPS Y2, 64(SI)
+	VMOVUPS Y3, 96(SI)
+	ADDQ    $128, SI
+	ADDQ    $64, BX
+	CMPQ    SI, DI
+	JLO     convolve16
+
+	VZEROUPPER
+
+convolve16done:
+	RET
+
+// func convolveSmall8AVX2(x, w []complex64, gain []float32, wi []complex64, s, si float32)
+TEXT ·convolveSmall8AVX2(SB), NOSPLIT, $0-104
+	SMALLEND(64, convolve8done)
+	MOVQ gain_base+48(FP), BX
+	MOVQ wi_base+72(FP), CX
+
+convolve8:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	SIGN(s+96(FP))
+	SPLIT6(DX)
+	DIF8
+	VMOVUPS dupidx<>(SB), Y14
+	GAIN(Y2, Y0, 0)
+	GAIN(Y3, Y1, 16)
+	SIGN(si+100(FP))
+	SPLIT6(CX)
+	DIT8
+	VMOVUPS Y2, (SI)
+	VMOVUPS Y3, 32(SI)
+	ADDQ    $64, SI
+	ADDQ    $32, BX
+	CMPQ    SI, DI
+	JLO     convolve8
+
+	VZEROUPPER
+
+convolve8done:
 	RET

@@ -15,3 +15,7 @@ func ditHead16AVX2(x, w []complex64, s float32) {}
 func difTail8AVX2(x, w []complex64, s float32) {}
 
 func ditHead8AVX2(x, w []complex64, s float32) {}
+
+func convolveSmall16AVX2(x, w []complex64, gain []float32, wi []complex64, s, si float32) {}
+
+func convolveSmall8AVX2(x, w []complex64, gain []float32, wi []complex64, s, si float32) {}

@@ -6,7 +6,10 @@ import (
 	"math"
 	"testing"
 
+	"ifdk/internal/ct/filter"
+	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/kernels"
+	"ifdk/pkg/volume"
 )
 
 // FuzzRadix4Tiers drives DIF and DIT, the two wrappers that hand slices to
@@ -17,7 +20,9 @@ import (
 //     power of two up to 4096;
 //   - mode bit 0 is the direction, bit 1 picks DIT over DIF, bits 2–3 the
 //     table: right, one short, one long, or the right table for twice the
-//     length;
+//     length; bit 4 picks Convolve, the fused DIF → gain → DIT, with the
+//     table as its forward end, the right table of the other direction as
+//     its inverse end and a gain per element from the contents;
 //   - contents are float32 bit patterns (NaN, ±Inf and denormals included),
 //     repeated to fill the row.
 //
@@ -25,7 +30,7 @@ import (
 // transformed row must be bit-identical across tiers (any NaN for a NaN);
 // and the canaries either side of the row must survive.
 func FuzzRadix4Tiers(f *testing.F) {
-	const pow2, dit, short, long, other = 0x80, 0x02, 0x04, 0x08, 0x0C
+	const pow2, dit, short, long, other, conv = 0x80, 0x02, 0x04, 0x08, 0x0C, 0x10
 	nan, inf, denormal := []byte{0, 0, 0xC0, 0x7F}, []byte{0, 0, 0x80, 0xFF}, []byte{1, 0, 0, 0}
 	finite := []byte{0, 0, 0x80, 0x3F, 0, 0, 0x20, 0xC1, 0xDB, 0x0F, 0x49, 0x40} // 1, −10, π
 	for _, size := range []uint16{0, 1, 2, 3, 4, 8, 12, 16, 100, 512, 1024, 2048, 4095, 4096} {
@@ -43,6 +48,17 @@ func FuzzRadix4Tiers(f *testing.F) {
 		}
 	}
 	f.Add(uint16(10), uint8(pow2), []byte(nil))
+	// The fused kernel at L = 8…1024, both parities of log₂L, and its
+	// refusals.
+	for exp := uint16(0); exp <= 10; exp++ {
+		f.Add(exp, uint8(pow2|conv), append(append([]byte(nil), finite...), denormal...))
+		f.Add(exp, uint8(pow2|conv|1), append(append([]byte(nil), nan...), finite...))
+	}
+	for _, table := range []uint8{short, long, other} {
+		f.Add(uint16(10), pow2|conv|table, finite)
+		f.Add(uint16(9), pow2|conv|table, finite)
+	}
+	f.Add(uint16(100), uint8(conv), finite)
 
 	f.Fuzz(func(t *testing.T, size uint16, mode uint8, contents []byte) {
 		if !kernels.HasAVX2() {
@@ -52,9 +68,22 @@ func FuzzRadix4Tiers(f *testing.F) {
 		if mode&pow2 != 0 {
 			n = 1 << (size % 13)
 		}
+		word := func(i int) float32 {
+			if len(contents) < 4 {
+				return 0
+			}
+			return math.Float32frombits(binary.LittleEndian.Uint32(contents[4*(i%(len(contents)/4)):]))
+		}
 		transform := kernels.DIF
 		if mode&dit != 0 {
 			transform = kernels.DIT
+		}
+		if mode&conv != 0 {
+			inv, gain := tableFor(n, mode&1 == 0, 0), make([]float32, n)
+			for i := range gain {
+				gain[i] = word(3*i + 1)
+			}
+			transform = func(x, tw []complex64) { kernels.Convolve(x, tw, gain, inv) }
 		}
 		tw := tableFor(n, mode&1 != 0, mode&other)
 
@@ -64,12 +93,6 @@ func FuzzRadix4Tiers(f *testing.F) {
 			backing := make([]complex64, pad+n+pad)
 			for i := range backing {
 				backing[i] = canary
-			}
-			word := func(i int) float32 {
-				if len(contents) < 4 {
-					return 0
-				}
-				return math.Float32frombits(binary.LittleEndian.Uint32(contents[4*(i%(len(contents)/4)):]))
 			}
 			for i := 0; i < n; i++ {
 				backing[pad+i] = complex(word(2*i), word(2*i+1))
@@ -101,6 +124,128 @@ func FuzzRadix4Tiers(f *testing.F) {
 			}
 		}
 		sameComplexBits(t, fmt.Sprintf("n=%d mode=%#x", n, mode), portable[pad:pad+n], vector[pad:pad+n])
+	})
+}
+
+// FuzzApplyEncodedTiers drives filter.ApplyEncoded, the pipeline's entry
+// from a staged projection's bytes into the transposed block, against the
+// chain it replaces — volume.ImageFromBytesInto, ApplyInto in place,
+// TransposeInto — on the portable tier and on AVX2:
+//
+//   - nu × nv is the detector, 1…40 × 1…24 (Nv = 1, odd Nv and Nu that
+//     are not powers of two included);
+//   - mode bit 0 cuts the blob short by cut bytes, bit 1 and bit 2 add
+//     one to the header's W and H, bit 3 writes cut into the header's W
+//     outright (an inconsistent header), bit 4 makes the block cut values
+//     too long or, with bit 5, too short;
+//   - contents are the payload's float32 bit patterns (NaN, signalling
+//     NaN, ±Inf and −0 included), repeated to fill it.
+//
+// ApplyEncoded must fail exactly when the chain would — the decode fails or
+// the block is not Nu·Nv long — and then write nothing; otherwise it must
+// equal the chain's output bit for bit (any NaN for a NaN). Canaries past
+// the block's end must survive either way.
+func FuzzApplyEncodedTiers(f *testing.F) {
+	const short, wideHdr, tallHdr, rawW, longBlk, shortBlk = 0x01, 0x02, 0x04, 0x08, 0x10, 0x20
+	nan, snan, inf, negZero := []byte{0, 0, 0xC0, 0x7F}, []byte{1, 0, 0x80, 0x7F}, []byte{0, 0, 0x80, 0xFF}, []byte{0, 0, 0, 0x80}
+	ramp := []byte{0, 0, 0x80, 0x3F, 0, 0, 0x20, 0xC1, 0xDB, 0x0F, 0x49, 0x40, 0xCD, 0xCC, 0x4C, 0x3E}
+	for _, det := range [][2]uint8{{32, 16}, {16, 1}, {17, 9}, {40, 23}, {5, 3}, {1, 1}, {33, 24}} {
+		f.Add(det[0], det[1], uint8(0), uint8(0), ramp)
+		f.Add(det[0], det[1], uint8(0), uint8(0), append(append([]byte(nil), ramp...), nan...))
+		f.Add(det[0], det[1], uint8(0), uint8(0), append(append(append([]byte(nil), snan...), ramp...), negZero...))
+		f.Add(det[0], det[1], uint8(0), uint8(0), append(append([]byte(nil), inf...), ramp...))
+	}
+	for _, mode := range []uint8{short, wideHdr, tallHdr, wideHdr | tallHdr, rawW, longBlk, longBlk | shortBlk} {
+		f.Add(uint8(32), uint8(16), mode, uint8(1), ramp)
+		f.Add(uint8(17), uint8(9), mode, uint8(7), ramp)
+	}
+	f.Add(uint8(32), uint8(16), uint8(short), uint8(255), ramp) // shorter than the header
+	f.Add(uint8(32), uint8(16), uint8(0), uint8(0), []byte(nil))
+
+	f.Fuzz(func(t *testing.T, nu, nv, mode, cut uint8, contents []byte) {
+		g := geometry.Default(1+int(nu)%40, 1+int(nv)%24, 8, 8, 8, 8)
+		flt, err := filter.Cached(g, filter.Hann)
+		if err != nil {
+			t.Skip(err)
+		}
+		word := func(i int) float32 {
+			if len(contents) < 4 {
+				return float32(i % 5)
+			}
+			return math.Float32frombits(binary.LittleEndian.Uint32(contents[4*(i%(len(contents)/4)):]))
+		}
+		img := volume.NewImage(g.Nu, g.Nv)
+		for i := range img.Data {
+			img.Data[i] = word(i)
+		}
+		blob := volume.ImageToBytes(img)
+		if mode&wideHdr != 0 {
+			binary.LittleEndian.PutUint32(blob[0:], uint32(g.Nu+1))
+		}
+		if mode&tallHdr != 0 {
+			binary.LittleEndian.PutUint32(blob[4:], uint32(g.Nv+1))
+		}
+		if mode&rawW != 0 {
+			binary.LittleEndian.PutUint32(blob[0:], uint32(cut))
+		}
+		if mode&short != 0 {
+			blob = blob[:max(0, len(blob)-int(cut))]
+		}
+		blockLen := g.Nu * g.Nv
+		if mode&longBlk != 0 {
+			if mode&shortBlk != 0 {
+				blockLen = max(0, blockLen-int(cut))
+			} else {
+				blockLen += int(cut)
+			}
+		}
+
+		const pad = 64
+		canary := math.Float32frombits(0xCAFEF00D)
+		for _, avx2 := range []bool{false, true} {
+			if avx2 && !kernels.HasAVX2() {
+				continue
+			}
+			func() {
+				defer kernels.SetAVX2(avx2)()
+				name := fmt.Sprintf("%dx%d mode=%#x cut=%d avx2=%v", g.Nu, g.Nv, mode, cut, avx2)
+				dec := volume.NewImage(g.Nu, g.Nv)
+				chainErr := volume.ImageFromBytesInto(dec, blob)
+				if chainErr == nil && blockLen != g.Nu*g.Nv {
+					chainErr = fmt.Errorf("block of %d", blockLen)
+				}
+				backing := make([]float32, blockLen+pad)
+				for i := range backing {
+					backing[i] = canary
+				}
+				err := flt.ApplyEncoded(blob, backing[:blockLen:blockLen])
+				if (err != nil) != (chainErr != nil) {
+					t.Fatalf("%s: ApplyEncoded error %v, chain error %v", name, err, chainErr)
+				}
+				for i := blockLen; i < len(backing); i++ {
+					if math.Float32bits(backing[i]) != math.Float32bits(canary) {
+						t.Fatalf("%s: canary %d past the block overwritten with %v", name, i-blockLen, backing[i])
+					}
+				}
+				if err != nil {
+					for i, x := range backing[:blockLen] {
+						if math.Float32bits(x) != math.Float32bits(canary) {
+							t.Fatalf("%s: failed call wrote %v at %d", name, x, i)
+						}
+					}
+					return
+				}
+				if err := flt.ApplyInto(dec, dec); err != nil {
+					t.Fatal(err)
+				}
+				want := dec.Transpose()
+				for i, x := range want.Data {
+					if got := backing[i]; math.Float32bits(got) != math.Float32bits(x) && !(got != got && x != x) {
+						t.Fatalf("%s: block[%d] = %v, chain gives %v", name, i, got, x)
+					}
+				}
+			}()
+		}
 	})
 }
 

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -99,6 +100,137 @@ func TestCosineWeightParity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// CosineWeightPairLE weights the little-endian bytes of the two rows: at
+// every byte offset of the payload (0–3, as a blob's rows sit after its
+// 8-byte header at any slice start), on ref, the portable loop and AVX2, it
+// must equal CosineWeightPair on the decoded rows bit for bit, NaN
+// payloads included (the cosines are finite, so a NaN can only come from
+// the row and is quieted the same way by every multiply).
+func TestCosineWeightParityLE(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	encode := func(row []float32, off int) []byte {
+		b := make([]byte, off+4*len(row))
+		for i, x := range row {
+			binary.LittleEndian.PutUint32(b[off+4*i:], math.Float32bits(x))
+		}
+		return b[off:]
+	}
+	defer SetAVX2(useAVX2)()
+	for _, n := range append(widths, 64, 512) {
+		for off := 0; off < 4; off++ {
+			for trial := 0; trial < 6; trial++ {
+				src0, src1 := randRow(rng, n, trial%3 == 0), randRow(rng, n, trial%2 == 0)
+				if n > 0 && trial == 5 {
+					src0[rng.Intn(n)] = math.Float32frombits(0x7F800001) // signalling NaN
+					src1[rng.Intn(n)] = float32(math.Copysign(0, -1))
+				}
+				cos0, cos1 := randRow(rng, n, false), randRow(rng, n, false)
+				b0, b1 := encode(src0, off), encode(src1, off)
+				want := make([]complex64, n)
+				CosineWeightPairRef(want, src0, cos0, src1, cos1)
+				for _, tier := range []struct {
+					name       string
+					fast, avx2 bool
+				}{{"ref", false, false}, {"go", true, false}, {"avx2", true, true}} {
+					if tier.avx2 && !hasAVX2() {
+						continue
+					}
+					SetAVX2(tier.avx2)
+					got := make([]complex64, n)
+					if tier.fast {
+						CosineWeightPairLE(got, b0, cos0, b1, cos1)
+					} else {
+						CosineWeightPairLERef(got, b0, cos0, b1, cos1)
+					}
+					for i := range want {
+						if math.Float32bits(real(got[i])) != math.Float32bits(real(want[i])) ||
+							math.Float32bits(imag(got[i])) != math.Float32bits(imag(want[i])) {
+							t.Fatalf("%s n=%d offset %d trial %d: dst[%d] = %v, decoded rows give %v", tier.name, n, off, trial, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TransposePairs copies bits: every row count 0…16 of up to eight pairs,
+// at column counts around the vector loop's step of 4, on the portable loop
+// and AVX2 — aligned for the non-temporal stores and not — must write
+// exactly dst[u·stride + v] = row v at u and leave everything else alone.
+func TestTransposePairs(t *testing.T) {
+	defer SetAVX2(useAVX2)()
+	const canary = float32(-7.5)
+	rng := rand.New(rand.NewSource(12))
+	for _, nu := range []int{0, 1, 3, 4, 5, 8, 13, 64} {
+		l := max(nu, 1) + 3
+		src := make([]complex64, LinePairs*l)
+		for i := range src {
+			src[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
+		}
+		for rows := 0; rows <= 2*LinePairs; rows++ {
+			for _, stride := range []int{rows, 16, 24, 19} {
+				if stride < rows {
+					continue
+				}
+				for _, avx2 := range []bool{false, true} {
+					if avx2 && !hasAVX2() {
+						continue
+					}
+					SetAVX2(avx2)
+					for _, lead := range []int{0, 1, 8} { // float offset of the block in its backing array
+						n := 0
+						if nu > 0 {
+							n = (nu-1)*stride + rows
+						}
+						backing := make([]float32, lead+n+16)
+						for i := range backing {
+							backing[i] = canary
+						}
+						TransposePairs(backing[lead:lead+n:lead+n], stride, src, l, nu, rows)
+						for i, x := range backing {
+							want := canary
+							if j := i - lead; j >= 0 && j < n && j%stride < rows {
+								u, v := j/stride, j%stride
+								c := src[(v/2)*l+u]
+								want = real(c)
+								if v%2 == 1 {
+									want = imag(c)
+								}
+							}
+							if math.Float32bits(x) != math.Float32bits(want) {
+								t.Fatalf("avx2=%v nu=%d rows=%d stride=%d lead=%d: element %d = %v, want %v", avx2, nu, rows, stride, lead, i-lead, x, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestTransposePairsRejectsShortOperands(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		dst, stride, src int
+		l, nu, rows      int
+	}{
+		{"dst one short", 3*16 + 15, 16, 8 * 4, 4, 4, 16},
+		{"src one short", 3*16 + 16, 16, 7*4 + 3, 4, 4, 16},
+		{"stride below rows", 100, 15, 8 * 4, 4, 4, 16},
+		{"columns past the pair length", 100, 16, 8 * 4, 4, 5, 16},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", tc.name)
+				}
+			}()
+			TransposePairs(make([]float32, tc.dst), tc.stride, make([]complex64, tc.src), tc.l, tc.nu, tc.rows)
+		}()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ifdk/internal/ct/backproject"
@@ -173,21 +174,85 @@ func TestRadix4BitIdenticalAcrossTiers(t *testing.T) {
 	}
 }
 
+// TestConvolveBitIdenticalAcrossTiers runs the fused spectrum kernel at
+// every power of two up to 4096 — both parities of log₂n, so both fused
+// small ends and the lengths below them — on the portable passes and on
+// AVX2. On each tier it must equal the chain it fuses, DIF → SpectralMul →
+// DIT, bit for bit, and the tiers must equal each other; trials 7–9 carry a
+// NaN or ±Inf.
+func TestConvolveBitIdenticalAcrossTiers(t *testing.T) {
+	if !kernels.HasAVX2() {
+		t.Skip("CPU or OS without AVX2: only the portable tier runs here")
+	}
+	rng := rand.New(rand.NewSource(36))
+	for n := 1; n <= 4096; n <<= 1 {
+		fwd, inv := kernels.FFTTwiddles(n, false), kernels.FFTTwiddles(n, true)
+		for trial := 0; trial < 10; trial++ {
+			x := randC64(rng, n)
+			if trial >= 7 {
+				bad := [...]float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}[trial-7]
+				x[rng.Intn(n)] = complex(1, bad)
+			}
+			gain := randF32(rng, n)
+			var tiers [2][]complex64
+			for i, avx2 := range []bool{false, true} {
+				fused := append([]complex64(nil), x...)
+				chain := append([]complex64(nil), x...)
+				onTier(avx2, func() {
+					kernels.Convolve(fused, fwd, gain, inv)
+					kernels.DIF(chain, fwd)
+					kernels.SpectralMul(chain, gain)
+					kernels.DIT(chain, inv)
+				})
+				sameComplexBits(t, fmt.Sprintf("fused vs chain n=%d avx2=%v trial=%d", n, avx2, trial), chain, fused)
+				tiers[i] = fused
+			}
+			sameComplexBits(t, fmt.Sprintf("convolve n=%d trial=%d", n, trial), tiers[0], tiers[1])
+		}
+	}
+}
+
+// applyChain is the pipeline's filter step as it was before ApplyEncoded:
+// decode the blob into an image, filter it in place, transpose it.
+func applyChain(t *testing.T, f *filter.Filterer, blob []byte) *volume.Image {
+	t.Helper()
+	g := f.Geometry()
+	img := volume.NewImage(g.Nu, g.Nv)
+	if err := volume.ImageFromBytesInto(img, blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ApplyInto(img, img); err != nil {
+		t.Fatal(err)
+	}
+	return img.Transpose()
+}
+
+func bitsOf(x []float32) []uint32 {
+	out := make([]uint32, len(x))
+	for i, v := range x {
+		out[i] = math.Float32bits(v)
+	}
+	return out
+}
+
 // TestFilterBitIdenticalAcrossTiers runs the whole ramp filter — ApplyInto,
-// and Sweep at three worker counts — on the portable passes and on the AVX2
-// tier for every window, on padded lengths with odd log₂ (Nu 48 and 64 →
-// L 128, whose small end is the radix-2 pass and its neighbour) and even
-// log₂ (Nu 100 → L 256, Nu 512 → L 1024, whose small end is the pass over
-// quads and its neighbour), and on an odd row count (last row paired with
-// zeros). The two tiers must agree bit for bit,
-// and both stay within 1e-6 of the image peak of the same filter on the
-// reference kernels.
+// Sweep at three worker counts, and ApplyEncoded from the encoded bytes
+// into a transposed block — on the portable passes and on the AVX2 tier for
+// every window, on every padded length L = 8…1024: odd log₂ (Nu 4 → 8,
+// 9 → 32, 48 and 64 → 128, 256 → 512, whose small end is the radix-2 pass
+// and its neighbour) and even log₂ (Nu 5 → 16, 17 → 64, 100 → 256, 512 →
+// 1024, whose small end is the pass over quads and its neighbour), and on
+// odd row counts (last row paired with zeros; 19 rows are one full group
+// of eight stored pairs and a short one). The two tiers must agree bit for
+// bit, both stay within 1e-6 of the image peak of the same filter on the
+// reference kernels, and on every tier ApplyEncoded must equal the chain
+// it replaces — ImageFromBytesInto, ApplyInto, TransposeInto — bit for bit.
 func TestFilterBitIdenticalAcrossTiers(t *testing.T) {
 	if !kernels.HasAVX2() {
 		t.Skip("CPU or OS without AVX2: only the portable tier runs here")
 	}
-	for _, nu := range []int{48, 64, 100, 512} {
-		for _, nv := range []int{6, 7} {
+	for _, nu := range []int{4, 5, 9, 17, 48, 64, 100, 256, 512} {
+		for _, nv := range []int{6, 7, 19} {
 			g := geometry.Default(nu, nv, 90, 32, 32, 32)
 			rng := rand.New(rand.NewSource(int64(nu*10 + nv)))
 			ins := make([]*volume.Image, 3)
@@ -202,14 +267,23 @@ func TestFilterBitIdenticalAcrossTiers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// run filters ins[0] with ApplyInto, then all of ins with
-				// Sweep at 1, 2 and 3 workers, on whatever tier is live.
+				// run filters ins[0] with ApplyInto and with ApplyEncoded
+				// (checked against the chain), then all of ins with Sweep at
+				// 1, 2 and 3 workers, on whatever tier is live.
+				blob := volume.ImageToBytes(ins[0])
 				run := func() (outs []*volume.Image) {
 					q := volume.NewImage(g.Nu, g.Nv)
 					if err := f.ApplyInto(ins[0], q); err != nil {
 						t.Fatal(err)
 					}
-					outs = append(outs, q)
+					enc := &volume.Image{W: g.Nv, H: g.Nu, Data: make([]float32, g.Nu*g.Nv)}
+					if err := f.ApplyEncoded(blob, enc.Data); err != nil {
+						t.Fatal(err)
+					}
+					if chain := applyChain(t, f, blob); !reflect.DeepEqual(bitsOf(chain.Data), bitsOf(enc.Data)) {
+						t.Fatalf("nu=%d nv=%d %v avx2=%v: ApplyEncoded differs from ImageFromBytesInto → ApplyInto → TransposeInto", nu, nv, win, kernels.ISA() == "avx2")
+					}
+					outs = append(outs, q, enc)
 					for workers := 1; workers <= 3; workers++ {
 						swept := make([]*volume.Image, len(ins))
 						for n := range swept {

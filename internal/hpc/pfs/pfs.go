@@ -152,7 +152,7 @@ func (p *PFS) Write(path string, data []byte) (time.Duration, error) {
 // Read returns a copy of the object at path and the simulated transfer
 // time.
 func (p *PFS) Read(path string) ([]byte, time.Duration, error) {
-	data, d, err := p.peek(path)
+	data, d, err := p.Peek(path)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -161,10 +161,11 @@ func (p *PFS) Read(path string) ([]byte, time.Duration, error) {
 	return cp, d, nil
 }
 
-// peek accounts for a read and returns the stored payload without copying
-// it. Safe to hand out because Write replaces payloads wholesale and never
-// mutates them in place; callers must treat the slice as read-only.
-func (p *PFS) peek(path string) ([]byte, time.Duration, error) {
+// Peek is Read without the copy: it accounts for the read (stats,
+// simulated time, throttling) and returns the stored payload itself. Safe
+// to hand out because Write replaces payloads wholesale and never mutates
+// them in place; callers must treat the slice as read-only.
+func (p *PFS) Peek(path string) ([]byte, time.Duration, error) {
 	p.mu.Lock()
 	data, ok := p.objects[path]
 	var d time.Duration

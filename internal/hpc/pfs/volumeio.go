@@ -45,7 +45,7 @@ func (p *PFS) ReadProjectionInto(dst *volume.Image, prefix string, s int) (time.
 // against concurrent writers because Write replaces an object's payload
 // wholesale and never mutates it in place.
 func (p *PFS) ReadImageInto(dst *volume.Image, path string) (time.Duration, error) {
-	blob, d, err := p.peek(path)
+	blob, d, err := p.Peek(path)
 	if err != nil {
 		return 0, err
 	}

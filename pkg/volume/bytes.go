@@ -47,23 +47,37 @@ func ImageFromBytes(src []byte) (*Image, error) {
 		return nil, err
 	}
 	img := NewImage(w, h)
-	decodePayload(img.Data, src)
+	decodePayload(img.Data, src[8:])
 	return img, nil
 }
 
 // ImageFromBytesInto decodes a blob into dst, whose dimensions must match
 // the encoded header. It is the allocation-free sibling of ImageFromBytes:
-// the pipeline decodes each staged projection into a pooled image.
+// the verification path decodes each staged projection into a pooled
+// image.
 func ImageFromBytesInto(dst *Image, src []byte) error {
-	w, h, err := imageHeader(src)
+	payload, err := ImagePayload(src, dst.W, dst.H)
 	if err != nil {
 		return err
 	}
-	if w != dst.W || h != dst.H {
-		return fmt.Errorf("volume: image blob is %dx%d, destination is %dx%d", w, h, dst.W, dst.H)
-	}
-	decodePayload(dst.Data, src)
+	decodePayload(dst.Data, payload)
 	return nil
+}
+
+// ImagePayload returns the little-endian float32 payload of a blob whose
+// header must read w×h — the checks ImageFromBytesInto makes, for callers
+// that consume the bytes without decoding an image (the pipeline's filter
+// reads each staged projection straight from them). The payload aliases
+// src.
+func ImagePayload(src []byte, w, h int) ([]byte, error) {
+	bw, bh, err := imageHeader(src)
+	if err != nil {
+		return nil, err
+	}
+	if bw != w || bh != h {
+		return nil, fmt.Errorf("volume: image blob is %dx%d, destination is %dx%d", bw, bh, w, h)
+	}
+	return src[8:], nil
 }
 
 func imageHeader(src []byte) (w, h int, err error) {
@@ -72,14 +86,15 @@ func imageHeader(src []byte) (w, h int, err error) {
 	}
 	w = int(binary.LittleEndian.Uint32(src[0:]))
 	h = int(binary.LittleEndian.Uint32(src[4:]))
-	if w <= 0 || h <= 0 || len(src) != 8+4*w*h {
+	// W·H < 2⁶⁴ always, but 4·W·H can wrap: compare whole pixels, in uint64.
+	if n := len(src) - 8; w <= 0 || h <= 0 || n%4 != 0 || uint64(w)*uint64(h) != uint64(n/4) {
 		return 0, 0, fmt.Errorf("volume: image blob header %dx%d inconsistent with %d bytes", w, h, len(src))
 	}
 	return w, h, nil
 }
 
-func decodePayload(dst []float32, src []byte) {
+func decodePayload(dst []float32, payload []byte) {
 	for n := range dst {
-		dst[n] = math.Float32frombits(binary.LittleEndian.Uint32(src[8+4*n:]))
+		dst[n] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*n:]))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"image/png"
 	"io"
 	"math"
+	"sync"
 )
 
 // Image is a dense 2-D float32 matrix of W×H pixels stored row-major:
@@ -125,5 +126,21 @@ func (m *Image) WritePNG(w io.Writer, lo, hi float32) error {
 			gray.SetGray(u, v, color.Gray{Y: uint8(x)})
 		}
 	}
-	return png.Encode(w, gray)
+	return pngEncoder.Encode(w, gray)
 }
+
+// pngEncoder is png.Encode's encoder (default compression) with its
+// zlib writer and scanline buffers pooled: every GET /slice/{z} encodes a
+// slice, and a fresh compress/flate writer per slice is most of the cost
+// of a small one. The bytes are png.Encode's.
+var pngEncoder = png.Encoder{BufferPool: &pngBuffers{}}
+
+// pngBuffers implements png.EncoderBufferPool over a sync.Pool.
+type pngBuffers struct{ pool sync.Pool }
+
+func (p *pngBuffers) Get() *png.EncoderBuffer {
+	b, _ := p.pool.Get().(*png.EncoderBuffer)
+	return b // nil makes the encoder allocate one
+}
+
+func (p *pngBuffers) Put(b *png.EncoderBuffer) { p.pool.Put(b) }

@@ -135,6 +135,33 @@ func TestWritePNG(t *testing.T) {
 	}
 }
 
+// WritePNG reuses pooled encoder buffers; its bytes must stay png.Encode's
+// for the same pixels, on a cold pool and on one warmed by images of other
+// sizes and contents.
+func TestWritePNGBytesMatchEncode(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		for _, size := range [][2]int{{8, 4}, {64, 64}, {3, 17}, {128, 96}} {
+			m := NewImage(size[0], size[1])
+			fillRandom(m.Data, int64(round*10+size[0]))
+			var got bytes.Buffer
+			if err := m.WritePNG(&got, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			img, err := png.Decode(bytes.NewReader(got.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := png.Encode(&want, img); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("round %d %dx%d: WritePNG wrote %d bytes, png.Encode %d, not the same", round, size[0], size[1], got.Len(), want.Len())
+			}
+		}
+	}
+}
+
 func TestWritePNGConstantImage(t *testing.T) {
 	m := NewImage(2, 2)
 	var buf bytes.Buffer
