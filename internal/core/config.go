@@ -75,8 +75,8 @@ func (c Config) Validate() error {
 // wall times. Load/Filter/AllGather/Backproject overlap inside Compute
 // (Eq. 17); Reduce and Store follow it (Eq. 19).
 type StageTimes struct {
-	Load        time.Duration // reading projections from the PFS
-	Filter      time.Duration // cosine + ramp filtering, ending with the one transpose
+	Load        time.Duration // looking the staged projections up on the PFS
+	Filter      time.Duration // decoding, cosine + ramp filtering, into the transposed block
 	AllGather   time.Duration // column-group collective
 	Backproject time.Duration // kernel time (reads the transposed blocks as they are)
 	Compute     time.Duration // wall time of the overlapped phase

@@ -7,8 +7,9 @@ import (
 )
 
 // A Filterer is immutable after construction and safe for concurrent use,
-// but building one is expensive: two FFT plans, a construction-time
-// transform of the ramp kernel, two spectra and an Nu×Nv cosine table.
+// but building one is expensive: a complex128 transform of the ramp kernel
+// into the gain table, the forward and inverse twiddle tables, and an
+// Nu×Nv cosine table.
 // Every rank of every job needs the same tables for the same (geometry,
 // window), so the service-facing entry points share them through this
 // process-wide memo — the same shape-keyed reuse the engine pools apply to

@@ -163,7 +163,7 @@ func FuzzApplyEncodedTiers(f *testing.F) {
 	f.Add(uint8(32), uint8(16), uint8(0), uint8(0), []byte(nil))
 
 	f.Fuzz(func(t *testing.T, nu, nv, mode, cut uint8, contents []byte) {
-		g := geometry.Default(1+int(nu)%40, 1+int(nv)%24, 8, 8, 8, 8)
+		g := geometry.Default(max(1, int(nu)%41), max(1, int(nv)%25), 8, 8, 8, 8)
 		flt, err := filter.Cached(g, filter.Hann)
 		if err != nil {
 			t.Skip(err)

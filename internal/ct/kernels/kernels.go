@@ -1,7 +1,10 @@
 // Package kernels holds the innermost loops of the reconstruction pipeline
-// — cosine weighting, the spectral ramp multiply, the radix-4 FFT passes,
-// and the back-projection per-voxel inner product — in two interchangeable
-// forms:
+// — cosine weighting (from decoded rows, CosineWeightPair, or straight from
+// a projection's little-endian payload bytes, CosineWeightPairLE), the
+// spectral ramp multiply, the radix-4 FFT passes and the whole spectrum
+// path they make with it (Convolve: DIF → gain → DIT), the store of
+// filtered row pairs into the transposed block (TransposePairs), and the
+// back-projection per-voxel inner product — in two interchangeable forms:
 //
 //   - a scalar *reference* implementation (the exact loops the pipeline ran
 //     before this package existed), and
@@ -9,21 +12,26 @@
 //     restructured to keep the inner loop free of bounds checks and function
 //     calls: slice windows are hoisted once per loop, access is stride-1, and
 //     bodies are 4×-unrolled to expose independent operations to the
-//     scheduler. The Go compiler does not auto-vectorize, so the two loops
-//     that dominate a job each have a hand-written AVX2 tier the portable
-//     loop hands work to when the CPU and OS support it (ISA reports which
-//     is live): the interior of AccumColumns, eight voxel columns per
-//     register walking the slab depth (accum_amd64.s), and the radix-4
-//     passes of DIF and DIT, four complex64 per register (fft_amd64.s).
-//     Other hosts run the portable loops alone.
+//     scheduler. The Go compiler does not auto-vectorize, so the loops that
+//     dominate a job have a hand-written AVX2 tier the portable loop hands
+//     work to when the CPU and OS support it (ISA reports which is live):
+//     the interior of AccumColumns, eight voxel columns per register
+//     walking the slab depth (accum_amd64.s); the radix-4 passes of DIF and
+//     DIT, four complex64 per register, and Convolve's small end, where the
+//     two smallest passes of each transform and the gain act on one block
+//     held in registers (fft_amd64.s); and CosineWeightPairLE and
+//     TransposePairs, which only move data (filter_amd64.s). Other hosts
+//     run the portable loops alone.
 //
 // Every fast kernel performs the same floating-point operations in the same
 // order as its reference — the AVX2 tiers included: separate multiplies and
-// adds, no FMA — so CosineWeightPair, SpectralMul, ColumnGeom and
-// AccumColumns are bit-identical across reference, portable and AVX2, and
-// DIF and DIT across portable and AVX2 (tests assert exact equality, far
-// inside the required ≤1e-5 parity bound): which tier a host runs never
-// shows in a volume. Border and non-finite coordinates in the
+// adds, no FMA — so CosineWeightPair, CosineWeightPairLE (which also equals
+// CosineWeightPair on the decoded rows), SpectralMul, ColumnGeom and
+// AccumColumns are bit-identical across reference, portable and AVX2, DIF
+// and DIT across portable and AVX2, and Convolve on every tier to DIF,
+// SpectralMul and DIT on that tier; TransposePairs copies bits (tests
+// assert exact equality, far inside the required ≤1e-5 parity bound):
+// which tier a host runs never shows in a volume. Border and non-finite coordinates in the
 // back-projection kernel fall back to the reference formula per sample, so
 // NaN/Inf propagate identically. The one pair that is not bit-identical is
 // reference ↔ fast for DIF, DIT, RealUnpack and RealRepack: the reference
@@ -40,8 +48,9 @@ package kernels
 // tests clear it (export_test.go), to run whole pipelines on the references.
 var useFast = true
 
-// useAVX2 routes the interior of accumColumnsFast and the passes of difFast
-// and ditFast through the assembly tier. It is written once, here, from
+// useAVX2 routes the interior of accumColumnsFast, the passes of difFast,
+// ditFast and convolveFast, and the loops of cosineWeightPairLEFast and
+// TransposePairs through the assembly tier. It is written once, here, from
 // CPUID/XGETBV; only tests flip it.
 var useAVX2 = hasAVX2()
 

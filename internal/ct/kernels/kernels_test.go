@@ -12,9 +12,10 @@ import (
 
 // Parity policy, asserted by these tests:
 //
-//   - CosineWeightPair, SpectralMul, ColumnGeom and AccumColumns perform the
-//     same float32 operations in the same order in both variants, so fast
-//     and ref are BIT-identical — including NaN/Inf propagation.
+//   - CosineWeightPair, CosineWeightPairLE, SpectralMul, ColumnGeom and
+//     AccumColumns perform the same float32 operations in the same order in
+//     both variants, so fast and ref are BIT-identical — including NaN/Inf
+//     propagation. TransposePairs copies bits.
 //   - DIF, DIT, RealUnpack and RealRepack decompose the complex64
 //     multiply into explicit float32 arithmetic in the fast variant (the
 //     builtin rounds through float64), so they differ by ~1 ulp per

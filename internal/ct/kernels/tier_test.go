@@ -243,7 +243,9 @@ func bitsOf(x []float32) []uint32 {
 // and its neighbour) and even log₂ (Nu 5 → 16, 17 → 64, 100 → 256, 512 →
 // 1024, whose small end is the pass over quads and its neighbour), and on
 // odd row counts (last row paired with zeros; 19 rows are one full group
-// of eight stored pairs and a short one). The two tiers must agree bit for
+// of eight stored pairs and a short one), and on 32 rows, whose column
+// runs take the non-temporal stores where a block is aligned. The two
+// tiers must agree bit for
 // bit, both stay within 1e-6 of the image peak of the same filter on the
 // reference kernels, and on every tier ApplyEncoded must equal the chain
 // it replaces — ImageFromBytesInto, ApplyInto, TransposeInto — bit for bit.
@@ -252,7 +254,7 @@ func TestFilterBitIdenticalAcrossTiers(t *testing.T) {
 		t.Skip("CPU or OS without AVX2: only the portable tier runs here")
 	}
 	for _, nu := range []int{4, 5, 9, 17, 48, 64, 100, 256, 512} {
-		for _, nv := range []int{6, 7, 19} {
+		for _, nv := range []int{6, 7, 19, 32} {
 			g := geometry.Default(nu, nv, 90, 32, 32, 32)
 			rng := rand.New(rand.NewSource(int64(nu*10 + nv)))
 			ins := make([]*volume.Image, 3)
