@@ -124,26 +124,3 @@ func TestRunContextAlreadyCancelled(t *testing.T) {
 	}
 	waitGoroutines(t, baseline)
 }
-
-// StageProjectionsCtx must stop writing between projections once the
-// context is cancelled, leaving only the already-written prefix.
-func TestStageProjectionsCtxCancelled(t *testing.T) {
-	g := geometry.Default(16, 16, 8, 8, 8, 8)
-	ph := phantom.UniformSphere(g.FOVRadius()*0.5, 1)
-	proj := projector.AnalyticAll(ph, g, 0)
-	store := pfs.New(pfs.Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := StageProjectionsCtx(ctx, store, "in", proj); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := len(store.List("in/")); n != 0 {
-		t.Errorf("%d projections written under a cancelled context", n)
-	}
-	if err := StageProjectionsCtx(context.Background(), store, "in", proj); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(store.List("in/")); n != g.Np {
-		t.Errorf("staged %d projections, want %d", n, g.Np)
-	}
-}

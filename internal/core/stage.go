@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"ifdk/internal/hpc/pfs"
@@ -11,22 +10,10 @@ import (
 // StageProjections writes a projection set to the PFS under the dataset
 // prefix, using the naming convention the ranks read from.
 func StageProjections(store *pfs.PFS, prefix string, imgs []*volume.Image) error {
-	return StageProjectionsCtx(context.Background(), store, prefix, imgs)
-}
-
-// StageProjectionsCtx is StageProjections under a context: cancellation is
-// checked between projection writes, so a cancelled job stops staging
-// mid-dataset instead of writing the whole scan to the PFS. Callers that
-// abort are responsible for deleting the partial prefix (the writes already
-// performed are not rolled back here).
-func StageProjectionsCtx(ctx context.Context, store *pfs.PFS, prefix string, imgs []*volume.Image) error {
 	if prefix == "" {
 		return fmt.Errorf("core: empty dataset prefix")
 	}
 	for s, img := range imgs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		if img == nil {
 			return fmt.Errorf("core: projection %d is nil", s)
 		}

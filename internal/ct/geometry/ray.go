@@ -44,21 +44,57 @@ type Ray struct {
 }
 
 // DetectorRay returns the ray from the source through the centre of detector
-// pixel (u, v) at gantry angle β, in world coordinates. It inverts the M1
-// and Mrot transforms: in the camera frame the ray direction is
-// ((u-cu)·Du/D, (v-cv)·Dv/D, 1); the axis permutation of Mrot maps camera
-// (x, y, z) to rotated-world (x, z, -y), which Rz(-β) returns to the world.
+// pixel (u, v) at gantry angle β, in world coordinates. It is the one-ray
+// form of ProjectionRays.
 func DetectorRay(p Params, beta, u, v float64) Ray {
-	dgx := (u - p.DetCenterU()) * p.Du / p.SDD
-	dgy := (v - p.DetCenterV()) * p.Dv / p.SDD
+	pr := NewProjectionRays(p, beta)
+	return Ray{Origin: pr.Source, Dir: pr.Dir(u, pr.RowSlope(v))}
+}
+
+// ProjectionRays generates the detector rays of one projection. What does
+// not depend on the pixel — the gantry angle's sine and cosine, the source
+// position and the detector centre — is computed once here; RowSlope does
+// the per-row work and Dir the per-pixel work. Every ray carries the float64
+// operations of the one-ray derivation in the same order, so its bits do
+// not depend on which of the two forms built it.
+type ProjectionRays struct {
+	Source      Vec3 // origin of every ray: SourcePosition at β
+	sin, cos    float64
+	cu, cv      float64 // detector centre
+	du, dv, sdd float64
+}
+
+// NewProjectionRays sets up the rays of the projection at gantry angle β.
+func NewProjectionRays(p Params, beta float64) ProjectionRays {
+	sin, cos := math.Sincos(beta)
+	return ProjectionRays{
+		Source: SourcePosition(p, beta),
+		sin:    sin, cos: cos,
+		cu: p.DetCenterU(), cv: p.DetCenterV(),
+		du: p.Du, dv: p.Dv, sdd: p.SDD,
+	}
+}
+
+// RowSlope returns detector row v's camera-frame slope (v-cv)·Dv/D, the
+// part of a ray's direction that is shared along the row.
+func (pr *ProjectionRays) RowSlope(v float64) float64 {
+	return (v - pr.cv) * pr.dv / pr.sdd
+}
+
+// Dir returns the unit direction of the ray through detector pixel (u, v),
+// given v's RowSlope. It inverts the M1 and Mrot transforms: in the camera
+// frame the ray direction is ((u-cu)·Du/D, (v-cv)·Dv/D, 1); the axis
+// permutation of Mrot maps camera (x, y, z) to rotated-world (x, z, -y),
+// which Rz(-β) returns to the world.
+func (pr *ProjectionRays) Dir(u, dgy float64) Vec3 {
+	dgx := (u - pr.cu) * pr.du / pr.sdd
 	// Camera → rotated world: x_r = g.x, y_r = g.z, z_r = -g.y.
 	dr := Vec3{dgx, 1, -dgy}
-	sin, cos := math.Sincos(beta)
 	// World = Rz(-β) · rotated.
 	dw := Vec3{
-		cos*dr.X + sin*dr.Y,
-		-sin*dr.X + cos*dr.Y,
+		pr.cos*dr.X + pr.sin*dr.Y,
+		-pr.sin*dr.X + pr.cos*dr.Y,
 		dr.Z,
 	}
-	return Ray{Origin: SourcePosition(p, beta), Dir: dw.Normalize()}
+	return dw.Normalize()
 }

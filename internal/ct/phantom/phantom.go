@@ -35,28 +35,42 @@ func (e Ellipsoid) contains(x, y, z float64) bool {
 	return q <= 1
 }
 
-// chord returns the length of the intersection of the ray with the
-// ellipsoid. The ray direction must be unit length so the chord is in world
-// units. Intersections behind the ray origin are clipped (the X-ray source
-// is outside the object in any valid geometry).
-func (e Ellipsoid) chord(r geometry.Ray) float64 {
+// seen is an ellipsoid as seen from one fixed ray origin: what its chord
+// needs that does not depend on the ray's direction.
+type seen struct {
+	Ellipsoid
+	sin, cos float64       // Φ's sine and cosine
+	q0       geometry.Vec3 // the origin in the unit-sphere frame
+	c0       float64       // q0·q0 − 1
+}
+
+// from prepares e for rays leaving origin o.
+func (e Ellipsoid) from(o geometry.Vec3) seen {
 	sin, cos := math.Sincos(e.Phi)
-	// Transform origin and direction into the unit-sphere frame.
-	ox, oy, oz := r.Origin.X-e.X0, r.Origin.Y-e.Y0, r.Origin.Z-e.Z0
+	// Transform the origin into the unit-sphere frame.
+	ox, oy, oz := o.X-e.X0, o.Y-e.Y0, o.Z-e.Z0
 	q0 := geometry.Vec3{
 		X: (cos*ox + sin*oy) / e.A,
 		Y: (-sin*ox + cos*oy) / e.B,
 		Z: oz / e.C,
 	}
+	return seen{Ellipsoid: e, sin: sin, cos: cos, q0: q0, c0: q0.Dot(q0) - 1}
+}
+
+// chord returns the length of the intersection of the ray leaving the
+// prepared origin along dir with the ellipsoid. dir must be unit length so
+// the chord is in world units. Intersections behind the ray origin are
+// clipped (the X-ray source is outside the object in any valid geometry).
+func (e *seen) chord(dir geometry.Vec3) float64 {
+	// Transform the direction into the unit-sphere frame.
 	d := geometry.Vec3{
-		X: (cos*r.Dir.X + sin*r.Dir.Y) / e.A,
-		Y: (-sin*r.Dir.X + cos*r.Dir.Y) / e.B,
-		Z: r.Dir.Z / e.C,
+		X: (e.cos*dir.X + e.sin*dir.Y) / e.A,
+		Y: (-e.sin*dir.X + e.cos*dir.Y) / e.B,
+		Z: dir.Z / e.C,
 	}
 	a := d.Dot(d)
-	b := 2 * q0.Dot(d)
-	c := q0.Dot(q0) - 1
-	disc := b*b - 4*a*c
+	b := 2 * e.q0.Dot(d)
+	disc := b*b - 4*a*e.c0
 	if disc <= 0 || a == 0 {
 		return 0
 	}
@@ -77,6 +91,37 @@ type Phantom struct {
 	Ellipsoids []Ellipsoid
 }
 
+// View is a phantom as seen from one fixed ray origin — the source of one
+// projection. Each ellipsoid's rotation, the origin in its unit-sphere frame
+// and q0·q0 − 1 are computed once, by From; LineIntegral then does only the
+// work that depends on the ray's direction, with the float64 operations of
+// the one-ray chord in the same order. The zero View is ready to use, and
+// one View is reused across projections.
+type View struct {
+	els []seen
+}
+
+// From sets v to p as seen from origin o, reusing v's storage.
+func (v *View) From(p Phantom, o geometry.Vec3) {
+	v.els = v.els[:0]
+	for _, e := range p.Ellipsoids {
+		v.els = append(v.els, e.from(o))
+	}
+}
+
+// LineIntegral returns the exact integral of the density along the ray
+// leaving v's origin along the unit direction dir.
+func (v *View) LineIntegral(dir geometry.Vec3) float64 {
+	var sum float64
+	for i := range v.els {
+		e := &v.els[i]
+		if l := e.chord(dir); l > 0 {
+			sum += l * e.Rho
+		}
+	}
+	return sum
+}
+
 // Density returns the phantom density at world point (x, y, z).
 func (p Phantom) Density(x, y, z float64) float64 {
 	var rho float64
@@ -89,15 +134,12 @@ func (p Phantom) Density(x, y, z float64) float64 {
 }
 
 // LineIntegral returns the exact integral of the density along the ray
-// (chord length × density, summed over ellipsoids).
+// (chord length × density, summed over ellipsoids). It is the one-ray form
+// of View.LineIntegral.
 func (p Phantom) LineIntegral(r geometry.Ray) float64 {
-	var sum float64
-	for _, e := range p.Ellipsoids {
-		if l := e.chord(r); l > 0 {
-			sum += l * e.Rho
-		}
-	}
-	return sum
+	var v View
+	v.From(p, r.Origin)
+	return v.LineIntegral(r.Dir)
 }
 
 // Voxelize samples the phantom at the voxel centres of the geometry's

@@ -9,58 +9,79 @@
 //
 // Both produce images in the (Nv rows × Nu cols) detector layout of
 // Table 1.
+//
+// Analytic rendering is split by what each value depends on. Per
+// projection: the gantry angle's sine and cosine, the source position and
+// the detector centre (geometry.ProjectionRays), and per ellipsoid Φ's sine
+// and cosine, the source in the unit-sphere frame q0 and q0·q0 − 1
+// (phantom.View). Per detector row: the row slope. Per ray: the direction,
+// its normalisation and, per ellipsoid, the quadratic's a, b and
+// discriminant. Every hoisted value is an operand the per-ray derivation
+// computed anyway, and the per-ray arithmetic keeps its operations and
+// their order — divisions by the semi-axes stay divisions, never
+// reciprocal multiplies — so a pixel's bits do not depend on the split.
+// On amd64 Go never fuses a multiply and an add on its own, so this holds
+// at every GOAMD64 level; projector_test.go pins it, pixel by pixel,
+// against the one-ray derivation the split was made from.
 package projector
 
 import (
-	"context"
 	"math"
-	"runtime"
-	"sync"
 
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/phantom"
+	"ifdk/internal/engine"
 	"ifdk/pkg/volume"
 )
 
-// Analytic renders the projection at angle index s by evaluating exact
-// ellipsoid line integrals for every detector pixel.
-func Analytic(ph phantom.Phantom, g geometry.Params, s int) *volume.Image {
-	img := volume.NewImage(g.Nu, g.Nv)
-	beta := g.Beta(s)
-	for v := 0; v < g.Nv; v++ {
-		row := img.Row(v)
-		for u := 0; u < g.Nu; u++ {
-			ray := geometry.DetectorRay(g, beta, float64(u), float64(v))
-			row[u] = float32(ph.LineIntegral(ray))
+// Renderer renders the analytic projections of one phantom into
+// caller-owned images, reusing its per-projection state. A Renderer is not
+// safe for concurrent use: parallel callers take one each.
+type Renderer struct {
+	ph   phantom.Phantom
+	g    geometry.Params
+	view phantom.View
+}
+
+// NewRenderer returns a Renderer for phantom ph under geometry g.
+func NewRenderer(ph phantom.Phantom, g geometry.Params) *Renderer {
+	return &Renderer{ph: ph, g: g}
+}
+
+// Render writes the projection at angle index s into dst, which must be
+// g.Nu × g.Nv, by evaluating exact ellipsoid line integrals for every
+// detector pixel.
+func (r *Renderer) Render(dst *volume.Image, s int) {
+	rays := geometry.NewProjectionRays(r.g, r.g.Beta(s))
+	r.view.From(r.ph, rays.Source)
+	for v := 0; v < r.g.Nv; v++ {
+		row := dst.Row(v)
+		dgy := rays.RowSlope(float64(v))
+		for u := range row {
+			row[u] = float32(r.view.LineIntegral(rays.Dir(float64(u), dgy)))
 		}
 	}
+}
+
+// Analytic renders the projection at angle index s.
+func Analytic(ph phantom.Phantom, g geometry.Params, s int) *volume.Image {
+	img := volume.NewImage(g.Nu, g.Nv)
+	NewRenderer(ph, g).Render(img, s)
 	return img
 }
 
-// AnalyticAll renders all Np projections using the given number of worker
-// goroutines (0 means GOMAXPROCS).
+// AnalyticAll renders all Np projections on the given number of workers
+// (0 means the engine pool's size).
 func AnalyticAll(ph phantom.Phantom, g geometry.Params, workers int) []*volume.Image {
-	out, _ := AnalyticAllCtx(context.Background(), ph, g, workers)
-	return out
-}
-
-// AnalyticAllCtx is AnalyticAll under a context: cancellation is checked
-// between projections, so a cancelled job (or a daemon shutdown) stops
-// synthesizing mid-scan instead of rendering the whole dataset. On
-// cancellation it returns ctx's error and a nil slice; already-rendered
-// projections become garbage.
-func AnalyticAllCtx(ctx context.Context, ph phantom.Phantom, g geometry.Params, workers int) ([]*volume.Image, error) {
 	out := make([]*volume.Image, g.Np)
-	parallelFor(g.Np, workers, func(s int) {
-		if ctx.Err() != nil {
-			return // drain remaining indices without rendering
+	engine.ParallelRange(g.Np, workers, func(lo, hi int) {
+		r := NewRenderer(ph, g)
+		for s := lo; s < hi; s++ {
+			out[s] = volume.NewImage(g.Nu, g.Nv)
+			r.Render(out[s], s)
 		}
-		out[s] = Analytic(ph, g, s)
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out
 }
 
 // Raycast renders the projection at angle index s by marching each detector
@@ -69,13 +90,14 @@ func AnalyticAllCtx(ctx context.Context, ph phantom.Phantom, g geometry.Params, 
 // default, see DefaultStep).
 func Raycast(vol *volume.Volume, g geometry.Params, s int, step float64) *volume.Image {
 	img := volume.NewImage(g.Nu, g.Nv)
-	beta := g.Beta(s)
+	rays := geometry.NewProjectionRays(g, g.Beta(s))
 	// March between the two spheres bounding the volume to skip empty space.
 	bound := volumeBoundRadius(g)
 	for v := 0; v < g.Nv; v++ {
 		row := img.Row(v)
-		for u := 0; u < g.Nu; u++ {
-			ray := geometry.DetectorRay(g, beta, float64(u), float64(v))
+		dgy := rays.RowSlope(float64(v))
+		for u := range row {
+			ray := geometry.Ray{Origin: rays.Source, Dir: rays.Dir(float64(u), dgy)}
 			row[u] = float32(marchRay(vol, g, ray, step, bound))
 		}
 	}
@@ -165,40 +187,4 @@ func sampleTrilinear(vol *volume.Volume, g geometry.Params, p geometry.Vec3) flo
 		}
 	}
 	return sum
-}
-
-// parallelFor runs body(i) for i in [0, n) on the given number of workers.
-func parallelFor(n, workers int, body func(int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var next sync.Mutex
-	cursor := 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				next.Lock()
-				i := cursor
-				cursor++
-				next.Unlock()
-				if i >= n {
-					return
-				}
-				body(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

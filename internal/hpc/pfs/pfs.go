@@ -124,11 +124,17 @@ func (p *PFS) simDuration(n int, bw float64) time.Duration {
 // Write stores data under path (overwriting any prior object) and returns
 // the simulated transfer time.
 func (p *PFS) Write(path string, data []byte) (time.Duration, error) {
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	return p.keep(path, cp)
+}
+
+// keep is Write without the defensive copy: the store keeps data itself,
+// so the caller must hand over a buffer nothing else references.
+func (p *PFS) keep(path string, data []byte) (time.Duration, error) {
 	if path == "" {
 		return 0, fmt.Errorf("pfs: empty path")
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	d := p.simDuration(len(data), p.cfg.WriteBW)
 	p.mu.Lock()
 	if p.failAfterWrites >= 0 {
@@ -138,7 +144,7 @@ func (p *PFS) Write(path string, data []byte) (time.Duration, error) {
 		}
 		p.failAfterWrites--
 	}
-	p.objects[path] = cp
+	p.objects[path] = data
 	p.stats.BytesWritten += int64(len(data))
 	p.stats.Writes++
 	p.stats.SimWriteTime += d

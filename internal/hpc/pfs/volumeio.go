@@ -24,9 +24,10 @@ func SlicePath(prefix string, k int) string {
 }
 
 // WriteProjection stores one projection image and returns the simulated
-// transfer time.
+// transfer time. The image is encoded once, into the buffer the store
+// keeps; img may be reused as soon as the call returns.
 func (p *PFS) WriteProjection(prefix string, s int, img *volume.Image) (time.Duration, error) {
-	return p.Write(ProjectionPath(prefix, s), volume.ImageToBytes(img))
+	return p.keep(ProjectionPath(prefix, s), volume.ImageToBytes(img))
 }
 
 // ReadProjection loads one projection image.
@@ -73,7 +74,7 @@ func (p *PFS) ReadImage(path string) (*volume.Image, time.Duration, error) {
 func (p *PFS) WriteVolumeSlices(prefix string, vol *volume.Volume) (time.Duration, error) {
 	var total time.Duration
 	for k := 0; k < vol.Nz; k++ {
-		d, err := p.Write(SlicePath(prefix, k), volume.ImageToBytes(vol.SliceZ(k)))
+		d, err := p.keep(SlicePath(prefix, k), volume.ImageToBytes(vol.SliceZ(k)))
 		if err != nil {
 			return total, err
 		}

@@ -137,7 +137,9 @@ func resolveSpec(s Spec) (resolvedSpec, error) {
 			"service: problem size nx=%d nu=%d np=%d exceeds limits (%d, %d, %d)",
 			s.NX, s.NU, s.NP, maxNX, maxNU, maxNP)
 	}
-	if s.R*s.C > maxRanks {
+	// Bound each factor first: R·C of two huge factors wraps (to 0, which
+	// Validate would divide by).
+	if s.R > maxRanks || s.C > maxRanks || s.R*s.C > maxRanks {
 		return resolvedSpec{}, fmt.Errorf(
 			"service: grid %dx%d = %d ranks exceeds limit %d", s.R, s.C, s.R*s.C, maxRanks)
 	}

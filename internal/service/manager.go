@@ -884,13 +884,35 @@ func (m *Manager) stageDataset(ctx context.Context, j *Job) error {
 }
 
 // renderAndStage synthesizes the scan's projections and writes them to the
-// PFS, honouring ctx between projections in both phases.
+// PFS in one engine.ParallelRange: each worker renders its projections into
+// one pooled image and writes each straight from it, so the scan is never
+// held whole. ctx is checked between projections, and a failed write stops
+// every worker at its next one. The call returns only after every worker's
+// last write, so the caller's delete of a partial dataset cannot race a
+// late write.
 func (m *Manager) renderAndStage(ctx context.Context, j *Job, key string) error {
-	proj, err := projector.AnalyticAllCtx(ctx, j.ph, j.cfg.Geometry, 0)
-	if err != nil {
-		return err
+	g := j.cfg.Geometry
+	var failure atomic.Pointer[error]
+	engine.ParallelRange(g.Np, 0, func(lo, hi int) {
+		img := engine.Images.Acquire(g.Nu, g.Nv)
+		defer engine.Images.Release(img)
+		r := projector.NewRenderer(j.ph, g)
+		for s := lo; s < hi && failure.Load() == nil; s++ {
+			err := ctx.Err()
+			if err == nil {
+				r.Render(img, s)
+				_, err = m.store.WriteProjection(key, s, img)
+			}
+			if err != nil {
+				failure.CompareAndSwap(nil, &err)
+				return
+			}
+		}
+	})
+	if err := failure.Load(); err != nil {
+		return *err
 	}
-	return core.StageProjectionsCtx(ctx, m.store, key, proj)
+	return nil
 }
 
 // verifyAgainstSerial recomputes the volume with the serial FDK pipeline

@@ -265,21 +265,15 @@ func TestJobRecordsPruned(t *testing.T) {
 	shutdown(t, m)
 }
 
-// Cancelling an in-flight job must return promptly and leak nothing.
-func TestCancelMidRun(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	// Throttled storage stretches the run so the cancel lands mid-flight.
-	m := NewManager(Options{Workers: 1, PFS: pfsThrottled()})
-	v, err := m.Submit(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the job to actually start computing.
+// waitComputing waits until job id has finished at least one AllGather
+// round, so a cancel lands mid-pipeline rather than mid-staging.
+func waitComputing(t *testing.T, m *Manager, id string) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		cur, _ := m.Get(v.ID)
+		cur, _ := m.Get(id)
 		if cur.State == StateRunning && cur.Progress > 0 {
-			break
+			return
 		}
 		if cur.State.Terminal() {
 			t.Fatalf("job finished before cancel: %+v", cur)
@@ -289,6 +283,18 @@ func TestCancelMidRun(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// Cancelling an in-flight job must return promptly and leak nothing.
+func TestCancelMidRun(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	// Throttled storage stretches the run so the cancel lands mid-flight.
+	m := NewManager(Options{Workers: 1, PFS: pfsThrottled()})
+	v, err := m.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitComputing(t, m, v.ID)
 	start := time.Now()
 	if err := m.Cancel(v.ID); err != nil {
 		t.Fatal(err)
@@ -325,8 +331,8 @@ func TestCancelOneOfTwoCoResidentJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Give both jobs time to enter the pipeline, then cancel one.
-	time.Sleep(50 * time.Millisecond)
+	// Cancel one once it is inside the pipeline.
+	waitComputing(t, m, v1.ID)
 	if err := m.Cancel(v1.ID); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package service
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 // SpecKey is the router's sharding key; if it ever drifts from the key
 // Submit derives internally, fleet placement and per-node cache affinity
@@ -48,4 +51,64 @@ func TestSpecKeyMatchesSubmitKey(t *testing.T) {
 	if _, err := SpecKey(Spec{Phantom: "banana"}); err == nil {
 		t.Error("SpecKey accepted an invalid spec")
 	}
+}
+
+// FuzzResolveSpec: whatever JSON a client posts as a Spec, resolving it
+// never panics; a spec it accepts is inside the admission limits with
+// positive dimensions, resolves to the same keys a second time, and stages
+// a dataset whose prefix follows the phantom and the geometry.
+func FuzzResolveSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"phantom":"shepplogan","nx":32,"r":2,"c":2,"verify":true}`,
+		`{"phantom":"sphere","nx":128,"nu":256,"np":320,"r":2,"c":2,"quality":"progressive"}`,
+		`{"phantom":"industrial","nx":16,"np":40,"r":4,"c":2,"window":"hann","quality":"preview","priority":"high"}`,
+		`{"nx":256,"nu":1024,"np":4096,"r":8,"c":8}`,
+		`{"nx":257}`,
+		`{"nx":-5,"nu":-1,"np":-1,"r":-1,"c":-1}`,
+		`{"r":64,"c":64}`,
+		`{"r":4294967296,"c":4294967296}`, // R·C wraps to 0
+		`{"r":4611686018427387905,"c":4}`, // R·C wraps to 4
+		`{"nx":"16"}`,
+		`{"phantom":"cube"}`,
+		`{"window":"box"}`,
+		`[1,2]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec Spec
+		if json.Unmarshal(body, &spec) != nil {
+			return
+		}
+		r, err := resolveSpec(spec)
+		if err != nil {
+			return
+		}
+		s, g := r.spec, r.cfg.Geometry
+		if s.NX < 1 || s.NX > maxNX || s.NU < 1 || s.NU > maxNU || s.NP < 1 || s.NP > maxNP ||
+			s.R < 1 || s.C < 1 || s.R > maxRanks || s.C > maxRanks || s.R*s.C > maxRanks {
+			t.Fatalf("accepted a spec outside the admission limits: %+v", s)
+		}
+		if g.Nu != s.NU || g.Nv != s.NU || g.Np != s.NP || g.Nx != s.NX || g.Ny != s.NX || g.Nz != s.NX {
+			t.Fatalf("spec %+v resolved to geometry %+v", s, g)
+		}
+		again, err := resolveSpec(spec)
+		if err != nil || again.key != r.key || again.fullKey != r.fullKey ||
+			again.prevKey != r.prevKey || again.cfg.InputPrefix != r.cfg.InputPrefix {
+			t.Fatalf("resolving %+v twice disagreed: %v", spec, err)
+		}
+		otherPhantom := spec
+		otherPhantom.Phantom = map[string]string{"shepplogan": "sphere", "sphere": "industrial"}[s.Phantom]
+		if otherPhantom.Phantom == "" {
+			otherPhantom.Phantom = "shepplogan"
+		}
+		otherGeometry := spec
+		otherGeometry.NP = s.NP + s.R*s.C // still a multiple of R·C
+		for _, o := range []Spec{otherPhantom, otherGeometry} {
+			if ro, err := resolveSpec(o); err == nil && ro.cfg.InputPrefix == r.cfg.InputPrefix {
+				t.Fatalf("specs %+v and %+v share dataset prefix %s", s, ro.spec, r.cfg.InputPrefix)
+			}
+		}
+	})
 }

@@ -1,0 +1,108 @@
+package service
+
+import (
+	"hash/fnv"
+	"strings"
+	"testing"
+	"time"
+
+	"ifdk/internal/engine"
+)
+
+// stagingSpec stages a small scan on an odd detector (41²).
+func stagingSpec(ph string) Spec {
+	return Spec{Phantom: ph, NX: 16, NU: 41, NP: 32, R: 2, C: 2}
+}
+
+// stagedFNV is FNV-64a over every staged blob of spec's dataset, in path
+// order.
+func stagedFNV(t *testing.T, m *Manager, spec Spec) uint64 {
+	t.Helper()
+	r, err := resolveSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := m.Store().List(r.cfg.InputPrefix + "/")
+	if len(paths) != spec.NP {
+		t.Fatalf("%d staged projections, want %d", len(paths), spec.NP)
+	}
+	h := fnv.New64a()
+	for _, p := range paths {
+		blob, _, err := m.Store().Peek(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(blob)
+	}
+	return h.Sum64()
+}
+
+// stagedFNVs are the staged bytes of stagingSpec as rendered by the one-ray
+// derivation, one pixel at a time and serially (DetectorRay → LineIntegral
+// before the renderer was split by what each value depends on). Staging on
+// every core, from the split renderer, must reproduce them exactly.
+var stagedFNVs = map[string]uint64{
+	"shepplogan": 0x7f2c942ff7718b99,
+	"sphere":     0x99eefc45af2cb725,
+	"industrial": 0x6abf472ccca4562b,
+}
+
+func TestStagedBytesUnchanged(t *testing.T) {
+	m := NewManager(Options{Workers: 1})
+	for ph, want := range stagedFNVs {
+		spec := stagingSpec(ph)
+		v, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := waitState(t, m, v.ID, 30*time.Second); got.State != StateDone {
+			t.Fatalf("%s: state %s: %s", ph, got.State, got.Error)
+		}
+		if got := stagedFNV(t, m, spec); got != want {
+			t.Errorf("%s: staged bytes FNV %#016x, want %#016x", ph, got, want)
+		}
+	}
+	shutdown(t, m)
+}
+
+// A PFS write that fails mid-scan fails the job with the injected error,
+// leaves no dataset object and no staging slot behind, and returns every
+// pooled image; a resubmission re-stages the same bytes.
+func TestStagingWriteFaultMidScan(t *testing.T) {
+	m := NewManager(Options{Workers: 1})
+	spec := stagingSpec("shepplogan")
+	m.Store().FailAfterWrites(10)
+	v, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitState(t, m, v.ID, 30*time.Second)
+	if got.State != StateFailed || !strings.Contains(got.Error, "injected write failure") {
+		t.Fatalf("state %s (%q), want failed with the injected write error", got.State, got.Error)
+	}
+	if objs := m.Store().List("ds/"); len(objs) != 0 {
+		t.Errorf("%d dataset objects survived the failed staging", len(objs))
+	}
+	m.stageMu.Lock()
+	slots := len(m.staged)
+	m.stageMu.Unlock()
+	if slots != 0 {
+		t.Errorf("%d staging slots still held after the failure", slots)
+	}
+
+	m.Store().FailAfterWrites(-1)
+	v, err = m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitState(t, m, v.ID, 30*time.Second); got.State != StateDone {
+		t.Fatalf("resubmission: state %s: %s", got.State, got.Error)
+	}
+	if got, want := stagedFNV(t, m, spec), stagedFNVs["shepplogan"]; got != want {
+		t.Errorf("re-staged bytes FNV %#016x, want %#016x", got, want)
+	}
+	shutdown(t, m)
+	if n := engine.InUseBytes(); n != 0 {
+		t.Errorf("engine pools hold %d bytes after the jobs settled", n)
+	}
+}
