@@ -16,7 +16,8 @@ import (
 	"ifdk/pkg/volume"
 )
 
-// tag used by row roots to ship reduced sub-volumes to rank 0 for assembly.
+// tag used by row roots to ship their reduced slab pairs, in plane order, to
+// rank 0 for assembly.
 const tagAssemble = 100
 
 // projItem flows through the pipeline channels: one filtered,
@@ -322,76 +323,79 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 	}
 	t.Compute = time.Since(start)
 
-	// --- Epilogue (Fig. 4b): reduce the row's partial volumes, store the
-	// output slices, optionally assemble the full volume at rank 0. The
-	// whole epilogue runs on pooled collective blocks: ReduceBufs hands the
-	// row root a pooled accumulator, which is either released here or its
-	// ownership transferred to rank 0 via SendBuf — no per-job heap copies.
+	// --- Epilogue (Fig. 4b): reduce the row's partial volumes into the row
+	// root's own slab pair, lay it out once in plane order, store the output
+	// slices straight from that buffer, and optionally assemble the full
+	// volume at rank 0 from whole planes. The plane buffer is a pooled
+	// block, released here or handed to rank 0 via SendBuf — no per-job heap
+	// copies but the assembled volume itself.
 	redStart := time.Now()
-	red, err := rowComm.ReduceBufs(0, local.Data, mpi.OpSum)
-	// ReduceBufs copies the payload into its own pooled accumulator, so the
-	// slab pair goes back for the next job regardless of the outcome.
-	engine.Volumes.Release(local)
-	if err != nil {
-		return t, nil, nil, err
-	}
-	// Only the row root holds a block; release it on every exit path unless
-	// its ownership has been handed off (red set to nil below).
-	defer func() {
-		if red != nil {
-			red.Release()
-		}
-	}()
+	err = rowComm.ReduceInPlace(0, local.Data, mpi.OpSum)
 	t.Reduce = time.Since(redStart)
+	if err != nil || rowComm.Rank() != 0 || cfg.OutputPrefix == "" && !cfg.AssembleVolume {
+		// Off the row root the payload was copied into the tree's block, so
+		// the slab pair goes back for the next job either way.
+		engine.Volumes.Release(local)
+		if err != nil {
+			return t, nil, nil, err
+		}
+		t.Total = time.Since(start)
+		return t, nil, rounds, nil
+	}
+
+	// Row root (grid column 0). The transpose from k-major into plane order
+	// counts as store: it is how the slices are laid out.
+	storeStart := time.Now()
+	planes := engine.Blocks.Acquire(len(local.Data))
+	volume.KMajorToIMajor(planes.Data, local.Data, g.Nx, g.Ny, 2*h)
+	engine.Volumes.Release(local)
+	// Released on every exit path unless its ownership has been handed off
+	// (planes set to nil below).
+	defer func() { planes.Release() }()
+	nxy := g.Nx * g.Ny
+	if cfg.OutputPrefix != "" {
+		for p, globalZ := range backproject.SlabPlanes(g.Nz, z0, z1) {
+			// Honour cancellation between slices so an aborted job
+			// stops publishing output (and slice callbacks) promptly.
+			if err := ctx.Err(); err != nil {
+				return t, nil, nil, err
+			}
+			slice := volume.Image{W: g.Nx, H: g.Ny, Data: planes.Data[p*nxy : (p+1)*nxy]}
+			if _, err := store.WriteSlice(cfg.OutputPrefix, globalZ, &slice); err != nil {
+				return t, nil, nil, err
+			}
+			sliceTick(globalZ)
+		}
+	}
+	t.Store = time.Since(storeStart)
 
 	var full *volume.Volume
-	if rowComm.Rank() == 0 { // row root (grid column 0)
-		reduced := &volume.Volume{Nx: g.Nx, Ny: g.Ny, Nz: 2 * h, Layout: volume.KMajor, Data: red.Data}
-		if cfg.OutputPrefix != "" {
-			storeStart := time.Now()
-			planes := backproject.SlabPlanes(g.Nz, z0, z1)
-			for p, globalZ := range planes {
-				// Honour cancellation between slices so an aborted job
-				// stops publishing output (and slice callbacks) promptly.
-				if err := ctx.Err(); err != nil {
-					return t, nil, nil, err
-				}
-				img := reduced.SliceZ(p)
-				if _, err := store.Write(pfs.SlicePath(cfg.OutputPrefix, globalZ), volume.ImageToBytes(img)); err != nil {
-					return t, nil, nil, err
-				}
-				sliceTick(globalZ)
+	if cfg.AssembleVolume {
+		if c.Rank() == 0 {
+			full = volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor)
+			if err := backproject.PlaceSlabPair(full, planes.Data, z0, z1); err != nil {
+				return t, nil, nil, err
 			}
-			t.Store = time.Since(storeStart)
-		}
-		if cfg.AssembleVolume {
-			if c.Rank() == 0 {
-				full = volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor)
-				if err := backproject.SlabPairToGlobal(reduced, full, g.Nz, z0, z1); err != nil {
+			for otherRow := 1; otherRow < cfg.R; otherRow++ {
+				blk, err := c.RecvBuf(RankID(otherRow, 0, cfg.R), tagAssemble)
+				if err != nil {
 					return t, nil, nil, err
 				}
-				for otherRow := 1; otherRow < cfg.R; otherRow++ {
-					blk, err := c.RecvBuf(RankID(otherRow, 0, cfg.R), tagAssemble)
-					if err != nil {
-						return t, nil, nil, err
-					}
-					oz0, oz1 := RowSlab(otherRow, g.Nz, cfg.R)
-					part := &volume.Volume{Nx: g.Nx, Ny: g.Ny, Nz: 2 * (oz1 - oz0), Layout: volume.KMajor, Data: blk.Data}
-					err = backproject.SlabPairToGlobal(part, full, g.Nz, oz0, oz1)
-					blk.Release()
-					if err != nil {
-						return t, nil, nil, err
-					}
-				}
-			} else {
-				// SendBuf transfers ownership of the reduced block to rank 0's
-				// mailbox zero-copy — clear red first so the deferred release
-				// does not double-free it.
-				blk := red
-				red = nil
-				if err := c.SendBuf(0, tagAssemble, blk); err != nil {
+				oz0, oz1 := RowSlab(otherRow, g.Nz, cfg.R)
+				err = backproject.PlaceSlabPair(full, blk.Data, oz0, oz1)
+				blk.Release()
+				if err != nil {
 					return t, nil, nil, err
 				}
+			}
+		} else {
+			// SendBuf transfers ownership of the plane buffer to rank 0's
+			// mailbox zero-copy — clear planes first so the deferred
+			// release does not double-free it.
+			blk := planes
+			planes = nil
+			if err := c.SendBuf(0, tagAssemble, blk); err != nil {
+				return t, nil, nil, err
 			}
 		}
 	}

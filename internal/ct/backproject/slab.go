@@ -2,7 +2,9 @@ package backproject
 
 import (
 	"fmt"
+	"math"
 
+	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/kernels"
 	"ifdk/internal/engine"
 	"ifdk/pkg/volume"
@@ -42,9 +44,10 @@ func ProposedSlabPair(task Task, vol *volume.Volume, opt Options, nzFull, z0, z1
 
 // colTile is the side of the square tiles of (i, j) voxel columns that
 // slabPair back-projects together; a tile row is one kernels.AccumColumns
-// call, so it is as wide as the kernel's lanes. A tile's accumulators must
-// stay in L1 for a whole batch: 8×8 = 64 columns × 2h floats is 16 KiB at
-// h = 32 (an Nz = 128 volume split over R = 2 rank rows).
+// (or AccumColumnsWindow) call, so it is as wide as the kernel's lanes. A
+// tile's accumulators must stay in L1 for a whole batch: 8×8 = 64 columns ×
+// 2h floats is 16 KiB at h = 32 (an Nz = 128 volume split over R = 2 rank
+// rows).
 const colTile = kernels.Lanes
 
 // slabPair is the one Alg. 4 driver, behind both Proposed (a whole volume
@@ -54,13 +57,16 @@ const colTile = kernels.Lanes
 // plane vol.Nz-1-kk holds its mirror.
 //
 // Workers take colTile×colTile tiles of (i, j) columns, held in one pooled
-// tile accumulator. Each tile row i has its own depth-major block with
-// colTile lanes per depth, lane c for column j0+c: acc[kk·colTile+c] is the
-// lower slab's depth kk, acc[(h+kk)·colTile+c] its mirror, and when Nz is
-// odd the centre plane follows at acc[2h·colTile+c]. For each projection of
-// the batch in ascending order, kernels.AccumColumns adds that projection
-// down the whole depth of every tile row, the row's columns side by side
-// (the centre plane takes kernels.ColumnGeom and one sample per column).
+// tile accumulator. Each tile row i has its own block of 2h·colTile floats,
+// column c of the row being column j0+c. With kernels.AccumColumns it is
+// depth-major, colTile lanes per depth: acc[kk·colTile+c] is the lower
+// slab's depth kk, acc[(h+kk)·colTile+c] its mirror. With
+// kernels.AccumColumnsWindow — taken when kernels.WindowFits says the
+// window tier runs this slab faster — it is column-major: acc[c·2h+kk] and
+// acc[c·2h+h+kk]. When Nz is odd the centre plane follows at
+// acc[2h·colTile+c] in both. For each projection of the batch in ascending
+// order, the kernel adds that projection down the whole depth of every tile
+// row (the centre plane takes kernels.ColumnGeom and one sample per column).
 // After the batch the tile is added into the volume. Neighbouring columns
 // project onto neighbouring detector rows, so the rows one projection's
 // visit reads are fetched once per tile, not once per column. Every voxel
@@ -81,6 +87,13 @@ func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
 	// can be odd, so z0 = 0 and local plane h is global plane Nz/2.
 	odd := nz%2 == 1
 	rowLen := (2*h + nz%2) * colTile
+	// The window kernel keeps a tile row's accumulator column-major, the
+	// gather kernel depth-major; the centre plane follows either.
+	window := kernels.WindowFits(h, ht, maxVStep(task.Mats, nx, ny))
+	accum := kernels.AccumColumns
+	if window {
+		accum = kernels.AccumColumnsWindow
+	}
 	tilesJ := (ny + colTile - 1) / colTile
 	tiles := (nx + colTile - 1) / colTile * tilesJ
 	for s0 := 0; s0 < len(task.Proj); s0 += DefaultBatch {
@@ -102,7 +115,7 @@ func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
 					r := &rows[t]
 					for i := i0; i < i1; i++ {
 						row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
-						kernels.AccumColumns(row, data[t], ht, w, r, i, j0, tj, z0, h, vm1)
+						accum(row, data[t], ht, w, r, i, j0, tj, z0, h, vm1)
 						if odd {
 							kernels.ColumnGeom(us[:tj], fs, ws, r, i, j0)
 							fi, fk := float32(i), float32(h)
@@ -119,12 +132,23 @@ func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
 					row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
 					for c := range tj {
 						base := (i*ny + j0 + c) * nz
-						for kk := 0; kk < h; kk++ {
-							vol.Data[base+kk] += row[kk*colTile+c]
-							vol.Data[base+nz-1-kk] += row[(h+kk)*colTile+c]
+						line := vol.Data[base : base+nz : base+nz]
+						if window {
+							col := row[c*2*h : (c+1)*2*h : (c+1)*2*h]
+							for kk, x := range col[:h] {
+								line[kk] += x
+							}
+							for kk, x := range col[h:] {
+								line[nz-1-kk] += x
+							}
+						} else {
+							for kk := 0; kk < h; kk++ {
+								line[kk] += row[kk*colTile+c]
+								line[nz-1-kk] += row[(h+kk)*colTile+c]
+							}
 						}
 						if odd {
-							vol.Data[base+h] += row[2*h*colTile+c]
+							line[h] += row[2*h*colTile+c]
 						}
 					}
 				}
@@ -136,26 +160,43 @@ func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
 	}
 }
 
-// SlabPairToGlobal copies a slab-pair local volume into the right planes of
-// a full i-major volume (used to assemble distributed results).
-func SlabPairToGlobal(local *volume.Volume, global *volume.Volume, nzFull, z0, z1 int) error {
-	h := z1 - z0
-	if local.Nz != 2*h || global.Nz != nzFull {
-		return fmt.Errorf("backproject: slab assembly size mismatch (local %d, global %d)", local.Nz, global.Nz)
-	}
-	if local.Nx != global.Nx || local.Ny != global.Ny {
-		return fmt.Errorf("backproject: slab assembly XY mismatch")
-	}
-	for p := 0; p < h; p++ {
-		lower := z0 + p
-		upper := nzFull - z1 + p
-		for j := 0; j < local.Ny; j++ {
-			for i := 0; i < local.Nx; i++ {
-				global.Set(i, j, lower, local.At(i, j, p))
-				global.Set(i, j, upper, local.At(i, j, h+p))
+// maxVStep bounds |∂v/∂k| = |P[1][2]|/z, the detector rows one slice step
+// moves a voxel column's sample, over the task's projections and the
+// volume's nx×ny columns. z = P[2][0]·i + P[2][1]·j + P[2][3] is linear in
+// (i, j), so its least value is at a corner of the grid; the bound is +Inf
+// when z reaches 0 there. On the ideal orbit this is Dz·SDD / (Dv·(SAD−ρ)),
+// ρ the distance from the axis of the corner column nearest the source.
+func maxVStep(mats []geometry.ProjMat, nx, ny int) float64 {
+	worst := 0.0
+	for _, m := range mats {
+		y, z := m.Row(1), m.Row(2)
+		for _, ij := range [4][2]float64{{0, 0}, {float64(nx - 1), 0}, {0, float64(ny - 1)}, {float64(nx - 1), float64(ny - 1)}} {
+			depth := z[0]*ij[0] + z[1]*ij[1] + z[3]
+			if !(depth > 0) {
+				return math.Inf(1)
 			}
+			worst = max(worst, math.Abs(y[2])/depth)
 		}
 	}
+	return worst
+}
+
+// PlaceSlabPair copies a slab pair in plane order — the i-major planes of
+// the local volume, volume.KMajorToIMajor of the k-major one, nx·ny floats
+// each, local plane p < h holding global plane z0+p and plane h+p global
+// plane nzFull-z1+p — into a full i-major volume. Each slab is one run of
+// whole planes in both, so this is two copies.
+func PlaceSlabPair(global *volume.Volume, planes []float32, z0, z1 int) error {
+	h, nxy := z1-z0, global.Nx*global.Ny
+	if global.Layout != volume.IMajor {
+		return fmt.Errorf("backproject: slab assembly into a %v volume", global.Layout)
+	}
+	if z0 < 0 || h <= 0 || z1 > global.Nz/2 || len(planes) != 2*h*nxy {
+		return fmt.Errorf("backproject: slab [%d,%d) of %d floats does not fit a %d×%d×%d volume", z0, z1, len(planes), global.Nx, global.Ny, global.Nz)
+	}
+	up := global.Nz - z1
+	copy(global.Data[z0*nxy:z1*nxy], planes[:h*nxy])
+	copy(global.Data[up*nxy:(up+h)*nxy], planes[h*nxy:])
 	return nil
 }
 

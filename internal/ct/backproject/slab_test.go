@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ifdk/internal/ct/geometry"
+	"ifdk/internal/ct/kernels"
 	"ifdk/internal/engine"
 	"ifdk/pkg/volume"
 )
@@ -31,7 +32,7 @@ func TestSlabPairsTileFullVolume(t *testing.T) {
 			if err := ProposedSlabPair(task, local, Options{}, g.Nz, z0, z1); err != nil {
 				t.Fatalf("R=%d row=%d: %v", r, row, err)
 			}
-			if err := SlabPairToGlobal(local, assembled, g.Nz, z0, z1); err != nil {
+			if err := PlaceSlabPair(assembled, local.Reshape(volume.IMajor).Data, z0, z1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -58,11 +59,18 @@ func TestSlabPairValidation(t *testing.T) {
 	if err := ProposedSlabPair(task, volume.New(8, 8, 6, volume.KMajor), Options{}, 8, 0, 2); err == nil {
 		t.Error("wrong local depth accepted")
 	}
-	if err := SlabPairToGlobal(volume.New(8, 8, 4, volume.KMajor), volume.New(8, 8, 6, volume.IMajor), 8, 0, 2); err == nil {
-		t.Error("mismatched global depth accepted")
+	planes := make([]float32, 8*8*4)
+	if err := PlaceSlabPair(volume.New(8, 8, 6, volume.IMajor), planes, 2, 4); err == nil {
+		t.Error("slab past the global volume's half accepted")
 	}
-	if err := SlabPairToGlobal(volume.New(8, 8, 4, volume.KMajor), volume.New(4, 4, 8, volume.IMajor), 8, 0, 2); err == nil {
+	if err := PlaceSlabPair(volume.New(4, 4, 8, volume.IMajor), planes, 0, 2); err == nil {
 		t.Error("mismatched XY accepted")
+	}
+	if err := PlaceSlabPair(volume.New(8, 8, 8, volume.KMajor), planes, 0, 2); err == nil {
+		t.Error("k-major global volume accepted")
+	}
+	if err := PlaceSlabPair(volume.New(8, 8, 8, volume.IMajor), planes, 0, 2); err != nil {
+		t.Errorf("fitting slab pair refused: %v", err)
 	}
 }
 
@@ -274,5 +282,40 @@ func TestTransposedTaskBitIdentical(t *testing.T) {
 	}
 	if err := Proposed(tt, volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor), opt); err == nil {
 		t.Error("Proposed accepted a transposed task")
+	}
+}
+
+// TestWindowDispatch pins which kernel slabPair picks for the workloads'
+// slab pairs: on a host with the window tier, volume_heavy's (128³ from
+// 256², R = 2, h = 32) and progressive_stream's must take
+// kernels.AccumColumnsWindow — a dispatcher that never does passes every
+// bit-identity test while losing the speed — and so must the serial
+// reference of a verified nx = 32 fleet_mixed job (fdk.Reconstruct: the
+// whole 32³ volume from 64² is one slab pair, h = 16). fleet_mixed's
+// distributed slabs (h ≤ 8), its verified nx = 16 jobs (whole 16³, h = 8),
+// projection_heavy's (nx 32 on 512², R = 2: h = 8), a 31-row detector and
+// a geometry too steep for an 8-depth window keep the gather kernel.
+// Without the tier nothing takes the window.
+func TestWindowDispatch(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		g      geometry.Params
+		h      int
+		window bool
+	}{
+		{"volume_heavy", geometry.Default(256, 256, 320, 128, 128, 128), 32, true},
+		{"progressive_stream", geometry.Default(256, 256, 256, 128, 128, 128), 32, true},
+		{"fleet_mixed verification nx=32", geometry.Default(64, 64, 64, 32, 32, 32), 16, true},
+		{"fleet_mixed verification nx=16", geometry.Default(32, 32, 32, 16, 16, 16), 8, false},
+		{"projection_heavy", geometry.Default(512, 512, 256, 32, 32, 32), 8, false},
+		{"fleet_mixed nx=32 R=2", geometry.Default(64, 64, 64, 32, 32, 32), 8, false},
+		{"Nv=31", geometry.Default(48, 31, 40, 24, 24, 32), 16, false},
+		{"10 rows per plane", geometry.Default(64, 320, 40, 24, 24, 32), 16, false},
+	} {
+		step := maxVStep(geometry.ProjectionMatrices(c.g), c.g.Nx, c.g.Ny)
+		want := c.window && kernels.ISA() == "avx512"
+		if got := kernels.WindowFits(c.h, c.g.Nv, step); got != want {
+			t.Errorf("%s (h=%d, Nv=%d, max step %.2f rows/plane, isa=%s): window kernel %v, want %v", c.name, c.h, c.g.Nv, step, kernels.ISA(), got, want)
+		}
 	}
 }

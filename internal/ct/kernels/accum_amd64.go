@@ -20,6 +20,21 @@ func hasAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+// hasAVX512 probes for the window tier: AVX2 as above, AVX512F and
+// AVX512VL on the CPU, and an OS that saves the opmask and all 32 ZMM
+// registers (XCR0 bits 5–7).
+func hasAVX512() bool {
+	if !hasAVX2() {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&0xE6 != 0xE6 {
+		return false
+	}
+	const avx512f, avx512vl = 1 << 16, 1 << 31
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx512f != 0 && ebx&avx512vl != 0
+}
+
 // cpuid executes CPUID with the given leaf and sub-leaf.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -48,3 +63,19 @@ func columnLanesAVX2(regs *lanes, r *[3][4]float32, fi, umax float32, j0, n, rw 
 //
 //go:noescape
 func accumColumnsAVX2(acc, sym *float32, n int, row0, row1 *float32, regs *lanes, vmax, ry2, ry3, vm1 float32, k int) int
+
+// accumWindowAVX512 is the vector interior of accumColumnsWindowFast: one
+// call walks the tile row's columns c < n of regs from column c, depth kk,
+// in blocks of windowDepth depths of one column, and returns the column and
+// depth of the first block of at most 8 depths it could not window, having
+// touched none of that block; (n, 0) when it finished. acc is the tile
+// row's column-major accumulator (column c's 2h floats at acc[c·2h], the
+// mirror half at acc[c·2h+h]); fk = float32(k0+kk) for depth kk, so k0+h
+// must fit an int32. Column c reads the detector rows that start at
+// row0[off] and row0[off+rw], off = regs.off[c], which must both lie inside
+// the projection, and rw ≥ 2·windowDepth with vmax = float32(rw-1): the
+// range test against vmax and the window clamp are then the bounds check of
+// every load.
+//
+//go:noescape
+func accumWindowAVX512(acc *float32, h int, row0 *float32, rw int, regs *lanes, n, k0, c, kk int, vmax, ry2, ry3, vm1 float32) (stopC, stopKK int)

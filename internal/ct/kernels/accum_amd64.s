@@ -242,3 +242,294 @@ done:
 ret:
 	MOVQ AX, ret+72(FP)
 	RET
+
+DATA iota16<>+0(SB)/4, $0
+DATA iota16<>+4(SB)/4, $1
+DATA iota16<>+8(SB)/4, $2
+DATA iota16<>+12(SB)/4, $3
+DATA iota16<>+16(SB)/4, $4
+DATA iota16<>+20(SB)/4, $5
+DATA iota16<>+24(SB)/4, $6
+DATA iota16<>+28(SB)/4, $7
+DATA iota16<>+32(SB)/4, $8
+DATA iota16<>+36(SB)/4, $9
+DATA iota16<>+40(SB)/4, $10
+DATA iota16<>+44(SB)/4, $11
+DATA iota16<>+48(SB)/4, $12
+DATA iota16<>+52(SB)/4, $13
+DATA iota16<>+56(SB)/4, $14
+DATA iota16<>+60(SB)/4, $15
+GLOBL iota16<>(SB), RODATA|NOPTR, $64
+
+// tailmask<>+2m is the lane mask of a block of m < 16 depths.
+DATA tailmask<>+0(SB)/2, $0x0000
+DATA tailmask<>+2(SB)/2, $0x0001
+DATA tailmask<>+4(SB)/2, $0x0003
+DATA tailmask<>+6(SB)/2, $0x0007
+DATA tailmask<>+8(SB)/2, $0x000F
+DATA tailmask<>+10(SB)/2, $0x001F
+DATA tailmask<>+12(SB)/2, $0x003F
+DATA tailmask<>+14(SB)/2, $0x007F
+DATA tailmask<>+16(SB)/2, $0x00FF
+DATA tailmask<>+18(SB)/2, $0x01FF
+DATA tailmask<>+20(SB)/2, $0x03FF
+DATA tailmask<>+22(SB)/2, $0x07FF
+DATA tailmask<>+24(SB)/2, $0x0FFF
+DATA tailmask<>+26(SB)/2, $0x1FFF
+DATA tailmask<>+28(SB)/2, $0x3FFF
+DATA tailmask<>+30(SB)/2, $0x7FFF
+GLOBL tailmask<>(SB), RODATA|NOPTR, $32
+
+DATA maxint32<>+0(SB)/4, $0x7FFFFFFF
+GLOBL maxint32<>(SB), RODATA|NOPTR, $4
+
+DATA lane15<>+0(SB)/4, $15
+GLOBL lane15<>(SB), RODATA|NOPTR, $4
+
+// Register plan for accumWindowAVX512. Lane l of every vector is depth
+// kk+l of column c; the constants are per call, the column registers per
+// column, the rest per block.
+//
+//	DI  acc (tile row)          R14 h
+//	R12 c                       R13 kk
+//	R9  column's first row      R10 column's second row
+//	SI  column's acc            AX  column's mirror acc (SI + h floats)
+//	R11 window base of v        BX  window base of vSym
+//	CX, DX, R8 scratch
+//	K1  the block's depths      K2  K1 ∧ both samples inside [0, vmax)
+//	Z31 lane numbers 0…15       Z30 1           Z29 vmax
+//	Z28 ry2   Z27 ry3   Z26 vm1 Z25 int32 rw-32 (highest window base)
+//	Z24 int32 30 (highest tap index)            Z15 int32 1
+//	Z23/Z22 the lane (0 or 15) of a whole block's least v/vSym
+//	Z21 0     Z20 f     Z19 wdis      Z18 yb   Z17 du   Z16 1-du
+//	Z0  v     Z1  vSym  Z2/Z4 nv of v/vSym      Z3/Z5 dv of v/vSym
+//	Z8/Z9 tap index of v/vSym        Z6, Z7, Z10–Z14 scratch
+
+// WBASE(NV, KT, IDX, GP, FAIL) places the window of the lanes KT:
+// base = min(min of NV over KT, rw-32) into GP and every lane of IDX gets
+// NV - base. It jumps to FAIL when a lane of KT has an index outside
+// 0 … 30, whose tap pair nv, nv+1 would then leave the 32 samples at
+// base. Lanes outside KT enter neither the minimum nor the test.
+#define WBASE(NV, KT, IDX, GP, FAIL) \
+	VPBROADCASTD  maxint32<>(SB), Z6; \
+	VMOVDQA32     NV, KT, Z6; \
+	VEXTRACTI64X4 $1, Z6, Y7; \
+	VPMINSD       Y7, Y6, Y6; \
+	VEXTRACTI128  $1, Y6, X7; \
+	VPMINSD       X7, X6, X6; \
+	VPSHUFD       $0x4E, X6, X7; \
+	VPMINSD       X7, X6, X6; \
+	VPSHUFD       $0xB1, X6, X7; \
+	VPMINSD       X7, X6, X6; \
+	VPMINSD       Z25, Z6, Z6; \
+	VMOVD         X6, GP; \
+	VPBROADCASTD  X6, Z6; \
+	VPSUBD        Z6, NV, IDX; \
+	VPCMPUD       $2, Z24, IDX, KT, K4; \
+	KXORW         K4, KT, K4; \
+	KORTESTW      K4, K4; \
+	JNZ           FAIL
+
+// WBASE16(NV, SEL, IDX, GP, FAIL) is WBASE for a whole block of 16 depths:
+// down a column v is monotonic in the depth (every operation that forms it
+// is), so the least nv sits in the first or the last lane — SEL, all lanes
+// 0 or 15 — and one permute replaces the reduction. The index test still
+// covers every lane, so the bits never rest on that argument. Sending whole
+// blocks through WBASE instead read 18 % slower on BenchmarkSlabPair h = 32
+// (Sapphire Rapids, one worker).
+#define WBASE16(NV, SEL, IDX, GP, FAIL) \
+	VPERMD   NV, SEL, Z6; \
+	VPMINSD  Z25, Z6, Z6; \
+	VMOVD    X6, GP; \
+	VPSUBD   Z6, NV, IDX; \
+	VPCMPUD  $2, Z24, IDX, K4; \
+	KORTESTW K4, K4; \
+	JCC      FAIL
+
+// WSAMPLE(IDX, DV, GP, ACC, KT) adds wdis·bilinear(v, u) to the lanes KT of
+// the 16 accumulators at ACC+kk. The taps row[nv] and row[nv+1] of both
+// detector rows come from the 32 samples at row+base (GP) through
+// two-source permutes at IDX and IDX+1; the arithmetic is SAMPLE's,
+// lane-wise and in the same order:
+//
+//	t1 := row0[nv]*(1-dv) + row0[nv+1]*dv                    (Z11)
+//	t2 := row1[nv]*(1-dv) + row1[nv+1]*dv                    (Z12)
+//	acc += wdis * (t1*(1-du) + t2*du)
+#define WSAMPLE(IDX, DV, GP, ACC, KT) \
+	VPADDD    Z15, IDX, Z10; \
+	VSUBPS    DV, Z30, Z13; \
+	VMOVUPS   (R9)(GP*4), Z11; \
+	VPERMT2PS 64(R9)(GP*4), IDX, Z11; \
+	VMOVUPS   (R9)(GP*4), Z12; \
+	VPERMT2PS 64(R9)(GP*4), Z10, Z12; \
+	VMULPS    Z13, Z11, Z11; \
+	VMULPS    DV, Z12, Z12; \
+	VADDPS    Z12, Z11, Z11; \
+	VMOVUPS   (R10)(GP*4), Z12; \
+	VPERMT2PS 64(R10)(GP*4), IDX, Z12; \
+	VMOVUPS   (R10)(GP*4), Z14; \
+	VPERMT2PS 64(R10)(GP*4), Z10, Z14; \
+	VMULPS    Z13, Z12, Z12; \
+	VMULPS    DV, Z14, Z14; \
+	VADDPS    Z14, Z12, Z12; \
+	VMULPS    Z16, Z11, Z11; \
+	VMULPS    Z17, Z12, Z12; \
+	VADDPS    Z12, Z11, Z11; \
+	VMULPS    Z19, Z11, Z11; \
+	VMOVUPS   (ACC)(R13*4), KT, Z12; \
+	VADDPS    Z12, Z11, Z11; \
+	VMOVUPS   Z11, KT, (ACC)(R13*4)
+
+// WTRY(KT, FAIL) samples the lanes KT of the block, v and its mirror, each
+// through its own window. It jumps to FAIL having written nothing when a
+// lane of KT is outside the range test K2 or either window does not fit.
+#define WTRY(KT, FAIL) \
+	KANDNW   KT, K2, K4; \
+	KORTESTW K4, K4; \
+	JNZ      FAIL; \
+	WBASE(Z2, KT, Z8, R11, FAIL); \
+	WBASE(Z4, KT, Z9, BX, FAIL); \
+	WSAMPLE(Z8, Z3, R11, SI, KT); \
+	WSAMPLE(Z9, Z5, BX, AX, KT)
+
+// func accumWindowAVX512(acc *float32, h int, row0 *float32, rw int, regs *lanes, n, k0, c, kk int, vmax, ry2, ry3, vm1 float32) (stopC, stopKK int)
+TEXT ·accumWindowAVX512(SB), NOSPLIT, $0-104
+	MOVQ acc+0(FP), DI
+	MOVQ h+8(FP), R14
+	MOVQ c+56(FP), R12
+	MOVQ kk+64(FP), R13
+
+	VMOVDQU32    iota16<>(SB), Z31
+	VBROADCASTSS one<>(SB), Z30
+	VBROADCASTSS vmax+72(FP), Z29
+	VBROADCASTSS ry2+76(FP), Z28
+	VBROADCASTSS ry3+80(FP), Z27
+	VBROADCASTSS vm1+84(FP), Z26
+	MOVQ         rw+24(FP), R11
+	SUBQ         $32, R11
+	VPBROADCASTD R11, Z25
+	MOVL         $30, R11
+	VPBROADCASTD R11, Z24
+	VPXORD       Z21, Z21, Z21
+	MOVL         $1, R11
+	VPBROADCASTD R11, Z15
+
+column:
+	CMPQ         R12, n+40(FP)
+	JGE          stop
+	MOVQ         regs+32(FP), DX
+	MOVLQSX      L_OFF(DX)(R12*4), R9
+	MOVQ         row0+16(FP), R8
+	MOVQ         rw+24(FP), R10
+	LEAQ         (R8)(R9*4), R9
+	LEAQ         (R9)(R10*4), R10
+	VBROADCASTSS L_F(DX)(R12*4), Z20
+	VBROADCASTSS L_W(DX)(R12*4), Z19
+	VBROADCASTSS L_YB(DX)(R12*4), Z18
+	VBROADCASTSS L_DU(DX)(R12*4), Z17
+	VSUBPS       Z17, Z30, Z16
+	MOVQ         R12, SI
+	IMULQ        R14, SI
+	LEAQ         (DI)(SI*8), SI
+	LEAQ         (SI)(R14*4), AX
+
+	// v rises with the depth when ry2 and f have the same sign, and falls
+	// otherwise; its mirror does the opposite.
+	VPXORD       Z22, Z22, Z22
+	VPBROADCASTD lane15<>(SB), Z23
+	MOVL         L_F(DX)(R12*4), CX
+	XORL         ry2+76(FP), CX
+	JNS          block
+	VPXORD       Z23, Z23, Z23
+	VPBROADCASTD lane15<>(SB), Z22
+
+block:
+	CMPQ    R13, R14
+	JGE     nextcol
+	MOVQ    R14, R11
+	SUBQ    R13, R11
+	MOVL    $0xFFFF, BX
+	CMPQ    R11, $16
+	JGE     mask
+	LEAQ    tailmask<>(SB), BX
+	MOVWLZX (BX)(R11*2), BX
+
+mask:
+	KMOVW BX, K1
+
+	// fk = float32(k0 + kk + l), then v = (yb + ry2·fk + ry3)·f and
+	// vSym = vm1 − v, AccumColumnsRef's operations in its order.
+	MOVQ         k0+48(FP), R11
+	ADDQ         R13, R11
+	VPBROADCASTD R11, Z6
+	VPADDD       Z31, Z6, Z6
+	VCVTDQ2PS    Z6, Z6
+	VMULPS       Z28, Z6, Z6
+	VADDPS       Z6, Z18, Z0
+	VADDPS       Z27, Z0, Z0
+	VMULPS       Z20, Z0, Z0
+	VSUBPS       Z0, Z26, Z1
+
+	// K2: the lanes of K1 whose v and vSym both satisfy 0 ≤ x < vmax
+	// (ordered compares: NaN fails), which also keeps nv and nv+1 inside
+	// both rows.
+	VCMPPS $0x1D, Z21, Z0, K1, K2
+	VCMPPS $0x11, Z29, Z0, K2, K2
+	VCMPPS $0x1D, Z21, Z1, K2, K2
+	VCMPPS $0x11, Z29, Z1, K2, K2
+
+	// nv := int(v); dv := v - float32(nv), for v and vSym.
+	VCVTTPS2DQ Z0, Z2
+	VCVTDQ2PS  Z2, Z3
+	VSUBPS     Z3, Z0, Z3
+	VCVTTPS2DQ Z1, Z4
+	VCVTDQ2PS  Z4, Z5
+	VSUBPS     Z5, Z1, Z5
+
+	// A whole block with every sample in range tries the two permuted
+	// minima first; anything else, and a block they do not fit, takes the
+	// masked reduction.
+	KORTESTW K2, K2
+	JCC      masked
+	WBASE16(Z2, Z22, Z8, R11, masked)
+	WBASE16(Z4, Z23, Z9, BX, masked)
+	WSAMPLE(Z8, Z3, R11, SI, K1)
+	WSAMPLE(Z9, Z5, BX, AX, K1)
+	ADDQ $16, R13
+	JMP  block
+
+masked:
+	WTRY(K1, halves)
+	ADDQ $16, R13
+	JMP  block
+
+halves:
+	// Retry as two 8-depth windows; a block of at most 8 depths is already
+	// one, and goes back to the caller.
+	KMOVW K1, R11
+	CMPL  R11, $0xFF
+	JLS   stop
+	MOVL  $0xFF, R11
+	KMOVW R11, K3
+	WTRY(K3, stop)
+	MOVL  $0xFF00, R11
+	KMOVW R11, K3
+	KANDW K1, K3, K3
+	WTRY(K3, upper)
+	ADDQ  $16, R13
+	JMP   block
+
+upper:
+	ADDQ $8, R13
+	JMP  stop
+
+nextcol:
+	INCQ R12
+	XORQ R13, R13
+	JMP  column
+
+stop:
+	VZEROUPPER
+	MOVQ R12, stopC+88(FP)
+	MOVQ R13, stopKK+96(FP)
+	RET

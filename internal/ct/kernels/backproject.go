@@ -119,8 +119,16 @@ func AccumColumns(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k
 //
 //ifdk:hotpath
 func AccumColumnsRef(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32) {
+	accumColumnsRef(acc, proj, rw, rh, r, i, j0, n, k0, h, vm1, depthMajor)
+}
+
+// accumColumnsRef is AccumColumnsRef into either accumulator layout.
+//
+//ifdk:hotpath
+func accumColumnsRef(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32, at layout) {
 	var us, fs, ws [Lanes]float32
 	ColumnGeomRef(us[:n], fs[:n], ws[:n], r, i, j0)
+	ks, cs := at.strides(h)
 	fi := float32(i)
 	for c, u := range us[:n] {
 		fj := float32(j0 + c)
@@ -131,10 +139,29 @@ func AccumColumnsRef(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n
 			y := yb + r[1][2]*fk + r[1][3]
 			v := y * f
 			vSym := vm1 - v
-			acc[kk*Lanes+c] += wdis * interp.Bilinear(proj, rw, rh, v, u)
-			acc[(h+kk)*Lanes+c] += wdis * interp.Bilinear(proj, rw, rh, vSym, u)
+			acc[kk*ks+c*cs] += wdis * interp.Bilinear(proj, rw, rh, v, u)
+			acc[(h+kk)*ks+c*cs] += wdis * interp.Bilinear(proj, rw, rh, vSym, u)
 		}
 	}
+}
+
+// layout is a tile row accumulator's order: depthMajor (AccumColumns) holds
+// depth kk of column c at kk·Lanes+c, columnMajor (AccumColumnsWindow) at
+// c·2h+kk. Either way the mirror of depth kk is depth h+kk.
+type layout bool
+
+const (
+	depthMajor  layout = false
+	columnMajor layout = true
+)
+
+// strides returns the distance between neighbouring depths and between
+// neighbouring columns.
+func (at layout) strides(h int) (ks, cs int) {
+	if at == columnMajor {
+		return 1, 2 * h
+	}
+	return Lanes, 1
 }
 
 // lanes is a tile row's column registers, one column per lane (Listing 1's
@@ -183,7 +210,7 @@ func accumColumnsFast(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, 
 	vector := useAVX2 && rw >= 2 && rw*rh <= math.MaxInt32 && j0 >= math.MinInt32 && j0 <= math.MaxInt32-Lanes
 	if !vector || !columnLanesAVX2(&g, r, float32(i), float32(rh-1), j0, n, rw) {
 		g.fill(r, i, j0, n)
-		accumColumnsGo(acc, proj, rw, rh, n, &g, ry2, ry3, vm1, k0, h, 0, h)
+		accumColumnsGo(acc, proj, rw, rh, &g, 0, n, ry2, ry3, vm1, k0, h, 0, h, depthMajor)
 		return
 	}
 	// The assembly consumes whole depths while every sample of the depth is
@@ -194,21 +221,23 @@ func accumColumnsFast(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, 
 	for kk := 0; kk < h; kk++ {
 		kk += accumColumnsAVX2(&acc[kk*Lanes], &acc[(h+kk)*Lanes], h-kk, row0, row1, &g, vMax, ry2, ry3, vm1, k0+kk)
 		if kk < h {
-			accumColumnsGo(acc, proj, rw, rh, n, &g, ry2, ry3, vm1, k0, h, kk, kk+1)
+			accumColumnsGo(acc, proj, rw, rh, &g, 0, n, ry2, ry3, vm1, k0, h, kk, kk+1, depthMajor)
 		}
 	}
 }
 
 // accumColumnsGo is the portable fast loop over depths [kk0, kk1) of the
-// lanes c < n. A lane with an interior u hoists its two detector rows and
-// walks them stride-1 as v advances; a sample off those rows, and every
-// sample of a lane whose u is not interior, goes through interp.Bilinear.
+// lanes c0 ≤ c < c1, into an accumulator laid out as at says. A lane with an
+// interior u hoists its two detector rows and walks them stride-1 as v
+// advances; a sample off those rows, and every sample of a lane whose u is
+// not interior, goes through interp.Bilinear.
 //
 //ifdk:hotpath
-func accumColumnsGo(acc, proj []float32, rw, rh, n int, g *lanes, ry2, ry3, vm1 float32, k0, h, kk0, kk1 int) {
+func accumColumnsGo(acc, proj []float32, rw, rh int, g *lanes, c0, c1 int, ry2, ry3, vm1 float32, k0, h, kk0, kk1 int, at layout) {
 	vMax, uMax := float32(rw-1), float32(rh-1)
-	for c, u := range g.u[:n] {
-		f, wdis, yb := g.f[c], g.w[c], g.yb[c]
+	ks, cs := at.strides(h)
+	for c := c0; c < c1; c++ {
+		u, f, wdis, yb := g.u[c], g.f[c], g.w[c], g.yb[c]
 		var row0, row1 []float32
 		var du float32
 		lim := float32(0) // no v passes the hoisted-row test unless u is interior
@@ -243,8 +272,95 @@ func accumColumnsGo(acc, proj []float32, rw, rh, n int, g *lanes, ry2, ry3, vm1 
 			} else {
 				b = interp.Bilinear(proj, rw, rh, vSym, u)
 			}
-			acc[kk*Lanes+c] += wdis * a
-			acc[(h+kk)*Lanes+c] += wdis * b
+			acc[kk*ks+c*cs] += wdis * a
+			acc[(h+kk)*ks+c*cs] += wdis * b
+		}
+	}
+}
+
+// windowDepth is the number of consecutive depths of one column that
+// AccumColumnsWindow's AVX-512 tier samples per block, one per lane; a
+// block's taps come from one window of 2·windowDepth detector samples per
+// row.
+const windowDepth = 16
+
+// WindowFits reports whether a slab pair of depth h on detector rows of rw
+// samples (the transposed layout's row, Nv) should take AccumColumnsWindow
+// rather than AccumColumns on this host, maxStep being the largest |∂v/∂k|
+// any column of the slab sees. It needs the window tier, a slab at least one
+// block deep, rows that hold a window, and a step small enough for an
+// 8-depth block's taps, floor(v) … floor(v)+1 over 7 steps, to span at most
+// the 2·windowDepth samples of a window. Both paths give the same bits; this
+// only picks the faster.
+func WindowFits(h, rw int, maxStep float64) bool {
+	return windowTier() && h >= windowDepth && rw >= 2*windowDepth && 7*maxStep <= 2*windowDepth-3
+}
+
+// AccumColumnsWindow is AccumColumns into a column-major accumulator: for
+// column c and depth kk < h,
+//
+//	acc[c·2h+kk]   += w·proj(v, u)
+//	acc[c·2h+h+kk] += w·proj(vm1-v, u)
+//
+// with v, u and w exactly as AccumColumns computes them. acc holds
+// 2h·Lanes floats; columns n … Lanes-1 of it are scratch. Down a column v
+// is linear in k, so on AVX-512 hosts the sixteen depths of a block read
+// their taps from one 32-sample window of each detector row through
+// two-source permutes instead of gathers (accum_amd64.s). A block that
+// leaves the detector or spans more than the window is retried as two
+// 8-depth windows, and an 8-depth block that still does not fit runs the
+// portable loop, so the bits never depend on the tier.
+//
+//ifdk:hotpath
+func AccumColumnsWindow(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32) {
+	if useFast {
+		accumColumnsWindowFast(acc, proj, rw, rh, r, i, j0, n, k0, h, vm1)
+		return
+	}
+	accumColumnsRef(acc, proj, rw, rh, r, i, j0, n, k0, h, vm1, columnMajor)
+}
+
+// accumColumnsWindowFast is AccumColumnsWindow's fast form. It returns the
+// number of (column, depth) pairs it ran on the portable loop, which only
+// tests read.
+//
+//ifdk:hotpath
+func accumColumnsWindowFast(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32) (portable int) {
+	if n < 0 || n > Lanes {
+		panic(fmt.Sprintf("kernels: tile row of %d columns, want 0…%d", n, Lanes))
+	}
+	if rw < 0 || rh < 0 || rh > 0 && rw > len(proj)/rh {
+		panic(fmt.Sprintf("kernels: %d×%d detector in a projection of %d floats", rw, rh, len(proj)))
+	}
+	acc = acc[:2*h*Lanes]
+	if n == 0 || h == 0 {
+		return 0
+	}
+	var g lanes
+	ry2, ry3 := r[1][2], r[1][3]
+	// The assembly needs what accumColumnsFast's does, a window's worth of
+	// samples per row, and depth numbers that fit an int32.
+	vector := windowTier() && rw >= 2*windowDepth && rw*rh <= math.MaxInt32 &&
+		j0 >= math.MinInt32 && j0 <= math.MaxInt32-Lanes && k0 >= math.MinInt32 && k0 <= math.MaxInt32-h
+	if !vector || !columnLanesAVX2(&g, r, float32(i), float32(rh-1), j0, n, rw) {
+		g.fill(r, i, j0, n)
+		accumColumnsGo(acc, proj, rw, rh, &g, 0, n, ry2, ry3, vm1, k0, h, 0, h, columnMajor)
+		return n * h
+	}
+	// The assembly stops in front of an 8-depth block it cannot window; the
+	// portable loop runs that block, and the assembly is re-entered behind it.
+	vMax := float32(rw - 1)
+	c, kk := 0, 0
+	for {
+		c, kk = accumWindowAVX512(&acc[0], h, &proj[0], rw, &g, n, k0, c, kk, vMax, ry2, ry3, vm1)
+		if c >= n {
+			return portable
+		}
+		kk1 := min(kk+8, h)
+		accumColumnsGo(acc, proj, rw, rh, &g, c, c+1, ry2, ry3, vm1, k0, h, kk, kk1, columnMajor)
+		portable += kk1 - kk
+		if kk = kk1; kk == h {
+			c, kk = c+1, 0
 		}
 	}
 }

@@ -271,9 +271,11 @@ func tableFor(n int, inverse bool, wrong uint8) []complex64 {
 	return tw
 }
 
-// FuzzAccumColumnsTiers drives AccumColumns, the wrapper that hands a tile
-// row to assembly, with shapes it must refuse as well as ones it must
-// accumulate, on the reference, the portable tier and AVX2:
+// FuzzAccumColumnsTiers drives AccumColumns and AccumColumnsWindow, the
+// wrappers that hand a tile row to assembly, with shapes they must refuse
+// as well as ones they must accumulate: AccumColumns on the reference, the
+// portable tier and AVX2, AccumColumnsWindow on the portable tier and (where
+// the host has it) the AVX-512 window tier:
 //
 //   - h is the slab depth 0…40, cols the run length 0…9 (9 is one column
 //     too many), rw × rh the detector 0…299 × 0…39, and i, j0, k0 any
@@ -287,10 +289,10 @@ func tableFor(n int, inverse bool, wrong uint8) []complex64 {
 //   - geom is float32 bit patterns (NaN, ±Inf and denormals included),
 //     repeated to fill the matrix, vm1 and the pixels.
 //
-// A call must panic on go and avx2 with the same message or on neither; the
-// run's lanes must be bit-identical on all three tiers (any NaN for a NaN);
-// and the canaries either side of the accumulator and the projection must
-// survive.
+// A call must panic on every leg with the same message or on none; the
+// run's lanes must be bit-identical on every leg and the reference (any NaN
+// for a NaN), the window legs read column-major; and the canaries either
+// side of the accumulator and the projection must survive.
 func FuzzAccumColumnsTiers(f *testing.F) {
 	const shortAcc, shortProj, aim, pivot = 0x01, 0x02, 0x04, 0x08
 	nan, inf, denormal := []byte{0, 0, 0xC0, 0x7F}, []byte{0, 0, 0x80, 0xFF}, []byte{1, 0, 0, 0}
@@ -325,6 +327,17 @@ func FuzzAccumColumnsTiers(f *testing.F) {
 	f.Add(uint8(4), uint8(9), uint16(64), uint16(64), int16(3), int16(8), int16(8), uint8(aim), ramp)
 	f.Add(uint8(4), uint8(0), uint16(64), uint16(64), int16(3), int16(8), int16(8), uint8(aim), ramp)
 	f.Add(uint8(4), uint8(8), uint16(64), uint16(64), int16(3), int16(8), int16(8), uint8(aim), []byte(nil))
+	// Window shapes: rows of 31 and 32 samples (one short of a window, and
+	// exactly one) and of 96, slabs of 16, 20 and 40 depths, v starting
+	// near either end of the row or mid-row, at −1 to 1.96 rows per depth:
+	// 16-depth windows, 8-depth ones, and blocks that leave the row.
+	for _, rw := range []uint16{31, 32, 96} {
+		for _, h := range []uint8{16, 20, 40} {
+			for _, v := range [][2]float64{{0.02, 0.6}, {0.5, 0.74}, {0.97, 0.9}, {0.5, 0.25}, {0.5, 0.99}} {
+				f.Add(h, uint8(8), rw, uint16(40), int16(7), int16(16), int16(h), uint8(aim), units(0.5, 0.5, 0.5, 0.5, v[1], v[0]))
+			}
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, h, cols uint8, rw, rh uint16, i, j0, k0 int16, mode uint8, geom []byte) {
 		if !kernels.HasAVX2() {
@@ -385,32 +398,62 @@ func FuzzAccumColumnsTiers(f *testing.F) {
 				prior[p] = float32(p % 7)
 			}
 		}
-		run := func(ref, avx2 bool) (acc []float32, panicked any) {
+		// The window legs start from the same prior, laid out column-major:
+		// depth kk of lane c at c·2h+kk instead of kk·Lanes+c.
+		colPrior := append([]float32(nil), prior...)
+		for x := 0; x < accLen; x++ {
+			kk, c := x/kernels.Lanes, x%kernels.Lanes
+			if y := c*2*depth + kk; y < accLen {
+				colPrior[pad+y] = prior[pad+x]
+			}
+		}
+		run := func(ref, avx2, window bool) (acc []float32, panicked any) {
 			defer kernels.SetAVX2(avx2)()
+			defer kernels.SetAVX512(avx2 && window)()
 			if ref {
 				defer kernels.UseRef()()
 			}
+			accum := kernels.AccumColumns
 			acc = append([]float32(nil), prior...)
+			if window {
+				accum = kernels.AccumColumnsWindow
+				acc = append([]float32(nil), colPrior...)
+			}
 			defer func() { panicked = recover() }()
-			kernels.AccumColumns(acc[pad:pad+accLen:pad+accLen], proj[pad:pad+projLen:pad+projLen],
+			accum(acc[pad:pad+accLen:pad+accLen], proj[pad:pad+projLen:pad+projLen],
 				w, ht, &r, int(i), int(j0), n, int(k0), depth, vm1)
 			return acc, nil
 		}
-		portable, portablePanic := run(false, false)
-		vector, vectorPanic := run(false, true)
+		// The legs: AccumColumns on go and avx2, AccumColumnsWindow on go
+		// and on the window tier (skipped where the host lacks AVX-512).
+		type leg struct {
+			name      string
+			avx2, win bool
+			acc       []float32
+			panicked  any
+		}
+		legs := []leg{{name: "go"}, {name: "avx2", avx2: true}, {name: "window go", win: true}, {name: "window avx512", avx2: true, win: true}}
+		if !kernels.HasAVX512() {
+			legs = legs[:3]
+		}
+		for l := range legs {
+			legs[l].acc, legs[l].panicked = run(false, legs[l].avx2, legs[l].win)
+		}
 
 		name := fmt.Sprintf("h=%d n=%d %dx%d mode=%#x", depth, n, w, ht, mode)
-		if fmt.Sprint(portablePanic) != fmt.Sprint(vectorPanic) {
-			t.Fatalf("%s: go panics with %v, avx2 with %v", name, portablePanic, vectorPanic)
+		for _, l := range legs[1:] {
+			if fmt.Sprint(legs[0].panicked) != fmt.Sprint(l.panicked) {
+				t.Fatalf("%s: go panics with %v, %s with %v", name, legs[0].panicked, l.name, l.panicked)
+			}
 		}
 		wantPanic := n > kernels.Lanes || mode&shortProj != 0 && w*ht > 0 || mode&shortAcc != 0 && depth > 0
-		if (portablePanic != nil) != wantPanic {
-			t.Fatalf("%s: panic %v, want one: %v", name, portablePanic, wantPanic)
+		if (legs[0].panicked != nil) != wantPanic {
+			t.Fatalf("%s: panic %v, want one: %v", name, legs[0].panicked, wantPanic)
 		}
-		for _, backing := range [][]float32{portable, vector} {
-			for p, x := range backing {
+		for _, l := range legs {
+			for p, x := range l.acc {
 				if (p < pad || p >= pad+accLen) && math.Float32bits(x) != math.Float32bits(accCanary) {
-					t.Fatalf("%s: canary %d (acc is [%d, %d)) overwritten with %v", name, p, pad, pad+accLen, x)
+					t.Fatalf("%s: %s: canary %d (acc is [%d, %d)) overwritten with %v", name, l.name, p, pad, pad+accLen, x)
 				}
 			}
 		}
@@ -422,13 +465,19 @@ func FuzzAccumColumnsTiers(f *testing.F) {
 		if wantPanic {
 			return
 		}
-		reference, _ := run(true, false)
+		reference, _ := run(true, false, false)
 		same := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b) }
 		for kk := 0; kk < 2*depth; kk++ {
 			for c := range n {
 				x := pad + kk*kernels.Lanes + c
-				if !same(portable[x], vector[x]) || !same(portable[x], reference[x]) {
-					t.Fatalf("%s: depth %d lane %d = %v on go, %v on avx2, %v on ref", name, kk, c, portable[x], vector[x], reference[x])
+				for _, l := range legs {
+					got := l.acc[x]
+					if l.win {
+						got = l.acc[pad+c*2*depth+kk]
+					}
+					if !same(got, reference[x]) {
+						t.Fatalf("%s: depth %d lane %d = %v on %s, %v on ref", name, kk, c, got, l.name, reference[x])
+					}
 				}
 			}
 		}

@@ -833,3 +833,45 @@ func TestAccumColumnsAVX2Stops(t *testing.T) {
 		t.Fatalf("only %d corpus tile rows have all u interior", checked)
 	}
 }
+
+// TestAccumColumnsWindowParity asserts that AccumColumnsWindow's
+// column-major accumulator holds, bit for bit, what AccumColumnsRef's
+// depth-major one holds, on the parity corpus and on every tier: the
+// reference, the portable loop, and (where the host has it) the window tier.
+func TestAccumColumnsWindowParity(t *testing.T) {
+	cases := accumColumnsCases(t)
+	for _, tier := range []struct {
+		name        string
+		ref, avx512 bool
+	}{{"ref", true, false}, {"go", false, false}, {"avx512", false, true}} {
+		t.Run(tier.name, func(t *testing.T) {
+			if tier.avx512 && !hasAVX512() {
+				t.Skip("CPU or OS without AVX-512")
+			}
+			defer SetAVX2(tier.avx512)()
+			defer SetAVX512(tier.avx512)()
+			if tier.ref {
+				defer UseRef()()
+			}
+			for n, c := range cases {
+				ref := append([]float32(nil), c.acc...)
+				c.call(ref, AccumColumnsRef)
+				win := make([]float32, len(c.acc))
+				for kk := 0; kk < 2*c.h; kk++ {
+					for lane := range Lanes {
+						win[lane*2*c.h+kk] = c.acc[kk*Lanes+lane]
+					}
+				}
+				c.call(win, AccumColumnsWindow)
+				for kk := 0; kk < 2*c.h; kk++ {
+					for lane := range c.n {
+						if want, got := ref[kk*Lanes+lane], win[lane*2*c.h+kk]; !eqBits(want, got) {
+							t.Fatalf("case %d rw=%d rh=%d n=%d h=%d k0=%d r=%v: depth %d lane %d: ref=%v window=%v",
+								n, c.rw, c.rh, c.n, c.h, c.k0, c.r, kk, lane, want, got)
+						}
+					}
+				}
+			}
+		})
+	}
+}

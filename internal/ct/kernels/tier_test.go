@@ -15,35 +15,56 @@ import (
 )
 
 // TestBackprojectBitIdenticalAcrossTiers runs the one Alg. 4 driver behind
-// the AccumColumns seam through all three of its callers' shapes — whole
-// even volumes and whole odd ones through backproject.Proposed
-// (fdk.Reconstruct, preview, verification; the odd ones add the unpaired
-// centre plane) and slab pairs through backproject.ProposedSlabPair (the
-// distributed pipeline) — on the reference kernels, the portable fast loop
-// and the AVX2 tier, and requires the three tiers to agree bit for bit. The
-// shapes are nx = 64 with an off-edge slab pair, and the fleet_mixed ones:
-// nx 16 and 32 split over R = 2, 4 and 8 rank rows, slab depths h = 1, 2,
-// 4 and 8 with every row's pair, with a ragged Ny (nx+5 columns: tile rows
-// shorter than the kernel's lanes). It lives here rather than in package
-// backproject because only this directory's tests can reach the unexported
-// tier switch.
+// the AccumColumns and AccumColumnsWindow seams through all three of its
+// callers' shapes — whole even volumes and whole odd ones through
+// backproject.Proposed (fdk.Reconstruct, preview, verification; the odd
+// ones add the unpaired centre plane) and slab pairs through
+// backproject.ProposedSlabPair (the distributed pipeline) — on the
+// reference kernels, the portable fast loop, the AVX2 tier and the AVX-512
+// window tier, and requires the four tiers to agree bit for bit (any NaN
+// for a NaN). The shapes are:
+//
+//   - nx = 64 with an off-edge slab pair, and the fleet_mixed ones: nx 16
+//     and 32 split over R = 2, 4 and 8 rank rows, slab depths h = 1, 2, 4
+//     and 8 with every row's pair, with a ragged Ny (nx+5 columns: tile rows
+//     shorter than the kernel's lanes) — all on the gather path;
+//   - volume_heavy's 128³ from 256² at R = 2, both rank rows (h = 32; row 0
+//     has z0 = 0, where blocks reach the detector's edges and bail);
+//   - a steep geometry (a 96-row detector over 32 planes: about 3 rows per
+//     plane), where 16-depth windows do not fit and 8-depth ones do;
+//   - h = 20, which ends on a partial block;
+//   - Nv = 31, one sample short of a window, which must take the gather path;
+//   - NaN and ±Inf pixels, on the window and the gather path.
+//
+// It lives here rather than in package backproject because only this
+// directory's tests can reach the unexported tier switches.
 func TestBackprojectBitIdenticalAcrossTiers(t *testing.T) {
 	type leg struct {
 		name string
 		run  func() *volume.Volume
 	}
 	var legs []leg
-	// 40 projections: one full batch of 32 and a short one. The volume's
-	// top and bottom planes project past the detector for near-source
-	// columns, so tile rows mix interior depths with border lanes.
-	task := func(g geometry.Params, seed int64) backproject.Task {
+	// Projections every `every`-th of g's orbit, random pixels, and with
+	// poison set a NaN, a +Inf and a −Inf in each. The volume's top and
+	// bottom planes project past the detector for near-source columns, so
+	// tile rows mix interior depths with border lanes.
+	task := func(g geometry.Params, seed int64, every int, poison bool) backproject.Task {
 		rng := rand.New(rand.NewSource(seed))
-		task := backproject.Task{Mats: geometry.ProjectionMatrices(g)}
-		for range task.Mats {
+		var task backproject.Task
+		for s, m := range geometry.ProjectionMatrices(g) {
+			if s%every != 0 {
+				continue
+			}
 			img := volume.NewImage(g.Nu, g.Nv)
 			for n := range img.Data {
 				img.Data[n] = rng.Float32()
 			}
+			if poison {
+				for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					img.Data[rng.Intn(len(img.Data))] = float32(bad)
+				}
+			}
+			task.Mats = append(task.Mats, m)
 			task.Proj = append(task.Proj, img)
 		}
 		return task
@@ -67,8 +88,9 @@ func TestBackprojectBitIdenticalAcrossTiers(t *testing.T) {
 		}})
 	}
 
+	// 40 projections: one full batch of 32 and a short one.
 	g := geometry.Default(96, 96, 40, 64, 64, 64)
-	big := task(g, 14)
+	big := task(g, 14, 1, false)
 	whole("Proposed nx=64", g, big)
 	odd := g
 	odd.Nz = 15
@@ -76,7 +98,7 @@ func TestBackprojectBitIdenticalAcrossTiers(t *testing.T) {
 	slab("ProposedSlabPair nx=64 [8,24)", g, big, 8, 24) // off the volume edge: k0 ≠ 0
 	for _, nx := range []int{16, 32} {
 		g := geometry.Default(2*nx, 2*nx, 40, nx, nx+5, nx)
-		tk := task(g, int64(nx))
+		tk := task(g, int64(nx), 1, false)
 		for _, r := range []int{2, 4, 8} {
 			h := nx / (2 * r)
 			for row := range r {
@@ -88,6 +110,22 @@ func TestBackprojectBitIdenticalAcrossTiers(t *testing.T) {
 		whole(fmt.Sprintf("Proposed nx=%d Ny=%d Nz=%d", nx, g.Ny, odd.Nz), odd, backproject.Task{Mats: geometry.ProjectionMatrices(odd), Proj: tk.Proj})
 	}
 
+	// The window shapes. volume_heavy's orbit is 320 projections; every
+	// 20th keeps its geometry at a sixteenth of the cost.
+	heavy := geometry.Default(256, 256, 320, 128, 128, 128)
+	heavyTask := task(heavy, 38, 20, false)
+	slab("volume_heavy R=2 row 0", heavy, heavyTask, 0, 32)
+	slab("volume_heavy R=2 row 1", heavy, heavyTask, 32, 64)
+	steep := geometry.Default(64, 96, 40, 24, 24, 32)
+	slab("steep 96 rows over 32 planes", steep, task(steep, 39, 1, false), 0, 16)
+	partial := geometry.Default(64, 64, 40, 24, 21, 80)
+	slab("h=20 row 1", partial, task(partial, 40, 1, false), 20, 40)
+	short := geometry.Default(48, 31, 40, 24, 24, 32)
+	slab("Nv=31", short, task(short, 41, 1, false), 0, 16)
+	poisoned := geometry.Default(64, 64, 40, 32, 32, 32)
+	slab("NaN/±Inf pixels, window", poisoned, task(poisoned, 42, 1, true), 0, 16)
+	slab("NaN/±Inf pixels, gather", poisoned, task(poisoned, 43, 1, true), 4, 8)
+
 	run := func() (vols []*volume.Volume) {
 		for _, l := range legs {
 			vols = append(vols, l.run())
@@ -98,19 +136,24 @@ func TestBackprojectBitIdenticalAcrossTiers(t *testing.T) {
 		defer kernels.UseRef()()
 		return run()
 	}()
+	same := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b }
 	for _, tier := range []struct {
-		name string
-		avx2 bool
-	}{{"go", false}, {"avx2", true}} {
+		name         string
+		avx2, avx512 bool
+	}{{"go", false, false}, {"avx2", true, false}, {"avx512", true, true}} {
 		t.Run(tier.name, func(t *testing.T) {
 			if tier.avx2 && !kernels.HasAVX2() {
 				t.Skip("CPU or OS without AVX2")
 			}
+			if tier.avx512 && !kernels.HasAVX512() {
+				t.Skip("CPU or OS without AVX-512")
+			}
 			defer kernels.SetAVX2(tier.avx2)()
+			defer kernels.SetAVX512(tier.avx512)()
 			for l, got := range run() {
 				want := ref[l]
 				for n := range want.Data {
-					if math.Float32bits(want.Data[n]) != math.Float32bits(got.Data[n]) {
+					if !same(want.Data[n], got.Data[n]) {
 						t.Fatalf("%s: voxel %d = %v, reference kernels give %v", legs[l].name, n, got.Data[n], want.Data[n])
 					}
 				}
@@ -283,7 +326,7 @@ func TestFilterBitIdenticalAcrossTiers(t *testing.T) {
 						t.Fatal(err)
 					}
 					if chain := applyChain(t, f, blob); !reflect.DeepEqual(bitsOf(chain.Data), bitsOf(enc.Data)) {
-						t.Fatalf("nu=%d nv=%d %v avx2=%v: ApplyEncoded differs from ImageFromBytesInto → ApplyInto → TransposeInto", nu, nv, win, kernels.ISA() == "avx2")
+						t.Fatalf("nu=%d nv=%d %v isa=%s: ApplyEncoded differs from ImageFromBytesInto → ApplyInto → TransposeInto", nu, nv, win, kernels.ISA())
 					}
 					outs = append(outs, q, enc)
 					for workers := 1; workers <= 3; workers++ {

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -136,5 +137,68 @@ func TestReduceBcastBufsAllocRegression(t *testing.T) {
 	if perRound > unpooled/5 {
 		t.Fatalf("ReduceBufs allocates %d B/round, want < 20%% of the %d B/round unpooled baseline — blocks are not being pooled",
 			perRound, unpooled)
+	}
+}
+
+// treeSum is the binomial tree's sum spelled out: the rank at tree position
+// vr (rank (vr+root) mod n) adds, in order of rising mask below limit, the
+// sums of its children vr+mask, whose own children lie below mask.
+func treeSum(payload func(rank int) []float32, n, root, vr, limit int) []float32 {
+	acc := payload((vr + root) % n)
+	for mask := 1; mask < limit && vr+mask < n; mask <<= 1 {
+		for i, x := range treeSum(payload, n, root, vr+mask, mask) {
+			acc[i] += x
+		}
+	}
+	return acc
+}
+
+// ReduceInPlace must leave at the root exactly the bits ReduceBufs returns
+// and the bits of the binomial tree's order spelled out (treeSum) — the
+// root's payload is only the accumulator — at every root of irregular and
+// regular trees, on payloads whose float sum depends on the order; and
+// every other rank's payload must come back untouched.
+func TestReduceInPlaceMatchesReduceBufs(t *testing.T) {
+	payload := func(rank int) []float32 {
+		data := make([]float32, 17)
+		for i := range data {
+			data[i] = float32(math.Pi) * float32(rank+1) * float32(math.Pow(10, float64(i%9-4)))
+			if (rank+i)%3 == 0 {
+				data[i] = -data[i] * 1e7
+			}
+		}
+		return data
+	}
+	for _, n := range []int{1, 2, 3, 5, 6, 8} {
+		for root := 0; root < n; root++ {
+			err := Run(n, func(c *Comm) error {
+				want, err := reduceAt(c, root, payload(c.Rank()))
+				if err != nil {
+					return err
+				}
+				data := payload(c.Rank())
+				if err := c.ReduceInPlace(root, data, OpSum); err != nil {
+					return err
+				}
+				if c.Rank() == root {
+					for i, x := range treeSum(payload, n, root, 0, n) {
+						if math.Float32bits(x) != math.Float32bits(want[i]) {
+							return fmt.Errorf("ReduceBufs element %d = %v, the tree order gives %v", i, want[i], x)
+						}
+					}
+				} else {
+					want = payload(c.Rank())
+				}
+				for i := range data {
+					if math.Float32bits(data[i]) != math.Float32bits(want[i]) {
+						return fmt.Errorf("rank %d element %d = %v, want %v", c.Rank(), i, data[i], want[i])
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("n=%d root=%d: %v", n, root, err)
+			}
+		}
 	}
 }

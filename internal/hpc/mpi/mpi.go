@@ -415,35 +415,60 @@ func (op ReduceOp) apply(acc, in []float32) error {
 // deterministic. Root owns the returned block and must Release it; other
 // ranks receive nil.
 func (c *Comm) ReduceBufs(root int, data []float32, op ReduceOp) (*engine.Buf[float32], error) {
-	size := c.Size()
-	if root < 0 || root >= size {
+	if root < 0 || root >= c.Size() {
 		return nil, fmt.Errorf("mpi: reduce root %d out of range", root)
 	}
-	vr := (c.rank - root + size) % size
 	acc := engine.Blocks.Acquire(len(data))
 	copy(acc.Data, data)
+	parent, err := c.combine(root, acc.Data, op)
+	if err != nil {
+		acc.Release()
+		return nil, err
+	}
+	if parent >= 0 {
+		// Interior rank: the accumulator itself moves to the parent.
+		return nil, c.sendBuf(parent, tagReduce, acc)
+	}
+	return acc, nil
+}
+
+// ReduceInPlace is ReduceBufs with the root's own payload as the
+// accumulator: the root adds its children's blocks into data, in the same
+// tree order, so it copies nothing and data holds the reduction when the
+// call returns. Every other rank runs ReduceBufs, copying data into the
+// pooled block that moves up the tree, and its data is left as it was.
+func (c *Comm) ReduceInPlace(root int, data []float32, op ReduceOp) error {
+	if c.rank != root {
+		_, err := c.ReduceBufs(root, data, op)
+		return err
+	}
+	_, err := c.combine(root, data, op)
+	return err
+}
+
+// combine adds this rank's binomial-tree children into acc, in the tree's
+// fixed order, and returns the rank of its parent; -1 at the root.
+func (c *Comm) combine(root int, acc []float32, op ReduceOp) (parent int, err error) {
+	size := c.Size()
+	vr := (c.rank - root + size) % size
 	for mask := 1; mask < size; mask <<= 1 {
 		if vr&mask != 0 {
-			// Interior rank: the accumulator itself moves to the parent.
-			parent := (vr - mask + root) % size
-			return nil, c.sendBuf(parent, tagReduce, acc)
+			return (vr - mask + root) % size, nil
 		}
 		peer := vr | mask
 		if peer < size {
 			got, err := c.recv((peer+root)%size, tagReduce)
 			if err != nil {
-				acc.Release()
-				return nil, err
+				return 0, err
 			}
-			err = op.apply(acc.Data, got.Data)
+			err = op.apply(acc, got.Data)
 			got.Release()
 			if err != nil {
-				acc.Release()
-				return nil, err
+				return 0, err
 			}
 		}
 	}
-	return acc, nil
+	return -1, nil
 }
 
 // Split partitions the communicator: ranks passing the same color form a

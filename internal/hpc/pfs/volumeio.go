@@ -30,6 +30,13 @@ func (p *PFS) WriteProjection(prefix string, s int, img *volume.Image) (time.Dur
 	return p.keep(ProjectionPath(prefix, s), volume.ImageToBytes(img))
 }
 
+// WriteSlice stores volume slice k under an output prefix, encoded once into
+// the buffer the store keeps as WriteProjection does; img may be reused as
+// soon as the call returns.
+func (p *PFS) WriteSlice(prefix string, k int, img *volume.Image) (time.Duration, error) {
+	return p.keep(SlicePath(prefix, k), volume.ImageToBytes(img))
+}
+
 // ReadProjection loads one projection image.
 func (p *PFS) ReadProjection(prefix string, s int) (*volume.Image, time.Duration, error) {
 	return p.ReadImage(ProjectionPath(prefix, s))
@@ -74,7 +81,7 @@ func (p *PFS) ReadImage(path string) (*volume.Image, time.Duration, error) {
 func (p *PFS) WriteVolumeSlices(prefix string, vol *volume.Volume) (time.Duration, error) {
 	var total time.Duration
 	for k := 0; k < vol.Nz; k++ {
-		d, err := p.keep(SlicePath(prefix, k), volume.ImageToBytes(vol.SliceZ(k)))
+		d, err := p.WriteSlice(prefix, k, vol.SliceZ(k))
 		if err != nil {
 			return total, err
 		}

@@ -109,21 +109,11 @@ func (v *Volume) Reshape(layout Layout) *Volume {
 		copy(out.Data, v.Data)
 		return out
 	}
-	// Walk the destination contiguously for better write locality.
 	if layout == IMajor {
-		// src is k-major: src[(i*Ny+j)*Nz+k]
-		n := 0
-		for k := 0; k < v.Nz; k++ {
-			for j := 0; j < v.Ny; j++ {
-				base := j * v.Nz
-				for i := 0; i < v.Nx; i++ {
-					out.Data[n] = v.Data[i*v.Ny*v.Nz+base+k]
-					n++
-				}
-			}
-		}
+		KMajorToIMajor(out.Data, v.Data, v.Nx, v.Ny, v.Nz)
 		return out
 	}
+	// Walk the destination contiguously for better write locality.
 	// dst is k-major, src is i-major: src[(k*Ny+j)*Nx+i]
 	n := 0
 	for i := 0; i < v.Nx; i++ {
@@ -136,6 +126,51 @@ func (v *Volume) Reshape(layout Layout) *Volume {
 		}
 	}
 	return out
+}
+
+// planeBlock is the number of planes KMajorToIMajor fills per pass. Its
+// destination rows lie a plane apart — 64 KiB at 128×128 — and so share one
+// L1 set: 8 of them fit the set's ways, 16 thrash it.
+const planeBlock = 8
+
+// KMajorToIMajor stores the k-major nx×ny×nz payload src in dst in i-major
+// (plane) order, dst[(k·ny+j)·nx+i] = src[(i·ny+j)·nz+k]: the transpose of
+// Reshape to IMajor, blocked by planeBlock planes so that each voxel
+// column's run of planeBlock values is read once and written to that many
+// contiguous destination rows. Both slices must hold nx·ny·nz floats.
+func KMajorToIMajor(dst, src []float32, nx, ny, nz int) {
+	n, plane := nx*ny*nz, nx*ny
+	if len(dst) < n || len(src) < n {
+		panic(fmt.Sprintf("volume: %d×%d×%d transpose between %d and %d floats", nx, ny, nz, len(dst), len(src)))
+	}
+	k0 := 0
+	for ; k0+planeBlock <= nz; k0 += planeBlock {
+		for j := 0; j < ny; j++ {
+			row := k0*plane + j*nx
+			d0 := dst[row : row+nx : row+nx]
+			d1 := dst[row+plane : row+plane+nx : row+plane+nx]
+			d2 := dst[row+2*plane : row+2*plane+nx : row+2*plane+nx]
+			d3 := dst[row+3*plane : row+3*plane+nx : row+3*plane+nx]
+			d4 := dst[row+4*plane : row+4*plane+nx : row+4*plane+nx]
+			d5 := dst[row+5*plane : row+5*plane+nx : row+5*plane+nx]
+			d6 := dst[row+6*plane : row+6*plane+nx : row+6*plane+nx]
+			d7 := dst[row+7*plane : row+7*plane+nx : row+7*plane+nx]
+			for i := range d0 {
+				at := (i*ny+j)*nz + k0
+				s := src[at : at+planeBlock : at+planeBlock]
+				d0[i], d1[i], d2[i], d3[i] = s[0], s[1], s[2], s[3]
+				d4[i], d5[i], d6[i], d7[i] = s[4], s[5], s[6], s[7]
+			}
+		}
+	}
+	for ; k0 < nz; k0++ { // the last nz mod planeBlock planes, one at a time
+		for j := 0; j < ny; j++ {
+			d := dst[k0*plane+j*nx : k0*plane+(j+1)*nx]
+			for i := range d {
+				d[i] = src[(i*ny+j)*nz+k0]
+			}
+		}
+	}
 }
 
 // SliceZ extracts the axial slice at height k as an Nx×Ny image

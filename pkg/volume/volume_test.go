@@ -3,6 +3,7 @@ package volume
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -224,4 +225,64 @@ func TestNewPanicsOnBadDims(t *testing.T) {
 		}
 	}()
 	New(0, 1, 1, IMajor)
+}
+
+// kToIWalk is Reshape's k-major to i-major walk as it was before
+// KMajorToIMajor: the destination in order, one source voxel at a time.
+func kToIWalk(dst, src []float32, nx, ny, nz int) {
+	n := 0
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				dst[n] = src[(i*ny+j)*nz+k]
+				n++
+			}
+		}
+	}
+}
+
+// The blocked transpose must equal the voxel walk bit for bit on one voxel,
+// on odd shapes with a partial last block (13×7×9), on fewer planes than a
+// block (2h < planeBlock: 5×3×2, 4×4×6), and at volume_heavy's slab pair
+// (128×128×64); and Reshape must be it.
+func TestKMajorToIMajorMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for _, d := range [][3]int{{1, 1, 1}, {13, 7, 9}, {5, 3, 2}, {4, 4, 6}, {3, 5, 17}, {128, 128, 64}} {
+		nx, ny, nz := d[0], d[1], d[2]
+		src := New(nx, ny, nz, KMajor)
+		for n := range src.Data {
+			src.Data[n] = rng.Float32()
+		}
+		want := make([]float32, len(src.Data))
+		kToIWalk(want, src.Data, nx, ny, nz)
+		got := make([]float32, len(src.Data))
+		KMajorToIMajor(got, src.Data, nx, ny, nz)
+		for n := range want {
+			if math.Float32bits(got[n]) != math.Float32bits(want[n]) {
+				t.Fatalf("%d×%d×%d: element %d = %v, walk gives %v", nx, ny, nz, n, got[n], want[n])
+			}
+		}
+		if r := src.Reshape(IMajor); !slices.Equal(r.Data, want) {
+			t.Fatalf("%d×%d×%d: Reshape differs from the walk", nx, ny, nz)
+		}
+	}
+}
+
+// BenchmarkKMajorToIMajor times the row root's transpose of volume_heavy's
+// slab pair (128×128×64) against the voxel walk it replaced.
+func BenchmarkKMajorToIMajor(b *testing.B) {
+	const nx, ny, nz = 128, 128, 64
+	src := make([]float32, nx*ny*nz)
+	dst := make([]float32, len(src))
+	for _, leg := range []struct {
+		name string
+		fn   func(dst, src []float32, nx, ny, nz int)
+	}{{"blocked", KMajorToIMajor}, {"walk", kToIWalk}} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.SetBytes(int64(4 * len(src)))
+			for i := 0; i < b.N; i++ {
+				leg.fn(dst, src, nx, ny, nz)
+			}
+		})
+	}
 }
