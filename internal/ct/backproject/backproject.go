@@ -102,8 +102,6 @@ var ProposedVariant = Variant{Symmetry: true, Reuse: true, Transpose: true}
 // exactly: three inner products and a full interpolation per voxel per
 // projection. Parallelism is over Z slabs; accumulation per voxel stays in
 // ascending projection order.
-//
-//ifdk:hotpath
 func Standard(task Task, vol *volume.Volume, opt Options) error {
 	if err := task.Validate(); err != nil {
 		return err
@@ -278,8 +276,6 @@ func Ablate(task Task, vol *volume.Volume, opt Options, va Variant) error {
 
 // sampleProj interpolates the projection at detector coordinates (u, v).
 // For a transposed projection the axes are swapped: V is the fast axis.
-//
-//ifdk:hotpath
 func sampleProj(data []float32, w, h int, u, v float32, transposed bool) float32 {
 	if transposed {
 		return interp.Bilinear(data, w, h, v, u)

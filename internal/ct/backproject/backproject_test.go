@@ -32,8 +32,8 @@ func smallGeom() geometry.Params {
 func relRMSE(t *testing.T, a, b *volume.Volume) float64 {
 	t.Helper()
 	r, err := volume.RMSE(a, b)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || math.IsNaN(r) { // NaN: a read after release (engine poisons released buffers)
+		t.Fatalf("RMSE %g: %v", r, err)
 	}
 	s := a.Summarize()
 	scale := math.Max(math.Abs(float64(s.Min)), math.Abs(float64(s.Max)))

@@ -3,6 +3,8 @@ package backproject
 import (
 	"testing"
 
+	"ifdk/internal/ct/geometry"
+	"ifdk/internal/engine"
 	"ifdk/internal/race"
 	"ifdk/pkg/volume"
 )
@@ -60,33 +62,44 @@ func TestPooledSlabPairBitIdentical(t *testing.T) {
 
 // Steady-state back-projection must not allocate per projection: all batch
 // and worker scratch — the tile accumulator included — comes from engine
-// pools. A handful of allocations per *call* (scheduler bookkeeping under
-// contention) is tolerated; anything scaling with the projection count is a
-// regression. Both entry points are gated: Proposed on a detector-layout
-// task, and ProposedSlabPair on a pre-transposed one, the distributed
-// pipeline's call, at h = 5 and at h = 2 (a fleet_mixed depth). The slab
-// legs run eight workers over the nine tiles of a 20×20 volume, so one
+// pools, and all of it goes back. A handful of allocations per *call*
+// (scheduler bookkeeping under contention) is tolerated; anything scaling
+// with the projection count is a regression. Every entry point is gated:
+// Proposed on a detector-layout task; ProposedSlabPair on a pre-transposed
+// one, the distributed pipeline's call, at h = 5, at h = 2 (a fleet_mixed
+// depth) and at h = 16 (whole 32³ from 64², which takes the window kernel
+// on an AVX-512 host); Standard; and an ablation variant's voxel loop. The
+// slab legs run eight workers over the nine tiles of a 20×20 volume, so one
 // unpooled tile accumulator per worker chunk would cost 8 allocations per
 // 24 projections and fail the bound.
 func TestBackprojectSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
+	base := engine.InUseBytes()
 	g := smallGeom() // 24 projections per call
 	task := randomTask(g, 3)
 	tt := transposedTask(task)
 	vol := volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
-	slab := func(z0, z1 int) func() error {
+	slab := func(tt Task, g geometry.Params, z0, z1 int) func() error {
 		local := volume.New(g.Nx, g.Ny, 2*(z1-z0), volume.KMajor)
 		return func() error { return ProposedSlabPair(tt, local, Options{Workers: 8}, g.Nz, z0, z1) }
 	}
+	big := geometry.Default(64, 64, 64, 32, 32, 32)
+	std := volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor)
 	for _, leg := range []struct {
 		name string
+		np   int
 		run  func() error
 	}{
-		{"Proposed", func() error { return Proposed(task, vol, Options{Workers: 2}) }},
-		{"ProposedSlabPair, transposed, h=5", slab(2, 7)},
-		{"ProposedSlabPair, transposed, h=2", slab(8, 10)},
+		{"Proposed", g.Np, func() error { return Proposed(task, vol, Options{Workers: 2}) }},
+		{"ProposedSlabPair, transposed, h=5", g.Np, slab(tt, g, 2, 7)},
+		{"ProposedSlabPair, transposed, h=2", g.Np, slab(tt, g, 8, 10)},
+		{"ProposedSlabPair, transposed, h=16", big.Np, slab(transposedTask(randomTask(big, 5)), big, 0, 16)},
+		{"Standard", g.Np, func() error { return Standard(task, std, Options{Workers: 2}) }},
+		{"Ablate, reuse and transpose", g.Np, func() error {
+			return Ablate(task, vol, Options{Workers: 2}, Variant{Reuse: true, Transpose: true})
+		}},
 	} {
 		for i := 0; i < 5; i++ { // warm the pools
 			if err := leg.run(); err != nil {
@@ -98,10 +111,13 @@ func TestBackprojectSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		perProj := avg / float64(g.Np)
+		perProj := avg / float64(leg.np)
 		if perProj > 0.25 {
 			t.Errorf("%s allocates %.2f objects/call (%.3f per projection) in steady state",
 				leg.name, avg, perProj)
 		}
+	}
+	if held := engine.InUseBytes() - base; held != 0 {
+		t.Errorf("back-projection left %d pooled bytes checked out", held)
 	}
 }

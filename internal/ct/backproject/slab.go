@@ -73,8 +73,6 @@ const colTile = kernels.Lanes
 // still starts from 0, adds the projections in ascending order and is added
 // to the volume once per batch, so the volume is bit-identical to the
 // voxel-at-a-time loop at any tile shape and worker count.
-//
-//ifdk:hotpath
 func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
 	nx, ny, nz := vol.Nx, vol.Ny, vol.Nz
 	w, ht := task.Proj[0].W, task.Proj[0].H // detector Nu, Nv

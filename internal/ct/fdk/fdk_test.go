@@ -9,16 +9,22 @@ import (
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/phantom"
 	"ifdk/internal/ct/projector"
+	"ifdk/internal/engine"
 	"ifdk/pkg/volume"
 )
 
-// reconstructionCase runs the full pipeline on an analytic phantom.
+// reconstructionCase runs the full pipeline on an analytic phantom. Every
+// pooled buffer it takes goes back to the engine.
 func reconstructionCase(t *testing.T, ph phantom.Phantom, g geometry.Params, cfg Config) *volume.Volume {
 	t.Helper()
 	proj := projector.AnalyticAll(ph, g, 0)
+	base := engine.InUseBytes()
 	vol, err := Reconstruct(g, proj, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if held := engine.InUseBytes() - base; held != 0 {
+		t.Errorf("Reconstruct left %d pooled bytes checked out", held)
 	}
 	return vol
 }

@@ -254,8 +254,6 @@ func (f *Filterer) Apply(e *volume.Image) (*volume.Image, error) {
 // either is written back, so in-place filtering is safe — the pipeline
 // filters each loaded projection in place and never allocates a second
 // image. Steady state performs zero heap allocations.
-//
-//ifdk:hotpath
 func (f *Filterer) ApplyInto(e, q *volume.Image) error {
 	if e.W != f.g.Nu || e.H != f.g.Nv {
 		return fmt.Errorf("filter: projection %dx%d does not match geometry %dx%d",
@@ -283,8 +281,6 @@ func (f *Filterer) ApplyInto(e, q *volume.Image) error {
 // column run at a time. The header is checked as volume.ImageFromBytesInto
 // checks it, and block must hold Nu·Nv values; nothing is written when an
 // error is returned. Steady state performs zero heap allocations.
-//
-//ifdk:hotpath
 func (f *Filterer) ApplyEncoded(blob []byte, block []float32) error {
 	nu, nv := f.g.Nu, f.g.Nv
 	payload, err := volume.ImagePayload(blob, nu, nv)
@@ -316,8 +312,6 @@ func (f *Filterer) ApplyEncoded(blob []byte, block []float32) error {
 
 // filterPair is the image end of the filter: rows v and v+1 of e (v even)
 // through the core into the same rows of q.
-//
-//ifdk:hotpath
 func (f *Filterer) filterPair(e, q *volume.Image, v int, buf []complex64) {
 	paired := v+1 < e.H
 	if paired {
@@ -343,8 +337,6 @@ func (f *Filterer) filterPair(e, q *volume.Image, v int, buf []complex64) {
 // convolve is the one filter core both ends share: a cosine-weighted row
 // pair in buf[:Nu], zero-padded to L, forward transform, ramp gain and
 // inverse transform in one kernel call. All arithmetic is float32.
-//
-//ifdk:hotpath
 func (f *Filterer) convolve(buf []complex64) {
 	clear(buf[f.g.Nu:])
 	kernels.Convolve(buf, f.fwd, f.gain, f.inv)
@@ -359,8 +351,6 @@ func (f *Filterer) convolve(buf []complex64) {
 // Dimensions are validated up front; nothing is written when an error is
 // returned. Steady state allocates nothing per pair or per projection: one
 // closure per sweep, retained by the scheduler's pooled job descriptor.
-//
-//ifdk:hotpath
 func (f *Filterer) Sweep(ins, outs []*volume.Image, workers int) error {
 	if len(ins) != len(outs) {
 		return fmt.Errorf("filter: sweep over %d inputs with %d outputs", len(ins), len(outs))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ifdk/internal/ct/geometry"
+	"ifdk/internal/engine"
 	"ifdk/internal/race"
 	"ifdk/pkg/volume"
 )
@@ -125,11 +126,13 @@ func TestPooledRunsBitIdentical(t *testing.T) {
 }
 
 // Steady-state ApplyInto, Sweep and ApplyEncoded must not allocate: the
-// zero-per-projection guarantee of the filtering stage.
+// zero-per-projection guarantee of the filtering stage. Their pooled
+// scratch all goes back.
 func TestApplyIntoSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
+	base := engine.InUseBytes()
 	g := testGeom()
 	f, err := New(g, RamLak)
 	if err != nil {
@@ -181,7 +184,7 @@ func TestApplyIntoSteadyStateAllocs(t *testing.T) {
 	// The shared sweep, serial and fanned out: nothing per row pair or per
 	// projection. The one object a sweep may allocate is the closure it
 	// hands engine.ParallelRange, which the scheduler's job descriptor
-	// retains (the pattern hotpathcheck allows).
+	// retains.
 	ins, outs := []*volume.Image{e, e}, []*volume.Image{q, volume.NewImage(g.Nu, g.Nv)}
 	for _, workers := range []int{1, 2} {
 		for i := 0; i < 10; i++ {
@@ -197,5 +200,8 @@ func TestApplyIntoSteadyStateAllocs(t *testing.T) {
 		if avg > 1 {
 			t.Errorf("Sweep(workers=%d) allocates %.2f objects/sweep in steady state, want ≤ 1", workers, avg)
 		}
+	}
+	if held := engine.InUseBytes() - base; held != 0 {
+		t.Errorf("filtering left %d pooled bytes checked out", held)
 	}
 }

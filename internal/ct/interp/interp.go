@@ -11,8 +11,6 @@ package interp
 // Bilinear samples the w×h row-major image data at fractional coordinates
 // (u, v), where u indexes columns (stride 1) and v rows (stride w).
 // Out-of-range neighbours contribute zero.
-//
-//ifdk:hotpath
 func Bilinear(data []float32, w, h int, u, v float32) float32 {
 	if u <= -1 || v <= -1 || u >= float32(w) || v >= float32(h) {
 		return 0
@@ -30,7 +28,6 @@ func Bilinear(data []float32, w, h int, u, v float32) float32 {
 	return t1*(1-dv) + t2*dv
 }
 
-//ifdk:hotpath
 func sample(data []float32, w, h, u, v int) float32 {
 	if u < 0 || v < 0 || u >= w || v >= h {
 		return 0
@@ -38,7 +35,6 @@ func sample(data []float32, w, h, u, v int) float32 {
 	return data[v*w+u]
 }
 
-//ifdk:hotpath
 func floorInt(x float32) int {
 	n := int(x)
 	if float32(n) > x { // negative fractional values truncate toward zero

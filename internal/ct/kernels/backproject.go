@@ -44,8 +44,6 @@ const Lanes = 8
 //	us[c], fs[c], ws[c] = x/z, 1/z, 1/z²
 //
 // fs and ws must be at least len(us) long.
-//
-//ifdk:hotpath
 func ColumnGeom(us, fs, ws []float32, r *[3][4]float32, i, j0 int) {
 	if useFast {
 		columnGeomFast(us, fs, ws, r, i, j0)
@@ -55,8 +53,6 @@ func ColumnGeom(us, fs, ws []float32, r *[3][4]float32, i, j0 int) {
 }
 
 // ColumnGeomRef is the scalar reference for ColumnGeom.
-//
-//ifdk:hotpath
 func ColumnGeomRef(us, fs, ws []float32, r *[3][4]float32, i, j0 int) {
 	fi := float32(i)
 	for c := range us {
@@ -70,7 +66,6 @@ func ColumnGeomRef(us, fs, ws []float32, r *[3][4]float32, i, j0 int) {
 	}
 }
 
-//ifdk:hotpath
 func columnGeomFast(us, fs, ws []float32, r *[3][4]float32, i, j0 int) {
 	n := len(us)
 	fs = fs[:n]
@@ -103,8 +98,6 @@ func columnGeomFast(us, fs, ws []float32, r *[3][4]float32, i, j0 int) {
 //
 // acc holds 2h·Lanes floats, depth-major; lanes n … Lanes-1 of it are
 // scratch, left with unspecified contents. proj must hold rw·rh floats.
-//
-//ifdk:hotpath
 func AccumColumns(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32) {
 	if useFast {
 		accumColumnsFast(acc, proj, rw, rh, r, i, j0, n, k0, h, vm1)
@@ -116,15 +109,11 @@ func AccumColumns(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k
 // AccumColumnsRef is the scalar reference for AccumColumns: ColumnGeomRef,
 // then exactly the pre-kernel per-voxel code, one interp.Bilinear call per
 // sample.
-//
-//ifdk:hotpath
 func AccumColumnsRef(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32) {
 	accumColumnsRef(acc, proj, rw, rh, r, i, j0, n, k0, h, vm1, depthMajor)
 }
 
 // accumColumnsRef is AccumColumnsRef into either accumulator layout.
-//
-//ifdk:hotpath
 func accumColumnsRef(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32, at layout) {
 	var us, fs, ws [Lanes]float32
 	ColumnGeomRef(us[:n], fs[:n], ws[:n], r, i, j0)
@@ -178,8 +167,6 @@ type lanes struct {
 }
 
 // fill is the portable form of columnLanesAVX2 for the lanes c < n.
-//
-//ifdk:hotpath
 func (g *lanes) fill(r *[3][4]float32, i, j0, n int) {
 	columnGeomFast(g.u[:n], g.f[:n], g.w[:n], r, i, j0)
 	fi := float32(i)
@@ -188,7 +175,6 @@ func (g *lanes) fill(r *[3][4]float32, i, j0, n int) {
 	}
 }
 
-//ifdk:hotpath
 func accumColumnsFast(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32) {
 	// Both tiers share these checks, so a bad call fails the same way on
 	// every host; past them, every index the tiers form is inside acc and
@@ -231,8 +217,6 @@ func accumColumnsFast(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, 
 // interior u hoists its two detector rows and walks them stride-1 as v
 // advances; a sample off those rows, and every sample of a lane whose u is
 // not interior, goes through interp.Bilinear.
-//
-//ifdk:hotpath
 func accumColumnsGo(acc, proj []float32, rw, rh int, g *lanes, c0, c1 int, ry2, ry3, vm1 float32, k0, h, kk0, kk1 int, at layout) {
 	vMax, uMax := float32(rw-1), float32(rh-1)
 	ks, cs := at.strides(h)
@@ -310,8 +294,6 @@ func WindowFits(h, rw int, maxStep float64) bool {
 // leaves the detector or spans more than the window is retried as two
 // 8-depth windows, and an 8-depth block that still does not fit runs the
 // portable loop, so the bits never depend on the tier.
-//
-//ifdk:hotpath
 func AccumColumnsWindow(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32) {
 	if useFast {
 		accumColumnsWindowFast(acc, proj, rw, rh, r, i, j0, n, k0, h, vm1)
@@ -323,8 +305,6 @@ func AccumColumnsWindow(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0
 // accumColumnsWindowFast is AccumColumnsWindow's fast form. It returns the
 // number of (column, depth) pairs it ran on the portable loop, which only
 // tests read.
-//
-//ifdk:hotpath
 func accumColumnsWindowFast(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32) (portable int) {
 	if n < 0 || n > Lanes {
 		panic(fmt.Sprintf("kernels: tile row of %d columns, want 0…%d", n, Lanes))

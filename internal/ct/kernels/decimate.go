@@ -9,8 +9,6 @@ package kernels
 
 // AccRow accumulates acc[i] += src[i] for i < len(src). acc must be at least
 // len(src) long.
-//
-//ifdk:hotpath
 func AccRow(acc, src []float32) {
 	if useFast {
 		accRowFast(acc, src)
@@ -20,15 +18,12 @@ func AccRow(acc, src []float32) {
 }
 
 // AccRowRef is the scalar reference for AccRow.
-//
-//ifdk:hotpath
 func AccRowRef(acc, src []float32) {
 	for u := range src {
 		acc[u] += src[u]
 	}
 }
 
-//ifdk:hotpath
 func accRowFast(acc, src []float32) {
 	n := len(src)
 	acc = acc[:n]
@@ -53,8 +48,6 @@ func accRowFast(acc, src []float32) {
 // left to right within each block. acc must be at least len(dst)·d long and
 // d must be positive. With scale = 1/d² and acc holding the sum of d rows,
 // dst is the d×d block mean.
-//
-//ifdk:hotpath
 func BlockMean(dst, acc []float32, d int, scale float32) {
 	if useFast {
 		blockMeanFast(dst, acc, d, scale)
@@ -64,8 +57,6 @@ func BlockMean(dst, acc []float32, d int, scale float32) {
 }
 
 // BlockMeanRef is the scalar reference for BlockMean.
-//
-//ifdk:hotpath
 func BlockMeanRef(dst, acc []float32, d int, scale float32) {
 	for u := range dst {
 		s := float32(0)
@@ -76,7 +67,6 @@ func BlockMeanRef(dst, acc []float32, d int, scale float32) {
 	}
 }
 
-//ifdk:hotpath
 func blockMeanFast(dst, acc []float32, d int, scale float32) {
 	n := len(dst)
 	acc = acc[:n*d]

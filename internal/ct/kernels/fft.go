@@ -79,8 +79,6 @@ func checkTransform(x, tw []complex64) {
 
 // addSubPairs is the radix-2 pass over adjacent pairs that all four
 // transforms run when log₂n is odd. Unit twiddles: nothing to decompose.
-//
-//ifdk:hotpath
 func addSubPairs(x []complex64) {
 	for i := 0; i+2 <= len(x); i += 2 {
 		a, b := x[i], x[i+1]
@@ -91,8 +89,6 @@ func addSubPairs(x []complex64) {
 // DIF transforms x in place by decimation in frequency: natural order in,
 // bit-reversed order out, unscaled. tw must be FFTTwiddles(len(x), ·); a
 // row that is not a power of two or a table of another length panics.
-//
-//ifdk:hotpath
 func DIF(x, tw []complex64) {
 	checkTransform(x, tw)
 	if useFast {
@@ -105,8 +101,6 @@ func DIF(x, tw []complex64) {
 // DIT transforms x in place by decimation in time: bit-reversed order in,
 // natural order out, unscaled. tw must be FFTTwiddles(len(x), ·), so
 // DIT(DIF(x, forward), inverse) is len(x)·x.
-//
-//ifdk:hotpath
 func DIT(x, tw []complex64) {
 	checkTransform(x, tw)
 	if useFast {
@@ -124,8 +118,6 @@ func DIT(x, tw []complex64) {
 //	x[k+q]  = ((a0+a2) - (a1+a3))·w2[k]
 //	x[k+2q] = ((a0-a2) + j·(a1-a3))·w1[k]
 //	x[k+3q] = ((a0-a2) - j·(a1-a3))·w3[k]
-//
-//ifdk:hotpath
 func DIFRef(x, tw []complex64) {
 	n := len(x)
 	s := imag(tw[0])
@@ -159,8 +151,6 @@ func DIFRef(x, tw []complex64) {
 //	x[k+q]  = (a0-t1) + j·(t2-t3)
 //	x[k+2q] = (a0+t1) - (t2+t3)
 //	x[k+3q] = (a0-t1) - j·(t2-t3)
-//
-//ifdk:hotpath
 func DITRef(x, tw []complex64) {
 	n := len(x)
 	s := imag(tw[0])
@@ -192,8 +182,6 @@ func DITRef(x, tw []complex64) {
 // host has one — a whole pass per call, the two smallest fused into one —
 // and otherwise as the loops below, which the assembly matches operation
 // for operation.
-//
-//ifdk:hotpath
 func difFast(x, tw []complex64) {
 	n := len(x)
 	s := imag(tw[0])
@@ -255,7 +243,6 @@ func difFast(x, tw []complex64) {
 	}
 }
 
-//ifdk:hotpath
 func ditFast(x, tw []complex64) {
 	n := len(x)
 	s := imag(tw[0])
@@ -321,8 +308,6 @@ func ditFast(x, tw []complex64) {
 // difLargeAVX2 runs difFast's AVX2 passes down to the small end — all but
 // the two smallest passes — and returns the small end's twiddle runs: 12
 // (block size 16, even log₂n) or 6 (block size 8, odd). len(x) ≥ 8.
-//
-//ifdk:hotpath
 func difLargeAVX2(x, tw []complex64, s float32) []complex64 {
 	end := len(tw)
 	for q := len(x) >> 2; ; q >>= 2 {
@@ -337,8 +322,6 @@ func difLargeAVX2(x, tw []complex64, s float32) []complex64 {
 
 // ditLargeAVX2 runs ditFast's AVX2 passes above the small end, block sizes
 // 4q, 16q, … up to len(x), w their twiddle runs in order.
-//
-//ifdk:hotpath
 func ditLargeAVX2(x, w []complex64, q int, s float32) {
 	for ; 4*q <= len(x); q <<= 2 {
 		ditPassAVX2(x, w[:3*q], q, s)
@@ -354,8 +337,6 @@ func ditLargeAVX2(x, w []complex64, q int, s float32) {
 // (odd), so they run as one loop over blocks held in registers — the
 // spectrum is never stored between the transforms. fwd and inv must be
 // FFTTwiddles(len(x), ·) and gain len(x) long.
-//
-//ifdk:hotpath
 func Convolve(x, fwd []complex64, gain []float32, inv []complex64) {
 	checkTransform(x, fwd)
 	checkTransform(x, inv)
@@ -371,7 +352,6 @@ func Convolve(x, fwd []complex64, gain []float32, inv []complex64) {
 	DITRef(x, inv)
 }
 
-//ifdk:hotpath
 func convolveFast(x, fwd []complex64, gain []float32, inv []complex64) {
 	if !useAVX2 || len(x) < 8 {
 		difFast(x, fwd)
@@ -394,8 +374,6 @@ func convolveFast(x, fwd []complex64, gain []float32, inv []complex64) {
 // complex transform of a packed real signal: dst[:m] holds Z = FFT(z) with
 // z[j] = x[2j] + i·x[2j+1], and on return dst[0..m] holds the half spectrum
 // X[0..m]. w are the unpack twiddles exp(-2πi k/n) for k ≤ m/2 (n = 2m).
-//
-//ifdk:hotpath
 func RealUnpack(dst, w []complex64, m int) {
 	if useFast {
 		realUnpackFast(dst, w, m)
@@ -410,8 +388,6 @@ func RealUnpack(dst, w []complex64, m int) {
 //	Z[k] = E[k] + i·O[k],  conj(Z[m-k]) = E[k] - i·O[k]
 //	X[k]   = E[k] + w^k·O[k]
 //	X[m-k] = conj(E[k] - w^k·O[k])
-//
-//ifdk:hotpath
 func RealUnpackRef(dst, w []complex64, m int) {
 	z := dst[:m]
 	z0 := z[0]
@@ -427,7 +403,6 @@ func RealUnpackRef(dst, w []complex64, m int) {
 	}
 }
 
-//ifdk:hotpath
 func realUnpackFast(dst, w []complex64, m int) {
 	z0 := dst[0]
 	dst[0] = complex(real(z0)+imag(z0), 0)
@@ -451,8 +426,6 @@ func realUnpackFast(dst, w []complex64, m int) {
 // RealRepack is the inverse of RealUnpack: spec[0..m] holds the half
 // spectrum X, and on return spec[:m] holds the packed m-point spectrum Z
 // whose inverse transform interleaves back to the real signal.
-//
-//ifdk:hotpath
 func RealRepack(spec, w []complex64, m int) {
 	if useFast {
 		realRepackFast(spec, w, m)
@@ -466,8 +439,6 @@ func RealRepack(spec, w []complex64, m int) {
 //	E[k] = (X[k] + conj(X[m-k]))/2
 //	O[k] = conj(w^k)·(X[k] - conj(X[m-k]))/2
 //	Z[k] = E[k] + i·O[k]
-//
-//ifdk:hotpath
 func RealRepackRef(spec, w []complex64, m int) {
 	x0, xm := real(spec[0]), real(spec[m])
 	spec[0] = complex(0.5*(x0+xm), 0.5*(x0-xm))
@@ -483,7 +454,6 @@ func RealRepackRef(spec, w []complex64, m int) {
 	}
 }
 
-//ifdk:hotpath
 func realRepackFast(spec, w []complex64, m int) {
 	x0, xm := real(spec[0]), real(spec[m])
 	spec[0] = complex(0.5*(x0+xm), 0.5*(x0-xm))

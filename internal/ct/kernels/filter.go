@@ -16,8 +16,6 @@ import (
 // and imaginary parts of one complex row:
 // dst[i] = complex(src0[i]·cos0[i], src1[i]·cos1[i]) for i < len(src0). The
 // other four operands must be at least len(src0) long.
-//
-//ifdk:hotpath
 func CosineWeightPair(dst []complex64, src0, cos0, src1, cos1 []float32) {
 	if useFast {
 		cosineWeightPairFast(dst, src0, cos0, src1, cos1)
@@ -27,15 +25,12 @@ func CosineWeightPair(dst []complex64, src0, cos0, src1, cos1 []float32) {
 }
 
 // CosineWeightPairRef is the scalar reference for CosineWeightPair.
-//
-//ifdk:hotpath
 func CosineWeightPairRef(dst []complex64, src0, cos0, src1, cos1 []float32) {
 	for u := range src0 {
 		dst[u] = complex(src0[u]*cos0[u], src1[u]*cos1[u])
 	}
 }
 
-//ifdk:hotpath
 func cosineWeightPairFast(dst []complex64, src0, cos0, src1, cos1 []float32) {
 	n := len(src0)
 	// Reslicing every operand to the common length lets the compiler drop
@@ -64,8 +59,6 @@ func cosineWeightPairFast(dst []complex64, src0, cos0, src1, cos1 []float32) {
 // and src1 must hold at least 4·len(cos0) bytes, dst and cos1 at least
 // len(cos0) elements. The multiplies are CosineWeightPair's, so weighting
 // the bytes equals decoding them and weighting the image, bit for bit.
-//
-//ifdk:hotpath
 func CosineWeightPairLE(dst []complex64, src0 []byte, cos0 []float32, src1 []byte, cos1 []float32) {
 	if useFast {
 		cosineWeightPairLEFast(dst, src0, cos0, src1, cos1)
@@ -75,8 +68,6 @@ func CosineWeightPairLE(dst []complex64, src0 []byte, cos0 []float32, src1 []byt
 }
 
 // CosineWeightPairLERef is the scalar reference for CosineWeightPairLE.
-//
-//ifdk:hotpath
 func CosineWeightPairLERef(dst []complex64, src0 []byte, cos0 []float32, src1 []byte, cos1 []float32) {
 	for u := range cos0 {
 		dst[u] = complex(le32(src0[4*u:])*cos0[u], le32(src1[4*u:])*cos1[u])
@@ -87,7 +78,6 @@ func CosineWeightPairLERef(dst []complex64, src0 []byte, cos0 []float32, src1 []
 // compiler makes it a plain load.
 func le32(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
 
-//ifdk:hotpath
 func cosineWeightPairLEFast(dst []complex64, src0 []byte, cos0 []float32, src1 []byte, cos1 []float32) {
 	n := len(cos0)
 	// Reslicing every operand to the common length panics here, before the
@@ -128,8 +118,6 @@ const LinePairs = 8
 // 4·stride-byte step, where every store of a column competes for the same
 // two L1 sets (on AVX2, with non-temporal stores where the runs are
 // aligned). It copies bits; nothing is rounded.
-//
-//ifdk:hotpath
 func TransposePairs(dst []float32, stride int, src []complex64, l, nu, rows int) {
 	pairs := (rows + 1) / 2
 	if rows < 0 || nu < 0 || nu > l || nu > 0 && pairs > 0 &&
@@ -158,8 +146,6 @@ func TransposePairs(dst []float32, stride int, src []complex64, l, nu, rows int)
 // SpectralMul scales each spectrum bin by a real gain:
 // spec[k] = spec[k]·gain[k] for k < len(gain). len(spec) must be at least
 // len(gain).
-//
-//ifdk:hotpath
 func SpectralMul(spec []complex64, gain []float32) {
 	if useFast {
 		spectralMulFast(spec, gain)
@@ -169,8 +155,6 @@ func SpectralMul(spec []complex64, gain []float32) {
 }
 
 // SpectralMulRef is the scalar reference for SpectralMul.
-//
-//ifdk:hotpath
 func SpectralMulRef(spec []complex64, gain []float32) {
 	for k, g := range gain {
 		v := spec[k]
@@ -178,7 +162,6 @@ func SpectralMulRef(spec []complex64, gain []float32) {
 	}
 }
 
-//ifdk:hotpath
 func spectralMulFast(spec []complex64, gain []float32) {
 	n := len(gain)
 	spec = spec[:n]

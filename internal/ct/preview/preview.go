@@ -112,8 +112,6 @@ var accPool engine.BufPool[float32]
 // its d×d source block, accumulated rows-first so the float32 order is
 // deterministic. dst must not alias src. Steady state performs zero heap
 // allocations.
-//
-//ifdk:hotpath
 func DecimateInto(dst, src *volume.Image, d int) error {
 	if d < 1 {
 		return fmt.Errorf("preview: decimation factor %d", d)

@@ -228,7 +228,7 @@ func TestReconstructCancel(t *testing.T) {
 	}
 }
 
-// DecimateInto's steady state must stay allocation-free (//ifdk:hotpath).
+// DecimateInto's steady state must stay allocation-free.
 func TestDecimateIntoNoAllocs(t *testing.T) {
 	src := volume.NewImage(64, 64)
 	dst := volume.NewImage(16, 16)

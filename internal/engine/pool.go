@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
+	"testing"
 	"unsafe"
 
 	"ifdk/pkg/volume"
@@ -26,8 +28,6 @@ import (
 //     holder, before the hand-off. Once shared, its contents are read-only
 //     for everyone. Every holder releases exactly once; the last Release
 //     returns the buffer to its pool (and takes it off the in-use gauge).
-//     poolcheck tracks handles, not counts: a shared handle is checked like
-//     any other, one Release per holder.
 //   - Release is optional for correctness — a buffer that escapes (e.g. a
 //     volume stored in the result cache and handed to HTTP clients) is
 //     simply never released and becomes ordinary garbage. Only buffers that
@@ -39,10 +39,11 @@ import (
 //     backing means idle buffers are reclaimed by the garbage collector
 //     instead of pinning memory forever.
 //
-// This contract is machine-enforced: internal/analysis/poolcheck (run by
-// `go run ./cmd/ifdk-vet ./...`, a required CI step) flow-analyzes every
-// caller and rejects double releases, uses after release, foreign
-// donations and leaks on early return at build time.
+// The pools check the contract at run time. A leak, a double release and a
+// foreign donation all unbalance InUseBytes, which the pipeline's tests
+// assert returns to its baseline. Releasing a Buf that is already back in
+// its pool panics. Under `go test`, Release poisons Buf and Image data (see
+// poison), so a read after release breaks the bit-identity tests.
 
 // ImagePool pools *volume.Image by (W, H). The zero value is ready to use.
 type ImagePool struct {
@@ -82,6 +83,7 @@ func (p *ImagePool) Release(img *volume.Image) {
 		return
 	}
 	p.inUse.Add(-4 * int64(img.W) * int64(img.H))
+	poison(img.Data)
 	p.pool(img.W, img.H).Put(img)
 }
 
@@ -165,7 +167,7 @@ var Blocks BufPool[float32]
 type Buf[T any] struct {
 	Data []T
 	home *bufHome
-	refs atomic.Int32 // holders beyond the first (see Retain)
+	refs atomic.Int32 // holders beyond the first (see Retain); -1 while pooled
 }
 
 // bufHome is one length class of a BufPool: the sync.Pool that recycles its
@@ -182,14 +184,44 @@ type bufHome struct {
 func (b *Buf[T]) Retain(n int) { b.refs.Add(int32(n)) }
 
 // Release drops the caller's hold; the last holder's Release returns the
-// buffer to its pool. The caller must not touch Data again.
+// buffer to its pool. The caller must not touch Data again. Releasing a
+// buffer that is already pooled panics: a second Put would hand it to two
+// future owners.
 func (b *Buf[T]) Release() {
-	if b == nil || b.refs.Add(-1) >= 0 {
+	if b == nil {
 		return
 	}
-	b.refs.Store(0)
+	switch n := b.refs.Add(-1); {
+	case n >= 0:
+		return
+	case n < -1:
+		panic("engine: Buf released after its last holder")
+	}
+	poison(b.Data)
 	b.home.inUse.Add(-b.home.bytes)
 	b.home.Put(b)
+}
+
+// poison fills released float data with NaN (other element types with their
+// zero value) under `go test`, so a read after release cannot pass for the
+// right answer.
+func poison[T any](data []T) {
+	if !testing.Testing() {
+		return
+	}
+	nan := float32(math.NaN())
+	switch d := any(data).(type) {
+	case []float32:
+		for i := range d {
+			d[i] = nan
+		}
+	case []complex64:
+		for i := range d {
+			d[i] = complex(nan, nan)
+		}
+	default:
+		clear(data)
+	}
 }
 
 // BufPool pools fixed-length []T buffers by exact length: FFT scratch rows,
@@ -221,7 +253,9 @@ func (p *BufPool[T]) pool(n int) *bufHome {
 func (p *BufPool[T]) Acquire(n int) *Buf[T] {
 	h := p.pool(n)
 	p.inUse.Add(h.bytes)
-	return h.Get().(*Buf[T])
+	b := h.Get().(*Buf[T])
+	b.refs.Store(0)
+	return b
 }
 
 // AcquireZeroed returns a length-n buffer with every element zeroed, for

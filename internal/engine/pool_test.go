@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -112,8 +113,8 @@ func TestBufRetainReleasesOnceAfterLastHolder(t *testing.T) {
 		if got := p.InUseBytes(); got != 0 {
 			t.Fatalf("n=%d: in-use %d B after the last Release, want 0", n, got)
 		}
-		if got := b.refs.Load(); got != 0 {
-			t.Fatalf("n=%d: buffer went home with refs %d, want 0", n, got)
+		if got := b.refs.Load(); got != -1 {
+			t.Fatalf("n=%d: buffer went home with refs %d, want -1 (pooled)", n, got)
 		}
 
 		// All n+1 holders racing: it goes home once (twice would read -bytes).
@@ -175,5 +176,33 @@ func TestPoolInUseGauges(t *testing.T) {
 	vp.Release(nil)
 	if ip.InUseBytes() != 0 || vp.InUseBytes() != 0 {
 		t.Fatal("nil release moved a gauge")
+	}
+}
+
+// A second Release of a pooled Buf panics instead of putting it into the
+// pool twice, and under go test a released buffer reads NaN: a double
+// release or a read after release cannot pass silently.
+func TestReleaseChecksContract(t *testing.T) {
+	var p BufPool[float32]
+	b := p.Acquire(4)
+	b.Retain(1)
+	b.Release()
+	b.Release()
+	if !math.IsNaN(float64(b.Data[0])) {
+		t.Errorf("released buffer reads %g, want NaN", b.Data[0])
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a second Release after the last holder did not panic")
+			}
+		}()
+		b.Release()
+	}()
+	var ip ImagePool
+	img := ip.Acquire(2, 2)
+	ip.Release(img)
+	if !math.IsNaN(float64(img.Data[3])) {
+		t.Errorf("released image reads %g, want NaN", img.Data[3])
 	}
 }

@@ -228,8 +228,6 @@ func (c *Comm) MessagesSent() int64 { return c.shared.w.msgsSent.Load() }
 // tree, a shared AllGather block moving round the ring). The hold ALWAYS
 // transfers: on any error it is released here, so the caller must not touch
 // the handle afterwards regardless of outcome.
-//
-//ifdk:hotpath
 func (c *Comm) sendBuf(dst, tag int, buf *engine.Buf[float32]) error {
 	if dst < 0 || dst >= c.Size() {
 		buf.Release()

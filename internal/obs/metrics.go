@@ -183,7 +183,8 @@ func (r *Registry) register(name, help, typ string, labels []string, fn func() [
 		panic("obs: invalid metric name " + name)
 	}
 	for _, l := range labels {
-		if !validName(l) {
+		if !validName(l) || strings.Contains(l, ":") || strings.HasPrefix(l, "__") ||
+			typ == TypeHistogram && l == "le" {
 			panic("obs: invalid label name " + l + " on " + name)
 		}
 	}

@@ -220,6 +220,9 @@ func TestRegistryPanics(t *testing.T) {
 		"duplicate":    func() { r.Counter("dup_total", "second") },
 		"bad name":     func() { r.Counter("0bad", "x") },
 		"bad label":    func() { r.CounterVec("ok_total", "x", "0bad") },
+		"colon label":  func() { r.CounterVec("c_total", "x", "a:b") },
+		"__ label":     func() { r.GaugeVec("g", "x", "__reserved") },
+		"le label":     func() { r.HistogramVec("h_seconds", "x", nil, "le") },
 		"label arity":  func() { r.CounterVec("v_total", "x", "k").With("a", "b") },
 		"bad functype": func() { r.SampleFunc("f", "x", TypeHistogram, nil, nil) },
 	} {

@@ -532,7 +532,7 @@ func (rt *Router) postSpec(ctx context.Context, name string, spec api.Spec, trac
 func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 	proxy0 := time.Now()
 	var spec api.Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxSpecBytes)).Decode(&spec); err != nil {
 		api.WriteError(w, api.CodeBadRequest, "bad spec: %v", err)
 		return
 	}

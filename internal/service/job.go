@@ -103,6 +103,9 @@ const (
 	maxNU    = 1024
 	maxNP    = 4096
 	maxRanks = 64
+	// maxClient bounds the client id in bytes. The id is journaled with the
+	// spec, and one record must stay far below readJournal's line buffer.
+	maxClient = 256
 )
 
 // resolvedSpec is a Spec compiled all the way to its identity: the defaulted
@@ -136,6 +139,9 @@ func resolveSpec(s Spec) (resolvedSpec, error) {
 		return resolvedSpec{}, fmt.Errorf(
 			"service: problem size nx=%d nu=%d np=%d exceeds limits (%d, %d, %d)",
 			s.NX, s.NU, s.NP, maxNX, maxNU, maxNP)
+	}
+	if len(s.Client) > maxClient {
+		return resolvedSpec{}, fmt.Errorf("service: client id of %d bytes exceeds limit %d", len(s.Client), maxClient)
 	}
 	// Bound each factor first: R·C of two huge factors wraps (to 0, which
 	// Validate would divide by).

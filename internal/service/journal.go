@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -123,9 +124,9 @@ func openJournal(dir string) (*journal, []recoveredJob, int64, error) {
 }
 
 // readJournal decodes every record in the file. A torn final line — the
-// signature of a crash mid-append — is skipped; a torn or corrupt line
-// anywhere else is skipped too (one bad record must not brick recovery of
-// every other job).
+// signature of a crash mid-append — is skipped; a torn, corrupt or
+// over-long line anywhere else is skipped too (one bad record must not
+// brick recovery of every other job).
 func readJournal(path string) ([]journalRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -136,23 +137,25 @@ func readJournal(path string) ([]journalRecord, error) {
 	}
 	defer f.Close()
 	var out []journalRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+	r := bufio.NewReaderSize(f, 1<<20)
+	for long := false; ; {
+		line, more, err := r.ReadLine()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("service: journal scan: %w", err)
+		}
+		if long || more {
+			long = more // a line over the buffer is corrupt too: skip all of it
 			continue
 		}
 		var rec journalRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.ID == "" {
+		if err := json.Unmarshal(line, &rec); err != nil || rec.ID == "" {
 			continue // torn append or corruption: skip, recover the rest
 		}
 		out = append(out, rec)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("service: journal scan: %w", err)
-	}
-	return out, nil
 }
 
 // recoveredJob is one job's merged journal records, ready for readmission.
@@ -211,7 +214,8 @@ func mergeRecords(recs []journalRecord) ([]recoveredJob, int64) {
 		if r.term != nil && api.State(r.term.State).Terminal() {
 			r.State = api.State(r.term.State)
 		} else {
-			r.term = nil // queued or mid-run at the crash: re-enter admission
+			// Queued or mid-run at the crash: re-enter admission, unstarted.
+			r.term, r.started = nil, ""
 		}
 		out = append(out, *r)
 	}
@@ -252,27 +256,35 @@ func compactJournal(dir, path string, jobs []recoveredJob, maxSeq int64) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("service: journal compact: %w", err)
 	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+	// Appends go to the renamed file: until the rename is durable, an acked
+	// record can vanish with it on a power cut.
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("service: journal compact: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("service: journal compact: %w", err)
 	}
 	return nil
 }
 
 // compactRecords is the minimal record set reproducing one job's merged
-// state on the next replay.
+// state on the next replay; a settled job keeps its start stamp.
 func compactRecords(r *recoveredJob) []journalRecord {
-	if r.term == nil {
-		return []journalRecord{r.submit}
+	out := []journalRecord{r.submit}
+	if r.started != "" {
+		out = append(out, journalRecord{T: recStart, ID: r.ID, Started: r.started})
 	}
-	return []journalRecord{r.submit, *r.term}
+	if r.term != nil {
+		out = append(out, *r.term)
+	}
+	return out
 }
 
 // append writes one record and fsyncs it before returning — the
-// fsync-before-ack contract the submit path relies on (and journalcheck
-// enforces).
-//
-//ifdk:journal
+// fsync-before-ack contract the submit path relies on (and
+// TestJournalSyncsBeforeAck checks).
 func (w *journal) append(rec journalRecord) error {
 	blob, err := json.Marshal(rec)
 	if err != nil {

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"ifdk/pkg/api"
 )
@@ -176,14 +179,15 @@ func TestJournalCompactionRoundTrip(t *testing.T) {
 	}
 
 	// The compacted file must be minimal: a recSeq pin, then submit (+
-	// terminal) per live job — no start, delete, or j3 records.
+	// start + terminal) per live job — no delete or j3 records, and no
+	// start record for the requeued job, which runs again.
 	blob, err := os.ReadFile(filepath.Join(dir, journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("compacted journal has %d lines, want 4 (seq + 2×submit + terminal):\n%s",
+	if len(lines) != 5 {
+		t.Fatalf("compacted journal has %d lines, want 5 (seq + 2×submit + start + terminal):\n%s",
 			len(lines), blob)
 	}
 	if !strings.Contains(lines[0], `"t":"seq"`) || !strings.Contains(lines[0], `"seq":3`) {
@@ -192,8 +196,8 @@ func TestJournalCompactionRoundTrip(t *testing.T) {
 	if strings.Contains(string(blob), "j00000003") {
 		t.Fatalf("deleted job survived compaction:\n%s", blob)
 	}
-	if strings.Contains(string(blob), `"t":"start"`) || strings.Contains(string(blob), `"t":"delete"`) {
-		t.Fatalf("compaction kept dead record types:\n%s", blob)
+	if strings.Count(string(blob), `"t":"start"`) != 1 || strings.Contains(string(blob), `"t":"delete"`) {
+		t.Fatalf("compaction kept dead records:\n%s", blob)
 	}
 
 	// A third replay of the compacted file must reproduce the same set —
@@ -222,4 +226,69 @@ func TestJournalClosedAppend(t *testing.T) {
 	if err := jn.append(journalRecord{T: recSubmit, ID: "x-j1", Spec: &spec}); err != errJournalClosed {
 		t.Fatalf("append after close = %v, want errJournalClosed", err)
 	}
+}
+
+// A client id too long for one journal line is an invalid spec, and a line
+// that long already in the journal is skipped like any corrupt one: neither
+// stops a restart from recovering the other jobs.
+func TestLongClientCannotBrickRecovery(t *testing.T) {
+	dir := t.TempDir()
+	m1, err := OpenManager(Options{Workers: 1, NodeID: "b0", JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := testSpec()
+	long.Client = strings.Repeat("c", 2<<20)
+	if _, err := m1.Submit(long); err == nil {
+		t.Fatal("accepted a 2 MiB client id")
+	}
+	// The record a daemon without the bound journaled.
+	if err := m1.journal.append(journalRecord{T: recSubmit, ID: "b0-j00000009", Spec: &long}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := m1.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1.Crash()
+	m2, err := OpenManager(Options{Workers: 1, NodeID: "b0", JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = m2.Shutdown(ctx)
+	}()
+	if _, ok := m2.Get(v.ID); !ok {
+		t.Fatalf("job %s lost across the restart", v.ID)
+	}
+}
+
+// FuzzReadJournal: whatever bytes the journal holds, replay never panics,
+// and replaying the journal that compaction writes from it gives back the
+// same jobs and sequence high-water mark.
+func FuzzReadJournal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, journalFile)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := readJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, maxSeq := mergeRecords(recs)
+		if err := compactJournal(dir, path, jobs, maxSeq); err != nil {
+			t.Fatal(err)
+		}
+		if recs, err = readJournal(path); err != nil {
+			t.Fatal(err)
+		}
+		again, seqAgain := mergeRecords(recs)
+		if seqAgain != maxSeq || !reflect.DeepEqual(again, jobs) {
+			t.Fatalf("compaction changed the replay: seq %d -> %d\n%+v\n%+v", maxSeq, seqAgain, jobs, again)
+		}
+	})
 }

@@ -87,7 +87,7 @@ func submitCode(err error) string {
 
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxSpecBytes)).Decode(&spec); err != nil {
 		writeErr(w, api.CodeBadRequest, "bad spec: %v", err)
 		return
 	}

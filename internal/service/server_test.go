@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"image/png"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"ifdk/pkg/api"
 )
 
 func startTestServer(t *testing.T, opt Options) (*httptest.Server, *Manager) {
@@ -178,6 +181,16 @@ func TestAPIRejectsBadRequests(t *testing.T) {
 	resp2, _ := postJob(t, ts.URL, bad)
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad phantom status = %d", resp2.StatusCode)
+	}
+	body, _ := json.Marshal(testSpec())
+	resp3, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		io.MultiReader(strings.NewReader(strings.Repeat(" ", api.MaxSpecBytes)), bytes.NewReader(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp3.Body.Close()
+	if resp3.StatusCode != http.StatusBadRequest {
+		t.Fatalf("over-long body status = %d", resp3.StatusCode)
 	}
 	if code, _ := getView(t, ts.URL, "nonexistent"); code != http.StatusNotFound {
 		t.Fatalf("unknown job status = %d", code)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -73,6 +74,7 @@ func FuzzResolveSpec(f *testing.F) {
 		`{"phantom":"cube"}`,
 		`{"window":"box"}`,
 		`[1,2]`,
+		`{"client":"` + strings.Repeat("c", maxClient+1) + `"}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -87,7 +89,7 @@ func FuzzResolveSpec(f *testing.F) {
 		}
 		s, g := r.spec, r.cfg.Geometry
 		if s.NX < 1 || s.NX > maxNX || s.NU < 1 || s.NU > maxNU || s.NP < 1 || s.NP > maxNP ||
-			s.R < 1 || s.C < 1 || s.R > maxRanks || s.C > maxRanks || s.R*s.C > maxRanks {
+			s.R < 1 || s.C < 1 || s.R > maxRanks || s.C > maxRanks || s.R*s.C > maxRanks || len(s.Client) > maxClient {
 			t.Fatalf("accepted a spec outside the admission limits: %+v", s)
 		}
 		if g.Nu != s.NU || g.Nv != s.NU || g.Np != s.NP || g.Nx != s.NX || g.Ny != s.NX || g.Nz != s.NX {

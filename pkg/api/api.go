@@ -30,6 +30,10 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
+// MaxSpecBytes bounds the body of a job submission; a longer one is a bad
+// request.
+const MaxSpecBytes = 64 << 10
+
 // Spec is a reconstruction request as it arrives over the wire: a synthetic
 // cone-beam scan of a named phantom plus the grid to reconstruct it on.
 // Zero-valued fields take server-side defaults.

@@ -55,8 +55,6 @@ func (m *Image) Transpose() *Image {
 // TransposeInto writes the transpose into dst, which must be H×W. Every
 // destination pixel is overwritten, so dst may come from a buffer pool with
 // undefined contents.
-//
-//ifdk:hotpath
 func (m *Image) TransposeInto(dst *Image) {
 	if dst.W != m.H || dst.H != m.W {
 		panic(fmt.Sprintf("volume: transpose destination %dx%d for source %dx%d",
