@@ -20,9 +20,10 @@ func hasAVX2() bool {
 	return ebx&avx2 != 0
 }
 
-// hasAVX512 probes for the window tier: AVX2 as above, AVX512F and
-// AVX512VL on the CPU, and an OS that saves the opmask and all 32 ZMM
-// registers (XCR0 bits 5–7).
+// hasAVX512 probes for the AVX-512 tiers (the window tier and the filter
+// core, which use only AVX512F): AVX2 as above, AVX512F and AVX512VL on the
+// CPU, and an OS that saves the opmask and all 32 ZMM registers (XCR0 bits
+// 5–7).
 func hasAVX512() bool {
 	if !hasAVX2() {
 		return false

@@ -277,7 +277,7 @@ const windowDepth = 16
 // the 2·windowDepth samples of a window. Both paths give the same bits; this
 // only picks the faster.
 func WindowFits(h, rw int, maxStep float64) bool {
-	return windowTier() && h >= windowDepth && rw >= 2*windowDepth && 7*maxStep <= 2*windowDepth-3
+	return onAVX512() && h >= windowDepth && rw >= 2*windowDepth && 7*maxStep <= 2*windowDepth-3
 }
 
 // AccumColumnsWindow is AccumColumns into a column-major accumulator: for
@@ -320,7 +320,7 @@ func accumColumnsWindowFast(acc, proj []float32, rw, rh int, r *[3][4]float32, i
 	ry2, ry3 := r[1][2], r[1][3]
 	// The assembly needs what accumColumnsFast's does, a window's worth of
 	// samples per row, and depth numbers that fit an int32.
-	vector := windowTier() && rw >= 2*windowDepth && rw*rh <= math.MaxInt32 &&
+	vector := onAVX512() && rw >= 2*windowDepth && rw*rh <= math.MaxInt32 &&
 		j0 >= math.MinInt32 && j0 <= math.MaxInt32-Lanes && k0 >= math.MinInt32 && k0 <= math.MaxInt32-h
 	if !vector || !columnLanesAVX2(&g, r, float32(i), float32(rh-1), j0, n, rw) {
 		g.fill(r, i, j0, n)

@@ -15,34 +15,11 @@ import (
 // Benchmarks for every fast/ref kernel pair at the shapes the pipeline
 // actually runs (Nu = 512 geometry: 1024-point padded row pairs, 512²
 // transposed projections). The `ref` leg calls the
-// exported reference, the `fast` leg the dispatching entry point; the two
-// kernels with an assembly tier run `ref`, `go` and `avx2` legs through the
-// dispatching entry point. These are
+// exported reference, the `fast` leg the dispatching entry point; the
+// kernels with an assembly tier run the legs of tiers (tier_test.go) — `ref`,
+// `go`, `avx2` and `avx512` — through the dispatching entry point. These are
 // working micro-benchmarks for `go test -bench`; the numbers the repo
 // commits to come from benchmark/'s fft.* / filter.* / backproject.* rows.
-
-// tiers are the legs of a benchmark over a kernel with an assembly tier: the
-// scalar reference, the portable fast loop, and the AVX2 tier.
-var tiers = []tier{{name: "ref", ref: true}, {name: "go"}, {name: "avx2", avx2: true}}
-
-type tier struct {
-	name      string
-	ref, avx2 bool
-}
-
-// use pins every dispatching kernel to the tier for the rest of the
-// benchmark, and skips it where the host cannot run it.
-func (t tier) use(b *testing.B) (restore func()) {
-	if t.avx2 && !kernels.HasAVX2() {
-		b.Skip("CPU or OS without AVX2")
-	}
-	restoreISA := kernels.SetAVX2(t.avx2)
-	if !t.ref {
-		return restoreISA
-	}
-	restoreRef := kernels.UseRef()
-	return func() { restoreRef(); restoreISA() }
-}
 
 func randF32(rng *rand.Rand, n int) []float32 {
 	out := make([]float32, n)
@@ -162,7 +139,7 @@ func benchApply(b *testing.B, nu int) {
 // BenchmarkFilterProjection times the pipeline's per-projection filter step
 // on a whole 256² and 512² projection (L 512 and 1024, the two parities of
 // the fused small end), from the staged bytes to the transposed block, on
-// the portable tier and on AVX2: `chain` is the step before ApplyEncoded
+// the portable tier, AVX2 and AVX-512: `chain` is the step before ApplyEncoded
 // (ImageFromBytesInto into a pooled image, ApplyInto in place,
 // TransposeInto), `encoded` is ApplyEncoded. One op is one projection
 // (ns/op is ns per projection), and every op writes a block that is not

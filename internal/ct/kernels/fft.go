@@ -178,18 +178,20 @@ func DITRef(x, tw []complex64) {
 	}
 }
 
-// difFast and ditFast run each pass on the AVX2 tier (fft_amd64.s) when the
-// host has one — a whole pass per call, the two smallest fused into one —
-// and otherwise as the loops below, which the assembly matches operation
-// for operation.
+// difFast and ditFast run each pass on the vector tiers (fft_amd64.s) when
+// the host has them — a whole pass per call, the two smallest fused into
+// one on AVX2 — and otherwise as the loops below, which the assembly
+// matches operation for operation.
 func difFast(x, tw []complex64) {
 	n := len(x)
 	s := imag(tw[0])
 	if useAVX2 && n >= 8 {
-		if w := difLargeAVX2(x, tw, s); len(w) == 12 {
-			difTail16AVX2(x, w, s) // block size 16 and the pass over adjacent quads
+		if firstRadix4(n) == 4 {
+			difLarge(x, tw, s, 16)
+			difTail16AVX2(x, tw[4:16], s) // block size 16 and the pass over adjacent quads
 		} else {
-			difTail8AVX2(x, w, s) // block size 8 and addSubPairs
+			difLarge(x, tw, s, 8)
+			difTail8AVX2(x, tw[1:7], s) // block size 8 and addSubPairs
 		}
 		return
 	}
@@ -247,17 +249,17 @@ func ditFast(x, tw []complex64) {
 	n := len(x)
 	s := imag(tw[0])
 	first := firstRadix4(n)
-	w := tw[1:]
 	if useAVX2 && n >= 8 {
 		if first == 4 {
-			ditHead16AVX2(x, w[3:15], s) // the pass over adjacent quads and the next
-			ditLargeAVX2(x, w[15:], 16, s)
+			ditHead16AVX2(x, tw[4:16], s) // the pass over adjacent quads and the next
+			ditLarge(x, tw, s, 16)
 		} else {
-			ditHead8AVX2(x, w[:6], s) // addSubPairs and the next pass
-			ditLargeAVX2(x, w[6:], 8, s)
+			ditHead8AVX2(x, tw[1:7], s) // addSubPairs and the next pass
+			ditLarge(x, tw, s, 8)
 		}
 		return
 	}
+	w := tw[1:]
 	switch {
 	case first == 8:
 		addSubPairs(x)
@@ -305,38 +307,46 @@ func ditFast(x, tw []complex64) {
 	}
 }
 
-// difLargeAVX2 runs difFast's AVX2 passes down to the small end — all but
-// the two smallest passes — and returns the small end's twiddle runs: 12
-// (block size 16, even log₂n) or 6 (block size 8, odd). len(x) ≥ 8.
-func difLargeAVX2(x, tw []complex64, s float32) []complex64 {
-	end := len(tw)
-	for q := len(x) >> 2; ; q >>= 2 {
-		w := tw[end-3*q : end]
-		if q <= 4 {
-			return w
+// difLarge runs difFast's vector passes over the blocks larger than the
+// small end's, whole row first: those of quarter q ≥ block, block the
+// small end's size (16 or 64 for even log₂n, 8 or 32 for odd). Every such
+// q is at least 8, so on AVX-512 hosts each pass runs eight complex64 per
+// register, elsewhere four. The runs of the pass over blocks of 4q lie
+// between the tables of q and 4q points: FFTTwiddles(m, ·) is a prefix of
+// FFTTwiddles(n, ·) when log₂m and log₂n share their parity.
+func difLarge(x, tw []complex64, s float32, block int) {
+	for q := len(x) >> 2; q >= block; q >>= 2 {
+		w := tw[twiddleLen(q):twiddleLen(4*q)]
+		if onAVX512() {
+			difPassAVX512(x, w, q, s)
+		} else {
+			difPassAVX2(x, w, q, s)
 		}
-		difPassAVX2(x, w, q, s)
-		end -= 3 * q
 	}
 }
 
-// ditLargeAVX2 runs ditFast's AVX2 passes above the small end, block sizes
-// 4q, 16q, … up to len(x), w their twiddle runs in order.
-func ditLargeAVX2(x, w []complex64, q int, s float32) {
-	for ; 4*q <= len(x); q <<= 2 {
-		ditPassAVX2(x, w[:3*q], q, s)
-		w = w[3*q:]
+// ditLarge runs ditFast's vector passes above the small end of size
+// block, quarters q = block, 4·block, … up to len(x), as difLarge does.
+func ditLarge(x, tw []complex64, s float32, block int) {
+	for q := block; 4*q <= len(x); q <<= 2 {
+		w := tw[twiddleLen(q):twiddleLen(4*q)]
+		if onAVX512() {
+			ditPassAVX512(x, w, q, s)
+		} else {
+			ditPassAVX2(x, w, q, s)
+		}
 	}
 }
 
 // Convolve runs the ramp filter's spectrum path over x in place: DIF with
 // fwd, every bin times its real gain (stored in DIF's bit-reversed bin
 // order), DIT with inv. It is DIF, SpectralMul and DIT called in turn, bit
-// for bit on every tier. On AVX2 the two smallest DIF passes, the gain and
-// the two smallest DIT passes act on the same 16 elements (even log₂n) or 8
-// (odd), so they run as one loop over blocks held in registers — the
-// spectrum is never stored between the transforms. fwd and inv must be
-// FFTTwiddles(len(x), ·) and gain len(x) long.
+// for bit on every tier. On the vector tiers the smallest DIF passes, the
+// gain and the smallest DIT passes act on the same block, so they run as
+// one loop over blocks held in registers and the spectrum is never stored
+// between the transforms: two passes each way over blocks of 16 (even
+// log₂n) or 8 (odd) on AVX2, three over blocks of 64 or 32 on AVX-512.
+// fwd and inv must be FFTTwiddles(len(x), ·) and gain len(x) long.
 func Convolve(x, fwd []complex64, gain []float32, inv []complex64) {
 	checkTransform(x, fwd)
 	checkTransform(x, inv)
@@ -352,21 +362,37 @@ func Convolve(x, fwd []complex64, gain []float32, inv []complex64) {
 	DITRef(x, inv)
 }
 
+// convolveFast picks the small end by the parity of log₂n and the tier;
+// rows shorter than the AVX-512 block take the AVX2 one. Each small end
+// gets the tables below its block: entries 4… for even log₂n, whose first
+// run (the quads') is all ones, 1… for odd.
 func convolveFast(x, fwd []complex64, gain []float32, inv []complex64) {
-	if !useAVX2 || len(x) < 8 {
+	n := len(x)
+	if !useAVX2 || n < 8 {
 		difFast(x, fwd)
 		spectralMulFast(x, gain)
 		ditFast(x, inv)
 		return
 	}
 	s, si := imag(fwd[0]), imag(inv[0])
-	wi := inv[1:]
-	if w := difLargeAVX2(x, fwd, s); len(w) == 12 {
-		convolveSmall16AVX2(x, w, gain, wi[3:15], s, si)
-		ditLargeAVX2(x, wi[15:], 16, si)
-	} else {
-		convolveSmall8AVX2(x, w, gain, wi[:6], s, si)
-		ditLargeAVX2(x, wi[6:], 8, si)
+	even := firstRadix4(n) == 4
+	switch {
+	case even && onAVX512() && n >= 64:
+		difLarge(x, fwd, s, 64)
+		convolveSmall64AVX512(x, fwd[4:64], gain, inv[4:64], s, si)
+		ditLarge(x, inv, si, 64)
+	case !even && onAVX512() && n >= 32:
+		difLarge(x, fwd, s, 32)
+		convolveSmall32AVX512(x, fwd[1:31], gain, inv[1:31], s, si)
+		ditLarge(x, inv, si, 32)
+	case even:
+		difLarge(x, fwd, s, 16)
+		convolveSmall16AVX2(x, fwd[4:16], gain, inv[4:16], s, si)
+		ditLarge(x, inv, si, 16)
+	default:
+		difLarge(x, fwd, s, 8)
+		convolveSmall8AVX2(x, fwd[1:7], gain, inv[1:7], s, si)
+		ditLarge(x, inv, si, 8)
 	}
 }
 

@@ -43,3 +43,26 @@ func convolveSmall16AVX2(x, w []complex64, gain []float32, wi []complex64, s, si
 
 //go:noescape
 func convolveSmall8AVX2(x, w []complex64, gain []float32, wi []complex64, s, si float32)
+
+// difPassAVX512 and ditPassAVX512 are difPassAVX2 and ditPassAVX2 over
+// eight complex64 per register: q must be a multiple of 8.
+//
+//go:noescape
+func difPassAVX512(x, w []complex64, q int, s float32)
+
+//go:noescape
+func ditPassAVX512(x, w []complex64, q int, s float32)
+
+// convolveSmall64AVX512 is the small end of Convolve for even log₂n on
+// AVX-512: the three smallest DIF passes, SpectralMul and the three
+// smallest DIT passes in one loop over 64-element blocks, w and wi the
+// tables' entries 4…63, s and si their signs. convolveSmall32AVX512 is the
+// same for odd log₂n over 32-element blocks — block sizes 32 and 8 and the
+// pairs — w and wi the entries 1…30. They touch x[:len(x)], gain[:len(x)]
+// and w, wi[:60] or [:30]; len(x) must be a multiple of the block size.
+//
+//go:noescape
+func convolveSmall64AVX512(x, w []complex64, gain []float32, wi []complex64, s, si float32)
+
+//go:noescape
+func convolveSmall32AVX512(x, w []complex64, gain []float32, wi []complex64, s, si float32)

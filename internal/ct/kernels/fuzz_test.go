@@ -14,7 +14,8 @@ import (
 
 // FuzzRadix4Tiers drives DIF and DIT, the two wrappers that hand slices to
 // assembly, with row lengths and twiddle tables they must refuse as well as
-// ones they must transform, on the portable tier and on AVX2:
+// ones they must transform, on the portable tier, on AVX2 with AVX-512 off
+// and, where the host has it, on AVX-512:
 //
 //   - size is the row length 0…4096, or with mode bit 7 the exponent of a
 //     power of two up to 4096;
@@ -26,7 +27,7 @@ import (
 //   - contents are float32 bit patterns (NaN, ±Inf and denormals included),
 //     repeated to fill the row.
 //
-// A call must panic on both tiers with the same message or on neither; a
+// A call must panic on every tier with the same message or on none; a
 // transformed row must be bit-identical across tiers (any NaN for a NaN);
 // and the canaries either side of the row must survive.
 func FuzzRadix4Tiers(f *testing.F) {
@@ -99,38 +100,42 @@ func FuzzRadix4Tiers(f *testing.F) {
 			}
 			return backing
 		}
-		run := func(avx2 bool) (backing []complex64, panicked any) {
-			defer kernels.SetAVX2(avx2)()
+		run := func(tier tier) (backing []complex64, panicked any) {
 			backing = row()
 			defer func() { panicked = recover() }()
-			transform(backing[pad:pad+n:pad+n], tw)
+			onTier(tier, func() { transform(backing[pad:pad+n:pad+n], tw) })
 			return backing, nil
 		}
-		portable, portablePanic := run(false)
-		vector, vectorPanic := run(true)
-
-		if fmt.Sprint(portablePanic) != fmt.Sprint(vectorPanic) {
-			t.Fatalf("n=%d mode=%#x: go panics with %v, avx2 with %v", n, mode, portablePanic, vectorPanic)
-		}
+		portable, portablePanic := run(goTier)
 		wantPanic := n < 1 || n&(n-1) != 0 || len(tw) != len(kernels.FFTTwiddles(n, false))
 		if (portablePanic != nil) != wantPanic {
 			t.Fatalf("n=%d mode=%#x: panic %v, want one: %v", n, mode, portablePanic, wantPanic)
 		}
-		for _, backing := range [][]complex64{portable, vector} {
-			for i, c := range backing {
-				if (i < pad || i >= pad+n) && c != canary {
-					t.Fatalf("n=%d mode=%#x: canary %d (row is [%d, %d)) overwritten with %v", n, mode, i, pad, pad+n, c)
+		for _, tier := range vectorTiers {
+			if !tier.available() {
+				continue
+			}
+			vector, vectorPanic := run(tier)
+			if fmt.Sprint(portablePanic) != fmt.Sprint(vectorPanic) {
+				t.Fatalf("n=%d mode=%#x: go panics with %v, %s with %v", n, mode, portablePanic, tier.name, vectorPanic)
+			}
+			for _, backing := range [][]complex64{portable, vector} {
+				for i, c := range backing {
+					if (i < pad || i >= pad+n) && c != canary {
+						t.Fatalf("n=%d mode=%#x %s: canary %d (row is [%d, %d)) overwritten with %v", n, mode, tier.name, i, pad, pad+n, c)
+					}
 				}
 			}
+			sameComplexBits(t, fmt.Sprintf("n=%d mode=%#x", n, mode), tier.name, portable[pad:pad+n], vector[pad:pad+n])
 		}
-		sameComplexBits(t, fmt.Sprintf("n=%d mode=%#x", n, mode), portable[pad:pad+n], vector[pad:pad+n])
 	})
 }
 
 // FuzzApplyEncodedTiers drives filter.ApplyEncoded, the pipeline's entry
 // from a staged projection's bytes into the transposed block, against the
 // chain it replaces — volume.ImageFromBytesInto, ApplyInto in place,
-// TransposeInto — on the portable tier and on AVX2:
+// TransposeInto — on the portable tier, on AVX2 with AVX-512 off and, where
+// the host has it, on AVX-512:
 //
 //   - nu × nv is the detector, 1…40 × 1…24 (Nv = 1, odd Nv and Nu that
 //     are not powers of two included);
@@ -202,13 +207,12 @@ func FuzzApplyEncodedTiers(f *testing.F) {
 
 		const pad = 64
 		canary := math.Float32frombits(0xCAFEF00D)
-		for _, avx2 := range []bool{false, true} {
-			if avx2 && !kernels.HasAVX2() {
+		for _, tier := range tiers[1:] {
+			if !tier.available() {
 				continue
 			}
-			func() {
-				defer kernels.SetAVX2(avx2)()
-				name := fmt.Sprintf("%dx%d mode=%#x cut=%d avx2=%v", g.Nu, g.Nv, mode, cut, avx2)
+			onTier(tier, func() {
+				name := fmt.Sprintf("%dx%d mode=%#x cut=%d %s", g.Nu, g.Nv, mode, cut, tier.name)
 				dec := volume.NewImage(g.Nu, g.Nv)
 				chainErr := volume.ImageFromBytesInto(dec, blob)
 				if chainErr == nil && blockLen != g.Nu*g.Nv {
@@ -244,7 +248,7 @@ func FuzzApplyEncodedTiers(f *testing.F) {
 						t.Fatalf("%s: block[%d] = %v, chain gives %v", name, i, got, x)
 					}
 				}
-			}()
+			})
 		}
 	})
 }

@@ -21,20 +21,26 @@
 //     two smallest passes of each transform and the gain act on one block
 //     held in registers (fft_amd64.s); and CosineWeightPairLE and
 //     TransposePairs, which only move data (filter_amd64.s). On AVX-512
-//     hosts AccumColumnsWindow, the slab driver's kernel for slabs at least
-//     16 deep, puts 16 depths of one column in a register and
-//     reads their taps from a 32-sample detector window through two-source
-//     permutes instead of gathers (accum_amd64.s). Other hosts run the
-//     portable loops alone.
+//     hosts two kernels gain a wider tier: AccumColumnsWindow, the slab
+//     driver's kernel for slabs at least 16 deep, puts 16 depths of one
+//     column in a register and reads their taps from a 32-sample detector
+//     window through two-source permutes instead of gathers
+//     (accum_amd64.s); and the filter core — the radix-4 passes of DIF and
+//     DIT and Convolve, the one spectrum path the filter's ApplyEncoded,
+//     ApplyInto and Sweep share — runs eight complex64 per register, with
+//     Convolve's small end taking the three smallest passes of each
+//     transform and the gain on blocks of 64 (32 for odd log₂n) held in
+//     registers (fft_amd64.s). Other hosts run the portable loops alone.
 //
 // Every fast kernel performs the same floating-point operations in the same
-// order as its reference — the AVX2 tiers included: separate multiplies and
-// adds, no FMA — so CosineWeightPair, CosineWeightPairLE (which also equals
-// CosineWeightPair on the decoded rows), SpectralMul, ColumnGeom,
-// AccumColumns and AccumColumnsWindow (which also equals AccumColumns) are
-// bit-identical across reference, portable, AVX2 and AVX-512, DIF
-// and DIT across portable and AVX2, and Convolve on every tier to DIF,
-// SpectralMul and DIT on that tier; TransposePairs copies bits (tests
+// order as its reference — the AVX2 and AVX-512 tiers included: separate
+// multiplies and adds, no FMA — so CosineWeightPair, CosineWeightPairLE
+// (which also equals CosineWeightPair on the decoded rows), SpectralMul,
+// ColumnGeom, AccumColumns and AccumColumnsWindow (which also equals
+// AccumColumns) are bit-identical across reference, portable, AVX2 and
+// AVX-512, DIF, DIT and Convolve across portable, AVX2 and AVX-512, and
+// Convolve on every tier to DIF, SpectralMul and DIT on that tier;
+// TransposePairs copies bits (tests
 // assert exact equality, far inside the required ≤1e-5 parity bound):
 // which tier a host runs never shows in a volume. Border and non-finite
 // coordinates in the back-projection kernels fall back to the reference
@@ -59,21 +65,24 @@ var useFast = true
 // CPUID/XGETBV; only tests flip it.
 var useAVX2 = hasAVX2()
 
-// useAVX512 adds the AVX-512 window tier of AccumColumnsWindow on top of
-// the AVX2 tiers (windowTier). It is written once, here, from CPUID/XGETBV;
-// only tests flip it.
+// useAVX512 adds the AVX-512 tiers on top of the AVX2 ones (onAVX512). It
+// is written once, here, from CPUID/XGETBV; only tests flip it.
 var useAVX512 = hasAVX512()
 
-// windowTier reports whether AccumColumnsWindow runs its AVX-512 interior:
-// the window tier needs the AVX2 column registers as well.
-func windowTier() bool { return useAVX2 && useAVX512 }
+// onAVX512 reports whether the AVX-512 tiers run: the window interior of
+// AccumColumnsWindow and the filter core's passes and small ends. Both
+// hand work to the AVX2 tier as well — the window tier its column
+// registers, the filter rows shorter than its small end — so they need it
+// on.
+func onAVX512() bool { return useAVX2 && useAVX512 }
 
 // ISA reports the instruction tier the fast back-projection and FFT kernels
-// run on this host: "avx512" (the back-projection's window tier, with every
-// other kernel on AVX2), "avx2", or "go" (the portable loops).
+// run on this host: "avx512" (the back-projection's window tier and the
+// filter core — the radix-4 passes and Convolve's small end — with the
+// other kernels on AVX2), "avx2", or "go" (the portable loops).
 func ISA() string {
 	switch {
-	case windowTier():
+	case onAVX512():
 		return "avx512"
 	case useAVX2:
 		return "avx2"

@@ -447,11 +447,22 @@ func TestFFTTwiddlesRejectsNonPow2(t *testing.T) {
 }
 
 // The capacity FFTTwiddles reserves is the length it fills: twiddleLen is
-// what DIF and DIT hold a table to.
+// what DIF and DIT hold a table to. The vector passes find a pass's runs in
+// the table of the whole row at the offsets of a shorter row's table, so
+// the table of m points must be a prefix of the table of n points, bit for
+// bit, whenever log₂m and log₂n share their parity.
 func TestTwiddleLen(t *testing.T) {
 	for n := 1; n <= 4096; n <<= 1 {
-		if tw := FFTTwiddles(n, false); len(tw) != twiddleLen(n) || cap(tw) != len(tw) {
+		tw := FFTTwiddles(n, false)
+		if len(tw) != twiddleLen(n) || cap(tw) != len(tw) {
 			t.Errorf("FFTTwiddles(%d): len %d cap %d, twiddleLen %d", n, len(tw), cap(tw), twiddleLen(n))
+		}
+		for m := n >> 2; m >= 1; m >>= 2 {
+			for i, w := range FFTTwiddles(m, false) {
+				if math.Float32bits(real(w)) != math.Float32bits(real(tw[i])) || math.Float32bits(imag(w)) != math.Float32bits(imag(tw[i])) {
+					t.Fatalf("FFTTwiddles(%d)[%d] = %v, FFTTwiddles(%d)[%d] = %v", m, i, w, n, i, tw[i])
+				}
+			}
 		}
 	}
 }

@@ -137,19 +137,9 @@ func TestBackprojectBitIdenticalAcrossTiers(t *testing.T) {
 		return run()
 	}()
 	same := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b }
-	for _, tier := range []struct {
-		name         string
-		avx2, avx512 bool
-	}{{"go", false, false}, {"avx2", true, false}, {"avx512", true, true}} {
+	for _, tier := range tiers[1:] {
 		t.Run(tier.name, func(t *testing.T) {
-			if tier.avx2 && !kernels.HasAVX2() {
-				t.Skip("CPU or OS without AVX2")
-			}
-			if tier.avx512 && !kernels.HasAVX512() {
-				t.Skip("CPU or OS without AVX-512")
-			}
-			defer kernels.SetAVX2(tier.avx2)()
-			defer kernels.SetAVX512(tier.avx512)()
+			defer tier.use(t)()
 			for l, got := range run() {
 				want := ref[l]
 				for n := range want.Data {
@@ -162,96 +152,143 @@ func TestBackprojectBitIdenticalAcrossTiers(t *testing.T) {
 	}
 }
 
-// onTier runs fn with the AVX2 tier switched on or off.
-func onTier(avx2 bool, fn func()) {
-	defer kernels.SetAVX2(avx2)()
+// tiers are the legs of a test or benchmark over a kernel with an assembly
+// tier: the scalar reference, the portable fast loop, the AVX2 tier with
+// AVX-512 off, and the AVX-512 tiers on top of it (which only some kernels
+// have: the others run their AVX2 tier again). goTier is the portable leg
+// the filter core's tier tests compare the vector legs against.
+var tiers = []tier{{name: "ref", ref: true}, {name: "go"}, {name: "avx2", avx2: true}, {name: "avx512", avx2: true, avx512: true}}
+
+var goTier, vectorTiers = tiers[1], tiers[2:]
+
+type tier struct {
+	name              string
+	ref, avx2, avx512 bool
+}
+
+// available reports whether the host can run the tier.
+func (t tier) available() bool {
+	return (!t.avx2 || kernels.HasAVX2()) && (!t.avx512 || kernels.HasAVX512())
+}
+
+// require skips the test or benchmark where the host cannot run the tier.
+func (t tier) require(tb testing.TB) {
+	tb.Helper()
+	if !t.available() {
+		tb.Skipf("CPU or OS without the %s tier", t.name)
+	}
+}
+
+// use pins every dispatching kernel to the tier until restore, and skips
+// the test or benchmark where the host cannot run it.
+func (t tier) use(tb testing.TB) (restore func()) {
+	tb.Helper()
+	t.require(tb)
+	restore2, restore512 := kernels.SetAVX2(t.avx2), kernels.SetAVX512(t.avx512)
+	restoreISA := func() { restore512(); restore2() }
+	if !t.ref {
+		return restoreISA
+	}
+	restoreRef := kernels.UseRef()
+	return func() { restoreRef(); restoreISA() }
+}
+
+// onTier runs fn on the tier's instruction set, which the host must have.
+func onTier(tier tier, fn func()) {
+	defer kernels.SetAVX2(tier.avx2)()
+	defer kernels.SetAVX512(tier.avx512)()
 	fn()
 }
 
 // sameComplexBits reports the first element at which two rows differ other
-// than by which NaN they hold.
-func sameComplexBits(t *testing.T, name string, want, got []complex64) {
+// than by which NaN they hold: want from the portable leg, got from tier.
+func sameComplexBits(t *testing.T, name, tier string, want, got []complex64) {
 	t.Helper()
 	same := func(a, b float32) bool {
 		return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 	}
 	for i := range want {
 		if !same(real(want[i]), real(got[i])) || !same(imag(want[i]), imag(got[i])) {
-			t.Fatalf("%s: element %d = %v on avx2, %v on go", name, i, got[i], want[i])
+			t.Fatalf("%s: element %d = %v on %s, %v on go", name, i, got[i], tier, want[i])
 		}
 	}
 }
 
 // TestRadix4BitIdenticalAcrossTiers runs DIF and DIT, forward and inverse,
-// at every power of two up to 4096 on the portable passes and on the AVX2
-// tier and requires identical bits: the assembly performs the portable
-// loop's float32 operations in its order, so a fleet of mixed CPUs still
-// re-executes a job bit for bit. Trials 7–9 carry a NaN or ±Inf, which must
-// poison the same lanes.
+// at every power of two up to 4096 on the portable passes, on the AVX2 tier
+// with AVX-512 off and on the AVX-512 tier, and requires identical bits:
+// the assembly performs the portable loop's float32 operations in its
+// order, so a fleet of mixed CPUs still re-executes a job bit for bit.
+// Trials 7–9 carry a NaN or ±Inf, which must poison the same lanes.
 func TestRadix4BitIdenticalAcrossTiers(t *testing.T) {
-	if !kernels.HasAVX2() {
-		t.Skip("CPU or OS without AVX2: only the portable tier runs here")
-	}
-	rng := rand.New(rand.NewSource(28))
-	for n := 1; n <= 4096; n <<= 1 {
-		for _, inverse := range []bool{false, true} {
-			tw := kernels.FFTTwiddles(n, inverse)
-			for trial := 0; trial < 10; trial++ {
-				x := randC64(rng, n)
-				if trial >= 7 {
-					bad := [...]float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}[trial-7]
-					x[rng.Intn(n)] = complex(bad, 1)
-				}
-				for _, leg := range []struct {
-					name string
-					fn   func(x, tw []complex64)
-				}{{"dif", kernels.DIF}, {"dit", kernels.DIT}} {
-					portable := append([]complex64(nil), x...)
-					vector := append([]complex64(nil), x...)
-					onTier(false, func() { leg.fn(portable, tw) })
-					onTier(true, func() { leg.fn(vector, tw) })
-					sameComplexBits(t, fmt.Sprintf("%s n=%d inverse=%v trial=%d", leg.name, n, inverse, trial), portable, vector)
+	for _, tier := range vectorTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			tier.require(t)
+			rng := rand.New(rand.NewSource(28))
+			for n := 1; n <= 4096; n <<= 1 {
+				for _, inverse := range []bool{false, true} {
+					tw := kernels.FFTTwiddles(n, inverse)
+					for trial := 0; trial < 10; trial++ {
+						x := randC64(rng, n)
+						if trial >= 7 {
+							bad := [...]float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}[trial-7]
+							x[rng.Intn(n)] = complex(bad, 1)
+						}
+						for _, leg := range []struct {
+							name string
+							fn   func(x, tw []complex64)
+						}{{"dif", kernels.DIF}, {"dit", kernels.DIT}} {
+							portable := append([]complex64(nil), x...)
+							vector := append([]complex64(nil), x...)
+							onTier(goTier, func() { leg.fn(portable, tw) })
+							onTier(tier, func() { leg.fn(vector, tw) })
+							sameComplexBits(t, fmt.Sprintf("%s n=%d inverse=%v trial=%d", leg.name, n, inverse, trial), tier.name, portable, vector)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
 // TestConvolveBitIdenticalAcrossTiers runs the fused spectrum kernel at
-// every power of two up to 4096 — both parities of log₂n, so both fused
-// small ends and the lengths below them — on the portable passes and on
-// AVX2. On each tier it must equal the chain it fuses, DIF → SpectralMul →
-// DIT, bit for bit, and the tiers must equal each other; trials 7–9 carry a
-// NaN or ±Inf.
+// every power of two up to 4096 — both parities of log₂n, so every fused
+// small end (AVX2's blocks of 16 and 8, AVX-512's of 64 and 32) and the
+// lengths below them — on the portable passes, on AVX2 with AVX-512 off
+// and on AVX-512. On each tier it must equal the chain it fuses, DIF →
+// SpectralMul → DIT, bit for bit, and each vector tier must equal the
+// portable one; trials 7–9 carry a NaN or ±Inf.
 func TestConvolveBitIdenticalAcrossTiers(t *testing.T) {
-	if !kernels.HasAVX2() {
-		t.Skip("CPU or OS without AVX2: only the portable tier runs here")
-	}
-	rng := rand.New(rand.NewSource(36))
-	for n := 1; n <= 4096; n <<= 1 {
-		fwd, inv := kernels.FFTTwiddles(n, false), kernels.FFTTwiddles(n, true)
-		for trial := 0; trial < 10; trial++ {
-			x := randC64(rng, n)
-			if trial >= 7 {
-				bad := [...]float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}[trial-7]
-				x[rng.Intn(n)] = complex(1, bad)
+	for _, vt := range vectorTiers {
+		t.Run(vt.name, func(t *testing.T) {
+			vt.require(t)
+			rng := rand.New(rand.NewSource(36))
+			for n := 1; n <= 4096; n <<= 1 {
+				fwd, inv := kernels.FFTTwiddles(n, false), kernels.FFTTwiddles(n, true)
+				for trial := 0; trial < 10; trial++ {
+					x := randC64(rng, n)
+					if trial >= 7 {
+						bad := [...]float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}[trial-7]
+						x[rng.Intn(n)] = complex(1, bad)
+					}
+					gain := randF32(rng, n)
+					var outs [2][]complex64
+					for i, leg := range []tier{goTier, vt} {
+						fused := append([]complex64(nil), x...)
+						chain := append([]complex64(nil), x...)
+						onTier(leg, func() {
+							kernels.Convolve(fused, fwd, gain, inv)
+							kernels.DIF(chain, fwd)
+							kernels.SpectralMul(chain, gain)
+							kernels.DIT(chain, inv)
+						})
+						sameComplexBits(t, fmt.Sprintf("fused vs chain n=%d trial=%d", n, trial), leg.name, chain, fused)
+						outs[i] = fused
+					}
+					sameComplexBits(t, fmt.Sprintf("convolve n=%d trial=%d", n, trial), vt.name, outs[0], outs[1])
+				}
 			}
-			gain := randF32(rng, n)
-			var tiers [2][]complex64
-			for i, avx2 := range []bool{false, true} {
-				fused := append([]complex64(nil), x...)
-				chain := append([]complex64(nil), x...)
-				onTier(avx2, func() {
-					kernels.Convolve(fused, fwd, gain, inv)
-					kernels.DIF(chain, fwd)
-					kernels.SpectralMul(chain, gain)
-					kernels.DIT(chain, inv)
-				})
-				sameComplexBits(t, fmt.Sprintf("fused vs chain n=%d avx2=%v trial=%d", n, avx2, trial), chain, fused)
-				tiers[i] = fused
-			}
-			sameComplexBits(t, fmt.Sprintf("convolve n=%d trial=%d", n, trial), tiers[0], tiers[1])
-		}
+		})
 	}
 }
 
@@ -280,22 +317,30 @@ func bitsOf(x []float32) []uint32 {
 
 // TestFilterBitIdenticalAcrossTiers runs the whole ramp filter — ApplyInto,
 // Sweep at three worker counts, and ApplyEncoded from the encoded bytes
-// into a transposed block — on the portable passes and on the AVX2 tier for
+// into a transposed block — on the portable passes, on the AVX2 tier with
+// AVX-512 off and on the AVX-512 tier, one subtest per vector tier, for
 // every window, on every padded length L = 8…1024: odd log₂ (Nu 4 → 8,
 // 9 → 32, 48 and 64 → 128, 256 → 512, whose small end is the radix-2 pass
-// and its neighbour) and even log₂ (Nu 5 → 16, 17 → 64, 100 → 256, 512 →
-// 1024, whose small end is the pass over quads and its neighbour), and on
-// odd row counts (last row paired with zeros; 19 rows are one full group
-// of eight stored pairs and a short one), and on 32 rows, whose column
-// runs take the non-temporal stores where a block is aligned. The two
-// tiers must agree bit for
-// bit, both stay within 1e-6 of the image peak of the same filter on the
+// and its neighbours) and even log₂ (Nu 5 → 16, 17 → 64, 100 → 256, 512 →
+// 1024, whose small end is the pass over quads and its neighbours); L 8
+// and 16 are shorter than an AVX-512 block and take AVX2's small end on
+// that tier too. It also runs odd row counts (last row paired with zeros;
+// 19 rows are one full group of eight stored pairs and a short one), and
+// 32 rows, whose column runs take the non-temporal stores where a block is
+// aligned. Each vector tier must agree with the portable one bit for bit,
+// both stay within 1e-6 of the image peak of the same filter on the
 // reference kernels, and on every tier ApplyEncoded must equal the chain
 // it replaces — ImageFromBytesInto, ApplyInto, TransposeInto — bit for bit.
 func TestFilterBitIdenticalAcrossTiers(t *testing.T) {
-	if !kernels.HasAVX2() {
-		t.Skip("CPU or OS without AVX2: only the portable tier runs here")
+	for _, tier := range vectorTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			tier.require(t)
+			filterAcrossTiers(t, tier)
+		})
 	}
+}
+
+func filterAcrossTiers(t *testing.T, tier tier) {
 	for _, nu := range []int{4, 5, 9, 17, 48, 64, 100, 256, 512} {
 		for _, nv := range []int{6, 7, 19, 32} {
 			g := geometry.Default(nu, nv, 90, 32, 32, 32)
@@ -346,8 +391,8 @@ func TestFilterBitIdenticalAcrossTiers(t *testing.T) {
 					return run()
 				}()
 				var portable, vector []*volume.Image
-				onTier(false, func() { portable = run() })
-				onTier(true, func() { vector = run() })
+				onTier(goTier, func() { portable = run() })
+				onTier(tier, func() { vector = run() })
 				for n := range ref {
 					name := fmt.Sprintf("nu=%d nv=%d %v output %d", nu, nv, win, n)
 					var peak float64
@@ -356,7 +401,7 @@ func TestFilterBitIdenticalAcrossTiers(t *testing.T) {
 					}
 					for i, want := range portable[n].Data {
 						if got := vector[n].Data[i]; math.Float32bits(got) != math.Float32bits(want) {
-							t.Fatalf("%s: pixel %d = %v on avx2, %v on go", name, i, got, want)
+							t.Fatalf("%s: pixel %d = %v on %s, %v on go", name, i, got, tier.name, want)
 						}
 						if d := math.Abs(float64(want)-float64(ref[n].Data[i])) / peak; d > 1e-6 {
 							t.Fatalf("%s: pixel %d differs from the reference kernels by %g of the peak", name, i, d)

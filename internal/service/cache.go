@@ -258,15 +258,30 @@ func (c *Cache) spill(key string, e *Entry, size int64) {
 	c.mu.Unlock()
 }
 
+// validDims reports whether the meta names a volume a job could have
+// produced: every dimension within 1…maxNX, the admission limit of the
+// spec's grid. Anything else is a corrupt or foreign object, which must
+// neither reach volume.New (which panics on a non-positive dimension) nor
+// allocate past what admission would allow before its first slice is read.
+func (m spillMeta) validDims() bool {
+	for _, d := range [...]int{m.NX, m.NY, m.NZ} {
+		if d < 1 || d > maxNX {
+			return false
+		}
+	}
+	return true
+}
+
 // readSpill loads a spilled entry back from the PFS; a missing meta object
-// is an ordinary miss.
+// is an ordinary miss, an unreadable one or one whose dimensions are out of
+// range a counted spill error and a miss.
 func (c *Cache) readSpill(key string) (*Entry, bool) {
 	blob, _, err := c.store.Read(spillMetaPath(key))
 	if err != nil {
 		return nil, false
 	}
 	var meta spillMeta
-	if err := json.Unmarshal(blob, &meta); err != nil {
+	if err := json.Unmarshal(blob, &meta); err != nil || !meta.validDims() {
 		c.mu.Lock()
 		c.spillErrors++
 		c.mu.Unlock()

@@ -164,3 +164,63 @@ func TestCacheKeyPanicsOnNonFiniteGeometry(t *testing.T) {
 	}()
 	CacheKey(cfg)
 }
+
+// A spill meta object whose dimensions no job could have produced — absent,
+// non-positive, or past the admission limit — is a counted spill error and
+// a miss, not a panic in volume.New or an allocation of its product.
+func TestCacheSpillRejectsBadDimensions(t *testing.T) {
+	for _, meta := range []string{
+		`{}`,
+		`{"nx":-1,"ny":8,"nz":8}`,
+		`{"nx":8,"ny":0,"nz":8}`,
+		`{"nx":8,"ny":8,"nz":-8}`,
+		`{"nx":257,"ny":8,"nz":8}`,
+		`{"nx":100000,"ny":100000,"nz":100000}`,
+		`{"nx":9223372036854775807,"ny":2,"nz":2}`,
+	} {
+		c, store := spillCache(entrySize(entryOfSize(8)) + 256)
+		if _, err := store.Write(spillMetaPath("k"), []byte(meta)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Get("k"); ok {
+			t.Fatalf("meta %s: served an entry", meta)
+		}
+		if st := c.Stats(); st.SpillErrors != 1 || st.Misses != 1 {
+			t.Fatalf("meta %s: want one spill error and one miss, got %+v", meta, st)
+		}
+	}
+}
+
+// FuzzReadSpill: whatever bytes the meta object of a real 8³ spill holds,
+// Get never panics. It serves an entry only when the meta names dimensions
+// within the admission limit whose slices all decode to that shape —
+// and then exactly those dimensions and the spilled voxels — and otherwise
+// counts a spill error and misses.
+func FuzzReadSpill(f *testing.F) {
+	f.Fuzz(func(t *testing.T, meta []byte) {
+		const nx = 8
+		c, store := spillCache(entrySize(entryOfSize(nx)) + 256)
+		want := patternedEntry(nx, 3)
+		c.spill("k", want, entrySize(want))
+		if _, err := store.Write(spillMetaPath("k"), meta); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := c.Get("k")
+		st := c.Stats()
+		if !ok {
+			if st.SpillErrors != 1 {
+				t.Fatalf("miss without a spill error: %+v", st)
+			}
+			return
+		}
+		v := got.Volume
+		if v.Nx != nx || v.Ny != nx || v.Nz < 1 || v.Nz > maxNX {
+			t.Fatalf("served a %dx%dx%d volume from %dx%dx%d slices", v.Nx, v.Ny, v.Nz, nx, nx, nx)
+		}
+		for n, x := range v.Data {
+			if x != want.Volume.Data[n] {
+				t.Fatalf("voxel %d = %v, spilled %v", n, x, want.Volume.Data[n])
+			}
+		}
+	})
+}
