@@ -1,0 +1,169 @@
+#!/usr/bin/env bash
+# ci/run.sh <step> runs one CI step from the repository root; every step of
+# .github/workflows/ci.yml is a `run: ci/run.sh <step>` line, and
+# ci/workflow_test.go checks that the two agree.
+#
+# ci/run.sh offline runs every step in order except the three that cannot
+# run without the network or take a whole benchmark run: staticcheck and
+# govulncheck (fetched through go run …@version) and benchmark.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+step=${1:-}
+case "$step" in
+gofmt)
+	out=$(gofmt -l .)
+	if [ -n "$out" ]; then
+		echo "gofmt needed on:" && echo "$out" && exit 1
+	fi
+	;;
+vet)
+	go vet ./...
+	;;
+staticcheck)
+	go run honnef.co/go/tools/cmd/staticcheck@2025.1.1 ./...
+	;;
+govulncheck)
+	go run golang.org/x/vuln/cmd/govulncheck@latest ./...
+	;;
+build)
+	go build ./...
+	;;
+portable)
+	# The !amd64 stubs of the AVX2 and AVX-512 tiers (back-projection, the
+	# radix-4 FFT passes, the filter core's passes, small ends and fused
+	# ends) must compile and vet; off amd64 the kernels and the filter on
+	# them are portable Go.
+	GOARCH=arm64 go build ./...
+	GOARCH=arm64 go vet ./internal/ct/kernels/ ./internal/ct/backproject/ ./internal/fft/ ./internal/ct/filter/
+	;;
+build-gate)
+	# The public surface and the router must always compile standalone.
+	go build ./pkg/... ./cmd/ifdk-router ./cmd/ifdkd ./cmd/ifdk-load
+	;;
+test)
+	go test -shuffle=on ./...
+	;;
+examples)
+	# The smoke run; the client leg submits through the SDK to an
+	# in-process daemon and verifies against serial FDK.
+	go run ./examples/quickstart
+	go run ./examples/client -nx 16
+	;;
+benchmark-module)
+	# A nested go.mod, so ./... above compiles neither benchmark/ nor its
+	# tests.
+	(cd benchmark && go test ./...)
+	;;
+coverage)
+	# Service, core and client; the floors are earlier baselines.
+	go test -shuffle=on -cover ./internal/service/ ./internal/core/ ./pkg/client/ | tee cover.txt
+	svc=$(grep 'internal/service' cover.txt | grep -o 'coverage: [0-9.]*' | grep -o '[0-9.]*')
+	cli=$(grep 'pkg/client' cover.txt | grep -o 'coverage: [0-9.]*' | grep -o '[0-9.]*')
+	rm -f cover.txt
+	echo "internal/service coverage: ${svc}%  pkg/client coverage: ${cli}%"
+	awk -v c="$svc" 'BEGIN { if (c+0 < 89.0) { print "service coverage " c "% dropped below the 89.0% baseline"; exit 1 } }'
+	awk -v c="$cli" 'BEGIN { if (c+0 < 74.0) { print "pkg/client coverage " c "% dropped below the 74.0% baseline"; exit 1 } }'
+	;;
+bench-smoke)
+	# One iteration of every benchmark keeps the benchmark code compiling.
+	go test -run '^$' -bench . -benchtime 1x ./...
+	;;
+gates)
+	# Allocation and determinism gates: the filter allocates nothing per
+	# projection (ApplyInto, Sweep, and ApplyEncoded from the staged bytes
+	# into the transposed block at even and odd Nv and at Nu 256, where the
+	# fused ends prefetch) and Sweep ≡ ApplyInto
+	# bitwise at any worker count; back-projection allocates nothing per
+	# projection (Proposed, slab pairs at h = 5, the fleet_mixed depth h = 2
+	# and the window tier's h = 16, Standard and an ablation variant) and
+	# returns every pooled byte; pooled collectives; decimation allocates
+	# nothing; the analytic renderer ≡ the one-ray derivation bitwise.
+	go test -run 'TestApplyIntoSteadyStateAllocs|TestSweepBitIdenticalToApplyInto' -v ./internal/ct/filter/
+	go test -run 'TestAnalyticBitIdenticalToOneRayLoop' -v ./internal/ct/projector/
+	go test -run 'TestBackprojectSteadyStateAllocs' -v ./internal/ct/backproject/
+	go test -run 'AllocRegression' -v ./internal/hpc/mpi/
+	go test -run 'TestDecimateIntoNoAllocs' -v ./internal/ct/preview/
+	;;
+durability)
+	# Crash/restart, failover, progressive end to end and parallel staging
+	# under cancel and write faults, under the race detector.
+	go test -race -count=1 -run 'TestCrashRestart|TestJournal|TestCancelPopRace|TestLifecycleTable|TestApplyRefusesStaleState|TestTraceCompleteWhileJobRetained' ./internal/service/
+	go test -race -count=1 -run 'TestE2EProgressiveCoarseToFine|TestPreviewCacheNeverAliases' ./internal/service/
+	go test -race -count=50 -run 'TestCancelDuringStaging|TestStagingWriteFaultMidScan' ./internal/service/
+	go test -race -count=1 -run 'TestFailoverPendingJobs|TestRelaySurvives|TestTerminalRouteTTL|TestProgressiveStreamThroughRouter|TestRouteTable|TestRoutesWrittenOnlyByApply|TestStrandedRoute' ./internal/router/
+	;;
+tiers)
+	# Kernel tiers under the race detector: ref / portable / AVX2 / AVX-512
+	# parity (the avx512 legs skip on a host without AVX-512, and the isa=
+	# line says which ran) — the back-projection driver on whole and
+	# slab-pair volumes, the window tier's path mix, the FFT passes,
+	# Convolve, the filter's fused ends (TestFusedEndsSignedZeros) and the
+	# filter on them, the fuzz seeds; the blocked epilogue's transpose,
+	# pinned volume bits and plane-buffer release; the in-place reduce's
+	# tree order.
+	go test -count=1 -v -run 'TestISAValues' ./internal/ct/kernels/ | grep 'isa='
+	go test -race -count=1 ./internal/ct/kernels/ ./internal/ct/backproject/ ./internal/ct/filter/
+	go test -race -count=1 -run 'TestVolumeBitsPinned|TestEpilogueFailureReleasesPlanes' ./internal/core/
+	go test -race -count=1 -run 'KMajorToIMajor|Reshape' ./pkg/volume/
+	go test -race -count=1 -run 'Reduce' ./internal/hpc/mpi/
+	;;
+tiers-v3)
+	# The kernel tiers and the pinned bits built at GOAMD64=v3: coverage of
+	# the AVX2-era code generation the portable loops get there. amd64
+	# emits no fused multiply-add at v1 or at v3, so this step is not a
+	# fusion check.
+	GOAMD64=v3 go test -count=1 -v -run 'TestISAValues' ./internal/ct/kernels/ | grep 'isa='
+	GOAMD64=v3 go test -count=1 ./internal/ct/kernels/ ./internal/ct/filter/ ./internal/ct/backproject/ ./internal/ct/projector/
+	GOAMD64=v3 go test -count=1 -run 'TestVolumeBitsPinned' ./internal/core/
+	;;
+race)
+	go test -race -shuffle=on ./...
+	;;
+flake-screen)
+	# Concurrent packages, 20 shuffled repeats: a test that is red one run
+	# in six must not reach main unseen.
+	go test -count=20 -shuffle=on ./internal/service/... ./internal/router/ ./internal/core/ \
+		./internal/hpc/mpi/ ./pkg/client/
+	;;
+trace-spans)
+	# Every lifecycle span, store included, on every run of 500; a settled
+	# job's trace stays complete while its record lives.
+	go test -count=500 -run 'TestTraceEndToEnd|TestRouterTraceEndToEnd|TestTraceCompleteWhileJobRetained' ./internal/service/ ./internal/router/
+	;;
+fuzz)
+	# Ten seconds each: the wire codec (pkg/api's one SSE / slice-stream
+	# decoder), the traceparent parser, the spec resolver, journal replay and
+	# compaction, the spill reader, the projection decoder, and the assembly
+	# wrappers across tiers (DIF / DIT / Convolve, AccumColumns and
+	# AccumColumnsWindow, filter.ApplyEncoded ≡ decode → ApplyInto →
+	# TransposeInto). The seeds also run as plain tests in the test step.
+	go test -run '^$' -fuzz FuzzReadEvents -fuzztime 10s ./pkg/api
+	go test -run '^$' -fuzz FuzzSliceReader -fuzztime 10s ./pkg/api
+	go test -run '^$' -fuzz FuzzParseTraceParent -fuzztime 10s ./pkg/api
+	go test -run '^$' -fuzz FuzzResolveSpec -fuzztime 10s ./internal/service
+	go test -run '^$' -fuzz FuzzReadJournal -fuzztime 10s ./internal/service
+	go test -run '^$' -fuzz FuzzReadSpill -fuzztime 10s ./internal/service
+	go test -run '^$' -fuzz FuzzImageFromBytesInto -fuzztime 10s ./pkg/volume
+	go test -run '^$' -fuzz FuzzRadix4Tiers -fuzztime 10s ./internal/ct/kernels
+	go test -run '^$' -fuzz FuzzAccumColumnsTiers -fuzztime 10s ./internal/ct/kernels
+	go test -run '^$' -fuzz FuzzApplyEncodedTiers -fuzztime 10s ./internal/ct/kernels
+	;;
+benchmark)
+	# One real fleet_mixed run; a non-zero exit fails the step.
+	bash benchmark/run.sh --workload fleet_mixed --seed 1 --seconds 18 --trace 0
+	;;
+offline)
+	for s in $(grep -oE '^[a-z0-9-]+\)$' "$0" | tr -d ')'); do
+		case "$s" in
+		staticcheck | govulncheck | benchmark | offline) continue ;;
+		esac
+		echo "== ci/run.sh $s"
+		"$0" "$s"
+	done
+	;;
+*)
+	echo "usage: ci/run.sh <step>; steps:" $(grep -oE '^[a-z0-9-]+\)$' "$0" | tr -d ')') >&2
+	exit 2
+	;;
+esac

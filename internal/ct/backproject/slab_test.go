@@ -313,6 +313,11 @@ func TestWindowDispatch(t *testing.T) {
 		{"10 rows per plane", geometry.Default(64, 320, 40, 24, 24, 32), 16, false},
 	} {
 		step := maxVStep(geometry.ProjectionMatrices(c.g), c.g.Nx, c.g.Ny)
+		// The step bounds the detector rows an h-depth block spans,
+		// (h−1)·step plus the bilinear taps: projection_heavy's 17.9 rows
+		// per plane put ≈ 127 rows under an 8-depth block, past any 16- or
+		// 32-sample window.
+		t.Logf("%s: h=%d, max step %.2f rows/plane", c.name, c.h, step)
 		want := c.window && kernels.ISA() == "avx512"
 		if got := kernels.WindowFits(c.h, c.g.Nv, step); got != want {
 			t.Errorf("%s (h=%d, Nv=%d, max step %.2f rows/plane, isa=%s): window kernel %v, want %v", c.name, c.h, c.g.Nv, step, kernels.ISA(), got, want)

@@ -6,7 +6,7 @@
 // The paper runs this stage on the CPUs with multi-threading and SIMD; here
 // the multi-threading maps to the shared engine scheduler (Sweep), the FFT
 // primitives are the radix-4 passes of internal/ct/kernels, and the SIMD is
-// their AVX2 tier, bit-identical to the portable passes.
+// their AVX2 and AVX-512 tiers, bit-identical to the portable passes.
 //
 // Hot path. Detector rows are real float32 and the ramp spectrum is real and
 // even, so the filter works on two rows per complex FFT: rows 2k and 2k+1
@@ -15,8 +15,8 @@
 // transforms it by decimation in frequency (natural in, bit-reversed out),
 // multiplies it by the ramp gain — stored once in bit-reversed order with
 // 1/L folded in — and transforms it back by decimation in time
-// (bit-reversed in, natural out); on AVX2 the two smallest passes of each
-// transform and the gain run as one loop over blocks held in registers. A
+// (bit-reversed in, natural out); the smallest passes of each transform
+// and the gain run as one loop over blocks held in registers. A
 // real gain never mixes the two parts, so they come back as the two
 // filtered rows: no permutation, no half-spectrum unpack, no scaling pass.
 //
@@ -25,9 +25,16 @@
 // stores the filtered pairs into the transposed block back-projection
 // reads, eight pairs at a time so that each detector column receives one
 // 64-byte run: no decoded image, no filtered image, no separate transpose.
-// Apply, ApplyInto and Sweep, for fdk, preview and verification, read and
-// write images (ApplyInto may filter in place). Scratch comes from an
-// engine buffer pool, so neither end allocates per row or per projection.
+// On AVX-512 hosts its two ends live inside the transform
+// (kernels.ConvolvePairLE and kernels.TransposeConvolved): the first DIF
+// pass weights the payload bytes and never touches the zero half of the
+// padded row, the next pair's bytes are prefetched while this one is
+// transformed, and the last DIT pass computes only the Nu outputs it keeps,
+// straight into the block. Apply,
+// ApplyInto and Sweep, for fdk, preview and verification, read and write
+// images (ApplyInto may filter in place) through kernels.Convolve. Scratch
+// comes from an engine buffer pool, so neither end allocates per row or per
+// projection.
 // The complex128 row-at-a-time path the parity tests compare against lives
 // in ref_test.go.
 //
@@ -276,7 +283,7 @@ func (f *Filterer) ApplyInto(e, q *volume.Image) error {
 // layout Alg. 4 line 3 back-projects (V fast: block[u·Nv+v]). It equals
 // decoding the blob, ApplyInto and a transpose, bit for bit, without any
 // of the three: each row pair is cosine-weighted from the payload bytes
-// and goes through the same core as ApplyInto's pairs, and every
+// and goes through the same transform as ApplyInto's pairs, and every
 // kernels.LinePairs filtered pairs are stored into the block a whole
 // column run at a time. The header is checked as volume.ImageFromBytesInto
 // checks it, and block must hold Nu·Nv values; nothing is written when an
@@ -296,22 +303,24 @@ func (f *Filterer) ApplyEncoded(blob []byte, block []float32) error {
 		rows := min(2*kernels.LinePairs, nv-v0)
 		for p := 0; 2*p < rows; p++ {
 			v := v0 + 2*p
-			buf := stash.Data[p*f.l : (p+1)*f.l]
 			src1, cos1 := f.zeroLE, f.zero
 			if v+1 < nv {
 				src1, cos1 = payload[(v+1)*row:(v+2)*row], f.cosTab.Row(v+1)
 			}
-			kernels.CosineWeightPairLE(buf, payload[v*row:(v+1)*row], f.cosTab.Row(v), src1, cos1)
-			f.convolve(buf)
+			next := payload[min((v+2)*row, len(payload)):min((v+4)*row, len(payload))]
+			kernels.ConvolvePairLE(stash.Data[p*f.l:(p+1)*f.l], payload[v*row:(v+1)*row], f.cosTab.Row(v), src1, cos1,
+				f.fwd, f.gain, f.inv, next)
 		}
-		kernels.TransposePairs(block[v0:], nv, stash.Data, f.l, nu, rows)
+		kernels.TransposeConvolved(block[v0:], nv, stash.Data, f.l, nu, rows, f.inv)
 	}
 	stash.Release()
 	return nil
 }
 
-// filterPair is the image end of the filter: rows v and v+1 of e (v even)
-// through the core into the same rows of q.
+// filterPair is the image end of the filter: rows v and v+1 of e (v even),
+// cosine-weighted and zero-padded to L, through the forward transform, ramp
+// gain and inverse transform in one kernel call (all float32) into the same
+// rows of q.
 func (f *Filterer) filterPair(e, q *volume.Image, v int, buf []complex64) {
 	paired := v+1 < e.H
 	if paired {
@@ -319,7 +328,8 @@ func (f *Filterer) filterPair(e, q *volume.Image, v int, buf []complex64) {
 	} else {
 		kernels.CosineWeightPair(buf, e.Row(v), f.cosTab.Row(v), f.zero, f.zero)
 	}
-	f.convolve(buf)
+	clear(buf[f.g.Nu:])
+	kernels.Convolve(buf, f.fwd, f.gain, f.inv)
 	out := q.Row(v)
 	if !paired {
 		for u := range out {
@@ -332,14 +342,6 @@ func (f *Filterer) filterPair(e, q *volume.Image, v int, buf []complex64) {
 	for u := range out {
 		out[u], out1[u] = real(buf[u]), imag(buf[u])
 	}
-}
-
-// convolve is the one filter core both ends share: a cosine-weighted row
-// pair in buf[:Nu], zero-padded to L, forward transform, ramp gain and
-// inverse transform in one kernel call. All arithmetic is float32.
-func (f *Filterer) convolve(buf []complex64) {
-	clear(buf[f.g.Nu:])
-	kernels.Convolve(buf, f.fwd, f.gain, f.inv)
 }
 
 // Sweep filters every projection of ins into the matching entry of outs in

@@ -157,10 +157,12 @@ func TestApplyIntoSteadyStateAllocs(t *testing.T) {
 		t.Errorf("ApplyInto allocates %.2f objects/projection in steady state", avg)
 	}
 	// The pipeline's entry, from the staged bytes into the transposed block:
-	// its stash and an odd last row's zero partner are not per-call either.
-	for _, nv := range []int{g.Nv, g.Nv + 1} {
+	// its stash and an odd last row's zero partner are not per-call either,
+	// nor is the prefetch of the next pair, which passes between the ends
+	// make at Nu 256 (L = 512) on AVX-512 hosts.
+	for _, det := range [][2]int{{g.Nu, g.Nv}, {g.Nu, g.Nv + 1}, {256, 33}} {
 		g := g
-		g.Nv = nv
+		g.Nu, g.Nv = det[0], det[1]
 		f, err := New(g, RamLak)
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +180,7 @@ func TestApplyIntoSteadyStateAllocs(t *testing.T) {
 			}
 		})
 		if avg > 0.5 {
-			t.Errorf("ApplyEncoded (Nv %d) allocates %.2f objects/projection in steady state", nv, avg)
+			t.Errorf("ApplyEncoded (Nu %d, Nv %d) allocates %.2f objects/projection in steady state", g.Nu, g.Nv, avg)
 		}
 	}
 	// The shared sweep, serial and fanned out: nothing per row pair or per

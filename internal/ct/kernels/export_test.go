@@ -25,3 +25,20 @@ func UseRef() (restore func()) {
 	useFast = false
 	return func() { useFast = true }
 }
+
+// FirstPassLE runs the first DIF pass of ConvolvePairLE alone on an
+// AVX-512 host, fused or as the chain the fusion replaces —
+// CosineWeightPairLE, clear and difPassAVX512 over blocks of len(x) — so
+// that a test can compare the two before the rest of the transform mixes
+// their zeros. len(x) must be at least 64.
+func FirstPassLE(x []complex64, src0 []byte, cos0 []float32, src1 []byte, cos1 []float32, fwd []complex64, fused bool) {
+	q := len(x) / 4
+	w, s := fwd[twiddleLen(q):], imag(fwd[0])
+	if fused {
+		difFirstLEAVX512(x, src0, cos0, src1, cos1, w, s)
+		return
+	}
+	CosineWeightPairLE(x, src0, cos0, src1, cos1)
+	clear(x[len(cos0):])
+	difPassAVX512(x, w, q, s, nil)
+}

@@ -318,7 +318,7 @@ func difLarge(x, tw []complex64, s float32, block int) {
 	for q := len(x) >> 2; q >= block; q >>= 2 {
 		w := tw[twiddleLen(q):twiddleLen(4*q)]
 		if onAVX512() {
-			difPassAVX512(x, w, q, s)
+			difPassAVX512(x, w, q, s, nil)
 		} else {
 			difPassAVX2(x, w, q, s)
 		}
@@ -331,7 +331,7 @@ func ditLarge(x, tw []complex64, s float32, block int) {
 	for q := block; 4*q <= len(x); q <<= 2 {
 		w := tw[twiddleLen(q):twiddleLen(4*q)]
 		if onAVX512() {
-			ditPassAVX512(x, w, q, s)
+			ditPassAVX512(x, w, q, s, nil)
 		} else {
 			ditPassAVX2(x, w, q, s)
 		}
@@ -364,8 +364,7 @@ func Convolve(x, fwd []complex64, gain []float32, inv []complex64) {
 
 // convolveFast picks the small end by the parity of log₂n and the tier;
 // rows shorter than the AVX-512 block take the AVX2 one. Each small end
-// gets the tables below its block: entries 4… for even log₂n, whose first
-// run (the quads') is all ones, 1… for odd.
+// gets the tables below its block, as convolveSmall512 gives them.
 func convolveFast(x, fwd []complex64, gain []float32, inv []complex64) {
 	n := len(x)
 	if !useAVX2 || n < 8 {
@@ -376,15 +375,11 @@ func convolveFast(x, fwd []complex64, gain []float32, inv []complex64) {
 	}
 	s, si := imag(fwd[0]), imag(inv[0])
 	even := firstRadix4(n) == 4
-	switch {
-	case even && onAVX512() && n >= 64:
-		difLarge(x, fwd, s, 64)
-		convolveSmall64AVX512(x, fwd[4:64], gain, inv[4:64], s, si)
-		ditLarge(x, inv, si, 64)
-	case !even && onAVX512() && n >= 32:
-		difLarge(x, fwd, s, 32)
-		convolveSmall32AVX512(x, fwd[1:31], gain, inv[1:31], s, si)
-		ditLarge(x, inv, si, 32)
+	switch block := smallEnd512(n); {
+	case onAVX512() && n >= block:
+		difLarge(x, fwd, s, block)
+		convolveSmall512(x, fwd, gain, inv, s, si)
+		ditLarge(x, inv, si, block)
 	case even:
 		difLarge(x, fwd, s, 16)
 		convolveSmall16AVX2(x, fwd[4:16], gain, inv[4:16], s, si)
@@ -393,6 +388,27 @@ func convolveFast(x, fwd []complex64, gain []float32, inv []complex64) {
 		difLarge(x, fwd, s, 8)
 		convolveSmall8AVX2(x, fwd[1:7], gain, inv[1:7], s, si)
 		ditLarge(x, inv, si, 8)
+	}
+}
+
+// smallEnd512 is the block size of Convolve's small end on AVX-512 for an
+// n-point row: 64 for even log₂n, 32 for odd.
+func smallEnd512(n int) int {
+	if firstRadix4(n) == 4 {
+		return 64
+	}
+	return 32
+}
+
+// convolveSmall512 runs the AVX-512 small end of the parity of log₂len(x)
+// over x, whose length must be a multiple of its block, with the tables'
+// entries below the block: 4… for even log₂n, whose first run (the quads')
+// is all ones, 1… for odd.
+func convolveSmall512(x, fwd []complex64, gain []float32, inv []complex64, s, si float32) {
+	if smallEnd512(len(x)) == 64 {
+		convolveSmall64AVX512(x, fwd[4:64], gain, inv[4:64], s, si)
+	} else {
+		convolveSmall32AVX512(x, fwd[1:31], gain, inv[1:31], s, si)
 	}
 }
 

@@ -45,13 +45,39 @@ func convolveSmall16AVX2(x, w []complex64, gain []float32, wi []complex64, s, si
 func convolveSmall8AVX2(x, w []complex64, gain []float32, wi []complex64, s, si float32)
 
 // difPassAVX512 and ditPassAVX512 are difPassAVX2 and ditPassAVX2 over
-// eight complex64 per register: q must be a multiple of 8.
+// eight complex64 per register: q must be a multiple of 8. Each step of
+// eight k also prefetches the next 64-byte line of pf into L1, until pf
+// runs out: a pass makes len(x)/32 steps.
 //
 //go:noescape
-func difPassAVX512(x, w []complex64, q int, s float32)
+func difPassAVX512(x, w []complex64, q int, s float32, pf []byte)
 
 //go:noescape
-func ditPassAVX512(x, w []complex64, q int, s float32)
+func ditPassAVX512(x, w []complex64, q int, s float32, pf []byte)
+
+// difFirstLEAVX512 is the first DIF pass of the filter's fused end, block
+// size L = len(x) and quarter q = L/4, on the row CosineWeightPairLE and
+// clear would have built: x[k] weighted from the payload, x[k+q] too where
+// k+q < nu = len(cos0) and +0 past it, and x[k+2q] = x[k+3q] = +0, which
+// are never read. It is difFast's portable butterfly with a2 = a3 = +0 —
+// the sums still add a zero, the differences are the operand itself — over
+// sixteen k per step: w is the pass's three runs, q must be a multiple of
+// 16, and L/4 < nu ≤ L/2. It reads 4·nu bytes of src0 and src1 and nu
+// floats of cos1, through masked loads past the payload's end.
+//
+//go:noescape
+func difFirstLEAVX512(x []complex64, src0 []byte, cos0 []float32, src1 []byte, cos1 []float32, w []complex64, s float32)
+
+// ditLastAVX512 is ditLastStore for LinePairs pairs l complex64 apart in
+// src, over eight k per step, q = l/4 a multiple of 8: steps 0 … both−1
+// store the outputs k and q+k, the steps after them, up to k = q, output k
+// alone. Each column u goes out as one 64-byte run at dst + u·4·stride,
+// non-temporal where dst and the column step are 32-byte aligned, as
+// transposePairs8AVX2's. w is the pass's three runs, and the wrapper has
+// checked every index it touches.
+//
+//go:noescape
+func ditLastAVX512(dst []float32, stride int, src []complex64, l int, w []complex64, s float32, both int)
 
 // convolveSmall64AVX512 is the small end of Convolve for even log₂n on
 // AVX-512: the three smallest DIF passes, SpectralMul and the three

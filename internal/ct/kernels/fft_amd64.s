@@ -10,7 +10,9 @@
 // AVX2 the two smallest into one routine each way, and for Convolve into
 // one routine with the gains between the transforms (second part of the
 // file); on AVX-512, the filter core, the three smallest of each transform
-// and the gains over blocks of 64 or 32 (last part).
+// and the gains over blocks of 64 or 32 (third part). The last part is the
+// filter's fused ends on AVX-512: the first DIF pass from the payload bytes
+// and the last DIT pass into the transposed block.
 
 // Sign bit on the even (real) floats: XORed into a broadcast s it gives
 // (−s, s, −s, s, …), the vector that turns (im, re) into j·(re, im).
@@ -585,8 +587,8 @@ convolve8done:
 	VMULPS     Z9, Z10, Z10; \
 	VADDPS     Z10, X, X
 
-// func difPassAVX512(x, w []complex64, q int, s float32)
-TEXT ·difPassAVX512(SB), NOSPLIT, $0-60
+// func difPassAVX512(x, w []complex64, q int, s float32, pf []byte)
+TEXT ·difPassAVX512(SB), NOSPLIT, $0-88
 	MOVQ x_base+0(FP), SI
 	MOVQ x_len+8(FP), DI
 	LEAQ (SI)(DI*8), DI
@@ -598,11 +600,20 @@ TEXT ·difPassAVX512(SB), NOSPLIT, $0-60
 	CMPQ AX, DI
 	JHI  dif512done // no whole block
 	SIGN512(s+56(FP), Z14, Z15)
+	MOVQ pf_base+64(FP), BX
+	MOVQ pf_len+72(FP), CX
+	ADDQ BX, CX // end of pf
 
 dif512block:
 	XORQ AX, AX
 
 dif512k:
+	CMPQ       BX, CX
+	JAE        dif512load
+	PREFETCHT0 (BX)
+	ADDQ       $64, BX
+
+dif512load:
 	VMOVUPS (SI)(AX*1), Z0
 	VMOVUPS (R11)(AX*1), Z1
 	VMOVUPS (R12)(AX*1), Z2
@@ -628,8 +639,8 @@ dif512k:
 dif512done:
 	RET
 
-// func ditPassAVX512(x, w []complex64, q int, s float32)
-TEXT ·ditPassAVX512(SB), NOSPLIT, $0-60
+// func ditPassAVX512(x, w []complex64, q int, s float32, pf []byte)
+TEXT ·ditPassAVX512(SB), NOSPLIT, $0-88
 	MOVQ x_base+0(FP), SI
 	MOVQ x_len+8(FP), DI
 	LEAQ (SI)(DI*8), DI
@@ -641,11 +652,20 @@ TEXT ·ditPassAVX512(SB), NOSPLIT, $0-60
 	CMPQ AX, DI
 	JHI  dit512done // no whole block
 	SIGN512(s+56(FP), Z14, Z15)
+	MOVQ pf_base+64(FP), BX
+	MOVQ pf_len+72(FP), CX
+	ADDQ BX, CX // end of pf
 
 dit512block:
 	XORQ AX, AX
 
 dit512k:
+	CMPQ       BX, CX
+	JAE        dit512load
+	PREFETCHT0 (BX)
+	ADDQ       $64, BX
+
+dit512load:
 	VMOVUPS (SI)(AX*1), Z0
 	VMOVUPS (R11)(AX*1), Z1
 	VMOVUPS (R12)(AX*1), Z2
@@ -1077,4 +1097,376 @@ convolve32:
 	VZEROUPPER
 
 convolve32done:
+	RET
+
+// The filter's fused ends on AVX-512 (ConvolvePairLE, TransposeConvolved):
+// the first DIF pass with the cosine weighting of the payload bytes in
+// registers, and the last DIT pass with only its kept outputs, stored
+// straight into the transposed block. Both perform the float32 operations
+// of difFast's and ditFast's portable loops in their order, less the
+// pruned differences a − (+0), which are a exactly, and the outputs the
+// block does not keep.
+
+// Interleave indices: VPERMT2PS with ilo<> makes (p0[0], p1[0], p0[1],
+// p1[1], …, p0[7], p1[7]) of two rows p0, p1 — eight complex64 — and with
+// ihi<> the same from element 8 on; iota<> is 0…15.
+DATA ilo<>+0(SB)/8, $0x0000001000000000
+DATA ilo<>+8(SB)/8, $0x0000001100000001
+DATA ilo<>+16(SB)/8, $0x0000001200000002
+DATA ilo<>+24(SB)/8, $0x0000001300000003
+DATA ilo<>+32(SB)/8, $0x0000001400000004
+DATA ilo<>+40(SB)/8, $0x0000001500000005
+DATA ilo<>+48(SB)/8, $0x0000001600000006
+DATA ilo<>+56(SB)/8, $0x0000001700000007
+GLOBL ilo<>(SB), RODATA|NOPTR, $64
+
+DATA ihi<>+0(SB)/8, $0x0000001800000008
+DATA ihi<>+8(SB)/8, $0x0000001900000009
+DATA ihi<>+16(SB)/8, $0x0000001a0000000a
+DATA ihi<>+24(SB)/8, $0x0000001b0000000b
+DATA ihi<>+32(SB)/8, $0x0000001c0000000c
+DATA ihi<>+40(SB)/8, $0x0000001d0000000d
+DATA ihi<>+48(SB)/8, $0x0000001e0000000e
+DATA ihi<>+56(SB)/8, $0x0000001f0000000f
+GLOBL ihi<>(SB), RODATA|NOPTR, $64
+
+DATA iota<>+0(SB)/8, $0x0000000100000000
+DATA iota<>+8(SB)/8, $0x0000000300000002
+DATA iota<>+16(SB)/8, $0x0000000500000004
+DATA iota<>+24(SB)/8, $0x0000000700000006
+DATA iota<>+32(SB)/8, $0x0000000900000008
+DATA iota<>+40(SB)/8, $0x0000000b0000000a
+DATA iota<>+48(SB)/8, $0x0000000d0000000c
+DATA iota<>+56(SB)/8, $0x0000000f0000000e
+GLOBL iota<>(SB), RODATA|NOPTR, $64
+
+// CMULM(X, M) multiplies X by the eight twiddles at memory operand M, as
+// CMUL512 does, Z10–Z12 scratch.
+#define CMULM(X, M) \
+	VMOVSLDUP M, Z10; \
+	VMOVSHDUP M, Z11; \
+	VPXORD    Z14, Z11, Z11; \
+	CMULS(X, Z10, Z11, Z12)
+
+// FIRSTDIF(A0, A1, OFF) is the first pass's butterfly on eight k: A0 and
+// A1 hold a0 and a1, Z13 is +0 (a2 = a3), and the four outputs go to the
+// quarters at OFF bytes past k. Z6–Z9 scratch.
+#define FIRSTDIF(A0, A1, OFF) \
+	VADDPS    Z13, A0, Z6; \
+	VADDPS    Z13, A1, Z7; \
+	VPERMILPS $0xB1, A1, Z8; \
+	VMULPS    Z15, Z8, Z8; \
+	VADDPS    Z7, Z6, Z9; \
+	VMOVUPS   Z9, OFF(DI)(BX*2); \
+	VSUBPS    Z7, Z6, Z9; \
+	CMULM(Z9, OFF(DX)(CX*2)); \
+	VMOVUPS   Z9, OFF(DI)(CX*2); \
+	VADDPS    Z8, A0, Z9; \
+	CMULM(Z9, OFF(DX)(BX*2)); \
+	VMOVUPS   Z9, OFF(R11)(BX*2); \
+	VSUBPS    Z8, A0, Z9; \
+	CMULM(Z9, OFF(R13)(BX*2)); \
+	VMOVUPS   Z9, OFF(R12)(BX*2)
+
+// func difFirstLEAVX512(x []complex64, src0 []byte, cos0 []float32, src1 []byte, cos1 []float32, w []complex64, s float32)
+//
+// Sixteen k per step. BX is 4k and CX 4(k+q): the byte offsets of a0's and
+// a1's floats in the payload rows and cosine rows, and at twice the scale
+// the offsets of quarters xa, xb and of runs w1, w2; R11 and R12 point at
+// xc and xd, R13 at w3. a1 loads under the mask K1 of its lanes below nu
+// (Z22 counts k+q+lane, Z23 holds nu), so the lanes past the payload are
+// 0·0 = +0, as the cleared row holds.
+TEXT ·difFirstLEAVX512(SB), NOSPLIT, $0-148
+	MOVQ x_base+0(FP), DI
+	MOVQ x_len+8(FP), AX // 4q
+	MOVQ src0_base+24(FP), SI
+	MOVQ cos0_base+48(FP), R8
+	MOVQ src1_base+72(FP), R9
+	MOVQ cos1_base+96(FP), R10
+	MOVQ w_base+120(FP), DX
+	LEAQ (DI)(AX*4), R11  // xc = x + 16q bytes
+	LEAQ (R11)(AX*2), R12 // xd
+	LEAQ (DX)(AX*4), R13  // w3
+	SIGN512(s+144(FP), Z14, Z15)
+	VPXORD       Z13, Z13, Z13
+	VMOVUPS      ilo<>(SB), Z20
+	VMOVUPS      ihi<>(SB), Z21
+	MOVQ         AX, CX
+	SHRQ         $2, CX
+	VPBROADCASTD CX, Z22
+	VPADDD       iota<>(SB), Z22, Z22 // q + lane
+	MOVQ         cos0_len+56(FP), CX
+	VPBROADCASTD CX, Z23              // nu
+	MOVL         $16, CX
+	VPBROADCASTD CX, Z24
+	XORQ         BX, BX
+	MOVQ         AX, CX               // 4q
+
+firstk:
+	VMOVUPS   (SI)(BX*1), Z0
+	VMULPS    (R8)(BX*1), Z0, Z0  // x0·cos0
+	VMOVUPS   (R9)(BX*1), Z1
+	VMULPS    (R10)(BX*1), Z1, Z1 // x1·cos1
+	VMOVAPS   Z0, Z2
+	VPERMT2PS Z1, Z20, Z0         // a0, k…k+7
+	VPERMT2PS Z1, Z21, Z2         // a0, k+8…k+15
+	VPCMPD    $1, Z23, Z22, K1    // k+q+lane < nu
+	VPADDD    Z24, Z22, Z22
+	VMOVUPS.Z (SI)(CX*1), K1, Z3
+	VMOVUPS.Z (R8)(CX*1), K1, Z4
+	VMULPS    Z4, Z3, Z3
+	VMOVUPS.Z (R9)(CX*1), K1, Z4
+	VMOVUPS.Z (R10)(CX*1), K1, Z5
+	VMULPS    Z5, Z4, Z4
+	VMOVAPS   Z3, Z5
+	VPERMT2PS Z4, Z20, Z3         // a1, k…k+7
+	VPERMT2PS Z4, Z21, Z5         // a1, k+8…k+15
+	FIRSTDIF(Z0, Z3, 0)
+	FIRSTDIF(Z2, Z5, 64)
+	ADDQ      $64, BX
+	ADDQ      $64, CX
+	CMPQ      BX, AX
+	JLT       firstk
+
+	VZEROUPPER
+	RET
+
+// LASTTW splits the twiddles of eight k at DX — w1, and w2 and w3 one and
+// two runs (R10 bytes) on — into Z6, Z7 (w1), Z4, Z5 (w2) and Z12, Z13
+// (w3), Z14 holding the sign bit on the real floats.
+#define LASTTW \
+	SPLIT512((DX), Z6, Z7, Z14); \
+	SPLIT512((DX)(R10*1), Z4, Z5, Z14); \
+	SPLIT512((DX)(R10*2), Z12, Z13, Z14)
+
+// LASTT loads the next pair's quarters at BX and forms t1, t2, t3 in Z1–Z3
+// beside a0 in Z0, moving BX one pair (R12 bytes) on.
+#define LASTT \
+	VMOVUPS (BX), Z0; \
+	VMOVUPS (BX)(R10*1), Z1; \
+	VMOVUPS (BX)(R10*2), Z2; \
+	VMOVUPS (BX)(R11*1), Z3; \
+	ADDQ    R12, BX; \
+	CMULS(Z1, Z4, Z5, Z8); \
+	CMULS(Z2, Z6, Z7, Z9); \
+	CMULS(Z3, Z12, Z13, Z10)
+
+// LASTBOTH(OUT0, OUT1) is the next pair's outputs k, (a0+t1) + (t2+t3),
+// into OUT0 and q+k, (a0−t1) + j·(t2−t3), into OUT1; LASTONE(OUT0) the
+// first alone.
+#define LASTBOTH(OUT0, OUT1) \
+	LASTT; \
+	VADDPS Z1, Z0, Z8; \
+	VSUBPS Z1, Z0, Z9; \
+	VADDPS Z3, Z2, Z10; \
+	VSUBPS Z3, Z2, Z11; \
+	QUARTERTURN512(Z11, Z15); \
+	VADDPS Z10, Z8, OUT0; \
+	VADDPS Z11, Z9, OUT1
+
+#define LASTONE(OUT0) \
+	LASTT; \
+	VADDPS Z1, Z0, Z8; \
+	VADDPS Z3, Z2, Z10; \
+	VADDPS Z10, Z8, OUT0
+
+// TRANSPOSE8(R0, …, R7) turns eight pairs' registers of eight complex64
+// into eight columns: on return Zj holds element j of every pair, pair p
+// in lane p. Z0–Z11 scratch.
+#define TRANSPOSE8(R0, R1, R2, R3, R4, R5, R6, R7) \
+	VUNPCKLPD  R1, R0, Z0; \
+	VUNPCKHPD  R1, R0, Z1; \
+	VUNPCKLPD  R3, R2, Z2; \
+	VUNPCKHPD  R3, R2, Z3; \
+	VUNPCKLPD  R5, R4, Z4; \
+	VUNPCKHPD  R5, R4, Z5; \
+	VUNPCKLPD  R7, R6, Z6; \
+	VUNPCKHPD  R7, R6, Z7; \
+	VSHUFF64X2 $0x88, Z2, Z0, Z8; \
+	VSHUFF64X2 $0xDD, Z2, Z0, Z9; \
+	VSHUFF64X2 $0x88, Z6, Z4, Z10; \
+	VSHUFF64X2 $0xDD, Z6, Z4, Z11; \
+	VSHUFF64X2 $0x88, Z10, Z8, Z0; \
+	VSHUFF64X2 $0xDD, Z10, Z8, Z4; \
+	VSHUFF64X2 $0x88, Z11, Z9, Z2; \
+	VSHUFF64X2 $0xDD, Z11, Z9, Z6; \
+	VSHUFF64X2 $0x88, Z3, Z1, Z8; \
+	VSHUFF64X2 $0xDD, Z3, Z1, Z9; \
+	VSHUFF64X2 $0x88, Z7, Z5, Z10; \
+	VSHUFF64X2 $0xDD, Z7, Z5, Z11; \
+	VSHUFF64X2 $0x88, Z10, Z8, Z1; \
+	VSHUFF64X2 $0xDD, Z10, Z8, Z5; \
+	VSHUFF64X2 $0x88, Z11, Z9, Z3; \
+	VSHUFF64X2 $0xDD, Z11, Z9, Z7
+
+// STORE8(MOV, P) stores the columns in Z0–Z7 at P, P + R8, …, P + 7·R8
+// with MOV, AX scratch. STORENT stores each as one non-temporal 64-byte
+// line, STOREHALVES as two non-temporal 32-byte halves (Y8 scratch), STOREU
+// with regular stores.
+#define STORE8(MOV, P) \
+	MOV  Z0, (P); \
+	MOV  Z1, (P)(R8*1); \
+	MOV  Z2, (P)(R8*2); \
+	MOV  Z3, (P)(R9*1); \
+	LEAQ (P)(R8*4), AX; \
+	MOV  Z4, (AX); \
+	MOV  Z5, (AX)(R8*1); \
+	MOV  Z6, (AX)(R8*2); \
+	MOV  Z7, (AX)(R9*1)
+
+#define STORENT(P) STORE8(VMOVNTPS, P)
+
+#define STOREU(P) STORE8(VMOVUPS, P)
+
+#define NTHALVES(Z, Y, LO, HI) \
+	VMOVNTPS      Y, LO; \
+	VEXTRACTF64X4 $1, Z, Y8; \
+	VMOVNTPS      Y8, HI
+
+#define STOREHALVES(P) \
+	NTHALVES(Z0, Y0, (P), 32(P)); \
+	NTHALVES(Z1, Y1, (P)(R8*1), 32(P)(R8*1)); \
+	NTHALVES(Z2, Y2, (P)(R8*2), 32(P)(R8*2)); \
+	NTHALVES(Z3, Y3, (P)(R9*1), 32(P)(R9*1)); \
+	LEAQ (P)(R8*4), AX; \
+	NTHALVES(Z4, Y4, (AX), 32(AX)); \
+	NTHALVES(Z5, Y5, (AX)(R8*1), 32(AX)(R8*1)); \
+	NTHALVES(Z6, Y6, (AX)(R8*2), 32(AX)(R8*2)); \
+	NTHALVES(Z7, Y7, (AX)(R9*1), 32(AX)(R9*1))
+
+// LASTSTEPBOTH(STORE) and LASTSTEPONE(STORE) are one step of eight k over
+// all LinePairs pairs, storing with STORE, and move SI, DX and DI one step
+// on.
+#define LASTSTEPBOTH(STORE) \
+	LASTTW; \
+	MOVQ SI, BX; \
+	LASTBOTH(Z16, Z24); \
+	LASTBOTH(Z17, Z25); \
+	LASTBOTH(Z18, Z26); \
+	LASTBOTH(Z19, Z27); \
+	LASTBOTH(Z20, Z28); \
+	LASTBOTH(Z21, Z29); \
+	LASTBOTH(Z22, Z30); \
+	LASTBOTH(Z23, Z31); \
+	TRANSPOSE8(Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23); \
+	STORE(DI); \
+	TRANSPOSE8(Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31); \
+	LEAQ (DI)(R13*1), BX; \
+	STORE(BX); \
+	ADDQ $64, SI; \
+	ADDQ $64, DX; \
+	LEAQ (DI)(R8*8), DI
+
+#define LASTSTEPONE(STORE) \
+	LASTTW; \
+	MOVQ SI, BX; \
+	LASTONE(Z16); \
+	LASTONE(Z17); \
+	LASTONE(Z18); \
+	LASTONE(Z19); \
+	LASTONE(Z20); \
+	LASTONE(Z21); \
+	LASTONE(Z22); \
+	LASTONE(Z23); \
+	TRANSPOSE8(Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23); \
+	STORE(DI); \
+	ADDQ $64, SI; \
+	ADDQ $64, DX; \
+	LEAQ (DI)(R8*8), DI
+
+// func ditLastAVX512(dst []float32, stride int, src []complex64, l int, w []complex64, s float32, both int)
+//
+// Eight k per step, SI at pair 0's a0, BX walking the pairs, DI at column
+// k, R13 bytes below column q+k; CX counts the steps with both outputs,
+// R14 the steps after them. The column runs go out as non-temporal stores
+// where dst and the column step are 32-byte aligned, for the reason
+// transposePairs8AVX2 gives: whole 64-byte lines where they are 64-byte
+// aligned, two halves where only 32.
+TEXT ·ditLastAVX512(SB), NOSPLIT, $0-104
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  stride+24(FP), R8
+	SHLQ  $2, R8            // column step, bytes
+	LEAQ  (R8)(R8*2), R9    // three columns
+	MOVQ  src_base+32(FP), SI
+	MOVQ  l+56(FP), R12
+	SHLQ  $3, R12           // pair step, bytes
+	MOVQ  R12, R10
+	SHRQ  $2, R10           // q·8
+	LEAQ  (R10)(R10*2), R11 // 3q·8
+	MOVQ  R10, R13
+	SHRQ  $3, R13
+	IMULQ R8, R13           // q columns, bytes
+	SIGN512(s+88(FP), Z14, Z15)
+	MOVQ  both+96(FP), CX
+	MOVQ  R10, R14
+	SHRQ  $6, R14
+	SUBQ  CX, R14           // steps with output k alone
+	MOVQ  w_base+64(FP), DX
+	MOVQ  DI, AX
+	ORQ   R8, AX
+	TESTQ $31, AX
+	JNZ   lastu
+	TESTQ $63, AX
+	JNZ   lasthalf
+	TESTQ CX, CX
+	JZ    lastntone
+
+lastntboth:
+	LASTSTEPBOTH(STORENT)
+	DECQ CX
+	JNZ  lastntboth
+
+lastntone:
+	TESTQ R14, R14
+	JZ    lastntdone
+
+lastntoneloop:
+	LASTSTEPONE(STORENT)
+	DECQ R14
+	JNZ  lastntoneloop
+
+lastntdone:
+	SFENCE
+	VZEROUPPER
+	RET
+
+lasthalf:
+	TESTQ CX, CX
+	JZ    lasthalfone
+
+lasthalfboth:
+	LASTSTEPBOTH(STOREHALVES)
+	DECQ CX
+	JNZ  lasthalfboth
+
+lasthalfone:
+	TESTQ R14, R14
+	JZ    lastntdone
+
+lasthalfoneloop:
+	LASTSTEPONE(STOREHALVES)
+	DECQ R14
+	JNZ  lasthalfoneloop
+	JMP  lastntdone
+
+lastu:
+	TESTQ CX, CX
+	JZ    lastuone
+
+lastuboth:
+	LASTSTEPBOTH(STOREU)
+	DECQ CX
+	JNZ  lastuboth
+
+lastuone:
+	TESTQ R14, R14
+	JZ    lastudone
+
+lastuoneloop:
+	LASTSTEPONE(STOREU)
+	DECQ R14
+	JNZ  lastuoneloop
+
+lastudone:
+	VZEROUPPER
 	RET

@@ -10,7 +10,8 @@ import (
 // detector rows (Alg. 1) — point-wise cosine weighting into one complex row,
 // from decoded rows or straight from a projection's little-endian payload,
 // the ramp multiply of its spectrum, and the store of filtered pairs into a
-// transposed (V fast) block.
+// transposed (V fast) block — and the pipeline's filter step that fuses the
+// weighting and the store into the transform's end passes.
 
 // CosineWeightPair cosine-weights two detector rows straight into the real
 // and imaginary parts of one complex row:
@@ -139,6 +140,146 @@ func TransposePairs(dst []float32, stride int, src []complex64, l, nu, rows int)
 		}
 		if p < pairs {
 			col[2*p] = real(src[p*l+u])
+		}
+	}
+}
+
+// ConvolvePairLE and TransposeConvolved are the pipeline's filter step for
+// a projection's row pairs with both ends fused into the transform.
+// ConvolvePairLE(x, src0, cos0, src1, cos1, fwd, gain, inv, next) followed,
+// for the LinePairs pairs of a group, by TransposeConvolved(dst, stride,
+// src, l, nu, rows, inv) equals CosineWeightPairLE into x[:nu], clear(x[nu:]),
+// Convolve(x, fwd, gain, inv) and TransposePairs, bit for bit, on every tier
+// (nu = len(cos0), l = len(x)). Where lastDeferred holds, among other
+// things that l ≥ 2·nu, so that the upper half of the padded row is zero:
+//
+//   - ConvolvePairLE weights the payload bytes inside the first DIF pass
+//     (block size l, quarter q = l/4), whose inputs x[k+2q] and x[k+3q] are
+//     the zero half: it never loads, clears or rereads it. A pruned
+//     a − (+0) is dropped, since it is a exactly; a pruned a + (+0) still
+//     adds a zero, since −0 + (+0) is +0.
+//   - The last DIT pass is left to TransposeConvolved, which computes only
+//     the nu outputs TransposePairs keeps, x[k] and x[k+q] for k + q < nu,
+//     and stores them straight into the transposed block.
+//
+// On AVX-512 hosts both ends are assembly and the stores are
+// TransposePairs' 64-byte column runs (non-temporal where aligned). While
+// the pair is transformed, next — the payload of the pair after it — is
+// prefetched, one line per step of the large passes between the two ends,
+// so that its weighting does not wait on memory: the hardware prefetcher
+// does not cross into the next 4 KiB page, and at nu = 512 a pair's two
+// rows are a whole page. The portable and AVX2 tiers and the shapes whose
+// end passes fall inside a small end run the four calls above.
+func ConvolvePairLE(x []complex64, src0 []byte, cos0 []float32, src1 []byte, cos1 []float32, fwd []complex64, gain []float32, inv []complex64, next []byte) {
+	checkTransform(x, fwd)
+	checkTransform(x, inv)
+	n, nu := len(x), len(cos0)
+	if len(gain) != n || nu > n {
+		panic(fmt.Sprintf("kernels: %d gains and %d values for a %d-point row", len(gain), nu, n))
+	}
+	// Reslicing panics here, before the assembly is handed a short operand.
+	src0, src1, cos1 = src0[:4*nu], src1[:4*nu], cos1[:nu]
+	if !lastDeferred(n, nu) {
+		CosineWeightPairLE(x, src0, cos0, src1, cos1)
+		clear(x[nu:])
+		Convolve(x, fwd, gain, inv)
+		return
+	}
+	q := n / 4
+	s, si := imag(fwd[0]), imag(inv[0])
+	// share is the part of next the coming pass prefetches: a line per
+	// step of 32 elements.
+	share := func() []byte {
+		pf := next[:min(2*n, len(next))]
+		next = next[len(pf):]
+		return pf
+	}
+	difFirstLEAVX512(x, src0, cos0, src1, cos1, fwd[twiddleLen(q):], s)
+	block := smallEnd512(n)
+	for m := q / 4; m >= block; m >>= 2 {
+		difPassAVX512(x, fwd[twiddleLen(m):twiddleLen(4*m)], m, s, share())
+	}
+	convolveSmall512(x, fwd, gain, inv, s, si)
+	for m := block; m < q; m <<= 2 {
+		ditPassAVX512(x, inv[twiddleLen(m):twiddleLen(4*m)], m, si, share())
+	}
+}
+
+// TransposeConvolved is the last end of ConvolvePairLE: for rows rows,
+// (rows+1)/2 pairs l complex64 apart in src that ConvolvePairLE left, it
+// finishes the inverse transform where that was left to it and stores the
+// first nu values of each pair into dst as TransposePairs does. l, nu and
+// inv must be the ones ConvolvePairLE ran with.
+func TransposeConvolved(dst []float32, stride int, src []complex64, l, nu, rows int, inv []complex64) {
+	if !lastDeferred(l, nu) {
+		TransposePairs(dst, stride, src, l, nu, rows)
+		return
+	}
+	checkPow2(l)
+	pairs := (rows + 1) / 2
+	if len(inv) != twiddleLen(l) || rows < 0 || pairs > 0 &&
+		(stride < rows || len(src) < pairs*l || len(dst) < (nu-1)*stride+rows) {
+		panic(fmt.Sprintf("kernels: %d rows of %d columns (pairs %d apart in %d, table %d) do not fit a block of %d at stride %d",
+			rows, nu, l, len(src), len(inv), len(dst), stride))
+	}
+	q := l / 4
+	w, s := inv[twiddleLen(q):], imag(inv[0])
+	if rows == 2*LinePairs {
+		both := (nu - q) / 8
+		ditLastAVX512(dst, stride, src, l, w, s, both)
+		ditLastStore(dst, stride, src, l, q+8*both, nu, rows, w, s)
+		return
+	}
+	for p := 0; p < pairs; p++ {
+		ditPassAVX512(src[p*l:(p+1)*l], w, q, s, nil)
+	}
+	TransposePairs(dst, stride, src, l, nu, rows)
+}
+
+// lastDeferred reports whether ConvolvePairLE fuses the ends of an n-point
+// row holding nu values, leaving the last DIT pass to TransposeConvolved:
+// on AVX-512 hosts, when the row's upper half is zero and its lower half
+// more than a quarter values (L/4 < nu ≤ L/2, as for every filter row), and
+// the first and last passes are larger than the small end — n ≥ 256 for
+// even log₂n, n ≥ 128 for odd. The portable and AVX2 tiers never defer.
+func lastDeferred(n, nu int) bool {
+	return useFast && onAVX512() && 4*nu > n && 2*nu <= n && n >= 4*smallEnd512(n)
+}
+
+// ditLastStore is the last DIT pass of l-point rows, block size l and
+// quarter q = l/4, for the pairs l complex64 apart in src, computing only
+// the outputs of columns u0 ≤ u < u1 (u1 ≤ 2q) and storing them as
+// TransposePairs does: x[u] = (a0+t1) + (t2+t3) for u < q, and x[u] =
+// (a0−t1) + j·(t2−t3) with k = u − q above. w is the pass's three twiddle
+// runs, s the quarter turn's sign; the arithmetic is ditFast's portable
+// loop's, and ditLastAVX512 hands it the columns past its last whole step.
+func ditLastStore(dst []float32, stride int, src []complex64, l, u0, u1, rows int, w []complex64, s float32) {
+	q := l / 4
+	for u := u0; u < u1; u++ {
+		k := u % q
+		w1, w2, w3 := w[k], w[q+k], w[2*q+k]
+		col := dst[u*stride : u*stride+rows]
+		for p := 0; 2*p < rows; p++ {
+			x := src[p*l : p*l+l]
+			a0, a1, a2, a3 := x[k], x[k+q], x[k+2*q], x[k+3*q]
+			t1r := real(a1)*real(w2) - imag(a1)*imag(w2)
+			t1i := real(a1)*imag(w2) + imag(a1)*real(w2)
+			t2r := real(a2)*real(w1) - imag(a2)*imag(w1)
+			t2i := real(a2)*imag(w1) + imag(a2)*real(w1)
+			t3r := real(a3)*real(w3) - imag(a3)*imag(w3)
+			t3i := real(a3)*imag(w3) + imag(a3)*real(w3)
+			var re, im float32
+			if u < q {
+				u0r, u0i := real(a0)+t1r, imag(a0)+t1i
+				re, im = u0r+(t2r+t3r), u0i+(t2i+t3i)
+			} else {
+				v0r, v0i := real(a0)-t1r, imag(a0)-t1i
+				re, im = v0r+(-s*(t2i-t3i)), v0i+s*(t2r-t3r)
+			}
+			col[2*p] = re
+			if 2*p+1 < rows {
+				col[2*p+1] = im
+			}
 		}
 	}
 }

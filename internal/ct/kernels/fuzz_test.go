@@ -137,8 +137,11 @@ func FuzzRadix4Tiers(f *testing.F) {
 // TransposeInto — on the portable tier, on AVX2 with AVX-512 off and, where
 // the host has it, on AVX-512:
 //
-//   - nu × nv is the detector, 1…40 × 1…24 (Nv = 1, odd Nv and Nu that
-//     are not powers of two included);
+//   - nu × nv is the detector, 1…1024 × 1…40 (Nv = 1, odd Nv and Nu that
+//     are not powers of two included): padded lengths L up to 2048, so
+//     both parities of the fused ends on every tier that fuses them, with
+//     Nu from just above L/4 to L/2, and groups of LinePairs pairs with a
+//     short one after them;
 //   - mode bit 0 cuts the blob short by cut bytes, bit 1 and bit 2 add
 //     one to the header's W and H, bit 3 writes cut into the header's W
 //     outright (an inconsistent header), bit 4 makes the block cut values
@@ -154,21 +157,27 @@ func FuzzApplyEncodedTiers(f *testing.F) {
 	const short, wideHdr, tallHdr, rawW, longBlk, shortBlk = 0x01, 0x02, 0x04, 0x08, 0x10, 0x20
 	nan, snan, inf, negZero := []byte{0, 0, 0xC0, 0x7F}, []byte{1, 0, 0x80, 0x7F}, []byte{0, 0, 0x80, 0xFF}, []byte{0, 0, 0, 0x80}
 	ramp := []byte{0, 0, 0x80, 0x3F, 0, 0, 0x20, 0xC1, 0xDB, 0x0F, 0x49, 0x40, 0xCD, 0xCC, 0x4C, 0x3E}
-	for _, det := range [][2]uint8{{32, 16}, {16, 1}, {17, 9}, {40, 23}, {5, 3}, {1, 1}, {33, 24}} {
+	for _, det := range [][2]uint16{{32, 16}, {16, 1}, {17, 9}, {40, 23}, {5, 3}, {1, 1}, {33, 24}} {
 		f.Add(det[0], det[1], uint8(0), uint8(0), ramp)
 		f.Add(det[0], det[1], uint8(0), uint8(0), append(append([]byte(nil), ramp...), nan...))
 		f.Add(det[0], det[1], uint8(0), uint8(0), append(append(append([]byte(nil), snan...), ramp...), negZero...))
 		f.Add(det[0], det[1], uint8(0), uint8(0), append(append([]byte(nil), inf...), ramp...))
 	}
 	for _, mode := range []uint8{short, wideHdr, tallHdr, wideHdr | tallHdr, rawW, longBlk, longBlk | shortBlk} {
-		f.Add(uint8(32), uint8(16), mode, uint8(1), ramp)
-		f.Add(uint8(17), uint8(9), mode, uint8(7), ramp)
+		f.Add(uint16(32), uint16(16), mode, uint8(1), ramp)
+		f.Add(uint16(17), uint16(9), mode, uint8(7), ramp)
 	}
-	f.Add(uint8(32), uint8(16), uint8(short), uint8(255), ramp) // shorter than the header
-	f.Add(uint8(32), uint8(16), uint8(0), uint8(0), []byte(nil))
+	f.Add(uint16(32), uint16(16), uint8(short), uint8(255), ramp) // shorter than the header
+	f.Add(uint16(32), uint16(16), uint8(0), uint8(0), []byte(nil))
+	// The fused ends on AVX-512 at L = 256 (Nu 65, 128) and 1024 (257), each
+	// with a short last group: odd Nv, not a multiple of 16.
+	for _, det := range [][2]uint16{{65, 19}, {128, 23}, {257, 35}, {128, 33}} {
+		f.Add(det[0], det[1], uint8(0), uint8(0), ramp)
+		f.Add(det[0], det[1], uint8(0), uint8(0), append(append(append([]byte(nil), snan...), ramp...), negZero...))
+	}
 
-	f.Fuzz(func(t *testing.T, nu, nv, mode, cut uint8, contents []byte) {
-		g := geometry.Default(max(1, int(nu)%41), max(1, int(nv)%25), 8, 8, 8, 8)
+	f.Fuzz(func(t *testing.T, nu, nv uint16, mode, cut uint8, contents []byte) {
+		g := geometry.Default(max(1, int(nu)%1025), max(1, int(nv)%41), 8, 8, 8, 8)
 		flt, err := filter.Cached(g, filter.Hann)
 		if err != nil {
 			t.Skip(err)

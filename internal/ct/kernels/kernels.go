@@ -3,8 +3,10 @@
 // a projection's little-endian payload bytes, CosineWeightPairLE), the
 // spectral ramp multiply, the radix-4 FFT passes and the whole spectrum
 // path they make with it (Convolve: DIF → gain → DIT), the store of
-// filtered row pairs into the transposed block (TransposePairs), and the
-// back-projection per-voxel inner product — in two interchangeable forms:
+// filtered row pairs into the transposed block (TransposePairs), the
+// pipeline's filter step with both ends fused into the transform
+// (ConvolvePairLE and TransposeConvolved), and the back-projection
+// per-voxel inner product — in two interchangeable forms:
 //
 //   - a scalar *reference* implementation (the exact loops the pipeline ran
 //     before this package existed), and
@@ -30,7 +32,11 @@
 //     ApplyInto and Sweep share — runs eight complex64 per register, with
 //     Convolve's small end taking the three smallest passes of each
 //     transform and the gain on blocks of 64 (32 for odd log₂n) held in
-//     registers (fft_amd64.s). Other hosts run the portable loops alone.
+//     registers, and ApplyEncoded's ends fused into the transform: the
+//     first DIF pass weights the payload bytes in registers while the next
+//     pair's bytes are prefetched, and the last DIT pass computes only the
+//     kept outputs and stores them into the transposed block (fft_amd64.s).
+//     Other hosts run the portable loops alone.
 //
 // Every fast kernel performs the same floating-point operations in the same
 // order as its reference — the AVX2 and AVX-512 tiers included: separate
@@ -38,8 +44,10 @@
 // (which also equals CosineWeightPair on the decoded rows), SpectralMul,
 // ColumnGeom, AccumColumns and AccumColumnsWindow (which also equals
 // AccumColumns) are bit-identical across reference, portable, AVX2 and
-// AVX-512, DIF, DIT and Convolve across portable, AVX2 and AVX-512, and
-// Convolve on every tier to DIF, SpectralMul and DIT on that tier;
+// AVX-512, DIF, DIT and Convolve across portable, AVX2 and AVX-512,
+// Convolve on every tier to DIF, SpectralMul and DIT on that tier, and
+// ConvolvePairLE with TransposeConvolved on every tier to the
+// CosineWeightPairLE → Convolve → TransposePairs chain on that tier;
 // TransposePairs copies bits (tests
 // assert exact equality, far inside the required ≤1e-5 parity bound):
 // which tier a host runs never shows in a volume. Border and non-finite
@@ -70,7 +78,8 @@ var useAVX2 = hasAVX2()
 var useAVX512 = hasAVX512()
 
 // onAVX512 reports whether the AVX-512 tiers run: the window interior of
-// AccumColumnsWindow and the filter core's passes and small ends. Both
+// AccumColumnsWindow and the filter core's passes, small ends and fused
+// ends. Both
 // hand work to the AVX2 tier as well — the window tier its column
 // registers, the filter rows shorter than its small end — so they need it
 // on.
@@ -78,8 +87,9 @@ func onAVX512() bool { return useAVX2 && useAVX512 }
 
 // ISA reports the instruction tier the fast back-projection and FFT kernels
 // run on this host: "avx512" (the back-projection's window tier and the
-// filter core — the radix-4 passes and Convolve's small end — with the
-// other kernels on AVX2), "avx2", or "go" (the portable loops).
+// filter core — the radix-4 passes, Convolve's small end and the fused
+// ends — with the other kernels on AVX2), "avx2", or "go" (the portable
+// loops).
 func ISA() string {
 	switch {
 	case onAVX512():

@@ -1,6 +1,7 @@
 package kernels_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -289,6 +290,137 @@ func TestConvolveBitIdenticalAcrossTiers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFusedEndsSignedZeros is the bit trap of the filter's fused ends. The
+// first DIF pass drops a − (+0) but must still add +0 where it sums with the
+// zero half, since −0 + (+0) = +0, and the last DIT pass computes only the
+// kept outputs. Payload rows of +0, of −0, of alternating signed zeros and
+// of mixed signs with zeros among them, with cosines and gains of mixed
+// signs and zeros, go through ConvolvePairLE and TransposeConvolved at
+// every L = 8…1024 — both parities of log₂L, every length where AVX-512
+// fuses and the shorter ones that fall back — with Nu = L/2 and Nu = L/4 +
+// 1, for a whole group of LinePairs pairs and a short odd one, both
+// transform directions. On the go, avx2 and avx512 legs the block must
+// equal CosineWeightPairLE, clear, Convolve and TransposePairs on the same
+// leg, bit for bit, and on the avx512 leg the fused first pass alone must
+// equal the weighting, clear and first pass it replaces: a zero of the
+// wrong sign there seldom survives to the block of a long row.
+func TestFusedEndsSignedZeros(t *testing.T) {
+	for _, tier := range tiers[1:] {
+		t.Run(tier.name, func(t *testing.T) {
+			defer tier.use(t)()
+			rng := rand.New(rand.NewSource(41))
+			for l := 8; l <= 1024; l <<= 1 {
+				fwd, inv := kernels.FFTTwiddles(l, false), kernels.FFTTwiddles(l, true)
+				for _, nu := range []int{l / 2, l/4 + 1} {
+					for trial := 0; trial < 4; trial++ {
+						for _, rows := range []int{2 * kernels.LinePairs, 5} {
+							for _, dir := range [][2][]complex64{{fwd, inv}, {inv, fwd}} {
+								name := fmt.Sprintf("L=%d nu=%d trial=%d rows=%d inverse-first=%v", l, nu, trial, rows, &dir[0][0] == &inv[0])
+								fusedEndsCase(t, rng, name, dir[0], dir[1], l, nu, rows, trial)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// fusedEndsCase runs one TestFusedEndsSignedZeros case on the live tier.
+func fusedEndsCase(t *testing.T, rng *rand.Rand, name string, fwd, inv []complex64, l, nu, rows, trial int) {
+	t.Helper()
+	signedZero := func() float32 {
+		if rng.Intn(2) == 0 {
+			return float32(math.Copysign(0, -1))
+		}
+		return 0
+	}
+	value := func(i int) float32 {
+		switch trial {
+		case 0:
+			return 0
+		case 1:
+			return float32(math.Copysign(0, -1))
+		case 2:
+			if i%2 == 1 {
+				return float32(math.Copysign(0, -1))
+			}
+			return 0
+		}
+		if rng.Intn(3) == 0 {
+			return signedZero()
+		}
+		return float32(rng.NormFloat64())
+	}
+	payload := make([]byte, 4*nu*rows)
+	for i := 0; i < nu*rows; i++ {
+		binary.LittleEndian.PutUint32(payload[4*i:], math.Float32bits(value(i)))
+	}
+	cos := make([]float32, nu*rows)
+	for i := range cos {
+		if cos[i] = float32(rng.NormFloat64()); trial >= 2 && rng.Intn(4) == 0 {
+			cos[i] = signedZero()
+		}
+	}
+	gain := make([]float32, l)
+	for i := range gain {
+		if gain[i] = float32(rng.NormFloat64()); trial == 2 || trial == 3 && rng.Intn(3) == 0 {
+			gain[i] = signedZero()
+		}
+	}
+	zeroLE, zero := make([]byte, 4*nu), make([]float32, nu)
+	// The column step of a whole group's runs: 64 bytes (whole
+	// non-temporal lines where the block is aligned), 76 (regular stores)
+	// and 96 (non-temporal halves).
+	stride := rows + [...]int{0, 3, 8, 0}[trial]
+	var blocks [2][]float32
+	for leg := range blocks {
+		stash := make([]complex64, kernels.LinePairs*l)
+		for p := 0; 2*p < rows; p++ {
+			x := stash[p*l : (p+1)*l]
+			src0, cos0 := payload[2*p*4*nu:(2*p+1)*4*nu], cos[2*p*nu:(2*p+1)*nu]
+			src1, cos1 := zeroLE, zero
+			if 2*p+1 < rows {
+				src1, cos1 = payload[(2*p+1)*4*nu:(2*p+2)*4*nu], cos[(2*p+1)*nu:(2*p+2)*nu]
+			}
+			if leg == 0 && l >= 64 && kernels.ISA() == "avx512" {
+				// The first pass alone, before the later passes can wash
+				// a wrong zero sign out of the block.
+				var first [2][]complex64
+				for i := range first {
+					first[i] = make([]complex64, l)
+					kernels.FirstPassLE(first[i], src0, cos0, src1, cos1, fwd, i == 1)
+				}
+				for i, want := range first[0] {
+					got := first[1][i]
+					if math.Float32bits(real(got)) != math.Float32bits(real(want)) || math.Float32bits(imag(got)) != math.Float32bits(imag(want)) {
+						t.Fatalf("%s isa=%s: first pass element %d = %v fused, %v unfused", name, kernels.ISA(), i, got, want)
+					}
+				}
+			}
+			if leg == 0 {
+				kernels.CosineWeightPairLE(x, src0, cos0, src1, cos1)
+				clear(x[nu:])
+				kernels.Convolve(x, fwd, gain, inv)
+			} else {
+				kernels.ConvolvePairLE(x, src0, cos0, src1, cos1, fwd, gain, inv, payload[min(len(payload), (2*p+2)*4*nu):])
+			}
+		}
+		blocks[leg] = make([]float32, nu*stride)
+		if leg == 0 {
+			kernels.TransposePairs(blocks[leg], stride, stash, l, nu, rows)
+		} else {
+			kernels.TransposeConvolved(blocks[leg], stride, stash, l, nu, rows, inv)
+		}
+	}
+	for i, want := range blocks[0] {
+		if got := blocks[1][i]; math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("%s isa=%s: block[%d] = %v (bits %#x), the chain gives %v (bits %#x)",
+				name, kernels.ISA(), i, got, math.Float32bits(got), want, math.Float32bits(want))
+		}
 	}
 }
 

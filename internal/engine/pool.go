@@ -204,9 +204,9 @@ func (b *Buf[T]) Release() {
 
 // poison fills released float data with NaN (other element types with their
 // zero value) under `go test`, so a read after release cannot pass for the
-// right answer.
+// right answer, unless a benchmark has turned it off (SetPoison).
 func poison[T any](data []T) {
-	if !testing.Testing() {
+	if !testing.Testing() || noPoison.Load() {
 		return
 	}
 	nan := float32(math.NaN())
@@ -222,6 +222,20 @@ func poison[T any](data []T) {
 	default:
 		clear(data)
 	}
+}
+
+// noPoison is set only while a benchmark runs with poisoning off.
+var noPoison atomic.Bool
+
+// SetPoison turns the test-time poisoning of released buffers on or off and
+// returns a function that restores the previous setting. It exists for
+// benchmarks that profile the pipeline under `go test`, where filling every
+// released buffer with NaN would show in the profile as work production
+// never does; tests leave it on. Outside `go test` nothing is poisoned
+// either way.
+func SetPoison(on bool) (restore func()) {
+	prev := noPoison.Swap(!on)
+	return func() { noPoison.Store(prev) }
 }
 
 // BufPool pools fixed-length []T buffers by exact length: FFT scratch rows,

@@ -206,3 +206,26 @@ func TestReleaseChecksContract(t *testing.T) {
 		t.Errorf("released image reads %g, want NaN", img.Data[3])
 	}
 }
+
+// Poisoning is on for every test; only a benchmark that calls SetPoison
+// turns it off, and only until it restores the setting.
+func TestPoisonOnUnlessABenchmarkTurnsItOff(t *testing.T) {
+	var p BufPool[float32]
+	released := func() float32 {
+		b := p.Acquire(4)
+		b.Data[0] = 1
+		b.Release()
+		return b.Data[0]
+	}
+	if v := released(); !math.IsNaN(float64(v)) {
+		t.Fatalf("released buffer reads %g with poisoning at its default, want NaN", v)
+	}
+	restore := SetPoison(false)
+	if v := released(); v != 1 {
+		t.Errorf("released buffer reads %g with poisoning off, want 1", v)
+	}
+	restore()
+	if v := released(); !math.IsNaN(float64(v)) {
+		t.Errorf("released buffer reads %g after the restore, want NaN", v)
+	}
+}

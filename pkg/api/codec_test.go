@@ -151,6 +151,23 @@ var malformedEventStreams = []struct{ name, body string }{
 	{"bad JSON in a data line", goldenEventFrame + "data: {\"seq\":\n\n"},
 	{"data line is not an object", "data: 7\n\n"},
 	{"line over the 1 MiB cap", "data: {\"job\":\"" + strings.Repeat("j", 1<<20) + "\"}\n\n"},
+	{"payload that re-encodes past the cap", "data: {\"job\":\"" + strings.Repeat("<", 200_000) + "\"}\n\n"},
+	{"invalid UTF-8 that re-encodes past the cap", "data: {\"job\":\"" + strings.Repeat("\xff", 400_000) + "\"}\n\n"},
+}
+
+// WriteEvent refuses an event ReadEvents could not read back, and writes
+// nothing for it.
+func TestWriteEventLineCap(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteEvent(&buf, Event{Seq: 1, Type: EventFailed, Error: strings.Repeat("<", 200_000)}); err == nil || buf.Len() != 0 {
+		t.Fatalf("a 1.2 MB data line: err %v, %d bytes written; want an error and nothing", err, buf.Len())
+	}
+	if err := WriteEvent(&buf, Event{Seq: 1, Type: EventFailed, Error: strings.Repeat("e", 1<<19)}); err != nil {
+		t.Fatalf("a 512 KiB data line: %v", err)
+	}
+	if errs, _ := drain(ReadEvents(&buf)); errs != 0 {
+		t.Fatal("a line WriteEvent framed did not read back")
+	}
 }
 
 func TestMalformedStreamsReturnErrors(t *testing.T) {

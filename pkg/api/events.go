@@ -62,26 +62,42 @@ type Event struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
+// maxEventLine bounds one line of an /events body, written or read: WriteEvent
+// frames no longer data line, and ReadEvents reads no longer line and yields
+// only events WriteEvent can frame, so that every event read can be relayed.
+const maxEventLine = 1 << 20
+
 // WriteEvent frames e as one Server-Sent Event: Seq as the SSE id (the value
 // Last-Event-ID resumes from), Type as the SSE event name, the JSON encoding
 // as the data line. Every emitter of /events — the daemon and the router's
-// relay — frames through here.
+// relay — frames through here. An event whose data line would pass 1 MiB is
+// an error, and nothing is written.
 func WriteEvent(w io.Writer, e Event) error {
-	data, err := json.Marshal(e)
+	data, err := encodeEvent(e)
 	if err == nil {
 		_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data)
 	}
 	return err
 }
 
+// encodeEvent is e's JSON payload, checked against maxEventLine.
+func encodeEvent(e Event) ([]byte, error) {
+	data, err := json.Marshal(e)
+	if err == nil && len("data: ")+len(data) > maxEventLine {
+		err = fmt.Errorf("api: event payload of %d bytes does not fit a 1 MiB line", len(data))
+	}
+	return data, err
+}
+
 // ReadEvents decodes an /events body frame by frame — the one SSE parser of
 // the SDK, the router's relay and the tests. The sequence ends with the body;
-// a malformed payload or a line over 1 MiB is yielded as its last element.
-// Only data lines are decoded: id and event repeat what the payload carries.
+// a malformed payload, a line over 1 MiB or a payload WriteEvent could not
+// frame again is yielded as its last element. Only data lines are decoded:
+// id and event repeat what the payload carries.
 func ReadEvents(r io.Reader) iter.Seq2[Event, error] {
 	return func(yield func(Event, error) bool) {
 		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+		sc.Buffer(make([]byte, 0, 64*1024), maxEventLine)
 		for sc.Scan() {
 			data, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: "))
 			if !ok {
@@ -91,6 +107,16 @@ func ReadEvents(r io.Reader) iter.Seq2[Event, error] {
 			if err := json.Unmarshal(data, &e); err != nil {
 				yield(Event{}, fmt.Errorf("api: bad event payload: %w", err))
 				return
+			}
+			// Re-encoding writes at most six bytes per payload byte (a '<'
+			// comes back as \u003c, an invalid byte as U+FFFD) plus the
+			// fields it always writes, so only a payload over an eighth of
+			// the line limit can grow past it.
+			if len(data) > maxEventLine/8 {
+				if _, err := encodeEvent(e); err != nil {
+					yield(Event{}, err)
+					return
+				}
 			}
 			if !yield(e, nil) {
 				return
