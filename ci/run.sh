@@ -37,6 +37,26 @@ portable)
 	GOARCH=arm64 go build ./...
 	GOARCH=arm64 go vet ./internal/ct/kernels/ ./internal/ct/backproject/ ./internal/fft/ ./internal/ct/filter/
 	;;
+fusion)
+	# Go may fuse x*y ± z into one rounding on arm64, ppc64le and s390x
+	# unless an explicit float32(…) or float64(…) rounds the product (Go
+	# spec, Floating-point operators); amd64 never does. The back-projection
+	# path — internal/ct/interp, internal/ct/kernels/backproject.go and
+	# internal/ct/backproject, inlined copies included — must compile to no
+	# fused multiply-add on any of them, so that its volumes do not depend
+	# on GOARCH. This only cross-compiles: arm64 tests are not run here.
+	status=0
+	for arch in arm64 ppc64le s390x; do
+		fused=$(GOARCH=$arch go build -gcflags='ifdk/...=-S' ./... 2>&1 |
+			grep -E '[[:space:]]FN?M(ADD|SUB)[SD]?[[:space:]]' |
+			grep -E '\(.*/internal/ct/(interp/|kernels/backproject\.go|backproject/)' || true)
+		if [ -n "$fused" ]; then
+			echo "fused multiply-adds on $arch:" && echo "$fused"
+			status=1
+		fi
+	done
+	exit $status
+	;;
 build-gate)
 	# The public surface and the router must always compile standalone.
 	go build ./pkg/... ./cmd/ifdk-router ./cmd/ifdkd ./cmd/ifdk-load
@@ -137,7 +157,9 @@ fuzz)
 	# compaction, the spill reader, the projection decoder, and the assembly
 	# wrappers across tiers (DIF / DIT / Convolve, AccumColumns and
 	# AccumColumnsWindow, filter.ApplyEncoded ≡ decode → ApplyInto →
-	# TransposeInto). The seeds also run as plain tests in the test step.
+	# TransposeInto), and core.Run's volumes across tiers on random
+	# geometries and grids. The seeds also run as plain tests in the test
+	# step.
 	go test -run '^$' -fuzz FuzzReadEvents -fuzztime 10s ./pkg/api
 	go test -run '^$' -fuzz FuzzSliceReader -fuzztime 10s ./pkg/api
 	go test -run '^$' -fuzz FuzzParseTraceParent -fuzztime 10s ./pkg/api
@@ -148,6 +170,7 @@ fuzz)
 	go test -run '^$' -fuzz FuzzRadix4Tiers -fuzztime 10s ./internal/ct/kernels
 	go test -run '^$' -fuzz FuzzAccumColumnsTiers -fuzztime 10s ./internal/ct/kernels
 	go test -run '^$' -fuzz FuzzApplyEncodedTiers -fuzztime 10s ./internal/ct/kernels
+	go test -run '^$' -fuzz FuzzPipelineTiers -fuzztime 10s ./internal/ct/kernels
 	;;
 benchmark)
 	# One real fleet_mixed run; a non-zero exit fails the step.

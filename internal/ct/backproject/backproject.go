@@ -130,14 +130,14 @@ func Standard(task Task, vol *volume.Volume, opt Options) error {
 						for t := range rows {
 							r := &rows[t]
 							// Three inner products (Alg. 2 line 6).
-							x := r[0][0]*fi + r[0][1]*fj + r[0][2]*fk + r[0][3]
-							y := r[1][0]*fi + r[1][1]*fj + r[1][2]*fk + r[1][3]
-							z := r[2][0]*fi + r[2][1]*fj + r[2][2]*fk + r[2][3]
+							x := float32(r[0][0]*fi) + float32(r[0][1]*fj) + float32(r[0][2]*fk) + r[0][3]
+							y := float32(r[1][0]*fi) + float32(r[1][1]*fj) + float32(r[1][2]*fk) + r[1][3]
+							z := float32(r[2][0]*fi) + float32(r[2][1]*fj) + float32(r[2][2]*fk) + r[2][3]
 							f := 1 / z
 							wdis := f * f
 							u := x * f
-							v := y * f
-							sum += wdis * interp.Bilinear(data[t], w, h, u, v)
+							v := float32(y * f)
+							sum += float32(wdis * interp.Bilinear(data[t], w, h, u, v))
 						}
 						vol.Data[base+i] += sum
 					}
@@ -201,8 +201,8 @@ func Ablate(task Task, vol *volume.Volume, opt Options, va Variant) error {
 						// Two inner products per column (Alg. 4 line 7).
 						for t := range rows {
 							r := &rows[t]
-							x := r[0][0]*fi + r[0][1]*fj + r[0][3]
-							z := r[2][0]*fi + r[2][1]*fj + r[2][3]
+							x := float32(r[0][0]*fi) + float32(r[0][1]*fj) + r[0][3]
+							z := float32(r[2][0]*fi) + float32(r[2][1]*fj) + r[2][3]
 							f := 1 / z
 							us[t] = x * f
 							fs[t] = f
@@ -223,19 +223,19 @@ func Ablate(task Task, vol *volume.Volume, opt Options, va Variant) error {
 							if va.Reuse {
 								u, f, wdis = us[t], fs[t], ws[t]
 							} else {
-								x := r[0][0]*fi + r[0][1]*fj + r[0][2]*fk + r[0][3]
-								z := r[2][0]*fi + r[2][1]*fj + r[2][2]*fk + r[2][3]
+								x := float32(r[0][0]*fi) + float32(r[0][1]*fj) + float32(r[0][2]*fk) + r[0][3]
+								z := float32(r[2][0]*fi) + float32(r[2][1]*fj) + float32(r[2][2]*fk) + r[2][3]
 								f = 1 / z
 								u = x * f
 								wdis = f * f
 							}
 							// One inner product per voxel (Alg. 4 line 12).
-							y := r[1][0]*fi + r[1][1]*fj + r[1][2]*fk + r[1][3]
-							v := y * f
-							sum += wdis * sampleProj(data[t], tw, th, u, v, va.Transpose)
+							y := float32(r[1][0]*fi) + float32(r[1][1]*fj) + float32(r[1][2]*fk) + r[1][3]
+							v := float32(y * f)
+							sum += float32(wdis * sampleProj(data[t], tw, th, u, v, va.Transpose))
 							if va.Symmetry {
 								vSym := float32(h-1) - v // Theorem 1
-								sumSym += wdis * sampleProj(data[t], tw, th, u, vSym, va.Transpose)
+								sumSym += float32(wdis * sampleProj(data[t], tw, th, u, vSym, va.Transpose))
 							}
 						}
 						vol.Data[base+k] += sum
@@ -254,14 +254,14 @@ func Ablate(task Task, vol *volume.Volume, opt Options, va Variant) error {
 							if va.Reuse {
 								u, f, wdis = us[t], fs[t], ws[t]
 							} else {
-								x := r[0][0]*fi + r[0][1]*fj + r[0][2]*fk + r[0][3]
-								z := r[2][0]*fi + r[2][1]*fj + r[2][2]*fk + r[2][3]
+								x := float32(r[0][0]*fi) + float32(r[0][1]*fj) + float32(r[0][2]*fk) + r[0][3]
+								z := float32(r[2][0]*fi) + float32(r[2][1]*fj) + float32(r[2][2]*fk) + r[2][3]
 								f = 1 / z
 								u = x * f
 								wdis = f * f
 							}
-							y := r[1][0]*fi + r[1][1]*fj + r[1][2]*fk + r[1][3]
-							sum += wdis * sampleProj(data[t], tw, th, u, y*f, va.Transpose)
+							y := float32(r[1][0]*fi) + float32(r[1][1]*fj) + float32(r[1][2]*fk) + r[1][3]
+							sum += float32(wdis * sampleProj(data[t], tw, th, u, y*f, va.Transpose))
 						}
 						vol.Data[base+k] += sum
 					}

@@ -62,12 +62,15 @@ const colTile = kernels.Lanes
 // depth-major, colTile lanes per depth: acc[kk·colTile+c] is the lower
 // slab's depth kk, acc[(h+kk)·colTile+c] its mirror. With
 // kernels.AccumColumnsWindow — taken when kernels.WindowFits says the
-// window tier runs this slab faster — it is column-major: acc[c·2h+kk] and
-// acc[c·2h+h+kk]. When Nz is odd the centre plane follows at
-// acc[2h·colTile+c] in both. For each projection of the batch in ascending
-// order, the kernel adds that projection down the whole depth of every tile
-// row (the centre plane takes kernels.ColumnGeom and one sample per column).
-// After the batch the tile is added into the volume. Neighbouring columns
+// window tier runs this slab faster — each column's 2h floats are in its
+// volume line's order: acc[c·2h+kk], and the mirror at acc[c·2h+2h-1-kk].
+// When Nz is odd the centre plane follows at acc[2h·colTile+c] in both.
+// For each projection of the batch in ascending order, the kernel adds that
+// projection down the whole depth of every tile row (the centre plane takes
+// kernels.ColumnGeom and one sample per column).
+// After the batch the tile is added into the volume; in the window layout a
+// tile row of an even-depth volume is one contiguous kernels.AddTo, because
+// its columns are neighbouring k-major volume lines. Neighbouring columns
 // project onto neighbouring detector rows, so the rows one projection's
 // visit reads are fetched once per tile, not once per column. Every voxel
 // still starts from 0, adds the projections in ascending order and is added
@@ -85,8 +88,8 @@ func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
 	// can be odd, so z0 = 0 and local plane h is global plane Nz/2.
 	odd := nz%2 == 1
 	rowLen := (2*h + nz%2) * colTile
-	// The window kernel keeps a tile row's accumulator column-major, the
-	// gather kernel depth-major; the centre plane follows either.
+	// The window kernel keeps a tile row's accumulator in volume-line
+	// order, the gather kernel depth-major; the centre plane follows either.
 	window := kernels.WindowFits(h, ht, maxVStep(task.Mats, nx, ny))
 	accum := kernels.AccumColumns
 	if window {
@@ -120,25 +123,27 @@ func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
 							centre := row[2*h*colTile:]
 							for c := range tj {
 								fj := float32(j0 + c)
-								y := r[1][0]*fi + r[1][1]*fj + r[1][2]*fk + r[1][3]
-								centre[c] += ws[c] * sampleProj(data[t], ht, w, us[c], y*fs[c], true)
+								y := float32(r[1][0]*fi) + float32(r[1][1]*fj) + float32(r[1][2]*fk) + r[1][3]
+								centre[c] += float32(ws[c] * sampleProj(data[t], ht, w, us[c], y*fs[c], true))
 							}
 						}
 					}
 				}
 				for i := i0; i < i1; i++ {
 					row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
+					base := (i*ny + j0) * nz
+					if window && !odd {
+						// The tile row's columns are neighbouring volume
+						// lines, each already in line order.
+						kernels.AddTo(vol.Data[base:base+tj*nz], row[:tj*nz])
+						continue
+					}
 					for c := range tj {
-						base := (i*ny + j0 + c) * nz
-						line := vol.Data[base : base+nz : base+nz]
+						line := vol.Data[base+c*nz : base+(c+1)*nz : base+(c+1)*nz]
 						if window {
-							col := row[c*2*h : (c+1)*2*h : (c+1)*2*h]
-							for kk, x := range col[:h] {
-								line[kk] += x
-							}
-							for kk, x := range col[h:] {
-								line[nz-1-kk] += x
-							}
+							col := row[c*2*h : (c+1)*2*h]
+							kernels.AddTo(line[:h], col[:h])
+							kernels.AddTo(line[nz-h:], col[h:])
 						} else {
 							for kk := 0; kk < h; kk++ {
 								line[kk] += row[kk*colTile+c]
@@ -169,7 +174,7 @@ func maxVStep(mats []geometry.ProjMat, nx, ny int) float64 {
 	for _, m := range mats {
 		y, z := m.Row(1), m.Row(2)
 		for _, ij := range [4][2]float64{{0, 0}, {float64(nx - 1), 0}, {0, float64(ny - 1)}, {float64(nx - 1), float64(ny - 1)}} {
-			depth := z[0]*ij[0] + z[1]*ij[1] + z[3]
+			depth := float64(z[0]*ij[0]) + float64(z[1]*ij[1]) + z[3]
 			if !(depth > 0) {
 				return math.Inf(1)
 			}

@@ -205,19 +205,32 @@ func TestSlabPairTileOrderBitIdentical(t *testing.T) {
 }
 
 // BenchmarkSlabPair times one rank's back-projection pass: one op is a
-// batch of 32 pre-transposed projections into a rank row's slab pair (the
-// second row's) on one worker, as the pipeline calls it, reported per voxel
-// update. The shapes are the slab depths the benchmark workloads run:
-// h = 2, 4 and 8 are fleet_mixed's (nx 16 at R = 4 and 2, nx 32 at R = 2;
-// detector 2·nx), h = 32 is volume_heavy's (128³ from 256² on a 2×2 grid).
-// Unlike BenchmarkKernelsAccumColumns it includes the detector-row reuse
-// between neighbouring columns that the tile order exists for.
+// batch of 32 pre-transposed projections into a rank row's slab pair on one
+// worker, as the pipeline calls it, reported per voxel update. The shapes
+// are the slab depths the benchmark workloads run: h = 2, 4 and 8 are
+// fleet_mixed's (nx 16 at R = 4 and 2, nx 32 at R = 2; detector 2·nx),
+// h = 32 is volume_heavy's (128³ from 256² on a 2×2 grid), and h = 64 the
+// same volume on one rank row. Each times the second rank row's pair; the
+// outer legs time row 0 (z0 = 0), whose outer planes reach the detector's
+// top and bottom rows. Unlike BenchmarkKernelsAccumColumns it includes the
+// detector-row reuse between neighbouring columns that the tile order
+// exists for.
 func BenchmarkSlabPair(b *testing.B) {
-	for _, shape := range []struct{ nx, r int }{{16, 4}, {16, 2}, {32, 2}, {128, 2}} {
+	for _, shape := range []struct {
+		nx, r int
+		outer bool
+	}{{16, 4, false}, {16, 2, false}, {32, 2, false}, {128, 2, false}, {128, 2, true}, {128, 1, false}} {
 		g := geometry.Default(2*shape.nx, 2*shape.nx, 320, shape.nx, shape.nx, shape.nx)
 		h := g.Nz / (2 * shape.r)
-		z0, z1 := h, 2*h
-		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
+		z0, name := h, fmt.Sprintf("h=%d", h)
+		if shape.r == 1 || shape.outer {
+			z0 = 0
+		}
+		if shape.outer {
+			name += "/outer"
+		}
+		z1 := z0 + h
+		b.Run(name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(34))
 			task := Task{Mats: geometry.ProjectionMatrices(g)[:DefaultBatch], Transposed: true}
 			for range task.Mats {

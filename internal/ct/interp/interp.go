@@ -4,7 +4,8 @@
 //
 // Arithmetic is performed in float32 to match the GPU kernels, so the CPU
 // reference algorithms and the simulated CUDA kernels produce bit-comparable
-// results. Samples outside the detector contribute zero, the border
+// results. Each product is rounded by an explicit float32 conversion before
+// it is added, so no GOARCH fuses the pair into one multiply-add. Samples outside the detector contribute zero, the border
 // behaviour of RTK's texture fetch with a zero border.
 package interp
 
@@ -23,9 +24,9 @@ func Bilinear(data []float32, w, h int, u, v float32) float32 {
 	x10 := sample(data, w, h, nu+1, nv)
 	x01 := sample(data, w, h, nu, nv+1)
 	x11 := sample(data, w, h, nu+1, nv+1)
-	t1 := x00*(1-du) + x10*du // sub-pixel value on row nv   (Alg. 3 line 4)
-	t2 := x01*(1-du) + x11*du // sub-pixel value on row nv+1 (Alg. 3 line 5)
-	return t1*(1-dv) + t2*dv
+	t1 := float32(x00*(1-du)) + float32(x10*du) // sub-pixel value on row nv   (Alg. 3 line 4)
+	t2 := float32(x01*(1-du)) + float32(x11*du) // sub-pixel value on row nv+1 (Alg. 3 line 5)
+	return float32(t1*(1-dv)) + float32(t2*dv)
 }
 
 func sample(data []float32, w, h, u, v int) float32 {

@@ -65,18 +65,25 @@ func columnLanesAVX2(regs *lanes, r *[3][4]float32, fi, umax float32, j0, n, rw 
 //go:noescape
 func accumColumnsAVX2(acc, sym *float32, n int, row0, row1 *float32, regs *lanes, vmax, ry2, ry3, vm1 float32, k int) int
 
-// accumWindowAVX512 is the vector interior of accumColumnsWindowFast: one
-// call walks the tile row's columns c < n of regs from column c, depth kk,
-// in blocks of windowDepth depths of one column, and returns the column and
-// depth of the first block of at most 8 depths it could not window, having
-// touched none of that block; (n, 0) when it finished. acc is the tile
-// row's column-major accumulator (column c's 2h floats at acc[c·2h], the
-// mirror half at acc[c·2h+h]); fk = float32(k0+kk) for depth kk, so k0+h
-// must fit an int32. Column c reads the detector rows that start at
-// row0[off] and row0[off+rw], off = regs.off[c], which must both lie inside
-// the projection, and rw ≥ 2·windowDepth with vmax = float32(rw-1): the
-// range test against vmax and the window clamp are then the bounds check of
-// every load.
+// accumWindowAVX512 is the vector interior of accumColumnsWindowFast. It
+// computes the tile row's column registers itself — columnLanesAVX2's
+// lanes for r, fi, umax, j0, n and rw — and returns at once with interior
+// false when a u is not interior. Otherwise one call walks the columns
+// c < n from column c, depth kk, in blocks of windowDepth depths of one
+// column, and returns the column and depth of the first block of at most 8
+// depths it could not window, having touched none of that block; (n, 0)
+// when it finished. acc is the tile row's accumulator in the window layout
+// (column c's 2h floats at acc[c·2h], its mirror half descending);
+// fk = float32(k0+kk) for depth kk, and every k0+kk+16 must be below 2²⁴ in
+// magnitude. Column c reads the detector rows that start at row0[off] and
+// row0[off+rw], off = floor(u)·rw, which must both lie inside the
+// projection, and rw ≥ 2·windowDepth: the clamps of the window base and the
+// row masks are then the bounds check of every load.
 //
 //go:noescape
-func accumWindowAVX512(acc *float32, h int, row0 *float32, rw int, regs *lanes, n, k0, c, kk int, vmax, ry2, ry3, vm1 float32) (stopC, stopKK int)
+func accumWindowAVX512(acc *float32, h int, row0 *float32, rw int, r *[3][4]float32, fi, umax float32, j0, n, k0, c, kk int, vm1 float32) (stopC, stopKK int, interior bool)
+
+// addAVX2 adds src[i] into dst[i] for i < n, n a multiple of 8.
+//
+//go:noescape
+func addAVX2(dst, src *float32, n int)

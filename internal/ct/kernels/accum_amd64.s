@@ -40,12 +40,11 @@ GLOBL one<>(SB), RODATA|NOPTR, $4
 #define L_W 128
 #define L_YB 160
 
-// func columnLanesAVX2(regs *lanes, r *[3][4]float32, fi, umax float32, j0, n, rw int) bool
-//
-// All eight lanes of regs at once: lane c is column j0+min(c, n-1), so the
-// lanes past the run repeat its last column. The arithmetic is
-// ColumnGeomRef's and the yb inner product's, lane-wise and in the same
-// order (r[a][b] is at byte 16a+4b of r):
+// LANES(FI, UMAX, J0, N, RW) fills all eight lanes of the lanes struct at
+// DI from the matrix r at SI: lane c is column j0+min(c, n-1), so the lanes
+// past the run repeat its last column. The arithmetic is ColumnGeomRef's and
+// the yb inner product's, lane-wise and in the same order (r[a][b] is at
+// byte 16a+4b of r):
 //
 //	x := r[0][0]·fi + r[0][1]·fj + r[0][3]                   (Y2)
 //	z := r[2][0]·fi + r[2][1]·fj + r[2][3]                   (Y4)
@@ -53,71 +52,68 @@ GLOBL one<>(SB), RODATA|NOPTR, $4
 //	yb := r[1][0]·fi + r[1][1]·fj
 //	off := int(u)·rw; du := u - float32(int(u))
 //
-// It reports whether 0 ≤ u < umax in every lane (NaN fails); off and du are
-// meaningful only then. j0+n must fit an int32, and so must int(u)·rw for an
-// interior u.
+// AX gets the lanes whose u is interior, 0 ≤ u < umax (NaN fails), one bit
+// each; off and du are meaningful only when all eight are. j0+n must fit an
+// int32, and so must int(u)·rw for an interior u.
+#define LANES(FI, UMAX, J0, N, RW) \
+	VPBROADCASTD N, Y0; \
+	VPCMPEQD     Y1, Y1, Y1; \
+	VPADDD       Y1, Y0, Y0; \
+	VPMINSD      lanes<>(SB), Y0, Y0; \
+	VPBROADCASTD J0, Y1; \
+	VPADDD       Y1, Y0, Y0; \
+	VCVTDQ2PS    Y0, Y0; \
+	VMOVSS       FI, X1; \
+	VMULSS       0(SI), X1, X2; \
+	VBROADCASTSS X2, Y2; \
+	VBROADCASTSS 4(SI), Y3; \
+	VMULPS       Y0, Y3, Y3; \
+	VADDPS       Y3, Y2, Y2; \
+	VBROADCASTSS 12(SI), Y3; \
+	VADDPS       Y3, Y2, Y2; \
+	VMULSS       32(SI), X1, X4; \
+	VBROADCASTSS X4, Y4; \
+	VBROADCASTSS 36(SI), Y3; \
+	VMULPS       Y0, Y3, Y3; \
+	VADDPS       Y3, Y4, Y4; \
+	VBROADCASTSS 44(SI), Y3; \
+	VADDPS       Y3, Y4, Y4; \
+	VBROADCASTSS one<>(SB), Y3; \
+	VDIVPS       Y4, Y3, Y4; \
+	VMULPS       Y4, Y2, Y2; \
+	VMULPS       Y4, Y4, Y5; \
+	VMOVUPS      Y2, L_U(DI); \
+	VMOVUPS      Y4, L_F(DI); \
+	VMOVUPS      Y5, L_W(DI); \
+	VMULSS       16(SI), X1, X3; \
+	VBROADCASTSS X3, Y3; \
+	VBROADCASTSS 20(SI), Y4; \
+	VMULPS       Y0, Y4, Y4; \
+	VADDPS       Y4, Y3, Y3; \
+	VMOVUPS      Y3, L_YB(DI); \
+	VXORPS       Y3, Y3, Y3; \
+	VCMPPS       $0x1D, Y3, Y2, Y3; \
+	VBROADCASTSS UMAX, Y4; \
+	VCMPPS       $0x11, Y4, Y2, Y4; \
+	VANDPS       Y4, Y3, Y3; \
+	VMOVMSKPS    Y3, AX; \
+	VCVTTPS2DQ   Y2, Y3; \
+	VCVTDQ2PS    Y3, Y4; \
+	VSUBPS       Y4, Y2, Y4; \
+	VMOVUPS      Y4, L_DU(DI); \
+	VPBROADCASTD RW, Y4; \
+	VPMULLD      Y4, Y3, Y3; \
+	VMOVUPS      Y3, L_OFF(DI)
+
+// func columnLanesAVX2(regs *lanes, r *[3][4]float32, fi, umax float32, j0, n, rw int) bool
+//
+// LANES into regs; it reports whether every u is interior.
 TEXT ·columnLanesAVX2(SB), NOSPLIT, $0-49
 	MOVQ regs+0(FP), DI
 	MOVQ r+8(FP), SI
-
-	// fj = float32(j0 + min(c, n-1))
-	VPBROADCASTD n+32(FP), Y0
-	VPCMPEQD     Y1, Y1, Y1
-	VPADDD       Y1, Y0, Y0
-	VPMINSD      lanes<>(SB), Y0, Y0
-	VPBROADCASTD j0+24(FP), Y1
-	VPADDD       Y1, Y0, Y0
-	VCVTDQ2PS    Y0, Y0
-
-	VMOVSS       fi+16(FP), X1
-	VMULSS       0(SI), X1, X2
-	VBROADCASTSS X2, Y2
-	VBROADCASTSS 4(SI), Y3
-	VMULPS       Y0, Y3, Y3
-	VADDPS       Y3, Y2, Y2
-	VBROADCASTSS 12(SI), Y3
-	VADDPS       Y3, Y2, Y2 // x
-
-	VMULSS       32(SI), X1, X4
-	VBROADCASTSS X4, Y4
-	VBROADCASTSS 36(SI), Y3
-	VMULPS       Y0, Y3, Y3
-	VADDPS       Y3, Y4, Y4
-	VBROADCASTSS 44(SI), Y3
-	VADDPS       Y3, Y4, Y4 // z
-
-	VBROADCASTSS one<>(SB), Y3
-	VDIVPS       Y4, Y3, Y4 // f
-	VMULPS       Y4, Y2, Y2 // u
-	VMULPS       Y4, Y4, Y5 // w
-	VMOVUPS      Y2, L_U(DI)
-	VMOVUPS      Y4, L_F(DI)
-	VMOVUPS      Y5, L_W(DI)
-
-	VMULSS       16(SI), X1, X3
-	VBROADCASTSS X3, Y3
-	VBROADCASTSS 20(SI), Y4
-	VMULPS       Y0, Y4, Y4
-	VADDPS       Y4, Y3, Y3
-	VMOVUPS      Y3, L_YB(DI)
-
-	VXORPS       Y3, Y3, Y3
-	VCMPPS       $0x1D, Y3, Y2, Y3 // u ≥ 0
-	VBROADCASTSS umax+20(FP), Y4
-	VCMPPS       $0x11, Y4, Y2, Y4 // u < umax
-	VANDPS       Y4, Y3, Y3
-	VMOVMSKPS    Y3, AX
-
-	VCVTTPS2DQ   Y2, Y3
-	VCVTDQ2PS    Y3, Y4
-	VSUBPS       Y4, Y2, Y4
-	VMOVUPS      Y4, L_DU(DI)
-	VPBROADCASTD rw+40(FP), Y4
-	VPMULLD      Y4, Y3, Y3
-	VMOVUPS      Y3, L_OFF(DI)
-
+	LANES(fi+16(FP), umax+20(FP), j0+24(FP), n+32(FP), rw+40(FP))
 	VZEROUPPER
-	CMPL AX, $0xFF
+	CMPL  AX, $0xFF
 	SETEQ ret+48(FP)
 	RET
 
@@ -261,6 +257,25 @@ DATA iota16<>+56(SB)/4, $14
 DATA iota16<>+60(SB)/4, $15
 GLOBL iota16<>(SB), RODATA|NOPTR, $64
 
+// revlanes<> reverses the 16 lanes of a register through VPERMPS/VPERMD.
+DATA revlanes<>+0(SB)/4, $15
+DATA revlanes<>+4(SB)/4, $14
+DATA revlanes<>+8(SB)/4, $13
+DATA revlanes<>+12(SB)/4, $12
+DATA revlanes<>+16(SB)/4, $11
+DATA revlanes<>+20(SB)/4, $10
+DATA revlanes<>+24(SB)/4, $9
+DATA revlanes<>+28(SB)/4, $8
+DATA revlanes<>+32(SB)/4, $7
+DATA revlanes<>+36(SB)/4, $6
+DATA revlanes<>+40(SB)/4, $5
+DATA revlanes<>+44(SB)/4, $4
+DATA revlanes<>+48(SB)/4, $3
+DATA revlanes<>+52(SB)/4, $2
+DATA revlanes<>+56(SB)/4, $1
+DATA revlanes<>+60(SB)/4, $0
+GLOBL revlanes<>(SB), RODATA|NOPTR, $64
+
 // tailmask<>+2m is the lane mask of a block of m < 16 depths.
 DATA tailmask<>+0(SB)/2, $0x0000
 DATA tailmask<>+2(SB)/2, $0x0001
@@ -283,253 +298,488 @@ GLOBL tailmask<>(SB), RODATA|NOPTR, $32
 DATA maxint32<>+0(SB)/4, $0x7FFFFFFF
 GLOBL maxint32<>(SB), RODATA|NOPTR, $4
 
-DATA lane15<>+0(SB)/4, $15
-GLOBL lane15<>(SB), RODATA|NOPTR, $4
+DATA minint32<>+0(SB)/4, $0x80000000
+GLOBL minint32<>(SB), RODATA|NOPTR, $4
+
+DATA minusone<>+0(SB)/4, $0xbf800000 // float32(-1)
+GLOBL minusone<>(SB), RODATA|NOPTR, $4
+
+DATA sixteen<>+0(SB)/4, $0x41800000 // float32(16)
+GLOBL sixteen<>(SB), RODATA|NOPTR, $4
 
 // Register plan for accumWindowAVX512. Lane l of every vector is depth
-// kk+l of column c; the constants are per call, the column registers per
-// column, the rest per block.
+// kk+l of one column. The loop is software-pipelined: while the taps of the
+// pending block (the cursor c, kk) are read, the index math of the block
+// after it — in the same column or at the top of the next — has already been
+// issued into the other register set, so the loads of the next block never
+// wait on the v → floor → window base chain. The two sets alternate.
 //
-//	DI  acc (tile row)          R14 h
-//	R12 c                       R13 kk
-//	R9  column's first row      R10 column's second row
-//	SI  column's acc            AX  column's mirror acc (SI + h floats)
-//	R11 window base of v        BX  window base of vSym
-//	CX, DX, R8 scratch
-//	K1  the block's depths      K2  K1 ∧ both samples inside [0, vmax)
-//	Z31 lane numbers 0…15       Z30 1           Z29 vmax
-//	Z28 ry2   Z27 ry3   Z26 vm1 Z25 int32 rw-32 (highest window base)
-//	Z24 int32 30 (highest tap index)            Z15 int32 1
-//	Z23/Z22 the lane (0 or 15) of a whole block's least v/vSym
-//	Z21 0     Z20 f     Z19 wdis      Z18 yb   Z17 du   Z16 1-du
-//	Z0  v     Z1  vSym  Z2/Z4 nv of v/vSym      Z3/Z5 dv of v/vSym
-//	Z8/Z9 tap index of v/vSym        Z6, Z7, Z10–Z14 scratch
-
-// WBASE(NV, KT, IDX, GP, FAIL) places the window of the lanes KT:
-// base = min(min of NV over KT, rw-32) into GP and every lane of IDX gets
-// NV - base. It jumps to FAIL when a lane of KT has an index outside
-// 0 … 30, whose tap pair nv, nv+1 would then leave the 32 samples at
-// base. Lanes outside KT enter neither the minimum nor the test.
-#define WBASE(NV, KT, IDX, GP, FAIL) \
-	VPBROADCASTD  maxint32<>(SB), Z6; \
-	VMOVDQA32     NV, KT, Z6; \
-	VEXTRACTI64X4 $1, Z6, Y7; \
-	VPMINSD       Y7, Y6, Y6; \
-	VEXTRACTI128  $1, Y6, X7; \
-	VPMINSD       X7, X6, X6; \
-	VPSHUFD       $0x4E, X6, X7; \
-	VPMINSD       X7, X6, X6; \
-	VPSHUFD       $0xB1, X6, X7; \
-	VPMINSD       X7, X6, X6; \
-	VPMINSD       Z25, Z6, Z6; \
-	VMOVD         X6, GP; \
-	VPBROADCASTD  X6, Z6; \
-	VPSUBD        Z6, NV, IDX; \
-	VPCMPUD       $2, Z24, IDX, KT, K4; \
-	KXORW         K4, KT, K4; \
-	KORTESTW      K4, K4; \
-	JNZ           FAIL
-
-// WBASE16(NV, SEL, IDX, GP, FAIL) is WBASE for a whole block of 16 depths:
-// down a column v is monotonic in the depth (every operation that forms it
-// is), so the least nv sits in the first or the last lane — SEL, all lanes
-// 0 or 15 — and one permute replaces the reduction. The index test still
-// covers every lane, so the bits never rest on that argument. Sending whole
-// blocks through WBASE instead read 18 % slower on BenchmarkSlabPair h = 32
-// (Sapphire Rapids, one worker).
-#define WBASE16(NV, SEL, IDX, GP, FAIL) \
-	VPERMD   NV, SEL, Z6; \
-	VPMINSD  Z25, Z6, Z6; \
-	VMOVD    X6, GP; \
-	VPSUBD   Z6, NV, IDX; \
-	VPCMPUD  $2, Z24, IDX, K4; \
-	KORTESTW K4, K4; \
-	JCC      FAIL
-
-// WSAMPLE(IDX, DV, GP, ACC, KT) adds wdis·bilinear(v, u) to the lanes KT of
-// the 16 accumulators at ACC+kk. The taps row[nv] and row[nv+1] of both
-// detector rows come from the 32 samples at row+base (GP) through
-// two-source permutes at IDX and IDX+1; the arithmetic is SAMPLE's,
-// lane-wise and in the same order:
+//	DI  acc (tile row)          DX  regs, in the frame R14 h
+//	R12 c, R13 kk: the cursor, the block in the pending set
+//	R9, R10 column c's two detector rows
+//	SI  column c's acc          AX  SI + 2h-16 floats (the mirror blocks run down from it)
+//	R11, BX  set A's window bases of v and vSym   CX, R8  set B's
+//	R15 scratch
+//	Z0–Z3 set A: v's window index, dv, vSym's window index, dvSym; K5 its fast mask
+//	Z4–Z7 set B, the same; K6
+//	Z8–Z12 scratch
+//	Z13/Z14 the lane (0 or 15) of a block's least v/vSym   Z18 yb  Z20 f
+//	Z22 fk: these four belong to the block whose index math runs next
+//	Z16 1-du  Z17 du  Z19 wdis: column c's
+//	Z15 int32 rw-2  Z21 0  Z23 lane reversal  Z24 int32 30  Z25 int32 rw-32
+//	Z26 vm1  Z27 ry3  Z28 ry2  Z29 16  Z30 1  Z31 int32 1
 //
-//	t1 := row0[nv]*(1-dv) + row0[nv+1]*dv                    (Z11)
-//	t2 := row1[nv]*(1-dv) + row1[nv+1]*dv                    (Z12)
-//	acc += wdis * (t1*(1-du) + t2*du)
-#define WSAMPLE(IDX, DV, GP, ACC, KT) \
-	VPADDD    Z15, IDX, Z10; \
-	VSUBPS    DV, Z30, Z13; \
+// A block is fast when all 16 depths are in the slab and both of its
+// samples' tap pairs lie inside the detector row and inside their window;
+// any other block takes the bordered path (slow), which then re-primes the
+// pipeline behind it.
+
+// MATH(IV, DV, IS, DS, GV, GS, KOK) is the index math of the block at fk
+// (Z22) of the column in Z13/Z14/Z18/Z20, into one register set.
+// AccumColumnsRef's operations in its order, lane-wise:
+//
+//	v := (yb + ry2·fk + ry3)·f; vSym := vm1 − v
+//	nv := floor(v); dv := v − float32(nv), and the same for vSym
+//
+// The window base of each is its least nv — down a column v is monotonic
+// in the depth (every operation that forms it is), so that is the first or
+// the last lane — clamped to [0, rw-32], and the window index of each lane
+// is nv − base. KOK gets the lanes whose index is in 0 … 30: only then is
+// 0 ≤ nv ≤ rw-2, both taps inside the row and the window. A NaN or
+// out-of-range v converts to 0x80000000 and fails the test, so the bits
+// never rest on the monotonicity argument.
+#define MATH(IV, DV, IS, DS, GV, GS, KOK) \
+	VMULPS           Z28, Z22, Z8; \
+	VADDPS           Z8, Z18, Z8; \
+	VADDPS           Z27, Z8, Z8; \
+	VMULPS           Z20, Z8, Z8; \
+	VSUBPS           Z8, Z26, Z9; \
+	VCVTPS2DQ.RD_SAE Z8, IV; \
+	VCVTPS2DQ.RD_SAE Z9, IS; \
+	VCVTDQ2PS        IV, DV; \
+	VSUBPS           DV, Z8, DV; \
+	VCVTDQ2PS        IS, DS; \
+	VSUBPS           DS, Z9, DS; \
+	VPERMD           IV, Z13, Z10; \
+	VPMAXSD          Z21, Z10, Z10; \
+	VPMINSD          Z25, Z10, Z10; \
+	VMOVD            X10, GV; \
+	VPSUBD           Z10, IV, IV; \
+	VPERMD           IS, Z14, Z11; \
+	VPMAXSD          Z21, Z11, Z11; \
+	VPMINSD          Z25, Z11, Z11; \
+	VMOVD            X11, GS; \
+	VPSUBD           Z11, IS, IS; \
+	VPCMPUD          $2, Z24, IV, KOK; \
+	VPCMPUD          $2, Z24, IS, KOK, KOK
+
+// WSAMPLE(IDX, DV, GP) leaves wdis·bilinear(v, u) of all 16 lanes in Z10.
+// The taps row[nv] and row[nv+1] of both detector rows come from the 32
+// samples at row+base (GP) through two-source permutes at IDX and IDX+1;
+// the arithmetic is SAMPLE's, lane-wise and in the same order:
+//
+//	t1 := row0[nv]*(1-dv) + row0[nv+1]*dv                    (Z10)
+//	t2 := row1[nv]*(1-dv) + row1[nv+1]*dv                    (Z11)
+//	wdis * (t1*(1-du) + t2*du)
+#define WSAMPLE(IDX, DV, GP) \
+	VPADDD    Z31, IDX, Z8; \
+	VSUBPS    DV, Z30, Z9; \
+	VMOVUPS   (R9)(GP*4), Z10; \
+	VPERMT2PS 64(R9)(GP*4), IDX, Z10; \
 	VMOVUPS   (R9)(GP*4), Z11; \
-	VPERMT2PS 64(R9)(GP*4), IDX, Z11; \
-	VMOVUPS   (R9)(GP*4), Z12; \
-	VPERMT2PS 64(R9)(GP*4), Z10, Z12; \
-	VMULPS    Z13, Z11, Z11; \
+	VPERMT2PS 64(R9)(GP*4), Z8, Z11; \
+	VMULPS    Z9, Z10, Z10; \
+	VMULPS    DV, Z11, Z11; \
+	VADDPS    Z11, Z10, Z10; \
+	VMOVUPS   (R10)(GP*4), Z11; \
+	VPERMT2PS 64(R10)(GP*4), IDX, Z11; \
+	VMOVUPS   (R10)(GP*4), Z12; \
+	VPERMT2PS 64(R10)(GP*4), Z8, Z12; \
+	VMULPS    Z9, Z11, Z11; \
 	VMULPS    DV, Z12, Z12; \
 	VADDPS    Z12, Z11, Z11; \
-	VMOVUPS   (R10)(GP*4), Z12; \
-	VPERMT2PS 64(R10)(GP*4), IDX, Z12; \
-	VMOVUPS   (R10)(GP*4), Z14; \
-	VPERMT2PS 64(R10)(GP*4), Z10, Z14; \
-	VMULPS    Z13, Z12, Z12; \
-	VMULPS    DV, Z14, Z14; \
-	VADDPS    Z14, Z12, Z12; \
-	VMULPS    Z16, Z11, Z11; \
-	VMULPS    Z17, Z12, Z12; \
-	VADDPS    Z12, Z11, Z11; \
-	VMULPS    Z19, Z11, Z11; \
-	VMOVUPS   (ACC)(R13*4), KT, Z12; \
-	VADDPS    Z12, Z11, Z11; \
-	VMOVUPS   Z11, KT, (ACC)(R13*4)
+	VMULPS    Z16, Z10, Z10; \
+	VMULPS    Z17, Z11, Z11; \
+	VADDPS    Z11, Z10, Z10; \
+	VMULPS    Z19, Z10, Z10
 
-// WTRY(KT, FAIL) samples the lanes KT of the block, v and its mirror, each
-// through its own window. It jumps to FAIL having written nothing when a
-// lane of KT is outside the range test K2 or either window does not fit.
-#define WTRY(KT, FAIL) \
-	KANDNW   KT, K2, K4; \
-	KORTESTW K4, K4; \
-	JNZ      FAIL; \
-	WBASE(Z2, KT, Z8, R11, FAIL); \
-	WBASE(Z4, KT, Z9, BX, FAIL); \
-	WSAMPLE(Z8, Z3, R11, SI, KT); \
-	WSAMPLE(Z9, Z5, BX, AX, KT)
+// FAST(IV, DV, IS, DS, GV, GS) adds a fast block's samples into column c's
+// accumulator: v's at depths kk … kk+15, vSym's reversed into the 16 floats
+// that run down from 2h-1-kk.
+#define FAST(IV, DV, IS, DS, GV, GS) \
+	WSAMPLE(IV, DV, GV); \
+	VADDPS  (SI)(R13*4), Z10, Z10; \
+	VMOVUPS Z10, (SI)(R13*4); \
+	WSAMPLE(IS, DS, GS); \
+	VPERMPS Z10, Z23, Z10; \
+	MOVQ    R13, R15; \
+	NEGQ    R15; \
+	VADDPS  (AX)(R15*4), Z10, Z10; \
+	VMOVUPS Z10, (AX)(R15*4)
 
-// func accumWindowAVX512(acc *float32, h int, row0 *float32, rw int, regs *lanes, n, k0, c, kk int, vmax, ry2, ry3, vm1 float32) (stopC, stopKK int)
-TEXT ·accumWindowAVX512(SB), NOSPLIT, $0-104
-	MOVQ acc+0(FP), DI
-	MOVQ h+8(FP), R14
-	MOVQ c+56(FP), R12
-	MOVQ kk+64(FP), R13
+// MCOLUMN(C, T) loads column C's f and yb for the index math and picks the
+// lanes of its least v and vSym: v rises with the depth when ry2 and f have
+// the same sign, and falls otherwise; its mirror does the opposite.
+#define MCOLUMN(C, T) \
+	VBROADCASTSS L_F(DX)(C*4), Z20; \
+	VBROADCASTSS L_YB(DX)(C*4), Z18; \
+	VMOVD        X28, T; \
+	XORL         L_F(DX)(C*4), T; \
+	SARL         $31, T; \
+	ANDL         $15, T; \
+	VPBROADCASTD T, Z13; \
+	XORL         $15, T; \
+	VPBROADCASTD T, Z14
 
-	VMOVDQU32    iota16<>(SB), Z31
+// FKINIT(KK, T) sets fk = float32(k0 + KK + l) in lane l. From there each
+// block steps it by 16, exactly: the caller keeps every depth number below
+// 2²⁴ in magnitude.
+#define FKINIT(KK, T) \
+	MOVQ         k0+64(FP), T; \
+	ADDQ         KK, T; \
+	VPBROADCASTD T, Z22; \
+	VPADDD       iota16<>(SB), Z22, Z22; \
+	VCVTDQ2PS    Z22, Z22
+
+// SCOLUMN loads column c's (R12's) registers for the samples.
+#define SCOLUMN \
+	MOVLQSX      L_OFF(DX)(R12*4), R9; \
+	MOVQ         row0+16(FP), R10; \
+	LEAQ         (R10)(R9*4), R9; \
+	MOVQ         rw+24(FP), R10; \
+	LEAQ         (R9)(R10*4), R10; \
+	VBROADCASTSS L_W(DX)(R12*4), Z19; \
+	VBROADCASTSS L_DU(DX)(R12*4), Z17; \
+	VSUBPS       Z17, Z30, Z16; \
+	MOVQ         R12, SI; \
+	IMULQ        R14, SI; \
+	LEAQ         (DI)(SI*8), SI; \
+	LEAQ         -64(SI)(R14*8), AX
+
+// The bordered path, for the block at the cursor. It recomputes the block
+// from scratch into set A (PREP): nv, dv, the same for vSym, and in K5 the
+// lanes whose v or vSym is NaN. Lanes with v in (−1, rw) are live: their
+// taps outside the row (row[−1], row[rw]) read +0, as interp.Bilinear's do.
+// Every other lane adds wdis·(+0), what the reference adds for a sample
+// off the detector. A live lane has −1 ≤ nv ≤ rw-1; v = −1 floors to −1
+// too, so a lane with v ≤ −1 gets nv = 0x80000000, which no live test
+// passes.
+#define PREP \
+	MOVQ             k0+64(FP), R15; \
+	ADDQ             R13, R15; \
+	VPBROADCASTD     R15, Z8; \
+	VPADDD           iota16<>(SB), Z8, Z8; \
+	VCVTDQ2PS        Z8, Z8; \
+	VMULPS           Z28, Z8, Z8; \
+	VBROADCASTSS     L_YB(DX)(R12*4), Z9; \
+	VADDPS           Z8, Z9, Z8; \
+	VADDPS           Z27, Z8, Z8; \
+	VBROADCASTSS     L_F(DX)(R12*4), Z9; \
+	VMULPS           Z9, Z8, Z8; \
+	VSUBPS           Z8, Z26, Z9; \
+	VCMPPS           $3, Z8, Z8, K2; \
+	VCMPPS           $3, Z9, Z9, K3; \
+	KORW             K2, K3, K5; \
+	VCVTPS2DQ.RD_SAE Z8, Z0; \
+	VCVTDQ2PS        Z0, Z1; \
+	VSUBPS           Z1, Z8, Z1; \
+	VCVTPS2DQ.RD_SAE Z9, Z2; \
+	VCVTDQ2PS        Z2, Z3; \
+	VSUBPS           Z3, Z9, Z3; \
+	VCMPPS.BCST      $2, minusone<>(SB), Z8, K2; \
+	VPBROADCASTD     minint32<>(SB), K2, Z0; \
+	VCMPPS.BCST      $2, minusone<>(SB), Z9, K3; \
+	VPBROADCASTD     minint32<>(SB), K3, Z2
+
+// FITBASE(NV, KT, GP, FAIL) places the window of the live lanes of KT —
+// those with −1 ≤ nv ≤ rw-1 — at base = min(max(least live nv, 0), rw-32)
+// in GP. It jumps to FAIL when a live lane's taps inside the row leave the
+// 32 samples at base: clamp(nv, 0, rw-2) − base must be in 0 … 30.
+#define FITBASE(NV, KT, GP, FAIL) \
+	VPADDD        Z31, Z15, Z8; \
+	VPADDD        Z31, Z8, Z8; \
+	VPADDD        Z31, NV, Z9; \
+	VPCMPUD       $2, Z8, Z9, KT, K4; \
+	VPBROADCASTD  maxint32<>(SB), Z8; \
+	VMOVDQA32     NV, K4, Z8; \
+	VEXTRACTI64X4 $1, Z8, Y9; \
+	VPMINSD       Y9, Y8, Y8; \
+	VEXTRACTI128  $1, Y8, X9; \
+	VPMINSD       X9, X8, X8; \
+	VPSHUFD       $0x4E, X8, X9; \
+	VPMINSD       X9, X8, X8; \
+	VPSHUFD       $0xB1, X8, X9; \
+	VPMINSD       X9, X8, X8; \
+	VPMAXSD       X21, X8, X8; \
+	VPMINSD       X25, X8, X8; \
+	VMOVD         X8, GP; \
+	VPBROADCASTD  X8, Z8; \
+	VPMAXSD       Z21, NV, Z9; \
+	VPMINSD       Z15, Z9, Z9; \
+	VPSUBD        Z8, Z9, Z9; \
+	VPCMPUD       $6, Z24, Z9, K4, K3; \
+	KORTESTW      K3, K3; \
+	JNZ           FAIL
+
+// BSAMPLE(NV, DV, GP, KT) is WSAMPLE for the lanes KT of a bordered block,
+// the window at GP: a tap outside the row is a zero-masked permute, and a
+// lane that is not live leaves +0 in Z10 before the weight multiplies it.
+#define BSAMPLE(NV, DV, GP, KT) \
+	VPBROADCASTD  GP, Z8; \
+	VPSUBD        Z8, NV, Z8; \
+	VPADDD        Z31, Z15, Z9; \
+	VPCMPUD       $2, Z9, NV, KT, K2; \
+	VPADDD        Z31, NV, Z11; \
+	VPCMPUD       $2, Z9, Z11, KT, K3; \
+	KORW          K2, K3, K4; \
+	VPADDD        Z31, Z8, Z9; \
+	VSUBPS        DV, Z30, Z12; \
+	VMOVUPS       (R9)(GP*4), Z10; \
+	VPERMT2PS.Z   64(R9)(GP*4), Z8, K2, Z10; \
+	VMOVUPS       (R9)(GP*4), Z11; \
+	VPERMT2PS.Z   64(R9)(GP*4), Z9, K3, Z11; \
+	VMULPS        Z12, Z10, Z10; \
+	VMULPS        DV, Z11, Z11; \
+	VADDPS        Z11, Z10, Z10; \
+	VMOVUPS       (R10)(GP*4), Z11; \
+	VPERMT2PS.Z   64(R10)(GP*4), Z8, K2, Z11; \
+	VMOVUPS       (R10)(GP*4), Z8; \
+	VPERMT2PS.Z   64(R10)(GP*4), Z9, K3, Z8; \
+	VMULPS        Z12, Z11, Z11; \
+	VMULPS        DV, Z8, Z8; \
+	VADDPS        Z8, Z11, Z11; \
+	VMULPS        Z16, Z10, Z10; \
+	VMULPS        Z17, Z11, Z11; \
+	VADDPS.Z      Z11, Z10, K4, Z10; \
+	VMULPS        Z19, Z10, Z10
+
+// TRY(KT, FAIL) samples the lanes KT of the bordered block, v and its
+// mirror, each through its own window. It jumps to FAIL having written
+// nothing when a lane of KT is NaN or either window does not fit.
+#define TRY(KT, FAIL) \
+	KANDW       KT, K5, K2; \
+	KORTESTW    K2, K2; \
+	JNZ         FAIL; \
+	FITBASE(Z0, KT, R11, FAIL); \
+	FITBASE(Z2, KT, BX, FAIL); \
+	BSAMPLE(Z0, Z1, R11, KT); \
+	VADDPS      (SI)(R13*4), Z10, KT, Z10; \
+	VMOVUPS     Z10, KT, (SI)(R13*4); \
+	BSAMPLE(Z2, Z3, BX, KT); \
+	VPERMPS     Z10, Z23, Z10; \
+	VMOVDQA32.Z Z31, KT, Z8; \
+	VPERMD      Z8, Z23, Z8; \
+	VPTESTMD    Z8, Z8, K2; \
+	MOVQ        R13, R15; \
+	NEGQ        R15; \
+	LEAQ        (AX)(R15*4), R15; \
+	VADDPS      (R15), Z10, K2, Z10; \
+	VMOVUPS     Z10, K2, (R15)
+
+// func accumWindowAVX512(acc *float32, h int, row0 *float32, rw int, r *[3][4]float32, fi, umax float32, j0, n, k0, c, kk int, vm1 float32) (stopC, stopKK int, interior bool)
+//
+// The tile row's column registers are LANES into this frame (regs); when a u
+// is not interior the call returns at once with interior false.
+TEXT ·accumWindowAVX512(SB), NOSPLIT, $192-113
+	LEAQ  regs-192(SP), DI
+	MOVQ  r+32(FP), SI
+	LANES(fi+40(FP), umax+44(FP), j0+48(FP), n+56(FP), rw+24(FP))
+	MOVQ  c+72(FP), R12
+	MOVQ  kk+80(FP), R13
+	CMPL  AX, $0xFF
+	SETEQ interior+112(FP)
+	JNE   stop
+	MOVQ  DI, DX
+	MOVQ  acc+0(FP), DI
+	MOVQ  h+8(FP), R14
+	CMPQ  R12, n+56(FP)
+	JGE   stop
+
 	VBROADCASTSS one<>(SB), Z30
-	VBROADCASTSS vmax+72(FP), Z29
-	VBROADCASTSS ry2+76(FP), Z28
-	VBROADCASTSS ry3+80(FP), Z27
-	VBROADCASTSS vm1+84(FP), Z26
+	VBROADCASTSS sixteen<>(SB), Z29
+	VBROADCASTSS 24(SI), Z28
+	VBROADCASTSS 28(SI), Z27
+	VBROADCASTSS vm1+88(FP), Z26
 	MOVQ         rw+24(FP), R11
-	SUBQ         $32, R11
-	VPBROADCASTD R11, Z25
-	MOVL         $30, R11
-	VPBROADCASTD R11, Z24
+	LEAQ         -32(R11), BX
+	VPBROADCASTD BX, Z25
+	LEAQ         -2(R11), BX
+	VPBROADCASTD BX, Z15
+	MOVL         $30, BX
+	VPBROADCASTD BX, Z24
+	VMOVDQU32    revlanes<>(SB), Z23
 	VPXORD       Z21, Z21, Z21
-	MOVL         $1, R11
-	VPBROADCASTD R11, Z15
+	MOVL         $1, BX
+	VPBROADCASTD BX, Z31
+	SCOLUMN
 
-column:
-	CMPQ         R12, n+40(FP)
-	JGE          stop
-	MOVQ         regs+32(FP), DX
-	MOVLQSX      L_OFF(DX)(R12*4), R9
-	MOVQ         row0+16(FP), R8
-	MOVQ         rw+24(FP), R10
-	LEAQ         (R8)(R9*4), R9
-	LEAQ         (R9)(R10*4), R10
-	VBROADCASTSS L_F(DX)(R12*4), Z20
-	VBROADCASTSS L_W(DX)(R12*4), Z19
-	VBROADCASTSS L_YB(DX)(R12*4), Z18
-	VBROADCASTSS L_DU(DX)(R12*4), Z17
-	VSUBPS       Z17, Z30, Z16
-	MOVQ         R12, SI
-	IMULQ        R14, SI
-	LEAQ         (DI)(SI*8), SI
-	LEAQ         (SI)(R14*4), AX
+prime:
+	// The pipeline starts (and restarts behind a bordered block) with the
+	// cursor's own index math in set A.
+	MCOLUMN(R12, R11)
+	FKINIT(R13, R11)
+	MATH(Z0, Z1, Z2, Z3, R11, BX, K5)
+	LEAQ  16(R13), R15
+	CMPQ  R15, R14
+	JLE   pendA
+	KXORW K5, K5, K5
 
-	// v rises with the depth when ry2 and f have the same sign, and falls
-	// otherwise; its mirror does the opposite.
-	VPXORD       Z22, Z22, Z22
-	VPBROADCASTD lane15<>(SB), Z23
-	MOVL         L_F(DX)(R12*4), CX
-	XORL         ry2+76(FP), CX
-	JNS          block
-	VPXORD       Z23, Z23, Z23
-	VPBROADCASTD lane15<>(SB), Z22
+pendA:
+	// Set A holds the cursor's block. Issue the next block's index math
+	// into set B, then sample set A.
+	LEAQ 16(R13), R15
+	CMPQ R15, R14
+	JLT  stepA
+	LEAQ 1(R12), CX
+	CMPQ CX, n+56(FP)
+	JGE  lastA
+	MCOLUMN(CX, R8)
+	XORL R15, R15
+	FKINIT(R15, R8)
+	JMP  mathA
 
-block:
-	CMPQ    R13, R14
-	JGE     nextcol
+stepA:
+	VADDPS Z29, Z22, Z22
+
+mathA:
+	MATH(Z4, Z5, Z6, Z7, CX, R8, K6)
+	ADDQ  $16, R15
+	CMPQ  R15, R14
+	JLE   sampleA
+	KXORW K6, K6, K6
+
+sampleA:
+	KORTESTW K5, K5
+	JCC      slow
+	FAST(Z0, Z1, Z2, Z3, R11, BX)
+	ADDQ     $16, R13
+	CMPQ     R13, R14
+	JLT      pendB
+	INCQ     R12
+	XORL     R13, R13
+	SCOLUMN
+
+pendB:
+	// The same with the sets swapped.
+	LEAQ 16(R13), R15
+	CMPQ R15, R14
+	JLT  stepB
+	LEAQ 1(R12), R11
+	CMPQ R11, n+56(FP)
+	JGE  lastB
+	MCOLUMN(R11, BX)
+	XORL R15, R15
+	FKINIT(R15, BX)
+	JMP  mathB
+
+stepB:
+	VADDPS Z29, Z22, Z22
+
+mathB:
+	MATH(Z0, Z1, Z2, Z3, R11, BX, K5)
+	ADDQ  $16, R15
+	CMPQ  R15, R14
+	JLE   sampleB
+	KXORW K5, K5, K5
+
+sampleB:
+	KORTESTW K6, K6
+	JCC      slow
+	FAST(Z4, Z5, Z6, Z7, CX, R8)
+	ADDQ     $16, R13
+	CMPQ     R13, R14
+	JLT      pendA
+	INCQ     R12
+	XORL     R13, R13
+	SCOLUMN
+	JMP      pendA
+
+lastA:
+	// The cursor's block is the last one.
+	KORTESTW K5, K5
+	JCC      slow
+	FAST(Z0, Z1, Z2, Z3, R11, BX)
+	JMP      finish
+
+lastB:
+	KORTESTW K6, K6
+	JCC      slow
+	FAST(Z4, Z5, Z6, Z7, CX, R8)
+	JMP      finish
+
+slow:
+	// K1 and K7: the block's depths.
+	PREP
 	MOVQ    R14, R11
 	SUBQ    R13, R11
 	MOVL    $0xFFFF, BX
 	CMPQ    R11, $16
-	JGE     mask
+	JGE     slowmask
 	LEAQ    tailmask<>(SB), BX
 	MOVWLZX (BX)(R11*2), BX
 
-mask:
+slowmask:
 	KMOVW BX, K1
-
-	// fk = float32(k0 + kk + l), then v = (yb + ry2·fk + ry3)·f and
-	// vSym = vm1 − v, AccumColumnsRef's operations in its order.
-	MOVQ         k0+48(FP), R11
-	ADDQ         R13, R11
-	VPBROADCASTD R11, Z6
-	VPADDD       Z31, Z6, Z6
-	VCVTDQ2PS    Z6, Z6
-	VMULPS       Z28, Z6, Z6
-	VADDPS       Z6, Z18, Z0
-	VADDPS       Z27, Z0, Z0
-	VMULPS       Z20, Z0, Z0
-	VSUBPS       Z0, Z26, Z1
-
-	// K2: the lanes of K1 whose v and vSym both satisfy 0 ≤ x < vmax
-	// (ordered compares: NaN fails), which also keeps nv and nv+1 inside
-	// both rows.
-	VCMPPS $0x1D, Z21, Z0, K1, K2
-	VCMPPS $0x11, Z29, Z0, K2, K2
-	VCMPPS $0x1D, Z21, Z1, K2, K2
-	VCMPPS $0x11, Z29, Z1, K2, K2
-
-	// nv := int(v); dv := v - float32(nv), for v and vSym.
-	VCVTTPS2DQ Z0, Z2
-	VCVTDQ2PS  Z2, Z3
-	VSUBPS     Z3, Z0, Z3
-	VCVTTPS2DQ Z1, Z4
-	VCVTDQ2PS  Z4, Z5
-	VSUBPS     Z5, Z1, Z5
-
-	// A whole block with every sample in range tries the two permuted
-	// minima first; anything else, and a block they do not fit, takes the
-	// masked reduction.
-	KORTESTW K2, K2
-	JCC      masked
-	WBASE16(Z2, Z22, Z8, R11, masked)
-	WBASE16(Z4, Z23, Z9, BX, masked)
-	WSAMPLE(Z8, Z3, R11, SI, K1)
-	WSAMPLE(Z9, Z5, BX, AX, K1)
-	ADDQ $16, R13
-	JMP  block
-
-masked:
-	WTRY(K1, halves)
-	ADDQ $16, R13
-	JMP  block
+	KMOVW BX, K7
+	TRY(K1, halves)
+	JMP   slowdone
 
 halves:
 	// Retry as two 8-depth windows; a block of at most 8 depths is already
 	// one, and goes back to the caller.
-	KMOVW K1, R11
+	KMOVW K7, R11
 	CMPL  R11, $0xFF
 	JLS   stop
 	MOVL  $0xFF, R11
-	KMOVW R11, K3
-	WTRY(K3, stop)
+	KMOVW R11, K1
+	TRY(K1, stop)
 	MOVL  $0xFF00, R11
-	KMOVW R11, K3
-	KANDW K1, K3, K3
-	WTRY(K3, upper)
-	ADDQ  $16, R13
-	JMP   block
+	KMOVW R11, K1
+	KANDW K7, K1, K1
+	TRY(K1, upper)
+
+slowdone:
+	ADDQ $16, R13
+	CMPQ R13, R14
+	JLT  prime
+	INCQ R12
+	XORL R13, R13
+	CMPQ R12, n+56(FP)
+	JGE  stop
+	SCOLUMN
+	JMP  prime
 
 upper:
 	ADDQ $8, R13
 	JMP  stop
 
-nextcol:
-	INCQ R12
-	XORQ R13, R13
-	JMP  column
+finish:
+	MOVQ n+56(FP), R12
+	XORL R13, R13
 
 stop:
 	VZEROUPPER
-	MOVQ R12, stopC+88(FP)
-	MOVQ R13, stopKK+96(FP)
+	MOVQ R12, stopC+96(FP)
+	MOVQ R13, stopKK+104(FP)
+	RET
+
+// func addAVX2(dst, src *float32, n int)
+TEXT ·addAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $3, CX
+	JZ   addret
+
+add8:
+	VMOVUPS (DI), Y0
+	VADDPS  (SI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	DECQ    CX
+	JNZ     add8
+	VZEROUPPER
+
+addret:
 	RET

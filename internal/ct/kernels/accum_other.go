@@ -6,9 +6,10 @@ func hasAVX2() bool { return false }
 
 func hasAVX512() bool { return false }
 
-// columnLanesAVX2, accumColumnsAVX2 and accumWindowAVX512 are never reached
-// off amd64 (useAVX2 and useAVX512 stay false); they exist so
-// accumColumnsFast and accumColumnsWindowFast compile on every GOARCH.
+// columnLanesAVX2, accumColumnsAVX2, accumWindowAVX512 and addAVX2 are
+// never reached off amd64 (useAVX2 and useAVX512 stay false); they exist so
+// accumColumnsFast, accumColumnsWindowFast and AddTo compile on every
+// GOARCH.
 func columnLanesAVX2(regs *lanes, r *[3][4]float32, fi, umax float32, j0, n, rw int) bool {
 	return false
 }
@@ -17,6 +18,8 @@ func accumColumnsAVX2(acc, sym *float32, n int, row0, row1 *float32, regs *lanes
 	return 0
 }
 
-func accumWindowAVX512(acc *float32, h int, row0 *float32, rw int, regs *lanes, n, k0, c, kk int, vmax, ry2, ry3, vm1 float32) (stopC, stopKK int) {
-	return n, 0
+func accumWindowAVX512(acc *float32, h int, row0 *float32, rw int, r *[3][4]float32, fi, umax float32, j0, n, k0, c, kk int, vm1 float32) (stopC, stopKK int, interior bool) {
+	return n, 0, false
 }
+
+func addAVX2(dst, src *float32, n int) {}

@@ -57,8 +57,8 @@ func ColumnGeomRef(us, fs, ws []float32, r *[3][4]float32, i, j0 int) {
 	fi := float32(i)
 	for c := range us {
 		fj := float32(j0 + c)
-		x := r[0][0]*fi + r[0][1]*fj + r[0][3]
-		z := r[2][0]*fi + r[2][1]*fj + r[2][3]
+		x := float32(r[0][0]*fi) + float32(r[0][1]*fj) + r[0][3]
+		z := float32(r[2][0]*fi) + float32(r[2][1]*fj) + r[2][3]
 		f := 1 / z
 		us[c] = x * f
 		fs[c] = f
@@ -75,8 +75,8 @@ func columnGeomFast(us, fs, ws []float32, r *[3][4]float32, i, j0 int) {
 	z0, z1, z3 := r[2][0], r[2][1], r[2][3]
 	for c := range us {
 		fj := float32(j0 + c)
-		x := x0*fi + x1*fj + x3
-		z := z0*fi + z1*fj + z3
+		x := float32(x0*fi) + float32(x1*fj) + x3
+		z := float32(z0*fi) + float32(z1*fj) + z3
 		f := 1 / z
 		us[c] = x * f
 		fs[c] = f
@@ -117,40 +117,42 @@ func AccumColumnsRef(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n
 func accumColumnsRef(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32, at layout) {
 	var us, fs, ws [Lanes]float32
 	ColumnGeomRef(us[:n], fs[:n], ws[:n], r, i, j0)
-	ks, cs := at.strides(h)
 	fi := float32(i)
 	for c, u := range us[:n] {
+		lo, ls, hi, hs := at.place(h, c)
 		fj := float32(j0 + c)
-		yb := r[1][0]*fi + r[1][1]*fj
+		yb := float32(r[1][0]*fi) + float32(r[1][1]*fj)
 		f, wdis := fs[c], ws[c]
 		for kk := 0; kk < h; kk++ {
 			fk := float32(k0 + kk)
-			y := yb + r[1][2]*fk + r[1][3]
-			v := y * f
+			y := yb + float32(r[1][2]*fk) + r[1][3]
+			v := float32(y * f)
 			vSym := vm1 - v
-			acc[kk*ks+c*cs] += wdis * interp.Bilinear(proj, rw, rh, v, u)
-			acc[(h+kk)*ks+c*cs] += wdis * interp.Bilinear(proj, rw, rh, vSym, u)
+			acc[lo+kk*ls] += float32(wdis * interp.Bilinear(proj, rw, rh, v, u))
+			acc[hi+kk*hs] += float32(wdis * interp.Bilinear(proj, rw, rh, vSym, u))
 		}
 	}
 }
 
-// layout is a tile row accumulator's order: depthMajor (AccumColumns) holds
-// depth kk of column c at kk·Lanes+c, columnMajor (AccumColumnsWindow) at
-// c·2h+kk. Either way the mirror of depth kk is depth h+kk.
+// layout is a tile row accumulator's order. depthMajor (AccumColumns)
+// holds depth kk of column c at kk·Lanes+c and its mirror at
+// (h+kk)·Lanes+c. windowMajor (AccumColumnsWindow) holds column c's 2h
+// floats together at c·2h, in the order of the column's volume line: depth
+// kk at c·2h+kk, its mirror at c·2h+2h-1-kk.
 type layout bool
 
 const (
 	depthMajor  layout = false
-	columnMajor layout = true
+	windowMajor layout = true
 )
 
-// strides returns the distance between neighbouring depths and between
-// neighbouring columns.
-func (at layout) strides(h int) (ks, cs int) {
-	if at == columnMajor {
-		return 1, 2 * h
+// place returns where column c's depth 0 and its mirror sit and how far
+// each moves per depth.
+func (at layout) place(h, c int) (lo, loStep, hi, hiStep int) {
+	if at == windowMajor {
+		return c * 2 * h, 1, c*2*h + 2*h - 1, -1
 	}
-	return Lanes, 1
+	return c, Lanes, h*Lanes + c, Lanes
 }
 
 // lanes is a tile row's column registers, one column per lane (Listing 1's
@@ -171,7 +173,7 @@ func (g *lanes) fill(r *[3][4]float32, i, j0, n int) {
 	columnGeomFast(g.u[:n], g.f[:n], g.w[:n], r, i, j0)
 	fi := float32(i)
 	for c := range n {
-		g.yb[c] = r[1][0]*fi + r[1][1]*float32(j0+c)
+		g.yb[c] = float32(r[1][0]*fi) + float32(r[1][1]*float32(j0+c))
 	}
 }
 
@@ -219,8 +221,8 @@ func accumColumnsFast(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, 
 // not interior, goes through interp.Bilinear.
 func accumColumnsGo(acc, proj []float32, rw, rh int, g *lanes, c0, c1 int, ry2, ry3, vm1 float32, k0, h, kk0, kk1 int, at layout) {
 	vMax, uMax := float32(rw-1), float32(rh-1)
-	ks, cs := at.strides(h)
 	for c := c0; c < c1; c++ {
+		lo, ls, hi, hs := at.place(h, c)
 		u, f, wdis, yb := g.u[c], g.f[c], g.w[c], g.yb[c]
 		var row0, row1 []float32
 		var du float32
@@ -234,30 +236,30 @@ func accumColumnsGo(acc, proj []float32, rw, rh int, g *lanes, c0, c1 int, ry2, 
 		}
 		for kk := kk0; kk < kk1; kk++ {
 			fk := float32(k0 + kk)
-			y := yb + ry2*fk + ry3
-			v := y * f
+			y := yb + float32(ry2*fk) + ry3
+			v := float32(y * f)
 			vSym := vm1 - v
 			var a, b float32
 			if v >= 0 && v < lim {
 				nv := int(v)
 				dv := v - float32(nv)
-				t1 := row0[nv]*(1-dv) + row0[nv+1]*dv
-				t2 := row1[nv]*(1-dv) + row1[nv+1]*dv
-				a = t1*(1-du) + t2*du
+				t1 := float32(row0[nv]*(1-dv)) + float32(row0[nv+1]*dv)
+				t2 := float32(row1[nv]*(1-dv)) + float32(row1[nv+1]*dv)
+				a = float32(t1*(1-du)) + float32(t2*du)
 			} else {
 				a = interp.Bilinear(proj, rw, rh, v, u)
 			}
 			if vSym >= 0 && vSym < lim {
 				nv := int(vSym)
 				dv := vSym - float32(nv)
-				t1 := row0[nv]*(1-dv) + row0[nv+1]*dv
-				t2 := row1[nv]*(1-dv) + row1[nv+1]*dv
-				b = t1*(1-du) + t2*du
+				t1 := float32(row0[nv]*(1-dv)) + float32(row0[nv+1]*dv)
+				t2 := float32(row1[nv]*(1-dv)) + float32(row1[nv+1]*dv)
+				b = float32(t1*(1-du)) + float32(t2*du)
 			} else {
 				b = interp.Bilinear(proj, rw, rh, vSym, u)
 			}
-			acc[kk*ks+c*cs] += wdis * a
-			acc[(h+kk)*ks+c*cs] += wdis * b
+			acc[lo+kk*ls] += float32(wdis * a)
+			acc[hi+kk*hs] += float32(wdis * b)
 		}
 	}
 }
@@ -280,26 +282,35 @@ func WindowFits(h, rw int, maxStep float64) bool {
 	return onAVX512() && h >= windowDepth && rw >= 2*windowDepth && 7*maxStep <= 2*windowDepth-3
 }
 
-// AccumColumnsWindow is AccumColumns into a column-major accumulator: for
-// column c and depth kk < h,
+// AccumColumnsWindow is AccumColumns into an accumulator in volume-line
+// order: for column c and depth kk < h,
 //
-//	acc[c·2h+kk]   += w·proj(v, u)
-//	acc[c·2h+h+kk] += w·proj(vm1-v, u)
+//	acc[c·2h+kk]      += w·proj(v, u)
+//	acc[c·2h+2h-1-kk] += w·proj(vm1-v, u)
 //
-// with v, u and w exactly as AccumColumns computes them. acc holds
-// 2h·Lanes floats; columns n … Lanes-1 of it are scratch. Down a column v
-// is linear in k, so on AVX-512 hosts the sixteen depths of a block read
-// their taps from one 32-sample window of each detector row through
-// two-source permutes instead of gathers (accum_amd64.s). A block that
-// leaves the detector or spans more than the window is retried as two
-// 8-depth windows, and an 8-depth block that still does not fit runs the
-// portable loop, so the bits never depend on the tier.
+// with v, u and w exactly as AccumColumns computes them, so column c's 2h
+// floats are the slab pair's planes of its volume line in line order (the
+// lower slab, then the mirror slab ascending) and a caller adds them into
+// the line with one contiguous AddTo. acc holds 2h·Lanes floats; columns
+// n … Lanes-1 of it are scratch.
+//
+// Down a column v is linear in k, so on AVX-512 hosts the sixteen depths of
+// a block read their taps from one 32-sample window of each detector row
+// through two-source permutes instead of gathers (accum_amd64.s), with the
+// next block's index math issued ahead of the current block's taps. A
+// block that reaches the detector's border is sampled in the kernel too:
+// each sample with v in (−1, Nv) reads its taps outside the row as +0, and
+// any other adds w·(+0), as interp.Bilinear's zero border does. A block
+// that spans more than a window is retried as two 8-depth windows; an
+// 8-depth block that still does not fit or holds a NaN sample, and a tile
+// row whose u is not interior, runs the portable loop, so the bits never
+// depend on the tier.
 func AccumColumnsWindow(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32) {
 	if useFast {
 		accumColumnsWindowFast(acc, proj, rw, rh, r, i, j0, n, k0, h, vm1)
 		return
 	}
-	accumColumnsRef(acc, proj, rw, rh, r, i, j0, n, k0, h, vm1, columnMajor)
+	accumColumnsRef(acc, proj, rw, rh, r, i, j0, n, k0, h, vm1, windowMajor)
 }
 
 // accumColumnsWindowFast is AccumColumnsWindow's fast form. It returns the
@@ -316,31 +327,55 @@ func accumColumnsWindowFast(acc, proj []float32, rw, rh int, r *[3][4]float32, i
 	if n == 0 || h == 0 {
 		return 0
 	}
-	var g lanes
 	ry2, ry3 := r[1][2], r[1][3]
 	// The assembly needs what accumColumnsFast's does, a window's worth of
-	// samples per row, and depth numbers that fit an int32.
-	vector := onAVX512() && rw >= 2*windowDepth && rw*rh <= math.MaxInt32 &&
-		j0 >= math.MinInt32 && j0 <= math.MaxInt32-Lanes && k0 >= math.MinInt32 && k0 <= math.MaxInt32-h
-	if !vector || !columnLanesAVX2(&g, r, float32(i), float32(rh-1), j0, n, rw) {
-		g.fill(r, i, j0, n)
-		accumColumnsGo(acc, proj, rw, rh, &g, 0, n, ry2, ry3, vm1, k0, h, 0, h, columnMajor)
-		return n * h
-	}
-	// The assembly stops in front of an 8-depth block it cannot window; the
-	// portable loop runs that block, and the assembly is re-entered behind it.
-	vMax := float32(rw - 1)
-	c, kk := 0, 0
-	for {
-		c, kk = accumWindowAVX512(&acc[0], h, &proj[0], rw, &g, n, k0, c, kk, vMax, ry2, ry3, vm1)
-		if c >= n {
+	// samples per row, two rows (no u is interior on fewer), and depth
+	// numbers below 2²⁴ in magnitude, where its running float32 depth steps
+	// exactly.
+	const exact = 1 << 24
+	vector := onAVX512() && rw >= 2*windowDepth && rh >= 2 && rw*rh <= math.MaxInt32 &&
+		j0 >= math.MinInt32 && j0 <= math.MaxInt32-Lanes && k0 > -exact && k0 < exact-h-windowDepth
+	fi, uMax := float32(i), float32(rh-1)
+	var g lanes
+	if vector {
+		c, kk, interior := accumWindowAVX512(&acc[0], h, &proj[0], rw, r, fi, uMax, j0, n, k0, 0, 0, vm1)
+		if interior {
+			// The assembly stops in front of an 8-depth block it cannot
+			// window; the portable loop runs that block, and the assembly is
+			// re-entered behind it.
+			if c < n {
+				g.fill(r, i, j0, n)
+			}
+			for c < n {
+				kk1 := min(kk+8, h)
+				accumColumnsGo(acc, proj, rw, rh, &g, c, c+1, ry2, ry3, vm1, k0, h, kk, kk1, windowMajor)
+				portable += kk1 - kk
+				if kk = kk1; kk == h {
+					c, kk = c+1, 0
+				}
+				c, kk, _ = accumWindowAVX512(&acc[0], h, &proj[0], rw, r, fi, uMax, j0, n, k0, c, kk, vm1)
+			}
 			return portable
 		}
-		kk1 := min(kk+8, h)
-		accumColumnsGo(acc, proj, rw, rh, &g, c, c+1, ry2, ry3, vm1, k0, h, kk, kk1, columnMajor)
-		portable += kk1 - kk
-		if kk = kk1; kk == h {
-			c, kk = c+1, 0
+	}
+	g.fill(r, i, j0, n)
+	accumColumnsGo(acc, proj, rw, rh, &g, 0, n, ry2, ry3, vm1, k0, h, 0, h, windowMajor)
+	return n * h
+}
+
+// AddTo adds src into dst element by element, dst[x] += src[x] for
+// x < len(src); dst must be at least as long. It is the slab driver's
+// tile → volume step, eight floats per instruction on AVX2 hosts.
+func AddTo(dst, src []float32) {
+	dst = dst[:len(src)]
+	n := 0
+	if useFast && useAVX2 {
+		n = len(src) &^ 7
+		if n > 0 {
+			addAVX2(&dst[0], &src[0], n)
 		}
+	}
+	for x := n; x < len(src); x++ {
+		dst[x] += src[x]
 	}
 }

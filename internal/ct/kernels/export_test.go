@@ -21,6 +21,16 @@ func SetAVX512(on bool) (restore func()) {
 	return func() { useAVX512 = prev }
 }
 
+// WindowAt is where AccumColumnsWindow's accumulator holds column c's
+// depth kk of 2h: the lower slab for kk < h, the mirror of depth kk-h past.
+func WindowAt(h, c, kk int) int {
+	lo, ls, hi, hs := windowMajor.place(h, c)
+	if kk < h {
+		return lo + kk*ls
+	}
+	return hi + (kk-h)*hs
+}
+
 func UseRef() (restore func()) {
 	useFast = false
 	return func() { useFast = true }

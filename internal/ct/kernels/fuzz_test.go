@@ -290,7 +290,7 @@ func tableFor(n int, inverse bool, wrong uint8) []complex64 {
 // portable tier and AVX2, AccumColumnsWindow on the portable tier and (where
 // the host has it) the AVX-512 window tier:
 //
-//   - h is the slab depth 0…40, cols the run length 0…9 (9 is one column
+//   - h is the slab depth 0…64, cols the run length 0…9 (9 is one column
 //     too many), rw × rh the detector 0…299 × 0…39, and i, j0, k0 any
 //     int16;
 //   - mode bit 0 cuts the accumulator one float short, bit 1 the
@@ -298,16 +298,18 @@ func tableFor(n int, inverse bool, wrong uint8) []complex64 {
 //     crossing it from a fuzzed start at a fuzzed slope), otherwise the
 //     matrix is raw; bit 3 moves an aimed row's mirror pivot vm1 up to half
 //     a row either side of the row end, so mirrors leave the detector
-//     where their v does not, and the other way round;
+//     where their v does not, and the other way round; bit 4 then makes
+//     r[1][1] +Inf, so the column at fj = 0 has a NaN v and the others an
+//     infinite one;
 //   - geom is float32 bit patterns (NaN, ±Inf and denormals included),
 //     repeated to fill the matrix, vm1 and the pixels.
 //
 // A call must panic on every leg with the same message or on none; the
 // run's lanes must be bit-identical on every leg and the reference (any NaN
-// for a NaN), the window legs read column-major; and the canaries either
-// side of the accumulator and the projection must survive.
+// for a NaN), the window legs read in volume-line order; and the canaries
+// either side of the accumulator and the projection must survive.
 func FuzzAccumColumnsTiers(f *testing.F) {
-	const shortAcc, shortProj, aim, pivot = 0x01, 0x02, 0x04, 0x08
+	const shortAcc, shortProj, aim, pivot, nanLane = 0x01, 0x02, 0x04, 0x08, 0x10
 	nan, inf, denormal := []byte{0, 0, 0xC0, 0x7F}, []byte{0, 0, 0x80, 0xFF}, []byte{1, 0, 0, 0}
 	ramp := []byte{0x10, 0x32, 0x54, 0x76, 0x98, 0xBA, 0xDC, 0xFE, 0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF}
 	for _, h := range []uint8{1, 2, 4, 8, 32, 40} {
@@ -343,20 +345,48 @@ func FuzzAccumColumnsTiers(f *testing.F) {
 	// Window shapes: rows of 31 and 32 samples (one short of a window, and
 	// exactly one) and of 96, slabs of 16, 20 and 40 depths, v starting
 	// near either end of the row or mid-row, at −1 to 1.96 rows per depth:
-	// 16-depth windows, 8-depth ones, and blocks that leave the row.
-	for _, rw := range []uint16{31, 32, 96} {
-		for _, h := range []uint8{16, 20, 40} {
-			for _, v := range [][2]float64{{0.02, 0.6}, {0.5, 0.74}, {0.97, 0.9}, {0.5, 0.25}, {0.5, 0.99}} {
-				f.Add(h, uint8(8), rw, uint16(40), int16(7), int16(16), int16(h), uint8(aim), units(0.5, 0.5, 0.5, 0.5, v[1], v[0]))
+	// 16-depth windows, 8-depth ones, and blocks that leave the row. rh
+	// reads modulo 40, so these 40-row copies are detectors of no rows,
+	// which no tier may read; the 24-row copies below run the window tier.
+	windowShapes := func(rh uint16) {
+		for _, rw := range []uint16{31, 32, 96} {
+			for _, h := range []uint8{16, 20, 40} {
+				for _, v := range [][2]float64{{0.02, 0.6}, {0.5, 0.74}, {0.97, 0.9}, {0.5, 0.25}, {0.5, 0.99}} {
+					f.Add(h, uint8(8), rw, rh, int16(7), int16(16), int16(h), uint8(aim), units(0.5, 0.5, 0.5, 0.5, v[1], v[0]))
+				}
 			}
 		}
+	}
+	windowShapes(40)
+	windowShapes(24)
+
+	// The window tier's border and pipeline, on a 64-sample row: slabs of
+	// 32, 48 and 64 depths whose v leaves the row (and its mirror the other
+	// end) inside the second block of the first pair, falling or rising at
+	// 1.3 samples per depth from mid-row; v from 0.3 at −0.4 per depth, so
+	// it runs through (−1, 0) and then ≤ −1 while its mirror runs through
+	// [Nv−1, Nv) and then ≥ Nv; and the same geometry over pixels that are
+	// almost all +0 and −0, where a border tap read as the wrong zero shows.
+	zeros := units(0.5, 0.5, 0.5, 0.5, 0.4, 0.3/63)
+	for range 28 {
+		zeros = append(zeros, 0, 0, 0, 0x80, 0, 0, 0, 0)
+	}
+	for _, h := range []uint8{16, 32, 40, 48, 64} {
+		for _, slope := range []float64{0.175, 0.825} {
+			f.Add(h, uint8(8), uint16(64), uint16(24), int16(7), int16(16), int16(h), uint8(aim), units(0.5, 0.5, 0.5, 0.55, slope, 0.5))
+		}
+		f.Add(h, uint8(8), uint16(64), uint16(24), int16(7), int16(16), int16(h), uint8(aim), units(0.5, 0.5, 0.5, 0.5, 0.4, 0.3/63))
+		f.Add(h, uint8(8), uint16(64), uint16(24), int16(7), int16(16), int16(h), uint8(aim), zeros)
+		// One NaN column among infinite ones: the NaN's depths run portable,
+		// the infinite ones add w·(+0) in the kernel.
+		f.Add(h, uint8(8), uint16(64), uint16(24), int16(7), int16(-3), int16(h), uint8(aim|nanLane), units(0.5, 0.5, 0.5, 0.5, 0.45, 0.5))
 	}
 
 	f.Fuzz(func(t *testing.T, h, cols uint8, rw, rh uint16, i, j0, k0 int16, mode uint8, geom []byte) {
 		if !kernels.HasAVX2() {
 			t.Skip("CPU or OS without AVX2: there is one fast tier here, nothing to compare")
 		}
-		depth, n := int(h)%41, int(cols)%10
+		depth, n := int(h)%65, int(cols)%10
 		w, ht := int(rw)%300, int(rh)%40
 		word := func(k int) float32 {
 			if len(geom) < 4 {
@@ -381,6 +411,9 @@ func FuzzAccumColumnsTiers(f *testing.F) {
 			if mode&pivot != 0 {
 				vm1 += (unit(6) - 0.5) * float32(w)
 			}
+			if mode&nanLane != 0 {
+				r[1][1] = float32(math.Inf(1))
+			}
 		} else {
 			for k := range 12 {
 				r[k/4][k%4] = word(k)
@@ -404,19 +437,22 @@ func FuzzAccumColumnsTiers(f *testing.F) {
 				proj[p] = word(13 + p)
 			}
 		}
+		// Every seventh accumulator starts at −0, which only an add of +0
+		// turns into +0: a sample off the detector must still add w·(+0).
 		prior := make([]float32, pad+accLen+pad)
 		for p := range prior {
 			prior[p] = accCanary
 			if p >= pad && p < pad+accLen {
-				prior[p] = float32(p % 7)
+				prior[p] = float32(p%7) * -1
 			}
 		}
-		// The window legs start from the same prior, laid out column-major:
-		// depth kk of lane c at c·2h+kk instead of kk·Lanes+c.
+		// The window legs start from the same prior, laid out in volume-line
+		// order: depth kk of lane c at kernels.WindowAt instead of
+		// kk·Lanes+c.
 		colPrior := append([]float32(nil), prior...)
 		for x := 0; x < accLen; x++ {
 			kk, c := x/kernels.Lanes, x%kernels.Lanes
-			if y := c*2*depth + kk; y < accLen {
+			if y := kernels.WindowAt(depth, c, kk); y < accLen {
 				colPrior[pad+y] = prior[pad+x]
 			}
 		}
@@ -486,7 +522,7 @@ func FuzzAccumColumnsTiers(f *testing.F) {
 				for _, l := range legs {
 					got := l.acc[x]
 					if l.win {
-						got = l.acc[pad+c*2*depth+kk]
+						got = l.acc[pad+kernels.WindowAt(depth, c, kk)]
 					}
 					if !same(got, reference[x]) {
 						t.Fatalf("%s: depth %d lane %d = %v on %s, %v on ref", name, kk, c, got, l.name, reference[x])

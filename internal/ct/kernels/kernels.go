@@ -26,7 +26,11 @@
 //     hosts two kernels gain a wider tier: AccumColumnsWindow, the slab
 //     driver's kernel for slabs at least 16 deep, puts 16 depths of one
 //     column in a register and reads their taps from a 32-sample detector
-//     window through two-source permutes instead of gathers
+//     window through two-source permutes instead of gathers, software-
+//     pipelined so that the next block's index math is issued ahead of the
+//     current block's taps, samples the detector's border itself (taps off
+//     the row read +0) and leaves each column's sums in its volume line's
+//     order, so the driver adds them with AddTo's vector adds
 //     (accum_amd64.s); and the filter core — the radix-4 passes of DIF and
 //     DIT and Convolve, the one spectrum path the filter's ApplyEncoded,
 //     ApplyInto and Sweep share — runs eight complex64 per register, with
@@ -50,9 +54,17 @@
 // CosineWeightPairLE → Convolve → TransposePairs chain on that tier;
 // TransposePairs copies bits (tests
 // assert exact equality, far inside the required ≤1e-5 parity bound):
-// which tier a host runs never shows in a volume. Border and non-finite
-// coordinates in the back-projection kernels fall back to the reference
-// formula per sample, so NaN/Inf propagate identically. The one pair that is not bit-identical is
+// which tier a host runs never shows in a volume. AccumColumns' border and
+// non-finite samples, and AccumColumnsWindow's NaN samples, fall back to
+// the reference formula per sample, so NaN/Inf propagate identically;
+// AccumColumnsWindow samples the border itself with interp.Bilinear's
+// zero-border arithmetic, lane by lane. In the back-projection path —
+// interp.Bilinear, this package's back-projection kernels and the
+// backproject drivers — every product that feeds an add or subtract is
+// rounded by an explicit conversion (float32(x*y) + …), so the fused
+// multiply-adds Go emits on arm64, ppc64le and s390x cannot change those
+// bits either (ci/run.sh fusion checks it; on amd64 the conversions emit
+// nothing). The one pair that is not bit-identical is
 // reference ↔ fast for DIF, DIT, RealUnpack and RealRepack: the reference
 // multiplies with the complex64 operator, which rounds through float64, the
 // fast form in explicit float32, so they agree to 1e-6 of the peak.

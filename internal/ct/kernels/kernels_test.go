@@ -846,7 +846,7 @@ func TestAccumColumnsAVX2Stops(t *testing.T) {
 }
 
 // TestAccumColumnsWindowParity asserts that AccumColumnsWindow's
-// column-major accumulator holds, bit for bit, what AccumColumnsRef's
+// volume-line-order accumulator holds, bit for bit, what AccumColumnsRef's
 // depth-major one holds, on the parity corpus and on every tier: the
 // reference, the portable loop, and (where the host has it) the window tier.
 func TestAccumColumnsWindowParity(t *testing.T) {
@@ -870,13 +870,13 @@ func TestAccumColumnsWindowParity(t *testing.T) {
 				win := make([]float32, len(c.acc))
 				for kk := 0; kk < 2*c.h; kk++ {
 					for lane := range Lanes {
-						win[lane*2*c.h+kk] = c.acc[kk*Lanes+lane]
+						win[WindowAt(c.h, lane, kk)] = c.acc[kk*Lanes+lane]
 					}
 				}
 				c.call(win, AccumColumnsWindow)
 				for kk := 0; kk < 2*c.h; kk++ {
 					for lane := range c.n {
-						if want, got := ref[kk*Lanes+lane], win[lane*2*c.h+kk]; !eqBits(want, got) {
+						if want, got := ref[kk*Lanes+lane], win[WindowAt(c.h, lane, kk)]; !eqBits(want, got) {
 							t.Fatalf("case %d rw=%d rh=%d n=%d h=%d k0=%d r=%v: depth %d lane %d: ref=%v window=%v",
 								n, c.rw, c.rh, c.n, c.h, c.k0, c.r, kk, lane, want, got)
 						}
