@@ -42,14 +42,17 @@ fusion)
 	# unless an explicit float32(…) or float64(…) rounds the product (Go
 	# spec, Floating-point operators); amd64 never does. The back-projection
 	# path — internal/ct/interp, internal/ct/kernels/backproject.go and
-	# internal/ct/backproject, inlined copies included — must compile to no
-	# fused multiply-add on any of them, so that its volumes do not depend
-	# on GOARCH. This only cross-compiles: arm64 tests are not run here.
+	# internal/ct/backproject — and the filter's — internal/ct/filter and
+	# internal/ct/kernels/filter.go — inlined copies included, must compile
+	# to no fused multiply-add on any of them, so that their bits do not
+	# depend on GOARCH. Still outside the gate: the FFT passes
+	# (internal/ct/kernels/fft.go) and math.Sin / math.Cos themselves. This
+	# only cross-compiles: arm64 tests are not run here.
 	status=0
 	for arch in arm64 ppc64le s390x; do
 		fused=$(GOARCH=$arch go build -gcflags='ifdk/...=-S' ./... 2>&1 |
 			grep -E '[[:space:]]FN?M(ADD|SUB)[SD]?[[:space:]]' |
-			grep -E '\(.*/internal/ct/(interp/|kernels/backproject\.go|backproject/)' || true)
+			grep -E '\(.*/internal/ct/(interp/|kernels/(backproject|filter)\.go|backproject/|filter/)' || true)
 		if [ -n "$fused" ]; then
 			echo "fused multiply-adds on $arch:" && echo "$fused"
 			status=1
@@ -91,17 +94,21 @@ bench-smoke)
 	;;
 gates)
 	# Allocation and determinism gates: the filter allocates nothing per
-	# projection (ApplyInto, Sweep, and ApplyEncoded from the staged bytes
-	# into the transposed block at even and odd Nv and at Nu 256, where the
-	# fused ends prefetch) and Sweep ≡ ApplyInto
-	# bitwise at any worker count; back-projection allocates nothing per
-	# projection (Proposed, slab pairs at h = 5, the fleet_mixed depth h = 2
-	# and the window tier's h = 16, Standard and an ablation variant) and
-	# returns every pooled byte; pooled collectives; decimation allocates
-	# nothing; the analytic renderer ≡ the one-ray derivation bitwise.
+	# projection (its one end, ApplyEncoded from the staged bytes and
+	# ApplyImage from an image, into the transposed block at even and odd
+	# Nv and at Nu 256, where the fused ends prefetch; and the benchmark's
+	# wrappers ApplyInto and Sweep) and Sweep ≡ ApplyInto bitwise at any
+	# worker count; back-projection allocates nothing per projection
+	# (Proposed on both layouts, slab pairs at h = 5, the fleet_mixed depth
+	# h = 2 and the window tier's h = 16, Standard and an ablation variant)
+	# and returns every pooled byte; the serial loop (fdk.Reconstruct)
+	# allocates nothing per batch and returns every pooled byte; pooled
+	# collectives; decimation allocates nothing; the analytic renderer ≡ the
+	# one-ray derivation bitwise.
 	go test -run 'TestApplyIntoSteadyStateAllocs|TestSweepBitIdenticalToApplyInto' -v ./internal/ct/filter/
 	go test -run 'TestAnalyticBitIdenticalToOneRayLoop' -v ./internal/ct/projector/
 	go test -run 'TestBackprojectSteadyStateAllocs' -v ./internal/ct/backproject/
+	go test -run 'TestReconstructSteadyStateAllocs' -v ./internal/ct/fdk/
 	go test -run 'AllocRegression' -v ./internal/hpc/mpi/
 	go test -run 'TestDecimateIntoNoAllocs' -v ./internal/ct/preview/
 	;;
@@ -156,8 +163,9 @@ fuzz)
 	# decoder), the traceparent parser, the spec resolver, journal replay and
 	# compaction, the spill reader, the projection decoder, and the assembly
 	# wrappers across tiers (DIF / DIT / Convolve, AccumColumns and
-	# AccumColumnsWindow, filter.ApplyEncoded ≡ decode → ApplyInto →
-	# TransposeInto), and core.Run's volumes across tiers on random
+	# AccumColumnsWindow, filter.ApplyEncoded on every tier ≡ the portable
+	# tier's unfused chain, and ApplyImage ≡ ApplyEncoded of the image's
+	# bytes), and core.Run's volumes across tiers on random
 	# geometries and grids. The seeds also run as plain tests in the test
 	# step.
 	go test -run '^$' -fuzz FuzzReadEvents -fuzztime 10s ./pkg/api

@@ -1,6 +1,8 @@
-// Package ci holds the check that keeps .github/workflows/ci.yml and
-// ci/run.sh in step. The workflow cannot be run here, so its shape is
-// checked as text: no YAML library is a dependency of this module.
+// Package ci holds the checks on the repository's own text: the one that
+// keeps .github/workflows/ci.yml and ci/run.sh in step — the workflow
+// cannot be run here, so its shape is checked as text: no YAML library is a
+// dependency of this module — and the one that keeps the README's and the
+// package docs' Go names pointing at declared identifiers (docs_test.go).
 package ci
 
 import (

@@ -51,10 +51,10 @@ type Task struct {
 	Mats []geometry.ProjMat
 	Proj []*volume.Image // filtered projections Q_i, each Nu×Nv
 	// Transposed says the projections are already transposed (Alg. 4
-	// line 3): each image is Nv×Nu, V the fast axis. The distributed
-	// pipeline transposes once on the producer and shares the result;
-	// ProposedSlabPair reads such a task as it is instead of transposing
-	// it per batch, and the other entry points reject it.
+	// line 3): each image is Nv×Nu, V the fast axis. The filter's
+	// ApplyEncoded and ApplyImage write this layout; Proposed and
+	// ProposedSlabPair read such a task as it is instead of transposing it
+	// per batch, and Standard and the ablation variants reject it.
 	Transposed bool
 }
 
@@ -151,7 +151,7 @@ func Standard(task Task, vol *volume.Volume, opt Options) error {
 
 // Proposed back-projects the task into a k-major volume following Alg. 4:
 // the whole volume is the one-row slab pair [0, Nz/2), plus the unpaired
-// centre plane when Nz is odd.
+// centre plane when Nz is odd. The task may be Transposed.
 func Proposed(task Task, vol *volume.Volume, opt Options) error {
 	return Ablate(task, vol, opt, ProposedVariant)
 }
@@ -169,12 +169,12 @@ func Ablate(task Task, vol *volume.Volume, opt Options, va Variant) error {
 	if vol.Layout != volume.KMajor {
 		return fmt.Errorf("backproject: Proposed requires a k-major volume, got %v", vol.Layout)
 	}
-	if task.Transposed {
-		return fmt.Errorf("backproject: Proposed requires untransposed projections")
-	}
 	if va == ProposedVariant {
 		slabPair(task, vol, opt, 0, vol.Nz/2)
 		return nil
+	}
+	if task.Transposed {
+		return fmt.Errorf("backproject: ablation variants require untransposed projections")
 	}
 	nx, ny, nz := vol.Nx, vol.Ny, vol.Nz
 	w, h := task.Proj[0].W, task.Proj[0].H

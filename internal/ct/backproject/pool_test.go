@@ -93,6 +93,7 @@ func TestBackprojectSteadyStateAllocs(t *testing.T) {
 		run  func() error
 	}{
 		{"Proposed", g.Np, func() error { return Proposed(task, vol, Options{Workers: 2}) }},
+		{"Proposed, transposed", g.Np, func() error { return Proposed(tt, vol, Options{Workers: 2}) }},
 		{"ProposedSlabPair, transposed, h=5", g.Np, slab(tt, g, 2, 7)},
 		{"ProposedSlabPair, transposed, h=2", g.Np, slab(tt, g, 8, 10)},
 		{"ProposedSlabPair, transposed, h=16", big.Np, slab(transposedTask(randomTask(big, 5)), big, 0, 16)},

@@ -3,6 +3,7 @@ package backproject
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/kernels"
@@ -77,90 +78,117 @@ const colTile = kernels.Lanes
 // to the volume once per batch, so the volume is bit-identical to the
 // voxel-at-a-time loop at any tile shape and worker count.
 func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
-	nx, ny, nz := vol.Nx, vol.Ny, vol.Nz
-	w, ht := task.Proj[0].W, task.Proj[0].H // detector Nu, Nv
+	p := slabPasses.Get().(*slabPass)
+	p.vol, p.z0, p.h = vol, z0, z1-z0
+	p.w, p.ht = task.Proj[0].W, task.Proj[0].H // detector Nu, Nv
 	if task.Transposed {
-		w, ht = ht, w
+		p.w, p.ht = p.ht, p.w
 	}
+	p.window = kernels.WindowFits(p.h, p.ht, maxVStep(task.Mats, vol.Nx, vol.Ny))
+	tiles := (vol.Nx + colTile - 1) / colTile * ((vol.Ny + colTile - 1) / colTile)
+	for s0 := 0; s0 < len(task.Proj); s0 += DefaultBatch {
+		s1 := min(s0+DefaultBatch, len(task.Proj))
+		// A Transposed task is read in place; otherwise each batch is
+		// transposed into pooled images first (Alg. 4 line 3).
+		bufs := acquireBatch(task.Mats[s0:s1], task.Proj[s0:s1], !task.Transposed)
+		p.rows, p.data = bufs.rows.Data, bufs.data.Data
+		engine.ParallelRange(tiles, opt.Workers, p.tiles)
+		bufs.release()
+	}
+	*p = slabPass{tiles: p.tiles}
+	slabPasses.Put(p)
+}
+
+// slabPass is one slabPair call's state, read by its batches' tile workers:
+// the volume, the batch's narrowed matrices and transposed projections, the
+// detector's Nu and Nv, the lower slab [z0, z0+h), and whether the window
+// kernel runs. It is pooled with its tiles method value bound once, so a
+// call allocates nothing; a closure over the state would, once per batch.
+type slabPass struct {
+	vol          *volume.Volume
+	rows         [][3][4]float32
+	data         [][]float32
+	w, ht, z0, h int
+	window       bool
+	tiles        func(n0, n1 int)
+}
+
+var slabPasses = sync.Pool{New: func() any {
+	p := new(slabPass)
+	p.tiles = p.run
+	return p
+}}
+
+// run back-projects the batch into tiles [n0, n1).
+func (p *slabPass) run(n0, n1 int) {
+	vol, rows, data, w, ht, z0, h, window := p.vol, p.rows, p.data, p.w, p.ht, p.z0, p.h, p.window
+	nx, ny, nz := vol.Nx, vol.Ny, vol.Nz
 	vm1 := float32(ht - 1)
-	h := z1 - z0
 	// Odd Nz: the centre plane has no mirror partner. Only a whole volume
 	// can be odd, so z0 = 0 and local plane h is global plane Nz/2.
 	odd := nz%2 == 1
 	rowLen := (2*h + nz%2) * colTile
 	// The window kernel keeps a tile row's accumulator in volume-line
 	// order, the gather kernel depth-major; the centre plane follows either.
-	window := kernels.WindowFits(h, ht, maxVStep(task.Mats, nx, ny))
 	accum := kernels.AccumColumns
 	if window {
 		accum = kernels.AccumColumnsWindow
 	}
 	tilesJ := (ny + colTile - 1) / colTile
-	tiles := (nx + colTile - 1) / colTile * tilesJ
-	for s0 := 0; s0 < len(task.Proj); s0 += DefaultBatch {
-		s1 := min(s0+DefaultBatch, len(task.Proj))
-		// A Transposed task is read in place; otherwise each batch is
-		// transposed into pooled images first (Alg. 4 line 3).
-		bufs := acquireBatch(task.Mats[s0:s1], task.Proj[s0:s1], !task.Transposed)
-		rows, data := bufs.rows.Data, bufs.data.Data
-		engine.ParallelRange(tiles, opt.Workers, func(n0, n1 int) {
-			regs, us, fs, ws := acquireRegs(colTile)
-			acc := colPool.Acquire(colTile * rowLen)
-			for n := n0; n < n1; n++ {
-				i0, j0 := n/tilesJ*colTile, n%tilesJ*colTile
-				i1, j1 := min(i0+colTile, nx), min(j0+colTile, ny)
-				tj := j1 - j0
-				tile := acc.Data[:(i1-i0)*rowLen]
-				clear(tile)
-				for t := range rows {
-					r := &rows[t]
-					for i := i0; i < i1; i++ {
-						row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
-						accum(row, data[t], ht, w, r, i, j0, tj, z0, h, vm1)
-						if odd {
-							kernels.ColumnGeom(us[:tj], fs, ws, r, i, j0)
-							fi, fk := float32(i), float32(h)
-							centre := row[2*h*colTile:]
-							for c := range tj {
-								fj := float32(j0 + c)
-								y := float32(r[1][0]*fi) + float32(r[1][1]*fj) + float32(r[1][2]*fk) + r[1][3]
-								centre[c] += float32(ws[c] * sampleProj(data[t], ht, w, us[c], y*fs[c], true))
-							}
-						}
-					}
-				}
-				for i := i0; i < i1; i++ {
-					row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
-					base := (i*ny + j0) * nz
-					if window && !odd {
-						// The tile row's columns are neighbouring volume
-						// lines, each already in line order.
-						kernels.AddTo(vol.Data[base:base+tj*nz], row[:tj*nz])
-						continue
-					}
+	regs, us, fs, ws := acquireRegs(colTile)
+	acc := colPool.Acquire(colTile * rowLen)
+	for n := n0; n < n1; n++ {
+		i0, j0 := n/tilesJ*colTile, n%tilesJ*colTile
+		i1, j1 := min(i0+colTile, nx), min(j0+colTile, ny)
+		tj := j1 - j0
+		tile := acc.Data[:(i1-i0)*rowLen]
+		clear(tile)
+		for t := range rows {
+			r := &rows[t]
+			for i := i0; i < i1; i++ {
+				row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
+				accum(row, data[t], ht, w, r, i, j0, tj, z0, h, vm1)
+				if odd {
+					kernels.ColumnGeom(us[:tj], fs, ws, r, i, j0)
+					fi, fk := float32(i), float32(h)
+					centre := row[2*h*colTile:]
 					for c := range tj {
-						line := vol.Data[base+c*nz : base+(c+1)*nz : base+(c+1)*nz]
-						if window {
-							col := row[c*2*h : (c+1)*2*h]
-							kernels.AddTo(line[:h], col[:h])
-							kernels.AddTo(line[nz-h:], col[h:])
-						} else {
-							for kk := 0; kk < h; kk++ {
-								line[kk] += row[kk*colTile+c]
-								line[nz-1-kk] += row[(h+kk)*colTile+c]
-							}
-						}
-						if odd {
-							line[h] += row[2*h*colTile+c]
-						}
+						fj := float32(j0 + c)
+						y := float32(r[1][0]*fi) + float32(r[1][1]*fj) + float32(r[1][2]*fk) + r[1][3]
+						centre[c] += float32(ws[c] * sampleProj(data[t], ht, w, us[c], y*fs[c], true))
 					}
 				}
 			}
-			acc.Release()
-			regs.Release()
-		})
-		bufs.release()
+		}
+		for i := i0; i < i1; i++ {
+			row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
+			base := (i*ny + j0) * nz
+			if window && !odd {
+				// The tile row's columns are neighbouring volume
+				// lines, each already in line order.
+				kernels.AddTo(vol.Data[base:base+tj*nz], row[:tj*nz])
+				continue
+			}
+			for c := range tj {
+				line := vol.Data[base+c*nz : base+(c+1)*nz : base+(c+1)*nz]
+				if window {
+					col := row[c*2*h : (c+1)*2*h]
+					kernels.AddTo(line[:h], col[:h])
+					kernels.AddTo(line[nz-h:], col[h:])
+				} else {
+					for kk := 0; kk < h; kk++ {
+						line[kk] += row[kk*colTile+c]
+						line[nz-1-kk] += row[(h+kk)*colTile+c]
+					}
+				}
+				if odd {
+					line[h] += row[2*h*colTile+c]
+				}
+			}
+		}
 	}
+	acc.Release()
+	regs.Release()
 }
 
 // maxVStep bounds |∂v/∂k| = |P[1][2]|/z, the detector rows one slice step

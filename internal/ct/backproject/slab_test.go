@@ -267,12 +267,22 @@ func transposedTask(task Task) Task {
 // A pre-transposed task must back-project bit for bit like the detector-
 // layout task it came from, on a non-square detector with odd Nv (so a
 // W/H swap anywhere in the hand-off shows) and an Np of 40, which
-// DefaultBatch does not divide (a full batch, then a short one).
+// DefaultBatch does not divide (a full batch, then a short one): through
+// ProposedSlabPair on two slab pairs, and through Proposed on whole volumes
+// of even Nz and of odd Nz, whose centre plane has no mirror.
 func TestTransposedTaskBitIdentical(t *testing.T) {
 	g := geometry.Default(40, 23, 40, 16, 16, 16)
 	task := randomTask(g, 41)
 	tt := transposedTask(task)
 	opt := Options{Workers: 3}
+	same := func(name string, got, want *volume.Volume) {
+		t.Helper()
+		for n := range want.Data {
+			if math.Float32bits(got.Data[n]) != math.Float32bits(want.Data[n]) {
+				t.Fatalf("%s: transposed task differs at voxel %d: %g vs %g", name, n, got.Data[n], want.Data[n])
+			}
+		}
+	}
 	for _, zs := range [][2]int{{0, 8}, {3, 5}} {
 		z0, z1 := zs[0], zs[1]
 		want := volume.New(g.Nx, g.Ny, 2*(z1-z0), volume.KMajor)
@@ -283,18 +293,30 @@ func TestTransposedTaskBitIdentical(t *testing.T) {
 		if err := ProposedSlabPair(tt, got, opt, g.Nz, z0, z1); err != nil {
 			t.Fatal(err)
 		}
-		for n := range want.Data {
-			if got.Data[n] != want.Data[n] {
-				t.Fatalf("slab [%d,%d): transposed task differs at voxel %d: %g vs %g", z0, z1, n, got.Data[n], want.Data[n])
-			}
-		}
+		same(fmt.Sprintf("slab [%d,%d)", z0, z1), got, want)
 	}
-	// The other entry points read the detector layout and refuse it.
+	for _, nz := range []int{16, 15} {
+		g := g
+		g.Nz = nz
+		task := Task{Mats: geometry.ProjectionMatrices(g), Proj: task.Proj}
+		tt := Task{Mats: task.Mats, Proj: tt.Proj, Transposed: true}
+		want := volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
+		got := volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
+		if err := Proposed(task, want, opt); err != nil {
+			t.Fatal(err)
+		}
+		if err := Proposed(tt, got, opt); err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("Proposed, Nz = %d", nz), got, want)
+	}
+	// Standard and the ablation variants read the detector layout and
+	// refuse it.
 	if err := Standard(tt, volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor), opt); err == nil {
 		t.Error("Standard accepted a transposed task")
 	}
-	if err := Proposed(tt, volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor), opt); err == nil {
-		t.Error("Proposed accepted a transposed task")
+	if err := Ablate(tt, volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor), opt, Variant{Reuse: true, Transpose: true}); err == nil {
+		t.Error("an ablation variant accepted a transposed task")
 	}
 }
 

@@ -1,11 +1,13 @@
-// Package fdk composes the filtering stage and the back-projection stage
-// into the complete single-node FDK reconstruction (Sec. 2.2.2): the
-// reference pipeline that the distributed iFDK framework (internal/core)
-// must reproduce, and the workhorse of the examples.
+// Package fdk is the single-node FDK reconstruction (Sec. 2.2.2), the
+// serial reference internal/core must reproduce. ReconstructFrom, the loop
+// under it and under the service's verification and preview, runs the
+// pipeline's own stages, so Reconstruct equals core.Run on a 1×1 grid.
 package fdk
 
 import (
+	"cmp"
 	"fmt"
+	"time"
 
 	"ifdk/internal/ct/backproject"
 	"ifdk/internal/ct/filter"
@@ -21,46 +23,76 @@ type Config struct {
 	Workers int           // goroutines for both stages (0 = GOMAXPROCS)
 }
 
+// Times is the busy time of a reconstruction's two stages.
+type Times struct {
+	Filter, Backproject time.Duration
+}
+
 // Reconstruct filters the projections and back-projects them into a new
-// volume. The result always uses the i-major layout (the storage layout),
-// reshaped from the k-major volume Alg. 4 accumulates into (line 22).
-// The filtered projections live in pooled images that return to the engine
-// after back-projection, so repeated reconstructions (the service's
-// verification path) reuse one working set.
+// volume: ReconstructFrom with each projection filtered by ApplyImage. The
+// result always uses the i-major layout (the storage layout), reshaped from
+// the k-major volume Alg. 4 accumulates into (line 22).
 func Reconstruct(g geometry.Params, proj []*volume.Image, cfg Config) (*volume.Volume, error) {
 	if len(proj) != g.Np {
 		return nil, fmt.Errorf("fdk: %d projections for Np = %d", len(proj), g.Np)
 	}
-	flt, err := filter.Cached(g, cfg.Window)
-	if err != nil {
-		return nil, err
-	}
-	q := make([]*volume.Image, len(proj))
-	for i := range q {
-		q[i] = engine.Images.Acquire(g.Nu, g.Nv)
-	}
-	defer func() {
-		for _, img := range q {
-			engine.Images.Release(img)
-		}
-	}()
-	if err := flt.Sweep(proj, q, cfg.Workers); err != nil {
-		return nil, err
-	}
-	return BackprojectFiltered(g, q, cfg)
+	vol, _, err := ReconstructFrom(g, func(flt *filter.Filterer, s int, block []float32) error {
+		return flt.ApplyImage(proj[s], block)
+	}, cfg)
+	return vol, err
 }
 
-// BackprojectFiltered runs only the back-projection stage on projections
-// that are already filtered. The preview tier uses this entry point because
-// it filters the coarse projections itself.
-func BackprojectFiltered(g geometry.Params, q []*volume.Image, cfg Config) (*volume.Volume, error) {
-	task := backproject.Task{Mats: geometry.ProjectionMatrices(g), Proj: q}
-	// The k-major volume is an intermediate (the result is reshaped to the
-	// storage layout), so it comes from and returns to the pool.
+// ReconstructFrom reconstructs g's Np projections into a new i-major
+// volume. fill writes projection s, filtered by flt (the cached Filterer of
+// g and cfg.Window), into block, its Nu·Nv transposed layout; it runs on
+// cfg.Workers workers over each batch of backproject.DefaultBatch pooled
+// engine.Blocks, which are back-projected and released before the next
+// batch. A batch whose fill fails ends the call with its lowest s's error.
+// Steady state allocates nothing per batch.
+func ReconstructFrom(g geometry.Params, fill func(flt *filter.Filterer, s int, block []float32) error, cfg Config) (*volume.Volume, Times, error) {
+	var tm Times
+	flt, err := filter.Cached(g, cfg.Window)
+	if err != nil {
+		return nil, tm, err
+	}
+	mats := geometry.ProjectionMatrices(g)
 	vol := engine.Volumes.Acquire(g.Nx, g.Ny, g.Nz, volume.KMajor)
 	defer engine.Volumes.Release(vol)
-	if err := backproject.Proposed(task, vol, backproject.Options{Workers: cfg.Workers}); err != nil {
-		return nil, err
+	const nb = backproject.DefaultBatch
+	var (
+		blks [nb]*engine.Buf[float32]
+		hdrs [nb]volume.Image // Nv×Nu views of blks
+		imgs [nb]*volume.Image
+		errs [nb]error
+		s0   int
+	)
+	fillBatch := func(lo, hi int) { // one closure for every batch
+		for i := lo; i < hi; i++ {
+			errs[i] = fill(flt, s0+i, blks[i].Data)
+		}
 	}
-	return vol.Reshape(volume.IMajor), nil
+	for ; s0 < g.Np && err == nil; s0 += nb {
+		n := min(nb, g.Np-s0)
+		for i := range n {
+			blks[i] = engine.Blocks.Acquire(g.Nu * g.Nv)
+			hdrs[i] = volume.Image{W: g.Nv, H: g.Nu, Data: blks[i].Data}
+			imgs[i] = &hdrs[i]
+		}
+		t0 := time.Now()
+		engine.ParallelRange(n, cfg.Workers, fillBatch)
+		t1 := time.Now()
+		tm.Filter += t1.Sub(t0)
+		if err = cmp.Or(errs[:n]...); err == nil {
+			task := backproject.Task{Mats: mats[s0 : s0+n], Proj: imgs[:n], Transposed: true}
+			err = backproject.Proposed(task, vol, backproject.Options{Workers: cfg.Workers})
+			tm.Backproject += time.Since(t1)
+		}
+		for _, b := range blks[:n] {
+			b.Release()
+		}
+	}
+	if err != nil {
+		return nil, tm, err
+	}
+	return vol.Reshape(volume.IMajor), tm, nil
 }

@@ -1,6 +1,8 @@
 package fdk
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"ifdk/internal/ct/phantom"
 	"ifdk/internal/ct/projector"
 	"ifdk/internal/engine"
+	"ifdk/internal/race"
 	"ifdk/pkg/volume"
 )
 
@@ -65,8 +68,8 @@ func TestPipelinesAgree(t *testing.T) {
 	}
 	task := backproject.Task{Mats: geometry.ProjectionMatrices(g)}
 	for _, p := range proj {
-		q, err := flt.Apply(p)
-		if err != nil {
+		q := volume.NewImage(g.Nu, g.Nv)
+		if err := flt.ApplyInto(p, q); err != nil {
 			t.Fatal(err)
 		}
 		task.Proj = append(task.Proj, q)
@@ -158,5 +161,63 @@ func TestOutputLayoutIsIMajor(t *testing.T) {
 	}
 	if vol.Layout != volume.IMajor {
 		t.Errorf("output layout = %v", vol.Layout)
+	}
+}
+
+// The serial loop holds one batch of blocks at a time and allocates nothing
+// per batch: a Reconstruct call allocates as many objects at Np = 96 (three
+// batches) as at Np = 32 (one), serially and on two workers, and every
+// pooled byte goes back. Pooled scheduler descriptors may move between
+// processors when helpers run, so the two-worker leg allows one object of
+// slack.
+func TestReconstructSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	base := engine.InUseBytes()
+	for _, workers := range []int{1, 2} {
+		var allocs [2]float64
+		for n, np := range []int{32, 96} {
+			g := geometry.Default(32, 24, np, 16, 16, 15)
+			proj := projector.AnalyticAll(phantom.UniformSphere(g.FOVRadius()*0.5, 1), g, 0)
+			run := func() {
+				if _, err := Reconstruct(g, proj, Config{Workers: workers}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 5; i++ { // warm the pools
+				run()
+			}
+			allocs[n] = testing.AllocsPerRun(20, run)
+		}
+		slack := float64(workers - 1)
+		if allocs[1] > allocs[0]+slack {
+			t.Errorf("workers=%d: Reconstruct allocates %.1f objects at Np = 96, %.1f at Np = 32", workers, allocs[1], allocs[0])
+		}
+		t.Logf("workers=%d: %.1f objects per call at Np = 32, %.1f at Np = 96", workers, allocs[0], allocs[1])
+	}
+	if held := engine.InUseBytes() - base; held != 0 {
+		t.Errorf("Reconstruct left %d pooled bytes checked out", held)
+	}
+}
+
+// A fill error ends the reconstruction with the lowest failing projection's
+// error and returns every pooled block.
+func TestReconstructFromFillError(t *testing.T) {
+	g := geometry.Default(32, 24, 40, 16, 16, 16)
+	base := engine.InUseBytes()
+	boom := errors.New("boom")
+	_, _, err := ReconstructFrom(g, func(flt *filter.Filterer, s int, block []float32) error {
+		if s >= 33 {
+			return fmt.Errorf("projection %d: %w", s, boom)
+		}
+		clear(block)
+		return nil
+	}, Config{Workers: 3})
+	if !errors.Is(err, boom) || err.Error() != "projection 33: boom" {
+		t.Errorf("error %v, want projection 33's", err)
+	}
+	if held := engine.InUseBytes() - base; held != 0 {
+		t.Errorf("a failed ReconstructFrom left %d pooled bytes checked out", held)
 	}
 }

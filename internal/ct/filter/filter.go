@@ -4,39 +4,42 @@
 // Theorem path of Sec. 2.2.3).
 //
 // The paper runs this stage on the CPUs with multi-threading and SIMD; here
-// the multi-threading maps to the shared engine scheduler (Sweep), the FFT
+// the multi-threading is the callers' (a rank's filter thread, or the serial
+// loop's engine.ParallelRange over a batch of projections), the FFT
 // primitives are the radix-4 passes of internal/ct/kernels, and the SIMD is
 // their AVX2 and AVX-512 tiers, bit-identical to the portable passes.
 //
 // Hot path. Detector rows are real float32 and the ramp spectrum is real and
-// even, so the filter works on two rows per complex FFT: rows 2k and 2k+1
-// of a projection are cosine-weighted into the real and imaginary parts of
-// one zero-padded complex64 row, and one core (convolve → kernels.Convolve)
-// transforms it by decimation in frequency (natural in, bit-reversed out),
-// multiplies it by the ramp gain — stored once in bit-reversed order with
-// 1/L folded in — and transforms it back by decimation in time
-// (bit-reversed in, natural out); the smallest passes of each transform
-// and the gain run as one loop over blocks held in registers. A
-// real gain never mixes the two parts, so they come back as the two
-// filtered rows: no permutation, no half-spectrum unpack, no scaling pass.
+// even, so the filter works on two rows per complex FFT: rows 2k and 2k+1 of a
+// projection are cosine-weighted into the real and imaginary parts of one
+// zero-padded complex64 row, and one core (kernels.Convolve, or
+// kernels.ConvolvePairLE with its ends fused) transforms it by decimation in
+// frequency (natural in, bit-reversed out), multiplies it by the ramp gain —
+// stored once in bit-reversed order with 1/L folded in — and transforms it back
+// by decimation in time (bit-reversed in, natural out); the smallest passes of
+// each transform and the gain run as one loop over blocks held in registers. A
+// real gain never mixes the two parts, so they come back as the two filtered
+// rows: no permutation, no half-spectrum unpack, no scaling pass.
 //
-// The core has two ends. ApplyEncoded, the pipeline's, weights each pair
-// straight from a staged projection's little-endian payload bytes and
-// stores the filtered pairs into the transposed block back-projection
-// reads, eight pairs at a time so that each detector column receives one
-// 64-byte run: no decoded image, no filtered image, no separate transpose.
-// On AVX-512 hosts its two ends live inside the transform
-// (kernels.ConvolvePairLE and kernels.TransposeConvolved): the first DIF
-// pass weights the payload bytes and never touches the zero half of the
-// padded row, the next pair's bytes are prefetched while this one is
-// transformed, and the last DIT pass computes only the Nu outputs it keeps,
-// straight into the block. Apply,
-// ApplyInto and Sweep, for fdk, preview and verification, read and write
-// images (ApplyInto may filter in place) through kernels.Convolve. Scratch
-// comes from an engine buffer pool, so neither end allocates per row or per
-// projection.
-// The complex128 row-at-a-time path the parity tests compare against lives
-// in ref_test.go.
+// The core has one end. ApplyEncoded — the pipeline's, and the serial
+// verification's — weights each pair straight from a staged projection's
+// little-endian payload bytes and stores the filtered pairs into the transposed
+// block back-projection reads, eight pairs at a time so that each detector
+// column receives one 64-byte run: no decoded image, no filtered image, no
+// separate transpose. On AVX-512 hosts its two ends live inside the transform
+// (kernels.ConvolvePairLE and kernels.TransposeConvolved): the first DIF pass
+// weights the payload bytes and never touches the zero half of the padded row,
+// the next pair's bytes are prefetched while this one is transformed, and the
+// last DIT pass computes only the Nu outputs it keeps, straight into the block.
+// ApplyImage runs the same end on an in-memory image, encoded once into pooled
+// payload bytes (an encoded float32 is its own bits, so nothing is rounded):
+// fdk.Reconstruct and the preview tier filter in-memory projections with it.
+// ApplyInto and Sweep, which return filtered images in the detector layout, are
+// wrappers over ApplyImage that only the benchmark's layer probes call; they go
+// when those probes time the pipeline's entry (ROADMAP item 2). Scratch comes
+// from engine buffer pools, so no entry allocates per row or per projection.
+// The complex128 row-at-a-time path the parity tests compare against lives in
+// ref_test.go.
 //
 // Scaling. The filtered projections are pre-multiplied by the FDK constants
 // θ·d²·τ/2 (angular step × distance-weight numerator × effective detector
@@ -57,11 +60,14 @@ import (
 	"ifdk/pkg/volume"
 )
 
-// pairPool holds the scratch of the row-pair path: one padded complex row
-// per in-flight ApplyInto call or Sweep chunk, kernels.LinePairs of them per
-// ApplyEncoded call, reused across pairs, projections and Filterers (the
+// pairPool holds the scratch of the row-pair path: kernels.LinePairs padded
+// complex rows per call, reused across pairs, projections and Filterers (the
 // pool keys by length, and all Filterers of one geometry share it).
-var pairPool engine.BufPool[complex64]
+// payloadPool holds ApplyImage's encoded payloads, one per call.
+var (
+	pairPool    engine.BufPool[complex64]
+	payloadPool engine.BufPool[byte]
+)
 
 // Window selects the apodization applied to the ramp filter's frequency
 // response. The paper notes the ramp shape affects image quality but not
@@ -112,7 +118,7 @@ func (w Window) gain(f float64) float64 {
 	case Cosine:
 		return math.Cos(math.Pi * f / 2)
 	case Hamming:
-		return 0.54 + 0.46*math.Cos(math.Pi*f)
+		return 0.54 + float64(0.46*math.Cos(math.Pi*f))
 	case Hann:
 		return 0.5 * (1 + math.Cos(math.Pi*f))
 	default:
@@ -144,11 +150,11 @@ func RampKernel(n int, tau float64) []float64 {
 func CosineTable(g geometry.Params) *volume.Image {
 	tab := volume.NewImage(g.Nu, g.Nv)
 	for v := 0; v < g.Nv; v++ {
-		vb := (float64(v) - g.DetCenterV()) * g.Dv
+		vb := (float64(v) - float64(g.DetCenterV())) * g.Dv
 		row := tab.Row(v)
 		for u := 0; u < g.Nu; u++ {
-			ub := (float64(u) - g.DetCenterU()) * g.Du
-			row[u] = float32(g.SDD / math.Sqrt(g.SDD*g.SDD+ub*ub+vb*vb))
+			ub := (float64(u) - float64(g.DetCenterU())) * g.Du
+			row[u] = float32(g.SDD / math.Sqrt(float64(g.SDD*g.SDD)+float64(ub*ub)+float64(vb*vb)))
 		}
 	}
 	return tab
@@ -158,14 +164,14 @@ func CosineTable(g geometry.Params) *volume.Image {
 // It precomputes the cosine table and the windowed ramp spectrum once; a
 // Filterer is safe for concurrent use by multiple goroutines.
 //
-// Containment. Rows are filtered in fixed pairs — always (2k, 2k+1) of the
-// same projection, an odd last row paired with zeros — so the result does
-// not depend on how rows are scheduled: ApplyInto and Sweep at any worker
-// count are bit-identical. The two rows of a pair share one complex
-// transform, so each sees the other's rounding error (within the same 1e-6
-// of the pair's peak as the transform itself), and a NaN or ±Inf in one row
-// poisons its pair partner as well as its own row. It never reaches another
-// pair.
+// Containment. Rows are filtered in fixed pairs — always (2k, 2k+1) of the same
+// projection, an odd last row paired with zeros — so the result does not depend
+// on how projections are scheduled: Sweep at any worker count is bit-identical
+// to ApplyInto, and ApplyImage to ApplyEncoded of the encoded image. The two
+// rows of a pair share one complex transform, so each sees the other's rounding
+// error (within the same 1e-6 of the pair's peak as the transform itself), and
+// a NaN or ±Inf in one row poisons its pair partner as well as its own row. It
+// never reaches another pair.
 type Filterer struct {
 	g      geometry.Params
 	win    Window
@@ -234,66 +240,60 @@ func rampSpectrum(g geometry.Params, win Window, l int) ([]complex128, error) {
 			f = float64(l - k)
 		}
 		f /= float64(l / 2) // fraction of Nyquist
-		buf[k] *= complex(scale*win.gain(f), 0)
+		// buf[k] *= complex(scale·gain, 0), written out as the operator
+		// computes it, zero products included, each product rounded on its
+		// own; the statement order keeps the operator's instruction order.
+		wg := win.gain(f)
+		x := buf[k]
+		xi0, xr0 := float64(imag(x)*0), float64(real(x)*0)
+		c := scale * wg
+		buf[k] = complex(float64(real(x)*c)-xi0, xr0+float64(imag(x)*c))
 	}
 	return buf, nil
 }
 
-// Geometry returns the geometry this Filterer was built for.
-func (f *Filterer) Geometry() geometry.Params { return f.g }
-
-// Window returns the configured apodization window.
-func (f *Filterer) Window() Window { return f.win }
-
-// Apply filters one projection E_i, returning the filtered Q_i
-// (Alg. 1: Ẽ = E·F_cos, then each row convolved with F_ramp).
-func (f *Filterer) Apply(e *volume.Image) (*volume.Image, error) {
-	if e.W != f.g.Nu || e.H != f.g.Nv {
-		return nil, fmt.Errorf("filter: projection %dx%d does not match geometry %dx%d",
-			e.W, e.H, f.g.Nu, f.g.Nv)
-	}
-	q := volume.NewImage(e.W, e.H)
-	return q, f.ApplyInto(e, q)
-}
-
-// ApplyInto filters e into q, which must both match the geometry. q may be
-// e itself: both rows of a pair are fully read into pooled scratch before
-// either is written back, so in-place filtering is safe — the pipeline
-// filters each loaded projection in place and never allocates a second
-// image. Steady state performs zero heap allocations.
-func (f *Filterer) ApplyInto(e, q *volume.Image) error {
-	if e.W != f.g.Nu || e.H != f.g.Nv {
-		return fmt.Errorf("filter: projection %dx%d does not match geometry %dx%d",
-			e.W, e.H, f.g.Nu, f.g.Nv)
-	}
-	if q.W != e.W || q.H != e.H {
-		return fmt.Errorf("filter: output %dx%d does not match projection %dx%d",
-			q.W, q.H, e.W, e.H)
-	}
-	buf := pairPool.Acquire(f.l)
-	for v := 0; v < e.H; v += 2 {
-		f.filterPair(e, q, v, buf.Data)
-	}
-	buf.Release()
-	return nil
-}
-
-// ApplyEncoded filters one staged projection straight from its encoded
+// ApplyEncoded filters one staged projection E_i straight from its encoded
 // bytes (the volume.ImageToBytes format) into block, the Nu×Nv transposed
-// layout Alg. 4 line 3 back-projects (V fast: block[u·Nv+v]). It equals
-// decoding the blob, ApplyInto and a transpose, bit for bit, without any
-// of the three: each row pair is cosine-weighted from the payload bytes
-// and goes through the same transform as ApplyInto's pairs, and every
-// kernels.LinePairs filtered pairs are stored into the block a whole
+// layout Alg. 4 line 3 back-projects (V fast: block[u·Nv+v]) — Alg. 1,
+// Ẽ = E·F_cos and each row convolved with F_ramp, without decoding an image:
+// each row pair is cosine-weighted from the payload bytes, transformed, and
+// every kernels.LinePairs filtered pairs are stored into the block a whole
 // column run at a time. The header is checked as volume.ImageFromBytesInto
 // checks it, and block must hold Nu·Nv values; nothing is written when an
 // error is returned. Steady state performs zero heap allocations.
 func (f *Filterer) ApplyEncoded(blob []byte, block []float32) error {
-	nu, nv := f.g.Nu, f.g.Nv
-	payload, err := volume.ImagePayload(blob, nu, nv)
+	payload, err := volume.ImagePayload(blob, f.g.Nu, f.g.Nv)
 	if err != nil {
 		return err
 	}
+	return f.applyPayload(payload, block)
+}
+
+// ApplyImage is ApplyEncoded of volume.ImageToBytes(e), bit for bit: e is
+// encoded into pooled payload bytes and goes through the same end. e must
+// match the geometry and block hold Nu·Nv values; nothing is written when
+// an error is returned. Steady state performs zero heap allocations.
+func (f *Filterer) ApplyImage(e *volume.Image, block []float32) error {
+	if err := f.checkImage("projection", e); err != nil {
+		return err
+	}
+	payload := payloadPool.Acquire(4 * len(e.Data))
+	defer payload.Release()
+	volume.Float32sToBytesInto(payload.Data, e.Data)
+	return f.applyPayload(payload.Data, block)
+}
+
+func (f *Filterer) checkImage(what string, e *volume.Image) error {
+	if e.W != f.g.Nu || e.H != f.g.Nv {
+		return fmt.Errorf("filter: %s %dx%d does not match geometry %dx%d", what, e.W, e.H, f.g.Nu, f.g.Nv)
+	}
+	return nil
+}
+
+// applyPayload is the filter's one end: the checked payload of an Nu×Nv
+// projection into block, which must hold its Nu·Nv transposed values.
+func (f *Filterer) applyPayload(payload []byte, block []float32) error {
+	nu, nv := f.g.Nu, f.g.Nv
 	if len(block) != nu*nv {
 		return fmt.Errorf("filter: transposed block of %d values for a %dx%d projection", len(block), nu, nv)
 	}
@@ -317,63 +317,50 @@ func (f *Filterer) ApplyEncoded(blob []byte, block []float32) error {
 	return nil
 }
 
-// filterPair is the image end of the filter: rows v and v+1 of e (v even),
-// cosine-weighted and zero-padded to L, through the forward transform, ramp
-// gain and inverse transform in one kernel call (all float32) into the same
-// rows of q.
-func (f *Filterer) filterPair(e, q *volume.Image, v int, buf []complex64) {
-	paired := v+1 < e.H
-	if paired {
-		kernels.CosineWeightPair(buf, e.Row(v), f.cosTab.Row(v), e.Row(v+1), f.cosTab.Row(v+1))
-	} else {
-		kernels.CosineWeightPair(buf, e.Row(v), f.cosTab.Row(v), f.zero, f.zero)
+// ApplyInto filters e into q in the detector layout, both matching the
+// geometry: ApplyImage into a pooled block, then the block transposed into
+// q, which may be e itself. Only the benchmark's layer probes need a
+// filtered image; ApplyInto goes with them (ROADMAP item 2). Steady state
+// performs zero heap allocations.
+func (f *Filterer) ApplyInto(e, q *volume.Image) error {
+	if err := f.checkImage("output", q); err != nil {
+		return err
 	}
-	clear(buf[f.g.Nu:])
-	kernels.Convolve(buf, f.fwd, f.gain, f.inv)
-	out := q.Row(v)
-	if !paired {
-		for u := range out {
-			out[u] = real(buf[u])
-		}
-		return
+	blk := engine.Blocks.Acquire(f.g.Nu * f.g.Nv)
+	defer blk.Release()
+	if err := f.ApplyImage(e, blk.Data); err != nil {
+		return err
 	}
-	out1 := q.Row(v + 1)[:len(out)]
-	buf = buf[:len(out)]
-	for u := range out {
-		out[u], out1[u] = real(buf[u]), imag(buf[u])
-	}
+	t := volume.Image{W: f.g.Nv, H: f.g.Nu, Data: blk.Data}
+	t.TransposeInto(q)
+	return nil
 }
 
-// Sweep filters every projection of ins into the matching entry of outs in
-// one shared pass: all row pairs of all projections form a single flat index
-// space scheduled as one engine.ParallelRange, so N co-scheduled projections
-// cost one sweep over the cosine table and ramp gain instead of N.
-// workers 0 means GOMAXPROCS; the result does not depend on it. outs[i] may
-// be ins[i] (pairs are staged through pooled scratch, as in ApplyInto).
-// Dimensions are validated up front; nothing is written when an error is
-// returned. Steady state allocates nothing per pair or per projection: one
-// closure per sweep, retained by the scheduler's pooled job descriptor.
+// Sweep is ApplyInto over every projection of ins into the matching entry
+// of outs (outs[i] may be ins[i]), one engine.ParallelRange over the
+// projections; workers 0 means GOMAXPROCS, and the result does not depend
+// on it. Like ApplyInto it serves only the benchmark's layer probes and goes
+// with them (ROADMAP item 2). Dimensions are validated up front, so no
+// ApplyInto fails; nothing is written when an error is returned. Steady
+// state allocates nothing per projection: one closure per sweep, retained
+// by the scheduler's pooled job descriptor.
 func (f *Filterer) Sweep(ins, outs []*volume.Image, workers int) error {
 	if len(ins) != len(outs) {
 		return fmt.Errorf("filter: sweep over %d inputs with %d outputs", len(ins), len(outs))
 	}
-	for n, e := range ins {
-		if e.W != f.g.Nu || e.H != f.g.Nv {
-			return fmt.Errorf("filter: projection %d is %dx%d, does not match geometry %dx%d",
-				n, e.W, e.H, f.g.Nu, f.g.Nv)
+	for n := range ins {
+		err := f.checkImage("projection", ins[n])
+		if err == nil {
+			err = f.checkImage("output", outs[n])
 		}
-		if q := outs[n]; q.W != e.W || q.H != e.H {
-			return fmt.Errorf("filter: output %d is %dx%d, does not match projection %dx%d",
-				n, q.W, q.H, e.W, e.H)
+		if err != nil {
+			return fmt.Errorf("%w (entry %d)", err, n)
 		}
 	}
-	pairs := (f.g.Nv + 1) / 2
-	engine.ParallelRange(len(ins)*pairs, workers, func(lo, hi int) {
-		buf := pairPool.Acquire(f.l)
-		for idx := lo; idx < hi; idx++ {
-			f.filterPair(ins[idx/pairs], outs[idx/pairs], 2*(idx%pairs), buf.Data)
+	engine.ParallelRange(len(ins), workers, func(lo, hi int) {
+		for n := lo; n < hi; n++ {
+			_ = f.ApplyInto(ins[n], outs[n]) // cannot fail: validated above
 		}
-		buf.Release()
 	})
 	return nil
 }

@@ -108,12 +108,25 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 }
 
 func TestApplyRejectsWrongSize(t *testing.T) {
-	f, err := New(testGeom(), RamLak)
+	g := testGeom()
+	f, err := New(g, RamLak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Apply(volume.NewImage(3, 3)); err == nil {
-		t.Error("Apply with mismatched image should fail")
+	if err := f.ApplyInto(volume.NewImage(3, 3), volume.NewImage(g.Nu, g.Nv)); err == nil {
+		t.Error("ApplyInto with mismatched image should fail")
+	}
+	if err := f.ApplyImage(volume.NewImage(3, 3), make([]float32, g.Nu*g.Nv)); err == nil {
+		t.Error("ApplyImage with mismatched image should fail")
+	}
+	block := make([]float32, g.Nu*g.Nv+1)
+	if err := f.ApplyImage(volume.NewImage(g.Nu, g.Nv), block); err == nil {
+		t.Error("ApplyImage into a block of the wrong length should fail")
+	}
+	for i, x := range block {
+		if x != 0 {
+			t.Fatalf("failed ApplyImage wrote %g at %d", x, i)
+		}
 	}
 }
 
@@ -129,14 +142,11 @@ func TestConstantProjectionFiltersToNearZero(t *testing.T) {
 	for n := range e.Data {
 		e.Data[n] = 1
 	}
-	q, err := f.Apply(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := apply(t, f, e)
 	// Compare interior magnitude to the impulse response magnitude.
 	imp := volume.NewImage(g.Nu, g.Nv)
 	imp.Set(g.Nu/2, g.Nv/2, 1)
-	qImp, _ := f.Apply(imp)
+	qImp := apply(t, f, imp)
 	ref := math.Abs(float64(qImp.At(g.Nu/2, g.Nv/2)))
 	mid := math.Abs(float64(q.At(g.Nu/2, g.Nv/2)))
 	if mid > 0.05*ref {
@@ -196,10 +206,7 @@ func TestSweepMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := range imgs {
-		single, err := f.Apply(imgs[n])
-		if err != nil {
-			t.Fatal(err)
-		}
+		single := apply(t, f, imgs[n])
 		r, _ := volume.ImageRMSE(batch[n], single)
 		if r != 0 {
 			t.Errorf("projection %d: batch result differs (rmse %g)", n, r)
@@ -224,8 +231,7 @@ func TestWindowReducesRinging(t *testing.T) {
 	e.Set(g.Nu/2, g.Nv/2, 1)
 	fr, _ := New(g, RamLak)
 	fh, _ := New(g, Hann)
-	qr, _ := fr.Apply(e)
-	qh, _ := fh.Apply(e)
+	qr, qh := apply(t, fr, e), apply(t, fh, e)
 	if math.Abs(float64(qh.At(g.Nu/2, g.Nv/2))) >= math.Abs(float64(qr.At(g.Nu/2, g.Nv/2))) {
 		t.Error("Hann peak should be below Ram-Lak peak")
 	}

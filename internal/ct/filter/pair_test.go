@@ -10,6 +10,16 @@ import (
 	"ifdk/pkg/volume"
 )
 
+// apply filters e into a new image through ApplyInto.
+func apply(t testing.TB, f *Filterer, e *volume.Image) *volume.Image {
+	t.Helper()
+	q := volume.NewImage(e.W, e.H)
+	if err := f.ApplyInto(e, q); err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 func randImage(g geometry.Params, seed int64) *volume.Image {
 	rng := rand.New(rand.NewSource(seed))
 	e := volume.NewImage(g.Nu, g.Nv)
@@ -56,10 +66,7 @@ func TestPairMatchesComplex128(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := f.Apply(e)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := apply(t, f, e)
 				peak := peakAbs(ref.Data)
 				for n := range ref.Data {
 					d := math.Abs(float64(got.Data[n])-float64(ref.Data[n])) / peak
@@ -129,14 +136,7 @@ func TestPairCrossTalkBound(t *testing.T) {
 	clear(solo.Row(2))
 	both := solo.Clone()
 	both.Set(g.Nu/2, 2, 1000)
-	qSolo, err := f.Apply(solo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qBoth, err := f.Apply(both)
-	if err != nil {
-		t.Fatal(err)
-	}
+	qSolo, qBoth := apply(t, f, solo), apply(t, f, both)
 	peak := math.Max(peakAbs(qBoth.Row(2)), peakAbs(qBoth.Row(3)))
 	for u, want := range qSolo.Row(3) {
 		if d := math.Abs(float64(qBoth.At(u, 3))-float64(want)) / peak; d > 1e-6 {
@@ -163,14 +163,7 @@ func TestNaNStaysInsideItsPair(t *testing.T) {
 	clean := randImage(g, 9)
 	dirty := clean.Clone()
 	dirty.Set(5, 3, float32(math.NaN()))
-	qClean, err := f.Apply(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qDirty, err := f.Apply(dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
+	qClean, qDirty := apply(t, f, clean), apply(t, f, dirty)
 	for u := 0; u < g.Nu; u++ {
 		if x := qDirty.At(u, 3); !math.IsNaN(float64(x)) {
 			t.Fatalf("row 3 pixel %d = %g, want NaN", u, x)

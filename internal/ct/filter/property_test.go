@@ -10,8 +10,8 @@ import (
 	"ifdk/pkg/volume"
 )
 
-// Property: the filtering stage is linear — Apply(a·X + Y) equals
-// a·Apply(X) + Apply(Y) within float tolerance. (Cosine weighting and ramp
+// Property: the filtering stage is linear — filtering a·X + Y equals
+// a·(filtered X) + (filtered Y) within float tolerance. (Cosine weighting and ramp
 // convolution are both linear operators.)
 func TestFilterLinearityProperty(t *testing.T) {
 	g := geometry.Default(32, 8, 16, 8, 8, 8)
@@ -30,18 +30,7 @@ func TestFilterLinearityProperty(t *testing.T) {
 			y.Data[n] = rng.Float32()*2 - 1
 			mix.Data[n] = a*x.Data[n] + y.Data[n]
 		}
-		qx, err := f.Apply(x)
-		if err != nil {
-			return false
-		}
-		qy, err := f.Apply(y)
-		if err != nil {
-			return false
-		}
-		qm, err := f.Apply(mix)
-		if err != nil {
-			return false
-		}
+		qx, qy, qm := apply(t, f, x), apply(t, f, y), apply(t, f, mix)
 		// The ramp filter is high-pass: it amplifies the float32 rounding
 		// noise of forming a·X + Y uniformly across the image, so the
 		// tolerance must scale with the filtered image's magnitude — a
@@ -84,14 +73,7 @@ func TestFilterShiftCovariance(t *testing.T) {
 		img.Set(u, 2, 1)
 		return img
 	}
-	q1, err := f.Apply(mk(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := f.Apply(mk(33))
-	if err != nil {
-		t.Fatal(err)
-	}
+	q1, q2 := apply(t, f, mk(31)), apply(t, f, mk(33))
 	for off := -4; off <= 4; off++ {
 		a := float64(q1.At(31+off, 2))
 		b := float64(q2.At(33+off, 2))

@@ -30,10 +30,7 @@ func TestRFFTMatchesComplex128AllWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := f.Apply(e)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := apply(t, f, e)
 		var peak float64
 		for _, x := range ref.Data {
 			if a := math.Abs(float64(x)); a > peak {
@@ -61,10 +58,7 @@ func TestApplyIntoInPlace(t *testing.T) {
 	for n := range e.Data {
 		e.Data[n] = rng.Float32()
 	}
-	out, err := f.Apply(e) // out-of-place
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := apply(t, f, e)                     // out-of-place
 	if err := f.ApplyInto(e, e); err != nil { // in place
 		t.Fatal(err)
 	}
@@ -80,7 +74,7 @@ func TestApplyIntoRejectsMismatchedOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := volume.NewImage(f.Geometry().Nu, f.Geometry().Nv)
+	e := volume.NewImage(testGeom().Nu, testGeom().Nv)
 	if err := f.ApplyInto(e, volume.NewImage(3, 3)); err == nil {
 		t.Error("mismatched output image should fail")
 	}
@@ -102,22 +96,14 @@ func TestPooledRunsBitIdentical(t *testing.T) {
 	for n := range e.Data {
 		e.Data[n] = rng.Float32()*2 - 1
 	}
-	cold, err := f.Apply(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := apply(t, f, e)
 	// Dirty the pools with unrelated data, then re-run.
 	junk := volume.NewImage(g.Nu, g.Nv)
 	for n := range junk.Data {
 		junk.Data[n] = 1e9
 	}
-	if _, err := f.Apply(junk); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := f.Apply(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	apply(t, f, junk)
+	warm := apply(t, f, e)
 	for n := range cold.Data {
 		if cold.Data[n] != warm.Data[n] {
 			t.Fatalf("pooled rerun differs at %d: %g vs %g", n, cold.Data[n], warm.Data[n])
@@ -125,9 +111,9 @@ func TestPooledRunsBitIdentical(t *testing.T) {
 	}
 }
 
-// Steady-state ApplyInto, Sweep and ApplyEncoded must not allocate: the
-// zero-per-projection guarantee of the filtering stage. Their pooled
-// scratch all goes back.
+// Steady-state ApplyEncoded, ApplyImage, ApplyInto and Sweep must not
+// allocate: the zero-per-projection guarantee of the filtering stage. Their
+// pooled scratch all goes back.
 func TestApplyIntoSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -156,8 +142,9 @@ func TestApplyIntoSteadyStateAllocs(t *testing.T) {
 	if avg > 0.5 {
 		t.Errorf("ApplyInto allocates %.2f objects/projection in steady state", avg)
 	}
-	// The pipeline's entry, from the staged bytes into the transposed block:
-	// its stash and an odd last row's zero partner are not per-call either,
+	// The one end, from the staged bytes (or an image encoded into pooled
+	// bytes) into the transposed block: its stash, the encoded payload and
+	// an odd last row's zero partner are not per-call either,
 	// nor is the prefetch of the next pair, which passes between the ends
 	// make at Nu 256 (L = 512) on AVX-512 hosts.
 	for _, det := range [][2]int{{g.Nu, g.Nv}, {g.Nu, g.Nv + 1}, {256, 33}} {
@@ -167,20 +154,26 @@ func TestApplyIntoSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob := volume.ImageToBytes(randImage(g, 4))
+		img := randImage(g, 4)
+		blob := volume.ImageToBytes(img)
 		block := make([]float32, g.Nu*g.Nv)
-		for i := 0; i < 10; i++ {
-			if err := f.ApplyEncoded(blob, block); err != nil {
-				t.Fatal(err)
+		for name, run := range map[string]func() error{
+			"ApplyEncoded": func() error { return f.ApplyEncoded(blob, block) },
+			"ApplyImage":   func() error { return f.ApplyImage(img, block) },
+		} {
+			for i := 0; i < 10; i++ {
+				if err := run(); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		avg := testing.AllocsPerRun(100, func() {
-			if err := f.ApplyEncoded(blob, block); err != nil {
-				t.Fatal(err)
+			avg := testing.AllocsPerRun(100, func() {
+				if err := run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg > 0.5 {
+				t.Errorf("%s (Nu %d, Nv %d) allocates %.2f objects/projection in steady state", name, g.Nu, g.Nv, avg)
 			}
-		})
-		if avg > 0.5 {
-			t.Errorf("ApplyEncoded (Nu %d, Nv %d) allocates %.2f objects/projection in steady state", g.Nu, g.Nv, avg)
 		}
 	}
 	// The shared sweep, serial and fanned out: nothing per row pair or per

@@ -40,12 +40,12 @@ func randC64(rng *rand.Rand, n int) []complex64 {
 func BenchmarkKernelsCosineWeight(b *testing.B) {
 	const n = 512
 	rng := rand.New(rand.NewSource(1))
-	src0, cos0, src1, cos1 := randF32(rng, n), randF32(rng, n), randF32(rng, n), randF32(rng, n)
+	src0, cos0, src1, cos1 := volume.Float32sToBytes(randF32(rng, n)), randF32(rng, n), volume.Float32sToBytes(randF32(rng, n)), randF32(rng, n)
 	dst := make([]complex64, n)
 	for _, leg := range []struct {
 		name string
-		fn   func(dst []complex64, src0, cos0, src1, cos1 []float32)
-	}{{"ref", kernels.CosineWeightPairRef}, {"fast", kernels.CosineWeightPair}} {
+		fn   func(dst []complex64, src0 []byte, cos0 []float32, src1 []byte, cos1 []float32)
+	}{{"ref", kernels.CosineWeightPairLERef}, {"fast", kernels.CosineWeightPairLE}} {
 		b.Run(leg.name, func(b *testing.B) {
 			b.SetBytes(2 * 4 * n)
 			for i := 0; i < b.N; i++ {
@@ -105,7 +105,7 @@ func BenchmarkKernelsRadix4(b *testing.B) {
 	}
 }
 
-// BenchmarkApply512 times the whole filter on the row pairs Radix4 times
+// BenchmarkApply512 times the whole filter (ApplyImage) on the row pairs Radix4 times
 // the transforms of: one Nu = 512, Nv = 8 projection, four pairs, L = 1024.
 // BenchmarkApply256 is the odd-log₂L shape of the Nu = 256 workloads
 // (L = 512), whose small end runs different passes. They live here rather
@@ -124,11 +124,12 @@ func benchApply(b *testing.B, nu int) {
 	for n := range e.Data {
 		e.Data[n] = float32(n % 13)
 	}
+	block := make([]float32, g.Nu*g.Nv)
 	for _, tier := range tiers {
 		b.Run(tier.name, func(b *testing.B) {
 			defer tier.use(b)()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.Apply(e); err != nil {
+				if err := f.ApplyImage(e, block); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -139,9 +140,10 @@ func benchApply(b *testing.B, nu int) {
 // BenchmarkFilterProjection times the pipeline's per-projection filter step
 // on a whole 256² and 512² projection (L 512 and 1024, the two parities of
 // the fused small end), from the staged bytes to the transposed block, on
-// the portable tier, AVX2 and AVX-512: `chain` is the step before ApplyEncoded
-// (ImageFromBytesInto into a pooled image, ApplyInto in place,
-// TransposeInto), `encoded` is ApplyEncoded. One op is one projection
+// the portable tier, AVX2 and AVX-512: `encoded` is ApplyEncoded, `image`
+// is ApplyImage from the decoded projection, which encodes it into pooled
+// bytes first (the serial reference's and the preview's step). One op is
+// one projection
 // (ns/op is ns per projection), and every op writes a block that is not
 // cache-resident, as in the pipeline, by cycling through more blocks than
 // the last-level cache holds.
@@ -161,22 +163,12 @@ func BenchmarkFilterProjection(b *testing.B) {
 		for i := range blocks {
 			blocks[i] = make([]float32, n*n)
 		}
-		img := volume.NewImage(g.Nu, g.Nv)
 		for _, leg := range []struct {
 			name string
 			run  func(block []float32) error
 		}{
-			{"chain", func(block []float32) error {
-				if err := volume.ImageFromBytesInto(img, blob); err != nil {
-					return err
-				}
-				if err := f.ApplyInto(img, img); err != nil {
-					return err
-				}
-				img.TransposeInto(&volume.Image{W: g.Nv, H: g.Nu, Data: block})
-				return nil
-			}},
 			{"encoded", func(block []float32) error { return f.ApplyEncoded(blob, block) }},
+			{"image", func(block []float32) error { return f.ApplyImage(e, block) }},
 		} {
 			for _, tier := range tiers[1:] {
 				b.Run(fmt.Sprintf("%d/%s/%s", n, leg.name, tier.name), func(b *testing.B) {

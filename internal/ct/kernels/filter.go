@@ -7,59 +7,19 @@ import (
 )
 
 // Filtering-stage kernels: the O(Nu) loops executed once per pair of
-// detector rows (Alg. 1) — point-wise cosine weighting into one complex row,
-// from decoded rows or straight from a projection's little-endian payload,
-// the ramp multiply of its spectrum, and the store of filtered pairs into a
+// detector rows (Alg. 1) — point-wise cosine weighting into one complex row
+// straight from a projection's little-endian payload, the ramp multiply of its spectrum, and the store of filtered pairs into a
 // transposed (V fast) block — and the pipeline's filter step that fuses the
 // weighting and the store into the transform's end passes.
 
-// CosineWeightPair cosine-weights two detector rows straight into the real
-// and imaginary parts of one complex row:
-// dst[i] = complex(src0[i]·cos0[i], src1[i]·cos1[i]) for i < len(src0). The
-// other four operands must be at least len(src0) long.
-func CosineWeightPair(dst []complex64, src0, cos0, src1, cos1 []float32) {
-	if useFast {
-		cosineWeightPairFast(dst, src0, cos0, src1, cos1)
-		return
-	}
-	CosineWeightPairRef(dst, src0, cos0, src1, cos1)
-}
-
-// CosineWeightPairRef is the scalar reference for CosineWeightPair.
-func CosineWeightPairRef(dst []complex64, src0, cos0, src1, cos1 []float32) {
-	for u := range src0 {
-		dst[u] = complex(src0[u]*cos0[u], src1[u]*cos1[u])
-	}
-}
-
-func cosineWeightPairFast(dst []complex64, src0, cos0, src1, cos1 []float32) {
-	n := len(src0)
-	// Reslicing every operand to the common length lets the compiler drop
-	// the bounds checks inside the unrolled loop.
-	dst, cos0, src1, cos1 = dst[:n], cos0[:n], src1[:n], cos1[:n]
-	u := 0
-	for ; u+4 <= n; u += 4 {
-		d0 := complex(src0[u]*cos0[u], src1[u]*cos1[u])
-		d1 := complex(src0[u+1]*cos0[u+1], src1[u+1]*cos1[u+1])
-		d2 := complex(src0[u+2]*cos0[u+2], src1[u+2]*cos1[u+2])
-		d3 := complex(src0[u+3]*cos0[u+3], src1[u+3]*cos1[u+3])
-		dst[u] = d0
-		dst[u+1] = d1
-		dst[u+2] = d2
-		dst[u+3] = d3
-	}
-	for ; u < n; u++ {
-		dst[u] = complex(src0[u]*cos0[u], src1[u]*cos1[u])
-	}
-}
-
-// CosineWeightPairLE is CosineWeightPair reading the two detector rows as
-// the little-endian float32 bytes of an encoded projection's payload, at any
-// byte alignment: dst[i] = complex(x0[i]·cos0[i], x1[i]·cos1[i]) for
-// i < len(cos0), with x0[i] the float32 whose bits are src0[4i:4i+4]. src0
-// and src1 must hold at least 4·len(cos0) bytes, dst and cos1 at least
-// len(cos0) elements. The multiplies are CosineWeightPair's, so weighting
-// the bytes equals decoding them and weighting the image, bit for bit.
+// CosineWeightPairLE cosine-weights two detector rows, read as the
+// little-endian float32 bytes of an encoded projection's payload at any
+// byte alignment, straight into the real and imaginary parts of one complex
+// row: dst[i] = complex(x0[i]·cos0[i], x1[i]·cos1[i]) for i < len(cos0),
+// with x0[i] the float32 whose bits are src0[4i:4i+4]. src0 and src1 must
+// hold at least 4·len(cos0) bytes, dst and cos1 at least len(cos0)
+// elements. Each value is one float32 multiply, so weighting the bytes
+// equals decoding them and weighting the rows, bit for bit.
 func CosineWeightPairLE(dst []complex64, src0 []byte, cos0 []float32, src1 []byte, cos1 []float32) {
 	if useFast {
 		cosineWeightPairLEFast(dst, src0, cos0, src1, cos1)
@@ -262,19 +222,19 @@ func ditLastStore(dst []float32, stride int, src []complex64, l, u0, u1, rows in
 		for p := 0; 2*p < rows; p++ {
 			x := src[p*l : p*l+l]
 			a0, a1, a2, a3 := x[k], x[k+q], x[k+2*q], x[k+3*q]
-			t1r := real(a1)*real(w2) - imag(a1)*imag(w2)
-			t1i := real(a1)*imag(w2) + imag(a1)*real(w2)
-			t2r := real(a2)*real(w1) - imag(a2)*imag(w1)
-			t2i := real(a2)*imag(w1) + imag(a2)*real(w1)
-			t3r := real(a3)*real(w3) - imag(a3)*imag(w3)
-			t3i := real(a3)*imag(w3) + imag(a3)*real(w3)
+			t1r := float32(real(a1)*real(w2)) - float32(imag(a1)*imag(w2))
+			t1i := float32(real(a1)*imag(w2)) + float32(imag(a1)*real(w2))
+			t2r := float32(real(a2)*real(w1)) - float32(imag(a2)*imag(w1))
+			t2i := float32(real(a2)*imag(w1)) + float32(imag(a2)*real(w1))
+			t3r := float32(real(a3)*real(w3)) - float32(imag(a3)*imag(w3))
+			t3i := float32(real(a3)*imag(w3)) + float32(imag(a3)*real(w3))
 			var re, im float32
 			if u < q {
 				u0r, u0i := real(a0)+t1r, imag(a0)+t1i
 				re, im = u0r+(t2r+t3r), u0i+(t2i+t3i)
 			} else {
 				v0r, v0i := real(a0)-t1r, imag(a0)-t1i
-				re, im = v0r+(-s*(t2i-t3i)), v0i+s*(t2r-t3r)
+				re, im = v0r+float32(-s*(t2i-t3i)), v0i+float32(s*(t2r-t3r))
 			}
 			col[2*p] = re
 			if 2*p+1 < rows {

@@ -131,11 +131,15 @@ func FuzzRadix4Tiers(f *testing.F) {
 	})
 }
 
-// FuzzApplyEncodedTiers drives filter.ApplyEncoded, the pipeline's entry
-// from a staged projection's bytes into the transposed block, against the
-// chain it replaces — volume.ImageFromBytesInto, ApplyInto in place,
-// TransposeInto — on the portable tier, on AVX2 with AVX-512 off and, where
-// the host has it, on AVX-512:
+// FuzzApplyEncodedTiers drives filter.ApplyEncoded, the filter's one end
+// from a staged projection's bytes into the transposed block, on the
+// portable tier, on AVX2 with AVX-512 off and, where the host has it, on
+// AVX-512. The portable tier never fuses the transform's ends: it runs the
+// unfused chain — kernels.CosineWeightPairLE, clear, Convolve,
+// TransposePairs — which the fused ends of the AVX-512 tier must reproduce.
+// (The reference kernels round DIF and DIT through complex64's operator, so
+// they agree with the fast tiers only to 1e-6 of the peak;
+// TestFilterBitIdenticalAcrossTiers holds the filter to that.)
 //
 //   - nu × nv is the detector, 1…1024 × 1…40 (Nv = 1, odd Nv and Nu that
 //     are not powers of two included): padded lengths L up to 2048, so
@@ -149,10 +153,11 @@ func FuzzRadix4Tiers(f *testing.F) {
 //   - contents are the payload's float32 bit patterns (NaN, signalling
 //     NaN, ±Inf and −0 included), repeated to fill it.
 //
-// ApplyEncoded must fail exactly when the chain would — the decode fails or
-// the block is not Nu·Nv long — and then write nothing; otherwise it must
-// equal the chain's output bit for bit (any NaN for a NaN). Canaries past
-// the block's end must survive either way.
+// ApplyEncoded must fail exactly when decoding the blob would, or the block
+// is not Nu·Nv long, and then write nothing; otherwise every tier's block
+// must equal the portable tier's bit for bit (any NaN for a NaN), and
+// ApplyImage of the decoded image must equal ApplyEncoded of its bytes on
+// the same tier. Canaries past the block's end must survive either way.
 func FuzzApplyEncodedTiers(f *testing.F) {
 	const short, wideHdr, tallHdr, rawW, longBlk, shortBlk = 0x01, 0x02, 0x04, 0x08, 0x10, 0x20
 	nan, snan, inf, negZero := []byte{0, 0, 0xC0, 0x7F}, []byte{1, 0, 0x80, 0x7F}, []byte{0, 0, 0x80, 0xFF}, []byte{0, 0, 0, 0x80}
@@ -216,24 +221,26 @@ func FuzzApplyEncodedTiers(f *testing.F) {
 
 		const pad = 64
 		canary := math.Float32frombits(0xCAFEF00D)
+		same := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b }
+		dec := volume.NewImage(g.Nu, g.Nv)
+		wantErr := volume.ImageFromBytesInto(dec, blob)
+		if wantErr == nil && blockLen != g.Nu*g.Nv {
+			wantErr = fmt.Errorf("block of %d", blockLen)
+		}
+		var portable []float32 // the unfused chain's block
 		for _, tier := range tiers[1:] {
 			if !tier.available() {
 				continue
 			}
 			onTier(tier, func() {
 				name := fmt.Sprintf("%dx%d mode=%#x cut=%d %s", g.Nu, g.Nv, mode, cut, tier.name)
-				dec := volume.NewImage(g.Nu, g.Nv)
-				chainErr := volume.ImageFromBytesInto(dec, blob)
-				if chainErr == nil && blockLen != g.Nu*g.Nv {
-					chainErr = fmt.Errorf("block of %d", blockLen)
-				}
 				backing := make([]float32, blockLen+pad)
 				for i := range backing {
 					backing[i] = canary
 				}
 				err := flt.ApplyEncoded(blob, backing[:blockLen:blockLen])
-				if (err != nil) != (chainErr != nil) {
-					t.Fatalf("%s: ApplyEncoded error %v, chain error %v", name, err, chainErr)
+				if (err != nil) != (wantErr != nil) {
+					t.Fatalf("%s: ApplyEncoded error %v, decode or block error %v", name, err, wantErr)
 				}
 				for i := blockLen; i < len(backing); i++ {
 					if math.Float32bits(backing[i]) != math.Float32bits(canary) {
@@ -248,13 +255,20 @@ func FuzzApplyEncodedTiers(f *testing.F) {
 					}
 					return
 				}
-				if err := flt.ApplyInto(dec, dec); err != nil {
+				got := backing[:blockLen]
+				fromImage := make([]float32, blockLen)
+				if err := flt.ApplyImage(dec, fromImage); err != nil {
 					t.Fatal(err)
 				}
-				want := dec.Transpose()
-				for i, x := range want.Data {
-					if got := backing[i]; math.Float32bits(got) != math.Float32bits(x) && !(got != got && x != x) {
-						t.Fatalf("%s: block[%d] = %v, chain gives %v", name, i, got, x)
+				if portable == nil {
+					portable = got
+				}
+				for i, x := range got {
+					if !same(fromImage[i], x) {
+						t.Fatalf("%s: ApplyImage block[%d] = %v, ApplyEncoded gives %v", name, i, fromImage[i], x)
+					}
+					if !same(x, portable[i]) {
+						t.Fatalf("%s: block[%d] = %v, the portable tier gives %v", name, i, x, portable[i])
 					}
 				}
 			})

@@ -1,7 +1,6 @@
 // Package kernels holds the innermost loops of the reconstruction pipeline
-// — cosine weighting (from decoded rows, CosineWeightPair, or straight from
-// a projection's little-endian payload bytes, CosineWeightPairLE), the
-// spectral ramp multiply, the radix-4 FFT passes and the whole spectrum
+// — cosine weighting straight from a projection's little-endian payload
+// bytes (CosineWeightPairLE), the spectral ramp multiply, the radix-4 FFT passes and the whole spectrum
 // path they make with it (Convolve: DIF → gain → DIT), the store of
 // filtered row pairs into the transposed block (TransposePairs), the
 // pipeline's filter step with both ends fused into the transform
@@ -32,8 +31,9 @@
 //     the row read +0) and leaves each column's sums in its volume line's
 //     order, so the driver adds them with AddTo's vector adds
 //     (accum_amd64.s); and the filter core — the radix-4 passes of DIF and
-//     DIT and Convolve, the one spectrum path the filter's ApplyEncoded,
-//     ApplyInto and Sweep share — runs eight complex64 per register, with
+//     DIT and Convolve, the one spectrum path under the filter's one end
+//     (ApplyEncoded, and ApplyImage through it) — runs eight complex64 per
+//     register, with
 //     Convolve's small end taking the three smallest passes of each
 //     transform and the gain on blocks of 64 (32 for odd log₂n) held in
 //     registers, and ApplyEncoded's ends fused into the transform: the
@@ -44,28 +44,30 @@
 //
 // Every fast kernel performs the same floating-point operations in the same
 // order as its reference — the AVX2 and AVX-512 tiers included: separate
-// multiplies and adds, no FMA — so CosineWeightPair, CosineWeightPairLE
-// (which also equals CosineWeightPair on the decoded rows), SpectralMul,
-// ColumnGeom, AccumColumns and AccumColumnsWindow (which also equals
-// AccumColumns) are bit-identical across reference, portable, AVX2 and
-// AVX-512, DIF, DIT and Convolve across portable, AVX2 and AVX-512,
-// Convolve on every tier to DIF, SpectralMul and DIT on that tier, and
-// ConvolvePairLE with TransposeConvolved on every tier to the
-// CosineWeightPairLE → Convolve → TransposePairs chain on that tier;
-// TransposePairs copies bits (tests
-// assert exact equality, far inside the required ≤1e-5 parity bound):
-// which tier a host runs never shows in a volume. AccumColumns' border and
-// non-finite samples, and AccumColumnsWindow's NaN samples, fall back to
-// the reference formula per sample, so NaN/Inf propagate identically;
+// multiplies and adds, no FMA — so CosineWeightPairLE (which also equals the
+// same multiplies on the decoded rows), SpectralMul, ColumnGeom,
+// AccumColumns and AccumColumnsWindow (which also equals AccumColumns) are
+// bit-identical across reference, portable, AVX2 and AVX-512, DIF, DIT and
+// Convolve across portable, AVX2 and AVX-512, Convolve on every tier to DIF,
+// SpectralMul and DIT on that tier, and ConvolvePairLE with
+// TransposeConvolved on every tier to the CosineWeightPairLE → Convolve →
+// TransposePairs chain on that tier; TransposePairs copies bits (tests
+// assert exact equality, far inside the required ≤1e-5 parity bound): which
+// tier a host runs never shows in a volume. AccumColumns' border and
+// non-finite samples, and AccumColumnsWindow's NaN samples, fall back to the
+// reference formula per sample, so NaN/Inf propagate identically;
 // AccumColumnsWindow samples the border itself with interp.Bilinear's
 // zero-border arithmetic, lane by lane. In the back-projection path —
 // interp.Bilinear, this package's back-projection kernels and the
 // backproject drivers — every product that feeds an add or subtract is
 // rounded by an explicit conversion (float32(x*y) + …), so the fused
 // multiply-adds Go emits on arm64, ppc64le and s390x cannot change those
-// bits either (ci/run.sh fusion checks it; on amd64 the conversions emit
-// nothing). The one pair that is not bit-identical is
-// reference ↔ fast for DIF, DIT, RealUnpack and RealRepack: the reference
+// bits either; the filter path — internal/ct/filter and this package's
+// filter.go — does the same (ci/run.sh fusion checks both; on amd64 the
+// conversions emit nothing). The FFT passes (fft.go) and math.Sin and
+// math.Cos themselves are not yet written that way, so the filter's bits may
+// still depend on GOARCH off amd64. The one pair that is not bit-identical
+// is reference ↔ fast for DIF, DIT, RealUnpack and RealRepack: the reference
 // multiplies with the complex64 operator, which rounds through float64, the
 // fast form in explicit float32, so they agree to 1e-6 of the peak.
 //

@@ -18,8 +18,8 @@ import (
 // TestBackprojectBitIdenticalAcrossTiers runs the one Alg. 4 driver behind
 // the AccumColumns and AccumColumnsWindow seams through all three of its
 // callers' shapes — whole even volumes and whole odd ones through
-// backproject.Proposed (fdk.Reconstruct, preview, verification; the odd
-// ones add the unpaired centre plane) and slab pairs through
+// backproject.Proposed (untransposed, as the benchmark's probes call it;
+// the odd ones add the unpaired centre plane) and slab pairs through
 // backproject.ProposedSlabPair (the distributed pipeline) — on the
 // reference kernels, the portable fast loop, the AVX2 tier and the AVX-512
 // window tier, and requires the four tiers to agree bit for bit (any NaN
@@ -424,21 +424,6 @@ func fusedEndsCase(t *testing.T, rng *rand.Rand, name string, fwd, inv []complex
 	}
 }
 
-// applyChain is the pipeline's filter step as it was before ApplyEncoded:
-// decode the blob into an image, filter it in place, transpose it.
-func applyChain(t *testing.T, f *filter.Filterer, blob []byte) *volume.Image {
-	t.Helper()
-	g := f.Geometry()
-	img := volume.NewImage(g.Nu, g.Nv)
-	if err := volume.ImageFromBytesInto(img, blob); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.ApplyInto(img, img); err != nil {
-		t.Fatal(err)
-	}
-	return img.Transpose()
-}
-
 func bitsOf(x []float32) []uint32 {
 	out := make([]uint32, len(x))
 	for i, v := range x {
@@ -447,22 +432,23 @@ func bitsOf(x []float32) []uint32 {
 	return out
 }
 
-// TestFilterBitIdenticalAcrossTiers runs the whole ramp filter — ApplyInto,
-// Sweep at three worker counts, and ApplyEncoded from the encoded bytes
-// into a transposed block — on the portable passes, on the AVX2 tier with
-// AVX-512 off and on the AVX-512 tier, one subtest per vector tier, for
-// every window, on every padded length L = 8…1024: odd log₂ (Nu 4 → 8,
-// 9 → 32, 48 and 64 → 128, 256 → 512, whose small end is the radix-2 pass
-// and its neighbours) and even log₂ (Nu 5 → 16, 17 → 64, 100 → 256, 512 →
-// 1024, whose small end is the pass over quads and its neighbours); L 8
-// and 16 are shorter than an AVX-512 block and take AVX2's small end on
-// that tier too. It also runs odd row counts (last row paired with zeros;
-// 19 rows are one full group of eight stored pairs and a short one), and
-// 32 rows, whose column runs take the non-temporal stores where a block is
-// aligned. Each vector tier must agree with the portable one bit for bit,
-// both stay within 1e-6 of the image peak of the same filter on the
-// reference kernels, and on every tier ApplyEncoded must equal the chain
-// it replaces — ImageFromBytesInto, ApplyInto, TransposeInto — bit for bit.
+// TestFilterBitIdenticalAcrossTiers runs the whole ramp filter — ApplyEncoded
+// from the encoded bytes into a transposed block, ApplyImage from the image,
+// and the wrappers ApplyInto and Sweep at three worker counts — on the
+// portable passes, on the AVX2 tier with AVX-512 off and on the AVX-512
+// tier, one subtest per vector tier, for every window, on every padded
+// length L = 8…1024: odd log₂ (Nu 4 → 8, 9 → 32, 48 and 64 → 128, 256 →
+// 512, whose small end is the radix-2 pass and its neighbours) and even
+// log₂ (Nu 5 → 16, 17 → 64, 100 → 256, 512 → 1024, whose small end is the
+// pass over quads and its neighbours); L 8 and 16 are shorter than an
+// AVX-512 block and take AVX2's small end on that tier too. It also runs
+// odd row counts (last row paired with zeros; 19 rows are one full group of
+// eight stored pairs and a short one), and 32 rows, whose column runs take
+// the non-temporal stores where a block is aligned. Each vector tier must
+// agree with the portable one bit for bit, both stay within 1e-6 of the
+// image peak of the same filter on the reference kernels, and on every tier
+// ApplyImage must equal ApplyEncoded, and ApplyInto its block transposed,
+// bit for bit.
 func TestFilterBitIdenticalAcrossTiers(t *testing.T) {
 	for _, tier := range vectorTiers {
 		t.Run(tier.name, func(t *testing.T) {
@@ -489,21 +475,28 @@ func filterAcrossTiers(t *testing.T, tier tier) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// run filters ins[0] with ApplyInto and with ApplyEncoded
-				// (checked against the chain), then all of ins with Sweep at
-				// 1, 2 and 3 workers, on whatever tier is live.
+				// run filters ins[0] with ApplyEncoded, ApplyImage and
+				// ApplyInto (checked against each other), then all of ins
+				// with Sweep at 1, 2 and 3 workers, on whatever tier is live.
 				blob := volume.ImageToBytes(ins[0])
 				run := func() (outs []*volume.Image) {
-					q := volume.NewImage(g.Nu, g.Nv)
-					if err := f.ApplyInto(ins[0], q); err != nil {
-						t.Fatal(err)
-					}
 					enc := &volume.Image{W: g.Nv, H: g.Nu, Data: make([]float32, g.Nu*g.Nv)}
 					if err := f.ApplyEncoded(blob, enc.Data); err != nil {
 						t.Fatal(err)
 					}
-					if chain := applyChain(t, f, blob); !reflect.DeepEqual(bitsOf(chain.Data), bitsOf(enc.Data)) {
-						t.Fatalf("nu=%d nv=%d %v isa=%s: ApplyEncoded differs from ImageFromBytesInto → ApplyInto → TransposeInto", nu, nv, win, kernels.ISA())
+					img := &volume.Image{W: g.Nv, H: g.Nu, Data: make([]float32, g.Nu*g.Nv)}
+					if err := f.ApplyImage(ins[0], img.Data); err != nil {
+						t.Fatal(err)
+					}
+					q := volume.NewImage(g.Nu, g.Nv)
+					if err := f.ApplyInto(ins[0], q); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(bitsOf(img.Data), bitsOf(enc.Data)) {
+						t.Fatalf("nu=%d nv=%d %v isa=%s: ApplyImage differs from ApplyEncoded of the image's bytes", nu, nv, win, kernels.ISA())
+					}
+					if !reflect.DeepEqual(bitsOf(q.Transpose().Data), bitsOf(enc.Data)) {
+						t.Fatalf("nu=%d nv=%d %v isa=%s: ApplyInto differs from the transposed block", nu, nv, win, kernels.ISA())
 					}
 					outs = append(outs, q, enc)
 					for workers := 1; workers <= 3; workers++ {

@@ -152,8 +152,9 @@ type Options struct {
 // Reconstruct builds the preview volume for the plan. read fills dst (a
 // pooled full-resolution Nu×Nv image) with source projection s; Reconstruct
 // calls it once per kept projection (s = i·Factor), decimates each into a
-// pooled coarse image, filters the coarse set, and back-projects it on the
-// coarse grid. The result is a fresh i-major coarse volume the caller owns.
+// pooled coarse image, and reconstructs the coarse set with
+// fdk.ReconstructFrom, each coarse image filtered by ApplyImage. The result
+// is a fresh i-major coarse volume the caller owns.
 func (p Plan) Reconstruct(ctx context.Context, read func(dst *volume.Image, s int) error, opt Options) (*volume.Volume, Timings, error) {
 	start := time.Now()
 	var tm Timings
@@ -185,22 +186,13 @@ func (p Plan) Reconstruct(ctx context.Context, read func(dst *volume.Image, s in
 		tm.Decimate += time.Since(t1).Seconds()
 	}
 
-	t0 := time.Now()
-	flt, err := filter.Cached(cg, opt.Window)
+	vol, st, err := fdk.ReconstructFrom(cg, func(flt *filter.Filterer, s int, block []float32) error {
+		return flt.ApplyImage(imgs[s], block)
+	}, fdk.Config{Window: opt.Window})
+	tm.Filter, tm.Backproject = st.Filter.Seconds(), st.Backproject.Seconds()
 	if err != nil {
 		return nil, tm, err
 	}
-	if err := flt.Sweep(imgs, imgs, 0); err != nil {
-		return nil, tm, err
-	}
-	t1 := time.Now()
-	tm.Filter = t1.Sub(t0).Seconds()
-
-	vol, err := fdk.BackprojectFiltered(cg, imgs, fdk.Config{})
-	if err != nil {
-		return nil, tm, err
-	}
-	tm.Backproject = time.Since(t1).Seconds()
 	tm.Total = time.Since(start).Seconds()
 	return vol, tm, nil
 }

@@ -15,6 +15,7 @@ import (
 
 	"ifdk/internal/core"
 	"ifdk/internal/ct/fdk"
+	"ifdk/internal/ct/filter"
 	"ifdk/internal/ct/projector"
 	"ifdk/internal/engine"
 	"ifdk/internal/hpc/pfs"
@@ -915,36 +916,26 @@ func (m *Manager) renderAndStage(ctx context.Context, j *Job, key string) error 
 	return nil
 }
 
-// verifyAgainstSerial recomputes the volume with the serial FDK pipeline
-// and records the relative RMSE (the paper's < 1e-5 equivalence check).
-// The working set — the staged projections and the reference volume — is
-// transient, so all of it cycles through the engine pools; only the
-// client-facing result volume in the Entry stays unpooled (it escapes to
-// the cache and HTTP handlers).
+// verifyAgainstSerial recomputes the volume with the serial FDK loop and
+// records the relative RMSE (the paper's < 1e-5 equivalence check). The
+// loop filters each staged projection straight from its bytes on the PFS
+// into a pooled transposed block, as the pipeline does, so verification
+// holds at most one batch of blocks and decodes nothing; cancellation is
+// checked before each projection.
 func (m *Manager) verifyAgainstSerial(ctx context.Context, j *Job, e *Entry) error {
-	g := j.cfg.Geometry
-	proj := make([]*volume.Image, g.Np)
-	release := func() {
-		for _, img := range proj {
-			engine.Images.Release(img) // nil-safe
-		}
-	}
-	defer release()
-	for s := range proj {
+	// ref is a fresh allocation owned by this caller, not a pooled buffer:
+	// it is dropped as garbage, never Released — releasing a foreign
+	// buffer would corrupt the pools' footprint accounting.
+	ref, _, err := fdk.ReconstructFrom(j.cfg.Geometry, func(flt *filter.Filterer, s int, block []float32) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		img := engine.Images.Acquire(g.Nu, g.Nv)
-		if _, err := m.store.ReadProjectionInto(img, j.cfg.InputPrefix, s); err != nil {
-			engine.Images.Release(img)
+		blob, _, err := m.store.Peek(pfs.ProjectionPath(j.cfg.InputPrefix, s))
+		if err != nil {
 			return err
 		}
-		proj[s] = img
-	}
-	// ref is a fresh allocation owned by fdk.Reconstruct's caller, not a
-	// pooled buffer: it is dropped as garbage, never Released — releasing
-	// a foreign buffer would corrupt the pools' footprint accounting.
-	ref, err := fdk.Reconstruct(g, proj, fdk.Config{Window: j.cfg.Window})
+		return flt.ApplyEncoded(blob, block)
+	}, fdk.Config{Window: j.cfg.Window})
 	if err != nil {
 		return err
 	}

@@ -11,10 +11,17 @@ import (
 // file system or the wire.
 func Float32sToBytes(src []float32) []byte {
 	out := make([]byte, 4*len(src))
-	for n, x := range src {
-		binary.LittleEndian.PutUint32(out[4*n:], math.Float32bits(x))
-	}
+	Float32sToBytesInto(out, src)
 	return out
+}
+
+// Float32sToBytesInto is Float32sToBytes into dst, which must hold
+// 4·len(src) bytes: the one encoder behind every little-endian payload.
+func Float32sToBytesInto(dst []byte, src []float32) {
+	dst = dst[:4*len(src)]
+	for n, x := range src {
+		binary.LittleEndian.PutUint32(dst[4*n:], math.Float32bits(x))
+	}
 }
 
 // BytesToFloat32s deserializes little-endian bytes into float32 values.
@@ -34,9 +41,7 @@ func ImageToBytes(m *Image) []byte {
 	out := make([]byte, 8+4*len(m.Data))
 	binary.LittleEndian.PutUint32(out[0:], uint32(m.W))
 	binary.LittleEndian.PutUint32(out[4:], uint32(m.H))
-	for n, x := range m.Data {
-		binary.LittleEndian.PutUint32(out[8+4*n:], math.Float32bits(x))
-	}
+	Float32sToBytesInto(out[8:], m.Data)
 	return out
 }
 
@@ -53,7 +58,7 @@ func ImageFromBytes(src []byte) (*Image, error) {
 
 // ImageFromBytesInto decodes a blob into dst, whose dimensions must match
 // the encoded header. It is the allocation-free sibling of ImageFromBytes:
-// the verification path decodes each staged projection into a pooled
+// the preview tier decodes each staged projection it keeps into a pooled
 // image.
 func ImageFromBytesInto(dst *Image, src []byte) error {
 	payload, err := ImagePayload(src, dst.W, dst.H)
