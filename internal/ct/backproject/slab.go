@@ -128,12 +128,6 @@ func (p *slabPass) run(n0, n1 int) {
 	// can be odd, so z0 = 0 and local plane h is global plane Nz/2.
 	odd := nz%2 == 1
 	rowLen := (2*h + nz%2) * colTile
-	// The window kernel keeps a tile row's accumulator in volume-line
-	// order, the gather kernel depth-major; the centre plane follows either.
-	accum := kernels.AccumColumns
-	if window {
-		accum = kernels.AccumColumnsWindow
-	}
 	tilesJ := (ny + colTile - 1) / colTile
 	regs, us, fs, ws := acquireRegs(colTile)
 	acc := colPool.Acquire(colTile * rowLen)
@@ -145,9 +139,17 @@ func (p *slabPass) run(n0, n1 int) {
 		clear(tile)
 		for t := range rows {
 			r := &rows[t]
+			// The window kernel takes the whole tile and keeps each tile
+			// row's accumulator in volume-line order, the gather kernel one
+			// tile row depth-major; the centre plane follows either.
+			if window {
+				kernels.AccumColumnsWindow(tile, rowLen, data[t], ht, w, r, i0, i1-i0, j0, tj, z0, h, vm1)
+			}
 			for i := i0; i < i1; i++ {
 				row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
-				accum(row, data[t], ht, w, r, i, j0, tj, z0, h, vm1)
+				if !window {
+					kernels.AccumColumns(row, data[t], ht, w, r, i, j0, tj, z0, h, vm1)
+				}
 				if odd {
 					kernels.ColumnGeom(us[:tj], fs, ws, r, i, j0)
 					fi, fk := float32(i), float32(h)

@@ -324,13 +324,15 @@ func TestTransposedTaskBitIdentical(t *testing.T) {
 // slab pairs: on a host with the window tier, volume_heavy's (128³ from
 // 256², R = 2, h = 32) and progressive_stream's must take
 // kernels.AccumColumnsWindow — a dispatcher that never does passes every
-// bit-identity test while losing the speed — and so must the serial
-// reference of a verified nx = 32 fleet_mixed job (fdk.Reconstruct: the
-// whole 32³ volume from 64² is one slab pair, h = 16). fleet_mixed's
-// distributed slabs (h ≤ 8), its verified nx = 16 jobs (whole 16³, h = 8),
-// projection_heavy's (nx 32 on 512², R = 2: h = 8), a 31-row detector and
-// a geometry too steep for an 8-depth window keep the gather kernel.
-// Without the tier nothing takes the window.
+// bit-identity test while losing the speed — and so must fleet_mixed's
+// slabs, whose 1.9 rows per plane let an h-depth half-column fit a
+// 2h-sample window: its distributed h = 8 (nx 32 at R = 2) and h = 4 (nx 32
+// at R = 4, nx 16 at R = 2) slabs, the serial reference of a verified
+// nx = 16 job (fdk.Reconstruct: the whole 16³ volume from 32² is one slab
+// pair, h = 8) and of a verified nx = 32 one (h = 16). fleet_mixed's h = 2
+// slabs (nx 16 at R = 4), projection_heavy's (nx 32 on 512², R = 2: h = 8,
+// 17.9 rows per plane), a 31-row detector and geometries too steep for the
+// window keep the gather kernel. Without the tier nothing takes the window.
 func TestWindowDispatch(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -341,9 +343,13 @@ func TestWindowDispatch(t *testing.T) {
 		{"volume_heavy", geometry.Default(256, 256, 320, 128, 128, 128), 32, true},
 		{"progressive_stream", geometry.Default(256, 256, 256, 128, 128, 128), 32, true},
 		{"fleet_mixed verification nx=32", geometry.Default(64, 64, 64, 32, 32, 32), 16, true},
-		{"fleet_mixed verification nx=16", geometry.Default(32, 32, 32, 16, 16, 16), 8, false},
+		{"fleet_mixed verification nx=16", geometry.Default(32, 32, 32, 16, 16, 16), 8, true},
+		{"fleet_mixed nx=32 R=2", geometry.Default(64, 64, 64, 32, 32, 32), 8, true},
+		{"fleet_mixed nx=32 R=4", geometry.Default(64, 64, 64, 32, 32, 32), 4, true},
+		{"fleet_mixed nx=16 R=2", geometry.Default(32, 32, 32, 16, 16, 16), 4, true},
+		{"fleet_mixed nx=16 R=4", geometry.Default(32, 32, 32, 16, 16, 16), 2, false},
 		{"projection_heavy", geometry.Default(512, 512, 256, 32, 32, 32), 8, false},
-		{"fleet_mixed nx=32 R=2", geometry.Default(64, 64, 64, 32, 32, 32), 8, false},
+		{"2.1 rows per plane, h=8", geometry.Default(64, 68, 40, 24, 24, 32), 8, false},
 		{"Nv=31", geometry.Default(48, 31, 40, 24, 24, 32), 16, false},
 		{"10 rows per plane", geometry.Default(64, 320, 40, 24, 24, 32), 16, false},
 	} {
@@ -351,7 +357,8 @@ func TestWindowDispatch(t *testing.T) {
 		// The step bounds the detector rows an h-depth block spans,
 		// (h−1)·step plus the bilinear taps: projection_heavy's 17.9 rows
 		// per plane put ≈ 127 rows under an 8-depth block, past any 16- or
-		// 32-sample window.
+		// 32-sample window, and a shallow slab fits only at ≤ 2 rows per
+		// plane.
 		t.Logf("%s: h=%d, max step %.2f rows/plane", c.name, c.h, step)
 		want := c.window && kernels.ISA() == "avx512"
 		if got := kernels.WindowFits(c.h, c.g.Nv, step); got != want {

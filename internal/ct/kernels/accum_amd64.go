@@ -65,23 +65,28 @@ func columnLanesAVX2(regs *lanes, r *[3][4]float32, fi, umax float32, j0, n, rw 
 //go:noescape
 func accumColumnsAVX2(acc, sym *float32, n int, row0, row1 *float32, regs *lanes, vmax, ry2, ry3, vm1 float32, k int) int
 
-// accumWindowAVX512 is the vector interior of accumColumnsWindowFast. It
-// computes the tile row's column registers itself — columnLanesAVX2's
-// lanes for r, fi, umax, j0, n and rw — and returns at once with interior
-// false when a u is not interior. Otherwise one call walks the columns
-// c < n from column c, depth kk, in blocks of windowDepth depths of one
-// column, and returns the column and depth of the first block of at most 8
-// depths it could not window, having touched none of that block; (n, 0)
-// when it finished. acc is the tile row's accumulator in the window layout
-// (column c's 2h floats at acc[c·2h], its mirror half descending);
+// accumWindowAVX512 is the vector interior of accumColumnsWindowFast for a
+// tile of rows tile rows, i … i+rows-1 (rows ≤ Lanes), of the columns
+// j0 … j0+n-1, tile row q's accumulator at acc[q·stride] in the window
+// layout (column c's 2h floats at acc[q·stride+c·2h], its mirror half
+// descending). It computes every row's column registers itself —
+// columnLanesAVX2's lanes for r, float32(i+q), umax, j0, n and rw — and
+// returns at once with interior false when a u of rows q … rows-1 is not
+// interior. Otherwise one call runs tile row q from column c, depth kk (c <
+// n), then the rows after it: a slab at least windowDepth deep in blocks of
+// windowDepth depths of one column, a shallow one (shallowWindow) in groups
+// of 16/(2h) columns. It returns the row, column and depth of the first
+// block it could not window — at most 8 depths of a column, or a shallow
+// group — having touched none of that block; (rows, 0, 0) when it finished.
 // fk = float32(k0+kk) for depth kk, and every k0+kk+16 must be below 2²⁴ in
 // magnitude. Column c reads the detector rows that start at row0[off] and
 // row0[off+rw], off = floor(u)·rw, which must both lie inside the
-// projection, and rw ≥ 2·windowDepth: the clamps of the window base and the
-// row masks are then the bounds check of every load.
+// projection, and rw ≥ 2·windowDepth (2h for a shallow slab): the clamps of
+// the window base and the row masks are then the bounds check of every
+// load.
 //
 //go:noescape
-func accumWindowAVX512(acc *float32, h int, row0 *float32, rw int, r *[3][4]float32, fi, umax float32, j0, n, k0, c, kk int, vm1 float32) (stopC, stopKK int, interior bool)
+func accumWindowAVX512(acc *float32, stride, h int, row0 *float32, rw int, r *[3][4]float32, umax float32, i, rows, j0, n, k0, q, c, kk int, vm1 float32) (stopQ, stopC, stopKK int, interior bool)
 
 // addAVX2 adds src[i] into dst[i] for i < n, n a multiple of 8.
 //

@@ -307,14 +307,15 @@ GLOBL minusone<>(SB), RODATA|NOPTR, $4
 DATA sixteen<>+0(SB)/4, $0x41800000 // float32(16)
 GLOBL sixteen<>(SB), RODATA|NOPTR, $4
 
-// Register plan for accumWindowAVX512. Lane l of every vector is depth
-// kk+l of one column. The loop is software-pipelined: while the taps of the
-// pending block (the cursor c, kk) are read, the index math of the block
-// after it — in the same column or at the top of the next — has already been
-// issued into the other register set, so the loads of the next block never
-// wait on the v → floor → window base chain. The two sets alternate.
+// Register plan for accumWindowAVX512 on a slab at least windowDepth deep,
+// one tile row at a time. Lane l of every vector is depth kk+l of one
+// column. The loop is software-pipelined: while the taps of the pending
+// block (the cursor c, kk) are read, the index math of the block after it —
+// in the same column or at the top of the next — has already been issued
+// into the other register set, so the loads of the next block never wait on
+// the v → floor → window base chain. The two sets alternate.
 //
-//	DI  acc (tile row)          DX  regs, in the frame R14 h
+//	DI  acc (tile row)          DX  the tile row's lanes struct R14 h
 //	R12 c, R13 kk: the cursor, the block in the pending set
 //	R9, R10 column c's two detector rows
 //	SI  column c's acc          AX  SI + 2h-16 floats (the mirror blocks run down from it)
@@ -373,28 +374,30 @@ GLOBL sixteen<>(SB), RODATA|NOPTR, $4
 	VPCMPUD          $2, Z24, IV, KOK; \
 	VPCMPUD          $2, Z24, IS, KOK, KOK
 
-// WSAMPLE(IDX, DV, GP) leaves wdis·bilinear(v, u) of all 16 lanes in Z10.
-// The taps row[nv] and row[nv+1] of both detector rows come from the 32
-// samples at row+base (GP) through two-source permutes at IDX and IDX+1;
-// the arithmetic is SAMPLE's, lane-wise and in the same order:
+// WSAMPLE(IDX, DV, A0, B0, A1, B1) leaves wdis·bilinear(v, u) of all 16
+// lanes in Z10. The taps row[nv] and row[nv+1] of both detector rows come
+// from a 32-sample table per row through two-source permutes at IDX and
+// IDX+1: A0|B0 is the first row's table (16 samples each, in registers or
+// memory), A1|B1 the second's. The arithmetic is SAMPLE's, lane-wise and in
+// the same order:
 //
 //	t1 := row0[nv]*(1-dv) + row0[nv+1]*dv                    (Z10)
 //	t2 := row1[nv]*(1-dv) + row1[nv+1]*dv                    (Z11)
 //	wdis * (t1*(1-du) + t2*du)
-#define WSAMPLE(IDX, DV, GP) \
+#define WSAMPLE(IDX, DV, A0, B0, A1, B1) \
 	VPADDD    Z31, IDX, Z8; \
 	VSUBPS    DV, Z30, Z9; \
-	VMOVUPS   (R9)(GP*4), Z10; \
-	VPERMT2PS 64(R9)(GP*4), IDX, Z10; \
-	VMOVUPS   (R9)(GP*4), Z11; \
-	VPERMT2PS 64(R9)(GP*4), Z8, Z11; \
+	VMOVUPS   A0, Z10; \
+	VPERMT2PS B0, IDX, Z10; \
+	VMOVUPS   A0, Z11; \
+	VPERMT2PS B0, Z8, Z11; \
 	VMULPS    Z9, Z10, Z10; \
 	VMULPS    DV, Z11, Z11; \
 	VADDPS    Z11, Z10, Z10; \
-	VMOVUPS   (R10)(GP*4), Z11; \
-	VPERMT2PS 64(R10)(GP*4), IDX, Z11; \
-	VMOVUPS   (R10)(GP*4), Z12; \
-	VPERMT2PS 64(R10)(GP*4), Z8, Z12; \
+	VMOVUPS   A1, Z11; \
+	VPERMT2PS B1, IDX, Z11; \
+	VMOVUPS   A1, Z12; \
+	VPERMT2PS B1, Z8, Z12; \
 	VMULPS    Z9, Z11, Z11; \
 	VMULPS    DV, Z12, Z12; \
 	VADDPS    Z12, Z11, Z11; \
@@ -407,10 +410,10 @@ GLOBL sixteen<>(SB), RODATA|NOPTR, $4
 // accumulator: v's at depths kk … kk+15, vSym's reversed into the 16 floats
 // that run down from 2h-1-kk.
 #define FAST(IV, DV, IS, DS, GV, GS) \
-	WSAMPLE(IV, DV, GV); \
+	WSAMPLE(IV, DV, (R9)(GV*4), 64(R9)(GV*4), (R10)(GV*4), 64(R10)(GV*4)); \
 	VADDPS  (SI)(R13*4), Z10, Z10; \
 	VMOVUPS Z10, (SI)(R13*4); \
-	WSAMPLE(IS, DS, GS); \
+	WSAMPLE(IS, DS, (R9)(GS*4), 64(R9)(GS*4), (R10)(GS*4), 64(R10)(GS*4)); \
 	VPERMPS Z10, Z23, Z10; \
 	MOVQ    R13, R15; \
 	NEGQ    R15; \
@@ -435,7 +438,7 @@ GLOBL sixteen<>(SB), RODATA|NOPTR, $4
 // block steps it by 16, exactly: the caller keeps every depth number below
 // 2²⁴ in magnitude.
 #define FKINIT(KK, T) \
-	MOVQ         k0+64(FP), T; \
+	MOVQ         k0+88(FP), T; \
 	ADDQ         KK, T; \
 	VPBROADCASTD T, Z22; \
 	VPADDD       iota16<>(SB), Z22, Z22; \
@@ -444,9 +447,9 @@ GLOBL sixteen<>(SB), RODATA|NOPTR, $4
 // SCOLUMN loads column c's (R12's) registers for the samples.
 #define SCOLUMN \
 	MOVLQSX      L_OFF(DX)(R12*4), R9; \
-	MOVQ         row0+16(FP), R10; \
+	MOVQ         row0+24(FP), R10; \
 	LEAQ         (R10)(R9*4), R9; \
-	MOVQ         rw+24(FP), R10; \
+	MOVQ         rw+32(FP), R10; \
 	LEAQ         (R9)(R10*4), R10; \
 	VBROADCASTSS L_W(DX)(R12*4), Z19; \
 	VBROADCASTSS L_DU(DX)(R12*4), Z17; \
@@ -465,7 +468,7 @@ GLOBL sixteen<>(SB), RODATA|NOPTR, $4
 // too, so a lane with v ≤ −1 gets nv = 0x80000000, which no live test
 // passes.
 #define PREP \
-	MOVQ             k0+64(FP), R15; \
+	MOVQ             k0+88(FP), R15; \
 	ADDQ             R13, R15; \
 	VPBROADCASTD     R15, Z8; \
 	VPADDD           iota16<>(SB), Z8, Z8; \
@@ -521,12 +524,12 @@ GLOBL sixteen<>(SB), RODATA|NOPTR, $4
 	KORTESTW      K3, K3; \
 	JNZ           FAIL
 
-// BSAMPLE(NV, DV, GP, KT) is WSAMPLE for the lanes KT of a bordered block,
-// the window at GP: a tap outside the row is a zero-masked permute, and a
-// lane that is not live leaves +0 in Z10 before the weight multiplies it.
-#define BSAMPLE(NV, DV, GP, KT) \
-	VPBROADCASTD  GP, Z8; \
-	VPSUBD        Z8, NV, Z8; \
+// BSAMPLE(NV, DV, BV, A0, B0, A1, B1, KT) is WSAMPLE for the lanes KT of a
+// bordered block: lane l's window index is NV − BV, and a tap outside the
+// row is a zero-masked permute; a lane that is not live leaves +0 in Z10
+// before the weight multiplies it.
+#define BSAMPLE(NV, DV, BV, A0, B0, A1, B1, KT) \
+	VPSUBD        BV, NV, Z8; \
 	VPADDD        Z31, Z15, Z9; \
 	VPCMPUD       $2, Z9, NV, KT, K2; \
 	VPADDD        Z31, NV, Z11; \
@@ -534,17 +537,17 @@ GLOBL sixteen<>(SB), RODATA|NOPTR, $4
 	KORW          K2, K3, K4; \
 	VPADDD        Z31, Z8, Z9; \
 	VSUBPS        DV, Z30, Z12; \
-	VMOVUPS       (R9)(GP*4), Z10; \
-	VPERMT2PS.Z   64(R9)(GP*4), Z8, K2, Z10; \
-	VMOVUPS       (R9)(GP*4), Z11; \
-	VPERMT2PS.Z   64(R9)(GP*4), Z9, K3, Z11; \
+	VMOVUPS       A0, Z10; \
+	VPERMT2PS.Z   B0, Z8, K2, Z10; \
+	VMOVUPS       A0, Z11; \
+	VPERMT2PS.Z   B0, Z9, K3, Z11; \
 	VMULPS        Z12, Z10, Z10; \
 	VMULPS        DV, Z11, Z11; \
 	VADDPS        Z11, Z10, Z10; \
-	VMOVUPS       (R10)(GP*4), Z11; \
-	VPERMT2PS.Z   64(R10)(GP*4), Z8, K2, Z11; \
-	VMOVUPS       (R10)(GP*4), Z8; \
-	VPERMT2PS.Z   64(R10)(GP*4), Z9, K3, Z8; \
+	VMOVUPS       A1, Z11; \
+	VPERMT2PS.Z   B1, Z8, K2, Z11; \
+	VMOVUPS       A1, Z8; \
+	VPERMT2PS.Z   B1, Z9, K3, Z8; \
 	VMULPS        Z12, Z11, Z11; \
 	VMULPS        DV, Z8, Z8; \
 	VADDPS        Z8, Z11, Z11; \
@@ -562,10 +565,12 @@ GLOBL sixteen<>(SB), RODATA|NOPTR, $4
 	JNZ         FAIL; \
 	FITBASE(Z0, KT, R11, FAIL); \
 	FITBASE(Z2, KT, BX, FAIL); \
-	BSAMPLE(Z0, Z1, R11, KT); \
+	VPBROADCASTD R11, Z8; \
+	BSAMPLE(Z0, Z1, Z8, (R9)(R11*4), 64(R9)(R11*4), (R10)(R11*4), 64(R10)(R11*4), KT); \
 	VADDPS      (SI)(R13*4), Z10, KT, Z10; \
 	VMOVUPS     Z10, KT, (SI)(R13*4); \
-	BSAMPLE(Z2, Z3, BX, KT); \
+	VPBROADCASTD BX, Z8; \
+	BSAMPLE(Z2, Z3, Z8, (R9)(BX*4), 64(R9)(BX*4), (R10)(BX*4), 64(R10)(BX*4), KT); \
 	VPERMPS     Z10, Z23, Z10; \
 	VMOVDQA32.Z Z31, KT, Z8; \
 	VPERMD      Z8, Z23, Z8; \
@@ -576,41 +581,224 @@ GLOBL sixteen<>(SB), RODATA|NOPTR, $4
 	VADDPS      (R15), Z10, K2, Z10; \
 	VMOVUPS     Z10, K2, (R15)
 
-// func accumWindowAVX512(acc *float32, h int, row0 *float32, rw int, r *[3][4]float32, fi, umax float32, j0, n, k0, c, kk int, vm1 float32) (stopC, stopKK int, interior bool)
+// The shallow form (h = 8 or 4) works in groups of G = 16/(2h) columns,
+// one vector each: lane l is column c + l/(2h) of the group, and of that
+// column's 2h lanes, position p = l mod 2h holds depth p for p < h and the
+// mirror of depth 2h-1-p past it — the column's volume line, so the vector
+// is one contiguous add into the accumulator. Its taps come from 2h-sample
+// windows, one per piece of h lanes (a column's lower or mirror half), each
+// based at the piece's least floor(v) clamped to [0, rw-2h]; the pieces of a
+// row are packed into the two 16-sample halves of a 32-sample table (h = 8:
+// one column's lower and mirror windows; h = 4: a column's two 8-sample
+// windows per half, column c in the first, c+1 in the second), so WSAMPLE
+// and BSAMPLE read them at index floor(v) − base + 2·(first lane of the
+// piece). A group is fast when every lane's taps lie inside its window;
+// otherwise the bordered path fits each piece's window over its live lanes
+// (FITBASE) and samples the border in the kernel, and a group that holds a
+// NaN or does not fit goes back to the caller whole. The groups of a tile
+// run as one pipeline: while the cursor group's tables load and its taps
+// are read, the next group's index math and window addresses — the next G
+// columns, or the first of the next tile row — are issued.
 //
-// The tile row's column registers are LANES into this frame (regs); when a u
-// is not interior the call returns at once with interior false.
-TEXT ·accumWindowAVX512(SB), NOSPLIT, $192-113
-	LEAQ  regs-192(SP), DI
-	MOVQ  r+32(FP), SI
-	LANES(fi+40(FP), umax+44(FP), j0+48(FP), n+56(FP), rw+24(FP))
-	MOVQ  c+72(FP), R12
-	MOVQ  kk+80(FP), R13
-	CMPL  AX, $0xFF
-	SETEQ interior+112(FP)
-	JNE   stop
-	MOVQ  DI, DX
-	MOVQ  acc+0(FP), DI
-	MOVQ  h+8(FP), R14
-	CMPQ  R12, n+56(FP)
-	JGE   stop
+//	DI  row0   SI  the cursor's acc   R14 rw   R12 c   R13 G
+//	DX  the cursor row's lanes struct   AX  the next group's
+//	R9, R10 columns c's and c+1's first row
+//	R11, BX, CX, R8 the pieces' window bases, then their row-0 addresses
+//	Z0 floor(v)  Z1 dv  Z2–Z5 the tables (row 0: Z2|Z3, row 1: Z4|Z5)
+//	Z6 v (the mirror lanes vm1−v)  Z7 window index  Z10 per-lane base
+//	Z13, Z18 the next group's dv and index, K7 its fast mask  Z20 its columns
+//	Z14 each lane's piece's first lane  Z29 int32 2·Z14
+//	Z16 1-du  Z17 du  Z19 wdis (the cursor's, per lane)  Z22 column per lane
+//	Z23 int32 l/(2h)  Z24 int32 2h-2  Z25 int32 rw-2h  Z28 ry2·fk per lane
+//	K6 the mirror lanes; the other constants as above
+//
+// L_PICK(DX) holds, per column, h-1 where v falls with the depth and 0
+// where it rises: added to Z14 it is the lane of the piece's least v, since
+// the mirror lanes run down the depths. The frame holds one lanes struct
+// and its L_PICK per tile row, 224 bytes apart.
+#define L_PICK 192
+
+// SMATH(LP, COL, DV, IDX, KOK) is the index math of the group whose lanes'
+// columns are COL in the tile row whose lanes struct is at LP, MATH's
+// operations lane-wise:
+//
+//	v := (yb + ry2·fk + ry3)·f; on the mirror lanes v := vm1 − v  (Z6)
+//	nv := floor(v) (Z0); dv := v − float32(nv)
+//
+// Each piece's window base is the nv of its least-v lane clamped to
+// [0, rw-2h] (Z10), IDX the lane's table index, and KOK the lanes whose
+// index within the piece is in 0 … 2h-2: only then are both taps inside
+// the row and the window. A NaN or out-of-range v converts to 0x80000000
+// and fails the test.
+#define SMATH(LP, COL, DV, IDX, KOK) \
+	VBROADCASTF64X4  L_F(LP), Z8; \
+	VPERMPS          Z8, COL, Z8; \
+	VBROADCASTF64X4  L_YB(LP), Z9; \
+	VPERMPS          Z9, COL, Z9; \
+	VBROADCASTI64X4  L_PICK(LP), Z11; \
+	VPERMD           Z11, COL, Z11; \
+	VPADDD           Z14, Z11, Z11; \
+	VADDPS           Z28, Z9, Z6; \
+	VADDPS           Z27, Z6, Z6; \
+	VMULPS           Z8, Z6, Z6; \
+	VSUBPS           Z6, Z26, K6, Z6; \
+	VCVTPS2DQ.RD_SAE Z6, Z0; \
+	VCVTDQ2PS        Z0, DV; \
+	VSUBPS           DV, Z6, DV; \
+	VPERMD           Z0, Z11, Z10; \
+	VPMAXSD          Z21, Z10, Z10; \
+	VPMINSD          Z25, Z10, Z10; \
+	VPSUBD           Z10, Z0, IDX; \
+	VPCMPUD          $2, Z24, IDX, KOK; \
+	VPADDD           Z29, IDX, IDX
+
+// SFIELDS(COL) loads the sampling registers of the cursor group, whose
+// lanes' columns are COL: du (Z17), 1-du (Z16) and wdis (Z19).
+#define SFIELDS(COL) \
+	VBROADCASTF64X4 L_DU(DX), Z17; \
+	VPERMPS         Z17, COL, Z17; \
+	VSUBPS          Z17, Z30, Z16; \
+	VBROADCASTF64X4 L_W(DX), Z19; \
+	VPERMPS         Z19, COL, Z19
+
+// SROW0(LP, C) and SROW1(LP, C) point R9 and R10 at the first detector
+// rows of columns C and C+1 of the tile row whose lanes struct is at LP.
+#define SROW0(LP, C) \
+	MOVLQSX L_OFF(LP)(C*4), R9; \
+	LEAQ    (DI)(R9*4), R9
+
+#define SROW1(LP, C) \
+	MOVLQSX L_OFF+4(LP)(C*4), R10; \
+	LEAQ    (DI)(R10*4), R10
+
+// SLEA8 and SLEA4 turn the pieces' window bases (R11, BX, and for h = 4
+// CX, R8) into addresses in their columns' first rows; SBASES8 and SBASES4
+// take the bases from the lanes of Z10 that start the pieces.
+#define SLEA8 \
+	LEAQ (R9)(R11*4), R11; \
+	LEAQ (R9)(BX*4), BX
+
+#define SLEA4 \
+	SLEA8; \
+	LEAQ (R10)(CX*4), CX; \
+	LEAQ (R10)(R8*4), R8
+
+#define SBASES8 \
+	VMOVD         X10, R11; \
+	VEXTRACTI32X4 $2, Z10, X11; \
+	VMOVD         X11, BX; \
+	SLEA8
+
+#define SBASES4 \
+	VMOVD         X10, R11; \
+	VEXTRACTI32X4 $1, Z10, X11; \
+	VMOVD         X11, BX; \
+	VEXTRACTI32X4 $2, Z10, X11; \
+	VMOVD         X11, CX; \
+	VEXTRACTI32X4 $3, Z10, X11; \
+	VMOVD         X11, R8; \
+	SLEA4
+
+// STABLES8 loads the h = 8 tables: piece 0's window and piece 1's, both in
+// column c's rows, from the addresses R11 and BX.
+#define STABLES8 \
+	VMOVUPS (R11), Z2; \
+	VMOVUPS (BX), Z3; \
+	VMOVUPS (R11)(R14*4), Z4; \
+	VMOVUPS (BX)(R14*4), Z5
+
+// STABLES4 packs the h = 4 tables from four 8-sample windows: pieces 0 and
+// 1 (R11, BX) in column c's rows, pieces 2 and 3 (CX, R8) in column c+1's.
+#define STABLES4 \
+	VMOVUPS      (R11), Y2; \
+	VINSERTF64X4 $1, (BX), Z2, Z2; \
+	VMOVUPS      (CX), Y3; \
+	VINSERTF64X4 $1, (R8), Z3, Z3; \
+	VMOVUPS      (R11)(R14*4), Y4; \
+	VINSERTF64X4 $1, (BX)(R14*4), Z4, Z4; \
+	VMOVUPS      (CX)(R14*4), Y5; \
+	VINSERTF64X4 $1, (R8)(R14*4), Z5, Z5
+
+// PIECE(MASK, GP) fits the window of the piece whose lanes are MASK over
+// its live lanes into GP and writes it to those lanes of Z10.
+#define PIECE(MASK, GP) \
+	MOVL         MASK, R15; \
+	KMOVW        R15, K1; \
+	FITBASE(Z0, K1, GP, sstop); \
+	VPBROADCASTD GP, K1, Z10
+
+// func accumWindowAVX512(acc *float32, stride, h int, row0 *float32, rw int, r *[3][4]float32, umax float32, i, rows, j0, n, k0, q, c, kk int, vm1 float32) (stopQ, stopC, stopKK int, interior bool)
+//
+// The tile's column registers are LANES, one lanes struct per tile row, into
+// this frame (regs + q·224, L_PICK beside each); when a u of the rows still
+// to run is not interior the call returns at once with interior false.
+// Otherwise it runs tile row q from column c, depth kk, then the rows after
+// it; qs holds the cursor's row.
+TEXT ·accumWindowAVX512(SB), $1856-153
+	MOVQ         r+40(FP), SI
+	VPBROADCASTD 24(SI), Y11
+	MOVQ         h+16(FP), R14
+	LEAQ         -1(R14), BX
+	VPBROADCASTD BX, Y12
+	MOVQ         q+96(FP), R12
+	MOVQ         R12, qs-8(SP)
+	MOVL         $0xFF, R13
+
+lanesrow:
+	IMUL3Q       $224, R12, DI
+	LEAQ         regs-1856(SP), R15
+	ADDQ         R15, DI
+	MOVQ         i+56(FP), R15
+	ADDQ         R12, R15
+	VXORPS       X0, X0, X0
+	VCVTSI2SSQ   R15, X0, X0
+	VMOVSS       X0, fi-16(SP)
+	LANES(fi-16(SP), umax+48(FP), j0+72(FP), n+80(FP), rw+32(FP))
+	ANDL         AX, R13
+	VMOVUPS      L_F(DI), Y10
+	VPXOR        Y11, Y10, Y10
+	VPSRAD       $31, Y10, Y10
+	VPAND        Y12, Y10, Y10
+	VMOVDQU      Y10, L_PICK(DI)
+	INCQ         R12
+	CMPQ         R12, rows+64(FP)
+	JLT          lanesrow
+	MOVQ         c+104(FP), R12
+	CMPL         R13, $0xFF
+	MOVQ         kk+112(FP), R13
+	SETEQ        interior+152(FP)
+	JNE          stop
+
+	// Tile row q's lanes struct and accumulator.
+	MOVQ   qs-8(SP), R15
+	IMUL3Q $224, R15, DX
+	LEAQ   regs-1856(SP), R11
+	ADDQ   R11, DX
+	MOVQ   acc+0(FP), DI
+	IMULQ  stride+8(FP), R15
+	LEAQ   (DI)(R15*4), DI
 
 	VBROADCASTSS one<>(SB), Z30
-	VBROADCASTSS sixteen<>(SB), Z29
 	VBROADCASTSS 24(SI), Z28
 	VBROADCASTSS 28(SI), Z27
-	VBROADCASTSS vm1+88(FP), Z26
-	MOVQ         rw+24(FP), R11
-	LEAQ         -32(R11), BX
-	VPBROADCASTD BX, Z25
+	VBROADCASTSS vm1+120(FP), Z26
+	MOVQ         rw+32(FP), R11
 	LEAQ         -2(R11), BX
 	VPBROADCASTD BX, Z15
-	MOVL         $30, BX
-	VPBROADCASTD BX, Z24
-	VMOVDQU32    revlanes<>(SB), Z23
 	VPXORD       Z21, Z21, Z21
 	MOVL         $1, BX
 	VPBROADCASTD BX, Z31
+	CMPQ         R14, $8
+	JEQ          shallow
+	CMPQ         R14, $4
+	JEQ          shallow
+
+	VBROADCASTSS sixteen<>(SB), Z29
+	LEAQ         -32(R11), BX
+	VPBROADCASTD BX, Z25
+	MOVL         $30, BX
+	VPBROADCASTD BX, Z24
+	VMOVDQU32    revlanes<>(SB), Z23
 	SCOLUMN
 
 prime:
@@ -631,7 +819,7 @@ pendA:
 	CMPQ R15, R14
 	JLT  stepA
 	LEAQ 1(R12), CX
-	CMPQ CX, n+56(FP)
+	CMPQ CX, n+80(FP)
 	JGE  lastA
 	MCOLUMN(CX, R8)
 	XORL R15, R15
@@ -665,7 +853,7 @@ pendB:
 	CMPQ R15, R14
 	JLT  stepB
 	LEAQ 1(R12), R11
-	CMPQ R11, n+56(FP)
+	CMPQ R11, n+80(FP)
 	JGE  lastB
 	MCOLUMN(R11, BX)
 	XORL R15, R15
@@ -699,13 +887,13 @@ lastA:
 	KORTESTW K5, K5
 	JCC      slow
 	FAST(Z0, Z1, Z2, Z3, R11, BX)
-	JMP      finish
+	JMP      nextrow
 
 lastB:
 	KORTESTW K6, K6
 	JCC      slow
 	FAST(Z4, Z5, Z6, Z7, CX, R8)
-	JMP      finish
+	JMP      nextrow
 
 slow:
 	// K1 and K7: the block's depths.
@@ -744,8 +932,8 @@ slowdone:
 	JLT  prime
 	INCQ R12
 	XORL R13, R13
-	CMPQ R12, n+56(FP)
-	JGE  stop
+	CMPQ R12, n+80(FP)
+	JGE  nextrow
 	SCOLUMN
 	JMP  prime
 
@@ -753,14 +941,217 @@ upper:
 	ADDQ $8, R13
 	JMP  stop
 
+nextrow:
+	// The tile row is done; the next one starts at its column 0.
+	MOVQ  qs-8(SP), R15
+	INCQ  R15
+	MOVQ  R15, qs-8(SP)
+	CMPQ  R15, rows+64(FP)
+	JGE   finish
+	ADDQ  $224, DX
+	MOVQ  stride+8(FP), R15
+	LEAQ  (DI)(R15*4), DI
+	XORL  R12, R12
+	XORL  R13, R13
+	SCOLUMN
+	JMP   prime
+
+shallow:
+	BSFQ         R14, CX
+	INCQ         CX
+	MOVL         $16, R13
+	SHRQ         CX, R13
+	VMOVDQU32    iota16<>(SB), Z8
+	VMOVQ        CX, X9
+	VPSRLD       X9, Z8, Z23
+	LEAQ         -1(R14), BX
+	VPBROADCASTD BX, Z9
+	VPANDND      Z8, Z9, Z14
+	VPADDD       Z14, Z14, Z29
+	LEAQ         (R14)(R14*1), BX
+	LEAQ         -2(BX), R15
+	VPBROADCASTD R15, Z24
+	SUBQ         BX, R11
+	VPBROADCASTD R11, Z25
+
+	// fk = float32(k0 + depth) per lane, where depth is p = l mod 2h, or
+	// 2h-1-p on the mirror lanes (p & h ≠ 0); a group's depths never
+	// change, so ry2·fk is formed once.
+	DECQ         BX
+	VPBROADCASTD BX, Z10
+	VPANDD       Z10, Z8, Z11
+	VPBROADCASTD R14, Z12
+	VPTESTMD     Z12, Z11, K6
+	VPXORD       Z10, Z11, K6, Z11
+	MOVQ         k0+88(FP), R15
+	VPBROADCASTD R15, Z12
+	VPADDD       Z12, Z11, Z11
+	VCVTDQ2PS    Z11, Z11
+	VMULPS       Z11, Z28, Z28
+	MOVQ         R12, SI
+	IMULQ        R14, SI
+	LEAQ         (DI)(SI*8), SI
+	MOVQ         row0+24(FP), DI
+	MOVQ         rw+32(FP), R14
+
+sprime:
+	// The pipeline starts (and restarts behind a bordered group) with the
+	// cursor group's index math and window addresses.
+	VPBROADCASTD R12, Z22
+	VPADDD       Z23, Z22, Z22
+	SMATH(DX, Z22, Z1, Z7, K5)
+	SROW0(DX, R12)
+	CMPQ         R13, $1
+	JNE          sprime4
+	SBASES8
+	JMP          sloop
+
+sprime4:
+	SROW1(DX, R12)
+	SBASES4
+
+sloop:
+	// The cursor group's math is in Z0/Z1/Z6/Z7/K5 and its window
+	// addresses in R11, BX, CX, R8. Load its tables, issue the next
+	// group's math and addresses, then sample the cursor group.
+	KORTESTW K5, K5
+	JCC      sslow
+	SFIELDS(Z22)
+	CMPQ     R13, $1
+	JNE      stab4
+	STABLES8
+	JMP      snext
+
+stab4:
+	STABLES4
+
+snext:
+	// The next group: the next G columns of the row (lanes struct AX =
+	// DX), or column 0 of the next row (AX = DX + 224).
+	LEAQ (R12)(R13*1), R15
+	MOVQ DX, AX
+	CMPQ R15, n+80(FP)
+	JLT  snextmath
+	MOVQ qs-8(SP), R9
+	INCQ R9
+	CMPQ R9, rows+64(FP)
+	JGE  slast
+	XORL R15, R15
+	ADDQ $224, AX
+
+snextmath:
+	VPBROADCASTD R15, Z20
+	VPADDD       Z23, Z20, Z20
+	SMATH(AX, Z20, Z13, Z18, K7)
+	SROW0(AX, R15)
+	CMPQ         R13, $1
+	JNE          snext4
+	SBASES8
+	JMP          snextacc
+
+snext4:
+	SROW1(AX, R15)
+	SBASES4
+
+snextacc:
+	// R9: the next group's accumulator, the next 64 bytes of the row or
+	// the start of the next row's.
+	LEAQ  64(SI), R9
+	CMPQ  AX, DX
+	JEQ   ssample
+	MOVQ  qs-8(SP), R9
+	INCQ  R9
+	MOVQ  R9, qs-8(SP)
+	IMULQ stride+8(FP), R9
+	SHLQ  $2, R9
+	ADDQ  acc+0(FP), R9
+
+ssample:
+	WSAMPLE(Z7, Z1, Z2, Z3, Z4, Z5)
+	VADDPS    (SI), Z10, Z10
+	VMOVUPS   Z10, (SI)
+	MOVQ      R9, SI
+	MOVQ      AX, DX
+	MOVQ      R15, R12
+	VMOVDQA32 Z20, Z22
+	VMOVAPS   Z13, Z1
+	VMOVDQA32 Z18, Z7
+	KMOVW     K7, K5
+	JMP       sloop
+
+slast:
+	WSAMPLE(Z7, Z1, Z2, Z3, Z4, Z5)
+	VADDPS  (SI), Z10, Z10
+	VMOVUPS Z10, (SI)
+	JMP     finish
+
+sslow:
+	// The bordered group at the cursor: PREP's NaN test and v ≤ −1 rule
+	// on its v (Z6), then each piece's window over its live lanes.
+	SFIELDS(Z22)
+	VCMPPS       $3, Z6, Z6, K2
+	KORTESTW     K2, K2
+	JNZ          sstop
+	VCMPPS.BCST  $2, minusone<>(SB), Z6, K2
+	VPBROADCASTD minint32<>(SB), K2, Z0
+	SROW0(DX, R12)
+	CMPQ         R13, $1
+	JNE          sslow4
+	PIECE($0x00FF, R11)
+	PIECE($0xFF00, BX)
+	VPSUBD       Z29, Z10, Z10
+	SLEA8
+	STABLES8
+	JMP          sbsample
+
+sslow4:
+	SROW1(DX, R12)
+	PIECE($0x000F, R11)
+	PIECE($0x00F0, BX)
+	PIECE($0x0F00, CX)
+	PIECE($0xF000, R8)
+	VPSUBD  Z29, Z10, Z10
+	SLEA4
+	STABLES4
+
+sbsample:
+	KXNORW  K1, K1, K1
+	BSAMPLE(Z0, Z1, Z10, Z2, Z3, Z4, Z5, K1)
+	VADDPS  (SI), Z10, Z10
+	VMOVUPS Z10, (SI)
+	ADDQ    $64, SI
+	ADDQ    R13, R12
+	CMPQ    R12, n+80(FP)
+	JLT     sprime
+	MOVQ    qs-8(SP), R15
+	INCQ    R15
+	MOVQ    R15, qs-8(SP)
+	CMPQ    R15, rows+64(FP)
+	JGE     finish
+	XORL    R12, R12
+	ADDQ    $224, DX
+	IMULQ   stride+8(FP), R15
+	SHLQ    $2, R15
+	MOVQ    acc+0(FP), SI
+	ADDQ    R15, SI
+	JMP     sprime
+
+sstop:
+	XORL R13, R13
+	JMP  stop
+
 finish:
-	MOVQ n+56(FP), R12
+	MOVQ rows+64(FP), R15
+	MOVQ R15, qs-8(SP)
+	XORL R12, R12
 	XORL R13, R13
 
 stop:
 	VZEROUPPER
-	MOVQ R12, stopC+96(FP)
-	MOVQ R13, stopKK+104(FP)
+	MOVQ qs-8(SP), R15
+	MOVQ R15, stopQ+128(FP)
+	MOVQ R12, stopC+136(FP)
+	MOVQ R13, stopKK+144(FP)
 	RET
 
 // func addAVX2(dst, src *float32, n int)

@@ -18,8 +18,8 @@ func accumColumnsAVX2(acc, sym *float32, n int, row0, row1 *float32, regs *lanes
 	return 0
 }
 
-func accumWindowAVX512(acc *float32, h int, row0 *float32, rw int, r *[3][4]float32, fi, umax float32, j0, n, k0, c, kk int, vm1 float32) (stopC, stopKK int, interior bool) {
-	return n, 0, false
+func accumWindowAVX512(acc *float32, stride, h int, row0 *float32, rw int, r *[3][4]float32, umax float32, i, rows, j0, n, k0, q, c, kk int, vm1 float32) (stopQ, stopC, stopKK int, interior bool) {
+	return rows, 0, 0, false
 }
 
 func addAVX2(dst, src *float32, n int) {}

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ifdk/internal/ct/interp"
 )
@@ -178,15 +179,7 @@ func (g *lanes) fill(r *[3][4]float32, i, j0, n int) {
 }
 
 func accumColumnsFast(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32) {
-	// Both tiers share these checks, so a bad call fails the same way on
-	// every host; past them, every index the tiers form is inside acc and
-	// proj.
-	if n < 0 || n > Lanes {
-		panic(fmt.Sprintf("kernels: tile row of %d columns, want 0…%d", n, Lanes))
-	}
-	if rw < 0 || rh < 0 || rh > 0 && rw > len(proj)/rh {
-		panic(fmt.Sprintf("kernels: %d×%d detector in a projection of %d floats", rw, rh, len(proj)))
-	}
+	checkTileRow(n, rw, rh, len(proj))
 	acc = acc[:2*h*Lanes]
 	if n == 0 {
 		return
@@ -211,6 +204,21 @@ func accumColumnsFast(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, 
 		if kk < h {
 			accumColumnsGo(acc, proj, rw, rh, &g, 0, n, ry2, ry3, vm1, k0, h, kk, kk+1, depthMajor)
 		}
+	}
+}
+
+// checkTileRow panics unless a tile row of n columns on an rw×rh detector
+// fits the kernels and a projection of np floats. Every tier runs it first,
+// so a bad call fails the same way on every host; past it, every index the
+// tiers form is inside acc and proj. It multiplies rather than divides: a
+// 64-bit division would cost more than the rest of a shallow tile row's
+// set-up.
+func checkTileRow(n, rw, rh, np int) {
+	if n < 0 || n > Lanes {
+		panic(fmt.Sprintf("kernels: tile row of %d columns, want 0…%d", n, Lanes))
+	}
+	if hi, lo := bits.Mul64(uint64(rw), uint64(rh)); rw < 0 || rh < 0 || hi != 0 || lo > uint64(np) {
+		panic(fmt.Sprintf("kernels: %d×%d detector in a projection of %d floats", rw, rh, np))
 	}
 }
 
@@ -264,103 +272,171 @@ func accumColumnsGo(acc, proj []float32, rw, rh int, g *lanes, c0, c1 int, ry2, 
 	}
 }
 
-// windowDepth is the number of consecutive depths of one column that
-// AccumColumnsWindow's AVX-512 tier samples per block, one per lane; a
-// block's taps come from one window of 2·windowDepth detector samples per
-// row.
+// windowDepth is the number of lanes of AccumColumnsWindow's AVX-512
+// vectors. In a slab at least that deep a block is windowDepth consecutive
+// depths of one column, whose taps come from one window of 2·windowDepth
+// detector samples per row.
 const windowDepth = 16
+
+// shallowWindow reports whether the window tier runs a slab of depth h in
+// its shallow form, whole volume lines per vector: 16/(2h) columns, each
+// column's h depths and then their mirrors, every half-column drawing its
+// taps from a 2h-sample window. The assembly makes the same test.
+func shallowWindow(h int) bool { return h == 8 || h == 4 }
 
 // WindowFits reports whether a slab pair of depth h on detector rows of rw
 // samples (the transposed layout's row, Nv) should take AccumColumnsWindow
 // rather than AccumColumns on this host, maxStep being the largest |∂v/∂k|
-// any column of the slab sees. It needs the window tier, a slab at least one
-// block deep, rows that hold a window, and a step small enough for an
-// 8-depth block's taps, floor(v) … floor(v)+1 over 7 steps, to span at most
-// the 2·windowDepth samples of a window. Both paths give the same bits; this
-// only picks the faster.
+// any column of the slab sees. It needs the window tier and rows that hold
+// a window. A slab at least one block deep also needs a step small enough
+// for an 8-depth block's taps, floor(v) … floor(v)+1 over 7 steps, to span
+// at most the 2·windowDepth samples of a window. A shallow slab (h = 8 or
+// 4) needs (h−1)·maxStep ≤ 2h−2, at most 2 rows per plane: the floors of
+// a half-column then lie within 2h−2 of each other, so both taps of every
+// depth fit its 2h-sample window. Other depths keep the gather. Both paths
+// give the same bits; this only picks the faster.
 func WindowFits(h, rw int, maxStep float64) bool {
-	return onAVX512() && h >= windowDepth && rw >= 2*windowDepth && 7*maxStep <= 2*windowDepth-3
+	switch {
+	case !onAVX512():
+		return false
+	case shallowWindow(h):
+		return rw >= 2*h && float64(h-1)*maxStep <= float64(2*h-2)
+	}
+	return h >= windowDepth && rw >= 2*windowDepth && 7*maxStep <= 2*windowDepth-3
 }
 
-// AccumColumnsWindow is AccumColumns into an accumulator in volume-line
-// order: for column c and depth kk < h,
+// AccumColumnsWindow is AccumColumns over a tile of rows tile rows,
+// i … i+rows-1 (rows ≤ Lanes), of the columns j0 … j0+n-1, into
+// accumulators in volume-line order: tile row q's starts at acc[q·stride],
+// and for column c and depth kk < h
 //
-//	acc[c·2h+kk]      += w·proj(v, u)
-//	acc[c·2h+2h-1-kk] += w·proj(vm1-v, u)
+//	acc[q·stride+c·2h+kk]      += w·proj(v, u)
+//	acc[q·stride+c·2h+2h-1-kk] += w·proj(vm1-v, u)
 //
-// with v, u and w exactly as AccumColumns computes them, so column c's 2h
-// floats are the slab pair's planes of its volume line in line order (the
-// lower slab, then the mirror slab ascending) and a caller adds them into
-// the line with one contiguous AddTo. acc holds 2h·Lanes floats; columns
-// n … Lanes-1 of it are scratch.
+// with v, u and w exactly as AccumColumns computes them for tile row i+q,
+// so column c's 2h floats are the slab pair's planes of its volume line in
+// line order (the lower slab, then the mirror slab ascending) and a caller
+// adds them into the line with one contiguous AddTo. Each tile row's
+// accumulator holds 2h·Lanes floats (stride at least that when rows > 1);
+// columns n … Lanes-1 of it are scratch.
 //
-// Down a column v is linear in k, so on AVX-512 hosts the sixteen depths of
-// a block read their taps from one 32-sample window of each detector row
-// through two-source permutes instead of gathers (accum_amd64.s), with the
-// next block's index math issued ahead of the current block's taps. A
-// block that reaches the detector's border is sampled in the kernel too:
-// each sample with v in (−1, Nv) reads its taps outside the row as +0, and
-// any other adds w·(+0), as interp.Bilinear's zero border does. A block
-// that spans more than a window is retried as two 8-depth windows; an
-// 8-depth block that still does not fit or holds a NaN sample, and a tile
-// row whose u is not interior, runs the portable loop, so the bits never
-// depend on the tier.
-func AccumColumnsWindow(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32) {
+// Down a column v is linear in k, so on AVX-512 hosts the taps come from
+// windows of each detector row through two-source permutes instead of
+// gathers (accum_amd64.s), with the next block's index math issued ahead of
+// the current block's taps and the whole tile in one call. In a slab at
+// least 16 deep a block is sixteen depths of one column, whose taps come
+// from one 32-sample window; a block that spans more than that is retried
+// as two 8-depth windows. In a shallow slab (h = 8 or 4) a block is one
+// vector of whole volume lines — 16/(2h) columns, each column's h depths
+// and then their mirrors reversed — and each half-column's taps come from a
+// 2h-sample window. A block that reaches the detector's border is sampled
+// in the kernel too: each sample with v in (−1, Nv) reads its taps outside
+// the row as +0, and any other adds w·(+0), as interp.Bilinear's zero
+// border does. A block that still does not fit or holds a NaN sample, and a
+// tile row whose u is not interior, runs the portable loop, so the bits
+// never depend on the tier.
+func AccumColumnsWindow(acc []float32, stride int, proj []float32, rw, rh int, r *[3][4]float32, i, rows, j0, n, k0, h int, vm1 float32) {
 	if useFast {
-		accumColumnsWindowFast(acc, proj, rw, rh, r, i, j0, n, k0, h, vm1)
+		accumColumnsWindowFast(acc, stride, proj, rw, rh, r, i, rows, j0, n, k0, h, vm1)
 		return
 	}
-	accumColumnsRef(acc, proj, rw, rh, r, i, j0, n, k0, h, vm1, windowMajor)
+	checkTile(acc, stride, rows, h)
+	for q := range rows {
+		accumColumnsRef(acc[q*stride:], proj, rw, rh, r, i+q, j0, n, k0, h, vm1, windowMajor)
+	}
+}
+
+// checkTile panics unless acc holds rows ≤ Lanes tile-row accumulators of
+// 2h·Lanes floats, stride apart. A short accumulator fails as
+// AccumColumns' does, on the slice expression.
+func checkTile(acc []float32, stride, rows, h int) {
+	if rows < 0 || rows > Lanes || rows > 1 && stride < 2*h*Lanes {
+		panic(fmt.Sprintf("kernels: %d tile rows of %d floats, %d apart, want 0…%d rows at least a row apart", rows, 2*h*Lanes, stride, Lanes))
+	}
+	if rows > 0 {
+		_ = acc[:(rows-1)*stride+2*h*Lanes]
+	}
 }
 
 // accumColumnsWindowFast is AccumColumnsWindow's fast form. It returns the
 // number of (column, depth) pairs it ran on the portable loop, which only
 // tests read.
-func accumColumnsWindowFast(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32) (portable int) {
-	if n < 0 || n > Lanes {
-		panic(fmt.Sprintf("kernels: tile row of %d columns, want 0…%d", n, Lanes))
-	}
-	if rw < 0 || rh < 0 || rh > 0 && rw > len(proj)/rh {
-		panic(fmt.Sprintf("kernels: %d×%d detector in a projection of %d floats", rw, rh, len(proj)))
-	}
-	acc = acc[:2*h*Lanes]
-	if n == 0 || h == 0 {
+func accumColumnsWindowFast(acc []float32, stride int, proj []float32, rw, rh int, r *[3][4]float32, i, rows, j0, n, k0, h int, vm1 float32) (portable int) {
+	checkTileRow(n, rw, rh, len(proj))
+	checkTile(acc, stride, rows, h)
+	if rows == 0 || n == 0 || h == 0 {
 		return 0
 	}
-	ry2, ry3 := r[1][2], r[1][3]
 	// The assembly needs what accumColumnsFast's does, a window's worth of
-	// samples per row, two rows (no u is interior on fewer), and depth
-	// numbers below 2²⁴ in magnitude, where its running float32 depth steps
-	// exactly.
+	// samples per row, two rows (no u is interior on fewer), and row and
+	// depth numbers below 2²⁴ in magnitude, where float32 holds them and
+	// its running depth steps exactly.
 	const exact = 1 << 24
-	vector := onAVX512() && rw >= 2*windowDepth && rh >= 2 && rw*rh <= math.MaxInt32 &&
-		j0 >= math.MinInt32 && j0 <= math.MaxInt32-Lanes && k0 > -exact && k0 < exact-h-windowDepth
-	fi, uMax := float32(i), float32(rh-1)
-	var g lanes
+	window := 2 * windowDepth
+	if shallowWindow(h) {
+		window = 2 * h
+	}
+	vector := onAVX512() && rw >= window && rh >= 2 && rw*rh <= math.MaxInt32 &&
+		i > -exact && i < exact-Lanes && j0 >= math.MinInt32 && j0 <= math.MaxInt32-Lanes &&
+		k0 > -exact && k0 < exact-h-windowDepth
 	if vector {
-		c, kk, interior := accumWindowAVX512(&acc[0], h, &proj[0], rw, r, fi, uMax, j0, n, k0, 0, 0, vm1)
-		if interior {
-			// The assembly stops in front of an 8-depth block it cannot
-			// window; the portable loop runs that block, and the assembly is
-			// re-entered behind it.
-			if c < n {
-				g.fill(r, i, j0, n)
+		if p, ok := windowTile(acc, stride, proj, rw, rh, r, i, rows, j0, n, k0, h, vm1); ok {
+			return p
+		}
+		// A tile row's u is not interior: row by row, that one portable.
+		for q := range rows {
+			p, ok := windowTile(acc[q*stride:], stride, proj, rw, rh, r, i+q, 1, j0, n, k0, h, vm1)
+			if !ok {
+				p = windowPortable(acc[q*stride:], proj, rw, rh, r, i+q, j0, n, k0, h, vm1, 0, n, 0, h)
 			}
-			for c < n {
-				kk1 := min(kk+8, h)
-				accumColumnsGo(acc, proj, rw, rh, &g, c, c+1, ry2, ry3, vm1, k0, h, kk, kk1, windowMajor)
-				portable += kk1 - kk
-				if kk = kk1; kk == h {
-					c, kk = c+1, 0
-				}
-				c, kk, _ = accumWindowAVX512(&acc[0], h, &proj[0], rw, r, fi, uMax, j0, n, k0, c, kk, vm1)
-			}
-			return portable
+			portable += p
+		}
+		return portable
+	}
+	for q := range rows {
+		portable += windowPortable(acc[q*stride:], proj, rw, rh, r, i+q, j0, n, k0, h, vm1, 0, n, 0, h)
+	}
+	return portable
+}
+
+// windowTile runs a tile on the window tier, and reports false, having
+// touched nothing, when a tile row's u is not interior. The assembly stops
+// in front of a block it cannot window — 8 depths of a column, or a shallow
+// slab's group of columns; the portable loop runs that block, and the
+// assembly is re-entered behind it.
+func windowTile(acc []float32, stride int, proj []float32, rw, rh int, r *[3][4]float32, i, rows, j0, n, k0, h int, vm1 float32) (portable int, ok bool) {
+	uMax := float32(rh - 1)
+	q, c, kk, interior := accumWindowAVX512(&acc[0], stride, h, &proj[0], rw, r, uMax, i, rows, j0, n, k0, 0, 0, 0, vm1)
+	if !interior {
+		return 0, false
+	}
+	cols := 1
+	if shallowWindow(h) {
+		cols = windowDepth >> bits.Len(uint(h)) // 16/(2h)
+	}
+	for q < rows {
+		c1, kk1 := min(c+cols, n), min(kk+8, h)
+		portable += windowPortable(acc[q*stride:], proj, rw, rh, r, i+q, j0, n, k0, h, vm1, c, c1, kk, kk1)
+		if kk = kk1; kk == h {
+			c, kk = c1, 0
+		}
+		if c == n {
+			q, c = q+1, 0
+		}
+		if q < rows {
+			q, c, kk, _ = accumWindowAVX512(&acc[0], stride, h, &proj[0], rw, r, uMax, i, rows, j0, n, k0, q, c, kk, vm1)
 		}
 	}
+	return portable, true
+}
+
+// windowPortable runs columns c0 … c1-1, depths kk0 … kk1-1 of tile row i
+// on the portable loop and returns how many (column, depth) pairs that is.
+func windowPortable(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32, c0, c1, kk0, kk1 int) int {
+	var g lanes
 	g.fill(r, i, j0, n)
-	accumColumnsGo(acc, proj, rw, rh, &g, 0, n, ry2, ry3, vm1, k0, h, 0, h, windowMajor)
-	return n * h
+	accumColumnsGo(acc, proj, rw, rh, &g, c0, c1, r[1][2], r[1][3], vm1, k0, h, kk0, kk1, windowMajor)
+	return (c1 - c0) * (kk1 - kk0)
 }
 
 // AddTo adds src into dst element by element, dst[x] += src[x] for

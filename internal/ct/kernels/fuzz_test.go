@@ -479,7 +479,9 @@ func FuzzAccumColumnsTiers(f *testing.F) {
 			accum := kernels.AccumColumns
 			acc = append([]float32(nil), prior...)
 			if window {
-				accum = kernels.AccumColumnsWindow
+				accum = func(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32) {
+					kernels.AccumColumnsWindow(acc, 0, proj, rw, rh, r, i, 1, j0, n, k0, h, vm1)
+				}
 				acc = append([]float32(nil), colPrior...)
 			}
 			defer func() { panicked = recover() }()

@@ -853,7 +853,9 @@ func TestAccumColumnsWindowParity(t *testing.T) {
 						win[WindowAt(c.h, lane, kk)] = c.acc[kk*Lanes+lane]
 					}
 				}
-				c.call(win, AccumColumnsWindow)
+				c.call(win, func(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, n, k0, h int, vm1 float32) {
+					AccumColumnsWindow(acc, 0, proj, rw, rh, r, i, 1, j0, n, k0, h, vm1)
+				})
 				for kk := 0; kk < 2*c.h; kk++ {
 					for lane := range c.n {
 						if want, got := ref[kk*Lanes+lane], win[WindowAt(c.h, lane, kk)]; !eqBits(want, got) {
