@@ -42,17 +42,18 @@ fusion)
 	# unless an explicit float32(…) or float64(…) rounds the product (Go
 	# spec, Floating-point operators); amd64 never does. The back-projection
 	# path — internal/ct/interp, internal/ct/kernels/backproject.go and
-	# internal/ct/backproject — and the filter's — internal/ct/filter and
-	# internal/ct/kernels/filter.go — inlined copies included, must compile
-	# to no fused multiply-add on any of them, so that their bits do not
-	# depend on GOARCH. Still outside the gate: the FFT passes
+	# internal/ct/backproject — the filter's — internal/ct/filter and
+	# internal/ct/kernels/filter.go — and pkg/volume's statistics (Stats,
+	# RMSE), inlined copies included, must compile to no fused multiply-add
+	# on any of them, so that their bits do not depend on GOARCH. Still
+	# outside the gate: the FFT passes
 	# (internal/ct/kernels/fft.go) and math.Sin / math.Cos themselves. This
 	# only cross-compiles: arm64 tests are not run here.
 	status=0
 	for arch in arm64 ppc64le s390x; do
 		fused=$(GOARCH=$arch go build -gcflags='ifdk/...=-S' ./... 2>&1 |
 			grep -E '[[:space:]]FN?M(ADD|SUB)[SD]?[[:space:]]' |
-			grep -E '\(.*/internal/ct/(interp/|kernels/(backproject|filter)\.go|backproject/|filter/)' || true)
+			grep -E '\(.*/(internal/ct/(interp/|kernels/(backproject|filter)\.go|backproject/|filter/)|pkg/volume/)' || true)
 		if [ -n "$fused" ]; then
 			echo "fused multiply-adds on $arch:" && echo "$fused"
 			status=1
@@ -100,8 +101,9 @@ gates)
 	# wrappers ApplyInto and Sweep) and Sweep ≡ ApplyInto bitwise at any
 	# worker count; back-projection allocates nothing per projection
 	# (Proposed on both layouts, slab pairs at h = 5, the fleet_mixed depth
-	# h = 2 and the window tier's h = 16, Standard and an ablation variant)
-	# and returns every pooled byte; the serial loop (fdk.Reconstruct)
+	# h = 2 on the gather kernel and fleet_mixed's h = 16, 8 and 4 on the
+	# window tier, Standard and an ablation variant) and returns every
+	# pooled byte; the serial loop (fdk.Reconstruct)
 	# allocates nothing per batch and returns every pooled byte; pooled
 	# collectives; decimation allocates nothing; the analytic renderer ≡ the
 	# one-ray derivation bitwise.

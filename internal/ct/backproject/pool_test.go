@@ -67,8 +67,10 @@ func TestPooledSlabPairBitIdentical(t *testing.T) {
 // with the projection count is a regression. Every entry point is gated:
 // Proposed on a detector-layout task; ProposedSlabPair on a pre-transposed
 // one, the distributed pipeline's call, at h = 5, at h = 2 (a fleet_mixed
-// depth) and at h = 16 (whole 32³ from 64², which takes the window kernel
-// on an AVX-512 host); Standard; and an ablation variant's voxel loop. The
+// depth, on the gather kernel) and on fleet_mixed's 32³ from 64² at h = 16
+// (the whole volume), 8 and 4 (its R = 2 and R = 4 slabs), which take the
+// window kernel on an AVX-512 host; Standard; and an ablation variant's
+// voxel loop. The
 // slab legs run eight workers over the nine tiles of a 20×20 volume, so one
 // unpooled tile accumulator per worker chunk would cost 8 allocations per
 // 24 projections and fail the bound.
@@ -86,6 +88,7 @@ func TestBackprojectSteadyStateAllocs(t *testing.T) {
 		return func() error { return ProposedSlabPair(tt, local, Options{Workers: 8}, g.Nz, z0, z1) }
 	}
 	big := geometry.Default(64, 64, 64, 32, 32, 32)
+	bigTask := transposedTask(randomTask(big, 5))
 	std := volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor)
 	for _, leg := range []struct {
 		name string
@@ -96,7 +99,9 @@ func TestBackprojectSteadyStateAllocs(t *testing.T) {
 		{"Proposed, transposed", g.Np, func() error { return Proposed(tt, vol, Options{Workers: 2}) }},
 		{"ProposedSlabPair, transposed, h=5", g.Np, slab(tt, g, 2, 7)},
 		{"ProposedSlabPair, transposed, h=2", g.Np, slab(tt, g, 8, 10)},
-		{"ProposedSlabPair, transposed, h=16", big.Np, slab(transposedTask(randomTask(big, 5)), big, 0, 16)},
+		{"ProposedSlabPair, transposed, h=16", big.Np, slab(bigTask, big, 0, 16)},
+		{"ProposedSlabPair, transposed, h=8", big.Np, slab(bigTask, big, 8, 16)},
+		{"ProposedSlabPair, transposed, h=4", big.Np, slab(bigTask, big, 4, 8)},
 		{"Standard", g.Np, func() error { return Standard(task, std, Options{Workers: 2}) }},
 		{"Ablate, reuse and transpose", g.Np, func() error {
 			return Ablate(task, vol, Options{Workers: 2}, Variant{Reuse: true, Transpose: true})
@@ -112,6 +117,7 @@ func TestBackprojectSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		t.Logf("%s: %.2f allocs/call", leg.name, avg)
 		perProj := avg / float64(leg.np)
 		if perProj > 0.25 {
 			t.Errorf("%s allocates %.2f objects/call (%.3f per projection) in steady state",

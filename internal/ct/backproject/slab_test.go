@@ -209,18 +209,27 @@ func TestSlabPairTileOrderBitIdentical(t *testing.T) {
 // worker, as the pipeline calls it, reported per voxel update. The shapes
 // are the slab depths the benchmark workloads run: h = 2, 4 and 8 are
 // fleet_mixed's (nx 16 at R = 4 and 2, nx 32 at R = 2; detector 2·nx),
-// h = 32 is volume_heavy's (128³ from 256² on a 2×2 grid), and h = 64 the
-// same volume on one rank row. Each times the second rank row's pair; the
-// outer legs time row 0 (z0 = 0), whose outer planes reach the detector's
-// top and bottom rows. Unlike BenchmarkKernelsAccumColumns it includes the
-// detector-row reuse between neighbouring columns that the tile order
-// exists for.
+// h = 16 its nx = 32 verification volume on one rank row, h = 32
+// volume_heavy's (128³ from 256² on a 2×2 grid) and h = 64 the same volume
+// on one rank row; h=8/512 is projection_heavy's (nx 32 from a 512²
+// detector at R = 2), whose 17.9 rows per plane keep it on the gather
+// kernel. Each times the second rank row's pair; the outer legs time row 0
+// (z0 = 0), whose outer planes reach the detector's top and bottom rows.
+// Unlike BenchmarkKernelsAccumColumns it includes the detector-row reuse
+// between neighbouring columns that the tile order exists for.
 func BenchmarkSlabPair(b *testing.B) {
 	for _, shape := range []struct {
-		nx, r int
-		outer bool
-	}{{16, 4, false}, {16, 2, false}, {32, 2, false}, {128, 2, false}, {128, 2, true}, {128, 1, false}} {
-		g := geometry.Default(2*shape.nx, 2*shape.nx, 320, shape.nx, shape.nx, shape.nx)
+		nx, nu, r int // nu 0: a 2·nx detector
+		outer     bool
+	}{
+		{16, 0, 4, false}, {16, 0, 2, false}, {32, 0, 2, false}, {32, 0, 2, true}, {32, 512, 2, false},
+		{32, 0, 1, false}, {128, 0, 2, false}, {128, 0, 2, true}, {128, 0, 1, false},
+	} {
+		nu := shape.nu
+		if nu == 0 {
+			nu = 2 * shape.nx
+		}
+		g := geometry.Default(nu, nu, 320, shape.nx, shape.nx, shape.nx)
 		h := g.Nz / (2 * shape.r)
 		z0, name := h, fmt.Sprintf("h=%d", h)
 		if shape.r == 1 || shape.outer {
@@ -228,6 +237,9 @@ func BenchmarkSlabPair(b *testing.B) {
 		}
 		if shape.outer {
 			name += "/outer"
+		}
+		if shape.nu != 0 {
+			name += fmt.Sprintf("/%d", nu)
 		}
 		z1 := z0 + h
 		b.Run(name, func(b *testing.B) {

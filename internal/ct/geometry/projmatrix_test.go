@@ -1,6 +1,8 @@
 package geometry
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -129,5 +131,51 @@ func TestProblemHelpers(t *testing.T) {
 	}
 	if pr.GUPS(0) != 0 {
 		t.Error("GUPS(0) should be 0")
+	}
+}
+
+// TestProjectionMatricesPinned pins the bits of geometry.ProjectionMatrices,
+// FNV-64a over every matrix's float64 words in order, for each benchmark
+// geometry: projection_heavy (512², 256 projections, 32³), volume_heavy
+// (256², 320, 128³), progressive_stream (256², 256, 128³) and fleet_mixed's
+// shapes (np = 2·nx + 8k for k < 8) at 64² (32³) and 32² (16³). Every
+// back-projection tier starts from these matrices, so a change to their
+// arithmetic — an edit, or a fused multiply-add a GOARCH makes of it —
+// fails here by name rather than only through a whole volume's pin
+// (core.TestVolumeBitsPinned).
+func TestProjectionMatricesPinned(t *testing.T) {
+	hash := func(ps ...Params) uint64 {
+		h := fnv.New64a()
+		var word [8]byte
+		for _, p := range ps {
+			for _, m := range ProjectionMatrices(p) {
+				for _, x := range m {
+					binary.LittleEndian.PutUint64(word[:], math.Float64bits(x))
+					h.Write(word[:])
+				}
+			}
+		}
+		return h.Sum64()
+	}
+	fleet := func(nx int) (ps []Params) {
+		for k := range 8 {
+			ps = append(ps, Default(2*nx, 2*nx, 2*nx+8*k, nx, nx, nx))
+		}
+		return ps
+	}
+	for _, c := range []struct {
+		name string
+		ps   []Params
+		want uint64
+	}{
+		{"projection_heavy", []Params{Default(512, 512, 256, 32, 32, 32)}, 0x101f8404ab82f03f},
+		{"volume_heavy", []Params{Default(256, 256, 320, 128, 128, 128)}, 0x742a9c584d62cd79},
+		{"progressive_stream", []Params{Default(256, 256, 256, 128, 128, 128)}, 0xa5f7358736d345c2},
+		{"fleet_mixed 64²", fleet(32), 0xa08c07261e9f0226},
+		{"fleet_mixed 32²", fleet(16), 0x2e4fb708eaeab2fe},
+	} {
+		if got := hash(c.ps...); got != c.want {
+			t.Errorf("%s: projection matrices hash to %#016x, pinned %#016x", c.name, got, c.want)
+		}
 	}
 }

@@ -464,9 +464,8 @@ GLOBL sixteen<>(SB), RODATA|NOPTR, $4
 // lanes whose v or vSym is NaN. Lanes with v in (−1, rw) are live: their
 // taps outside the row (row[−1], row[rw]) read +0, as interp.Bilinear's do.
 // Every other lane adds wdis·(+0), what the reference adds for a sample
-// off the detector. A live lane has −1 ≤ nv ≤ rw-1; v = −1 floors to −1
-// too, so a lane with v ≤ −1 gets nv = 0x80000000, which no live test
-// passes.
+// off the detector. A live lane has −1 ≤ nv ≤ rw-1, and DEAD keeps v = −1
+// out of it.
 #define PREP \
 	MOVQ             k0+88(FP), R15; \
 	ADDQ             R13, R15; \
@@ -489,10 +488,14 @@ GLOBL sixteen<>(SB), RODATA|NOPTR, $4
 	VCVTPS2DQ.RD_SAE Z9, Z2; \
 	VCVTDQ2PS        Z2, Z3; \
 	VSUBPS           Z3, Z9, Z3; \
-	VCMPPS.BCST      $2, minusone<>(SB), Z8, K2; \
-	VPBROADCASTD     minint32<>(SB), K2, Z0; \
-	VCMPPS.BCST      $2, minusone<>(SB), Z9, K3; \
-	VPBROADCASTD     minint32<>(SB), K3, Z2
+	DEAD(Z8, Z0, K2); \
+	DEAD(Z9, Z2, K3)
+
+// DEAD(V, NV, K) gives the lanes whose V is at most −1 the floor
+// 0x80000000, which no live test passes: v = −1 floors to −1, which would.
+#define DEAD(V, NV, K) \
+	VCMPPS.BCST  $2, minusone<>(SB), V, K; \
+	VPBROADCASTD minint32<>(SB), K, NV
 
 // FITBASE(NV, KT, GP, FAIL) places the window of the live lanes of KT —
 // those with −1 ≤ nv ≤ rw-1 — at base = min(max(least live nv, 0), rw-32)
@@ -1092,8 +1095,7 @@ sslow:
 	VCMPPS       $3, Z6, Z6, K2
 	KORTESTW     K2, K2
 	JNZ          sstop
-	VCMPPS.BCST  $2, minusone<>(SB), Z6, K2
-	VPBROADCASTD minint32<>(SB), K2, Z0
+	DEAD(Z6, Z0, K2)
 	SROW0(DX, R12)
 	CMPQ         R13, $1
 	JNE          sslow4

@@ -396,6 +396,32 @@ func FuzzAccumColumnsTiers(f *testing.F) {
 		f.Add(h, uint8(8), uint16(64), uint16(24), int16(7), int16(-3), int16(h), uint8(aim|nanLane), units(0.5, 0.5, 0.5, 0.5, 0.45, 0.5))
 	}
 
+	// Shallow slabs (h = 2, 4, 8) at fleet_mixed's ±1.9 rows per depth on
+	// a 64-row detector, the window tier's shallow form for h = 8 and 4:
+	// mid-row; falling into (−1, 0) at the last depth while the mirror
+	// reaches [Nv−1, Nv), and rising the other way round; with neighbouring
+	// columns 0.05 or 0.4 rows apart (a group's columns then window
+	// differently) and 7 columns (a group with a scratch column); a NaN
+	// column among infinite ones; a pivot that moves the mirrors off the
+	// row alone; and pixels that are almost all +0 and −0.
+	for _, h := range []uint8{2, 4, 8} {
+		down, up := (1.9*float64(h-1)-0.5)/63, (63.5-1.9*float64(h-1))/63
+		for _, cols := range []uint8{8, 7} {
+			for _, step := range []float64{0.55, 0.9} {
+				for _, v := range [][2]float64{{0.975, 0.5}, {0.025, 0.5}, {0.025, down}, {0.975, up}} {
+					f.Add(h, cols, uint16(64), uint16(24), int16(7), int16(16), int16(h), uint8(aim), units(0.5, 0.5, 0.5, step, v[0], v[1]))
+				}
+			}
+		}
+		f.Add(h, uint8(8), uint16(64), uint16(24), int16(7), int16(-3), int16(h), uint8(aim|nanLane), units(0.5, 0.5, 0.5, 0.55, 0.975, 0.5))
+		f.Add(h, uint8(8), uint16(64), uint16(24), int16(7), int16(16), int16(h), uint8(aim|pivot), units(0.5, 0.5, 0.5, 0.55, 0.025, down, 0.7))
+		shallowZeros := units(0.5, 0.5, 0.5, 0.55, 0.025, down)
+		for range 28 {
+			shallowZeros = append(shallowZeros, 0, 0, 0, 0x80, 0, 0, 0, 0)
+		}
+		f.Add(h, uint8(8), uint16(64), uint16(24), int16(7), int16(16), int16(h), uint8(aim), shallowZeros)
+	}
+
 	f.Fuzz(func(t *testing.T, h, cols uint8, rw, rh uint16, i, j0, k0 int16, mode uint8, geom []byte) {
 		if !kernels.HasAVX2() {
 			t.Skip("CPU or OS without AVX2: there is one fast tier here, nothing to compare")

@@ -295,3 +295,48 @@ func TestAccumColumnsWindowTile(t *testing.T) {
 	}
 	t.Logf("shallow tiles with a row off the detector: %d, resumed behind a portable group: %d", offDetector, resumed)
 }
+
+// TestWindowBorderMinusOne pins the window tier's border at v = −1
+// exactly, where interp.Bilinear returns 0 and the bordered path must add
+// w·(+0): a sample counted live there would weigh the row's first sample
+// by dv = 0, which is +0 only while that sample is finite. Every detector
+// row here starts with +Inf, and the depths step down 2 rows per depth to
+// v = −1 at the slab's last depth (and, with the other pivot, the mirror of
+// its first depth at −1), for the shallow slabs and a 16-deep one; the
+// accumulators start at −0.
+func TestWindowBorderMinusOne(t *testing.T) {
+	if !hasAVX512() {
+		t.Skip("CPU or OS without AVX-512")
+	}
+	const rw, rh, k0 = 65, 24, 5
+	proj := make([]float32, rw*rh)
+	rng := rand.New(rand.NewSource(461))
+	for n := range proj {
+		proj[n] = rng.Float32()
+		if n%rw == 0 {
+			proj[n] = float32(math.Inf(1))
+		}
+	}
+	for _, h := range []int{4, 8, 16} {
+		// v = (2h−3) − 2kk, exactly, at u = 9.25 in every column.
+		r := [3][4]float32{{0, 0, 0, 9.25}, {0, 0, -2, float32(2*k0 + 2*h - 3)}, {0, 0, 0, 1}}
+		for _, vm1 := range []float32{rw - 1, float32(2*h - 4)} {
+			want := make([]float32, 2*h*Lanes)
+			for x := range want {
+				want[x] = float32(math.Copysign(0, -1))
+			}
+			got := append([]float32(nil), want...)
+			accumColumnsRef(want, proj, rw, rh, &r, 3, 0, Lanes, k0, h, vm1, windowMajor)
+			func() {
+				defer SetAVX2(true)()
+				defer SetAVX512(true)()
+				AccumColumnsWindow(got, 0, proj, rw, rh, &r, 3, 1, 0, Lanes, k0, h, vm1)
+			}()
+			for x := range want {
+				if a, b := got[x], want[x]; math.Float32bits(a) != math.Float32bits(b) && !(a != a && b != b) {
+					t.Fatalf("h=%d vm1=%v: float %d = %v, reference %v", h, vm1, x, a, b)
+				}
+			}
+		}
+	}
+}

@@ -209,6 +209,9 @@ type Stats struct {
 // Summarize computes min/max/mean/std of the volume payload.
 func (v *Volume) Summarize() Stats { return summarize(v.Data) }
 
+// summarize, RMSE and rmseFlat round every product that feeds a sum with
+// an explicit conversion, so the fused multiply-adds Go emits on arm64,
+// ppc64le and s390x cannot change their results (ci/run.sh fusion).
 func summarize(data []float32) Stats {
 	if len(data) == 0 {
 		return Stats{}
@@ -224,11 +227,11 @@ func summarize(data []float32) Stats {
 		}
 		f := float64(x)
 		sum += f
-		sumSq += f * f
+		sumSq += float64(f * f)
 	}
 	n := float64(len(data))
 	s.Mean = sum / n
-	variance := sumSq/n - s.Mean*s.Mean
+	variance := sumSq/n - float64(s.Mean*s.Mean)
 	if variance > 0 {
 		s.Std = math.Sqrt(variance)
 	}
@@ -252,7 +255,7 @@ func RMSE(a, b *Volume) (float64, error) {
 		for j := 0; j < a.Ny; j++ {
 			for i := 0; i < a.Nx; i++ {
 				d := float64(a.At(i, j, k)) - float64(b.At(i, j, k))
-				sum += d * d
+				sum += float64(d * d)
 			}
 		}
 	}
@@ -263,7 +266,7 @@ func rmseFlat(a, b []float32) float64 {
 	var sum float64
 	for n := range a {
 		d := float64(a[n]) - float64(b[n])
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum / float64(len(a)))
 }
