@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"ifdk/internal/ct/interp"
 )
@@ -210,14 +209,12 @@ func accumColumnsFast(acc, proj []float32, rw, rh int, r *[3][4]float32, i, j0, 
 // checkTileRow panics unless a tile row of n columns on an rw×rh detector
 // fits the kernels and a projection of np floats. Every tier runs it first,
 // so a bad call fails the same way on every host; past it, every index the
-// tiers form is inside acc and proj. It multiplies rather than divides: a
-// 64-bit division would cost more than the rest of a shallow tile row's
-// set-up.
+// tiers form is inside acc and proj.
 func checkTileRow(n, rw, rh, np int) {
 	if n < 0 || n > Lanes {
 		panic(fmt.Sprintf("kernels: tile row of %d columns, want 0…%d", n, Lanes))
 	}
-	if hi, lo := bits.Mul64(uint64(rw), uint64(rh)); rw < 0 || rh < 0 || hi != 0 || lo > uint64(np) {
+	if rw < 0 || rh < 0 || rh > 0 && rw > np/rh {
 		panic(fmt.Sprintf("kernels: %d×%d detector in a projection of %d floats", rw, rh, np))
 	}
 }
@@ -412,7 +409,7 @@ func windowTile(acc []float32, stride int, proj []float32, rw, rh int, r *[3][4]
 	}
 	cols := 1
 	if shallowWindow(h) {
-		cols = windowDepth >> bits.Len(uint(h)) // 16/(2h)
+		cols = windowDepth / (2 * h)
 	}
 	for q < rows {
 		c1, kk1 := min(c+cols, n), min(kk+8, h)
