@@ -45,7 +45,8 @@ func ProposedSlabPair(task Task, vol *volume.Volume, opt Options, nzFull, z0, z1
 
 // colTile is the side of the square tiles of (i, j) voxel columns that
 // slabPair back-projects together; a tile row is one kernels.AccumColumns
-// (or AccumColumnsWindow) call, so it is as wide as the kernel's lanes. A
+// call (a whole tile one AccumColumnsWindow call), so it is as wide as the
+// kernel's lanes. A
 // tile's accumulators must stay in L1 for a whole batch: 8×8 = 64 columns ×
 // 2h floats is 16 KiB at h = 32 (an Nz = 128 volume split over R = 2 rank
 // rows).

@@ -23,14 +23,18 @@
 //     held in registers (fft_amd64.s); and CosineWeightPairLE and
 //     TransposePairs, which only move data (filter_amd64.s). On AVX-512
 //     hosts two kernels gain a wider tier: AccumColumnsWindow, the slab
-//     driver's kernel for slabs at least 16 deep, puts 16 depths of one
-//     column in a register and reads their taps from a 32-sample detector
-//     window through two-source permutes instead of gathers, software-
-//     pipelined so that the next block's index math is issued ahead of the
-//     current block's taps, samples the detector's border itself (taps off
-//     the row read +0) and leaves each column's sums in its volume line's
-//     order, so the driver adds them with AddTo's vector adds
-//     (accum_amd64.s); and the filter core — the radix-4 passes of DIF and
+//     driver's kernel for slabs at least 16 deep and for slabs 8 and 4
+//     deep that step at most 2 detector rows per plane, takes a whole tile
+//     of voxel columns per call and reads its taps through two-source
+//     permutes from detector windows instead of gathers — in a deep slab
+//     16 depths of one column per register from a 32-sample window, in a
+//     shallow one whole volume lines per register (16/(2h) columns, each
+//     column's h depths and then their mirrors) from one 2h-sample window
+//     per half-column — software-pipelined so that the next block's index
+//     math is issued ahead of the current block's taps, samples the
+//     detector's border itself (taps off the row read +0) and leaves each
+//     column's sums in its volume line's order, so the driver adds them
+//     with AddTo's vector adds (accum_amd64.s); and the filter core — the radix-4 passes of DIF and
 //     DIT and Convolve, the one spectrum path under the filter's one end
 //     (ApplyEncoded, and ApplyImage through it) — runs eight complex64 per
 //     register, with

@@ -132,7 +132,10 @@ func windowMix(t *testing.T, g geometry.Params, z0, h, every int) (full, half, p
 // At volume_heavy's shape (128³ from 256², R = 2: h = 32 on both rank rows)
 // at least 95 % of the depths run in 16-depth windows and none runs
 // portable: row 0 reaches the detector's edges, and the kernel samples that
-// border itself. On a steep geometry (a 96-row detector over 32 planes),
+// border itself. On every rank row of fleet_mixed's window slabs (h = 8
+// from nx 32 at R = 2, h = 4 from nx 32 at R = 4 and nx 16 at R = 2, and
+// the nx = 16 verification volume, one h = 8 slab pair) at least 99 % run
+// in whole-line windows and none portable. On a steep geometry (a 96-row detector over 32 planes),
 // where 16 depths span more than a window, at least 90 % run in 8-depth
 // windows. Everywhere, the depths that ran portable are exactly the ones the
 // block rules send there.
@@ -154,8 +157,11 @@ func TestWindowTierPaths(t *testing.T) {
 		g := geometry.Default(c.nu, c.nu, 2*c.nx, c.nx, c.nx, c.nx)
 		h := c.nx / (2 * c.r)
 		for row := range c.r {
-			f, _, p := windowMix(t, g, row*h, h, 1)
-			t.Logf("fleet %d² nx=%d R=%d row %d (h=%d): %.1f %% windows, %.2f %% portable", c.nu, c.nx, c.r, row, h, 100*f, 100*p)
+			full, _, portable := windowMix(t, g, row*h, h, 1)
+			t.Logf("fleet_mixed %d² nx=%d R=%d row %d (h=%d): %.1f %% whole-line windows, %.2f %% portable", c.nu, c.nx, c.r, row, h, 100*full, 100*portable)
+			if full < 0.99 || portable > 0 {
+				t.Errorf("fleet_mixed %d² nx=%d R=%d row %d (h=%d): %.1f %% of the depths in whole-line windows and %.2f %% portable, want ≥ 99 %% and none", c.nu, c.nx, c.r, row, h, 100*full, 100*portable)
+			}
 		}
 	}
 	steep := geometry.Default(64, 96, 40, 24, 24, 32)
@@ -337,6 +343,22 @@ func TestWindowBorderMinusOne(t *testing.T) {
 					t.Fatalf("h=%d vm1=%v: float %d = %v, reference %v", h, vm1, x, a, b)
 				}
 			}
+		}
+	}
+}
+
+// WindowFits takes a slab only where the window tier runs: with AVX-512 off
+// (an AVX2-only host) fleet_mixed's shallow slabs and volume_heavy's deep
+// ones keep the gather, which is then the only vector path.
+func TestWindowFitsNeedsTier(t *testing.T) {
+	defer SetAVX2(true)()
+	defer SetAVX512(false)()
+	for _, c := range []struct {
+		h, rw int
+		step  float64
+	}{{4, 64, 1.94}, {8, 64, 1.94}, {8, 32, 1.92}, {32, 256, 2.06}} {
+		if WindowFits(c.h, c.rw, c.step) {
+			t.Errorf("h=%d Nv=%d at %.2f rows per plane: window kernel with AVX-512 off", c.h, c.rw, c.step)
 		}
 	}
 }
