@@ -97,7 +97,7 @@ func TestOutputSlicesStored(t *testing.T) {
 	if len(slices) != g.Nz {
 		t.Fatalf("stored %d slices, want %d", len(slices), g.Nz)
 	}
-	back, err := LoadVolume(store, "out", g.Nx, g.Ny, g.Nz)
+	back, _, err := store.ReadVolumeSlices("out", g.Nx, g.Ny, g.Nz)
 	if err != nil {
 		t.Fatal(err)
 	}

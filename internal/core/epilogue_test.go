@@ -66,7 +66,7 @@ func TestVolumeBitsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stored, err := LoadVolume(store, "out", g.Nx, g.Ny, g.Nz)
+			stored, _, err := store.ReadVolumeSlices("out", g.Nx, g.Ny, g.Nz)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,10 +23,3 @@ func StageProjections(store *pfs.PFS, prefix string, imgs []*volume.Image) error
 	}
 	return nil
 }
-
-// LoadVolume reads the output slices written by a Run back into a full
-// i-major volume.
-func LoadVolume(store *pfs.PFS, prefix string, nx, ny, nz int) (*volume.Volume, error) {
-	vol, _, err := store.ReadVolumeSlices(prefix, nx, ny, nz)
-	return vol, err
-}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"ifdk/internal/ct/backproject"
@@ -169,7 +170,11 @@ func TestOutputLayoutIsIMajor(t *testing.T) {
 // batches) as at Np = 32 (one), serially and on two workers, and every
 // pooled byte goes back. Pooled scheduler descriptors may move between
 // processors when helpers run, so the two-worker leg allows one object of
-// slack.
+// slack. A collection inside the measured runs empties the sync.Pools
+// under the engine's pools and its scheduler, and their refill counts as
+// allocations. Whether one falls there depends on the garbage earlier tests
+// left on the heap (under -shuffle=1792251965641831137 one did, in the
+// Np = 96 leg), so each leg starts right after a collection.
 func TestReconstructSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -185,6 +190,7 @@ func TestReconstructSteadyStateAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			runtime.GC()
 			for i := 0; i < 5; i++ { // warm the pools
 				run()
 			}

@@ -15,10 +15,12 @@
 //
 // The work drops steeply with d — filtering by ~d² (rows × row length, less
 // the shorter FFT), back-projection by ~d⁴ (voxels × projections) — which is
-// what turns a seconds-scale job into the ~100 ms interactive tier. The
-// decimation itself is two O(n) kernels loops (kernels.AccRow /
-// kernels.BlockMean) over pooled scratch, so the path stays
-// allocation-free in steady state like the rest of the pipeline.
+// what turns a seconds-scale job into the ~100 ms interactive tier. A
+// preview is one more fill of fdk.ReconstructFrom: each worker reads a kept
+// projection, decimates it — two O(n) kernels loops (kernels.AccRow /
+// kernels.BlockMean) over pooled scratch — and filters it, so no image set
+// is held and the path stays allocation-free in steady state like the rest
+// of the pipeline.
 //
 // A preview is a pure function of the full-resolution dataset and the plan:
 // it always downsamples the staged projections, never an analytic shortcut,
@@ -28,7 +30,6 @@ package preview
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"ifdk/internal/ct/fdk"
 	"ifdk/internal/ct/filter"
@@ -133,66 +134,38 @@ func DecimateInto(dst, src *volume.Image, d int) error {
 	return nil
 }
 
-// Timings splits one preview build into its pipeline segments (seconds).
-// Load covers reading the full-resolution projections, Decimate the block
-// means, Filter the coarse ramp filtering, Backproject the coarse FDK
-// back-projection; Total is wall time of the whole build.
-type Timings struct {
-	Load, Decimate, Filter, Backproject, Total float64
-}
-
-// Options tunes one Reconstruct call. Its filter and back-projection stages
-// run on GOMAXPROCS workers.
+// Options tunes one Reconstruct call. Its stages run on GOMAXPROCS workers.
 type Options struct {
 	// Window is the ramp apodization, matching the full-resolution job so
 	// the preview previews the same filter.
 	Window filter.Window
 }
 
-// Reconstruct builds the preview volume for the plan. read fills dst (a
-// pooled full-resolution Nu×Nv image) with source projection s; Reconstruct
-// calls it once per kept projection (s = i·Factor), decimates each into a
-// pooled coarse image, and reconstructs the coarse set with
-// fdk.ReconstructFrom, each coarse image filtered by ApplyImage. The result
-// is a fresh i-major coarse volume the caller owns.
-func (p Plan) Reconstruct(ctx context.Context, read func(dst *volume.Image, s int) error, opt Options) (*volume.Volume, Timings, error) {
-	start := time.Now()
-	var tm Timings
-	cg := p.Coarse
-	imgs := make([]*volume.Image, 0, cg.Np)
-	defer func() {
-		for _, img := range imgs {
-			engine.Images.Release(img)
-		}
-	}()
-
-	full := engine.Images.Acquire(p.Full.Nu, p.Full.Nv)
-	defer engine.Images.Release(full)
-	for i := 0; i < cg.Np; i++ {
+// Reconstruct builds the preview volume for the plan: one
+// fdk.ReconstructFrom over the coarse problem whose fill, for coarse
+// projection i, reads source projection s = i·Factor into a pooled
+// full-resolution image through read, decimates it into a pooled coarse
+// image and filters that by ApplyImage. read is therefore called
+// concurrently, from every worker, each call with its own dst; it must be
+// safe for that. A cancelled ctx fails the next projection's fill. The
+// result is a fresh i-major coarse volume the caller owns, and the times
+// are ReconstructFrom's: reading and decimation count as Filter.
+func (p Plan) Reconstruct(ctx context.Context, read func(dst *volume.Image, s int) error, opt Options) (*volume.Volume, fdk.Times, error) {
+	return fdk.ReconstructFrom(p.Coarse, func(flt *filter.Filterer, i int, block []float32) error {
 		if err := ctx.Err(); err != nil {
-			return nil, tm, err
+			return err
 		}
-		t0 := time.Now()
-		if err := read(full, i*p.Factor); err != nil {
-			return nil, tm, fmt.Errorf("preview: projection %d: %w", i*p.Factor, err)
+		s := i * p.Factor
+		src := engine.Images.Acquire(p.Full.Nu, p.Full.Nv)
+		defer engine.Images.Release(src)
+		if err := read(src, s); err != nil {
+			return fmt.Errorf("preview: projection %d: %w", s, err)
 		}
-		t1 := time.Now()
-		tm.Load += t1.Sub(t0).Seconds()
-		coarse := engine.Images.Acquire(cg.Nu, cg.Nv)
-		imgs = append(imgs, coarse)
-		if err := DecimateInto(coarse, full, p.Factor); err != nil {
-			return nil, tm, err
+		coarse := engine.Images.Acquire(p.Coarse.Nu, p.Coarse.Nv)
+		defer engine.Images.Release(coarse)
+		if err := DecimateInto(coarse, src, p.Factor); err != nil {
+			return err
 		}
-		tm.Decimate += time.Since(t1).Seconds()
-	}
-
-	vol, st, err := fdk.ReconstructFrom(cg, func(flt *filter.Filterer, s int, block []float32) error {
-		return flt.ApplyImage(imgs[s], block)
+		return flt.ApplyImage(coarse, block)
 	}, fdk.Config{Window: opt.Window})
-	tm.Filter, tm.Backproject = st.Filter.Seconds(), st.Backproject.Seconds()
-	if err != nil {
-		return nil, tm, err
-	}
-	tm.Total = time.Since(start).Seconds()
-	return vol, tm, nil
 }

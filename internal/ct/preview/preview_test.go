@@ -3,6 +3,8 @@ package preview
 import (
 	"context"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"ifdk/internal/ct/fdk"
@@ -10,6 +12,7 @@ import (
 	"ifdk/internal/ct/phantom"
 	"ifdk/internal/ct/projector"
 	"ifdk/internal/engine"
+	"ifdk/internal/race"
 	"ifdk/pkg/volume"
 )
 
@@ -151,7 +154,7 @@ func TestReconstructMatchesDirectCoarse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tm.Total <= 0 {
+	if tm.Filter <= 0 || tm.Backproject <= 0 {
 		t.Fatalf("timings not populated: %+v", tm)
 	}
 
@@ -206,15 +209,15 @@ func TestReconstructDeterministic(t *testing.T) {
 }
 
 // A cancelled context aborts between projections without leaking pooled
-// buffers.
+// buffers. read runs on every worker, so its call count is atomic.
 func TestReconstructCancel(t *testing.T) {
 	g := geometry.Default(32, 32, 32, 16, 16, 16)
 	plan, proj := previewFixture(t, g, 2)
 	before := engine.InUseBytes()
 	ctx, cancel := context.WithCancel(context.Background())
-	n := 0
+	var n atomic.Int32
 	read := func(dst *volume.Image, s int) error {
-		if n++; n == 3 {
+		if n.Add(1) == 3 {
 			cancel()
 		}
 		copy(dst.Data, proj[s].Data)
@@ -225,6 +228,46 @@ func TestReconstructCancel(t *testing.T) {
 	}
 	if after := engine.InUseBytes(); after != before {
 		t.Fatalf("pooled bytes leaked across cancel: %d -> %d", before, after)
+	}
+}
+
+// A preview holds one full-resolution and one coarse image per worker, not
+// one per kept projection: Reconstruct allocates as many objects at coarse
+// Np = 48 (two batches) as at Np = 16 (one), and every pooled byte goes
+// back. The fill runs on the shared pool, whose scheduler descriptors may
+// move between processors when helpers run, so each helper allows one
+// object of slack, as in fdk's TestReconstructSteadyStateAllocs. A
+// collection inside the measured runs would refill the pools and show up
+// as allocations, so each leg starts right after one.
+func TestReconstructSteadyStateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	base := engine.InUseBytes()
+	var allocs [2]float64
+	for n, np := range []int{32, 96} {
+		plan, proj := previewFixture(t, geometry.Default(32, 24, np, 16, 16, 16), 2)
+		if plan.Coarse.Np != np/2 {
+			t.Fatalf("coarse Np %d, want %d", plan.Coarse.Np, np/2)
+		}
+		read := readFrom(proj)
+		run := func() {
+			if _, _, err := plan.Reconstruct(context.Background(), read, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		for i := 0; i < 5; i++ { // warm the pools
+			run()
+		}
+		allocs[n] = testing.AllocsPerRun(20, run)
+	}
+	if slack := float64(engine.Workers() - 1); allocs[1] > allocs[0]+slack {
+		t.Errorf("Reconstruct allocates %.1f objects at coarse Np = 48, %.1f at Np = 16", allocs[1], allocs[0])
+	}
+	t.Logf("%.1f objects per call at coarse Np = 16, %.1f at Np = 48", allocs[0], allocs[1])
+	if held := engine.InUseBytes() - base; held != 0 {
+		t.Errorf("Reconstruct left %d pooled bytes checked out", held)
 	}
 }
 

@@ -272,14 +272,6 @@ func (p *BufPool[T]) Acquire(n int) *Buf[T] {
 	return b
 }
 
-// AcquireZeroed returns a length-n buffer with every element zeroed, for
-// callers that accumulate into the scratch rather than overwrite it.
-func (p *BufPool[T]) AcquireZeroed(n int) *Buf[T] {
-	b := p.Acquire(n)
-	clear(b.Data)
-	return b
-}
-
 // InUseBytes returns the payload bytes currently checked out of the pool; a
 // shared buffer counts once, until its last holder releases it.
 func (p *BufPool[T]) InUseBytes() int64 { return p.inUse.Load() }

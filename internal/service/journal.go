@@ -322,11 +322,9 @@ func (w *journal) close() {
 	_ = w.f.Close()
 }
 
-// record builds the job's journal record of type t (recSubmit, recStart or
-// recTerminal) from its current state.
-func (j *Job) record(t string) journalRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// recordLocked builds the job's journal record of type t (recSubmit,
+// recStart or recTerminal) from its current state; the caller holds j.mu.
+func (j *Job) recordLocked(t string) journalRecord {
 	switch t {
 	case recSubmit:
 		spec := j.Spec

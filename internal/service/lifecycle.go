@@ -57,7 +57,8 @@ const (
 )
 
 // effects is what a transition does besides flipping the state, as data.
-// cachePut runs before the flip; the rest run after it, in field order.
+// cachePut runs before the flip and journal with it, under the job's lock;
+// the rest run after it, in field order.
 type effects struct {
 	cachePut  bool      // store the run's result, so whoever sees done and resubmits hits the cache
 	enter     bool      // join the job table, pruning the oldest terminal records past MaxJobs
@@ -118,8 +119,9 @@ func transition(from State, ev event) (State, effects, error) {
 // is a compare-and-swap: when j has meanwhile left from — a worker started
 // the job a Cancel found queued — nothing happens and apply says so. res is
 // the result the event brings (a run's or the cache's entry) and set the
-// event's own field writes; both land under j.mu together with the flip.
-// The row's effects then run with no lock held. Callers hold none either,
+// event's own field writes; both land under j.mu together with the flip,
+// and the row's journal records are appended before j.mu is released. The
+// row's other effects then run with no lock held. Callers hold none either,
 // except Submit around admit, whose one effect takes no manager lock.
 func (m *Manager) apply(j *Job, from State, ev event, res *Entry, set func()) error {
 	to, fx, err := transition(from, ev)
@@ -153,6 +155,12 @@ func (m *Manager) apply(j *Job, from State, ev event, res *Entry, set func()) er
 		}
 	}
 	j.state = to
+	// The row's records are durable before any reader can see the new
+	// state: a crash after a client read it replays it, and a transition
+	// that lost the compare-and-swap above journals nothing.
+	for _, t := range fx.journal {
+		_ = m.jAppend(j.recordLocked(t))
+	}
 	errStr, waited, ran := j.err, j.started.Sub(j.submitted), j.finished.Sub(j.started)
 	j.mu.Unlock()
 
@@ -190,9 +198,6 @@ func (m *Manager) apply(j *Job, from State, ev event, res *Entry, set func()) er
 		m.mu.Unlock()
 	}
 	m.scrub(pruned)
-	for _, t := range fx.journal {
-		_ = m.jAppend(j.record(t))
-	}
 	if fx.log != "" {
 		attrs := []any{"job_id", j.ID, "trace_id", j.traceID, "state", string(to)}
 		switch {

@@ -262,3 +262,67 @@ func TestCrashRestartReplaysEveryTerminalPath(t *testing.T) {
 		}
 	}
 }
+
+// A transition's journal records are durable before its new state is
+// visible. With the journal's writer held, a queued job's Cancel cannot be
+// read as cancelled: were the flip visible first, a crash at that moment
+// would replay the job a client saw cancelled as queued. Once the writer
+// lets go, the job reads cancelled and replays so.
+func TestTerminalJournaledBeforeVisible(t *testing.T) {
+	dir := t.TempDir()
+	gate := newSliceGate()
+	defer gate.open()
+	m1, err := OpenManager(Options{Workers: 1, NodeID: "b0", JournalDir: dir, testOnSlice: gate.hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy, err := m1.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, m1, busy.ID) // the one worker is held: the next job stays queued
+	queuedSpec := testSpec()
+	queuedSpec.Phantom = "sphere"
+	queued, err := m1.Submit(queuedSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m1.journal.mu.Lock()
+	cancelled := make(chan error, 1)
+	go func() { cancelled <- m1.Cancel(queued.ID) }()
+	seen := make(chan State, 1)
+	go func() {
+		for {
+			if v, _ := m1.Get(queued.ID); v.State.Terminal() {
+				seen <- v.State
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	select {
+	case st := <-seen:
+		m1.journal.mu.Unlock()
+		t.Fatalf("job %s read as %s before its terminal record was journaled", queued.ID, st)
+	case <-time.After(200 * time.Millisecond):
+	}
+	m1.journal.mu.Unlock()
+	if err := <-cancelled; err != nil {
+		t.Fatal(err)
+	}
+	if st := <-seen; st != StateCancelled {
+		t.Fatalf("job %s read as %s, want cancelled", queued.ID, st)
+	}
+	gate.open()
+	m1.Crash()
+
+	m2, err := OpenManager(Options{Workers: 1, NodeID: "b0", JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, m2)
+	if got, ok := m2.Get(queued.ID); !ok || got.State != StateCancelled {
+		t.Fatalf("job %s replayed as %+v (found %v), want cancelled", queued.ID, got, ok)
+	}
+}

@@ -579,7 +579,10 @@ func (m *Manager) SubmitWithTrace(spec Spec, traceparent string) (View, error) {
 	// client gets an error to retry — an unjournaled accepted job would be
 	// silently lost by the next restart, which is the one lie the journal
 	// exists to prevent.
-	if err := m.jAppend(j.record(recSubmit)); err != nil {
+	j.mu.Lock()
+	rec := j.recordLocked(recSubmit)
+	j.mu.Unlock()
+	if err := m.jAppend(rec); err != nil {
 		_ = m.Cancel(j.ID)
 		return View{}, fmt.Errorf("service: job not durable: %w", err)
 	}

@@ -13,20 +13,6 @@ import (
 	"ifdk/pkg/volume"
 )
 
-// previewStageTimes maps a preview build's segment clock onto the wire's
-// stage vocabulary: decimation is part of ingesting the input (Load), and
-// Compute aggregates the arithmetic stages the way core.StageTimes does.
-func previewStageTimes(tm preview.Timings) core.StageTimes {
-	d := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-	return core.StageTimes{
-		Load:        d(tm.Load + tm.Decimate),
-		Filter:      d(tm.Filter),
-		Backproject: d(tm.Backproject),
-		Compute:     d(tm.Filter + tm.Backproject),
-		Total:       d(tm.Total),
-	}
-}
-
 // buildPreview resolves the job's preview tier: from the result cache when
 // an identical preview already exists (falling through to the PFS spill
 // tier), otherwise by reconstructing the decimated problem from the staged
@@ -39,11 +25,11 @@ func (m *Manager) buildPreview(ctx context.Context, j *Job) (*Entry, error) {
 	if hit {
 		m.met.previewHits.Inc()
 	} else {
-		vol, tm, err := m.reconstructPreview(ctx, j)
+		vol, st, err := m.reconstructPreview(ctx, j)
 		if err != nil {
 			return nil, err
 		}
-		entry = &Entry{Volume: vol, Times: previewStageTimes(tm)}
+		entry = &Entry{Volume: vol, Times: st}
 		m.cache.Put(j.previewKey, entry)
 		m.met.previewsBuilt.Inc()
 	}
@@ -96,10 +82,19 @@ func (m *Manager) verifyPreview(ctx context.Context, j *Job, e *Entry) error {
 // reconstructPreview builds the job's preview volume from its staged
 // dataset. It is deterministic for a given (plan, dataset, window): always
 // the block-mean decimation of the staged full-resolution projections, so
-// crash-replayed jobs rebuild byte-identical previews.
-func (m *Manager) reconstructPreview(ctx context.Context, j *Job) (*volume.Volume, preview.Timings, error) {
-	return j.plan.Reconstruct(ctx, func(dst *volume.Image, s int) error {
+// crash-replayed jobs rebuild byte-identical previews. Its stage clock is
+// the coarse reconstruction's: reading and decimating each kept projection
+// run inside its Filter stage, so Load stays 0.
+func (m *Manager) reconstructPreview(ctx context.Context, j *Job) (*volume.Volume, core.StageTimes, error) {
+	t0 := time.Now()
+	vol, tm, err := j.plan.Reconstruct(ctx, func(dst *volume.Image, s int) error {
 		_, err := m.store.ReadProjectionInto(dst, j.cfg.InputPrefix, s)
 		return err
 	}, preview.Options{Window: j.cfg.Window})
+	return vol, core.StageTimes{
+		Filter:      tm.Filter,
+		Backproject: tm.Backproject,
+		Compute:     tm.Filter + tm.Backproject,
+		Total:       time.Since(t0),
+	}, err
 }
