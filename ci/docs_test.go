@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -20,6 +21,8 @@ var (
 	fenced    = regexp.MustCompile("(?s)```.*?```")
 	codeSpan  = regexp.MustCompile("`[^`\n]+`")
 	qualified = regexp.MustCompile(`(?:^|[^\w./])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`)
+	definer   = regexp.MustCompile(`^(?:(?:Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(?:Var)?|Func|BoolFunc|Var|TextVar)$`)
+	flagArg   = regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=|$)`)
 )
 
 // decls is what the module declares: the top-level identifiers of each
@@ -229,6 +232,142 @@ func TestStaleNamesCaught(t *testing.T) {
 	} {
 		if got := strings.Join(d.stale(text), ","); got != want {
 			t.Errorf("%q: stale %q, want %q", text, got, want)
+		}
+	}
+}
+
+// flagDefs maps each cmd/<bin> under root to the flags its main.go defines
+// (the name argument of every flag.Bool, flag.IntVar, … call) and to its
+// package doc.
+func flagDefs(root string) (map[string]map[string]bool, map[string]string, error) {
+	dirs, err := os.ReadDir(filepath.Join(root, "cmd"))
+	if err != nil {
+		return nil, nil, err
+	}
+	defs, docs := map[string]map[string]bool{}, map[string]string{}
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		f, err := parser.ParseFile(fset, filepath.Join(root, "cmd", dir.Name(), "main.go"), nil, parser.ParseComments)
+		if err != nil {
+			return nil, nil, err
+		}
+		docs[dir.Name()] = f.Doc.Text()
+		names := map[string]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !definer.MatchString(sel.Sel.Name) {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			arg := 0 // flag.Int("name", …); flag.IntVar(&v, "name", …)
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				arg = 1
+			}
+			if arg < len(call.Args) {
+				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, _ := strconv.Unquote(lit.Value)
+					names[name] = true
+				}
+			}
+			return true
+		})
+		defs[dir.Name()] = names
+	}
+	return defs, docs, nil
+}
+
+// undefinedFlags returns "<bin> -flag" for each flag a command line of
+// text passes to a binary that does not define it. A command line starts
+// with `go run ./cmd/<bin>` or with <bin> itself; lines ending in a
+// backslash continue it, and a shell operator or comment ends its
+// arguments.
+func undefinedFlags(text string, defs map[string]map[string]bool) []string {
+	var out []string
+	lines := strings.Split(text, "\n")
+	for i := 0; i < len(lines); i++ {
+		line := lines[i]
+		for strings.HasSuffix(strings.TrimSpace(line), "\\") && i+1 < len(lines) {
+			i++
+			line = strings.TrimSuffix(strings.TrimSpace(line), "\\") + " " + lines[i]
+		}
+		fields := strings.Fields(line)
+		var bin string
+		switch {
+		case len(fields) >= 3 && fields[0] == "go" && fields[1] == "run" && strings.HasPrefix(fields[2], "./cmd/"):
+			bin, fields = strings.TrimSuffix(strings.TrimPrefix(fields[2], "./cmd/"), "/"), fields[3:]
+		case len(fields) > 0 && defs[fields[0]] != nil:
+			bin, fields = fields[0], fields[1:]
+		default:
+			continue
+		}
+		for _, f := range fields {
+			if strings.ContainsAny(f[:1], "|&;#<>") || strings.HasPrefix(f, "2>") {
+				break
+			}
+			if m := flagArg.FindStringSubmatch(f); m != nil && !defs[bin][m[1]] {
+				out = append(out, bin+" -"+m[1])
+			}
+		}
+	}
+	return out
+}
+
+// TestDocsNameDefinedFlags fails when a fenced command in the root README
+// (go run ./cmd/<bin> …) or a usage line in a cmd package doc passes a
+// flag that cmd/<bin>/main.go does not define: a doc still showing a
+// retired flag. Prose code spans are not checked, since they name retired
+// flags on purpose.
+func TestDocsNameDefinedFlags(t *testing.T) {
+	defs, docs, err := flagDefs("..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(defs["ifdkd"]) == 0 {
+		t.Fatal("no flag definitions read from cmd/ifdkd")
+	}
+	readme, err := os.ReadFile("../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var problems []string
+	for _, f := range undefinedFlags(strings.Join(fenced.FindAllString(string(readme), -1), "\n"), defs) {
+		problems = append(problems, "README.md: "+f+" is not defined")
+	}
+	for bin, doc := range docs {
+		for _, f := range undefinedFlags(doc, defs) {
+			problems = append(problems, "cmd/"+bin+": "+f+" is not defined")
+		}
+	}
+	sort.Strings(problems)
+	for _, p := range slices.Compact(problems) {
+		t.Error(p)
+	}
+}
+
+// The check itself: an undefined flag is reported, in either form of
+// command and past a continuation line; defined flags, flag values, prose
+// and what follows a shell operator or comment are not.
+func TestUndefinedFlagsCaught(t *testing.T) {
+	defs := map[string]map[string]bool{"ifdkd": {"addr": true, "node": true}, "ifdk-load": {"jobs": true}}
+	for text, want := range map[string]string{
+		"go run ./cmd/ifdkd -addr :8081 -node b0 &":               "",
+		"go run ./cmd/ifdkd -addr=:8081 --node=b0":                "",
+		"go run ./cmd/ifdkd -abci":                                "ifdkd -abci",
+		"ifdkd -addr :8081 \\\n      -abci -node b0":              "ifdkd -abci",
+		"go run ./cmd/ifdk-load -jobs 4   # no -addr: in-process": "",
+		"go run ./cmd/ifdk-load -jobs 4 | grep -v x":              "",
+		"go run ./cmd/ifdk-load -addr http://x -jobs 4":           "ifdk-load -addr",
+		"run ifdkd with -abci to model the testbed":               "",
+		"curl -s -X POST localhost:8080/v1/jobs -d '{}'":          "",
+	} {
+		if got := strings.Join(undefinedFlags(text, defs), ","); got != want {
+			t.Errorf("%q: undefined %q, want %q", text, got, want)
 		}
 	}
 }

@@ -45,17 +45,19 @@ fusion)
 	# internal/ct/backproject — the filter's — internal/ct/filter and
 	# internal/ct/kernels/filter.go — the serial loop and the preview tier
 	# on it — internal/ct/fdk, internal/ct/preview and its block means in
-	# internal/ct/kernels/decimate.go — and pkg/volume's statistics (Stats,
-	# RMSE), inlined copies included, must compile to no fused multiply-add
-	# on any of them, so that their bits do not depend on GOARCH. Still
-	# outside the gate: the FFT passes
-	# (internal/ct/kernels/fft.go) and math.Sin / math.Cos themselves. This
-	# only cross-compiles: arm64 tests are not run here.
+	# internal/ct/kernels/decimate.go — pkg/volume's statistics (Stats,
+	# RMSE) and the staged bytes — internal/ct/phantom and
+	# internal/ct/projector —, inlined copies included, must compile to no
+	# fused multiply-add on any of them, so that their bits do not depend on
+	# GOARCH. Still outside the gate: the FFT passes
+	# (internal/ct/kernels/fft.go), internal/ct/geometry and math.Sin /
+	# math.Cos themselves. This only cross-compiles: arm64 tests are not
+	# run here.
 	status=0
 	for arch in arm64 ppc64le s390x; do
 		fused=$(GOARCH=$arch go build -gcflags='ifdk/...=-S' ./... 2>&1 |
 			grep -E '[[:space:]]FN?M(ADD|SUB)[SD]?[[:space:]]' |
-			grep -E '\(.*/(internal/ct/(interp/|kernels/(backproject|filter|decimate)\.go|backproject/|filter/|fdk/|preview/)|pkg/volume/)' || true)
+			grep -E '\(.*/(internal/ct/(interp/|kernels/(backproject|filter|decimate)\.go|backproject/|filter/|fdk/|preview/|phantom/|projector/)|pkg/volume/)' || true)
 		if [ -n "$fused" ]; then
 			echo "fused multiply-adds on $arch:" && echo "$fused"
 			status=1

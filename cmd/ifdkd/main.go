@@ -44,7 +44,6 @@ import (
 	_ "net/http/pprof"
 
 	"ifdk/internal/ct/kernels"
-	"ifdk/internal/hpc/pfs"
 	"ifdk/internal/obs"
 	"ifdk/internal/service"
 )
@@ -69,7 +68,6 @@ func main() {
 	journalDir := flag.String("journal-dir", "",
 		"write-ahead job journal directory; accepted jobs survive restarts (empty disables durability)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
-	abci := flag.Bool("abci", false, "model the paper's ABCI GPFS storage instead of defaults")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON records instead of text")
 	logLevel := flag.String("log-level", "info", "minimum log level (debug, info, warn, error)")
 	debugAddr := flag.String("debug-addr", "", "optional debug listen address serving net/http/pprof (off when empty)")
@@ -101,9 +99,6 @@ func main() {
 	opt.CacheBytes = *cacheMB << 20
 	if *cacheMB <= 0 {
 		opt.CacheBytes = -1 // explicit off; 0 would mean "default"
-	}
-	if *abci {
-		opt.PFS = pfs.ABCIConfig()
 	}
 
 	if err := run(*addr, *debugAddr, opt, *drain, logger); err != nil {

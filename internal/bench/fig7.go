@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -62,14 +61,9 @@ func Fig7(nx int, mb perfmodel.MicroBench) (*Fig7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rmse, err := volume.RMSE(serial, res.Volume)
+	rmse, err := volume.RelRMSE(serial, res.Volume)
 	if err != nil {
 		return nil, err
-	}
-	s := serial.Summarize()
-	scale := math.Max(math.Abs(float64(s.Min)), math.Abs(float64(s.Max)))
-	if scale > 0 {
-		rmse /= scale
 	}
 	pr := geometry.Problem{Nu: g.Nu, Nv: g.Nv, Np: g.Np, Nx: g.Nx, Ny: g.Ny, Nz: g.Nz}
 

@@ -62,7 +62,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	ph := phantom.SheppLogan3D(g.FOVRadius() * 0.9)
 	proj := projector.AnalyticAll(ph, g, 0)
 	// Throttled storage stretches the run so cancellation lands mid-flight.
-	store := pfs.New(pfs.Config{ReadBW: 2e6, Targets: 1, Throttle: true})
+	store := pfs.New(pfs.Config{ReadBW: 2e6, Throttle: true})
 	if err := StageProjections(store, "in", proj); err != nil {
 		t.Fatal(err)
 	}

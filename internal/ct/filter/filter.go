@@ -105,6 +105,16 @@ func (w Window) String() string {
 	}
 }
 
+// ParseWindow returns the window whose String is name.
+func ParseWindow(name string) (Window, error) {
+	for _, w := range []Window{RamLak, SheppLogan, Cosine, Hamming, Hann} {
+		if w.String() == name {
+			return w, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown window %q", name)
+}
+
 // gain returns the window multiplier at normalized frequency f ∈ [0, 1]
 // (fraction of the Nyquist frequency). All windows equal 1 at f = 0.
 func (w Window) gain(f float64) float64 {

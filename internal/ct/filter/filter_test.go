@@ -53,9 +53,15 @@ func TestWindowGainAtZero(t *testing.T) {
 		if w.String() == "" {
 			t.Errorf("window %d has empty name", w)
 		}
+		if got, err := ParseWindow(w.String()); got != w || err != nil {
+			t.Errorf("ParseWindow(%q) = %v, %v", w, got, err)
+		}
 	}
 	if Window(42).String() == "" {
 		t.Error("unknown window should still format")
+	}
+	if _, err := ParseWindow("banana"); err == nil {
+		t.Error("ParseWindow accepted an unknown name")
 	}
 }
 

@@ -55,29 +55,6 @@ func BenchmarkKernelsCosineWeight(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelsSpectralMul(b *testing.B) {
-	const n = 1024 // full spectrum of a 1024-point row pair
-	rng := rand.New(rand.NewSource(2))
-	// Unit-magnitude gains keep the repeatedly rescaled spectrum out of the
-	// denormal range, which would distort the timing.
-	gain := make([]float32, n)
-	for i := range gain {
-		gain[i] = float32(1 - 2*rng.Intn(2))
-	}
-	spec := randC64(rng, n)
-	for _, leg := range []struct {
-		name string
-		fn   func(spec []complex64, gain []float32)
-	}{{"ref", kernels.SpectralMulRef}, {"fast", kernels.SpectralMul}} {
-		b.Run(leg.name, func(b *testing.B) {
-			b.SetBytes(8 * n)
-			for i := 0; i < b.N; i++ {
-				leg.fn(spec, gain)
-			}
-		})
-	}
-}
-
 // BenchmarkKernelsRadix4 times one 1024-point transform — the padded row
 // pair of an Nu = 512 detector — in each order.
 func BenchmarkKernelsRadix4(b *testing.B) {

@@ -358,7 +358,7 @@ func Convolve(x, fwd []complex64, gain []float32, inv []complex64) {
 		return
 	}
 	DIFRef(x, fwd)
-	SpectralMulRef(x, gain)
+	SpectralMul(x, gain)
 	DITRef(x, inv)
 }
 
@@ -369,7 +369,7 @@ func convolveFast(x, fwd []complex64, gain []float32, inv []complex64) {
 	n := len(x)
 	if !useAVX2 || n < 8 {
 		difFast(x, fwd)
-		spectralMulFast(x, gain)
+		SpectralMul(x, gain)
 		ditFast(x, inv)
 		return
 	}

@@ -246,39 +246,12 @@ func ditLastStore(dst []float32, stride int, src []complex64, l, u0, u1, rows in
 
 // SpectralMul scales each spectrum bin by a real gain:
 // spec[k] = spec[k]·gain[k] for k < len(gain). len(spec) must be at least
-// len(gain).
+// len(gain). Convolve's portable tier and reference chain run it between
+// the transforms; the vector tiers do the same products in their small
+// ends.
 func SpectralMul(spec []complex64, gain []float32) {
-	if useFast {
-		spectralMulFast(spec, gain)
-		return
-	}
-	SpectralMulRef(spec, gain)
-}
-
-// SpectralMulRef is the scalar reference for SpectralMul.
-func SpectralMulRef(spec []complex64, gain []float32) {
 	for k, g := range gain {
 		v := spec[k]
-		spec[k] = complex(real(v)*g, imag(v)*g)
-	}
-}
-
-func spectralMulFast(spec []complex64, gain []float32) {
-	n := len(gain)
-	spec = spec[:n]
-	k := 0
-	for ; k+4 <= n; k += 4 {
-		v0, g0 := spec[k], gain[k]
-		v1, g1 := spec[k+1], gain[k+1]
-		v2, g2 := spec[k+2], gain[k+2]
-		v3, g3 := spec[k+3], gain[k+3]
-		spec[k] = complex(real(v0)*g0, imag(v0)*g0)
-		spec[k+1] = complex(real(v1)*g1, imag(v1)*g1)
-		spec[k+2] = complex(real(v2)*g2, imag(v2)*g2)
-		spec[k+3] = complex(real(v3)*g3, imag(v3)*g3)
-	}
-	for ; k < n; k++ {
-		v, g := spec[k], gain[k]
 		spec[k] = complex(real(v)*g, imag(v)*g)
 	}
 }

@@ -49,8 +49,8 @@
 // Every fast kernel performs the same floating-point operations in the same
 // order as its reference — the AVX2 and AVX-512 tiers included: separate
 // multiplies and adds, no FMA — so CosineWeightPairLE (which also equals the
-// same multiplies on the decoded rows), SpectralMul, ColumnGeom,
-// AccumColumns and AccumColumnsWindow (which also equals AccumColumns) are
+// same multiplies on the decoded rows), ColumnGeom, AccumColumns and
+// AccumColumnsWindow (which also equals AccumColumns) are
 // bit-identical across reference, portable, AVX2 and AVX-512, DIF, DIT and
 // Convolve across portable, AVX2 and AVX-512, Convolve on every tier to DIF,
 // SpectralMul and DIT on that tier, and ConvolvePairLE with

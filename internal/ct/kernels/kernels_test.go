@@ -12,8 +12,7 @@ import (
 
 // Parity policy, asserted by these tests:
 //
-//   - CosineWeightPairLE, SpectralMul, ColumnGeom and
-//     AccumColumns perform the same float32 operations in the same order in
+//   - CosineWeightPairLE, ColumnGeom and AccumColumns perform the same float32 operations in the same order in
 //     both variants, so fast and ref are BIT-identical — including NaN/Inf
 //     propagation. TransposePairs copies bits.
 //   - DIF, DIT, RealUnpack and RealRepack decompose the complex64
@@ -212,30 +211,6 @@ func TestTransposePairsRejectsShortOperands(t *testing.T) {
 			}()
 			TransposePairs(make([]float32, tc.dst), tc.stride, make([]complex64, tc.src), tc.l, tc.nu, tc.rows)
 		}()
-	}
-}
-
-func TestSpectralMulParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range widths {
-		for trial := 0; trial < 20; trial++ {
-			re := randRow(rng, n, trial%3 == 0)
-			im := randRow(rng, n, trial%4 == 0)
-			gain := randRow(rng, n, trial%5 == 0)
-			ref := make([]complex64, n)
-			fast := make([]complex64, n)
-			for i := range ref {
-				ref[i] = complex(re[i], im[i])
-				fast[i] = ref[i]
-			}
-			SpectralMulRef(ref, gain)
-			spectralMulFast(fast, gain)
-			for i := range ref {
-				if !eqBits(real(ref[i]), real(fast[i])) || !eqBits(imag(ref[i]), imag(fast[i])) {
-					t.Fatalf("n=%d: spec[%d] ref=%v fast=%v", n, i, ref[i], fast[i])
-				}
-			}
-		}
 	}
 }
 

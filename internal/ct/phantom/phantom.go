@@ -7,6 +7,7 @@
 package phantom
 
 import (
+	"fmt"
 	"math"
 
 	"ifdk/internal/ct/geometry"
@@ -29,8 +30,8 @@ func (e Ellipsoid) contains(x, y, z float64) bool {
 	sin, cos := math.Sincos(e.Phi)
 	dx, dy, dz := x-e.X0, y-e.Y0, z-e.Z0
 	// Rotate by -Phi into the ellipsoid frame.
-	rx := cos*dx + sin*dy
-	ry := -sin*dx + cos*dy
+	rx := float64(cos*dx) + float64(sin*dy)
+	ry := float64(-sin*dx) + float64(cos*dy)
 	q := rx*rx/(e.A*e.A) + ry*ry/(e.B*e.B) + dz*dz/(e.C*e.C)
 	return q <= 1
 }
@@ -50,8 +51,8 @@ func (e Ellipsoid) from(o geometry.Vec3) seen {
 	// Transform the origin into the unit-sphere frame.
 	ox, oy, oz := o.X-e.X0, o.Y-e.Y0, o.Z-e.Z0
 	q0 := geometry.Vec3{
-		X: (cos*ox + sin*oy) / e.A,
-		Y: (-sin*ox + cos*oy) / e.B,
+		X: (float64(cos*ox) + float64(sin*oy)) / e.A,
+		Y: (float64(-sin*ox) + float64(cos*oy)) / e.B,
 		Z: oz / e.C,
 	}
 	return seen{Ellipsoid: e, sin: sin, cos: cos, q0: q0, c0: q0.Dot(q0) - 1}
@@ -64,13 +65,13 @@ func (e Ellipsoid) from(o geometry.Vec3) seen {
 func (e *seen) chord(dir geometry.Vec3) float64 {
 	// Transform the direction into the unit-sphere frame.
 	d := geometry.Vec3{
-		X: (e.cos*dir.X + e.sin*dir.Y) / e.A,
-		Y: (-e.sin*dir.X + e.cos*dir.Y) / e.B,
+		X: (float64(e.cos*dir.X) + float64(e.sin*dir.Y)) / e.A,
+		Y: (float64(-e.sin*dir.X) + float64(e.cos*dir.Y)) / e.B,
 		Z: dir.Z / e.C,
 	}
 	a := d.Dot(d)
 	b := 2 * e.q0.Dot(d)
-	disc := b*b - 4*a*e.c0
+	disc := float64(b*b) - float64(4*a*e.c0)
 	if disc <= 0 || a == 0 {
 		return 0
 	}
@@ -116,7 +117,7 @@ func (v *View) LineIntegral(dir geometry.Vec3) float64 {
 	for i := range v.els {
 		e := &v.els[i]
 		if l := e.chord(dir); l > 0 {
-			sum += l * e.Rho
+			sum += float64(l * e.Rho)
 		}
 	}
 	return sum
@@ -173,6 +174,23 @@ var sheppLoganSpec = [10][8]float64{
 	{0.0460, 0.023, 0.050, -0.08, -0.605, 0, 0, 0.1},
 	{0.0230, 0.023, 0.020, 0, -0.606, 0, 0, 0.1},
 	{0.0230, 0.046, 0.020, 0.06, -0.605, 0, 0, 0.1},
+}
+
+// ByName returns the named phantom ("shepplogan", "sphere" or
+// "industrial") sized to 0.9 of g's field-of-view radius: the objects a
+// job spec or the ifdk command can ask for.
+func ByName(name string, g geometry.Params) (Phantom, error) {
+	r := g.FOVRadius() * 0.9
+	switch name {
+	case "shepplogan":
+		return SheppLogan3D(r), nil
+	case "sphere":
+		return UniformSphere(r*0.6, 1), nil
+	case "industrial":
+		return IndustrialBlock(r), nil
+	default:
+		return Phantom{}, fmt.Errorf("unknown phantom %q", name)
+	}
 }
 
 // SheppLogan3D returns the modified (high-contrast) 3-D Shepp–Logan head

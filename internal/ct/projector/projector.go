@@ -22,7 +22,10 @@
 // reciprocal multiplies — so a pixel's bits do not depend on the split.
 // On amd64 Go never fuses a multiply and an add on its own, so this holds
 // at every GOAMD64 level; projector_test.go pins it, pixel by pixel,
-// against the one-ray derivation the split was made from.
+// against the one-ray derivation the split was made from. Every product
+// that feeds an add, here and in phantom, is rounded by an explicit
+// float64(…) (halvings included, which Go compiles to a multiply), so
+// arm64, ppc64le and s390x cannot fuse one either (ci/run.sh fusion).
 package projector
 
 import (
@@ -114,14 +117,14 @@ func volumeBoundRadius(g geometry.Params) float64 {
 	hx := float64(g.Nx) * g.Dx / 2
 	hy := float64(g.Ny) * g.Dy / 2
 	hz := float64(g.Nz) * g.Dz / 2
-	return math.Sqrt(hx*hx + hy*hy + hz*hz)
+	return math.Sqrt(float64(hx*hx) + float64(hy*hy) + float64(hz*hz))
 }
 
 func marchRay(vol *volume.Volume, g geometry.Params, ray geometry.Ray, step, bound float64) float64 {
 	// Solve |o + t d|² = bound² for the entry/exit parameters.
 	b := 2 * ray.Origin.Dot(ray.Dir)
-	c := ray.Origin.Dot(ray.Origin) - bound*bound
-	disc := b*b - 4*c
+	c := ray.Origin.Dot(ray.Origin) - float64(bound*bound)
+	disc := float64(b*b) - float64(4*c)
 	if disc <= 0 {
 		return 0
 	}
@@ -135,7 +138,7 @@ func marchRay(vol *volume.Volume, g geometry.Params, ray geometry.Ray, step, bou
 		t0 = 0
 	}
 	var sum float64
-	for t := t0 + step/2; t < t1; t += step {
+	for t := t0 + float64(step/2); t < t1; t += step {
 		p := ray.Origin.Add(ray.Dir.Scale(t))
 		sum += sampleTrilinear(vol, g, p)
 	}
@@ -145,9 +148,9 @@ func marchRay(vol *volume.Volume, g geometry.Params, ray geometry.Ray, step, bou
 // sampleTrilinear samples the volume at a world point by inverting the M0
 // mapping to fractional voxel indices and blending the 8 neighbours.
 func sampleTrilinear(vol *volume.Volume, g geometry.Params, p geometry.Vec3) float64 {
-	fi := p.X/g.Dx + float64(g.Nx-1)/2
-	fj := float64(g.Ny-1)/2 - p.Y/g.Dy
-	fk := float64(g.Nz-1)/2 - p.Z/g.Dz
+	fi := p.X/g.Dx + float64(float64(g.Nx-1)/2)
+	fj := float64(float64(g.Ny-1)/2) - p.Y/g.Dy
+	fk := float64(float64(g.Nz-1)/2) - p.Z/g.Dz
 	i0 := int(math.Floor(fi))
 	j0 := int(math.Floor(fj))
 	k0 := int(math.Floor(fk))
@@ -182,7 +185,7 @@ func sampleTrilinear(vol *volume.Volume, g geometry.Params, p geometry.Vec3) flo
 				if i < 0 || i >= vol.Nx {
 					continue
 				}
-				sum += wx * wy * wz * float64(vol.At(i, j, k))
+				sum += float64(wx * wy * wz * float64(vol.At(i, j, k)))
 			}
 		}
 	}

@@ -1,15 +1,10 @@
-// Package pfs simulates the parallel file system of the paper's testbed
-// (ABCI's GPFS): a striped object store with configurable aggregate read and
-// write bandwidths. Payloads are held in memory (functionally exact), while
-// every operation returns the simulated wall time it would take on the
-// modelled storage — the Tload and Tstore terms of the performance model
-// (Eqs. 8 and 16).
-//
-// Objects are striped round-robin across Targets in StripeSize chunks. An
-// object that spans fewer stripes than there are targets cannot use the full
-// aggregate bandwidth — reproducing the paper's observation that volume
-// slices not tuned to the stripe size leave some Tstore on the table
-// (Sec. 5.3.3).
+// Package pfs is the in-memory byte store that stands in for the parallel
+// file system of the paper's testbed: staged projections, output slices and
+// the result cache's spill tier are objects under string paths, held exactly.
+// Every operation returns n / BW, the time n bytes take at the configured
+// read or write bandwidth, and a throttled store really sleeps it — the seam
+// tests use to stretch jobs. The paper's storage terms Tload and Tstore
+// (Eqs. 8 and 16, ABCI's GPFS) are modelled in internal/perfmodel, not here.
 package pfs
 
 import (
@@ -20,27 +15,11 @@ import (
 	"time"
 )
 
-// Config describes the modelled storage system.
+// Config sets the store's bandwidths.
 type Config struct {
-	ReadBW     float64       // aggregate read bandwidth, bytes/s
-	WriteBW    float64       // aggregate write bandwidth, bytes/s
-	Targets    int           // number of storage targets (stripes)
-	StripeSize int           // stripe chunk in bytes
-	Latency    time.Duration // fixed per-operation latency
-	Throttle   bool          // if true, operations really sleep their simulated time
-}
-
-// ABCIConfig returns a configuration calibrated to the paper's measured
-// GPFS numbers: 28.5 GB/s sequential write (Sec. 5.3.3) and a comparable
-// read bandwidth.
-func ABCIConfig() Config {
-	return Config{
-		ReadBW:     60e9,
-		WriteBW:    28.5e9,
-		Targets:    64,
-		StripeSize: 1 << 20,
-		Latency:    300 * time.Microsecond,
-	}
+	ReadBW   float64 // read bandwidth, bytes/s (default 1e9)
+	WriteBW  float64 // write bandwidth, bytes/s (default 1e9)
+	Throttle bool    // if true, operations really sleep their duration
 }
 
 func (c Config) withDefaults() Config {
@@ -49,12 +28,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WriteBW <= 0 {
 		c.WriteBW = 1e9
-	}
-	if c.Targets <= 0 {
-		c.Targets = 1
-	}
-	if c.StripeSize <= 0 {
-		c.StripeSize = 1 << 20
 	}
 	return c
 }
@@ -66,11 +39,9 @@ type Stats struct {
 	Reads        int64
 	Writes       int64
 	Objects      int
-	SimReadTime  time.Duration
-	SimWriteTime time.Duration
 }
 
-// PFS is a simulated parallel file system. It is safe for concurrent use.
+// PFS is the byte store. It is safe for concurrent use.
 type PFS struct {
 	cfg Config
 
@@ -96,33 +67,13 @@ func (p *PFS) FailAfterWrites(n int64) {
 	p.mu.Unlock()
 }
 
-// Config returns the (defaulted) configuration.
-func (p *PFS) Config() Config { return p.cfg }
-
-// simDuration models one transfer: per-op latency plus the time for the
-// most-loaded target to move its share of the stripes at BW/Targets.
-func (p *PFS) simDuration(n int, bw float64) time.Duration {
-	if n == 0 {
-		return p.cfg.Latency
-	}
-	stripes := (n + p.cfg.StripeSize - 1) / p.cfg.StripeSize
-	used := stripes
-	if used > p.cfg.Targets {
-		used = p.cfg.Targets
-	}
-	// Stripes are dealt round-robin; the most-loaded target holds
-	// ceil(stripes/Targets) of them.
-	perTarget := (stripes + p.cfg.Targets - 1) / p.cfg.Targets
-	bytesOnWorst := perTarget * p.cfg.StripeSize
-	if bytesOnWorst > n {
-		bytesOnWorst = n
-	}
-	targetBW := bw / float64(p.cfg.Targets)
-	return p.cfg.Latency + time.Duration(float64(bytesOnWorst)/targetBW*float64(time.Second))
+// duration is the time n bytes take at bandwidth bw.
+func duration(n int, bw float64) time.Duration {
+	return time.Duration(float64(n) / bw * float64(time.Second))
 }
 
-// Write stores data under path (overwriting any prior object) and returns
-// the simulated transfer time.
+// Write stores a copy of data under path (overwriting any prior object) and
+// returns its duration.
 func (p *PFS) Write(path string, data []byte) (time.Duration, error) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
@@ -135,7 +86,7 @@ func (p *PFS) keep(path string, data []byte) (time.Duration, error) {
 	if path == "" {
 		return 0, fmt.Errorf("pfs: empty path")
 	}
-	d := p.simDuration(len(data), p.cfg.WriteBW)
+	d := duration(len(data), p.cfg.WriteBW)
 	p.mu.Lock()
 	if p.failAfterWrites >= 0 {
 		if p.failAfterWrites == 0 {
@@ -147,7 +98,6 @@ func (p *PFS) keep(path string, data []byte) (time.Duration, error) {
 	p.objects[path] = data
 	p.stats.BytesWritten += int64(len(data))
 	p.stats.Writes++
-	p.stats.SimWriteTime += d
 	p.mu.Unlock()
 	if p.cfg.Throttle {
 		time.Sleep(d)
@@ -155,36 +105,22 @@ func (p *PFS) keep(path string, data []byte) (time.Duration, error) {
 	return d, nil
 }
 
-// Read returns a copy of the object at path and the simulated transfer
-// time.
-func (p *PFS) Read(path string) ([]byte, time.Duration, error) {
-	data, d, err := p.Peek(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, d, nil
-}
-
-// Peek is Read without the copy: it accounts for the read (stats,
-// simulated time, throttling) and returns the stored payload itself. Safe
-// to hand out because Write replaces payloads wholesale and never mutates
-// them in place; callers must treat the slice as read-only.
+// Peek accounts for a read of the object at path (stats, duration,
+// throttling) and returns the stored payload itself. Safe to hand out
+// because Write replaces payloads wholesale and never mutates them in
+// place; callers must treat the slice as read-only.
 func (p *PFS) Peek(path string) ([]byte, time.Duration, error) {
 	p.mu.Lock()
 	data, ok := p.objects[path]
-	var d time.Duration
 	if ok {
-		d = p.simDuration(len(data), p.cfg.ReadBW)
 		p.stats.BytesRead += int64(len(data))
 		p.stats.Reads++
-		p.stats.SimReadTime += d
 	}
 	p.mu.Unlock()
 	if !ok {
 		return nil, 0, fmt.Errorf("pfs: no object %q", path)
 	}
+	d := duration(len(data), p.cfg.ReadBW)
 	if p.cfg.Throttle {
 		time.Sleep(d)
 	}
@@ -218,16 +154,6 @@ func (p *PFS) List(prefix string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Size returns the byte size of the object at path, or -1 when absent.
-func (p *PFS) Size(path string) int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if data, ok := p.objects[path]; ok {
-		return len(data)
-	}
-	return -1
 }
 
 // Stats returns a snapshot of the traffic counters.

@@ -2,7 +2,6 @@ package pfs
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +10,7 @@ import (
 )
 
 func testCfg() Config {
-	return Config{ReadBW: 1e9, WriteBW: 5e8, Targets: 4, StripeSize: 1024}
+	return Config{ReadBW: 1e9, WriteBW: 5e8}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -20,18 +19,12 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if _, err := p.Write("a/b", data); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := p.Read("a/b")
+	got, _, err := p.Peek("a/b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(data) {
 		t.Errorf("got %q", got)
-	}
-	// The returned slice must be a copy.
-	got[0] = 'X'
-	again, _, _ := p.Read("a/b")
-	if again[0] == 'X' {
-		t.Error("Read aliases stored data")
 	}
 }
 
@@ -42,7 +35,7 @@ func TestWriteCopiesInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[0] = 9
-	got, _, _ := p.Read("x")
+	got, _, _ := p.Peek("x")
 	if got[0] != 1 {
 		t.Error("Write aliases caller data")
 	}
@@ -50,7 +43,7 @@ func TestWriteCopiesInput(t *testing.T) {
 
 func TestReadMissing(t *testing.T) {
 	p := New(testCfg())
-	if _, _, err := p.Read("nope"); err == nil {
+	if _, _, err := p.Peek("nope"); err == nil {
 		t.Error("missing object should error")
 	}
 }
@@ -66,15 +59,15 @@ func TestOverwriteAndDelete(t *testing.T) {
 	p := New(testCfg())
 	p.Write("k", []byte{1})
 	p.Write("k", []byte{2, 3})
-	if p.Size("k") != 2 {
-		t.Errorf("size after overwrite = %d", p.Size("k"))
+	if got, _, _ := p.Peek("k"); len(got) != 2 {
+		t.Errorf("size after overwrite = %d", len(got))
 	}
 	p.Delete("k")
 	if p.Exists("k") {
 		t.Error("object survived Delete")
 	}
-	if p.Size("k") != -1 {
-		t.Error("Size of missing object should be -1")
+	if _, _, err := p.Peek("k"); err == nil {
+		t.Error("deleted object still readable")
 	}
 	p.Delete("k") // idempotent
 }
@@ -95,41 +88,37 @@ func TestListPrefix(t *testing.T) {
 
 func TestSimulatedDurationScalesWithSize(t *testing.T) {
 	cfg := testCfg()
-	cfg.Latency = 0
 	p := New(cfg)
-	d1, _ := p.Write("small", make([]byte, 4*1024))  // one stripe per target
-	d2, _ := p.Write("large", make([]byte, 40*1024)) // ten stripes per target
-	if d2 <= d1 {
-		t.Errorf("duration did not scale: %v vs %v", d1, d2)
-	}
-	// Full aggregate bandwidth: 40 KiB at 500 MB/s across 4 targets.
-	want := time.Duration(float64(10*1024) / (cfg.WriteBW / 4) * float64(time.Second))
-	if math.Abs(float64(d2-want)) > 0.2*float64(want) {
-		t.Errorf("duration %v, want ≈ %v", d2, want)
-	}
-}
-
-func TestSmallObjectUnderutilizesStripes(t *testing.T) {
-	// An object smaller than one stripe uses a single target: its effective
-	// bandwidth is BW/Targets (the slice-tuning effect of Sec. 5.3.3).
-	cfg := testCfg()
-	cfg.Latency = 0
-	p := New(cfg)
-	small := 512 // half a stripe
-	d, _ := p.Write("tiny", make([]byte, small))
-	wantSingleTarget := time.Duration(float64(small) / (cfg.WriteBW / float64(cfg.Targets)) * float64(time.Second))
-	if math.Abs(float64(d-wantSingleTarget)) > 0.01*float64(wantSingleTarget) {
-		t.Errorf("tiny object duration %v, want %v (single target)", d, wantSingleTarget)
+	for _, n := range []int{0, 1, 512, 4 << 10, 40 << 10, 3<<20 + 7} {
+		want := time.Duration(float64(n) / cfg.WriteBW * float64(time.Second))
+		if d, _ := p.Write("o", make([]byte, n)); d != want {
+			t.Errorf("write %d B: %v, want %v", n, d, want)
+		}
+		want = time.Duration(float64(n) / cfg.ReadBW * float64(time.Second))
+		if _, d, _ := p.Peek("o"); d != want {
+			t.Errorf("read %d B: %v, want %v", n, d, want)
+		}
 	}
 }
 
-func TestLatencyIncluded(t *testing.T) {
-	cfg := testCfg()
-	cfg.Latency = time.Millisecond
-	p := New(cfg)
-	d, _ := p.Write("o", nil)
-	if d != time.Millisecond {
-		t.Errorf("zero-byte write duration = %v", d)
+func TestThrottleSleepsDuration(t *testing.T) {
+	p := New(Config{ReadBW: 1e6, WriteBW: 2e6, Throttle: true})
+	data := make([]byte, 20000) // 10 ms to write, 20 ms to read
+	start := time.Now()
+	d, err := p.Write("o", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); d != 10*time.Millisecond || el < d {
+		t.Errorf("write returned %v after %v, want 10ms and a sleep at least that long", d, el)
+	}
+	start = time.Now()
+	_, d, err = p.Peek("o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); d != 20*time.Millisecond || el < d {
+		t.Errorf("read returned %v after %v, want 20ms and a sleep at least that long", d, el)
 	}
 }
 
@@ -137,7 +126,7 @@ func TestStats(t *testing.T) {
 	p := New(testCfg())
 	p.Write("a", make([]byte, 100))
 	p.Write("b", make([]byte, 50))
-	p.Read("a")
+	p.Peek("a")
 	s := p.Stats()
 	if s.BytesWritten != 150 || s.Writes != 2 {
 		t.Errorf("write stats %+v", s)
@@ -147,9 +136,6 @@ func TestStats(t *testing.T) {
 	}
 	if s.Objects != 2 {
 		t.Errorf("objects = %d", s.Objects)
-	}
-	if s.SimWriteTime <= 0 || s.SimReadTime <= 0 {
-		t.Error("simulated times not accumulated")
 	}
 }
 
@@ -166,7 +152,7 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				got, _, err := p.Read(key)
+				got, _, err := p.Peek(key)
 				if err != nil || got[0] != byte(i) {
 					t.Errorf("read back %v, %v", got, err)
 					return
@@ -224,26 +210,13 @@ func TestVolumeSliceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestABCIConfigSane(t *testing.T) {
-	cfg := ABCIConfig()
-	if cfg.WriteBW != 28.5e9 {
-		t.Errorf("ABCI write BW = %g", cfg.WriteBW)
-	}
-	p := New(cfg)
-	// Storing a 2 TB volume (the 8K case) should take ≈ 2TB/28.5GB/s ≈ 77 s
-	// of simulated time; check the model with a direct computation.
-	d := p.simDuration(2<<40, cfg.WriteBW)
-	got := d.Seconds()
-	want := float64(2<<40) / 28.5e9
-	if math.Abs(got-want) > 0.05*want {
-		t.Errorf("8K store model = %gs, want ≈ %gs", got, want)
-	}
-}
-
 func TestDefaultsApplied(t *testing.T) {
 	p := New(Config{})
-	cfg := p.Config()
-	if cfg.ReadBW <= 0 || cfg.WriteBW <= 0 || cfg.Targets <= 0 || cfg.StripeSize <= 0 {
-		t.Errorf("defaults missing: %+v", cfg)
+	// Both default bandwidths are 1e9 bytes/s: a nanosecond per byte.
+	if d, _ := p.Write("o", make([]byte, 1000)); d != time.Microsecond {
+		t.Errorf("default write of 1000 B = %v", d)
+	}
+	if _, d, _ := p.Peek("o"); d != time.Microsecond {
+		t.Errorf("default read of 1000 B = %v", d)
 	}
 }

@@ -23,9 +23,9 @@ func SlicePath(prefix string, k int) string {
 	return fmt.Sprintf("%s/slice_%06d.img", prefix, k)
 }
 
-// WriteProjection stores one projection image and returns the simulated
-// transfer time. The image is encoded once, into the buffer the store
-// keeps; img may be reused as soon as the call returns.
+// WriteProjection stores one projection image and returns its write
+// duration. The image is encoded once, into the buffer the store keeps; img
+// may be reused as soon as the call returns.
 func (p *PFS) WriteProjection(prefix string, s int, img *volume.Image) (time.Duration, error) {
 	return p.keep(ProjectionPath(prefix, s), volume.ImageToBytes(img))
 }
@@ -42,18 +42,10 @@ func (p *PFS) ReadProjection(prefix string, s int) (*volume.Image, time.Duration
 	return p.ReadImage(ProjectionPath(prefix, s))
 }
 
-// ReadProjectionInto loads one projection into dst, whose dimensions must
-// match the stored image. See ReadImageInto.
+// ReadProjectionInto decodes one projection directly into dst, whose
+// dimensions must match the stored image: a Peek with no allocation.
 func (p *PFS) ReadProjectionInto(dst *volume.Image, prefix string, s int) (time.Duration, error) {
-	return p.ReadImageInto(dst, ProjectionPath(prefix, s))
-}
-
-// ReadImageInto decodes the object at path directly into dst: the stats and
-// simulated timing of a Read with none of its allocations. It is safe
-// against concurrent writers because Write replaces an object's payload
-// wholesale and never mutates it in place.
-func (p *PFS) ReadImageInto(dst *volume.Image, path string) (time.Duration, error) {
-	blob, d, err := p.Peek(path)
+	blob, d, err := p.Peek(ProjectionPath(prefix, s))
 	if err != nil {
 		return 0, err
 	}
@@ -63,9 +55,9 @@ func (p *PFS) ReadImageInto(dst *volume.Image, path string) (time.Duration, erro
 	return d, nil
 }
 
-// ReadImage loads any image object by full path.
+// ReadImage decodes the image object at a full path into a new image.
 func (p *PFS) ReadImage(path string) (*volume.Image, time.Duration, error) {
-	blob, d, err := p.Read(path)
+	blob, d, err := p.Peek(path)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -77,7 +69,7 @@ func (p *PFS) ReadImage(path string) (*volume.Image, time.Duration, error) {
 }
 
 // WriteVolumeSlices stores a volume as Nz axial slices and returns the total
-// simulated write time.
+// write duration.
 func (p *PFS) WriteVolumeSlices(prefix string, vol *volume.Volume) (time.Duration, error) {
 	var total time.Duration
 	for k := 0; k < vol.Nz; k++ {

@@ -2,9 +2,7 @@ package obs
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"sync/atomic"
 	"time"
 )
 
@@ -40,32 +38,5 @@ func (s Span) Duration() time.Duration {
 // the job settles agree), without storing ID state per span.
 func DeriveSpanID(traceID, name string) string {
 	sum := sha256.Sum256([]byte(traceID + "\x00" + name))
-	return hex.EncodeToString(sum[:8])
-}
-
-// seed mixes the process start time into derived randomness-free IDs.
-var idSeq atomic.Uint64
-
-func init() {
-	idSeq.Store(uint64(time.Now().UnixNano()))
-}
-
-// NewTraceID returns a 16-byte hex trace ID. IDs only need to be unique,
-// not unpredictable, so they are derived by hashing a process-local
-// sequence seeded from the clock — no crypto/rand syscall on the job path.
-func NewTraceID() string {
-	var buf [16]byte
-	binary.BigEndian.PutUint64(buf[:8], idSeq.Add(1))
-	binary.BigEndian.PutUint64(buf[8:], uint64(time.Now().UnixNano()))
-	sum := sha256.Sum256(buf[:])
-	return hex.EncodeToString(sum[:16])
-}
-
-// NewSpanID returns an 8-byte hex span ID.
-func NewSpanID() string {
-	var buf [16]byte
-	binary.BigEndian.PutUint64(buf[:8], idSeq.Add(1))
-	binary.BigEndian.PutUint64(buf[8:], uint64(time.Now().UnixNano())^0x9e3779b97f4a7c15)
-	sum := sha256.Sum256(buf[:])
 	return hex.EncodeToString(sum[:8])
 }

@@ -215,7 +215,7 @@ func TestStreamThroughRouterBitExact(t *testing.T) {
 	// Throttled reads stretch the run so the consumers provably attach
 	// mid-run (the stream begins before the job settles).
 	f := startFleet(t, 2, func(int) service.Options {
-		return service.Options{Workers: 2, PFS: pfs.Config{ReadBW: 2e6, Targets: 1, Throttle: true}}
+		return service.Options{Workers: 2, PFS: pfs.Config{ReadBW: 2e6, Throttle: true}}
 	})
 	c := client.New(f.routerTS.URL)
 	ctx := testCtx(t)
@@ -431,7 +431,7 @@ func TestFailoverPendingJobsOnBackendDeath(t *testing.T) {
 	// runs for seconds, everything behind it stays queued.
 	f := startFleet(t, 3, func(int) service.Options {
 		return service.Options{Workers: 1, CacheBytes: -1,
-			PFS: pfs.Config{ReadBW: 1e6, Targets: 1, Throttle: true}}
+			PFS: pfs.Config{ReadBW: 1e6, Throttle: true}}
 	})
 	c := client.New(f.routerTS.URL)
 	ctx := testCtx(t)
@@ -565,7 +565,7 @@ func TestFailoverPendingJobsOnBackendDeath(t *testing.T) {
 func TestStrandedRouteFailsOverAgain(t *testing.T) {
 	f := startFleet(t, 2, func(int) service.Options {
 		return service.Options{Workers: 1, CacheBytes: -1,
-			PFS: pfs.Config{ReadBW: 1e6, Targets: 1, Throttle: true}}
+			PFS: pfs.Config{ReadBW: 1e6, Throttle: true}}
 	})
 	c := client.New(f.routerTS.URL)
 	ctx := testCtx(t)
@@ -630,7 +630,7 @@ func TestStrandedRouteFailsOverAgain(t *testing.T) {
 func TestRelaySurvivesBackendKillMidRun(t *testing.T) {
 	f := startFleet(t, 2, func(int) service.Options {
 		return service.Options{Workers: 1, CacheBytes: -1,
-			PFS: pfs.Config{ReadBW: 1e6, Targets: 1, Throttle: true}}
+			PFS: pfs.Config{ReadBW: 1e6, Throttle: true}}
 	})
 	c := client.New(f.routerTS.URL)
 	ctx := testCtx(t)
@@ -881,7 +881,7 @@ func TestErrorRelayIsVerbatim(t *testing.T) {
 	// enough to be cancelled, and a third submission per client is refused.
 	f := startFleet(t, 1, func(int) service.Options {
 		return service.Options{Workers: 1, QuotaRPS: 0.01, QuotaBurst: 2,
-			PFS: pfs.Config{ReadBW: 1e6, Targets: 1, Throttle: true}}
+			PFS: pfs.Config{ReadBW: 1e6, Throttle: true}}
 	})
 	ctx := testCtx(t)
 	c := client.New(f.routerTS.URL)

@@ -114,7 +114,7 @@ func TestCostBudgetShedsBigAdmitsSmall(t *testing.T) {
 		Workers:      1,
 		QueueCap:     16,
 		MaxQueuedSec: 1.5 * costBig, // one big job fits; two do not; big+small does
-		PFS:          pfs.Config{ReadBW: 2e5, Targets: 1, Throttle: true},
+		PFS:          pfs.Config{ReadBW: 2e5, Throttle: true},
 	})
 	blocker := testSpec()
 	blocker.NP = 36
@@ -168,7 +168,7 @@ func TestWorkingSetBudget(t *testing.T) {
 		Workers:          1,
 		QueueCap:         16,
 		MaxInflightBytes: 3 * bytesSmall,
-		PFS:              pfs.Config{ReadBW: 2e5, Targets: 1, Throttle: true},
+		PFS:              pfs.Config{ReadBW: 2e5, Throttle: true},
 	})
 	blocker := testSpec()
 	blocker.NP = 36
@@ -224,7 +224,7 @@ func TestCancelDuringStaging(t *testing.T) {
 	spec.NP = 512 // long stage: 512 projections written through a slow PFS
 	m := NewManager(Options{
 		Workers: 1,
-		PFS:     pfs.Config{WriteBW: 2e6, ReadBW: 2e6, Targets: 1, Throttle: true},
+		PFS:     pfs.Config{WriteBW: 2e6, ReadBW: 2e6, Throttle: true},
 	})
 	v, err := m.Submit(spec)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sync"
 
 	"ifdk/internal/core"
@@ -28,14 +27,9 @@ type Entry struct {
 // verify marks the entry verified against ref, recording the RMSE of its
 // volume relative to ref's peak magnitude.
 func (e *Entry) verify(ref *volume.Volume) error {
-	rmse, err := volume.RMSE(ref, e.Volume)
+	rmse, err := volume.RelRMSE(ref, e.Volume)
 	if err != nil {
 		return err
-	}
-	s := ref.Summarize()
-	scale := math.Max(math.Abs(float64(s.Min)), math.Abs(float64(s.Max)))
-	if scale > 0 {
-		rmse /= scale
 	}
 	e.RelRMSE = rmse
 	e.Verified = true
@@ -276,7 +270,7 @@ func (m spillMeta) validDims() bool {
 // is an ordinary miss, an unreadable one or one whose dimensions are out of
 // range a counted spill error and a miss.
 func (c *Cache) readSpill(key string) (*Entry, bool) {
-	blob, _, err := c.store.Read(spillMetaPath(key))
+	blob, _, err := c.store.Peek(spillMetaPath(key))
 	if err != nil {
 		return nil, false
 	}

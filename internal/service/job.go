@@ -152,12 +152,12 @@ func resolveSpec(s Spec) (resolvedSpec, error) {
 	r := resolvedSpec{spec: s}
 	g := geometry.Default(s.NU, s.NU, s.NP, s.NX, s.NX, s.NX)
 	var err error
-	if r.ph, err = pickPhantom(s.Phantom, g); err != nil {
-		return resolvedSpec{}, err
+	if r.ph, err = phantom.ByName(s.Phantom, g); err != nil {
+		return resolvedSpec{}, fmt.Errorf("service: %w", err)
 	}
-	win, err := pickWindow(s.Window)
+	win, err := filter.ParseWindow(s.Window)
 	if err != nil {
-		return resolvedSpec{}, err
+		return resolvedSpec{}, fmt.Errorf("service: %w", err)
 	}
 	if r.prio, err = ParsePriority(s.Priority); err != nil {
 		return resolvedSpec{}, err
@@ -201,29 +201,6 @@ func SpecKey(spec Spec) (string, error) {
 		return "", err
 	}
 	return r.key, nil
-}
-
-func pickPhantom(name string, g geometry.Params) (phantom.Phantom, error) {
-	r := g.FOVRadius() * 0.9
-	switch name {
-	case "shepplogan":
-		return phantom.SheppLogan3D(r), nil
-	case "sphere":
-		return phantom.UniformSphere(r*0.6, 1), nil
-	case "industrial":
-		return phantom.IndustrialBlock(r), nil
-	default:
-		return phantom.Phantom{}, fmt.Errorf("service: unknown phantom %q", name)
-	}
-}
-
-func pickWindow(name string) (filter.Window, error) {
-	for _, w := range []filter.Window{filter.RamLak, filter.SheppLogan, filter.Cosine, filter.Hamming, filter.Hann} {
-		if w.String() == name {
-			return w, nil
-		}
-	}
-	return 0, fmt.Errorf("service: unknown window %q", name)
 }
 
 // Job is one reconstruction request tracked by the manager. All mutable

@@ -43,11 +43,15 @@ var ErrNotFound = errors.New("service: no such job")
 
 // Options configures a Manager.
 type Options struct {
-	Workers    int        // concurrent reconstructions (default 2)
-	QueueCap   int        // bounded admission queue, jobs (default 4·Workers)
-	CacheBytes int64      // result-cache budget in bytes (default 1 GiB, < 0 disables)
-	MaxJobs    int        // retained job records; oldest terminal ones are pruned (default 1024)
-	PFS        pfs.Config // simulated storage backing all jobs (zero = defaults)
+	Workers    int   // concurrent reconstructions (default 2)
+	QueueCap   int   // bounded admission queue, jobs (default 4·Workers)
+	CacheBytes int64 // result-cache budget in bytes (default 1 GiB, < 0 disables)
+	MaxJobs    int   // retained job records; oldest terminal ones are pruned (default 1024)
+
+	// PFS sets the bandwidths of the in-memory store behind every job. It
+	// is a test seam: nothing in production sets it (zero = defaults), and
+	// tests set Throttle to stretch jobs.
+	PFS pfs.Config
 
 	// NodeID, when set, prefixes every job ID ("b2-j00000001" instead of
 	// "j00000001"), making IDs globally unique across a fleet of ifdkd
@@ -296,7 +300,7 @@ func (m *Manager) recoverJob(r *recoveredJob) error {
 		return err
 	}
 	submitted := cmp.Or(parseJTime(sub.Submitted), time.Now())
-	j := m.newJob(r.ID, rs, est, submitted, cmp.Or(sub.TraceID, obs.NewTraceID()), sub.ParentSpan)
+	j := m.newJob(r.ID, rs, est, submitted, cmp.Or(sub.TraceID, api.NewTraceID()), sub.ParentSpan)
 	j.recovered = true
 	if t := r.term; t != nil {
 		return m.apply(j, stateNew, replayEvent[r.State], nil, func() {
@@ -493,7 +497,7 @@ func (m *Manager) Submit(spec Spec) (View, error) {
 func (m *Manager) SubmitWithTrace(spec Spec, traceparent string) (View, error) {
 	traceID, parentSpan, tpErr := api.ParseTraceParent(traceparent)
 	if tpErr != nil {
-		traceID, parentSpan = obs.NewTraceID(), ""
+		traceID, parentSpan = api.NewTraceID(), ""
 	}
 	rs, err := resolveSpec(spec)
 	if err != nil {

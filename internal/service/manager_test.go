@@ -19,7 +19,7 @@ func testSpec() Spec {
 // pfsThrottled models slow storage so in-flight jobs live long enough for
 // cancellation tests to land mid-run.
 func pfsThrottled() pfs.Config {
-	return pfs.Config{ReadBW: 2e6, Targets: 1, Throttle: true}
+	return pfs.Config{ReadBW: 2e6, Throttle: true}
 }
 
 func waitState(t *testing.T, m *Manager, id string, timeout time.Duration) View {

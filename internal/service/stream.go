@@ -230,7 +230,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		if z < 0 || z >= nz || sent[z] {
 			return nil
 		}
-		blob, _, err := s.m.store.Read(pfs.SlicePath(j.outPrefix(), z))
+		blob, _, err := s.m.store.Peek(pfs.SlicePath(j.outPrefix(), z))
 		if err != nil {
 			return nil
 		}

@@ -27,6 +27,25 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	}
 }
 
+func TestIDsUnique(t *testing.T) {
+	hex16 := regexp.MustCompile(`^[0-9a-f]{32}$`)
+	hex8 := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	seen := map[string]bool{}
+	for i := 0; i < 100; i++ {
+		id, sid := NewTraceID(), NewSpanID()
+		if !hex16.MatchString(id) {
+			t.Fatalf("trace ID %q is not 32 hex chars", id)
+		}
+		if !hex8.MatchString(sid) {
+			t.Fatalf("span ID %q is not 16 hex chars", sid)
+		}
+		if seen[id] || seen[sid] {
+			t.Fatalf("duplicate ID among %q, %q", id, sid)
+		}
+		seen[id], seen[sid] = true, true
+	}
+}
+
 func TestParseTraceParentRejects(t *testing.T) {
 	for _, bad := range []string{
 		"",

@@ -262,6 +262,21 @@ func RMSE(a, b *Volume) (float64, error) {
 	return math.Sqrt(sum / float64(a.NumVoxels())), nil
 }
 
+// RelRMSE is RMSE(ref, v) relative to ref's peak magnitude
+// max(|min|, |max|), the error the paper bounds by 1e-5; a ref that is all
+// zero leaves the RMSE unscaled.
+func RelRMSE(ref, v *Volume) (float64, error) {
+	rmse, err := RMSE(ref, v)
+	if err != nil {
+		return 0, err
+	}
+	s := ref.Summarize()
+	if scale := math.Max(math.Abs(float64(s.Min)), math.Abs(float64(s.Max))); scale > 0 {
+		rmse /= scale
+	}
+	return rmse, nil
+}
+
 func rmseFlat(a, b []float32) float64 {
 	var sum float64
 	for n := range a {

@@ -162,6 +162,21 @@ func TestRMSE(t *testing.T) {
 	}
 }
 
+func TestRelRMSE(t *testing.T) {
+	a, b := New(3, 3, 3, IMajor), New(3, 3, 3, IMajor)
+	b.Fill(2)
+	if r, err := RelRMSE(a, b); err != nil || r != 2 {
+		t.Errorf("RelRMSE against an all-zero ref = %v, %v, want the unscaled 2", r, err)
+	}
+	a.Fill(-4) // peak magnitude 4, error 6
+	if r, _ := RelRMSE(a, b); r != 1.5 {
+		t.Errorf("RelRMSE = %v, want 6/4", r)
+	}
+	if _, err := RelRMSE(a, New(2, 2, 2, IMajor)); err == nil {
+		t.Error("RelRMSE with mismatched dims should fail")
+	}
+}
+
 func TestMaxAbsDiff(t *testing.T) {
 	a := New(2, 2, 2, IMajor)
 	b := New(2, 2, 2, KMajor)
