@@ -43,13 +43,14 @@ fusion)
 	# spec, Floating-point operators); amd64 never does. The back-projection
 	# path — internal/ct/interp, internal/ct/kernels/backproject.go and
 	# internal/ct/backproject — the filter's — internal/ct/filter and
-	# internal/ct/kernels/filter.go — the serial loop and the preview tier
-	# on it — internal/ct/fdk, internal/ct/preview and its block means in
+	# internal/ct/kernels/filter.go, and the complex FFT behind its ramp
+	# spectrum, internal/fft — the serial loop and the preview tier on it —
+	# internal/ct/fdk, internal/ct/preview and its block means in
 	# internal/ct/kernels/decimate.go — pkg/volume's statistics (Stats,
 	# RMSE) and the staged bytes — internal/ct/phantom and
 	# internal/ct/projector —, inlined copies included, must compile to no
 	# fused multiply-add on any of them, so that their bits do not depend on
-	# GOARCH. Still outside the gate: the FFT passes
+	# GOARCH. Still outside the gate: the filter core's own FFT passes
 	# (internal/ct/kernels/fft.go), internal/ct/geometry and math.Sin /
 	# math.Cos themselves. This only cross-compiles: arm64 tests are not
 	# run here.
@@ -57,7 +58,7 @@ fusion)
 	for arch in arm64 ppc64le s390x; do
 		fused=$(GOARCH=$arch go build -gcflags='ifdk/...=-S' ./... 2>&1 |
 			grep -E '[[:space:]]FN?M(ADD|SUB)[SD]?[[:space:]]' |
-			grep -E '\(.*/(internal/ct/(interp/|kernels/(backproject|filter|decimate)\.go|backproject/|filter/|fdk/|preview/|phantom/|projector/)|pkg/volume/)' || true)
+			grep -E '\(.*/(internal/ct/(interp/|kernels/(backproject|filter|decimate)\.go|backproject/|filter/|fdk/|preview/|phantom/|projector/)|internal/fft/|pkg/volume/)' || true)
 		if [ -n "$fused" ]; then
 			echo "fused multiply-adds on $arch:" && echo "$fused"
 			status=1
@@ -167,7 +168,7 @@ trace-spans)
 fuzz)
 	# Ten seconds each: the wire codec (pkg/api's one SSE / slice-stream
 	# decoder), the traceparent parser, the spec resolver, journal replay and
-	# compaction, the spill reader, the projection decoder, and the assembly
+	# compaction, the projection decoder, and the assembly
 	# wrappers across tiers (DIF / DIT / Convolve, AccumColumns and
 	# AccumColumnsWindow, filter.ApplyEncoded on every tier ≡ the portable
 	# tier's unfused chain, and ApplyImage ≡ ApplyEncoded of the image's
@@ -179,7 +180,6 @@ fuzz)
 	go test -run '^$' -fuzz FuzzParseTraceParent -fuzztime 10s ./pkg/api
 	go test -run '^$' -fuzz FuzzResolveSpec -fuzztime 10s ./internal/service
 	go test -run '^$' -fuzz FuzzReadJournal -fuzztime 10s ./internal/service
-	go test -run '^$' -fuzz FuzzReadSpill -fuzztime 10s ./internal/service
 	go test -run '^$' -fuzz FuzzImageFromBytesInto -fuzztime 10s ./pkg/volume
 	go test -run '^$' -fuzz FuzzRadix4Tiers -fuzztime 10s ./internal/ct/kernels
 	go test -run '^$' -fuzz FuzzAccumColumnsTiers -fuzztime 10s ./internal/ct/kernels

@@ -85,7 +85,11 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 					w = cmplx.Conj(w)
 				}
 				a := x[start+k]
-				b := x[start+k+half] * w
+				// x·w written out in the operator's own order, each
+				// product rounded, so no GOARCH fuses it into a
+				// multiply-add.
+				xr, xi, wr, wi := real(x[start+k+half]), imag(x[start+k+half]), real(w), imag(w)
+				b := complex(float64(xr*wr)-float64(xi*wi), float64(xr*wi)+float64(xi*wr))
 				x[start+k] = a + b
 				x[start+k+half] = a - b
 			}

@@ -1,6 +1,6 @@
 // Package pfs is the in-memory byte store that stands in for the parallel
-// file system of the paper's testbed: staged projections, output slices and
-// the result cache's spill tier are objects under string paths, held exactly.
+// file system of the paper's testbed: staged projections and output slices
+// are objects under string paths, held exactly.
 // Every operation returns n / BW, the time n bytes take at the configured
 // read or write bandwidth, and a throttled store really sleeps it — the seam
 // tests use to stretch jobs. The paper's storage terms Tload and Tstore

@@ -3,8 +3,12 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -212,4 +216,83 @@ func TestRouterObservabilitySurfaces(t *testing.T) {
 	if !strings.Contains(text, `ifdk_router_probe_seconds_count{backend="b0"}`) {
 		t.Error("no probe latency observations for b0")
 	}
+}
+
+// numericFields calls fn on every int and float field of v, descending into
+// nested structs (api.Metrics' Admission and Cache), with its dotted path.
+func numericFields(v reflect.Value, path string, fn func(path string, f reflect.Value)) {
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), path+v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Struct:
+			numericFields(f, name+".", fn)
+		case reflect.Int, reflect.Int64, reflect.Float64:
+			fn(name, f)
+		}
+	}
+}
+
+// asFloat reads an int or float field as a float64.
+func asFloat(f reflect.Value) float64 {
+	if f.CanInt() {
+		return float64(f.Int())
+	}
+	return f.Float()
+}
+
+// The fleet /v1/metrics fan-in must carry every numeric field of
+// api.Metrics, AdmissionStats and CacheStats: two stub backends report
+// distinct non-zero values in every one, and the router must sum each
+// counter and gauge, take the maximum uptime, average cost_scale and derive
+// jobs_per_sec from the sums. A field added to the wire shape but not to the
+// fan-in reads 0 at the router and fails here by name.
+func TestRouterMetricsFanInCoversEveryField(t *testing.T) {
+	var rbs []Backend
+	var sent [2]api.Metrics
+	for i := range sent {
+		k := 0
+		numericFields(reflect.ValueOf(&sent[i]).Elem(), "", func(_ string, f reflect.Value) {
+			k++
+			x := 100*(i+1) + k
+			if f.CanInt() {
+				f.SetInt(int64(x))
+			} else {
+				f.SetFloat(float64(x) + 0.5)
+			}
+		})
+		m := sent[i]
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/metrics" {
+				api.WriteJSON(w, http.StatusOK, m)
+				return
+			}
+			w.WriteHeader(http.StatusOK)
+		}))
+		defer ts.Close()
+		rbs = append(rbs, Backend{Name: fmt.Sprintf("s%d", i), URL: ts.URL})
+	}
+	rt, err := New(Options{Backends: rbs, HealthEvery: time.Second, Logger: testLogger(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt)
+	defer front.Close()
+
+	var got api.Metrics
+	getJSON(t, testCtx(t), front.URL+"/v1/metrics", &got)
+	want := map[string]float64{}
+	for i := range sent {
+		numericFields(reflect.ValueOf(sent[i]), "", func(path string, f reflect.Value) {
+			want[path] += asFloat(f)
+		})
+	}
+	want["UptimeSec"] = max(sent[0].UptimeSec, sent[1].UptimeSec)
+	want["CostScale"] = (sent[0].CostScale + sent[1].CostScale) / 2
+	want["JobsPerSec"] = want["Completed"] / want["UptimeSec"]
+	numericFields(reflect.ValueOf(got), "", func(path string, f reflect.Value) {
+		if g := asFloat(f); math.Abs(g-want[path]) > 1e-9*want[path] {
+			t.Errorf("fleet %s = %v, want %v", path, g, want[path])
+		}
+	})
 }

@@ -1,7 +1,11 @@
 package service
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"ifdk/internal/core"
 	"ifdk/internal/ct/geometry"
@@ -40,6 +44,19 @@ func TestCacheKeyNormalization(t *testing.T) {
 	if CacheKey(a) == CacheKey(e) {
 		t.Error("geometry did not change the key")
 	}
+}
+
+// CacheKey must refuse to hash a config it cannot canonically encode: a
+// silent fallback would fork the keyspace across fleet members.
+func TestCacheKeyPanicsOnNonFiniteGeometry(t *testing.T) {
+	cfg := testCfg(16)
+	cfg.Geometry.SAD = math.NaN()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CacheKey accepted a non-encodable config")
+		}
+	}()
+	CacheKey(cfg)
 }
 
 // entryOfSize builds an entry whose volume payload is nx³ voxels.
@@ -144,5 +161,46 @@ func TestCacheDisabled(t *testing.T) {
 	c.Put("a", &Entry{})
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("disabled cache stored an entry")
+	}
+}
+
+// Through the Manager, the cache budget bounds every result byte retained:
+// with room for one 32³ entry and two job records, fifteen distinct 32³
+// jobs leave the cache within its budget and nothing on the PFS but the
+// staged datasets and the retained jobs' own namespaces. An evicted entry
+// is dropped, not written anywhere else.
+func TestManagerCacheBudgetBoundsRetainedResults(t *testing.T) {
+	m, err := OpenManager(Options{Workers: 1, MaxJobs: 2,
+		CacheBytes: entrySize(entryOfSize(32))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, m)
+	for _, ph := range []string{"shepplogan", "sphere", "industrial"} {
+		for _, w := range []string{"ram-lak", "shepp-logan", "cosine", "hamming", "hann"} {
+			v, err := m.Submit(Spec{Phantom: ph, NX: 32, R: 1, C: 1, Window: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := waitState(t, m, v.ID, 30*time.Second); got.State != StateDone {
+				t.Fatalf("%s/%s: %s (%s)", ph, w, got.State, got.Error)
+			}
+		}
+	}
+	if st := m.cache.Stats(); st.Bytes > st.MaxBytes {
+		t.Fatalf("cache holds %d B over its %d B budget", st.Bytes, st.MaxBytes)
+	}
+	allowed := []string{"ds/"}
+	for _, v := range m.List() {
+		allowed = append(allowed, "jobs/"+v.ID+"/")
+	}
+	var stray []string
+	for _, path := range m.Store().List("") {
+		if !slices.ContainsFunc(allowed, func(p string) bool { return strings.HasPrefix(path, p) }) {
+			stray = append(stray, path)
+		}
+	}
+	if len(stray) > 0 {
+		t.Fatalf("%d PFS objects outside %v, first %s", len(stray), allowed, stray[0])
 	}
 }

@@ -122,10 +122,10 @@ type resolvedSpec struct {
 	plan preview.Plan // Factor ≥ 1; meaningful when qual.WantsPreview()
 
 	// fullKey is the full-resolution result key — byte-identical to the
-	// pre-quality derivation, so existing caches, spills, journals and
-	// rendezvous placements stay valid. prevKey ("" unless the tier builds a
-	// preview) can never alias any fullKey. key is the job's primary result
-	// key: prevKey for preview-quality jobs, fullKey otherwise.
+	// pre-quality derivation, so existing caches, journals and rendezvous
+	// placements stay valid. prevKey ("" unless the tier builds a preview)
+	// can never alias any fullKey. key is the job's primary result key:
+	// prevKey for preview-quality jobs, fullKey otherwise.
 	fullKey string
 	prevKey string
 	key     string

@@ -129,7 +129,6 @@ func (m *Manager) apply(j *Job, from State, ev event, res *Entry, set func()) er
 		return err
 	}
 	if fx.cachePut {
-		// Outside j.mu: a Put may spill an evicted entry to the PFS.
 		m.cache.Put(j.cacheKey, res)
 	}
 	now := time.Now()

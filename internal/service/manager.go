@@ -236,7 +236,6 @@ func OpenManager(opt Options) (*Manager, error) {
 		m.log = obs.NopLogger()
 	}
 	m.met = newMetricsSet(m)
-	m.cache.enableSpill(m.store)
 	if opt.JournalDir != "" {
 		jn, recovered, maxSeq, err := openJournal(opt.JournalDir)
 		if err != nil {
@@ -638,9 +637,8 @@ func (m *Manager) Get(id string) (View, bool) {
 }
 
 // resultFor returns a job's terminal result entry, falling through to the
-// cache — and through it to the PFS spill tier — when the job record does
-// not hold one itself (a done job readmitted from spill, or one whose
-// entry another path dropped). nil when no result is reachable.
+// cache when the job record does not hold one itself (a done job replayed
+// from the journal). nil when no result is reachable.
 func (m *Manager) resultFor(j *Job) *Entry {
 	j.mu.Lock()
 	e, st := j.result, j.state

@@ -49,15 +49,11 @@ var promFor = map[string]string{
 
 	"wait_sec": "ifdk_queue_wait_seconds",
 
-	"cache.hits":         "ifdk_cache_hits_total",
-	"cache.misses":       "ifdk_cache_misses_total",
-	"cache.entries":      "ifdk_cache_entries",
-	"cache.bytes":        "ifdk_cache_bytes",
-	"cache.max_bytes":    "ifdk_cache_max_bytes",
-	"cache.spills":       "ifdk_cache_spills_total",
-	"cache.spill_hits":   "ifdk_cache_spill_hits_total",
-	"cache.spill_bytes":  "ifdk_cache_spill_bytes_total",
-	"cache.spill_errors": "ifdk_cache_spill_errors_total",
+	"cache.hits":      "ifdk_cache_hits_total",
+	"cache.misses":    "ifdk_cache_misses_total",
+	"cache.entries":   "ifdk_cache_entries",
+	"cache.bytes":     "ifdk_cache_bytes",
+	"cache.max_bytes": "ifdk_cache_max_bytes",
 
 	"pfs_read_mb":  "ifdk_pfs_read_bytes_total",
 	"pfs_write_mb": "ifdk_pfs_write_bytes_total",

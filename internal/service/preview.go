@@ -14,11 +14,11 @@ import (
 )
 
 // buildPreview resolves the job's preview tier: from the result cache when
-// an identical preview already exists (falling through to the PFS spill
-// tier), otherwise by reconstructing the decimated problem from the staged
-// dataset. The entry lands in the cache under the preview key and on
-// the job record, and its availability is announced with EventPreview —
-// for a progressive job, before any full-resolution round has run.
+// an identical preview already exists, otherwise by reconstructing the
+// decimated problem from the staged dataset. The entry lands in the cache
+// under the preview key and on the job record, and its availability is
+// announced with EventPreview — for a progressive job, before any
+// full-resolution round has run.
 func (m *Manager) buildPreview(ctx context.Context, j *Job) (*Entry, error) {
 	t0 := time.Now()
 	entry, hit := m.cache.Get(j.previewKey)
@@ -48,10 +48,8 @@ func (m *Manager) buildPreview(ctx context.Context, j *Job) (*Entry, error) {
 }
 
 // previewFor returns a job's preview entry for serving: the one pinned on
-// the job record, else the cache under the preview key (and through it the
-// PFS spill tier — a restarted or byte-pressured daemon can still serve a
-// preview it no longer holds in memory). nil when the tier has not been
-// built or is unreachable.
+// the job record, else the cache under the preview key. nil when the tier
+// has not been built or is unreachable.
 func (m *Manager) previewFor(j *Job) *Entry {
 	if !j.qual.WantsPreview() {
 		return nil

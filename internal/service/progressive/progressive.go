@@ -64,10 +64,10 @@ func (q Quality) WantsFull() bool { return q == Full || q == Progressive }
 // full-resolution key. Full keys are SHA-256 hex, so the suffixed form can
 // never collide with any full-resolution key: a preview entry (a coarse
 // volume) is structurally unable to alias a full-resolution entry, in the
-// cache, in the PFS spill tier, and in the router's rendezvous placement —
-// which also means preview jobs hash to their own backend instead of warming
-// the full-resolution key's cache shard. The derivation is a pure function
-// of (full key, factor), so journal replay re-derives it bit-identically.
+// cache and in the router's rendezvous placement — which also means preview
+// jobs hash to their own backend instead of warming the full-resolution
+// key's cache shard. The derivation is a pure function of (full key,
+// factor), so journal replay re-derives it bit-identically.
 func PreviewKey(fullKey string, factor int) string {
 	return fullKey + ".p" + strconv.Itoa(factor)
 }

@@ -148,14 +148,6 @@ func newMetricsSet(m *Manager) *metricsSet {
 		func() float64 { return float64(m.cache.Stats().Bytes) })
 	r.GaugeFunc("ifdk_cache_max_bytes", "Result-cache byte budget.",
 		func() float64 { return float64(m.cache.Stats().MaxBytes) })
-	r.CounterFunc("ifdk_cache_spills_total", "Cache evictions written to the PFS spill tier.",
-		func() float64 { return float64(m.cache.Stats().Spills) })
-	r.CounterFunc("ifdk_cache_spill_hits_total", "Cache lookups served from the PFS spill tier.",
-		func() float64 { return float64(m.cache.Stats().SpillHits) })
-	r.CounterFunc("ifdk_cache_spill_bytes_total", "Cumulative payload bytes spilled to the PFS.",
-		func() float64 { return float64(m.cache.Stats().SpillBytes) })
-	r.CounterFunc("ifdk_cache_spill_errors_total", "Spill writes and reads that failed.",
-		func() float64 { return float64(m.cache.Stats().SpillErrors) })
 
 	r.CounterFunc("ifdk_pfs_read_bytes_total", "Bytes read from the simulated PFS.",
 		func() float64 { return float64(m.store.Stats().BytesRead) })

@@ -237,9 +237,8 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		return sendBlob(z, blob)
 	}
 	// finish emits any slices the event replay window lost, then the
-	// terminal JSON view as the closing part. resultFor falls through to
-	// the cache and its PFS spill tier, so a stream attached to a done job
-	// whose volume was evicted under byte pressure still completes.
+	// terminal JSON view as the closing part, from the job's result when one
+	// is reachable and otherwise from the slices on the PFS.
 	finish := func() {
 		if e := s.m.resultFor(j); e != nil && e.Volume != nil {
 			for z := 0; z < nz; z++ {

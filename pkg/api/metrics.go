@@ -17,21 +17,14 @@ type WaitStats struct {
 	P99   float64 `json:"p99_sec"`
 }
 
-// CacheStats is the result cache's counters snapshot. Hits counts
-// in-memory hits only; lookups served by the PFS spill tier (entries
-// evicted under byte pressure and written to storage instead of dropped)
-// count as SpillHits, so the two tiers' effectiveness is distinguishable.
+// CacheStats is the result cache's counters snapshot. Bytes never exceeds
+// MaxBytes: an evicted entry is dropped.
 type CacheStats struct {
 	Hits     int64 `json:"hits"`
 	Misses   int64 `json:"misses"`
 	Entries  int   `json:"entries"`
 	Bytes    int64 `json:"bytes"`
 	MaxBytes int64 `json:"max_bytes"`
-
-	Spills      int64 `json:"spills,omitempty"`       // evictions written to the PFS spill tier
-	SpillHits   int64 `json:"spill_hits,omitempty"`   // lookups served from the spill tier
-	SpillBytes  int64 `json:"spill_bytes,omitempty"`  // cumulative payload bytes spilled
-	SpillErrors int64 `json:"spill_errors,omitempty"` // spill writes/reads that failed
 }
 
 // Metrics is the service-level counters snapshot served by /v1/metrics. A
