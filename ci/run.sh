@@ -48,17 +48,18 @@ fusion)
 	# internal/ct/fdk, internal/ct/preview and its block means in
 	# internal/ct/kernels/decimate.go — pkg/volume's statistics (Stats,
 	# RMSE) and the staged bytes — internal/ct/phantom and
-	# internal/ct/projector —, inlined copies included, must compile to no
-	# fused multiply-add on any of them, so that their bits do not depend on
-	# GOARCH. Still outside the gate: the filter core's own FFT passes
-	# (internal/ct/kernels/fft.go), internal/ct/geometry and math.Sin /
-	# math.Cos themselves. This only cross-compiles: arm64 tests are not
-	# run here.
+	# internal/ct/projector — and what fixes every volume's add order — the
+	# pipeline in internal/core and the reduce tree in internal/hpc/mpi —,
+	# inlined copies included, must compile to no fused multiply-add on any
+	# of them, so that their bits do not depend on GOARCH. Still outside the
+	# gate: the filter core's own FFT passes (internal/ct/kernels/fft.go),
+	# internal/ct/geometry and math.Sin / math.Cos themselves. This only
+	# cross-compiles: arm64 tests are not run here.
 	status=0
 	for arch in arm64 ppc64le s390x; do
 		fused=$(GOARCH=$arch go build -gcflags='ifdk/...=-S' ./... 2>&1 |
 			grep -E '[[:space:]]FN?M(ADD|SUB)[SD]?[[:space:]]' |
-			grep -E '\(.*/(internal/ct/(interp/|kernels/(backproject|filter|decimate)\.go|backproject/|filter/|fdk/|preview/|phantom/|projector/)|internal/fft/|pkg/volume/)' || true)
+			grep -E '\(.*/(internal/ct/(interp/|kernels/(backproject|filter|decimate)\.go|backproject/|filter/|fdk/|preview/|phantom/|projector/)|internal/(fft|core|hpc/mpi)/|pkg/volume/)' || true)
 		if [ -n "$fused" ]; then
 			echo "fused multiply-adds on $arch:" && echo "$fused"
 			status=1
@@ -135,12 +136,12 @@ tiers)
 	# Convolve, the filter's fused ends (TestFusedEndsSignedZeros) and the
 	# filter on them, the fuzz seeds; the blocked epilogue's transpose,
 	# pinned volume bits and plane-buffer release; the in-place reduce's
-	# tree order.
+	# tree order and the groups it runs over.
 	go test -count=1 -v -run 'TestISAValues' ./internal/ct/kernels/ | grep 'isa='
 	go test -race -count=1 ./internal/ct/kernels/ ./internal/ct/backproject/ ./internal/ct/filter/
 	go test -race -count=1 -run 'TestVolumeBitsPinned|TestEpilogueFailureReleasesPlanes' ./internal/core/
 	go test -race -count=1 -run 'KMajorToIMajor|Reshape' ./pkg/volume/
-	go test -race -count=1 -run 'Reduce' ./internal/hpc/mpi/
+	go test -race -count=1 -run 'Reduce|Group' ./internal/hpc/mpi/
 	;;
 tiers-v3)
 	# The kernel tiers and the pinned bits built at GOAMD64=v3: coverage of

@@ -97,9 +97,9 @@ func (s StageTimes) Delta() float64 {
 // foldTimes folds one more rank's clock into the job's. The four stages that
 // overlap inside Compute are busy times and fold element-wise: each is the
 // worst rank's. Compute, Reduce, Store and Total are consecutive wall
-// intervals of one rank and are taken together, from the row root (grid
-// column 0, the only rank that stores) that finished last, so that they
-// still add up to Total and Store is never a non-root's zero. An
+// intervals of one rank and are taken together, from the row root (Row[0]
+// of its Plan entry, the only rank that stores) that finished last, so that
+// they still add up to Total and Store is never a non-root's zero. An
 // element-wise maximum counts the skew between two ranks of a row twice —
 // as the slower rank's Compute and as the faster rank's wait inside Reduce —
 // which does not shrink with the job and so grows as a share of it whenever
@@ -122,7 +122,6 @@ func foldTimes(job, rank StageTimes, rowRoot bool) StageTimes {
 // pipeline starts, so recording is allocation-free in steady state; the
 // service layer turns them into trace spans once, at job end.
 type RoundTrace struct {
-	Round     int           // round index r in [0, quota)
 	FilterOff time.Duration // offset of the load+filter+transpose of this round's projection
 	FilterDur time.Duration // load+filter+transpose busy time for that projection
 	GatherOff time.Duration // offset of the round's AllGather
@@ -133,7 +132,7 @@ type RoundTrace struct {
 type Result struct {
 	Volume    *volume.Volume // full volume at rank 0 (nil unless AssembleVolume)
 	PerRank   []StageTimes
-	Rounds    [][]RoundTrace // per-rank per-round stage timings
+	Rounds    [][]RoundTrace // Rounds[k][r]: rank k's round r
 	Max       StageTimes     // the job's clock: PerRank folded by foldTimes
 	BytesSent int64          // total MPI payload bytes
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -199,67 +200,131 @@ func TestMissingInputFails(t *testing.T) {
 	}
 }
 
+// forEachGrid builds the plan of every grid with R, C in {1, 2, 3, 4, 8},
+// Np = 3·R·C and Nz = 4·R, and hands it to check.
+func forEachGrid(t *testing.T, check func(R, C, np, nz int, p Plan)) {
+	t.Helper()
+	for _, R := range []int{1, 2, 3, 4, 8} {
+		for _, C := range []int{1, 2, 3, 4, 8} {
+			np, nz := 3*R*C, 4*R
+			g := geometry.Default(8, 8, np, 8, 8, nz)
+			p, err := NewPlan(Config{R: R, C: C, Geometry: g, InputPrefix: "in"})
+			if err != nil {
+				t.Fatalf("%dx%d: %v", R, C, err)
+			}
+			if len(p.Ranks) != R*C {
+				t.Fatalf("%dx%d: %d ranks", R, C, len(p.Ranks))
+			}
+			check(R, C, np, nz, p)
+		}
+	}
+}
+
+// Fig. 3a: R=8, C=4, 32 ranks; rank 9 is row 1, column 1 and filters the
+// second 32 of column 1's projections [256, 512).
 func TestDecompositionHelpers(t *testing.T) {
-	// Fig. 3a: R=8, C=4, 32 ranks; rank 9 is row 1, column 1.
-	if RankRow(9, 8) != 1 || RankCol(9, 8) != 1 {
-		t.Error("rank 9 should be (row 1, col 1)")
+	g := geometry.Default(8, 8, 1024, 8, 8, 4096)
+	p, err := NewPlan(Config{R: 8, C: 4, Geometry: g, InputPrefix: "in"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if RankID(1, 1, 8) != 9 {
-		t.Error("RankID inverse broken")
+	rk := p.Ranks[9]
+	if rk.Projs[0] != 256+32 || rk.Projs[31] != 256+63 || len(rk.Projs) != 32 {
+		t.Errorf("rank 9 filters %d projections from %d to %d, want [288, 320)", len(rk.Projs), rk.Projs[0], rk.Projs[len(rk.Projs)-1])
 	}
-	lo, hi := ColProjRange(1, 1024, 4)
-	if lo != 256 || hi != 512 {
-		t.Errorf("column 1 range [%d,%d)", lo, hi)
+	if !slices.Equal(rk.Column, []int{8, 9, 10, 11, 12, 13, 14, 15}) || !slices.Equal(rk.Row, []int{1, 9, 17, 25}) {
+		t.Errorf("rank 9: column %v, row %v", rk.Column, rk.Row)
 	}
-	lo, hi = RankProjRange(2, 1, 1024, 8, 4)
-	if lo != 256+2*32 || hi != 256+3*32 {
-		t.Errorf("rank range [%d,%d)", lo, hi)
+	if rk.Z0 != 256 || rk.Z1 != 512 {
+		t.Errorf("rank 9 slab [%d,%d), want [256,512)", rk.Z0, rk.Z1)
 	}
-	z0, z1 := RowSlab(3, 4096, 32)
-	if z0 != 3*64 || z1 != 4*64 {
+	if z0, z1 := RowSlab(3, 4096, 32); z0 != 3*64 || z1 != 4*64 {
 		t.Errorf("slab [%d,%d)", z0, z1)
 	}
 }
 
-// Projection coverage: every projection is loaded by exactly one rank, and
-// each column covers its share exactly.
+// Projection coverage: every projection is filtered by exactly one rank, and
+// a column's gather labels are its members' round-r projections and together
+// its contiguous 1/C share.
 func TestProjectionPartition(t *testing.T) {
-	const R, C, Np = 4, 3, 120
-	seen := make([]int, Np)
-	for col := 0; col < C; col++ {
-		for row := 0; row < R; row++ {
-			lo, hi := RankProjRange(row, col, Np, R, C)
-			for s := lo; s < hi; s++ {
-				seen[s]++
+	forEachGrid(t, func(R, C, np, nz int, p Plan) {
+		filtered := make([]int, np)
+		for k, rk := range p.Ranks {
+			for _, s := range rk.Projs {
+				filtered[s]++
+			}
+			// Round r, position i delivers Ranks[Column[i]].Projs[r].
+			lo := rk.Column[0] / R * (np / C)
+			var labels []int
+			for r := range rk.Projs {
+				for _, m := range rk.Column {
+					labels = append(labels, p.Ranks[m].Projs[r])
+				}
+			}
+			slices.Sort(labels)
+			for i, s := range labels {
+				if s != lo+i {
+					t.Fatalf("%dx%d rank %d: gathers %v, want [%d,%d)", R, C, k, labels, lo, lo+np/C)
+				}
 			}
 		}
-	}
-	for s, n := range seen {
-		if n != 1 {
-			t.Fatalf("projection %d loaded %d times", s, n)
+		for s, n := range filtered {
+			if n != 1 {
+				t.Errorf("%dx%d: projection %d filtered %d times", R, C, s, n)
+			}
 		}
-	}
+	})
 }
 
-// Slab coverage: row slab pairs tile [0, Nz) exactly once.
+// Slab coverage: the row roots' slab pairs tile [0, Nz) exactly once, and
+// every row root is in column 0.
 func TestSlabPartition(t *testing.T) {
-	const R, Nz = 8, 64
-	seen := make([]int, Nz)
-	for row := 0; row < R; row++ {
-		z0, z1 := RowSlab(row, Nz, R)
-		for _, k := range []int{z0, z1 - 1} {
-			_ = k
+	forEachGrid(t, func(R, C, np, nz int, p Plan) {
+		planes := make([]int, nz)
+		for k, rk := range p.Ranks {
+			if !slices.Contains(p.Ranks[0].Column, rk.Row[0]) {
+				t.Errorf("%dx%d rank %d: row root %d not in column 0", R, C, k, rk.Row[0])
+			}
+			if rk.Row[0] == k {
+				for z := rk.Z0; z < rk.Z1; z++ {
+					planes[z]++
+					planes[nz-1-z]++
+				}
+			}
 		}
-		for k := z0; k < z1; k++ {
-			seen[k]++
-			seen[Nz-1-k]++
+		for z, n := range planes {
+			if n != 1 {
+				t.Errorf("%dx%d: plane %d covered %d times", R, C, z, n)
+			}
 		}
+	})
+}
+
+// The plan's groups: every column has R members and every row C, each member
+// of a group holds the same group, and a row's ranks the same slab pair. A
+// job whose Np does not divide over its ranks gets no plan.
+func TestNewPlan(t *testing.T) {
+	g := geometry.Default(8, 8, 1024, 8, 8, 4096)
+	if _, err := NewPlan(Config{R: 3, C: 1, Geometry: g, InputPrefix: "in"}); err == nil {
+		t.Error("a plan was built for Np = 1024 over 3 ranks")
 	}
-	for k, n := range seen {
-		if n != 1 {
-			t.Fatalf("plane %d covered %d times", k, n)
+	forEachGrid(t, func(R, C, np, nz int, p Plan) {
+		for k, rk := range p.Ranks {
+			if len(rk.Column) != R || len(rk.Row) != C {
+				t.Fatalf("%dx%d rank %d: column %v, row %v", R, C, k, rk.Column, rk.Row)
+			}
+			for _, m := range rk.Column {
+				if !slices.Equal(p.Ranks[m].Column, rk.Column) {
+					t.Errorf("%dx%d: ranks %d and %d disagree on their column", R, C, k, m)
+				}
+			}
+			for _, m := range rk.Row {
+				if !slices.Equal(p.Ranks[m].Row, rk.Row) || p.Ranks[m].Z0 != rk.Z0 || p.Ranks[m].Z1 != rk.Z1 {
+					t.Errorf("%dx%d: ranks %d and %d disagree on their row", R, C, k, m)
+				}
+			}
 		}
-	}
+	})
 }
 
 func TestStageProjectionsValidation(t *testing.T) {
@@ -298,9 +363,6 @@ func TestCollectRounds(t *testing.T) {
 			t.Fatalf("rank %d: %d rounds, want quota %d", rank, len(rounds), quota)
 		}
 		for i, rt := range rounds {
-			if rt.Round != i {
-				t.Errorf("rank %d round %d: Round = %d", rank, i, rt.Round)
-			}
 			if rt.FilterDur <= 0 || rt.GatherDur <= 0 {
 				t.Errorf("rank %d round %d: zero durations %+v", rank, i, rt)
 			}

@@ -43,17 +43,18 @@ func Run(cfg Config, store *pfs.PFS) (*Result, error) {
 // uses to cancel an in-flight job without leaking goroutines. A failing
 // stage unwinds the same way and the call returns that stage's error.
 func RunContext(ctx context.Context, cfg Config, store *pfs.PFS) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	plan, err := NewPlan(cfg)
+	if err != nil {
 		return nil, err
 	}
-	n := cfg.R * cfg.C
+	n := len(plan.Ranks)
 	res := &Result{PerRank: make([]StageTimes, n), Rounds: make([][]RoundTrace, n)}
 	var assembled atomic.Pointer[volume.Volume]
 	var bytesSent atomic.Int64
 
 	tick := func() {}
 	if cfg.Progress != nil {
-		total := cfg.Geometry.Np // quota rounds × R·C ranks = Np ticks
+		total := cfg.Geometry.Np // one tick per projection, on the rank that filters it
 		var mu sync.Mutex
 		done := 0
 		tick = func() {
@@ -76,8 +77,8 @@ func RunContext(ctx context.Context, cfg Config, store *pfs.PFS) (*Result, error
 		}
 	}
 
-	err := mpi.RunContext(ctx, n, func(c *mpi.Comm) error {
-		t, vol, rounds, err := runRank(ctx, cfg, store, c, tick, sliceTick)
+	err = mpi.RunContext(ctx, n, func(c *mpi.Comm) error {
+		t, vol, rounds, err := runRank(ctx, cfg, plan, store, c, tick, sliceTick)
 		if err != nil {
 			return err
 		}
@@ -98,44 +99,37 @@ func RunContext(ctx context.Context, cfg Config, store *pfs.PFS) (*Result, error
 		return nil, err
 	}
 	for rank, t := range res.PerRank {
-		res.Max = foldTimes(res.Max, t, RankCol(rank, cfg.R) == 0)
+		res.Max = foldTimes(res.Max, t, plan.Ranks[rank].Row[0] == rank)
 	}
 	res.Volume = assembled.Load()
 	res.BytesSent = bytesSent.Load()
 	return res, nil
 }
 
-// runRank is the body of one MPI rank: the three-thread pipeline of
-// Fig. 4a followed by the reduce/store epilogue of Fig. 4b. tick is called
-// once per completed AllGather round for progress reporting; sliceTick once
-// per output slice written to the PFS, with its global z index.
-func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick func(), sliceTick func(z int)) (StageTimes, *volume.Volume, []RoundTrace, error) {
+// runRank is the body of one MPI rank, executing its entry of plan: the
+// three-thread pipeline of Fig. 4a followed by the reduce/store epilogue of
+// Fig. 4b. tick is called once per completed AllGather round for progress
+// reporting; sliceTick once per output slice written to the PFS, with its
+// global z index.
+func runRank(ctx context.Context, cfg Config, plan Plan, store *pfs.PFS, c *mpi.Comm, tick func(), sliceTick func(z int)) (StageTimes, *volume.Volume, []RoundTrace, error) {
 	var t StageTimes
 	g := cfg.Geometry
-	row := RankRow(c.Rank(), cfg.R)
-	col := RankCol(c.Rank(), cfg.R)
-	colComm, err := c.Split(col, row) // column group: AllGather of projections
+	me := plan.Ranks[c.Rank()]
+	colComm, err := c.Group(me.Column) // column group: AllGather of projections
 	if err != nil {
 		return t, nil, nil, err
 	}
-	rowComm, err := c.Split(row, col) // row group: Reduce of sub-volumes
+	rowComm, err := c.Group(me.Row) // row group: Reduce of sub-volumes
 	if err != nil {
 		return t, nil, nil, err
 	}
 
 	start := time.Now()
-	quota := g.Np / (cfg.R * cfg.C)
 	// Pre-sized per-rank round-trace buffer: the filter thread writes the
-	// Filter* fields of entry s-myLo, the main thread the Gather* fields of
-	// entry r — disjoint fields, fixed capacity, zero steady-state allocs.
-	rounds := make([]RoundTrace, quota)
-	for i := range rounds {
-		rounds[i].Round = i
-	}
-	colLo, _ := ColProjRange(col, g.Np, cfg.C)
-	myLo, myHi := RankProjRange(row, col, g.Np, cfg.R, cfg.C)
-	z0, z1 := RowSlab(row, g.Nz, cfg.R)
-	h := z1 - z0
+	// Filter* fields of entry r, the main thread the Gather* fields — disjoint
+	// fields, fixed capacity, zero steady-state allocs.
+	rounds := make([]RoundTrace, len(me.Projs))
+	h := me.Z1 - me.Z0
 
 	// The first stage to fail cancels the rank's context with its error;
 	// every channel send selects on it, so the other two stages unwind too,
@@ -170,7 +164,7 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 			if err != nil {
 				return err
 			}
-			for s := myLo; s < myHi; s++ {
+			for r, s := range me.Projs {
 				if err := context.Cause(ctx); err != nil {
 					return err
 				}
@@ -188,8 +182,8 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 					return fmt.Errorf("rank %d: projection %d: %w", c.Rank(), s, err)
 				}
 				t.Filter += time.Since(fltStart)
-				rounds[s-myLo].FilterOff = roundOff
-				rounds[s-myLo].FilterDur = time.Since(start) - roundOff
+				rounds[r].FilterOff = roundOff
+				rounds[r].FilterDur = time.Since(start) - roundOff
 				select {
 				case chA <- projItem{s: s, buf: blk}:
 				case <-ctx.Done():
@@ -205,7 +199,7 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 	// projections and accumulate them into the rank's slab-pair volume,
 	// reading the shared transposed blocks in place. chB holds QueueDepth
 	// rounds of R blocks each, the same look-ahead as chA.
-	chB := make(chan projItem, QueueDepth*max(1, cfg.R))
+	chB := make(chan projItem, QueueDepth*len(me.Column))
 	local := engine.Volumes.Acquire(g.Nx, g.Ny, 2*h, volume.KMajor)
 	go func() {
 		defer wg.Done()
@@ -226,7 +220,7 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 				}
 				bpStart := time.Now()
 				task := backproject.Task{Mats: mats, Proj: imgs, Transposed: true}
-				err := backproject.ProposedSlabPair(task, local, backproject.Options{Workers: 1}, g.Nz, z0, z1)
+				err := backproject.ProposedSlabPair(task, local, backproject.Options{Workers: 1}, g.Nz, me.Z0, me.Z1)
 				// The batch is consumed (or abandoned) either way: this
 				// rank's holds on its shared blocks are released.
 				releaseBufs()
@@ -263,11 +257,11 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 	}()
 
 	// --- Main thread: one AllGather per projection round (Sec. 4.1.3);
-	// round r exchanges each column rank's r-th filtered projection, whose
-	// global index is colLo + i·quota + r for the rank at column position i.
-	// It owns chB and closes it once its own error, if any, is recorded.
+	// round r exchanges each column rank's r-th filtered projection, in the
+	// plan's gather order. It owns chB and closes it once its own error, if
+	// any, is recorded.
 	fail(func() error {
-		for r := 0; r < quota; r++ {
+		for r, want := range me.Projs {
 			if err := context.Cause(ctx); err != nil {
 				return err
 			}
@@ -275,9 +269,9 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 			if !ok {
 				return fmt.Errorf("rank %d: filtering ended early at round %d", c.Rank(), r)
 			}
-			if it.s != myLo+r {
+			if it.s != want {
 				it.buf.Release()
-				return fmt.Errorf("rank %d: projection %d out of order (want %d)", c.Rank(), it.s, myLo+r)
+				return fmt.Errorf("rank %d: projection %d out of order (want %d)", c.Rank(), it.s, want)
 			}
 			agOff := time.Since(start)
 			agStart := time.Now()
@@ -291,9 +285,8 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 			rounds[r].GatherOff = agOff
 			rounds[r].GatherDur = time.Since(agStart)
 			for i, blk := range blocks {
-				s := colLo + i*quota + r
 				select {
-				case chB <- projItem{s: s, buf: blk}:
+				case chB <- projItem{s: plan.Ranks[me.Column[i]].Projs[r], buf: blk}:
 				case <-ctx.Done():
 					for _, rest := range blocks[i:] {
 						rest.Release() // never sent: back to the pool here
@@ -343,8 +336,8 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 		return t, nil, rounds, nil
 	}
 
-	// Row root (grid column 0). The transpose from k-major into plane order
-	// counts as store: it is how the slices are laid out.
+	// Row root. The transpose from k-major into plane order counts as store:
+	// it is how the slices are laid out.
 	storeStart := time.Now()
 	planes := engine.Blocks.Acquire(len(local.Data))
 	volume.KMajorToIMajor(planes.Data, local.Data, g.Nx, g.Ny, 2*h)
@@ -354,7 +347,7 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 	defer func() { planes.Release() }()
 	nxy := g.Nx * g.Ny
 	if cfg.OutputPrefix != "" {
-		for p, globalZ := range backproject.SlabPlanes(g.Nz, z0, z1) {
+		for p, globalZ := range backproject.SlabPlanes(g.Nz, me.Z0, me.Z1) {
 			// Honour cancellation between slices so an aborted job
 			// stops publishing output (and slice callbacks) promptly.
 			if err := ctx.Err(); err != nil {
@@ -373,16 +366,18 @@ func runRank(ctx context.Context, cfg Config, store *pfs.PFS, c *mpi.Comm, tick 
 	if cfg.AssembleVolume {
 		if c.Rank() == 0 {
 			full = volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor)
-			if err := backproject.PlaceSlabPair(full, planes.Data, z0, z1); err != nil {
+			if err := backproject.PlaceSlabPair(full, planes.Data, me.Z0, me.Z1); err != nil {
 				return t, nil, nil, err
 			}
-			for otherRow := 1; otherRow < cfg.R; otherRow++ {
-				blk, err := c.RecvBuf(RankID(otherRow, 0, cfg.R), tagAssemble)
+			for _, root := range me.Column { // column 0: every row's root
+				if root == c.Rank() {
+					continue
+				}
+				blk, err := c.RecvBuf(root, tagAssemble)
 				if err != nil {
 					return t, nil, nil, err
 				}
-				oz0, oz1 := RowSlab(otherRow, g.Nz, cfg.R)
-				err = backproject.PlaceSlabPair(full, blk.Data, oz0, oz1)
+				err = backproject.PlaceSlabPair(full, blk.Data, plan.Ranks[root].Z0, plan.Ranks[root].Z1)
 				blk.Release()
 				if err != nil {
 					return t, nil, nil, err

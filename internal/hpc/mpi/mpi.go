@@ -6,6 +6,8 @@
 // Sec. 4.2. Every payload rides a pooled engine.Blocks block and moves by
 // handle, never by copy: SendBuf hands its block to the receiver, and
 // AllGatherShared hands every rank of the ring the same read-only block.
+// Sub-communicators come from Group, which takes its members as a list —
+// the caller already knows them — and never waits.
 //
 // The paper drives iFDK with Intel MPI over InfiniBand; this package is the
 // substitution that lets the full framework — the 2-D rank grid, the column
@@ -19,7 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -61,23 +63,11 @@ type world struct {
 	bytesSent atomic.Int64
 	msgsSent  atomic.Int64
 
-	splitMu sync.Mutex
-	splits  map[string]*splitState
+	groupMu sync.Mutex
+	groups  map[string]*commShared // Group key → the communicator its first member built; kept for the Run
 
 	sharedMu sync.Mutex
 	shareds  []*commShared // every communicator ever built, for abort wakeups
-}
-
-type splitState struct {
-	want    int
-	entries []splitEntry
-	done    bool
-	result  map[int]*commShared // global rank → new shared comm
-	cond    *sync.Cond
-}
-
-type splitEntry struct {
-	color, key, globalRank, commRank int
 }
 
 // commShared is the per-communicator state shared by all member handles.
@@ -94,13 +84,13 @@ type commShared struct {
 
 // Comm is one rank's handle on a communicator.
 type Comm struct {
-	shared   *commShared
-	rank     int // rank within this communicator
-	splitSeq int // number of Splits this rank has performed on this comm
+	shared *commShared
+	rank   int            // rank within this communicator
+	groups map[string]int // member list → Group calls this rank made with it
 }
 
 func newWorld(n int) *world {
-	w := &world{size: n, boxes: make([]*mailbox, n), splits: make(map[string]*splitState)}
+	w := &world{size: n, boxes: make([]*mailbox, n), groups: make(map[string]*commShared)}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
@@ -117,9 +107,8 @@ func (w *world) newShared(global []int) *commShared {
 }
 
 // abort marks the world dead and wakes every blocked waiter: mailbox
-// receivers, in-flight Split rendezvous and Barrier parties. All of them
-// re-check the aborted flag under the same mutex their wait uses, so no
-// wakeup is lost.
+// receivers and Barrier parties. All of them re-check the aborted flag under
+// the same mutex their wait uses, so no wakeup is lost.
 func (w *world) abort() {
 	if w.aborted.Swap(true) {
 		return
@@ -137,11 +126,6 @@ func (w *world) abort() {
 		b.cond.Broadcast()
 		b.mu.Unlock()
 	}
-	w.splitMu.Lock()
-	for _, st := range w.splits {
-		st.cond.Broadcast()
-	}
-	w.splitMu.Unlock()
 	w.sharedMu.Lock()
 	shareds := append([]*commShared(nil), w.shareds...)
 	w.sharedMu.Unlock()
@@ -469,84 +453,41 @@ func (c *Comm) combine(root int, acc []float32, op ReduceOp) (parent int, err er
 	return -1, nil
 }
 
-// Split partitions the communicator: ranks passing the same color form a
-// new communicator, ordered by (key, rank). Every rank of the parent must
-// call Split. iFDK uses two splits to build the R×C grid: one by row index,
-// one by column index (Sec. 4.1.1).
-//
-//ifdk:noctx cancellation contract is Abort/RunContext, which wakes every parked collective
-func (c *Comm) Split(color, key int) (*Comm, error) {
-	if c.shared.w.aborted.Load() {
-		return nil, ErrAborted
+// Group returns a communicator over members, ranks of c listed in the new
+// communicator's rank order; the caller must be one of them. It is the
+// in-process form of MPI-3's MPI_Comm_create_group: only the members call
+// it, and none waits for another — the first to arrive builds the
+// communicator and the others join it. The n-th call a member makes with a
+// member list on c joins the others' n-th, so successive groups over the
+// same members never exchange each other's messages.
+func (c *Comm) Group(members []int) (*Comm, error) {
+	rank := slices.Index(members, c.rank)
+	if rank < 0 {
+		return nil, fmt.Errorf("mpi: rank %d is not in group %v", c.rank, members)
+	}
+	global := make([]int, len(members))
+	for i, m := range members {
+		if m < 0 || m >= c.Size() || slices.Contains(members[:i], m) {
+			return nil, fmt.Errorf("mpi: group %v: member %d out of range or repeated (size %d)", members, m, c.Size())
+		}
+		global[i] = c.shared.global[m]
 	}
 	w := c.shared.w
-	// Key by communicator and per-rank split sequence number: MPI requires
-	// all ranks to call collectives in the same order, so the n-th Split on
-	// a communicator forms one matching set even when ranks overlap in time.
-	stateKey := fmt.Sprintf("%d:%d", c.shared.ctx, c.splitSeq)
-	c.splitSeq++
-	w.splitMu.Lock()
-	st, ok := w.splits[stateKey]
-	if !ok {
-		st = &splitState{want: c.Size()}
-		st.cond = sync.NewCond(&w.splitMu)
-		w.splits[stateKey] = st
+	if w.aborted.Load() {
+		return nil, ErrAborted
 	}
-	st.entries = append(st.entries, splitEntry{color: color, key: key, globalRank: c.GlobalRank(), commRank: c.rank})
-	if len(st.entries) == st.want {
-		// Last arrival builds all sub-communicators.
-		st.result = make(map[int]*commShared)
-		groups := map[int][]splitEntry{}
-		for _, e := range st.entries {
-			groups[e.color] = append(groups[e.color], e)
-		}
-		colors := make([]int, 0, len(groups))
-		for col := range groups {
-			colors = append(colors, col)
-		}
-		sort.Ints(colors)
-		for _, col := range colors {
-			g := groups[col]
-			sort.Slice(g, func(a, b int) bool {
-				if g[a].key != g[b].key {
-					return g[a].key < g[b].key
-				}
-				return g[a].commRank < g[b].commRank
-			})
-			global := make([]int, len(g))
-			for i, e := range g {
-				global[i] = e.globalRank
-			}
-			shared := w.newShared(global)
-			for _, e := range g {
-				st.result[e.globalRank] = shared
-			}
-		}
-		st.done = true
-		// Reset for the next Split on this parent communicator.
-		delete(w.splits, stateKey)
-		st.cond.Broadcast()
-	} else {
-		for !st.done {
-			if w.aborted.Load() {
-				st.cond.Broadcast()
-				w.splitMu.Unlock()
-				return nil, ErrAborted
-			}
-			st.cond.Wait()
-		}
+	list := fmt.Sprint(members)
+	if c.groups == nil {
+		c.groups = make(map[string]int)
 	}
-	shared := st.result[c.GlobalRank()]
-	w.splitMu.Unlock()
+	key := fmt.Sprintf("%d:%s#%d", c.shared.ctx, list, c.groups[list])
+	c.groups[list]++
+	w.groupMu.Lock()
+	defer w.groupMu.Unlock()
+	shared := w.groups[key]
 	if shared == nil {
-		return nil, fmt.Errorf("mpi: split produced no group for rank %d", c.rank)
+		shared = w.newShared(global)
+		w.groups[key] = shared
 	}
-	newRank := -1
-	for i, g := range shared.global {
-		if g == c.GlobalRank() {
-			newRank = i
-			break
-		}
-	}
-	return &Comm{shared: shared, rank: newRank}, nil
+	return &Comm{shared: shared, rank: rank}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -304,18 +305,25 @@ func TestReduceDeterministic(t *testing.T) {
 	}
 }
 
-// The 2-D grid decomposition of iFDK: split the world into rows and
+// The 2-D grid decomposition of iFDK: group the world into rows and
 // columns and check group shapes and membership (Fig. 3a: R=4, C=2).
 func TestSplitGrid(t *testing.T) {
 	const R, C = 4, 2
 	err := Run(R*C, func(c *Comm) error {
 		row := c.Rank() % R
 		col := c.Rank() / R
-		rowComm, err := c.Split(row, col)
+		var rowMembers, colMembers []int
+		for k := 0; k < C; k++ {
+			rowMembers = append(rowMembers, k*R+row)
+		}
+		for k := 0; k < R; k++ {
+			colMembers = append(colMembers, col*R+k)
+		}
+		rowComm, err := c.Group(rowMembers)
 		if err != nil {
 			return err
 		}
-		colComm, err := c.Split(col, row)
+		colComm, err := c.Group(colMembers)
 		if err != nil {
 			return err
 		}
@@ -328,6 +336,9 @@ func TestSplitGrid(t *testing.T) {
 		if rowComm.Rank() != col || colComm.Rank() != row {
 			return fmt.Errorf("sub-ranks (%d,%d), want (%d,%d)", rowComm.Rank(), colComm.Rank(), col, row)
 		}
+		if colComm.GlobalRank() != c.Rank() {
+			return fmt.Errorf("col comm global rank %d, want %d", colComm.GlobalRank(), c.Rank())
+		}
 		// Collectives on the sub-communicators must stay within the group.
 		got, err := gatherVals(colComm, []float32{float32(c.Rank())})
 		if err != nil {
@@ -339,14 +350,14 @@ func TestSplitGrid(t *testing.T) {
 				return fmt.Errorf("col gather slot %d = %v, want %v", r, got[r][0], want)
 			}
 		}
-		sum, err := rowComm.ReduceBufs(0, []float32{1}, OpSum)
+		sum, err := rowComm.ReduceBufs(0, []float32{float32(c.Rank())}, OpSum)
 		if err != nil {
 			return err
 		}
 		if rowComm.Rank() == 0 {
 			defer sum.Release()
-			if sum.Data[0] != C {
-				return fmt.Errorf("row reduce = %v", sum.Data)
+			if want := float32(C*row + R*C*(C-1)/2); sum.Data[0] != want {
+				return fmt.Errorf("row reduce = %v, want %v", sum.Data, want)
 			}
 		}
 		return nil
@@ -356,20 +367,99 @@ func TestSplitGrid(t *testing.T) {
 	}
 }
 
-func TestSplitOrdersByKey(t *testing.T) {
-	err := Run(4, func(c *Comm) error {
-		// All same color, keys reversed: new ranks must be reversed.
-		sub, err := c.Split(0, -c.Rank())
-		if err != nil {
-			return err
-		}
-		if want := 3 - c.Rank(); sub.Rank() != want {
-			return fmt.Errorf("sub rank %d, want %d", sub.Rank(), want)
+// A member list must hold the caller once, and only ranks of the parent.
+func TestGroupRejectsBadMembers(t *testing.T) {
+	err := Run(3, func(c *Comm) error {
+		for _, members := range [][]int{
+			{(c.Rank() + 1) % 3}, // without the caller
+			{c.Rank(), 3},        // out of range
+			{-1, c.Rank()},       // out of range
+			{c.Rank(), c.Rank()}, // repeated
+			{c.Rank(), (c.Rank() + 1) % 3, (c.Rank() + 1) % 3}, // repeated
+		} {
+			if g, err := c.Group(members); err == nil {
+				return fmt.Errorf("rank %d: group %v accepted (size %d)", c.Rank(), members, g.Size())
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Two successive groups over the same members are two communicators: a
+// message sent on the first is never received on the second, although
+// source and tag match.
+func TestGroupSuccessiveDoNotCross(t *testing.T) {
+	err := Run(3, func(c *Comm) error {
+		if c.Rank() == 1 {
+			return nil // not a member of either
+		}
+		first, err := c.Group([]int{0, 2})
+		if err != nil {
+			return err
+		}
+		second, err := c.Group([]int{0, 2})
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			if err := sendVals(first, 1, 7, 1); err != nil {
+				return err
+			}
+			return sendVals(second, 1, 7, 2)
+		}
+		got, err := recvVals(second, 0, 7)
+		if err != nil {
+			return err
+		}
+		if got[0] != 2 {
+			return fmt.Errorf("second group received %v, want the message sent on it", got)
+		}
+		if got, err = recvVals(first, 0, 7); err != nil || got[0] != 1 {
+			return fmt.Errorf("first group received %v (%v), want [1]", got, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Group never waits: two members get their communicator while the third
+// never joins, block only in the collective that needs it, and the third's
+// failure then aborts them with every pooled byte back.
+func TestGroupMemberThatNeverJoins(t *testing.T) {
+	base := engine.InUseBytes()
+	errQuit := errors.New("rank 2 quits")
+	var joined sync.WaitGroup
+	joined.Add(2)
+	err := Run(3, func(c *Comm) error {
+		if c.Rank() == 2 {
+			joined.Wait() // returns only if Group did not wait for rank 2
+			return errQuit
+		}
+		g, err := c.Group([]int{0, 1, 2})
+		joined.Done()
+		if err != nil {
+			return err
+		}
+		blocks, err := g.AllGatherBufs(make([]float32, 64))
+		releaseAll(blocks)
+		if !errors.Is(err, ErrAborted) {
+			return fmt.Errorf("gather without rank 2 ended in %v, want ErrAborted", err)
+		}
+		if _, err := c.Group([]int{0, 1}); !errors.Is(err, ErrAborted) {
+			return fmt.Errorf("group in an aborted world: %v, want ErrAborted", err)
+		}
+		return nil
+	})
+	if !errors.Is(err, errQuit) {
+		t.Fatalf("err = %v, want rank 2's error only", err)
+	}
+	if held := engine.InUseBytes() - base; held != 0 {
+		t.Fatalf("%d bytes still in use after the aborted group", held)
 	}
 }
 

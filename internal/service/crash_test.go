@@ -2,9 +2,12 @@ package service
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"ifdk/pkg/api"
 	"ifdk/pkg/volume"
 )
 
@@ -201,5 +204,54 @@ func TestCrashRestartTwice(t *testing.T) {
 	}()
 	if fv := waitState(t, m3, v.ID, 2*time.Minute); fv.State != StateDone {
 		t.Fatalf("job %s finished %s after two crashes, want done", v.ID, fv.State)
+	}
+}
+
+// A job done before a crash comes back without its volume, which died with
+// the old process. Its slices, preview and stream will never be served, so
+// each answers terminal; a retryable not_yet_written (or an empty 200
+// stream) would have clients retry forever.
+func TestCrashRestartDoneJobWithoutResultIsTerminal(t *testing.T) {
+	dir := t.TempDir()
+	m1, err := OpenManager(Options{Workers: 1, NodeID: "b0", JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := m1.Submit(progSpec(api.QualityProgressive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fv := waitState(t, m1, v.ID, 2*time.Minute); fv.State != StateDone {
+		t.Fatalf("job %s finished %s (%s), want done", v.ID, fv.State, fv.Error)
+	}
+	m1.Crash()
+
+	m2, err := OpenManager(Options{Workers: 1, NodeID: "b0", JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(m2))
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = m2.Shutdown(ctx)
+	}()
+	if rv, _ := m2.Get(v.ID); rv.State != StateDone {
+		t.Fatalf("job replayed as %s, want done", rv.State)
+	}
+	for _, path := range []string{"/slice/0", "/preview", "/stream"} {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusConflict {
+			resp.Body.Close()
+			t.Errorf("%s of a replayed done job: HTTP %d, want 409", path, resp.StatusCode)
+			continue
+		}
+		if e := decodeAPIError(t, resp); e.Code != api.CodeTerminal {
+			t.Errorf("%s of a replayed done job: code %s, want %s", path, e.Code, api.CodeTerminal)
+		}
 	}
 }

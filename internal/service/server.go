@@ -120,8 +120,9 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request) {
 // the epilogue writes slices per row group long before the job settles.
 // A malformed or out-of-range index is the client's fault (bad_request); a
 // valid index whose slice has not been written yet is not_yet_written,
-// worth retrying; a failed or cancelled job's slices will never arrive
-// (terminal, as /stream).
+// worth retrying; a terminal job with no reachable result — failed,
+// cancelled, or done before a restart that lost its volume — will never
+// produce it (terminal, as /stream).
 func (s *Server) slice(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.m.job(id)
@@ -139,10 +140,13 @@ func (s *Server) slice(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.CodeBadRequest, "slice %d out of range [0,%d)", z, nz)
 		return
 	}
+	// The state is read first: a job terminal by then holds whatever result
+	// it will ever hold, since the result lands with the flip.
 	var img *volume.Image
+	st := j.State()
 	if e := s.m.resultFor(j); e != nil && e.Volume != nil {
 		img = e.Volume.SliceZ(z)
-	} else if st := j.State(); st == StateFailed || st == StateCancelled {
+	} else if st.Terminal() {
 		// Terminal without a result: the slice will never arrive, so a
 		// retryable not_yet_written would loop clients forever — terminal,
 		// matching /stream.

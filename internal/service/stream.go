@@ -89,8 +89,8 @@ func acceptsGzip(r *http.Request) bool {
 // is a point-in-time artifact, not a stream — it either exists in full or
 // not at all — so a job whose preview phase has not completed answers
 // not_yet_written (retryable); a full-quality job has no preview tier and
-// answers bad_request; a failed or cancelled job without one answers
-// terminal, matching /stream.
+// answers bad_request; a terminal job without one (failed, cancelled, or
+// done before a restart that lost it) answers terminal, matching /stream.
 func (s *Server) preview(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.m.job(id)
@@ -102,9 +102,10 @@ func (s *Server) preview(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.CodeBadRequest, "job %s has quality %s: no preview tier", id, j.qual)
 		return
 	}
+	st := j.State() // first, as in slice: a terminal job's preview is final
 	e := s.m.previewFor(j)
 	if e == nil || e.Volume == nil {
-		if st := j.State(); st == StateFailed || st == StateCancelled {
+		if st.Terminal() {
 			writeErr(w, api.CodeTerminal, "job %s is %s: no preview", id, st)
 			return
 		}
@@ -176,9 +177,13 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 	defer sub.Close()
 
 	nz := j.resultNz()
-	if st := j.State(); st == StateFailed || st == StateCancelled {
-		writeErr(w, api.CodeTerminal, "job %s is %s: no slice stream", id, st)
-		return
+	// A terminal job's slices come only from its result; without one the
+	// stream would stay empty for good.
+	if st := j.State(); st.Terminal() {
+		if e := s.m.resultFor(j); e == nil || e.Volume == nil {
+			writeErr(w, api.CodeTerminal, "job %s is %s: no slice stream", id, st)
+			return
+		}
 	}
 	sw, gz := api.NewSliceWriter(w), acceptsGzip(r)
 	defer sw.Close()

@@ -86,18 +86,18 @@ func (m *Manager) assembleSpans(j *Job) []obs.Span {
 			if r >= maxRoundSpans {
 				break
 			}
-			attr := []obs.Attr{{Key: "round", Value: strconv.Itoa(rt.Round)}}
+			attr := []obs.Attr{{Key: "round", Value: strconv.Itoa(r)}}
 			spans = append(spans,
 				// The filter stage ends with the transposed block the
 				// column shares; back-projection does not transpose.
 				obs.Span{
-					SpanID: sid(fmt.Sprintf("filter.round.%d", rt.Round)), Parent: compute.SpanID,
+					SpanID: sid(fmt.Sprintf("filter.round.%d", r)), Parent: compute.SpanID,
 					Name:  "filter.round",
 					Start: j.tRun0.Add(rt.FilterOff), End: j.tRun0.Add(rt.FilterOff + rt.FilterDur),
 					Attrs: []obs.Attr{attr[0], {Key: "covers", Value: "load+filter+transpose"}},
 				},
 				obs.Span{
-					SpanID: sid(fmt.Sprintf("allgather.round.%d", rt.Round)), Parent: compute.SpanID,
+					SpanID: sid(fmt.Sprintf("allgather.round.%d", r)), Parent: compute.SpanID,
 					Name:  "allgather.round",
 					Start: j.tRun0.Add(rt.GatherOff), End: j.tRun0.Add(rt.GatherOff + rt.GatherDur),
 					Attrs: attr,
