@@ -39,6 +39,7 @@ type Stats struct {
 	Reads        int64
 	Writes       int64
 	Objects      int
+	Bytes        int64 // payload bytes held by the stored objects
 }
 
 // PFS is the byte store. It is safe for concurrent use.
@@ -95,6 +96,7 @@ func (p *PFS) keep(path string, data []byte) (time.Duration, error) {
 		}
 		p.failAfterWrites--
 	}
+	p.stats.Bytes += int64(len(data) - len(p.objects[path]))
 	p.objects[path] = data
 	p.stats.BytesWritten += int64(len(data))
 	p.stats.Writes++
@@ -138,6 +140,7 @@ func (p *PFS) Exists(path string) bool {
 // Delete removes the object at path (no-op when absent).
 func (p *PFS) Delete(path string) {
 	p.mu.Lock()
+	p.stats.Bytes -= int64(len(p.objects[path]))
 	delete(p.objects, path)
 	p.mu.Unlock()
 }

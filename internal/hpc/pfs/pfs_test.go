@@ -134,8 +134,17 @@ func TestStats(t *testing.T) {
 	if s.BytesRead != 100 || s.Reads != 1 {
 		t.Errorf("read stats %+v", s)
 	}
-	if s.Objects != 2 {
-		t.Errorf("objects = %d", s.Objects)
+	if s.Objects != 2 || s.Bytes != 150 {
+		t.Errorf("objects = %d holding %d B, want 2 holding 150 B", s.Objects, s.Bytes)
+	}
+	// Held bytes follow the stored payloads: an overwrite counts its new
+	// size only, and a delete (of a present or an absent path) gives back
+	// exactly what was held.
+	p.Write("a", make([]byte, 30))
+	p.Delete("b")
+	p.Delete("nope")
+	if s := p.Stats(); s.Bytes != 30 || s.BytesWritten != 180 {
+		t.Errorf("after overwrite and delete: held %d B, written %d B; want 30 and 180", s.Bytes, s.BytesWritten)
 	}
 }
 

@@ -899,6 +899,7 @@ func (rt *Router) metrics(w http.ResponseWriter, r *http.Request) {
 		agg.PFSReadMB += m.PFSReadMB
 		agg.PFSWriteMB += m.PFSWriteMB
 		agg.PFSObjects += m.PFSObjects
+		agg.PFSHeldMB += m.PFSHeldMB
 		agg.EventDrops += m.EventDrops
 		for k, v := range m.Jobs {
 			agg.Jobs[k] += v

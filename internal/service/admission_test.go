@@ -217,7 +217,7 @@ func TestCacheHitNotCountedAsCompleted(t *testing.T) {
 }
 
 // Cancelling a job mid-staging must stop synthesis and PFS writes, remove
-// the partial dataset, and release the single-flight slot so a resubmission
+// the partial dataset, and release the dataset's lock so a resubmission
 // stages from scratch.
 func TestCancelDuringStaging(t *testing.T) {
 	spec := testSpec()
@@ -249,19 +249,17 @@ func TestCancelDuringStaging(t *testing.T) {
 	if objs := m.Store().List("ds/"); len(objs) != 0 {
 		t.Errorf("%d partial dataset objects survived the cancel", len(objs))
 	}
-	// The single-flight slot is free again: a resubmission is admitted and
-	// re-stages rather than waiting on the cancelled leader forever.
-	m.stageMu.Lock()
-	slots := len(m.staged)
-	m.stageMu.Unlock()
-	if slots != 0 {
-		t.Errorf("%d staging slots still held after cancel", slots)
+	// The dataset's lock is free again and its scan not marked staged: a
+	// resubmission is admitted and re-stages rather than waiting on the
+	// cancelled stager forever.
+	if n := stagedOrLocked(m); n != 0 {
+		t.Errorf("%d dataset entries still staged or locked after cancel", n)
 	}
 	v2, err := m.Submit(spec)
 	if err != nil {
 		t.Fatalf("resubmit after cancelled staging: %v", err)
 	}
-	waitRunning(t, m, v2.ID) // the new leader is staging again
+	waitRunning(t, m, v2.ID) // the resubmission is staging again
 	_ = m.Cancel(v2.ID)      // keep the test fast; teardown is covered above
 	shutdown(t, m)
 }

@@ -242,6 +242,7 @@ type Job struct {
 	ph       phantom.Phantom
 	cfg      core.Config // InputPrefix set; OutputPrefix/Progress set per run
 	cacheKey string
+	scan     *dataset // the staged entry of cfg.InputPrefix, referenced by this record
 
 	// quality tier (immutable after submit): qual and plan come from
 	// resolveSpec; previewKey is the preview tier's cache key ("" unless the

@@ -163,12 +163,10 @@ func (m *Manager) apply(j *Job, from State, ev event, res *Entry, set func()) er
 	errStr, waited, ran := j.err, j.started.Sub(j.submitted), j.finished.Sub(j.started)
 	j.mu.Unlock()
 
-	var pruned []string
+	var pruned []*Job
 	if fx.enter {
 		m.mu.Lock()
-		m.jobs[j.ID] = j
-		m.order = append(m.order, j.ID)
-		pruned = m.pruneLocked()
+		pruned = m.enterLocked(j)
 		m.mu.Unlock()
 	}
 	m.met.count(fx.count)

@@ -135,11 +135,16 @@ func (o Options) withDefaults() Options {
 // cost-aware priority queue, the worker pool, the shared PFS namespace tree
 // and the result cache. One Manager serves many concurrent clients.
 //
-// Namespace layout inside the shared PFS:
+// Namespace layout inside the shared PFS, each prefix with one owner:
 //
-//	ds/<hash>/proj_*      staged projection datasets, content-addressed and
-//	                      shared by all jobs with identical scans
-//	jobs/<id>/out/slice_* per-job output slices (each job's own namespace)
+//	ds/<hash>/proj_*      a staged scan, content-addressed and shared by every
+//	                      job record that names it (staged). It is written
+//	                      by the first job to run on it and deleted with the
+//	                      last record that names it, or at once if staging
+//	                      fails.
+//	jobs/<id>/out/slice_* a running job's output slices, for mid-run readers.
+//	                      runJob deletes them once the job has settled; a
+//	                      settled job's slices come from its result.
 type Manager struct {
 	opt    Options
 	store  *pfs.PFS
@@ -168,7 +173,7 @@ type Manager struct {
 	waitSamples int // ring capacity
 
 	stageMu sync.Mutex
-	staged  map[string]*stageState
+	staged  map[string]*dataset // by dataset prefix; an entry lives while a record names it
 
 	wg      sync.WaitGroup
 	busy    atomic.Int64
@@ -189,9 +194,11 @@ type Manager struct {
 	log *slog.Logger
 }
 
-type stageState struct {
-	done chan struct{}
-	err  error
+// dataset is one scan's entry in staged.
+type dataset struct {
+	lock   chan struct{} // one slot, held by the job staging the scan
+	staged bool          // the whole scan is on the PFS; guarded by lock
+	refs   int           // job records naming the scan; guarded by stageMu
 }
 
 type tokenBucket struct {
@@ -227,7 +234,7 @@ func OpenManager(opt Options) (*Manager, error) {
 		costScale:   1,
 		quota:       make(map[string]*tokenBucket),
 		waitSamples: 512,
-		staged:      make(map[string]*stageState),
+		staged:      make(map[string]*dataset),
 		open:        true,
 		started:     time.Now(),
 		log:         opt.Logger,
@@ -322,8 +329,18 @@ func (m *Manager) recoverJob(r *recoveredJob) error {
 }
 
 // newJob builds a job record in stateNew from its resolved spec and cost
-// estimate. Its first transition gives it a state.
+// estimate. Its first transition gives it a state. The record holds a
+// reference to its scan until scrub gives it back, or until the Submit that
+// built it refuses it.
 func (m *Manager) newJob(id string, rs resolvedSpec, est perfmodel.Cost, submitted time.Time, traceID, parentSpan string) *Job {
+	m.stageMu.Lock()
+	d := m.staged[rs.cfg.InputPrefix]
+	if d == nil {
+		d = &dataset{lock: make(chan struct{}, 1)}
+		m.staged[rs.cfg.InputPrefix] = d
+	}
+	d.refs++
+	m.stageMu.Unlock()
 	return &Job{
 		ID:          id,
 		Spec:        rs.spec,
@@ -332,6 +349,7 @@ func (m *Manager) newJob(id string, rs resolvedSpec, est perfmodel.Cost, submitt
 		ph:          rs.ph,
 		cfg:         rs.cfg,
 		cacheKey:    rs.key,
+		scan:        d,
 		qual:        rs.qual,
 		plan:        rs.plan,
 		previewKey:  rs.prevKey,
@@ -543,6 +561,7 @@ func (m *Manager) SubmitWithTrace(spec Spec, traceparent string) (View, error) {
 	if m.opt.MaxInflightBytes > 0 && m.chargedJobs > 0 &&
 		m.inflightBytes+j.estBytes > m.opt.MaxInflightBytes {
 		m.mu.Unlock()
+		m.unref(j)
 		m.met.rejectedBytes.Inc()
 		m.log.Warn("job rejected", "reason", "working_set", "trace_id", traceID,
 			"est_bytes", j.estBytes)
@@ -558,6 +577,7 @@ func (m *Manager) SubmitWithTrace(spec Spec, traceparent string) (View, error) {
 	if err := m.queue.Push(j); err != nil {
 		m.mu.Unlock()
 		m.events.Drop(j.ID) // never admitted: no stream to replay
+		m.unref(j)
 		reason := "queue_full"
 		switch {
 		case errors.Is(err, ErrQueueFull):
@@ -570,10 +590,8 @@ func (m *Manager) SubmitWithTrace(spec Spec, traceparent string) (View, error) {
 		return View{}, err
 	}
 	m.chargeLocked(j, 1)
-	m.jobs[j.ID] = j
-	m.order = append(m.order, j.ID)
 	m.met.admitted.Inc()
-	pruned := m.pruneLocked()
+	pruned := m.enterLocked(j)
 	m.mu.Unlock()
 	m.scrub(pruned)
 	// fsync-before-ack: the submit record must be durable before the client
@@ -595,35 +613,55 @@ func (m *Manager) SubmitWithTrace(spec Spec, traceparent string) (View, error) {
 	return j.snapshot(), nil
 }
 
-// pruneLocked evicts the oldest terminal job records beyond MaxJobs so a
-// long-lived daemon's job table stays bounded; callers must hold m.mu and
-// pass the returned IDs to scrub. Live jobs are never pruned.
-func (m *Manager) pruneLocked() []string {
-	var pruned []string
+// enterLocked adds j to the job table and evicts the oldest terminal
+// records beyond MaxJobs, so a long-lived daemon's table stays bounded;
+// callers must hold m.mu and pass the evicted records to scrub. Live jobs
+// are never pruned.
+func (m *Manager) enterLocked(j *Job) []*Job {
+	m.jobs[j.ID] = j
+	m.order = append(m.order, j.ID)
+	var pruned []*Job
 	for i := 0; len(m.order) > m.opt.MaxJobs && i < len(m.order)-1; {
-		id := m.order[i]
-		j, ok := m.jobs[id]
-		if ok && !j.State().Terminal() {
+		old := m.jobs[m.order[i]]
+		if !old.State().Terminal() {
 			i++
 			continue
 		}
-		delete(m.jobs, id)
+		delete(m.jobs, old.ID)
 		m.order = append(m.order[:i], m.order[i+1:]...)
-		pruned = append(pruned, id)
+		pruned = append(pruned, old)
 	}
 	return pruned
 }
 
-// scrub deletes pruned jobs' output namespaces from the PFS, their event
-// streams from the bus and their journal presence (a delete record now,
-// physically dropped at the next boot compaction).
-func (m *Manager) scrub(ids []string) {
-	for _, id := range ids {
-		m.events.Drop(id)
-		for _, path := range m.store.List("jobs/" + id + "/") {
-			m.store.Delete(path)
-		}
-		_ = m.jAppend(journalRecord{T: recDelete, ID: id})
+// scrub forgets records that left the job table: their event streams, their
+// references to their scans, and their journal presence (a delete record
+// now, physically dropped at the next boot compaction).
+func (m *Manager) scrub(jobs []*Job) {
+	for _, j := range jobs {
+		m.events.Drop(j.ID)
+		m.unref(j)
+		_ = m.jAppend(journalRecord{T: recDelete, ID: j.ID})
+	}
+}
+
+// unref gives back j's reference to its scan. The last one deletes the scan
+// and its entry, under stageMu, so a record built meanwhile makes a fresh
+// entry and stages afresh.
+func (m *Manager) unref(j *Job) {
+	m.stageMu.Lock()
+	defer m.stageMu.Unlock()
+	if j.scan.refs--; j.scan.refs == 0 {
+		m.deleteObjects(j.cfg.InputPrefix, j.cfg.Geometry.Np, pfs.ProjectionPath)
+		delete(m.staged, j.cfg.InputPrefix)
+	}
+}
+
+// deleteObjects deletes the objects path(prefix, 0 … n-1) from the PFS. It
+// deletes by name because listing a prefix walks every object in the store.
+func (m *Manager) deleteObjects(prefix string, n int, path func(string, int) string) {
+	for i := 0; i < n; i++ {
+		m.store.Delete(path(prefix, i))
 	}
 }
 
@@ -709,8 +747,8 @@ func (m *Manager) Cancel(id string) error {
 	}
 }
 
-// Delete removes a terminal job's record and its output namespace from the
-// PFS. Cached results survive (they may serve future submissions).
+// Delete removes a terminal job's record, giving back its reference to its
+// scan. Cached results survive (they may serve future submissions).
 func (m *Manager) Delete(id string) error {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -726,7 +764,7 @@ func (m *Manager) Delete(id string) error {
 	if !ok {
 		return fmt.Errorf("job %q: %w", id, ErrNotFound)
 	}
-	m.scrub([]string{id})
+	m.scrub([]*Job{j})
 	return nil
 }
 
@@ -767,6 +805,8 @@ func (m *Manager) runJob(j *Job) {
 		}
 	}
 	_ = m.apply(j, StateRunning, ev, entry, set) // only this worker moves a running job
+	// Settled: the result serves the slices from now on.
+	m.deleteObjects(j.outPrefix(), j.cfg.Geometry.Nz, pfs.SlicePath)
 }
 
 // execute stages the dataset (once per content hash), runs the distributed
@@ -845,48 +885,30 @@ func (m *Manager) execute(ctx context.Context, j *Job) (*Entry, error) {
 	return entry, nil
 }
 
-// stageDataset synthesizes and stores the projections for a job's scan,
-// deduplicated across jobs by content hash (single-flight). The leader
-// stages under its own job's context, checking it between projections, so
-// a cancelled job (or a shutdown) stops synthesizing and writing mid-scan;
-// a partial dataset is deleted and the single-flight slot is released. A
-// follower whose leader was cancelled retries as the new leader, so one
-// cancelled job never poisons the dataset for the jobs waiting on it.
+// stageDataset puts the job's scan on the PFS unless it is there already,
+// once per content hash. The job takes its dataset's lock, so one job
+// stages while the others with the same scan wait, and it stages under its
+// own context, checking it between projections: a cancelled job (or a
+// shutdown) stops mid-scan and deletes the partial scan before letting go.
+// Whoever takes the lock next stages afresh, so one cancelled job never
+// poisons the scan for the jobs waiting on it.
 func (m *Manager) stageDataset(ctx context.Context, j *Job) error {
-	key := j.cfg.InputPrefix
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		m.stageMu.Lock()
-		st, ok := m.staged[key]
-		if !ok {
-			st = &stageState{done: make(chan struct{})}
-			m.staged[key] = st
-			m.stageMu.Unlock()
-			st.err = m.renderAndStage(ctx, j, key)
-			if st.err != nil { // allow a later job to retry
-				for _, path := range m.store.List(key + "/") {
-					m.store.Delete(path) // no one may read a partial scan
-				}
-				m.stageMu.Lock()
-				delete(m.staged, key)
-				m.stageMu.Unlock()
-			}
-			close(st.done)
-			return st.err
-		}
-		m.stageMu.Unlock()
-		select {
-		case <-st.done:
-			if st.err != nil && errors.Is(st.err, context.Canceled) && ctx.Err() == nil {
-				continue // the leader was cancelled, we were not: take over
-			}
-			return st.err
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	select {
+	case j.scan.lock <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
 	}
+	defer func() { <-j.scan.lock }()
+	if j.scan.staged {
+		return nil
+	}
+	if err := m.renderAndStage(ctx, j, j.cfg.InputPrefix); err != nil {
+		// No one may read a partial scan.
+		m.deleteObjects(j.cfg.InputPrefix, j.cfg.Geometry.Np, pfs.ProjectionPath)
+		return err
+	}
+	j.scan.staged = true
+	return nil
 }
 
 // renderAndStage synthesizes the scan's projections and writes them to the
@@ -1008,6 +1030,7 @@ func (m *Manager) Metrics() Metrics {
 		PFSReadMB:  float64(ps.BytesRead) / (1 << 20),
 		PFSWriteMB: float64(ps.BytesWritten) / (1 << 20),
 		PFSObjects: ps.Objects,
+		PFSHeldMB:  float64(ps.Bytes) / (1 << 20),
 		EventDrops: m.events.Drops(),
 	}
 	if up > 0 {

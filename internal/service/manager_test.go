@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,6 +39,22 @@ func waitState(t *testing.T, m *Manager, id string, timeout time.Duration) View 
 	v, _ := m.Get(id)
 	t.Fatalf("job %s stuck in %s after %v", id, v.State, timeout)
 	return View{}
+}
+
+// waitNoSlices waits until no output slice of job id is left on the PFS.
+// runJob deletes them right after the job's terminal transition, so a test
+// that has seen the job settle may still find them for a moment.
+func waitNoSlices(t *testing.T, m *Manager, id string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if len(m.Store().List("jobs/"+id+"/")) == 0 {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("%d output objects of job %q still on the PFS after it settled",
+		len(m.Store().List("jobs/"+id+"/")), id)
 }
 
 func shutdown(t *testing.T, m *Manager) {
@@ -375,27 +392,35 @@ func TestCancelQueued(t *testing.T) {
 	shutdown(t, m)
 }
 
-// Delete removes the record and the job's PFS namespace.
+// A job's output slices are on the PFS while it runs, for mid-run readers,
+// and leave it when the job settles, since its result serves them from
+// then on. Delete then removes the record.
 func TestDeleteJobCleansNamespace(t *testing.T) {
-	m := NewManager(Options{Workers: 1})
+	var m *Manager
+	var onPFS atomic.Int32 // slice callbacks that found their slice stored
+	m = NewManager(Options{Workers: 1, testOnSlice: func(id string, z int) {
+		if m.Store().Exists(pfs.SlicePath("jobs/"+id+"/out", z)) {
+			onPFS.Add(1)
+		}
+	}})
+	defer shutdown(t, m)
 	v, err := m.Submit(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, m, v.ID, 30*time.Second)
-	if n := len(m.Store().List("jobs/" + v.ID + "/")); n == 0 {
-		t.Fatal("no output slices stored")
+	if got := waitState(t, m, v.ID, 30*time.Second); got.State != StateDone {
+		t.Fatalf("state %s: %s", got.State, got.Error)
 	}
+	if n, want := int(onPFS.Load()), testSpec().NX; n != want {
+		t.Errorf("%d of %d slices were on the PFS when published mid-run", n, want)
+	}
+	waitNoSlices(t, m, v.ID)
 	if err := m.Delete(v.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := m.Get(v.ID); ok {
 		t.Error("job record survived delete")
 	}
-	if n := len(m.Store().List("jobs/" + v.ID + "/")); n != 0 {
-		t.Errorf("%d output objects survived delete", n)
-	}
-	shutdown(t, m)
 }
 
 // After Shutdown the manager rejects submissions and has drained its pool.

@@ -58,6 +58,7 @@ var promFor = map[string]string{
 	"pfs_read_mb":  "ifdk_pfs_read_bytes_total",
 	"pfs_write_mb": "ifdk_pfs_write_bytes_total",
 	"pfs_objects":  "ifdk_pfs_objects",
+	"pfs_held_mb":  "ifdk_pfs_held_bytes",
 	"event_drops":  "ifdk_event_drops_total",
 
 	// Router-only aggregation detail: the router exposes per-backend

@@ -155,6 +155,8 @@ func newMetricsSet(m *Manager) *metricsSet {
 		func() float64 { return float64(m.store.Stats().BytesWritten) })
 	r.GaugeFunc("ifdk_pfs_objects", "Objects currently stored on the simulated PFS.",
 		func() float64 { return float64(m.store.Stats().Objects) })
+	r.GaugeFunc("ifdk_pfs_held_bytes", "Bytes currently held by the objects on the simulated PFS.",
+		func() float64 { return float64(m.store.Stats().Bytes) })
 
 	r.CounterFunc("ifdk_event_drops_total", "Events discarded by bounded per-job logs.",
 		func() float64 { return float64(m.events.Drops()) })

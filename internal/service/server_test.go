@@ -8,7 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -300,5 +303,54 @@ func TestAPICancelViaDelete(t *testing.T) {
 			t.Fatal("cancel never landed")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// /slice never answers not_yet_written for a slice already written. Two
+// readers poll a published slice while its job settles, which moves the
+// slices off the PFS and into the result; every read must get the slice.
+// The race is narrow, so the test runs it over many jobs: a handler that
+// reads the result before the PFS failed about one run in three.
+func TestSliceServedAcrossSettle(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		gate := newSliceGate()
+		m := NewManager(Options{Workers: 1, testOnSlice: gate.hook})
+		srv := NewServer(m)
+		v, err := m.Submit(testSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		url := "/v1/jobs/" + v.ID + "/slice/" + strconv.Itoa(waitSliceEvent(t, m, v.ID).Z)
+		stop := make(chan struct{})
+		var reads, failed atomic.Int32
+		var wg sync.WaitGroup
+		for k := 0; k < 2; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					rec := httptest.NewRecorder()
+					srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+					reads.Add(1)
+					if rec.Code != http.StatusOK {
+						failed.Add(1)
+					}
+				}
+			}()
+		}
+		gate.open()
+		waitState(t, m, v.ID, 30*time.Second)
+		waitNoSlices(t, m, v.ID)
+		close(stop)
+		wg.Wait()
+		shutdown(t, m)
+		if failed.Load() > 0 {
+			t.Fatalf("job %d: %d of %d reads of a written slice failed", round, failed.Load(), reads.Load())
+		}
 	}
 }

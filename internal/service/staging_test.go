@@ -2,6 +2,8 @@ package service
 
 import (
 	"hash/fnv"
+	"maps"
+	"path"
 	"strings"
 	"testing"
 	"time"
@@ -37,6 +39,27 @@ func stagedFNV(t *testing.T, m *Manager, spec Spec) uint64 {
 	return h.Sum64()
 }
 
+// stagedOrLocked counts the entries of m's dataset table that are marked
+// staged or whose lock is held. It reads staged only while holding the
+// entry's lock, as stageDataset does.
+func stagedOrLocked(m *Manager) int {
+	m.stageMu.Lock()
+	defer m.stageMu.Unlock()
+	n := 0
+	for _, d := range m.staged {
+		select {
+		case d.lock <- struct{}{}:
+			if d.staged {
+				n++
+			}
+			<-d.lock
+		default:
+			n++ // held by a stager
+		}
+	}
+	return n
+}
+
 // stagedFNVs are the staged bytes of stagingSpec as rendered by the one-ray
 // derivation, one pixel at a time and serially (DetectorRay → LineIntegral
 // before the renderer was split by what each value depends on). Staging on
@@ -66,8 +89,8 @@ func TestStagedBytesUnchanged(t *testing.T) {
 }
 
 // A PFS write that fails mid-scan fails the job with the injected error,
-// leaves no dataset object and no staging slot behind, and returns every
-// pooled image; a resubmission re-stages the same bytes.
+// leaves no dataset object behind and no dataset entry staged or locked,
+// and returns every pooled image; a resubmission re-stages the same bytes.
 func TestStagingWriteFaultMidScan(t *testing.T) {
 	m := NewManager(Options{Workers: 1})
 	spec := stagingSpec("shepplogan")
@@ -83,11 +106,8 @@ func TestStagingWriteFaultMidScan(t *testing.T) {
 	if objs := m.Store().List("ds/"); len(objs) != 0 {
 		t.Errorf("%d dataset objects survived the failed staging", len(objs))
 	}
-	m.stageMu.Lock()
-	slots := len(m.staged)
-	m.stageMu.Unlock()
-	if slots != 0 {
-		t.Errorf("%d staging slots still held after the failure", slots)
+	if n := stagedOrLocked(m); n != 0 {
+		t.Errorf("%d dataset entries still staged or locked after the failure", n)
 	}
 
 	m.Store().FailAfterWrites(-1)
@@ -104,5 +124,54 @@ func TestStagingWriteFaultMidScan(t *testing.T) {
 	shutdown(t, m)
 	if n := engine.InUseBytes(); n != 0 {
 		t.Errorf("engine pools hold %d bytes after the jobs settled", n)
+	}
+}
+
+// Every PFS byte has an owner. Distinct scans run one after another at
+// MaxJobs 2, and after each job settles: the PFS holds exactly the scans of
+// the retained records, each whole, and no settled job's slices; the
+// dataset table has no more entries than there are records; and the engine
+// pools are back at their baseline.
+func TestSoakDistinctScansReleased(t *testing.T) {
+	const maxJobs, scans = 2, 24
+	m := NewManager(Options{Workers: 1, MaxJobs: maxJobs})
+	defer shutdown(t, m)
+	base := engine.InUseBytes()
+	for i := 0; i < scans; i++ {
+		v, err := m.Submit(Spec{Phantom: "sphere", NX: 8, NP: 8 + i, R: 1, C: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := waitState(t, m, v.ID, 30*time.Second); got.State != StateDone {
+			t.Fatalf("scan %d: state %s: %s", i, got.State, got.Error)
+		}
+		waitNoSlices(t, m, v.ID)
+		if objs := m.Store().List("jobs/"); len(objs) != 0 {
+			t.Fatalf("scan %d: %d output objects of settled jobs on the PFS, first %s", i, len(objs), objs[0])
+		}
+		want := map[string]int{} // dataset prefix → projections
+		for _, r := range m.List() {
+			rs, err := resolveSpec(r.Spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[rs.cfg.InputPrefix] = rs.spec.NP
+		}
+		got := map[string]int{}
+		for _, p := range m.Store().List("ds/") {
+			got[path.Dir(p)]++
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("scan %d: staged projections by dataset %v, want those of the retained records %v", i, got, want)
+		}
+		m.stageMu.Lock()
+		entries := len(m.staged)
+		m.stageMu.Unlock()
+		if entries > maxJobs {
+			t.Fatalf("scan %d: %d dataset entries for at most %d records", i, entries, maxJobs)
+		}
+		if n := engine.InUseBytes(); n != base {
+			t.Fatalf("scan %d: engine pools hold %d B, %d B at the start", i, n, base)
+		}
 	}
 }

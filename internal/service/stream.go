@@ -143,9 +143,11 @@ func sendSlice(sw api.SliceWriter, gz bool, z, total, factor int, blob []byte) e
 // chunked multipart/mixed body, each part one z-slice in the PFS image
 // format (little-endian W,H header + float32 payload), delivered as its row
 // group finishes — while the job is still running. Attaching late replays
-// the already-written slices first (from the PFS mid-run, or from the
-// cached volume once done), then follows the live epilogue. The final part
-// is the job's terminal JSON view.
+// the already-written slices first (from the PFS mid-run), then follows the
+// live epilogue. A settled job's slices come from its result: the PFS holds
+// them only while the job runs, so whatever a lagging or late consumer has
+// not been sent by then is encoded from the volume. The final part is the
+// job's terminal JSON view.
 //
 // Progressive jobs prepend the coarse tier: as soon as the preview volume
 // exists (EventPreview, or immediately on attach once built), its slices
@@ -229,8 +231,9 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	}
-	// sendFromPFS streams slice z if it is already durable; absent slices
-	// are simply not ready yet and will arrive with their event.
+	// sendFromPFS streams slice z if it is on the PFS. An absent slice is
+	// either not written yet, and will arrive with its event, or gone with
+	// the job's settle, and finish sends it from the result.
 	sendFromPFS := func(z int) error {
 		if z < 0 || z >= nz || sent[z] {
 			return nil
@@ -241,9 +244,10 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		}
 		return sendBlob(z, blob)
 	}
-	// finish emits any slices the event replay window lost, then the
-	// terminal JSON view as the closing part, from the job's result when one
-	// is reachable and otherwise from the slices on the PFS.
+	// finish emits, from the job's result, every slice not yet sent — those
+	// the event replay window lost or that left the PFS as the job settled
+	// — then the terminal JSON view as the closing part. A job that settled
+	// without a result sends only the view.
 	finish := func() {
 		if e := s.m.resultFor(j); e != nil && e.Volume != nil {
 			for z := 0; z < nz; z++ {
@@ -251,12 +255,6 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 					if err := sendBlob(z, volume.ImageToBytes(e.Volume.SliceZ(z))); err != nil {
 						return
 					}
-				}
-			}
-		} else {
-			for z := 0; z < nz; z++ {
-				if err := sendFromPFS(z); err != nil {
-					return
 				}
 			}
 		}

@@ -1,12 +1,19 @@
 package service
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"testing"
 	"time"
+
+	"ifdk/pkg/api"
+	"ifdk/pkg/volume"
 )
 
 // waitNetGoroutines is waitGoroutines for tests that stream over real
@@ -247,5 +254,83 @@ func TestSliceStatusCodes(t *testing.T) {
 	}
 	if got := get("/v1/jobs/" + v.ID + "/slice/16"); got != http.StatusBadRequest {
 		t.Errorf("GET of slice 16 after completion = %d, want 400", got)
+	}
+}
+
+// laggingWriter is a ResponseWriter whose body is an io.Pipe: every write
+// the handler makes blocks until the test reads it, as it would behind a
+// consumer that reads nothing.
+type laggingWriter struct {
+	*io.PipeWriter
+	h http.Header
+}
+
+func (w laggingWriter) Header() http.Header { return w.h }
+func (laggingWriter) WriteHeader(int)       {}
+func (laggingWriter) Flush()                {}
+
+// A /stream consumer that reads nothing until its job has settled — and the
+// job's slices have left the PFS — still gets every slice exactly once,
+// bit-identical to Manager.Volume: what the handler could not send while
+// the slices were on the PFS comes from the result.
+func TestStreamLaggingConsumerGetsEverySliceOnce(t *testing.T) {
+	gate := newSliceGate()
+	m := NewManager(Options{Workers: 1, testOnSlice: gate.hook})
+	defer shutdown(t, m)
+	defer gate.open()
+	v, err := m.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSliceEvent(t, m, v.ID) // parked mid-epilogue, a slice on the PFS
+
+	pr, pw := io.Pipe()
+	defer pr.Close() // on an early failure, unblocks the handler's write
+	w := laggingWriter{pw, http.Header{}}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		NewServer(m).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+v.ID+"/stream", nil))
+		pw.Close()
+	}()
+	body := bufio.NewReader(pr)
+	// The first byte arrives once the handler writes its first part, after
+	// its headers are set; the rest of that write stays blocked.
+	if _, err := body.Peek(1); err != nil {
+		t.Fatal(err)
+	}
+	gate.open()
+	if got := waitState(t, m, v.ID, 30*time.Second); got.State != StateDone {
+		t.Fatalf("state %s: %s", got.State, got.Error)
+	}
+	waitNoSlices(t, m, v.ID)
+
+	vol, err := m.Volume(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]int, vol.Nz)
+	var end *View
+	for p, err := range api.ReadSlices(w.h.Get("Content-Type"), body) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.End != nil {
+			end = p.End
+			continue
+		}
+		seen[p.Z]++
+		if !bytes.Equal(p.Payload, volume.ImageToBytes(vol.SliceZ(p.Z))) {
+			t.Errorf("slice %d differs from the job's volume", p.Z)
+		}
+	}
+	<-served
+	for z, n := range seen {
+		if n != 1 {
+			t.Errorf("slice %d sent %d times, want once", z, n)
+		}
+	}
+	if end == nil || end.State != StateDone {
+		t.Errorf("closing view %+v, want state done", end)
 	}
 }

@@ -54,6 +54,7 @@ type Metrics struct {
 	PFSReadMB     float64              `json:"pfs_read_mb"`
 	PFSWriteMB    float64              `json:"pfs_write_mb"`
 	PFSObjects    int                  `json:"pfs_objects"`
+	PFSHeldMB     float64              `json:"pfs_held_mb"` // bytes the store holds now (staged scans, live jobs' slices)
 	EventDrops    int64                `json:"event_drops"` // bus events discarded by bounded per-job logs
 
 	// Backends is filled only by a front router: per-backend health and
