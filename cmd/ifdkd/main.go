@@ -9,8 +9,8 @@
 //
 // Delivery is incremental, matching the paper's "instant" claim: every job
 // publishes queued/started/round/slice/done lifecycle events over SSE, and
-// its output slices stream out as each row group's epilogue lands them on
-// the PFS — long before the job is terminal.
+// its output slices stream out as each row group's epilogue hands them to
+// the job's volume — long before the job is terminal.
 //
 //	ifdkd -addr :8080 -workers 4 -queue 16 -cache-mb 1024 \
 //	      -max-queued-sec 30 -quota-rps 5 -aging 15s -event-log 1024 \

@@ -36,17 +36,19 @@ type Config struct {
 	// from serialization so Config stays hashable for caching.
 	Progress func(done, total int) `json:"-"`
 
-	// SliceWritten, when non-nil and OutputPrefix != "", is invoked after
-	// each output z-slice has been durably written to the PFS by its row
-	// root during the epilogue — mid-run, long before the full volume is
-	// assembled. Arguments are the global z index, the cumulative count of
-	// written slices and the total (Geometry.Nz). Each z fires exactly
-	// once, in the row root's SlabPlanes order (the mirrored slab pair:
-	// the lower slab ascending, then the upper). Calls come from row-root
-	// goroutines but are serialized by the framework, and never occur
-	// after RunContext has returned. Excluded from serialization so Config
-	// stays hashable for caching.
-	SliceWritten func(z, written, total int) `json:"-"`
+	// SliceWritten, when non-nil, is invoked once per output z-slice by its
+	// row root during the epilogue — mid-run, long before any assembled
+	// volume exists — whether or not OutputPrefix is set; with it set, the
+	// slice is already on the PFS. Arguments are the global z index, the
+	// slice, the cumulative count of handed-over slices and the total
+	// (Geometry.Nz). The slice is a view of the row root's plane buffer,
+	// valid only for the duration of the call: a hook that keeps it must
+	// copy it. Each z fires exactly once, in the row root's SlabPlanes order
+	// (the mirrored slab pair: the lower slab ascending, then the upper).
+	// Calls come from row-root goroutines but are serialized by the
+	// framework, and never occur after RunContext has returned. Excluded
+	// from serialization so Config stays hashable for caching.
+	SliceWritten func(z int, slice *volume.Image, written, total int) `json:"-"`
 }
 
 // Validate reports configuration problems.
@@ -81,7 +83,7 @@ type StageTimes struct {
 	Backproject time.Duration // kernel time (reads the transposed blocks as they are)
 	Compute     time.Duration // wall time of the overlapped phase
 	Reduce      time.Duration // row-group volume reduction
-	Store       time.Duration // writing output slices
+	Store       time.Duration // laying out, storing and handing over output slices
 	Total       time.Duration // end-to-end wall time
 }
 

@@ -117,6 +117,6 @@ func TestEpilogueFailureReleasesPlanes(t *testing.T) {
 	store.FailAfterWrites(-1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg.SliceWritten = func(z, written, total int) { cancel() }
+	cfg.SliceWritten = func(int, *volume.Image, int, int) { cancel() }
 	failedRun(t, ctx, cfg, store)
 }

@@ -64,15 +64,15 @@ func RunContext(ctx context.Context, cfg Config, store *pfs.PFS) (*Result, error
 			mu.Unlock()
 		}
 	}
-	sliceTick := func(int) {}
-	if cfg.SliceWritten != nil && cfg.OutputPrefix != "" {
-		total := cfg.Geometry.Nz // every row root stores its slab pair once
+	sliceTick := func(int, *volume.Image) {}
+	if cfg.SliceWritten != nil {
+		total := cfg.Geometry.Nz // every row root hands its slab pair over once
 		var mu sync.Mutex
 		written := 0
-		sliceTick = func(z int) {
+		sliceTick = func(z int, slice *volume.Image) {
 			mu.Lock()
 			written++
-			cfg.SliceWritten(z, written, total)
+			cfg.SliceWritten(z, slice, written, total)
 			mu.Unlock()
 		}
 	}
@@ -109,9 +109,9 @@ func RunContext(ctx context.Context, cfg Config, store *pfs.PFS) (*Result, error
 // runRank is the body of one MPI rank, executing its entry of plan: the
 // three-thread pipeline of Fig. 4a followed by the reduce/store epilogue of
 // Fig. 4b. tick is called once per completed AllGather round for progress
-// reporting; sliceTick once per output slice written to the PFS, with its
-// global z index.
-func runRank(ctx context.Context, cfg Config, plan Plan, store *pfs.PFS, c *mpi.Comm, tick func(), sliceTick func(z int)) (StageTimes, *volume.Volume, []RoundTrace, error) {
+// reporting; sliceTick once per output slice, with its global z index and a
+// view of its plane, after any PFS write of it.
+func runRank(ctx context.Context, cfg Config, plan Plan, store *pfs.PFS, c *mpi.Comm, tick func(), sliceTick func(z int, slice *volume.Image)) (StageTimes, *volume.Volume, []RoundTrace, error) {
 	var t StageTimes
 	g := cfg.Geometry
 	me := plan.Ranks[c.Rank()]
@@ -318,14 +318,14 @@ func runRank(ctx context.Context, cfg Config, plan Plan, store *pfs.PFS, c *mpi.
 
 	// --- Epilogue (Fig. 4b): reduce the row's partial volumes into the row
 	// root's own slab pair, lay it out once in plane order, store the output
-	// slices straight from that buffer, and optionally assemble the full
-	// volume at rank 0 from whole planes. The plane buffer is a pooled
-	// block, released here or handed to rank 0 via SendBuf — no per-job heap
-	// copies but the assembled volume itself.
+	// slices straight from that buffer and hand each to SliceWritten, and
+	// optionally assemble the full volume at rank 0 from whole planes. The
+	// plane buffer is a pooled block, released here or handed to rank 0 via
+	// SendBuf — no per-job heap copies but the assembled volume itself.
 	redStart := time.Now()
 	err = rowComm.ReduceInPlace(0, local.Data, mpi.OpSum)
 	t.Reduce = time.Since(redStart)
-	if err != nil || rowComm.Rank() != 0 || cfg.OutputPrefix == "" && !cfg.AssembleVolume {
+	if err != nil || rowComm.Rank() != 0 || cfg.OutputPrefix == "" && !cfg.AssembleVolume && cfg.SliceWritten == nil {
 		// Off the row root the payload was copied into the tree's block, so
 		// the slab pair goes back for the next job either way.
 		engine.Volumes.Release(local)
@@ -346,7 +346,7 @@ func runRank(ctx context.Context, cfg Config, plan Plan, store *pfs.PFS, c *mpi.
 	// (planes set to nil below).
 	defer func() { planes.Release() }()
 	nxy := g.Nx * g.Ny
-	if cfg.OutputPrefix != "" {
+	if cfg.OutputPrefix != "" || cfg.SliceWritten != nil {
 		for p, globalZ := range backproject.SlabPlanes(g.Nz, me.Z0, me.Z1) {
 			// Honour cancellation between slices so an aborted job
 			// stops publishing output (and slice callbacks) promptly.
@@ -354,10 +354,12 @@ func runRank(ctx context.Context, cfg Config, plan Plan, store *pfs.PFS, c *mpi.
 				return t, nil, nil, err
 			}
 			slice := volume.Image{W: g.Nx, H: g.Ny, Data: planes.Data[p*nxy : (p+1)*nxy]}
-			if _, err := store.WriteSlice(cfg.OutputPrefix, globalZ, &slice); err != nil {
-				return t, nil, nil, err
+			if cfg.OutputPrefix != "" {
+				if _, err := store.WriteSlice(cfg.OutputPrefix, globalZ, &slice); err != nil {
+					return t, nil, nil, err
+				}
 			}
-			sliceTick(globalZ)
+			sliceTick(globalZ, &slice)
 		}
 	}
 	t.Store = time.Since(storeStart)

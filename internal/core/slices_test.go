@@ -9,6 +9,7 @@ import (
 
 	"ifdk/internal/ct/backproject"
 	"ifdk/internal/hpc/pfs"
+	"ifdk/pkg/volume"
 )
 
 // sliceEvent records one SliceWritten callback.
@@ -30,7 +31,7 @@ func TestSliceCallbackOrdering(t *testing.T) {
 			Geometry:     g,
 			InputPrefix:  "in",
 			OutputPrefix: "out",
-			SliceWritten: func(z, written, total int) {
+			SliceWritten: func(z int, _ *volume.Image, written, total int) {
 				mu.Lock()
 				events = append(events, sliceEvent{
 					z: z, written: written, total: total,
@@ -95,6 +96,44 @@ func TestSliceCallbackOrdering(t *testing.T) {
 	}
 }
 
+// Without OutputPrefix the hook still fires once per z, nothing is stored,
+// and the slices it is handed — copied out during each call, since the view
+// is the row root's plane buffer — are the assembled volume's planes, bit
+// for bit.
+func TestSliceCallbackWithoutOutputPrefix(t *testing.T) {
+	g, store, _ := testSetup(t)
+	for _, grid := range [][2]int{{1, 1}, {2, 2}, {4, 2}} {
+		got := volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor)
+		nxy, calls := g.Nx*g.Ny, 0
+		cfg := Config{
+			R: grid[0], C: grid[1],
+			Geometry:    g,
+			InputPrefix: "in",
+			SliceWritten: func(z int, slice *volume.Image, _, _ int) {
+				calls++
+				copy(got.Data[z*nxy:(z+1)*nxy], slice.Data)
+			},
+		}
+		if _, err := Run(cfg, store); err != nil {
+			t.Fatalf("grid %v: %v", grid, err)
+		}
+		if calls != g.Nz {
+			t.Fatalf("grid %v: %d slice callbacks, want %d", grid, calls, g.Nz)
+		}
+		cfg.SliceWritten, cfg.AssembleVolume = nil, true
+		res, err := Run(cfg, store)
+		if err != nil {
+			t.Fatalf("grid %v: %v", grid, err)
+		}
+		if d, err := volume.MaxAbsDiff(res.Volume, got); err != nil || d != 0 {
+			t.Errorf("grid %v: handed-over slices differ from the assembled volume by %g (%v)", grid, d, err)
+		}
+		if objs := store.List("out/"); len(objs) != 0 {
+			t.Errorf("grid %v: %d slices stored without an OutputPrefix", grid, len(objs))
+		}
+	}
+}
+
 // Cancelling mid-epilogue (from inside the first slice callback) must stop
 // further slice publication almost immediately — each row root rechecks the
 // context before every write, so at most one in-flight slice per row root
@@ -111,7 +150,7 @@ func TestSliceCallbackStopsOnCancel(t *testing.T) {
 		Geometry:     g,
 		InputPrefix:  "in",
 		OutputPrefix: "out",
-		SliceWritten: func(z, written, total int) {
+		SliceWritten: func(z int, _ *volume.Image, written, total int) {
 			if returned.Load() {
 				t.Errorf("slice %d callback after RunContext returned", z)
 			}

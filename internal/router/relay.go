@@ -251,8 +251,8 @@ func (rt *Router) relayEvents(w http.ResponseWriter, r *http.Request) {
 // relayStream serves GET /v1/jobs/{id}/stream by re-terminating the owning
 // backend's multipart slice stream under the router's own boundary. Each
 // slice part is forwarded at most once, keyed by its z-index header — after
-// a takeover the survivor's stream replays every slice it has (PFS replay
-// plus the re-execution's live tail), and the bit-identical duplicates are
+// a takeover the survivor's stream replays every slice it has (the slices
+// already handed over plus the re-execution's live tail), and the bit-identical duplicates are
 // dropped here so the client's exactly-once accounting holds. Parts are
 // forwarded whole (read fully before the first byte is re-emitted): a
 // backend dying mid-part must not leak a truncated payload into the client's

@@ -24,8 +24,8 @@
 // on it — queued or running — is resubmitted to a surviving backend under
 // its original public ID. Reconstruction is deterministic given the Spec,
 // so re-executing a running job from scratch on a survivor yields the same
-// bits its first execution would have; the partial state on the dead node's
-// PFS is simply abandoned. SSE and slice-stream subscribers ride across the
+// bits its first execution would have; the partial state on the dead node
+// is simply abandoned. SSE and slice-stream subscribers ride across the
 // takeover: the router terminates those streams itself (relay.go) instead
 // of raw-proxying them, so a backend death mid-stream becomes a reconnect
 // to the survivor rather than a client-visible "unavailable".
@@ -444,7 +444,7 @@ func (rt *Router) healthLoop() {
 // public job ID. Reconstruction is a pure function of the Spec, so
 // re-executing a running job from scratch on a survivor converges on the
 // exact volume its first execution would have produced; the partial output
-// on the dead node's PFS is abandoned rather than recovered (deterministic
+// on the dead node is abandoned rather than recovered (deterministic
 // re-execution trades wasted compute for zero replication cost — replicated
 // PFS would be the exact-resume alternative). Jobs observed terminal keep
 // their dead route and surface "unavailable" until expiry: their result

@@ -16,11 +16,10 @@ import (
 // timings of the run that produced it. Entries are immutable once stored
 // and may be shared by many jobs.
 type Entry struct {
-	Volume    *volume.Volume
-	Times     core.StageTimes
-	BytesSent int64
-	RelRMSE   float64 // serial-reference error, when the producing job verified
-	Verified  bool
+	Volume   *volume.Volume
+	Times    core.StageTimes
+	RelRMSE  float64 // serial-reference error, when the producing job verified
+	Verified bool
 }
 
 // verify marks the entry verified against ref, recording the RMSE of its

@@ -2,7 +2,6 @@ package service
 
 import (
 	"math"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -167,8 +166,7 @@ func TestCacheDisabled(t *testing.T) {
 // Through the Manager, the cache budget bounds every result byte retained:
 // with room for one 32³ entry and two job records, fifteen distinct 32³
 // jobs leave the cache within its budget and nothing on the PFS but the
-// staged datasets and the retained jobs' own namespaces. An evicted entry
-// is dropped, not written anywhere else.
+// staged datasets. An evicted entry is dropped, not written anywhere else.
 func TestManagerCacheBudgetBoundsRetainedResults(t *testing.T) {
 	m, err := OpenManager(Options{Workers: 1, MaxJobs: 2,
 		CacheBytes: entrySize(entryOfSize(32))})
@@ -190,17 +188,13 @@ func TestManagerCacheBudgetBoundsRetainedResults(t *testing.T) {
 	if st := m.cache.Stats(); st.Bytes > st.MaxBytes {
 		t.Fatalf("cache holds %d B over its %d B budget", st.Bytes, st.MaxBytes)
 	}
-	allowed := []string{"ds/"}
-	for _, v := range m.List() {
-		allowed = append(allowed, "jobs/"+v.ID+"/")
-	}
 	var stray []string
 	for _, path := range m.Store().List("") {
-		if !slices.ContainsFunc(allowed, func(p string) bool { return strings.HasPrefix(path, p) }) {
+		if !strings.HasPrefix(path, "ds/") {
 			stray = append(stray, path)
 		}
 	}
 	if len(stray) > 0 {
-		t.Fatalf("%d PFS objects outside %v, first %s", len(stray), allowed, stray[0])
+		t.Fatalf("%d PFS objects outside ds/, first %s", len(stray), stray[0])
 	}
 }

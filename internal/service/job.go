@@ -21,6 +21,7 @@ import (
 	"ifdk/internal/ct/preview"
 	"ifdk/internal/service/progressive"
 	"ifdk/pkg/api"
+	"ifdk/pkg/volume"
 )
 
 // Priority orders jobs within the queue; higher priorities pop first,
@@ -225,6 +226,14 @@ type Job struct {
 	cancel    func() // non-nil while running
 	result    *Entry // terminal result (shared with the cache)
 
+	// out is a running job's output volume, the one home of its slices:
+	// each row root copies its planes in, have[z] marks plane z as filled
+	// (written before have[z] is set, never again after), and out becomes
+	// the result. Both are nil outside the run and cleared on every
+	// terminal transition.
+	out  *volume.Volume
+	have []bool
+
 	// tracing: the job's trace identity (minted at submit or inherited from
 	// the caller's traceparent) and the raw timestamps span assembly turns
 	// into the lifecycle tree (see trace.go). rounds is rank 0's per-round
@@ -240,7 +249,7 @@ type Job struct {
 
 	// worker-side request, resolved once at submit time
 	ph       phantom.Phantom
-	cfg      core.Config // InputPrefix set; OutputPrefix/Progress set per run
+	cfg      core.Config // resolveSpec's; the run sets its hooks and drops the assembly
 	cacheKey string
 	scan     *dataset // the staged entry of cfg.InputPrefix, referenced by this record
 
@@ -333,10 +342,6 @@ func (j *Job) snapshot() View {
 	}
 	return v
 }
-
-// outPrefix is the job's output namespace on the PFS, where the epilogue
-// writes finished slices mid-run.
-func (j *Job) outPrefix() string { return "jobs/" + j.ID + "/out" }
 
 // resultNz is the z extent of the job's result volume: the coarse grid for
 // preview-quality jobs (whose result IS the preview), the full grid

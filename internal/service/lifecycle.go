@@ -148,7 +148,7 @@ func (m *Manager) apply(j *Job, from State, ev event, res *Entry, set func()) er
 	case to == StateRunning:
 		j.started = now
 	case to.Terminal():
-		j.cancel = nil
+		j.cancel, j.out, j.have = nil, nil, nil // a done job's volume is its result now
 		if j.finished.IsZero() {
 			j.finished = now
 		}

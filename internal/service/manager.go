@@ -135,16 +135,16 @@ func (o Options) withDefaults() Options {
 // cost-aware priority queue, the worker pool, the shared PFS namespace tree
 // and the result cache. One Manager serves many concurrent clients.
 //
-// Namespace layout inside the shared PFS, each prefix with one owner:
+// Namespace layout inside the shared PFS:
 //
 //	ds/<hash>/proj_*      a staged scan, content-addressed and shared by every
 //	                      job record that names it (staged). It is written
 //	                      by the first job to run on it and deleted with the
 //	                      last record that names it, or at once if staging
 //	                      fails.
-//	jobs/<id>/out/slice_* a running job's output slices, for mid-run readers.
-//	                      runJob deletes them once the job has settled; a
-//	                      settled job's slices come from its result.
+//
+// A job's output never touches the PFS: its row roots hand each slice to
+// the job's volume (Job.out), which becomes its result.
 type Manager struct {
 	opt    Options
 	store  *pfs.PFS
@@ -652,16 +652,16 @@ func (m *Manager) unref(j *Job) {
 	m.stageMu.Lock()
 	defer m.stageMu.Unlock()
 	if j.scan.refs--; j.scan.refs == 0 {
-		m.deleteObjects(j.cfg.InputPrefix, j.cfg.Geometry.Np, pfs.ProjectionPath)
+		m.deleteScan(j.cfg.InputPrefix, j.cfg.Geometry.Np)
 		delete(m.staged, j.cfg.InputPrefix)
 	}
 }
 
-// deleteObjects deletes the objects path(prefix, 0 … n-1) from the PFS. It
-// deletes by name because listing a prefix walks every object in the store.
-func (m *Manager) deleteObjects(prefix string, n int, path func(string, int) string) {
-	for i := 0; i < n; i++ {
-		m.store.Delete(path(prefix, i))
+// deleteScan deletes a scan's np projections from the PFS. It deletes by
+// name because listing a prefix walks every object in the store.
+func (m *Manager) deleteScan(prefix string, np int) {
+	for s := 0; s < np; s++ {
+		m.store.Delete(pfs.ProjectionPath(prefix, s))
 	}
 }
 
@@ -686,6 +686,34 @@ func (m *Manager) resultFor(j *Job) *Entry {
 	}
 	e, _ = m.cache.Get(j.cacheKey) // nil on a miss
 	return e
+}
+
+// slice returns a view of plane z of j's output, with the job's state read
+// alongside: from the job's volume while it runs, once a row root has
+// handed the plane over, and from its result once it has settled. It is
+// nil when the plane is not there yet, or never will be (a terminal job
+// without a result).
+func (m *Manager) slice(j *Job, z int) (*volume.Image, State) {
+	j.mu.Lock()
+	vol, st := j.out, j.state
+	if vol != nil && !j.have[z] {
+		vol = nil
+	}
+	j.mu.Unlock()
+	if e := m.resultFor(j); e != nil { // set with the flip that cleared out
+		vol = e.Volume
+	}
+	if vol == nil {
+		return nil, st
+	}
+	return planeZ(vol, z), st
+}
+
+// planeZ is a view of plane z of an i-major volume, whose planes are
+// contiguous: every result volume is laid out so.
+func planeZ(v *volume.Volume, z int) *volume.Image {
+	n := v.Nx * v.Ny
+	return &volume.Image{W: v.Nx, H: v.Ny, Data: v.Data[z*n : (z+1)*n]}
 }
 
 // Volume returns a done job's reconstructed volume.
@@ -805,8 +833,6 @@ func (m *Manager) runJob(j *Job) {
 		}
 	}
 	_ = m.apply(j, StateRunning, ev, entry, set) // only this worker moves a running job
-	// Settled: the result serves the slices from now on.
-	m.deleteObjects(j.outPrefix(), j.cfg.Geometry.Nz, pfs.SlicePath)
 }
 
 // execute stages the dataset (once per content hash), runs the distributed
@@ -846,18 +872,26 @@ func (m *Manager) execute(ctx context.Context, j *Job) (*Entry, error) {
 			return pe, nil
 		}
 	}
+	g := j.cfg.Geometry
+	out, have := volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor), make([]bool, g.Nz)
+	j.mu.Lock()
+	j.out, j.have = out, have
+	j.mu.Unlock()
 	cfg := j.cfg
-	cfg.OutputPrefix = j.outPrefix()
+	cfg.AssembleVolume = false // the row roots fill out instead of rank 0
 	cfg.Progress = func(done, total int) {
 		j.mu.Lock()
 		j.done, j.total = done, total
 		j.mu.Unlock()
 		m.events.Publish(j.ID, Event{Type: EventRound, Done: done, Total: total})
 	}
-	// Publish each slice the moment its row root lands it on the PFS: the
-	// event precedes the epilogue's next write, so by the time a streaming
-	// client reacts the payload is durably readable.
-	cfg.SliceWritten = func(z, written, total int) {
+	// Each slice is copied into out and marked before its event is
+	// published, so a client reacting to the event finds it.
+	cfg.SliceWritten = func(z int, slice *volume.Image, written, total int) {
+		copy(planeZ(out, z).Data, slice.Data)
+		j.mu.Lock()
+		have[z] = true
+		j.mu.Unlock()
 		m.events.Publish(j.ID, Event{Type: EventSlice, Z: z, Written: written, Total: total})
 		if m.opt.testOnSlice != nil {
 			m.opt.testOnSlice(j.ID, z)
@@ -870,7 +904,7 @@ func (m *Manager) execute(ctx context.Context, j *Job) (*Entry, error) {
 	j.mu.Lock()
 	j.rounds = res.Rounds[0] // rank 0's clock stands in for the grid
 	j.mu.Unlock()
-	entry := &Entry{Volume: res.Volume, Times: res.Max, BytesSent: res.BytesSent}
+	entry := &Entry{Volume: out, Times: res.Max}
 	if j.Spec.Verify {
 		j.mu.Lock()
 		j.tVerify0 = time.Now()
@@ -904,7 +938,7 @@ func (m *Manager) stageDataset(ctx context.Context, j *Job) error {
 	}
 	if err := m.renderAndStage(ctx, j, j.cfg.InputPrefix); err != nil {
 		// No one may read a partial scan.
-		m.deleteObjects(j.cfg.InputPrefix, j.cfg.Geometry.Np, pfs.ProjectionPath)
+		m.deleteScan(j.cfg.InputPrefix, j.cfg.Geometry.Np)
 		return err
 	}
 	j.scan.staged = true

@@ -1,16 +1,23 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"ifdk/internal/core"
 	"ifdk/internal/engine"
 	"ifdk/internal/hpc/pfs"
+	"ifdk/pkg/api"
 )
 
 func testSpec() Spec {
@@ -41,20 +48,13 @@ func waitState(t *testing.T, m *Manager, id string, timeout time.Duration) View 
 	return View{}
 }
 
-// waitNoSlices waits until no output slice of job id is left on the PFS.
-// runJob deletes them right after the job's terminal transition, so a test
-// that has seen the job settle may still find them for a moment.
-func waitNoSlices(t *testing.T, m *Manager, id string) {
+// requireNoJobOutput fails the test when anything is stored under jobs/: a
+// job's output lives in its volume and never touches the PFS.
+func requireNoJobOutput(t *testing.T, m *Manager) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(m.Store().List("jobs/"+id+"/")) == 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	if objs := m.Store().List("jobs/"); len(objs) != 0 {
+		t.Fatalf("%d objects under jobs/ on the PFS, first %s", len(objs), objs[0])
 	}
-	t.Fatalf("%d output objects of job %q still on the PFS after it settled",
-		len(m.Store().List("jobs/"+id+"/")), id)
 }
 
 func shutdown(t *testing.T, m *Manager) {
@@ -252,8 +252,8 @@ func TestSubmitRejectsOversizedProblems(t *testing.T) {
 	shutdown(t, m)
 }
 
-// The job table stays bounded: old terminal records (and their PFS output)
-// are pruned once MaxJobs is exceeded.
+// The job table stays bounded: old terminal records are pruned once
+// MaxJobs is exceeded.
 func TestJobRecordsPruned(t *testing.T) {
 	m := NewManager(Options{Workers: 1, MaxJobs: 3})
 	var ids []string
@@ -273,9 +273,7 @@ func TestJobRecordsPruned(t *testing.T) {
 	if _, ok := m.Get(ids[0]); ok {
 		t.Error("oldest record survived pruning")
 	}
-	if n := len(m.Store().List("jobs/" + ids[0] + "/")); n != 0 {
-		t.Errorf("%d output objects of pruned job survived", n)
-	}
+	requireNoJobOutput(t, m)
 	if _, ok := m.Get(ids[5]); !ok {
 		t.Error("newest record was pruned")
 	}
@@ -392,17 +390,33 @@ func TestCancelQueued(t *testing.T) {
 	shutdown(t, m)
 }
 
-// A job's output slices are on the PFS while it runs, for mid-run readers,
-// and leave it when the job settles, since its result serves them from
-// then on. Delete then removes the record.
+// A job's output never touches the PFS. Each slice /slice serves the moment
+// it is published mid-run is plane z of the final volume, bit for bit, and
+// the PFS holds nothing under jobs/ at any callback or after the settle.
+// Delete then removes the record.
 func TestDeleteJobCleansNamespace(t *testing.T) {
 	var m *Manager
-	var onPFS atomic.Int32 // slice callbacks that found their slice stored
+	var srv *Server
+	var mu sync.Mutex
+	served := map[int][]byte{} // z → the PNG /slice answered mid-run
+	views := map[int][]float32{}
 	m = NewManager(Options{Workers: 1, testOnSlice: func(id string, z int) {
-		if m.Store().Exists(pfs.SlicePath("jobs/"+id+"/out", z)) {
-			onPFS.Add(1)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/slice/"+strconv.Itoa(z), nil))
+		j, _ := m.job(id)
+		img, _ := m.slice(j, z)
+		mu.Lock()
+		defer mu.Unlock()
+		if rec.Code != http.StatusOK || img == nil {
+			t.Errorf("slice %d published but /slice answered %d (view %v)", z, rec.Code, img != nil)
+			return
+		}
+		served[z], views[z] = rec.Body.Bytes(), slices.Clone(img.Data)
+		if objs := m.Store().List("jobs/"); len(objs) != 0 {
+			t.Errorf("slice %d: %d objects under jobs/ mid-run, first %s", z, len(objs), objs[0])
 		}
 	}})
+	srv = NewServer(m)
 	defer shutdown(t, m)
 	v, err := m.Submit(testSpec())
 	if err != nil {
@@ -411,15 +425,73 @@ func TestDeleteJobCleansNamespace(t *testing.T) {
 	if got := waitState(t, m, v.ID, 30*time.Second); got.State != StateDone {
 		t.Fatalf("state %s: %s", got.State, got.Error)
 	}
-	if n, want := int(onPFS.Load()), testSpec().NX; n != want {
-		t.Errorf("%d of %d slices were on the PFS when published mid-run", n, want)
+	requireNoJobOutput(t, m)
+	vol, err := m.Volume(v.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
-	waitNoSlices(t, m, v.ID)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(served) != vol.Nz {
+		t.Fatalf("%d of %d slices served mid-run", len(served), vol.Nz)
+	}
+	for z, png := range served {
+		plane := planeZ(vol, z)
+		var want bytes.Buffer
+		if err := plane.WritePNG(&want, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(png, want.Bytes()) || !slices.Equal(views[z], plane.Data) {
+			t.Errorf("slice %d served mid-run differs from plane %d of the final volume", z, z)
+		}
+	}
 	if err := m.Delete(v.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := m.Get(v.ID); ok {
 		t.Error("job record survived delete")
+	}
+}
+
+// A done job's volume is the one core.Run assembles at rank 0 from the same
+// staged scan, bit for bit, on every grid shape and with or without the
+// preview tier ahead of the run: the row roots' hand-over puts every plane
+// in its place.
+func TestJobVolumeMatchesCoreAssembly(t *testing.T) {
+	m := NewManager(Options{Workers: 1, CacheBytes: -1})
+	defer shutdown(t, m)
+	for _, grid := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {4, 2}} {
+		for _, q := range []string{api.QualityFull, api.QualityProgressive} {
+			spec := Spec{Phantom: "shepplogan", NX: 16, R: grid[0], C: grid[1], Quality: q}
+			v, err := m.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := waitState(t, m, v.ID, 30*time.Second); got.State != StateDone {
+				t.Fatalf("%v %s: state %s: %s", grid, q, got.State, got.Error)
+			}
+			got, err := m.Volume(v.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := resolveSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := core.Run(rs.cfg, m.Store()) // AssembleVolume: true
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Nx != ref.Volume.Nx || got.Ny != ref.Volume.Ny || got.Nz != ref.Volume.Nz || got.Layout != ref.Volume.Layout {
+				t.Fatalf("%v %s: job volume %dx%dx%d %v, core's %dx%dx%d %v", grid, q,
+					got.Nx, got.Ny, got.Nz, got.Layout, ref.Volume.Nx, ref.Volume.Ny, ref.Volume.Nz, ref.Volume.Layout)
+			}
+			for i, x := range ref.Volume.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(x) {
+					t.Fatalf("%v %s: voxel %d is %g, core assembled %g", grid, q, i, got.Data[i], x)
+				}
+			}
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"ifdk/internal/hpc/pfs"
 	"ifdk/pkg/api"
 )
 
@@ -114,14 +113,14 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-// slice serves one axial slice as PNG as soon as it exists: from the
-// result volume once the job is done, or straight off the PFS mid-run —
-// the epilogue writes slices per row group long before the job settles,
-// and they leave the PFS once it has. A malformed or out-of-range index is
-// the client's fault (bad_request); a valid index whose slice has not been
-// written yet is not_yet_written, worth retrying; a terminal job with no
-// reachable result — failed, cancelled, or done before a restart that lost
-// its volume — will never produce it (terminal, as /stream).
+// slice serves one axial slice as PNG as soon as it exists: from the job's
+// volume mid-run — the epilogue hands slices over per row group long before
+// the job settles — and from its result once it has. A malformed or
+// out-of-range index is the client's fault (bad_request); a valid index
+// whose slice has not been handed over yet is not_yet_written, worth
+// retrying; a terminal job with no reachable result — failed, cancelled, or
+// done before a restart that lost its volume — will never produce it
+// (terminal, as /stream).
 func (s *Server) slice(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.m.job(id)
@@ -139,21 +138,14 @@ func (s *Server) slice(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.CodeBadRequest, "slice %d out of range [0,%d)", z, nz)
 		return
 	}
-	// The PFS is read first, then the state, then the result. A slice the
-	// PFS lacks is either not written yet or gone with a settle that the
-	// state read then sees; and a job terminal by then holds whatever result
-	// it will ever hold, since the result lands with the flip.
-	img, _, err := s.m.store.ReadImage(pfs.SlicePath(j.outPrefix(), z))
-	st := j.State()
-	if e := s.m.resultFor(j); e != nil && e.Volume != nil {
-		img = e.Volume.SliceZ(z)
-	} else if st.Terminal() {
-		// Terminal without a result: the slice will never arrive, so a
-		// retryable not_yet_written would loop clients forever — terminal,
-		// matching /stream.
+	img, st := s.m.slice(j, z)
+	switch {
+	case img == nil && st.Terminal():
+		// The slice will never arrive, so a retryable not_yet_written
+		// would loop clients forever — terminal, matching /stream.
 		writeErr(w, api.CodeTerminal, "job %s is %s: slice %d will not be produced", id, st, z)
 		return
-	} else if err != nil {
+	case img == nil:
 		writeErr(w, api.CodeNotYetWritten, "slice %d of job %s not written yet (state %s)", z, id, st)
 		return
 	}

@@ -307,10 +307,9 @@ func TestAPICancelViaDelete(t *testing.T) {
 }
 
 // /slice never answers not_yet_written for a slice already written. Two
-// readers poll a published slice while its job settles, which moves the
-// slices off the PFS and into the result; every read must get the slice.
-// The race is narrow, so the test runs it over many jobs: a handler that
-// reads the result before the PFS failed about one run in three.
+// readers poll a published slice while its job settles, which hands the
+// job's volume over to its result; every read must get the slice. The
+// race is narrow, so the test runs it over many jobs.
 func TestSliceServedAcrossSettle(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		gate := newSliceGate()
@@ -345,7 +344,7 @@ func TestSliceServedAcrossSettle(t *testing.T) {
 		}
 		gate.open()
 		waitState(t, m, v.ID, 30*time.Second)
-		waitNoSlices(t, m, v.ID)
+		requireNoJobOutput(t, m)
 		close(stop)
 		wg.Wait()
 		shutdown(t, m)

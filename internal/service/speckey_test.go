@@ -54,6 +54,33 @@ func TestSpecKeyMatchesSubmitKey(t *testing.T) {
 	}
 }
 
+// The cache key is the SHA-256 of core.Config's JSON, so an exported
+// Config field added, renamed or set differently moves every key, misses
+// every cache and reroutes the fleet. These are today's keys of one full,
+// one preview and one progressive spec; a change that moves one must say
+// why.
+func TestCacheKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		key  string
+	}{
+		{Spec{Phantom: "shepplogan", NX: 32, NP: 64, R: 2, C: 2},
+			"876b8ef256d31aeaf194350091db7726144b82f5fce1be03e03830635f316b5e"},
+		{Spec{Phantom: "sphere", NX: 16, Quality: "preview"},
+			"fda68de6ffe77bb958ad0939285e8c9c48110b70469c0f275bec11f95fccbdd5.p2"},
+		{Spec{Phantom: "industrial", NX: 24, R: 1, C: 2, Window: "hann", Quality: "progressive"},
+			"c7e56d401d1796f95ccdb5f26ef8bde72a0ba8e538726ecad5a0ca6128e85cd7"},
+	} {
+		key, err := SpecKey(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key != c.key {
+			t.Errorf("%+v: key %s, pinned %s", c.spec, key, c.key)
+		}
+	}
+}
+
 // FuzzResolveSpec: whatever JSON a client posts as a Spec, resolving it
 // never panics; a spec it accepts is inside the admission limits with
 // positive dimensions, resolves to the same keys a second time, and stages

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"ifdk/internal/compress"
-	"ifdk/internal/hpc/pfs"
 	"ifdk/internal/service/progressive"
 	"ifdk/pkg/api"
 	"ifdk/pkg/volume"
@@ -112,42 +111,61 @@ func (s *Server) preview(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.CodeNotYetWritten, "preview of job %s not built yet (state %s)", id, j.State())
 		return
 	}
-	sw, gz := api.NewSliceWriter(w), acceptsGzip(r)
-	defer sw.Close()
-	w.Header().Set("Content-Type", sw.ContentType())
+	ps := &parts{sw: api.NewSliceWriter(w), gz: acceptsGzip(r)}
+	defer ps.sw.Close()
+	w.Header().Set("Content-Type", ps.sw.ContentType())
 	w.Header().Set(api.HeaderPreviewFactor, strconv.Itoa(j.plan.Factor))
 	w.WriteHeader(http.StatusOK)
-	for z := 0; z < e.Volume.Nz; z++ {
-		if sendSlice(sw, gz, z, e.Volume.Nz, j.plan.Factor, volume.ImageToBytes(e.Volume.SliceZ(z))) != nil {
-			return
-		}
-	}
+	_ = ps.sendVolume(e.Volume, j.plan.Factor)
 }
 
-// sendSlice frames slice z of total through the shared codec (factor > 0
-// marks a preview-tier part), gzip-encoding the payload when the request
-// negotiated it.
-func sendSlice(sw api.SliceWriter, gz bool, z, total, factor int, blob []byte) error {
-	p := api.SlicePart{Z: z, Total: total, Factor: factor, Payload: blob}
-	if gz {
+// parts frames one handler's slice parts through the shared codec, encoding
+// each from a view of its plane into one reused buffer, gzip-encoding it
+// when the request negotiated that, and flushing after each part when flush
+// is set.
+type parts struct {
+	sw    api.SliceWriter
+	gz    bool
+	buf   []byte
+	flush func() error
+}
+
+// send frames slice z of total (factor > 0 marks a preview-tier part).
+func (ps *parts) send(z, total, factor int, img *volume.Image) error {
+	ps.buf = volume.AppendImage(ps.buf[:0], img)
+	p := api.SlicePart{Z: z, Total: total, Factor: factor, Payload: ps.buf}
+	if ps.gz {
 		var err error
-		if p.Payload, err = compress.Gzip(blob); err != nil {
+		if p.Payload, err = compress.Gzip(ps.buf); err != nil {
 			return err
 		}
 		p.Encoding = api.EncodingGzip
 	}
-	return sw.WriteSlice(p)
+	if err := ps.sw.WriteSlice(p); err != nil || ps.flush == nil {
+		return err
+	}
+	return ps.flush()
+}
+
+// sendVolume frames every slice of a preview volume, marked with its
+// decimation factor and indexed on the coarse grid.
+func (ps *parts) sendVolume(vol *volume.Volume, factor int) error {
+	for z := 0; z < vol.Nz; z++ {
+		if err := ps.send(z, vol.Nz, factor, planeZ(vol, z)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // stream serves GET /v1/jobs/{id}/stream: the job's output slices as a
 // chunked multipart/mixed body, each part one z-slice in the PFS image
 // format (little-endian W,H header + float32 payload), delivered as its row
 // group finishes — while the job is still running. Attaching late replays
-// the already-written slices first (from the PFS mid-run), then follows the
-// live epilogue. A settled job's slices come from its result: the PFS holds
-// them only while the job runs, so whatever a lagging or late consumer has
-// not been sent by then is encoded from the volume. The final part is the
-// job's terminal JSON view.
+// the slices already handed over first, then follows the live epilogue;
+// every part comes from Manager.slice, so a slice a lagging or late consumer
+// has not been sent when the job settles comes from its result. The final
+// part is the job's terminal JSON view.
 //
 // Progressive jobs prepend the coarse tier: as soon as the preview volume
 // exists (EventPreview, or immediately on attach once built), its slices
@@ -187,30 +205,21 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sw, gz := api.NewSliceWriter(w), acceptsGzip(r)
-	defer sw.Close()
-	w.Header().Set("Content-Type", sw.ContentType())
+	rc := http.NewResponseController(w)
+	ps := &parts{sw: api.NewSliceWriter(w), gz: acceptsGzip(r), flush: rc.Flush}
+	defer ps.sw.Close()
+	w.Header().Set("Content-Type", ps.sw.ContentType())
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
 	if err := rc.Flush(); err != nil { // headers out before the first slice exists
 		return
 	}
 
-	sent := make([]bool, nz)
-	sendBlob := func(z int, blob []byte) error {
-		sent[z] = true
-		if err := sendSlice(sw, gz, z, nz, 0, blob); err != nil {
-			return err
-		}
-		return rc.Flush()
-	}
-	// sendPreview emits a progressive job's coarse tier — every preview
-	// slice, marked with the decimation factor and indexed on the coarse
-	// grid — as soon as the preview volume is reachable. It is called before
-	// any full-resolution send on every path (attach-time replay and the
-	// EventPreview that precedes all slice events), so preview parts always
-	// lead the stream; once emitted it is a no-op.
+	// sendPreview emits a progressive job's coarse tier as soon as the
+	// preview volume is reachable. It is called before any full-resolution
+	// send on every path (attach-time replay and the EventPreview that
+	// precedes all slice events), so preview parts always lead the stream;
+	// once emitted it is a no-op.
 	previewSent := false
 	sendPreview := func() error {
 		if previewSent || j.qual != progressive.Progressive {
@@ -221,57 +230,46 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 		previewSent = true
-		for z := 0; z < e.Volume.Nz; z++ {
-			if err := sendSlice(sw, gz, z, e.Volume.Nz, j.plan.Factor, volume.ImageToBytes(e.Volume.SliceZ(z))); err != nil {
-				return err
-			}
-			if err := rc.Flush(); err != nil {
-				return err
-			}
-		}
-		return nil
+		return ps.sendVolume(e.Volume, j.plan.Factor)
 	}
-	// sendFromPFS streams slice z if it is on the PFS. An absent slice is
-	// either not written yet, and will arrive with its event, or gone with
-	// the job's settle, and finish sends it from the result.
-	sendFromPFS := func(z int) error {
+	// send streams slice z unless it went already or is not there: a slice
+	// not handed over yet arrives with its event, and one the event replay
+	// window lost is sent by finish.
+	sent := make([]bool, nz)
+	send := func(z int) error {
 		if z < 0 || z >= nz || sent[z] {
 			return nil
 		}
-		blob, _, err := s.m.store.Peek(pfs.SlicePath(j.outPrefix(), z))
-		if err != nil {
+		img, _ := s.m.slice(j, z)
+		if img == nil {
 			return nil
 		}
-		return sendBlob(z, blob)
+		sent[z] = true
+		return ps.send(z, nz, 0, img)
 	}
-	// finish emits, from the job's result, every slice not yet sent — those
-	// the event replay window lost or that left the PFS as the job settled
-	// — then the terminal JSON view as the closing part. A job that settled
+	// finish emits, from the job's result, every slice not yet sent, then
+	// the terminal JSON view as the closing part. A job that settled
 	// without a result sends only the view.
 	finish := func() {
-		if e := s.m.resultFor(j); e != nil && e.Volume != nil {
-			for z := 0; z < nz; z++ {
-				if !sent[z] {
-					if err := sendBlob(z, volume.ImageToBytes(e.Volume.SliceZ(z))); err != nil {
-						return
-					}
-				}
+		for z := 0; z < nz; z++ {
+			if send(z) != nil {
+				return
 			}
 		}
-		if sw.WriteEnd(j.snapshot()) == nil {
+		if ps.sw.WriteEnd(j.snapshot()) == nil {
 			_ = rc.Flush()
 		}
 	}
 
-	// Replay the preview tier first if it already exists, then slices
-	// already on the PFS (late subscribe to a running job), then follow the
-	// live event stream; slice events arriving for what the replay already
-	// sent are deduplicated by the sent bitmap.
+	// Replay the preview tier first if it already exists, then the slices
+	// already handed over (late subscribe to a running job), then follow
+	// the live event stream; slice events arriving for what the replay
+	// already sent are deduplicated by the sent bitmap.
 	if err := sendPreview(); err != nil {
 		return
 	}
 	for z := 0; z < nz; z++ {
-		if err := sendFromPFS(z); err != nil {
+		if err := send(z); err != nil {
 			return
 		}
 	}
@@ -284,7 +282,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 			case e.Type == EventSlice:
-				if err := sendFromPFS(e.Z); err != nil {
+				if err := send(e.Z); err != nil {
 					return
 				}
 			case e.Type.Terminal():

@@ -269,10 +269,9 @@ func (w laggingWriter) Header() http.Header { return w.h }
 func (laggingWriter) WriteHeader(int)       {}
 func (laggingWriter) Flush()                {}
 
-// A /stream consumer that reads nothing until its job has settled — and the
-// job's slices have left the PFS — still gets every slice exactly once,
-// bit-identical to Manager.Volume: what the handler could not send while
-// the slices were on the PFS comes from the result.
+// A /stream consumer that reads nothing until its job has settled still gets
+// every slice exactly once, bit-identical to Manager.Volume: what the
+// handler could not send while the job ran comes from its result.
 func TestStreamLaggingConsumerGetsEverySliceOnce(t *testing.T) {
 	gate := newSliceGate()
 	m := NewManager(Options{Workers: 1, testOnSlice: gate.hook})
@@ -282,7 +281,7 @@ func TestStreamLaggingConsumerGetsEverySliceOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitSliceEvent(t, m, v.ID) // parked mid-epilogue, a slice on the PFS
+	waitSliceEvent(t, m, v.ID) // parked mid-epilogue, a slice handed over
 
 	pr, pw := io.Pipe()
 	defer pr.Close() // on an early failure, unblocks the handler's write
@@ -303,7 +302,7 @@ func TestStreamLaggingConsumerGetsEverySliceOnce(t *testing.T) {
 	if got := waitState(t, m, v.ID, 30*time.Second); got.State != StateDone {
 		t.Fatalf("state %s: %s", got.State, got.Error)
 	}
-	waitNoSlices(t, m, v.ID)
+	requireNoJobOutput(t, m)
 
 	vol, err := m.Volume(v.ID)
 	if err != nil {

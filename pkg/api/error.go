@@ -18,8 +18,9 @@ const (
 	CodeInvalidSpec = "invalid_spec"
 	// CodeNotFound: no such job (or it was deleted/pruned).
 	CodeNotFound = "not_found"
-	// CodeNotYetWritten: the requested slice is valid but has not landed on
-	// the PFS yet; retry after a short wait (or use /events to be told).
+	// CodeNotYetWritten: the requested slice is valid but its row root has
+	// not handed it over yet; retry after a short wait (or use /events to be
+	// told).
 	CodeNotYetWritten = "not_yet_written"
 	// CodeTerminal: the job already reached a terminal state that makes the
 	// request meaningless — streaming slices of a failed/cancelled job.

@@ -19,7 +19,7 @@ const (
 	EventQueued    EventType = "queued"    // admitted into the queue
 	EventStarted   EventType = "started"   // a worker picked the job up
 	EventRound     EventType = "round"     // one AllGather round completed (coalesced)
-	EventSlice     EventType = "slice"     // one output z-slice landed on the PFS
+	EventSlice     EventType = "slice"     // one output z-slice finished and fetchable
 	EventPreview   EventType = "preview"   // the decimated preview volume is ready and fetchable
 	EventTrace     EventType = "trace"     // the job's trace has been assembled and is fetchable
 	EventDone      EventType = "done"      // terminal: reconstruction finished
@@ -48,7 +48,7 @@ type Event struct {
 
 	// slice delivery (Type == EventSlice)
 	Z       int `json:"z"`                 // global z index of the finished slice
-	Written int `json:"written,omitempty"` // cumulative slices on the PFS
+	Written int `json:"written,omitempty"` // cumulative slices finished
 
 	// preview availability (Type == EventPreview): the decimation factor of
 	// the finished preview tier; Total carries the coarse slice count.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Float32sToBytes serializes a float32 slice to little-endian bytes. It is
@@ -37,12 +38,17 @@ func BytesToFloat32s(src []byte) ([]float32, error) {
 }
 
 // ImageToBytes serializes an image header (W, H as uint32) plus payload.
-func ImageToBytes(m *Image) []byte {
-	out := make([]byte, 8+4*len(m.Data))
-	binary.LittleEndian.PutUint32(out[0:], uint32(m.W))
-	binary.LittleEndian.PutUint32(out[4:], uint32(m.H))
-	Float32sToBytesInto(out[8:], m.Data)
-	return out
+func ImageToBytes(m *Image) []byte { return AppendImage(nil, m) }
+
+// AppendImage appends the ImageToBytes encoding of m to dst and returns the
+// extended slice, so a caller encoding many images can reuse one buffer.
+func AppendImage(dst []byte, m *Image) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 8+4*len(m.Data))[:n+8+4*len(m.Data)]
+	binary.LittleEndian.PutUint32(dst[n:], uint32(m.W))
+	binary.LittleEndian.PutUint32(dst[n+4:], uint32(m.H))
+	Float32sToBytesInto(dst[n+8:], m.Data)
+	return dst
 }
 
 // ImageFromBytes reverses ImageToBytes.

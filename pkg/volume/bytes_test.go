@@ -1,6 +1,7 @@
 package volume
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -49,6 +50,24 @@ func TestImageBytesRoundTrip(t *testing.T) {
 		if back.Data[n] != m.Data[n] {
 			t.Fatal("payload mismatch")
 		}
+	}
+}
+
+// AppendImage reuses its buffer and appends exactly ImageToBytes' bytes.
+func TestAppendImageMatchesImageToBytes(t *testing.T) {
+	a, b := NewImage(5, 3), NewImage(2, 7)
+	fillRandom(a.Data, 4)
+	fillRandom(b.Data, 5)
+	buf := AppendImage(nil, a)
+	if !bytes.Equal(buf, ImageToBytes(a)) {
+		t.Fatal("AppendImage(nil, a) differs from ImageToBytes(a)")
+	}
+	buf = AppendImage(buf, b)
+	if want := append(ImageToBytes(a), ImageToBytes(b)...); !bytes.Equal(buf, want) {
+		t.Fatal("appending a second image changed or misplaced bytes")
+	}
+	if again := AppendImage(buf[:0], a); &again[0] != &buf[0] || !bytes.Equal(again, ImageToBytes(a)) {
+		t.Fatal("AppendImage into a large enough buffer reallocated or misencoded")
 	}
 }
 
