@@ -3,6 +3,9 @@ package ci
 import (
 	"encoding/json"
 	"os"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -29,6 +32,8 @@ type benchRecord struct {
 // record names a declared workload and only declared end-to-end metrics,
 // PR numbers never go down, and each record has a parent commit, a host
 // stamp, at least one pair and, where it gives quartiles, q1 ≤ median ≤ q3.
+// Every CHANGES.md entry from PR 46 on that has a "Bench" bullet has its
+// records, so a measured PR cannot leave the trajectory.
 func TestBenchTrajectory(t *testing.T) {
 	var spec struct {
 		Workloads []struct{ Name string } `json:"workloads"`
@@ -77,7 +82,28 @@ func TestBenchTrajectory(t *testing.T) {
 			t.Errorf("BENCHMARK.json workload %s has no record", w)
 		}
 	}
+
+	changes, err := os.ReadFile("../CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := map[int]bool{}
+	for _, r := range traj.Records {
+		recorded[r.PR] = true
+	}
+	entry := 0
+	for _, line := range strings.Split(string(changes), "\n") {
+		if m := changesEntry.FindStringSubmatch(line); m != nil {
+			entry, _ = strconv.Atoi(m[1])
+		} else if entry >= 46 && strings.HasPrefix(line, "- Bench") && !recorded[entry] {
+			t.Errorf("CHANGES.md: PR %d has a Bench bullet and BENCH_e2e.json no record of it", entry)
+			recorded[entry] = true // one error per PR
+		}
+	}
 }
+
+// changesEntry matches the first line of a CHANGES.md entry.
+var changesEntry = regexp.MustCompile(`^PR (\d+):`)
 
 func readJSON(t *testing.T, path string, v any) {
 	t.Helper()

@@ -126,12 +126,14 @@ durability)
 	# each, the PFS ownership soak (24 distinct scans at MaxJobs 2: only the
 	# retained records' scans stay stored, and nothing under jobs/), a
 	# /stream consumer that lags past its job's settle, /slice reads racing
-	# the settle, and /slice reads of each slice as it is handed over, from
-	# the job's volume while the row roots still fill it.
+	# the settle, /slice reads of each slice as it is handed over, from the
+	# job's volume while the row roots still fill it, a /stream consumer that
+	# lags past its result's eviction, serving reads that count no cache
+	# lookup, and a one-entry cache bounding fifteen settled results.
 	go test -race -count=1 -run 'TestCrashRestart|TestJournal|TestCancelPopRace|TestLifecycleTable|TestApplyRefusesStaleState|TestTraceCompleteWhileJobRetained' ./internal/service/
 	go test -race -count=1 -run 'TestE2EProgressiveCoarseToFine|TestPreviewCacheNeverAliases' ./internal/service/
 	go test -race -count=50 -run 'TestCancelDuringStaging|TestStagingWriteFaultMidScan' ./internal/service/
-	go test -race -count=20 -run 'TestSoakDistinctScansReleased|TestStreamLaggingConsumerGetsEverySliceOnce|TestSliceServedAcrossSettle|TestDeleteJobCleansNamespace' ./internal/service/
+	go test -race -count=20 -run 'TestSoakDistinctScansReleased|TestStreamLaggingConsumerGetsEverySliceOnce|TestSliceServedAcrossSettle|TestStreamKeepsVolumeAcrossEviction|TestServingReadsLeaveCacheCountersAlone|TestManagerCacheBudgetBoundsRetainedResults|TestDeleteJobCleansNamespace' ./internal/service/
 	go test -race -count=1 -run 'TestFailoverPendingJobs|TestRelaySurvives|TestTerminalRouteTTL|TestProgressiveStreamThroughRouter|TestRouteTable|TestRoutesWrittenOnlyByApply|TestStrandedRoute' ./internal/router/
 	;;
 tiers)

@@ -60,7 +60,8 @@ func main() {
 		"per-client submission rate limit in requests/s (0 = no quotas)")
 	aging := flag.Duration("aging", 15*time.Second,
 		"queued-job priority aging: wait per one-class priority boost (0 disables)")
-	cacheMB := flag.Int64("cache-mb", 1024, "result cache budget in MiB (<= 0 disables)")
+	cacheMB := flag.Int64("cache-mb", 1024,
+		"result cache budget in MiB; it bounds every settled job's volume (<= 0 disables it, and no settled volume is served)")
 	eventLog := flag.Int("event-log", 0,
 		"retained events per job for /events resume and /stream replay (0 = default 1024)")
 	node := flag.String("node", "",

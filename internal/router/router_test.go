@@ -629,7 +629,7 @@ func TestStrandedRouteFailsOverAgain(t *testing.T) {
 // "unavailable", never a duplicate.
 func TestRelaySurvivesBackendKillMidRun(t *testing.T) {
 	f := startFleet(t, 2, func(int) service.Options {
-		return service.Options{Workers: 1, CacheBytes: -1,
+		return service.Options{Workers: 1,
 			PFS: pfs.Config{ReadBW: 1e6, Throttle: true}}
 	})
 	c := client.New(f.routerTS.URL)

@@ -78,9 +78,9 @@ func CacheKey(cfg core.Config) string {
 // and an entry larger than the whole budget is not cached, so the budget
 // bounds every byte the cache retains.
 //
-// Cached volumes are never returned to the engine buffer pools, even on
-// eviction: entries escape to HTTP handlers and job records, and the cache
-// cannot prove no reader remains. They become ordinary garbage instead.
+// It is the only holder of settled results (a job record keeps its keys),
+// so the budget bounds every settled volume the daemon serves. An evicted
+// volume becomes garbage, never a pool buffer: a /stream may still hold it.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -125,6 +125,21 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 	c.ll.MoveToFront(el)
 	c.hits++
 	return el.Value.(*cacheItem).entry, true
+}
+
+// settled is Get for reading a settled job's result or preview back. It
+// counts no hit or miss (the counters are admission's and the preview
+// tier's). A miss — evicted, cache disabled, or replayed from the journal —
+// is nil, and every reader answers it as terminal.
+func (c *Cache) settled(key string) *volume.Volume {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*cacheItem).entry.Volume
 }
 
 // Put stores an entry, dropping least recently used entries until the byte

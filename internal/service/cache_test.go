@@ -2,12 +2,16 @@ package service
 
 import (
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"ifdk/internal/core"
 	"ifdk/internal/ct/geometry"
+	"ifdk/pkg/api"
 	"ifdk/pkg/volume"
 )
 
@@ -164,16 +168,20 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 // Through the Manager, the cache budget bounds every result byte retained:
-// with room for one 32³ entry and two job records, fifteen distinct 32³
-// jobs leave the cache within its budget and nothing on the PFS but the
-// staged datasets. An evicted entry is dropped, not written anywhere else.
+// with room for one 32³ entry, fifteen distinct 32³ jobs leave the cache
+// within its budget and nothing on the PFS but the staged datasets. The
+// records are all kept, and none holds a volume or an entry: at most one
+// job still answers Manager.Volume, and every other one answers /slice with
+// terminal. An evicted entry is dropped, not written anywhere else.
 func TestManagerCacheBudgetBoundsRetainedResults(t *testing.T) {
-	m, err := OpenManager(Options{Workers: 1, MaxJobs: 2,
+	const jobs = 15
+	m, err := OpenManager(Options{Workers: 1, MaxJobs: jobs,
 		CacheBytes: entrySize(entryOfSize(32))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shutdown(t, m)
+	var ids []string
 	for _, ph := range []string{"shepplogan", "sphere", "industrial"} {
 		for _, w := range []string{"ram-lak", "shepp-logan", "cosine", "hamming", "hann"} {
 			v, err := m.Submit(Spec{Phantom: ph, NX: 32, R: 1, C: 1, Window: w})
@@ -183,6 +191,7 @@ func TestManagerCacheBudgetBoundsRetainedResults(t *testing.T) {
 			if got := waitState(t, m, v.ID, 30*time.Second); got.State != StateDone {
 				t.Fatalf("%s/%s: %s (%s)", ph, w, got.State, got.Error)
 			}
+			ids = append(ids, v.ID)
 		}
 	}
 	if st := m.cache.Stats(); st.Bytes > st.MaxBytes {
@@ -196,5 +205,44 @@ func TestManagerCacheBudgetBoundsRetainedResults(t *testing.T) {
 	}
 	if len(stray) > 0 {
 		t.Fatalf("%d PFS objects outside ds/, first %s", len(stray), stray[0])
+	}
+	srv := NewServer(m)
+	readable := 0
+	for _, id := range ids {
+		j, ok := m.job(id)
+		if !ok {
+			t.Fatalf("record %s pruned", id)
+		}
+		requireNoBytes(t, j)
+		if _, err := m.Volume(id); err == nil {
+			readable++
+			continue
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/slice/3", nil))
+		if e := decodeAPIError(t, rec.Result()); e.Code != api.CodeTerminal {
+			t.Errorf("%s: /slice of an evicted result = %d %s, want terminal", id, rec.Code, e.Code)
+		}
+	}
+	if readable > 1 {
+		t.Errorf("%d of %d settled jobs still answer Volume through a one-entry cache", readable, jobs)
+	}
+}
+
+// requireNoBytes fails when the settled record j still references a volume
+// or a cache entry: a settled job holds its keys, and the cache its bytes.
+func requireNoBytes(t *testing.T, j *Job) {
+	t.Helper()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	rv := reflect.ValueOf(j).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		f := rv.Field(i)
+		switch f.Type() {
+		case reflect.TypeOf((*Entry)(nil)), reflect.TypeOf((*volume.Volume)(nil)):
+			if !f.IsNil() {
+				t.Errorf("settled job %s holds %s in field %s", j.ID, f.Type(), rv.Type().Field(i).Name)
+			}
+		}
 	}
 }

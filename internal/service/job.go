@@ -224,13 +224,12 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 	cancel    func() // non-nil while running
-	result    *Entry // terminal result (shared with the cache)
 
 	// out is a running job's output volume, the one home of its slices:
 	// each row root copies its planes in, have[z] marks plane z as filled
 	// (written before have[z] is set, never again after), and out becomes
 	// the result. Both are nil outside the run and cleared on every
-	// terminal transition.
+	// terminal transition, as is preview: a settled record keeps its keys.
 	out  *volume.Volume
 	have []bool
 
@@ -256,8 +255,7 @@ type Job struct {
 	// quality tier (immutable after submit): qual and plan come from
 	// resolveSpec; previewKey is the preview tier's cache key ("" unless the
 	// tier builds one). For preview-quality jobs cacheKey == previewKey.
-	// preview (mu-guarded) is the built preview entry of a progressive job,
-	// shared with the cache.
+	// preview (mu-guarded) is the entry a running job's tier built or found.
 	qual       progressive.Quality
 	plan       preview.Plan
 	previewKey string

@@ -60,7 +60,7 @@ const (
 // cachePut runs before the flip and journal with it, under the job's lock;
 // the rest run after it, in field order.
 type effects struct {
-	cachePut  bool      // store the run's result, so whoever sees done and resubmits hits the cache
+	cachePut  bool      // store the run's result, where readers of the done job and resubmissions find it
 	enter     bool      // join the job table, pruning the oldest terminal records past MaxJobs
 	count     counter   // lifecycle metric bumped
 	wait      bool      // record the queue wait
@@ -142,13 +142,14 @@ func (m *Manager) apply(j *Job, from State, ev event, res *Entry, set func()) er
 		set()
 	}
 	if res != nil {
-		j.result, j.times, j.relRMSE, j.verified = res, res.Times, res.RelRMSE, res.Verified
+		j.times, j.relRMSE, j.verified = res.Times, res.RelRMSE, res.Verified
 	}
 	switch {
 	case to == StateRunning:
 		j.started = now
 	case to.Terminal():
-		j.cancel, j.out, j.have = nil, nil, nil // a done job's volume is its result now
+		// A settled record keeps its keys; its bytes are in the cache.
+		j.cancel, j.out, j.have, j.preview = nil, nil, nil, nil
 		if j.finished.IsZero() {
 			j.finished = now
 		}

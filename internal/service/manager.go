@@ -45,7 +45,7 @@ var ErrNotFound = errors.New("service: no such job")
 type Options struct {
 	Workers    int   // concurrent reconstructions (default 2)
 	QueueCap   int   // bounded admission queue, jobs (default 4·Workers)
-	CacheBytes int64 // result-cache budget in bytes (default 1 GiB, < 0 disables)
+	CacheBytes int64 // result-cache budget, bounding settled results (default 1 GiB; < 0 disables, and none are served)
 	MaxJobs    int   // retained job records; oldest terminal ones are pruned (default 1024)
 
 	// PFS sets the bandwidths of the in-memory store behind every job. It
@@ -133,7 +133,9 @@ func (o Options) withDefaults() Options {
 
 // Manager is the reconstruction service: it owns the job table, the
 // cost-aware priority queue, the worker pool, the shared PFS namespace tree
-// and the result cache. One Manager serves many concurrent clients.
+// and the result cache, which alone holds a settled job's bytes: the record
+// keeps its keys, and every read of its volume or preview resolves them
+// there. One Manager serves many concurrent clients.
 //
 // Namespace layout inside the shared PFS:
 //
@@ -282,9 +284,9 @@ func (m *Manager) jAppend(rec journalRecord) error {
 }
 
 // recoverJobs readmits the journal's merged recovery set. Terminal jobs
-// come back as metadata-only views (their volumes lived in the in-process
-// PFS and cache, which a crash destroys; resubmitting the same spec
-// re-derives them bit-exactly). Non-terminal jobs — queued or mid-run at
+// come back as metadata-only views (their volumes lived in the result
+// cache, which a crash destroys; resubmitting the same spec re-derives
+// them bit-exactly). Non-terminal jobs — queued or mid-run at
 // the crash — re-enter the queue under their original public IDs.
 func (m *Manager) recoverJobs(jobs []recoveredJob) {
 	for i := range jobs {
@@ -674,39 +676,25 @@ func (m *Manager) Get(id string) (View, bool) {
 	return j.snapshot(), true
 }
 
-// resultFor returns a job's terminal result entry, falling through to the
-// cache when the job record does not hold one itself (a done job replayed
-// from the journal). nil when no result is reachable.
-func (m *Manager) resultFor(j *Job) *Entry {
+// slice returns a view of plane z of j's output, with the job's state. vol
+// is the output volume the caller holds, nil until it has one; slice
+// resolves it — the job's volume while it runs, its cached result once done
+// — and returns it for the caller to keep. The view is nil until plane z is
+// handed over, and for good once the job settles without a reachable result.
+func (m *Manager) slice(j *Job, z int, vol *volume.Volume) (*volume.Image, *volume.Volume, State) {
 	j.mu.Lock()
-	e, st := j.result, j.state
-	j.mu.Unlock()
-	if e != nil || st != StateDone {
-		return e
-	}
-	e, _ = m.cache.Get(j.cacheKey) // nil on a miss
-	return e
-}
-
-// slice returns a view of plane z of j's output, with the job's state read
-// alongside: from the job's volume while it runs, once a row root has
-// handed the plane over, and from its result once it has settled. It is
-// nil when the plane is not there yet, or never will be (a terminal job
-// without a result).
-func (m *Manager) slice(j *Job, z int) (*volume.Image, State) {
-	j.mu.Lock()
-	vol, st := j.out, j.state
-	if vol != nil && !j.have[z] {
-		vol = nil
-	}
-	j.mu.Unlock()
-	if e := m.resultFor(j); e != nil { // set with the flip that cleared out
-		vol = e.Volume
-	}
+	st, ready := j.state, j.state == StateDone || j.have != nil && j.have[z]
 	if vol == nil {
-		return nil, st
+		vol = j.out
 	}
-	return planeZ(vol, z), st
+	j.mu.Unlock()
+	if vol == nil && st == StateDone {
+		vol = m.cache.settled(j.cacheKey)
+	}
+	if vol == nil || !ready {
+		return nil, vol, st
+	}
+	return planeZ(vol, z), vol, st
 }
 
 // planeZ is a view of plane z of an i-major volume, whose planes are
@@ -716,17 +704,16 @@ func planeZ(v *volume.Volume, z int) *volume.Image {
 	return &volume.Image{W: v.Nx, H: v.Ny, Data: v.Data[z*n : (z+1)*n]}
 }
 
-// Volume returns a done job's reconstructed volume.
+// Volume returns a done job's volume while the result cache holds it.
 func (m *Manager) Volume(id string) (*volume.Volume, error) {
 	j, ok := m.job(id)
 	if !ok {
 		return nil, fmt.Errorf("job %q: %w", id, ErrNotFound)
 	}
-	e := m.resultFor(j)
-	if e == nil || e.Volume == nil {
-		return nil, fmt.Errorf("service: job %s has no result (state %s)", id, j.State())
+	if vol := m.cache.settled(j.cacheKey); vol != nil && j.State() == StateDone {
+		return vol, nil
 	}
-	return e.Volume, nil
+	return nil, fmt.Errorf("service: job %s has no result (state %s)", id, j.State())
 }
 
 // List returns all jobs in submission order.
@@ -848,35 +835,34 @@ func (m *Manager) execute(ctx context.Context, j *Job) (*Entry, error) {
 	j.mu.Lock()
 	j.tRun0 = time.Now()
 	j.mu.Unlock()
-	// The preview tier runs first, from the same staged dataset the full
-	// pipeline will read: for preview-quality jobs it IS the job; for
-	// progressive jobs it is streamed (EventPreview, the leading stream
-	// parts) before the first full-resolution round completes.
-	if j.qual.WantsPreview() {
+	// A preview-quality job's result is its preview tier. Any other job's
+	// volume exists before its preview tier, if it has one, so a /stream
+	// that attaches to the running job keeps the volume that becomes its
+	// result; the tier streams (EventPreview, the leading parts) before the
+	// first full-resolution round completes.
+	if j.qual == progressive.Preview {
 		pe, err := m.buildPreview(ctx, j)
-		if err != nil {
-			return nil, err
+		if err != nil || !j.Spec.Verify {
+			return pe, err
 		}
-		if j.qual == progressive.Preview {
-			if j.Spec.Verify {
-				// Verify a copy: pe may be the live cached entry, and the
-				// verification fields must not mutate under concurrent
-				// readers. runJob's Put replaces the cache entry with the
-				// verified copy.
-				ve := *pe
-				pe = &ve
-				if err := m.verifyPreview(ctx, j, pe); err != nil {
-					return nil, fmt.Errorf("verification: %w", err)
-				}
-			}
-			return pe, nil
+		// Verify a copy: pe may be the live cached entry, whose fields must
+		// not change under readers; runJob's Put stores the verified copy.
+		ve := *pe
+		if err := m.verifyPreview(ctx, j, &ve); err != nil {
+			return nil, fmt.Errorf("verification: %w", err)
 		}
+		return &ve, nil
 	}
 	g := j.cfg.Geometry
 	out, have := volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor), make([]bool, g.Nz)
 	j.mu.Lock()
 	j.out, j.have = out, have
 	j.mu.Unlock()
+	if j.qual == progressive.Progressive {
+		if _, err := m.buildPreview(ctx, j); err != nil {
+			return nil, err
+		}
+	}
 	cfg := j.cfg
 	cfg.AssembleVolume = false // the row roots fill out instead of rank 0
 	cfg.Progress = func(done, total int) {

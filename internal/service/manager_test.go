@@ -404,7 +404,7 @@ func TestDeleteJobCleansNamespace(t *testing.T) {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/slice/"+strconv.Itoa(z), nil))
 		j, _ := m.job(id)
-		img, _ := m.slice(j, z)
+		img, _, _ := m.slice(j, z, nil)
 		mu.Lock()
 		defer mu.Unlock()
 		if rec.Code != http.StatusOK || img == nil {
@@ -458,11 +458,14 @@ func TestDeleteJobCleansNamespace(t *testing.T) {
 // preview tier ahead of the run: the row roots' hand-over puts every plane
 // in its place.
 func TestJobVolumeMatchesCoreAssembly(t *testing.T) {
-	m := NewManager(Options{Workers: 1, CacheBytes: -1})
+	m := NewManager(Options{Workers: 1})
 	defer shutdown(t, m)
+	// A window per quality keeps the progressive jobs off the full jobs'
+	// cache entries, so both run.
+	window := map[string]string{api.QualityFull: "ram-lak", api.QualityProgressive: "hann"}
 	for _, grid := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {4, 2}} {
 		for _, q := range []string{api.QualityFull, api.QualityProgressive} {
-			spec := Spec{Phantom: "shepplogan", NX: 16, R: grid[0], C: grid[1], Quality: q}
+			spec := Spec{Phantom: "shepplogan", NX: 16, R: grid[0], C: grid[1], Quality: q, Window: window[q]}
 			v, err := m.Submit(spec)
 			if err != nil {
 				t.Fatal(err)

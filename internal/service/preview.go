@@ -16,9 +16,9 @@ import (
 // buildPreview resolves the job's preview tier: from the result cache when
 // an identical preview already exists, otherwise by reconstructing the
 // decimated problem from the staged dataset. The entry lands in the cache
-// under the preview key and on the job record, and its availability is
-// announced with EventPreview — for a progressive job, before any
-// full-resolution round has run.
+// under the preview key and on the job record while the job runs, and its
+// availability is announced with EventPreview — for a progressive job,
+// before any full-resolution round has run.
 func (m *Manager) buildPreview(ctx context.Context, j *Job) (*Entry, error) {
 	t0 := time.Now()
 	entry, hit := m.cache.Get(j.previewKey)
@@ -47,21 +47,17 @@ func (m *Manager) buildPreview(ctx context.Context, j *Job) (*Entry, error) {
 	return entry, nil
 }
 
-// previewFor returns a job's preview entry for serving: the one pinned on
-// the job record, else the cache under the preview key. nil when the tier
-// has not been built or is unreachable.
-func (m *Manager) previewFor(j *Job) *Entry {
-	if !j.qual.WantsPreview() {
-		return nil
-	}
+// previewFor returns a job's preview volume for serving: the entry the
+// running job holds, else the cache's under the preview key. nil when the
+// job has no preview tier, or its preview is not built or no longer held.
+func (m *Manager) previewFor(j *Job) *volume.Volume {
 	j.mu.Lock()
 	e := j.preview
 	j.mu.Unlock()
 	if e != nil {
-		return e
+		return e.Volume
 	}
-	e, _ = m.cache.Get(j.previewKey) // nil on a miss
-	return e
+	return m.cache.settled(j.previewKey)
 }
 
 // verifyPreview is the coarse analogue of verifyAgainstSerial: it rebuilds

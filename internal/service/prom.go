@@ -138,9 +138,9 @@ func newMetricsSet(m *Manager) *metricsSet {
 			return out
 		})
 
-	r.CounterFunc("ifdk_cache_hits_total", "Result-cache lookups that hit.",
+	r.CounterFunc("ifdk_cache_hits_total", "Admission and preview-tier result-cache lookups that hit.",
 		func() float64 { return float64(m.cache.Stats().Hits) })
-	r.CounterFunc("ifdk_cache_misses_total", "Result-cache lookups that missed.",
+	r.CounterFunc("ifdk_cache_misses_total", "Admission and preview-tier result-cache lookups that missed.",
 		func() float64 { return float64(m.cache.Stats().Misses) })
 	r.GaugeFunc("ifdk_cache_entries", "Result-cache entries retained.",
 		func() float64 { return float64(m.cache.Stats().Entries) })

@@ -119,8 +119,8 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request) {
 // out-of-range index is the client's fault (bad_request); a valid index
 // whose slice has not been handed over yet is not_yet_written, worth
 // retrying; a terminal job with no reachable result — failed, cancelled, or
-// done before a restart that lost its volume — will never produce it
-// (terminal, as /stream).
+// evicted from the result cache — will never produce it (terminal, as
+// /stream).
 func (s *Server) slice(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.m.job(id)
@@ -138,7 +138,7 @@ func (s *Server) slice(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.CodeBadRequest, "slice %d out of range [0,%d)", z, nz)
 		return
 	}
-	img, st := s.m.slice(j, z)
+	img, _, st := s.m.slice(j, z, nil)
 	switch {
 	case img == nil && st.Terminal():
 		// The slice will never arrive, so a retryable not_yet_written

@@ -89,7 +89,7 @@ func acceptsGzip(r *http.Request) bool {
 // not at all — so a job whose preview phase has not completed answers
 // not_yet_written (retryable); a full-quality job has no preview tier and
 // answers bad_request; a terminal job without one (failed, cancelled, or
-// done before a restart that lost it) answers terminal, matching /stream.
+// evicted from the result cache) answers terminal, matching /stream.
 func (s *Server) preview(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.m.job(id)
@@ -102,8 +102,8 @@ func (s *Server) preview(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := j.State() // first, as in slice: a terminal job's preview is final
-	e := s.m.previewFor(j)
-	if e == nil || e.Volume == nil {
+	vol := s.m.previewFor(j)
+	if vol == nil {
 		if st.Terminal() {
 			writeErr(w, api.CodeTerminal, "job %s is %s: no preview", id, st)
 			return
@@ -116,7 +116,7 @@ func (s *Server) preview(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", ps.sw.ContentType())
 	w.Header().Set(api.HeaderPreviewFactor, strconv.Itoa(j.plan.Factor))
 	w.WriteHeader(http.StatusOK)
-	_ = ps.sendVolume(e.Volume, j.plan.Factor)
+	_ = ps.sendVolume(vol, j.plan.Factor)
 }
 
 // parts frames one handler's slice parts through the shared codec, encoding
@@ -162,9 +162,10 @@ func (ps *parts) sendVolume(vol *volume.Volume, factor int) error {
 // chunked multipart/mixed body, each part one z-slice in the PFS image
 // format (little-endian W,H header + float32 payload), delivered as its row
 // group finishes — while the job is still running. Attaching late replays
-// the slices already handed over first, then follows the live epilogue;
-// every part comes from Manager.slice, so a slice a lagging or late consumer
-// has not been sent when the job settles comes from its result. The final
+// the slices already handed over first, then follows the live epilogue. It
+// resolves its volume once and keeps it — the job's volume, which becomes
+// its result, or a settled job's cached result — so a consumer behind at
+// the settle gets every slice once even if the cache evicts it. The final
 // part is the job's terminal JSON view.
 //
 // Progressive jobs prepend the coarse tier: as soon as the preview volume
@@ -197,13 +198,12 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 	defer sub.Close()
 
 	nz := j.resultNz()
-	// A terminal job's slices come only from its result; without one the
-	// stream would stay empty for good.
-	if st := j.State(); st.Terminal() {
-		if e := s.m.resultFor(j); e == nil || e.Volume == nil {
-			writeErr(w, api.CodeTerminal, "job %s is %s: no slice stream", id, st)
-			return
-		}
+	// A settled job without a reachable result would stream nothing for
+	// good. A queued job's volume is resolved by the first send that finds it.
+	_, vol, st := s.m.slice(j, 0, nil)
+	if st.Terminal() && vol == nil {
+		writeErr(w, api.CodeTerminal, "job %s is %s: no slice stream", id, st)
+		return
 	}
 	rc := http.NewResponseController(w)
 	ps := &parts{sw: api.NewSliceWriter(w), gz: acceptsGzip(r), flush: rc.Flush}
@@ -225,12 +225,13 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		if previewSent || j.qual != progressive.Progressive {
 			return nil
 		}
-		e := s.m.previewFor(j)
-		if e == nil || e.Volume == nil {
+		pv := s.m.previewFor(j)
+		if pv == nil {
 			return nil
 		}
 		previewSent = true
-		return ps.sendVolume(e.Volume, j.plan.Factor)
+		_, vol, _ = s.m.slice(j, 0, vol) // the job's volume, before writes can block
+		return ps.sendVolume(pv, j.plan.Factor)
 	}
 	// send streams slice z unless it went already or is not there: a slice
 	// not handed over yet arrives with its event, and one the event replay
@@ -240,16 +241,17 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		if z < 0 || z >= nz || sent[z] {
 			return nil
 		}
-		img, _ := s.m.slice(j, z)
+		var img *volume.Image
+		img, vol, _ = s.m.slice(j, z, vol)
 		if img == nil {
 			return nil
 		}
 		sent[z] = true
 		return ps.send(z, nz, 0, img)
 	}
-	// finish emits, from the job's result, every slice not yet sent, then
-	// the terminal JSON view as the closing part. A job that settled
-	// without a result sends only the view.
+	// finish emits, from the volume the stream holds, every slice not yet
+	// sent, then the terminal JSON view as the closing part. A job that
+	// failed or was cancelled sends no more slices, only the view.
 	finish := func() {
 		for z := 0; z < nz; z++ {
 			if send(z) != nil {

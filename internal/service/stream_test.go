@@ -3,7 +3,9 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -331,5 +333,162 @@ func TestStreamLaggingConsumerGetsEverySliceOnce(t *testing.T) {
 	}
 	if end == nil || end.State != StateDone {
 		t.Errorf("closing view %+v, want state done", end)
+	}
+}
+
+// A /stream consumer that reads nothing until its job's result has been
+// evicted from a one-entry cache still gets every slice exactly once,
+// bit-identical to the volume read before the eviction: the handler keeps
+// the job's volume, whether it attached mid-run or while the job was still
+// queued (its first write, the preview tier, comes once the volume
+// exists). Requests that attach after the eviction answer terminal.
+func TestStreamKeepsVolumeAcrossEviction(t *testing.T) {
+	for _, queued := range []bool{false, true} {
+		t.Run(fmt.Sprintf("queued=%v", queued), func(t *testing.T) {
+			// gate parks the first job at its first slice; pgate holds job A
+			// after its preview tier, when it was queued at attach.
+			gate, pgate := newSliceGate(), newSliceGate()
+			m := NewManager(Options{Workers: 1, CacheBytes: entrySize(entryOfSize(16)),
+				testOnSlice: gate.hook, testOnPreview: pgate.hook})
+			defer shutdown(t, m)
+			defer gate.open()
+			defer pgate.open()
+			if !queued {
+				pgate.open()
+			}
+			var blocker View // parks the one worker while job A waits behind it
+			if queued {
+				var err error
+				if blocker, err = m.Submit(Spec{Phantom: "shepplogan", NX: 16, R: 2, C: 2, Window: "cosine"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, err := m.Submit(progSpec(api.QualityProgressive))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitSliceEvent(t, m, cmp.Or(blocker.ID, a.ID)) // parked mid-epilogue
+			if v, _ := m.Get(a.ID); (v.State == StateQueued) != queued {
+				t.Fatalf("job A is %s at attach", v.State)
+			}
+
+			pr, pw := io.Pipe()
+			defer pr.Close() // on an early failure, unblocks the handler's write
+			w := laggingWriter{pw, http.Header{}}
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				NewServer(m).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+a.ID+"/stream", nil))
+				pw.Close()
+			}()
+			body := bufio.NewReader(pr)
+			if queued {
+				// Job A runs once the blocker is let go, so let it go only
+				// after the handler has subscribed, the step just before
+				// it looks at the job.
+				for tp := m.events.topicFor(a.ID, true); ; time.Sleep(time.Millisecond) {
+					tp.mu.Lock()
+					n := len(tp.subs)
+					tp.mu.Unlock()
+					if n > 0 {
+						break
+					}
+				}
+				gate.open()
+			}
+			if _, err := body.Peek(1); err != nil { // the handler writes its first part
+				t.Fatal(err)
+			}
+			gate.open()
+			pgate.open()
+			if got := waitState(t, m, a.ID, 30*time.Second); got.State != StateDone {
+				t.Fatalf("job A: state %s: %s", got.State, got.Error)
+			}
+			vol, err := m.Volume(a.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([][]byte, vol.Nz)
+			for z := range want {
+				want[z] = volume.ImageToBytes(vol.SliceZ(z))
+			}
+			b, err := m.Submit(Spec{Phantom: "shepplogan", NX: 16, R: 2, C: 2, Window: "hann"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := waitState(t, m, b.ID, 30*time.Second); got.State != StateDone || got.CacheHit {
+				t.Fatalf("job B: state %s, cache hit %v: %s", got.State, got.CacheHit, got.Error)
+			}
+			if _, err := m.Volume(a.ID); err == nil {
+				t.Fatal("job A's result is still readable after job B's evicted it")
+			}
+
+			seen := make([]int, vol.Nz)
+			var end *View
+			for p, err := range api.ReadSlices(w.h.Get("Content-Type"), body) {
+				switch {
+				case err != nil:
+					t.Fatal(err)
+				case p.End != nil:
+					end = p.End
+				case p.Factor == 0:
+					seen[p.Z]++
+					if !bytes.Equal(p.Payload, want[p.Z]) {
+						t.Errorf("slice %d differs from job A's volume", p.Z)
+					}
+				}
+			}
+			<-served
+			for z, n := range seen {
+				if n != 1 {
+					t.Errorf("slice %d sent %d times, want once", z, n)
+				}
+			}
+			if end == nil || end.State != StateDone {
+				t.Errorf("closing view %+v, want state done", end)
+			}
+
+			srv := NewServer(m)
+			for _, path := range []string{"/stream", "/slice/3", "/preview"} {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+a.ID+path, nil))
+				if e := decodeAPIError(t, rec.Result()); e.Code != api.CodeTerminal {
+					t.Errorf("%s after the eviction: %d %s, want terminal", path, rec.Code, e.Code)
+				}
+			}
+		})
+	}
+}
+
+// Reading a settled job back is not a cache lookup: /slice of every plane,
+// /preview and /stream of a done progressive job leave the cache's hit and
+// miss counters (ifdk_cache_hits_total, ifdk_cache_misses_total) as they
+// were.
+func TestServingReadsLeaveCacheCountersAlone(t *testing.T) {
+	m := NewManager(Options{Workers: 1})
+	defer shutdown(t, m)
+	v, err := m.Submit(progSpec(api.QualityProgressive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitState(t, m, v.ID, 30*time.Second); got.State != StateDone {
+		t.Fatalf("state %s: %s", got.State, got.Error)
+	}
+	before := m.Metrics().Cache
+	srv := NewServer(m)
+	paths := []string{"/preview", "/stream"}
+	for z := 0; z < v.Spec.NX; z++ {
+		paths = append(paths, "/slice/"+strconv.Itoa(z))
+	}
+	for _, path := range paths {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+v.ID+path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body)
+		}
+	}
+	if after := m.Metrics().Cache; after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Errorf("cache hits/misses %d/%d → %d/%d across %d serving reads",
+			before.Hits, before.Misses, after.Hits, after.Misses, len(paths))
 	}
 }

@@ -23,7 +23,8 @@ const (
 	// told).
 	CodeNotYetWritten = "not_yet_written"
 	// CodeTerminal: the job already reached a terminal state that makes the
-	// request meaningless — streaming slices of a failed/cancelled job.
+	// request meaningless — streaming slices of a failed/cancelled job, or
+	// of a done one whose result has left the daemon's result cache.
 	CodeTerminal = "terminal"
 	// CodeNotTerminal: the operation requires a terminal job (DELETE of a
 	// live job that could not be cancelled).
