@@ -107,8 +107,10 @@ gates)
 	# wrappers ApplyInto and Sweep) and Sweep ≡ ApplyInto bitwise at any
 	# worker count; back-projection allocates nothing per projection
 	# (Proposed on both layouts, slab pairs at h = 5, the fleet_mixed depth
-	# h = 2 on the gather kernel and fleet_mixed's h = 16, 8 and 4 on the
-	# window tier, Standard and an ablation variant) and returns every
+	# h = 2 on the gather kernel, fleet_mixed's h = 16, 8 and 4 on the
+	# window tier, projection_heavy's h = 8 on a 512² detector — one block of
+	# tiles on one worker, gated at 0 allocations —, Standard and an
+	# ablation variant) and returns every
 	# pooled byte; the serial loop (fdk.Reconstruct)
 	# allocates nothing per batch and returns every pooled byte; pooled
 	# collectives; decimation allocates nothing; the analytic renderer ≡ the

@@ -46,11 +46,31 @@ func ProposedSlabPair(task Task, vol *volume.Volume, opt Options, nzFull, z0, z1
 // colTile is the side of the square tiles of (i, j) voxel columns that
 // slabPair back-projects together; a tile row is one kernels.AccumColumns
 // call (a whole tile one AccumColumnsWindow call), so it is as wide as the
-// kernel's lanes. A
-// tile's accumulators must stay in L1 for a whole batch: 8×8 = 64 columns ×
-// 2h floats is 16 KiB at h = 32 (an Nz = 128 volume split over R = 2 rank
+// kernel's lanes. A tile's accumulators are what one projection's visit
+// works in, so they must stay in L1 for that visit: 8×8 = 64 columns × 2h
+// floats is 16 KiB at h = 32 (an Nz = 128 volume split over R = 2 rank
 // rows).
 const colTile = kernels.Lanes
+
+// blockBytes is the cache budget for one worker's block of tile
+// accumulators. slabPair sweeps each projection of a batch across every
+// tile of a block before it takes the next projection, so the projection's
+// transposed detector rows are fetched once per block, not once per tile;
+// the block's accumulators then have to stay cached through a whole batch
+// of such sweeps, each of which streams a projection's rows through the
+// cache beside them. 256 KiB is half of a 512 KiB L2, the smallest per core
+// on current x86 servers: a rank's whole slab of projection_heavy's 16
+// tiles (nx 32, h = 8, 4 KiB a tile) is one block of 64 KiB, and
+// volume_heavy's h = 32 tiles (16 KiB each) go 16 to a block, one row of
+// tiles across its 128 j columns.
+const blockBytes = 256 << 10
+
+// blockTiles is the number of tiles in a block: as many depth-h tile
+// accumulators (plus the centre plane when odd is 1) as blockBytes holds,
+// and at least one.
+func blockTiles(h, odd int) int {
+	return max(1, blockBytes/(4*colTile*colTile*(2*h+odd)))
+}
 
 // slabPair is the one Alg. 4 driver, behind both Proposed (a whole volume
 // is the pair [0, Nz/2)) and ProposedSlabPair (one rank row's pair). It
@@ -58,8 +78,9 @@ const colTile = kernels.Lanes
 // into vol, whose plane kk holds the lower slab's plane z0+kk and whose
 // plane vol.Nz-1-kk holds its mirror.
 //
-// Workers take colTile×colTile tiles of (i, j) columns, held in one pooled
-// tile accumulator. Each tile row i has its own block of 2h·colTile floats,
+// Workers take colTile×colTile tiles of (i, j) columns, blockTiles of them
+// at a time held in one pooled block accumulator, one tile accumulator
+// after the other. Each tile row i has its own block of 2h·colTile floats,
 // column c of the row being column j0+c. With kernels.AccumColumns it is
 // depth-major, colTile lanes per depth: acc[kk·colTile+c] is the lower
 // slab's depth kk, acc[(h+kk)·colTile+c] its mirror. With
@@ -68,19 +89,26 @@ const colTile = kernels.Lanes
 // volume line's order: acc[c·2h+kk], and the mirror at acc[c·2h+2h-1-kk].
 // When Nz is odd the centre plane follows at acc[2h·colTile+c] in both.
 // For each projection of the batch in ascending order, the kernel adds that
-// projection down the whole depth of every tile row (the centre plane takes
-// kernels.ColumnGeom and one sample per column).
-// After the batch the tile is added into the volume; in the window layout a
-// tile row of an even-depth volume is one contiguous kernels.AddTo, because
-// its columns are neighbouring k-major volume lines. Neighbouring columns
-// project onto neighbouring detector rows, so the rows one projection's
-// visit reads are fetched once per tile, not once per column. Every voxel
-// still starts from 0, adds the projections in ascending order and is added
-// to the volume once per batch, so the volume is bit-identical to the
-// voxel-at-a-time loop at any tile shape and worker count.
+// projection down the whole depth of every tile row of every tile of the
+// block (the centre plane takes kernels.ColumnGeom and one sample per
+// column). After the batch each tile is added into the volume; in the
+// window layout a tile row of an even-depth volume is one contiguous
+// kernels.AddTo, because its columns are neighbouring k-major volume lines.
+// Neighbouring columns project onto neighbouring detector rows, so the rows
+// one projection's visit reads are fetched once per tile, not once per
+// column, and the block order keeps them cached from one tile to the next
+// (blockBytes). Every voxel still starts from 0, adds the projections in
+// ascending order and is added to the volume once per batch, so the volume
+// is bit-identical to the voxel-at-a-time loop at any tile shape, block
+// size and worker count.
 func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
+	slabPairBlocks(task, vol, opt, z0, z1, blockTiles(z1-z0, vol.Nz%2))
+}
+
+// slabPairBlocks is slabPair with block tiles to a block.
+func slabPairBlocks(task Task, vol *volume.Volume, opt Options, z0, z1, block int) {
 	p := slabPasses.Get().(*slabPass)
-	p.vol, p.z0, p.h = vol, z0, z1-z0
+	p.vol, p.z0, p.h, p.block = vol, z0, z1-z0, block
 	p.w, p.ht = task.Proj[0].W, task.Proj[0].H // detector Nu, Nv
 	if task.Transposed {
 		p.w, p.ht = p.ht, p.w
@@ -102,16 +130,17 @@ func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
 
 // slabPass is one slabPair call's state, read by its batches' tile workers:
 // the volume, the batch's narrowed matrices and transposed projections, the
-// detector's Nu and Nv, the lower slab [z0, z0+h), and whether the window
-// kernel runs. It is pooled with its tiles method value bound once, so a
-// call allocates nothing; a closure over the state would, once per batch.
+// detector's Nu and Nv, the lower slab [z0, z0+h), the tiles to a block,
+// and whether the window kernel runs. It is pooled with its tiles method
+// value bound once, so a call allocates nothing; a closure over the state
+// would, once per batch.
 type slabPass struct {
-	vol          *volume.Volume
-	rows         [][3][4]float32
-	data         [][]float32
-	w, ht, z0, h int
-	window       bool
-	tiles        func(n0, n1 int)
+	vol                 *volume.Volume
+	rows                [][3][4]float32
+	data                [][]float32
+	w, ht, z0, h, block int
+	window              bool
+	tiles               func(n0, n1 int)
 }
 
 var slabPasses = sync.Pool{New: func() any {
@@ -120,7 +149,9 @@ var slabPasses = sync.Pool{New: func() any {
 	return p
 }}
 
-// run back-projects the batch into tiles [n0, n1).
+// run back-projects the batch into tiles [n0, n1), one block of tiles at a
+// time: it clears the block's accumulators, sweeps each projection across
+// every tile of the block, and adds the block into the volume.
 func (p *slabPass) run(n0, n1 int) {
 	vol, rows, data, w, ht, z0, h, window := p.vol, p.rows, p.data, p.w, p.ht, p.z0, p.h, p.window
 	nx, ny, nz := vol.Nx, vol.Ny, vol.Nz
@@ -129,63 +160,76 @@ func (p *slabPass) run(n0, n1 int) {
 	// can be odd, so z0 = 0 and local plane h is global plane Nz/2.
 	odd := nz%2 == 1
 	rowLen := (2*h + nz%2) * colTile
+	tileLen := colTile * rowLen
 	tilesJ := (ny + colTile - 1) / colTile
+	block := min(p.block, n1-n0)
 	regs, us, fs, ws := acquireRegs(colTile)
-	acc := colPool.Acquire(colTile * rowLen)
-	for n := n0; n < n1; n++ {
-		i0, j0 := n/tilesJ*colTile, n%tilesJ*colTile
-		i1, j1 := min(i0+colTile, nx), min(j0+colTile, ny)
-		tj := j1 - j0
-		tile := acc.Data[:(i1-i0)*rowLen]
-		clear(tile)
+	acc := colPool.Acquire(block * tileLen)
+	// tileAt returns tile n's accumulator, its first column (i0, j0) and its
+	// rows and columns.
+	tileAt := func(b0, n int) (tile []float32, i0, j0, ti, tj int) {
+		i0, j0 = n/tilesJ*colTile, n%tilesJ*colTile
+		ti, tj = min(colTile, nx-i0), min(colTile, ny-j0)
+		return acc.Data[(n-b0)*tileLen : (n-b0)*tileLen+ti*rowLen], i0, j0, ti, tj
+	}
+	for b0 := n0; b0 < n1; b0 += block {
+		b1 := min(b0+block, n1)
+		clear(acc.Data[:(b1-b0)*tileLen])
 		for t := range rows {
 			r := &rows[t]
-			// The window kernel takes the whole tile and keeps each tile
-			// row's accumulator in volume-line order, the gather kernel one
-			// tile row depth-major; the centre plane follows either.
-			if window {
-				kernels.AccumColumnsWindow(tile, rowLen, data[t], ht, w, r, i0, i1-i0, j0, tj, z0, h, vm1)
-			}
-			for i := i0; i < i1; i++ {
-				row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
-				if !window {
-					kernels.AccumColumns(row, data[t], ht, w, r, i, j0, tj, z0, h, vm1)
+			for n := b0; n < b1; n++ {
+				tile, i0, j0, ti, tj := tileAt(b0, n)
+				// The window kernel takes the whole tile and keeps each
+				// tile row's accumulator in volume-line order, the gather
+				// kernel one tile row depth-major; the centre plane
+				// follows either.
+				if window {
+					kernels.AccumColumnsWindow(tile, rowLen, data[t], ht, w, r, i0, ti, j0, tj, z0, h, vm1)
 				}
-				if odd {
-					kernels.ColumnGeom(us[:tj], fs, ws, r, i, j0)
-					fi, fk := float32(i), float32(h)
-					centre := row[2*h*colTile:]
-					for c := range tj {
-						fj := float32(j0 + c)
-						y := float32(r[1][0]*fi) + float32(r[1][1]*fj) + float32(r[1][2]*fk) + r[1][3]
-						centre[c] += float32(ws[c] * sampleProj(data[t], ht, w, us[c], y*fs[c], true))
+				for i := i0; i < i0+ti; i++ {
+					row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
+					if !window {
+						kernels.AccumColumns(row, data[t], ht, w, r, i, j0, tj, z0, h, vm1)
+					}
+					if odd {
+						kernels.ColumnGeom(us[:tj], fs, ws, r, i, j0)
+						fi, fk := float32(i), float32(h)
+						centre := row[2*h*colTile:]
+						for c := range tj {
+							fj := float32(j0 + c)
+							y := float32(r[1][0]*fi) + float32(r[1][1]*fj) + float32(r[1][2]*fk) + r[1][3]
+							centre[c] += float32(ws[c] * sampleProj(data[t], ht, w, us[c], y*fs[c], true))
+						}
 					}
 				}
 			}
 		}
-		for i := i0; i < i1; i++ {
-			row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
-			base := (i*ny + j0) * nz
-			if window && !odd {
-				// The tile row's columns are neighbouring volume
-				// lines, each already in line order.
-				kernels.AddTo(vol.Data[base:base+tj*nz], row[:tj*nz])
-				continue
-			}
-			for c := range tj {
-				line := vol.Data[base+c*nz : base+(c+1)*nz : base+(c+1)*nz]
-				if window {
-					col := row[c*2*h : (c+1)*2*h]
-					kernels.AddTo(line[:h], col[:h])
-					kernels.AddTo(line[nz-h:], col[h:])
-				} else {
-					for kk := 0; kk < h; kk++ {
-						line[kk] += row[kk*colTile+c]
-						line[nz-1-kk] += row[(h+kk)*colTile+c]
-					}
+		for n := b0; n < b1; n++ {
+			tile, i0, j0, ti, tj := tileAt(b0, n)
+			for i := i0; i < i0+ti; i++ {
+				row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
+				base := (i*ny + j0) * nz
+				if window && !odd {
+					// The tile row's columns are neighbouring volume
+					// lines, each already in line order.
+					kernels.AddTo(vol.Data[base:base+tj*nz], row[:tj*nz])
+					continue
 				}
-				if odd {
-					line[h] += row[2*h*colTile+c]
+				for c := range tj {
+					line := vol.Data[base+c*nz : base+(c+1)*nz : base+(c+1)*nz]
+					if window {
+						col := row[c*2*h : (c+1)*2*h]
+						kernels.AddTo(line[:h], col[:h])
+						kernels.AddTo(line[nz-h:], col[h:])
+					} else {
+						for kk := 0; kk < h; kk++ {
+							line[kk] += row[kk*colTile+c]
+							line[nz-1-kk] += row[(h+kk)*colTile+c]
+						}
+					}
+					if odd {
+						line[h] += row[2*h*colTile+c]
+					}
 				}
 			}
 		}

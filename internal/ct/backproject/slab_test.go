@@ -204,6 +204,61 @@ func TestSlabPairTileOrderBitIdentical(t *testing.T) {
 	}
 }
 
+// The block order must give the tile-at-a-time order's volume bit for bit:
+// blocks of one tile (exactly that order), of 3 tiles, which a worker's
+// range splits mid-block, and of blockTiles, the driver's own, all equal
+// the column-order loop. The shapes are projection_heavy's gather slabs
+// (nx 32 on a 512² detector, h = 8, 17.9 rows per plane), window-tier slabs
+// at h = 4, 8, 16 and 32 (they take AccumColumnsWindow on an AVX-512 host),
+// an odd-Nz whole volume (the centre plane) and column counts that are not
+// a multiple of 8 (ragged edge tiles); 36 projections (a full batch, then a
+// short one); 1 and 3 workers. Every volume starts from the same non-zero
+// contents, so the once-per-batch add shows too.
+func TestSlabPairBlocksBitIdentical(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		g      geometry.Params
+		pairs  [][2]int
+		window bool // on an AVX-512 host
+	}{
+		{"projection_heavy gather, h=8", geometry.Default(512, 512, 36, 32, 32, 32), [][2]int{{8, 16}, {0, 8}}, false},
+		{"window, nx=36, h=4 and 8", geometry.Default(64, 64, 36, 36, 36, 32), [][2]int{{4, 8}, {8, 16}}, true},
+		{"window, nx=36, h=16", geometry.Default(64, 64, 36, 36, 36, 32), [][2]int{{0, 16}}, true},
+		{"window, nx=60, h=32", geometry.Default(128, 128, 36, 60, 60, 64), [][2]int{{0, 32}}, true},
+		{"odd Nz whole volume, nx=20", geometry.Default(48, 48, 36, 20, 20, 15), [][2]int{{0, 7}}, false},
+	} {
+		tk := transposedTask(randomTask(c.g, int64(c.g.Nx*100+c.g.Nz)))
+		for _, zs := range c.pairs {
+			z0, z1 := zs[0], zs[1]
+			h, odd := z1-z0, c.g.Nz%2
+			window := kernels.WindowFits(h, c.g.Nv, maxVStep(tk.Mats, c.g.Nx, c.g.Ny))
+			if want := c.window && kernels.ISA() == "avx512"; window != want {
+				t.Errorf("%s, slab [%d,%d): window kernel %v, want %v", c.name, z0, z1, window, want)
+			}
+			for _, workers := range []int{1, 3} {
+				opt := Options{Workers: workers}
+				want := volume.New(c.g.Nx, c.g.Ny, 2*h+odd, volume.KMajor)
+				rng := rand.New(rand.NewSource(int64(z0)))
+				for n := range want.Data {
+					want.Data[n] = rng.Float32()
+				}
+				start := want.Clone()
+				slabPairColumnOrder(tk, want, opt, z0, z1)
+				for _, block := range []int{1, 3, blockTiles(h, odd)} {
+					got := start.Clone()
+					slabPairBlocks(tk, got, opt, z0, z1, block)
+					for n := range want.Data {
+						if math.Float32bits(got.Data[n]) != math.Float32bits(want.Data[n]) {
+							t.Fatalf("%s, slab [%d,%d), window=%v, workers=%d, %d-tile blocks: voxel %d = %v, column order gives %v",
+								c.name, z0, z1, window, workers, block, n, got.Data[n], want.Data[n])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkSlabPair times one rank's back-projection pass: one op is a
 // batch of 32 pre-transposed projections into a rank row's slab pair on one
 // worker, as the pipeline calls it, reported per voxel update. The shapes
@@ -211,12 +266,17 @@ func TestSlabPairTileOrderBitIdentical(t *testing.T) {
 // fleet_mixed's (nx 16 at R = 4 and 2, nx 32 at R = 2; detector 2·nx),
 // h = 16 its nx = 32 verification volume on one rank row, h = 32
 // volume_heavy's (128³ from 256² on a 2×2 grid) and h = 64 the same volume
-// on one rank row; h=8/512 is projection_heavy's (nx 32 from a 512²
-// detector at R = 2), whose 17.9 rows per plane keep it on the gather
-// kernel. Each times the second rank row's pair; the outer legs time row 0
-// (z0 = 0), whose outer planes reach the detector's top and bottom rows.
-// Unlike BenchmarkKernelsAccumColumns it includes the detector-row reuse
-// between neighbouring columns that the tile order exists for.
+// on one rank row; h=8/512 is projection_heavy's (nx 32 from 256
+// projections on a 512² detector at R = 2), whose 17.9 rows per plane keep
+// it on the gather kernel. That leg cycles through all 256 projections,
+// eight distinct batches of 32 MiB, so that, as in the pipeline (whose
+// filter writes each block with non-temporal stores), every op reads its
+// batch from memory: 256 MiB is past the last-level cache. The other legs
+// repeat one batch, which stays cached. Each times the second rank row's
+// pair; the outer legs time row 0 (z0 = 0), whose outer planes reach the
+// detector's top and bottom rows. Unlike BenchmarkKernelsAccumColumns it
+// includes the detector-row reuse between neighbouring columns that the
+// tile order exists for.
 func BenchmarkSlabPair(b *testing.B) {
 	for _, shape := range []struct {
 		nx, nu, r int // nu 0: a 2·nx detector
@@ -225,11 +285,15 @@ func BenchmarkSlabPair(b *testing.B) {
 		{16, 0, 4, false}, {16, 0, 2, false}, {32, 0, 2, false}, {32, 0, 2, true}, {32, 512, 2, false},
 		{32, 0, 1, false}, {128, 0, 2, false}, {128, 0, 2, true}, {128, 0, 1, false},
 	} {
-		nu := shape.nu
+		// An orbit of 320 projections, one batch of them timed; the 512²
+		// leg's orbit is projection_heavy's 256, all of them timed.
+		nu, np, timed := shape.nu, 320, DefaultBatch
 		if nu == 0 {
 			nu = 2 * shape.nx
+		} else {
+			np, timed = 256, 256
 		}
-		g := geometry.Default(nu, nu, 320, shape.nx, shape.nx, shape.nx)
+		g := geometry.Default(nu, nu, np, shape.nx, shape.nx, shape.nx)
 		h := g.Nz / (2 * shape.r)
 		z0, name := h, fmt.Sprintf("h=%d", h)
 		if shape.r == 1 || shape.outer {
@@ -244,23 +308,28 @@ func BenchmarkSlabPair(b *testing.B) {
 		z1 := z0 + h
 		b.Run(name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(34))
-			task := Task{Mats: geometry.ProjectionMatrices(g)[:DefaultBatch], Transposed: true}
-			for range task.Mats {
-				img := volume.NewImage(g.Nv, g.Nu)
-				for n := range img.Data {
-					img.Data[n] = rng.Float32()
+			mats := geometry.ProjectionMatrices(g)
+			var batches []Task
+			for s0 := 0; s0 < timed; s0 += DefaultBatch {
+				task := Task{Mats: mats[s0 : s0+DefaultBatch], Transposed: true}
+				for range task.Mats {
+					img := volume.NewImage(g.Nv, g.Nu)
+					for n := range img.Data {
+						img.Data[n] = rng.Float32()
+					}
+					task.Proj = append(task.Proj, img)
 				}
-				task.Proj = append(task.Proj, img)
+				batches = append(batches, task)
 			}
 			vol := volume.New(g.Nx, g.Ny, 2*h, volume.KMajor)
 			opt := Options{Workers: 1}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ProposedSlabPair(task, vol, opt, g.Nz, z0, z1); err != nil {
+				if err := ProposedSlabPair(batches[i%len(batches)], vol, opt, g.Nz, z0, z1); err != nil {
 					b.Fatal(err)
 				}
 			}
-			updates := float64(vol.NumVoxels()) * float64(len(task.Proj)) * float64(b.N)
+			updates := float64(vol.NumVoxels()) * DefaultBatch * float64(b.N)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/updates, "ns/update")
 		})
 	}

@@ -79,6 +79,13 @@ const (
 	callTimeout = 15 * time.Second
 	// maxRoutes bounds the route table; terminal routes are evicted first.
 	maxRoutes = 8192
+	// idlePerBackend is how many idle connections the router keeps to each
+	// backend. Every watched job holds an /events relay and a /stream relay
+	// to its backend beside the JSON calls, so a few clients already keep
+	// more than http.DefaultTransport's 2 per host busy at once; with 2, a
+	// finished relay's connection is closed and the next call dials again,
+	// about once per job.
+	idlePerBackend = 32
 )
 
 func (o Options) withDefaults() Options {
@@ -164,6 +171,7 @@ type Router struct {
 	stop            chan struct{}
 	healthWG        sync.WaitGroup
 	startOnce       sync.Once
+	transport       *http.Transport // shared by every backend call, relay and probe
 }
 
 // New builds a router over the given backends and starts its health loop.
@@ -185,7 +193,11 @@ func New(opt Options) (*Router, error) {
 		maxRoutes: maxRoutes,
 		stop:      make(chan struct{}),
 	}
-	callHTTP, streamHTTP := &http.Client{Timeout: callTimeout}, &http.Client{}
+	rt.transport = http.DefaultTransport.(*http.Transport).Clone()
+	rt.transport.MaxIdleConns = idlePerBackend * len(opt.Backends)
+	rt.transport.MaxIdleConnsPerHost = idlePerBackend
+	callHTTP := &http.Client{Timeout: callTimeout, Transport: rt.transport}
+	streamHTTP := &http.Client{Transport: rt.transport}
 	for _, b := range opt.Backends {
 		if b.Name == "" || b.URL == "" {
 			return nil, fmt.Errorf("router: backend needs both name and URL (%+v)", b)
@@ -233,12 +245,15 @@ func New(opt Options) (*Router, error) {
 	return rt, nil
 }
 
-// Close stops the health loop. In-flight proxied requests are unaffected.
+// Close stops the health loop and closes the idle connections to the
+// backends, so that no backend's shutdown waits on one. In-flight proxied
+// requests are unaffected.
 //
 //ifdk:noctx shutdown join: the wait is bounded by the health loop observing stop
 func (rt *Router) Close() {
 	rt.startOnce.Do(func() { close(rt.stop) })
 	rt.healthWG.Wait()
+	rt.transport.CloseIdleConnections()
 }
 
 // ServeHTTP implements http.Handler.

@@ -7,10 +7,12 @@ import (
 	"io"
 	"iter"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,6 +50,9 @@ type fleet struct {
 	// counts the connections lost.
 	dropSubmits []*atomic.Bool
 	dropped     atomic.Int64
+	// dialed and open count, per backend, the connections it accepted and
+	// those not yet closed.
+	dialed, open []*atomic.Int64
 }
 
 func startFleet(t *testing.T, n int, optFor func(i int) service.Options) *fleet {
@@ -62,13 +67,25 @@ func startFleet(t *testing.T, n int, optFor func(i int) service.Options) *fleet 
 		opt.NodeID = fmt.Sprintf("b%d", i)
 		m := service.NewManager(opt)
 		srv, drop := service.NewServer(m), new(atomic.Bool)
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if drop.Load() && r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
 				f.dropped.Add(1)
 				panic(http.ErrAbortHandler)
 			}
 			srv.ServeHTTP(w, r)
 		}))
+		dialed, open := new(atomic.Int64), new(atomic.Int64)
+		ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			switch s {
+			case http.StateNew:
+				dialed.Add(1)
+				open.Add(1)
+			case http.StateClosed, http.StateHijacked:
+				open.Add(-1)
+			}
+		}
+		ts.Start()
+		f.dialed, f.open = append(f.dialed, dialed), append(f.open, open)
 		f.dropSubmits = append(f.dropSubmits, drop)
 		f.managers = append(f.managers, m)
 		f.backends = append(f.backends, ts)
@@ -112,6 +129,51 @@ func testCtx(t *testing.T) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	t.Cleanup(cancel)
 	return ctx
+}
+
+// The router keeps its connections to a backend across calls: eight
+// concurrent callers reading one job through it 25 times each make the
+// backend accept about eight connections, not one per call as an idle pool
+// of 2 per host does. Close then closes the idle ones, so a backend's
+// shutdown waits on none.
+func TestBackendConnectionsReused(t *testing.T) {
+	f := startFleet(t, 1, nil)
+	ctx := testCtx(t)
+	c := client.New(f.routerTS.URL)
+	v, err := c.Submit(ctx, api.Spec{Phantom: "sphere", NX: 16, NP: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := c.Await(ctx, v.ID, 5*time.Millisecond); err != nil || v.State != api.StateDone {
+		t.Fatalf("job: %+v, %v", v, err)
+	}
+	const callers, calls = 8, 25
+	before := f.dialed[0].Load()
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range calls {
+				if _, err := c.Get(ctx, v.ID); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if dialed := f.dialed[0].Load() - before; dialed > 2*callers {
+		t.Errorf("%d calls from %d callers made the backend accept %d connections", callers*calls, callers, dialed)
+	}
+	f.router.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for f.open[0].Load() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d backend connections still open after the router closed", f.open[0].Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // Rendezvous hashing itself: deterministic, total over candidates, and
