@@ -131,11 +131,13 @@ durability)
 	# the settle, /slice reads of each slice as it is handed over, from the
 	# job's volume while the row roots still fill it, a /stream consumer that
 	# lags past its result's eviction, serving reads that count no cache
-	# lookup, and a one-entry cache bounding fifteen settled results.
+	# lookup, a one-entry cache bounding fifteen settled results, admission
+	# returning every charge on every lifecycle path, and the dataset table
+	# staging a scan once and deleting it with its last reference.
 	go test -race -count=1 -run 'TestCrashRestart|TestJournal|TestCancelPopRace|TestLifecycleTable|TestApplyRefusesStaleState|TestTraceCompleteWhileJobRetained' ./internal/service/
 	go test -race -count=1 -run 'TestE2EProgressiveCoarseToFine|TestPreviewCacheNeverAliases' ./internal/service/
 	go test -race -count=50 -run 'TestCancelDuringStaging|TestStagingWriteFaultMidScan' ./internal/service/
-	go test -race -count=20 -run 'TestSoakDistinctScansReleased|TestStreamLaggingConsumerGetsEverySliceOnce|TestSliceServedAcrossSettle|TestStreamKeepsVolumeAcrossEviction|TestServingReadsLeaveCacheCountersAlone|TestManagerCacheBudgetBoundsRetainedResults|TestDeleteJobCleansNamespace' ./internal/service/
+	go test -race -count=20 -run 'TestSoakDistinctScansReleased|TestStreamLaggingConsumerGetsEverySliceOnce|TestSliceServedAcrossSettle|TestStreamKeepsVolumeAcrossEviction|TestServingReadsLeaveCacheCountersAlone|TestManagerCacheBudgetBoundsRetainedResults|TestDeleteJobCleansNamespace|TestAdmissionReturnsEveryCharge|TestDatasetsStageOnceDeleteWithLast' ./internal/service/
 	go test -race -count=1 -run 'TestFailoverPendingJobs|TestRelaySurvives|TestTerminalRouteTTL|TestProgressiveStreamThroughRouter|TestRouteTable|TestRoutesWrittenOnlyByApply|TestStrandedRoute' ./internal/router/
 	;;
 tiers)

@@ -940,9 +940,10 @@ func TestProgressiveStreamThroughRouter(t *testing.T) {
 // never heard of.
 func TestErrorRelayIsVerbatim(t *testing.T) {
 	// One quota-limited backend with slow reads: a job stays live long
-	// enough to be cancelled, and a third submission per client is refused.
+	// enough to be cancelled, and a second submission per client is refused
+	// (each bucket holds max(1, 2·0.01) = 1 token).
 	f := startFleet(t, 1, func(int) service.Options {
-		return service.Options{Workers: 1, QuotaRPS: 0.01, QuotaBurst: 2,
+		return service.Options{Workers: 1, QuotaRPS: 0.01,
 			PFS: pfs.Config{ReadBW: 1e6, Throttle: true}}
 	})
 	ctx := testCtx(t)
@@ -1019,7 +1020,7 @@ func TestErrorRelayIsVerbatim(t *testing.T) {
 		{"trace unknown", "GET", "/v1/jobs/nope/trace", "", 1, f.routerTS.URL, daemon, answer{404, api.CodeNotFound, "", 0}},
 		{"events unknown", "GET", "/v1/jobs/nope/events", "", 1, f.routerTS.URL, daemon, answer{404, api.CodeNotFound, "", 0}},
 		{"stream unknown", "GET", "/v1/jobs/nope/stream", "", 1, f.routerTS.URL, daemon, answer{404, api.CodeNotFound, "", 0}},
-		{"over quota", "POST", "/v1/jobs", `{"phantom":"sphere","nx":16,"np":96,"client":"CLIENT"}`, 3, f.routerTS.URL, daemon, answer{429, api.CodeQuotaExhausted, "1", 1}},
+		{"over quota", "POST", "/v1/jobs", `{"phantom":"sphere","nx":16,"np":96,"client":"CLIENT"}`, 2, f.routerTS.URL, daemon, answer{429, api.CodeQuotaExhausted, "1", 1}},
 		{"stream of a cancelled job", "GET", "/v1/jobs/" + cancelled.ID + "/stream", "", 1, f.routerTS.URL, daemon, answer{409, api.CodeTerminal, "", 0}},
 		{"slice of an unknown job", "GET", "/v1/jobs/nope/slice/0", "", 1, f.routerTS.URL, daemon, answer{404, api.CodeNotFound, "", 0}},
 		{"slice out of range", "GET", "/v1/jobs/" + cancelled.ID + "/slice/999", "", 1, f.routerTS.URL, daemon, answer{400, api.CodeBadRequest, "", 0}},

@@ -281,3 +281,102 @@ func TestCancelTerminalReportsSentinel(t *testing.T) {
 	}
 	shutdown(t, m)
 }
+
+// Every path a job takes through the lifecycle returns every charge that
+// admission took for it, exactly once. Each path is driven through the
+// lifecycle table as apply drives it, for admission's part alone: admit and
+// recover push, start pops, and a row that releases releases. Refused
+// pushes and cache hits take no charge. After the last job, nothing is
+// queued or charged.
+func TestAdmissionReturnsEveryCharge(t *testing.T) {
+	const mib = 1 << 20
+	a := newAdmission(Options{QueueCap: 3, MaxQueuedSec: 1, MaxInflightBytes: 8 * mib})
+	job := func(id string, cost float64, bytes int64) *Job {
+		j := mkJob(id, PriorityNormal)
+		j.est = price{cost: cost, bytes: bytes}
+		return j
+	}
+	drive := func(j *Job, evs ...event) {
+		t.Helper()
+		st := stateNew
+		for _, ev := range evs {
+			to, fx, err := transition(st, ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch ev {
+			case evAdmit, evRecover:
+				if err := a.push(j); err != nil {
+					t.Fatalf("%s: %s refused: %v", j.ID, ev, err)
+				}
+			case evStart:
+				if got, ok := a.pop(); !ok || got != j {
+					t.Fatalf("%s: start popped another job or none (ok %v)", j.ID, ok)
+				}
+			}
+			if fx.release {
+				a.release(j)
+			}
+			st = to
+		}
+	}
+	empty := func(after string) {
+		t.Helper()
+		if s := a.state(); s.bytes != 0 || a.charged != 0 || s.cost != 0 || s.queued != 0 {
+			t.Fatalf("after %s: %d B in flight, %d jobs charged, %g s and %d jobs queued; want all 0",
+				after, s.bytes, a.charged, s.cost, s.queued)
+		}
+	}
+
+	drive(job("succeed", 0.5, mib), evAdmit, evStart, evSucceed)
+	drive(job("fail", 0.5, mib), evAdmit, evStart, evFail)
+	drive(job("cancel-queued", 0.5, mib), evAdmit, evCancel)
+	drive(job("cancel-running", 0.5, mib), evAdmit, evStart, evCancel)
+	drive(job("cache-hit", 0.5, mib), evCacheHit)
+	replayed := job("replayed", 0.5, mib)
+	replayed.recovered = true
+	drive(replayed, evRecover, evStart, evSucceed)
+	empty("the single-job paths")
+
+	// Refusals take nothing: full, over the cost budget, over the byte budget.
+	queued := []*Job{job("q1", 0.8, 2*mib), job("q2", 0.1, 2*mib), job("q3", 0.05, 2*mib)}
+	for _, j := range queued[:2] {
+		drive(j, evAdmit)
+	}
+	before, charged := a.state(), a.charged
+	for _, c := range []struct {
+		j    *Job
+		want error
+	}{
+		{job("over-cost", 0.5, mib), ErrCostBudget},
+		{job("over-bytes", 0.01, 5*mib), ErrWorkingSet},
+	} {
+		if err := a.push(c.j); !errors.Is(err, c.want) {
+			t.Fatalf("%s: err = %v, want %v", c.j.ID, err, c.want)
+		}
+	}
+	drive(queued[2], evAdmit)
+	if err := a.push(job("over-capacity", 0.01, mib)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("over-capacity: err = %v, want ErrQueueFull", err)
+	}
+	if s := a.state(); a.charged != charged+1 || s.bytes != before.bytes+2*mib {
+		t.Fatalf("refused pushes took a charge: %d jobs, %d B charged; %d jobs, %d B before one more admit",
+			a.charged, s.bytes, charged, before.bytes)
+	}
+	// A replayed job passes every budget and settles like any other.
+	replayed = job("replayed-full", 5, 5*mib)
+	replayed.recovered = true
+	if err := a.push(replayed); err != nil {
+		t.Fatalf("replayed job refused by a full queue: %v", err)
+	}
+	for _, j := range queued {
+		if !a.release(j) { // cancelled while queued
+			t.Fatalf("%s was not queued", j.ID)
+		}
+	}
+	if got, ok := a.pop(); !ok || got != replayed {
+		t.Fatalf("popped another job or none (ok %v), want the replayed job", ok)
+	}
+	a.release(replayed)
+	empty("the refusals and the replayed job")
+}

@@ -131,7 +131,7 @@ func TestErrorEnvelopeSaturation(t *testing.T) {
 	}
 
 	t.Run("quota_exhausted", func(t *testing.T) {
-		m := NewManager(Options{Workers: 1, CacheBytes: -1, QuotaRPS: 0.001, QuotaBurst: 1})
+		m := NewManager(Options{Workers: 1, CacheBytes: -1, QuotaRPS: 0.001})
 		defer shutdown(t, m)
 		ts := httptest.NewServer(NewServer(m))
 		defer ts.Close()

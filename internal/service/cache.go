@@ -181,3 +181,43 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.ll.Len(),
 		Bytes: c.bytes, MaxBytes: max(c.maxBytes, 0)}
 }
+
+// slice returns a view of plane z of j's output, with the job's state. vol
+// is the output volume the caller holds, nil until it has one; slice
+// resolves it — the job's volume while it runs, its cached result once done
+// — and returns it for the caller to keep. The view is nil until plane z is
+// handed over, and for good once the job settles without a reachable result.
+func (m *Manager) slice(j *Job, z int, vol *volume.Volume) (*volume.Image, *volume.Volume, State) {
+	j.mu.Lock()
+	st, ready := j.state, j.state == StateDone || j.have != nil && j.have[z]
+	if vol == nil {
+		vol = j.out
+	}
+	j.mu.Unlock()
+	if vol == nil && st == StateDone {
+		vol = m.cache.settled(j.cacheKey)
+	}
+	if vol == nil || !ready {
+		return nil, vol, st
+	}
+	return planeZ(vol, z), vol, st
+}
+
+// planeZ is a view of plane z of an i-major volume, whose planes are
+// contiguous: every result volume is laid out so.
+func planeZ(v *volume.Volume, z int) *volume.Image {
+	n := v.Nx * v.Ny
+	return &volume.Image{W: v.Nx, H: v.Ny, Data: v.Data[z*n : (z+1)*n]}
+}
+
+// Volume returns a done job's volume while the result cache holds it.
+func (m *Manager) Volume(id string) (*volume.Volume, error) {
+	j, ok := m.job(id)
+	if !ok {
+		return nil, fmt.Errorf("job %q: %w", id, ErrNotFound)
+	}
+	if vol := m.cache.settled(j.cacheKey); vol != nil && j.State() == StateDone {
+		return vol, nil
+	}
+	return nil, fmt.Errorf("service: job %s has no result (state %s)", id, j.State())
+}

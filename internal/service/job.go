@@ -265,13 +265,7 @@ type Job struct {
 	// restart (immutable once the job is visible).
 	recovered bool
 
-	// submit-time cost estimate, immutable after Submit: the raw model
-	// runtime (model seconds), the calibrated wall-clock estimate charged
-	// against the queued-work budget, and the working-set bytes charged
-	// against the in-flight byte budget.
-	estModelSec float64
-	estCost     float64 // calibrated seconds; what Queue.Push charges
-	estBytes    int64
+	est price // the admission charge, immutable after submit
 }
 
 func stagesOf(t core.StageTimes) Stages {
@@ -310,9 +304,9 @@ func (j *Job) snapshot() View {
 		Submitted: fmtTime(j.submitted),
 		Started:   fmtTime(j.started),
 		Finished:  fmtTime(j.finished),
-		EstRunSec: j.estModelSec,
-		Cost:      j.estCost,
-		EstBytes:  j.estBytes,
+		EstRunSec: j.est.modelSec,
+		Cost:      j.est.cost,
+		EstBytes:  j.est.bytes,
 		TraceID:   j.traceID,
 		Stages:    stagesOf(j.times),
 		Recovered: j.recovered,

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -379,4 +380,66 @@ func stagesToTimes(s *api.Stages) core.StageTimes {
 		Backproject: d(s.Backproject), Compute: d(s.Compute),
 		Reduce: d(s.Reduce), Store: d(s.Store), Total: d(s.Total),
 	}
+}
+
+// jAppend writes one journal record when journaling is on. Worker-side
+// appends (start/terminal/delete) are best-effort: a failure is logged and
+// counted, never fatal — the job's in-memory lifecycle proceeds and the
+// worst case on a later replay is rerunning finished deterministic work.
+// The submit path checks the error itself (fsync-before-ack).
+func (m *Manager) jAppend(rec journalRecord) error {
+	if m.journal == nil {
+		return nil
+	}
+	err := m.journal.append(rec)
+	switch {
+	case err == nil:
+		m.met.journalRecords.With(rec.T).Inc()
+	case errors.Is(err, errJournalClosed):
+		// Shutdown or simulated kill: the process is "gone"; drop silently.
+	default:
+		m.met.journalErrors.Inc()
+		m.log.Error("journal append failed", "type", rec.T, "job_id", rec.ID, "err", err.Error())
+	}
+	return err
+}
+
+// recoverJobs readmits the journal's merged recovery set. Terminal jobs
+// come back as metadata-only views (their volumes lived in the result
+// cache, which a crash destroys; resubmitting the same spec re-derives
+// them bit-exactly). Non-terminal jobs — queued or mid-run at
+// the crash — re-enter the queue under their original public IDs.
+func (m *Manager) recoverJobs(jobs []recoveredJob) {
+	for i := range jobs {
+		if err := m.recoverJob(&jobs[i]); err != nil {
+			m.met.journalErrors.Inc()
+			m.log.Error("journal replay: job not recovered", "job_id", jobs[i].ID, "err", err.Error())
+		}
+	}
+}
+
+func (m *Manager) recoverJob(r *recoveredJob) error {
+	sub := r.submit
+	rs, err := resolveSpec(*sub.Spec)
+	if err != nil {
+		return err
+	}
+	est, err := m.admission.estimate(rs)
+	if err != nil {
+		return err
+	}
+	submitted := cmp.Or(parseJTime(sub.Submitted), time.Now())
+	j := m.newJob(r.ID, rs, est, submitted, cmp.Or(sub.TraceID, api.NewTraceID()), sub.ParentSpan)
+	j.recovered = true
+	if t := r.term; t != nil {
+		return m.apply(j, stateNew, replayEvent[r.State], nil, func() {
+			j.err, j.cacheHit, j.verified, j.relRMSE = t.Error, t.CacheHit, t.Verified, t.RelRMSE
+			j.times = stagesToTimes(t.Stages)
+			j.started, j.finished = parseJTime(r.started), cmp.Or(parseJTime(t.Finished), j.submitted)
+		})
+	}
+	if err := m.apply(j, stateNew, evRecover, nil, nil); err != nil {
+		return err
+	}
+	return m.admission.push(j) // re-enters under its original ID; push skips the budgets
 }

@@ -68,7 +68,7 @@ type effects struct {
 	trace     bool      // announce that the job's trace is final
 	bus       EventType // lifecycle event published after the trace ("" = none)
 	busErr    string    // its Error when the job records none
-	release   bool      // return the admission charge, held exactly while queued or running
+	release   bool      // admission.release: the charge, held exactly while queued or running
 	journal   []string  // records appended, in order
 	log       string    // lifecycle log line ("" = none), at error level when the job records an error
 	calibrate bool      // fold the run's stage clock into the stage histograms and the cost model
@@ -80,9 +80,9 @@ type edge struct {
 }
 
 // lifecycle is the transition table. Admission past the opening event —
-// budgets, Push, the charge, the table and the submit record — stays in
-// Submit, because Push can still refuse the job. Recovered jobs publish no
-// trace and journal nothing; cache hits hold no charge to release.
+// admission.push (the charge), the table and the submit record — stays in
+// Submit, because push can still refuse the job. Recovered jobs publish no
+// trace and journal nothing; cache hits hold no charge.
 var lifecycle = map[edge]struct {
 	to State
 	fx effects
@@ -172,7 +172,8 @@ func (m *Manager) apply(j *Job, from State, ev event, res *Entry, set func()) er
 	}
 	m.met.count(fx.count)
 	if fx.wait {
-		m.recordWait(j.Priority, waited)
+		m.met.queueWait.With(j.Priority.String()).Observe(waited.Seconds())
+		m.admission.recordWait(j.Priority, waited)
 	}
 	if fx.opened {
 		m.events.Publish(j.ID, Event{Type: EventQueued, State: StateQueued})
@@ -191,9 +192,7 @@ func (m *Manager) apply(j *Job, from State, ev event, res *Entry, set func()) er
 		}
 	}
 	if fx.release {
-		m.mu.Lock()
-		m.chargeLocked(j, -1)
-		m.mu.Unlock()
+		m.admission.release(j)
 	}
 	m.scrub(pruned)
 	if fx.log != "" {
@@ -217,7 +216,7 @@ func (m *Manager) apply(j *Job, from State, ev event, res *Entry, set func()) er
 		// per dataset and verification doubles the compute, so folding
 		// either into the EWMA would inflate every later estimate and shed
 		// work the budget actually had room for.
-		m.observeRuntime(j.estModelSec, res.Times.Total.Seconds())
+		m.admission.observeRuntime(j.est.modelSec, res.Times.Total.Seconds())
 	}
 	return nil
 }

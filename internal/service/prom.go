@@ -97,25 +97,21 @@ func newMetricsSet(m *Manager) *metricsSet {
 	r.GaugeFunc("ifdk_busy_workers", "Workers currently running a reconstruction.",
 		func() float64 { return float64(m.busy.Load()) })
 	r.GaugeFunc("ifdk_queue_depth", "Jobs waiting in the admission queue.",
-		func() float64 { return float64(m.queue.Len()) })
+		func() float64 { return float64(m.admission.state().queued) })
 	r.GaugeFunc("ifdk_queue_capacity", "Admission queue capacity, jobs.",
-		func() float64 { return float64(m.queue.Cap()) })
+		func() float64 { return float64(m.admission.state().capacity) })
 	r.GaugeFunc("ifdk_queue_cost_seconds", "Estimated seconds of queued work.",
-		func() float64 { return m.queue.CostSec() })
+		func() float64 { return m.admission.state().cost })
 	r.GaugeFunc("ifdk_queue_cost_budget_seconds", "Queued-work cost budget (0 = unlimited).",
-		func() float64 { return m.queue.MaxCostSec() })
+		func() float64 { return m.admission.state().maxCost })
 	r.GaugeFunc("ifdk_inflight_est_bytes", "Estimated working set of admitted jobs.",
-		func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			return float64(m.inflightBytes)
-		})
+		func() float64 { return float64(m.admission.state().bytes) })
 	r.GaugeFunc("ifdk_inflight_budget_bytes", "In-flight working-set budget (0 = unlimited).",
-		func() float64 { return float64(m.opt.MaxInflightBytes) })
+		func() float64 { return float64(m.admission.state().maxBytes) })
 	r.GaugeFunc("ifdk_pool_in_use_bytes", "Bytes checked out of the engine buffer pools.",
 		func() float64 { return float64(engine.InUseBytes()) })
 	r.GaugeFunc("ifdk_cost_scale", "Learned wall-seconds per model-second calibration.",
-		func() float64 { return m.scaleNow() })
+		func() float64 { return m.admission.state().scale })
 	r.GaugeFunc("ifdk_jobs_per_sec", "Completed real reconstructions per uptime second.",
 		func() float64 {
 			if up := time.Since(m.started).Seconds(); up > 0 {
@@ -125,14 +121,8 @@ func newMetricsSet(m *Manager) *metricsSet {
 		})
 	r.SampleFunc("ifdk_jobs", "Tracked jobs by lifecycle state.", obs.TypeGauge, []string{"state"},
 		func() []obs.Sample {
-			m.mu.Lock()
-			states := map[string]int{}
-			for _, j := range m.jobs {
-				states[string(j.State())]++
-			}
-			m.mu.Unlock()
-			out := make([]obs.Sample, 0, len(states))
-			for st, n := range states {
+			var out []obs.Sample
+			for st, n := range m.jobStates() {
 				out = append(out, obs.Sample{Labels: []string{st}, Value: float64(n)})
 			}
 			return out
@@ -195,4 +185,60 @@ func (s *metricsSet) observeStages(st Stages) {
 	} {
 		s.stageSeconds.With(o.stage).Observe(o.sec)
 	}
+}
+
+// jobStates tallies the job table by lifecycle state, for /v1/metrics and
+// the ifdk_jobs family alike.
+func (m *Manager) jobStates() map[string]int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	states := map[string]int{}
+	for _, j := range m.jobs {
+		states[string(j.State())]++
+	}
+	return states
+}
+
+// Metrics returns a snapshot of queue, pool, cache and storage counters.
+func (m *Manager) Metrics() Metrics {
+	a := m.admission.state()
+	up := time.Since(m.started).Seconds()
+	done := m.met.completed.Value()
+	ps := m.store.Stats()
+	mt := Metrics{
+		UptimeSec:     up,
+		Workers:       m.opt.Workers,
+		BusyWorkers:   int(m.busy.Load()),
+		QueueDepth:    a.queued,
+		QueueCap:      a.capacity,
+		QueueCostSec:  a.cost,
+		MaxQueuedSec:  a.maxCost,
+		InflightBytes: a.bytes,
+		MaxInflight:   a.maxBytes,
+		PoolBytes:     engine.InUseBytes(),
+		CostScale:     a.scale,
+		Jobs:          m.jobStates(),
+		Completed:     done,
+		CacheHits:     m.met.cacheHits.Value(),
+		Failed:        m.met.failed.Value(),
+		Cancelled:     m.met.cancelled.Value(),
+		Admission: AdmissionStats{
+			Admitted:      m.met.admitted.Value(),
+			RejectedFull:  m.met.rejectedFull.Value(),
+			RejectedCost:  m.met.rejectedCost.Value(),
+			RejectedBytes: m.met.rejectedBytes.Value(),
+			RejectedQuota: m.met.rejectedQuota.Value(),
+		},
+		WaitSec:    m.admission.waitStats(),
+		Cache:      m.cache.Stats(),
+		PFSReadMB:  float64(ps.BytesRead) / (1 << 20),
+		PFSWriteMB: float64(ps.BytesWritten) / (1 << 20),
+		PFSObjects: ps.Objects,
+		PFSHeldMB:  float64(ps.Bytes) / (1 << 20),
+		EventDrops: m.events.Drops(),
+	}
+	if up > 0 {
+		mt.JobsPerSec = float64(done) / up
+	}
+	return mt
 }

@@ -244,18 +244,17 @@ func TestAPIDeleteNeverConflictsWithCompletion(t *testing.T) {
 // Per-client quotas: a client that bursts past its token bucket gets 429
 // with Retry-After while other clients keep submitting.
 func TestAPIQuota(t *testing.T) {
-	ts, _ := startTestServer(t, Options{Workers: 1, QueueCap: 32, QuotaRPS: 0.01, QuotaBurst: 2})
+	// Each client's bucket holds max(1, 2·0.01) = 1 token and refills one
+	// per 100 s.
+	ts, _ := startTestServer(t, Options{Workers: 1, QueueCap: 32, QuotaRPS: 0.01})
 	specN := func(client string, np int) Spec {
 		s := testSpec()
 		s.Client = client
 		s.NP = np
 		return s
 	}
-	for i := 0; i < 2; i++ {
-		resp, _ := postJob(t, ts.URL, specN("greedy", 32+4*i))
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("burst submit %d: status %d", i, resp.StatusCode)
-		}
+	if resp, _ := postJob(t, ts.URL, specN("greedy", 32)); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("burst submit: status %d", resp.StatusCode)
 	}
 	body, _ := json.Marshal(specN("greedy", 48))
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))

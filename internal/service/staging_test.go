@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"hash/fnv"
 	"maps"
 	"path"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"ifdk/internal/engine"
+	"ifdk/internal/hpc/pfs"
 )
 
 // stagingSpec stages a small scan on an odd detector (41²).
@@ -43,10 +45,10 @@ func stagedFNV(t *testing.T, m *Manager, spec Spec) uint64 {
 // staged or whose lock is held. It reads staged only while holding the
 // entry's lock, as stageDataset does.
 func stagedOrLocked(m *Manager) int {
-	m.stageMu.Lock()
-	defer m.stageMu.Unlock()
+	m.datasets.stageMu.Lock()
+	defer m.datasets.stageMu.Unlock()
 	n := 0
-	for _, d := range m.staged {
+	for _, d := range m.datasets.staged {
 		select {
 		case d.lock <- struct{}{}:
 			if d.staged {
@@ -161,9 +163,9 @@ func TestSoakDistinctScansReleased(t *testing.T) {
 		if !maps.Equal(got, want) {
 			t.Fatalf("scan %d: staged projections by dataset %v, want those of the retained records %v", i, got, want)
 		}
-		m.stageMu.Lock()
-		entries := len(m.staged)
-		m.stageMu.Unlock()
+		m.datasets.stageMu.Lock()
+		entries := len(m.datasets.staged)
+		m.datasets.stageMu.Unlock()
 		if entries > maxJobs {
 			t.Fatalf("scan %d: %d dataset entries for at most %d records", i, entries, maxJobs)
 		}
@@ -171,4 +173,52 @@ func TestSoakDistinctScansReleased(t *testing.T) {
 			t.Fatalf("scan %d: engine pools hold %d B, %d B at the start", i, n, base)
 		}
 	}
+}
+
+// The dataset table on its own: two records' refs stage the scan once, the
+// first unref keeps it, the last deletes every ds/<hash>/ object and the
+// entry, and a ref after that stages afresh.
+func TestDatasetsStageOnceDeleteWithLast(t *testing.T) {
+	store := pfs.New(pfs.Config{})
+	d := &datasets{store: store, staged: make(map[string]*dataset)}
+	rs, err := resolveSpec(stagingSpec("sphere"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := rs.cfg.InputPrefix
+	record := func() *Job { return &Job{ph: rs.ph, cfg: rs.cfg, scan: d.ref(prefix)} }
+	stage := func(j *Job) {
+		t.Helper()
+		if err := d.stageDataset(context.Background(), j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	objects := func() int { return len(store.List("ds/")) }
+
+	a, b := record(), record()
+	if a.scan != b.scan {
+		t.Fatal("two records of one scan hold two entries")
+	}
+	stage(a)
+	stage(b)
+	st := store.Stats()
+	if objects() != rs.spec.NP || st.BytesWritten != st.Bytes {
+		t.Fatalf("%d objects, %d B written for %d B held: want %d objects written once",
+			objects(), st.BytesWritten, st.Bytes, rs.spec.NP)
+	}
+	d.unref(a)
+	if objects() != rs.spec.NP {
+		t.Fatalf("the first unref left %d of %d objects", objects(), rs.spec.NP)
+	}
+	d.unref(b)
+	if objects() != 0 || len(d.staged) != 0 {
+		t.Fatalf("the last unref left %d objects and %d entries", objects(), len(d.staged))
+	}
+	c := record()
+	stage(c)
+	if objects() != rs.spec.NP || store.Stats().BytesWritten != 2*st.BytesWritten {
+		t.Fatalf("a ref after the last unref did not stage afresh: %d objects, %d B written",
+			objects(), store.Stats().BytesWritten)
+	}
+	d.unref(c)
 }

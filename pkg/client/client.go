@@ -86,11 +86,26 @@ func WithRetry(r Retry) Option { return func(c *Client) { c.retry = r } }
 // (Accept-Encoding: gzip); decoding is transparent either way.
 func WithGzip() Option { return func(c *Client) { c.gzip = true } }
 
+// idlePerHost is how many idle connections the shared transport keeps to
+// each server. A client watching jobs holds /events and /stream reads
+// beside its calls, which keeps more than http.DefaultTransport's 2 per host
+// busy at once; with 2, a finished read's connection is closed and the next
+// call dials again, about once per job.
+const idlePerHost = 32
+
+// transport is shared by every Client built without WithHTTPClient, so
+// their idle connections live in one pool that no Client has to close.
+var transport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = idlePerHost
+	return t
+}()
+
 // New creates a client for the service at base (e.g. "http://host:8080").
 func New(base string, opts ...Option) *Client {
 	c := &Client{
 		base: strings.TrimRight(base, "/"),
-		http: &http.Client{},
+		http: &http.Client{Transport: transport},
 		rng:  rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	for _, o := range opts {

@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,6 +75,58 @@ func TestSubmitGetListCancel(t *testing.T) {
 	var apiErr *api.Error
 	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeNotFound {
 		t.Fatalf("Get after delete: %v, want api.Error{not_found}", err)
+	}
+}
+
+// Concurrent calls through one Client reuse their connections: 8 callers
+// making 25 Gets each, in 25 rounds of 8 overlapping Gets, make the server
+// accept at most 16 connections. The server holds each request for a
+// millisecond, so a round's Gets overlap. With http.DefaultTransport's 2
+// idle connections per host, each round closes all but two of its
+// connections, and the next round dials them again.
+func TestConcurrentCallsReuseConnections(t *testing.T) {
+	m := service.NewManager(service.Options{Workers: 1})
+	var accepted atomic.Int64
+	h := service.NewServer(m)
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(time.Millisecond)
+		h.ServeHTTP(w, r)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			accepted.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := m.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	c := New(ts.URL)
+	ctx := testCtx(t)
+	v, err := c.Submit(ctx, api.Spec{Phantom: "sphere", NX: 16, NP: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 25; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := c.Get(ctx, v.ID); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if n := accepted.Load(); n > 16 {
+		t.Fatalf("server accepted %d connections for 201 calls from 8 callers, want at most 16", n)
 	}
 }
 
