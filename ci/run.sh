@@ -114,13 +114,15 @@ gates)
 	# pooled byte; the serial loop (fdk.Reconstruct)
 	# allocates nothing per batch and returns every pooled byte; pooled
 	# collectives; decimation allocates nothing; the analytic renderer ≡ the
-	# one-ray derivation bitwise.
+	# one-ray derivation bitwise; a streamed slice part costs the SDK one
+	# buffer the size of its payload (read by size, decoded in place).
 	go test -run 'TestApplyIntoSteadyStateAllocs|TestSweepBitIdenticalToApplyInto' -v ./internal/ct/filter/
 	go test -run 'TestAnalyticBitIdenticalToOneRayLoop' -v ./internal/ct/projector/
 	go test -run 'TestBackprojectSteadyStateAllocs' -v ./internal/ct/backproject/
 	go test -run 'TestReconstructSteadyStateAllocs' -v ./internal/ct/fdk/
 	go test -run 'AllocRegression' -v ./internal/hpc/mpi/
 	go test -run 'TestDecimateIntoNoAllocs' -v ./internal/ct/preview/
+	go test -run 'TestStreamDecodeAllocs' -v ./pkg/client/
 	;;
 durability)
 	# Crash/restart, failover, progressive end to end and parallel staging

@@ -138,10 +138,10 @@ func (g *sliceGate) open() { g.once.Do(func() { close(g.release) }) }
 // the job's result — which matches a direct serial fdk.Reconstruct of the
 // same scan voxel-for-voxel within 1e-5.
 func TestE2EStreamingGolden(t *testing.T) {
-	// A multipart part is complete on the wire only once the next boundary
-	// is written, and the stream reader hands out whole parts. Parking at the
-	// second callback lets the server open part two — which terminates part
-	// one — while the epilogue still cannot finish.
+	// openStream's parts are gzip-encoded (Go's transport asks for it), and
+	// a gzip part ends only at the next boundary, which the writer emits
+	// when part two starts. Parking at the second callback lets the server
+	// open part two while the epilogue still cannot finish.
 	gate := newSliceGate()
 	gate.parkAt = 2
 	defer gate.open()

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -64,6 +65,15 @@ var promFor = map[string]string{
 	// Router-only aggregation detail: the router exposes per-backend
 	// ifdk_router_backend_* families instead of a flat field.
 	"backends": "",
+}
+
+// runtimeFamilies are the exposition-only families read from the Go runtime
+// (runtime/metrics) at scrape time; /v1/metrics has no field for them.
+var runtimeFamilies = []string{
+	"ifdk_go_heap_live_bytes",
+	"ifdk_go_heap_goal_bytes",
+	"ifdk_go_gc_cpu_seconds_total",
+	"ifdk_go_goroutines",
 }
 
 func jsonTag(f reflect.StructField) string {
@@ -130,6 +140,11 @@ func TestMetricsContract(t *testing.T) {
 			t.Errorf("field %q maps to %q, which the registry does not expose", path, name)
 		}
 	}
+	for _, name := range runtimeFamilies {
+		if !exposed[name] {
+			t.Errorf("runtime family %q is not exposed", name)
+		}
+	}
 }
 
 // TestExpositionEndpoint: GET /metrics serves valid text exposition whose
@@ -165,11 +180,30 @@ func TestExpositionEndpoint(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// The runtime families read the live process: a live heap (0 until the
+	// first GC), a goal at or above it, and goroutines.
+	live, goal, gor := sampleValue(body, "ifdk_go_heap_live_bytes"), sampleValue(body, "ifdk_go_heap_goal_bytes"), sampleValue(body, "ifdk_go_goroutines")
+	if live < 0 || goal < live || gor < 1 || sampleValue(body, "ifdk_go_gc_cpu_seconds_total") < 0 {
+		t.Errorf("runtime families: heap live %g, goal %g, goroutines %g", live, goal, gor)
+	}
 	// JSON view reads the same cells.
 	mt := m.Metrics()
 	if mt.Completed != 1 || mt.Admission.Admitted != 1 {
 		t.Errorf("JSON metrics disagree: completed=%d admitted=%d", mt.Completed, mt.Admission.Admitted)
 	}
+}
+
+// sampleValue is the value of an unlabelled sample in a text exposition,
+// or -1 when it is absent.
+func sampleValue(body, name string) float64 {
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			if f, err := strconv.ParseFloat(v, 64); err == nil {
+				return f
+			}
+		}
+	}
+	return -1
 }
 
 func getTrace(t *testing.T, url, id string) api.Trace {

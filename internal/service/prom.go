@@ -2,6 +2,7 @@ package service
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"time"
 
@@ -151,7 +152,32 @@ func newMetricsSet(m *Manager) *metricsSet {
 	r.CounterFunc("ifdk_event_drops_total", "Events discarded by bounded per-job logs.",
 		func() float64 { return float64(m.events.Drops()) })
 
+	// The Go runtime, read through runtime/metrics at scrape time: the heap
+	// the last GC left live against the goal the next GC runs at is what
+	// the process's resident size follows.
+	r.GaugeFunc("ifdk_go_heap_live_bytes", "Heap bytes live after the last GC (runtime/metrics /gc/heap/live:bytes).",
+		func() float64 { return runtimeMetric("/gc/heap/live:bytes") })
+	r.GaugeFunc("ifdk_go_heap_goal_bytes", "Heap size at which the next GC starts (/gc/heap/goal:bytes).",
+		func() float64 { return runtimeMetric("/gc/heap/goal:bytes") })
+	r.CounterFunc("ifdk_go_gc_cpu_seconds_total", "Estimated CPU seconds spent in GC (/cpu/classes/gc/total:cpu-seconds).",
+		func() float64 { return runtimeMetric("/cpu/classes/gc/total:cpu-seconds") })
+	r.GaugeFunc("ifdk_go_goroutines", "Live goroutines (/sched/goroutines:goroutines).",
+		func() float64 { return runtimeMetric("/sched/goroutines:goroutines") })
+
 	return s
+}
+
+// runtimeMetric reads one runtime/metrics sample as a float64.
+func runtimeMetric(name string) float64 {
+	s := []metrics.Sample{{Name: name}}
+	metrics.Read(s)
+	switch s[0].Value.Kind() {
+	case metrics.KindUint64:
+		return float64(s[0].Value.Uint64())
+	case metrics.KindFloat64:
+		return s[0].Value.Float64()
+	}
+	return 0
 }
 
 // count bumps the lifecycle counter a transition names.

@@ -120,14 +120,13 @@ func (s *Server) preview(w http.ResponseWriter, r *http.Request) {
 }
 
 // parts frames one handler's slice parts through the shared codec, encoding
-// each from a view of its plane into one reused buffer, gzip-encoding it
-// when the request negotiated that, and flushing after each part when flush
-// is set.
+// each from a view of its plane into one reused buffer and gzip-encoding it
+// when the request negotiated that. It never flushes: the handler does,
+// once per batch of parts.
 type parts struct {
-	sw    api.SliceWriter
-	gz    bool
-	buf   []byte
-	flush func() error
+	sw  api.SliceWriter
+	gz  bool
+	buf []byte
 }
 
 // send frames slice z of total (factor > 0 marks a preview-tier part).
@@ -141,10 +140,7 @@ func (ps *parts) send(z, total, factor int, img *volume.Image) error {
 		}
 		p.Encoding = api.EncodingGzip
 	}
-	if err := ps.sw.WriteSlice(p); err != nil || ps.flush == nil {
-		return err
-	}
-	return ps.flush()
+	return ps.sw.WriteSlice(p)
 }
 
 // sendVolume frames every slice of a preview volume, marked with its
@@ -206,14 +202,11 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rc := http.NewResponseController(w)
-	ps := &parts{sw: api.NewSliceWriter(w), gz: acceptsGzip(r), flush: rc.Flush}
+	ps := &parts{sw: api.NewSliceWriter(w), gz: acceptsGzip(r)}
 	defer ps.sw.Close()
 	w.Header().Set("Content-Type", ps.sw.ContentType())
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	if err := rc.Flush(); err != nil { // headers out before the first slice exists
-		return
-	}
 
 	// sendPreview emits a progressive job's coarse tier as soon as the
 	// preview volume is reachable. It is called before any full-resolution
@@ -266,7 +259,10 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 	// Replay the preview tier first if it already exists, then the slices
 	// already handed over (late subscribe to a running job), then follow
 	// the live event stream; slice events arriving for what the replay
-	// already sent are deduplicated by the sent bitmap.
+	// already sent are deduplicated by the sent bitmap. The writes reach
+	// the client at a flush: one after the replay (the headers go with it,
+	// before the first slice exists), one after each batch of events, and
+	// one in finish.
 	if err := sendPreview(); err != nil {
 		return
 	}
@@ -274,6 +270,9 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		if err := send(z); err != nil {
 			return
 		}
+	}
+	if err := rc.Flush(); err != nil {
+		return
 	}
 	for {
 		batch, ok := sub.Next(r.Context())
@@ -300,6 +299,9 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 			if j.State().Terminal() {
 				finish()
 			}
+			return
+		}
+		if err := rc.Flush(); err != nil {
 			return
 		}
 	}

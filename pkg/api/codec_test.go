@@ -2,10 +2,13 @@ package api
 
 import (
 	"bytes"
+	"io"
 	"iter"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The wire, pinned to bytes. Everything below the boundary constant was
@@ -145,6 +148,20 @@ var malformedSliceStreams = []struct{ name, contentType, body string }{
 	{"bad closing view", goldenContentType, slicePartWire("Content-Type: application/json\r\nX-Stream-End: done\r\n", `{"id":`)},
 	{"ends mid-part", goldenContentType, goldenStream[:strings.Index(goldenStream, goldenRawPayload)+100]},
 	{"ends inside the closing view", goldenContentType, goldenStream[:strings.Index(goldenStream, goldenViewJSON)+100]},
+	{"header claims 2³²−1 × 2³²−1 pixels", goldenContentType, slicePartWire(plainSliceHeaders, "\xff\xff\xff\xff\xff\xff\xff\xff"+strings.Repeat("\x00", 64))},
+	{"payload shorter than its header", goldenContentType, slicePartWire(plainSliceHeaders, rawSlice(4, 4, 4*15))},
+	{"payload longer than its header", goldenContentType, slicePartWire(plainSliceHeaders, rawSlice(4, 4, 4*17))},
+	{"no delimiter after the payload", goldenContentType, "--" + goldenBoundary + "\r\n" + plainSliceHeaders + "\r\n" + rawSlice(4, 4, 4*16)},
+	{"ends inside the header block", goldenContentType, goldenStream[:strings.Index(goldenStream, "X-Slice-Total: 16")+8]},
+}
+
+// plainSliceHeaders are a valid full-resolution part's headers.
+const plainSliceHeaders = "Content-Type: application/x-ifdk-slice\r\nX-Slice-Total: 8\r\nX-Slice-Z: 0\r\n"
+
+// rawSlice is a plain slice payload whose image header reads w×h, followed
+// by n payload bytes — consistent with it only when n = 4·w·h.
+func rawSlice(w, h byte, n int) string {
+	return string([]byte{w, 0, 0, 0, h, 0, 0, 0}) + strings.Repeat("\x01", n)
 }
 
 var malformedEventStreams = []struct{ name, body string }{
@@ -179,6 +196,69 @@ func TestMalformedStreamsReturnErrors(t *testing.T) {
 	for _, tc := range malformedEventStreams {
 		if errs, after := drain(ReadEvents(strings.NewReader(tc.body))); errs != 1 || after != 0 {
 			t.Errorf("event stream %q: %d errors, %d elements after the first; want exactly one error, last", tc.name, errs, after)
+		}
+	}
+}
+
+// A plain slice part is handed out as soon as its payload is in: slice 0
+// is read whole while slice 1 — whose opening writes slice 0's closing
+// delimiter — has not been written.
+func TestReadSlicesYieldsPartBeforeNextExists(t *testing.T) {
+	pr, pw := io.Pipe()
+	defer pr.Close()
+	sw := NewSliceWriter(pw)
+	slice0 := SlicePart{Z: 0, Total: 2, Payload: []byte(rawSlice(4, 4, 4*16))}
+	parts := make(chan SlicePart, 3)
+	go func() {
+		defer close(parts)
+		for p, err := range ReadSlices(sw.ContentType(), pr) {
+			if err != nil {
+				return
+			}
+			parts <- p
+		}
+	}()
+	if err := sw.WriteSlice(slice0); err != nil { // returns once the reader took every byte
+		t.Fatal(err)
+	}
+	select {
+	case p := <-parts:
+		if !reflect.DeepEqual(p, slice0) {
+			t.Fatalf("first part %+v, want %+v", p, slice0)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("slice 0 was not handed out before slice 1 was written")
+	}
+	go func() {
+		slice1 := SlicePart{Z: 1, Total: 2, Payload: []byte(rawSlice(4, 4, 4*16))}
+		if sw.WriteSlice(slice1) == nil && sw.WriteEnd(goldenView) == nil && sw.Close() == nil {
+			pw.Close()
+		}
+	}()
+	n := 0
+	for range parts {
+		n++
+	}
+	if n != 2 {
+		t.Fatalf("%d parts after slice 0, want slice 1 and the closing view", n)
+	}
+}
+
+// A hostile W×H header reserves at most maxPrealloc ahead of the bytes
+// that arrive: one past the int range allocates nothing, and one that fits
+// (16 GiB) no more than the cap before the stream runs out.
+func TestSizedPartPreallocCapped(t *testing.T) {
+	for _, head := range []string{"\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\x00\x00\xff\xff\x00\x00"} {
+		body := slicePartWire(plainSliceHeaders, head+strings.Repeat("\x00", 1024))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		errs, after := drain(ReadSlices(goldenContentType, strings.NewReader(body)))
+		runtime.ReadMemStats(&m1)
+		if errs != 1 || after != 0 {
+			t.Fatalf("header %q: %d errors, %d elements after; want one error, last", head, errs, after)
+		}
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > maxPrealloc+64<<10 {
+			t.Errorf("header %q: the reader allocated %d bytes, cap %d", head, got, maxPrealloc)
 		}
 	}
 }

@@ -1,10 +1,15 @@
 package api
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"mime"
 	"mime/multipart"
 	"net/textproto"
@@ -99,10 +104,15 @@ func (sw SliceWriter) Close() error { return sw.mw.Close() }
 
 // ReadSlices decodes a slice stream, announced by the response's
 // Content-Type — the one multipart parser of the SDK, the router's relay and
-// the tests. A part is yielded only once read whole with its headers
-// validated; an error is the last element. A body cut between parts merely
-// ends the sequence early: completeness is the closing part (or the part
-// count), which consumers check anyway — a server may end early too.
+// the tests. It frames the stream itself: the boundary line, the part's
+// headers, then the payload. A plain slice part is read by the size its W×H
+// image header gives, into one buffer of exactly that size, and handed out
+// as soon as that payload is in — not when the next part's delimiter
+// arrives, which the writer emits only when the next part starts. If the
+// delimiter does not follow the sized payload, the next element is an
+// error. Gzip and JSON parts are read up to the delimiter. A part is yielded
+// only once read whole with its headers validated; an error is the last
+// element, and a stream cut before its closing boundary ends in one.
 func ReadSlices(contentType string, body io.Reader) iter.Seq2[SlicePart, error] {
 	return func(yield func(SlicePart, error) bool) {
 		mt, params, err := mime.ParseMediaType(contentType)
@@ -110,43 +120,159 @@ func ReadSlices(contentType string, body io.Reader) iter.Seq2[SlicePart, error] 
 			yield(SlicePart{}, fmt.Errorf("api: slice stream Content-Type %q is not multipart/mixed with a boundary", contentType))
 			return
 		}
-		mr := multipart.NewReader(body, params["boundary"])
-		for {
-			part, err := mr.NextPart()
-			if err == io.EOF {
-				return
-			}
+		br := bufio.NewReader(body)
+		r := sliceReader{br: br, tp: textproto.NewReader(br), delim: []byte("\r\n--" + params["boundary"])}
+		err = r.expect(r.delim[2:])
+		for err == nil {
 			var p SlicePart
-			if err == nil {
-				p, err = readPart(part)
+			var more, sized bool
+			if more, err = r.open(); err != nil || !more {
+				break
 			}
-			if !yield(p, err) || err != nil {
+			if p, sized, err = r.part(); err != nil {
+				break
+			}
+			if !yield(p, nil) {
 				return
 			}
+			if sized {
+				err = r.expect(r.delim)
+			}
+		}
+		if err != nil {
+			yield(SlicePart{}, err)
 		}
 	}
 }
 
-func readPart(part *multipart.Part) (p SlicePart, err error) {
-	h := part.Header
+// maxPrealloc caps what a sized part reserves before its bytes arrive: a
+// payload past it grows as it is read, so a hostile W×H header costs at
+// most this much ahead of the data.
+const maxPrealloc = 16 << 20
+
+var errStreamCut = fmt.Errorf("api: slice stream cut short: %w", io.ErrUnexpectedEOF)
+
+// sliceReader frames one multipart slice stream: tp reads each part's
+// header block from br. delim is the CRLF-led delimiter that ends every
+// part; the opening boundary is delim[2:].
+type sliceReader struct {
+	br    *bufio.Reader
+	tp    *textproto.Reader
+	delim []byte
+}
+
+// expect consumes s, which must come next.
+func (r *sliceReader) expect(s []byte) error {
+	got, err := r.br.Peek(len(s))
+	switch {
+	case !bytes.HasPrefix(s, got):
+		return errors.New("api: slice stream: multipart delimiter missing")
+	case err != nil:
+		return cut(err)
+	}
+	_, err = r.br.Discard(len(s))
+	return err
+}
+
+// cut names a read error: the body ending before the closing boundary, or
+// whatever else stopped it.
+func cut(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return errStreamCut
+	}
+	return fmt.Errorf("api: slice stream: %w", err)
+}
+
+// open reads what follows a boundary: "--" closes the stream, CRLF opens a
+// part.
+func (r *sliceReader) open() (more bool, err error) {
+	if err := r.expect([]byte("\r\n")); err == nil {
+		return true, nil
+	}
+	return false, r.expect([]byte("--"))
+}
+
+// part reads one part's headers and payload. A sized part leaves its
+// delimiter unread, so the caller hands the part out before it arrives; a
+// scanned part consumes it.
+func (r *sliceReader) part() (p SlicePart, sized bool, err error) {
+	h, err := r.tp.ReadMIMEHeader()
+	if err != nil {
+		return p, false, cut(err)
+	}
 	if h.Get("Content-Type") == "application/json" {
+		payload, err := r.scan()
+		if err != nil {
+			return p, false, err
+		}
 		p.End = new(View)
-		return p, json.NewDecoder(part).Decode(p.End)
+		return p, false, json.Unmarshal(payload, p.End)
 	}
 	p.Encoding = h.Get("Content-Encoding")
 	if p.Z, err = headerInt(h, HeaderSliceZ, 0); err != nil {
-		return p, err
+		return p, false, err
 	}
 	if p.Total, err = headerInt(h, HeaderSliceTotal, p.Z+1); err != nil {
-		return p, err
+		return p, false, err
 	}
 	if h.Get(HeaderPreviewFactor) != "" {
-		p.Factor, err = headerInt(h, HeaderPreviewFactor, 1)
+		if p.Factor, err = headerInt(h, HeaderPreviewFactor, 1); err != nil {
+			return p, false, err
+		}
 	}
-	if err == nil {
-		p.Payload, err = io.ReadAll(part)
+	if p.Encoding != "" {
+		p.Payload, err = r.scan()
+		return p, false, err
 	}
-	return p, err
+	p.Payload, err = r.sized()
+	return p, true, err
+}
+
+// sized reads a plain slice payload — the 8-byte W×H header and 4·W·H
+// bytes of float32 — into one buffer of that size, reserving at most
+// maxPrealloc before the bytes arrive.
+func (r *sliceReader) sized() ([]byte, error) {
+	head, err := r.br.Peek(8)
+	if err != nil {
+		return nil, cut(err)
+	}
+	w, h := binary.LittleEndian.Uint32(head), binary.LittleEndian.Uint32(head[4:])
+	px := uint64(w) * uint64(h)
+	if px > (math.MaxInt-8)/4 {
+		return nil, fmt.Errorf("api: slice part header %dx%d is too large", w, h)
+	}
+	n := 8 + 4*int(px)
+	buf := make([]byte, 0, min(n, maxPrealloc))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(n, 2*cap(buf))), buf...)
+		}
+		k, err := io.ReadFull(r.br, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, cut(err)
+		}
+	}
+	return buf, nil
+}
+
+// scan reads a payload up to and including the delimiter that ends it.
+func (r *sliceReader) scan() ([]byte, error) {
+	var buf []byte
+	for {
+		line, err := r.br.ReadSlice('\n')
+		buf = append(buf, line...)
+		switch {
+		case err == bufio.ErrBufferFull:
+			continue
+		case err != nil:
+			return nil, cut(err)
+		}
+		if next, _ := r.br.Peek(len(r.delim) - 2); bytes.HasSuffix(buf, r.delim[:2]) && bytes.Equal(next, r.delim[2:]) {
+			_, err := r.br.Discard(len(next))
+			return buf[:len(buf)-2], err
+		}
+	}
 }
 
 // headerInt parses an integer part header no smaller than min.

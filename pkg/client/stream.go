@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 
@@ -148,12 +149,17 @@ func (t *tier) add(p api.SlicePart) error {
 	default:
 		return fmt.Errorf("client: %s %d: unknown Content-Encoding %q", t.name, p.Z, p.Encoding)
 	}
-	img, err := volume.ImageFromBytes(blob)
-	if err != nil {
+	// The image header sizes the volume on the first part; the payload is
+	// decoded straight into plane z.
+	var w, h int
+	if len(blob) >= 8 {
+		w, h = int(binary.LittleEndian.Uint32(blob)), int(binary.LittleEndian.Uint32(blob[4:]))
+	}
+	if _, err := volume.ImagePayload(blob, w, h); err != nil {
 		return fmt.Errorf("client: %s %d payload: %w", t.name, p.Z, err)
 	}
 	if t.vol == nil {
-		t.vol = volume.New(img.W, img.H, p.Total, volume.IMajor)
+		t.vol = volume.New(w, h, p.Total, volume.IMajor)
 		t.seen = make([]bool, p.Total)
 		t.factor = p.Factor
 	}
@@ -167,5 +173,9 @@ func (t *tier) add(p api.SlicePart) error {
 	t.got++
 	t.wire += int64(len(p.Payload))
 	t.raw += int64(len(blob))
-	return t.vol.SetSliceZ(p.Z, img)
+	if w != t.vol.Nx || h != t.vol.Ny {
+		return fmt.Errorf("volume: slice size %dx%d does not match volume %dx%d", w, h, t.vol.Nx, t.vol.Ny)
+	}
+	n := w * h
+	return volume.ImageFromBytesInto(&volume.Image{W: w, H: h, Data: t.vol.Data[p.Z*n : (p.Z+1)*n]}, blob)
 }
