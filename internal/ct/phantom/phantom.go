@@ -96,8 +96,10 @@ type Phantom struct {
 // projection. Each ellipsoid's rotation, the origin in its unit-sphere frame
 // and q0·q0 − 1 are computed once, by From; LineIntegral then does only the
 // work that depends on the ray's direction, with the float64 operations of
-// the one-ray chord in the same order. The zero View is ready to use, and
-// one View is reused across projections.
+// the one-ray chord in the same order. Meets tests a plane through the
+// origin against one ellipsoid, so that a renderer can sum, with
+// Accumulate, only the ellipsoids a ray's planes meet. The zero View
+// is ready to use, and one View is reused across projections.
 type View struct {
 	els []seen
 }
@@ -121,6 +123,53 @@ func (v *View) LineIntegral(dir geometry.Vec3) float64 {
 		}
 	}
 	return sum
+}
+
+// Accumulate adds ellipsoid i's density times its chord along dirs[k] to
+// sum[k], for every k with hit[k] and a positive chord: the term
+// LineIntegral adds for the ray along dirs[k]. Calling it for ascending i
+// repeats LineIntegral's adds in its order, so when every ellipsoid or ray
+// left out has a chord ≤ 0 along it — one that a plane through the ray
+// misses (Meets) — each sum keeps LineIntegral's bits.
+func (v *View) Accumulate(i int, dirs []geometry.Vec3, hit []bool, sum []float64) {
+	e := &v.els[i]
+	hit, sum = hit[:len(dirs)], sum[:len(dirs)]
+	for k, dir := range dirs {
+		if !hit[k] {
+			continue
+		}
+		if l := e.chord(dir); l > 0 {
+			sum[k] += float64(l * e.Rho)
+		}
+	}
+}
+
+// planeSlack is (1 + 1e-6)²: Meets takes a plane to miss an ellipsoid only
+// when the plane's distance from the centre exceeds the ellipsoid's
+// support by more than a relative 1e-6. A ray in such a plane passes at
+// least 1 + 1e-6 from the centre of the unit sphere, so its discriminant is
+// below −8e-6·a, and the discriminant's rounding error is of order
+// 1e-15·a·|q0|². The margin therefore holds while |q0|, the origin's
+// distance from the centre in semi-axes, stays below about 3·10⁴.
+const planeSlack = (1 + 1e-6) * (1 + 1e-6)
+
+// Meets reports whether the plane through v's origin o with normal n (of
+// any length) can meet ellipsoid i: whether |n·(c − o)| ≤
+// |diag(A,B,C)·Rᵀn|, the ellipsoid's support function along n, up to
+// planeSlack. In the unit-sphere frame n·(o − c) is −m·q0 with
+// m = diag(A,B,C)·Rᵀn, so the test compares (m·q0)² with |m|². When Meets
+// is false, every ray from o in the plane has a chord ≤ 0 through the
+// ellipsoid.
+func (v *View) Meets(i int, n geometry.Vec3) bool {
+	e := &v.els[i]
+	m := geometry.Vec3{
+		X: (float64(e.cos*n.X) + float64(e.sin*n.Y)) * e.A,
+		Y: (float64(-e.sin*n.X) + float64(e.cos*n.Y)) * e.B,
+		Z: n.Z * e.C,
+	}
+	d := float64(m.X*e.q0.X) + float64(m.Y*e.q0.Y) + float64(m.Z*e.q0.Z)
+	h := float64(m.X*m.X) + float64(m.Y*m.Y) + float64(m.Z*m.Z)
+	return !(d*d > h*planeSlack)
 }
 
 // Density returns the phantom density at world point (x, y, z).

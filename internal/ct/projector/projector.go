@@ -12,14 +12,20 @@
 //
 // Analytic rendering is split by what each value depends on. Per
 // projection: the gantry angle's sine and cosine, the source position and
-// the detector centre (geometry.ProjectionRays), and per ellipsoid Φ's sine
+// the detector centre (geometry.ProjectionRays), per ellipsoid Φ's sine
 // and cosine, the source in the unit-sphere frame q0 and q0·q0 − 1
-// (phantom.View). Per detector row: the row slope. Per ray: the direction,
-// its normalisation and, per ellipsoid, the quadratic's a, b and
-// discriminant. Every hoisted value is an operand the per-ray derivation
-// computed anyway, and the per-ray arithmetic keeps its operations and
-// their order — divisions by the semi-axes stay divisions, never
-// reciprocal multiplies — so a pixel's bits do not depend on the split.
+// (phantom.View), and per detector column and ellipsoid whether the
+// column's plane through the source meets the ellipsoid (View.Meets), with
+// each ellipsoid's first and last such column. Per detector row: the row
+// slope, and the ellipsoids the row's plane meets. Per ray: the direction,
+// its normalisation and, per ellipsoid both of its planes meet, the
+// quadratic's a, b and discriminant. A ray in a plane that misses an
+// ellipsoid has a chord ≤ 0 through it, which the sum never adds, so
+// leaving it out keeps the pixel's bits. Every hoisted value is an operand
+// the per-ray derivation computed anyway, and the per-ray arithmetic keeps
+// its operations and their order — divisions by the semi-axes stay
+// divisions, never reciprocal multiplies — so a pixel's bits do not depend
+// on the split.
 // On amd64 Go never fuses a multiply and an add on its own, so this holds
 // at every GOAMD64 level; projector_test.go pins it, pixel by pixel,
 // against the one-ray derivation the split was made from. Every product
@@ -30,6 +36,7 @@ package projector
 
 import (
 	"math"
+	"slices"
 
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/phantom"
@@ -41,9 +48,14 @@ import (
 // caller-owned images, reusing its per-projection state. A Renderer is not
 // safe for concurrent use: parallel callers take one each.
 type Renderer struct {
-	ph   phantom.Phantom
-	g    geometry.Params
-	view phantom.View
+	ph     phantom.Phantom
+	g      geometry.Params
+	view   phantom.View
+	cols   []bool // [i·Nu + u]: column u's plane meets ellipsoid i
+	lo, hi []int  // per ellipsoid, its first and last column in cols
+	row    []int  // the ellipsoids the current row's plane meets, ascending
+	dirs   []geometry.Vec3
+	sums   []float64
 }
 
 // NewRenderer returns a Renderer for phantom ph under geometry g.
@@ -53,15 +65,67 @@ func NewRenderer(ph phantom.Phantom, g geometry.Params) *Renderer {
 
 // Render writes the projection at angle index s into dst, which must be
 // g.Nu × g.Nv, by evaluating exact ellipsoid line integrals for every
-// detector pixel.
+// detector pixel. A pixel's ray lies in its row's plane and its column's
+// plane through the source, so it sums only the ellipsoids both planes
+// meet (phantom.View.Meets), in index order; the rest have chords ≤ 0,
+// which the sum leaves out anyway. A row that no ellipsoid reaches, and a
+// pixel outside the column span of every ellipsoid its row reaches, is +0,
+// and its ray is never formed.
 func (r *Renderer) Render(dst *volume.Image, s int) {
-	rays := geometry.NewProjectionRays(r.g, r.g.Beta(s))
+	beta := r.g.Beta(s)
+	rays := geometry.NewProjectionRays(r.g, beta)
 	r.view.From(r.ph, rays.Source)
+	n, nu := len(r.ph.Ellipsoids), r.g.Nu
+	// The planes' normals, (1, −dgx, 0) for a column and (0, dgy, 1) for a
+	// row in the rotated frame, are returned to the world by Rz(−β) as the
+	// rays are.
+	sin, cos := math.Sincos(beta)
+	r.cols = slices.Grow(r.cols[:0], n*nu)[:n*nu]
+	r.lo, r.hi = slices.Grow(r.lo[:0], n)[:n], slices.Grow(r.hi[:0], n)[:n]
+	for i := range n {
+		r.lo[i], r.hi[i] = nu, -1
+	}
+	cu := float64(r.g.DetCenterU()) // a halving, which must not fuse into u − cu
+	for u := range nu {
+		dgx := (float64(u) - cu) * r.g.Du / r.g.SDD
+		nrm := geometry.Vec3{X: cos - float64(sin*dgx), Y: -sin - float64(cos*dgx)}
+		for i := range n {
+			if r.cols[i*nu+u] = r.view.Meets(i, nrm); r.cols[i*nu+u] {
+				r.lo[i], r.hi[i] = min(r.lo[i], u), u
+			}
+		}
+	}
+	r.dirs = slices.Grow(r.dirs[:0], nu)[:nu]
+	r.sums = slices.Grow(r.sums[:0], nu)[:nu]
 	for v := 0; v < r.g.Nv; v++ {
 		row := dst.Row(v)
 		dgy := rays.RowSlope(float64(v))
-		for u := range row {
-			row[u] = float32(r.view.LineIntegral(rays.Dir(float64(u), dgy)))
+		nrm := geometry.Vec3{X: sin * dgy, Y: cos * dgy, Z: 1}
+		r.row = r.row[:0]
+		lo, hi := nu, -1
+		for i := range n {
+			if r.lo[i] <= r.hi[i] && r.view.Meets(i, nrm) {
+				r.row = append(r.row, i)
+				lo, hi = min(lo, r.lo[i]), max(hi, r.hi[i])
+			}
+		}
+		if lo > hi {
+			clear(row)
+			continue
+		}
+		clear(row[:lo])
+		clear(row[hi+1:])
+		dirs, sums := r.dirs[lo:hi+1], r.sums[lo:hi+1]
+		for k := range dirs {
+			dirs[k] = rays.Dir(float64(lo+k), dgy)
+		}
+		clear(sums)
+		for _, i := range r.row {
+			a, b := r.lo[i], r.hi[i]+1
+			r.view.Accumulate(i, dirs[a-lo:b-lo], r.cols[i*nu+a:i*nu+b], sums[a-lo:b-lo])
+		}
+		for k, x := range sums {
+			row[lo+k] = float32(x)
 		}
 	}
 }

@@ -77,24 +77,25 @@ func (d *datasets) deleteScan(prefix string, np int) {
 // own context, checking it between projections: a cancelled job (or a
 // shutdown) stops mid-scan and deletes the partial scan before letting go.
 // Whoever takes the lock next stages afresh, so one cancelled job never
-// poisons the scan for the jobs waiting on it.
-func (d *datasets) stageDataset(ctx context.Context, j *Job) error {
+// poisons the scan for the jobs waiting on it. rendered reports whether
+// this job rendered and staged the scan, rather than finding it staged.
+func (d *datasets) stageDataset(ctx context.Context, j *Job) (rendered bool, err error) {
 	select {
 	case j.scan.lock <- struct{}{}:
 	case <-ctx.Done():
-		return ctx.Err()
+		return false, ctx.Err()
 	}
 	defer func() { <-j.scan.lock }()
 	if j.scan.staged {
-		return nil
+		return false, nil
 	}
 	if err := d.renderAndStage(ctx, j); err != nil {
 		// No one may read a partial scan.
 		d.deleteScan(j.cfg.InputPrefix, j.cfg.Geometry.Np)
-		return err
+		return false, err
 	}
 	j.scan.staged = true
-	return nil
+	return true, nil
 }
 
 // renderAndStage synthesizes the scan's projections and writes them to the

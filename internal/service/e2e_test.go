@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,24 +110,18 @@ func openStream(t *testing.T, ctx context.Context, url string) (<-chan slicePart
 	return parts, views
 }
 
-// sliceGate blocks the reconstruction epilogue inside a slice callback (the
-// first, unless parkAt says otherwise) until released, so tests can observe
-// the service in the state "slice durably published, job provably still
-// running". core serialises the callbacks, so parking one parks them all.
+// sliceGate blocks the reconstruction epilogue inside its first slice
+// callback until released, so tests can observe the service in the state
+// "slice durably published, job provably still running". core serialises
+// the callbacks, so parking one parks them all.
 type sliceGate struct {
 	release chan struct{}
 	once    sync.Once
-	calls   atomic.Int32
-	parkAt  int32 // 1-based callback from which hook blocks
 }
 
-func newSliceGate() *sliceGate { return &sliceGate{release: make(chan struct{}), parkAt: 1} }
+func newSliceGate() *sliceGate { return &sliceGate{release: make(chan struct{})} }
 
-func (g *sliceGate) hook(string, int) {
-	if g.calls.Add(1) >= g.parkAt {
-		<-g.release
-	}
-}
+func (g *sliceGate) hook(string, int) { <-g.release }
 
 func (g *sliceGate) open() { g.once.Do(func() { close(g.release) }) }
 
@@ -138,12 +131,10 @@ func (g *sliceGate) open() { g.once.Do(func() { close(g.release) }) }
 // the job's result — which matches a direct serial fdk.Reconstruct of the
 // same scan voxel-for-voxel within 1e-5.
 func TestE2EStreamingGolden(t *testing.T) {
-	// openStream's parts are gzip-encoded (Go's transport asks for it), and
-	// a gzip part ends only at the next boundary, which the writer emits
-	// when part two starts. Parking at the second callback lets the server
-	// open part two while the epilogue still cannot finish.
+	// openStream's parts are gzip-encoded (Go's transport asks for it); a
+	// gzip part ends with its gzip member, so the first slice arrives while
+	// the epilogue is parked in its first callback.
 	gate := newSliceGate()
-	gate.parkAt = 2
 	defer gate.open()
 	opt := Options{Workers: 2}
 	opt.testOnSlice = gate.hook

@@ -72,6 +72,8 @@ var promFor = map[string]string{
 var runtimeFamilies = []string{
 	"ifdk_go_heap_live_bytes",
 	"ifdk_go_heap_goal_bytes",
+	"ifdk_go_heap_free_bytes",
+	"ifdk_go_heap_released_bytes",
 	"ifdk_go_gc_cpu_seconds_total",
 	"ifdk_go_goroutines",
 }
@@ -171,6 +173,7 @@ func TestExpositionEndpoint(t *testing.T) {
 		"ifdk_jobs_completed_total 1",
 		`ifdk_admission_total{decision="admitted"} 1`,
 		`ifdk_stage_seconds_count{stage="backproject"} 1`,
+		`ifdk_stage_seconds_count{stage="dataset"} 1`,
 		`ifdk_queue_wait_seconds_count{class="normal"} 1`,
 		"ifdk_event_drops_total 0",
 		fmt.Sprintf("ifdk_build_info{isa=%q,goversion=%q,gomaxprocs=\"%d\"} 1",
@@ -186,10 +189,59 @@ func TestExpositionEndpoint(t *testing.T) {
 	if live < 0 || goal < live || gor < 1 || sampleValue(body, "ifdk_go_gc_cpu_seconds_total") < 0 {
 		t.Errorf("runtime families: heap live %g, goal %g, goroutines %g", live, goal, gor)
 	}
+	if free, rel := sampleValue(body, "ifdk_go_heap_free_bytes"), sampleValue(body, "ifdk_go_heap_released_bytes"); free < 0 || rel < 0 {
+		t.Errorf("runtime families: heap free %g, released %g", free, rel)
+	}
 	// JSON view reads the same cells.
 	mt := m.Metrics()
 	if mt.Completed != 1 || mt.Admission.Admitted != 1 {
 		t.Errorf("JSON metrics disagree: completed=%d admitted=%d", mt.Completed, mt.Admission.Admitted)
+	}
+}
+
+// ifdk_stage_seconds{stage="dataset"} counts the jobs that rendered and
+// staged their scan, not those that found it staged, and its sum is the
+// time the renderer's stage.dataset span shows.
+func TestStageDatasetObservedPerRender(t *testing.T) {
+	m := NewManager(Options{Workers: 1})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = m.Shutdown(ctx)
+	}()
+	first, err := m.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, first.ID, 30*time.Second)
+	again := testSpec()
+	again.Window = "hann" // the same scan, not a cache hit
+	second, err := m.Submit(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitState(t, m, second.ID, 30*time.Second); v.State != StateDone || v.CacheHit {
+		t.Fatalf("second job %s (cache hit %v), want a done reconstruction", v.State, v.CacheHit)
+	}
+	h := m.met.stageSeconds.With("dataset")
+	if h.Count() != 1 {
+		t.Fatalf("stage=dataset observed %d times for one rendered scan and one staged one", h.Count())
+	}
+	tr, err := m.TraceFor(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, sp := range tr.Spans {
+		if sp.Name == "stage.dataset" {
+			spans++
+			if sp.DurationSec != h.Sum() {
+				t.Fatalf("stage.dataset span %gs, stage=dataset sum %gs", sp.DurationSec, h.Sum())
+			}
+		}
+	}
+	if spans != 1 {
+		t.Fatalf("first job's trace has %d stage.dataset spans", spans)
 	}
 }
 

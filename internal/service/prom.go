@@ -32,7 +32,7 @@ type metricsSet struct {
 	rejectedBytes *obs.Counter
 	rejectedQuota *obs.Counter
 
-	stageSeconds *obs.HistogramVec // per pipeline stage, observed at job success
+	stageSeconds *obs.HistogramVec // per pipeline stage, observed at job success; dataset at staging
 	queueWait    *obs.HistogramVec // per priority class, observed at job start
 
 	// write-ahead journal (Options.JournalDir != "")
@@ -66,7 +66,7 @@ func newMetricsSet(m *Manager) *metricsSet {
 	s.rejectedQuota = adm.With("rejected_quota")
 
 	s.stageSeconds = r.HistogramVec("ifdk_stage_seconds",
-		"Per-stage pipeline latency, observed per completed job: load to backproject on the worst rank; compute, reduce, store and total on the row root that finished last, so they add up.", nil, "stage")
+		"Per-stage pipeline latency, observed per completed job: load to backproject on the worst rank; compute, reduce, store and total on the row root that finished last, so they add up. dataset is observed per job that rendered and staged its scan: its stage.dataset span.", nil, "stage")
 	s.queueWait = r.HistogramVec("ifdk_queue_wait_seconds",
 		"Queue wait from admission to worker pickup, by priority class.", nil, "class")
 
@@ -154,11 +154,16 @@ func newMetricsSet(m *Manager) *metricsSet {
 
 	// The Go runtime, read through runtime/metrics at scrape time: the heap
 	// the last GC left live against the goal the next GC runs at is what
-	// the process's resident size follows.
+	// the process's resident size follows, and the free heap not yet
+	// released to the OS is what it holds beyond that.
 	r.GaugeFunc("ifdk_go_heap_live_bytes", "Heap bytes live after the last GC (runtime/metrics /gc/heap/live:bytes).",
 		func() float64 { return runtimeMetric("/gc/heap/live:bytes") })
 	r.GaugeFunc("ifdk_go_heap_goal_bytes", "Heap size at which the next GC starts (/gc/heap/goal:bytes).",
 		func() float64 { return runtimeMetric("/gc/heap/goal:bytes") })
+	r.GaugeFunc("ifdk_go_heap_free_bytes", "Free heap bytes still held from the OS, which count toward the resident size (/memory/classes/heap/free:bytes).",
+		func() float64 { return runtimeMetric("/memory/classes/heap/free:bytes") })
+	r.GaugeFunc("ifdk_go_heap_released_bytes", "Free heap bytes returned to the OS (/memory/classes/heap/released:bytes).",
+		func() float64 { return runtimeMetric("/memory/classes/heap/released:bytes") })
 	r.CounterFunc("ifdk_go_gc_cpu_seconds_total", "Estimated CPU seconds spent in GC (/cpu/classes/gc/total:cpu-seconds).",
 		func() float64 { return runtimeMetric("/cpu/classes/gc/total:cpu-seconds") })
 	r.GaugeFunc("ifdk_go_goroutines", "Live goroutines (/sched/goroutines:goroutines).",

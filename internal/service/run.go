@@ -120,12 +120,17 @@ func (m *Manager) execute(ctx context.Context, j *Job) (*Entry, error) {
 	j.mu.Lock()
 	j.tStage0 = time.Now()
 	j.mu.Unlock()
-	if err := m.datasets.stageDataset(ctx, j); err != nil {
+	rendered, err := m.datasets.stageDataset(ctx, j)
+	if err != nil {
 		return nil, err
 	}
 	j.mu.Lock()
 	j.tRun0 = time.Now()
+	staging := j.tRun0.Sub(j.tStage0) // the stage.dataset span
 	j.mu.Unlock()
+	if rendered {
+		m.met.stageSeconds.With("dataset").Observe(staging.Seconds())
+	}
 	// A preview-quality job's result is its preview tier. Any other job's
 	// volume exists before its preview tier, if it has one, so a /stream
 	// that attaches to the running job keeps the volume that becomes its

@@ -187,10 +187,10 @@ func TestDatasetsStageOnceDeleteWithLast(t *testing.T) {
 	}
 	prefix := rs.cfg.InputPrefix
 	record := func() *Job { return &Job{ph: rs.ph, cfg: rs.cfg, scan: d.ref(prefix)} }
-	stage := func(j *Job) {
+	stage := func(j *Job, render bool) {
 		t.Helper()
-		if err := d.stageDataset(context.Background(), j); err != nil {
-			t.Fatal(err)
+		if rendered, err := d.stageDataset(context.Background(), j); err != nil || rendered != render {
+			t.Fatalf("staged with rendered=%v, err %v; want rendered=%v", rendered, err, render)
 		}
 	}
 	objects := func() int { return len(store.List("ds/")) }
@@ -199,8 +199,8 @@ func TestDatasetsStageOnceDeleteWithLast(t *testing.T) {
 	if a.scan != b.scan {
 		t.Fatal("two records of one scan hold two entries")
 	}
-	stage(a)
-	stage(b)
+	stage(a, true)
+	stage(b, false)
 	st := store.Stats()
 	if objects() != rs.spec.NP || st.BytesWritten != st.Bytes {
 		t.Fatalf("%d objects, %d B written for %d B held: want %d objects written once",
@@ -215,7 +215,7 @@ func TestDatasetsStageOnceDeleteWithLast(t *testing.T) {
 		t.Fatalf("the last unref left %d objects and %d entries", objects(), len(d.staged))
 	}
 	c := record()
-	stage(c)
+	stage(c, true)
 	if objects() != rs.spec.NP || store.Stats().BytesWritten != 2*st.BytesWritten {
 		t.Fatalf("a ref after the last unref did not stage afresh: %d objects, %d B written",
 			objects(), store.Stats().BytesWritten)

@@ -153,7 +153,13 @@ var malformedSliceStreams = []struct{ name, contentType, body string }{
 	{"payload longer than its header", goldenContentType, slicePartWire(plainSliceHeaders, rawSlice(4, 4, 4*17))},
 	{"no delimiter after the payload", goldenContentType, "--" + goldenBoundary + "\r\n" + plainSliceHeaders + "\r\n" + rawSlice(4, 4, 4*16)},
 	{"ends inside the header block", goldenContentType, goldenStream[:strings.Index(goldenStream, "X-Slice-Total: 16")+8]},
+	{"gzip part that is not gzip", goldenContentType, slicePartWire(gzipSliceHeaders, "not gzip at all")},
+	{"bytes after the gzip member", goldenContentType, slicePartWire(gzipSliceHeaders, goldenGzipPayload+"x")},
+	{"gzip member with a bad checksum", goldenContentType, slicePartWire(gzipSliceHeaders, goldenGzipPayload[:len(goldenGzipPayload)-8]+"\x00\x00\x00\x00"+goldenGzipPayload[len(goldenGzipPayload)-4:])},
 }
+
+// gzipSliceHeaders are a valid gzip part's headers.
+const gzipSliceHeaders = "Content-Encoding: gzip\r\n" + plainSliceHeaders
 
 // plainSliceHeaders are a valid full-resolution part's headers.
 const plainSliceHeaders = "Content-Type: application/x-ifdk-slice\r\nX-Slice-Total: 8\r\nX-Slice-Z: 0\r\n"
@@ -200,47 +206,53 @@ func TestMalformedStreamsReturnErrors(t *testing.T) {
 	}
 }
 
-// A plain slice part is handed out as soon as its payload is in: slice 0
-// is read whole while slice 1 — whose opening writes slice 0's closing
+// A slice part is handed out as soon as its payload is in — a plain one by
+// its image header's size, a gzip one at the end of its gzip member: slice
+// 0 is read whole while slice 1 — whose opening writes slice 0's closing
 // delimiter — has not been written.
 func TestReadSlicesYieldsPartBeforeNextExists(t *testing.T) {
-	pr, pw := io.Pipe()
-	defer pr.Close()
-	sw := NewSliceWriter(pw)
-	slice0 := SlicePart{Z: 0, Total: 2, Payload: []byte(rawSlice(4, 4, 4*16))}
-	parts := make(chan SlicePart, 3)
-	go func() {
-		defer close(parts)
-		for p, err := range ReadSlices(sw.ContentType(), pr) {
-			if err != nil {
-				return
+	for _, slice0 := range []SlicePart{
+		{Z: 0, Total: 2, Payload: []byte(rawSlice(4, 4, 4*16))},
+		{Z: 0, Total: 2, Encoding: EncodingGzip, Payload: []byte(goldenGzipPayload)},
+	} {
+		pr, pw := io.Pipe()
+		sw := NewSliceWriter(pw)
+		parts := make(chan SlicePart, 3)
+		go func() {
+			defer close(parts)
+			for p, err := range ReadSlices(sw.ContentType(), pr) {
+				if err != nil {
+					return
+				}
+				parts <- p
 			}
-			parts <- p
+		}()
+		if err := sw.WriteSlice(slice0); err != nil { // returns once the reader took every byte
+			t.Fatal(err)
 		}
-	}()
-	if err := sw.WriteSlice(slice0); err != nil { // returns once the reader took every byte
-		t.Fatal(err)
-	}
-	select {
-	case p := <-parts:
-		if !reflect.DeepEqual(p, slice0) {
-			t.Fatalf("first part %+v, want %+v", p, slice0)
+		select {
+		case p := <-parts:
+			if !reflect.DeepEqual(p, slice0) {
+				t.Fatalf("first part %+v, want %+v", p, slice0)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("slice 0 (encoding %q) was not handed out before slice 1 was written", slice0.Encoding)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("slice 0 was not handed out before slice 1 was written")
-	}
-	go func() {
-		slice1 := SlicePart{Z: 1, Total: 2, Payload: []byte(rawSlice(4, 4, 4*16))}
-		if sw.WriteSlice(slice1) == nil && sw.WriteEnd(goldenView) == nil && sw.Close() == nil {
-			pw.Close()
+		go func() {
+			slice1 := slice0
+			slice1.Z = 1
+			if sw.WriteSlice(slice1) == nil && sw.WriteEnd(goldenView) == nil && sw.Close() == nil {
+				pw.Close()
+			}
+		}()
+		n := 0
+		for range parts {
+			n++
 		}
-	}()
-	n := 0
-	for range parts {
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("%d parts after slice 0, want slice 1 and the closing view", n)
+		if n != 2 {
+			t.Fatalf("%d parts after slice 0 (encoding %q), want slice 1 and the closing view", n, slice0.Encoding)
+		}
+		pr.Close()
 	}
 }
 

@@ -3,6 +3,7 @@ package api
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -108,10 +109,12 @@ func (sw SliceWriter) Close() error { return sw.mw.Close() }
 // headers, then the payload. A plain slice part is read by the size its W×H
 // image header gives, into one buffer of exactly that size, and handed out
 // as soon as that payload is in — not when the next part's delimiter
-// arrives, which the writer emits only when the next part starts. If the
-// delimiter does not follow the sized payload, the next element is an
-// error. Gzip and JSON parts are read up to the delimiter. A part is yielded
-// only once read whole with its headers validated; an error is the last
+// arrives, which the writer emits only when the next part starts. A gzip
+// part ends where its one gzip member does and is handed out the same way,
+// its compressed bytes as the payload. If the delimiter does not follow
+// such a payload, the next element is an error. JSON parts, and parts of
+// any other encoding, are read up to the delimiter. A part is yielded only
+// once read whole with its headers validated; an error is the last
 // element, and a stream cut before its closing boundary ends in one.
 func ReadSlices(contentType string, body io.Reader) iter.Seq2[SlicePart, error] {
 	return func(yield func(SlicePart, error) bool) {
@@ -125,17 +128,17 @@ func ReadSlices(contentType string, body io.Reader) iter.Seq2[SlicePart, error] 
 		err = r.expect(r.delim[2:])
 		for err == nil {
 			var p SlicePart
-			var more, sized bool
+			var more, pending bool
 			if more, err = r.open(); err != nil || !more {
 				break
 			}
-			if p, sized, err = r.part(); err != nil {
+			if p, pending, err = r.part(); err != nil {
 				break
 			}
 			if !yield(p, nil) {
 				return
 			}
-			if sized {
+			if pending {
 				err = r.expect(r.delim)
 			}
 		}
@@ -154,11 +157,13 @@ var errStreamCut = fmt.Errorf("api: slice stream cut short: %w", io.ErrUnexpecte
 
 // sliceReader frames one multipart slice stream: tp reads each part's
 // header block from br. delim is the CRLF-led delimiter that ends every
-// part; the opening boundary is delim[2:].
+// part; the opening boundary is delim[2:]. gz, once made, inflates every
+// gzip part in turn.
 type sliceReader struct {
 	br    *bufio.Reader
 	tp    *textproto.Reader
 	delim []byte
+	gz    *gzip.Reader
 }
 
 // expect consumes s, which must come next.
@@ -192,10 +197,10 @@ func (r *sliceReader) open() (more bool, err error) {
 	return false, r.expect([]byte("--"))
 }
 
-// part reads one part's headers and payload. A sized part leaves its
-// delimiter unread, so the caller hands the part out before it arrives; a
-// scanned part consumes it.
-func (r *sliceReader) part() (p SlicePart, sized bool, err error) {
+// part reads one part's headers and payload. A sized or gzip part leaves
+// its delimiter pending, unread, so the caller hands the part out before
+// it arrives; a scanned part consumes it.
+func (r *sliceReader) part() (p SlicePart, pending bool, err error) {
 	h, err := r.tp.ReadMIMEHeader()
 	if err != nil {
 		return p, false, cut(err)
@@ -220,11 +225,15 @@ func (r *sliceReader) part() (p SlicePart, sized bool, err error) {
 			return p, false, err
 		}
 	}
-	if p.Encoding != "" {
+	switch p.Encoding {
+	case "":
+		p.Payload, err = r.sized()
+	case EncodingGzip:
+		p.Payload, err = r.member()
+	default:
 		p.Payload, err = r.scan()
 		return p, false, err
 	}
-	p.Payload, err = r.sized()
 	return p, true, err
 }
 
@@ -254,6 +263,51 @@ func (r *sliceReader) sized() ([]byte, error) {
 		}
 	}
 	return buf, nil
+}
+
+// member reads a gzip payload: one gzip member, inflated only to find
+// where it ends. The gzip reader reads through a keeper, an io.ByteReader,
+// so it stops at the member's last byte, and the keeper's copy of what it
+// read is the payload.
+func (r *sliceReader) member() ([]byte, error) {
+	k := &keeper{br: r.br}
+	var err error
+	if r.gz == nil {
+		r.gz, err = gzip.NewReader(k)
+	} else {
+		err = r.gz.Reset(k)
+	}
+	if err == nil {
+		r.gz.Multistream(false)
+		_, err = io.Copy(io.Discard, r.gz)
+	}
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		return nil, cut(err)
+	case err != nil:
+		return nil, fmt.Errorf("api: slice part: %w", err)
+	}
+	return k.kept, nil
+}
+
+// keeper reads from br and keeps every byte it hands out.
+type keeper struct {
+	br   *bufio.Reader
+	kept []byte
+}
+
+func (k *keeper) Read(p []byte) (int, error) {
+	n, err := k.br.Read(p)
+	k.kept = append(k.kept, p[:n]...)
+	return n, err
+}
+
+func (k *keeper) ReadByte() (byte, error) {
+	c, err := k.br.ReadByte()
+	if err == nil {
+		k.kept = append(k.kept, c)
+	}
+	return c, err
 }
 
 // scan reads a payload up to and including the delimiter that ends it.
