@@ -118,7 +118,7 @@ gates)
 	# shapes its row and column plane culling could get wrong (tangent
 	# silhouettes, sub-pixel and off-detector ellipsoids, 70 of them); a
 	# streamed slice part costs the SDK one buffer the size of its payload
-	# (read by size, decoded in place).
+	# (read by its Content-Length, decoded in place).
 	go test -run 'TestApplyIntoSteadyStateAllocs|TestSweepBitIdenticalToApplyInto' -v ./internal/ct/filter/
 	go test -run 'TestAnalyticBitIdenticalToOneRayLoop|TestRenderCullEdgeCases' -v ./internal/ct/projector/
 	go test -run 'TestBackprojectSteadyStateAllocs' -v ./internal/ct/backproject/
@@ -184,8 +184,9 @@ trace-spans)
 	go test -count=500 -run 'TestTraceEndToEnd|TestRouterTraceEndToEnd|TestTraceCompleteWhileJobRetained' ./internal/service/ ./internal/router/
 	;;
 fuzz)
-	# Ten seconds each: the wire codec (pkg/api's one SSE / slice-stream
-	# decoder), the traceparent parser, the spec resolver, journal replay and
+	# Ten seconds each: the wire codec (pkg/api's one SSE decoder and its one
+	# slice-stream decoder, which frames every part by its Content-Length
+	# and round-trips each part it yields), the traceparent parser, the spec resolver, journal replay and
 	# compaction, the projection decoder, the analytic renderer's plane
 	# culling ≡ the one-ray loop on random ellipsoids, and the assembly
 	# wrappers across tiers (DIF / DIT / Convolve, AccumColumns and

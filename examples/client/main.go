@@ -11,7 +11,6 @@
 //
 //	go run ./examples/client                      # spins up an in-process server
 //	go run ./examples/client -addr http://localhost:8080
-//	go run ./examples/client -gzip -nx 48
 //	go run ./examples/client -progressive -nx 64
 package main
 
@@ -33,16 +32,15 @@ func main() {
 	addr := flag.String("addr", "", "ifdkd or ifdk-router base URL (empty = start an in-process server)")
 	phantom := flag.String("phantom", "shepplogan", "phantom to scan: shepplogan | sphere | industrial")
 	nx := flag.Int("nx", 32, "output voxels per side")
-	gzip := flag.Bool("gzip", false, "negotiate per-part gzip slice encoding on the stream")
 	prog := flag.Bool("progressive", false, "request coarse-to-fine delivery: preview tier first, then full resolution")
 	flag.Parse()
-	if err := run(*addr, *phantom, *nx, *gzip, *prog); err != nil {
+	if err := run(*addr, *phantom, *nx, *prog); err != nil {
 		fmt.Fprintln(os.Stderr, "client example:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, phantom string, nx int, gz, prog bool) error {
+func run(addr, phantom string, nx int, prog bool) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
@@ -64,11 +62,7 @@ func run(addr, phantom string, nx int, gz, prog bool) error {
 		fmt.Println("in-process server on", addr)
 	}
 
-	opts := []client.Option{}
-	if gz {
-		opts = append(opts, client.WithGzip())
-	}
-	c := client.New(addr, opts...)
+	c := client.New(addr)
 
 	// 1. Submit. The SDK retries transient saturation (queue_full,
 	// quota_exhausted, ...) with jittered backoff; hard errors surface as
@@ -151,13 +145,9 @@ func run(addr, phantom string, nx int, gz, prog bool) error {
 			firstPreview.Round(time.Millisecond),
 			100*firstPreview.Seconds()/time.Since(start).Seconds())
 	}
-	fmt.Printf("delivery: first slice at %v, full volume at %v (%d slices, %.1f KiB on the wire)\n",
+	fmt.Printf("delivery: first slice at %v, full volume at %v (%d slices, %.1f KiB of slice payload)\n",
 		firstSlice.Round(time.Millisecond), time.Since(start).Round(time.Millisecond),
-		res.Slices, float64(res.WireBytes)/1024)
-	if gz {
-		fmt.Printf("gzip: %.1f KiB raw -> %.1f KiB wire\n",
-			float64(res.RawBytes)/1024, float64(res.WireBytes)/1024)
-	}
+		res.Slices, float64(res.RawBytes)/1024)
 	if res.Final.Verified {
 		fmt.Printf("verified against serial FDK: relative RMSE %.2e (paper bound 1e-5)\n", res.Final.RelRMSE)
 	}

@@ -62,16 +62,6 @@ func terminalEventType(st api.State) api.EventType {
 	}
 }
 
-// passEncoding forwards the client's content-coding choice: slice parts
-// are forwarded byte for byte, so whatever per-part encoding the backend
-// negotiates is exactly what the client asked for.
-func passEncoding(r *http.Request) map[string]string {
-	if ae := r.Header.Get("Accept-Encoding"); ae != "" {
-		return map[string]string{"Accept-Encoding": ae}
-	}
-	return nil
-}
-
 // endpoint is what differs between the two relayed streams.
 type endpoint struct {
 	path   func() string                      // dialled under the job, afresh on every attach
@@ -274,7 +264,6 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.relay(w, r, endpoint{
 		path: func() string { return "/stream" },
-		req:  passEncoding(r),
 		head: map[string]string{"Content-Type": sw.ContentType(), "X-Accel-Buffering": "no"},
 		// The stream is over once the closing part is out or the client
 		// stopped taking writes. The dedup key includes the part's preview

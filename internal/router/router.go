@@ -781,7 +781,7 @@ func (rt *Router) remove(w http.ResponseWriter, r *http.Request) {
 // they are relayed (relay.go) so subscribers survive a backend death
 // mid-stream.
 func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, sub string) {
-	resp, backend, err := rt.dialJob(r.Context(), r.PathValue("id"), sub, passEncoding(r))
+	resp, backend, err := rt.dialJob(r.Context(), r.PathValue("id"), sub, nil)
 	if err != nil {
 		fail(w, r, backend, err)
 		return

@@ -933,6 +933,54 @@ func TestProgressiveStreamThroughRouter(t *testing.T) {
 	}
 }
 
+// A bare net/http client on Go's default transport — which advertises
+// Accept-Encoding: gzip on its own — gets plain slice parts from /stream
+// and /preview, straight from the daemon and through the router: every
+// payload is the PFS image bytes, decodable with no decoding step.
+func TestDefaultClientGetsPlainParts(t *testing.T) {
+	f := startFleet(t, 2, nil)
+	ctx := testCtx(t)
+	c := client.New(f.routerTS.URL)
+	v, err := c.Submit(ctx, api.Spec{Phantom: "shepplogan", NX: 16, R: 2, C: 2, Quality: api.QualityProgressive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err = c.Await(ctx, v.ID, 5*time.Millisecond); err != nil || v.State != api.StateDone {
+		t.Fatalf("job: %+v, %v; want done", v, err)
+	}
+	direct := f.backends[slices.Index(f.names, backendOf(t, v.ID))].URL
+	for _, base := range []string{direct, f.routerTS.URL} {
+		for sub, want := range map[string]int{"/stream": 8 + 16, "/preview": 8} {
+			url := base + "/v1/jobs/" + v.ID + sub
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := 0
+			for p, err := range api.ReadSlices(resp.Header.Get("Content-Type"), resp.Body) {
+				if err != nil {
+					t.Fatalf("GET %s: part %d: %v", url, got, err)
+				}
+				if p.End != nil {
+					continue
+				}
+				if _, err := volume.ImageFromBytes(p.Payload); err != nil {
+					t.Fatalf("GET %s: part %d is not a plain image: %v", url, got, err)
+				}
+				got++
+			}
+			resp.Body.Close()
+			if got != want {
+				t.Fatalf("GET %s: %d slice parts, want %d", url, got, want)
+			}
+		}
+	}
+}
+
 // The router's error contract: whatever a daemon would have answered —
 // status, code, Retry-After header, retry_after_sec — is what the caller
 // gets through the router, whether the router relays a backend's refusal or

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"ifdk/internal/compress"
 	"ifdk/internal/ct/fdk"
 	"ifdk/internal/ct/projector"
 	"ifdk/pkg/api"
@@ -65,19 +64,9 @@ type slicePart struct {
 	img              *volume.Image
 }
 
-// decodeSlice undoes a part's content coding and image framing. Go's
-// transport advertises Accept-Encoding: gzip on our behalf, so the server is
-// entitled to gzip each part; a contract-compliant consumer decodes per-part
-// Content-Encoding.
+// decodeSlice decodes a part's payload, the PFS image bytes as they are.
 func decodeSlice(p api.SlicePart) (slicePart, error) {
-	blob := p.Payload
-	if p.Encoding == api.EncodingGzip {
-		var err error
-		if blob, err = compress.Gunzip(blob); err != nil {
-			return slicePart{}, err
-		}
-	}
-	img, err := volume.ImageFromBytes(blob)
+	img, err := volume.ImageFromBytes(p.Payload)
 	return slicePart{z: p.Z, total: p.Total, factor: p.Factor, img: img}, err
 }
 
@@ -131,9 +120,8 @@ func (g *sliceGate) open() { g.once.Do(func() { close(g.release) }) }
 // the job's result — which matches a direct serial fdk.Reconstruct of the
 // same scan voxel-for-voxel within 1e-5.
 func TestE2EStreamingGolden(t *testing.T) {
-	// openStream's parts are gzip-encoded (Go's transport asks for it); a
-	// gzip part ends with its gzip member, so the first slice arrives while
-	// the epilogue is parked in its first callback.
+	// openStream's parts are read by their Content-Length, so the first
+	// slice arrives while the epilogue is parked in its first callback.
 	gate := newSliceGate()
 	defer gate.open()
 	opt := Options{Workers: 2}
@@ -152,7 +140,7 @@ func TestE2EStreamingGolden(t *testing.T) {
 	events := openSSE(t, ctx, ts.URL+"/v1/jobs/"+id+"/events", 0)
 	parts, views := openStream(t, ctx, ts.URL+"/v1/jobs/"+id+"/stream")
 
-	// Phase 1 — the epilogue is parked inside the second slice callback:
+	// Phase 1 — the epilogue is parked inside the first slice callback:
 	// the first slice event and the first streamed slice part must reach
 	// this client while the job is verifiably still running.
 	var received []Event

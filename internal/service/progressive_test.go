@@ -134,65 +134,59 @@ func TestE2EProgressiveCoarseToFine(t *testing.T) {
 
 // Every preview part of a progressive job reaches a /stream consumer before
 // any full-resolution slice exists: with the worker held after the preview
-// event, the tier's last part must not wait for the part after it, whether
-// the parts are plain (read by their image header's size) or gzip (read to
-// the end of their gzip member).
+// event, the tier's last part must not wait for the part after it, since
+// each part is read by its Content-Length.
 func TestStreamPreviewTierBeforeFirstSlice(t *testing.T) {
-	for _, enc := range []string{"identity", "gzip"} {
-		t.Run(enc, func(t *testing.T) {
-			gate := newSliceGate()
-			defer gate.open()
-			opt := Options{Workers: 1}
-			opt.testOnPreview = gate.hook // holds the pipeline before its first full-resolution round
-			ts, _ := startTestServer(t, opt)
+	t.Run("identity", func(t *testing.T) {
+		gate := newSliceGate()
+		defer gate.open()
+		opt := Options{Workers: 1}
+		opt.testOnPreview = gate.hook // holds the pipeline before its first full-resolution round
+		ts, _ := startTestServer(t, opt)
 
-			_, v := postJob(t, ts.URL, progSpec(api.QualityProgressive))
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			resp := mustGet(t, ctx, ts.URL+"/v1/jobs/"+v.ID+"/stream", map[string]string{"Accept-Encoding": enc})
-			defer resp.Body.Close()
-			parts := make(chan api.SlicePart, 32)
-			go func() {
-				defer close(parts)
-				for p, err := range api.ReadSlices(resp.Header.Get("Content-Type"), resp.Body) {
-					if err != nil {
-						return
-					}
-					parts <- p
+		_, v := postJob(t, ts.URL, progSpec(api.QualityProgressive))
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		resp := mustGet(t, ctx, ts.URL+"/v1/jobs/"+v.ID+"/stream", map[string]string{"Accept-Encoding": "identity"})
+		defer resp.Body.Close()
+		parts := make(chan api.SlicePart, 32)
+		go func() {
+			defer close(parts)
+			for p, err := range api.ReadSlices(resp.Header.Get("Content-Type"), resp.Body) {
+				if err != nil {
+					return
 				}
-			}()
-			const coarseNz = 8
-			for got := 0; got < coarseNz; got++ {
-				select {
-				case p, ok := <-parts:
-					if !ok || p.Factor != 2 {
-						t.Fatalf("stream ended or sent a full-resolution part after %d/%d preview parts", got, coarseNz)
-					}
-					if want := map[string]string{"identity": "", "gzip": api.EncodingGzip}[enc]; p.Encoding != want {
-						t.Fatalf("preview part encoding %q, want %q", p.Encoding, want)
-					}
-				case <-time.After(10 * time.Second):
-					t.Fatalf("%d/%d preview parts read while the pipeline was held before its first slice", got, coarseNz)
+				parts <- p
+			}
+		}()
+		const coarseNz = 8
+		for got := 0; got < coarseNz; got++ {
+			select {
+			case p, ok := <-parts:
+				if !ok || p.Factor != 2 {
+					t.Fatalf("stream ended or sent a full-resolution part after %d/%d preview parts", got, coarseNz)
 				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d/%d preview parts read while the pipeline was held before its first slice", got, coarseNz)
 			}
-			gate.open()
-			full := 0
-			var final *View
-			for p := range parts {
-				switch {
-				case p.End != nil:
-					final = p.End
-				case p.Factor != 0:
-					t.Fatalf("preview part z=%d after the tier completed", p.Z)
-				default:
-					full++
-				}
+		}
+		gate.open()
+		full := 0
+		var final *View
+		for p := range parts {
+			switch {
+			case p.End != nil:
+				final = p.End
+			case p.Factor != 0:
+				t.Fatalf("preview part z=%d after the tier completed", p.Z)
+			default:
+				full++
 			}
-			if final == nil || final.State != StateDone || full != 16 {
-				t.Fatalf("stream closed with %d full slices and final view %+v; want 16 and done", full, final)
-			}
-		})
-	}
+		}
+		if final == nil || final.State != StateDone || full != 16 {
+			t.Fatalf("stream closed with %d full slices and final view %+v; want 16 and done", full, final)
+		}
+	})
 }
 
 // A preview-quality job is a complete job whose result IS the coarse

@@ -3,9 +3,7 @@ package service
 import (
 	"net/http"
 	"strconv"
-	"strings"
 
-	"ifdk/internal/compress"
 	"ifdk/internal/service/progressive"
 	"ifdk/pkg/api"
 	"ifdk/pkg/volume"
@@ -62,26 +60,6 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// acceptsGzip reports whether the request advertises gzip content coding.
-// A quality value of 0 is an explicit refusal (RFC 9110 §12.4.2), so
-// "gzip;q=0" disables compression even though it names the coding.
-func acceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		coding, params, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.TrimSpace(coding) != "gzip" && strings.TrimSpace(coding) != "*" {
-			continue
-		}
-		q := strings.ReplaceAll(strings.TrimSpace(params), " ", "")
-		if strings.HasPrefix(q, "q=") {
-			if v, err := strconv.ParseFloat(strings.TrimPrefix(q, "q="), 64); err == nil && v <= 0 {
-				continue
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // preview serves GET /v1/jobs/{id}/preview: the job's coarse preview
 // volume as one multipart/mixed response, one part per coarse z-slice in
 // the PFS image format, each marked with HeaderPreviewFactor. The preview
@@ -111,7 +89,7 @@ func (s *Server) preview(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.CodeNotYetWritten, "preview of job %s not built yet (state %s)", id, j.State())
 		return
 	}
-	ps := &parts{sw: api.NewSliceWriter(w), gz: acceptsGzip(r)}
+	ps := &parts{sw: api.NewSliceWriter(w)}
 	defer ps.sw.Close()
 	w.Header().Set("Content-Type", ps.sw.ContentType())
 	w.Header().Set(api.HeaderPreviewFactor, strconv.Itoa(j.plan.Factor))
@@ -120,27 +98,17 @@ func (s *Server) preview(w http.ResponseWriter, r *http.Request) {
 }
 
 // parts frames one handler's slice parts through the shared codec, encoding
-// each from a view of its plane into one reused buffer and gzip-encoding it
-// when the request negotiated that. It never flushes: the handler does,
-// once per batch of parts.
+// each from a view of its plane into one reused buffer. It never flushes:
+// the handler does, once per batch of parts.
 type parts struct {
 	sw  api.SliceWriter
-	gz  bool
 	buf []byte
 }
 
 // send frames slice z of total (factor > 0 marks a preview-tier part).
 func (ps *parts) send(z, total, factor int, img *volume.Image) error {
 	ps.buf = volume.AppendImage(ps.buf[:0], img)
-	p := api.SlicePart{Z: z, Total: total, Factor: factor, Payload: ps.buf}
-	if ps.gz {
-		var err error
-		if p.Payload, err = compress.Gzip(ps.buf); err != nil {
-			return err
-		}
-		p.Encoding = api.EncodingGzip
-	}
-	return ps.sw.WriteSlice(p)
+	return ps.sw.WriteSlice(api.SlicePart{Z: z, Total: total, Factor: factor, Payload: ps.buf})
 }
 
 // sendVolume frames every slice of a preview volume, marked with its
@@ -172,11 +140,6 @@ func (ps *parts) sendVolume(vol *volume.Volume, factor int) error {
 // rounds. Preview-quality jobs are served like ordinary jobs whose result
 // happens to be the coarse volume: plain parts, coarse slice total, no
 // preview header.
-//
-// When the request advertises Accept-Encoding: gzip, each slice part is
-// DEFLATE-compressed independently (Content-Encoding: gzip on the part, not
-// the response) — filtered CT slices are smooth and compress well, and
-// independent parts keep late attach and mid-stream resume trivial.
 func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.m.job(id)
@@ -202,7 +165,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rc := http.NewResponseController(w)
-	ps := &parts{sw: api.NewSliceWriter(w), gz: acceptsGzip(r)}
+	ps := &parts{sw: api.NewSliceWriter(w)}
 	defer ps.sw.Close()
 	w.Header().Set("Content-Type", ps.sw.ContentType())
 	w.Header().Set("X-Accel-Buffering", "no")

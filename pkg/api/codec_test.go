@@ -6,6 +6,7 @@ import (
 	"iter"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,10 +14,12 @@ import (
 
 // The wire, pinned to bytes. Everything below the boundary constant was
 // captured from a daemon built at the commit before this codec existed (a
-// progressive nx=16 shepplogan job: its /events, and its /stream with and
-// without Accept-Encoding: gzip), so the writer is compared against what the
-// hand-rolled framers emitted and the reader against bytes it did not
-// produce — helpers sharing the reader cannot hide a symmetric bug.
+// progressive nx=16 shepplogan job: its /events and its /stream), so the
+// writer is compared against what the hand-rolled framers emitted and the
+// reader against bytes it did not produce — helpers sharing the reader
+// cannot hide a symmetric bug. Two edits were made by hand when every part
+// came to state its length: each part gained its Content-Length line, and
+// the coarse part, captured gzip-encoded, carries its plain image bytes.
 const goldenBoundary = "b4c49d8eb77f0dea6e26059a441b9ab62d15f52538e83b36449c108b965a"
 
 const goldenEventFrame = "id: 3\nevent: preview\n" +
@@ -24,11 +27,11 @@ const goldenEventFrame = "id: 3\nevent: preview\n" +
 
 var goldenEvent = Event{Seq: 3, Job: "j00000001", Type: EventPreview, Time: "2026-10-03T08:07:34.680084572Z", Total: 8, Factor: 2}
 
-// Coarse slice 0 (8×8, all zero) as the daemon gzipped it, and full slice 0
-// (16×16, all zero) in the raw PFS image format.
+// Coarse slice 0 (8×8, all zero) and full slice 0 (16×16, all zero) in the
+// raw PFS image format.
 var (
-	goldenGzipPayload = "\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff\xe2```\x00\xe1\x91\x0e\x00\x01\x00\x00\xff\xff\xe5\xc9W\x92\x08\x01\x00\x00"
-	goldenRawPayload  = "\x10\x00\x00\x00\x10\x00\x00\x00" + strings.Repeat("\x00", 4*16*16)
+	goldenPreviewPayload = "\x08\x00\x00\x00\x08\x00\x00\x00" + strings.Repeat("\x00", 4*8*8)
+	goldenRawPayload     = "\x10\x00\x00\x00\x10\x00\x00\x00" + strings.Repeat("\x00", 4*16*16)
 )
 
 const goldenViewJSON = `{"id":"j00000001","state":"done","spec":{"phantom":"shepplogan","nx":16,"nu":32,"np":32,"r":2,"c":2,"window":"ram-lak","quality":"progressive","priority":"","verify":false,"client":"anonymous"},"priority":"normal","progress":1,"cache_hit":false,"submitted":"2026-10-03T08:07:34.674519338Z","started":"2026-10-03T08:07:34.674604579Z","finished":"2026-10-03T08:07:34.682507225Z","wait_sec":0.000081863,"run_sec":0.007902647,"est_run_sec":0.00004403571111449018,"cost":0.00004403571111449018,"est_bytes":311296,"trace_id":"f2b8f504c1a88ea56f9ebe709d4ceddb","stages":{"load":0.000024859,"filter":0.000161932,"allgather":0.000558535,"backproject":0.000973881,"compute":0.002201691,"reduce":0.00122739,"store":0.000047104,"total":0.002349057},"quality":"progressive","preview_factor":2}`
@@ -46,21 +49,22 @@ var goldenView = View{
 	Quality: "progressive", PreviewFactor: 2,
 }
 
-// goldenStream is one gzip preview part, one raw full-resolution part and
-// the closing view part, exactly as they sat on the wire.
+// goldenStream is one preview part, one full-resolution part and the
+// closing view part (780 bytes of JSON and a newline), exactly as they
+// sit on the wire.
 var goldenStream = "--" + goldenBoundary + "\r\n" +
-	"Content-Encoding: gzip\r\nContent-Type: application/x-ifdk-slice\r\nX-Preview-Factor: 2\r\nX-Slice-Total: 8\r\nX-Slice-Z: 0\r\n\r\n" +
-	goldenGzipPayload +
+	"Content-Length: 264\r\nContent-Type: application/x-ifdk-slice\r\nX-Preview-Factor: 2\r\nX-Slice-Total: 8\r\nX-Slice-Z: 0\r\n\r\n" +
+	goldenPreviewPayload +
 	"\r\n--" + goldenBoundary + "\r\n" +
-	"Content-Type: application/x-ifdk-slice\r\nX-Slice-Total: 16\r\nX-Slice-Z: 0\r\n\r\n" +
+	"Content-Length: 1032\r\nContent-Type: application/x-ifdk-slice\r\nX-Slice-Total: 16\r\nX-Slice-Z: 0\r\n\r\n" +
 	goldenRawPayload +
 	"\r\n--" + goldenBoundary + "\r\n" +
-	"Content-Type: application/json\r\nX-Stream-End: done\r\n\r\n" +
+	"Content-Length: 781\r\nContent-Type: application/json\r\nX-Stream-End: done\r\n\r\n" +
 	goldenViewJSON + "\n" +
 	"\r\n--" + goldenBoundary + "--\r\n"
 
 var goldenParts = []SlicePart{
-	{Z: 0, Total: 8, Factor: 2, Encoding: EncodingGzip, Payload: []byte(goldenGzipPayload)},
+	{Z: 0, Total: 8, Factor: 2, Payload: []byte(goldenPreviewPayload)},
 	{Z: 0, Total: 16, Payload: []byte(goldenRawPayload)},
 	{End: &goldenView},
 }
@@ -127,8 +131,14 @@ func TestSliceStreamGoldenBytes(t *testing.T) {
 }
 
 // slicePartWire frames one hand-written part under the golden boundary, the
-// closing boundary included.
+// closing boundary included, with a Content-Length line stating the
+// payload's length ahead of headers.
 func slicePartWire(headers, payload string) string {
+	return unsizedPartWire("Content-Length: "+strconv.Itoa(len(payload))+"\r\n"+headers, payload)
+}
+
+// unsizedPartWire is slicePartWire with headers taken as they are.
+func unsizedPartWire(headers, payload string) string {
 	return "--" + goldenBoundary + "\r\n" + headers + "\r\n" + payload + "\r\n--" + goldenBoundary + "--\r\n"
 }
 
@@ -151,15 +161,17 @@ var malformedSliceStreams = []struct{ name, contentType, body string }{
 	{"header claims 2³²−1 × 2³²−1 pixels", goldenContentType, slicePartWire(plainSliceHeaders, "\xff\xff\xff\xff\xff\xff\xff\xff"+strings.Repeat("\x00", 64))},
 	{"payload shorter than its header", goldenContentType, slicePartWire(plainSliceHeaders, rawSlice(4, 4, 4*15))},
 	{"payload longer than its header", goldenContentType, slicePartWire(plainSliceHeaders, rawSlice(4, 4, 4*17))},
-	{"no delimiter after the payload", goldenContentType, "--" + goldenBoundary + "\r\n" + plainSliceHeaders + "\r\n" + rawSlice(4, 4, 4*16)},
+	{"no delimiter after the payload", goldenContentType, "--" + goldenBoundary + "\r\nContent-Length: 72\r\n" + plainSliceHeaders + "\r\n" + rawSlice(4, 4, 4*16)},
 	{"ends inside the header block", goldenContentType, goldenStream[:strings.Index(goldenStream, "X-Slice-Total: 16")+8]},
-	{"gzip part that is not gzip", goldenContentType, slicePartWire(gzipSliceHeaders, "not gzip at all")},
-	{"bytes after the gzip member", goldenContentType, slicePartWire(gzipSliceHeaders, goldenGzipPayload+"x")},
-	{"gzip member with a bad checksum", goldenContentType, slicePartWire(gzipSliceHeaders, goldenGzipPayload[:len(goldenGzipPayload)-8]+"\x00\x00\x00\x00"+goldenGzipPayload[len(goldenGzipPayload)-4:])},
+	{"Content-Length missing", goldenContentType, unsizedPartWire(plainSliceHeaders, rawSlice(4, 4, 4*16))},
+	{"Content-Length not an integer", goldenContentType, unsizedPartWire("Content-Length: 72.0\r\n"+plainSliceHeaders, rawSlice(4, 4, 4*16))},
+	{"Content-Length negative", goldenContentType, unsizedPartWire("Content-Length: -72\r\n"+plainSliceHeaders, rawSlice(4, 4, 4*16))},
+	{"Content-Length beyond the int range", goldenContentType, unsizedPartWire("Content-Length: 9223372036854775808\r\n"+plainSliceHeaders, rawSlice(4, 4, 4*16))},
+	{"Content-Length stated twice", goldenContentType, unsizedPartWire("Content-Length: 72\r\nContent-Length: 72\r\n"+plainSliceHeaders, rawSlice(4, 4, 4*16))},
+	{"Content-Length not the image header's 8+4·W·H", goldenContentType, unsizedPartWire("Content-Length: 68\r\n"+plainSliceHeaders, rawSlice(4, 4, 4*16))},
+	{"closing view without Content-Length", goldenContentType, unsizedPartWire("Content-Type: application/json\r\nX-Stream-End: done\r\n", goldenViewJSON+"\n")},
+	{"part with Content-Encoding: gzip", goldenContentType, slicePartWire("Content-Encoding: gzip\r\n"+plainSliceHeaders, rawSlice(4, 4, 4*16))},
 }
-
-// gzipSliceHeaders are a valid gzip part's headers.
-const gzipSliceHeaders = "Content-Encoding: gzip\r\n" + plainSliceHeaders
 
 // plainSliceHeaders are a valid full-resolution part's headers.
 const plainSliceHeaders = "Content-Type: application/x-ifdk-slice\r\nX-Slice-Total: 8\r\nX-Slice-Z: 0\r\n"
@@ -206,71 +218,70 @@ func TestMalformedStreamsReturnErrors(t *testing.T) {
 	}
 }
 
-// A slice part is handed out as soon as its payload is in — a plain one by
-// its image header's size, a gzip one at the end of its gzip member: slice
-// 0 is read whole while slice 1 — whose opening writes slice 0's closing
-// delimiter — has not been written.
+// A slice part is handed out as soon as its Content-Length bytes are in:
+// slice 0 is read whole while slice 1 — whose opening writes slice 0's
+// closing delimiter — has not been written.
 func TestReadSlicesYieldsPartBeforeNextExists(t *testing.T) {
-	for _, slice0 := range []SlicePart{
-		{Z: 0, Total: 2, Payload: []byte(rawSlice(4, 4, 4*16))},
-		{Z: 0, Total: 2, Encoding: EncodingGzip, Payload: []byte(goldenGzipPayload)},
-	} {
-		pr, pw := io.Pipe()
-		sw := NewSliceWriter(pw)
-		parts := make(chan SlicePart, 3)
-		go func() {
-			defer close(parts)
-			for p, err := range ReadSlices(sw.ContentType(), pr) {
-				if err != nil {
-					return
-				}
-				parts <- p
+	slice0 := SlicePart{Z: 0, Total: 2, Payload: []byte(rawSlice(4, 4, 4*16))}
+	pr, pw := io.Pipe()
+	defer pr.Close()
+	sw := NewSliceWriter(pw)
+	parts := make(chan SlicePart, 3)
+	go func() {
+		defer close(parts)
+		for p, err := range ReadSlices(sw.ContentType(), pr) {
+			if err != nil {
+				return
 			}
-		}()
-		if err := sw.WriteSlice(slice0); err != nil { // returns once the reader took every byte
-			t.Fatal(err)
+			parts <- p
 		}
-		select {
-		case p := <-parts:
-			if !reflect.DeepEqual(p, slice0) {
-				t.Fatalf("first part %+v, want %+v", p, slice0)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("slice 0 (encoding %q) was not handed out before slice 1 was written", slice0.Encoding)
+	}()
+	if err := sw.WriteSlice(slice0); err != nil { // returns once the reader took every byte
+		t.Fatal(err)
+	}
+	select {
+	case p := <-parts:
+		if !reflect.DeepEqual(p, slice0) {
+			t.Fatalf("first part %+v, want %+v", p, slice0)
 		}
-		go func() {
-			slice1 := slice0
-			slice1.Z = 1
-			if sw.WriteSlice(slice1) == nil && sw.WriteEnd(goldenView) == nil && sw.Close() == nil {
-				pw.Close()
-			}
-		}()
-		n := 0
-		for range parts {
-			n++
+	case <-time.After(5 * time.Second):
+		t.Fatal("slice 0 was not handed out before slice 1 was written")
+	}
+	go func() {
+		slice1 := slice0
+		slice1.Z = 1
+		if sw.WriteSlice(slice1) == nil && sw.WriteEnd(goldenView) == nil && sw.Close() == nil {
+			pw.Close()
 		}
-		if n != 2 {
-			t.Fatalf("%d parts after slice 0 (encoding %q), want slice 1 and the closing view", n, slice0.Encoding)
-		}
-		pr.Close()
+	}()
+	n := 0
+	for range parts {
+		n++
+	}
+	if n != 2 {
+		t.Fatalf("%d parts after slice 0, want slice 1 and the closing view", n)
 	}
 }
 
-// A hostile W×H header reserves at most maxPrealloc ahead of the bytes
-// that arrive: one past the int range allocates nothing, and one that fits
-// (16 GiB) no more than the cap before the stream runs out.
+// A hostile length reserves at most maxPrealloc ahead of the bytes that
+// arrive: a W×H image header past the int range or of 16 GiB costs nothing
+// beyond the bytes it came with, and a Content-Length of 1 TiB no more than
+// the cap before the stream runs out.
 func TestSizedPartPreallocCapped(t *testing.T) {
-	for _, head := range []string{"\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\x00\x00\xff\xff\x00\x00"} {
-		body := slicePartWire(plainSliceHeaders, head+strings.Repeat("\x00", 1024))
+	for _, body := range []string{
+		slicePartWire(plainSliceHeaders, "\xff\xff\xff\xff\xff\xff\xff\xff"+strings.Repeat("\x00", 1024)),
+		slicePartWire(plainSliceHeaders, "\xff\xff\x00\x00\xff\xff\x00\x00"+strings.Repeat("\x00", 1024)),
+		unsizedPartWire("Content-Length: 1099511627776\r\n"+plainSliceHeaders, "\xff\xff\x00\x00\xff\xff\x00\x00"+strings.Repeat("\x00", 1024)),
+	} {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		errs, after := drain(ReadSlices(goldenContentType, strings.NewReader(body)))
 		runtime.ReadMemStats(&m1)
 		if errs != 1 || after != 0 {
-			t.Fatalf("header %q: %d errors, %d elements after; want one error, last", head, errs, after)
+			t.Fatalf("part %.60q: %d errors, %d elements after; want one error, last", body, errs, after)
 		}
 		if got := m1.TotalAlloc - m0.TotalAlloc; got > maxPrealloc+64<<10 {
-			t.Errorf("header %q: the reader allocated %d bytes, cap %d", head, got, maxPrealloc)
+			t.Errorf("part %.60q: the reader allocated %d bytes, cap %d", body, got, maxPrealloc)
 		}
 	}
 }
@@ -338,7 +349,7 @@ func FuzzReadEvents(f *testing.F) {
 
 // FuzzSliceReader: whatever the bytes, the reader never panics, an error
 // ends the sequence, every part it yields is either a closing view or an
-// in-range slice, and a part in a known encoding survives the writer.
+// in-range slice, and every part survives the writer.
 func FuzzSliceReader(f *testing.F) {
 	f.Add(goldenContentType, []byte(goldenStream))
 	for _, tc := range malformedSliceStreams {
@@ -350,18 +361,19 @@ func FuzzSliceReader(f *testing.F) {
 			if failed {
 				t.Fatal("element yielded after an error")
 			}
-			if failed = err != nil; failed || p.End != nil {
-				continue
-			}
-			if p.Z < 0 || p.Z >= p.Total || p.Factor < 0 {
-				t.Fatalf("out-of-range part handed out: z=%d total=%d factor=%d", p.Z, p.Total, p.Factor)
-			}
-			if p.Encoding != "" && p.Encoding != EncodingGzip {
+			if failed = err != nil; failed {
 				continue
 			}
 			var buf bytes.Buffer
 			sw := NewSliceWriter(&buf)
-			if err := sw.WriteSlice(p); err != nil {
+			if p.End != nil {
+				err = sw.WriteEnd(*p.End)
+			} else if p.Z < 0 || p.Z >= p.Total || p.Factor < 0 {
+				t.Fatalf("out-of-range part handed out: z=%d total=%d factor=%d", p.Z, p.Total, p.Factor)
+			} else {
+				err = sw.WriteSlice(p)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			if err := sw.Close(); err != nil {

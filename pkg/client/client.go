@@ -12,9 +12,9 @@
 // working_set, quota_exhausted — see api.Retryable) with jittered
 // exponential backoff; Watch survives dropped SSE connections by resuming
 // with Last-Event-ID; Stream reassembles the live multipart slice stream
-// into a volume with exactly-once slice accounting and transparent
-// per-part gzip decoding. All failures carry *api.Error where the server
-// sent one, so callers branch on stable codes with errors.As.
+// into a volume with exactly-once slice accounting. All failures carry
+// *api.Error where the server sent one, so callers branch on stable codes
+// with errors.As.
 //
 // Every Submit carries W3C trace context (a traceparent header with a fresh
 // trace ID, or the caller's own via SubmitTraced); Trace returns the job's
@@ -65,7 +65,6 @@ type Client struct {
 	base  string
 	http  *http.Client
 	retry Retry
-	gzip  bool
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -81,10 +80,6 @@ func WithHTTPClient(h *http.Client) Option { return func(c *Client) { c.http = h
 
 // WithRetry overrides the retry policy for Submit and friends.
 func WithRetry(r Retry) Option { return func(c *Client) { c.retry = r } }
-
-// WithGzip makes Stream request per-part gzip slice encoding
-// (Accept-Encoding: gzip); decoding is transparent either way.
-func WithGzip() Option { return func(c *Client) { c.gzip = true } }
 
 // idlePerHost is how many idle connections the shared transport keeps to
 // each server. A client watching jobs holds /events and /stream reads

@@ -394,16 +394,16 @@ func TestErrorDecoding(t *testing.T) {
 }
 
 // A late-attached Stream must reassemble the volume bit-exactly from the
-// result, with exactly-once slice accounting — plain and gzip.
+// result, with exactly-once slice accounting.
 func TestStreamLateAttachBitExact(t *testing.T) {
 	m, ts := newService(t, service.Options{Workers: 2})
 	ctx := testCtx(t)
-	direct := New(ts.URL)
-	v, err := direct.Submit(ctx, api.Spec{Phantom: "shepplogan", NX: 16, NP: 32})
+	c := New(ts.URL)
+	v, err := c.Submit(ctx, api.Spec{Phantom: "shepplogan", NX: 16, NP: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := direct.Await(ctx, v.ID, 5*time.Millisecond); err != nil {
+	if _, err := c.Await(ctx, v.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	want, err := m.Volume(v.ID)
@@ -411,38 +411,27 @@ func TestStreamLateAttachBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, gz := range []bool{false, true} {
-		opts := []Option{}
-		if gz {
-			opts = append(opts, WithGzip())
-		}
-		c := New(ts.URL, opts...)
-		res, err := c.Stream(ctx, v.ID, nil)
-		if err != nil {
-			t.Fatalf("gzip=%v: %v", gz, err)
-		}
-		if res.Final.State != api.StateDone || res.Slices != want.Nz {
-			t.Fatalf("gzip=%v: final=%s slices=%d", gz, res.Final.State, res.Slices)
-		}
-		if res.Volume.Nx != want.Nx || res.Volume.Ny != want.Ny || res.Volume.Nz != want.Nz {
-			t.Fatalf("gzip=%v: dims %dx%dx%d, want %dx%dx%d", gz,
-				res.Volume.Nx, res.Volume.Ny, res.Volume.Nz, want.Nx, want.Ny, want.Nz)
-		}
-		for z := 0; z < want.Nz; z++ {
-			a, b := res.Volume.SliceZ(z), want.SliceZ(z)
-			for i := range a.Data {
-				if a.Data[i] != b.Data[i] {
-					t.Fatalf("gzip=%v: slice %d differs at %d: %v != %v", gz, z, i, a.Data[i], b.Data[i])
-				}
+	res, err := c.Stream(ctx, v.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Final.State != api.StateDone || res.Slices != want.Nz {
+		t.Fatalf("final=%s slices=%d", res.Final.State, res.Slices)
+	}
+	if res.Volume.Nx != want.Nx || res.Volume.Ny != want.Ny || res.Volume.Nz != want.Nz {
+		t.Fatalf("dims %dx%dx%d, want %dx%dx%d",
+			res.Volume.Nx, res.Volume.Ny, res.Volume.Nz, want.Nx, want.Ny, want.Nz)
+	}
+	for z := 0; z < want.Nz; z++ {
+		a, b := res.Volume.SliceZ(z), want.SliceZ(z)
+		for i := range a.Data {
+			if a.Data[i] != b.Data[i] {
+				t.Fatalf("slice %d differs at %d: %v != %v", z, i, a.Data[i], b.Data[i])
 			}
 		}
-		if gz {
-			if res.WireBytes >= res.RawBytes {
-				t.Errorf("gzip saved nothing: wire %d >= raw %d", res.WireBytes, res.RawBytes)
-			}
-		} else if res.WireBytes != res.RawBytes {
-			t.Errorf("identity stream: wire %d != raw %d", res.WireBytes, res.RawBytes)
-		}
+	}
+	if raw := int64(want.Nz * (8 + 4*want.Nx*want.Ny)); res.RawBytes != raw {
+		t.Errorf("RawBytes %d, want %d", res.RawBytes, raw)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // not_yet_written (retryable *api.Error) while the preview phase is still
 // running; WatchPreview waits for the preview event instead of polling.
 func (c *Client) Preview(ctx context.Context, id string) (*volume.Volume, int, error) {
-	resp, err := c.Open(ctx, http.MethodGet, "/v1/jobs/"+id+"/preview", c.acceptEncoding(), nil)
+	resp, err := c.Open(ctx, http.MethodGet, "/v1/jobs/"+id+"/preview", nil, nil)
 	if err != nil {
 		return nil, 0, err
 	}

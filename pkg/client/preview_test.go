@@ -113,7 +113,7 @@ func TestPreviewOfFullQualityJob(t *testing.T) {
 // bits.
 func TestPreviewQualityStream(t *testing.T) {
 	_, ts := newService(t, service.Options{Workers: 1})
-	c := New(ts.URL, WithGzip()) // exercise the per-part gzip decode path too
+	c := New(ts.URL)
 	ctx := testCtx(t)
 
 	v, err := c.Submit(ctx, progSpec(api.QualityPreview))

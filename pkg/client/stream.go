@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"ifdk/internal/compress"
 	"ifdk/pkg/api"
 	"ifdk/pkg/volume"
 )
@@ -14,14 +13,10 @@ import (
 // StreamResult is the outcome of consuming one job's slice stream to its
 // terminal part.
 type StreamResult struct {
-	Volume *volume.Volume // the reassembled full volume (axial z-slices)
-	Final  api.View       // the job's terminal view from the closing part
-	Slices int            // slice parts received (== Volume.Nz on success)
-	// WireBytes counts slice payload bytes as they crossed the wire
-	// (compressed when per-part gzip was negotiated); RawBytes counts the
-	// decoded slice bytes. Their ratio is the stream's compression saving.
-	WireBytes int64
-	RawBytes  int64
+	Volume   *volume.Volume // the reassembled full volume (axial z-slices)
+	Final    api.View       // the job's terminal view from the closing part
+	Slices   int            // slice parts received (== Volume.Nz on success)
+	RawBytes int64          // slice payload bytes received, both tiers
 
 	// Progressive jobs lead the stream with their coarse tier (parts marked
 	// X-Preview-Factor, indexed on the coarse grid). It reassembles here,
@@ -47,8 +42,7 @@ type StreamHooks struct {
 // parts into a volume with exactly-once accounting: a duplicated or
 // malformed slice part fails the stream rather than silently overwriting,
 // and a terminal part arriving before every slice landed reports which
-// count was short. Per-part gzip (negotiated via WithGzip) is decoded
-// transparently. onSlice, when non-nil, runs after each slice part is
+// count was short. onSlice, when non-nil, runs after each slice part is
 // decoded (z is the global slice index) — the hook for time-to-first-slice
 // measurements and progressive rendering. Preview parts of a progressive
 // job are reassembled into StreamResult.Preview; to observe them as they
@@ -63,7 +57,7 @@ func (c *Client) Stream(ctx context.Context, id string, onSlice func(z, total in
 // the first full-resolution part, so OnPreview marks time-to-first-volume
 // long before the stream completes.
 func (c *Client) StreamProgressive(ctx context.Context, id string, hooks StreamHooks) (*StreamResult, error) {
-	resp, err := c.Open(ctx, http.MethodGet, "/v1/jobs/"+id+"/stream", c.acceptEncoding(), nil)
+	resp, err := c.Open(ctx, http.MethodGet, "/v1/jobs/"+id+"/stream", nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -100,8 +94,8 @@ func (c *Client) StreamProgressive(ctx context.Context, id string, hooks StreamH
 	}
 	res := &StreamResult{
 		Volume: full.vol, Final: *final, Slices: full.got,
-		WireBytes: full.wire + prev.wire, RawBytes: full.raw + prev.raw,
-		Preview: prev.vol, PreviewFactor: prev.factor, PreviewSlices: prev.got,
+		RawBytes: full.raw + prev.raw,
+		Preview:  prev.vol, PreviewFactor: prev.factor, PreviewSlices: prev.got,
 	}
 	if res.Final.State == api.StateDone {
 		if res.Volume == nil {
@@ -114,48 +108,27 @@ func (c *Client) StreamProgressive(ctx context.Context, id string, hooks StreamH
 	return res, nil
 }
 
-// acceptEncoding is the slice endpoints' content-coding request header.
-// Explicit either way: left unset, Go's transport would advertise gzip on
-// its own and the per-part encoding would stop being the caller's choice.
-func (c *Client) acceptEncoding() map[string]string {
-	if c.gzip {
-		return map[string]string{"Accept-Encoding": api.EncodingGzip}
-	}
-	return map[string]string{"Accept-Encoding": "identity"}
-}
-
 // tier reassembles the parts of one resolution tier (full or preview) into a
 // volume with exactly-once accounting — the one assembler under Stream,
 // StreamProgressive and Preview. A duplicated, out-of-range or undecodable
 // part fails the stream rather than silently overwriting.
 type tier struct {
-	name      string // "slice" | "preview slice", for error text
-	vol       *volume.Volume
-	seen      []bool
-	got       int   // distinct parts placed
-	factor    int   // decimation factor of the first part (0: full resolution)
-	wire, raw int64 // payload bytes as received / after content decoding
+	name   string // "slice" | "preview slice", for error text
+	vol    *volume.Volume
+	seen   []bool
+	got    int   // distinct parts placed
+	factor int   // decimation factor of the first part (0: full resolution)
+	raw    int64 // payload bytes received
 }
 
 func (t *tier) add(p api.SlicePart) error {
-	blob := p.Payload
-	switch p.Encoding {
-	case "":
-	case api.EncodingGzip:
-		var err error
-		if blob, err = compress.Gunzip(blob); err != nil {
-			return fmt.Errorf("client: %s %d: %w", t.name, p.Z, err)
-		}
-	default:
-		return fmt.Errorf("client: %s %d: unknown Content-Encoding %q", t.name, p.Z, p.Encoding)
-	}
 	// The image header sizes the volume on the first part; the payload is
 	// decoded straight into plane z.
 	var w, h int
-	if len(blob) >= 8 {
-		w, h = int(binary.LittleEndian.Uint32(blob)), int(binary.LittleEndian.Uint32(blob[4:]))
+	if len(p.Payload) >= 8 {
+		w, h = int(binary.LittleEndian.Uint32(p.Payload)), int(binary.LittleEndian.Uint32(p.Payload[4:]))
 	}
-	if _, err := volume.ImagePayload(blob, w, h); err != nil {
+	if _, err := volume.ImagePayload(p.Payload, w, h); err != nil {
 		return fmt.Errorf("client: %s %d payload: %w", t.name, p.Z, err)
 	}
 	if t.vol == nil {
@@ -171,11 +144,10 @@ func (t *tier) add(p api.SlicePart) error {
 	}
 	t.seen[p.Z] = true
 	t.got++
-	t.wire += int64(len(p.Payload))
-	t.raw += int64(len(blob))
+	t.raw += int64(len(p.Payload))
 	if w != t.vol.Nx || h != t.vol.Ny {
 		return fmt.Errorf("volume: slice size %dx%d does not match volume %dx%d", w, h, t.vol.Nx, t.vol.Ny)
 	}
 	n := w * h
-	return volume.ImageFromBytesInto(&volume.Image{W: w, H: h, Data: t.vol.Data[p.Z*n : (p.Z+1)*n]}, blob)
+	return volume.ImageFromBytesInto(&volume.Image{W: w, H: h, Data: t.vol.Data[p.Z*n : (p.Z+1)*n]}, p.Payload)
 }
