@@ -76,9 +76,11 @@ test)
 	;;
 examples)
 	# The smoke run; the client leg submits through the SDK to an
-	# in-process daemon and verifies against serial FDK.
+	# in-process daemon and verifies against serial FDK. ifdk-bench all
+	# regenerates every table and figure of the paper's evaluation.
 	go run ./examples/quickstart
 	go run ./examples/client -nx 16
+	go run ./cmd/ifdk-bench all
 	;;
 benchmark-module)
 	# A nested go.mod, so ./... above compiles neither benchmark/ nor its
@@ -109,9 +111,8 @@ gates)
 	# (Proposed on both layouts, slab pairs at h = 5, the fleet_mixed depth
 	# h = 2 on the gather kernel, fleet_mixed's h = 16, 8 and 4 on the
 	# window tier, projection_heavy's h = 8 on a 512² detector — one block of
-	# tiles on one worker, gated at 0 allocations —, Standard and an
-	# ablation variant) and returns every
-	# pooled byte; the serial loop (fdk.Reconstruct)
+	# tiles on one worker, gated at 0 allocations —, and Standard) and
+	# returns every pooled byte; the serial loop (fdk.Reconstruct)
 	# allocates nothing per batch and returns every pooled byte; pooled
 	# collectives; decimation allocates nothing; the analytic renderer ≡ the
 	# one-ray derivation bitwise, on the service's phantoms and on the

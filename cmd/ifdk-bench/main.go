@@ -8,7 +8,6 @@
 //	ifdk-bench fig5a..fig5d    strong/weak scaling, 4K and 8K (Fig. 5)
 //	ifdk-bench fig6            end-to-end GUPS (Fig. 6)
 //	ifdk-bench fig7            volume-reduction demo (Fig. 7)
-//	ifdk-bench ablate          CPU ablation of the Alg. 4 design choices
 //	ifdk-bench all             everything above
 package main
 
@@ -26,10 +25,8 @@ import (
 func main() {
 	samples := flag.Int("samples", 256, "sampled warps per kernel estimate (higher = tighter)")
 	fig7Scale := flag.Int("fig7-scale", 32, "voxels per side for the real fig7 run (multiple of 8)")
-	ablNx := flag.Int("ablate-nx", 24, "volume side for the CPU ablation")
-	ablNp := flag.Int("ablate-np", 16, "projections for the CPU ablation")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ifdk-bench [flags] {table3|table4|table5|fig5a|fig5b|fig5c|fig5d|fig6|fig7|ablate|all}\n")
+		fmt.Fprintf(os.Stderr, "usage: ifdk-bench [flags] {table3|table4|table5|fig5a|fig5b|fig5c|fig5d|fig6|fig7|all}\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -38,13 +35,13 @@ func main() {
 		os.Exit(2)
 	}
 	cmd := flag.Arg(0)
-	if err := run(cmd, *samples, *fig7Scale, *ablNx, *ablNp); err != nil {
+	if err := run(cmd, *samples, *fig7Scale); err != nil {
 		fmt.Fprintln(os.Stderr, "ifdk-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(cmd string, samples, fig7Scale, ablNx, ablNp int) error {
+func run(cmd string, samples, fig7Scale int) error {
 	mb := perfmodel.ABCI()
 	est := gpusim.EstimateConfig{SampleWarps: samples}
 	dev := gpusim.TeslaV100()
@@ -73,11 +70,9 @@ func run(cmd string, samples, fig7Scale, ablNx, ablNp int) error {
 		fmt.Println(bench.RenderTable5(points))
 		ran = true
 	}
-	figs := map[string]func() bench.Fig5Config{
-		"fig5a": bench.Fig5a, "fig5b": bench.Fig5b, "fig5c": bench.Fig5c, "fig5d": bench.Fig5d,
-	}
-	for name, cfgFn := range figs {
-		if all || cmd == name {
+	// A slice, not a map: `all` prints Fig. 5's panels in a fixed order.
+	for n, cfgFn := range []func() bench.Fig5Config{bench.Fig5a, bench.Fig5b, bench.Fig5c, bench.Fig5d} {
+		if all || cmd == fmt.Sprintf("fig5%c", 'a'+n) {
 			cfg := cfgFn()
 			points, err := bench.RunFig5(cfg, mb)
 			if err != nil {
@@ -101,14 +96,6 @@ func run(cmd string, samples, fig7Scale, ablNx, ablNp int) error {
 			return err
 		}
 		fmt.Println(bench.RenderFig7(res))
-		ran = true
-	}
-	if all || cmd == "ablate" {
-		rows, err := bench.Ablation(ablNx, ablNp, 1)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderAblation(rows))
 		ran = true
 	}
 	if !ran {

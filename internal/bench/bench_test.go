@@ -197,21 +197,3 @@ func TestFig7(t *testing.T) {
 		t.Error("invalid fig7 scale accepted")
 	}
 }
-
-func TestAblation(t *testing.T) {
-	rows, err := Ablation(12, 8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 7 {
-		t.Fatalf("%d ablation rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Seconds <= 0 || r.MUPS <= 0 {
-			t.Errorf("%s: empty measurement", r.Name)
-		}
-	}
-	if !strings.Contains(RenderAblation(rows), "proposed (Alg 4)") {
-		t.Error("ablation render incomplete")
-	}
-}

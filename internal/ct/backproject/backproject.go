@@ -54,7 +54,7 @@ type Task struct {
 	// line 3): each image is Nv×Nu, V the fast axis. The filter's
 	// ApplyEncoded and ApplyImage write this layout; Proposed and
 	// ProposedSlabPair read such a task as it is instead of transposing it
-	// per batch, and Standard and the ablation variants reject it.
+	// per batch, and Standard rejects it.
 	Transposed bool
 }
 
@@ -85,18 +85,6 @@ func (t Task) Validate() error {
 type Options struct {
 	Workers int // worker goroutines; 0 means GOMAXPROCS
 }
-
-// Variant toggles the individual optimizations of the proposed algorithm
-// for ablation studies (the CPU analogue of Table 4). The zero Variant is the
-// fully naive per-voxel scheme on a k-major volume; Proposed uses all three.
-type Variant struct {
-	Symmetry  bool // exploit Theorem 1: process k and Nz-1-k together
-	Reuse     bool // exploit Theorems 2+3: hoist u and W_dis out of the k loop
-	Transpose bool // transpose projections for contiguous V-axis access
-}
-
-// ProposedVariant is the Variant used by Proposed.
-var ProposedVariant = Variant{Symmetry: true, Reuse: true, Transpose: true}
 
 // Standard back-projects the task into an i-major volume following Alg. 2
 // exactly: three inner products and a full interpolation per voxel per
@@ -149,128 +137,18 @@ func Standard(task Task, vol *volume.Volume, opt Options) error {
 	return nil
 }
 
-// Proposed back-projects the task into a k-major volume following Alg. 4:
-// the whole volume is the one-row slab pair [0, Nz/2), plus the unpaired
-// centre plane when Nz is odd. The task may be Transposed.
+// Proposed back-projects the task into a k-major volume following Alg. 4,
+// on the driver ProposedSlabPair runs: the whole volume is the one-row slab
+// pair [0, Nz/2), plus the unpaired centre plane when Nz is odd. The task
+// may be Transposed.
 func Proposed(task Task, vol *volume.Volume, opt Options) error {
-	return Ablate(task, vol, opt, ProposedVariant)
-}
-
-// Ablate runs the proposed algorithm with individual optimizations toggled
-// by the variant. All variants compute the same volume (within float32
-// rounding); only the operation count and access pattern change. The full
-// ProposedVariant takes the slab-pair driver, which performs the exact same
-// floating-point operations in the same order — ablation variants keep the
-// original voxel-at-a-time loop.
-func Ablate(task Task, vol *volume.Volume, opt Options, va Variant) error {
 	if err := task.Validate(); err != nil {
 		return err
 	}
 	if vol.Layout != volume.KMajor {
 		return fmt.Errorf("backproject: Proposed requires a k-major volume, got %v", vol.Layout)
 	}
-	if va == ProposedVariant {
-		slabPair(task, vol, opt, 0, vol.Nz/2)
-		return nil
-	}
-	if task.Transposed {
-		return fmt.Errorf("backproject: ablation variants require untransposed projections")
-	}
-	nx, ny, nz := vol.Nx, vol.Ny, vol.Nz
-	w, h := task.Proj[0].W, task.Proj[0].H
-	for s0 := 0; s0 < len(task.Proj); s0 += DefaultBatch {
-		s1 := min(s0+DefaultBatch, len(task.Proj))
-		// Transpose the batch once (Alg. 4 line 3). Transpose buffers come
-		// from the shared image pool and return after the batch.
-		bufs := acquireBatch(task.Mats[s0:s1], task.Proj[s0:s1], va.Transpose)
-		rows, data := bufs.rows.Data, bufs.data.Data
-		var tw, th int
-		if va.Transpose {
-			tw, th = h, w // transposed: V is now the fast axis
-		} else {
-			tw, th = w, h
-		}
-		nb := s1 - s0
-		engine.ParallelRange(ny, opt.Workers, func(j0, j1 int) {
-			regs, us, fs, ws := acquireRegs(nb)
-			for j := j0; j < j1; j++ {
-				fj := float32(j)
-				for i := 0; i < nx; i++ {
-					fi := float32(i)
-					if va.Reuse {
-						// Two inner products per column (Alg. 4 line 7).
-						for t := range rows {
-							r := &rows[t]
-							x := float32(r[0][0]*fi) + float32(r[0][1]*fj) + r[0][3]
-							z := float32(r[2][0]*fi) + float32(r[2][1]*fj) + r[2][3]
-							f := 1 / z
-							us[t] = x * f
-							fs[t] = f
-							ws[t] = f * f
-						}
-					}
-					base := (i*ny + j) * nz
-					kHalf := nz / 2
-					if !va.Symmetry {
-						kHalf = nz
-					}
-					for k := 0; k < kHalf; k++ {
-						fk := float32(k)
-						var sum, sumSym float32
-						for t := range rows {
-							r := &rows[t]
-							var u, f, wdis float32
-							if va.Reuse {
-								u, f, wdis = us[t], fs[t], ws[t]
-							} else {
-								x := float32(r[0][0]*fi) + float32(r[0][1]*fj) + float32(r[0][2]*fk) + r[0][3]
-								z := float32(r[2][0]*fi) + float32(r[2][1]*fj) + float32(r[2][2]*fk) + r[2][3]
-								f = 1 / z
-								u = x * f
-								wdis = f * f
-							}
-							// One inner product per voxel (Alg. 4 line 12).
-							y := float32(r[1][0]*fi) + float32(r[1][1]*fj) + float32(r[1][2]*fk) + r[1][3]
-							v := float32(y * f)
-							sum += float32(wdis * sampleProj(data[t], tw, th, u, v, va.Transpose))
-							if va.Symmetry {
-								vSym := float32(h-1) - v // Theorem 1
-								sumSym += float32(wdis * sampleProj(data[t], tw, th, u, vSym, va.Transpose))
-							}
-						}
-						vol.Data[base+k] += sum
-						if va.Symmetry {
-							vol.Data[base+nz-1-k] += sumSym
-						}
-					}
-					if va.Symmetry && nz%2 == 1 {
-						// Odd Nz: the central plane has no mirror partner.
-						k := nz / 2
-						fk := float32(k)
-						var sum float32
-						for t := range rows {
-							r := &rows[t]
-							var u, f, wdis float32
-							if va.Reuse {
-								u, f, wdis = us[t], fs[t], ws[t]
-							} else {
-								x := float32(r[0][0]*fi) + float32(r[0][1]*fj) + float32(r[0][2]*fk) + r[0][3]
-								z := float32(r[2][0]*fi) + float32(r[2][1]*fj) + float32(r[2][2]*fk) + r[2][3]
-								f = 1 / z
-								u = x * f
-								wdis = f * f
-							}
-							y := float32(r[1][0]*fi) + float32(r[1][1]*fj) + float32(r[1][2]*fk) + r[1][3]
-							sum += float32(wdis * sampleProj(data[t], tw, th, u, y*f, va.Transpose))
-						}
-						vol.Data[base+k] += sum
-					}
-				}
-			}
-			regs.Release()
-		})
-		bufs.release()
-	}
+	slabPair(task, vol, opt, 0, vol.Nz/2)
 	return nil
 }
 
@@ -363,7 +241,7 @@ func transposeBatch(imgs []*volume.Image) *engine.Buf[*volume.Image] {
 }
 
 // releaseTransposed returns the batch's transpose buffers to the image pool
-// (nil when the variant did not transpose).
+// (nil when the batch was not transposed).
 func releaseTransposed(buf *engine.Buf[*volume.Image]) {
 	if buf == nil {
 		return

@@ -78,35 +78,6 @@ func TestProposedOddNz(t *testing.T) {
 	}
 }
 
-// Every ablation variant computes the same volume; the optimizations change
-// only cost, not math.
-func TestAblationVariantsEquivalent(t *testing.T) {
-	g := smallGeom()
-	task := randomTask(g, 3)
-	std := volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor)
-	if err := Standard(task, std, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, va := range []Variant{
-		{},
-		{Symmetry: true},
-		{Reuse: true},
-		{Transpose: true},
-		{Symmetry: true, Reuse: true},
-		{Symmetry: true, Transpose: true},
-		{Reuse: true, Transpose: true},
-		{Symmetry: true, Reuse: true, Transpose: true},
-	} {
-		vol := volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
-		if err := Ablate(task, vol, Options{}, va); err != nil {
-			t.Fatalf("%+v: %v", va, err)
-		}
-		if r := relRMSE(t, std, vol); r > 1e-5 {
-			t.Errorf("variant %+v: relative RMSE = %g", va, r)
-		}
-	}
-}
-
 func TestWorkerCountInvariance(t *testing.T) {
 	g := smallGeom()
 	task := randomTask(g, 4)

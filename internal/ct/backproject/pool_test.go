@@ -71,11 +71,10 @@ func TestPooledSlabPairBitIdentical(t *testing.T) {
 // (the whole volume), 8 and 4 (its R = 2 and R = 4 slabs), which take the
 // window kernel on an AVX-512 host; projection_heavy's h = 8 slab on a 512²
 // detector, one block of 16 tiles, on one worker as the pipeline runs it,
-// where no scheduler bookkeeping is tolerated either: 0 allocations;
-// Standard; and an ablation variant's voxel loop. The
-// slab legs run eight workers over the nine tiles of a 20×20 volume, so one
-// unpooled block accumulator per worker chunk would cost 8 allocations per
-// 24 projections and fail the bound.
+// where no scheduler bookkeeping is tolerated either: 0 allocations; and
+// Standard. The slab legs run eight workers over the nine tiles of a 20×20
+// volume, so one unpooled block accumulator per worker chunk would cost 8
+// allocations per 24 projections and fail the bound.
 func TestBackprojectSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -111,9 +110,6 @@ func TestBackprojectSteadyStateAllocs(t *testing.T) {
 			return ProposedSlabPair(phTask, phVol, Options{Workers: 1}, ph.Nz, 8, 16)
 		}, true},
 		{"Standard", g.Np, func() error { return Standard(task, std, Options{Workers: 2}) }, false},
-		{"Ablate, reuse and transpose", g.Np, func() error {
-			return Ablate(task, vol, Options{Workers: 2}, Variant{Reuse: true, Transpose: true})
-		}, false},
 	} {
 		for i := 0; i < 5; i++ { // warm the pools
 			if err := leg.run(); err != nil {

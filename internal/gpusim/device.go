@@ -1,15 +1,13 @@
 // Package gpusim simulates the GPU back-projection kernels of the paper's
 // Sec. 3.3 and Table 3 on a modelled NVIDIA Tesla V100. Go has no CUDA, so
-// this package substitutes the real GPU with:
-//
-//   - a functional warp-level executor (Run) that evaluates the kernels
-//     lane-by-lane with true shuffle semantics, producing real voxel values
-//     that are verified against the CPU reference algorithms; and
-//   - a sampled access-stream simulator (Estimate) that walks a subset of
-//     warps, pushes their memory transactions through set-associative L1
-//     and 2-D texture cache models, counts core operations, and converts
-//     the totals into kernel time with a roofline model — producing the
-//     GUPS numbers of Table 4.
+// this package substitutes the real GPU with a sampled access-stream
+// simulator (Estimate) that walks a subset of warps, pushes their memory
+// transactions through set-associative L1 and 2-D texture cache models,
+// counts core operations, and converts the totals into kernel time with a
+// roofline model — producing the GUPS numbers of Table 4. It computes no
+// voxel values: the algorithms the kernels run are the CPU ones in
+// internal/ct/backproject (Standard is RTK-32's Alg. 2, Proposed the shflBP
+// kernels' Alg. 4).
 //
 // The performance mechanisms are the paper's own: the proposed kernel does
 // fewer inner products per update (Theorems 2+3 via warp shuffle), halves

@@ -2,30 +2,10 @@ package gpusim
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
-	"ifdk/internal/ct/backproject"
 	"ifdk/internal/ct/geometry"
-	"ifdk/pkg/volume"
 )
-
-func testGeom() geometry.Params {
-	return geometry.Default(48, 48, 40, 20, 20, 20)
-}
-
-func randomProjections(g geometry.Params, seed int64) []*volume.Image {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]*volume.Image, g.Np)
-	for s := range out {
-		img := volume.NewImage(g.Nu, g.Nv)
-		for n := range img.Data {
-			img.Data[n] = rng.Float32()
-		}
-		out[s] = img
-	}
-	return out
-}
 
 func TestKernelStringsAndTable3(t *testing.T) {
 	want := map[Kernel]Characteristics{
@@ -66,97 +46,6 @@ func TestSupportedOutput(t *testing.T) {
 	}
 	if !RTK32.SupportedOutput(1<<30, dev) {
 		t.Error("RTK-32 should support a 1 GB output")
-	}
-}
-
-// The simulated RTK-32 kernel and the CPU Standard algorithm are
-// independent implementations of Alg. 2 — they must agree.
-func TestRTK32MatchesCPUStandard(t *testing.T) {
-	g := testGeom()
-	proj := randomProjections(g, 1)
-	gpu := volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor)
-	if err := Run(TeslaV100(), g, proj, RTK32, gpu); err != nil {
-		t.Fatal(err)
-	}
-	cpu := volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor)
-	task := backproject.Task{Mats: geometry.ProjectionMatrices(g), Proj: proj}
-	if err := backproject.Standard(task, cpu, backproject.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	assertClose(t, cpu, gpu, 1e-5)
-}
-
-// Every shflBP variant must agree with the CPU Proposed algorithm (and thus
-// with the standard one) within the paper's RMSE bound.
-func TestShflBPKernelsMatchCPUProposed(t *testing.T) {
-	g := testGeom()
-	proj := randomProjections(g, 2)
-	cpu := volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
-	task := backproject.Task{Mats: geometry.ProjectionMatrices(g), Proj: proj}
-	if err := backproject.Proposed(task, cpu, backproject.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []Kernel{BpTex, TexTran, BpL1, L1Tran} {
-		gpu := volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
-		if err := Run(TeslaV100(), g, proj, k, gpu); err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		assertClose(t, cpu, gpu, 1e-5)
-	}
-}
-
-func TestShflBPOddNz(t *testing.T) {
-	g := testGeom()
-	g.Nz = 13
-	proj := randomProjections(g, 3)
-	cpu := volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor)
-	task := backproject.Task{Mats: geometry.ProjectionMatrices(g), Proj: proj}
-	if err := backproject.Standard(task, cpu, backproject.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	gpu := volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
-	if err := Run(TeslaV100(), g, proj, L1Tran, gpu); err != nil {
-		t.Fatal(err)
-	}
-	assertClose(t, cpu, gpu, 1e-5)
-}
-
-func assertClose(t *testing.T, want, got *volume.Volume, tol float64) {
-	t.Helper()
-	r, err := volume.RMSE(want, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := want.Summarize()
-	scale := math.Max(math.Abs(float64(s.Min)), math.Abs(float64(s.Max)))
-	if scale == 0 {
-		scale = 1
-	}
-	if r/scale > tol {
-		t.Errorf("relative RMSE = %g, want < %g", r/scale, tol)
-	}
-}
-
-func TestRunValidation(t *testing.T) {
-	g := testGeom()
-	proj := randomProjections(g, 4)
-	dev := TeslaV100()
-	if err := Run(dev, g, proj[:3], L1Tran, volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)); err == nil {
-		t.Error("short projection list accepted")
-	}
-	if err := Run(dev, g, proj, L1Tran, volume.New(4, 4, 4, volume.KMajor)); err == nil {
-		t.Error("mismatched volume accepted")
-	}
-	if err := Run(dev, g, proj, L1Tran, volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor)); err == nil {
-		t.Error("wrong layout accepted for shflBP")
-	}
-	if err := Run(dev, g, proj, RTK32, volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)); err == nil {
-		t.Error("wrong layout accepted for RTK-32")
-	}
-	tiny := dev
-	tiny.MemBytes = 1 << 10
-	if err := Run(tiny, g, proj, L1Tran, volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)); err == nil {
-		t.Error("out-of-memory problem accepted")
 	}
 }
 
@@ -293,17 +182,5 @@ func BenchmarkEstimateL1Tran(b *testing.B) {
 	pr := geometry.Problem{Nu: 1024, Nv: 1024, Np: 1024, Nx: 512, Ny: 512, Nz: 512}
 	for i := 0; i < b.N; i++ {
 		Estimate(dev, pr, L1Tran, EstimateConfig{SampleWarps: 64, BatchSamples: 1})
-	}
-}
-
-func BenchmarkFunctionalL1Tran(b *testing.B) {
-	g := geometry.Default(64, 64, 32, 32, 32, 32)
-	proj := randomProjections(g, 9)
-	vol := volume.New(g.Nx, g.Ny, g.Nz, volume.KMajor)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := Run(TeslaV100(), g, proj, L1Tran, vol); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

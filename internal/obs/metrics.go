@@ -1,7 +1,7 @@
 // Package obs is the zero-dependency observability substrate of the iFDK
 // fleet: a counter/gauge/histogram metrics registry with Prometheus text
-// exposition, lightweight spans with bounded in-memory retention, and
-// structured-logging helpers. Every plane of the system — the compute
+// exposition, deterministic span IDs for the traces the service assembles
+// on request from its job records, and structured-logging helpers. Every plane of the system — the compute
 // pipeline (via pre-sized per-rank buffers in internal/core), the service
 // layer, the front router and the daemons — reports through this package,
 // so the paper's stage-level performance decomposition (Sec. 4.2) is

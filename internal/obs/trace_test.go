@@ -3,7 +3,6 @@ package obs
 import (
 	"regexp"
 	"testing"
-	"time"
 )
 
 func TestIDs(t *testing.T) {
@@ -16,16 +15,5 @@ func TestIDs(t *testing.T) {
 	}
 	if !hex8.MatchString(DeriveSpanID("t", "filter")) {
 		t.Error("DeriveSpanID is not 16 hex chars")
-	}
-}
-
-func TestSpanDuration(t *testing.T) {
-	s := Span{Start: time.Unix(0, 0)}
-	if s.Duration() != 0 {
-		t.Error("open span should report zero duration")
-	}
-	s.End = s.Start.Add(3 * time.Second)
-	if s.Duration() != 3*time.Second {
-		t.Errorf("duration = %v, want 3s", s.Duration())
 	}
 }

@@ -21,120 +21,100 @@ import (
 // rounds_omitted attribute on the compute span.
 const maxRoundSpans = 96
 
-// assembleSpans builds the job's span tree from its current state, under
-// j.mu. It works on live jobs too: spans whose operation has not ended yet
-// carry a zero End and report zero duration.
-func (m *Manager) assembleSpans(j *Job) []obs.Span {
+// assembleSpans builds the job's span tree in its wire form from the job's
+// current state, under j.mu. It works on live jobs too: spans whose
+// operation has not ended yet report zero duration.
+func (m *Manager) assembleSpans(j *Job) []api.Span {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	sid := func(name string) string { return obs.DeriveSpanID(j.traceID, name) }
-
-	root := obs.Span{
-		SpanID: sid("job"),
-		Parent: j.parentSpan,
-		Name:   "job",
-		Start:  j.submitted,
-		End:    j.finished,
-		Attrs: []obs.Attr{
-			{Key: "job_id", Value: j.ID},
-			{Key: "node", Value: m.opt.NodeID},
-			{Key: "state", Value: string(j.state)},
-			{Key: "priority", Value: j.Priority.String()},
-			{Key: "cache_hit", Value: strconv.FormatBool(j.cacheHit)},
-		},
+	// span derives the span's ID from idName, which differs from its name
+	// only for the per-round spans.
+	span := func(idName, name, parent string, start, end time.Time, attrs map[string]string) api.Span {
+		return api.Span{
+			TraceID: j.traceID, SpanID: obs.DeriveSpanID(j.traceID, idName), ParentSpanID: parent,
+			Name: name, Service: "ifdkd",
+			Start: start.UTC().Format(time.RFC3339Nano), DurationSec: durationSec(start, end),
+			Attrs: attrs,
+		}
 	}
+
+	root := span("job", "job", j.parentSpan, j.submitted, j.finished, map[string]string{
+		"job_id":    j.ID,
+		"node":      m.opt.NodeID,
+		"state":     string(j.state),
+		"priority":  j.Priority.String(),
+		"cache_hit": strconv.FormatBool(j.cacheHit),
+	})
 	if j.recovered {
-		root.Attrs = append(root.Attrs, obs.Attr{Key: "recovered", Value: "true"})
+		root.Attrs["recovered"] = "true"
 	}
 	if j.err != "" {
-		root.Attrs = append(root.Attrs, obs.Attr{Key: "error", Value: j.err})
+		root.Attrs["error"] = j.err
 	}
-	spans := []obs.Span{root}
+	spans := []api.Span{root}
 
 	if j.cacheHit {
-		spans = append(spans, obs.Span{
-			SpanID: sid("cache.hit"), Parent: root.SpanID, Name: "cache.hit",
-			Start: j.submitted, End: j.finished,
-		})
-		return spans
+		return append(spans, span("cache.hit", "cache.hit", root.SpanID, j.submitted, j.finished, nil))
 	}
 
-	spans = append(spans, obs.Span{
-		SpanID: sid("queue.wait"), Parent: root.SpanID, Name: "queue.wait",
-		Start: j.submitted, End: j.started,
-	})
+	spans = append(spans, span("queue.wait", "queue.wait", root.SpanID, j.submitted, j.started, nil))
 	if !j.tStage0.IsZero() {
-		spans = append(spans, obs.Span{
-			SpanID: sid("stage.dataset"), Parent: root.SpanID, Name: "stage.dataset",
-			Start: j.tStage0, End: j.tRun0,
-		})
+		spans = append(spans, span("stage.dataset", "stage.dataset", root.SpanID, j.tStage0, j.tRun0, nil))
 	}
 	if !j.tRun0.IsZero() {
-		compute := obs.Span{
-			SpanID: sid("compute"), Parent: root.SpanID, Name: "compute",
-			Start: j.tRun0,
-		}
+		var computeEnd time.Time
 		if j.times.Compute > 0 {
-			compute.End = j.tRun0.Add(j.times.Compute)
+			computeEnd = j.tRun0.Add(j.times.Compute)
 		}
+		compute := span("compute", "compute", root.SpanID, j.tRun0, computeEnd, nil)
 		if omitted := len(j.rounds) - maxRoundSpans; omitted > 0 {
-			compute.Attrs = append(compute.Attrs,
-				obs.Attr{Key: "rounds_omitted", Value: strconv.Itoa(omitted)})
+			compute.Attrs = map[string]string{"rounds_omitted": strconv.Itoa(omitted)}
 		}
 		spans = append(spans, compute)
 		for r, rt := range j.rounds {
 			if r >= maxRoundSpans {
 				break
 			}
-			attr := []obs.Attr{{Key: "round", Value: strconv.Itoa(r)}}
+			round := strconv.Itoa(r)
 			spans = append(spans,
 				// The filter stage ends with the transposed block the
 				// column shares; back-projection does not transpose.
-				obs.Span{
-					SpanID: sid(fmt.Sprintf("filter.round.%d", r)), Parent: compute.SpanID,
-					Name:  "filter.round",
-					Start: j.tRun0.Add(rt.FilterOff), End: j.tRun0.Add(rt.FilterOff + rt.FilterDur),
-					Attrs: []obs.Attr{attr[0], {Key: "covers", Value: "load+filter+transpose"}},
-				},
-				obs.Span{
-					SpanID: sid(fmt.Sprintf("allgather.round.%d", r)), Parent: compute.SpanID,
-					Name:  "allgather.round",
-					Start: j.tRun0.Add(rt.GatherOff), End: j.tRun0.Add(rt.GatherOff + rt.GatherDur),
-					Attrs: attr,
-				})
+				span("filter.round."+round, "filter.round", compute.SpanID,
+					j.tRun0.Add(rt.FilterOff), j.tRun0.Add(rt.FilterOff+rt.FilterDur),
+					map[string]string{"round": round, "covers": "load+filter+transpose"}),
+				span("allgather.round."+round, "allgather.round", compute.SpanID,
+					j.tRun0.Add(rt.GatherOff), j.tRun0.Add(rt.GatherOff+rt.GatherDur),
+					map[string]string{"round": round}))
 		}
 		if j.times.Backproject > 0 {
 			// Back-projection overlaps the filter/AllGather rounds inside
 			// the compute phase; its span records accumulated busy time
 			// (== StageTimes.Backproject), anchored at the phase start.
-			spans = append(spans, obs.Span{
-				SpanID: sid("backproject"), Parent: compute.SpanID, Name: "backproject",
-				Start: j.tRun0, End: j.tRun0.Add(j.times.Backproject),
-				Attrs: []obs.Attr{{Key: "kind", Value: "busy"}},
-			})
+			spans = append(spans, span("backproject", "backproject", compute.SpanID,
+				j.tRun0, j.tRun0.Add(j.times.Backproject), map[string]string{"kind": "busy"}))
 		}
 		if j.times.Compute > 0 && j.times.Reduce > 0 {
 			t0 := j.tRun0.Add(j.times.Compute)
-			spans = append(spans, obs.Span{
-				SpanID: sid("reduce"), Parent: root.SpanID, Name: "reduce",
-				Start: t0, End: t0.Add(j.times.Reduce),
-			})
+			spans = append(spans, span("reduce", "reduce", root.SpanID, t0, t0.Add(j.times.Reduce), nil))
 			if j.times.Store > 0 {
 				t1 := t0.Add(j.times.Reduce)
-				spans = append(spans, obs.Span{
-					SpanID: sid("store"), Parent: root.SpanID, Name: "store",
-					Start: t1, End: t1.Add(j.times.Store),
-				})
+				spans = append(spans, span("store", "store", root.SpanID, t1, t1.Add(j.times.Store), nil))
 			}
 		}
 	}
 	if !j.tVerify0.IsZero() {
-		spans = append(spans, obs.Span{
-			SpanID: sid("verify"), Parent: root.SpanID, Name: "verify",
-			Start: j.tVerify0, End: j.tVerify1,
-		})
+		spans = append(spans, span("verify", "verify", root.SpanID, j.tVerify0, j.tVerify1, nil))
 	}
 	return spans
+}
+
+// durationSec is a span's elapsed time in seconds, zero while it is still
+// open (a zero end).
+func durationSec(start, end time.Time) float64 {
+	if end.IsZero() {
+		return 0
+	}
+	return end.Sub(start).Seconds()
 }
 
 // publishTrace announces on the event bus that a job's trace is final.
@@ -142,30 +122,6 @@ func (m *Manager) assembleSpans(j *Job) []obs.Span {
 // settles the job.
 func (m *Manager) publishTrace(j *Job) {
 	m.events.Publish(j.ID, Event{Type: EventTrace, TraceID: j.traceID})
-}
-
-// toAPISpans converts assembled spans to the wire form.
-func toAPISpans(traceID, service string, spans []obs.Span) []api.Span {
-	out := make([]api.Span, len(spans))
-	for i, s := range spans {
-		w := api.Span{
-			TraceID:      traceID,
-			SpanID:       s.SpanID,
-			ParentSpanID: s.Parent,
-			Name:         s.Name,
-			Service:      service,
-			Start:        s.Start.UTC().Format(time.RFC3339Nano),
-			DurationSec:  s.Duration().Seconds(),
-		}
-		if len(s.Attrs) > 0 {
-			w.Attrs = make(map[string]string, len(s.Attrs))
-			for _, a := range s.Attrs {
-				w.Attrs[a.Key] = a.Value
-			}
-		}
-		out[i] = w
-	}
-	return out
 }
 
 // TraceFor assembles a job's trace from its record: Complete once the job
@@ -178,6 +134,6 @@ func (m *Manager) TraceFor(id string) (api.Trace, error) {
 	}
 	return api.Trace{
 		TraceID: j.traceID, Job: id, Complete: j.State().Terminal(),
-		Spans: toAPISpans(j.traceID, "ifdkd", m.assembleSpans(j)),
+		Spans: m.assembleSpans(j),
 	}, nil
 }

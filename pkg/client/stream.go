@@ -122,16 +122,17 @@ type tier struct {
 }
 
 func (t *tier) add(p api.SlicePart) error {
-	// The image header sizes the volume on the first part; the payload is
-	// decoded straight into plane z.
-	var w, h int
-	if len(p.Payload) >= 8 {
-		w, h = int(binary.LittleEndian.Uint32(p.Payload)), int(binary.LittleEndian.Uint32(p.Payload[4:]))
-	}
-	if _, err := volume.ImagePayload(p.Payload, w, h); err != nil {
-		return fmt.Errorf("client: %s %d payload: %w", t.name, p.Z, err)
-	}
 	if t.vol == nil {
+		// The first part's image header sizes the volume, so it is checked
+		// first: ReadSlices passes a 0×H image, which volume.New refuses.
+		// ImageFromBytesInto below checks every part against the volume.
+		var w, h int
+		if len(p.Payload) >= 8 {
+			w, h = int(binary.LittleEndian.Uint32(p.Payload)), int(binary.LittleEndian.Uint32(p.Payload[4:]))
+		}
+		if _, err := volume.ImagePayload(p.Payload, w, h); err != nil {
+			return fmt.Errorf("client: %s %d payload: %w", t.name, p.Z, err)
+		}
 		t.vol = volume.New(w, h, p.Total, volume.IMajor)
 		t.seen = make([]bool, p.Total)
 		t.factor = p.Factor
@@ -142,12 +143,13 @@ func (t *tier) add(p api.SlicePart) error {
 	if t.seen[p.Z] {
 		return fmt.Errorf("client: %s %d delivered twice", t.name, p.Z)
 	}
+	n := t.vol.Nx * t.vol.Ny
+	plane := &volume.Image{W: t.vol.Nx, H: t.vol.Ny, Data: t.vol.Data[p.Z*n : (p.Z+1)*n]}
+	if err := volume.ImageFromBytesInto(plane, p.Payload); err != nil {
+		return fmt.Errorf("client: %s %d payload: %w", t.name, p.Z, err)
+	}
 	t.seen[p.Z] = true
 	t.got++
 	t.raw += int64(len(p.Payload))
-	if w != t.vol.Nx || h != t.vol.Ny {
-		return fmt.Errorf("volume: slice size %dx%d does not match volume %dx%d", w, h, t.vol.Nx, t.vol.Ny)
-	}
-	n := w * h
-	return volume.ImageFromBytesInto(&volume.Image{W: w, H: h, Data: t.vol.Data[p.Z*n : (p.Z+1)*n]}, p.Payload)
+	return nil
 }

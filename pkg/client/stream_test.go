@@ -61,3 +61,43 @@ func TestStreamDecodeAllocs(t *testing.T) {
 		t.Fatalf("%.0f bytes allocated per slice part, budget 1.25 × %.0f", perPart, payload)
 	}
 }
+
+// TestTierRefusals: the exactly-once assembler under Stream and Preview
+// accepts every part of a row but the last, and refuses the last with an
+// error — never a panic or a silent overwrite.
+func TestTierRefusals(t *testing.T) {
+	img := func(w, h int) []byte { return volume.AppendImage(nil, volume.NewImage(w, h)) }
+	part := func(z, total int, payload []byte) api.SlicePart {
+		return api.SlicePart{Z: z, Total: total, Payload: payload}
+	}
+	for _, c := range []struct {
+		name  string
+		parts []api.SlicePart
+	}{
+		{"delivered twice", []api.SlicePart{part(1, 4, img(2, 2)), part(1, 4, img(2, 2))}},
+		{"z equals the first total", []api.SlicePart{part(0, 2, img(2, 2)), part(2, 3, img(2, 2))}},
+		{"z beyond the first total", []api.SlicePart{part(0, 2, img(2, 2)), part(5, 6, img(2, 2))}},
+		{"second part another size", []api.SlicePart{part(0, 4, img(2, 2)), part(1, 4, img(3, 3))}},
+		{"second part transposed", []api.SlicePart{part(0, 4, img(4, 1)), part(1, 4, img(1, 4))}},
+		{"first payload shorter than its header", []api.SlicePart{part(0, 4, []byte{2, 0, 0, 0})}},
+		{"later payload shorter than its header", []api.SlicePart{part(0, 4, img(2, 2)), part(1, 4, []byte{2, 0, 0, 0, 2})}},
+		{"first header disagrees with its length", []api.SlicePart{part(0, 4, img(2, 2)[:8+12])}},
+		{"later header disagrees with its length", []api.SlicePart{part(0, 4, img(2, 2)), part(1, 4, append(img(2, 2), 0, 0, 0, 0))}},
+		{"first header reads 0x4", []api.SlicePart{part(0, 4, []byte{0, 0, 0, 0, 4, 0, 0, 0})}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := tier{name: "slice"}
+			last := len(c.parts) - 1
+			for i, p := range c.parts[:last] {
+				if err := tr.add(p); err != nil {
+					t.Fatalf("part %d refused: %v", i, err)
+				}
+			}
+			err := tr.add(c.parts[last])
+			if err == nil {
+				t.Fatal("last part accepted")
+			}
+			t.Log(err)
+		})
+	}
+}
