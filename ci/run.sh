@@ -110,7 +110,8 @@ gates)
 	# worker count; back-projection allocates nothing per projection
 	# (Proposed on both layouts, slab pairs at h = 5, the fleet_mixed depth
 	# h = 2 on the gather kernel, fleet_mixed's h = 16, 8 and 4 on the
-	# window tier, projection_heavy's h = 8 on a 512² detector — one block of
+	# window tier, a grid column's one sweep over two h = 8 pairs
+	# (ProposedSlabs), projection_heavy's h = 8 on a 512² detector — one block of
 	# tiles on one worker, gated at 0 allocations —, and Standard) and
 	# returns every pooled byte; the serial loop (fdk.Reconstruct)
 	# allocates nothing per batch and returns every pooled byte; pooled
@@ -150,14 +151,17 @@ tiers)
 	# Kernel tiers under the race detector: ref / portable / AVX2 / AVX-512
 	# parity (the avx512 legs skip on a host without AVX-512, and the isa=
 	# line says which ran) — the back-projection driver on whole and
-	# slab-pair volumes, the window tier's path mix, the FFT passes,
-	# Convolve, the filter's fused ends (TestFusedEndsSignedZeros) and the
-	# filter on them, the fuzz seeds; the blocked epilogue's transpose,
-	# pinned volume bits and plane-buffer release; the in-place reduce's
-	# tree order and the groups it runs over.
+	# slab-pair volumes, a grid column's one sweep ≡ its ranks' slab-pair
+	# passes (TestSlabsBitIdenticalToSlabPairs), the window tier's path mix,
+	# the FFT passes, Convolve, the filter's fused ends
+	# (TestFusedEndsSignedZeros) and the filter on them, the fuzz seeds; the
+	# blocked epilogue's transpose, pinned volume bits and plane-buffer
+	# release, and the slab pairs a column's lead sweeps into going back to
+	# the pool when a 4×2 run is cancelled mid-batch or a rank it sweeps for
+	# fails; the in-place reduce's tree order and the groups it runs over.
 	go test -count=1 -v -run 'TestISAValues' ./internal/ct/kernels/ | grep 'isa='
 	go test -race -count=1 ./internal/ct/kernels/ ./internal/ct/backproject/ ./internal/ct/filter/
-	go test -race -count=1 -run 'TestVolumeBitsPinned|TestEpilogueFailureReleasesPlanes' ./internal/core/
+	go test -race -count=1 -run 'TestVolumeBitsPinned|TestEpilogueFailureReleasesPlanes|TestRunContextCancelMidBatchReleasesSlabs|TestNonLeadFilterFailureReleasesSlabs' ./internal/core/
 	go test -race -count=1 -run 'KMajorToIMajor|Reshape' ./pkg/volume/
 	go test -race -count=1 -run 'Reduce|Group' ./internal/hpc/mpi/
 	;;

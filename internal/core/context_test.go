@@ -124,3 +124,35 @@ func TestRunContextAlreadyCancelled(t *testing.T) {
 	}
 	waitGoroutines(t, baseline)
 }
+
+// Cancelling a 4×2 run while its column leads are between batches — each
+// has swept one batch of 32 into the four slab pairs of its column and
+// holds half of the next — must return every pooled byte, the slab pairs
+// of the ranks the leads sweep for included: the pools are back at 0 once
+// RunContext returns.
+func TestRunContextCancelMidBatchReleasesSlabs(t *testing.T) {
+	g := geometry.Default(32, 32, 192, 16, 16, 16) // 24 rounds a rank; a lead takes 4 blocks a round
+	ph := phantom.SheppLogan3D(g.FOVRadius() * 0.9)
+	store := pfs.New(pfs.Config{})
+	if err := StageProjections(store, "in", projector.AnalyticAll(ph, g, 0)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := Config{
+		R: 4, C: 2,
+		Geometry:    g,
+		InputPrefix: "in",
+		Progress: func(done, total int) {
+			if done == 8*12 { // round 12 of every rank: 48 blocks gathered per column
+				cancel()
+			}
+		},
+	}
+	if err := failedRun(t, ctx, cfg, store); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled in the chain", err)
+	}
+	if n := engine.InUseBytes(); n != 0 {
+		t.Errorf("engine pools hold %d bytes after the cancelled run", n)
+	}
+}

@@ -10,10 +10,22 @@
 //     its per-column partial volumes with a single Reduce (Fig. 3b, right).
 //
 // NewPlan states that decomposition as data, one RankPlan per rank; the
-// ranks execute their entries and derive nothing. Inside every rank three
-// goroutines — Filtering, Main and Back-projection, connected by two
-// buffered channels, the paper's queue-buffers — overlap I/O, filtering,
-// communication and back-projection exactly as in Fig. 4.
+// ranks execute their entries and derive nothing. Inside every rank
+// goroutines connected by two buffered channels, the paper's
+// queue-buffers, overlap I/O, filtering, communication and
+// back-projection as in Fig. 4: Filtering and Main on every rank, and
+// Back-projection on the column's lead alone.
+//
+// The R ranks of a column are goroutines of one process that gather the
+// same blocks in the same order, so the column back-projects once: its
+// lead cuts the gathered blocks at the DefaultBatch boundaries every rank
+// would, sweeps each batch at the column's full half-height on R workers
+// and adds it into the R ranks' own slab pairs. The other ranks wait for
+// that sweep before they reduce. Every voxel adds the same projections in
+// the same order and reaches its slab pair once per batch, as in R
+// separate passes, so the volume's bits, the cache keys and every MPI
+// message are what the paper's one-pass-per-rank layout gives; one sweep
+// of depth R·h costs less than R sweeps of depth h.
 package core
 
 // Plan is a job's R×C decomposition (Fig. 3, Eq. 5): Ranks[k] is world rank
@@ -32,6 +44,9 @@ type RankPlan struct {
 	Projs []int
 	// Column is the rank's column group in gather order: in round r the
 	// block gathered from position i is projection Ranks[Column[i]].Projs[r].
+	// Column[0] is the column's lead: it back-projects for the whole
+	// column, into every member's slab pair, and these are adjacent and
+	// ascending in Column order (backproject.ProposedSlabs).
 	Column []int
 	// Row is the rank's row group in reduce order. Row[0] is the row root:
 	// it receives the row's reduced slab pair and stores it.

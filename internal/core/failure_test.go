@@ -9,6 +9,7 @@ import (
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/phantom"
 	"ifdk/internal/ct/projector"
+	"ifdk/internal/engine"
 	"ifdk/internal/hpc/pfs"
 )
 
@@ -80,4 +81,29 @@ func TestWrongSizeProjectionAborts(t *testing.T) {
 	cfg := Config{R: 4, C: 1, Geometry: g, InputPrefix: "in"}
 	err := failedRun(t, context.Background(), cfg, store)
 	requireStageError(t, err, "image blob is 16x16, destination is 48x48")
+}
+
+// A filtering failure on the rank of a column that does not sweep must fail
+// the run with that rank's error while its column's lead may still be
+// sweeping into its slab pair: the pair goes back to the pool only once the
+// sweep has ended, and every pooled byte is back at 0 once RunContext
+// returns.
+func TestNonLeadFilterFailureReleasesSlabs(t *testing.T) {
+	g := geometry.Default(32, 32, 128, 16, 16, 16)
+	ph := phantom.UniformSphere(g.FOVRadius()*0.5, 1)
+	store := pfs.New(pfs.Config{})
+	if err := StageProjections(store, "in", projector.AnalyticAll(ph, g, 0)); err != nil {
+		t.Fatal(err)
+	}
+	// R = 2, C = 1: rank 1, row 1, filters projections 64…127; its 41st
+	// comes after the lead has taken 80 blocks, two and a half batches.
+	if _, err := store.Write(pfs.ProjectionPath("in", 104), []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{R: 2, C: 1, Geometry: g, InputPrefix: "in"}
+	err := failedRun(t, context.Background(), cfg, store)
+	requireStageError(t, err, "rank 1: projection 104")
+	if n := engine.InUseBytes(); n != 0 {
+		t.Errorf("engine pools hold %d bytes after the failed run", n)
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,7 +39,7 @@ func Run(cfg Config, store *pfs.PFS) (*Result, error) {
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled the MPI world
-// aborts, the three pipeline goroutines of every rank drain and exit, and
+// aborts, the pipeline goroutines of every rank drain and exit, and
 // the call returns ctx's error. This is the teardown path the service layer
 // uses to cancel an in-flight job without leaking goroutines. A failing
 // stage unwinds the same way and the call returns that stage's error.
@@ -49,6 +50,15 @@ func RunContext(ctx context.Context, cfg Config, store *pfs.PFS) (*Result, error
 	}
 	n := len(plan.Ranks)
 	res := &Result{PerRank: make([]StageTimes, n), Rounds: make([][]RoundTrace, n)}
+	cols := newColumns(plan)
+	// Every rank has returned by then, so no sweep writes any more: the slab
+	// pairs no rank released on its way out — all of them when the job
+	// failed or was cancelled — go back to the pool here.
+	defer func() {
+		for _, col := range cols {
+			col.release()
+		}
+	}()
 	var assembled atomic.Pointer[volume.Volume]
 	var bytesSent atomic.Int64
 
@@ -78,7 +88,7 @@ func RunContext(ctx context.Context, cfg Config, store *pfs.PFS) (*Result, error
 	}
 
 	err = mpi.RunContext(ctx, n, func(c *mpi.Comm) error {
-		t, vol, rounds, err := runRank(ctx, cfg, plan, store, c, tick, sliceTick)
+		t, vol, rounds, err := runRank(ctx, cfg, plan, cols[c.Rank()], store, c, tick, sliceTick)
 		if err != nil {
 			return err
 		}
@@ -106,15 +116,80 @@ func RunContext(ctx context.Context, cfg Config, store *pfs.PFS) (*Result, error
 	return res, nil
 }
 
+// column is what the ranks of one grid column share: the slab pairs they
+// own, and the end of the one back-projection sweep that fills them all.
+// Every rank of a column gathers the same blocks in the same order and
+// batches them at the same DefaultBatch boundaries, so the column's lead,
+// Column[0], sweeps each batch once at the column's full half-height and
+// adds it into every rank's slab pair (backproject.ProposedSlabs): each
+// voxel gets the bits its own rank's pass would give it.
+type column struct {
+	// slabs[i] is rank Column[i]'s slab pair. The rank acquires it on its
+	// own goroutine, then counts ready down: the volume pool's sync.Pool
+	// caches are per P, and one goroutine acquiring every pair of a job
+	// misses pairs cached on the other Ps and allocates new ones. The rank
+	// releases it on its success path and sets Vol to nil; RunContext
+	// releases the rest.
+	slabs []backproject.Slab
+	ready sync.WaitGroup
+	// swept is closed once the lead's pipeline has ended; failed, set
+	// before, says its sweep did not get through every batch. A rank waits
+	// on it only after its own pipeline succeeded, which took the lead
+	// through every AllGather round, so the lead does get there.
+	swept  chan struct{}
+	failed bool
+}
+
+// newColumns returns each rank's column: cols[k] is rank k's.
+func newColumns(plan Plan) []*column {
+	cols := make([]*column, len(plan.Ranks))
+	for k, rp := range plan.Ranks {
+		if rp.Column[0] != k {
+			continue
+		}
+		col := &column{swept: make(chan struct{})}
+		col.ready.Add(len(rp.Column))
+		for _, m := range rp.Column {
+			col.slabs = append(col.slabs, backproject.Slab{Z0: plan.Ranks[m].Z0, Z1: plan.Ranks[m].Z1})
+			cols[m] = col
+		}
+	}
+	return cols
+}
+
+// release returns the slab pairs no rank released.
+func (col *column) release() {
+	for i, s := range col.slabs {
+		if s.Vol != nil {
+			engine.Volumes.Release(s.Vol)
+			col.slabs[i].Vol = nil
+		}
+	}
+}
+
 // runRank is the body of one MPI rank, executing its entry of plan: the
-// three-thread pipeline of Fig. 4a followed by the reduce/store epilogue of
-// Fig. 4b. tick is called once per completed AllGather round for progress
-// reporting; sliceTick once per output slice, with its global z index and a
-// view of its plane, after any PFS write of it.
-func runRank(ctx context.Context, cfg Config, plan Plan, store *pfs.PFS, c *mpi.Comm, tick func(), sliceTick func(z int, slice *volume.Image)) (StageTimes, *volume.Volume, []RoundTrace, error) {
+// pipeline of Fig. 4a — three threads on the column's lead, which
+// back-projects for the column, two on its other ranks — followed by the
+// reduce/store epilogue of Fig. 4b. col is the rank's column. tick is
+// called once per completed AllGather round for progress reporting;
+// sliceTick once per output slice, with its global z index and a view of
+// its plane, after any PFS write of it.
+func runRank(ctx context.Context, cfg Config, plan Plan, col *column, store *pfs.PFS, c *mpi.Comm, tick func(), sliceTick func(z int, slice *volume.Image)) (StageTimes, *volume.Volume, []RoundTrace, error) {
 	var t StageTimes
 	g := cfg.Geometry
 	me := plan.Ranks[c.Rank()]
+	lead := me.Column[0] == c.Rank()
+	h := me.Z1 - me.Z0
+	own := slices.Index(me.Column, c.Rank()) // this rank's slab pair in col.slabs
+	local := engine.Volumes.Acquire(g.Nx, g.Ny, 2*h, volume.KMajor)
+	col.slabs[own].Vol = local
+	col.ready.Done()
+	// release hands the rank's slab pair back once the column's sweep has
+	// ended and the rank is done with it, on the success path.
+	release := func() {
+		engine.Volumes.Release(local)
+		col.slabs[own].Vol = nil
+	}
 	colComm, err := c.Group(me.Column) // column group: AllGather of projections
 	if err != nil {
 		return t, nil, nil, err
@@ -129,7 +204,6 @@ func runRank(ctx context.Context, cfg Config, plan Plan, store *pfs.PFS, c *mpi.
 	// Filter* fields of entry r, the main thread the Gather* fields — disjoint
 	// fields, fixed capacity, zero steady-state allocs.
 	rounds := make([]RoundTrace, len(me.Projs))
-	h := me.Z1 - me.Z0
 
 	// The first stage to fail cancels the rank's context with its error;
 	// every channel send selects on it, so the other two stages unwind too,
@@ -143,7 +217,7 @@ func runRank(ctx context.Context, cfg Config, plan Plan, store *pfs.PFS, c *mpi.
 		}
 	}
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(1)
 
 	// --- Filtering thread (Fig. 4a, left): load + filter own projections
 	// in round order and feed the Main thread through chA, which it owns.
@@ -195,66 +269,75 @@ func runRank(ctx context.Context, cfg Config, plan Plan, store *pfs.PFS, c *mpi.
 		}())
 	}()
 
-	// --- Back-projection thread (Fig. 4a, right): batch incoming filtered
-	// projections and accumulate them into the rank's slab-pair volume,
-	// reading the shared transposed blocks in place. chB holds QueueDepth
+	// --- Back-projection thread (Fig. 4a, right), on the column's lead
+	// only: batch incoming filtered projections and sweep each batch once
+	// at the column's full half-height, [0, R·h), on R workers — as many as
+	// the column has ranks — adding it into every rank's slab pair, reading
+	// the shared transposed blocks in place. The column's other ranks gather
+	// the same blocks in the same order, so a pass of their own would give
+	// the same bits: they release their holds instead. chB holds QueueDepth
 	// rounds of R blocks each, the same look-ahead as chA.
 	chB := make(chan projItem, QueueDepth*len(me.Column))
-	local := engine.Volumes.Acquire(g.Nx, g.Ny, 2*h, volume.KMajor)
-	go func() {
-		defer wg.Done()
-		fail(func() error {
-			var imgs []*volume.Image
-			var mats []geometry.ProjMat
-			var bufs []*engine.Buf[float32]
-			hdrs := make([]volume.Image, backproject.DefaultBatch) // Nv×Nu views of bufs
-			releaseBufs := func() {
-				for _, b := range bufs {
-					b.Release()
+	if lead {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Every rank of the column hands its slab pair over first
+			// thing, so this wait is short.
+			col.ready.Wait()
+			fail(func() error {
+				var imgs []*volume.Image
+				var mats []geometry.ProjMat
+				var bufs []*engine.Buf[float32]
+				hdrs := make([]volume.Image, backproject.DefaultBatch) // Nv×Nu views of bufs
+				releaseBufs := func() {
+					for _, b := range bufs {
+						b.Release()
+					}
+					bufs = bufs[:0]
 				}
-				bufs = bufs[:0]
-			}
-			flush := func() error {
-				if len(imgs) == 0 {
-					return nil
-				}
-				bpStart := time.Now()
-				task := backproject.Task{Mats: mats, Proj: imgs, Transposed: true}
-				err := backproject.ProposedSlabPair(task, local, backproject.Options{Workers: 1}, g.Nz, me.Z0, me.Z1)
-				// The batch is consumed (or abandoned) either way: this
-				// rank's holds on its shared blocks are released.
-				releaseBufs()
-				if err != nil {
-					return err
-				}
-				t.Backproject += time.Since(bpStart)
-				imgs, mats = imgs[:0], mats[:0]
-				return nil
-			}
-			for {
-				var it projItem
-				var ok bool
-				select {
-				case it, ok = <-chB:
-				case <-ctx.Done():
+				flush := func() error {
+					if len(imgs) == 0 {
+						return nil
+					}
+					bpStart := time.Now()
+					task := backproject.Task{Mats: mats, Proj: imgs, Transposed: true}
+					err := backproject.ProposedSlabs(task, col.slabs, backproject.Options{Workers: len(col.slabs)}, g.Nz)
+					// The batch is consumed (or abandoned) either way: this
+					// rank's holds on its shared blocks are released.
 					releaseBufs()
-					return context.Cause(ctx)
-				}
-				if !ok {
-					return flush()
-				}
-				hdrs[len(imgs)] = volume.Image{W: g.Nv, H: g.Nu, Data: it.buf.Data}
-				imgs = append(imgs, &hdrs[len(imgs)])
-				bufs = append(bufs, it.buf)
-				mats = append(mats, geometry.ProjectionMatrix(g, g.Beta(it.s)))
-				if len(imgs) == backproject.DefaultBatch {
-					if err := flush(); err != nil {
+					if err != nil {
 						return err
 					}
+					t.Backproject += time.Since(bpStart)
+					imgs, mats = imgs[:0], mats[:0]
+					return nil
 				}
-			}
-		}())
-	}()
+				for {
+					var it projItem
+					var ok bool
+					select {
+					case it, ok = <-chB:
+					case <-ctx.Done():
+						releaseBufs()
+						return context.Cause(ctx)
+					}
+					if !ok {
+						return flush()
+					}
+					hdrs[len(imgs)] = volume.Image{W: g.Nv, H: g.Nu, Data: it.buf.Data}
+					imgs = append(imgs, &hdrs[len(imgs)])
+					bufs = append(bufs, it.buf)
+					mats = append(mats, geometry.ProjectionMatrix(g, g.Beta(it.s)))
+					if len(imgs) == backproject.DefaultBatch {
+						if err := flush(); err != nil {
+							return err
+						}
+					}
+				}
+			}())
+		}()
+	}
 
 	// --- Main thread: one AllGather per projection round (Sec. 4.1.3);
 	// round r exchanges each column rank's r-th filtered projection, in the
@@ -284,6 +367,13 @@ func runRank(ctx context.Context, cfg Config, plan Plan, store *pfs.PFS, c *mpi.
 			t.AllGather += time.Since(agStart)
 			rounds[r].GatherOff = agOff
 			rounds[r].GatherDur = time.Since(agStart)
+			if !lead {
+				for _, blk := range blocks {
+					blk.Release()
+				}
+				tick()
+				continue
+			}
 			for i, blk := range blocks {
 				select {
 				case chB <- projItem{s: plan.Ranks[me.Column[i]].Projs[r], buf: blk}:
@@ -300,18 +390,31 @@ func runRank(ctx context.Context, cfg Config, plan Plan, store *pfs.PFS, c *mpi.
 	}())
 	close(chB)
 	wg.Wait()
-	if err := context.Cause(ctx); err != nil {
+	err = context.Cause(ctx)
+	if lead {
+		col.failed = err != nil
+		close(col.swept)
+	} else if err == nil {
+		// The column's sweep fills this rank's slab pair too: it is
+		// complete once the lead's sweep has ended, and the wait counts
+		// in the rank's Compute.
+		<-col.swept
+		if col.failed {
+			err = fmt.Errorf("rank %d: the column's back-projection sweep did not finish", c.Rank())
+		}
+	}
+	if err != nil {
 		// Unwind without leaking pooled buffers: holds on blocks stranded in
-		// either channel (both closed by their owners by now) and the rank's
-		// slab-pair volume go back — the engine's in-use gauges feed
-		// admission metrics, so failed and cancelled jobs must balance their
-		// books too.
+		// either channel (both closed by their owners by now) go back — the
+		// engine's in-use gauges feed admission metrics, so failed and
+		// cancelled jobs must balance their books too. The slab pair may
+		// still be in the lead's sweep: RunContext releases it once every
+		// rank has returned.
 		for _, ch := range []chan projItem{chA, chB} {
 			for it := range ch {
 				it.buf.Release()
 			}
 		}
-		engine.Volumes.Release(local)
 		return t, nil, nil, err
 	}
 	t.Compute = time.Since(start)
@@ -328,7 +431,7 @@ func runRank(ctx context.Context, cfg Config, plan Plan, store *pfs.PFS, c *mpi.
 	if err != nil || rowComm.Rank() != 0 || cfg.OutputPrefix == "" && !cfg.AssembleVolume && cfg.SliceWritten == nil {
 		// Off the row root the payload was copied into the tree's block, so
 		// the slab pair goes back for the next job either way.
-		engine.Volumes.Release(local)
+		release()
 		if err != nil {
 			return t, nil, nil, err
 		}
@@ -341,7 +444,7 @@ func runRank(ctx context.Context, cfg Config, plan Plan, store *pfs.PFS, c *mpi.
 	storeStart := time.Now()
 	planes := engine.Blocks.Acquire(len(local.Data))
 	volume.KMajorToIMajor(planes.Data, local.Data, g.Nx, g.Ny, 2*h)
-	engine.Volumes.Release(local)
+	release()
 	// Released on every exit path unless its ownership has been handed off
 	// (planes set to nil below).
 	defer func() { planes.Release() }()

@@ -148,17 +148,8 @@ func Proposed(task Task, vol *volume.Volume, opt Options) error {
 	if vol.Layout != volume.KMajor {
 		return fmt.Errorf("backproject: Proposed requires a k-major volume, got %v", vol.Layout)
 	}
-	slabPair(task, vol, opt, 0, vol.Nz/2)
+	slabPair(task, []Slab{{Vol: vol, Z0: 0, Z1: vol.Nz / 2}}, opt)
 	return nil
-}
-
-// sampleProj interpolates the projection at detector coordinates (u, v).
-// For a transposed projection the axes are swapped: V is the fast axis.
-func sampleProj(data []float32, w, h int, u, v float32, transposed bool) float32 {
-	if transposed {
-		return interp.Bilinear(data, w, h, v, u)
-	}
-	return interp.Bilinear(data, w, h, u, v)
 }
 
 // batchBufs bundles the pooled per-batch state shared by all kernels: the

@@ -69,7 +69,9 @@ func TestPooledSlabPairBitIdentical(t *testing.T) {
 // one, the distributed pipeline's call, at h = 5, at h = 2 (a fleet_mixed
 // depth, on the gather kernel) and on fleet_mixed's 32³ from 64² at h = 16
 // (the whole volume), 8 and 4 (its R = 2 and R = 4 slabs), which take the
-// window kernel on an AVX-512 host; projection_heavy's h = 8 slab on a 512²
+// window kernel on an AVX-512 host; ProposedSlabs, the pipeline's call
+// since a grid column sweeps once, over fleet_mixed's R = 2 column of two
+// h = 8 pairs on two workers; projection_heavy's h = 8 slab on a 512²
 // detector, one block of 16 tiles, on one worker as the pipeline runs it,
 // where no scheduler bookkeeping is tolerated either: 0 allocations; and
 // Standard. The slab legs run eight workers over the nine tiles of a 20×20
@@ -90,6 +92,10 @@ func TestBackprojectSteadyStateAllocs(t *testing.T) {
 	}
 	big := geometry.Default(64, 64, 64, 32, 32, 32)
 	bigTask := transposedTask(randomTask(big, 5))
+	column := []Slab{
+		{Vol: volume.New(big.Nx, big.Ny, 16, volume.KMajor), Z0: 0, Z1: 8},
+		{Vol: volume.New(big.Nx, big.Ny, 16, volume.KMajor), Z0: 8, Z1: 16},
+	}
 	ph := geometry.Default(512, 512, DefaultBatch, 32, 32, 32)
 	phTask, phVol := transposedTask(randomTask(ph, 6)), volume.New(ph.Nx, ph.Ny, 16, volume.KMajor)
 	std := volume.New(g.Nx, g.Ny, g.Nz, volume.IMajor)
@@ -106,6 +112,9 @@ func TestBackprojectSteadyStateAllocs(t *testing.T) {
 		{"ProposedSlabPair, transposed, h=16", big.Np, slab(bigTask, big, 0, 16), false},
 		{"ProposedSlabPair, transposed, h=8", big.Np, slab(bigTask, big, 8, 16), false},
 		{"ProposedSlabPair, transposed, h=4", big.Np, slab(bigTask, big, 4, 8), false},
+		{"ProposedSlabs, transposed, two h=8 pairs on two workers", big.Np, func() error {
+			return ProposedSlabs(bigTask, column, Options{Workers: 2}, big.Nz)
+		}, false},
 		{"ProposedSlabPair, transposed, h=8 on 512², one worker", ph.Np, func() error {
 			return ProposedSlabPair(phTask, phVol, Options{Workers: 1}, ph.Nz, 8, 16)
 		}, true},

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"ifdk/internal/ct/geometry"
+	"ifdk/internal/ct/interp"
 	"ifdk/internal/ct/kernels"
 	"ifdk/internal/engine"
 	"ifdk/pkg/volume"
@@ -15,31 +16,59 @@ import (
 // mirrored pair of Z slabs — the unit of the iFDK row decomposition. In the
 // distributed framework each row of the 2-D rank grid owns the voxels with
 // z ∈ [z0, z1) ∪ [Nz-z1, Nz-z0); because the proposed kernel touches a
-// voxel and its Theorem-1 mirror together, this pair is exactly what one
-// rank computes (the "2·R sub-volumes" of Fig. 3a).
+// voxel and its Theorem-1 mirror together, this pair is one rank's share
+// of the volume (the "2·R sub-volumes" of Fig. 3a).
 //
 // The destination volume is the compact local buffer of size
 // Nx×Ny×2·(z1-z0) in k-major layout: local plane p < h holds global plane
 // z0+p (the lower slab); local plane h+p holds global plane Nz-z1+p (the
-// upper slab, ascending).
+// upper slab, ascending). It is ProposedSlabs with one destination.
 func ProposedSlabPair(task Task, vol *volume.Volume, opt Options, nzFull, z0, z1 int) error {
+	return ProposedSlabs(task, []Slab{{Vol: vol, Z0: z0, Z1: z1}}, opt, nzFull)
+}
+
+// Slab is one destination of ProposedSlabs: the slab pair [Z0, Z1) and its
+// mirror in a compact local volume laid out as ProposedSlabPair describes.
+type Slab struct {
+	Vol    *volume.Volume
+	Z0, Z1 int
+}
+
+// ProposedSlabs back-projects the task once over the union of dsts' slab
+// pairs, which must be adjacent and ascending (each Z0 the previous Z1), and
+// adds each batch into every destination's own planes: a grid column's one
+// sweep, at its full half-height, for the slab pairs of all its ranks. Every
+// voxel still starts a batch from 0, adds its projections in ascending order
+// and is added to its destination once per batch, and the kernels sample
+// plane k from its global index whatever depth the sweep has, so each
+// destination gets the bits ProposedSlabPair gives it alone.
+func ProposedSlabs(task Task, dsts []Slab, opt Options, nzFull int) error {
 	if err := task.Validate(); err != nil {
 		return err
-	}
-	if vol.Layout != volume.KMajor {
-		return fmt.Errorf("backproject: slab pair requires a k-major volume, got %v", vol.Layout)
 	}
 	if nzFull%2 != 0 {
 		return fmt.Errorf("backproject: slab decomposition requires an even Nz, got %d", nzFull)
 	}
-	h := z1 - z0
-	if z0 < 0 || z1 > nzFull/2 || h <= 0 {
-		return fmt.Errorf("backproject: slab [%d,%d) outside half-range [0,%d)", z0, z1, nzFull/2)
+	if len(dsts) == 0 {
+		return fmt.Errorf("backproject: no slab pair to back-project into")
 	}
-	if vol.Nz != 2*h {
-		return fmt.Errorf("backproject: local volume depth %d, want %d", vol.Nz, 2*h)
+	for n, d := range dsts {
+		if d.Vol.Layout != volume.KMajor {
+			return fmt.Errorf("backproject: slab pair requires a k-major volume, got %v", d.Vol.Layout)
+		}
+		h := d.Z1 - d.Z0
+		if d.Z0 < 0 || d.Z1 > nzFull/2 || h <= 0 {
+			return fmt.Errorf("backproject: slab [%d,%d) outside half-range [0,%d)", d.Z0, d.Z1, nzFull/2)
+		}
+		if d.Vol.Nz != 2*h {
+			return fmt.Errorf("backproject: local volume depth %d, want %d", d.Vol.Nz, 2*h)
+		}
+		if n > 0 && (d.Z0 != dsts[n-1].Z1 || d.Vol.Nx != dsts[0].Vol.Nx || d.Vol.Ny != dsts[0].Vol.Ny) {
+			return fmt.Errorf("backproject: slab [%d,%d) of %d×%d columns does not follow slab [%d,%d) of %d×%d",
+				d.Z0, d.Z1, d.Vol.Nx, d.Vol.Ny, dsts[n-1].Z0, dsts[n-1].Z1, dsts[0].Vol.Nx, dsts[0].Vol.Ny)
+		}
 	}
-	slabPair(task, vol, opt, z0, z1)
+	slabPair(task, dsts, opt)
 	return nil
 }
 
@@ -72,49 +101,58 @@ func blockTiles(h, odd int) int {
 	return max(1, blockBytes/(4*colTile*colTile*(2*h+odd)))
 }
 
-// slabPair is the one Alg. 4 driver, behind both Proposed (a whole volume
-// is the pair [0, Nz/2)) and ProposedSlabPair (one rank row's pair). It
-// back-projects the voxels with z ∈ [z0, z1) and their Theorem-1 mirrors
-// into vol, whose plane kk holds the lower slab's plane z0+kk and whose
-// plane vol.Nz-1-kk holds its mirror.
+// slabPair is the one Alg. 4 driver, behind Proposed (a whole volume is
+// the pair [0, Nz/2)), ProposedSlabPair (one rank row's pair) and
+// ProposedSlabs (a grid column's pairs). It back-projects the voxels with z
+// in the sweep [z0, z1) — dsts[0].Z0 to the last Z1 — and their Theorem-1
+// mirrors, and adds them into the destinations: destination d's plane kk
+// holds the sweep's plane d.Z0+kk and its plane d.Vol.Nz-1-kk that plane's
+// mirror.
 //
 // Workers take colTile×colTile tiles of (i, j) columns, blockTiles of them
 // at a time held in one pooled block accumulator, one tile accumulator
 // after the other. Each tile row i has its own block of 2h·colTile floats,
-// column c of the row being column j0+c. With kernels.AccumColumns it is
-// depth-major, colTile lanes per depth: acc[kk·colTile+c] is the lower
-// slab's depth kk, acc[(h+kk)·colTile+c] its mirror. With
-// kernels.AccumColumnsWindow — taken when kernels.WindowFits says the
-// window tier runs this slab faster — each column's 2h floats are in its
-// volume line's order: acc[c·2h+kk], and the mirror at acc[c·2h+2h-1-kk].
-// When Nz is odd the centre plane follows at acc[2h·colTile+c] in both.
-// For each projection of the batch in ascending order, the kernel adds that
+// h the sweep's depth, column c of the row being column j0+c. With
+// kernels.AccumColumns it is depth-major, colTile lanes per depth:
+// acc[kk·colTile+c] is the sweep's depth kk, acc[(h+kk)·colTile+c] its
+// mirror. With kernels.AccumColumnsWindow — taken when kernels.WindowFits
+// says the window tier runs this sweep faster — each column's 2h floats are
+// in the order of a depth-2h volume line: acc[c·2h+kk], and the mirror at
+// acc[c·2h+2h-1-kk]. When Nz is odd (a whole volume, the one destination)
+// the centre plane follows at acc[2h·colTile+c] in both. For each
+// projection of the batch in ascending order, the kernel adds that
 // projection down the whole depth of every tile row of every tile of the
 // block (the centre plane takes kernels.ColumnGeom and one sample per
-// column). After the batch each tile is added into the volume; in the
-// window layout a tile row of an even-depth volume is one contiguous
-// kernels.AddTo, because its columns are neighbouring k-major volume lines.
-// Neighbouring columns project onto neighbouring detector rows, so the rows
-// one projection's visit reads are fetched once per tile, not once per
-// column, and the block order keeps them cached from one tile to the next
-// (blockBytes). Every voxel still starts from 0, adds the projections in
-// ascending order and is added to the volume once per batch, so the volume
-// is bit-identical to the voxel-at-a-time loop at any tile shape, block
-// size and worker count.
-func slabPair(task Task, vol *volume.Volume, opt Options, z0, z1 int) {
-	slabPairBlocks(task, vol, opt, z0, z1, blockTiles(z1-z0, vol.Nz%2))
+// column). After the batch each tile is added into every destination's
+// share of it; in the window layout each destination's share of a column is
+// two runs, and a tile row of a one-destination even-depth sweep is one
+// contiguous kernels.AddTo, because its columns are neighbouring k-major
+// volume lines. Neighbouring columns project onto neighbouring detector
+// rows, so the rows one projection's visit reads are fetched once per tile,
+// not once per column, and the block order keeps them cached from one tile
+// to the next (blockBytes). Every voxel still starts from 0, adds the
+// projections in ascending order and is added to its destination once per
+// batch, so each destination is bit-identical to the voxel-at-a-time loop
+// at any tile shape, block size, worker count and sweep depth.
+func slabPair(task Task, dsts []Slab, opt Options) {
+	z0, z1 := dsts[0].Z0, dsts[len(dsts)-1].Z1
+	slabPairBlocks(task, dsts, opt, blockTiles(z1-z0, dsts[0].Vol.Nz%2))
 }
 
 // slabPairBlocks is slabPair with block tiles to a block.
-func slabPairBlocks(task Task, vol *volume.Volume, opt Options, z0, z1, block int) {
+func slabPairBlocks(task Task, dsts []Slab, opt Options, block int) {
 	p := slabPasses.Get().(*slabPass)
-	p.vol, p.z0, p.h, p.block = vol, z0, z1-z0, block
+	// The destinations are copied, not kept, so a caller's slice literal
+	// stays on its stack.
+	p.dsts = append(p.dsts[:0], dsts...)
+	p.z0, p.h, p.block = dsts[0].Z0, dsts[len(dsts)-1].Z1-dsts[0].Z0, block
+	p.nx, p.ny, p.odd = dsts[0].Vol.Nx, dsts[0].Vol.Ny, dsts[0].Vol.Nz%2 == 1
 	p.w, p.ht = task.Proj[0].W, task.Proj[0].H // detector Nu, Nv
 	if task.Transposed {
 		p.w, p.ht = p.ht, p.w
 	}
-	p.window = kernels.WindowFits(p.h, p.ht, maxVStep(task.Mats, vol.Nx, vol.Ny))
-	tiles := (vol.Nx + colTile - 1) / colTile * ((vol.Ny + colTile - 1) / colTile)
+	p.window = kernels.WindowFits(p.h, p.ht, maxVStep(task.Mats, p.nx, p.ny))
+	tiles := (p.nx + colTile - 1) / colTile * ((p.ny + colTile - 1) / colTile)
 	for s0 := 0; s0 < len(task.Proj); s0 += DefaultBatch {
 		s1 := min(s0+DefaultBatch, len(task.Proj))
 		// A Transposed task is read in place; otherwise each batch is
@@ -124,23 +162,25 @@ func slabPairBlocks(task Task, vol *volume.Volume, opt Options, z0, z1, block in
 		engine.ParallelRange(tiles, opt.Workers, p.tiles)
 		bufs.release()
 	}
-	*p = slabPass{tiles: p.tiles}
+	clear(p.dsts)
+	*p = slabPass{tiles: p.tiles, dsts: p.dsts[:0]}
 	slabPasses.Put(p)
 }
 
 // slabPass is one slabPair call's state, read by its batches' tile workers:
-// the volume, the batch's narrowed matrices and transposed projections, the
-// detector's Nu and Nv, the lower slab [z0, z0+h), the tiles to a block,
-// and whether the window kernel runs. It is pooled with its tiles method
-// value bound once, so a call allocates nothing; a closure over the state
-// would, once per batch.
+// the destinations, the batch's narrowed matrices and transposed
+// projections, the columns, the detector's Nu and Nv, the sweep [z0, z0+h),
+// the tiles to a block, whether the volume has an unpaired centre plane and
+// whether the window kernel runs. It is pooled with its tiles method value
+// bound once, so a call allocates nothing; a closure over the state would,
+// once per batch.
 type slabPass struct {
-	vol                 *volume.Volume
-	rows                [][3][4]float32
-	data                [][]float32
-	w, ht, z0, h, block int
-	window              bool
-	tiles               func(n0, n1 int)
+	dsts                        []Slab
+	rows                        [][3][4]float32
+	data                        [][]float32
+	nx, ny, w, ht, z0, h, block int
+	odd, window                 bool
+	tiles                       func(n0, n1 int)
 }
 
 var slabPasses = sync.Pool{New: func() any {
@@ -151,15 +191,17 @@ var slabPasses = sync.Pool{New: func() any {
 
 // run back-projects the batch into tiles [n0, n1), one block of tiles at a
 // time: it clears the block's accumulators, sweeps each projection across
-// every tile of the block, and adds the block into the volume.
+// every tile of the block, and adds the block into the destinations.
 func (p *slabPass) run(n0, n1 int) {
-	vol, rows, data, w, ht, z0, h, window := p.vol, p.rows, p.data, p.w, p.ht, p.z0, p.h, p.window
-	nx, ny, nz := vol.Nx, vol.Ny, vol.Nz
+	rows, data, w, ht, z0, h, window, odd := p.rows, p.data, p.w, p.ht, p.z0, p.h, p.window, p.odd
+	nx, ny := p.nx, p.ny
 	vm1 := float32(ht - 1)
 	// Odd Nz: the centre plane has no mirror partner. Only a whole volume
 	// can be odd, so z0 = 0 and local plane h is global plane Nz/2.
-	odd := nz%2 == 1
-	rowLen := (2*h + nz%2) * colTile
+	rowLen := 2 * h * colTile
+	if odd {
+		rowLen += colTile
+	}
 	tileLen := colTile * rowLen
 	tilesJ := (ny + colTile - 1) / colTile
 	block := min(p.block, n1-n0)
@@ -198,7 +240,7 @@ func (p *slabPass) run(n0, n1 int) {
 						for c := range tj {
 							fj := float32(j0 + c)
 							y := float32(r[1][0]*fi) + float32(r[1][1]*fj) + float32(r[1][2]*fk) + r[1][3]
-							centre[c] += float32(ws[c] * sampleProj(data[t], ht, w, us[c], y*fs[c], true))
+							centre[c] += float32(ws[c] * interp.Bilinear(data[t], ht, w, y*fs[c], us[c]))
 						}
 					}
 				}
@@ -208,34 +250,45 @@ func (p *slabPass) run(n0, n1 int) {
 			tile, i0, j0, ti, tj := tileAt(b0, n)
 			for i := i0; i < i0+ti; i++ {
 				row := tile[(i-i0)*rowLen : (i-i0+1)*rowLen]
-				base := (i*ny + j0) * nz
-				if window && !odd {
-					// The tile row's columns are neighbouring volume
-					// lines, each already in line order.
-					kernels.AddTo(vol.Data[base:base+tj*nz], row[:tj*nz])
-					continue
-				}
-				for c := range tj {
-					line := vol.Data[base+c*nz : base+(c+1)*nz : base+(c+1)*nz]
-					if window {
-						col := row[c*2*h : (c+1)*2*h]
-						kernels.AddTo(line[:h], col[:h])
-						kernels.AddTo(line[nz-h:], col[h:])
-					} else {
-						for kk := 0; kk < h; kk++ {
-							line[kk] += row[kk*colTile+c]
-							line[nz-1-kk] += row[(h+kk)*colTile+c]
-						}
-					}
-					if odd {
-						line[h] += row[2*h*colTile+c]
-					}
+				for _, d := range p.dsts {
+					p.add(d, row, i, j0, tj)
 				}
 			}
 		}
 	}
 	acc.Release()
 	regs.Release()
+}
+
+// add adds tile row i's accumulator, columns j0 … j0+tj-1, into destination
+// d's volume lines: the sweep's depths d.Z0-z0 … d.Z1-z0-1 and their
+// mirrors, and the centre plane when there is one.
+func (p *slabPass) add(d Slab, row []float32, i, j0, tj int) {
+	h, nz := p.h, d.Vol.Nz
+	a, hd := d.Z0-p.z0, d.Z1-d.Z0 // the destination's first depth in the sweep, and its depth
+	base := (i*p.ny + j0) * nz
+	if p.window && nz == 2*h {
+		// One even-depth destination: the tile row's columns are
+		// neighbouring volume lines, each already in line order.
+		kernels.AddTo(d.Vol.Data[base:base+tj*nz], row[:tj*nz])
+		return
+	}
+	for c := range tj {
+		line := d.Vol.Data[base+c*nz : base+(c+1)*nz : base+(c+1)*nz]
+		if p.window {
+			col := row[c*2*h : (c+1)*2*h]
+			kernels.AddTo(line[:hd], col[a:a+hd])
+			kernels.AddTo(line[nz-hd:], col[2*h-a-hd:2*h-a])
+		} else {
+			for kk := 0; kk < hd; kk++ {
+				line[kk] += row[(a+kk)*colTile+c]
+				line[nz-1-kk] += row[(h+a+kk)*colTile+c]
+			}
+		}
+		if p.odd {
+			line[hd] += row[2*h*colTile+c]
+		}
+	}
 }
 
 // maxVStep bounds |∂v/∂k| = |P[1][2]|/z, the detector rows one slice step

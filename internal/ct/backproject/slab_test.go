@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ifdk/internal/ct/geometry"
+	"ifdk/internal/ct/interp"
 	"ifdk/internal/ct/kernels"
 	"ifdk/internal/engine"
 	"ifdk/pkg/volume"
@@ -58,6 +59,22 @@ func TestSlabPairValidation(t *testing.T) {
 	}
 	if err := ProposedSlabPair(task, volume.New(8, 8, 6, volume.KMajor), Options{}, 8, 0, 2); err == nil {
 		t.Error("wrong local depth accepted")
+	}
+	a, b := volume.New(8, 8, 4, volume.KMajor), volume.New(8, 8, 4, volume.KMajor)
+	if err := ProposedSlabs(task, nil, Options{}, 8); err == nil {
+		t.Error("no destination accepted")
+	}
+	if err := ProposedSlabs(task, []Slab{{Vol: a, Z0: 0, Z1: 2}, {Vol: b, Z0: 0, Z1: 2}}, Options{}, 8); err == nil {
+		t.Error("overlapping slab pairs accepted")
+	}
+	if err := ProposedSlabs(task, []Slab{{Vol: a, Z0: 2, Z1: 4}, {Vol: b, Z0: 0, Z1: 2}}, Options{}, 8); err == nil {
+		t.Error("descending slab pairs accepted")
+	}
+	if err := ProposedSlabs(task, []Slab{{Vol: a, Z0: 0, Z1: 2}, {Vol: volume.New(4, 8, 4, volume.KMajor), Z0: 2, Z1: 4}}, Options{}, 8); err == nil {
+		t.Error("slab pairs of different columns accepted")
+	}
+	if err := ProposedSlabs(task, []Slab{{Vol: a, Z0: 0, Z1: 2}, {Vol: b, Z0: 2, Z1: 4}}, Options{}, 8); err != nil {
+		t.Errorf("a column's adjacent slab pairs refused: %v", err)
 	}
 	planes := make([]float32, 8*8*4)
 	if err := PlaceSlabPair(volume.New(8, 8, 6, volume.IMajor), planes, 2, 4); err == nil {
@@ -127,8 +144,8 @@ func slabPairColumnOrder(task Task, vol *volume.Volume, opt Options, z0, z1 int)
 						for kk := range sum {
 							fk := float32(z0 + kk)
 							v := (yb + r[1][2]*fk + r[1][3]) * fs[t]
-							sum[kk] += ws[t] * sampleProj(data[t], ht, w, us[t], v, true)
-							sym[kk] += ws[t] * sampleProj(data[t], ht, w, us[t], vm1-v, true)
+							sum[kk] += ws[t] * interp.Bilinear(data[t], ht, w, v, us[t])
+							sym[kk] += ws[t] * interp.Bilinear(data[t], ht, w, vm1-v, us[t])
 						}
 					}
 					base := (i*ny + j) * nz
@@ -142,7 +159,7 @@ func slabPairColumnOrder(task Task, vol *volume.Volume, opt Options, z0, z1 int)
 						for t := range rows {
 							r := &rows[t]
 							y := r[1][0]*fi + r[1][1]*fj + r[1][2]*fk + r[1][3]
-							csum += ws[t] * sampleProj(data[t], ht, w, us[t], y*fs[t], true)
+							csum += ws[t] * interp.Bilinear(data[t], ht, w, y*fs[t], us[t])
 						}
 						vol.Data[base+h] += csum
 					}
@@ -190,7 +207,7 @@ func TestSlabPairTileOrderBitIdentical(t *testing.T) {
 						got := want.Clone()
 						opt := Options{Workers: workers}
 						slabPairColumnOrder(tk, want, opt, z0, z1)
-						slabPair(tk, got, opt, z0, z1)
+						slabPair(tk, []Slab{{Vol: got, Z0: z0, Z1: z1}}, opt)
 						for n := range want.Data {
 							if math.Float32bits(got.Data[n]) != math.Float32bits(want.Data[n]) {
 								t.Fatalf("%dx%dx%d slab [%d,%d) transposed=%v workers=%d: voxel %d = %v, column order gives %v",
@@ -246,7 +263,7 @@ func TestSlabPairBlocksBitIdentical(t *testing.T) {
 				slabPairColumnOrder(tk, want, opt, z0, z1)
 				for _, block := range []int{1, 3, blockTiles(h, odd)} {
 					got := start.Clone()
-					slabPairBlocks(tk, got, opt, z0, z1, block)
+					slabPairBlocks(tk, []Slab{{Vol: got, Z0: z0, Z1: z1}}, opt, block)
 					for n := range want.Data {
 						if math.Float32bits(got.Data[n]) != math.Float32bits(want.Data[n]) {
 							t.Fatalf("%s, slab [%d,%d), window=%v, workers=%d, %d-tile blocks: voxel %d = %v, column order gives %v",
@@ -259,9 +276,68 @@ func TestSlabPairBlocksBitIdentical(t *testing.T) {
 	}
 }
 
+// One sweep over a grid column's R slab pairs must give each of them the
+// bits of its own ProposedSlabPair call, at R = 1, 2 and 4 on 1 and 2
+// workers: on fleet_mixed's nx 32 from 64², whose slabs and sweeps all take
+// the window kernel on an AVX-512 host; on projection_heavy's nx 32 from
+// 512², where both take the gather kernel; on nx 16 from 32², where the
+// R = 4 slabs (h = 2) take the gather kernel and their sweep (h = 8) the
+// window kernel; and on nx 20, three tiles a side, nine in all, so that the
+// workers' tile ranges split unevenly. 40 projections are a full batch,
+// then a short one, and every volume starts from its own non-zero
+// contents, so the once-per-batch add into each destination shows.
+func TestSlabsBitIdenticalToSlabPairs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    geometry.Params
+	}{
+		{"window, nx=32 on 64²", geometry.Default(64, 64, 40, 32, 32, 32)},
+		{"projection_heavy gather, nx=32 on 512²", geometry.Default(512, 512, 40, 32, 32, 32)},
+		{"gather slabs, window sweep, nx=16 on 32²", geometry.Default(32, 32, 40, 16, 16, 16)},
+		{"nine tiles, nx=20 on 40²", geometry.Default(40, 40, 40, 20, 20, 24)},
+	} {
+		tk := transposedTask(randomTask(c.g, int64(c.g.Nu+c.g.Nx)))
+		step := maxVStep(tk.Mats, c.g.Nx, c.g.Ny)
+		for _, r := range []int{1, 2, 4} {
+			h := c.g.Nz / (2 * r)
+			t.Logf("%s, R=%d: slab window kernel %v, sweep window kernel %v", c.name, r,
+				kernels.WindowFits(h, c.g.Nv, step), kernels.WindowFits(r*h, c.g.Nv, step))
+			for _, workers := range []int{1, 2} {
+				opt := Options{Workers: workers}
+				rng := rand.New(rand.NewSource(int64(r*10 + workers)))
+				var dsts []Slab
+				var want []*volume.Volume
+				for row := range r {
+					d := Slab{Vol: volume.New(c.g.Nx, c.g.Ny, 2*h, volume.KMajor), Z0: row * h, Z1: (row + 1) * h}
+					for n := range d.Vol.Data {
+						d.Vol.Data[n] = rng.Float32()
+					}
+					pass := d.Vol.Clone()
+					if err := ProposedSlabPair(tk, pass, opt, c.g.Nz, d.Z0, d.Z1); err != nil {
+						t.Fatal(err)
+					}
+					dsts, want = append(dsts, d), append(want, pass)
+				}
+				if err := ProposedSlabs(tk, dsts, opt, c.g.Nz); err != nil {
+					t.Fatal(err)
+				}
+				for row, d := range dsts {
+					for n := range d.Vol.Data {
+						if math.Float32bits(d.Vol.Data[n]) != math.Float32bits(want[row].Data[n]) {
+							t.Fatalf("%s, R=%d, workers=%d, slab [%d,%d): voxel %d = %v from the sweep, %v from its own pass",
+								c.name, r, workers, d.Z0, d.Z1, n, d.Vol.Data[n], want[row].Data[n])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkSlabPair times one rank's back-projection pass: one op is a
 // batch of 32 pre-transposed projections into a rank row's slab pair on one
-// worker, as the pipeline calls it, reported per voxel update. The shapes
+// worker, as the pipeline called it before a grid column swept once,
+// reported per voxel update. The shapes
 // are the slab depths the benchmark workloads run: h = 2, 4 and 8 are
 // fleet_mixed's (nx 16 at R = 4 and 2, nx 32 at R = 2; detector 2·nx),
 // h = 16 its nx = 32 verification volume on one rank row, h = 32
@@ -277,6 +353,13 @@ func TestSlabPairBlocksBitIdentical(t *testing.T) {
 // detector's top and bottom rows. Unlike BenchmarkKernelsAccumColumns it
 // includes the detector-row reuse between neighbouring columns that the
 // tile order exists for.
+//
+// The column legs time what a grid column of R ranks back-projects per
+// batch, on one worker, reported per update of the column's R slab pairs:
+// passes is R ProposedSlabPair calls, one per rank row, and sweep the one
+// ProposedSlabs call at full half-height that the pipeline makes instead.
+//
+//	go test -run '^$' -bench 'SlabPair/column' ./internal/ct/backproject/
 func BenchmarkSlabPair(b *testing.B) {
 	for _, shape := range []struct {
 		nx, nu, r int // nu 0: a 2·nx detector
@@ -285,15 +368,7 @@ func BenchmarkSlabPair(b *testing.B) {
 		{16, 0, 4, false}, {16, 0, 2, false}, {32, 0, 2, false}, {32, 0, 2, true}, {32, 512, 2, false},
 		{32, 0, 1, false}, {128, 0, 2, false}, {128, 0, 2, true}, {128, 0, 1, false},
 	} {
-		// An orbit of 320 projections, one batch of them timed; the 512²
-		// leg's orbit is projection_heavy's 256, all of them timed.
-		nu, np, timed := shape.nu, 320, DefaultBatch
-		if nu == 0 {
-			nu = 2 * shape.nx
-		} else {
-			np, timed = 256, 256
-		}
-		g := geometry.Default(nu, nu, np, shape.nx, shape.nx, shape.nx)
+		g, batches := benchBatches(shape.nx, shape.nu)
 		h := g.Nz / (2 * shape.r)
 		z0, name := h, fmt.Sprintf("h=%d", h)
 		if shape.r == 1 || shape.outer {
@@ -303,24 +378,10 @@ func BenchmarkSlabPair(b *testing.B) {
 			name += "/outer"
 		}
 		if shape.nu != 0 {
-			name += fmt.Sprintf("/%d", nu)
+			name += fmt.Sprintf("/%d", g.Nu)
 		}
 		z1 := z0 + h
 		b.Run(name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(34))
-			mats := geometry.ProjectionMatrices(g)
-			var batches []Task
-			for s0 := 0; s0 < timed; s0 += DefaultBatch {
-				task := Task{Mats: mats[s0 : s0+DefaultBatch], Transposed: true}
-				for range task.Mats {
-					img := volume.NewImage(g.Nv, g.Nu)
-					for n := range img.Data {
-						img.Data[n] = rng.Float32()
-					}
-					task.Proj = append(task.Proj, img)
-				}
-				batches = append(batches, task)
-			}
 			vol := volume.New(g.Nx, g.Ny, 2*h, volume.KMajor)
 			opt := Options{Workers: 1}
 			b.ResetTimer()
@@ -329,10 +390,75 @@ func BenchmarkSlabPair(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			updates := float64(vol.NumVoxels()) * DefaultBatch * float64(b.N)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/updates, "ns/update")
+			reportUpdates(b, vol.NumVoxels())
 		})
 	}
+	for _, shape := range []struct{ nx, nu, r int }{
+		{16, 0, 4}, {32, 0, 4}, {16, 0, 2}, {32, 0, 2}, {32, 512, 2}, {128, 0, 2},
+	} {
+		g, batches := benchBatches(shape.nx, shape.nu)
+		h := g.Nz / (2 * shape.r)
+		dsts := make([]Slab, shape.r)
+		for row := range dsts {
+			dsts[row] = Slab{Vol: volume.New(g.Nx, g.Ny, 2*h, volume.KMajor), Z0: row * h, Z1: (row + 1) * h}
+		}
+		name := fmt.Sprintf("column/nx=%d/%d/R=%d", g.Nx, g.Nu, shape.r)
+		opt := Options{Workers: 1}
+		b.Run(name+"/passes", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, d := range dsts {
+					if err := ProposedSlabPair(batches[i%len(batches)], d.Vol, opt, g.Nz, d.Z0, d.Z1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			reportUpdates(b, g.Nx*g.Ny*g.Nz)
+		})
+		b.Run(name+"/sweep", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := ProposedSlabs(batches[i%len(batches)], dsts, opt, g.Nz); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportUpdates(b, g.Nx*g.Ny*g.Nz)
+		})
+	}
+}
+
+// benchBatches returns BenchmarkSlabPair's geometry for an nx³ volume and
+// its batches of DefaultBatch random pre-transposed projections: one batch
+// of an orbit of 320 on a 2·nx detector when nu is 0, else all 256 of
+// projection_heavy's orbit on an nu² one.
+func benchBatches(nx, nu int) (geometry.Params, []Task) {
+	np, timed := 320, DefaultBatch
+	if nu == 0 {
+		nu = 2 * nx
+	} else {
+		np, timed = 256, 256
+	}
+	g := geometry.Default(nu, nu, np, nx, nx, nx)
+	rng := rand.New(rand.NewSource(34))
+	mats := geometry.ProjectionMatrices(g)
+	var batches []Task
+	for s0 := 0; s0 < timed; s0 += DefaultBatch {
+		task := Task{Mats: mats[s0 : s0+DefaultBatch], Transposed: true}
+		for range task.Mats {
+			img := volume.NewImage(g.Nv, g.Nu)
+			for n := range img.Data {
+				img.Data[n] = rng.Float32()
+			}
+			task.Proj = append(task.Proj, img)
+		}
+		batches = append(batches, task)
+	}
+	return g, batches
+}
+
+// reportUpdates reports the benchmark's time per voxel update, voxels
+// updated by each projection of a batch per op.
+func reportUpdates(b *testing.B, voxels int) {
+	updates := float64(voxels) * DefaultBatch * float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/updates, "ns/update")
 }
 
 // transposedTask is task with every projection transposed once up front —

@@ -159,6 +159,8 @@ var malformedSliceStreams = []struct{ name, contentType, body string }{
 	{"ends mid-part", goldenContentType, goldenStream[:strings.Index(goldenStream, goldenRawPayload)+100]},
 	{"ends inside the closing view", goldenContentType, goldenStream[:strings.Index(goldenStream, goldenViewJSON)+100]},
 	{"header claims 2³²−1 × 2³²−1 pixels", goldenContentType, slicePartWire(plainSliceHeaders, "\xff\xff\xff\xff\xff\xff\xff\xff"+strings.Repeat("\x00", 64))},
+	{"header gives a 0×4 image", goldenContentType, slicePartWire(plainSliceHeaders, rawSlice(0, 4, 0))},
+	{"header gives a 4×0 image", goldenContentType, slicePartWire(plainSliceHeaders, rawSlice(4, 0, 0))},
 	{"payload shorter than its header", goldenContentType, slicePartWire(plainSliceHeaders, rawSlice(4, 4, 4*15))},
 	{"payload longer than its header", goldenContentType, slicePartWire(plainSliceHeaders, rawSlice(4, 4, 4*17))},
 	{"no delimiter after the payload", goldenContentType, "--" + goldenBoundary + "\r\nContent-Length: 72\r\n" + plainSliceHeaders + "\r\n" + rawSlice(4, 4, 4*16)},
@@ -349,7 +351,7 @@ func FuzzReadEvents(f *testing.F) {
 
 // FuzzSliceReader: whatever the bytes, the reader never panics, an error
 // ends the sequence, every part it yields is either a closing view or an
-// in-range slice, and every part survives the writer.
+// in-range slice of a non-empty image, and every part survives the writer.
 func FuzzSliceReader(f *testing.F) {
 	f.Add(goldenContentType, []byte(goldenStream))
 	for _, tc := range malformedSliceStreams {
@@ -370,6 +372,8 @@ func FuzzSliceReader(f *testing.F) {
 				err = sw.WriteEnd(*p.End)
 			} else if p.Z < 0 || p.Z >= p.Total || p.Factor < 0 {
 				t.Fatalf("out-of-range part handed out: z=%d total=%d factor=%d", p.Z, p.Total, p.Factor)
+			} else if len(p.Payload) <= 8 {
+				t.Fatalf("slice part with an empty image handed out: %d bytes", len(p.Payload))
 			} else {
 				err = sw.WriteSlice(p)
 			}

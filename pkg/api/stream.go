@@ -109,7 +109,7 @@ func (sw SliceWriter) Close() error { return sw.mw.Close() }
 // when the next part starts — and if the delimiter does not follow the
 // payload, the next element is an error. A part without a valid
 // Content-Length, with any Content-Encoding, or a slice part whose length is
-// not its W×H image header's, is an error. A part is yielded only once read
+// not its W×H image header's or whose image is empty, is an error. A part is yielded only once read
 // whole with its headers validated; an error is the last element, and a
 // stream cut before its closing boundary ends in one.
 func ReadSlices(contentType string, body io.Reader) iter.Seq2[SlicePart, error] {
@@ -228,6 +228,9 @@ func (r *sliceReader) part() (p SlicePart, err error) {
 	if n < 8 || (n-8)%4 != 0 ||
 		uint64(n-8)/4 != uint64(binary.LittleEndian.Uint32(payload))*uint64(binary.LittleEndian.Uint32(payload[4:])) {
 		return p, fmt.Errorf("api: slice part of %d bytes does not hold the W×H image its header gives", n)
+	}
+	if n == 8 {
+		return p, fmt.Errorf("api: slice part with an empty %d×%d image", binary.LittleEndian.Uint32(payload), binary.LittleEndian.Uint32(payload[4:]))
 	}
 	p.Payload = payload
 	return p, nil
