@@ -128,6 +128,12 @@ gates)
 	go test -run 'AllocRegression' -v ./internal/hpc/mpi/
 	go test -run 'TestDecimateIntoNoAllocs' -v ./internal/ct/preview/
 	go test -run 'TestStreamDecodeAllocs' -v ./pkg/client/
+	# The identity gate: the pinned result and preview keys and dataset
+	# prefixes, SpecKey equal to Submit's key, and each field the key names
+	# moving both the key and the volume's bits while no field that only
+	# delivers the volume moves either. A moved key misses every cache and
+	# reroutes the fleet.
+	go test -run 'TestCacheKeyPinned|TestDatasetPrefixPinned|TestSpecKeyMatchesSubmitKey|TestKeyNamesWhatTheVolumeIs' -v ./internal/service/
 	;;
 durability)
 	# Crash/restart, failover, progressive end to end and parallel staging

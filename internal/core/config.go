@@ -14,9 +14,10 @@ import (
 // exchange, and the exchange ahead of back-projection.
 const QueueDepth = 8
 
-// Config describes one distributed reconstruction. Inside a rank each stage
-// is single-threaded (the rank grid is the parallelism), and
-// back-projection accumulates backproject.DefaultBatch projections per pass.
+// Config describes one distributed reconstruction. Each rank loads and
+// filters on one thread and exchanges on another; each grid column
+// back-projects once, on its lead with R workers (one per rank of the
+// column), accumulating backproject.DefaultBatch projections per pass.
 type Config struct {
 	R, C int // grid shape; Nranks = R·C, one rank per (simulated) GPU
 
@@ -32,9 +33,8 @@ type Config struct {
 	// round on any rank with the cumulative count of finished rounds and
 	// the total: every rank performs Np/(R·C) rounds, so the grid performs
 	// Np rounds in total and done reaches exactly Np. Calls may come from
-	// any rank goroutine but are serialized by the framework. Excluded
-	// from serialization so Config stays hashable for caching.
-	Progress func(done, total int) `json:"-"`
+	// any rank goroutine but are serialized by the framework.
+	Progress func(done, total int)
 
 	// SliceWritten, when non-nil, is invoked once per output z-slice by its
 	// row root during the epilogue — mid-run, long before any assembled
@@ -46,9 +46,8 @@ type Config struct {
 	// copy it. Each z fires exactly once, in the row root's SlabPlanes order
 	// (the mirrored slab pair: the lower slab ascending, then the upper).
 	// Calls come from row-root goroutines but are serialized by the
-	// framework, and never occur after RunContext has returned. Excluded
-	// from serialization so Config stays hashable for caching.
-	SliceWritten func(z int, slice *volume.Image, written, total int) `json:"-"`
+	// framework, and never occur after RunContext has returned.
+	SliceWritten func(z int, slice *volume.Image, written, total int)
 }
 
 // Validate reports configuration problems.

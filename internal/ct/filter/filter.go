@@ -36,7 +36,7 @@
 // fdk.Reconstruct and the preview tier filter in-memory projections with it.
 // ApplyInto and Sweep, which return filtered images in the detector layout, are
 // wrappers over ApplyImage that only the benchmark's layer probes call; they go
-// when those probes time the pipeline's entry (ROADMAP item 2). Scratch comes
+// when those probes time the pipeline's entry (ROADMAP item 1(c)). Scratch comes
 // from engine buffer pools, so no entry allocates per row or per projection.
 // The complex128 row-at-a-time path the parity tests compare against lives in
 // ref_test.go.
@@ -330,7 +330,7 @@ func (f *Filterer) applyPayload(payload []byte, block []float32) error {
 // ApplyInto filters e into q in the detector layout, both matching the
 // geometry: ApplyImage into a pooled block, then the block transposed into
 // q, which may be e itself. Only the benchmark's layer probes need a
-// filtered image; ApplyInto goes with them (ROADMAP item 2). Steady state
+// filtered image; ApplyInto goes with them (ROADMAP item 1(c)). Steady state
 // performs zero heap allocations.
 func (f *Filterer) ApplyInto(e, q *volume.Image) error {
 	if err := f.checkImage("output", q); err != nil {
@@ -350,7 +350,7 @@ func (f *Filterer) ApplyInto(e, q *volume.Image) error {
 // of outs (outs[i] may be ins[i]), one engine.ParallelRange over the
 // projections; workers 0 means GOMAXPROCS, and the result does not depend
 // on it. Like ApplyInto it serves only the benchmark's layer probes and goes
-// with them (ROADMAP item 2). Dimensions are validated up front, so no
+// with them (ROADMAP item 1(c)). Dimensions are validated up front, so no
 // ApplyInto fails; nothing is written when an error is returned. Steady
 // state allocates nothing per projection: one closure per sweep, retained
 // by the scheduler's pooled job descriptor.

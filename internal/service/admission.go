@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"ifdk/internal/perfmodel"
-	"ifdk/internal/service/progressive"
+	"ifdk/pkg/api"
 )
 
 // ErrQueueFull is returned by Submit when the queue holds its maximum number
@@ -141,7 +141,7 @@ func (a *admission) push(j *Job) error {
 	case a.maxCost > 0 && a.n > 0 && a.cost+j.est.cost > a.maxCost:
 		return ErrCostBudget
 	}
-	a.buckets[j.Priority] = append(a.buckets[j.Priority], queued{j: j, enqueued: time.Now()})
+	a.buckets[j.prio] = append(a.buckets[j.prio], queued{j: j, enqueued: time.Now()})
 	a.n++
 	a.cost += j.est.cost
 	a.bytes += j.est.bytes
@@ -217,10 +217,10 @@ func (a *admission) release(j *Job) bool {
 	defer a.mu.Unlock()
 	a.bytes -= j.est.bytes
 	a.charged--
-	b := a.buckets[j.Priority]
+	b := a.buckets[j.prio]
 	for i := range b {
 		if b[i].j == j {
-			a.buckets[j.Priority] = slices.Delete(b, i, i+1)
+			a.buckets[j.prio] = slices.Delete(b, i, i+1)
 			a.dequeuedLocked(j)
 			return true
 		}
@@ -285,10 +285,10 @@ type price struct {
 func (a *admission) estimate(rs resolvedSpec) (price, error) {
 	var est perfmodel.Cost
 	var err error
-	switch rs.qual {
-	case progressive.Preview:
+	switch rs.spec.Quality {
+	case api.QualityPreview:
 		est, err = perfmodel.EstimatePreview(rs.cfg, rs.plan.Coarse, rs.plan.Factor)
-	case progressive.Progressive:
+	case api.QualityProgressive:
 		est, err = perfmodel.EstimateProgressive(rs.cfg, rs.plan.Coarse, rs.plan.Factor)
 	default:
 		est, err = perfmodel.Estimate(rs.cfg)

@@ -2,9 +2,6 @@ package service
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -32,39 +29,6 @@ func (e *Entry) verify(ref *volume.Volume) error {
 	e.RelRMSE = rmse
 	e.Verified = true
 	return nil
-}
-
-// CacheKey content-addresses a reconstruction: the SHA-256 of the canonical
-// JSON of the core.Config with the per-job fields (output prefix, progress
-// and the other run-time callbacks) zeroed, so two jobs asking for the same
-// volume from the same input data map to the same key regardless of where
-// they write or who watches them. The input prefix is part of the Config
-// and is itself content-derived by the manager (a hash of phantom +
-// geometry), making the whole key a content hash of "what is reconstructed
-// from which data".
-//
-// The encoding must be deterministic across processes, restarts and Go
-// versions — the key shards the fleet (rendezvous hashing) and survives in
-// the write-ahead journal via the Spec. json.Marshal of the sanitized
-// Config is canonical (struct order is declaration order); it can only fail
-// on non-finite geometry floats, which admission never produces, so rather
-// than hashing some fallback representation that would silently fork the
-// keyspace (the old %+v fallback embedded function pointer addresses), an
-// unencodable config panics loudly.
-func CacheKey(cfg core.Config) string {
-	cfg.OutputPrefix = ""
-	// The callbacks are declared `json:"-"` so Marshal ignores them, but
-	// zero them anyway: no accidental representation of a per-job field may
-	// ever reach the hash.
-	cfg.Progress = nil
-	cfg.SliceWritten = nil
-	blob, err := json.Marshal(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("service: CacheKey: config is not canonically encodable "+
-			"(non-finite geometry?): %v", err))
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
 }
 
 // Cache is a byte-budgeted LRU over reconstruction results. It is the

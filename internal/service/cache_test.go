@@ -1,7 +1,6 @@
 package service
 
 import (
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -9,58 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"ifdk/internal/core"
-	"ifdk/internal/ct/geometry"
 	"ifdk/pkg/api"
 	"ifdk/pkg/volume"
 )
-
-func testCfg(nx int) core.Config {
-	return core.Config{
-		R: 2, C: 2,
-		Geometry:    geometry.Default(2*nx, 2*nx, 2*nx, nx, nx, nx),
-		InputPrefix: "ds/abc",
-	}
-}
-
-// The key must ignore the per-job fields (output prefix, progress callback)
-// and change with anything that changes the reconstruction.
-func TestCacheKeyNormalization(t *testing.T) {
-	a := testCfg(16)
-	b := testCfg(16)
-	b.OutputPrefix = "jobs/j1/out"
-	b.Progress = func(int, int) {}
-	if CacheKey(a) != CacheKey(b) {
-		t.Error("output prefix / progress changed the key")
-	}
-	c := testCfg(16)
-	c.InputPrefix = "ds/other"
-	if CacheKey(a) == CacheKey(c) {
-		t.Error("input prefix did not change the key")
-	}
-	d := testCfg(16)
-	d.R, d.C = 4, 1
-	if CacheKey(a) == CacheKey(d) {
-		t.Error("grid shape did not change the key")
-	}
-	e := testCfg(32)
-	if CacheKey(a) == CacheKey(e) {
-		t.Error("geometry did not change the key")
-	}
-}
-
-// CacheKey must refuse to hash a config it cannot canonically encode: a
-// silent fallback would fork the keyspace across fleet members.
-func TestCacheKeyPanicsOnNonFiniteGeometry(t *testing.T) {
-	cfg := testCfg(16)
-	cfg.Geometry.SAD = math.NaN()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CacheKey accepted a non-encodable config")
-		}
-	}()
-	CacheKey(cfg)
-}
 
 // entryOfSize builds an entry whose volume payload is nx³ voxels.
 func entryOfSize(nx int) *Entry {

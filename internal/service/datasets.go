@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ifdk/internal/core"
 	"ifdk/internal/ct/projector"
 	"ifdk/internal/engine"
 	"ifdk/internal/hpc/pfs"
@@ -27,14 +26,6 @@ type dataset struct {
 	lock   chan struct{} // one slot, held by the job staging the scan
 	staged bool          // the whole scan is on the PFS; guarded by lock
 	refs   int           // job records naming the scan; guarded by stageMu
-}
-
-// datasetPrefix content-addresses the staged scan of a spec: jobs with the
-// same phantom and geometry share one projection set on the PFS.
-func datasetPrefix(spec Spec, cfg core.Config) string {
-	probe := core.Config{Geometry: cfg.Geometry}
-	probe.InputPrefix = spec.Phantom // fold the phantom into the hash
-	return "ds/" + CacheKey(probe)[:16]
 }
 
 // ref takes a new record's reference to the scan at prefix, making its

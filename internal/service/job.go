@@ -19,7 +19,6 @@ import (
 	"ifdk/internal/ct/geometry"
 	"ifdk/internal/ct/phantom"
 	"ifdk/internal/ct/preview"
-	"ifdk/internal/service/progressive"
 	"ifdk/pkg/api"
 	"ifdk/pkg/volume"
 )
@@ -110,26 +109,24 @@ const (
 )
 
 // resolvedSpec is a Spec compiled all the way to its identity: the defaulted
-// spec, the worker-side pieces, the quality tier with its preview plan, and
-// the cache keys. Submit, journal replay and SpecKey all derive identity
-// through this one function, so a crash-replayed or re-routed job lands on
-// byte-identical keys.
+// spec, the worker-side pieces, the preview plan and the keys. Submit,
+// journal replay and SpecKey all derive identity through this one function,
+// so a crash-replayed or re-routed job lands on byte-identical keys, and a
+// job record keeps the resolvedSpec it was built from.
 type resolvedSpec struct {
-	spec Spec
+	spec Spec // defaulted: Quality is one of api.QualityFull, QualityPreview, QualityProgressive
 	ph   phantom.Phantom
-	cfg  core.Config // InputPrefix and AssembleVolume set
+	cfg  core.Config // R, C, Geometry, Window and InputPrefix: the run's identity
 	prio Priority
-	qual progressive.Quality
-	plan preview.Plan // Factor ≥ 1; meaningful when qual.WantsPreview()
+	plan preview.Plan // Factor ≥ 1; meaningful when the tier builds a preview
 
-	// fullKey is the full-resolution result key — byte-identical to the
-	// pre-quality derivation, so existing caches, journals and rendezvous
-	// placements stay valid. prevKey ("" unless the tier builds a preview)
-	// can never alias any fullKey. key is the job's primary result key:
-	// prevKey for preview-quality jobs, fullKey otherwise.
-	fullKey string
-	prevKey string
-	key     string
+	// fullKey is the full-resolution result key, resultKey(cfg). prevKey
+	// ("" unless the tier builds a preview) can never alias any fullKey.
+	// cacheKey is the job's own result key: prevKey for preview-quality
+	// jobs, fullKey otherwise.
+	fullKey  string
+	prevKey  string
+	cacheKey string
 }
 
 // resolveSpec defaults and validates a Spec — admission limits first, so no
@@ -163,25 +160,27 @@ func resolveSpec(s Spec) (resolvedSpec, error) {
 	if r.prio, err = ParsePriority(s.Priority); err != nil {
 		return resolvedSpec{}, err
 	}
-	if r.qual, err = progressive.ParseQuality(s.Quality); err != nil {
-		return resolvedSpec{}, fmt.Errorf("service: %w", err)
+	// The quality is case-sensitive, and "" was defaulted to full above
+	// (a Spec from before the field is a full-quality Spec).
+	switch s.Quality {
+	case api.QualityFull, api.QualityPreview, api.QualityProgressive:
+	default:
+		return resolvedSpec{}, fmt.Errorf("service: unknown quality %q (want %s, %s or %s)",
+			s.Quality, api.QualityFull, api.QualityPreview, api.QualityProgressive)
 	}
-	r.cfg = core.Config{R: s.R, C: s.C, Geometry: g, Window: win, AssembleVolume: true}
-	r.cfg.InputPrefix = datasetPrefix(s, r.cfg)
+	r.cfg = core.Config{R: s.R, C: s.C, Geometry: g, Window: win, InputPrefix: datasetPrefix(s.Phantom, g)}
 	if err := r.cfg.Validate(); err != nil {
 		return resolvedSpec{}, err
 	}
-	r.fullKey = CacheKey(r.cfg)
-	r.key = r.fullKey
-	if r.qual.WantsPreview() {
-		plan, err := preview.PlanFor(r.cfg.Geometry, 0)
-		if err != nil {
+	r.fullKey = resultKey(r.cfg)
+	r.cacheKey = r.fullKey
+	if s.Quality != api.QualityFull {
+		if r.plan, err = preview.PlanFor(g, 0); err != nil {
 			return resolvedSpec{}, err
 		}
-		r.plan = plan
-		r.prevKey = progressive.PreviewKey(r.fullKey, plan.Factor)
-		if r.qual == progressive.Preview {
-			r.key = r.prevKey
+		r.prevKey = previewKey(r.fullKey, r.plan.Factor)
+		if s.Quality == api.QualityPreview {
+			r.cacheKey = r.prevKey
 		}
 	}
 	return r, nil
@@ -201,15 +200,14 @@ func SpecKey(spec Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return r.key, nil
+	return r.cacheKey, nil
 }
 
 // Job is one reconstruction request tracked by the manager. All mutable
 // fields are guarded by mu; readers use snapshot().
 type Job struct {
-	ID       string
-	Spec     Spec
-	Priority Priority
+	ID           string
+	resolvedSpec // what the job is, immutable after submit
 
 	mu        sync.Mutex
 	state     State // written only by Manager.apply (lifecycle.go)
@@ -246,20 +244,8 @@ type Job struct {
 	tVerify0   time.Time // serial-reference verification window
 	tVerify1   time.Time
 
-	// worker-side request, resolved once at submit time
-	ph       phantom.Phantom
-	cfg      core.Config // resolveSpec's; the run sets its hooks and drops the assembly
-	cacheKey string
-	scan     *dataset // the staged entry of cfg.InputPrefix, referenced by this record
-
-	// quality tier (immutable after submit): qual and plan come from
-	// resolveSpec; previewKey is the preview tier's cache key ("" unless the
-	// tier builds one). For preview-quality jobs cacheKey == previewKey.
-	// preview (mu-guarded) is the entry a running job's tier built or found.
-	qual       progressive.Quality
-	plan       preview.Plan
-	previewKey string
-	preview    *Entry
+	scan    *dataset // the staged entry of cfg.InputPrefix, referenced by this record
+	preview *Entry   // the preview entry a running job's tier built or found; mu-guarded
 
 	// recovered marks a job rebuilt from the write-ahead journal after a
 	// restart (immutable once the job is visible).
@@ -295,8 +281,8 @@ func (j *Job) snapshot() View {
 	v := View{
 		ID:        j.ID,
 		State:     j.state,
-		Spec:      j.Spec,
-		Priority:  j.Priority.String(),
+		Spec:      j.spec,
+		Priority:  j.prio.String(),
 		CacheHit:  j.cacheHit,
 		Error:     j.err,
 		RelRMSE:   j.relRMSE,
@@ -310,9 +296,9 @@ func (j *Job) snapshot() View {
 		TraceID:   j.traceID,
 		Stages:    stagesOf(j.times),
 		Recovered: j.recovered,
-		Quality:   j.qual.String(),
+		Quality:   j.spec.Quality,
 	}
-	if j.qual.WantsPreview() {
+	if j.spec.Quality != api.QualityFull {
 		v.PreviewFactor = j.plan.Factor
 	}
 	if j.total > 0 {
@@ -340,7 +326,7 @@ func (j *Job) snapshot() View {
 // otherwise. The slice and stream handlers index with this, never with the
 // full geometry directly.
 func (j *Job) resultNz() int {
-	if j.qual == progressive.Preview {
+	if j.spec.Quality == api.QualityPreview {
 		return j.plan.Coarse.Nz
 	}
 	return j.cfg.Geometry.Nz

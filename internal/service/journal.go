@@ -328,7 +328,7 @@ func (w *journal) close() {
 func (j *Job) recordLocked(t string) journalRecord {
 	switch t {
 	case recSubmit:
-		spec := j.Spec
+		spec := j.spec
 		return journalRecord{
 			T: recSubmit, ID: j.ID, Spec: &spec,
 			TraceID: j.traceID, ParentSpan: j.parentSpan,

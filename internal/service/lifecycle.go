@@ -172,8 +172,8 @@ func (m *Manager) apply(j *Job, from State, ev event, res *Entry, set func()) er
 	}
 	m.met.count(fx.count)
 	if fx.wait {
-		m.met.queueWait.With(j.Priority.String()).Observe(waited.Seconds())
-		m.admission.recordWait(j.Priority, waited)
+		m.met.queueWait.With(j.prio.String()).Observe(waited.Seconds())
+		m.admission.recordWait(j.prio, waited)
 	}
 	if fx.opened {
 		m.events.Publish(j.ID, Event{Type: EventQueued, State: StateQueued})

@@ -198,20 +198,13 @@ func OpenManager(opt Options) (*Manager, error) {
 // refuses it.
 func (m *Manager) newJob(id string, rs resolvedSpec, est price, submitted time.Time, traceID, parentSpan string) *Job {
 	return &Job{
-		ID:         id,
-		Spec:       rs.spec,
-		Priority:   rs.prio,
-		submitted:  submitted,
-		ph:         rs.ph,
-		cfg:        rs.cfg,
-		cacheKey:   rs.key,
-		scan:       m.datasets.ref(rs.cfg.InputPrefix),
-		qual:       rs.qual,
-		plan:       rs.plan,
-		previewKey: rs.prevKey,
-		est:        est,
-		traceID:    traceID,
-		parentSpan: parentSpan,
+		ID:           id,
+		resolvedSpec: rs,
+		submitted:    submitted,
+		scan:         m.datasets.ref(rs.cfg.InputPrefix),
+		est:          est,
+		traceID:      traceID,
+		parentSpan:   parentSpan,
 	}
 }
 
@@ -293,10 +286,10 @@ func (m *Manager) SubmitWithTrace(spec Spec, traceparent string) (View, error) {
 	j := m.newJob(id, rs, est, time.Now(), traceID, parentSpan)
 	// A cached entry satisfies a verify request only if its run verified;
 	// otherwise the job runs, and its verified entry replaces the cached
-	// one. The key is quality-aware (rs.key): a preview job hits only
+	// one. The key is quality-aware (rs.cacheKey): a preview job hits only
 	// preview entries, and a progressive job that hits its full-resolution
 	// entry completes outright, owing no preview tier.
-	if e, ok := m.cache.Get(rs.key); ok && (!spec.Verify || e.Verified) {
+	if e, ok := m.cache.Get(rs.cacheKey); ok && (!spec.Verify || e.Verified) {
 		m.mu.Unlock()
 		// A cache hit still gets a (degenerate) event stream and trace, so
 		// streaming clients see a uniform lifecycle. Its journal records are
@@ -339,7 +332,7 @@ func (m *Manager) SubmitWithTrace(spec Spec, traceparent string) (View, error) {
 		return View{}, fmt.Errorf("service: job not durable: %w", err)
 	}
 	m.log.Info("job admitted", "job_id", j.ID, "trace_id", traceID,
-		"client", spec.Client, "priority", rs.prio.String(), "quality", rs.qual.String(),
+		"client", spec.Client, "priority", rs.prio.String(), "quality", spec.Quality,
 		"est_cost_sec", j.est.cost)
 	return j.snapshot(), nil
 }

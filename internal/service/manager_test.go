@@ -481,7 +481,9 @@ func TestJobVolumeMatchesCoreAssembly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := core.Run(rs.cfg, m.Store()) // AssembleVolume: true
+			cfg := rs.cfg
+			cfg.AssembleVolume = true
+			ref, err := core.Run(cfg, m.Store())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,7 +7,7 @@ import (
 )
 
 func mkJob(id string, p Priority) *Job {
-	return &Job{ID: id, Priority: p, state: StateQueued, submitted: time.Now()}
+	return &Job{ID: id, resolvedSpec: resolvedSpec{prio: p}, state: StateQueued, submitted: time.Now()}
 }
 
 func mkCostJob(id string, p Priority, cost float64) *Job {

@@ -3,8 +3,7 @@ package service
 // The manager's runs: the worker pool and its shutdown, one job's execution
 // from staging to its result, the serial-reference verification, and the
 // preview phase — the worker-side execution of the quality knob's coarse
-// tier (see internal/service/progressive for the tier semantics and
-// internal/ct/preview for the reconstruction itself).
+// tier (internal/ct/preview is the reconstruction itself).
 
 import (
 	"context"
@@ -16,7 +15,7 @@ import (
 	"ifdk/internal/ct/filter"
 	"ifdk/internal/ct/preview"
 	"ifdk/internal/hpc/pfs"
-	"ifdk/internal/service/progressive"
+	"ifdk/pkg/api"
 	"ifdk/pkg/volume"
 )
 
@@ -136,9 +135,9 @@ func (m *Manager) execute(ctx context.Context, j *Job) (*Entry, error) {
 	// that attaches to the running job keeps the volume that becomes its
 	// result; the tier streams (EventPreview, the leading parts) before the
 	// first full-resolution round completes.
-	if j.qual == progressive.Preview {
+	if j.spec.Quality == api.QualityPreview {
 		pe, err := m.buildPreview(ctx, j)
-		if err != nil || !j.Spec.Verify {
+		if err != nil || !j.spec.Verify {
 			return pe, err
 		}
 		// Verify a copy: pe may be the live cached entry, whose fields must
@@ -154,13 +153,12 @@ func (m *Manager) execute(ctx context.Context, j *Job) (*Entry, error) {
 	j.mu.Lock()
 	j.out, j.have = out, have
 	j.mu.Unlock()
-	if j.qual == progressive.Progressive {
+	if j.spec.Quality == api.QualityProgressive {
 		if _, err := m.buildPreview(ctx, j); err != nil {
 			return nil, err
 		}
 	}
-	cfg := j.cfg
-	cfg.AssembleVolume = false // the row roots fill out instead of rank 0
+	cfg := j.cfg // the row roots fill out: no output prefix, no assembly at rank 0
 	cfg.Progress = func(done, total int) {
 		j.mu.Lock()
 		j.done, j.total = done, total
@@ -187,7 +185,7 @@ func (m *Manager) execute(ctx context.Context, j *Job) (*Entry, error) {
 	j.rounds = res.Rounds[0] // rank 0's clock stands in for the grid
 	j.mu.Unlock()
 	entry := &Entry{Volume: out, Times: res.Max}
-	if j.Spec.Verify {
+	if j.spec.Verify {
 		j.mu.Lock()
 		j.tVerify0 = time.Now()
 		j.mu.Unlock()
@@ -235,7 +233,7 @@ func (m *Manager) verifyAgainstSerial(ctx context.Context, j *Job, e *Entry) err
 // before any full-resolution round has run.
 func (m *Manager) buildPreview(ctx context.Context, j *Job) (*Entry, error) {
 	t0 := time.Now()
-	entry, hit := m.cache.Get(j.previewKey)
+	entry, hit := m.cache.Get(j.prevKey)
 	if hit {
 		m.met.previewHits.Inc()
 	} else {
@@ -244,7 +242,7 @@ func (m *Manager) buildPreview(ctx context.Context, j *Job) (*Entry, error) {
 			return nil, err
 		}
 		entry = &Entry{Volume: vol, Times: st}
-		m.cache.Put(j.previewKey, entry)
+		m.cache.Put(j.prevKey, entry)
 		m.met.previewsBuilt.Inc()
 	}
 	j.mu.Lock()
@@ -271,7 +269,7 @@ func (m *Manager) previewFor(j *Job) *volume.Volume {
 	if e != nil {
 		return e.Volume
 	}
-	return m.cache.settled(j.previewKey)
+	return m.cache.settled(j.prevKey)
 }
 
 // verifyPreview is the coarse analogue of verifyAgainstSerial: it rebuilds

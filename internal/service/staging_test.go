@@ -186,7 +186,7 @@ func TestDatasetsStageOnceDeleteWithLast(t *testing.T) {
 		t.Fatal(err)
 	}
 	prefix := rs.cfg.InputPrefix
-	record := func() *Job { return &Job{ph: rs.ph, cfg: rs.cfg, scan: d.ref(prefix)} }
+	record := func() *Job { return &Job{resolvedSpec: rs, scan: d.ref(prefix)} }
 	stage := func(j *Job, render bool) {
 		t.Helper()
 		if rendered, err := d.stageDataset(context.Background(), j); err != nil || rendered != render {

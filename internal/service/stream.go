@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"ifdk/internal/service/progressive"
 	"ifdk/pkg/api"
 	"ifdk/pkg/volume"
 )
@@ -75,8 +74,8 @@ func (s *Server) preview(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.CodeNotFound, "no such job %q", id)
 		return
 	}
-	if !j.qual.WantsPreview() {
-		writeErr(w, api.CodeBadRequest, "job %s has quality %s: no preview tier", id, j.qual)
+	if j.spec.Quality == api.QualityFull {
+		writeErr(w, api.CodeBadRequest, "job %s has quality %s: no preview tier", id, j.spec.Quality)
 		return
 	}
 	st := j.State() // first, as in slice: a terminal job's preview is final
@@ -178,7 +177,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 	// once emitted it is a no-op.
 	previewSent := false
 	sendPreview := func() error {
-		if previewSent || j.qual != progressive.Progressive {
+		if previewSent || j.spec.Quality != api.QualityProgressive {
 			return nil
 		}
 		pv := s.m.previewFor(j)

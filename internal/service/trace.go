@@ -42,7 +42,7 @@ func (m *Manager) assembleSpans(j *Job) []api.Span {
 		"job_id":    j.ID,
 		"node":      m.opt.NodeID,
 		"state":     string(j.state),
-		"priority":  j.Priority.String(),
+		"priority":  j.prio.String(),
 		"cache_hit": strconv.FormatBool(j.cacheHit),
 	})
 	if j.recovered {
