@@ -138,7 +138,7 @@ gates)
 durability)
 	# Crash/restart, failover, progressive end to end and parallel staging
 	# under cancel and write faults, under the race detector; then, 20 times
-	# each, the PFS ownership soak (24 distinct scans at MaxJobs 2: only the
+	# each, the PFS ownership soak (24 distinct scans, a job table of 2: only the
 	# retained records' scans stay stored, and nothing under jobs/), a
 	# /stream consumer that lags past its job's settle, /slice reads racing
 	# the settle, /slice reads of each slice as it is handed over, from the

@@ -67,7 +67,8 @@ func Fig5d() Fig5Config {
 	return cfg
 }
 
-// RunFig5 simulates every GPU count of the sub-figure.
+// RunFig5 simulates every GPU count of the sub-figure; Table 5 and Fig. 6
+// run their configurations through it too.
 func RunFig5(cfg Fig5Config, mb perfmodel.MicroBench) ([]ScalingPoint, error) {
 	var out []ScalingPoint
 	for _, n := range cfg.NGpus {
@@ -117,23 +118,15 @@ func naIfZero(v float64) string {
 // Tcompute and δ for the strong-scaling configurations of Fig. 5a/5b.
 func Table5(mb perfmodel.MicroBench) ([]ScalingPoint, error) {
 	var out []ScalingPoint
-	for _, cfg := range []struct {
-		pr geometry.Problem
-		r  int
-		ns []int
-	}{
-		{FourK(), 32, []int{32, 64, 128, 256}},
-		{EightK(), 256, []int{256, 512, 1024, 2048}},
+	for _, cfg := range []Fig5Config{
+		{Name: "table5 4K", Problem: FourK(), R: 32, NGpus: []int{32, 64, 128, 256}},
+		{Name: "table5 8K", Problem: EightK(), R: 256, NGpus: []int{256, 512, 1024, 2048}},
 	} {
-		for _, n := range cfg.ns {
-			res, err := simcluster.Simulate(simcluster.Config{
-				Problem: cfg.pr, R: cfg.r, C: n / cfg.r, MB: mb,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ScalingPoint{NGpus: n, Res: res})
+		points, err := RunFig5(cfg, mb)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, points...)
 	}
 	return out, nil
 }
@@ -162,29 +155,17 @@ type Fig6Series struct {
 
 // Fig6 evaluates the three output sizes over the paper's GPU counts.
 func Fig6(mb perfmodel.MicroBench) ([]Fig6Series, error) {
-	specs := []struct {
-		pr    geometry.Problem
-		r     int
-		gpus  []int
-		label string
-	}{
-		{TwoK(), 4, []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048}, "2048^3"},
-		{FourK(), 32, []int{32, 64, 128, 256, 512, 1024, 2048}, "4096^3"},
-		{EightK(), 256, []int{256, 512, 1024, 2048}, "8192^3"},
-	}
 	var out []Fig6Series
-	for _, spec := range specs {
-		s := Fig6Series{Label: spec.label, R: spec.r}
-		for _, n := range spec.gpus {
-			res, err := simcluster.Simulate(simcluster.Config{
-				Problem: spec.pr, R: spec.r, C: n / spec.r, MB: mb,
-			})
-			if err != nil {
-				return nil, err
-			}
-			s.Points = append(s.Points, ScalingPoint{NGpus: n, Res: res})
+	for _, cfg := range []Fig5Config{
+		{Name: "2048^3", Problem: TwoK(), R: 4, NGpus: []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048}},
+		{Name: "4096^3", Problem: FourK(), R: 32, NGpus: []int{32, 64, 128, 256, 512, 1024, 2048}},
+		{Name: "8192^3", Problem: EightK(), R: 256, NGpus: []int{256, 512, 1024, 2048}},
+	} {
+		points, err := RunFig5(cfg, mb)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, s)
+		out = append(out, Fig6Series{Label: cfg.Name, R: cfg.R, Points: points})
 	}
 	return out, nil
 }

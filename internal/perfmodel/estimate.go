@@ -31,14 +31,6 @@ type Cost struct {
 	WorkingSetBytes int64
 }
 
-// Estimate evaluates the closed-form performance model for one service job
-// described by cfg, using the paper's ABCI constants. Absolute times are
-// therefore "model seconds" on the paper's testbed; admission calibrates
-// them against observed runtimes (see Cost.RunSec).
-func Estimate(cfg core.Config) (Cost, error) {
-	return EstimateWith(cfg, ABCI())
-}
-
 // refFltPixels is the projection size (2048²) at which the paper measured
 // TH_flt, which Predict treats as resolution-independent projections/s.
 // Admission needs estimates that discriminate across resolutions, so the
@@ -48,8 +40,12 @@ func Estimate(cfg core.Config) (Cost, error) {
 // charges a 32² projection like a 2048² one.
 const refFltPixels = 2048 * 2048
 
-// EstimateWith is Estimate with explicit micro-benchmark constants.
-func EstimateWith(cfg core.Config, mb MicroBench) (Cost, error) {
+// Estimate evaluates the closed-form performance model for one service job
+// described by cfg, using the paper's ABCI constants. Absolute times are
+// therefore "model seconds" on the paper's testbed; admission calibrates
+// them against observed runtimes (see Cost.RunSec).
+func Estimate(cfg core.Config) (Cost, error) {
+	mb := ABCI()
 	g := cfg.Geometry
 	pr := geometry.Problem{Nu: g.Nu, Nv: g.Nv, Np: g.Np, Nx: g.Nx, Ny: g.Ny, Nz: g.Nz}
 	if pr.Nu > 0 && pr.Nv > 0 {

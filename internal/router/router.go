@@ -109,10 +109,10 @@ func (o Options) withDefaults() Options {
 
 // backendState is one backend plus its health bookkeeping. The router is an
 // SDK client of its backends: every JSON call goes through client (bounded
-// by callTimeout), every streamed body — /events, /stream, /slice/{z},
-// /preview — through stream (no overall timeout — streams legitimately live
-// for minutes; cancellation rides on each inbound request's context). Both
-// are fixed at New.
+// by callTimeout), every streamed body — /events, /stream, /slice/{z} —
+// through stream (no overall timeout — streams legitimately live for
+// minutes; cancellation rides on each inbound request's context). Both are
+// fixed at New.
 type backendState struct {
 	Backend
 	client        *client.Client
@@ -224,12 +224,7 @@ func New(opt Options) (*Router, error) {
 	rt.mux.HandleFunc("DELETE /v1/jobs/{id}", rt.remove)
 	rt.mux.HandleFunc("GET /v1/jobs/{id}/events", rt.relayEvents)
 	rt.mux.HandleFunc("GET /v1/jobs/{id}/stream", rt.relayStream)
-	rt.mux.HandleFunc("GET /v1/jobs/{id}/slice/{z}", func(w http.ResponseWriter, r *http.Request) {
-		rt.proxyStream(w, r, "/slice/"+r.PathValue("z"))
-	})
-	rt.mux.HandleFunc("GET /v1/jobs/{id}/preview", func(w http.ResponseWriter, r *http.Request) {
-		rt.proxyStream(w, r, "/preview")
-	})
+	rt.mux.HandleFunc("GET /v1/jobs/{id}/slice/{z}", rt.proxySlice)
 	rt.mux.HandleFunc("GET /v1/jobs/{id}/trace", rt.trace)
 	rt.mux.HandleFunc("GET /v1/metrics", rt.metrics)
 	rt.mux.Handle("GET /metrics", rt.met.reg.Handler())
@@ -773,21 +768,21 @@ func (rt *Router) remove(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, resp.StatusCode, ack)
 }
 
-// proxyStream serves a one-shot body (/slice/{z}, /preview) off the job's
-// backend through its stream client, copying the headers a client reads and
-// flushing as the body arrives. A refusal relays verbatim, and a transport
-// failure counts against the backend as on every other backend call. The
-// long-lived streams — /events and /stream — do not come through here:
-// they are relayed (relay.go) so subscribers survive a backend death
+// proxySlice serves GET /v1/jobs/{id}/slice/{z}, a one-shot body, off the
+// job's backend through its stream client, copying the headers a client
+// reads and flushing as the body arrives. A refusal relays verbatim, and a
+// transport failure counts against the backend as on every other backend
+// call. The long-lived streams — /events and /stream — do not come through
+// here: they are relayed (relay.go) so subscribers survive a backend death
 // mid-stream.
-func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, sub string) {
-	resp, backend, err := rt.dialJob(r.Context(), r.PathValue("id"), sub, nil)
+func (rt *Router) proxySlice(w http.ResponseWriter, r *http.Request) {
+	resp, backend, err := rt.dialJob(r.Context(), r.PathValue("id"), "/slice/"+r.PathValue("z"), nil)
 	if err != nil {
 		fail(w, r, backend, err)
 		return
 	}
 	defer resp.Body.Close()
-	for _, k := range []string{"Content-Type", "Content-Length", api.HeaderPreviewFactor} {
+	for _, k := range []string{"Content-Type", "Content-Length"} {
 		if v := resp.Header.Get(k); v != "" {
 			w.Header().Set(k, v)
 		}

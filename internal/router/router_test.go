@@ -869,8 +869,8 @@ func TestTerminalRouteTTLExpiry(t *testing.T) {
 // coarse preview parts (factor-marked, coarse z indices) strictly before
 // the first full-resolution part, and every full slice after — the relay's
 // takeover dedup keys on (preview factor, z), so a full slice must never be
-// swallowed because a preview slice already used its index. The preview
-// artifact endpoint proxies through as well.
+// swallowed because a preview slice already used its index — and the tier
+// that arrives is the job's, bit for bit.
 func TestProgressiveStreamThroughRouter(t *testing.T) {
 	f := startFleet(t, 2, nil)
 	ctx := testCtx(t)
@@ -907,15 +907,17 @@ func TestProgressiveStreamThroughRouter(t *testing.T) {
 		t.Fatalf("full tier truncated through the router: %d slices", res.Slices)
 	}
 
-	pv, factor, err := c.Preview(ctx, v.ID)
+	// The relayed tier is the job's: its factor, and the bits the job's own
+	// daemon streams.
+	if res.PreviewFactor != res.Final.PreviewFactor {
+		t.Fatalf("relayed preview factor %d, job's %d", res.PreviewFactor, res.Final.PreviewFactor)
+	}
+	direct, err := client.New(f.backends[slices.Index(f.names, backendOf(t, v.ID))].URL).StreamProgressive(ctx, v.ID, client.StreamHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if factor != 2 || pv.Nz != 8 {
-		t.Fatalf("proxied preview artifact: factor=%d nz=%d, want 2/8", factor, pv.Nz)
-	}
-	if d, err := volume.MaxAbsDiff(pv, res.Preview); err != nil || d != 0 {
-		t.Fatalf("preview artifact differs from streamed tier: maxAbsDiff=%g err=%v", d, err)
+	if d, err := volume.MaxAbsDiff(res.Preview, direct.Preview); err != nil || d != 0 {
+		t.Fatalf("relayed preview tier differs from the daemon's: maxAbsDiff=%g err=%v", d, err)
 	}
 
 	// Quality-aware routing: preview-quality submissions of the same scan
@@ -934,24 +936,33 @@ func TestProgressiveStreamThroughRouter(t *testing.T) {
 }
 
 // A bare net/http client on Go's default transport — which advertises
-// Accept-Encoding: gzip on its own — gets plain slice parts from /stream
-// and /preview, straight from the daemon and through the router: every
-// payload is the PFS image bytes, decodable with no decoding step.
+// Accept-Encoding: gzip on its own — gets plain slice parts from /stream,
+// straight from the daemon and through the router: every payload is the PFS
+// image bytes, decodable with no decoding step. A progressive job leads
+// with its 8 coarse parts, a full-quality job carries no preview part, and a
+// preview-quality job streams its coarse result as 8 plain parts.
 func TestDefaultClientGetsPlainParts(t *testing.T) {
 	f := startFleet(t, 2, nil)
 	ctx := testCtx(t)
 	c := client.New(f.routerTS.URL)
-	v, err := c.Submit(ctx, api.Spec{Phantom: "shepplogan", NX: 16, R: 2, C: 2, Quality: api.QualityProgressive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err = c.Await(ctx, v.ID, 5*time.Millisecond); err != nil || v.State != api.StateDone {
-		t.Fatalf("job: %+v, %v; want done", v, err)
-	}
-	direct := f.backends[slices.Index(f.names, backendOf(t, v.ID))].URL
-	for _, base := range []string{direct, f.routerTS.URL} {
-		for sub, want := range map[string]int{"/stream": 8 + 16, "/preview": 8} {
-			url := base + "/v1/jobs/" + v.ID + sub
+	for _, tc := range []struct {
+		quality       string
+		preview, full int
+	}{
+		{api.QualityProgressive, 8, 16},
+		{api.QualityFull, 0, 16},
+		{api.QualityPreview, 0, 8},
+	} {
+		v, err := c.Submit(ctx, api.Spec{Phantom: "shepplogan", NX: 16, R: 2, C: 2, Quality: tc.quality})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err = c.Await(ctx, v.ID, 5*time.Millisecond); err != nil || v.State != api.StateDone {
+			t.Fatalf("%s job: %+v, %v; want done", tc.quality, v, err)
+		}
+		direct := f.backends[slices.Index(f.names, backendOf(t, v.ID))].URL
+		for _, base := range []string{direct, f.routerTS.URL} {
+			url := base + "/v1/jobs/" + v.ID + "/stream"
 			req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -960,22 +971,26 @@ func TestDefaultClientGetsPlainParts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := 0
+			preview, full := 0, 0
 			for p, err := range api.ReadSlices(resp.Header.Get("Content-Type"), resp.Body) {
 				if err != nil {
-					t.Fatalf("GET %s: part %d: %v", url, got, err)
+					t.Fatalf("GET %s: part %d: %v", url, preview+full, err)
 				}
 				if p.End != nil {
 					continue
 				}
 				if _, err := volume.ImageFromBytes(p.Payload); err != nil {
-					t.Fatalf("GET %s: part %d is not a plain image: %v", url, got, err)
+					t.Fatalf("GET %s: part %d is not a plain image: %v", url, preview+full, err)
 				}
-				got++
+				if p.Factor > 0 {
+					preview++
+				} else {
+					full++
+				}
 			}
 			resp.Body.Close()
-			if got != want {
-				t.Fatalf("GET %s: %d slice parts, want %d", url, got, want)
+			if preview != tc.preview || full != tc.full {
+				t.Fatalf("GET %s (%s): %d preview and %d full parts, want %d and %d", url, tc.quality, preview, full, tc.preview, tc.full)
 			}
 		}
 	}
@@ -989,9 +1004,10 @@ func TestDefaultClientGetsPlainParts(t *testing.T) {
 func TestErrorRelayIsVerbatim(t *testing.T) {
 	// One quota-limited backend with slow reads: a job stays live long
 	// enough to be cancelled, and a second submission per client is refused
-	// (each bucket holds max(1, 2·0.01) = 1 token).
+	// (each bucket holds max(1, 2·0.01) = 1 token). Its result cache is
+	// off, so a done job's result is gone the moment it settles.
 	f := startFleet(t, 1, func(int) service.Options {
-		return service.Options{Workers: 1, QuotaRPS: 0.01,
+		return service.Options{Workers: 1, QuotaRPS: 0.01, CacheBytes: -1,
 			PFS: pfs.Config{ReadBW: 1e6, Throttle: true}}
 	})
 	ctx := testCtx(t)
@@ -1005,6 +1021,13 @@ func TestErrorRelayIsVerbatim(t *testing.T) {
 	}
 	if v, err := c.Await(ctx, cancelled.ID, 5*time.Millisecond); err != nil || v.State != api.StateCancelled {
 		t.Fatalf("setup job: %+v, %v; want cancelled", v, err)
+	}
+	evicted, err := c.Submit(ctx, api.Spec{Phantom: "sphere", NX: 16, Quality: api.QualityProgressive, Client: "evicted"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := c.Await(ctx, evicted.ID, 5*time.Millisecond); err != nil || v.State != api.StateDone {
+		t.Fatalf("evicted job: %+v, %v; want done", v, err)
 	}
 
 	// A backend from the future: every submission is refused with a status
@@ -1072,7 +1095,7 @@ func TestErrorRelayIsVerbatim(t *testing.T) {
 		{"stream of a cancelled job", "GET", "/v1/jobs/" + cancelled.ID + "/stream", "", 1, f.routerTS.URL, daemon, answer{409, api.CodeTerminal, "", 0}},
 		{"slice of an unknown job", "GET", "/v1/jobs/nope/slice/0", "", 1, f.routerTS.URL, daemon, answer{404, api.CodeNotFound, "", 0}},
 		{"slice out of range", "GET", "/v1/jobs/" + cancelled.ID + "/slice/999", "", 1, f.routerTS.URL, daemon, answer{400, api.CodeBadRequest, "", 0}},
-		{"preview of a full-quality job", "GET", "/v1/jobs/" + cancelled.ID + "/preview", "", 1, f.routerTS.URL, daemon, answer{400, api.CodeBadRequest, "", 0}},
+		{"stream of a done job whose result is gone", "GET", "/v1/jobs/" + evicted.ID + "/stream", "", 1, f.routerTS.URL, daemon, answer{409, api.CodeTerminal, "", 0}},
 		{"unknown code and status", "POST", "/v1/jobs", `{"phantom":"sphere","nx":16}`, 1, stubFront.URL, stub.URL, answer{418, "teapot", "3", 3}},
 	}
 	for _, row := range rows {

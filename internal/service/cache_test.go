@@ -125,7 +125,7 @@ func TestCacheDisabled(t *testing.T) {
 // terminal. An evicted entry is dropped, not written anywhere else.
 func TestManagerCacheBudgetBoundsRetainedResults(t *testing.T) {
 	const jobs = 15
-	m, err := OpenManager(Options{Workers: 1, MaxJobs: jobs,
+	m, err := OpenManager(Options{Workers: 1, testMaxJobs: jobs,
 		CacheBytes: entrySize(entryOfSize(32))})
 	if err != nil {
 		t.Fatal(err)

@@ -208,8 +208,8 @@ func TestCrashRestartTwice(t *testing.T) {
 }
 
 // A job done before a crash comes back without its volume, which died with
-// the old process. Its slices, preview and stream will never be served, so
-// each answers terminal; a retryable not_yet_written (or an empty 200
+// the old process. Its slices and its stream, preview tier included, will
+// never be served, so each answers terminal; a retryable not_yet_written (or an empty 200
 // stream) would have clients retry forever.
 func TestCrashRestartDoneJobWithoutResultIsTerminal(t *testing.T) {
 	dir := t.TempDir()
@@ -240,7 +240,7 @@ func TestCrashRestartDoneJobWithoutResultIsTerminal(t *testing.T) {
 	if rv, _ := m2.Get(v.ID); rv.State != StateDone {
 		t.Fatalf("job replayed as %s, want done", rv.State)
 	}
-	for _, path := range []string{"/slice/0", "/preview", "/stream"} {
+	for _, path := range []string{"/slice/0", "/stream"} {
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + path)
 		if err != nil {
 			t.Fatal(err)

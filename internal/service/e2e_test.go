@@ -57,8 +57,8 @@ func openSSE(t *testing.T, ctx context.Context, url string, lastEventID int64) <
 	return ch
 }
 
-// slicePart is one decoded part of a /stream or /preview response; factor is
-// 0 on full-resolution parts.
+// slicePart is one decoded part of a /stream response; factor is 0 on
+// full-resolution parts.
 type slicePart struct {
 	z, total, factor int
 	img              *volume.Image

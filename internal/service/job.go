@@ -37,8 +37,8 @@ const (
 	numPriorities
 )
 
-// ParsePriority maps the wire strings "low", "normal" (or ""), "high".
-func ParsePriority(s string) (Priority, error) {
+// parsePriority maps the wire strings "low", "normal" (or ""), "high".
+func parsePriority(s string) (Priority, error) {
 	switch strings.ToLower(s) {
 	case "low":
 		return PriorityLow, nil
@@ -157,7 +157,7 @@ func resolveSpec(s Spec) (resolvedSpec, error) {
 	if err != nil {
 		return resolvedSpec{}, fmt.Errorf("service: %w", err)
 	}
-	if r.prio, err = ParsePriority(s.Priority); err != nil {
+	if r.prio, err = parsePriority(s.Priority); err != nil {
 		return resolvedSpec{}, err
 	}
 	// The quality is case-sensitive, and "" was defaulted to full above

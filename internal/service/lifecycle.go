@@ -61,7 +61,7 @@ const (
 // the rest run after it, in field order.
 type effects struct {
 	cachePut  bool      // store the run's result, where readers of the done job and resubmissions find it
-	enter     bool      // join the job table, pruning the oldest terminal records past MaxJobs
+	enter     bool      // join the job table, pruning the oldest terminal records past maxJobs
 	count     counter   // lifecycle metric bumped
 	wait      bool      // record the queue wait
 	opened    bool      // publish EventQueued, which opens every job's stream

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -26,7 +27,6 @@ type Options struct {
 	Workers    int   // concurrent reconstructions (default 2)
 	QueueCap   int   // bounded admission queue, jobs (default 4·Workers)
 	CacheBytes int64 // result-cache budget, bounding settled results (default 1 GiB; < 0 disables, and none are served)
-	MaxJobs    int   // retained job records; oldest terminal ones are pruned (default 1024)
 
 	// PFS sets the bandwidths of the in-memory store behind every job. It
 	// is a test seam: nothing in production sets it (zero = defaults), and
@@ -71,10 +71,16 @@ type Options struct {
 	// Test hooks, run synchronously where tests block to observe a running
 	// job: testOnSlice on the row root after each slice event, mid-epilogue;
 	// testOnPreview on the worker after the preview event, before a
-	// progressive job's full-resolution pipeline starts.
+	// progressive job's full-resolution pipeline starts. testMaxJobs, when
+	// positive, shrinks the job table below maxJobs.
 	testOnSlice   func(job string, z int)
 	testOnPreview func(job string, factor int)
+	testMaxJobs   int
 }
+
+// maxJobs bounds the job table: past it, the oldest terminal records are
+// pruned.
+const maxJobs = 1024
 
 func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
@@ -85,9 +91,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = 1 << 30
-	}
-	if o.MaxJobs < 1 {
-		o.MaxJobs = 1024
 	}
 	if o.Aging == 0 {
 		o.Aging = 15 * time.Second // < 0 stays, and disables aging
@@ -338,14 +341,15 @@ func (m *Manager) SubmitWithTrace(spec Spec, traceparent string) (View, error) {
 }
 
 // enterLocked adds j to the job table and evicts the oldest terminal
-// records beyond MaxJobs, so a long-lived daemon's table stays bounded;
+// records beyond maxJobs, so a long-lived daemon's table stays bounded;
 // callers must hold m.mu and pass the evicted records to scrub. Live jobs
 // are never pruned.
 func (m *Manager) enterLocked(j *Job) []*Job {
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
 	var pruned []*Job
-	for i := 0; len(m.order) > m.opt.MaxJobs && i < len(m.order)-1; {
+	limit := cmp.Or(m.opt.testMaxJobs, maxJobs)
+	for i := 0; len(m.order) > limit && i < len(m.order)-1; {
 		old := m.jobs[m.order[i]]
 		if !old.State().Terminal() {
 			i++

@@ -252,10 +252,10 @@ func TestSubmitRejectsOversizedProblems(t *testing.T) {
 	shutdown(t, m)
 }
 
-// The job table stays bounded: old terminal records are pruned once
-// MaxJobs is exceeded.
+// The job table stays bounded: old terminal records are pruned once its
+// bound is exceeded.
 func TestJobRecordsPruned(t *testing.T) {
-	m := NewManager(Options{Workers: 1, MaxJobs: 3})
+	m := NewManager(Options{Workers: 1, testMaxJobs: 3})
 	var ids []string
 	for i := 0; i < 6; i++ {
 		s := testSpec()

@@ -449,7 +449,7 @@ func TestTracePartialWhileQueued(t *testing.T) {
 }
 
 // TestTraceCompleteWhileJobRetained: a settled job's trace stays complete,
-// and unchanged, for as long as the job record does (MaxJobs), however many
+// and unchanged, for as long as the job record does (maxJobs), however many
 // newer jobs settle after it — here 300 cache-hit resubmissions, more than
 // any trace store smaller than the job table would keep.
 func TestTraceCompleteWhileJobRetained(t *testing.T) {

@@ -190,9 +190,9 @@ func TestStreamPreviewTierBeforeFirstSlice(t *testing.T) {
 }
 
 // A preview-quality job is a complete job whose result IS the coarse
-// volume: coarse slice count on /stream and /slice, no preview part
-// markers, quality and factor on the view, and verification through the
-// independent rebuild path.
+// volume: coarse slice count on /stream and /slice, the result's bits on
+// /stream, no preview part markers, quality and factor on the view, and
+// verification through the independent rebuild path.
 func TestPreviewQualityServing(t *testing.T) {
 	ts, m := startTestServer(t, Options{Workers: 2})
 	spec := progSpec(api.QualityPreview)
@@ -229,6 +229,9 @@ func TestPreviewQualityServing(t *testing.T) {
 		}
 		if p.total != 8 {
 			t.Fatalf("part total = %d, want the coarse slice count 8", p.total)
+		}
+		if !bytes.Equal(volume.AppendImage(nil, p.img), volume.AppendImage(nil, planeZ(vol, p.z))) {
+			t.Fatalf("streamed slice %d differs from the job's coarse result", p.z)
 		}
 		count++
 	}
@@ -306,50 +309,52 @@ func TestPreviewCacheNeverAliases(t *testing.T) {
 	}
 }
 
-// GET /v1/jobs/{id}/preview serves the coarse tier as a complete multipart
-// artifact once built, and answers the documented error codes otherwise.
-func TestPreviewEndpoint(t *testing.T) {
+// /stream attached to a settled job is the one read path of its preview
+// tier: a done progressive job leads with every coarse part, marked with
+// the job's own factor and bit-identical to the tier it built (resolved
+// from the result cache), then its 16 full slices; a full-quality job's
+// stream carries no preview part at all.
+func TestStreamTierOfSettledJob(t *testing.T) {
 	ts, m := startTestServer(t, Options{Workers: 2})
-	_, v := postJob(t, ts.URL, progSpec(api.QualityProgressive))
-	waitState(t, m, v.ID, time.Minute)
-
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/preview")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("preview: HTTP %d", resp.StatusCode)
-	}
-	if f := resp.Header.Get(api.HeaderPreviewFactor); f != "2" {
-		t.Fatalf("top-level %s = %q, want 2", api.HeaderPreviewFactor, f)
-	}
-	count := 0
-	for p, err := range api.ReadSlices(resp.Header.Get("Content-Type"), resp.Body) {
-		if err != nil {
-			t.Fatalf("part %d: %v", count, err)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for _, tc := range []struct {
+		quality       string
+		preview, full int
+	}{
+		{api.QualityProgressive, 8, 16},
+		{api.QualityFull, 0, 16},
+	} {
+		_, v := postJob(t, ts.URL, progSpec(tc.quality))
+		if fv := waitState(t, m, v.ID, time.Minute); fv.State != StateDone {
+			t.Fatalf("%s job finished %s (%s), want done", tc.quality, fv.State, fv.Error)
 		}
-		if p.Factor != 2 {
-			t.Fatalf("part %d missing the preview factor header", count)
+		j, _ := m.job(v.ID)
+		built := m.previewFor(j)
+		parts, views := openStream(t, ctx, ts.URL+"/v1/jobs/"+v.ID+"/stream")
+		preview, full := 0, 0
+		for p := range parts {
+			if p.factor == 0 {
+				full++
+				continue
+			}
+			if full > 0 || built == nil {
+				t.Fatalf("%s: preview part z=%d after %d full-resolution parts (tier built: %v)", tc.quality, p.z, full, built != nil)
+			}
+			if p.factor != j.plan.Factor || p.total != built.Nz {
+				t.Fatalf("%s: preview part factor=%d total=%d, want the job's %d and %d", tc.quality, p.factor, p.total, j.plan.Factor, built.Nz)
+			}
+			if !bytes.Equal(volume.AppendImage(nil, p.img), volume.AppendImage(nil, planeZ(built, p.z))) {
+				t.Fatalf("%s: streamed preview slice %d differs from the tier the job built", tc.quality, p.z)
+			}
+			preview++
 		}
-		if _, err := decodeSlice(p); err != nil {
-			t.Fatalf("part %d payload: %v", count, err)
+		if preview != tc.preview || full != tc.full {
+			t.Fatalf("%s: %d preview and %d full parts, want %d and %d", tc.quality, preview, full, tc.preview, tc.full)
 		}
-		count++
-	}
-	if count != 8 {
-		t.Fatalf("preview carried %d parts, want 8", count)
-	}
-
-	// A full-quality job has no preview tier: bad_request, not retryable.
-	_, f := postJob(t, ts.URL, progSpec(""))
-	waitState(t, m, f.ID, time.Minute)
-	r2, err := http.Get(ts.URL + "/v1/jobs/" + f.ID + "/preview")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := decodeAPIError(t, r2); r2.StatusCode != http.StatusBadRequest || e.Code != api.CodeBadRequest {
-		t.Fatalf("full-quality preview fetch: HTTP %d code %s, want 400 bad_request", r2.StatusCode, e.Code)
+		if final, ok := <-views; !ok || final.State != StateDone {
+			t.Fatalf("%s: terminal stream part = %+v (ok=%v), want done", tc.quality, final, ok)
+		}
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 //	GET    /v1/jobs               list all jobs
 //	GET    /v1/jobs/{id}          one job's status/progress/timings
 //	GET    /v1/jobs/{id}/events   lifecycle as SSE (resumable, Last-Event-ID)
-//	GET    /v1/jobs/{id}/stream   output slices as chunked multipart, live
-//	GET    /v1/jobs/{id}/preview  the coarse preview volume as multipart
+//	GET    /v1/jobs/{id}/stream   output slices as chunked multipart, live;
+//	                              a progressive job's coarse tier first
 //	GET    /v1/jobs/{id}/slice/{z} axial slice z as PNG, as soon as written
 //	GET    /v1/jobs/{id}/trace    the job's assembled span tree (JSON)
 //	DELETE /v1/jobs/{id}          cancel a live job, or delete a terminal one
@@ -40,7 +40,6 @@ func NewServer(m *Manager) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.get)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.events)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.stream)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/preview", s.preview)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/slice/{z}", s.slice)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.trace)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.remove)

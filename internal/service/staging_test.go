@@ -129,14 +129,14 @@ func TestStagingWriteFaultMidScan(t *testing.T) {
 	}
 }
 
-// Every PFS byte has an owner. Distinct scans run one after another at
-// MaxJobs 2, and after each job settles: the PFS holds exactly the scans of
-// the retained records, each whole, and nothing under jobs/; the
-// dataset table has no more entries than there are records; and the engine
-// pools are back at their baseline.
+// Every PFS byte has an owner. Distinct scans run one after another with a
+// job table of 2 records, and after each job settles: the PFS holds exactly
+// the scans of the retained records, each whole, and nothing under jobs/;
+// the dataset table has no more entries than there are records; and the
+// engine pools are back at their baseline.
 func TestSoakDistinctScansReleased(t *testing.T) {
-	const maxJobs, scans = 2, 24
-	m := NewManager(Options{Workers: 1, MaxJobs: maxJobs})
+	const records, scans = 2, 24
+	m := NewManager(Options{Workers: 1, testMaxJobs: records})
 	defer shutdown(t, m)
 	base := engine.InUseBytes()
 	for i := 0; i < scans; i++ {
@@ -166,8 +166,8 @@ func TestSoakDistinctScansReleased(t *testing.T) {
 		m.datasets.stageMu.Lock()
 		entries := len(m.datasets.staged)
 		m.datasets.stageMu.Unlock()
-		if entries > maxJobs {
-			t.Fatalf("scan %d: %d dataset entries for at most %d records", i, entries, maxJobs)
+		if entries > records {
+			t.Fatalf("scan %d: %d dataset entries for at most %d records", i, entries, records)
 		}
 		if n := engine.InUseBytes(); n != base {
 			t.Fatalf("scan %d: engine pools hold %d B, %d B at the start", i, n, base)

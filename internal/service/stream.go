@@ -2,7 +2,6 @@ package service
 
 import (
 	"net/http"
-	"strconv"
 
 	"ifdk/pkg/api"
 	"ifdk/pkg/volume"
@@ -59,43 +58,6 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// preview serves GET /v1/jobs/{id}/preview: the job's coarse preview
-// volume as one multipart/mixed response, one part per coarse z-slice in
-// the PFS image format, each marked with HeaderPreviewFactor. The preview
-// is a point-in-time artifact, not a stream — it either exists in full or
-// not at all — so a job whose preview phase has not completed answers
-// not_yet_written (retryable); a full-quality job has no preview tier and
-// answers bad_request; a terminal job without one (failed, cancelled, or
-// evicted from the result cache) answers terminal, matching /stream.
-func (s *Server) preview(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j, ok := s.m.job(id)
-	if !ok {
-		writeErr(w, api.CodeNotFound, "no such job %q", id)
-		return
-	}
-	if j.spec.Quality == api.QualityFull {
-		writeErr(w, api.CodeBadRequest, "job %s has quality %s: no preview tier", id, j.spec.Quality)
-		return
-	}
-	st := j.State() // first, as in slice: a terminal job's preview is final
-	vol := s.m.previewFor(j)
-	if vol == nil {
-		if st.Terminal() {
-			writeErr(w, api.CodeTerminal, "job %s is %s: no preview", id, st)
-			return
-		}
-		writeErr(w, api.CodeNotYetWritten, "preview of job %s not built yet (state %s)", id, j.State())
-		return
-	}
-	ps := &parts{sw: api.NewSliceWriter(w)}
-	defer ps.sw.Close()
-	w.Header().Set("Content-Type", ps.sw.ContentType())
-	w.Header().Set(api.HeaderPreviewFactor, strconv.Itoa(j.plan.Factor))
-	w.WriteHeader(http.StatusOK)
-	_ = ps.sendVolume(vol, j.plan.Factor)
-}
-
 // parts frames one handler's slice parts through the shared codec, encoding
 // each from a view of its plane into one reused buffer. It never flushes:
 // the handler does, once per batch of parts.
@@ -108,17 +70,6 @@ type parts struct {
 func (ps *parts) send(z, total, factor int, img *volume.Image) error {
 	ps.buf = volume.AppendImage(ps.buf[:0], img)
 	return ps.sw.WriteSlice(api.SlicePart{Z: z, Total: total, Factor: factor, Payload: ps.buf})
-}
-
-// sendVolume frames every slice of a preview volume, marked with its
-// decimation factor and indexed on the coarse grid.
-func (ps *parts) sendVolume(vol *volume.Volume, factor int) error {
-	for z := 0; z < vol.Nz; z++ {
-		if err := ps.send(z, vol.Nz, factor, planeZ(vol, z)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // stream serves GET /v1/jobs/{id}/stream: the job's output slices as a
@@ -186,7 +137,12 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		}
 		previewSent = true
 		_, vol, _ = s.m.slice(j, 0, vol) // the job's volume, before writes can block
-		return ps.sendVolume(pv, j.plan.Factor)
+		for z := 0; z < pv.Nz; z++ {
+			if err := ps.send(z, pv.Nz, j.plan.Factor, planeZ(pv, z)); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	// send streams slice z unless it went already or is not there: a slice
 	// not handed over yet arrives with its event, and one the event replay

@@ -449,7 +449,7 @@ func TestStreamKeepsVolumeAcrossEviction(t *testing.T) {
 			}
 
 			srv := NewServer(m)
-			for _, path := range []string{"/stream", "/slice/3", "/preview"} {
+			for _, path := range []string{"/stream", "/slice/3"} {
 				rec := httptest.NewRecorder()
 				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+a.ID+path, nil))
 				if e := decodeAPIError(t, rec.Result()); e.Code != api.CodeTerminal {
@@ -460,10 +460,10 @@ func TestStreamKeepsVolumeAcrossEviction(t *testing.T) {
 	}
 }
 
-// Reading a settled job back is not a cache lookup: /slice of every plane,
-// /preview and /stream of a done progressive job leave the cache's hit and
-// miss counters (ifdk_cache_hits_total, ifdk_cache_misses_total) as they
-// were.
+// Reading a settled job back is not a cache lookup: /slice of every plane
+// and /stream (preview tier included) of a done progressive job leave the
+// cache's hit and miss counters (ifdk_cache_hits_total,
+// ifdk_cache_misses_total) as they were.
 func TestServingReadsLeaveCacheCountersAlone(t *testing.T) {
 	m := NewManager(Options{Workers: 1})
 	defer shutdown(t, m)
@@ -476,7 +476,7 @@ func TestServingReadsLeaveCacheCountersAlone(t *testing.T) {
 	}
 	before := m.Metrics().Cache
 	srv := NewServer(m)
-	paths := []string{"/preview", "/stream"}
+	paths := []string{"/stream"}
 	for z := 0; z < v.Spec.NX; z++ {
 		paths = append(paths, "/slice/"+strconv.Itoa(z))
 	}

@@ -126,7 +126,7 @@ func (m *Manager) publishTrace(j *Job) {
 
 // TraceFor assembles a job's trace from its record: Complete once the job
 // is terminal, a partial tree while it is still in flight. A trace lives
-// exactly as long as its job record, so it is bounded by MaxJobs.
+// exactly as long as its job record, so it is bounded by maxJobs.
 func (m *Manager) TraceFor(id string) (api.Trace, error) {
 	j, ok := m.job(id)
 	if !ok {

@@ -39,10 +39,9 @@ const (
 	HeaderPreviewFactor = "X-Preview-Factor"
 )
 
-// SlicePart is one part of a slice stream (/stream, /preview). Payload is
-// the PFS image bytes, which a relay forwards untouched and only the final
-// consumer decodes. The closing part of /stream carries only End, the
-// terminal view.
+// SlicePart is one part of a job's /stream, either tier. Payload is the
+// PFS image bytes, which a relay forwards untouched and only the final
+// consumer decodes. The closing part carries only End, the terminal view.
 type SlicePart struct {
 	Z, Total int // slice index and slice count, on the part's own grid
 	Factor   int // preview decimation factor; 0 on full-resolution parts

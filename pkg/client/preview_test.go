@@ -1,7 +1,6 @@
 package client
 
 import (
-	"errors"
 	"testing"
 
 	"ifdk/internal/service"
@@ -64,53 +63,11 @@ func TestStreamProgressiveBothTiers(t *testing.T) {
 	if res.Slices != 16 || fullHooks != 16 || res.Volume == nil || res.Volume.Nz != 16 {
 		t.Fatalf("full tier: %d slices, %d hooks, vol %+v", res.Slices, fullHooks, res.Volume)
 	}
-
-	// GET /preview and WatchPreview must agree with the streamed tier bit
-	// for bit; WatchPreview on a finished job resolves from event replay.
-	pv, pf, err := c.Preview(ctx, v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, err := volume.MaxAbsDiff(pv, res.Preview); err != nil || d != 0 || pf != 2 {
-		t.Fatalf("Preview = factor %d, diff %g, err %v; want 2, 0, nil", pf, d, err)
-	}
-	wv, wf, err := c.WatchPreview(ctx, v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, err := volume.MaxAbsDiff(wv, res.Preview); err != nil || d != 0 || wf != 2 {
-		t.Fatalf("WatchPreview = factor %d, diff %g, err %v; want 2, 0, nil", wf, d, err)
-	}
-}
-
-// A full-quality job has no preview tier: GET /preview reports the stable
-// bad_request code, and WatchPreview errors once the job ends without a
-// preview event instead of hanging.
-func TestPreviewOfFullQualityJob(t *testing.T) {
-	_, ts := newService(t, service.Options{Workers: 1})
-	c := New(ts.URL)
-	ctx := testCtx(t)
-
-	v, err := c.Submit(ctx, progSpec(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Preview(ctx, v.ID); err == nil {
-		t.Fatal("Preview of a full-quality job succeeded")
-	} else {
-		var apiErr *api.Error
-		if !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest {
-			t.Fatalf("Preview error = %v, want api.Error{bad_request}", err)
-		}
-	}
-	if _, _, err := c.WatchPreview(ctx, v.ID); err == nil {
-		t.Fatal("WatchPreview of a full-quality job succeeded")
-	}
 }
 
 // A preview-quality job's coarse volume IS its result: the plain stream
-// carries it as ordinary untagged parts, and GET /preview serves the same
-// bits.
+// carries it as ordinary untagged parts, bit-identical to the tier a
+// progressive job of the same scan leads its stream with.
 func TestPreviewQualityStream(t *testing.T) {
 	_, ts := newService(t, service.Options{Workers: 1})
 	c := New(ts.URL)
@@ -130,11 +87,18 @@ func TestPreviewQualityStream(t *testing.T) {
 	if res.Slices != 8 || res.Volume == nil || res.Volume.Nz != 8 {
 		t.Fatalf("preview-quality result = %d slices, vol %+v; want the 8³ coarse volume", res.Slices, res.Volume)
 	}
-	pv, pf, err := c.Preview(ctx, v.ID)
-	if err != nil || pf != 2 {
-		t.Fatalf("Preview = factor %d, err %v", pf, err)
+	pv, err := c.Submit(ctx, progSpec(api.QualityProgressive))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d, err := volume.MaxAbsDiff(pv, res.Volume); err != nil || d != 0 {
-		t.Fatalf("GET /preview diff vs streamed result = %g, err %v", d, err)
+	prog, err := c.StreamProgressive(ctx, pv.ID, StreamHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Preview == nil || prog.PreviewFactor != 2 {
+		t.Fatalf("progressive stream: preview tier %+v, factor %d; want factor 2", prog.Preview, prog.PreviewFactor)
+	}
+	if d, err := volume.MaxAbsDiff(prog.Preview, res.Volume); err != nil || d != 0 {
+		t.Fatalf("progressive tier vs preview-quality result: diff %g, err %v; want 0, nil", d, err)
 	}
 }

@@ -109,8 +109,8 @@ func (c *Client) StreamProgressive(ctx context.Context, id string, hooks StreamH
 }
 
 // tier reassembles the parts of one resolution tier (full or preview) into a
-// volume with exactly-once accounting — the one assembler under Stream,
-// StreamProgressive and Preview. A duplicated, out-of-range or undecodable
+// volume with exactly-once accounting — the one assembler under Stream and
+// StreamProgressive. A duplicated, out-of-range or undecodable
 // part fails the stream rather than silently overwriting.
 type tier struct {
 	name   string // "slice" | "preview slice", for error text

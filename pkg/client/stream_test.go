@@ -62,7 +62,7 @@ func TestStreamDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestTierRefusals: the exactly-once assembler under Stream and Preview
+// TestTierRefusals: the exactly-once assembler under both of Stream's tiers
 // accepts every part of a row but the last, and refuses the last with an
 // error — never a panic or a silent overwrite.
 func TestTierRefusals(t *testing.T) {
